@@ -19,9 +19,11 @@
 //! ```
 //!
 //! `--summary PATH` additionally writes a machine-readable sweep summary
-//! (runs, failures, per-system×kind pass counts, summed unified metrics)
-//! whether the sweep passes or fails — so a green CI run leaves evidence
-//! too, not only a red one.
+//! (runs, failures, per-system×kind pass counts, every failed run with its
+//! violations, summed unified metrics) whether the sweep passes or fails —
+//! so a green CI run leaves evidence too, not only a red one, and
+//! `ci/check_chaos_ratchet.py` can hold a known-red load to its known
+//! failures.
 //!
 //! `--trace-dump PATH` writes the flight-recorder contents of the most
 //! recently completed run after every run, green or red — so trace events
@@ -265,6 +267,7 @@ fn main() {
     let mut failures = 0u64;
     let mut runs = 0u64;
     let mut cells: Vec<serde_json::Value> = Vec::new();
+    let mut failed_runs: Vec<serde_json::Value> = Vec::new();
     let mut metric_totals: std::collections::BTreeMap<String, u64> = Default::default();
     for system in &systems {
         for kind in PlanKind::all() {
@@ -291,6 +294,14 @@ fn main() {
                 } else {
                     cell_failed += 1;
                     failures += 1;
+                    // No violations on a failed run means the replay check
+                    // is what failed.
+                    failed_runs.push(serde_json::json!({
+                        "system": format!("{system}"),
+                        "kind": kind.label(),
+                        "seed": seed,
+                        "violations": report.violations,
+                    }));
                 }
             }
             cells.push(serde_json::json!({
@@ -329,6 +340,7 @@ fn main() {
             "systems": systems.iter().map(|s| format!("{s}")).collect::<Vec<_>>(),
             "kinds": PlanKind::all().iter().map(|k| k.label()).collect::<Vec<_>>(),
             "cells": cells,
+            "failed_runs": failed_runs,
             "metrics": metrics_json,
         });
         match std::fs::write(path, format!("{summary}\n")) {

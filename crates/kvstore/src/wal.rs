@@ -161,19 +161,26 @@ impl<R: Clone> Wal<R> {
         lsn
     }
 
+    /// The appended-but-not-yet-flushed records, newest first. Records are in
+    /// LSN order, so they are a suffix of the log: walking it from the tail
+    /// costs the length of the suffix, not of the log.
+    fn unflushed(&self) -> impl Iterator<Item = &WalRecord<R>> {
+        let flushed = self.flushed;
+        self.records
+            .iter()
+            .rev()
+            .take_while(move |r| r.lsn > flushed)
+    }
+
     /// Advances the durable watermark over every appended record (group
     /// commit: one flush persists the whole volatile suffix, whichever
     /// operations appended it). Returns how many records became durable.
     pub fn flush(&mut self) -> usize {
-        let target = self.next_lsn.saturating_sub(1);
-        let mut newly = 0;
-        for r in &self.records {
-            if r.lsn > self.flushed && r.lsn <= target {
-                newly += 1;
-                self.flushed_bytes += r.size;
-            }
-        }
-        self.flushed = self.flushed.max(target);
+        let (newly, bytes) = self
+            .unflushed()
+            .fold((0, 0), |(n, bytes), r| (n + 1, bytes + r.size));
+        self.flushed_bytes += bytes;
+        self.flushed = self.flushed.max(self.next_lsn.saturating_sub(1));
         newly
     }
 
@@ -185,7 +192,18 @@ impl<R: Clone> Wal<R> {
     /// Number of appended-but-not-yet-flushed records (the crash-vulnerable
     /// suffix).
     pub fn unflushed_len(&self) -> usize {
-        self.records.iter().filter(|r| r.lsn > self.flushed).count()
+        self.unflushed().count()
+    }
+
+    /// The retained record with the given LSN, searched from the tail: the
+    /// callers ask for a record they appended a moment ago.
+    pub fn recent(&self, lsn: u64) -> Option<&WalRecord<R>> {
+        self.records
+            .iter()
+            .rev()
+            .take_while(|r| r.lsn >= lsn)
+            .last()
+            .filter(|r| r.lsn == lsn)
     }
 
     /// The current crash epoch (bumped by every [`Wal::recover_truncate`]).
@@ -255,12 +273,7 @@ impl<R: Clone> Wal<R> {
         if let Some(last) = self.records.last() {
             if last.lsn > self.flushed {
                 // Unflushed survivors are on media after all; credit them.
-                self.flushed_bytes += self
-                    .records
-                    .iter()
-                    .filter(|r| r.lsn > self.flushed)
-                    .map(|r| r.size)
-                    .sum::<u64>();
+                self.flushed_bytes += self.unflushed().map(|r| r.size).sum::<u64>();
             }
             self.flushed = self.flushed.max(last.lsn);
         }
@@ -507,6 +520,22 @@ mod tests {
         assert_eq!(wal.unflushed_len(), 1);
         // A second flush only counts the new suffix.
         assert_eq!(wal.flush(), 1);
+    }
+
+    #[test]
+    fn recent_finds_a_record_from_the_tail() {
+        let mut wal = Wal::new();
+        for i in 0..6u32 {
+            wal.append_sized(i, 8);
+        }
+        wal.truncate_through(2);
+        assert_eq!(wal.recent(6).map(|r| r.payload), Some(5));
+        assert_eq!(wal.recent(3).map(|r| r.payload), Some(2));
+        // Truncated away, dropped from the middle, or never appended.
+        assert!(wal.recent(2).is_none());
+        wal.records.retain(|r| r.lsn != 5);
+        assert!(wal.recent(5).is_none());
+        assert!(wal.recent(7).is_none());
     }
 
     #[test]

@@ -3,8 +3,17 @@
 //! Each server keeps one [`ChangeLog`] per *scattered* directory it has
 //! deferred updates for. The log is a FIFO of [`ChangeLogEntry`] records; it
 //! also tracks the marshalled byte size of its pending entries (for the
-//! MTU-based proactive push) and the time of the last append (for the
-//! idle-push timer).
+//! MTU-based proactive push), the time of the last append (for the
+//! idle-push timer) and the *push window*: the prefix of the log that went
+//! out in the one push batch still awaiting its acknowledgment.
+//!
+//! The window is what lets a push send each entry once. A batch is the
+//! oldest unsent entries up to one MTU; while it is unacknowledged nothing
+//! else is cut (window = 1), it is the only thing a re-send carries, and
+//! the acknowledgment that discards it opens the window for the next
+//! batch. Aggregation snapshots ignore the window — they take the whole log
+//! and the owner's entry-id filter drops what a push already delivered —
+//! but every discard keeps the prefix count exact.
 
 use std::collections::VecDeque;
 
@@ -20,6 +29,9 @@ pub struct ChangeLog {
     pub fp: Fingerprint,
     entries: VecDeque<ChangeLogEntry>,
     pending_bytes: usize,
+    /// How many entries at the front of `entries` are in the push batch
+    /// awaiting its acknowledgment; 0 means the window is open.
+    in_flight: usize,
     last_append: SimTime,
 }
 
@@ -31,6 +43,7 @@ impl ChangeLog {
             fp,
             entries: VecDeque::new(),
             pending_bytes: 0,
+            in_flight: 0,
             last_append: now,
         }
     }
@@ -67,6 +80,11 @@ impl ChangeLog {
         self.last_append
     }
 
+    /// Number of entries in the push batch awaiting its acknowledgment.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
     /// Takes a snapshot of the pending entries (e.g. to transmit during an
     /// aggregation) without removing them; removal happens when the
     /// aggregation acknowledgment arrives.
@@ -74,22 +92,81 @@ impl ChangeLog {
         self.entries.iter().cloned().collect()
     }
 
+    /// The entries the next push must carry: the unacknowledged batch again
+    /// if one is in flight, otherwise a freshly cut one — the oldest entries
+    /// whose marshalled size fits `mtu_bytes` (always at least one) — which
+    /// closes the window until every entry of the batch has been discarded.
+    /// Empty when the log is.
+    pub fn push_batch(&mut self, mtu_bytes: usize) -> Vec<ChangeLogEntry> {
+        if self.in_flight == 0 {
+            let mut bytes = 0;
+            self.in_flight = self
+                .entries
+                .iter()
+                .take_while(|e| {
+                    bytes += e.wire_size();
+                    bytes <= mtu_bytes
+                })
+                .count()
+                .max(1)
+                .min(self.entries.len());
+        }
+        self.entries.iter().take(self.in_flight).cloned().collect()
+    }
+
     /// Removes the entries whose ids appear in `applied` (after an
-    /// aggregation ack or a push ack) and returns how many were removed.
+    /// aggregation ack) and returns how many were removed.
     pub fn discard_applied(&mut self, applied: &FxHashSet<OpId>) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !applied.contains(&e.entry_id));
-        self.pending_bytes = self.entries.iter().map(|e| e.wire_size()).sum();
-        before - self.entries.len()
+        self.discard_where(|e| applied.contains(&e.entry_id))
     }
 
     /// Removes one entry by id (used when an overflowed insert fell back to a
     /// synchronous update that already applied the entry).
     pub fn discard_one(&mut self, id: OpId) -> bool {
+        self.discard_where(|e| e.entry_id == id) > 0
+    }
+
+    fn discard_where(&mut self, gone: impl Fn(&ChangeLogEntry) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.entry_id != id);
-        self.pending_bytes = self.entries.iter().map(|e| e.wire_size()).sum();
-        before != self.entries.len()
+        let window = self.in_flight;
+        let mut index = 0;
+        self.entries.retain(|e| {
+            let in_window = index < window;
+            index += 1;
+            if !gone(e) {
+                return true;
+            }
+            self.pending_bytes -= e.wire_size();
+            self.in_flight -= usize::from(in_window);
+            false
+        });
+        before - self.entries.len()
+    }
+
+    /// Removes the entries a push acknowledgment names and returns how many
+    /// were removed. Only the window is examined: an acknowledged entry was
+    /// in a batch, batches are cut from the front, and nothing is cut while
+    /// one is in flight, so an acknowledged entry still in the log is still
+    /// in the window — a late duplicate acknowledgment costs a walk over at
+    /// most one MTU of entries however long the unsent tail has grown. (An
+    /// entry this misses, say after a crash rebuilt the log in WAL order, is
+    /// simply pushed again: the owner keeps its id until the holder confirms
+    /// the discard.)
+    pub fn discard_acked(&mut self, acked: &FxHashSet<OpId>) -> usize {
+        let before = self.entries.len();
+        let mut index = 0;
+        while index < self.in_flight {
+            if acked.contains(&self.entries[index].entry_id) {
+                // At most `index` (< one MTU of) entries shift; a fully
+                // acknowledged batch pops from the front.
+                let e = self.entries.remove(index).expect("index is in the window");
+                self.pending_bytes -= e.wire_size();
+                self.in_flight -= 1;
+            } else {
+                index += 1;
+            }
+        }
+        before - self.entries.len()
     }
 }
 
@@ -167,22 +244,30 @@ impl ChangeLogStore {
         applied: &FxHashSet<OpId>,
     ) -> usize {
         let mut removed = 0;
-        let dirs = self.dirs_in_group(fp);
-        for dir in dirs {
+        for dir in self.dirs_in_group(fp) {
             if let Some(log) = self.logs.get_mut(&dir) {
                 removed += log.discard_applied(applied);
                 if log.is_empty() {
-                    self.logs.remove(&dir);
-                    if let Some(set) = self.by_fp.get_mut(&fp.raw()) {
-                        set.remove(&dir);
-                        if set.is_empty() {
-                            self.by_fp.remove(&fp.raw());
-                        }
-                    }
+                    self.remove(&dir);
                 }
             }
         }
         removed
+    }
+
+    /// Removes the entries a push acknowledgment for the directory stored
+    /// under `dir_key` names (see [`ChangeLog::discard_acked`]) and drops the
+    /// log if that emptied it. Returns the directory, if it has a log here.
+    pub fn discard_acked(&mut self, dir_key: &MetaKey, acked: &FxHashSet<OpId>) -> Option<DirId> {
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        let group = self.by_fp.get(&fp.raw())?;
+        let dir = *group.iter().find(|d| self.logs[*d].dir_key == *dir_key)?;
+        let log = self.logs.get_mut(&dir)?;
+        log.discard_acked(acked);
+        if log.is_empty() {
+            self.remove(&dir);
+        }
+        Some(dir)
     }
 
     /// Every directory that currently has pending entries.
@@ -292,6 +377,98 @@ mod tests {
             client: ClientId(1),
             seq: 0
         }));
+    }
+
+    fn id(seq: u64) -> OpId {
+        OpId {
+            client: ClientId(1),
+            seq,
+        }
+    }
+
+    fn log_of(n: u64) -> ChangeLog {
+        let mut log = ChangeLog::new(
+            MetaKey::new(DirId::ROOT, "d"),
+            Fingerprint::from_raw(1),
+            SimTime::ZERO,
+        );
+        for i in 0..n {
+            log.append(entry(&format!("f{i}"), i), SimTime::ZERO);
+        }
+        log
+    }
+
+    fn seqs(batch: &[ChangeLogEntry]) -> Vec<u64> {
+        batch.iter().map(|e| e.entry_id.seq).collect()
+    }
+
+    #[test]
+    fn a_batch_is_the_oldest_entries_up_to_one_mtu_and_is_cut_once() {
+        let mut log = log_of(10);
+        let mtu = 3 * entry("f0", 0).wire_size();
+        assert_eq!(seqs(&log.push_batch(mtu)), [0, 1, 2]);
+        assert_eq!(log.in_flight(), 3);
+        // Unacknowledged: the next push is the same batch, however much was
+        // appended meanwhile.
+        log.append(entry("late", 10), SimTime::ZERO);
+        assert_eq!(seqs(&log.push_batch(mtu)), [0, 1, 2]);
+        // The acknowledgment opens the window for the next batch.
+        let acked: FxHashSet<OpId> = [0, 1, 2].map(id).into_iter().collect();
+        assert_eq!(log.discard_acked(&acked), 3);
+        assert_eq!(log.in_flight(), 0);
+        assert_eq!(seqs(&log.push_batch(mtu)), [3, 4, 5]);
+        // An entry larger than the MTU still goes out, alone.
+        let mut big = log_of(2);
+        assert_eq!(seqs(&big.push_batch(1)), [0]);
+        assert!(log_of(0).push_batch(mtu).is_empty());
+    }
+
+    #[test]
+    fn discards_keep_the_window_and_the_byte_count_exact() {
+        let mut log = log_of(8);
+        let one = entry("f0", 0).wire_size();
+        assert_eq!(seqs(&log.push_batch(4 * one)), [0, 1, 2, 3]);
+        // An aggregation acknowledged entries inside and outside the window.
+        let applied: FxHashSet<OpId> = [1, 6].map(id).into_iter().collect();
+        assert_eq!(log.discard_applied(&applied), 2);
+        assert_eq!(log.in_flight(), 3);
+        // An overflow fallback applied one more of the batch.
+        assert!(log.discard_one(id(3)));
+        assert_eq!(seqs(&log.push_batch(4 * one)), [0, 2]);
+        // A partial acknowledgment leaves the rest of the batch in flight; a
+        // late duplicate of it, and an id outside the window, change nothing.
+        let acked: FxHashSet<OpId> = [0, 1, 7].map(id).into_iter().collect();
+        assert_eq!(log.discard_acked(&acked), 1);
+        assert_eq!(log.discard_acked(&acked), 0);
+        assert_eq!(seqs(&log.push_batch(4 * one)), [2]);
+        let left: Vec<u64> = log.entries().map(|e| e.entry_id.seq).collect();
+        assert_eq!(left, [2, 4, 5, 7]);
+        assert_eq!(
+            log.pending_bytes(),
+            log.entries().map(|e| e.wire_size()).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn a_push_ack_addresses_the_directory_by_key() {
+        let mut store = ChangeLogStore::new();
+        let (key_a, key_b) = (
+            MetaKey::new(DirId::ROOT, "a"),
+            MetaKey::new(DirId::ROOT, "b"),
+        );
+        let fp = |k: &MetaKey| Fingerprint::of_dir(&k.pid, &k.name);
+        store.append(dir(1), &key_a, fp(&key_a), entry("x", 1), SimTime::ZERO);
+        store.append(dir(2), &key_b, fp(&key_b), entry("y", 2), SimTime::ZERO);
+        let acked: FxHashSet<OpId> = [id(1), id(2)].into_iter().collect();
+        // Not pushed yet: nothing is in the window, nothing is discarded.
+        assert_eq!(store.discard_acked(&key_a, &acked), Some(dir(1)));
+        assert_eq!(store.total_pending(), 2);
+        store.get_mut(&dir(1)).unwrap().push_batch(usize::MAX);
+        assert_eq!(store.discard_acked(&key_a, &acked), Some(dir(1)));
+        // The emptied log is gone, the other directory's is untouched.
+        assert!(store.get(&dir(1)).is_none());
+        assert_eq!(store.total_pending(), 1);
+        assert_eq!(store.discard_acked(&key_a, &acked), None);
     }
 
     #[test]

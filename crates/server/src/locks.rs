@@ -5,9 +5,21 @@
 //!
 //! * **inode locks** — per `(pid, name)` key; write-locked by the operation
 //!   that creates/deletes/updates the inode, read-locked by reads;
-//! * **change-log locks** — per parent directory; write-locked while a
-//!   double-inode operation appends its deferred update, read-locked while
-//!   an aggregation drains the log;
+//! * **change-log locks** — per parent directory; a two-class lock
+//!   ([`SimClassLock`]). Double-inode operations hold it as [`APPENDER`]s
+//!   from before their WAL append until the switch mirrored their
+//!   dirty-set insert; handlers answering an aggregation request hold it as
+//!   [`RESPONDER`]s from their snapshot until the owner's acknowledgment
+//!   let them discard it. Appenders share with appenders — creates in one
+//!   directory run in parallel on one server: different names commute
+//!   (size deltas add, timestamps merge by max) and same-name order is the
+//!   inode write lock's, which is held across the append — responders share
+//!   with responders (a retried request must not queue behind the first
+//!   one's acknowledgment wait), and the two classes exclude each other, so
+//!   a snapshot never contains an entry whose commit is still in progress
+//!   and nothing is appended between a snapshot and its discard. The lock
+//!   is FIFO-fair across the classes. The synchronous baselines take it
+//!   exclusively: serializing a directory's updates is what they model;
 //! * **fingerprint-group locks** — per fingerprint; write-locked for the
 //!   duration of an aggregation so that directory reads of any directory in
 //!   the group wait for the aggregation to finish (§5.2.2).
@@ -19,14 +31,20 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchfs_proto::{DirId, Fingerprint, MetaKey};
-use switchfs_simnet::sync::SimRwLock;
+pub use switchfs_simnet::sync::Access;
+use switchfs_simnet::sync::{SimClassLock, SimRwLock};
 use switchfs_simnet::FxHashMap;
 
-/// Lazily-created named reader–writer locks.
+/// Change-log lock class of the operations appending deferred updates.
+pub const APPENDER: Access = Access::ClassA;
+/// Change-log lock class of the handlers answering an aggregation request.
+pub const RESPONDER: Access = Access::ClassB;
+
+/// Lazily-created named locks.
 #[derive(Clone, Default)]
 pub struct LockManager {
     inodes: Rc<RefCell<FxHashMap<MetaKey, SimRwLock<()>>>>,
-    changelogs: Rc<RefCell<FxHashMap<DirId, SimRwLock<()>>>>,
+    changelogs: Rc<RefCell<FxHashMap<DirId, SimClassLock>>>,
     fp_groups: Rc<RefCell<FxHashMap<u64, SimRwLock<()>>>>,
 }
 
@@ -50,11 +68,9 @@ impl LockManager {
     }
 
     /// The lock guarding the change-log of directory `dir`.
-    pub fn changelog(&self, dir: &DirId) -> SimRwLock<()> {
+    pub fn changelog(&self, dir: &DirId) -> SimClassLock {
         let mut map = self.changelogs.borrow_mut();
-        map.entry(*dir)
-            .or_insert_with(|| SimRwLock::new(()))
-            .clone()
+        map.entry(*dir).or_default().clone()
     }
 
     /// The lock guarding reads and aggregations of a fingerprint group.
@@ -139,7 +155,7 @@ mod tests {
         // Locking one must not affect the other.
         let sim = Sim::new(1);
         sim.spawn(async move {
-            let _ga = a.write().await;
+            let _ga = a.acquire(Access::Exclusive).await;
             let _gb = b.write().await;
         });
         let stats = sim.run();

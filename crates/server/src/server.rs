@@ -302,8 +302,9 @@ pub(crate) struct ServerInner {
     /// phase), counted per raw fingerprint; a shard migration's drain
     /// barrier waits on these.
     pub active_aggs: FxHashMap<u64, usize>,
-    /// Remote-side aggregation lock holders waiting for the owner's ack.
-    pub pending_agg_acks: FxHashMap<u64, oneshot::Sender<()>>,
+    /// Remote-side aggregation lock holders waiting for the owner's ack,
+    /// keyed by `(owner, aggregation id)`: the ids are per-owner counters.
+    pub pending_agg_acks: FxHashMap<(ServerId, u64), oneshot::Sender<()>>,
     /// Rename transactions prepared on this participant, awaiting a decision.
     /// Durable: every entry has a matching WAL `TxnMarker::Prepared` record
     /// (cleared by `TxnMarker::Resolved`), so a crash between prepare and
@@ -1526,8 +1527,8 @@ impl Server {
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
         let durable = &mut *self.durable.borrow_mut();
         let newly_flushed = durable.wal.flush();
-        if let Ok(idx) = durable.wal.records().binary_search_by_key(&lsn, |r| r.lsn) {
-            let record = &durable.wal.records()[idx].payload;
+        if let Some(record) = durable.wal.recent(lsn) {
+            let record = &record.payload;
             // Observability: derive the batch's causal identity (the client
             // op when logged on its behalf, else the single change-log
             // entry applied) and emit events from the *actually applied*

@@ -19,8 +19,27 @@ use switchfs_proto::{
 use switchfs_simnet::timeout;
 
 use crate::config::{TrackingMode, UpdateMode};
+use crate::locks::RESPONDER;
 use crate::server::{AggCollector, Server};
 use crate::wal::KvEffect;
+
+/// Why a holder considers pushing a change-log (§5.3). What a push carries
+/// never depends on the trigger: the unacknowledged batch if there is one,
+/// else the next one cut from the front of the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PushTrigger {
+    /// An append or a push acknowledgment may have left a full MTU waiting
+    /// behind an open window: send it now instead of at the next scan.
+    Filled,
+    /// The scan tick: push a log that holds a full MTU or that nothing was
+    /// appended to lately. With a batch in flight that is the re-send — the
+    /// retry path shard migration relies on: a frozen or flipped owner drops
+    /// pushes without an acknowledgment.
+    Tick,
+    /// Everything must go (decommission drain): as `Tick`, without waiting
+    /// for a remainder to go idle.
+    Flush,
+}
 
 impl Server {
     /// Handles `statdir` and `readdir` (§5.2.2). The dirty-set query result
@@ -424,7 +443,7 @@ impl Server {
 
     /// Handles an aggregation request multicast by the switch (or unicast by
     /// the owner in the server-tracking modes): send the matching change-log
-    /// entries to the owner, then hold the change-log read locks until the
+    /// entries to the owner, then hold the change-log locks until the
     /// owner's acknowledgment arrives (§5.2.2 step 6 / 9a).
     pub(crate) async fn handle_aggregation_request(
         &self,
@@ -447,8 +466,11 @@ impl Server {
             )
             .await;
         }
-        // Read-lock every change-log in the fingerprint group while its
-        // entries are in flight.
+        // Lock every change-log in the fingerprint group as a responder
+        // while its entries are in flight: no append lands between the
+        // snapshot and its discard, while a retried request for the same
+        // aggregation shares the locks instead of queueing behind this
+        // handler's acknowledgment wait.
         let dirs = {
             let inner = self.inner.borrow();
             inner.changelogs.dirs_in_group(agg.fp)
@@ -456,7 +478,7 @@ impl Server {
         let mut guards = Vec::new();
         for d in &dirs {
             let lock = self.locks.changelog(d);
-            guards.push(lock.read().await);
+            guards.push(lock.acquire(RESPONDER).await);
         }
         self.cpu.run(costs.lock_op * dirs.len().max(1) as u64).await;
         let entries = {
@@ -481,12 +503,13 @@ impl Server {
         // ours — `recv` then completes with `Err(RecvError)`, which must NOT
         // be mistaken for an acknowledgment (discarding un-applied entries
         // here silently loses deferred directory updates; found by the chaos
-        // checker as a listing/inode divergence).
+        // checker as a listing/inode divergence). Aggregation ids are
+        // per-owner counters, so the wait is keyed by owner *and* id: two
+        // owners aggregating at once with equal ids must not take each
+        // other's acknowledgments.
+        let ack_key = (agg.owner, agg.agg_id);
         let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
-        self.inner
-            .borrow_mut()
-            .pending_agg_acks
-            .insert(agg.agg_id, tx);
+        self.inner.borrow_mut().pending_agg_acks.insert(ack_key, tx);
         let acked = matches!(
             timeout(
                 &self.handle,
@@ -496,7 +519,7 @@ impl Server {
             .await,
             Some(Ok(()))
         );
-        self.inner.borrow_mut().pending_agg_acks.remove(&agg.agg_id);
+        self.inner.borrow_mut().pending_agg_acks.remove(&ack_key);
         if acked && !sent_ids.is_empty() {
             {
                 let mut inner = self.inner.borrow_mut();
@@ -548,7 +571,11 @@ impl Server {
 
     /// Remote side: the owner acknowledged our entries.
     pub(crate) fn handle_aggregation_ack(&self, agg: AggregationPayload) {
-        let tx = self.inner.borrow_mut().pending_agg_acks.remove(&agg.agg_id);
+        let tx = self
+            .inner
+            .borrow_mut()
+            .pending_agg_acks
+            .remove(&(agg.owner, agg.agg_id));
         if let Some(tx) = tx {
             let _ = tx.send(());
         }
@@ -611,21 +638,21 @@ impl Server {
         );
     }
 
-    /// Pusher side: the owner applied our pushed entries.
+    /// Pusher side: the owner applied our pushed entries. Discards them from
+    /// the directory's push window and, now that the window is open, sends
+    /// the next batch if a full one is waiting.
     pub(crate) fn handle_push_ack(
         &self,
         src: switchfs_simnet::NodeId,
-        _dir_key: MetaKey,
+        dir_key: MetaKey,
         applied: Vec<OpId>,
     ) {
         let ids: FxHashSet<OpId> = applied.iter().copied().collect();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let dirty: Vec<(DirId, Fingerprint)> = inner.changelogs.dirty_dirs();
-            for (_, fp) in dirty {
-                inner.changelogs.discard_applied_in_group(fp, &ids);
-            }
-        }
+        let dir = self
+            .inner
+            .borrow_mut()
+            .changelogs
+            .discard_acked(&dir_key, &ids);
         self.durable.borrow_mut().wal.mark_applied_where(|rec| {
             rec.pending_entry
                 .as_ref()
@@ -643,6 +670,9 @@ impl Server {
             self.inner
                 .borrow_mut()
                 .queue_discard_confirm(me, applier, now, applied);
+        }
+        if let Some(dir) = dir {
+            self.push_changelog(&dir, PushTrigger::Filled);
         }
     }
 
@@ -662,7 +692,7 @@ impl Server {
             if self.inner.borrow().crashed {
                 continue;
             }
-            self.proactive_push_round().await;
+            self.push_all_changelogs(PushTrigger::Tick);
             self.proactive_aggregate_round().await;
             // Resolve prepared transactions whose decision never arrived
             // (§5.4.2): without this, a coordinator crash mid-broadcast
@@ -671,37 +701,49 @@ impl Server {
         }
     }
 
-    /// One round of holder-side pushes.
-    pub(crate) async fn proactive_push_round(&self) {
-        let cfg = self.cfg.proactive;
-        let now = self.handle.now();
-        let mut to_push: Vec<(DirId, MetaKey, Fingerprint, Vec<ChangeLogEntry>)> = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            for (dir, fp) in inner.changelogs.dirty_dirs() {
-                if let Some(log) = inner.changelogs.get(&dir) {
-                    let idle = now.duration_since(log.last_append()) >= cfg.idle_push_after;
-                    if log.pending_bytes() >= cfg.mtu_bytes || (idle && !log.is_empty()) {
-                        to_push.push((dir, log.dir_key.clone(), fp, log.snapshot()));
-                    }
-                }
-            }
-        }
-        for (_dir, dir_key, fp, entries) in to_push {
-            self.send_changelog_push(dir_key, fp, entries);
+    /// One round of holder-side pushes over every dirty directory.
+    pub(crate) fn push_all_changelogs(&self, trigger: PushTrigger) {
+        let dirty = self.inner.borrow().changelogs.dirty_dirs();
+        for (dir, _) in dirty {
+            self.push_changelog(&dir, trigger);
         }
     }
 
-    /// Sends one directory's change-log snapshot to the directory's current
-    /// owner, draining any queued discard confirmations addressed to it.
-    /// Shared by the steady-state proactive rounds and the decommission
-    /// flush so the holder-side push protocol exists exactly once.
-    pub(crate) fn send_changelog_push(
-        &self,
-        dir_key: MetaKey,
-        fp: Fingerprint,
-        entries: Vec<ChangeLogEntry>,
-    ) {
+    /// Sends the next push batch of `dir`'s change-log if `trigger` says one
+    /// is due. The one holder-side push path: appends, push acks, the scan
+    /// tick, the decommission flush and the post-recovery re-drive all end
+    /// up here, and what goes out is always [`ChangeLog::push_batch`] — at
+    /// most one MTU of the oldest entries, the same ones again until they
+    /// are acknowledged.
+    ///
+    /// [`ChangeLog::push_batch`]: crate::changelog::ChangeLog::push_batch
+    pub(crate) fn push_changelog(&self, dir: &DirId, trigger: PushTrigger) {
+        let cfg = self.cfg.proactive;
+        let now = self.handle.now();
+        let (dir_key, fp, batch) = {
+            let mut inner = self.inner.borrow_mut();
+            let Some(log) = inner.changelogs.get_mut(dir) else {
+                return;
+            };
+            let full = log.pending_bytes() >= cfg.mtu_bytes;
+            let due = match trigger {
+                PushTrigger::Filled => cfg.enabled && log.in_flight() == 0 && full,
+                PushTrigger::Tick => {
+                    full || now.duration_since(log.last_append()) >= cfg.idle_push_after
+                }
+                PushTrigger::Flush => true,
+            };
+            if !due || log.is_empty() {
+                return;
+            }
+            (log.dir_key.clone(), log.fp, log.push_batch(cfg.mtu_bytes))
+        };
+        self.send_changelog_push(dir_key, fp, batch);
+    }
+
+    /// Sends one push batch to the directory's current owner, draining any
+    /// queued discard confirmations addressed to it.
+    fn send_changelog_push(&self, dir_key: MetaKey, fp: Fingerprint, entries: Vec<ChangeLogEntry>) {
         let owner = self.cfg.placement.dir_owner_by_fp(fp);
         let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
         self.inner.borrow_mut().stats.pushes_sent += 1;

@@ -35,6 +35,7 @@ use switchfs_proto::{
     PartitionPolicy, ServerId,
 };
 
+use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
@@ -643,29 +644,6 @@ impl Server {
         self.send_plain(src, Body::Server(ServerMsg::ShardInstallAck { req_id }));
     }
 
-    /// Force-pushes every pending change-log entry to its directory owner,
-    /// ignoring the MTU / idle thresholds. Used by the decommission drain:
-    /// after the victim's own shards have migrated, its change-logs still
-    /// hold deferred updates to directories *other* servers own — those must
-    /// reach their owners before the victim can shut down, or the updates
-    /// would be stranded in a WAL nobody will ever replay.
-    pub(crate) fn push_all_changelogs(&self) {
-        let mut to_push: Vec<(MetaKey, Fingerprint, Vec<ChangeLogEntry>)> = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            for (dir, fp) in inner.changelogs.dirty_dirs() {
-                if let Some(log) = inner.changelogs.get(&dir) {
-                    if !log.is_empty() {
-                        to_push.push((log.dir_key.clone(), fp, log.snapshot()));
-                    }
-                }
-            }
-        }
-        for (dir_key, fp, entries) in to_push {
-            self.send_changelog_push(dir_key, fp, entries);
-        }
-    }
-
     /// Sends every queued discard confirmation as an empty change-log push
     /// addressed directly to its applier. Steady-state confirms ride on
     /// messages that already flow, but a server about to shut down has no
@@ -724,7 +702,14 @@ impl Server {
             if quiet {
                 return true;
             }
-            self.push_all_changelogs();
+            // Force-push past the MTU / idle thresholds: after the victim's
+            // own shards have migrated, its change-logs still hold deferred
+            // updates to directories *other* servers own — those must reach
+            // their owners before the victim can shut down, or they would be
+            // stranded in a WAL nobody will ever replay. Between rounds the
+            // owners' acks pull the full batches through; each round re-sends
+            // an unacknowledged batch and cuts the sub-MTU remainders.
+            self.push_all_changelogs(PushTrigger::Flush);
             // Queued discard confirmations normally ride on future
             // messages; a retiring server has none, so flush them
             // explicitly or the appliers keep the ids forever.

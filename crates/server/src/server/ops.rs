@@ -19,6 +19,8 @@ use switchfs_proto::{
 use switchfs_simnet::{timeout, NodeId};
 
 use crate::config::TrackingMode;
+use crate::locks::{Access, APPENDER};
+use crate::server::aggregate::PushTrigger;
 use crate::server::{CommitSignal, Server};
 use crate::wal::KvEffect;
 
@@ -49,10 +51,10 @@ impl Server {
         let Some(parent) = req.parent.as_ref() else {
             return Some(OpResult::Err(FsError::NotFound));
         };
-        // Locking and checking (§5.2.1): parent change-log write lock, then
-        // target inode write lock.
+        // Locking and checking (§5.2.1): parent change-log lock as an
+        // appender, then target inode write lock.
         let cl_lock = self.locks.changelog(&parent.id);
-        let _cl_guard = cl_lock.write().await;
+        let _cl_guard = cl_lock.acquire(self.append_access()).await;
         let inode_lock = self.locks.inode(&key);
         let _inode_guard = inode_lock.write().await;
         self.cpu.run(costs.lock_op * 2 + costs.kv_get).await;
@@ -166,14 +168,7 @@ impl Server {
             Vec::new(),
         )
         .await;
-        self.cpu.run(costs.changelog_append).await;
-        {
-            let now_t = self.handle.now();
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .changelogs
-                .append(parent.id, &parent.key, parent.fp, entry.clone(), now_t);
-        }
+        self.append_deferred_update(parent, &entry).await;
 
         // Dirty-set update, reply and unlocking (§5.2.1 step 6–7).
         let response = self.make_response(req.op_id, result);
@@ -407,7 +402,7 @@ impl Server {
         // Lock order: parent change-log → target fingerprint group → target
         // inode.
         let cl_lock = self.locks.changelog(&parent.id);
-        let _cl_guard = cl_lock.write().await;
+        let _cl_guard = cl_lock.acquire(self.append_access()).await;
         let fpg_lock = self.locks.fp_group(target_fp);
         let _fpg_guard = fpg_lock.write().await;
         let inode_lock = self.locks.inode(&key);
@@ -464,14 +459,7 @@ impl Server {
             Vec::new(),
         )
         .await;
-        self.cpu.run(costs.changelog_append).await;
-        {
-            let now_t = self.handle.now();
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .changelogs
-                .append(parent.id, &parent.key, parent.fp, entry.clone(), now_t);
-        }
+        self.append_deferred_update(parent, &entry).await;
         let response = self.make_response(req.op_id, OpResult::Done);
         self.persist_completion(&req.op, &response);
         match self
@@ -539,6 +527,35 @@ impl Server {
             Ok(()) => OpResult::Done,
             Err(e) => OpResult::Err(e),
         }
+    }
+
+    /// How a double-inode operation takes its parent's change-log lock:
+    /// shared with the other appenders in the asynchronous modes (different
+    /// names commute, same-name order is the inode lock's), exclusively in
+    /// the synchronous baselines, whose per-directory serialization on the
+    /// file's server is part of what they model.
+    fn append_access(&self) -> Access {
+        if self.cfg.update_mode.is_async() {
+            APPENDER
+        } else {
+            Access::Exclusive
+        }
+    }
+
+    /// Appends a committed operation's deferred parent update to the
+    /// parent's change-log (§5.2.1 step 5) and pushes a batch if this append
+    /// filled an MTU.
+    async fn append_deferred_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
+        self.cpu.run(self.cfg.costs.changelog_append).await;
+        let now = self.handle.now();
+        self.inner.borrow_mut().changelogs.append(
+            parent.id,
+            &parent.key,
+            parent.fp,
+            entry.clone(),
+            now,
+        );
+        self.push_changelog(&parent.id, PushTrigger::Filled);
     }
 
     /// Marks the parent directory scattered and arranges for the response to

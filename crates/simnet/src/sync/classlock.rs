@@ -1,0 +1,359 @@
+//! A FIFO-fair two-class lock (group mutual exclusion).
+//!
+//! Holders of the *same* class share the lock, the two classes exclude each
+//! other, and [`Access::Exclusive`] excludes everyone including itself. The
+//! metadata servers use it for a directory's change-log (§5.2): the
+//! double-inode operations appending deferred updates are one class, the
+//! aggregation responders snapshotting the log are the other — appends to
+//! one directory run in parallel, a snapshot never sees a half-committed
+//! append, and neither side is a single-holder critical section.
+//!
+//! Fairness is FIFO across classes: an acquire is granted immediately only
+//! when nobody is queued, so a waiter of the other class blocks every later
+//! arrival of the class that currently holds the lock (an append storm
+//! cannot starve an aggregation, and vice versa). When the lock drains, the
+//! queue is served from the front for as long as consecutive waiters are
+//! compatible with each other.
+//!
+//! This is deliberately not a mode of [`super::SimRwLock`]: that lock backs
+//! every inode (hundreds of thousands live forever) and its read/write
+//! protocol cannot express "readers of kind A exclude readers of kind B".
+
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
+
+/// How an acquire wants to hold a [`SimClassLock`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Access {
+    /// Shared with other `ClassA` holders, excludes `ClassB`.
+    ClassA,
+    /// Shared with other `ClassB` holders, excludes `ClassA`.
+    ClassB,
+    /// Excludes every other holder.
+    Exclusive,
+}
+
+struct Waiter {
+    access: Access,
+    granted: Rc<Cell<bool>>,
+    waker: Option<Waker>,
+}
+
+struct Inner {
+    holders: usize,
+    /// The access the current holders share; meaningful while `holders > 0`.
+    held: Access,
+    waiters: VecDeque<Waiter>,
+}
+
+impl Inner {
+    fn admits(&self, access: Access) -> bool {
+        self.holders == 0 || (self.held == access && access != Access::Exclusive)
+    }
+
+    fn admit(&mut self, access: Access) {
+        self.holders += 1;
+        self.held = access;
+    }
+
+    /// Grants the lock to waiters from the front of the queue for as long as
+    /// the front is compatible with the current holders.
+    fn grant_from_queue(&mut self, wakers: &mut Vec<Waker>) {
+        while self.waiters.front().is_some_and(|w| self.admits(w.access)) {
+            let mut w = self.waiters.pop_front().expect("front exists");
+            self.admit(w.access);
+            w.granted.set(true);
+            wakers.extend(w.waker.take());
+        }
+    }
+}
+
+/// An asynchronous, FIFO-fair two-class lock. Clones share the lock.
+#[derive(Clone)]
+pub struct SimClassLock {
+    inner: Rc<RefCell<Inner>>,
+}
+
+impl Default for SimClassLock {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SimClassLock {
+    /// Creates a new unlocked lock.
+    pub fn new() -> Self {
+        SimClassLock {
+            inner: Rc::new(RefCell::new(Inner {
+                holders: 0,
+                held: Access::Exclusive,
+                waiters: VecDeque::new(),
+            })),
+        }
+    }
+
+    /// Acquires the lock with the given access.
+    pub fn acquire(&self, access: Access) -> ClassAcquire {
+        ClassAcquire {
+            lock: self.clone(),
+            access,
+            granted: None,
+        }
+    }
+
+    /// Number of tasks currently holding the lock.
+    pub fn holders(&self) -> usize {
+        self.inner.borrow().holders
+    }
+
+    /// Number of tasks currently waiting.
+    pub fn waiters(&self) -> usize {
+        self.inner.borrow().waiters.len()
+    }
+
+    /// Runs `f` on the lock state, then wakes whoever it granted the lock to
+    /// (outside the borrow: a woken task may touch the lock again).
+    fn regrant(&self, f: impl FnOnce(&mut Inner)) {
+        let mut wakers = Vec::new();
+        {
+            let mut inner = self.inner.borrow_mut();
+            f(&mut inner);
+            inner.grant_from_queue(&mut wakers);
+        }
+        for w in wakers {
+            w.wake();
+        }
+    }
+
+    fn release(&self) {
+        self.regrant(|inner| inner.holders -= 1);
+    }
+}
+
+/// Future returned by [`SimClassLock::acquire`]. Dropping it before it
+/// resolves cancels the acquire.
+pub struct ClassAcquire {
+    lock: SimClassLock,
+    access: Access,
+    granted: Option<Rc<Cell<bool>>>,
+}
+
+impl Future for ClassAcquire {
+    type Output = ClassGuard;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        if let Some(granted) = self.granted.clone() {
+            if granted.get() {
+                // Clear the flag so dropping the finished future does not
+                // release the lock a second time.
+                self.granted = None;
+                return Poll::Ready(ClassGuard {
+                    lock: self.lock.clone(),
+                });
+            }
+            let mut inner = self.lock.inner.borrow_mut();
+            if let Some(w) = inner
+                .waiters
+                .iter_mut()
+                .find(|w| Rc::ptr_eq(&w.granted, &granted))
+            {
+                w.waker = Some(cx.waker().clone());
+            }
+            return Poll::Pending;
+        }
+        let mut inner = self.lock.inner.borrow_mut();
+        if inner.waiters.is_empty() && inner.admits(self.access) {
+            inner.admit(self.access);
+            drop(inner);
+            return Poll::Ready(ClassGuard {
+                lock: self.lock.clone(),
+            });
+        }
+        let granted = Rc::new(Cell::new(false));
+        inner.waiters.push_back(Waiter {
+            access: self.access,
+            granted: granted.clone(),
+            waker: Some(cx.waker().clone()),
+        });
+        drop(inner);
+        self.granted = Some(granted);
+        Poll::Pending
+    }
+}
+
+impl Drop for ClassAcquire {
+    fn drop(&mut self) {
+        let Some(granted) = &self.granted else {
+            return;
+        };
+        if granted.get() {
+            // Granted but never polled to completion: hand the lock on.
+            self.lock.release();
+        } else {
+            // Leaving the queue can unblock the waiters that were behind
+            // this one (they may be compatible with the current holders).
+            self.lock.regrant(|inner| {
+                inner.waiters.retain(|w| !Rc::ptr_eq(&w.granted, granted));
+            });
+        }
+    }
+}
+
+/// RAII guard of a [`SimClassLock`]; releases on drop.
+pub struct ClassGuard {
+    lock: SimClassLock,
+}
+
+impl Drop for ClassGuard {
+    fn drop(&mut self) {
+        self.lock.release();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::{timeout, Sim};
+    use crate::time::{SimDuration, SimTime};
+
+    /// Spawns a task that arrives at `arrive` µs, acquires `lock` with
+    /// `access`, holds it for `hold` µs and logs `(name, acquired_at_us)`.
+    fn holder(
+        sim: &Sim,
+        lock: &SimClassLock,
+        log: &Rc<RefCell<Vec<(&'static str, u64)>>>,
+        name: &'static str,
+        access: Access,
+        arrive: u64,
+        hold: u64,
+    ) {
+        let (lock, log, h) = (lock.clone(), log.clone(), sim.handle());
+        sim.spawn(async move {
+            h.sleep(SimDuration::micros(arrive)).await;
+            let _g = lock.acquire(access).await;
+            log.borrow_mut().push((name, h.now().as_micros()));
+            h.sleep(SimDuration::micros(hold)).await;
+        });
+    }
+
+    fn acquired_at(log: &Rc<RefCell<Vec<(&'static str, u64)>>>, name: &str) -> u64 {
+        let log = log.borrow();
+        log.iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name} never acquired"))
+            .1
+    }
+
+    #[test]
+    fn same_class_holders_overlap() {
+        for class in [Access::ClassA, Access::ClassB] {
+            let sim = Sim::new(1);
+            let lock = SimClassLock::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            holder(&sim, &lock, &log, "x", class, 0, 10);
+            holder(&sim, &lock, &log, "y", class, 1, 10);
+            holder(&sim, &lock, &log, "z", class, 2, 10);
+            let stats = sim.run();
+            assert_eq!(acquired_at(&log, "y"), 1);
+            assert_eq!(acquired_at(&log, "z"), 2);
+            // All three overlapped: the run is one hold long, not three.
+            assert_eq!(stats.end_time, SimTime::from_micros(12));
+            assert_eq!(lock.holders(), 0);
+        }
+    }
+
+    #[test]
+    fn the_two_classes_exclude_each_other() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "a", Access::ClassA, 0, 10);
+        holder(&sim, &lock, &log, "b", Access::ClassB, 1, 10);
+        holder(&sim, &lock, &log, "a2", Access::ClassA, 12, 10);
+        sim.run();
+        assert_eq!(acquired_at(&log, "b"), 10);
+        assert_eq!(acquired_at(&log, "a2"), 20);
+    }
+
+    #[test]
+    fn exclusive_excludes_everyone_including_itself() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "x1", Access::Exclusive, 0, 10);
+        holder(&sim, &lock, &log, "x2", Access::Exclusive, 1, 10);
+        holder(&sim, &lock, &log, "a", Access::ClassA, 2, 10);
+        sim.run();
+        assert_eq!(acquired_at(&log, "x2"), 10);
+        assert_eq!(acquired_at(&log, "a"), 20);
+    }
+
+    #[test]
+    fn a_queued_waiter_of_the_other_class_blocks_later_arrivals() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "a1", Access::ClassA, 0, 10);
+        holder(&sim, &lock, &log, "b", Access::ClassB, 1, 10);
+        // Compatible with the holder, but `b` queued first: no overtaking.
+        holder(&sim, &lock, &log, "a2", Access::ClassA, 2, 10);
+        holder(&sim, &lock, &log, "a3", Access::ClassA, 3, 10);
+        sim.run();
+        assert_eq!(acquired_at(&log, "b"), 10);
+        // The two queued appenders are granted together once `b` is done.
+        assert_eq!(acquired_at(&log, "a2"), 20);
+        assert_eq!(acquired_at(&log, "a3"), 20);
+    }
+
+    #[test]
+    fn cancelling_a_waiting_acquire_unblocks_the_waiters_behind_it() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "a1", Access::ClassA, 0, 20);
+        // `b` gives up after 5 µs in the queue.
+        {
+            let (lock, h) = (lock.clone(), sim.handle());
+            sim.spawn(async move {
+                h.sleep(SimDuration::micros(1)).await;
+                let got = timeout(&h, SimDuration::micros(5), lock.acquire(Access::ClassB)).await;
+                assert!(got.is_none(), "the holder outlasts the timeout");
+            });
+        }
+        holder(&sim, &lock, &log, "a2", Access::ClassA, 2, 10);
+        sim.run();
+        // `a2` shares with `a1` the moment `b` leaves the queue (t = 6 µs),
+        // not when `a1` releases (t = 20 µs).
+        assert_eq!(acquired_at(&log, "a2"), 6);
+        assert_eq!(lock.holders(), 0);
+        assert_eq!(lock.waiters(), 0);
+    }
+
+    #[test]
+    fn dropping_a_granted_but_unpolled_acquire_releases_the_lock() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let first = lock.clone();
+        let h = sim.handle();
+        let l2 = lock.clone();
+        sim.spawn(async move {
+            let g = first.acquire(Access::Exclusive).await;
+            // Queue a second acquire by polling it once, release the first
+            // holder (which grants the queued one), then drop it unpolled.
+            let mut queued = Box::pin(l2.acquire(Access::Exclusive));
+            assert!(timeout(&h, SimDuration::micros(1), queued.as_mut())
+                .await
+                .is_none());
+            drop(g);
+            assert_eq!(l2.holders(), 1);
+            drop(queued);
+            assert_eq!(l2.holders(), 0);
+        });
+        sim.run();
+        assert_eq!(lock.holders(), 0);
+    }
+}

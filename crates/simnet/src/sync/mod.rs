@@ -6,6 +6,7 @@
 //! faithful to the first-come-first-served service disciplines the SwitchFS
 //! paper assumes for locks and CPU run queues.
 
+pub mod classlock;
 pub mod mpsc;
 pub mod mutex;
 pub mod notify;
@@ -13,6 +14,7 @@ pub mod oneshot;
 pub mod rwlock;
 pub mod semaphore;
 
+pub use classlock::{Access, ClassGuard, SimClassLock};
 pub use mpsc::{channel, Receiver, Sender};
 pub use mutex::{SimMutex, SimMutexGuard};
 pub use notify::Notify;

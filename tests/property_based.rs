@@ -196,6 +196,170 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The change-log push window
+// ---------------------------------------------------------------------------
+
+/// One step of a holder's life, as seen by one directory's change-log.
+#[derive(Debug, Clone)]
+enum WindowOp {
+    /// A double-inode operation on name `n{0}` appends its deferred update.
+    Append(u8),
+    /// Whatever triggers a push (MTU fill, ack, scan tick, flush): cuts a
+    /// batch if the window is open, re-sends the unacknowledged one if not.
+    Push,
+    /// The acknowledgment of the `{0}`-th push ever sent arrives — possibly
+    /// late, possibly a duplicate.
+    Ack(u8),
+    /// An aggregation snapshots the whole log …
+    AggSnapshot,
+    /// … and its acknowledgment later discards that snapshot.
+    AggDiscard,
+    /// An overflow fallback applied the `{0}`-th pending entry out of band.
+    DiscardOne(u8),
+}
+
+fn window_op() -> impl Strategy<Value = WindowOp> {
+    prop_oneof![
+        (0u8..5).prop_map(WindowOp::Append),
+        (0u8..5).prop_map(WindowOp::Append),
+        Just(WindowOp::Push),
+        any::<u8>().prop_map(WindowOp::Ack),
+        Just(WindowOp::AggSnapshot),
+        Just(WindowOp::AggDiscard),
+        any::<u8>().prop_map(WindowOp::DiscardOne),
+    ]
+}
+
+proptest! {
+    /// Under any interleaving of appends, pushes, (late, duplicated) push
+    /// acks, aggregation discards and out-of-band discards, the push window
+    /// delivers every entry to the owner at least once before dropping it,
+    /// never puts a new entry on the wire while a batch is unacknowledged,
+    /// keeps per-name FIFO order, and keeps `pending_bytes` exact.
+    #[test]
+    fn changelog_window_delivers_everything_once_acked(
+        ops in proptest::collection::vec(window_op(), 1..250),
+        mtu_entries in 1usize..6,
+    ) {
+        use switchfs::proto::MetaKey;
+        use switchfs::server::ChangeLog;
+        use switchfs::simnet::{FxHashSet, SimTime};
+
+        let entry = |seq: u64, name: u8| ChangeLogEntry {
+            entry_id: OpId { client: ClientId(0), seq },
+            dir: DirId::ROOT,
+            name: format!("n{name}"),
+            op: ChangeOp::Insert { file_type: FileType::File, mode: 0o644 },
+            timestamp: seq,
+            size_delta: 1,
+        };
+        let mtu = mtu_entries * entry(0, 0).wire_size();
+        let mut log = ChangeLog::new(
+            MetaKey::new(DirId::ROOT, "d"),
+            Fingerprint::from_raw(1),
+            SimTime::ZERO,
+        );
+        let mut appended = 0u64;
+        // What the owner has seen (pushes, aggregation snapshots, fallbacks).
+        let mut delivered: HashSet<u64> = HashSet::new();
+        // Highest sequence first delivered per name by a push or a snapshot:
+        // FIFO means it only grows.
+        let mut newest_delivered: BTreeMap<String, u64> = BTreeMap::new();
+        let mut pushes: Vec<Vec<u64>> = Vec::new();
+        let mut outstanding: HashSet<u64> = HashSet::new();
+        let mut snapshot: Vec<u64> = Vec::new();
+
+        macro_rules! deliver {
+            ($entries:expr) => {
+                for e in $entries {
+                    if delivered.insert(e.entry_id.seq) {
+                        let newest = newest_delivered.entry(e.name.clone()).or_insert(0);
+                        prop_assert!(
+                            *newest <= e.entry_id.seq,
+                            "{} delivered {} after {}", e.name, e.entry_id.seq, *newest
+                        );
+                        *newest = e.entry_id.seq;
+                    }
+                }
+            };
+        }
+        let id_set = |seqs: &[u64]| -> FxHashSet<OpId> {
+            seqs.iter().map(|&seq| OpId { client: ClientId(0), seq }).collect()
+        };
+
+        // The tail of the script drains the log the way a quiet holder does.
+        let drain = (0..400).flat_map(|_| [WindowOp::Push, WindowOp::Ack(u8::MAX)]);
+        for op in ops.into_iter().chain(drain) {
+            match op {
+                WindowOp::Append(name) => {
+                    appended += 1;
+                    log.append(entry(appended, name), SimTime::ZERO);
+                }
+                WindowOp::Push => {
+                    let was_open = log.in_flight() == 0;
+                    let batch = log.push_batch(mtu);
+                    prop_assert_eq!(batch.len(), log.in_flight());
+                    if was_open {
+                        let bytes: usize = batch.iter().map(|e| e.wire_size()).sum();
+                        prop_assert!(bytes <= mtu || batch.len() == 1);
+                        outstanding = batch.iter().map(|e| e.entry_id.seq).collect();
+                    } else {
+                        // A re-send carries nothing the cut did not.
+                        prop_assert!(batch.iter().all(|e| outstanding.contains(&e.entry_id.seq)));
+                    }
+                    deliver!(&batch);
+                    if !batch.is_empty() {
+                        pushes.push(batch.iter().map(|e| e.entry_id.seq).collect());
+                    }
+                }
+                WindowOp::Ack(which) => {
+                    // `u8::MAX` acknowledges the latest push; anything else
+                    // picks an arbitrary earlier one.
+                    let pick = match which {
+                        u8::MAX => pushes.len().checked_sub(1),
+                        w => (w as usize).checked_rem(pushes.len()),
+                    };
+                    if let Some(i) = pick {
+                        log.discard_acked(&id_set(&pushes[i]));
+                    }
+                }
+                WindowOp::AggSnapshot => {
+                    let entries = log.snapshot();
+                    snapshot = entries.iter().map(|e| e.entry_id.seq).collect();
+                    deliver!(&entries);
+                }
+                WindowOp::AggDiscard => {
+                    log.discard_applied(&id_set(&snapshot));
+                }
+                WindowOp::DiscardOne(which) => {
+                    if !log.is_empty() {
+                        // Out of band: the owner applied it synchronously,
+                        // outside the log's order.
+                        let id = log.entries().nth(which as usize % log.len()).map(|e| e.entry_id);
+                        let id = id.expect("index in range");
+                        delivered.insert(id.seq);
+                        prop_assert!(log.discard_one(id));
+                    }
+                }
+            }
+            // Nothing leaves the log before the owner has seen it.
+            let pending: Vec<u64> = log.entries().map(|e| e.entry_id.seq).collect();
+            prop_assert!(pending.windows(2).all(|w| w[0] < w[1]), "log order: {:?}", pending);
+            let pending_set: HashSet<u64> = pending.iter().copied().collect();
+            prop_assert!((1..=appended).all(|s| pending_set.contains(&s) || delivered.contains(&s)));
+            prop_assert!(log.in_flight() <= log.len());
+            prop_assert_eq!(
+                log.pending_bytes(),
+                log.entries().map(|e| e.wire_size()).sum::<usize>()
+            );
+        }
+        prop_assert!(log.is_empty(), "{} entries left after the drain", log.len());
+        prop_assert_eq!(log.pending_bytes(), 0);
+        prop_assert_eq!(delivered.len() as u64, appended);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Torn-write crash consistency of the WAL (PR 6)
 // ---------------------------------------------------------------------------
 
