@@ -21,9 +21,7 @@
 //! `--summary PATH` additionally writes a machine-readable sweep summary
 //! (runs, failures, per-system×kind pass counts, every failed run with its
 //! violations, summed unified metrics) whether the sweep passes or fails —
-//! so a green CI run leaves evidence too, not only a red one, and
-//! `ci/check_chaos_ratchet.py` can hold a known-red load to its known
-//! failures.
+//! so a green CI run leaves evidence too, not only a red one.
 //!
 //! `--trace-dump PATH` writes the flight-recorder contents of the most
 //! recently completed run after every run, green or red — so trace events

@@ -8,8 +8,8 @@ use switchfs_client::{LibFs, LibFsConfig};
 use switchfs_obs::{MetricsRegistry, Obs, ObsHandle};
 use switchfs_proto::message::NetMsg;
 use switchfs_proto::{
-    ClientId, DirEntry, DirId, FileType, Fingerprint, MetaKey, PartitionPolicy, ServerId,
-    SharedPlacement,
+    ClientId, DirEntry, DirId, FileType, Fingerprint, MetaKey, PartitionPolicy, Placement,
+    ServerId, SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{DurableState, Server, ServerConfig, TrackingMode};
@@ -386,7 +386,7 @@ impl Cluster {
     }
 
     /// Installs `count` files named `f0..f{count-1}` in an already preloaded
-    /// directory, updating the directory's entry list and size.
+    /// directory and in the directory's entry list.
     pub fn preload_files(&mut self, dir_path: &str, prefix: &str, count: usize) {
         let (dir_key, dir_id) = self
             .preloaded_dirs
@@ -411,7 +411,6 @@ impl Cluster {
                 },
             );
         }
-        self.servers[content_owner.0 as usize].preload_dir_size(&dir_key, count as u64);
     }
 
     /// Checkpoints every server's volatile state into its durable bundle.

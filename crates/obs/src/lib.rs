@@ -87,21 +87,16 @@ pub enum EventKind {
     /// A change-log push (proactive or aggregation-driven) left this node.
     ChangeLogPush { dir: u64, entries: u32 },
     /// An entry-list mutation was applied to a directory's sharded content.
-    /// `batch` groups the applies that landed in one WAL record together
-    /// with their [`EventKind::SizeDelta`]. `changed` is whether the entry
-    /// count actually moved: an insert that overwrote an existing name, or
-    /// a remove of an absent name, applies without changing the count —
-    /// exactly the cases a size counter kept elsewhere can drift on.
+    /// `batch` groups the applies that landed in one WAL record. `changed`
+    /// is whether the entry count — the directory's size — actually moved:
+    /// an insert that overwrote an existing name, or a remove of an absent
+    /// name, applies without changing it.
     EntryApply {
         batch: u64,
         dir: u64,
         insert: bool,
         changed: bool,
     },
-    /// A directory inode's size counter moved by `delta` in batch `batch`
-    /// (recorded on the directory owner; entry applies may land on other
-    /// servers, so matching is per-dir across nodes, not per-batch).
-    SizeDelta { batch: u64, dir: u64, delta: i64 },
     /// The origin server retired one holder-confirmed change-log entry.
     DiscardConfirm { entry: OpId },
     /// Migration froze a shard on the source (requests start dropping).
@@ -125,12 +120,6 @@ pub enum EventKind {
         insert: bool,
         changed: bool,
     },
-    /// Recovery moved a directory inode's size counter by `delta` while
-    /// replaying WAL record `lsn`. Mirrors [`EventKind::SizeDelta`]; the
-    /// pair gives the replay path the same per-effect visibility the live
-    /// path has — exactly where an eventless replay can hide a ±1 statdir
-    /// divergence between asymmetric flushed prefixes.
-    RecoverySizeDelta { lsn: u64, dir: u64, delta: i64 },
 }
 
 /// A bounded per-node FIFO ring of recent [`TraceEvent`]s.

@@ -38,5 +38,5 @@ pub use message::{
     AggregationPayload, Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, ParentRef,
     ServerMsg, UdpPorts,
 };
-pub use placement::{HashPlacement, PartitionPolicy, Placement, ShardMap, SharedPlacement};
+pub use placement::{PartitionPolicy, Placement, ShardMap, SharedPlacement};
 pub use schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};

@@ -30,59 +30,19 @@ pub enum PartitionPolicy {
     Subtree,
 }
 
-/// Maps metadata objects to their owner servers.
+/// Maps metadata objects to their owner servers. An implementation says
+/// which policy it follows and who owns a placement hash; what each kind of
+/// object hashes by under each policy is written once, here.
 pub trait Placement {
-    /// Number of metadata servers.
-    fn num_servers(&self) -> usize;
+    /// The configured policy.
+    fn policy(&self) -> PartitionPolicy;
+
+    /// Owner for an arbitrary pre-computed placement hash.
+    fn owner_of_hash(&self, hash: u64) -> ServerId;
 
     /// Owner of a *file* inode identified by its `(pid, name)` key.
-    fn file_owner(&self, key: &MetaKey) -> ServerId;
-
-    /// Owner of a *directory* inode (and its entry list) identified by the
-    /// directory's fingerprint. Used by SwitchFS so that a fingerprint group
-    /// maps to exactly one server (§4.3).
-    fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId;
-
-    /// Owner of a directory's children under P/C grouping, identified by the
-    /// directory id.
-    fn dir_owner_by_id(&self, id: &DirId) -> ServerId;
-
-    /// Owner for an arbitrary pre-computed hash (used by the subtree policy
-    /// and by tests).
-    fn owner_of_hash(&self, hash: u64) -> ServerId;
-}
-
-/// Modulo-hash placement over `n` servers with a given policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HashPlacement {
-    policy: PartitionPolicy,
-    servers: usize,
-}
-
-impl HashPlacement {
-    /// Creates a placement over `servers` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is zero.
-    pub fn new(policy: PartitionPolicy, servers: usize) -> Self {
-        assert!(servers > 0, "placement needs at least one server");
-        HashPlacement { policy, servers }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
-    }
-}
-
-impl Placement for HashPlacement {
-    fn num_servers(&self) -> usize {
-        self.servers
-    }
-
     fn file_owner(&self, key: &MetaKey) -> ServerId {
-        match self.policy {
+        match self.policy() {
             // Files are spread by their own key.
             PartitionPolicy::PerFileHash => self.owner_of_hash(key.hash64()),
             // Files are colocated with their parent directory's children.
@@ -92,16 +52,17 @@ impl Placement for HashPlacement {
         }
     }
 
+    /// Owner of a *directory* inode (and its entry list) identified by the
+    /// directory's fingerprint. Used by SwitchFS so that a fingerprint group
+    /// maps to exactly one server (§4.3).
     fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
         self.owner_of_hash(crate::ids::splitmix64(fp.raw()))
     }
 
+    /// Owner of a directory's children under P/C grouping, identified by the
+    /// directory id.
     fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
         self.owner_of_hash(id.hash64())
-    }
-
-    fn owner_of_hash(&self, hash: u64) -> ServerId {
-        ServerId((hash % self.servers as u64) as u32)
     }
 }
 
@@ -115,8 +76,8 @@ pub const BASE_SHARDS: usize = 256;
 ///
 /// The hash space is split into a fixed number of virtual shards
 /// (`shard = hash % num_shards`), each owned by one server. Epoch 0 is
-/// extensionally equal to [`HashPlacement`] over the initial server count;
-/// every later reassignment (live shard migration, server addition) bumps
+/// extensionally equal to modulo placement (`hash % servers`) over the
+/// initial server count; every later reassignment (live shard migration, server addition) bumps
 /// the epoch, and clients holding a stale epoch are rejected with
 /// [`crate::message::OpResult::WrongOwner`] carrying the current map.
 ///
@@ -138,8 +99,7 @@ pub struct ShardMap {
 impl ShardMap {
     /// The epoch-0 map over `servers` servers: `num_shards` is the smallest
     /// multiple of `servers` that is at least [`BASE_SHARDS`], and shard `s`
-    /// is owned by server `s % servers` — bit-identical to
-    /// `HashPlacement`'s `hash % servers`.
+    /// is owned by server `s % servers` — bit-identical to `hash % servers`.
     ///
     /// # Panics
     ///
@@ -160,9 +120,10 @@ impl ShardMap {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
+    /// Number of registered servers (retired ones included: ids are never
+    /// reused).
+    pub fn num_servers(&self) -> usize {
+        self.servers
     }
 
     /// The current map version; bumped by every shard reassignment.
@@ -335,25 +296,8 @@ impl ShardMap {
 }
 
 impl Placement for ShardMap {
-    fn num_servers(&self) -> usize {
-        self.servers
-    }
-
-    fn file_owner(&self, key: &MetaKey) -> ServerId {
-        match self.policy {
-            PartitionPolicy::PerFileHash => self.owner_of_hash(key.hash64()),
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                self.dir_owner_by_id(&key.pid)
-            }
-        }
-    }
-
-    fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
-        self.owner_of_hash(crate::ids::splitmix64(fp.raw()))
-    }
-
-    fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
-        self.owner_of_hash(id.hash64())
+    fn policy(&self) -> PartitionPolicy {
+        self.policy
     }
 
     fn owner_of_hash(&self, hash: u64) -> ServerId {
@@ -379,11 +323,6 @@ impl SharedPlacement {
     /// The epoch-0 shared map over `servers` servers.
     pub fn initial(policy: PartitionPolicy, servers: usize) -> Self {
         Self::new(ShardMap::initial(policy, servers))
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.0.borrow().policy()
     }
 
     /// The current epoch.
@@ -455,27 +394,14 @@ impl SharedPlacement {
     pub fn num_servers(&self) -> usize {
         self.0.borrow().num_servers()
     }
+}
 
-    /// Owner of a file inode (see [`Placement::file_owner`]).
-    pub fn file_owner(&self, key: &MetaKey) -> ServerId {
-        self.0.borrow().file_owner(key)
+impl Placement for SharedPlacement {
+    fn policy(&self) -> PartitionPolicy {
+        self.0.borrow().policy()
     }
 
-    /// Owner of a directory's fingerprint group (see
-    /// [`Placement::dir_owner_by_fp`]).
-    pub fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
-        self.0.borrow().dir_owner_by_fp(fp)
-    }
-
-    /// Owner of a directory's children under P/C grouping (see
-    /// [`Placement::dir_owner_by_id`]).
-    pub fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
-        self.0.borrow().dir_owner_by_id(id)
-    }
-
-    /// Owner of an arbitrary placement hash (see
-    /// [`Placement::owner_of_hash`]).
-    pub fn owner_of_hash(&self, hash: u64) -> ServerId {
+    fn owner_of_hash(&self, hash: u64) -> ServerId {
         self.0.borrow().owner_of_hash(hash)
     }
 }
@@ -485,9 +411,22 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// The historic `hash % n` placement an epoch-0 map must reproduce.
+    struct Modulo(PartitionPolicy, u64);
+
+    impl Placement for Modulo {
+        fn policy(&self) -> PartitionPolicy {
+            self.0
+        }
+
+        fn owner_of_hash(&self, hash: u64) -> ServerId {
+            ServerId((hash % self.1) as u32)
+        }
+    }
+
     #[test]
     fn per_file_hash_spreads_one_directory() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         let mut counts: HashMap<ServerId, usize> = HashMap::new();
         for i in 0..8000 {
             let key = MetaKey::new(DirId::ROOT, format!("f{i}"));
@@ -500,7 +439,7 @@ mod tests {
 
     #[test]
     fn per_directory_hash_groups_one_directory() {
-        let p = HashPlacement::new(PartitionPolicy::PerDirectoryHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
         let owners: std::collections::HashSet<_> = (0..1000)
             .map(|i| p.file_owner(&MetaKey::new(DirId::ROOT, format!("f{i}"))))
             .collect();
@@ -509,14 +448,14 @@ mod tests {
 
     #[test]
     fn fingerprint_groups_map_to_one_server() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 8);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         let fp = Fingerprint::of_dir(&DirId::ROOT, "dir");
         assert_eq!(p.dir_owner_by_fp(fp), p.dir_owner_by_fp(fp));
     }
 
     #[test]
     fn owner_is_always_in_range() {
-        let p = HashPlacement::new(PartitionPolicy::PerFileHash, 5);
+        let p = ShardMap::initial(PartitionPolicy::PerFileHash, 5);
         for h in [0u64, 1, u64::MAX, 12345678901234567] {
             assert!(p.owner_of_hash(h).0 < 5);
         }
@@ -525,7 +464,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_panics() {
-        let _ = HashPlacement::new(PartitionPolicy::PerFileHash, 0);
+        let _ = ShardMap::initial(PartitionPolicy::PerFileHash, 0);
     }
 
     #[test]
@@ -535,7 +474,7 @@ mod tests {
             assert_eq!(map.epoch(), 0);
             assert_eq!(map.num_shards() % n, 0);
             assert!(map.num_shards() >= BASE_SHARDS.min(n * BASE_SHARDS));
-            let old = HashPlacement::new(PartitionPolicy::PerFileHash, n);
+            let old = Modulo(PartitionPolicy::PerFileHash, n as u64);
             for h in [0u64, 1, 255, 256, 12345678901234567, u64::MAX] {
                 assert_eq!(map.owner_of_hash(h), old.owner_of_hash(h), "n={n} h={h}");
             }

@@ -12,17 +12,40 @@
 //!   [`RESPONDER`]s from their snapshot until the owner's acknowledgment
 //!   let them discard it. Appenders share with appenders — creates in one
 //!   directory run in parallel on one server: different names commute
-//!   (size deltas add, timestamps merge by max) and same-name order is the
-//!   inode write lock's, which is held across the append — responders share
-//!   with responders (a retried request must not queue behind the first
-//!   one's acknowledgment wait), and the two classes exclude each other, so
-//!   a snapshot never contains an entry whose commit is still in progress
-//!   and nothing is appended between a snapshot and its discard. The lock
-//!   is FIFO-fair across the classes. The synchronous baselines take it
-//!   exclusively: serializing a directory's updates is what they model;
-//! * **fingerprint-group locks** — per fingerprint; write-locked for the
-//!   duration of an aggregation so that directory reads of any directory in
-//!   the group wait for the aggregation to finish (§5.2.2).
+//!   (entry-list mutations of different keys, timestamps merge by max) and
+//!   same-name order is the inode write lock's, which is held across the
+//!   append — responders share with responders (a retried request must not
+//!   queue behind the first one's acknowledgment wait), and the two classes
+//!   exclude each other, so a snapshot never contains an entry whose commit
+//!   is still in progress and nothing is appended between a snapshot and
+//!   its discard. The lock is FIFO-fair across the classes. The synchronous
+//!   baselines take it exclusively: serializing a directory's updates is
+//!   what they model;
+//! * **fingerprint-group locks** — per fingerprint; write-locked by whoever
+//!   applies updates to a directory of the group, so that directory reads
+//!   of any directory in the group wait for the apply to finish (§5.2.2).
+//!
+//! # Lock order
+//!
+//! *parent change-log* → *fingerprint group* → *inode*; a handler never
+//! takes an earlier family while holding a later one. The first step is the
+//! double-inode handlers' (`handle_double_inode`, `handle_rmdir`). The last
+//! two guard a directory's inode and entry list against their appliers, and
+//! there are exactly two of those:
+//!
+//! * the **batch applier** (`apply_entries_to_owned_dirs`: aggregation and
+//!   push) runs under the group's write lock, taken by its caller, and takes
+//!   no inode lock;
+//! * the **single-update applier** (`Server::apply_dir_update`: baseline
+//!   parent update, overflow fallback, remote update, rename's directory
+//!   half) takes the group's write lock and then the directory's inode
+//!   write lock. It is the only function that writes that sequence down, so
+//!   the order cannot differ between its four callers.
+//!
+//! Both appliers log the inode effect and the entry effects of one update
+//! in one WAL record (`docs/persist-order.md`), and a directory's size is
+//! read off the entry list when a reply is built, so no interleaving of the
+//! two can make `statdir` disagree with `readdir`.
 //!
 //! Locks are created lazily and kept forever; the number of distinct keys a
 //! single simulated server touches is bounded by the experiment size.

@@ -7,9 +7,10 @@
 //! can share the [`Server`] context.
 //!
 //! Lock ordering (deadlock freedom): handlers acquire locks in the order
-//! *parent change-log lock* → *fingerprint-group lock* → *inode lock*, and
-//! never wait for a remote server while holding a lock that a remote
-//! handler on this server would need in conflicting mode before replying.
+//! *parent change-log lock* → *fingerprint-group lock* → *inode lock* (see
+//! [`crate::locks`]), and never wait for a remote server while holding a
+//! lock that a remote handler on this server would need in conflicting mode
+//! before replying.
 
 pub mod aggregate;
 pub mod migrate;
@@ -28,8 +29,9 @@ use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, ServerMsg,
 };
 use switchfs_proto::{
-    ChangeLogEntry, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState, FileType,
-    Fingerprint, FsError, InodeAttrs, MetaKey, OpId, ServerId, Timestamps, TraceId,
+    ChangeLogEntry, ChangeOp, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState,
+    FileType, Fingerprint, FsError, InodeAttrs, MetaKey, OpId, Placement, ServerId, Timestamps,
+    TraceId,
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
@@ -359,7 +361,7 @@ pub(crate) struct ServerInner {
 }
 
 impl ServerInner {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServerInner {
             inodes: KvStore::new(),
             entries: KvStore::new(),
@@ -460,6 +462,17 @@ impl ServerInner {
     /// True if `dir` currently lists an entry called `name`.
     pub fn entry_exists(&self, dir: &DirId, name: &str) -> bool {
         self.entries.peek(dir).is_some_and(|c| c.contains(name))
+    }
+
+    /// Stamps a directory's attributes with its size: the length of the
+    /// entry list this server holds for it. The size is not stored — every
+    /// reply carrying a directory's attributes passes through here, so it
+    /// cannot disagree with the listing. Files pass through unchanged.
+    pub fn with_dir_size(&self, mut attrs: InodeAttrs) -> InodeAttrs {
+        if attrs.is_dir() {
+            attrs.size = self.entries.peek(&attrs.id).map_or(0, |c| c.len() as u64);
+        }
+        attrs
     }
 
     /// The cached response of a completed operation, if still retained.
@@ -1016,9 +1029,11 @@ impl Server {
                 op_token,
                 fallback,
             } => {
-                Box::pin(self.handle_async_commit_packet(
-                    src, response, origin, op_token, fallback, dirty_ret,
-                ))
+                Box::pin(
+                    self.handle_async_commit_packet(
+                        response, origin, op_token, fallback, dirty_ret,
+                    ),
+                )
                 .await;
             }
             ServerMsg::AggregationRequest { agg, invalidate } => {
@@ -1065,8 +1080,8 @@ impl Server {
                 };
                 self.complete_token(req_id, reply);
             }
-            ServerMsg::FallbackDone { op_token, entry_id } => {
-                self.handle_fallback_done(src, op_token, entry_id);
+            ServerMsg::FallbackDone { op_token, .. } => {
+                self.handle_fallback_done(src, op_token);
             }
             ServerMsg::MarkDirty { req_id, fp } => {
                 self.handle_mark_dirty(src, req_id, fp).await;
@@ -1273,8 +1288,9 @@ impl Server {
                 let lock = self.locks.inode(&key);
                 let _g = lock.read().await;
                 self.cpu.run(costs.lock_op + costs.kv_get).await;
-                match self.inner.borrow_mut().inodes.get(&key) {
-                    Some(attrs) => OpResult::Attrs(attrs),
+                let mut inner = self.inner.borrow_mut();
+                match inner.inodes.get(&key) {
+                    Some(attrs) => OpResult::Attrs(inner.with_dir_size(attrs)),
                     None => OpResult::Err(FsError::NotFound),
                 }
             }
@@ -1529,22 +1545,12 @@ impl Server {
         let newly_flushed = durable.wal.flush();
         if let Some(record) = durable.wal.recent(lsn) {
             let record = &record.payload;
-            // Observability: derive the batch's causal identity (the client
-            // op when logged on its behalf, else the single change-log
-            // entry applied) and emit events from the *actually applied*
-            // record — not from the caller's intent — so a divergence
-            // between the two is visible in a dump. Everything here is
-            // non-counting peeks and ring-buffer writes; the replay digest
-            // cannot see it.
-            let obs_on = self.obs_on();
-            let (trace, batch) = if obs_on {
-                let trace = record
-                    .op_id
-                    .or(match record.applied_entry_ids[..] {
-                        [only] => Some(only),
-                        _ => None,
-                    })
-                    .map(TraceId::of_op);
+            // Events are emitted from the *actually applied* record — not
+            // from the caller's intent — so a divergence between the two is
+            // visible in a dump. Everything here is non-counting peeks and
+            // ring-buffer writes; the replay digest cannot see it.
+            let trace = self.record_trace(record);
+            let batch = if self.obs_on() {
                 self.trace_event(trace, EventKind::WalAppend { lsn, bytes: size });
                 self.trace_event(
                     trace,
@@ -1553,62 +1559,69 @@ impl Server {
                         records: newly_flushed as u64,
                     },
                 );
-                (trace, self.cfg.obs.next_batch())
+                self.cfg.obs.next_batch()
             } else {
-                (None, 0)
+                0
             };
-            let mut inner = self.inner.borrow_mut();
-            for e in &record.effects {
-                if obs_on {
-                    match e {
-                        KvEffect::PutInode(key, attrs)
-                            if attrs.file_type == FileType::Directory =>
-                        {
-                            let old = inner.inodes.peek(key).map_or(0, |a| a.size as i64);
-                            let delta = attrs.size as i64 - old;
-                            if delta != 0 {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::SizeDelta {
-                                        batch,
-                                        dir: attrs.id.hash64(),
-                                        delta,
-                                    },
-                                );
-                            }
-                        }
-                        KvEffect::PutEntry(dir, entry) => {
-                            self.trace_event(
-                                trace,
-                                EventKind::EntryApply {
-                                    batch,
-                                    dir: dir.hash64(),
-                                    insert: true,
-                                    changed: !inner.entry_exists(dir, &entry.name),
-                                },
-                            );
-                        }
-                        KvEffect::DeleteEntry(dir, name) => {
-                            self.trace_event(
-                                trace,
-                                EventKind::EntryApply {
-                                    batch,
-                                    dir: dir.hash64(),
-                                    insert: false,
-                                    changed: inner.entry_exists(dir, name),
-                                },
-                            );
-                        }
-                        _ => {}
-                    }
+            self.apply_record(record, trace, |dir, insert, changed| {
+                EventKind::EntryApply {
+                    batch,
+                    dir,
+                    insert,
+                    changed,
                 }
-                inner.apply_effect(e);
-            }
-            for id in &record.applied_entry_ids {
-                inner.applied_entry_ids.insert(*id);
-            }
+            });
         }
         lsn
+    }
+
+    /// The causal identity of a WAL record: the client op it was logged for,
+    /// else the single change-log entry it applied. `None` when tracing is
+    /// off.
+    pub(crate) fn record_trace(&self, record: &WalOp) -> Option<TraceId> {
+        if !self.obs_on() {
+            return None;
+        }
+        record
+            .op_id
+            .or(match record.applied_entry_ids[..] {
+                [only] => Some(only),
+                _ => None,
+            })
+            .map(TraceId::of_op)
+    }
+
+    /// Applies a durable record's effects and applied-entry ids to the
+    /// volatile stores: live, right after the record's flush, and again at
+    /// recovery replay. Each entry-list mutation emits the event
+    /// `entry_event(dir, insert, changed)` builds, peeked before the apply;
+    /// `changed` is false for an insert over a present name and a remove of
+    /// an absent one.
+    pub(crate) fn apply_record(
+        &self,
+        record: &WalOp,
+        trace: Option<TraceId>,
+        entry_event: impl Fn(u64, bool, bool) -> EventKind,
+    ) {
+        let obs_on = self.obs_on();
+        let mut inner = self.inner.borrow_mut();
+        for e in &record.effects {
+            if obs_on {
+                let mutation = match e {
+                    KvEffect::PutEntry(dir, entry) => Some((dir, &entry.name, true)),
+                    KvEffect::DeleteEntry(dir, name) => Some((dir, name, false)),
+                    _ => None,
+                };
+                if let Some((dir, name, insert)) = mutation {
+                    let changed = insert != inner.entry_exists(dir, name);
+                    self.trace_event(trace, entry_event(dir.hash64(), insert, changed));
+                }
+            }
+            inner.apply_effect(e);
+        }
+        inner
+            .applied_entry_ids
+            .extend(record.applied_entry_ids.iter().copied());
     }
 
     /// The effective cost of one WAL append, including any chaos-injected
@@ -1737,17 +1750,6 @@ impl Server {
         self.inner.borrow_mut().put_entry(dir, entry);
     }
 
-    /// Directly bumps a preloaded directory's entry count so `statdir`
-    /// reports a size consistent with preloaded entries.
-    pub fn preload_dir_size(&self, key: &MetaKey, size: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(attrs) = inner.inodes.peek(key).cloned() {
-            let mut attrs = attrs;
-            attrs.size = size;
-            inner.inodes.put(key.clone(), attrs);
-        }
-    }
-
     /// Generates a fresh directory id.
     pub(crate) fn fresh_dir_id(&self) -> DirId {
         let mut inner = self.inner.borrow_mut();
@@ -1761,7 +1763,7 @@ impl Server {
         op_id: OpId,
         parent_id: DirId,
         name: &str,
-        op: switchfs_proto::ChangeOp,
+        op: ChangeOp,
         size_delta: i64,
     ) -> ChangeLogEntry {
         ChangeLogEntry {
@@ -1774,46 +1776,39 @@ impl Server {
         }
     }
 
-    /// Applies a single change-log entry to a locally-owned directory inode
-    /// and entry list, returning the KV effects (shared by the aggregation,
-    /// push, fallback and baseline remote-update paths).
-    pub(crate) fn entry_effects(&self, dir_key: &MetaKey, entry: &ChangeLogEntry) -> Vec<KvEffect> {
-        let mut effects = Vec::new();
-        let inner = self.inner.borrow();
-        let Some(attrs) = inner.inodes.peek(dir_key) else {
-            return effects;
+    /// The KV effects of applying deferred updates to a directory this
+    /// server owns: one `PutInode` merging `timestamp` into the directory's
+    /// times, plus one entry-list mutation per `(name, op)`. A single
+    /// change-log entry and a compacted batch differ only in how many
+    /// mutations they carry. Empty when the directory inode is gone — its
+    /// updates are moot.
+    pub(crate) fn dir_update_effects<'a>(
+        &self,
+        dir_key: &MetaKey,
+        dir: DirId,
+        timestamp: u64,
+        ops: impl IntoIterator<Item = (&'a str, ChangeOp)>,
+    ) -> Vec<KvEffect> {
+        let Some(mut attrs) = self.inner.borrow().inodes.peek(dir_key).cloned() else {
+            return Vec::new();
         };
-        let mut attrs = attrs.clone();
-        // The size delta only applies when the entry's presence actually
-        // changes: a rename overwriting an existing name re-puts the entry
-        // (no growth), and a remove of an already-absent name must not
-        // shrink the directory below its entry count.
-        let target_exists = inner.entry_exists(&entry.dir, &entry.name);
-        let effective_delta = match entry.op {
-            switchfs_proto::ChangeOp::Insert { .. } if target_exists => 0,
-            switchfs_proto::ChangeOp::Remove if !target_exists => 0,
-            _ => entry.size_delta,
-        };
-        attrs.size = (attrs.size as i64 + effective_delta).max(0) as u64;
-        let mut times = Timestamps::at(entry.timestamp);
+        let mut times = Timestamps::at(timestamp);
         times.atime = attrs.times.atime;
         attrs.times.merge_max(&times);
+        let ops = ops.into_iter();
+        let mut effects = Vec::with_capacity(1 + ops.size_hint().0);
         effects.push(KvEffect::PutInode(dir_key.clone(), attrs));
-        match entry.op {
-            switchfs_proto::ChangeOp::Insert { file_type, mode } => {
-                effects.push(KvEffect::PutEntry(
-                    entry.dir,
-                    DirEntry {
-                        name: entry.name.clone(),
-                        file_type,
-                        mode,
-                    },
-                ));
-            }
-            switchfs_proto::ChangeOp::Remove => {
-                effects.push(KvEffect::DeleteEntry(entry.dir, entry.name.clone()));
-            }
-        }
+        effects.extend(ops.map(|(name, op)| match op {
+            ChangeOp::Insert { file_type, mode } => KvEffect::PutEntry(
+                dir,
+                DirEntry {
+                    name: name.to_string(),
+                    file_type,
+                    mode,
+                },
+            ),
+            ChangeOp::Remove => KvEffect::DeleteEntry(dir, name.to_string()),
+        }));
         effects
     }
 
@@ -1838,7 +1833,7 @@ impl Server {
                 Some(content) => content.listing(),
                 None => Rc::new(Vec::new()),
             };
-            (attrs, entries)
+            (inner.with_dir_size(attrs), entries)
         };
         let scan_cost = self.cfg.costs.readdir_per_entry * entries.len().max(1) as u64;
         self.cpu.run(self.cfg.costs.kv_get + scan_cost).await;

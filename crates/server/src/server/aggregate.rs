@@ -12,9 +12,8 @@ use switchfs_simnet::FxHashSet;
 use switchfs_proto::message::{AggregationPayload, Body, ClientRequest, ServerMsg};
 use switchfs_proto::message::{CoordMsg, MetaOp};
 use switchfs_proto::{
-    changelog::CompactedChanges, ChangeLogEntry, ChangeOp, DirEntry, DirId, DirtyRet,
-    DirtySetHeader, DirtySetOp, DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult,
-    ServerId, Timestamps,
+    changelog::CompactedChanges, ChangeLogEntry, DirId, DirtyRet, DirtySetHeader, DirtySetOp,
+    DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, ServerId,
 };
 use switchfs_simnet::timeout;
 
@@ -100,8 +99,9 @@ impl Server {
                 None => OpResult::Err(FsError::NotFound),
             }
         } else {
-            match self.inner.borrow_mut().inodes.get(key) {
-                Some(attrs) if attrs.is_dir() => OpResult::Attrs(attrs),
+            let mut inner = self.inner.borrow_mut();
+            match inner.inodes.get(key) {
+                Some(attrs) if attrs.is_dir() => OpResult::Attrs(inner.with_dir_size(attrs)),
                 Some(_) => OpResult::Err(FsError::NotADirectory),
                 None => OpResult::Err(FsError::NotFound),
             }
@@ -252,7 +252,7 @@ impl Server {
                 }
             }
         }
-        let applied = self.apply_entries_to_owned_dirs(fp, &entries).await;
+        let applied = self.apply_entries_to_owned_dirs(&entries).await;
 
         // Acknowledge the responders so they can mark their entries applied
         // and release their change-log locks (§5.2.2 steps 9a/9b).
@@ -331,11 +331,11 @@ impl Server {
     /// Applies change-log entries to the directories of a fingerprint group
     /// owned by this server, with or without compaction depending on the
     /// update mode (Fig. 14's "+Async" vs "+Compaction").
-    pub(crate) async fn apply_entries_to_owned_dirs(
-        &self,
-        _fp: Fingerprint,
-        entries: &[ChangeLogEntry],
-    ) -> usize {
+    ///
+    /// The caller holds the group's fingerprint-group write lock, which is
+    /// what excludes the single-update applier
+    /// ([`Server::apply_dir_update`]) for the whole batch.
+    pub(crate) async fn apply_entries_to_owned_dirs(&self, entries: &[ChangeLogEntry]) -> usize {
         if entries.is_empty() {
             return 0;
         }
@@ -369,34 +369,15 @@ impl Server {
                         inner.stats.entries_compacted_away += compacted.merged_entries as u64;
                     }
                     // One attribute update for the whole batch.
-                    let attr_effect = {
-                        let inner = self.inner.borrow();
-                        inner.inodes.peek(&dir_key).cloned().map(|mut attrs| {
-                            attrs.size = (attrs.size as i64 + compacted.size_delta).max(0) as u64;
-                            let mut t = Timestamps::at(compacted.max_timestamp);
-                            t.atime = attrs.times.atime;
-                            attrs.times.merge_max(&t);
-                            KvEffect::PutInode(dir_key.clone(), attrs)
-                        })
-                    };
-                    let mut effects: Vec<KvEffect> = attr_effect.into_iter().collect();
-                    for (name, op) in &compacted.entry_ops {
-                        match op {
-                            ChangeOp::Insert { file_type, mode } => {
-                                effects.push(KvEffect::PutEntry(
-                                    dir,
-                                    DirEntry {
-                                        name: name.clone(),
-                                        file_type: *file_type,
-                                        mode: *mode,
-                                    },
-                                ));
-                            }
-                            ChangeOp::Remove => {
-                                effects.push(KvEffect::DeleteEntry(dir, name.clone()));
-                            }
-                        }
-                    }
+                    let effects = self.dir_update_effects(
+                        &dir_key,
+                        dir,
+                        compacted.max_timestamp,
+                        compacted
+                            .entry_ops
+                            .iter()
+                            .map(|(name, op)| (name.as_str(), *op)),
+                    );
                     // Entry-list mutations are spread across cores: different
                     // keys do not conflict, which is what restores
                     // intra-server parallelism (Fig. 14).
@@ -425,7 +406,12 @@ impl Server {
                     // serialization (the "+Async" bar of Fig. 14).
                     for e in &dir_entries {
                         self.cpu.run(costs.entry_apply + costs.kv_get).await;
-                        let effects = self.entry_effects(&dir_key, e);
+                        let effects = self.dir_update_effects(
+                            &dir_key,
+                            dir,
+                            e.timestamp,
+                            [(e.name.as_str(), e.op)],
+                        );
                         self.apply_and_log(None, effects, None, vec![e.entry_id])
                             .await;
                     }
@@ -622,7 +608,7 @@ impl Server {
                 .filter(|e| !inner.entry_already_applied(&e.entry_id))
                 .collect()
         };
-        self.apply_entries_to_owned_dirs(fp, &fresh).await;
+        self.apply_entries_to_owned_dirs(&fresh).await;
         {
             let mut inner = self.inner.borrow_mut();
             inner.stats.pushes_received += 1;

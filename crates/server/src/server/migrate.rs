@@ -32,7 +32,7 @@
 use switchfs_proto::message::{Body, ClientResponse, ServerMsg};
 use switchfs_proto::{
     ids::splitmix64, ChangeLogEntry, DirId, FileType, Fingerprint, InodeAttrs, MetaKey, OpId,
-    PartitionPolicy, ServerId,
+    PartitionPolicy, Placement, ServerId,
 };
 
 use crate::server::aggregate::PushTrigger;
@@ -562,8 +562,8 @@ impl Server {
             // replica by its own id hash), so a decommission draining both
             // role shards off one donor can deliver the *stale* access-role
             // snapshot after this server's content-role copy already
-            // absorbed post-flip updates — blindly overwriting would fork
-            // size/ctime away from the entry list. Keep whichever copy
+            // absorbed post-flip updates — blindly overwriting would roll
+            // its times and mode back. Keep whichever copy
             // changed last (ties take the incoming copy, which keeps
             // retransmitted installs idempotent).
             let local_fresher = {
@@ -588,8 +588,8 @@ impl Server {
         for (dir, key, entry) in pending {
             // Idempotent append: a lost-ack earlier install (or this
             // server's own holder-side change-log) may already carry the
-            // entry — a second copy would double-apply under the
-            // presence-blind compacted delta.
+            // entry — a second copy in one batch would pass the owner's
+            // id filter with the first and be applied twice.
             let dup = self
                 .inner
                 .borrow()

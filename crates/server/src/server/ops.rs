@@ -14,7 +14,7 @@ use switchfs_proto::message::{
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtyRet, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
-    InodeAttrs, OpId, OpResult,
+    InodeAttrs, OpId, OpResult, Placement,
 };
 use switchfs_simnet::{timeout, NodeId};
 
@@ -34,6 +34,21 @@ pub(crate) enum CommitOutcome {
     /// The dirty-set insert overflowed; the parent owner applied the update
     /// synchronously and already replied to the client.
     FallbackHandled,
+}
+
+/// Who hands [`Server::apply_dir_update`] its update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DirUpdateSource {
+    /// This server's own handler, updating a parent it owns (baseline
+    /// parent update with file and directory colocated).
+    Local,
+    /// Another server's message (overflow fallback, `RemoteDirUpdate`):
+    /// applied only while this server still owns the directory, and counted
+    /// in `remote_updates`.
+    Remote,
+    /// A committed rename transaction: must observe the aggregated
+    /// directory, and cannot be refused any more.
+    Txn,
 }
 
 impl Server {
@@ -280,22 +295,10 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let costs = self.cfg.costs;
         let owner = self.sync_dir_owner(parent);
         if owner == self.cfg.id {
-            // fp-group before inode, like every other dir-update applier:
-            // harmless in the pure-sync baselines (no aggregations run) but
-            // keeps the locking discipline uniform.
-            let fpg = self.locks.fp_group(parent.fp);
-            let _fpg_g = fpg.write().await;
-            let lock = self.locks.inode(&parent.key);
-            let _g = lock.write().await;
-            self.cpu
-                .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                .await;
-            let effects = self.entry_effects(&parent.key, entry);
-            self.apply_and_log(None, effects, None, vec![entry.entry_id])
-                .await;
+            self.apply_dir_update(&parent.key, entry, DirUpdateSource::Local)
+                .await?;
             // Applier and issuer are the same server and the operation's
             // own duplicate suppression covers re-execution: retire the id
             // into the bounded FIFO immediately.
@@ -738,7 +741,6 @@ impl Server {
     /// fallback (at the parent directory's owner).
     pub(crate) async fn handle_async_commit_packet(
         &self,
-        _src: NodeId,
         response: ClientResponse,
         origin: switchfs_proto::ServerId,
         op_token: u64,
@@ -756,42 +758,15 @@ impl Server {
         if dirty_ret == Some(DirtyRet::Overflowed) {
             // Address-rewriter fallback: apply the deferred update
             // synchronously, reply to the client, and notify the origin.
-            let fb_fp =
-                switchfs_proto::Fingerprint::of_dir(&fallback.dir_key.pid, &fallback.dir_key.name);
-            if self.dir_update_frozen(fb_fp, &fallback.entry.dir)
-                || !self.owns_dir_updates(fb_fp, &fallback.entry.dir)
-            {
+            let applied = self
+                .apply_dir_update(&fallback.dir_key, &fallback.entry, DirUpdateSource::Remote)
+                .await;
+            if applied == Err(FsError::Unavailable) {
                 // The parent directory's shard is frozen by an outbound
                 // migration (or already flipped away): drop the fallback;
                 // the origin's commit wait times out and the operation
                 // retries against the current owner.
                 return;
-            }
-            let costs = self.cfg.costs;
-            let already = self
-                .inner
-                .borrow()
-                .entry_already_applied(&fallback.entry.entry_id);
-            if !already {
-                // Serialize against the aggregation/push appliers, which
-                // hold the fingerprint-group write lock but not the inode
-                // lock: two appliers interleaving their read-modify-write
-                // of the directory inode across the WAL await would each
-                // compute the new size from the same snapshot and lose one
-                // delta (surfaces as a statdir-size ≠ listing divergence;
-                // disk-latency spikes widen the window). Lock order matches
-                // rmdir: fp-group before inode.
-                let fpg = self.locks.fp_group(fb_fp);
-                let _fpg_g = fpg.write().await;
-                let lock = self.locks.inode(&fallback.dir_key);
-                let _g = lock.write().await;
-                self.cpu
-                    .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                    .await;
-                let effects = self.entry_effects(&fallback.dir_key, &fallback.entry);
-                self.apply_and_log(None, effects, None, vec![fallback.entry.entry_id])
-                    .await;
-                self.inner.borrow_mut().stats.remote_updates += 1;
             }
             self.send_plain(NodeId(fallback.client_node), Body::Response(response));
             self.send_plain(
@@ -806,7 +781,7 @@ impl Server {
 
     /// Handles the origin-side notification that the overflow fallback
     /// completed.
-    pub(crate) fn handle_fallback_done(&self, src: NodeId, op_token: u64, _entry_id: OpId) {
+    pub(crate) fn handle_fallback_done(&self, src: NodeId, op_token: u64) {
         let applier = self.server_id_of(src);
         let tx = self.inner.borrow_mut().pending_commits.remove(&op_token);
         if let Some(tx) = tx {
@@ -824,7 +799,10 @@ impl Server {
     }
 
     /// Handles a synchronous remote directory update (baseline double-inode
-    /// operations and the dedicated-coordinator overflow fallback).
+    /// operations and the dedicated-coordinator overflow fallback). A frozen
+    /// or flipped-away directory fails with `Unavailable` instead of
+    /// stranding the update at a non-owner: the caller re-resolves the owner
+    /// against the shared map and retries there.
     pub(crate) async fn handle_remote_dir_update(
         &self,
         src: NodeId,
@@ -832,51 +810,74 @@ impl Server {
         dir_key: switchfs_proto::MetaKey,
         entry: ChangeLogEntry,
     ) {
-        let costs = self.cfg.costs;
-        self.cpu.run(costs.software_path).await;
-        let upd_fp = switchfs_proto::Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        if self.dir_update_frozen(upd_fp, &entry.dir) || !self.owns_dir_updates(upd_fp, &entry.dir)
-        {
-            // The directory's shard is frozen by an outbound migration (or
-            // already flipped away): fail the update instead of stranding
-            // it at a non-owner. The caller re-resolves the owner against
-            // the shared map and retries there.
-            self.send_plain(
-                src,
-                Body::Server(ServerMsg::RemoteDirUpdateAck {
-                    req_id,
-                    result: Err(FsError::Unavailable),
-                }),
-            );
-            return;
-        }
-        let already = self.inner.borrow().entry_already_applied(&entry.entry_id);
-        let result = if already {
-            Ok(())
-        } else {
-            // Same discipline as the overflow fallback above: exclude the
-            // fp-group appliers before touching the directory inode, or a
-            // concurrent aggregation apply loses this entry's size delta.
-            let fpg = self.locks.fp_group(upd_fp);
-            let _fpg_g = fpg.write().await;
-            let lock = self.locks.inode(&dir_key);
-            let _g = lock.write().await;
-            self.cpu
-                .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                .await;
-            if self.inner.borrow().inodes.peek(&dir_key).is_none() {
-                Err(FsError::NotFound)
-            } else {
-                let effects = self.entry_effects(&dir_key, &entry);
-                self.apply_and_log(None, effects, None, vec![entry.entry_id])
-                    .await;
-                self.inner.borrow_mut().stats.remote_updates += 1;
-                Ok(())
-            }
-        };
+        self.cpu.run(self.cfg.costs.software_path).await;
+        let result = self
+            .apply_dir_update(&dir_key, &entry, DirUpdateSource::Remote)
+            .await;
         self.send_plain(
             src,
             Body::Server(ServerMsg::RemoteDirUpdateAck { req_id, result }),
         );
+    }
+
+    /// Applies one directory update synchronously to a directory this server
+    /// owns. The only place that writes down the applier discipline:
+    /// ownership gate → dedup check → fp-group write lock → inode write lock
+    /// → cost charge → [`Server::apply_and_log`] → stats. The fp-group lock
+    /// excludes the batch appliers (aggregation, push), which hold it but
+    /// not the inode lock; the inode lock excludes the directory's other
+    /// writers (`chmod`, `rmdir`).
+    ///
+    /// `Err(Unavailable)`: a remote update for a directory whose shard is
+    /// frozen or gone — the sender retries against the current owner.
+    /// `Err(NotFound)`: the directory inode is not here; nothing was logged.
+    pub(crate) async fn apply_dir_update(
+        &self,
+        dir_key: &switchfs_proto::MetaKey,
+        entry: &ChangeLogEntry,
+        source: DirUpdateSource,
+    ) -> Result<(), FsError> {
+        let costs = self.cfg.costs;
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        if source == DirUpdateSource::Remote
+            && (self.dir_update_frozen(fp, &entry.dir) || !self.owns_dir_updates(fp, &entry.dir))
+        {
+            return Err(FsError::Unavailable);
+        }
+        if self.inner.borrow().entry_already_applied(&entry.entry_id) {
+            return Ok(());
+        }
+        let fpg = self.locks.fp_group(fp);
+        let _fpg_guard = fpg.write().await;
+        if source == DirUpdateSource::Txn && self.cfg.update_mode.is_async() {
+            // The directory may hold deferred change-log entries that
+            // logically precede this synchronous update (e.g. the create of
+            // the entry being renamed away). Apply them first, or a later
+            // aggregation would replay them over the rename's effect (§5.2:
+            // rename is fully synchronous, so it must observe the
+            // aggregated directory). Boxed: the aggregation machinery would
+            // otherwise set the size of every caller's per-request future.
+            Box::pin(self.aggregate_group(fp, None)).await;
+        }
+        let lock = self.locks.inode(dir_key);
+        let _inode_guard = lock.write().await;
+        self.cpu
+            .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
+            .await;
+        let effects = self.dir_update_effects(
+            dir_key,
+            entry.dir,
+            entry.timestamp,
+            [(entry.name.as_str(), entry.op)],
+        );
+        if effects.is_empty() {
+            return Err(FsError::NotFound);
+        }
+        self.apply_and_log(None, effects, None, vec![entry.entry_id])
+            .await;
+        if source == DirUpdateSource::Remote {
+            self.inner.borrow_mut().stats.remote_updates += 1;
+        }
+        Ok(())
     }
 }

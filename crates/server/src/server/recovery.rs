@@ -20,11 +20,11 @@
 
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
-use switchfs_proto::{FileType, Fingerprint, TraceId};
+use switchfs_proto::{Fingerprint, Placement};
 
 use crate::server::rename::PreparedTxn;
-use crate::server::Server;
-use crate::wal::{CheckpointData, KvEffect, TxnMarker};
+use crate::server::{Server, ServerInner};
+use crate::wal::{CheckpointData, TxnMarker};
 
 /// Summary of one recovery run, reported to the harness (used by the §7.7
 /// experiment and asserted by the chaos checker).
@@ -81,40 +81,34 @@ impl Server {
         let costs = self.cfg.costs;
         let mut report = RecoveryReport::default();
 
-        // Volatile state starts from scratch.
+        // Volatile state starts from scratch: everything not named here is
+        // reset, so a field added to `ServerInner` later is volatile by
+        // default. The survivors are identity counters (a reused token or
+        // directory id would collide with the previous incarnation's),
+        // harness-set modes, lifetime statistics and the owner-tracking
+        // dirty set.
         {
             let mut inner = self.inner.borrow_mut();
-            inner.crashed = false;
-            inner.unavailable = true;
-            inner.inodes.clear();
-            inner.entries.clear();
-            inner.dir_index.clear();
-            inner.changelogs.clear();
-            inner.invalidation.clear();
-            inner.applied_entry_ids.clear();
-            inner.retired_entry_ids.clear();
-            inner.retired_entry_order.clear();
-            inner.pending_discard_confirms.clear();
-            inner.completed_ops.clear();
-            inner.push_timers.clear();
-            inner.pending_commits.clear();
-            inner.pending_tokens.clear();
-            inner.pending_aggs.clear();
-            inner.active_aggs.clear();
-            inner.pending_agg_acks.clear();
-            inner.prepared_txns.clear();
-            inner.decided_txns.clear();
-            inner.active_txns.clear();
-            inner.resolving_txns.clear();
-            inner.txn_vote_tokens.clear();
-            inner.txn_ack_tokens.clear();
-            inner.committed_txns.clear();
-            inner.committed_txn_order.clear();
-            inner.in_flight_ops.clear();
-            inner.seen_request_pkts.clear();
-            inner.migrating_shards.clear();
-            inner.applied_installs.clear();
-            inner.in_progress_installs.clear();
+            let mut old = std::mem::replace(&mut *inner, ServerInner::new());
+            // The stores restart empty but keep their access counters
+            // (`KvStore::clear`), which registry rows read across recoveries.
+            old.inodes.clear();
+            old.entries.clear();
+            *inner = ServerInner {
+                inodes: old.inodes,
+                entries: old.entries,
+                dir_counter: old.dir_counter,
+                next_token: old.next_token,
+                remove_seq: old.remove_seq,
+                disk_slowdown: old.disk_slowdown,
+                decommissioned: old.decommissioned,
+                shutdown: old.shutdown,
+                stats: old.stats,
+                local_dirty: old.local_dirty,
+                crashed: false,
+                unavailable: true,
+                ..ServerInner::new()
+            };
         }
         // Drop packets addressed to the previous incarnation.
         self.endpoint.drain();
@@ -149,80 +143,21 @@ impl Server {
             .collect();
         let mut started_migrations: std::collections::BTreeMap<u32, switchfs_proto::ServerId> =
             std::collections::BTreeMap::new();
-        let obs_on = self.obs_on();
         for (lsn, op, applied, size) in &records {
             // Each replayed record costs one KV write's worth of CPU; this is
             // what makes the §7.7 recovery time proportional to the number of
             // operations to recover.
             self.cpu.run(costs.kv_put).await;
-            {
-                // Causal identity mirrors the live path: the client op the
-                // record was logged for, else the single change-log entry it
-                // applied.
-                let trace = if obs_on {
-                    op.op_id
-                        .or(match op.applied_entry_ids[..] {
-                            [only] => Some(only),
-                            _ => None,
-                        })
-                        .map(TraceId::of_op)
-                } else {
-                    None
-                };
-                let mut inner = self.inner.borrow_mut();
-                for e in &op.effects {
-                    // Per-effect replay events, peeked before the apply just
-                    // like the live path in `apply_and_log`: recorder-only
-                    // state, invisible to the replay digest.
-                    if obs_on {
-                        match e {
-                            KvEffect::PutInode(key, attrs)
-                                if attrs.file_type == FileType::Directory =>
-                            {
-                                let old = inner.inodes.peek(key).map_or(0, |a| a.size as i64);
-                                let delta = attrs.size as i64 - old;
-                                if delta != 0 {
-                                    self.trace_event(
-                                        trace,
-                                        EventKind::RecoverySizeDelta {
-                                            lsn: *lsn,
-                                            dir: attrs.id.hash64(),
-                                            delta,
-                                        },
-                                    );
-                                }
-                            }
-                            KvEffect::PutEntry(dir, entry) => {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::RecoveryEntryApply {
-                                        lsn: *lsn,
-                                        dir: dir.hash64(),
-                                        insert: true,
-                                        changed: !inner.entry_exists(dir, &entry.name),
-                                    },
-                                );
-                            }
-                            KvEffect::DeleteEntry(dir, name) => {
-                                self.trace_event(
-                                    trace,
-                                    EventKind::RecoveryEntryApply {
-                                        lsn: *lsn,
-                                        dir: dir.hash64(),
-                                        insert: false,
-                                        changed: inner.entry_exists(dir, name),
-                                    },
-                                );
-                            }
-                            _ => {}
-                        }
-                    }
-                    inner.apply_effect(e);
+            // Per-effect replay events mirror the live path's, with the LSN
+            // standing in for the batch id.
+            self.apply_record(op, self.record_trace(op), |dir, insert, changed| {
+                EventKind::RecoveryEntryApply {
+                    lsn: *lsn,
+                    dir,
+                    insert,
+                    changed,
                 }
-                for id in &op.applied_entry_ids {
-                    inner.applied_entry_ids.insert(*id);
-                }
-            }
+            });
             if let Some((dir_id, dir_key, entry)) = &op.pending_entry {
                 if !applied {
                     // The deferred update never reached the directory owner:
@@ -421,13 +356,12 @@ impl Server {
                     .collect(),
                 pending: {
                     let mut out = Vec::new();
-                    for (dir, fp) in inner.changelogs.dirty_dirs() {
+                    for (dir, _) in inner.changelogs.dirty_dirs() {
                         if let Some(log) = inner.changelogs.get(&dir) {
                             for e in log.entries() {
                                 out.push((dir, log.dir_key.clone(), e.clone()));
                             }
                         }
-                        let _ = fp;
                     }
                     out
                 },

@@ -13,10 +13,12 @@ use std::collections::BTreeMap;
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ClientRequest, MetaOp, ServerMsg, TxnOp};
 use switchfs_proto::{
-    ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, OpResult, ServerId, TraceId,
+    ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, OpResult, Placement, ServerId,
+    TraceId,
 };
 use switchfs_simnet::SimTime;
 
+use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker};
 
@@ -152,9 +154,8 @@ impl Server {
                 let fpg = self.locks.fp_group(fp);
                 let _w = fpg.write().await;
                 self.aggregate_group(fp, None).await;
-                // The aggregation just mutated the source inode (entry-count
-                // and timestamps); re-read it so the migrated attributes are
-                // current.
+                // The aggregation just merged timestamps into the source
+                // inode; re-read it so the migrated attributes are current.
                 if let Some(fresh) = self.inner.borrow_mut().inodes.get(src) {
                     src_attrs = fresh;
                 }
@@ -519,9 +520,9 @@ impl Server {
                         )
                         .await;
                     // Under grouping placement this server holds the
-                    // directory's *content* inode replica (the one whose
-                    // size tracks the entry list) under the old key; re-key
-                    // it so id-routed reads keep observing the live attrs.
+                    // directory's *content* inode replica (the one directory
+                    // reads are served from) under the old key; re-key it so
+                    // id-routed reads keep observing the live attrs.
                     let moved = {
                         let inner = self.inner.borrow();
                         match inner.dir_index.get(dir) {
@@ -562,27 +563,9 @@ impl Server {
                         }
                     };
                     if let Some(key) = resolved {
-                        let fp = Fingerprint::of_dir(&key.pid, &key.name);
-                        let fpg = self.locks.fp_group(fp);
-                        let _w = fpg.write().await;
-                        // Under asynchronous updates the directory may hold
-                        // deferred change-log entries that logically precede
-                        // this synchronous update (e.g. the create of the
-                        // entry being renamed away). Apply them first, or a
-                        // later aggregation would replay them over the
-                        // rename's effect (§5.2: rename is fully
-                        // synchronous, so it must observe the aggregated
-                        // directory).
-                        if self.cfg.update_mode.is_async() {
-                            self.aggregate_group(fp, None).await;
-                        }
-                        let lock = self.locks.inode(&key);
-                        let _g = lock.write().await;
-                        self.cpu
-                            .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                            .await;
-                        let effects = self.entry_effects(&key, entry);
-                        self.apply_and_log(None, effects, None, vec![entry.entry_id])
+                        // A directory gone meanwhile makes the update moot.
+                        let _ = self
+                            .apply_dir_update(&key, entry, DirUpdateSource::Txn)
                             .await;
                     }
                 }

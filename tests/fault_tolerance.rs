@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-use switchfs::proto::FsError;
+use switchfs::proto::{FsError, Placement};
 use switchfs::simnet::SimDuration;
 
 /// The shared slot a spawned rename reports its outcome into.

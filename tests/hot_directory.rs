@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-use switchfs::proto::{DirId, Fingerprint};
+use switchfs::proto::{DirId, Fingerprint, Placement};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkItem, WorkloadBuilder};
 
 /// splitmix64: the test's own generator, so its inputs do not move with the

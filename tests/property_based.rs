@@ -360,6 +360,158 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// A directory's size is its listing, whatever is applied to it (PR 13)
+// ---------------------------------------------------------------------------
+
+/// One message to the directory's owner.
+#[derive(Debug, Clone)]
+enum DirStep {
+    /// A change-log push carrying these `(name, insert)` updates as one
+    /// batch. A batch names each child once: compaction folds an insert and
+    /// a later remove of one name into nothing, which equals replaying them
+    /// only when the name was absent before — true of every change-log the
+    /// protocol produces (a create checks the inode first), not of an
+    /// arbitrary one.
+    Push(Vec<(u8, bool)>),
+    /// One synchronous remote update.
+    Update(u8, bool),
+    /// The `{0}`-th earlier message again, verbatim: the same entry ids.
+    Resend(u8),
+}
+
+fn dir_step() -> impl Strategy<Value = DirStep> {
+    prop_oneof![
+        proptest::collection::vec((0u8..6, any::<bool>()), 1..5).prop_map(|mut updates| {
+            let mut named = HashSet::new();
+            updates.retain(|(name, _)| named.insert(*name));
+            DirStep::Push(updates)
+        }),
+        (0u8..6, any::<bool>()).prop_map(|(n, i)| DirStep::Update(n, i)),
+        any::<u8>().prop_map(DirStep::Resend),
+    ]
+}
+
+proptest! {
+    /// Any sequence of directory updates — inserts over present names,
+    /// removes of absent names, re-sent entries (same ids), batched or one by
+    /// one — with a crash and recovery of the owner at an arbitrary point,
+    /// leaves `statdir` size == `readdir` length == the model's entry count
+    /// under every update mode.
+    #[test]
+    fn directory_size_is_its_listing_under_any_update_sequence(
+        steps in proptest::collection::vec(dir_step(), 1..20),
+        crash_at in 0usize..20,
+    ) {
+        use switchfs::core::{Cluster, ClusterConfig, SystemKind};
+        use switchfs::proto::message::{Body, NetMsg, PacketSeq, ServerMsg};
+        use switchfs::proto::{MetaKey, Placement};
+        use switchfs::server::UpdateMode;
+        use switchfs::simnet::{Packet, SimDuration};
+
+        for mode in [
+            UpdateMode::Synchronous,
+            UpdateMode::AsyncNoCompaction,
+            UpdateMode::AsyncCompacted,
+        ] {
+            let mut cfg = ClusterConfig::with_servers(SystemKind::SwitchFs, 3);
+            cfg.clients = 1;
+            cfg.update_mode_override = Some(mode);
+            let mut cluster = Cluster::new(cfg);
+            let dir = cluster.preload_dir("/d");
+            cluster.preload_files("/d", "n", 3);
+            // Preloads bypass the WAL; the checkpoint carries them across
+            // the crash.
+            cluster.checkpoint_all();
+            let mut model: BTreeMap<String, ()> =
+                (0..3).map(|i| (format!("n{i}"), ())).collect();
+
+            let dir_key = MetaKey::new(DirId::ROOT, "d");
+            let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+            let owner = cluster.placement().dir_owner_by_fp(fp).0 as usize;
+            let holder = (owner + 1) % 3;
+            let mut next_seq = 0u64;
+            let mut entry = |name: u8, insert: bool| {
+                next_seq += 1;
+                ChangeLogEntry {
+                    entry_id: OpId { client: ClientId(9), seq: next_seq },
+                    dir,
+                    name: format!("n{name}"),
+                    op: if insert {
+                        ChangeOp::Insert { file_type: FileType::File, mode: 0o644 }
+                    } else {
+                        ChangeOp::Remove
+                    },
+                    timestamp: next_seq,
+                    size_delta: if insert { 1 } else { -1 },
+                }
+            };
+            let mut sent: Vec<ServerMsg> = Vec::new();
+            for (i, step) in steps.iter().enumerate() {
+                if i == crash_at {
+                    cluster.crash_server(owner);
+                    cluster.recover_server(owner);
+                }
+                let fresh: Vec<ChangeLogEntry> = match step {
+                    DirStep::Push(updates) => updates.iter().map(|(n, ins)| entry(*n, *ins)).collect(),
+                    DirStep::Update(n, ins) => vec![entry(*n, *ins)],
+                    DirStep::Resend(_) => Vec::new(),
+                };
+                // A re-sent entry is suppressed by id; only fresh ones move
+                // the model.
+                for e in &fresh {
+                    match e.op {
+                        ChangeOp::Insert { .. } => model.insert(e.name.clone(), ()),
+                        ChangeOp::Remove => model.remove(&e.name),
+                    };
+                }
+                let msg = match step {
+                    DirStep::Push(_) => ServerMsg::ChangeLogPush {
+                        dir_key: dir_key.clone(),
+                        fp,
+                        from: ServerId(holder as u32),
+                        entries: fresh,
+                        discard_confirm: Vec::new(),
+                    },
+                    DirStep::Update(..) => ServerMsg::RemoteDirUpdate {
+                        req_id: i as u64,
+                        dir_key: dir_key.clone(),
+                        entry: fresh.into_iter().next().expect("one entry"),
+                        discard_confirm: Vec::new(),
+                    },
+                    DirStep::Resend(which) => match sent.len() {
+                        0 => continue,
+                        n => sent[*which as usize % n].clone(),
+                    },
+                };
+                sent.push(msg.clone());
+                let src = cluster.server_node_id(holder);
+                cluster.network().send(Packet {
+                    src,
+                    dst: cluster.server_node_id(owner),
+                    payload: NetMsg::plain(
+                        PacketSeq { sender: src.0, seq: (1 << 40) | i as u64 },
+                        Body::Server(msg),
+                    ),
+                });
+                cluster.settle(SimDuration::millis(1));
+            }
+
+            let client = cluster.client(0);
+            let (stat_size, list_size, names) = cluster.block_on(async move {
+                let stat = client.statdir("/d").await.expect("statdir");
+                let (attrs, entries) = client.readdir("/d").await.expect("readdir");
+                let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
+                (stat.size, attrs.size, names)
+            });
+            let expected: Vec<String> = model.keys().cloned().collect();
+            prop_assert_eq!(&names, &expected, "{:?}: listing", mode);
+            prop_assert_eq!(stat_size, expected.len() as u64, "{:?}: statdir size", mode);
+            prop_assert_eq!(list_size, expected.len() as u64, "{:?}: readdir attrs size", mode);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Torn-write crash consistency of the WAL (PR 6)
 // ---------------------------------------------------------------------------
 
@@ -427,34 +579,42 @@ proptest! {
     /// every server count — this is what keeps all simulated results
     /// bit-identical after the placement refactor.
     #[test]
-    fn epoch0_shard_map_is_extensionally_equal_to_hash_placement(
+    fn epoch0_shard_map_is_extensionally_equal_to_modulo_placement(
         servers in 1usize..24,
         raw_hashes in proptest::collection::vec(any::<u64>(), 1..32),
         names in proptest::collection::vec(any::<u16>(), 1..16),
     ) {
-        use switchfs::proto::{HashPlacement, MetaKey, PartitionPolicy, Placement, ShardMap};
+        use switchfs::proto::ids::splitmix64;
+        use switchfs::proto::{MetaKey, PartitionPolicy, Placement, ShardMap};
 
+        // The reference: the historic modulo placement, spelled out per
+        // entry point so it shares no code with the map under test.
+        let modulo = |h: u64| ServerId((h % servers as u64) as u32);
         for policy in [
             PartitionPolicy::PerFileHash,
             PartitionPolicy::PerDirectoryHash,
             PartitionPolicy::Subtree,
         ] {
-            let old = HashPlacement::new(policy, servers);
+            let file_owner = |key: &MetaKey| match policy {
+                PartitionPolicy::PerFileHash => modulo(key.hash64()),
+                _ => modulo(key.pid.hash64()),
+            };
             let new = ShardMap::initial(policy, servers);
             prop_assert_eq!(new.epoch(), 0);
-            prop_assert_eq!(new.num_servers(), old.num_servers());
+            prop_assert_eq!(new.policy(), policy);
+            prop_assert_eq!(new.num_servers(), servers);
             for &h in &raw_hashes {
-                prop_assert_eq!(new.owner_of_hash(h), old.owner_of_hash(h));
+                prop_assert_eq!(new.owner_of_hash(h), modulo(h));
                 let id = DirId::generate(ServerId((h % 7) as u32), h);
-                prop_assert_eq!(new.dir_owner_by_id(&id), old.dir_owner_by_id(&id));
+                prop_assert_eq!(new.dir_owner_by_id(&id), modulo(id.hash64()));
                 let fp = Fingerprint::from_raw(h);
-                prop_assert_eq!(new.dir_owner_by_fp(fp), old.dir_owner_by_fp(fp));
+                prop_assert_eq!(new.dir_owner_by_fp(fp), modulo(splitmix64(fp.raw())));
             }
             for &n in &names {
                 let key = MetaKey::new(DirId::ROOT, format!("f{n}"));
-                prop_assert_eq!(new.file_owner(&key), old.file_owner(&key));
+                prop_assert_eq!(new.file_owner(&key), file_owner(&key));
                 let nested = MetaKey::new(DirId::generate(ServerId(2), n as u64), format!("g{n}"));
-                prop_assert_eq!(new.file_owner(&nested), old.file_owner(&nested));
+                prop_assert_eq!(new.file_owner(&nested), file_owner(&nested));
             }
         }
     }

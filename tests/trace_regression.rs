@@ -1,156 +1,43 @@
-//! Flight-recorder regression for the statdir size-vs-entries divergence
-//! family (ROADMAP item 4): under chaos, a directory's `statdir` size
-//! counter occasionally drifts off its listed entry count by ±1, or a
-//! deleted entry lingers in the listing.
+//! Regressions for the statdir size-vs-entries divergence family and for
+//! the recovery-replay instrumentation.
 //!
-//! The causal trace makes the drift mechanically checkable: every applied
-//! entry-list mutation emits an `EntryApply` event whose `changed` flag
-//! records whether the KV store actually changed (an insert that overwrote
-//! an existing name, or a delete of an absent name, is a no-op on the entry
-//! list), and every applied directory-size update emits a `SizeDelta` event
-//! with the delta the counter actually moved. Size counters live with the
-//! directory's owner while entry lists are fingerprint-sharded, so the two
-//! event streams come from different nodes — the invariant is global:
-//!
-//! > per directory, Σ SizeDelta.delta == Σ (changed ? (insert ? +1 : −1))
-//!
-//! Any insert-overwrite or remove-of-absent that still ships a size delta
-//! breaks the equality and names the directory, batch and virtual time.
-
-use std::collections::BTreeMap;
+//! A directory's size used to be a counter stored in its inode beside the
+//! entry list; under dense chaos load the two drifted apart (`statdir size
+//! N != M listed entries`, off by up to 9). The size is now read off the
+//! entry list when a reply is built, so there is nothing left to drift: the
+//! cells that pinned the divergence are a green regression here.
 
 use switchfs::chaos::{run_chaos, ChaosConfig, PlanKind};
 use switchfs::core::SystemKind;
-use switchfs::obs::{EventKind, TraceEvent};
+use switchfs::obs::EventKind;
 
-/// Per-directory sums of both event streams:
-/// (Σ size deltas, Σ effective entry applies).
-fn per_dir_sums(events: &[TraceEvent]) -> BTreeMap<u64, (i64, i64)> {
-    let mut sums: BTreeMap<u64, (i64, i64)> = BTreeMap::new();
-    for e in events {
-        match e.kind {
-            EventKind::SizeDelta { dir, delta, .. } => {
-                sums.entry(dir).or_default().0 += delta;
-            }
-            EventKind::EntryApply {
-                dir,
-                insert,
-                changed,
-                ..
-            } if changed => {
-                sums.entry(dir).or_default().1 += if insert { 1 } else { -1 };
-            }
-            _ => {}
-        }
-    }
-    sums
-}
-
-fn assert_ring_complete(report: &switchfs::chaos::ChaosReport) {
-    let evicted = report
-        .metrics
-        .get("obs.events_evicted")
-        .map(|m| m.scalar())
-        .unwrap_or(0.0);
-    assert_eq!(
-        evicted, 0.0,
-        "the flight-recorder ring evicted events; the per-dir sums would be partial \
-         (shrink the workload or grow the ring)"
-    );
-}
-
-/// Green-path regression: a packet-loss chaos run (no crashes, so no
-/// recovery replay bypasses the instrumented apply path, and no migration
-/// re-installs state wholesale) must keep every directory's size counter in
-/// lockstep with its *effective* entry-list mutations — each `SizeDelta`
-/// accounted for one-to-one by `EntryApply` events that actually changed
-/// the list.
+/// The five cells of `chaos-sweep --seeds 10 --ops 400` that tripped the
+/// checker while the size was a stored counter (crash/0 by 1, decommission/4
+/// by 2, diskchaos/6 by 9, …) pass at that load.
 #[test]
-fn size_deltas_match_effective_entry_applies_under_loss() {
-    for seed in [1u64, 7] {
-        let mut cfg = ChaosConfig::new(SystemKind::SwitchFs, PlanKind::Loss, seed);
-        cfg.ops_per_client = 60;
+fn dense_load_cells_that_pinned_the_size_divergence_pass() {
+    for (kind, seed) in [
+        (PlanKind::Crash, 0u64),
+        (PlanKind::Crash, 3),
+        (PlanKind::Combined, 8),
+        (PlanKind::Decommission, 4),
+        (PlanKind::DiskChaos, 6),
+    ] {
+        let mut cfg = ChaosConfig::new(SystemKind::SwitchFs, kind, seed);
+        cfg.ops_per_client = 400;
         let report = run_chaos(cfg);
         assert!(
             report.passed(),
-            "loss/{} tripped the checker: {:?}",
-            seed,
+            "{kind:?}/{seed} at 400 ops per client tripped the checker: {:?}",
             report.violations
         );
-        assert_ring_complete(&report);
-        let sums = per_dir_sums(&report.flight_recorder);
-        assert!(
-            sums.values().any(|(s, e)| *s != 0 || *e != 0),
-            "the run must actually exercise the size/entry paths"
-        );
-        for (dir, (size_sum, entry_sum)) in &sums {
-            assert_eq!(
-                size_sum, entry_sum,
-                "loss/{seed}: dir {dir:#018x} size counter moved {size_sum} \
-                 but effective entry applies sum to {entry_sum}"
-            );
-        }
     }
-}
-
-/// Pinning test for the open divergence (ROADMAP item 4): crash/seed-0 at
-/// 400 ops/client trips the structural checker with `statdir size 20 != 19
-/// listed entries` (a 40-seed × 400-op sweep also reproduces it on crash
-/// seeds 3, 12, 34, 35 and 37).
-///
-/// The flight recorder *localizes* the bug rather than witnessing it: the
-/// recorded live streams balance per directory and the ring evicts nothing,
-/// yet the checker still trips. The live apply path is therefore exonerated,
-/// pinning the drift on the crash/replay path: size deltas are applied at
-/// the directory's owner while entry mutations land on fingerprint shards,
-/// and a crash that catches one side's WAL tail unflushed replays an
-/// asymmetric prefix. That path now emits per-effect `RecoveryEntryApply` /
-/// `RecoverySizeDelta` events (each carrying the replayed LSN), so a
-/// failure-artifact dump shows exactly which records each side re-drove —
-/// the asymmetry is readable off the trace instead of inferred.
-///
-/// Ignored until the replay path is fixed; run with
-/// `cargo test --release --test trace_regression -- --ignored` to check
-/// whether the divergence (and the localization) still reproduces.
-#[test]
-#[ignore = "pins the open statdir divergence (ROADMAP item 4); the checker still trips"]
-fn crash_seed_0_statdir_divergence_is_localized_by_the_recorder() {
-    let mut cfg = ChaosConfig::new(SystemKind::SwitchFs, PlanKind::Crash, 0);
-    cfg.ops_per_client = 400;
-    let report = run_chaos(cfg);
-    assert!(
-        !report.passed(),
-        "crash/0 no longer trips the checker — promote this test to a green \
-         regression and close ROADMAP item 4"
-    );
-    assert_ring_complete(&report);
-    // Every *recorded* live apply balances: the live delta path is
-    // exonerated, which pins the divergence on the recovery replay.
-    for (dir, (size_sum, entry_sum)) in &per_dir_sums(&report.flight_recorder) {
-        assert_eq!(
-            size_sum, entry_sum,
-            "crash/0: dir {dir:#018x} shows a recorded imbalance — the live \
-             apply path regressed (this is a new bug, not the replay one)"
-        );
-    }
-    // The replay path itself must no longer be a blind spot: the run crashes
-    // servers, so the recorder must hold per-effect replay events to read
-    // the asymmetric prefix off.
-    assert!(
-        report
-            .flight_recorder
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::RecoveryEntryApply { .. })),
-        "crash/0 recovered servers but recorded no per-effect replay events"
-    );
 }
 
 /// Green-path regression for the recovery instrumentation itself: a small
-/// crash run must leave per-effect replay events in the recorder — every
-/// `RecoverySizeDelta` carries a nonzero delta (zero-deltas are filtered at
-/// the emission site, mirroring the live path), and replay detail only
-/// appears alongside an aggregate `RecoveryReplay` summary that accounts for
-/// at least one record.
+/// crash run must leave per-effect replay events in the recorder, and replay
+/// detail only appears alongside an aggregate `RecoveryReplay` summary that
+/// accounts for at least one record.
 #[test]
 fn recovery_replay_emits_per_effect_events() {
     let mut found_detail = false;
@@ -169,10 +56,6 @@ fn recovery_replay_emits_per_effect_events() {
             match e.kind {
                 EventKind::RecoveryReplay { records, .. } => replayed_records += records,
                 EventKind::RecoveryEntryApply { .. } => detail += 1,
-                EventKind::RecoverySizeDelta { delta, .. } => {
-                    assert_ne!(delta, 0, "crash/{seed}: zero-delta recovery event recorded");
-                    detail += 1;
-                }
                 _ => {}
             }
         }
