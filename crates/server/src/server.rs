@@ -361,7 +361,7 @@ pub(crate) struct ServerInner {
 }
 
 impl ServerInner {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         ServerInner {
             inodes: KvStore::new(),
             entries: KvStore::new(),
@@ -403,6 +403,35 @@ impl ServerInner {
             shutdown: false,
             stats: ServerStats::default(),
         }
+    }
+
+    /// Forgets everything a crash loses and enters recovery (not crashed,
+    /// not yet available). Everything not named here is reset, so a field
+    /// added later is volatile by default. The survivors are identity
+    /// counters (a reused token or directory id would collide with the
+    /// previous incarnation's), harness-set modes, lifetime statistics and
+    /// the owner-tracking dirty set.
+    pub(crate) fn reset_volatile(&mut self) {
+        let mut old = std::mem::replace(self, ServerInner::new());
+        // The stores restart empty but keep their access counters
+        // (`KvStore::clear`), which registry rows read across recoveries.
+        old.inodes.clear();
+        old.entries.clear();
+        *self = ServerInner {
+            inodes: old.inodes,
+            entries: old.entries,
+            dir_counter: old.dir_counter,
+            next_token: old.next_token,
+            remove_seq: old.remove_seq,
+            disk_slowdown: old.disk_slowdown,
+            decommissioned: old.decommissioned,
+            shutdown: old.shutdown,
+            stats: old.stats,
+            local_dirty: old.local_dirty,
+            crashed: false,
+            unavailable: true,
+            ..ServerInner::new()
+        };
     }
 
     /// Applies one replayable effect to the volatile stores.

@@ -23,7 +23,7 @@ use switchfs_proto::message::{Body, ServerMsg};
 use switchfs_proto::{Fingerprint, Placement};
 
 use crate::server::rename::PreparedTxn;
-use crate::server::{Server, ServerInner};
+use crate::server::Server;
 use crate::wal::{CheckpointData, TxnMarker};
 
 /// Summary of one recovery run, reported to the harness (used by the §7.7
@@ -81,35 +81,7 @@ impl Server {
         let costs = self.cfg.costs;
         let mut report = RecoveryReport::default();
 
-        // Volatile state starts from scratch: everything not named here is
-        // reset, so a field added to `ServerInner` later is volatile by
-        // default. The survivors are identity counters (a reused token or
-        // directory id would collide with the previous incarnation's),
-        // harness-set modes, lifetime statistics and the owner-tracking
-        // dirty set.
-        {
-            let mut inner = self.inner.borrow_mut();
-            let mut old = std::mem::replace(&mut *inner, ServerInner::new());
-            // The stores restart empty but keep their access counters
-            // (`KvStore::clear`), which registry rows read across recoveries.
-            old.inodes.clear();
-            old.entries.clear();
-            *inner = ServerInner {
-                inodes: old.inodes,
-                entries: old.entries,
-                dir_counter: old.dir_counter,
-                next_token: old.next_token,
-                remove_seq: old.remove_seq,
-                disk_slowdown: old.disk_slowdown,
-                decommissioned: old.decommissioned,
-                shutdown: old.shutdown,
-                stats: old.stats,
-                local_dirty: old.local_dirty,
-                crashed: false,
-                unavailable: true,
-                ..ServerInner::new()
-            };
-        }
+        self.inner.borrow_mut().reset_volatile();
         // Drop packets addressed to the previous incarnation.
         self.endpoint.drain();
 
