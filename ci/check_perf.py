@@ -1,30 +1,29 @@
 #!/usr/bin/env python3
-"""CI perf guard for the Quick figures sweep.
+"""CI guard for the Quick figures sweep.
 
-Checks the sweep JSON written by `figures all --json PATH` against the
-checked-in baseline:
+Checks the sweep JSON written by `figures all --json PATH`. Wall clock is
+printed, not judged: a budget pinned to another host's number is a coin flip
+on a slow runner and blind on a fast one; the perf evidence is the
+`benchmark-smoke` job and `benchmark/ab.sh`.
 
-1. total wall clock must stay within 3x the baseline (catches an accidental
-   O(n^2) reintroduction, not CI-runner noise);
-2. the elastic-membership experiments (`rebalance`, `decommission`) must be
+1. the elastic-membership experiments (`rebalance`, `decommission`) must be
    present and every row that reports an `errors` column must report 0 —
    live shard migration and graceful shrink are required to be invisible to
    clients (freeze-window drops are absorbed by retransmission, stale maps
    refresh via WrongOwner);
-3. the `metrics` experiment (the one run with the flight recorder ON) must
+2. the `metrics` experiment (the one run with the flight recorder ON) must
    be present with the core unified-registry rows, prove that the
    tracing-enabled run completed (`client.ops_issued` > 0 and
    `obs.events_recorded` > 0), and satisfy the WAL watermark invariant
    (`wal.bytes_flushed` <= `wal.bytes_appended`).
 
-Usage: check_perf.py [SWEEP_JSON] [BASELINE_JSON]
+Usage: check_perf.py [SWEEP_JSON]
 """
 
 import json
 import sys
 
 ELASTIC_EXPERIMENTS = ("rebalance", "decommission")
-WALL_CLOCK_FACTOR = 3.0
 # Named rows the unified metrics registry must always expose.
 REQUIRED_METRICS = (
     "client.ops_issued",
@@ -45,20 +44,12 @@ REQUIRED_METRICS = (
 
 def main() -> int:
     sweep_path = sys.argv[1] if len(sys.argv) > 1 else "bench-smoke.json"
-    base_path = sys.argv[2] if len(sys.argv) > 2 else "BENCH_PR2.json"
     with open(sweep_path) as f:
         sweep = json.load(f)
-    with open(base_path) as f:
-        base = json.load(f)
 
     failures = []
 
-    measured = sweep["total_wall_clock_secs"]
-    reference = base["quick_sweep"]["post_change"]["reference_total_wall_clock_secs"]
-    budget = WALL_CLOCK_FACTOR * reference
-    print(f"sweep took {measured:.1f}s, budget {budget:.1f}s")
-    if measured > budget:
-        failures.append(f"wall clock {measured:.1f}s exceeds budget {budget:.1f}s")
+    print(f"sweep took {sweep['total_wall_clock_secs']:.1f}s")
 
     experiments = {e.get("name"): e for e in sweep.get("experiments", [])}
     for name in ELASTIC_EXPERIMENTS:

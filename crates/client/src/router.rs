@@ -202,16 +202,8 @@ impl BaselineRouter {
 
     /// Owner of a directory's content inode.
     pub fn dir_content_owner(&self, dir_id: &DirId, dir_key: &switchfs_proto::MetaKey) -> ServerId {
-        let placement = self.placement.borrow();
-        match placement.policy() {
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                placement.dir_owner_by_id(dir_id)
-            }
-            PartitionPolicy::PerFileHash => {
-                let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-                placement.dir_owner_by_fp(fp)
-            }
-        }
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        self.placement.borrow().dir_content_owner(fp, dir_id)
     }
 }
 

@@ -13,6 +13,7 @@ use switchfs_proto::{
 };
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{DurableState, Server, ServerConfig, TrackingMode};
+use switchfs_simnet::net::LinkParams;
 use switchfs_simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use switchfs_switch::{DirtySetConfig, SwitchConfig, SwitchFsProgram, SwitchStats};
 
@@ -58,7 +59,7 @@ impl Cluster {
         let handle = sim.handle();
         let network: Network<NetMsg> = Network::new(
             handle.clone(),
-            cfg.link_params,
+            LinkParams::default(),
             cfg.net_faults,
             cfg.seed ^ 0xbeef,
         );
@@ -147,7 +148,6 @@ impl Cluster {
                     costs: cfg.cost_model(),
                     update_mode: cfg.update_mode(),
                     tracking: tracking_mode,
-                    proactive: cfg.proactive,
                     placement: placement.clone(),
                     server_nodes: server_nodes.clone(),
                     obs: obs.clone(),
@@ -170,7 +170,7 @@ impl Cluster {
             );
             let endpoint = network.register(client_node(i));
             let mut lib_cfg = LibFsConfig::new(ClientId(i as u32));
-            lib_cfg.request_timeout = cfg.effective_client_timeout();
+            lib_cfg.request_timeout = cfg.client_request_timeout();
             let client = LibFs::new(
                 handle.clone(),
                 endpoint,
@@ -394,10 +394,7 @@ impl Cluster {
             .cloned()
             .unwrap_or_else(|| panic!("directory {dir_path} was not preloaded"));
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        let content_owner = match self.cfg.system.partition_policy() {
-            PartitionPolicy::PerFileHash => self.placement.dir_owner_by_fp(fp),
-            _ => self.placement.dir_owner_by_id(&dir_id),
-        };
+        let content_owner = self.placement.dir_content_owner(fp, &dir_id);
         for i in 0..count {
             let key = MetaKey::new(dir_id, format!("{prefix}{i}"));
             let owner = self.placement.file_owner(&key);
@@ -452,7 +449,6 @@ impl Cluster {
                 costs: self.cfg.cost_model(),
                 update_mode: self.cfg.update_mode(),
                 tracking: self.tracking_mode,
-                proactive: self.cfg.proactive,
                 placement: self.placement.clone(),
                 server_nodes: self.server_nodes.clone(),
                 obs: self.obs.clone(),

@@ -1,8 +1,7 @@
 //! Cluster-level configuration.
 
 use switchfs_baselines::SystemKind;
-use switchfs_server::{CostModel, ProactiveConfig, UpdateMode};
-use switchfs_simnet::net::LinkParams;
+use switchfs_server::{CostModel, UpdateMode};
 use switchfs_simnet::{NetFaults, SimDuration};
 
 /// Where directory dirty state is tracked (the §7.3.3 comparison).
@@ -34,19 +33,10 @@ pub struct ClusterConfig {
     /// Overrides the system's update mode (used by the Fig. 14 breakdown to
     /// run "+Async" without compaction).
     pub update_mode_override: Option<UpdateMode>,
-    /// Overrides the system's cost model.
-    pub cost_override: Option<CostModel>,
     /// Force every dirty-set insert to overflow (§7.3.2).
     pub force_dirty_overflow: bool,
-    /// Proactive push / aggregation parameters.
-    pub proactive: ProactiveConfig,
     /// Network fault injection.
     pub net_faults: NetFaults,
-    /// Link and switch latency parameters.
-    pub link_params: LinkParams,
-    /// Per-client retransmission timeout (raised for the heavyweight
-    /// baselines automatically).
-    pub client_timeout: Option<SimDuration>,
     /// Deploy a leaf–spine fabric with this many racks and spine switches
     /// instead of a single rack (§6.4).
     pub leaf_spine: Option<(u32, u32)>,
@@ -69,12 +59,8 @@ impl ClusterConfig {
             seed: 42,
             tracking: TrackingChoice::InNetwork,
             update_mode_override: None,
-            cost_override: None,
             force_dirty_overflow: false,
-            proactive: ProactiveConfig::default(),
             net_faults: NetFaults::reliable(),
-            link_params: LinkParams::default(),
-            client_timeout: None,
             leaf_spine: None,
             trace_capacity: None,
         }
@@ -95,20 +81,15 @@ impl ClusterConfig {
             .unwrap_or_else(|| self.system.update_mode())
     }
 
-    /// The effective cost model.
+    /// The system's cost model.
     pub fn cost_model(&self) -> CostModel {
-        self.cost_override
-            .unwrap_or_else(|| self.system.cost_model())
+        self.system.cost_model()
     }
 
-    /// The client request timeout: explicit override, or scaled to the
-    /// system's software stack so heavyweight baselines do not spuriously
-    /// retransmit.
-    pub fn effective_client_timeout(&self) -> SimDuration {
-        self.client_timeout.unwrap_or_else(|| {
-            let base = SimDuration::micros(400);
-            base + self.cost_model().extra_software * 4
-        })
+    /// The client request timeout: scaled to the system's software stack so
+    /// heavyweight baselines do not spuriously retransmit.
+    pub fn client_request_timeout(&self) -> SimDuration {
+        SimDuration::micros(400) + self.cost_model().extra_software * 4
     }
 }
 
@@ -138,8 +119,8 @@ mod tests {
 
     #[test]
     fn heavy_baselines_get_longer_timeouts() {
-        let fast = ClusterConfig::paper_default(SystemKind::SwitchFs).effective_client_timeout();
-        let slow = ClusterConfig::paper_default(SystemKind::CephFsLike).effective_client_timeout();
+        let fast = ClusterConfig::paper_default(SystemKind::SwitchFs).client_request_timeout();
+        let slow = ClusterConfig::paper_default(SystemKind::CephFsLike).client_request_timeout();
         assert!(slow > fast);
     }
 }

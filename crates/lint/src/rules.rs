@@ -438,6 +438,7 @@ const SEND_FAMILY: &[&str] = &[
     "send",
     "send_plain",
     "send_dirty",
+    "send_reply",
     "send_with_ack",
     "send_to",
     "multicast_plain",

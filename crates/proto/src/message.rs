@@ -412,15 +412,22 @@ pub enum ServerMsg {
         /// path bound the receiver's duplicate-suppression set too.
         discard_confirm: Vec<OpId>,
     },
-    /// Acknowledgment of a `RemoteDirUpdate`.
-    RemoteDirUpdateAck {
+    /// The answer to any request that carries a `req_id`: the receiver
+    /// echoes the token, and the sender's one table of token-matched waits
+    /// routes the [`Reply`] to whoever is waiting for it. A reply nobody
+    /// waits for any more (a duplicate, or one that outlived its timeout) is
+    /// dropped.
+    Reply {
         /// Token copied from the request.
         req_id: u64,
-        /// Outcome.
-        result: Result<(), FsError>,
+        /// The answer.
+        reply: Reply,
     },
-    /// Two-phase-commit prepare for `rename` (and baseline transactions).
+    /// Two-phase-commit prepare for `rename` (and baseline transactions);
+    /// answered with [`Reply::Vote`].
     TxnPrepare {
+        /// Request token, echoed by the vote.
+        req_id: u64,
         /// Transaction id.
         txn_id: u64,
         /// Coordinating server.
@@ -428,37 +435,21 @@ pub enum ServerMsg {
         /// Mutations this participant must apply at commit.
         ops: Vec<TxnOp>,
     },
-    /// Participant vote.
-    TxnVote {
-        /// Transaction id.
-        txn_id: u64,
-        /// Voting server.
-        from: ServerId,
-        /// Whether the participant can commit.
-        ok: bool,
-        /// On a negative vote caused by an illegal inode overwrite: the type
-        /// of the inode occupying the destination key, forwarded to the
-        /// client as [`OpResult::RenameDstExists`] so it never has to probe
-        /// the destination itself.
-        dst_type: Option<FileType>,
-    },
-    /// Commit decision.
+    /// Commit decision. The participant answers [`Reply::Done`] once the
+    /// decision is fully applied; the coordinator retransmits the decision
+    /// until that arrives, so a committed rename is visible on every
+    /// participant before the client sees `Done`.
     TxnCommit {
+        /// Request token, echoed by the acknowledgment.
+        req_id: u64,
         /// Transaction id.
         txn_id: u64,
     },
-    /// Participant acknowledgment that a commit/abort decision was fully
-    /// applied; the coordinator retransmits the decision until it arrives,
-    /// so a committed rename is visible on every participant before the
-    /// client sees `Done`, and an aborted one never strands prepared state.
-    TxnDecisionAck {
-        /// Transaction id.
-        txn_id: u64,
-        /// Acknowledging server.
-        from: ServerId,
-    },
-    /// Abort decision.
+    /// Abort decision, acknowledged like [`ServerMsg::TxnCommit`] so an
+    /// aborted transaction never strands prepared state.
     TxnAbort {
+        /// Request token, echoed by the acknowledgment.
+        req_id: u64,
         /// Transaction id.
         txn_id: u64,
     },
@@ -467,6 +458,7 @@ pub enum ServerMsg {
     /// became of it. The coordinator durably logs commit decisions before
     /// broadcasting them, so the answer is authoritative; a transaction the
     /// coordinator has no commit record of is presumed aborted.
+    /// Answered with [`Reply::Decision`].
     TxnDecisionQuery {
         /// Request token for matching the reply.
         req_id: u64,
@@ -474,15 +466,6 @@ pub enum ServerMsg {
         txn_id: u64,
         /// The querying (recovering) participant.
         from: ServerId,
-    },
-    /// Reply to a [`ServerMsg::TxnDecisionQuery`].
-    TxnDecisionReply {
-        /// Token copied from the query.
-        req_id: u64,
-        /// `Some(true)` committed, `Some(false)` aborted (or presumed
-        /// aborted), `None` still in the voting phase — the participant must
-        /// keep its prepared state and ask again.
-        commit: Option<bool>,
     },
     /// A client request re-routed between servers. Used by `rename` on a
     /// cold client cache: the client sends the request to the source's
@@ -543,11 +526,6 @@ pub enum ServerMsg {
         /// Fingerprint of the directory.
         fp: Fingerprint,
     },
-    /// Acknowledgment of a `MarkDirty`.
-    MarkDirtyAck {
-        /// Token copied from the request.
-        req_id: u64,
-    },
     /// Baseline (P/C grouping) `mkdir`: initialize the new directory's
     /// content replica on its content server (the server that will hold the
     /// directory's entry list and its children's inodes).
@@ -561,15 +539,10 @@ pub enum ServerMsg {
         /// Attributes of the new directory.
         attrs: InodeAttrs,
     },
-    /// Acknowledgment of an `InitDirContent`.
-    InitDirContentAck {
-        /// Token copied from the request.
-        req_id: u64,
-    },
     /// A single synchronous remote mutation (used by the baseline `rmdir`
     /// to delete the access replica of a removed directory).
     RemoteTxnOp {
-        /// Request token; acknowledged with `RemoteDirUpdateAck`.
+        /// Request token.
         req_id: u64,
         /// The mutation to apply.
         op: TxnOp,
@@ -579,58 +552,78 @@ pub enum ServerMsg {
     /// file owner does not store directory inodes, so an unlink of a
     /// directory must probe the fingerprint-group owner to distinguish
     /// `IsADirectory` from `NotFound` (POSIX `EISDIR` vs `ENOENT`).
+    /// Answered with [`Reply::Type`].
     TypeProbe {
         /// Request token.
         req_id: u64,
         /// Key to probe.
         key: MetaKey,
     },
-    /// Reply to a [`ServerMsg::TypeProbe`].
-    TypeProbeAck {
-        /// Token copied from the request.
-        req_id: u64,
-        /// Type of the inode stored under the probed key, if any.
-        file_type: Option<FileType>,
-    },
     /// Live shard migration (scale-out): the stream of one frozen shard's
     /// state from its current owner to the new owner. The source retransmits
-    /// until [`ServerMsg::ShardInstallAck`] arrives; installation is
-    /// idempotent, so duplicates are harmless. Only after the ack does the
+    /// until the target's [`Reply::Done`] arrives — the target applied and
+    /// durably logged the shard's state; installation is idempotent, so
+    /// duplicates are harmless. Only after that acknowledgment does the
     /// cluster flip the shard in the epoch-versioned map and the source
     /// delete its copy.
-    ShardInstall {
-        /// Request token for matching the acknowledgment.
-        req_id: u64,
-        /// The shard being migrated.
-        shard: u32,
-        /// Inodes stored under the shard.
-        inodes: Vec<(MetaKey, InodeAttrs)>,
-        /// Directory entry lists of directories owned by the shard.
-        entries: Vec<(DirId, DirEntry)>,
-        /// Owner-index entries (directory id → key) moving with the shard.
-        dir_index: Vec<(DirId, MetaKey)>,
-        /// Change-log entries pending for directories in the shard, with
-        /// their directory ids and keys.
-        pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-        /// Duplicate-suppression set of already-applied remote change-log
-        /// entries not yet confirmed discarded by their holders (copied, not
-        /// moved: a superset is always safe). Bounded by the in-flight
-        /// confirmation window, so the per-shard payload stays small.
-        applied_entry_ids: Vec<OpId>,
-        /// The bounded FIFO of recently retired (holder-confirmed) entry
-        /// ids, shipped so a duplicate delayed across the flip is still
-        /// suppressed at the new owner.
-        retired_entry_ids: Vec<OpId>,
-        /// Cached client responses (copied so a retransmission that lands on
-        /// the new owner after the flip still gets the original answer).
-        completed: Vec<ClientResponse>,
+    ShardInstall(ShardInstall),
+}
+
+/// What a [`ServerMsg::Reply`] answers with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Reply {
+    /// The request was carried out, or failed with the error: the answer to
+    /// `RemoteDirUpdate`, `RemoteTxnOp`, `MarkDirty`, `InitDirContent`,
+    /// `ShardInstall`, `TxnCommit` and `TxnAbort`.
+    Done(Result<(), FsError>),
+    /// A participant's vote on a `TxnPrepare`.
+    Vote {
+        /// Whether the participant can commit.
+        ok: bool,
+        /// On a negative vote caused by an illegal inode overwrite: the type
+        /// of the inode occupying the destination key, forwarded to the
+        /// client as [`OpResult::RenameDstExists`] so it never has to probe
+        /// the destination itself.
+        dst_type: Option<FileType>,
     },
-    /// Acknowledgment of a [`ServerMsg::ShardInstall`]: the target applied
-    /// and durably logged the shard's state.
-    ShardInstallAck {
-        /// Token copied from the install.
-        req_id: u64,
-    },
+    /// The answer to a `TxnDecisionQuery`: `Some(true)` committed,
+    /// `Some(false)` aborted (or presumed aborted), `None` still in the
+    /// voting phase — the participant must keep its prepared state and ask
+    /// again.
+    Decision(Option<bool>),
+    /// The answer to a `TypeProbe`: the type of the inode stored under the
+    /// probed key, if any.
+    Type(Option<FileType>),
+}
+
+/// Payload of a [`ServerMsg::ShardInstall`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardInstall {
+    /// Request token for matching the acknowledgment.
+    pub req_id: u64,
+    /// The shard being migrated.
+    pub shard: u32,
+    /// Inodes stored under the shard.
+    pub inodes: Vec<(MetaKey, InodeAttrs)>,
+    /// Directory entry lists of directories owned by the shard.
+    pub entries: Vec<(DirId, DirEntry)>,
+    /// Owner-index entries (directory id → key) moving with the shard.
+    pub dir_index: Vec<(DirId, MetaKey)>,
+    /// Change-log entries pending for directories in the shard, with
+    /// their directory ids and keys.
+    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
+    /// Duplicate-suppression set of already-applied remote change-log
+    /// entries not yet confirmed discarded by their holders (copied, not
+    /// moved: a superset is always safe). Bounded by the in-flight
+    /// confirmation window, so the per-shard payload stays small.
+    pub applied_entry_ids: Vec<OpId>,
+    /// The bounded FIFO of recently retired (holder-confirmed) entry
+    /// ids, shipped so a duplicate delayed across the flip is still
+    /// suppressed at the new owner.
+    pub retired_entry_ids: Vec<OpId>,
+    /// Cached client responses (copied so a retransmission that lands on
+    /// the new owner after the flip still gets the original answer).
+    pub completed: Vec<ClientResponse>,
 }
 
 /// A single mutation inside a two-phase-commit transaction.
@@ -821,6 +814,15 @@ mod tests {
         let dirty = NetMsg::with_dirty(seq, hdr, Body::Empty);
         assert_eq!(dirty.dst_port, UdpPorts::DIRTY_SET);
         assert!(dirty.dirty.is_some());
+    }
+
+    #[test]
+    fn packets_stay_one_small_allocation() {
+        // Every packet in flight is one `NetMsg`-sized allocation, so a
+        // variant that outgrows `AsyncCommit` (the widest) shows up in
+        // every workload's bytes allocated per operation.
+        assert!(std::mem::size_of::<ServerMsg>() <= 296);
+        assert!(std::mem::size_of::<NetMsg>() <= 368);
     }
 
     #[test]

@@ -64,6 +64,24 @@ pub trait Placement {
     fn dir_owner_by_id(&self, id: &DirId) -> ServerId {
         self.owner_of_hash(id.hash64())
     }
+
+    /// The placement hash of a directory's *content*: its entry list, its
+    /// owner-index record and every update addressed to it. Content follows
+    /// the fingerprint under per-file hashing (the directory lives with its
+    /// fingerprint group) and the directory id under the grouping policies
+    /// (the directory lives with its children).
+    fn dir_content_hash(&self, fp: Fingerprint, id: &DirId) -> u64 {
+        match self.policy() {
+            PartitionPolicy::PerFileHash => crate::ids::splitmix64(fp.raw()),
+            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => id.hash64(),
+        }
+    }
+
+    /// The server holding a directory's content (see
+    /// [`Placement::dir_content_hash`]).
+    fn dir_content_owner(&self, fp: Fingerprint, id: &DirId) -> ServerId {
+        self.owner_of_hash(self.dir_content_hash(fp, id))
+    }
 }
 
 /// Baseline number of virtual shards a map aims for. The actual count is
@@ -451,6 +469,18 @@ mod tests {
         let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         let fp = Fingerprint::of_dir(&DirId::ROOT, "dir");
         assert_eq!(p.dir_owner_by_fp(fp), p.dir_owner_by_fp(fp));
+    }
+
+    #[test]
+    fn directory_content_goes_by_fingerprint_or_by_id() {
+        let fp = Fingerprint::of_dir(&DirId::ROOT, "dir");
+        let id = DirId::generate(ServerId(3), 7);
+        let by_fp = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
+        assert_eq!(by_fp.dir_content_owner(fp, &id), by_fp.dir_owner_by_fp(fp));
+        for policy in [PartitionPolicy::PerDirectoryHash, PartitionPolicy::Subtree] {
+            let by_id = ShardMap::initial(policy, 8);
+            assert_eq!(by_id.dir_content_owner(fp, &id), by_id.dir_owner_by_id(&id));
+        }
     }
 
     #[test]

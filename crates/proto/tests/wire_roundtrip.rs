@@ -11,7 +11,7 @@ use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
 use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef,
-    ServerMsg, SyncFallback,
+    Reply, ServerMsg, ShardInstall, SyncFallback, TxnOp,
 };
 use switchfs_proto::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
 use switchfs_proto::wire::{
@@ -352,7 +352,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                             seq: id.seq.wrapping_add(1_000_000),
                         })
                         .collect();
-                    ServerMsg::ShardInstall {
+                    ServerMsg::ShardInstall(ShardInstall {
                         req_id,
                         shard,
                         inodes,
@@ -362,10 +362,59 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                         pending,
                         applied_entry_ids,
                         completed,
-                    }
+                    })
                 },
             ),
-        any::<u64>().prop_map(|req_id| ServerMsg::ShardInstallAck { req_id }),
+        // The one reply message, with every kind of answer, and the 2PC
+        // requests carrying the token it echoes.
+        (any::<u64>(), arb_reply()).prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
+        (
+            (any::<u64>(), any::<u64>(), any::<u32>()),
+            prop::collection::vec(arb_txn_op(), 0..3),
+        )
+            .prop_map(
+                |((req_id, txn_id, coordinator), ops)| ServerMsg::TxnPrepare {
+                    req_id,
+                    txn_id,
+                    coordinator: ServerId(coordinator),
+                    ops,
+                }
+            ),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(req_id, txn_id, commit)| {
+            if commit {
+                ServerMsg::TxnCommit { req_id, txn_id }
+            } else {
+                ServerMsg::TxnAbort { req_id, txn_id }
+            }
+        }),
+    ]
+}
+
+fn arb_file_type_opt() -> impl Strategy<Value = Option<FileType>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(FileType::File)),
+        Just(Some(FileType::Directory)),
+    ]
+}
+
+fn arb_reply() -> impl Strategy<Value = Reply> {
+    prop_oneof![
+        Just(Reply::Done(Ok(()))),
+        arb_fs_error().prop_map(|e| Reply::Done(Err(e))),
+        (any::<bool>(), arb_file_type_opt())
+            .prop_map(|(ok, dst_type)| Reply::Vote { ok, dst_type }),
+        prop_oneof![Just(None), any::<bool>().prop_map(Some)].prop_map(Reply::Decision),
+        arb_file_type_opt().prop_map(Reply::Type),
+    ]
+}
+
+fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
+    prop_oneof![
+        (arb_key(), arb_attrs()).prop_map(|(key, attrs)| TxnOp::PutInode { key, attrs }),
+        arb_key().prop_map(|key| TxnOp::DeleteInode { key }),
+        (arb_key(), arb_changelog_entry())
+            .prop_map(|(dir_key, entry)| TxnOp::DirUpdate { dir_key, entry }),
     ]
 }
 

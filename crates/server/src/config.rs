@@ -46,35 +46,21 @@ pub enum TrackingMode {
     OwnerServer,
 }
 
-/// Proactive change-log pushing and aggregation parameters (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProactiveConfig {
-    /// Whether proactive pushing / aggregation is enabled at all (the paper
-    /// enables it in every experiment).
-    pub enabled: bool,
-    /// Push a directory's change-log once its marshalled entries would fill
-    /// this many bytes (one MTU in the paper; ≈29 entries).
-    pub mtu_bytes: usize,
-    /// Push a change-log if no new entry arrived for this long.
-    pub idle_push_after: SimDuration,
-    /// Owner side: start an aggregation if no push arrived for this long
-    /// after the last one.
-    pub owner_aggregate_after: SimDuration,
-    /// How often the background task scans for push/aggregation work.
-    pub scan_interval: SimDuration,
-}
-
-impl Default for ProactiveConfig {
-    fn default() -> Self {
-        ProactiveConfig {
-            enabled: true,
-            mtu_bytes: 2048,
-            idle_push_after: SimDuration::micros(500),
-            owner_aggregate_after: SimDuration::micros(800),
-            scan_interval: SimDuration::micros(200),
-        }
-    }
-}
+/// Proactive change-log pushing (§5.3; on in every experiment of the
+/// paper, and always on here): a holder pushes a directory's change-log once
+/// its marshalled entries would fill this many bytes — one MTU in the
+/// paper, ≈29 entries.
+pub const PUSH_MTU_BYTES: usize = 2048;
+/// A holder pushes a change-log that no new entry was appended to for this
+/// long.
+pub const IDLE_PUSH_AFTER: SimDuration = SimDuration::micros(500);
+/// An owner starts an aggregation if no push arrived for this long after
+/// the last one: longer than the holders' idle push, so it finds their
+/// remainders already delivered.
+pub const OWNER_AGGREGATE_AFTER: SimDuration = SimDuration::micros(800);
+const _: () = assert!(OWNER_AGGREGATE_AFTER.as_nanos() > IDLE_PUSH_AFTER.as_nanos());
+/// How often the background task scans for push / aggregation work.
+pub const PROACTIVE_SCAN_INTERVAL: SimDuration = SimDuration::micros(200);
 
 /// Full configuration of one metadata server.
 #[derive(Clone)]
@@ -91,8 +77,6 @@ pub struct ServerConfig {
     pub update_mode: UpdateMode,
     /// Dirty-state tracking mode.
     pub tracking: TrackingMode,
-    /// Proactive push / aggregation configuration.
-    pub proactive: ProactiveConfig,
     /// Epoch-versioned shard map shared by the whole cluster. Live shard
     /// migration flips entries in place; every server sees the new owner the
     /// moment a shard is flipped.
@@ -144,7 +128,6 @@ mod tests {
             costs: CostModel::default(),
             update_mode: UpdateMode::AsyncCompacted,
             tracking: TrackingMode::InNetwork,
-            proactive: ProactiveConfig::default(),
             placement: SharedPlacement::initial(PartitionPolicy::PerFileHash, n),
             server_nodes: Rc::new(RefCell::new(
                 (0..n as u32).map(|i| NodeId(100 + i)).collect(),
@@ -161,13 +144,5 @@ mod tests {
         assert_eq!(others.len(), 3);
         assert!(!others.contains(&ServerId(1)));
         assert_eq!(c.node_of(ServerId(2)), NodeId(102));
-    }
-
-    #[test]
-    fn proactive_defaults_are_enabled() {
-        let p = ProactiveConfig::default();
-        assert!(p.enabled);
-        assert!(p.mtu_bytes > 0);
-        assert!(p.owner_aggregate_after > p.idle_push_after);
     }
 }

@@ -1,12 +1,13 @@
 //! The per-server lock manager.
 //!
 //! SwitchFS serializes conflicting operations with three families of locks
-//! (§5.2):
+//! (§5.2), all of them one kind of lock ([`SimClassLock`]; a reader–writer
+//! lock is its `read()` / `write()` subset):
 //!
 //! * **inode locks** — per `(pid, name)` key; write-locked by the operation
 //!   that creates/deletes/updates the inode, read-locked by reads;
-//! * **change-log locks** — per parent directory; a two-class lock
-//!   ([`SimClassLock`]). Double-inode operations hold it as [`APPENDER`]s
+//! * **change-log locks** — per parent directory, used with both of the
+//!   lock's classes. Double-inode operations hold it as [`APPENDER`]s
 //!   from before their WAL append until the switch mirrored their
 //!   dirty-set insert; handlers answering an aggregation request hold it as
 //!   [`RESPONDER`]s from their snapshot until the owner's acknowledgment
@@ -55,7 +56,7 @@ use std::rc::Rc;
 
 use switchfs_proto::{DirId, Fingerprint, MetaKey};
 pub use switchfs_simnet::sync::Access;
-use switchfs_simnet::sync::{SimClassLock, SimRwLock};
+use switchfs_simnet::sync::SimClassLock;
 use switchfs_simnet::FxHashMap;
 
 /// Change-log lock class of the operations appending deferred updates.
@@ -66,9 +67,9 @@ pub const RESPONDER: Access = Access::ClassB;
 /// Lazily-created named locks.
 #[derive(Clone, Default)]
 pub struct LockManager {
-    inodes: Rc<RefCell<FxHashMap<MetaKey, SimRwLock<()>>>>,
+    inodes: Rc<RefCell<FxHashMap<MetaKey, SimClassLock>>>,
     changelogs: Rc<RefCell<FxHashMap<DirId, SimClassLock>>>,
-    fp_groups: Rc<RefCell<FxHashMap<u64, SimRwLock<()>>>>,
+    fp_groups: Rc<RefCell<FxHashMap<u64, SimClassLock>>>,
 }
 
 impl LockManager {
@@ -78,14 +79,14 @@ impl LockManager {
     }
 
     /// The lock guarding the inode stored under `key`.
-    pub fn inode(&self, key: &MetaKey) -> SimRwLock<()> {
+    pub fn inode(&self, key: &MetaKey) -> SimClassLock {
         let mut map = self.inodes.borrow_mut();
         // Look up by reference first: the common hit path must not clone
         // the key just to satisfy the entry API.
         if let Some(l) = map.get(key) {
             return l.clone();
         }
-        let lock = SimRwLock::new(());
+        let lock = SimClassLock::new();
         map.insert(key.clone(), lock.clone());
         lock
     }
@@ -97,11 +98,9 @@ impl LockManager {
     }
 
     /// The lock guarding reads and aggregations of a fingerprint group.
-    pub fn fp_group(&self, fp: Fingerprint) -> SimRwLock<()> {
+    pub fn fp_group(&self, fp: Fingerprint) -> SimClassLock {
         let mut map = self.fp_groups.borrow_mut();
-        map.entry(fp.raw())
-            .or_insert_with(|| SimRwLock::new(()))
-            .clone()
+        map.entry(fp.raw()).or_default().clone()
     }
 
     /// Number of distinct inode locks created so far (used by tests).

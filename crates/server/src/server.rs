@@ -26,7 +26,8 @@ use switchfs_simnet::{FxHashMap, FxHashSet};
 use switchfs_kvstore::KvStore;
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, ServerMsg,
+    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, Reply,
+    ServerMsg,
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState,
@@ -34,7 +35,7 @@ use switchfs_proto::{
     TraceId,
 };
 use switchfs_simnet::sync::oneshot;
-use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
+use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimDuration, SimHandle, SimTime};
 use switchfs_switch::SoftwareDirtySet;
 
 use crate::changelog::ChangeLogStore;
@@ -84,38 +85,28 @@ pub struct ServerStats {
     pub wrong_owner_rejects: u64,
 }
 
-/// Reply delivered to a waiting double-inode handler when its asynchronous
-/// commit resolves.
+/// What completes a token-matched wait (see [`Server::request_once`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CommitSignal {
-    /// The switch stored the fingerprint and mirrored the packet back.
+pub(crate) enum TokenReply {
+    /// Another server's answer to a request that carried the token.
+    Server(Reply),
+    /// The dedicated coordinator's answer to a dirty-set RPC.
+    Dirty(DirtyRet),
+    /// An asynchronous commit came back mirrored: the switch stored the
+    /// fingerprint and delivered the client's copy.
     Mirrored,
-    /// The insert overflowed; the fallback server applied the update
-    /// synchronously and notified us. Carries the applier's identity (from
-    /// the notification's source) so the later discard confirmation reaches
-    /// the server that actually holds the id — which may differ from the
-    /// current map owner if the shard flips in between.
+    /// An asynchronous commit's insert overflowed; the fallback server
+    /// applied the update synchronously and notified us. Carries the
+    /// applier's identity (from the notification's source) so the later
+    /// discard confirmation reaches the server that actually holds the id —
+    /// which may differ from the current map owner if the shard flips in
+    /// between.
     FallbackDone(Option<ServerId>),
 }
 
-/// Reply to a token-matched request (coordinator RPC, remote update, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TokenReply {
-    /// A dirty-set RPC result.
-    Dirty(DirtyRet),
-    /// A remote update / mark-dirty acknowledgment.
-    Ack,
-    /// A remote update failed.
-    Failed(FsError),
-    /// A transaction participant voted no because an inode of this type
-    /// occupies the destination key (typed rename reject).
-    VoteRejected(Option<FileType>),
-    /// A type probe's answer: the type of the inode under the probed key.
-    Type(Option<FileType>),
-    /// A recovery-time decision query's answer: `Some(commit)` once the
-    /// coordinator knows the outcome, `None` while the transaction is still
-    /// in its voting phase (ask again later).
-    Decision(Option<bool>),
+impl TokenReply {
+    /// Another server carried the request out.
+    pub(crate) const ACK: TokenReply = TokenReply::Server(Reply::Done(Ok(())));
 }
 
 /// One directory's entry list: a name-ordered map for O(log n) mutation
@@ -294,9 +285,12 @@ pub(crate) struct ServerInner {
     pub next_token: u64,
     /// Monotonic remove-sequence number for dirty-set removes (§5.4.1).
     pub remove_seq: u64,
-    /// Pending asynchronous commits: token → waker.
-    pub pending_commits: FxHashMap<u64, oneshot::Sender<CommitSignal>>,
-    /// Pending token-matched acknowledgments.
+    /// The token-matched waits: every exchange in which this server sent a
+    /// request carrying a token and is waiting for whatever echoes it (a
+    /// [`ServerMsg::Reply`], the coordinator's answer, the switch's mirror
+    /// copy of an asynchronous commit). An entry lives from
+    /// [`Server::request_once`]'s send until the reply or the timeout, so
+    /// the table is empty whenever the server is quiescent.
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
     /// Aggregations in flight, keyed by aggregation id.
     pub pending_aggs: FxHashMap<u64, AggCollector>,
@@ -327,14 +321,6 @@ pub(crate) struct ServerInner {
     /// WAL-append slow-down multiplier (chaos disk-latency spikes; 1 = no
     /// spike).
     pub disk_slowdown: u64,
-    /// Coordinator-side routing of transaction votes to waiting tokens,
-    /// keyed by `(txn_id, participant)` so a duplicated vote from one
-    /// participant cannot be credited to another (§5.4.1).
-    pub txn_vote_tokens: FxHashMap<(u64, ServerId), u64>,
-    /// Coordinator-side routing of decision acknowledgments, kept separate
-    /// from the vote table so a duplicated vote cannot masquerade as a
-    /// commit acknowledgment.
-    pub txn_ack_tokens: FxHashMap<(u64, ServerId), u64>,
     /// Transactions whose commit this participant fully applied; lets a
     /// retransmitted `TxnCommit` be acked if and only if the first copy
     /// finished applying (a copy racing a still-running apply is dropped).
@@ -383,7 +369,6 @@ impl ServerInner {
             dir_counter: 0,
             next_token: 1,
             remove_seq: 0,
-            pending_commits: FxHashMap::default(),
             pending_tokens: FxHashMap::default(),
             pending_aggs: FxHashMap::default(),
             active_aggs: FxHashMap::default(),
@@ -393,8 +378,6 @@ impl ServerInner {
             active_txns: FxHashSet::default(),
             resolving_txns: FxHashSet::default(),
             disk_slowdown: 1,
-            txn_vote_tokens: FxHashMap::default(),
-            txn_ack_tokens: FxHashMap::default(),
             committed_txns: FxHashSet::default(),
             committed_txn_order: std::collections::VecDeque::new(),
             crashed: false,
@@ -707,6 +690,12 @@ impl Server {
         self.inner.borrow().prepared_txns.len()
     }
 
+    /// Number of token-matched exchanges this server is still waiting on;
+    /// zero whenever the server is quiescent (test/chaos observability).
+    pub fn pending_token_count(&self) -> usize {
+        self.inner.borrow().pending_tokens.len()
+    }
+
     /// Total duplicate-suppression cache entries across all clients
     /// (test observability for the bounded-dedup guarantee).
     pub fn completed_op_count(&self) -> usize {
@@ -751,15 +740,13 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Starts the server: spawns the packet loop and, if enabled, the
-    /// proactive push/aggregation loop.
+    /// Starts the server: spawns the packet loop and the proactive
+    /// push/aggregation loop.
     pub fn start(&self) {
         let me = self.clone();
         self.handle.spawn(async move { me.run_loop().await });
-        if self.cfg.proactive.enabled {
-            let me = self.clone();
-            self.handle.spawn(async move { me.proactive_loop().await });
-        }
+        let me = self.clone();
+        self.handle.spawn(async move { me.proactive_loop().await });
     }
 
     async fn run_loop(&self) {
@@ -1102,21 +1089,15 @@ impl Server {
                 self.retire_confirmed(discard_confirm);
                 Box::pin(self.handle_remote_dir_update(src, req_id, dir_key, entry)).await;
             }
-            ServerMsg::RemoteDirUpdateAck { req_id, result } => {
-                let reply = match result {
-                    Ok(()) => TokenReply::Ack,
-                    Err(e) => TokenReply::Failed(e),
-                };
-                self.complete_token(req_id, reply);
+            ServerMsg::Reply { req_id, reply } => {
+                self.complete_token(req_id, TokenReply::Server(reply));
             }
             ServerMsg::FallbackDone { op_token, .. } => {
-                self.handle_fallback_done(src, op_token);
+                let applier = self.server_id_of(src);
+                self.complete_token(op_token, TokenReply::FallbackDone(applier));
             }
             ServerMsg::MarkDirty { req_id, fp } => {
                 self.handle_mark_dirty(src, req_id, fp).await;
-            }
-            ServerMsg::MarkDirtyAck { req_id } => {
-                self.complete_token(req_id, TokenReply::Ack);
             }
             ServerMsg::InvalidationBroadcast { dir_id, dir_key } => {
                 self.apply_and_log(
@@ -1131,49 +1112,28 @@ impl Server {
                 self.inner.borrow_mut().invalidation.remove(&dir_id);
             }
             ServerMsg::TxnPrepare {
+                req_id,
                 txn_id,
                 coordinator,
                 ops,
             } => {
-                self.handle_txn_prepare(txn_id, coordinator, ops).await;
+                self.handle_txn_prepare(req_id, txn_id, coordinator, ops)
+                    .await;
             }
-            ServerMsg::TxnVote {
-                txn_id,
-                from,
-                ok,
-                dst_type,
-            } => {
-                self.handle_txn_vote(txn_id, from, ok, dst_type);
-            }
-            ServerMsg::TxnCommit { txn_id } => {
+            ServerMsg::TxnCommit { req_id, txn_id } => {
                 // Ack once the commit is fully applied — by this copy or a
                 // previously completed one. A retransmitted copy racing a
                 // still-running apply is dropped; the coordinator's
                 // retransmission timer re-asks until the apply finished.
                 if Box::pin(self.handle_txn_decision(txn_id, true)).await {
-                    self.send_plain(
-                        src,
-                        Body::Server(ServerMsg::TxnDecisionAck {
-                            txn_id,
-                            from: self.cfg.id,
-                        }),
-                    );
+                    self.send_reply(src, req_id, Reply::Done(Ok(())));
                 }
             }
-            ServerMsg::TxnDecisionAck { txn_id, from } => {
-                self.handle_txn_ack(txn_id, from);
-            }
-            ServerMsg::TxnAbort { txn_id } => {
+            ServerMsg::TxnAbort { req_id, txn_id } => {
                 Box::pin(self.handle_txn_decision(txn_id, false)).await;
                 // Abort is idempotent (nothing is applied): always ack so
                 // the coordinator stops retransmitting.
-                self.send_plain(
-                    src,
-                    Body::Server(ServerMsg::TxnDecisionAck {
-                        txn_id,
-                        from: self.cfg.id,
-                    }),
-                );
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
             }
             ServerMsg::TxnDecisionQuery {
                 req_id,
@@ -1181,9 +1141,6 @@ impl Server {
                 from,
             } => {
                 self.handle_txn_decision_query(req_id, txn_id, from).await;
-            }
-            ServerMsg::TxnDecisionReply { req_id, commit } => {
-                self.complete_token(req_id, TokenReply::Decision(commit));
             }
             ServerMsg::ForwardedRequest { client_node, req } => {
                 // A rename re-routed by the source's per-file-hash owner:
@@ -1233,21 +1190,12 @@ impl Server {
                     Vec::new(),
                 )
                 .await;
-                self.send_plain(src, Body::Server(ServerMsg::InitDirContentAck { req_id }));
-            }
-            ServerMsg::InitDirContentAck { req_id } => {
-                self.complete_token(req_id, TokenReply::Ack);
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
             }
             ServerMsg::RemoteTxnOp { req_id, op } => {
                 self.cpu.run(self.cfg.costs.software_path).await;
                 Box::pin(self.apply_txn_ops(std::slice::from_ref(&op))).await;
-                self.send_plain(
-                    src,
-                    Body::Server(ServerMsg::RemoteDirUpdateAck {
-                        req_id,
-                        result: Ok(()),
-                    }),
-                );
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
             }
             ServerMsg::TypeProbe { req_id, key } => {
                 self.cpu
@@ -1259,41 +1207,10 @@ impl Server {
                     .inodes
                     .get_ref(&key)
                     .map(|a| a.file_type);
-                self.send_plain(
-                    src,
-                    Body::Server(ServerMsg::TypeProbeAck { req_id, file_type }),
-                );
+                self.send_reply(src, req_id, Reply::Type(file_type));
             }
-            ServerMsg::TypeProbeAck { req_id, file_type } => {
-                self.complete_token(req_id, TokenReply::Type(file_type));
-            }
-            ServerMsg::ShardInstall {
-                req_id,
-                shard,
-                inodes,
-                entries,
-                dir_index,
-                pending,
-                applied_entry_ids,
-                retired_entry_ids,
-                completed,
-            } => {
-                Box::pin(self.handle_shard_install(
-                    src,
-                    req_id,
-                    shard,
-                    inodes,
-                    entries,
-                    dir_index,
-                    pending,
-                    applied_entry_ids,
-                    retired_entry_ids,
-                    completed,
-                ))
-                .await;
-            }
-            ServerMsg::ShardInstallAck { req_id } => {
-                self.complete_token(req_id, TokenReply::Ack);
+            ServerMsg::ShardInstall(install) => {
+                Box::pin(self.handle_shard_install(src, install)).await;
             }
         }
     }
@@ -1416,6 +1333,39 @@ impl Server {
         }
     }
 
+    /// Holder side of "these entries were applied by their directory's
+    /// owner": drops them from the change-logs (`drop_from_logs` says where
+    /// they sit — a fingerprint group, one directory's push window, one
+    /// directory), marks their WAL records applied so a recovery does not
+    /// rebuild them, and — the discard now being durable — queues the
+    /// discard confirmation for `applier`, the server that holds the ids in
+    /// its duplicate-suppression set, to ride on the next message that
+    /// flows there. `None` when that server is unknown or confirmed
+    /// nothing.
+    pub(crate) fn discard_applied_entries<R>(
+        &self,
+        drop_from_logs: impl FnOnce(&mut ChangeLogStore) -> R,
+        ids: &FxHashSet<OpId>,
+        applier: Option<ServerId>,
+    ) -> R {
+        let dropped = drop_from_logs(&mut self.inner.borrow_mut().changelogs);
+        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
+            rec.pending_entry
+                .as_ref()
+                .is_some_and(|(_, _, e)| ids.contains(&e.entry_id))
+        });
+        if let Some(applier) = applier {
+            let now = self.handle.now();
+            self.inner.borrow_mut().queue_discard_confirm(
+                self.cfg.id,
+                applier,
+                now,
+                ids.iter().copied(),
+            );
+        }
+        dropped
+    }
+
     /// Allocates a fresh token / aggregation id.
     pub(crate) fn next_token(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
@@ -1494,6 +1444,11 @@ impl Server {
         response
     }
 
+    /// Answers the request that carried `req_id`.
+    pub(crate) fn send_reply(&self, dst: NodeId, req_id: u64, reply: Reply) {
+        self.send_plain(dst, Body::Server(ServerMsg::Reply { req_id, reply }));
+    }
+
     /// Completes a token-matched wait, if still registered.
     pub(crate) fn complete_token(&self, token: u64, reply: TokenReply) {
         let tx = self.inner.borrow_mut().pending_tokens.remove(&token);
@@ -1502,11 +1457,29 @@ impl Server {
         }
     }
 
-    /// Registers a token-matched wait and returns its receiver.
-    pub(crate) fn register_token(&self, token: u64) -> oneshot::Receiver<TokenReply> {
+    /// One attempt of a token-matched exchange: registers the wait under
+    /// `token`, runs `send` (which must put `token` on the wire), and waits
+    /// up to `wait` for [`Server::complete_token`] to deliver the reply. A
+    /// wait that ends without one is taken out of the table again, so the
+    /// table holds exactly the exchanges still in progress. Re-registering
+    /// the same token for a later attempt lets a late reply to an earlier
+    /// attempt complete the exchange.
+    pub(crate) async fn request_once(
+        &self,
+        token: u64,
+        wait: SimDuration,
+        send: impl FnOnce(),
+    ) -> Option<TokenReply> {
         let (tx, rx) = oneshot::channel();
         self.inner.borrow_mut().pending_tokens.insert(token, tx);
-        rx
+        send();
+        match timeout(&self.handle, wait, rx.recv()).await {
+            Some(Ok(reply)) => Some(reply),
+            _ => {
+                self.inner.borrow_mut().pending_tokens.remove(&token);
+                None
+            }
+        }
     }
 
     /// Sends `body` to `dst` and waits for a token-matched acknowledgment,
@@ -1526,15 +1499,13 @@ impl Server {
             if attempt > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
-            let rx = self.register_token(token);
-            self.send_plain(dst, body.clone());
-            match timeout(&self.handle, wait, rx.recv()).await {
-                Some(Ok(reply)) => return Some(reply),
-                _ => {
-                    self.inner.borrow_mut().pending_tokens.remove(&token);
-                    wait = (wait * 2).min(max_wait);
-                }
+            let reply = self
+                .request_once(token, wait, || self.send_plain(dst, body.clone()))
+                .await;
+            if reply.is_some() {
+                return reply;
             }
+            wait = (wait * 2).min(max_wait);
         }
         None
     }
@@ -1723,18 +1694,19 @@ impl Server {
             },
             TrackingMode::DedicatedServer(coord) => {
                 let token = self.next_token();
-                let rx = self.register_token(token);
-                self.send_plain(
-                    coord,
-                    Body::Coord(CoordMsg::Request {
-                        token,
-                        op: DirtySetOp::Query,
-                        fp,
-                        seq: 0,
-                    }),
-                );
-                match timeout(&self.handle, self.cfg.costs.request_timeout, rx.recv()).await {
-                    Some(Ok(TokenReply::Dirty(DirtyRet::State(s)))) => s,
+                let query = CoordMsg::Request {
+                    token,
+                    op: DirtySetOp::Query,
+                    fp,
+                    seq: 0,
+                };
+                match self
+                    .request_once(token, self.cfg.costs.request_timeout, || {
+                        self.send_plain(coord, Body::Coord(query))
+                    })
+                    .await
+                {
+                    Some(TokenReply::Dirty(DirtyRet::State(s))) => s,
                     _ => DirtyState::Scattered,
                 }
             }
@@ -1941,7 +1913,7 @@ impl Server {
             inner.shutdown = false;
             was
         };
-        if was_shutdown && self.cfg.proactive.enabled {
+        if was_shutdown {
             let me = self.clone();
             self.handle.spawn(async move { me.proactive_loop().await });
         }

@@ -17,7 +17,10 @@ use switchfs_proto::{
 };
 use switchfs_simnet::timeout;
 
-use crate::config::{TrackingMode, UpdateMode};
+use crate::config::{
+    TrackingMode, UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL,
+    PUSH_MTU_BYTES,
+};
 use crate::locks::RESPONDER;
 use crate::server::{AggCollector, Server};
 use crate::wal::KvEffect;
@@ -264,26 +267,22 @@ impl Server {
         }
         // The owner's own deferred entries for this group are now applied.
         let own_ids: FxHashSet<OpId> = entries.iter().map(|e| e.entry_id).collect();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.changelogs.discard_applied_in_group(fp, &own_ids);
-            inner.push_timers.remove(&fp.raw());
-            inner.stats.aggregations += 1;
-        }
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| own_ids.contains(&e.entry_id))
-                .unwrap_or(false)
-        });
+        self.discard_applied_entries(
+            |logs| logs.discard_applied_in_group(fp, &own_ids),
+            &own_ids,
+            None,
+        );
         // The owner held (and just durably discarded) its own local entries:
         // holder and applier are the same server, so the discard confirms
-        // itself and those ids retire into the bounded FIFO immediately.
+        // itself and those ids — every one it held, applied now or earlier —
+        // retire into the bounded FIFO immediately.
         {
             let me = self.cfg.id;
             let now = self.handle.now();
             let mut inner = self.inner.borrow_mut();
             inner.queue_discard_confirm(me, me, now, local_ids);
+            inner.push_timers.remove(&fp.raw());
+            inner.stats.aggregations += 1;
         }
         applied
     }
@@ -507,27 +506,13 @@ impl Server {
         );
         self.inner.borrow_mut().pending_agg_acks.remove(&ack_key);
         if acked && !sent_ids.is_empty() {
-            {
-                let mut inner = self.inner.borrow_mut();
-                inner.changelogs.discard_applied_in_group(agg.fp, &sent_ids);
-            }
-            self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-                rec.pending_entry
-                    .as_ref()
-                    .map(|(_, _, e)| sent_ids.contains(&e.entry_id))
-                    .unwrap_or(false)
-            });
-            // The discard is durable (WAL records marked applied): this
-            // holder can never re-send these entries, so tell the owner —
-            // on the next message that flows there — to retire them from
-            // its duplicate-suppression set.
-            let me = self.cfg.id;
-            let now = self.handle.now();
-            self.inner.borrow_mut().queue_discard_confirm(
-                me,
-                agg.owner,
-                now,
-                sent_ids.iter().copied(),
+            // This holder can never re-send these entries once they are
+            // discarded, so the owner is told to retire them from its
+            // duplicate-suppression set.
+            self.discard_applied_entries(
+                |logs| logs.discard_applied_in_group(agg.fp, &sent_ids),
+                &sent_ids,
+                Some(agg.owner),
             );
         }
         drop(guards);
@@ -633,30 +618,17 @@ impl Server {
         dir_key: MetaKey,
         applied: Vec<OpId>,
     ) {
-        let ids: FxHashSet<OpId> = applied.iter().copied().collect();
-        let dir = self
-            .inner
-            .borrow_mut()
-            .changelogs
-            .discard_acked(&dir_key, &ids);
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| ids.contains(&e.entry_id))
-                .unwrap_or(false)
-        });
-        // The discard is durable: confirm it — on the next outgoing message
-        // — to the server that *sent this ack* (the one actually holding
-        // the ids in its suppression set), not to the directory's current
-        // map owner: across a shard flip the two differ, and the confirm
-        // would otherwise never reach the real applier.
-        if let Some(applier) = self.server_id_of(src) {
-            let me = self.cfg.id;
-            let now = self.handle.now();
-            self.inner
-                .borrow_mut()
-                .queue_discard_confirm(me, applier, now, applied);
-        }
+        let ids: FxHashSet<OpId> = applied.into_iter().collect();
+        // The confirmation goes to the server that *sent this ack* (the one
+        // actually holding the ids in its suppression set), not to the
+        // directory's current map owner: across a shard flip the two
+        // differ, and the confirm would otherwise never reach the real
+        // applier.
+        let dir = self.discard_applied_entries(
+            |logs| logs.discard_acked(&dir_key, &ids),
+            &ids,
+            self.server_id_of(src),
+        );
         if let Some(dir) = dir {
             self.push_changelog(&dir, PushTrigger::Filled);
         }
@@ -665,9 +637,8 @@ impl Server {
     /// The background loop driving MTU/idle-based pushes (holder side) and
     /// idle-triggered aggregations (owner side).
     pub(crate) async fn proactive_loop(&self) {
-        let cfg = self.cfg.proactive;
         loop {
-            self.handle.sleep(cfg.scan_interval).await;
+            self.handle.sleep(PROACTIVE_SCAN_INTERVAL).await;
             // Shutdown first: a *crashed* server's loop must still terminate
             // when the harness quiesces the simulation, or a run with an
             // unrecovered server never reaches quiescence (the crashed
@@ -704,25 +675,24 @@ impl Server {
     ///
     /// [`ChangeLog::push_batch`]: crate::changelog::ChangeLog::push_batch
     pub(crate) fn push_changelog(&self, dir: &DirId, trigger: PushTrigger) {
-        let cfg = self.cfg.proactive;
         let now = self.handle.now();
         let (dir_key, fp, batch) = {
             let mut inner = self.inner.borrow_mut();
             let Some(log) = inner.changelogs.get_mut(dir) else {
                 return;
             };
-            let full = log.pending_bytes() >= cfg.mtu_bytes;
+            let full = log.pending_bytes() >= PUSH_MTU_BYTES;
             let due = match trigger {
-                PushTrigger::Filled => cfg.enabled && log.in_flight() == 0 && full,
+                PushTrigger::Filled => log.in_flight() == 0 && full,
                 PushTrigger::Tick => {
-                    full || now.duration_since(log.last_append()) >= cfg.idle_push_after
+                    full || now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER
                 }
                 PushTrigger::Flush => true,
             };
             if !due || log.is_empty() {
                 return;
             }
-            (log.dir_key.clone(), log.fp, log.push_batch(cfg.mtu_bytes))
+            (log.dir_key.clone(), log.fp, log.push_batch(PUSH_MTU_BYTES))
         };
         self.send_changelog_push(dir_key, fp, batch);
     }
@@ -760,14 +730,13 @@ impl Server {
 
     /// One round of owner-side proactive aggregations.
     pub(crate) async fn proactive_aggregate_round(&self) {
-        let cfg = self.cfg.proactive;
         let now = self.handle.now();
         let due: Vec<u64> = {
             let inner = self.inner.borrow();
             inner
                 .push_timers
                 .iter()
-                .filter(|(_, last)| now.duration_since(**last) >= cfg.owner_aggregate_after)
+                .filter(|(_, last)| now.duration_since(**last) >= OWNER_AGGREGATE_AFTER)
                 .map(|(fp, _)| *fp)
                 .collect()
         };

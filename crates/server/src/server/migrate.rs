@@ -29,7 +29,7 @@
 //! local copy is stale and is dropped; otherwise the source still owns the
 //! shard and the cluster re-drives the migration.
 
-use switchfs_proto::message::{Body, ClientResponse, ServerMsg};
+use switchfs_proto::message::{Body, ClientResponse, Reply, ServerMsg, ShardInstall};
 use switchfs_proto::{
     ids::splitmix64, ChangeLogEntry, DirId, FileType, Fingerprint, InodeAttrs, MetaKey, OpId,
     PartitionPolicy, Placement, ServerId,
@@ -80,22 +80,6 @@ fn inode_role_hashes(policy: PartitionPolicy, key: &MetaKey, attrs: &InodeAttrs)
     }
 }
 
-/// The placement hash that owns a directory's entry list (and its owner-
-/// index record): the fingerprint hash under per-file hashing, the
-/// directory-id hash under the grouping policies.
-fn dir_content_hash(policy: PartitionPolicy, dir: &DirId, dir_key: Option<&MetaKey>) -> u64 {
-    match policy {
-        PartitionPolicy::PerFileHash => match dir_key {
-            Some(key) => splitmix64(Fingerprint::of_dir(&key.pid, &key.name).raw()),
-            // Without an index entry the fingerprint is unknown; fall back
-            // to the id hash, which never matches a foreign shard under
-            // per-file hashing — the list simply stays put.
-            None => dir.hash64(),
-        },
-        PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => dir.hash64(),
-    }
-}
-
 impl Server {
     /// Extracts everything stored on this server that shard `shard` owns.
     /// Thin wrapper over the batched [`Server::collect_shards`].
@@ -140,7 +124,15 @@ impl Server {
             }
         }
         for (dir, content) in inner.entries.iter() {
-            let h = dir_content_hash(policy, dir, inner.dir_index.get(dir));
+            let h = match inner.dir_index.get(dir) {
+                Some(key) => {
+                    placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir)
+                }
+                // Without an index entry the fingerprint is unknown; fall
+                // back to the id hash, which never matches a foreign shard
+                // under per-file hashing — the list simply stays put.
+                None => dir.hash64(),
+            };
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 for e in content.iter() {
                     extract.entries.push((*dir, e.clone()));
@@ -148,16 +140,13 @@ impl Server {
             }
         }
         for (dir, key) in inner.dir_index.iter() {
-            let h = dir_content_hash(policy, dir, Some(key));
+            let h = placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir);
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 extract.dir_index.push((*dir, key.clone()));
             }
         }
         for (dir, fp) in inner.changelogs.dirty_dirs() {
-            let h = match policy {
-                PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-                _ => dir.hash64(),
-            };
+            let h = placement.dir_content_hash(fp, &dir);
             if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
                 if let Some(log) = inner.changelogs.get(&dir) {
                     let key = log.dir_key.clone();
@@ -221,10 +210,7 @@ impl Server {
             return false;
         }
         let placement = &self.cfg.placement;
-        let h = match placement.policy() {
-            PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-            _ => dir.hash64(),
-        };
+        let h = placement.dir_content_hash(fp, dir);
         inner.migrating_shards.contains(&placement.shard_of_hash(h))
     }
 
@@ -239,12 +225,7 @@ impl Server {
     /// divergence). A non-owner drops the message without an ack; the
     /// holder's next round routes to the new owner via the shared map.
     pub(crate) fn owns_dir_updates(&self, fp: Fingerprint, dir: &DirId) -> bool {
-        let placement = &self.cfg.placement;
-        let h = match placement.policy() {
-            PartitionPolicy::PerFileHash => splitmix64(fp.raw()),
-            _ => dir.hash64(),
-        };
-        placement.owner_of_hash(h) == self.cfg.id
+        self.cfg.placement.dir_content_owner(fp, dir) == self.cfg.id
     }
 
     /// True while work that predates the freeze may still touch `shard`:
@@ -413,7 +394,7 @@ impl Server {
                 },
             );
             let token = self.next_token();
-            let body = Body::Server(ServerMsg::ShardInstall {
+            let body = Body::Server(ServerMsg::ShardInstall(ShardInstall {
                 req_id: token,
                 shard: *shard,
                 inodes: extract.inodes.clone(),
@@ -423,12 +404,11 @@ impl Server {
                 applied_entry_ids,
                 retired_entry_ids,
                 completed,
-            });
-            let acked = matches!(
-                self.send_with_ack(self.cfg.node_of(*target), token, body)
-                    .await,
-                Some(TokenReply::Ack)
-            );
+            }));
+            let acked = self
+                .send_with_ack(self.cfg.node_of(*target), token, body)
+                .await
+                == Some(TokenReply::ACK);
             if !acked {
                 self.inner.borrow_mut().migrating_shards.remove(shard);
                 continue;
@@ -457,14 +437,11 @@ impl Server {
         migrated
     }
 
-    /// Deletes an extracted slice of shard state, keeping any object that
-    /// still has a routing role mapping to this server (grouping policies
-    /// can place two replicas of one directory on one server with only one
-    /// of them migrating). All deletions are WAL-logged, so a replay
-    /// reconstructs the same purge. Used by the source after the flip, and
-    /// by the target to purge the stale leftovers of a lost-ack earlier
-    /// install attempt before applying a retried one.
-    async fn delete_shard_local(&self, extract: &ShardExtract, drop_changelogs: bool) {
+    /// The deletions that remove an extracted slice of shard state, keeping
+    /// any object that still has a routing role mapping to this server
+    /// (grouping policies can place two replicas of one directory on one
+    /// server with only one of them migrating).
+    fn shard_delete_effects(&self, extract: &ShardExtract) -> Vec<KvEffect> {
         let placement = &self.cfg.placement;
         let policy = placement.policy();
         let mut effects = Vec::new();
@@ -480,10 +457,31 @@ impl Server {
             effects.push(KvEffect::DeleteEntry(*dir, entry.name.clone()));
         }
         for (dir, key) in &extract.dir_index {
-            if placement.owner_of_hash(dir_content_hash(policy, dir, Some(key))) != self.cfg.id {
+            let fp = Fingerprint::of_dir(&key.pid, &key.name);
+            if placement.dir_content_owner(fp, dir) != self.cfg.id {
                 effects.push(KvEffect::UnindexDir(*dir));
             }
         }
+        effects
+    }
+
+    /// Drops the volatile change-logs of an extracted slice's directories.
+    fn drop_shard_changelogs(&self, extract: &ShardExtract) {
+        let mut inner = self.inner.borrow_mut();
+        let dirs: std::collections::BTreeSet<DirId> =
+            extract.pending.iter().map(|(d, _, _)| *d).collect();
+        for dir in dirs {
+            inner.changelogs.remove(&dir);
+        }
+    }
+
+    /// Deletes an extracted slice of shard state
+    /// ([`Server::shard_delete_effects`]). All deletions are WAL-logged, so
+    /// a replay reconstructs the same purge. Used by the source after the
+    /// flip, and by the target to purge the stale leftovers of a lost-ack
+    /// earlier install attempt before applying a retried one.
+    async fn delete_shard_local(&self, extract: &ShardExtract, drop_changelogs: bool) {
+        let effects = self.shard_delete_effects(extract);
         self.apply_and_log(None, effects, None, Vec::new()).await;
         // Source side only (`drop_changelogs`): the moved pending change-log
         // entries now live (durably) at the target; drop the volatile copies
@@ -493,38 +491,35 @@ impl Server {
         // already applied. The target's stale-purge passes `false`: its
         // change-log holds live holder-side entries, never stale state.
         if drop_changelogs {
-            let mut inner = self.inner.borrow_mut();
-            let dirs: std::collections::BTreeSet<DirId> =
-                extract.pending.iter().map(|(d, _, _)| *d).collect();
-            for dir in dirs {
-                inner.changelogs.remove(&dir);
-            }
+            self.drop_shard_changelogs(extract);
         }
     }
 
     /// Target side of the stream: applies and durably logs one shard's
     /// state, then acks. Idempotent — a retransmitted install is re-acked
     /// without re-appending the pending change-log entries.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) async fn handle_shard_install(
         &self,
         src: switchfs_simnet::NodeId,
-        req_id: u64,
-        shard: u32,
-        inodes: Vec<(MetaKey, InodeAttrs)>,
-        entries: Vec<(DirId, switchfs_proto::DirEntry)>,
-        dir_index: Vec<(DirId, MetaKey)>,
-        pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-        applied_entry_ids: Vec<OpId>,
-        retired_entry_ids: Vec<OpId>,
-        completed: Vec<ClientResponse>,
+        install: ShardInstall,
     ) {
+        let ShardInstall {
+            req_id,
+            shard,
+            inodes,
+            entries,
+            dir_index,
+            pending,
+            applied_entry_ids,
+            retired_entry_ids,
+            completed,
+        } = install;
         let install_key = (src.0, req_id);
         {
             let mut inner = self.inner.borrow_mut();
             if inner.applied_installs.contains(&install_key) {
                 drop(inner);
-                self.send_plain(src, Body::Server(ServerMsg::ShardInstallAck { req_id }));
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
                 return;
             }
             // A retransmission racing the still-running first copy must not
@@ -640,8 +635,7 @@ impl Server {
             inner.in_progress_installs.remove(&install_key);
             inner.stats.shards_migrated_in += 1;
         }
-        let _ = shard;
-        self.send_plain(src, Body::Server(ServerMsg::ShardInstallAck { req_id }));
+        self.send_reply(src, req_id, Reply::Done(Ok(())));
     }
 
     /// Sends every queued discard confirmation as an empty change-log push
@@ -721,32 +715,17 @@ impl Server {
 
     /// Drops every locally-stored object owned by `shard` (recovery of an
     /// interrupted migration whose flip already happened: the WAL replay
-    /// rebuilt state the target now owns). Objects with another routing
-    /// role still mapping here are kept, like the post-flip source delete.
+    /// rebuilt state the target now owns): the post-flip source delete,
+    /// applied to the volatile stores only.
     pub(crate) fn drop_shard_state(&self, shard: u32) {
-        let placement = self.cfg.placement.clone();
-        let policy = placement.policy();
         let extract = self.collect_shard(shard);
-        let mut inner = self.inner.borrow_mut();
-        for (key, attrs) in &extract.inodes {
-            let keep = inode_role_hashes(policy, key, attrs)
-                .iter()
-                .any(|h| placement.owner_of_hash(*h) == self.cfg.id);
-            if keep {
-                continue;
+        let effects = self.shard_delete_effects(&extract);
+        {
+            let mut inner = self.inner.borrow_mut();
+            for e in &effects {
+                inner.apply_effect(e);
             }
-            inner.inodes.delete(key);
         }
-        for (dir, entry) in &extract.entries {
-            inner.remove_entry(*dir, &entry.name);
-        }
-        for (dir, _) in &extract.dir_index {
-            inner.dir_index.remove(dir);
-        }
-        let dirs: std::collections::BTreeSet<DirId> =
-            extract.pending.iter().map(|(d, _, _)| *d).collect();
-        for dir in dirs {
-            inner.changelogs.remove(&dir);
-        }
+        self.drop_shard_changelogs(&extract);
     }
 }

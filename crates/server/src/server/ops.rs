@@ -10,18 +10,19 @@
 //! RPC to a dedicated coordinator, or an RPC to the directory's owner server.
 
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, ParentRef, ServerMsg, SyncFallback,
+    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, ParentRef, Reply, ServerMsg,
+    SyncFallback,
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtyRet, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
-    InodeAttrs, OpId, OpResult, Placement,
+    InodeAttrs, OpResult, Placement, ServerId,
 };
-use switchfs_simnet::{timeout, NodeId};
+use switchfs_simnet::{FxHashSet, NodeId};
 
 use crate::config::TrackingMode;
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
-use crate::server::{CommitSignal, Server};
+use crate::server::{Server, TokenReply};
 use crate::wal::KvEffect;
 
 /// How an asynchronous commit finished.
@@ -175,6 +176,26 @@ impl Server {
             return Some(result);
         }
 
+        self.commit_deferred(client_node, req, parent, effects, &entry, &result)
+            .await;
+        None
+    }
+
+    /// The commit tail of an asynchronous double-inode operation (§5.2.1
+    /// steps 4–7), entered with the operation's locks held: WAL append of
+    /// the local half together with the deferred parent update, change-log
+    /// append, durable completion record, dirty-set update — and the reply,
+    /// which the switch delivers unless the tracking mode (or an exhausted
+    /// retry budget) leaves it to this server.
+    async fn commit_deferred(
+        &self,
+        client_node: NodeId,
+        req: &ClientRequest,
+        parent: &ParentRef,
+        effects: Vec<KvEffect>,
+        entry: &ChangeLogEntry,
+        result: &OpResult,
+    ) {
         // Commit: WAL append, then execute the local half (§5.2.1 step 4–5).
         self.apply_and_log(
             Some(req.op_id),
@@ -183,19 +204,18 @@ impl Server {
             Vec::new(),
         )
         .await;
-        self.append_deferred_update(parent, &entry).await;
+        self.append_deferred_update(parent, entry).await;
 
         // Dirty-set update, reply and unlocking (§5.2.1 step 6–7).
-        let response = self.make_response(req.op_id, result);
+        let response = self.make_response(req.op_id, result.clone());
         self.persist_completion(&req.op, &response);
         match self
-            .async_commit(client_node, response.clone(), parent, &entry)
+            .async_commit(client_node, &response, parent, entry)
             .await
         {
-            CommitOutcome::DeliveredBySwitch | CommitOutcome::FallbackHandled => None,
+            CommitOutcome::DeliveredBySwitch | CommitOutcome::FallbackHandled => {}
             CommitOutcome::NeedDirectReply => {
                 self.send_plain(client_node, Body::Response(response));
-                None
             }
         }
     }
@@ -226,7 +246,7 @@ impl Server {
             .send_with_ack(self.cfg.node_of(owner), token, body)
             .await
         {
-            Some(crate::server::TokenReply::Type(t)) => t,
+            Some(TokenReply::Server(Reply::Type(t))) => t,
             _ => None,
         }
     }
@@ -321,7 +341,7 @@ impl Server {
                 .send_with_ack(self.cfg.node_of(owner), token, body)
                 .await
             {
-                Some(crate::server::TokenReply::Ack) => {
+                Some(TokenReply::ACK) => {
                     // The update is applied and this server will never
                     // retransmit it: confirm so the owner can retire the id.
                     let me = self.cfg.id;
@@ -331,7 +351,7 @@ impl Server {
                         .queue_discard_confirm(me, owner, now, [entry.entry_id]);
                     Ok(())
                 }
-                Some(crate::server::TokenReply::Failed(e)) => Err(e),
+                Some(TokenReply::Server(Reply::Done(Err(e)))) => Err(e),
                 _ => Err(FsError::TimedOut),
             }
         }
@@ -339,16 +359,8 @@ impl Server {
 
     /// The server owning a directory's updatable metadata under the
     /// synchronous (baseline) mode.
-    pub(crate) fn sync_dir_owner(&self, parent: &ParentRef) -> switchfs_proto::ServerId {
-        match self.cfg.placement.policy() {
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-            | switchfs_proto::PartitionPolicy::Subtree => {
-                self.cfg.placement.dir_owner_by_id(&parent.id)
-            }
-            switchfs_proto::PartitionPolicy::PerFileHash => {
-                self.cfg.placement.dir_owner_by_fp(parent.fp)
-            }
-        }
+    pub(crate) fn sync_dir_owner(&self, parent: &ParentRef) -> ServerId {
+        self.cfg.placement.dir_content_owner(parent.fp, &parent.id)
     }
 
     /// Baseline `mkdir` under P/C grouping: register the new directory's
@@ -451,30 +463,14 @@ impl Server {
 
         // Commit the removal.
         let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
-        self.apply_and_log(
-            Some(req.op_id),
-            vec![
-                KvEffect::DeleteInode(key.clone()),
-                KvEffect::UnindexDir(dir_id),
-                KvEffect::Invalidate(dir_id, key.clone()),
-            ],
-            Some((parent.id, parent.key.clone(), entry.clone())),
-            Vec::new(),
-        )
-        .await;
-        self.append_deferred_update(parent, &entry).await;
-        let response = self.make_response(req.op_id, OpResult::Done);
-        self.persist_completion(&req.op, &response);
-        match self
-            .async_commit(client_node, response.clone(), parent, &entry)
-            .await
-        {
-            CommitOutcome::DeliveredBySwitch | CommitOutcome::FallbackHandled => None,
-            CommitOutcome::NeedDirectReply => {
-                self.send_plain(client_node, Body::Response(response));
-                None
-            }
-        }
+        let effects = vec![
+            KvEffect::DeleteInode(key.clone()),
+            KvEffect::UnindexDir(dir_id),
+            KvEffect::Invalidate(dir_id, key.clone()),
+        ];
+        self.commit_deferred(client_node, req, parent, effects, &entry, &OpResult::Done)
+            .await;
+        None
     }
 
     /// Baseline-mode `rmdir`: purely synchronous, no aggregation.
@@ -566,7 +562,7 @@ impl Server {
     pub(crate) async fn async_commit(
         &self,
         client_node: NodeId,
-        response: ClientResponse,
+        response: &ClientResponse,
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> CommitOutcome {
@@ -585,7 +581,7 @@ impl Server {
     async fn async_commit_in_network(
         &self,
         client_node: NodeId,
-        response: ClientResponse,
+        response: &ClientResponse,
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> CommitOutcome {
@@ -593,7 +589,7 @@ impl Server {
         let parent_owner_node = self.cfg.node_of(parent_owner);
         let op_token = self.next_token();
         let body = Body::Server(ServerMsg::AsyncCommit {
-            response,
+            response: response.clone(),
             origin: self.cfg.id,
             op_token,
             fallback: SyncFallback {
@@ -607,39 +603,27 @@ impl Server {
             if attempt > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
-            let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
-            self.inner.borrow_mut().pending_commits.insert(op_token, tx);
             // The packet is addressed to the client; the switch multicasts a
             // mirror copy back to this server when the insert succeeds.
-            self.send_dirty(client_node, hdr, body.clone());
-            match timeout(&self.handle, self.cfg.costs.request_timeout, rx.recv()).await {
-                Some(Ok(CommitSignal::Mirrored)) => {
+            match self
+                .request_once(op_token, self.cfg.costs.request_timeout, || {
+                    self.send_dirty(client_node, hdr, body.clone())
+                })
+                .await
+            {
+                Some(TokenReply::Mirrored) => {
                     return CommitOutcome::DeliveredBySwitch;
                 }
-                Some(Ok(CommitSignal::FallbackDone(applier))) => {
+                Some(TokenReply::FallbackDone(applier)) => {
                     // The overflow fallback applied the entry synchronously:
-                    // drop it from the local change-log and mark the WAL
-                    // record applied. The discard is durable, so confirm it
-                    // to the server that actually applied it (the
-                    // notification's sender — not the current map owner,
-                    // which can differ across a shard flip).
-                    self.discard_local_entry(parent, entry.entry_id);
-                    if let Some(applier) = applier {
-                        let me = self.cfg.id;
-                        let now = self.handle.now();
-                        self.inner.borrow_mut().queue_discard_confirm(
-                            me,
-                            applier,
-                            now,
-                            [entry.entry_id],
-                        );
-                    }
-                    self.inner.borrow_mut().stats.fallback_syncs += 1;
+                    // discard it here, confirming to the server that
+                    // actually applied it (the notification's sender — not
+                    // the current map owner, which can differ across a
+                    // shard flip).
+                    self.discard_fallback_entry(parent, entry, applier);
                     return CommitOutcome::FallbackHandled;
                 }
-                _ => {
-                    self.inner.borrow_mut().pending_commits.remove(&op_token);
-                }
+                _ => {}
             }
         }
         CommitOutcome::NeedDirectReply
@@ -652,26 +636,23 @@ impl Server {
         entry: &ChangeLogEntry,
     ) -> CommitOutcome {
         let token = self.next_token();
-        let rx = self.register_token(token);
-        self.send_plain(
-            coord,
-            Body::Coord(CoordMsg::Request {
-                token,
-                op: DirtySetOp::Insert,
-                fp: parent.fp,
-                seq: 0,
-            }),
-        );
-        let reply = timeout(&self.handle, self.cfg.costs.request_timeout, rx.recv()).await;
-        match reply {
-            Some(Ok(crate::server::TokenReply::Dirty(DirtyRet::Overflowed))) => {
-                // Fall back to a synchronous remote update, as the in-network
-                // overflow path would.
-                self.sync_fallback_update(parent, entry).await;
-                CommitOutcome::NeedDirectReply
-            }
-            _ => CommitOutcome::NeedDirectReply,
+        let insert = CoordMsg::Request {
+            token,
+            op: DirtySetOp::Insert,
+            fp: parent.fp,
+            seq: 0,
+        };
+        let reply = self
+            .request_once(token, self.cfg.costs.request_timeout, || {
+                self.send_plain(coord, Body::Coord(insert))
+            })
+            .await;
+        if reply == Some(TokenReply::Dirty(DirtyRet::Overflowed)) {
+            // Fall back to a synchronous remote update, as the in-network
+            // overflow path would.
+            self.sync_fallback_update(parent, entry).await;
         }
+        CommitOutcome::NeedDirectReply
     }
 
     async fn async_commit_owner(&self, parent: &ParentRef) -> CommitOutcome {
@@ -703,37 +684,28 @@ impl Server {
             entry: entry.clone(),
             discard_confirm,
         });
-        let acked = matches!(
-            self.send_with_ack(self.cfg.node_of(owner), token, body)
-                .await,
-            Some(crate::server::TokenReply::Ack)
-        );
-        self.discard_local_entry(parent, entry.entry_id);
-        if acked {
-            let me = self.cfg.id;
-            let now = self.handle.now();
-            self.inner
-                .borrow_mut()
-                .queue_discard_confirm(me, owner, now, [entry.entry_id]);
-        }
-        self.inner.borrow_mut().stats.fallback_syncs += 1;
+        let acked = self
+            .send_with_ack(self.cfg.node_of(owner), token, body)
+            .await
+            == Some(TokenReply::ACK);
+        self.discard_fallback_entry(parent, entry, acked.then_some(owner));
     }
 
-    /// Removes one change-log entry that was applied out-of-band and marks
-    /// its WAL record applied.
-    pub(crate) fn discard_local_entry(&self, parent: &ParentRef, entry_id: OpId) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(log) = inner.changelogs.get_mut(&parent.id) {
-                log.discard_one(entry_id);
-            }
-        }
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .map(|(_, _, e)| e.entry_id == entry_id)
-                .unwrap_or(false)
-        });
+    /// Discards one change-log entry that an overflow fallback applied
+    /// out-of-band, and counts the fallback.
+    fn discard_fallback_entry(
+        &self,
+        parent: &ParentRef,
+        entry: &ChangeLogEntry,
+        applier: Option<ServerId>,
+    ) {
+        let id = entry.entry_id;
+        self.discard_applied_entries(
+            |logs| logs.get_mut(&parent.id).map(|log| log.discard_one(id)),
+            &FxHashSet::from_iter([id]),
+            applier,
+        );
+        self.inner.borrow_mut().stats.fallback_syncs += 1;
     }
 
     /// Handles an `AsyncCommit` packet. Depending on where it arrives it is
@@ -749,10 +721,7 @@ impl Server {
     ) {
         if origin == self.cfg.id && dirty_ret == Some(DirtyRet::Inserted) {
             // Mirror copy: release the waiting handler's locks.
-            let tx = self.inner.borrow_mut().pending_commits.remove(&op_token);
-            if let Some(tx) = tx {
-                let _ = tx.send(CommitSignal::Mirrored);
-            }
+            self.complete_token(op_token, TokenReply::Mirrored);
             return;
         }
         if dirty_ret == Some(DirtyRet::Overflowed) {
@@ -779,23 +748,13 @@ impl Server {
         }
     }
 
-    /// Handles the origin-side notification that the overflow fallback
-    /// completed.
-    pub(crate) fn handle_fallback_done(&self, src: NodeId, op_token: u64) {
-        let applier = self.server_id_of(src);
-        let tx = self.inner.borrow_mut().pending_commits.remove(&op_token);
-        if let Some(tx) = tx {
-            let _ = tx.send(CommitSignal::FallbackDone(applier));
-        }
-    }
-
     /// Handles a `MarkDirty` request in owner-server tracking mode.
     pub(crate) async fn handle_mark_dirty(&self, src: NodeId, req_id: u64, fp: Fingerprint) {
         // The extra packet costs CPU on the owner, which is exactly the
         // overhead Fig. 16 quantifies.
         self.cpu.run(self.cfg.costs.software_path).await;
         self.inner.borrow_mut().local_dirty.insert(fp);
-        self.send_plain(src, Body::Server(ServerMsg::MarkDirtyAck { req_id }));
+        self.send_reply(src, req_id, Reply::Done(Ok(())));
     }
 
     /// Handles a synchronous remote directory update (baseline double-inode
@@ -814,10 +773,7 @@ impl Server {
         let result = self
             .apply_dir_update(&dir_key, &entry, DirUpdateSource::Remote)
             .await;
-        self.send_plain(
-            src,
-            Body::Server(ServerMsg::RemoteDirUpdateAck { req_id, result }),
-        );
+        self.send_reply(src, req_id, Reply::Done(result));
     }
 
     /// Applies one directory update synchronously to a directory this server

@@ -303,6 +303,7 @@ impl Server {
     /// Writes a checkpoint of the current volatile state, allowing the WAL
     /// prefix to be truncated (the recovery-time optimization §7.7 mentions).
     pub fn checkpoint(&self) {
+        let (applied_entry_ids, retired_entry_ids, completed_ops) = self.dedup_snapshot();
         let data = {
             let inner = self.inner.borrow();
             CheckpointData {
@@ -337,27 +338,15 @@ impl Server {
                     }
                     out
                 },
-                applied_entry_ids: inner.applied_entry_ids.iter().copied().collect(),
-                retired_entry_ids: inner
-                    .retired_entry_order
-                    .iter()
-                    .map(|(_, id)| *id)
-                    .collect(),
+                applied_entry_ids,
+                retired_entry_ids,
                 prepared_txns: inner
                     .prepared_txns
                     .iter()
                     .map(|(id, p)| (*id, p.coordinator, p.ops.clone()))
                     .collect(),
                 decided_txns: inner.decided_txns.iter().map(|(k, v)| (*k, *v)).collect(),
-                completed_ops: {
-                    let mut v: Vec<_> = inner
-                        .completed_ops
-                        .values()
-                        .flat_map(|m| m.values().cloned())
-                        .collect();
-                    v.sort_by_key(|r| r.op_id);
-                    v
-                },
+                completed_ops,
             }
         };
         let mut durable = self.durable.borrow_mut();

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use switchfs_obs::EventKind;
-use switchfs_proto::message::{Body, ClientRequest, MetaOp, ServerMsg, TxnOp};
+use switchfs_proto::message::{Body, ClientRequest, MetaOp, Reply, ServerMsg, TxnOp};
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, OpResult, Placement, ServerId,
     TraceId,
@@ -224,17 +224,18 @@ impl Server {
             // policies content is placed by the unchanged directory id and
             // only the id → key index needs re-pointing.
             let dir_id = src_attrs.id;
-            let (content_owner, entries) = match placement.policy() {
+            let content_owner =
+                placement.dir_content_owner(Fingerprint::of_dir(&dst.pid, &dst.name), &dir_id);
+            let entries: Vec<switchfs_proto::DirEntry> = match placement.policy() {
                 switchfs_proto::PartitionPolicy::PerFileHash => {
                     let inner = self.inner.borrow();
-                    let entries: Vec<switchfs_proto::DirEntry> = inner
+                    inner
                         .entries
                         .peek(&dir_id)
                         .map(|c| c.iter().cloned().collect())
-                        .unwrap_or_default();
-                    (dst_inode_owner, entries)
+                        .unwrap_or_default()
                 }
-                _ => (placement.dir_owner_by_id(&dir_id), Vec::new()),
+                _ => Vec::new(),
             };
             let migrating = content_owner != self.cfg.id
                 && matches!(
@@ -273,12 +274,7 @@ impl Server {
             .map(|p| p.key.clone())
             .unwrap_or_else(|| switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, ""));
         let src_parent_fp = Fingerprint::of_dir(&src_parent_key.pid, &src_parent_key.name);
-        let src_parent_owner = match placement.policy() {
-            switchfs_proto::PartitionPolicy::PerFileHash => {
-                placement.dir_owner_by_fp(src_parent_fp)
-            }
-            _ => placement.dir_owner_by_id(&src.pid),
-        };
+        let src_parent_owner = placement.dir_content_owner(src_parent_fp, &src.pid);
         per_server
             .entry(src_parent_owner)
             .or_default()
@@ -287,25 +283,15 @@ impl Server {
                 entry: src_parent_entry,
             });
         let (dst_parent_key, dst_parent_owner) = match dst_parent {
-            Some(p) => {
-                let owner = match placement.policy() {
-                    switchfs_proto::PartitionPolicy::PerFileHash => placement.dir_owner_by_fp(p.fp),
-                    _ => placement.dir_owner_by_id(&p.id),
-                };
-                (p.key.clone(), owner)
-            }
+            Some(p) => (p.key.clone(), placement.dir_content_owner(p.fp, &p.id)),
             None => {
                 // Destination directly under the root: its parent is the
                 // root directory, whose content replica every placement
                 // keeps at the root-id owner (and at the root-fp owner
                 // under per-file hashing; both are preloaded).
                 let key = switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, "");
-                let owner = match placement.policy() {
-                    switchfs_proto::PartitionPolicy::PerFileHash => {
-                        placement.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name))
-                    }
-                    _ => placement.dir_owner_by_id(&switchfs_proto::DirId::ROOT),
-                };
+                let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                let owner = placement.dir_content_owner(fp, &switchfs_proto::DirId::ROOT);
                 (key, owner)
             }
         };
@@ -356,42 +342,34 @@ impl Server {
                 // abort below covers every participant, prepared or not).
                 break;
             }
+            // One attempt, one token per participant: the vote echoes it, so
+            // a network-duplicated vote from an earlier participant cannot
+            // be credited to the one currently being awaited, and a vote
+            // that outlives its wait finds nothing to complete.
             let token = self.next_token();
-            let rx = self.register_token(token);
-            // The participant replies with a TxnVote; handle_txn_vote routes
-            // it back to this token. Keyed by (txn_id, participant) so a
-            // network-duplicated vote from an earlier participant is not
-            // credited to the one currently being awaited.
-            self.inner
-                .borrow_mut()
-                .txn_vote_tokens
-                .insert((txn_id, *server), token);
-            self.send_plain(
-                self.cfg.node_of(*server),
-                Body::Server(ServerMsg::TxnPrepare {
-                    txn_id,
-                    coordinator: self.cfg.id,
-                    ops: ops.clone(),
-                }),
-            );
-            let vote = switchfs_simnet::timeout(
-                &self.handle,
-                self.cfg.costs.request_timeout * 4,
-                rx.recv(),
-            )
-            .await;
+            let vote = self
+                .request_once(token, self.cfg.costs.request_timeout * 4, || {
+                    self.send_plain(
+                        self.cfg.node_of(*server),
+                        Body::Server(ServerMsg::TxnPrepare {
+                            req_id: token,
+                            txn_id,
+                            coordinator: self.cfg.id,
+                            ops: ops.clone(),
+                        }),
+                    )
+                })
+                .await;
             match vote {
-                Some(Ok(TokenReply::Ack)) => {}
+                Some(TokenReply::Server(Reply::Vote { ok: true, .. })) => {}
                 other => {
-                    // Either an explicit negative vote or a timeout; drop
-                    // the stale routing entry (so a late vote is ignored)
-                    // and the orphaned oneshot sender.
-                    if let Some(Ok(TokenReply::VoteRejected(Some(t)))) = other {
+                    // Either an explicit negative vote or a timeout.
+                    if let Some(TokenReply::Server(Reply::Vote {
+                        dst_type: Some(t), ..
+                    })) = other
+                    {
                         typed_reject = Some(t);
                     }
-                    let mut inner = self.inner.borrow_mut();
-                    inner.txn_vote_tokens.remove(&(txn_id, *server));
-                    inner.pending_tokens.remove(&token);
                     vote_ok = false;
                 }
             }
@@ -577,24 +555,24 @@ impl Server {
     /// mutations, then vote.
     pub(crate) async fn handle_txn_prepare(
         &self,
+        req_id: u64,
         txn_id: u64,
         coordinator: ServerId,
         ops: Vec<TxnOp>,
     ) {
         self.cpu.run(self.cfg.costs.software_path).await;
+        let vote = |ok, dst_type| {
+            self.send_reply(
+                self.cfg.node_of(coordinator),
+                req_id,
+                Reply::Vote { ok, dst_type },
+            )
+        };
         // A network-duplicated prepare arriving after this participant
         // already committed the transaction must not re-stage it (the
         // re-staged copy would be stranded forever); just re-vote yes.
         if self.inner.borrow().committed_txns.contains(&txn_id) {
-            self.send_plain(
-                self.cfg.node_of(coordinator),
-                Body::Server(ServerMsg::TxnVote {
-                    txn_id,
-                    from: self.cfg.id,
-                    ok: true,
-                    dst_type: None,
-                }),
-            );
+            vote(true, None);
             return;
         }
         // Never stage mutations into a shard this server is migrating out:
@@ -615,15 +593,7 @@ impl Server {
                         .any(|s| self.txn_op_touches_shard(op, *s))
                 })
             {
-                self.send_plain(
-                    self.cfg.node_of(coordinator),
-                    Body::Server(ServerMsg::TxnVote {
-                        txn_id,
-                        from: self.cfg.id,
-                        ok: false,
-                        dst_type: None,
-                    }),
-                );
+                vote(false, None);
                 return;
             }
         }
@@ -674,54 +644,7 @@ impl Server {
                 },
             );
         }
-        self.send_plain(
-            self.cfg.node_of(coordinator),
-            Body::Server(ServerMsg::TxnVote {
-                txn_id,
-                from: self.cfg.id,
-                ok,
-                dst_type,
-            }),
-        );
-    }
-
-    /// Coordinator side: a participant's vote arrived.
-    pub(crate) fn handle_txn_vote(
-        &self,
-        txn_id: u64,
-        from: ServerId,
-        ok: bool,
-        dst_type: Option<switchfs_proto::FileType>,
-    ) {
-        // Complete the waiting prepare. Duplicates and votes for timed-out
-        // prepares find no entry and are dropped.
-        let token = self
-            .inner
-            .borrow_mut()
-            .txn_vote_tokens
-            .remove(&(txn_id, from));
-        if let Some(token) = token {
-            self.complete_token(
-                token,
-                if ok {
-                    TokenReply::Ack
-                } else {
-                    TokenReply::VoteRejected(dst_type)
-                },
-            );
-        }
-    }
-
-    /// Coordinator side: a participant acknowledged a commit/abort decision.
-    pub(crate) fn handle_txn_ack(&self, txn_id: u64, from: ServerId) {
-        let token = self
-            .inner
-            .borrow_mut()
-            .txn_ack_tokens
-            .remove(&(txn_id, from));
-        if let Some(token) = token {
-            self.complete_token(token, TokenReply::Ack);
-        }
+        vote(ok, dst_type);
     }
 
     /// Participant side: the coordinator's commit/abort decision arrived.
@@ -788,10 +711,7 @@ impl Server {
                 None => Some(false),
             }
         };
-        self.send_plain(
-            self.cfg.node_of(from),
-            Body::Server(ServerMsg::TxnDecisionReply { req_id, commit }),
-        );
+        self.send_reply(self.cfg.node_of(from), req_id, Reply::Decision(commit));
     }
 
     /// Resolves one in-doubt prepared transaction: asks its coordinator for
@@ -838,11 +758,11 @@ impl Server {
                     .send_with_ack(self.cfg.node_of(coordinator), token, body)
                     .await
                 {
-                    Some(TokenReply::Decision(Some(c))) => {
+                    Some(TokenReply::Server(Reply::Decision(Some(c)))) => {
                         decision = Some(c);
                         break;
                     }
-                    Some(TokenReply::Decision(None)) => {
+                    Some(TokenReply::Server(Reply::Decision(None))) => {
                         // Still voting: back off for one decision window.
                         self.handle.sleep(self.cfg.costs.request_timeout * 4).await;
                     }
@@ -896,38 +816,31 @@ impl Server {
         per_server: &BTreeMap<ServerId, Vec<TxnOp>>,
         commit: bool,
     ) -> bool {
-        let msg = if commit {
-            ServerMsg::TxnCommit { txn_id }
-        } else {
-            ServerMsg::TxnAbort { txn_id }
-        };
         let mut all_acked = true;
         for server in per_server.keys() {
             if *server == self.cfg.id {
                 continue;
             }
+            // One token per (transaction, participant), re-registered for
+            // every attempt: a late acknowledgment of an earlier attempt
+            // still completes the wait.
+            let req_id = self.next_token();
+            let msg = if commit {
+                ServerMsg::TxnCommit { req_id, txn_id }
+            } else {
+                ServerMsg::TxnAbort { req_id, txn_id }
+            };
             let mut acked = false;
             for _attempt in 0..=self.cfg.costs.max_retries {
-                let token = self.next_token();
-                let rx = self.register_token(token);
-                self.inner
-                    .borrow_mut()
-                    .txn_ack_tokens
-                    .insert((txn_id, *server), token);
-                self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()));
-                let ack = switchfs_simnet::timeout(
-                    &self.handle,
-                    self.cfg.costs.request_timeout * 4,
-                    rx.recv(),
-                )
-                .await;
-                if matches!(ack, Some(Ok(TokenReply::Ack))) {
+                let ack = self
+                    .request_once(req_id, self.cfg.costs.request_timeout * 4, || {
+                        self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()))
+                    })
+                    .await;
+                if ack == Some(TokenReply::ACK) {
                     acked = true;
                     break;
                 }
-                let mut inner = self.inner.borrow_mut();
-                inner.txn_ack_tokens.remove(&(txn_id, *server));
-                inner.pending_tokens.remove(&token);
             }
             all_acked &= acked;
         }

@@ -14,7 +14,7 @@
 //! * [`time::SimTime`] and [`time::SimDuration`] — nanosecond-resolution
 //!   virtual time.
 //! * [`sync`] — FIFO-fair simulation-aware synchronization primitives
-//!   (mutex, rwlock, semaphore, oneshot and mpsc channels, notify).
+//!   (the class lock, semaphore, oneshot and mpsc channels, notify).
 //! * [`cpu::CpuPool`] — an *N*-core processor model with FIFO run-queue
 //!   semantics; server code paths charge calibrated service times to it.
 //! * [`net`] — a message-passing network with per-hop latency, programmable

@@ -1,23 +1,26 @@
-//! A FIFO-fair two-class lock (group mutual exclusion).
+//! A FIFO-fair two-class lock (group mutual exclusion): the one lock of the
+//! simulation.
 //!
 //! Holders of the *same* class share the lock, the two classes exclude each
-//! other, and [`Access::Exclusive`] excludes everyone including itself. The
-//! metadata servers use it for a directory's change-log (§5.2): the
-//! double-inode operations appending deferred updates are one class, the
-//! aggregation responders snapshotting the log are the other — appends to
-//! one directory run in parallel, a snapshot never sees a half-committed
-//! append, and neither side is a single-holder critical section.
+//! other, and [`Access::Exclusive`] excludes everyone including itself. A
+//! reader–writer lock is the `{ClassA, Exclusive}` subset —
+//! [`SimClassLock::read`] and [`SimClassLock::write`] — which is how the
+//! metadata servers lock inodes and fingerprint groups (read locks for
+//! `statdir` / `readdir`, write locks for updates, §5.2). A directory's
+//! change-log uses both classes: the double-inode operations appending
+//! deferred updates are one, the aggregation responders snapshotting the
+//! log are the other — appends to one directory run in parallel, a snapshot
+//! never sees a half-committed append, and neither side is a single-holder
+//! critical section.
 //!
 //! Fairness is FIFO across classes: an acquire is granted immediately only
 //! when nobody is queued, so a waiter of the other class blocks every later
 //! arrival of the class that currently holds the lock (an append storm
 //! cannot starve an aggregation, and vice versa). When the lock drains, the
 //! queue is served from the front for as long as consecutive waiters are
-//! compatible with each other.
-//!
-//! This is deliberately not a mode of [`super::SimRwLock`]: that lock backs
-//! every inode (hundreds of thousands live forever) and its read/write
-//! protocol cannot express "readers of kind A exclude readers of kind B".
+//! compatible with each other. For readers and writers that is the usual
+//! writer-fair rule: a waiting writer blocks later readers, and consecutive
+//! queued readers are granted together.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -103,6 +106,16 @@ impl SimClassLock {
             access,
             granted: None,
         }
+    }
+
+    /// Acquires the lock shared with other readers ([`Access::ClassA`]).
+    pub fn read(&self) -> ClassAcquire {
+        self.acquire(Access::ClassA)
+    }
+
+    /// Acquires the lock alone ([`Access::Exclusive`]).
+    pub fn write(&self) -> ClassAcquire {
+        self.acquire(Access::Exclusive)
     }
 
     /// Number of tasks currently holding the lock.
@@ -220,21 +233,37 @@ mod tests {
     use crate::executor::{timeout, Sim};
     use crate::time::{SimDuration, SimTime};
 
-    /// Spawns a task that arrives at `arrive` µs, acquires `lock` with
-    /// `access`, holds it for `hold` µs and logs `(name, acquired_at_us)`.
+    /// How a test task asks for the lock: a class by name, or the
+    /// reader–writer entry points.
+    type Acquire = fn(&SimClassLock) -> ClassAcquire;
+
+    fn class_a(lock: &SimClassLock) -> ClassAcquire {
+        lock.acquire(Access::ClassA)
+    }
+
+    fn class_b(lock: &SimClassLock) -> ClassAcquire {
+        lock.acquire(Access::ClassB)
+    }
+
+    fn exclusive(lock: &SimClassLock) -> ClassAcquire {
+        lock.acquire(Access::Exclusive)
+    }
+
+    /// Spawns a task that arrives at `arrive` µs, acquires `lock` through
+    /// `acquire`, holds it for `hold` µs and logs `(name, acquired_at_us)`.
     fn holder(
         sim: &Sim,
         lock: &SimClassLock,
         log: &Rc<RefCell<Vec<(&'static str, u64)>>>,
         name: &'static str,
-        access: Access,
+        acquire: Acquire,
         arrive: u64,
         hold: u64,
     ) {
         let (lock, log, h) = (lock.clone(), log.clone(), sim.handle());
         sim.spawn(async move {
             h.sleep(SimDuration::micros(arrive)).await;
-            let _g = lock.acquire(access).await;
+            let _g = acquire(&lock).await;
             log.borrow_mut().push((name, h.now().as_micros()));
             h.sleep(SimDuration::micros(hold)).await;
         });
@@ -250,7 +279,7 @@ mod tests {
 
     #[test]
     fn same_class_holders_overlap() {
-        for class in [Access::ClassA, Access::ClassB] {
+        for class in [class_a, class_b, SimClassLock::read] {
             let sim = Sim::new(1);
             let lock = SimClassLock::new();
             let log = Rc::new(RefCell::new(Vec::new()));
@@ -271,9 +300,9 @@ mod tests {
         let sim = Sim::new(1);
         let lock = SimClassLock::new();
         let log = Rc::new(RefCell::new(Vec::new()));
-        holder(&sim, &lock, &log, "a", Access::ClassA, 0, 10);
-        holder(&sim, &lock, &log, "b", Access::ClassB, 1, 10);
-        holder(&sim, &lock, &log, "a2", Access::ClassA, 12, 10);
+        holder(&sim, &lock, &log, "a", class_a, 0, 10);
+        holder(&sim, &lock, &log, "b", class_b, 1, 10);
+        holder(&sim, &lock, &log, "a2", class_a, 12, 10);
         sim.run();
         assert_eq!(acquired_at(&log, "b"), 10);
         assert_eq!(acquired_at(&log, "a2"), 20);
@@ -281,32 +310,48 @@ mod tests {
 
     #[test]
     fn exclusive_excludes_everyone_including_itself() {
-        let sim = Sim::new(1);
-        let lock = SimClassLock::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        holder(&sim, &lock, &log, "x1", Access::Exclusive, 0, 10);
-        holder(&sim, &lock, &log, "x2", Access::Exclusive, 1, 10);
-        holder(&sim, &lock, &log, "a", Access::ClassA, 2, 10);
-        sim.run();
-        assert_eq!(acquired_at(&log, "x2"), 10);
-        assert_eq!(acquired_at(&log, "a"), 20);
+        // Also as a reader–writer lock: write excludes write and read.
+        let cases: [(Acquire, Acquire); 2] = [
+            (exclusive, class_a),
+            (SimClassLock::write, SimClassLock::read),
+        ];
+        for (alone, shared) in cases {
+            let sim = Sim::new(1);
+            let lock = SimClassLock::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            holder(&sim, &lock, &log, "x1", alone, 0, 10);
+            holder(&sim, &lock, &log, "x2", alone, 1, 10);
+            holder(&sim, &lock, &log, "a", shared, 2, 10);
+            sim.run();
+            assert_eq!(acquired_at(&log, "x2"), 10);
+            assert_eq!(acquired_at(&log, "a"), 20);
+        }
     }
 
     #[test]
     fn a_queued_waiter_of_the_other_class_blocks_later_arrivals() {
-        let sim = Sim::new(1);
-        let lock = SimClassLock::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        holder(&sim, &lock, &log, "a1", Access::ClassA, 0, 10);
-        holder(&sim, &lock, &log, "b", Access::ClassB, 1, 10);
-        // Compatible with the holder, but `b` queued first: no overtaking.
-        holder(&sim, &lock, &log, "a2", Access::ClassA, 2, 10);
-        holder(&sim, &lock, &log, "a3", Access::ClassA, 3, 10);
-        sim.run();
-        assert_eq!(acquired_at(&log, "b"), 10);
-        // The two queued appenders are granted together once `b` is done.
-        assert_eq!(acquired_at(&log, "a2"), 20);
-        assert_eq!(acquired_at(&log, "a3"), 20);
+        // Also as a reader–writer lock: a queued writer blocks later
+        // readers, and consecutive queued readers are granted together.
+        let cases: [(Acquire, Acquire); 2] = [
+            (class_a, class_b),
+            (SimClassLock::read, SimClassLock::write),
+        ];
+        for (a, b) in cases {
+            let sim = Sim::new(1);
+            let lock = SimClassLock::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            holder(&sim, &lock, &log, "a1", a, 0, 10);
+            holder(&sim, &lock, &log, "b", b, 1, 10);
+            // Compatible with the holder, but `b` queued first: no
+            // overtaking.
+            holder(&sim, &lock, &log, "a2", a, 2, 10);
+            holder(&sim, &lock, &log, "a3", a, 3, 10);
+            sim.run();
+            assert_eq!(acquired_at(&log, "b"), 10);
+            // The two queued `a`s are granted together once `b` is done.
+            assert_eq!(acquired_at(&log, "a2"), 20);
+            assert_eq!(acquired_at(&log, "a3"), 20);
+        }
     }
 
     #[test]
@@ -314,7 +359,7 @@ mod tests {
         let sim = Sim::new(1);
         let lock = SimClassLock::new();
         let log = Rc::new(RefCell::new(Vec::new()));
-        holder(&sim, &lock, &log, "a1", Access::ClassA, 0, 20);
+        holder(&sim, &lock, &log, "a1", class_a, 0, 20);
         // `b` gives up after 5 µs in the queue.
         {
             let (lock, h) = (lock.clone(), sim.handle());
@@ -324,7 +369,7 @@ mod tests {
                 assert!(got.is_none(), "the holder outlasts the timeout");
             });
         }
-        holder(&sim, &lock, &log, "a2", Access::ClassA, 2, 10);
+        holder(&sim, &lock, &log, "a2", class_a, 2, 10);
         sim.run();
         // `a2` shares with `a1` the moment `b` leaves the queue (t = 6 µs),
         // not when `a1` releases (t = 20 µs).
@@ -335,25 +380,28 @@ mod tests {
 
     #[test]
     fn dropping_a_granted_but_unpolled_acquire_releases_the_lock() {
-        let sim = Sim::new(1);
-        let lock = SimClassLock::new();
-        let first = lock.clone();
-        let h = sim.handle();
-        let l2 = lock.clone();
-        sim.spawn(async move {
-            let g = first.acquire(Access::Exclusive).await;
-            // Queue a second acquire by polling it once, release the first
-            // holder (which grants the queued one), then drop it unpolled.
-            let mut queued = Box::pin(l2.acquire(Access::Exclusive));
-            assert!(timeout(&h, SimDuration::micros(1), queued.as_mut())
-                .await
-                .is_none());
-            drop(g);
-            assert_eq!(l2.holders(), 1);
-            drop(queued);
-            assert_eq!(l2.holders(), 0);
-        });
-        sim.run();
-        assert_eq!(lock.holders(), 0);
+        for acquire in [exclusive, SimClassLock::write] {
+            let sim = Sim::new(1);
+            let lock = SimClassLock::new();
+            let first = lock.clone();
+            let h = sim.handle();
+            let l2 = lock.clone();
+            sim.spawn(async move {
+                let g = acquire(&first).await;
+                // Queue a second acquire by polling it once, release the
+                // first holder (which grants the queued one), then drop it
+                // unpolled.
+                let mut queued = Box::pin(acquire(&l2));
+                assert!(timeout(&h, SimDuration::micros(1), queued.as_mut())
+                    .await
+                    .is_none());
+                drop(g);
+                assert_eq!(l2.holders(), 1);
+                drop(queued);
+                assert_eq!(l2.holders(), 0);
+            });
+            sim.run();
+            assert_eq!(lock.holders(), 0);
+        }
     }
 }

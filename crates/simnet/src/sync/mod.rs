@@ -8,15 +8,11 @@
 
 pub mod classlock;
 pub mod mpsc;
-pub mod mutex;
 pub mod notify;
 pub mod oneshot;
-pub mod rwlock;
 pub mod semaphore;
 
 pub use classlock::{Access, ClassGuard, SimClassLock};
 pub use mpsc::{channel, Receiver, Sender};
-pub use mutex::{SimMutex, SimMutexGuard};
 pub use notify::Notify;
-pub use rwlock::{SimRwLock, SimRwLockReadGuard, SimRwLockWriteGuard};
 pub use semaphore::{Semaphore, SemaphorePermit};

@@ -247,6 +247,19 @@ fn namespace_snapshot(cluster: &Cluster, roots: &[&str]) -> Vec<String> {
     })
 }
 
+/// Every request/reply exchange is a session that must end: once a run has
+/// quiesced, no server is still waiting on a token.
+fn assert_no_open_exchanges(cluster: &Cluster, what: impl std::fmt::Debug) {
+    for server in cluster.servers() {
+        assert_eq!(
+            server.pending_token_count(),
+            0,
+            "{what:?}: {} still waits on a token after quiescence",
+            server.id()
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Conformance: every system, same scenario, same visible behavior
 // ---------------------------------------------------------------------------
@@ -259,6 +272,7 @@ fn all_systems_agree_on_the_reference_scenario() {
         let cluster = build_cluster(system, 42);
         let (outcomes, _times) = run_scenario(&cluster, &steps);
         let snapshot = namespace_snapshot(&cluster, &["/proj", "/a"]);
+        assert_no_open_exchanges(&cluster, system);
         match &reference {
             None => reference = Some((system, outcomes, snapshot)),
             Some((ref_system, ref_outcomes, ref_snapshot)) => {
@@ -303,6 +317,7 @@ fn switchfs_tracking_variants_agree_with_in_network_mode() {
         let cluster = Cluster::new(cfg);
         let (outcomes, _times) = run_scenario(&cluster, &steps);
         let snapshot = namespace_snapshot(&cluster, &["/proj", "/a"]);
+        assert_no_open_exchanges(&cluster, tracking);
         match &reference {
             None => reference = Some((outcomes, snapshot)),
             Some((ref_outcomes, ref_snapshot)) => {

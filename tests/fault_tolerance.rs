@@ -738,6 +738,47 @@ fn completed_ops_stay_bounded_under_sustained_load() {
     );
 }
 
+/// Regression: with the dirty set on a dedicated coordinator, the commit of
+/// a double-inode operation and every directory read wait for the
+/// coordinator's reply under a timeout — and a wait whose reply was lost
+/// used to stay registered, one `pending_tokens` entry per lost reply for
+/// the server's lifetime. Every exchange must end: once the run quiesces no
+/// server still waits on a token.
+#[test]
+fn lost_coordinator_replies_leave_no_wait_behind() {
+    use switchfs::core::TrackingChoice;
+    use switchfs::simnet::NetFaults;
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    cfg.tracking = TrackingChoice::DedicatedServer;
+    cfg.net_faults = NetFaults::lossy(0.05, 0.02, SimDuration::micros(2));
+    let cluster = Cluster::new(cfg);
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.mkdir("/d").await.unwrap();
+        for i in 0..300 {
+            client.create(&format!("/d/f{i}")).await.unwrap();
+            if i % 2 == 0 {
+                client.statdir("/d").await.unwrap();
+            }
+        }
+    });
+    assert!(
+        cluster.network().stats().dropped_faults > 0,
+        "the run must actually lose packets"
+    );
+    for server in cluster.servers() {
+        assert_eq!(
+            server.pending_token_count(),
+            0,
+            "{} still waits on a token after quiescence",
+            server.id()
+        );
+    }
+}
+
 /// Regression: crash recovery used to clear `completed_ops`, so a
 /// retransmission of an operation that completed *before* the crash
 /// re-executed after it — a recovered create answered its own originator
