@@ -293,11 +293,21 @@ impl<R: Clone> Wal<R> {
         }
     }
 
-    /// Marks every record matching the predicate as applied and returns how
-    /// many records changed state.
-    pub fn mark_applied_where(&mut self, mut pred: impl FnMut(&R) -> bool) -> usize {
+    /// Marks unapplied records matching the predicate as applied, newest
+    /// first, until `expect` of them changed state; returns how many did.
+    ///
+    /// The callers mark the records of change-log entries a directory owner
+    /// just acknowledged. Those were appended a moment ago compared with the
+    /// log's retained length, so walking back from the tail and stopping at
+    /// the expected count costs the distance to the oldest of them, not the
+    /// length of the log. A caller that expects more matches than the log
+    /// holds pays the full walk, as every call used to.
+    pub fn mark_applied_where(&mut self, expect: usize, mut pred: impl FnMut(&R) -> bool) -> usize {
         let mut n = 0;
-        for r in &mut self.records {
+        for r in self.records.iter_mut().rev() {
+            if n == expect {
+                break;
+            }
             if !r.applied && pred(&r.payload) {
                 r.applied = true;
                 n += 1;
@@ -479,10 +489,45 @@ mod tests {
         wal.append_sized(1u32, 4);
         wal.append_sized(2, 4);
         wal.append_sized(3, 4);
-        assert_eq!(wal.mark_applied_where(|v| *v % 2 == 1), 2);
+        assert_eq!(wal.mark_applied_where(usize::MAX, |v| *v % 2 == 1), 2);
         assert_eq!(wal.unapplied().count(), 1);
         // Already-applied records are not re-counted.
-        assert_eq!(wal.mark_applied_where(|_| true), 1);
+        assert_eq!(wal.mark_applied_where(usize::MAX, |_| true), 1);
+    }
+
+    #[test]
+    fn mark_applied_where_stops_at_the_expected_count() {
+        let mut wal = Wal::new();
+        for v in 0..100u32 {
+            wal.append_sized(v, 4);
+        }
+        // The two matches sit near the tail: the walk must not go past the
+        // older one.
+        let mut looked_at = Vec::new();
+        let n = wal.mark_applied_where(2, |v| {
+            looked_at.push(*v);
+            *v == 95 || *v == 97
+        });
+        assert_eq!(n, 2);
+        assert_eq!(looked_at, vec![99, 98, 97, 96, 95]);
+        let applied: Vec<u32> = wal
+            .records()
+            .iter()
+            .filter(|r| r.applied)
+            .map(|r| r.payload)
+            .collect();
+        assert_eq!(applied, vec![95, 97]);
+        // Fewer matches than expected: the whole log is walked, once.
+        looked_at.clear();
+        assert_eq!(
+            wal.mark_applied_where(3, |v| {
+                looked_at.push(*v);
+                *v == 1
+            }),
+            1
+        );
+        assert_eq!(looked_at.len(), 98);
+        assert_eq!(wal.mark_applied_where(0, |_| unreachable!()), 0);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! * **fingerprint-group locks** — per fingerprint; write-locked by whoever
 //!   applies updates to a directory of the group, so that directory reads
 //!   of any directory in the group wait for the apply to finish (§5.2.2).
+//!   An aggregation round runs under the write lock, so a group has at most
+//!   one round at a time. Callers that only need the group *aggregated*
+//!   (scattered directory reads, rename's directory half) take the write
+//!   lock through `Server::aggregated`, which consults the group's
+//!   [`AggGate`]: a caller that reaches the front of the queue after a
+//!   round that started after it arrived has completed skips its own.
 //!
 //! # Lock order
 //!
@@ -42,6 +48,11 @@
 //!   half) takes the group's write lock and then the directory's inode
 //!   write lock. It is the only function that writes that sequence down, so
 //!   the order cannot differ between its four callers.
+//!
+//! The gate adds no lock and no edge to the order: its callers take the
+//! group's write lock where they took it before, and a directory read that
+//! another caller's round served releases it *before* queueing for the read
+//! lock — it never waits for one mode while holding the other.
 //!
 //! Both appliers log the inode effect and the entry effects of one update
 //! in one WAL record (`docs/persist-order.md`), and a directory's size is
@@ -103,9 +114,83 @@ impl LockManager {
         map.entry(fp.raw()).or_default().clone()
     }
 
+    /// Tasks queued for or holding any fingerprint-group lock (used by
+    /// tests).
+    pub fn fp_group_waiters(&self) -> usize {
+        let map = self.fp_groups.borrow();
+        map.values().map(|l| l.waiters() + l.holders()).sum()
+    }
+
     /// Number of distinct inode locks created so far (used by tests).
     pub fn inode_lock_count(&self) -> usize {
         self.inodes.borrow().len()
+    }
+}
+
+/// The aggregation gate of one fingerprint group: two counts that let every
+/// caller needing "the group as aggregated by a round that **started after
+/// I arrived**" share such a round instead of running one each.
+///
+/// Rounds are run by `Server::aggregate_group` under the group's write
+/// lock, which reports every round's start and end here — whoever runs it
+/// (a gate caller, `rmdir`, the proactive loop, recovery). A caller takes a
+/// ticket on arrival — the number of rounds started so far — queues for the
+/// write lock like any writer, and when it reaches the front is
+/// [`served`](AggGate::served) if a round with a higher number has completed
+/// meanwhile; otherwise it runs the next round itself, which serves
+/// everyone who arrived before it started.
+///
+/// Sharing is as strong as a round of one's own: an update is in its
+/// holder's change-log before the dirty-set insert that completes it leaves
+/// the holder, the appender lock is held until the switch mirrored that
+/// insert, and a responder's snapshot excludes appenders — so a round
+/// started after a caller arrived collects every update that completed
+/// before the caller's request was issued, whoever runs the round. Sharers
+/// inherit the round's outcome, an exhausted retry budget included, exactly
+/// as the round's own caller does.
+///
+/// The counts are volatile (`ServerInner::reset_volatile` starts them
+/// over). A ticket from before a reset is compared with the fresh counts:
+/// every round they count started after the reset, hence after the ticket
+/// was taken. A round that straddles the reset ends at a gate that never
+/// saw it start, and is ignored there.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct AggGate {
+    /// Rounds started so far; a round's number is this count at its start.
+    started: u64,
+    /// The number of the last round that ran to its end.
+    completed: u64,
+}
+
+impl AggGate {
+    /// A caller's ticket: the number of rounds started before it arrived.
+    pub fn arrive(&self) -> u64 {
+        self.started
+    }
+
+    /// True once a round that started after `ticket` was taken completed.
+    pub fn served(&self, ticket: u64) -> bool {
+        self.completed > ticket
+    }
+
+    /// A round starts (its runner holds the group's write lock); returns the
+    /// round's number for [`AggGate::round_completed`].
+    pub fn round_started(&mut self) -> u64 {
+        self.started += 1;
+        self.started
+    }
+
+    /// Round `round` ran to its end and serves every caller that arrived
+    /// before it started. A round this gate did not see start is ignored.
+    pub fn round_completed(&mut self, round: u64) {
+        if round == self.started {
+            self.completed = round;
+        }
+    }
+
+    /// True while a round that started at this gate has not ended.
+    pub fn round_running(&self) -> bool {
+        self.started > self.completed
     }
 }
 

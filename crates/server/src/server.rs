@@ -40,7 +40,7 @@ use switchfs_switch::SoftwareDirtySet;
 
 use crate::changelog::ChangeLogStore;
 use crate::config::{ServerConfig, TrackingMode};
-use crate::locks::LockManager;
+use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, WalOp};
 
 /// Counters describing what a server has done; read by tests and by the
@@ -294,10 +294,11 @@ pub(crate) struct ServerInner {
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
     /// Aggregations in flight, keyed by aggregation id.
     pub pending_aggs: FxHashMap<u64, AggCollector>,
-    /// Owner-side aggregations currently executing (collection *and* apply
-    /// phase), counted per raw fingerprint; a shard migration's drain
-    /// barrier waits on these.
-    pub active_aggs: FxHashMap<u64, usize>,
+    /// The aggregation gate of every fingerprint group this server ran or
+    /// awaited a round for, keyed by raw fingerprint. A gate's round is
+    /// running for the whole owner-side aggregation (collection *and* apply
+    /// phase); a shard migration's drain barrier waits on those.
+    pub agg_gates: FxHashMap<u64, AggGate>,
     /// Remote-side aggregation lock holders waiting for the owner's ack,
     /// keyed by `(owner, aggregation id)`: the ids are per-owner counters.
     pub pending_agg_acks: FxHashMap<(ServerId, u64), oneshot::Sender<()>>,
@@ -371,7 +372,7 @@ impl ServerInner {
             remove_seq: 0,
             pending_tokens: FxHashMap::default(),
             pending_aggs: FxHashMap::default(),
-            active_aggs: FxHashMap::default(),
+            agg_gates: FxHashMap::default(),
             pending_agg_acks: FxHashMap::default(),
             prepared_txns: FxHashMap::default(),
             decided_txns: FxHashMap::default(),
@@ -694,6 +695,13 @@ impl Server {
     /// zero whenever the server is quiescent (test/chaos observability).
     pub fn pending_token_count(&self) -> usize {
         self.inner.borrow().pending_tokens.len()
+    }
+
+    /// Tasks queued for or holding one of this server's fingerprint-group
+    /// locks — where the callers of an aggregation gate wait; zero whenever
+    /// the server is quiescent (test/chaos observability).
+    pub fn fp_group_waiter_count(&self) -> usize {
+        self.locks.fp_group_waiters()
     }
 
     /// Total duplicate-suppression cache entries across all clients
@@ -1349,11 +1357,14 @@ impl Server {
         applier: Option<ServerId>,
     ) -> R {
         let dropped = drop_from_logs(&mut self.inner.borrow_mut().changelogs);
-        self.durable.borrow_mut().wal.mark_applied_where(|rec| {
-            rec.pending_entry
-                .as_ref()
-                .is_some_and(|(_, _, e)| ids.contains(&e.entry_id))
-        });
+        self.durable
+            .borrow_mut()
+            .wal
+            .mark_applied_where(ids.len(), |rec| {
+                rec.pending_entry
+                    .as_ref()
+                    .is_some_and(|(_, _, e)| ids.contains(&e.entry_id))
+            });
         if let Some(applier) = applier {
             let now = self.handle.now();
             self.inner.borrow_mut().queue_discard_confirm(
@@ -1538,8 +1549,13 @@ impl Server {
         // block after the wait, so volatile state never reflects a record
         // the media could still lose — and the record is applied from a
         // borrow of its WAL slot, one materialization instead of a deep
-        // clone per logged operation.
+        // clone per logged operation. `WalAppend` is stamped at the hand-over
+        // and `WalFlush` after the wait, so the two span the disk time. (The
+        // trace id is derived again after the wait rather than carried
+        // across it: this future is part of every request's allocation.)
+        let append_trace = self.record_trace(&record);
         let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
+        self.trace_event(append_trace, EventKind::WalAppend { lsn, bytes: size });
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
         let durable = &mut *self.durable.borrow_mut();
         let newly_flushed = durable.wal.flush();
@@ -1551,7 +1567,6 @@ impl Server {
             // ring-buffer writes; the replay digest cannot see it.
             let trace = self.record_trace(record);
             let batch = if self.obs_on() {
-                self.trace_event(trace, EventKind::WalAppend { lsn, bytes: size });
                 self.trace_event(
                     trace,
                     EventKind::WalFlush {
@@ -1640,11 +1655,11 @@ impl Server {
         // — `Prepared` before the vote escapes, `Decided` before the
         // decision broadcast, `Resolved` before the decision ack.
         let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
+        self.trace_event(None, EventKind::WalAppend { lsn, bytes: size });
         self.cpu.run(self.wal_append_cost()).await;
         let mut durable = self.durable.borrow_mut();
         let newly = durable.wal.flush();
         if self.obs_on() {
-            self.trace_event(None, EventKind::WalAppend { lsn, bytes: size });
             self.trace_event(
                 None,
                 EventKind::WalFlush {

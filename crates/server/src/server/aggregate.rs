@@ -15,13 +15,14 @@ use switchfs_proto::{
     changelog::CompactedChanges, ChangeLogEntry, DirId, DirtyRet, DirtySetHeader, DirtySetOp,
     DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, ServerId,
 };
+use switchfs_simnet::sync::ClassGuard;
 use switchfs_simnet::timeout;
 
 use crate::config::{
     TrackingMode, UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL,
     PUSH_MTU_BYTES,
 };
-use crate::locks::RESPONDER;
+use crate::locks::{AggGate, RESPONDER};
 use crate::server::{AggCollector, Server};
 use crate::wal::KvEffect;
 
@@ -70,29 +71,59 @@ impl Server {
         let state = self.dirty_state_for_read(fp, dirty_ret).await;
 
         if state == DirtyState::Scattered {
-            // Aggregation path: block every directory read of the fingerprint
-            // group, pull the change-logs, apply them, then serve the read.
-            let fpg = self.locks.fp_group(fp);
-            let _w = fpg.write().await;
-            self.cpu.run(costs.lock_op).await;
             // The directory may have been removed concurrently.
             if self.inner.borrow().inodes.peek(&key).is_none() {
                 return OpResult::Err(FsError::NotFound);
             }
-            // Boxed: the aggregation machinery dominates this future's size
-            // but runs only on the scattered path.
-            Box::pin(self.aggregate_group(fp, None)).await;
-            self.finish_dir_read(&key, want_listing).await
-        } else {
-            // Normal state: a plain read, serialized after any in-flight
-            // aggregation of the same group.
-            let fpg = self.locks.fp_group(fp);
-            let _r = fpg.read().await;
-            let lock = self.locks.inode(&key);
-            let _g = lock.read().await;
-            self.cpu.run(costs.lock_op + costs.kv_get).await;
-            self.finish_dir_read(&key, want_listing).await
+            // Aggregation path: the change-logs are pulled and applied by a
+            // round that starts after this point. The read that runs it is
+            // served under the round's write lock, which blocks every
+            // directory read of the fingerprint group; one that another
+            // caller's round served gives the lock back and is a plain
+            // read from here on, together with the others that round served.
+            let (w, ran) = self.aggregated(fp).await;
+            if ran {
+                return self.finish_dir_read(&key, want_listing).await;
+            }
+            drop(w);
         }
+        // Normal state, or aggregated by another caller's round: a plain
+        // read, serialized after any in-flight aggregation of the same group.
+        let fpg = self.locks.fp_group(fp);
+        let _r = fpg.read().await;
+        let lock = self.locks.inode(&key);
+        let _g = lock.read().await;
+        self.cpu.run(costs.lock_op + costs.kv_get).await;
+        self.finish_dir_read(&key, want_listing).await
+    }
+
+    /// The one way to need a fingerprint group aggregated: returns holding
+    /// the group's write lock once a round that **started after this call**
+    /// has completed (see [`AggGate`]), and whether this caller ran it. A
+    /// caller that reaches the front of the lock's queue after such a round
+    /// — another gate caller's, `rmdir`'s, the proactive loop's — skips its
+    /// own.
+    pub(crate) async fn aggregated(&self, fp: Fingerprint) -> (ClassGuard, bool) {
+        let ticket = self.with_gate(fp, |gate| gate.arrive());
+        let guard = self.locks.fp_group(fp).write().await;
+        if self.with_gate(fp, |gate| gate.served(ticket)) {
+            return (guard, false);
+        }
+        self.cpu.run(self.cfg.costs.lock_op).await;
+        // Boxed: the aggregation machinery dominates this future's size but
+        // runs once per round, not once per caller.
+        Box::pin(self.aggregate_group(fp, None)).await;
+        (guard, true)
+    }
+
+    /// Runs `f` on the aggregation gate of `fp`'s group.
+    fn with_gate<R>(&self, fp: Fingerprint, f: impl FnOnce(&mut AggGate) -> R) -> R {
+        f(self
+            .inner
+            .borrow_mut()
+            .agg_gates
+            .entry(fp.raw())
+            .or_default())
     }
 
     async fn finish_dir_read(&self, key: &MetaKey, want_listing: bool) -> OpResult {
@@ -120,28 +151,18 @@ impl Server {
         fp: Fingerprint,
         invalidate: Option<(DirId, MetaKey)>,
     ) -> usize {
-        // Counted for the whole call — including the apply phase after the
-        // collection completes — so a shard migration's drain barrier can
-        // wait for every in-progress aggregation of the shard, not just
-        // the ones still collecting (`pending_aggs` empties earlier).
-        {
-            let mut inner = self.inner.borrow_mut();
-            *inner.active_aggs.entry(fp.raw()).or_insert(0) += 1;
-        }
-        let applied = self.aggregate_group_counted(fp, invalidate).await;
-        {
-            let mut inner = self.inner.borrow_mut();
-            if let Some(c) = inner.active_aggs.get_mut(&fp.raw()) {
-                *c -= 1;
-                if *c == 0 {
-                    inner.active_aggs.remove(&fp.raw());
-                }
-            }
-        }
+        // The gate sees the round running for the whole call — including the
+        // apply phase after the collection completes — so a shard
+        // migration's drain barrier can wait for every in-progress
+        // aggregation of the shard, not just the ones still collecting
+        // (`pending_aggs` empties earlier).
+        let round = self.with_gate(fp, |gate| gate.round_started());
+        let applied = self.aggregate_round(fp, invalidate).await;
+        self.with_gate(fp, |gate| gate.round_completed(round));
         applied
     }
 
-    async fn aggregate_group_counted(
+    async fn aggregate_round(
         &self,
         fp: Fingerprint,
         invalidate: Option<(DirId, MetaKey)>,

@@ -35,6 +35,7 @@ use switchfs_proto::{
     PartitionPolicy, Placement, ServerId,
 };
 
+use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
@@ -247,11 +248,9 @@ impl Server {
         }
         // Owner-side aggregations that finished collecting but are still
         // applying entries (pending_aggs empties before the apply phase).
-        if inner
-            .active_aggs
-            .keys()
-            .any(|raw| placement.shard_of_hash(splitmix64(*raw)) == shard)
-        {
+        if inner.agg_gates.iter().any(|(raw, gate)| {
+            gate.round_running() && placement.shard_of_hash(splitmix64(*raw)) == shard
+        }) {
             return true;
         }
         inner.prepared_txns.values().any(|txn| {
@@ -689,7 +688,7 @@ impl Server {
                 inner.changelogs.is_empty()
                     && inner.in_flight_ops.is_empty()
                     && inner.pending_aggs.is_empty()
-                    && inner.active_aggs.is_empty()
+                    && !inner.agg_gates.values().any(AggGate::round_running)
                     && inner.prepared_txns.is_empty()
                     && inner.pending_discard_confirms.is_empty()
             };

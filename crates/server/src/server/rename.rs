@@ -151,9 +151,7 @@ impl Server {
             // systems have nothing deferred and no aggregation machinery.
             if self.cfg.update_mode.is_async() {
                 let fp = Fingerprint::of_dir(&src.pid, &src.name);
-                let fpg = self.locks.fp_group(fp);
-                let _w = fpg.write().await;
-                self.aggregate_group(fp, None).await;
+                let _w = Box::pin(self.aggregated(fp)).await;
                 // The aggregation just merged timestamps into the source
                 // inode; re-read it so the migrated attributes are current.
                 if let Some(fresh) = self.inner.borrow_mut().inodes.get(src) {

@@ -643,3 +643,131 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The aggregation gate (`switchfs::server::locks::AggGate`), alone.
+// ---------------------------------------------------------------------------
+
+/// One step in the life of a fingerprint group's gate and write lock.
+#[derive(Debug, Clone)]
+enum GateOp {
+    /// A caller arrives, takes its ticket and queues for the write lock.
+    Arrive,
+    /// A foreign round's runner (`rmdir`, the proactive loop, recovery)
+    /// queues for the write lock: no ticket, it runs a round when it gets
+    /// there.
+    ArriveForeign,
+    /// The lock is free and passes to the front of its queue: a caller
+    /// that is served by now leaves, anyone else starts a round.
+    Grant,
+    /// The running round ends and its runner releases the lock.
+    Complete,
+    /// The server recovers: the gate's counts start over. A round that is
+    /// running keeps running (and keeps the lock) — abandoned as far as
+    /// the fresh gate is concerned.
+    Reset,
+}
+
+fn gate_op() -> impl Strategy<Value = GateOp> {
+    // Repeated arms weight the draw: arrivals and grants dominate, resets
+    // and foreign rounds are the rare events they are.
+    prop_oneof![
+        Just(GateOp::Arrive),
+        Just(GateOp::Arrive),
+        Just(GateOp::Arrive),
+        Just(GateOp::Arrive),
+        Just(GateOp::ArriveForeign),
+        Just(GateOp::Grant),
+        Just(GateOp::Grant),
+        Just(GateOp::Grant),
+        Just(GateOp::Grant),
+        Just(GateOp::Complete),
+        Just(GateOp::Complete),
+        Just(GateOp::Complete),
+        Just(GateOp::Reset),
+    ]
+}
+
+proptest! {
+    /// For any interleaving of arrivals, lock grants, round ends and resets:
+    /// no caller is served by a round that started before it arrived, every
+    /// caller leaves (served, or by running a round of its own), the gate
+    /// never shows more than one round running, and a round that straddles
+    /// a reset serves nobody at the fresh gate.
+    #[test]
+    fn aggregation_gate_serves_only_rounds_started_after_arrival(
+        ops in proptest::collection::vec(gate_op(), 1..300),
+    ) {
+        use std::collections::VecDeque;
+        use switchfs::server::locks::AggGate;
+
+        /// A queued party: a gate caller with its arrival step and ticket,
+        /// or a foreign runner.
+        #[derive(Clone, Copy)]
+        enum Party { Caller { arrived: usize, ticket: u64 }, Foreign }
+        /// A round: when it started, its number at the gate that saw it
+        /// start, and when it completed.
+        struct Round { started: usize, number: u64, completed: Option<usize> }
+
+        let mut gate = AggGate::default();
+        let mut queue: VecDeque<Party> = VecDeque::new();
+        let mut rounds: Vec<Round> = Vec::new();
+        let mut running: Option<usize> = None; // index into `rounds`
+        let mut resets: Vec<usize> = Vec::new();
+        let (mut arrived, mut left) = (0usize, 0usize);
+
+        // Drain at the end: grant and complete until everybody left.
+        let drain = std::iter::repeat_n([GateOp::Grant, GateOp::Complete], ops.len() + 1).flatten();
+        for (step, op) in ops.iter().cloned().chain(drain).enumerate() {
+            match op {
+                GateOp::Arrive => {
+                    arrived += 1;
+                    queue.push_back(Party::Caller { arrived: step, ticket: gate.arrive() });
+                }
+                GateOp::ArriveForeign => queue.push_back(Party::Foreign),
+                GateOp::Grant => {
+                    if running.is_some() {
+                        continue; // the lock is held
+                    }
+                    let Some(party) = queue.pop_front() else { continue };
+                    if let Party::Caller { arrived: at, ticket } = party {
+                        if gate.served(ticket) {
+                            let witness = rounds.iter().any(|r| {
+                                r.started > at && r.completed.is_some_and(|c| c < step)
+                            });
+                            prop_assert!(witness, "step {}: caller that arrived at {} with ticket {} \
+                                is served, but no round that started after it has completed", step, at, ticket);
+                            left += 1;
+                            continue;
+                        }
+                    }
+                    prop_assert!(!gate.round_running(), "step {}: a round starts while the gate shows one running", step);
+                    let number = gate.round_started();
+                    rounds.push(Round { started: step, number, completed: None });
+                    running = Some(rounds.len() - 1);
+                    if matches!(party, Party::Caller { .. }) {
+                        left += 1; // leaves with its own round, whatever its outcome
+                    }
+                }
+                GateOp::Complete => {
+                    let Some(idx) = running.take() else { continue };
+                    let before = gate;
+                    gate.round_completed(rounds[idx].number);
+                    rounds[idx].completed = Some(step);
+                    let straddled = resets.iter().any(|r| *r > rounds[idx].started);
+                    if straddled {
+                        prop_assert_eq!(gate, before, "step {}: a round that straddled a reset moved the fresh gate", step);
+                    } else {
+                        prop_assert!(!gate.round_running());
+                    }
+                }
+                GateOp::Reset => {
+                    gate = AggGate::default();
+                    resets.push(step);
+                }
+            }
+        }
+        prop_assert!(queue.iter().all(|p| matches!(p, Party::Foreign)) || queue.is_empty());
+        prop_assert_eq!(left, arrived, "every caller must leave");
+    }
+}
