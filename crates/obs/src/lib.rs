@@ -77,6 +77,8 @@ pub enum EventKind {
     /// `epoch` field carries the server's current epoch).
     WrongOwner { op: OpId, client_epoch: u64 },
     /// A record entered the write-ahead log (volatile until flushed).
+    /// Stamped where the record is handed to the log, before the simulated
+    /// disk wait its `WalFlush` follows.
     WalAppend { lsn: u64, bytes: u64 },
     /// The durable watermark advanced over `records` records.
     WalFlush { through_lsn: u64, records: u64 },
