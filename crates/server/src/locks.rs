@@ -27,10 +27,13 @@
 //!   of any directory in the group wait for the apply to finish (§5.2.2).
 //!   An aggregation round runs under the write lock, so a group has at most
 //!   one round at a time. Callers that only need the group *aggregated*
-//!   (scattered directory reads, rename's directory half) take the write
-//!   lock through `Server::aggregated`, which consults the group's
-//!   [`AggGate`]: a caller that reaches the front of the queue after a
-//!   round that started after it arrived has completed skips its own.
+//!   (scattered directory reads, a directory-source rename before it
+//!   migrates the content) take the write lock through
+//!   `Server::aggregated`, which consults the group's [`AggGate`]: a caller
+//!   that reaches the front of the queue after a round that started after
+//!   it arrived has completed skips its own. Rounds that run for another
+//!   reason (rename's directory half, `rmdir`, the proactive loop, recovery)
+//!   serve the callers queued behind them all the same.
 //!
 //! # Lock order
 //!
@@ -133,12 +136,12 @@ impl LockManager {
 ///
 /// Rounds are run by `Server::aggregate_group` under the group's write
 /// lock, which reports every round's start and end here — whoever runs it
-/// (a gate caller, `rmdir`, the proactive loop, recovery). A caller takes a
-/// ticket on arrival — the number of rounds started so far — queues for the
-/// write lock like any writer, and when it reaches the front is
-/// [`served`](AggGate::served) if a round with a higher number has completed
-/// meanwhile; otherwise it runs the next round itself, which serves
-/// everyone who arrived before it started.
+/// (a gate caller, rename's directory half, `rmdir`, the proactive loop,
+/// recovery). A caller takes a ticket on arrival — the number of rounds
+/// started so far — queues for the write lock like any writer, and when it
+/// reaches the front is [`served`](AggGate::served) if a round with a
+/// higher number has completed meanwhile; otherwise it runs the next round
+/// itself, which serves everyone who arrived before it started.
 ///
 /// Sharing is as strong as a round of one's own: an update is in its
 /// holder's change-log before the dirty-set insert that completes it leaves

@@ -101,8 +101,8 @@ impl Server {
     /// the group's write lock once a round that **started after this call**
     /// has completed (see [`AggGate`]), and whether this caller ran it. A
     /// caller that reaches the front of the lock's queue after such a round
-    /// — another gate caller's, `rmdir`'s, the proactive loop's — skips its
-    /// own.
+    /// — another gate caller's, a rename's, `rmdir`'s, the proactive loop's —
+    /// skips its own.
     pub(crate) async fn aggregated(&self, fp: Fingerprint) -> (ClassGuard, bool) {
         let ticket = self.with_gate(fp, |gate| gate.arrive());
         let guard = self.locks.fp_group(fp).write().await;

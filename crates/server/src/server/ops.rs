@@ -803,18 +803,20 @@ impl Server {
         if self.inner.borrow().entry_already_applied(&entry.entry_id) {
             return Ok(());
         }
-        // A rename's update must land on the aggregated directory: it may
-        // hold deferred change-log entries that logically precede this
-        // synchronous update (e.g. the create of the entry being renamed
-        // away), and a later aggregation would replay them over the rename's
-        // effect (§5.2: rename is fully synchronous). Any round that starts
-        // from here on applies them first. Boxed: the aggregation machinery
-        // would otherwise set the size of every caller's per-request future.
-        let _fpg_guard = if source == DirUpdateSource::Txn && self.cfg.update_mode.is_async() {
-            Box::pin(self.aggregated(fp)).await.0
-        } else {
-            self.locks.fp_group(fp).write().await
-        };
+        let fpg = self.locks.fp_group(fp);
+        let _fpg_guard = fpg.write().await;
+        if source == DirUpdateSource::Txn && self.cfg.update_mode.is_async() {
+            // The directory may hold deferred change-log entries that
+            // logically precede this synchronous update (e.g. the create of
+            // the entry being renamed away). Apply them first, or a later
+            // aggregation would replay them over the rename's effect (§5.2:
+            // rename is fully synchronous, so it must observe the
+            // aggregated directory). A round of its own, which the group's
+            // gate counts like any other: the directory reads queued behind
+            // it are served by it. Boxed: the aggregation machinery would
+            // otherwise set the size of every caller's per-request future.
+            Box::pin(self.aggregate_group(fp, None)).await;
+        }
         let lock = self.locks.inode(dir_key);
         let _inode_guard = lock.write().await;
         self.cpu
