@@ -95,19 +95,6 @@ impl SystemKind {
             }
         }
     }
-
-    /// Convenience for tests: a router over the epoch-0 map of `servers`
-    /// servers.
-    pub fn make_router_for(
-        &self,
-        servers: usize,
-        dirty_query_in_packet: bool,
-    ) -> Rc<dyn RequestRouter> {
-        self.make_router(
-            ShardMap::initial(self.partition_policy(), servers),
-            dirty_query_in_packet,
-        )
-    }
 }
 
 impl std::fmt::Display for SystemKind {
@@ -160,14 +147,14 @@ mod tests {
     #[test]
     fn routers_have_expected_fanout() {
         for s in SystemKind::all() {
-            let r = s.make_router_for(8, true);
+            let r = s.make_router(ShardMap::initial(s.partition_policy(), 8), true);
             assert_eq!(r.num_servers(), 8);
         }
     }
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             SystemKind::all().iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), 5);
         assert_eq!(format!("{}", SystemKind::SwitchFs), "SwitchFS");

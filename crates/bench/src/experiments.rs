@@ -5,8 +5,7 @@
 //! JSON. The workload sizes are scaled down from the paper's 10-million-file
 //! populations by [`ExperimentScale`] so a full sweep runs in minutes of wall
 //! clock; the *shape* of each result (who wins, where curves flatten, where
-//! crossovers fall) is what the reproduction targets, as documented in
-//! DESIGN.md and EXPERIMENTS.md.
+//! crossovers fall) is what the reproduction targets.
 
 use switchfs_core::{Cluster, ClusterConfig, SystemKind, TrackingChoice};
 use switchfs_simnet::SimDuration;
@@ -664,9 +663,9 @@ pub fn recovery(scale: ExperimentScale) -> Vec<Row> {
 /// Unified metrics registry: one named row per registered metric, from a
 /// small SwitchFS run with the flight recorder *enabled* — so this
 /// experiment doubles as the CI proof that a tracing-enabled run completes.
-/// Values are workload-dependent; `ci/check_perf.py` checks presence of the
-/// core names and basic sanity (ops issued, WAL flushed ≤ appended), not
-/// exact values.
+/// Values are workload-dependent; the test below checks presence of the core
+/// names and basic sanity (ops issued, WAL flushed ≤ appended), not exact
+/// values.
 pub fn metrics(scale: ExperimentScale) -> Vec<Row> {
     let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
     cfg.servers = 4;
@@ -715,6 +714,67 @@ mod tests {
         assert!(
             overflowed < normal,
             "forced overflow ({overflowed} Kops/s) must not beat the normal path ({normal} Kops/s)"
+        );
+    }
+
+    /// Live shard migration and graceful shrink must be invisible to
+    /// clients *under a 256-deep load* (freeze-window drops are absorbed by
+    /// retransmission, stale maps refresh via WrongOwner);
+    /// `tests/fault_tolerance.rs` migrates an idle cluster.
+    #[test]
+    fn elastic_membership_under_load_fails_no_operation() {
+        for (name, rows) in [
+            ("rebalance", rebalance(ExperimentScale::Quick)),
+            ("decommission", decommission(ExperimentScale::Quick)),
+        ] {
+            let mut checked = 0;
+            for row in &rows {
+                for (col, v) in row.values.iter().filter(|(col, _)| col == "errors") {
+                    assert_eq!(*v, 0.0, "{name} / {}: {col} must be 0", row.label);
+                    checked += 1;
+                }
+            }
+            assert_eq!(checked, 3, "{name}: healthy, during and after windows");
+        }
+    }
+
+    /// Named rows the unified metrics registry must always expose.
+    const REQUIRED_METRICS: [&str; 13] = [
+        "client.ops_issued",
+        "client.ops_ok",
+        "kv.gets",
+        "kv.puts",
+        "net.delivered",
+        "net.sent",
+        "obs.events_evicted",
+        "obs.events_recorded",
+        "server.ops_completed",
+        "switch.packets",
+        "wal.appends",
+        "wal.bytes_appended",
+        "wal.bytes_flushed",
+    ];
+
+    #[test]
+    fn tracing_enabled_run_exposes_the_core_registry_rows() {
+        let rows = metrics(ExperimentScale::Quick);
+        let value = |name: &str| {
+            let row = rows.iter().find(|r| r.label == name);
+            row.unwrap_or_else(|| panic!("metrics registry row {name} missing"))
+                .values[0]
+                .1
+        };
+        for name in REQUIRED_METRICS {
+            value(name);
+        }
+        assert!(value("client.ops_issued") > 0.0, "the run issued no ops");
+        assert!(
+            value("obs.events_recorded") > 0.0,
+            "flight recorder was enabled but recorded nothing"
+        );
+        assert!(
+            value("wal.bytes_flushed") <= value("wal.bytes_appended"),
+            "flush watermark overran the append counter"
         );
     }
 }

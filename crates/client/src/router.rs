@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn switchfs_spreads_files_and_pins_fingerprint_groups() {
         let r = SwitchFsRouter::with_servers(8, true);
-        let owners: std::collections::HashSet<ServerId> = (0..200)
+        let owners: std::collections::BTreeSet<ServerId> = (0..200)
             .map(|i| r.destination(&create_op(&format!("f{i}")), None, None))
             .collect();
         assert!(owners.len() > 1, "per-file hashing must spread siblings");
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn grouping_baseline_colocates_siblings() {
         let r = BaselineRouter::with_servers(PartitionPolicy::PerDirectoryHash, 8);
-        let owners: std::collections::HashSet<ServerId> = (0..200)
+        let owners: std::collections::BTreeSet<ServerId> = (0..200)
             .map(|i| r.destination(&create_op(&format!("f{i}")), None, None))
             .collect();
         assert_eq!(owners.len(), 1, "P/C grouping must colocate siblings");
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn separation_baseline_spreads_siblings() {
         let r = BaselineRouter::with_servers(PartitionPolicy::PerFileHash, 8);
-        let owners: std::collections::HashSet<ServerId> = (0..200)
+        let owners: std::collections::BTreeSet<ServerId> = (0..200)
             .map(|i| r.destination(&create_op(&format!("f{i}")), None, None))
             .collect();
         assert!(owners.len() > 1);

@@ -233,16 +233,6 @@ impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     }
 }
 
-impl<V: Serialize> Serialize for std::collections::HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        for (k, v) in self {
-            m.insert(k.clone(), v.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Deserialize impls
 // ---------------------------------------------------------------------------
@@ -415,18 +405,6 @@ impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
 }
 
 impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(m) => m
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            _ => Err(DeError::expected("object")),
-        }
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Object(m) => m

@@ -315,7 +315,7 @@ impl<'a> Parser<'a> {
 macro_rules! json {
     (null) => { $crate::Value::Null };
     ({ $($key:tt : $val:expr),* $(,)? }) => {{
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "an empty object literal `json!({})` inserts nothing")]
         let mut __m = $crate::Map::new();
         $( __m.insert(($key).to_string(), $crate::__private::Serialize::to_value(&$val)); )*
         $crate::Value::Object(__m)

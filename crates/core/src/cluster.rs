@@ -40,7 +40,6 @@ pub struct Cluster {
     durables: Vec<Rc<RefCell<DurableState>>>,
     clients: Vec<Rc<LibFs>>,
     switch: Option<Rc<RefCell<SwitchFsProgram>>>,
-    coordinator: Option<Rc<Coordinator>>,
     placement: SharedPlacement,
     server_nodes: Rc<RefCell<Vec<NodeId>>>,
     tracking_mode: TrackingMode,
@@ -81,49 +80,14 @@ impl Cluster {
                 pipes: 2,
                 force_insert_overflow: cfg.force_dirty_overflow,
             })));
-            network.install_switch(
-                switchfs_simnet::SwitchId(0),
-                Box::new(SwitchAdapter::new(program.clone())),
-            );
+            network.install_switch(Box::new(SwitchAdapter::new(program.clone())));
             switch = Some(program);
         }
-        if let Some((racks, spines)) = cfg.leaf_spine {
-            let mut node_rack = switchfs_simnet::FxHashMap::default();
-            for i in 0..cfg.servers {
-                node_rack.insert(server_node(i), i as u32 % racks);
-            }
-            for i in 0..cfg.clients {
-                node_rack.insert(client_node(i), racks.saturating_sub(1));
-            }
-            node_rack.insert(COORDINATOR_NODE, 0);
-            network.set_topology(switchfs_simnet::Topology::LeafSpine {
-                node_rack,
-                spine_count: spines,
-            });
-            // Dirty-set traffic is range-partitioned across spines by
-            // fingerprint prefix (§6.4).
-            network.set_spine_selector(Rc::new(|msg: &NetMsg, spines: u32| {
-                msg.dirty
-                    .map(|h| h.fingerprint.prefix(8) % spines.max(1))
-                    .unwrap_or(0)
-            }));
-            if let Some(program) = &switch {
-                for s in 0..spines {
-                    network.install_switch(
-                        switchfs_simnet::SwitchId(s),
-                        Box::new(SwitchAdapter::new(program.clone())),
-                    );
-                }
-            }
-        }
 
-        // Dedicated coordinator, if requested.
-        let mut coordinator = None;
+        // Dedicated coordinator, if requested; its serving loop keeps it alive.
         if cfg.tracking == TrackingChoice::DedicatedServer {
             let ep = network.register(COORDINATOR_NODE);
-            let c = Rc::new(Coordinator::new(handle.clone(), ep, 12));
-            c.start();
-            coordinator = Some(c);
+            Rc::new(Coordinator::new(handle.clone(), ep, 12)).start();
         }
 
         let tracking_mode = match cfg.tracking {
@@ -191,7 +155,6 @@ impl Cluster {
             durables,
             clients,
             switch,
-            coordinator,
             placement,
             server_nodes,
             tracking_mode,
@@ -246,11 +209,6 @@ impl Cluster {
         server_node(i)
     }
 
-    /// The network node hosting client `i`.
-    pub fn client_node_id(&self, i: usize) -> NodeId {
-        client_node(i)
-    }
-
     /// Counters of the programmable switch, if one is deployed.
     pub fn switch_stats(&self) -> Option<SwitchStats> {
         self.switch.as_ref().map(|s| s.borrow().stats())
@@ -265,21 +223,6 @@ impl Cluster {
     /// Number of fingerprints currently tracked by the switch.
     pub fn switch_occupancy(&self) -> Option<usize> {
         self.switch.as_ref().map(|s| s.borrow().occupancy())
-    }
-
-    /// Requests served by the dedicated coordinator, if one is deployed.
-    pub fn coordinator_requests(&self) -> u64 {
-        self.coordinator
-            .as_ref()
-            .map(|c| c.stats().requests)
-            .unwrap_or(0)
-    }
-
-    /// Forces (or stops forcing) dirty-set insert overflow (§7.3.2).
-    pub fn set_force_dirty_overflow(&self, force: bool) {
-        if let Some(s) = &self.switch {
-            s.borrow_mut().set_force_overflow(force);
-        }
     }
 
     // ------------------------------------------------------------------

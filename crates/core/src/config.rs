@@ -37,9 +37,6 @@ pub struct ClusterConfig {
     pub force_dirty_overflow: bool,
     /// Network fault injection.
     pub net_faults: NetFaults,
-    /// Deploy a leaf–spine fabric with this many racks and spine switches
-    /// instead of a single rack (§6.4).
-    pub leaf_spine: Option<(u32, u32)>,
     /// Enable causal op tracing into the shared flight recorder with this
     /// many events of per-node ring capacity. `None` (the default) deploys a
     /// disabled recorder: every instrumentation site is a single branch and
@@ -61,7 +58,6 @@ impl ClusterConfig {
             update_mode_override: None,
             force_dirty_overflow: false,
             net_faults: NetFaults::reliable(),
-            leaf_spine: None,
             trace_capacity: None,
         }
     }

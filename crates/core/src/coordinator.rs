@@ -12,20 +12,12 @@ use switchfs_proto::message::{Body, CoordMsg, NetMsg, PacketSeq};
 use switchfs_simnet::{CpuPool, Endpoint, SimDuration, SimHandle};
 use switchfs_switch::SoftwareDirtySet;
 
-/// Statistics of the coordinator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoordinatorStats {
-    /// Dirty-set requests served.
-    pub requests: u64,
-}
-
 /// The dedicated coordinator node.
 pub struct Coordinator {
     handle: SimHandle,
     cpu: CpuPool,
     endpoint: Rc<Endpoint<NetMsg>>,
     set: Rc<RefCell<SoftwareDirtySet>>,
-    stats: Rc<RefCell<CoordinatorStats>>,
     per_op_cost: SimDuration,
     next_seq: RefCell<u64>,
 }
@@ -40,17 +32,11 @@ impl Coordinator {
             cpu,
             endpoint: Rc::new(endpoint),
             set: Rc::new(RefCell::new(SoftwareDirtySet::new())),
-            stats: Rc::new(RefCell::new(CoordinatorStats::default())),
             // ~1 µs of CPU per dirty-set RPC: 12 cores saturate at ~12 Mops/s,
             // matching the ~11 Mops/s ceiling reported in Fig. 15(b).
             per_op_cost: SimDuration::from_micros_f64(1.0),
             next_seq: RefCell::new(1),
         }
-    }
-
-    /// Requests served so far.
-    pub fn stats(&self) -> CoordinatorStats {
-        *self.stats.borrow()
     }
 
     /// Spawns the serving loop.
@@ -68,7 +54,6 @@ impl Coordinator {
                 me.handle.spawn(async move {
                     me2.cpu.run(me2.per_op_cost).await;
                     let ret = me2.set.borrow_mut().apply(op, fp);
-                    me2.stats.borrow_mut().requests += 1;
                     let seq = {
                         let mut s = me2.next_seq.borrow_mut();
                         *s += 1;
@@ -146,6 +131,5 @@ mod tests {
                 DirtyRet::State(DirtyState::Scattered)
             ]
         );
-        assert_eq!(coordinator.stats().requests, 3);
     }
 }

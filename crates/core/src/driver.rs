@@ -50,11 +50,6 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
-    /// Overall throughput in Mops/s.
-    pub fn mops(&self) -> f64 {
-        self.kops / 1e3
-    }
-
     /// Mean latency across all operations, in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
         self.latency.mean().as_micros_f64()

@@ -5,7 +5,7 @@
 //!
 //! * [`config::ClusterConfig`] — how many servers/cores/clients, which
 //!   system ([`switchfs_baselines::SystemKind`]), which dirty-state tracking
-//!   mode, fault injection, topology;
+//!   mode, fault injection;
 //! * [`switch_adapter`] — plugs the `switchfs-switch` data plane into the
 //!   simulated network fabric;
 //! * [`coordinator`] — the dedicated dirty-set coordinator server used by the

@@ -4,9 +4,8 @@
 //! metadata server uses for its metadata (§4.2, §7.1: "RocksDB in
 //! asynchronous write mode"). It provides:
 //!
-//! * [`KvStore`] — an ordered map with point operations, prefix scans and
-//!   write batches, plus operation counters used to attribute storage-layer
-//!   costs in the simulation.
+//! * [`KvStore`] — an ordered map with point operations, plus operation
+//!   counters used to attribute storage-layer costs in the simulation.
 //! * [`Wal`] — a write-ahead log with commit records, per-record "applied"
 //!   marks (used by the asynchronous-update protocol to distinguish
 //!   change-log entries that have already reached the directory owner,
@@ -22,5 +21,5 @@
 pub mod store;
 pub mod wal;
 
-pub use store::{KvStats, KvStore, WriteBatch};
+pub use store::{KvStats, KvStore};
 pub use wal::{Checkpoint, TornTail, TornTailReport, Wal, WalRecord};

@@ -1,36 +1,36 @@
-//! `switchfs-lint`: a workspace-aware static analyzer for the invariants
-//! this codebase bets on but the compiler cannot check.
+//! `switchfs-lint`: a workspace-aware static analyzer for the two invariants
+//! of this codebase that need to know its protocol, which no stock tool does.
 //!
-//! The simulation's whole correctness story rests on three properties that
-//! are invisible to `rustc` and `clippy`:
+//! - **WAL persist ordering at protocol barriers** (`persist-ordering`) — an
+//!   ordering-critical record (2PC marker, migration marker, durable
+//!   completion) must be flushed before its effects escape onto the network,
+//!   or a torn-tail crash replays an asymmetric prefix.
+//! - **An observability vocabulary someone emits** (`event-coverage`) —
+//!   every `obs::EventKind` variant is constructed somewhere outside
+//!   `crates/obs`.
 //!
-//! - **bit-identical deterministic replay** — chaos failures reproduce from
-//!   a seed only if no code path consults per-process state (randomly
-//!   seeded hashers, wall clocks, OS entropy);
-//! - **single-threaded `Rc<RefCell>` async servers** — a `RefCell` guard
-//!   held across an `.await` is a latent `BorrowMutError` that only a rare
-//!   interleaving will trigger;
-//! - **WAL persist ordering at protocol barriers** — an ordering-critical
-//!   record (2PC marker, migration marker, durable completion) must be
-//!   flushed before its effects escape onto the network, or a torn-tail
-//!   crash replays an asymmetric prefix.
+//! The two invariants that do *not* need protocol knowledge are clippy's, on
+//! the `cargo clippy … -D warnings` command line CI runs: a `RefCell` guard
+//! held across an `.await` is `clippy::await_holding_refcell_ref`, and the
+//! sources of per-process state that would break bit-identical replay
+//! (default-hasher `HashMap` / `HashSet`, `Instant`, `SystemTime`) are
+//! `disallowed-types` / `disallowed-methods` in the root `clippy.toml`. Type
+//! resolution makes clippy the stronger checker for those, and it also sees
+//! `tests/`, `examples/` and `#[cfg(test)]` code, which this analyzer skips.
 //!
-//! Each is a named rule producing `file:line` diagnostics; a fourth rule
-//! (`event-coverage`) keeps the observability vocabulary honest by
-//! requiring every `obs::EventKind` variant to be emitted somewhere outside
-//! `crates/obs`. Findings are suppressible with a justified comment on the
-//! preceding (or same) line:
+//! Each rule produces `file:line` diagnostics. Findings are suppressible
+//! with a justified comment on the preceding (or same) line:
 //!
 //! ```text
-//! // switchfs-lint: allow(determinism) alias definition site, hasher is explicit
+//! // switchfs-lint: allow(persist-ordering) the flush is the caller's, see apply_and_log
 //! ```
 //!
-//! The analyzer is dependency-free (hand-rolled lexer + brace/scope
-//! tracker — the build environment is offline, so no `syn`), and scans
-//! every workspace crate's `src/` tree except `crates/compat` (offline
-//! stand-ins for crates.io code) and `crates/lint` itself (rule fixtures
-//! would trip the rules). `#[cfg(test)]` items and integration-test trees
-//! are out of scope: they run on the host, not inside the simulation.
+//! The analyzer is dependency-free (hand-rolled lexer + brace tracker — the
+//! build environment is offline, so no `syn`), and scans every workspace
+//! crate's `src/` tree except `crates/compat` (offline stand-ins for
+//! crates.io code) and `crates/lint` itself. `#[cfg(test)]` items and
+//! integration-test trees are out of scope: they run on the host, not inside
+//! the simulation.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -43,10 +43,6 @@ pub mod rules;
 
 use lexer::{lex, strip_cfg_test, Directive, Lexed};
 
-/// Rule id: `RefCell` guards held across `.await`.
-pub const RULE_BORROW: &str = "borrow-across-await";
-/// Rule id: nondeterminism sources (default hashers, wall clocks, entropy).
-pub const RULE_DETERMINISM: &str = "determinism";
 /// Rule id: WAL flush ordering at protocol barriers.
 pub const RULE_PERSIST: &str = "persist-ordering";
 /// Rule id: every `EventKind` variant must be emitted outside `crates/obs`.
@@ -55,13 +51,8 @@ pub const RULE_EVENT_COVERAGE: &str = "event-coverage";
 /// or missing the required justification). Not suppressible.
 pub const RULE_DIRECTIVE: &str = "lint-directive";
 
-/// All four code rules, in reporting order.
-pub const ALL_RULES: &[&str] = &[
-    RULE_BORROW,
-    RULE_DETERMINISM,
-    RULE_PERSIST,
-    RULE_EVENT_COVERAGE,
-];
+/// Both code rules, in reporting order.
+pub const ALL_RULES: &[&str] = &[RULE_PERSIST, RULE_EVENT_COVERAGE];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,55 +107,26 @@ impl LintReport {
     }
 }
 
-/// Which rules run for one file.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleSet {
-    /// Run [`RULE_BORROW`].
-    pub borrow_across_await: bool,
-    /// Run [`RULE_DETERMINISM`].
-    pub determinism: bool,
-    /// Run [`RULE_PERSIST`].
-    pub persist_ordering: bool,
-}
-
-impl RuleSet {
-    /// Everything on.
-    pub fn all() -> RuleSet {
-        RuleSet {
-            borrow_across_await: true,
-            determinism: true,
-            persist_ordering: true,
-        }
-    }
-}
-
 /// Crates whose `src/` trees are never scanned: offline stand-ins for
-/// crates.io dependencies (not our code), and the linter itself (its rule
-/// fixtures intentionally trip the rules).
+/// crates.io dependencies (not our code), and the linter itself (a host
+/// tool, not simulation code).
 const EXCLUDED_CRATES: &[&str] = &["compat", "lint"];
 
-/// Crates exempt from the determinism rule: `bench` measures *wall-clock*
-/// run time of the whole sweep by design — it drives the simulator but is
-/// not driven by it, so host-time reads there cannot perturb a replay.
-const WALL_CLOCK_CRATES: &[&str] = &["bench"];
+/// Lexes one file and drops its `#[cfg(test)]` items: the code tokens the
+/// rules see, plus the file's suppression directives.
+fn lex_code(source: &str) -> (Vec<lexer::Token>, Vec<Directive>) {
+    let Lexed { tokens, directives } = lex(source);
+    (strip_cfg_test(tokens), directives)
+}
 
-/// Lints a single file's source. `rules` selects the per-file rules;
+/// Lints a single file's source with the per-file rule (`persist-ordering`);
 /// event-coverage is workspace-level and handled by [`lint_workspace`].
 /// Returned findings have empty `file` fields and are not yet
 /// suppression-filtered — [`apply_suppressions`] does that.
-pub fn lint_source(source: &str, rules: RuleSet) -> (Vec<Finding>, Vec<Directive>) {
-    let Lexed { tokens, directives } = lex(source);
-    let tokens = strip_cfg_test(tokens);
+pub fn lint_source(source: &str) -> (Vec<Finding>, Vec<Directive>) {
+    let (tokens, directives) = lex_code(source);
     let mut findings = Vec::new();
-    if rules.borrow_across_await {
-        rules::borrow_across_await(&tokens, &mut findings);
-    }
-    if rules.determinism {
-        rules::determinism(&tokens, &mut findings);
-    }
-    if rules.persist_ordering {
-        rules::persist_ordering(&tokens, &mut findings);
-    }
+    rules::persist_ordering(&tokens, &mut findings);
     (findings, directives)
 }
 
@@ -281,11 +243,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     for (crate_name, src) in workspace_targets(root)? {
         let mut files = Vec::new();
         rs_files(&src, &mut files)?;
-        let rules = RuleSet {
-            borrow_across_await: true,
-            determinism: !WALL_CLOCK_CRATES.contains(&crate_name.as_str()),
-            persist_ordering: true,
-        };
         for path in files {
             let source = fs::read_to_string(&path)?;
             let rel = path
@@ -294,9 +251,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 .to_string_lossy()
                 .replace('\\', "/");
             report.files_scanned += 1;
-            let (mut findings, directives) = lint_source(&source, rules);
-            let Lexed { tokens, .. } = lex(&source);
-            let tokens = strip_cfg_test(tokens);
+            let (tokens, directives) = lex_code(&source);
+            let mut findings = Vec::new();
+            rules::persist_ordering(&tokens, &mut findings);
             if crate_name == "obs" {
                 let variants = rules::event_kind_variants(&tokens);
                 if !variants.is_empty() {
@@ -306,7 +263,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             } else {
                 rules::event_kind_uses(&tokens, &mut emitted);
             }
-            let (kept, suppressed) = apply_suppressions(std::mem::take(&mut findings), &directives);
+            let (kept, suppressed) = apply_suppressions(findings, &directives);
             for mut f in kept {
                 f.file = rel.clone();
                 report.findings.push(f);

@@ -1,15 +1,16 @@
-//! Fixture-based rule tests: for every rule, one snippet that must trip,
-//! one that must pass, and one exercising the `allow(...)` suppression
-//! comment. Fixtures live under `tests/fixtures/` (not compiled — they are
-//! data for the analyzer, and the trip ones would not even build).
+//! Fixture-based rule tests: for `persist-ordering`, one snippet that must
+//! trip, one that must pass, and one exercising the `allow(...)` suppression
+//! comment; for `event-coverage`, an enum and an emission fixture. Fixtures
+//! live under `tests/fixtures/` (not compiled — they are data for the
+//! analyzer, and the trip ones would not even build).
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use switchfs_lint::lexer::{lex, strip_cfg_test};
 use switchfs_lint::{
-    apply_suppressions, lint_source, rules, Finding, RuleSet, RULE_BORROW, RULE_DETERMINISM,
-    RULE_DIRECTIVE, RULE_EVENT_COVERAGE, RULE_PERSIST,
+    apply_suppressions, lint_source, rules, Finding, RULE_DIRECTIVE, RULE_EVENT_COVERAGE,
+    RULE_PERSIST,
 };
 
 fn fixture(name: &str) -> String {
@@ -23,73 +24,12 @@ fn fixture(name: &str) -> String {
 /// (kept, suppressed).
 fn run(name: &str) -> (Vec<Finding>, Vec<Finding>) {
     let source = fixture(name);
-    let (findings, directives) = lint_source(&source, RuleSet::all());
+    let (findings, directives) = lint_source(&source);
     apply_suppressions(findings, &directives)
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule).collect()
-}
-
-// ---------------------------------------------------------------- borrow ---
-
-#[test]
-fn borrow_trip_fixture_trips() {
-    let (kept, _) = run("borrow_trip.rs");
-    let hits: Vec<_> = kept.iter().filter(|f| f.rule == RULE_BORROW).collect();
-    assert_eq!(
-        hits.len(),
-        3,
-        "one finding per detector shape (let-bound, same-statement, scrutinee): {hits:?}"
-    );
-}
-
-#[test]
-fn borrow_pass_fixture_passes() {
-    let (kept, suppressed) = run("borrow_pass.rs");
-    assert!(kept.is_empty(), "clean fixture flagged: {kept:?}");
-    assert!(
-        suppressed.is_empty(),
-        "nothing to suppress in a clean fixture"
-    );
-}
-
-#[test]
-fn borrow_allow_fixture_suppresses() {
-    let (kept, suppressed) = run("borrow_allow.rs");
-    assert!(kept.is_empty(), "allow directive ignored: {kept:?}");
-    assert_eq!(rules_of(&suppressed), vec![RULE_BORROW]);
-}
-
-// ----------------------------------------------------------- determinism ---
-
-#[test]
-fn determinism_trip_fixture_trips() {
-    let (kept, _) = run("determinism_trip.rs");
-    let hits = rules_of(&kept);
-    assert_eq!(
-        hits.iter().filter(|r| **r == RULE_DETERMINISM).count(),
-        6,
-        "import + HashMap field + HashSet field + Instant + SystemTime + thread_rng: {kept:?}"
-    );
-}
-
-#[test]
-fn determinism_pass_fixture_passes() {
-    let (kept, _) = run("determinism_pass.rs");
-    assert!(kept.is_empty(), "clean fixture flagged: {kept:?}");
-}
-
-#[test]
-fn determinism_allow_fixture_suppresses() {
-    let (kept, suppressed) = run("determinism_allow.rs");
-    assert!(kept.is_empty(), "allow directive ignored: {kept:?}");
-    // One directive covers both the HashMap and the HashSet finding on the
-    // following import line; the alias lines carry explicit hashers.
-    assert_eq!(
-        rules_of(&suppressed),
-        vec![RULE_DETERMINISM, RULE_DETERMINISM]
-    );
 }
 
 // ------------------------------------------------------- persist-ordering ---
@@ -166,22 +106,31 @@ fn event_coverage_passes_when_every_variant_is_emitted() {
 
 // ------------------------------------------------------- directive health ---
 
+/// A one-line function that trips `persist-ordering`.
+const UNFLUSHED: &str = "fn f(&self) { let m = TxnMarker::Commit; self.wal.append(m); }\n";
+
 #[test]
 fn suppression_without_reason_is_itself_a_finding() {
-    let src = "// switchfs-lint: allow(determinism)\nuse std::collections::HashMap;\n";
-    let (findings, directives) = lint_source(src, RuleSet::all());
+    let src = format!("// switchfs-lint: allow(persist-ordering)\n{UNFLUSHED}");
+    let (findings, directives) = lint_source(&src);
     let (kept, suppressed) = apply_suppressions(findings, &directives);
-    // The reasonless directive does not suppress, and is reported itself.
+    // The reasonless directive does not suppress, and is reported itself;
+    // with a reason the same directive does suppress.
     assert!(suppressed.is_empty());
+    let (findings, directives) = lint_source(&src.replacen(")\n", ") caller flushes\n", 1));
+    assert_eq!(
+        rules_of(&apply_suppressions(findings, &directives).1),
+        vec![RULE_PERSIST]
+    );
     let rules = rules_of(&kept);
     assert!(rules.contains(&RULE_DIRECTIVE), "{kept:?}");
-    assert!(rules.contains(&RULE_DETERMINISM), "{kept:?}");
+    assert!(rules.contains(&RULE_PERSIST), "{kept:?}");
 }
 
 #[test]
 fn malformed_and_unknown_rule_directives_are_findings() {
     let src = "// switchfs-lint: disallow everything\n// switchfs-lint: allow(no-such-rule) because\nfn f() {}\n";
-    let (findings, directives) = lint_source(src, RuleSet::all());
+    let (findings, directives) = lint_source(src);
     let (kept, _) = apply_suppressions(findings, &directives);
     assert_eq!(
         rules_of(&kept),
@@ -192,15 +141,9 @@ fn malformed_and_unknown_rule_directives_are_findings() {
 
 #[test]
 fn cfg_test_items_are_exempt() {
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-    fn t() {
-        let m: HashMap<u32, u32> = HashMap::new();
-    }
-}
-"#;
-    let (findings, _) = lint_source(src, RuleSet::all());
+    let (findings, _) = lint_source(UNFLUSHED);
+    assert_eq!(rules_of(&findings), vec![RULE_PERSIST]);
+    let src = format!("#[cfg(test)]\nmod tests {{\n{UNFLUSHED}}}\n");
+    let (findings, _) = lint_source(&src);
     assert!(findings.is_empty(), "test-only code flagged: {findings:?}");
 }

@@ -170,15 +170,6 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Retained events belonging to one causal trace, ordered like
-    /// [`FlightRecorder::dump`].
-    pub fn events_for(&self, trace: TraceId) -> Vec<TraceEvent> {
-        self.dump()
-            .into_iter()
-            .filter(|e| e.trace == Some(trace))
-            .collect()
-    }
-
     /// Total events currently retained across all nodes.
     pub fn len(&self) -> usize {
         self.buffers.borrow().values().map(|r| r.len()).sum()
@@ -200,14 +191,15 @@ impl FlightRecorder {
     }
 }
 
-/// The per-cluster observability state: an enable switch, the flight
-/// recorder, and the batch-id allocator for apply/size-delta grouping.
+/// The per-cluster observability state: whether recording is on (fixed at
+/// construction), the flight recorder, and the batch-id allocator for
+/// apply/size-delta grouping.
 ///
 /// Shared as an [`ObsHandle`] (`Rc<Obs>`) by every server, client, and the
 /// harness; single-threaded like the rest of the simulation.
 #[derive(Debug)]
 pub struct Obs {
-    enabled: Cell<bool>,
+    enabled: bool,
     recorder: FlightRecorder,
     /// Monotonic batch ids handed to appliers so a size-delta event can be
     /// matched to exactly the entry-apply events it covered. Bumped only
@@ -224,7 +216,7 @@ impl Obs {
     /// never pay for the subsystem.
     pub fn disabled() -> ObsHandle {
         Rc::new(Obs {
-            enabled: Cell::new(false),
+            enabled: false,
             recorder: FlightRecorder::new(DEFAULT_RING_CAPACITY),
             batch_seq: Cell::new(0),
         })
@@ -233,7 +225,7 @@ impl Obs {
     /// An enabled instance with the given per-node ring capacity.
     pub fn recording(capacity: usize) -> ObsHandle {
         Rc::new(Obs {
-            enabled: Cell::new(true),
+            enabled: true,
             recorder: FlightRecorder::new(capacity),
             batch_seq: Cell::new(0),
         })
@@ -243,12 +235,7 @@ impl Obs {
     /// this before computing event payloads.
     #[inline]
     pub fn on(&self) -> bool {
-        self.enabled.get()
-    }
-
-    /// Flips recording on or off at runtime (the ring keeps its contents).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.set(enabled);
+        self.enabled
     }
 
     /// Records an event if enabled. Callers on hot paths should guard with
@@ -256,7 +243,7 @@ impl Obs {
     /// method re-checks regardless.
     #[inline]
     pub fn record(&self, event: TraceEvent) {
-        if !self.enabled.get() {
+        if !self.enabled {
             return;
         }
         self.recorder.push(event);
@@ -311,29 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn events_filter_by_trace() {
-        let rec = FlightRecorder::new(10);
-        rec.push(ev(1, 1));
-        rec.push(ev(1, 2));
-        rec.push(ev(2, 1));
-        let t = TraceId::of_op(OpId {
-            client: ClientId(1),
-            seq: 1,
-        });
-        let hits = rec.events_for(t);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].node, 1);
-    }
-
-    #[test]
     fn disabled_obs_records_nothing() {
         let obs = Obs::disabled();
         assert!(!obs.on());
         obs.record(ev(1, 1));
         assert!(obs.recorder().is_empty());
-        obs.set_enabled(true);
-        obs.record(ev(1, 1));
-        assert_eq!(obs.recorder().len(), 1);
     }
 
     #[test]

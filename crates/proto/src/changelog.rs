@@ -131,12 +131,6 @@ impl CompactedChanges {
         out.entry_ops = ops.into_iter().flatten().collect();
         out
     }
-
-    /// Number of key-value store mutations needed to apply this compaction
-    /// (entry-list puts/deletes plus one inode attribute update).
-    pub fn kv_mutations(&self) -> usize {
-        self.entry_ops.len() + 1
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +168,6 @@ mod tests {
         assert_eq!(c.size_delta, 3);
         assert_eq!(c.max_timestamp, 30);
         assert_eq!(c.entry_ops.len(), 3);
-        assert_eq!(c.kv_mutations(), 4);
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl DirId {
         DirId([a, b, c, d])
     }
 
-    /// True for the root directory id.
-    pub fn is_root(&self) -> bool {
-        *self == DirId::ROOT
-    }
-
     /// A stable 64-bit hash of the identifier, used for placement decisions.
     pub fn hash64(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -111,8 +106,8 @@ impl Fingerprint {
         }
     }
 
-    /// The prefix used to shard fingerprints across egress pipes or across
-    /// spine switches (§6.2, §6.4): the top `bits` bits of the index.
+    /// The prefix used to shard fingerprints across egress pipes (§6.2): the
+    /// top `bits` bits of the index.
     pub fn prefix(&self, bits: u32) -> u32 {
         if bits == 0 {
             0
@@ -236,22 +231,16 @@ pub fn fnv1a_step(mut h: u64, v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn dir_ids_are_unique_per_server_counter() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for s in 0..4 {
             for c in 0..1000 {
                 assert!(seen.insert(DirId::generate(ServerId(s), c)));
             }
         }
-    }
-
-    #[test]
-    fn root_is_root() {
-        assert!(DirId::ROOT.is_root());
-        assert!(!DirId::generate(ServerId(0), 1).is_root());
     }
 
     #[test]
@@ -282,7 +271,7 @@ mod tests {
         // 10k directories under the same parent should spread over many
         // dirty-set indexes (load balance across sets, §6.3).
         let pid = DirId::ROOT;
-        let mut indexes = HashSet::new();
+        let mut indexes = BTreeSet::new();
         for i in 0..10_000 {
             indexes.insert(Fingerprint::of_dir(&pid, &format!("d{i}")).index());
         }
@@ -315,7 +304,7 @@ mod tests {
         };
         assert_eq!(TraceId::of_op(a), TraceId::of_op(a));
         assert_ne!(TraceId::of_op(a), TraceId::of_op(b));
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for c in 0..8u32 {
             for s in 0..1000u64 {
                 let t = TraceId::of_op(OpId {

@@ -427,7 +427,7 @@ impl Placement for SharedPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// The historic `hash % n` placement an epoch-0 map must reproduce.
     struct Modulo(PartitionPolicy, u64);
@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn per_file_hash_spreads_one_directory() {
         let p = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
-        let mut counts: HashMap<ServerId, usize> = HashMap::new();
+        let mut counts: BTreeMap<ServerId, usize> = BTreeMap::new();
         for i in 0..8000 {
             let key = MetaKey::new(DirId::ROOT, format!("f{i}"));
             *counts.entry(p.file_owner(&key)).or_default() += 1;
@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn per_directory_hash_groups_one_directory() {
         let p = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
-        let owners: std::collections::HashSet<_> = (0..1000)
+        let owners: std::collections::BTreeSet<_> = (0..1000)
             .map(|i| p.file_owner(&MetaKey::new(DirId::ROOT, format!("f{i}"))))
             .collect();
         assert_eq!(owners.len(), 1, "P/C grouping must colocate siblings");
@@ -537,7 +537,7 @@ mod tests {
             );
         }
         // Unmoved shards keep their owner (bounded movement).
-        let moved: std::collections::HashSet<u32> = moves.iter().map(|m| m.0).collect();
+        let moved: std::collections::BTreeSet<u32> = moves.iter().map(|m| m.0).collect();
         for shard in 0..map.num_shards() as u32 {
             if !moved.contains(&shard) {
                 assert_eq!(map.owner_of_shard(shard), before.owner_of_shard(shard));

@@ -5,8 +5,7 @@
 //! write mode. We do not reproduce those components; instead every server
 //! code path charges the service times below to its [`switchfs_simnet::CpuPool`],
 //! calibrated against the latency breakdown of Fig. 2(b), the operation
-//! latencies of Fig. 13 and the ~3 µs RTT of Fig. 15(a). The DESIGN.md table
-//! documents each value's source.
+//! latencies of Fig. 13 and the ~3 µs RTT of Fig. 15(a).
 
 use switchfs_simnet::SimDuration;
 

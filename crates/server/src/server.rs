@@ -732,12 +732,6 @@ impl Server {
         self.inner.borrow_mut().disk_slowdown = mult.max(1);
     }
 
-    /// Looks up an inode directly (test/verification helper; does not charge
-    /// simulated cost).
-    pub fn peek_inode(&self, key: &MetaKey) -> Option<InodeAttrs> {
-        self.inner.borrow().inodes.peek(key).cloned()
-    }
-
     /// Lists a directory's entry names directly (test/verification helper).
     pub fn peek_entries(&self, dir: &DirId) -> Vec<String> {
         let inner = self.inner.borrow();
@@ -1932,11 +1926,6 @@ impl Server {
             let me = self.clone();
             self.handle.spawn(async move { me.proactive_loop().await });
         }
-    }
-
-    /// Whether this server currently owns (stores the inode of) `key`.
-    pub fn owns_inode(&self, key: &MetaKey) -> bool {
-        self.inner.borrow().inodes.contains(key)
     }
 
     /// Setup-time seeding for a newly added server: copies another server's

@@ -10,8 +10,6 @@
 use crate::executor::SimHandle;
 use crate::sync::semaphore::Semaphore;
 use crate::time::SimDuration;
-use std::cell::Cell;
-use std::rc::Rc;
 
 /// An *N*-core processor with FIFO queueing.
 #[derive(Clone)]
@@ -19,7 +17,6 @@ pub struct CpuPool {
     handle: SimHandle,
     cores: Semaphore,
     num_cores: usize,
-    busy_ns: Rc<Cell<u64>>,
 }
 
 impl CpuPool {
@@ -34,7 +31,6 @@ impl CpuPool {
             handle,
             cores: Semaphore::new(num_cores),
             num_cores,
-            busy_ns: Rc::new(Cell::new(0)),
         }
     }
 
@@ -50,38 +46,7 @@ impl CpuPool {
             return;
         }
         let _permit = self.cores.acquire().await;
-        self.busy_ns.set(self.busy_ns.get() + work.as_nanos());
         self.handle.sleep(work).await;
-    }
-
-    /// Occupies one core while executing `f` "instantaneously" plus `work` of
-    /// modelled service time. This is the common pattern for server handlers:
-    /// the real data-structure manipulation happens in `f`, and `work` is the
-    /// calibrated cost charged to the simulated clock.
-    pub async fn run_with<R>(&self, work: SimDuration, f: impl FnOnce() -> R) -> R {
-        let _permit = self.cores.acquire().await;
-        self.busy_ns.set(self.busy_ns.get() + work.as_nanos());
-        let r = f();
-        if !work.is_zero() {
-            self.handle.sleep(work).await;
-        }
-        r
-    }
-
-    /// Total busy core-time accumulated so far, in nanoseconds. Used to
-    /// report CPU utilization in the evaluation harness.
-    pub fn busy_nanos(&self) -> u64 {
-        self.busy_ns.get()
-    }
-
-    /// Current number of requests waiting for a core.
-    pub fn queued(&self) -> usize {
-        self.cores.waiters()
-    }
-
-    /// Current number of idle cores.
-    pub fn idle_cores(&self) -> usize {
-        self.cores.available()
     }
 }
 
@@ -103,7 +68,6 @@ mod tests {
         }
         let stats = sim.run();
         assert_eq!(stats.end_time, SimTime::from_micros(40));
-        assert_eq!(cpu.busy_nanos(), 40_000);
     }
 
     #[test]
@@ -118,19 +82,6 @@ mod tests {
         }
         let stats = sim.run();
         assert_eq!(stats.end_time, SimTime::from_micros(10));
-    }
-
-    #[test]
-    fn run_with_returns_value_and_charges_time() {
-        let sim = Sim::new(1);
-        let cpu = CpuPool::new(sim.handle(), 1);
-        let cpu2 = cpu.clone();
-        sim.spawn(async move {
-            let v = cpu2.run_with(SimDuration::micros(3), || 21 * 2).await;
-            assert_eq!(v, 42);
-        });
-        let stats = sim.run();
-        assert_eq!(stats.end_time, SimTime::from_micros(3));
     }
 
     #[test]

@@ -395,20 +395,6 @@ impl SimHandle {
         self.state.borrow_mut().rng.gen()
     }
 
-    /// Draws a uniform float in `[0, 1)` from the simulation RNG.
-    pub fn rand_f64(&self) -> f64 {
-        self.state.borrow_mut().rng.gen::<f64>()
-    }
-
-    /// Draws a uniform integer in `[0, n)` from the simulation RNG.
-    pub fn rand_below(&self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.state.borrow_mut().rng.gen_range(0..n)
-        }
-    }
-
     /// Registers a timer to be woken at `deadline` and returns its shared
     /// waker slot (drawn from the slot pool when possible). Used by
     /// simulation primitives that need timer semantics (e.g. retransmission
@@ -696,12 +682,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(*out.borrow(), vec![true, false]);
-    }
-
-    #[test]
-    fn rand_below_zero_is_zero() {
-        let sim = Sim::new(3);
-        assert_eq!(sim.handle().rand_below(0), 0);
-        assert!(sim.handle().rand_below(5) < 5);
     }
 }

@@ -8,8 +8,6 @@
 //! it. (Collision hardening is irrelevant here: keys come from the
 //! simulation itself, never from an adversary.)
 
-// switchfs-lint: allow(determinism) alias definition site; the aliases below pin the explicit FxBuildHasher
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -78,10 +76,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the fast deterministic hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "alias definition site: the explicit FxBuildHasher replaces RandomState"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the fast deterministic hasher.
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "alias definition site: the explicit FxBuildHasher replaces RandomState"
+)]
+pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -95,7 +101,7 @@ mod tests {
             hasher.finish()
         };
         assert_eq!(h(7), h(7), "same input, same hash");
-        let distinct: HashSet<u64> = (0..1000).map(h).collect();
+        let distinct: std::collections::BTreeSet<u64> = (0..1000).map(h).collect();
         assert_eq!(distinct.len(), 1000, "no trivial collisions on small ints");
     }
 

@@ -18,10 +18,9 @@
 //! * [`cpu::CpuPool`] — an *N*-core processor model with FIFO run-queue
 //!   semantics; server code paths charge calibrated service times to it.
 //! * [`net`] — a message-passing network with per-hop latency, programmable
-//!   switch hooks, loss / duplication / reordering injection, and single-rack
-//!   or leaf–spine topologies.
-//! * [`metrics`] — latency histograms and throughput meters used by the
-//!   evaluation harness.
+//!   switch hooks and loss / duplication / reordering injection, for one
+//!   rack behind one switch.
+//! * [`metrics`] — the latency histogram used by the evaluation harness.
 //!
 //! Determinism: given the same seed and the same sequence of operations, a
 //! simulation produces bit-identical schedules, which makes the protocol
@@ -52,8 +51,6 @@ pub mod time;
 pub use cpu::CpuPool;
 pub use executor::{timeout, Sim, SimHandle, TaskId};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use metrics::{LatencyHistogram, ThroughputMeter};
-pub use net::{
-    Endpoint, NetFaults, Network, NodeId, Packet, SwitchAction, SwitchId, SwitchLogic, Topology,
-};
+pub use metrics::LatencyHistogram;
+pub use net::{Endpoint, NetFaults, Network, NodeId, Packet, SwitchAction, SwitchLogic};
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,8 @@
-//! Measurement helpers used by the evaluation harness: latency histograms
+//! Measurement helper used by the evaluation harness: the latency histogram
 //! (mean / median / p25 / p75 / p90 / p99, as reported in Fig. 13 and
-//! Fig. 16) and throughput meters (Kops/s / Mops/s, as reported in Fig. 12,
-//! Fig. 17 and Fig. 19).
+//! Fig. 16).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A latency recorder with percentile queries.
 ///
@@ -76,12 +75,6 @@ impl LatencyHistogram {
         self.percentile(50.0)
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
     /// A one-line summary used in harness output.
     pub fn summary(&mut self) -> String {
         if self.is_empty() {
@@ -96,71 +89,6 @@ impl LatencyHistogram {
             self.max().as_micros_f64(),
             self.count()
         )
-    }
-}
-
-/// A throughput meter: counts completed operations over a virtual-time span.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThroughputMeter {
-    count: u64,
-    start: SimTime,
-    end: SimTime,
-    started: bool,
-}
-
-impl ThroughputMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the start of the measured interval.
-    pub fn start(&mut self, now: SimTime) {
-        self.start = now;
-        self.end = now;
-        self.count = 0;
-        self.started = true;
-    }
-
-    /// Records one completed operation at time `now`.
-    pub fn record(&mut self, now: SimTime) {
-        if !self.started {
-            self.start(now);
-        }
-        self.count += 1;
-        if now > self.end {
-            self.end = now;
-        }
-    }
-
-    /// Number of operations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Total measured virtual time.
-    pub fn elapsed(&self) -> SimDuration {
-        self.end - self.start
-    }
-
-    /// Throughput in operations per second of virtual time.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / secs
-        }
-    }
-
-    /// Throughput in thousands of operations per second.
-    pub fn kops_per_sec(&self) -> f64 {
-        self.ops_per_sec() / 1e3
-    }
-
-    /// Throughput in millions of operations per second.
-    pub fn mops_per_sec(&self) -> f64 {
-        self.ops_per_sec() / 1e6
     }
 }
 
@@ -239,36 +167,5 @@ mod tests {
         assert_eq!(h.mean(), SimDuration::ZERO);
         assert_eq!(h.percentile(99.0), SimDuration::ZERO);
         assert_eq!(h.summary(), "no samples");
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(SimDuration::micros(1));
-        b.record(SimDuration::micros(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean().as_micros(), 2);
-    }
-
-    #[test]
-    fn throughput_meter_math() {
-        let mut m = ThroughputMeter::new();
-        m.start(SimTime::ZERO);
-        for i in 1..=1000u64 {
-            m.record(SimTime::from_micros(i));
-        }
-        // 1000 ops over 1 ms = 1 Mops/s.
-        assert_eq!(m.count(), 1000);
-        assert!((m.mops_per_sec() - 1.0).abs() < 1e-9);
-        assert!((m.kops_per_sec() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throughput_meter_zero_elapsed() {
-        let mut m = ThroughputMeter::new();
-        m.record(SimTime::from_micros(5));
-        assert_eq!(m.ops_per_sec(), 0.0);
     }
 }

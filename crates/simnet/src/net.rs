@@ -1,11 +1,10 @@
 //! The simulated datacenter network.
 //!
 //! Nodes (clients, metadata servers, the dedicated coordinator of §7.3.3)
-//! exchange typed messages through a [`Network`]. Every packet traverses a
-//! configurable route of switches; each switch runs a [`SwitchLogic`]
-//! program, which for the programmable ToR/spine switch is the SwitchFS data
-//! plane (parser + router + dirty set) from the `switchfs-switch` crate and
-//! for ordinary switches is plain L2 forwarding.
+//! exchange typed messages through a [`Network`]. Every packet traverses the
+//! rack's one switch, which runs a [`SwitchLogic`] program: the SwitchFS data
+//! plane (parser + router + dirty set) from the `switchfs-switch` crate for
+//! the programmable ToR switch, plain L2 forwarding otherwise.
 //!
 //! The network is UDP-like, matching §5.4.1 of the paper: packets can be
 //! lost, duplicated and reordered according to a [`NetFaults`] policy, and
@@ -32,10 +31,6 @@ impl std::fmt::Display for NodeId {
         write!(f, "node{}", self.0)
     }
 }
-
-/// Identifier of a switch in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SwitchId(pub u32);
 
 /// A packet in flight: source, destination and a typed payload.
 ///
@@ -67,10 +62,7 @@ pub enum SwitchAction<M> {
     Drop,
 }
 
-/// A packet-processing program attached to a switch.
-///
-/// The default implementation used for non-programmable switches forwards
-/// every packet unchanged to its destination.
+/// A packet-processing program attached to the switch.
 pub trait SwitchLogic<M> {
     /// Processes one packet arriving at this switch at time `now` and returns
     /// the forwarding decisions (possibly several, for multicast; possibly
@@ -161,26 +153,6 @@ impl Default for LinkParams {
     }
 }
 
-/// The physical arrangement of switches.
-#[derive(Debug, Clone)]
-pub enum Topology {
-    /// A single rack: every packet traverses the one (programmable) ToR
-    /// switch, `SwitchId(0)`.
-    SingleRack,
-    /// A leaf–spine fabric: hosts attach to per-rack ToR switches
-    /// (`SwitchId(1000 + rack)` by convention, plain L2), and cross-rack
-    /// traffic traverses one of the programmable spine switches
-    /// (`SwitchId(spine)` for `spine < spine_count`), selected by the
-    /// provided map from source node to rack and a per-packet spine selector
-    /// installed via [`Network::set_spine_selector`].
-    LeafSpine {
-        /// Rack index of every node.
-        node_rack: FxHashMap<NodeId, u32>,
-        /// Number of programmable spine switches.
-        spine_count: u32,
-    },
-}
-
 /// Statistics counters maintained by the network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -200,10 +172,6 @@ pub struct NetStats {
     pub dropped_partition: u64,
 }
 
-/// Picks which spine switch a packet traverses in a leaf–spine topology,
-/// given the payload and the number of spines.
-pub type SpineSelector<M> = Rc<dyn Fn(&M, u32) -> u32>;
-
 struct NetworkInner<M> {
     handle: SimHandle,
     mailboxes: FxHashMap<NodeId, mpsc::Sender<Packet<M>>>,
@@ -212,13 +180,11 @@ struct NetworkInner<M> {
     /// dropped. Nodes absent from the map belong to group 0. `None` means no
     /// partition is active (the common case — checked with one branch).
     partition: Option<FxHashMap<NodeId, u32>>,
-    switches: FxHashMap<SwitchId, Box<dyn SwitchLogic<M>>>,
-    topology: Topology,
+    switch: Box<dyn SwitchLogic<M>>,
     params: LinkParams,
     faults: NetFaults,
     rng: StdRng,
     stats: NetStats,
-    spine_selector: Option<SpineSelector<M>>,
 }
 
 /// The simulated network fabric.
@@ -239,62 +205,24 @@ impl<M: Clone + 'static> Network<M> {
     /// forwarding. Use [`Network::install_switch`] to replace it with the
     /// SwitchFS data plane.
     pub fn new(handle: SimHandle, params: LinkParams, faults: NetFaults, seed: u64) -> Self {
-        let mut switches: FxHashMap<SwitchId, Box<dyn SwitchLogic<M>>> = FxHashMap::default();
-        switches.insert(SwitchId(0), Box::new(L2Forward));
         Network {
             inner: Rc::new(RefCell::new(NetworkInner {
                 handle,
                 mailboxes: FxHashMap::default(),
                 node_down: FxHashMap::default(),
                 partition: None,
-                switches,
-                topology: Topology::SingleRack,
+                switch: Box::new(L2Forward),
                 params,
                 faults,
                 rng: StdRng::seed_from_u64(seed ^ 0x5157_4654_4353_u64),
                 stats: NetStats::default(),
-                spine_selector: None,
             })),
         }
     }
 
-    /// Switches the fabric to the given topology. Any switch referenced by
-    /// the topology but not yet installed defaults to L2 forwarding.
-    pub fn set_topology(&self, topology: Topology) {
-        let mut inner = self.inner.borrow_mut();
-        if let Topology::LeafSpine {
-            node_rack,
-            spine_count,
-        } = &topology
-        {
-            for spine in 0..*spine_count {
-                inner
-                    .switches
-                    .entry(SwitchId(spine))
-                    .or_insert_with(|| Box::new(L2Forward));
-            }
-            // BTreeSet: racks are iterated below, and switch-install order
-            // must not depend on hash order.
-            let racks: std::collections::BTreeSet<u32> = node_rack.values().copied().collect();
-            for rack in racks {
-                inner
-                    .switches
-                    .entry(SwitchId(1000 + rack))
-                    .or_insert_with(|| Box::new(L2Forward));
-            }
-        }
-        inner.topology = topology;
-    }
-
-    /// Installs (or replaces) the program of a switch.
-    pub fn install_switch(&self, id: SwitchId, logic: Box<dyn SwitchLogic<M>>) {
-        self.inner.borrow_mut().switches.insert(id, logic);
-    }
-
-    /// Sets the function that selects which spine switch a packet uses in a
-    /// leaf–spine topology; it receives the payload and the spine count.
-    pub fn set_spine_selector(&self, f: SpineSelector<M>) {
-        self.inner.borrow_mut().spine_selector = Some(f);
+    /// Replaces the program of the rack's switch.
+    pub fn install_switch(&self, logic: Box<dyn SwitchLogic<M>>) {
+        self.inner.borrow_mut().switch = logic;
     }
 
     /// Updates the fault-injection policy.
@@ -338,20 +266,9 @@ impl<M: Clone + 'static> Network<M> {
         self.inner.borrow_mut().partition = Some(map);
     }
 
-    /// Convenience: isolates `nodes` (group 1) from the rest of the cluster
-    /// (group 0).
-    pub fn isolate(&self, nodes: &[NodeId]) {
-        self.set_partition(nodes.iter().map(|n| (*n, 1)));
-    }
-
     /// Heals any active partition.
     pub fn heal_partition(&self) {
         self.inner.borrow_mut().partition = None;
-    }
-
-    /// True if a partition is currently active.
-    pub fn is_partitioned(&self) -> bool {
-        self.inner.borrow().partition.is_some()
     }
 
     /// Returns the accumulated network statistics.
@@ -412,44 +329,35 @@ impl<M: Clone + 'static> Network<M> {
         }
     }
 
-    /// Runs one packet through its route: link → switch(es) → link → mailbox.
+    /// Runs one packet through the rack: link → switch → link → mailbox.
     ///
-    /// The single-packet flow (no multicast) stays entirely alloc-free: the
-    /// route lives in a fixed array and the packet travels in an `Option`;
-    /// only a multicasting switch spills into a vector.
+    /// The single-packet flow (no multicast) stays alloc-free past the switch
+    /// program's own action list: the packet travels in an `Option` and only
+    /// a multicasting switch spills into a vector.
     async fn deliver(&self, pkt: Packet<M>, extra_delay: SimDuration) {
-        let (handle, link_latency, switch_latency, route, hops) = {
+        let (handle, link_latency, switch_latency) = {
             let inner = self.inner.borrow();
-            let (route, hops) = self.route_for(&inner, &pkt);
             (
                 inner.handle.clone(),
                 inner.params.link_latency,
                 inner.params.switch_latency,
-                route,
-                hops,
             )
         };
         if !extra_delay.is_zero() {
             handle.sleep(extra_delay).await;
         }
-        // The packet set currently travelling this route. Switch programs
-        // can multicast, so this can grow. Only `single`/`multi` live across
-        // the sleeps: the switch-processing block is a plain function, so
-        // its scratch never inflates this future's state machine.
-        let mut single = Some(pkt);
-        let mut multi: Vec<Packet<M>> = Vec::new();
-        for switch_id in route.into_iter().take(hops) {
-            handle.sleep(link_latency).await;
-            let now = handle.now();
-            (single, multi) = self.process_at_switch(switch_id, now, single, multi);
-            if single.is_none() && multi.is_empty() {
-                return;
-            }
-            handle.sleep(switch_latency).await;
+        handle.sleep(link_latency).await;
+        // Only `first`/`rest` live across the sleeps: the switch-processing
+        // block is a plain function, so its scratch never inflates this
+        // future's state machine.
+        let (first, rest) = self.process_at_switch(handle.now(), pkt);
+        if first.is_none() {
+            return;
         }
+        handle.sleep(switch_latency).await;
         handle.sleep(link_latency).await;
         let mut inner = self.inner.borrow_mut();
-        for p in single.into_iter().chain(multi) {
+        for p in first.into_iter().chain(rest) {
             if *inner.node_down.get(&p.dst).unwrap_or(&false) {
                 inner.stats.dropped_node_down += 1;
                 continue;
@@ -474,85 +382,35 @@ impl<M: Clone + 'static> Network<M> {
         }
     }
 
-    /// Runs every in-flight packet through one switch, preserving arrival
-    /// order. Returns the surviving packets in the same single/multi shape
-    /// `deliver` carries them in.
-    #[allow(clippy::type_complexity)]
+    /// Runs one packet through the switch program. Returns what it forwards,
+    /// in order: the first packet, and the further copies of a multicast.
     fn process_at_switch(
         &self,
-        switch_id: SwitchId,
         now: SimTime,
-        single: Option<Packet<M>>,
-        mut multi: Vec<Packet<M>>,
+        pkt: Packet<M>,
     ) -> (Option<Packet<M>>, Vec<Packet<M>>) {
         let mut inner = self.inner.borrow_mut();
-        let mut out_single = None;
-        let mut out_multi: Vec<Packet<M>> = Vec::new();
-        let mut emit = |p: Packet<M>, out_multi: &mut Vec<Packet<M>>| match out_single.take() {
-            None if out_multi.is_empty() => out_single = Some(p),
-            None => out_multi.push(p),
-            Some(first) => {
-                out_multi.push(first);
-                out_multi.push(p);
-            }
-        };
-        for p in single.into_iter().chain(multi.drain(..)) {
-            let Some(logic) = inner.switches.get_mut(&switch_id) else {
-                // Unknown switch: behave like a plain wire.
-                emit(p, &mut out_multi);
-                continue;
-            };
-            let src = p.src;
-            let actions = logic.process(now, p);
-            if actions.is_empty() {
-                inner.stats.dropped_by_switch += 1;
-            }
-            for action in actions {
-                match action {
-                    SwitchAction::Forward { dst, payload } => {
-                        emit(Packet { src, dst, payload }, &mut out_multi)
-                    }
-                    SwitchAction::Drop => {
-                        inner.stats.dropped_by_switch += 1;
+        let src = pkt.src;
+        let actions = inner.switch.process(now, pkt);
+        if actions.is_empty() {
+            inner.stats.dropped_by_switch += 1;
+        }
+        let mut first = None;
+        let mut rest = Vec::new();
+        for action in actions {
+            match action {
+                SwitchAction::Forward { dst, payload } => {
+                    let p = Packet { src, dst, payload };
+                    if first.is_none() {
+                        first = Some(p);
+                    } else {
+                        rest.push(p);
                     }
                 }
+                SwitchAction::Drop => inner.stats.dropped_by_switch += 1,
             }
         }
-        (out_single, out_multi)
-    }
-
-    /// The switches a packet traverses, as a fixed-size array plus hop
-    /// count — computed per packet, so it must not allocate.
-    fn route_for(&self, inner: &NetworkInner<M>, pkt: &Packet<M>) -> ([SwitchId; 3], usize) {
-        match &inner.topology {
-            Topology::SingleRack => ([SwitchId(0), SwitchId(0), SwitchId(0)], 1),
-            Topology::LeafSpine {
-                node_rack,
-                spine_count,
-            } => {
-                let src_rack = node_rack.get(&pkt.src).copied().unwrap_or(0);
-                let dst_rack = node_rack.get(&pkt.dst).copied().unwrap_or(0);
-                let spine = match &inner.spine_selector {
-                    Some(f) => f(&pkt.payload, *spine_count) % (*spine_count).max(1),
-                    None => (pkt.src.0 ^ pkt.dst.0) % (*spine_count).max(1),
-                };
-                if src_rack == dst_rack {
-                    // Even same-rack traffic traverses the spine in the
-                    // paper's multi-rack deployment so that the programmable
-                    // spine switch keeps its global view (§6.4).
-                    ([SwitchId(1000 + src_rack), SwitchId(spine), SwitchId(0)], 2)
-                } else {
-                    (
-                        [
-                            SwitchId(1000 + src_rack),
-                            SwitchId(spine),
-                            SwitchId(1000 + dst_rack),
-                        ],
-                        3,
-                    )
-                }
-            }
-        }
+        (first, rest)
     }
 }
 
@@ -732,7 +590,7 @@ mod tests {
     fn custom_switch_logic_rewrites_and_drops() {
         let (sim, net) = mk(1, NetFaults::reliable());
         let seen = Rc::new(Cell::new(0));
-        net.install_switch(SwitchId(0), Box::new(CountingSwitch { seen: seen.clone() }));
+        net.install_switch(Box::new(CountingSwitch { seen: seen.clone() }));
         let a = net.register(NodeId(1));
         let b = net.register(NodeId(2));
         let got = Rc::new(RefCell::new(Vec::new()));
@@ -749,33 +607,6 @@ mod tests {
         assert_eq!(seen.get(), 2);
         assert_eq!(*got.borrow(), vec![30]);
         assert_eq!(net.stats().dropped_by_switch, 1);
-    }
-
-    #[test]
-    fn leaf_spine_routes_cross_rack_traffic() {
-        let (sim, net) = mk(1, NetFaults::reliable());
-        let mut node_rack = FxHashMap::default();
-        node_rack.insert(NodeId(1), 0);
-        node_rack.insert(NodeId(2), 1);
-        net.set_topology(Topology::LeafSpine {
-            node_rack,
-            spine_count: 2,
-        });
-        let a = net.register(NodeId(1));
-        let b = net.register(NodeId(2));
-        let t = Rc::new(Cell::new(SimTime::ZERO));
-        let t2 = t.clone();
-        let h = sim.handle();
-        sim.spawn(async move {
-            a.send(NodeId(2), 5);
-        });
-        sim.spawn(async move {
-            b.recv().await.unwrap();
-            t2.set(h.now());
-        });
-        sim.run();
-        // 4 links + 3 switches = 4*550 + 3*400 = 3.4us.
-        assert_eq!(t.get(), SimTime::from_nanos(3_400));
     }
 
     #[test]
@@ -808,8 +639,7 @@ mod tests {
         let a = net.register(NodeId(1));
         let b = net.register(NodeId(2));
         let c = net.register(NodeId(3));
-        net.isolate(&[NodeId(2)]);
-        assert!(net.is_partitioned());
+        net.set_partition([(NodeId(2), 1)]);
         sim.spawn(async move {
             a.send(NodeId(2), 1); // crosses the partition: dropped
             a.send(NodeId(3), 2); // same group: delivered
@@ -819,7 +649,6 @@ mod tests {
         assert_eq!(c.pending(), 1);
         assert_eq!(net.stats().dropped_partition, 1);
         net.heal_partition();
-        assert!(!net.is_partitioned());
         let b2 = Rc::new(Cell::new(0u32));
         let b2c = b2.clone();
         sim.spawn(async move {
@@ -843,7 +672,7 @@ mod tests {
             // The partition lands while the packet is still traversing the
             // fabric (one-way trip is 1.5 us).
             h.sleep(SimDuration::nanos(100)).await;
-            net2.isolate(&[NodeId(2)]);
+            net2.set_partition([(NodeId(2), 1)]);
         });
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(b.pending(), 0);

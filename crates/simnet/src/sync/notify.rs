@@ -1,8 +1,7 @@
 //! A task notification primitive, similar in spirit to `tokio::sync::Notify`.
 //!
-//! Used by the metadata server to block directory reads while an aggregation
-//! for the same fingerprint group is in flight (§5.2.2), and by proactive
-//! aggregation timers.
+//! Used by closed-loop load drivers (`benchmark/`) to park an item until
+//! the operation it depends on has completed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -20,7 +19,7 @@ struct Inner {
 }
 
 /// A notification primitive: tasks wait for a signal delivered by
-/// [`Notify::notify_one`] or [`Notify::notify_waiters`].
+/// [`Notify::notify_one`].
 #[derive(Clone, Default)]
 pub struct Notify {
     inner: Rc<RefCell<Inner>>,
@@ -55,29 +54,6 @@ impl Notify {
         if let Some(w) = waker {
             w.wake();
         }
-    }
-
-    /// Wakes every current waiter. Does not store a permit.
-    pub fn notify_waiters(&self) {
-        let wakers: Vec<_> = {
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .waiters
-                .drain(..)
-                .map(|(_, waker, flag)| {
-                    flag.set(true);
-                    waker
-                })
-                .collect()
-        };
-        for w in wakers.into_iter().flatten() {
-            w.wake();
-        }
-    }
-
-    /// Number of tasks currently waiting.
-    pub fn waiters(&self) -> usize {
-        self.inner.borrow().waiters.len()
     }
 }
 
@@ -160,7 +136,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_micros(10));
         assert_eq!(woken.get(), 1);
-        notify.notify_waiters();
+        notify.notify_one();
         sim.run();
         assert_eq!(woken.get(), 2);
     }
@@ -179,21 +155,5 @@ mod tests {
         });
         sim.run();
         assert!(woken.get());
-    }
-
-    #[test]
-    fn notify_waiters_does_not_store() {
-        let sim = Sim::new(1);
-        let notify = Notify::new();
-        notify.notify_waiters();
-        let woken = Rc::new(Cell::new(false));
-        let w = woken.clone();
-        let notify2 = notify.clone();
-        sim.spawn(async move {
-            notify2.notified().await;
-            w.set(true);
-        });
-        sim.run_until(SimTime::from_micros(10));
-        assert!(!woken.get());
     }
 }

@@ -54,29 +54,9 @@ impl Semaphore {
         }
     }
 
-    /// Attempts to acquire one permit without waiting.
-    pub fn try_acquire(&self) -> Option<SemaphorePermit> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.waiters.is_empty() && inner.permits >= 1 {
-            inner.permits -= 1;
-            drop(inner);
-            Some(SemaphorePermit {
-                semaphore: self.clone(),
-                count: 1,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Number of currently available permits.
     pub fn available(&self) -> usize {
         self.inner.borrow().permits
-    }
-
-    /// Number of tasks waiting for permits.
-    pub fn waiters(&self) -> usize {
-        self.inner.borrow().waiters.len()
     }
 
     /// Adds `n` permits, waking waiters that can now proceed. The common
@@ -182,17 +162,6 @@ pub struct SemaphorePermit {
     count: usize,
 }
 
-impl SemaphorePermit {
-    /// Releases the permit without waiting for drop (consumes it).
-    pub fn release(self) {}
-
-    /// Forgets the permit so the permits are permanently removed from the
-    /// semaphore. Used when modelling a crashed core/server.
-    pub fn forget(mut self) {
-        self.count = 0;
-    }
-}
-
 impl Drop for SemaphorePermit {
     fn drop(&mut self) {
         if self.count > 0 {
@@ -271,22 +240,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(sem.available(), 3);
-    }
-
-    #[test]
-    fn try_acquire_respects_waiters() {
-        let sem = Semaphore::new(1);
-        let p = sem.try_acquire().unwrap();
-        assert!(sem.try_acquire().is_none());
-        drop(p);
-        assert!(sem.try_acquire().is_some());
-    }
-
-    #[test]
-    fn forget_removes_permits() {
-        let sem = Semaphore::new(2);
-        let p = sem.try_acquire().unwrap();
-        p.forget();
-        assert_eq!(sem.available(), 1);
     }
 }

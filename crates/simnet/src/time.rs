@@ -36,11 +36,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Creates an instant from seconds since simulation start.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -84,11 +79,6 @@ impl SimDuration {
     /// Creates a duration from milliseconds.
     pub const fn millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Creates a duration from seconds.
-    pub const fn secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Creates a duration from fractional microseconds.
@@ -201,10 +191,8 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_millis(2).as_micros(), 2_000);
-        assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::secs(2).as_secs_f64(), 2.0);
     }
 
     #[test]

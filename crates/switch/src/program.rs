@@ -119,11 +119,6 @@ impl SwitchFsProgram {
         self.config.server_nodes.retain(|n| *n != node);
     }
 
-    /// Enables or disables forced insert overflow (§7.3.2).
-    pub fn set_force_overflow(&mut self, force: bool) {
-        self.config.force_insert_overflow = force;
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> SwitchStats {
         self.stats
@@ -340,8 +335,10 @@ mod tests {
 
     #[test]
     fn overflow_redirects_to_alternative_destination() {
-        let mut p = program(vec![10, 11]);
-        p.set_force_overflow(true);
+        let mut p = SwitchFsProgram::new(SwitchConfig {
+            force_insert_overflow: true,
+            ..program(vec![10, 11]).config().clone()
+        });
         let ins = NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(fp(3), 42), Body::Empty);
         let out = p.process(10, 1, ins);
         assert_eq!(out.len(), 1);

@@ -13,66 +13,43 @@ use std::collections::BTreeSet;
 
 use switchfs_proto::{DirtyRet, DirtySetOp, DirtyState, Fingerprint};
 
-/// A set-based dirty set with an optional capacity bound. Ordered set, not a
-/// std `HashSet`: lookup-only today, but the aggregation path must be free
-/// of std-`RandomState` so cross-process same-seed runs stay bit-identical.
+/// A set-based dirty set. Ordered set, not a std `HashSet`: lookup-only
+/// today, but the aggregation path must be free of std-`RandomState` so
+/// cross-process same-seed runs stay bit-identical.
 #[derive(Debug, Clone, Default)]
 pub struct SoftwareDirtySet {
     set: BTreeSet<u64>,
-    capacity: Option<usize>,
-    inserts: u64,
-    queries: u64,
-    removes: u64,
 }
 
 impl SoftwareDirtySet {
-    /// Creates an unbounded software dirty set.
+    /// Creates an empty software dirty set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a dirty set that rejects inserts beyond `capacity` entries.
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        SoftwareDirtySet {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// Inserts a fingerprint; returns `false` if the capacity bound is hit.
-    pub fn insert(&mut self, fp: Fingerprint) -> bool {
-        self.inserts += 1;
-        if let Some(cap) = self.capacity {
-            if !self.set.contains(&fp.raw()) && self.set.len() >= cap {
-                return false;
-            }
-        }
+    /// Inserts a fingerprint. Idempotent.
+    pub fn insert(&mut self, fp: Fingerprint) {
         self.set.insert(fp.raw());
-        true
     }
 
     /// Queries a fingerprint.
-    pub fn query(&mut self, fp: Fingerprint) -> bool {
-        self.queries += 1;
+    pub fn query(&self, fp: Fingerprint) -> bool {
         self.set.contains(&fp.raw())
     }
 
     /// Removes a fingerprint. Idempotent.
     pub fn remove(&mut self, fp: Fingerprint) {
-        self.removes += 1;
         self.set.remove(&fp.raw());
     }
 
     /// Applies a [`DirtySetOp`] and returns the RPC-style result, mirroring
-    /// the coordinator protocol of §7.3.3.
+    /// the coordinator protocol of §7.3.3. Server memory has no
+    /// set-associativity to overflow, so an insert always succeeds.
     pub fn apply(&mut self, op: DirtySetOp, fp: Fingerprint) -> DirtyRet {
         match op {
             DirtySetOp::Insert => {
-                if self.insert(fp) {
-                    DirtyRet::Inserted
-                } else {
-                    DirtyRet::Overflowed
-                }
+                self.insert(fp);
+                DirtyRet::Inserted
             }
             DirtySetOp::Query => DirtyRet::State(if self.query(fp) {
                 DirtyState::Scattered
@@ -84,26 +61,6 @@ impl SoftwareDirtySet {
                 DirtyRet::Removed
             }
         }
-    }
-
-    /// Number of fingerprints currently tracked.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True if no fingerprint is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Total operations served, used to report coordinator load.
-    pub fn total_ops(&self) -> u64 {
-        self.inserts + self.queries + self.removes
-    }
-
-    /// Clears the set.
-    pub fn clear(&mut self) {
-        self.set.clear();
     }
 }
 
@@ -120,22 +77,10 @@ mod tests {
     fn insert_query_remove_roundtrip() {
         let mut s = SoftwareDirtySet::new();
         assert!(!s.query(fp(1)));
-        assert!(s.insert(fp(1)));
+        s.insert(fp(1));
         assert!(s.query(fp(1)));
         s.remove(fp(1));
         assert!(!s.query(fp(1)));
-        assert_eq!(s.total_ops(), 5);
-    }
-
-    #[test]
-    fn capacity_limit_rejects_new_entries_only() {
-        let mut s = SoftwareDirtySet::with_capacity_limit(2);
-        assert!(s.insert(fp(1)));
-        assert!(s.insert(fp(2)));
-        assert!(!s.insert(fp(3)));
-        // Re-inserting an existing entry is always allowed.
-        assert!(s.insert(fp(1)));
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -151,16 +96,6 @@ mod tests {
             DirtyRet::State(DirtyState::Scattered)
         );
         assert_eq!(s.apply(DirtySetOp::Remove, fp(9)), DirtyRet::Removed);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_the_set() {
-        let mut s = SoftwareDirtySet::new();
-        for i in 0..10 {
-            s.insert(fp(i));
-        }
-        s.clear();
-        assert!(s.is_empty());
+        assert!(!s.query(fp(9)));
     }
 }

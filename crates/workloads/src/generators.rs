@@ -229,7 +229,7 @@ impl WorkloadBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn builder(dirs: usize, files: usize) -> WorkloadBuilder {
         WorkloadBuilder::new(NamespaceSpec::multi_dir(dirs, files), 1)
@@ -239,7 +239,7 @@ mod tests {
     fn uniform_creates_are_fresh_paths() {
         let mut b = builder(4, 10);
         let items = b.uniform(OpKind::Create, 100);
-        let paths: HashSet<_> = items.iter().map(|w| w.path.clone()).collect();
+        let paths: BTreeSet<_> = items.iter().map(|w| w.path.clone()).collect();
         assert_eq!(paths.len(), 100, "creates must target distinct new files");
     }
 

@@ -3,7 +3,7 @@
 //! * [`ops`] — the operation/work-item vocabulary shared with the cluster
 //!   driver.
 //! * [`mixes`] — published operation mixes: the PanguFS trace ratios of
-//!   Tab. 2, and the synthetic / CNN-training / thumbnail mixes of Tab. 5.
+//!   Tab. 2, and the synthetic mix of Tab. 5.
 //! * [`namespace`] — namespace specifications (how many directories, how
 //!   many files per directory) and deterministic path naming.
 //! * [`generators`] — the concrete workload builders: single-large-directory

@@ -3,8 +3,9 @@
 //! * Tab. 2 — metadata-operation ratios from three deployed PanguFS
 //!   instances at Alibaba (the motivation for asynchronous updates: 30.76 %
 //!   of operations update directories, only 4.19 % read them).
-//! * Tab. 5 — the end-to-end workloads: data-center services (synthetic),
-//!   CNN training, and thumbnail generation.
+//! * Tab. 5 — the data-center-services (synthetic) mix. The CNN-training and
+//!   thumbnail workloads of that table are traces, not mixes: see
+//!   `generators`.
 
 use crate::ops::OpKind;
 use rand::Rng;
@@ -60,39 +61,6 @@ impl OpMix {
             (OpKind::Chmod, 0.1),
             (OpKind::Readdir, 3.9),
             (OpKind::Statdir, 0.2),
-        ])
-    }
-
-    /// Tab. 5, "CNN Training": ALEXNET on ImageNet — small files grouped
-    /// into class directories, full lifecycle (download, access, removal).
-    pub fn cnn_training() -> Self {
-        OpMix::new(vec![
-            (OpKind::Open, 21.4),
-            (OpKind::Close, 21.4),
-            (OpKind::Stat, 21.4),
-            (OpKind::Read, 14.2),
-            (OpKind::Write, 7.1),
-            (OpKind::Create, 7.1),
-            (OpKind::Delete, 7.1),
-            (OpKind::Mkdir, 0.1),
-            (OpKind::Rmdir, 0.1),
-            (OpKind::Statdir, 0.1),
-            (OpKind::Readdir, 0.1),
-        ])
-    }
-
-    /// Tab. 5, "Thumbnail": read 1 million images, write thumbnails.
-    pub fn thumbnail() -> Self {
-        OpMix::new(vec![
-            (OpKind::Open, 21.95),
-            (OpKind::Close, 21.95),
-            (OpKind::Stat, 21.9),
-            (OpKind::Read, 12.2),
-            (OpKind::Write, 10.9),
-            (OpKind::Create, 10.9),
-            (OpKind::Mkdir, 0.1),
-            (OpKind::Statdir, 0.1),
-            (OpKind::Readdir, 0.1),
         ])
     }
 
@@ -189,12 +157,7 @@ mod tests {
 
     #[test]
     fn all_published_mixes_are_well_formed() {
-        for mix in [
-            OpMix::pangu(),
-            OpMix::datacenter_services(),
-            OpMix::cnn_training(),
-            OpMix::thumbnail(),
-        ] {
+        for mix in [OpMix::pangu(), OpMix::datacenter_services()] {
             assert!(mix.total_weight() > 90.0 && mix.total_weight() < 110.0);
         }
     }

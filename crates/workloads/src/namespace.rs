@@ -54,11 +54,6 @@ impl NamespaceSpec {
     pub fn all_dirs(&self) -> Vec<String> {
         (0..self.dirs).map(|d| self.dir_path(d)).collect()
     }
-
-    /// Total number of pre-existing files.
-    pub fn total_files(&self) -> usize {
-        self.dirs * self.files_per_dir
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +64,6 @@ mod tests {
     fn paths_are_deterministic_and_distinct() {
         let ns = NamespaceSpec::multi_dir(4, 10);
         assert_eq!(ns.all_dirs().len(), 4);
-        assert_eq!(ns.total_files(), 40);
         assert_ne!(ns.file_path(0, 1), ns.file_path(1, 1));
         assert_ne!(ns.file_path(0, 1), ns.file_path(0, 2));
         assert!(ns.file_path(2, 3).starts_with(&ns.dir_path(2)));
@@ -79,6 +73,5 @@ mod tests {
     fn single_large_dir_has_one_dir() {
         let ns = NamespaceSpec::single_large_dir(100);
         assert_eq!(ns.dirs, 1);
-        assert_eq!(ns.total_files(), 100);
     }
 }

@@ -67,11 +67,6 @@ impl OpKind {
     pub fn is_dir_read(&self) -> bool {
         matches!(self, OpKind::Statdir | OpKind::Readdir)
     }
-
-    /// True for data-plane operations.
-    pub fn is_data(&self) -> bool {
-        matches!(self, OpKind::Read | OpKind::Write)
-    }
 }
 
 /// One unit of work for the cluster driver.
@@ -116,8 +111,6 @@ mod tests {
         assert!(!OpKind::Stat.is_dir_update());
         assert!(OpKind::Readdir.is_dir_read());
         assert!(!OpKind::Open.is_dir_read());
-        assert!(OpKind::Read.is_data());
-        assert!(!OpKind::Create.is_data());
     }
 
     #[test]

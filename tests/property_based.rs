@@ -1,7 +1,7 @@
 //! Property-based tests on core data structures and invariants.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use switchfs::kvstore::KvStore;
 use switchfs::proto::changelog::{ChangeLogEntry, ChangeOp, CompactedChanges};
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn dirty_set_matches_set_model(ops in proptest::collection::vec((any::<bool>(), 0u64..64), 1..300)) {
         let mut ds = DirtySet::new(DirtySetConfig::tiny(10, 6));
-        let mut model: HashSet<u64> = HashSet::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
         let fps: Vec<Fingerprint> = (0..64u64)
             .map(|i| Fingerprint::of_dir(&DirId::generate(ServerId(1), i), "dir"))
             .collect();
@@ -261,12 +261,12 @@ proptest! {
         );
         let mut appended = 0u64;
         // What the owner has seen (pushes, aggregation snapshots, fallbacks).
-        let mut delivered: HashSet<u64> = HashSet::new();
+        let mut delivered: BTreeSet<u64> = BTreeSet::new();
         // Highest sequence first delivered per name by a push or a snapshot:
         // FIFO means it only grows.
         let mut newest_delivered: BTreeMap<String, u64> = BTreeMap::new();
         let mut pushes: Vec<Vec<u64>> = Vec::new();
-        let mut outstanding: HashSet<u64> = HashSet::new();
+        let mut outstanding: BTreeSet<u64> = BTreeSet::new();
         let mut snapshot: Vec<u64> = Vec::new();
 
         macro_rules! deliver {
@@ -345,7 +345,7 @@ proptest! {
             // Nothing leaves the log before the owner has seen it.
             let pending: Vec<u64> = log.entries().map(|e| e.entry_id.seq).collect();
             prop_assert!(pending.windows(2).all(|w| w[0] < w[1]), "log order: {:?}", pending);
-            let pending_set: HashSet<u64> = pending.iter().copied().collect();
+            let pending_set: BTreeSet<u64> = pending.iter().copied().collect();
             prop_assert!((1..=appended).all(|s| pending_set.contains(&s) || delivered.contains(&s)));
             prop_assert!(log.in_flight() <= log.len());
             prop_assert_eq!(
@@ -382,7 +382,7 @@ enum DirStep {
 fn dir_step() -> impl Strategy<Value = DirStep> {
     prop_oneof![
         proptest::collection::vec((0u8..6, any::<bool>()), 1..5).prop_map(|mut updates| {
-            let mut named = HashSet::new();
+            let mut named = BTreeSet::new();
             updates.retain(|(name, _)| named.insert(*name));
             DirStep::Push(updates)
         }),
