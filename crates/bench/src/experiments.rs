@@ -717,6 +717,37 @@ mod tests {
         );
     }
 
+    /// Fig. 18's shape as a predicate: `statdir` latency is linear in the
+    /// creates pending before it, at the slope of a round that applies its
+    /// entries on every core — one apply and one put per entry, a quarter
+    /// of them per core on these 4-core servers — plus what does not grow
+    /// with the entries (collection, the record, the read itself).
+    #[test]
+    fn statdir_after_creates_is_linear_at_the_all_cores_slope() {
+        let rows = fig18(ExperimentScale::Quick);
+        let statdir_us = |creates: usize| {
+            let label = format!("{creates} preceding creates");
+            let row = rows.iter().find(|r| r.label == label);
+            row.unwrap_or_else(|| panic!("Fig. 18 row {label:?} missing"))
+                .values[0]
+                .1
+        };
+        let costs = ClusterConfig::paper_default(SystemKind::SwitchFs).cost_model();
+        let per_entry_us = (costs.entry_apply + costs.kv_put).as_micros_f64() / 4.0;
+        let (most, limit) = (statdir_us(10_000), 10_000.0 * per_entry_us + 250.0);
+        assert!(
+            most <= limit,
+            "statdir after 10,000 creates took {most} us, limit {limit} us"
+        );
+        for (few, many) in [(100, 1_000), (1_000, 10_000)] {
+            let (few_us, many_us) = (statdir_us(few), statdir_us(many));
+            assert!(
+                many_us <= 10.0 * few_us,
+                "{few} -> {many} creates: {few_us} -> {many_us} us grows faster than the creates"
+            );
+        }
+    }
+
     /// Live shard migration and graceful shrink must be invisible to
     /// clients *under a 256-deep load* (freeze-window drops are absorbed by
     /// retransmission, stale maps refresh via WrongOwner);

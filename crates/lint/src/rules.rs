@@ -28,7 +28,9 @@ const SEND_FAMILY: &[&str] = &[
 /// [`MigrationMarker`], or a durable completion) must `flush()` it before
 /// any network send in the same body — otherwise a crash in the window
 /// leaves remote state ahead of local durable state (the torn-tail
-/// asymmetry PR 6 audited by hand).
+/// asymmetry PR 6 audited by hand). The server's two logging halves count
+/// as what they open with: `wal_hand_over` is an append,
+/// `wal_flush_and_apply` a flush.
 pub fn persist_ordering(tokens: &[Token], findings: &mut Vec<Finding>) {
     let mut i = 0;
     while i < tokens.len() {
@@ -99,30 +101,27 @@ fn check_fn_persist(body: &[Token], findings: &mut Vec<Finding>) {
     if !critical {
         return;
     }
-    // Append-family calls on a WAL receiver: `…wal.append…(`.
+    // `.name(` at `k`, for a `name` that `is` accepts.
+    let method_at = |k: usize, is: &dyn Fn(&str) -> bool| {
+        body.get(k).is_some_and(|t| t.is_punct('.'))
+            && body
+                .get(k + 1)
+                .is_some_and(|t| t.kind == TokKind::Ident && is(&t.text))
+            && body.get(k + 2).is_some_and(|t| t.is_punct('('))
+    };
+    // Append-family calls on a WAL receiver, `…wal.append…(`, and the
+    // server's first logging half, `.wal_hand_over(`, which is one.
     let appends: Vec<usize> = (0..body.len())
         .filter(|&k| {
-            body[k].is_ident("wal")
-                && body.get(k + 1).is_some_and(|t| t.is_punct('.'))
-                && body
-                    .get(k + 2)
-                    .is_some_and(|t| t.kind == TokKind::Ident && t.text.starts_with("append"))
-                && body.get(k + 3).is_some_and(|t| t.is_punct('('))
+            (body[k].is_ident("wal") && method_at(k + 1, &|name| name.starts_with("append")))
+                || method_at(k, &|name| name == "wal_hand_over")
         })
         .collect();
     for &a in &appends {
-        let flush_at = (a..body.len()).find(|&k| {
-            body[k].is_punct('.')
-                && body.get(k + 1).is_some_and(|t| t.is_ident("flush"))
-                && body.get(k + 2).is_some_and(|t| t.is_punct('('))
-        });
-        let send_at = (a..body.len()).find(|&k| {
-            body[k].is_punct('.')
-                && body.get(k + 1).is_some_and(|t| {
-                    t.kind == TokKind::Ident && SEND_FAMILY.contains(&t.text.as_str())
-                })
-                && body.get(k + 2).is_some_and(|t| t.is_punct('('))
-        });
+        // `.flush(`, or the second logging half, which opens with it.
+        let flush_at = (a..body.len())
+            .find(|&k| method_at(k, &|name| name == "flush" || name == "wal_flush_and_apply"));
+        let send_at = (a..body.len()).find(|&k| method_at(k, &|name| SEND_FAMILY.contains(&name)));
         match (flush_at, send_at) {
             (None, _) => findings.push(Finding::new(
                 RULE_PERSIST,

@@ -9,6 +9,13 @@ impl Server {
         self.net.send(self.coordinator, decision_msg(txn_id, commit));
     }
 
+    async fn both_logging_halves_then_send(&self, src: NodeId, req_id: u64, txn_id: u64) {
+        let lsn = self.wal_hand_over(WalOp::txn(TxnMarker::Resolved { txn_id }));
+        self.cpu.run(self.wal_append_cost()).await;
+        self.wal_flush_and_apply(lsn);
+        self.send_reply(src, req_id, Reply::Done(Ok(())));
+    }
+
     fn plain_append_may_defer_flush(&self, record: WalOp) {
         // No ordering-critical marker in this body: batching the flush is
         // allowed for plain operation records.

@@ -14,4 +14,11 @@ impl Server {
         self.durable.borrow_mut().wal.append(WalOp::migration(marker));
         self.net.send(self.cfg.node_of(target), freeze_msg(shard));
     }
+
+    async fn handed_over_and_left_there(&self, src: NodeId, req_id: u64, txn_id: u64) {
+        let marker = TxnMarker::Resolved { txn_id };
+        self.wal_hand_over(WalOp::txn(marker));
+        self.cpu.run(self.wal_append_cost()).await;
+        self.send_reply(src, req_id, Reply::Done(Ok(())));
+    }
 }

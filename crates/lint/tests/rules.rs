@@ -40,8 +40,8 @@ fn persist_trip_fixture_trips() {
     let hits: Vec<_> = kept.iter().filter(|f| f.rule == RULE_PERSIST).collect();
     assert_eq!(
         hits.len(),
-        2,
-        "send-before-flush and never-flushed must both trip: {hits:?}"
+        3,
+        "send-before-flush, never-flushed and handed-over-only must all trip: {hits:?}"
     );
 }
 

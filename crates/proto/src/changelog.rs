@@ -95,36 +95,41 @@ impl CompactedChanges {
     ) -> CompactedChanges {
         let mut out = CompactedChanges::default();
         // Net effect per name: we walk the FIFO and fold insert/remove pairs.
-        // `entry_ops` keeps the last surviving op per name in FIFO position.
+        // Per name still in play: the position of its surviving op in `ops`,
+        // and whether its *first* op of the batch was an insert — that is
+        // what the batch says about the listing it is applied to. A name
+        // first inserted was absent before the batch, so a later remove
+        // takes it back to "never mentioned"; a name first removed was
+        // present, so whatever follows, the listing must end up changed.
         // Ordered map, not a std `HashMap`: this is lookup-only today, but
         // keeping RandomState out of the aggregation path entirely is what
         // makes the cross-process determinism guarantee auditable.
-        let mut last_op_index: std::collections::BTreeMap<&str, usize> =
+        let mut in_play: std::collections::BTreeMap<&str, (usize, bool)> =
             std::collections::BTreeMap::new();
         let mut ops: Vec<Option<(String, ChangeOp)>> = Vec::new();
         for e in entries {
             out.size_delta += e.size_delta;
             out.max_timestamp = out.max_timestamp.max(e.timestamp);
-            match (last_op_index.get(e.name.as_str()), e.op) {
-                // insert followed by remove of the same name cancels out.
-                (Some(&idx), ChangeOp::Remove)
-                    if matches!(ops[idx], Some((_, ChangeOp::Insert { .. }))) =>
-                {
+            match (in_play.get(e.name.as_str()), e.op) {
+                // insert … remove of a name the batch introduced cancels out.
+                (Some(&(idx, true)), ChangeOp::Remove) => {
                     ops[idx] = None;
-                    last_op_index.remove(e.name.as_str());
+                    in_play.remove(e.name.as_str());
                     out.merged_entries += 2;
                 }
                 // Any other repeated operation on the same name collapses to
                 // the latest one: entry-list puts overwrite by key, so only
                 // the final state matters (remove→insert becomes the insert,
-                // remove→remove stays a single remove).
-                (Some(&idx), op) => {
+                // remove→insert→remove is a remove again — the name was
+                // listed before the batch and must not be afterwards).
+                (Some(&(idx, _)), op) => {
                     ops[idx] = Some((e.name.clone(), op));
                     out.merged_entries += 1;
                 }
-                (None, _) => {
-                    ops.push(Some((e.name.clone(), e.op)));
-                    last_op_index.insert(e.name.as_str(), ops.len() - 1);
+                (None, op) => {
+                    ops.push(Some((e.name.clone(), op)));
+                    let first_is_insert = matches!(op, ChangeOp::Insert { .. });
+                    in_play.insert(e.name.as_str(), (ops.len() - 1, first_is_insert));
                 }
             }
         }
@@ -197,6 +202,44 @@ mod tests {
         assert!(matches!(c.entry_ops[0].1, ChangeOp::Insert { .. }));
         assert_eq!(c.size_delta, 0);
         assert_eq!(c.merged_entries, 1);
+    }
+
+    #[test]
+    fn remove_insert_remove_stays_a_remove() {
+        // delete(x), create(x), delete(x) by one client, collected by one
+        // round: `x` was listed before the batch, so the insert→remove pair
+        // must not cancel down to nothing — the entry would linger in the
+        // listing with no inode behind it.
+        let entries = vec![
+            entry("x", ChangeOp::Remove, 10, -1, 450),
+            entry("keep", INS, 11, 1, 451),
+            entry("x", INS, 12, 1, 453),
+            entry("x", ChangeOp::Remove, 13, -1, 456),
+        ];
+        let c = CompactedChanges::from_entries(&entries);
+        assert_eq!(
+            c.entry_ops,
+            [
+                ("x".to_string(), ChangeOp::Remove),
+                ("keep".to_string(), INS)
+            ]
+        );
+        assert_eq!(c.size_delta, 0);
+        assert_eq!(c.merged_entries, 2);
+        // One more turn ends on the insert; a name the batch introduced still
+        // cancels, also after it cancelled once already.
+        let mut entries = entries;
+        entries.push(entry("x", INS, 14, 1, 459));
+        entries.push(entry("tmp", INS, 15, 1, 460));
+        entries.push(entry("tmp", ChangeOp::Remove, 16, -1, 461));
+        entries.push(entry("tmp", INS, 17, 1, 462));
+        entries.push(entry("tmp", ChangeOp::Remove, 18, -1, 463));
+        let c = CompactedChanges::from_entries(&entries);
+        assert_eq!(
+            c.entry_ops,
+            [("x".to_string(), INS), ("keep".to_string(), INS)]
+        );
+        assert_eq!(c.merged_entries, 7);
     }
 
     #[test]

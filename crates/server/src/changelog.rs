@@ -14,6 +14,18 @@
 //! batch. Aggregation snapshots ignore the window — they take the whole log
 //! and the owner's entry-id filter drops what a push already delivered —
 //! but every discard keeps the prefix count exact.
+//!
+//! A re-send is a retransmission and is paced like one: the log remembers
+//! when the batch last went out and how often it was re-sent, and
+//! `Server::push_changelog` lets the scan tick send it again only once the
+//! retransmission wait for that count has passed (`CostModel::retry_wait`,
+//! `send_with_ack`'s backoff). An unacknowledged batch is far more often
+//! queued behind the owner's group lock than lost, and every copy costs the
+//! owner a software-path charge and a turn at that lock. The pacing never
+//! gives up — the push → ack → discard exchange ends when the ack arrives,
+//! however many copies were lost — and pushes stay silent altogether while
+//! an aggregation responder holds or waits for the directory's change-log
+//! lock: that round is taking the whole log anyway.
 
 use std::collections::VecDeque;
 
@@ -32,6 +44,10 @@ pub struct ChangeLog {
     /// How many entries at the front of `entries` are in the push batch
     /// awaiting its acknowledgment; 0 means the window is open.
     in_flight: usize,
+    /// When the batch in flight last went out, and how many times it has
+    /// been re-sent since it was cut; meaningful while `in_flight > 0`.
+    last_sent: SimTime,
+    resends: u32,
     last_append: SimTime,
 }
 
@@ -44,6 +60,8 @@ impl ChangeLog {
             entries: VecDeque::new(),
             pending_bytes: 0,
             in_flight: 0,
+            last_sent: now,
+            resends: 0,
             last_append: now,
         }
     }
@@ -85,6 +103,12 @@ impl ChangeLog {
         self.in_flight
     }
 
+    /// When the batch awaiting its acknowledgment last went out and how many
+    /// times it has been re-sent; `None` while the window is open.
+    pub fn last_push(&self) -> Option<(SimTime, u32)> {
+        (self.in_flight > 0).then_some((self.last_sent, self.resends))
+    }
+
     /// Takes a snapshot of the pending entries (e.g. to transmit during an
     /// aggregation) without removing them; removal happens when the
     /// aggregation acknowledgment arrives.
@@ -96,9 +120,14 @@ impl ChangeLog {
     /// if one is in flight, otherwise a freshly cut one — the oldest entries
     /// whose marshalled size fits `mtu_bytes` (always at least one) — which
     /// closes the window until every entry of the batch has been discarded.
-    /// Empty when the log is.
-    pub fn push_batch(&mut self, mtu_bytes: usize) -> Vec<ChangeLogEntry> {
-        if self.in_flight == 0 {
+    /// Empty when the log is. `now` is recorded as the batch's send time
+    /// (see [`ChangeLog::last_push`]).
+    pub fn push_batch(&mut self, mtu_bytes: usize, now: SimTime) -> Vec<ChangeLogEntry> {
+        self.last_sent = now;
+        if self.in_flight > 0 {
+            self.resends += 1;
+        } else {
+            self.resends = 0;
             let mut bytes = 0;
             self.in_flight = self
                 .entries
@@ -406,41 +435,50 @@ mod tests {
     fn a_batch_is_the_oldest_entries_up_to_one_mtu_and_is_cut_once() {
         let mut log = log_of(10);
         let mtu = 3 * entry("f0", 0).wire_size();
-        assert_eq!(seqs(&log.push_batch(mtu)), [0, 1, 2]);
+        let at = SimTime::from_micros;
+        assert_eq!(log.last_push(), None);
+        assert_eq!(seqs(&log.push_batch(mtu, at(5))), [0, 1, 2]);
         assert_eq!(log.in_flight(), 3);
+        assert_eq!(log.last_push(), Some((at(5), 0)));
         // Unacknowledged: the next push is the same batch, however much was
-        // appended meanwhile.
+        // appended meanwhile — a re-send, counted and timed as one.
         log.append(entry("late", 10), SimTime::ZERO);
-        assert_eq!(seqs(&log.push_batch(mtu)), [0, 1, 2]);
-        // The acknowledgment opens the window for the next batch.
+        assert_eq!(seqs(&log.push_batch(mtu, at(9))), [0, 1, 2]);
+        assert_eq!(log.last_push(), Some((at(9), 1)));
+        // The acknowledgment opens the window for the next batch, whose
+        // count starts over.
         let acked: FxHashSet<OpId> = [0, 1, 2].map(id).into_iter().collect();
         assert_eq!(log.discard_acked(&acked), 3);
         assert_eq!(log.in_flight(), 0);
-        assert_eq!(seqs(&log.push_batch(mtu)), [3, 4, 5]);
+        assert_eq!(log.last_push(), None);
+        assert_eq!(seqs(&log.push_batch(mtu, at(20))), [3, 4, 5]);
+        assert_eq!(log.last_push(), Some((at(20), 0)));
         // An entry larger than the MTU still goes out, alone.
         let mut big = log_of(2);
-        assert_eq!(seqs(&big.push_batch(1)), [0]);
-        assert!(log_of(0).push_batch(mtu).is_empty());
+        assert_eq!(seqs(&big.push_batch(1, at(0))), [0]);
+        let mut empty = log_of(0);
+        assert!(empty.push_batch(mtu, at(0)).is_empty());
+        assert_eq!(empty.last_push(), None);
     }
 
     #[test]
     fn discards_keep_the_window_and_the_byte_count_exact() {
         let mut log = log_of(8);
         let one = entry("f0", 0).wire_size();
-        assert_eq!(seqs(&log.push_batch(4 * one)), [0, 1, 2, 3]);
+        assert_eq!(seqs(&log.push_batch(4 * one, SimTime::ZERO)), [0, 1, 2, 3]);
         // An aggregation acknowledged entries inside and outside the window.
         let applied: FxHashSet<OpId> = [1, 6].map(id).into_iter().collect();
         assert_eq!(log.discard_applied(&applied), 2);
         assert_eq!(log.in_flight(), 3);
         // An overflow fallback applied one more of the batch.
         assert!(log.discard_one(id(3)));
-        assert_eq!(seqs(&log.push_batch(4 * one)), [0, 2]);
+        assert_eq!(seqs(&log.push_batch(4 * one, SimTime::ZERO)), [0, 2]);
         // A partial acknowledgment leaves the rest of the batch in flight; a
         // late duplicate of it, and an id outside the window, change nothing.
         let acked: FxHashSet<OpId> = [0, 1, 7].map(id).into_iter().collect();
         assert_eq!(log.discard_acked(&acked), 1);
         assert_eq!(log.discard_acked(&acked), 0);
-        assert_eq!(seqs(&log.push_batch(4 * one)), [2]);
+        assert_eq!(seqs(&log.push_batch(4 * one, SimTime::ZERO)), [2]);
         let left: Vec<u64> = log.entries().map(|e| e.entry_id.seq).collect();
         assert_eq!(left, [2, 4, 5, 7]);
         assert_eq!(
@@ -463,7 +501,10 @@ mod tests {
         // Not pushed yet: nothing is in the window, nothing is discarded.
         assert_eq!(store.discard_acked(&key_a, &acked), Some(dir(1)));
         assert_eq!(store.total_pending(), 2);
-        store.get_mut(&dir(1)).unwrap().push_batch(usize::MAX);
+        store
+            .get_mut(&dir(1))
+            .unwrap()
+            .push_batch(usize::MAX, SimTime::ZERO);
         assert_eq!(store.discard_acked(&key_a, &acked), Some(dir(1)));
         // The emptied log is gone, the other directory's is untouched.
         assert!(store.get(&dir(1)).is_none());

@@ -78,6 +78,14 @@ impl CostModel {
         }
     }
 
+    /// How long to wait for an acknowledgment of transmission number
+    /// `attempt` (0 = the first copy) before sending again: exponential
+    /// backoff from `request_timeout`, capped at 16×. Duplicates are
+    /// suppressed by the receiver, so pacing retries only sheds packets.
+    pub fn retry_wait(&self, attempt: u32) -> SimDuration {
+        self.request_timeout * (1 << attempt.min(4))
+    }
+
     /// Total fixed cost of handling one request before touching storage.
     pub fn request_overhead(&self) -> SimDuration {
         self.software_path + self.extra_software
@@ -95,6 +103,13 @@ mod tests {
         assert!(c.kv_put.as_micros_f64() < 5.0);
         assert_eq!(c.extra_software, SimDuration::ZERO);
         assert_eq!(c.request_overhead(), c.software_path);
+    }
+
+    #[test]
+    fn retry_wait_doubles_up_to_sixteen_timeouts() {
+        let c = CostModel::default();
+        let waits: Vec<u64> = (0..7).map(|a| c.retry_wait(a).as_micros()).collect();
+        assert_eq!(waits, [300, 600, 1200, 2400, 4800, 4800, 4800]);
     }
 
     #[test]

@@ -1496,27 +1496,28 @@ impl Server {
         token: u64,
         body: Body,
     ) -> Option<TokenReply> {
-        // Exponential backoff, mirroring the client: duplicates are
-        // suppressed by the receiver, so pacing retries only sheds packets.
-        let mut wait = self.cfg.costs.request_timeout;
-        let max_wait = self.cfg.costs.request_timeout * 16;
+        // Exponential backoff, mirroring the client.
         for attempt in 0..=self.cfg.costs.max_retries {
             if attempt > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
+            let wait = self.cfg.costs.retry_wait(attempt);
             let reply = self
                 .request_once(token, wait, || self.send_plain(dst, body.clone()))
                 .await;
             if reply.is_some() {
                 return reply;
             }
-            wait = (wait * 2).min(max_wait);
         }
         None
     }
 
     /// Appends a WAL record, applies its effects to the volatile stores and
-    /// charges the corresponding storage costs.
+    /// charges the corresponding storage costs: one WAL append plus one put
+    /// per effect, on one core. The logging itself is the two synchronous
+    /// halves below with the disk wait between them; a caller that charges
+    /// differently (the batch applier, a 2PC marker) writes the same three
+    /// statements with its own wait.
     pub(crate) async fn apply_and_log(
         &self,
         op_id: Option<OpId>,
@@ -1524,64 +1525,70 @@ impl Server {
         pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
         applied_entry_ids: Vec<OpId>,
     ) -> u64 {
-        let costs = self.cfg.costs;
-        let kv_cost = costs.kv_put * effects.len().max(1) as u64;
-        let record = WalOp {
-            op_id,
-            effects,
+        let kv_cost = self.cfg.costs.kv_put * effects.len().max(1) as u64;
+        let lsn = self.wal_hand_over(WalOp {
             pending_entry,
             applied_entry_ids,
-            txn_marker: None,
-            completed: None,
-            migration: None,
-        };
-        let size = record.wire_size();
-        // The record is handed to the log *before* the simulated disk wait:
-        // for the duration of the await it is appended but unflushed, which
-        // is exactly the window a torn-write crash may corrupt. The flush
-        // barrier and the volatile-state application share one no-await
-        // block after the wait, so volatile state never reflects a record
-        // the media could still lose — and the record is applied from a
-        // borrow of its WAL slot, one materialization instead of a deep
-        // clone per logged operation. `WalAppend` is stamped at the hand-over
-        // and `WalFlush` after the wait, so the two span the disk time. (The
-        // trace id is derived again after the wait rather than carried
-        // across it: this future is part of every request's allocation.)
-        let append_trace = self.record_trace(&record);
-        let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
-        self.trace_event(append_trace, EventKind::WalAppend { lsn, bytes: size });
+            ..WalOp::local(op_id, effects)
+        });
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
+        self.wal_flush_and_apply(lsn);
+        lsn
+    }
+
+    /// First half of logging a record: hands it to the log and stamps
+    /// `WalAppend`. This happens *before* the simulated disk wait the caller
+    /// charges next: for the duration of that await the record is appended
+    /// but unflushed, which is exactly the window a torn-write crash may
+    /// corrupt. Synchronous on purpose — the record lives in the WAL from
+    /// here on, not in the caller's future, which is part of every
+    /// request's allocation.
+    pub(crate) fn wal_hand_over(&self, record: WalOp) -> u64 {
+        let size = record.wire_size();
+        let trace = self.record_trace(&record);
+        let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
+        self.trace_event(trace, EventKind::WalAppend { lsn, bytes: size });
+        lsn
+    }
+
+    /// Second half, after the disk wait: the flush barrier and the
+    /// volatile-state application in one no-await block, so volatile state
+    /// never reflects a record the media could still lose — and the record
+    /// is applied from a borrow of its WAL slot, one materialization instead
+    /// of a deep clone per logged operation. `WalFlush` is stamped here, so
+    /// it and `WalAppend` span the disk time.
+    pub(crate) fn wal_flush_and_apply(&self, lsn: u64) {
         let durable = &mut *self.durable.borrow_mut();
         let newly_flushed = durable.wal.flush();
-        if let Some(record) = durable.wal.recent(lsn) {
-            let record = &record.payload;
-            // Events are emitted from the *actually applied* record — not
-            // from the caller's intent — so a divergence between the two is
-            // visible in a dump. Everything here is non-counting peeks and
-            // ring-buffer writes; the replay digest cannot see it.
-            let trace = self.record_trace(record);
-            let batch = if self.obs_on() {
-                self.trace_event(
-                    trace,
-                    EventKind::WalFlush {
-                        through_lsn: durable.wal.flushed(),
-                        records: newly_flushed as u64,
-                    },
-                );
-                self.cfg.obs.next_batch()
-            } else {
-                0
-            };
-            self.apply_record(record, trace, |dir, insert, changed| {
-                EventKind::EntryApply {
-                    batch,
-                    dir,
-                    insert,
-                    changed,
-                }
-            });
-        }
-        lsn
+        let Some(record) = durable.wal.recent(lsn) else {
+            return;
+        };
+        let record = &record.payload;
+        // Events are emitted from the *actually applied* record — not from
+        // the caller's intent — so a divergence between the two is visible
+        // in a dump. Everything here is non-counting peeks and ring-buffer
+        // writes; the replay digest cannot see it.
+        let trace = self.record_trace(record);
+        let batch = if self.obs_on() {
+            self.trace_event(
+                trace,
+                EventKind::WalFlush {
+                    through_lsn: durable.wal.flushed(),
+                    records: newly_flushed as u64,
+                },
+            );
+            self.cfg.obs.next_batch()
+        } else {
+            0
+        };
+        self.apply_record(record, trace, |dir, insert, changed| {
+            EventKind::EntryApply {
+                batch,
+                dir,
+                insert,
+                changed,
+            }
+        });
     }
 
     /// The causal identity of a WAL record: the client op it was logged for,
@@ -1640,28 +1647,13 @@ impl Server {
     }
 
     /// Durably logs a 2PC state transition (§5.4.2) and charges one WAL
-    /// append.
+    /// append. Every caller relies on the marker being durable when this
+    /// returns — `Prepared` before the vote escapes, `Decided` before the
+    /// decision broadcast, `Resolved` before the decision ack.
     pub(crate) async fn log_txn_marker(&self, marker: crate::wal::TxnMarker) -> u64 {
-        let record = WalOp::txn(marker);
-        let size = record.wire_size();
-        // Append before the disk wait (the torn-write window), flush after:
-        // every caller relies on the marker being durable when this returns
-        // — `Prepared` before the vote escapes, `Decided` before the
-        // decision broadcast, `Resolved` before the decision ack.
-        let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
-        self.trace_event(None, EventKind::WalAppend { lsn, bytes: size });
+        let lsn = self.wal_hand_over(WalOp::txn(marker));
         self.cpu.run(self.wal_append_cost()).await;
-        let mut durable = self.durable.borrow_mut();
-        let newly = durable.wal.flush();
-        if self.obs_on() {
-            self.trace_event(
-                None,
-                EventKind::WalFlush {
-                    through_lsn: durable.wal.flushed(),
-                    records: newly as u64,
-                },
-            );
-        }
+        self.wal_flush_and_apply(lsn);
         lsn
     }
 

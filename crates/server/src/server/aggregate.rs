@@ -24,23 +24,29 @@ use crate::config::{
 };
 use crate::locks::{AggGate, RESPONDER};
 use crate::server::{AggCollector, Server};
-use crate::wal::KvEffect;
+use crate::wal::{KvEffect, WalOp};
 
 /// Why a holder considers pushing a change-log (§5.3). What a push carries
 /// never depends on the trigger: the unacknowledged batch if there is one,
-/// else the next one cut from the front of the log.
+/// else the next one cut from the front of the log. `Filled` and `Tick`
+/// send nothing while an aggregation responder holds or waits for the
+/// directory's change-log lock: a round is taking the whole log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PushTrigger {
     /// An append or a push acknowledgment may have left a full MTU waiting
     /// behind an open window: send it now instead of at the next scan.
     Filled,
     /// The scan tick: push a log that holds a full MTU or that nothing was
-    /// appended to lately. With a batch in flight that is the re-send — the
-    /// retry path shard migration relies on: a frozen or flipped owner drops
-    /// pushes without an acknowledgment.
+    /// appended to lately. With a batch in flight that is the re-send, due
+    /// once the retransmission wait for the copies already sent has passed
+    /// ([`CostModel::retry_wait`]) — the retry path shard migration relies
+    /// on: a frozen or flipped owner drops pushes without an
+    /// acknowledgment.
+    ///
+    /// [`CostModel::retry_wait`]: crate::costs::CostModel::retry_wait
     Tick,
-    /// Everything must go (decommission drain): as `Tick`, without waiting
-    /// for a remainder to go idle.
+    /// Everything must go (decommission drain): the batch in flight again
+    /// or the next one, full or not, idle or not, round or no round.
     Flush,
 }
 
@@ -400,11 +406,13 @@ impl Server {
                     );
                     // Entry-list mutations are spread across cores: different
                     // keys do not conflict, which is what restores
-                    // intra-server parallelism (Fig. 14).
+                    // intra-server parallelism (Fig. 14). Each core's chunk
+                    // is charged the whole mutation — the apply and the
+                    // put — for its share of the entries …
                     let per_core = entries_chunk_cost(
                         compacted.entry_ops.len(),
                         self.cpu.num_cores(),
-                        costs.entry_apply,
+                        costs.entry_apply + costs.kv_put,
                     );
                     let mut joins = Vec::new();
                     for chunk_cost in per_core {
@@ -416,8 +424,16 @@ impl Server {
                     for j in joins {
                         j.join().await;
                     }
-                    let ids: Vec<OpId> = dir_entries.iter().map(|e| e.entry_id).collect();
-                    self.apply_and_log(None, effects, None, ids).await;
+                    // … so what is left for the record that makes the batch
+                    // durable is its append and the one attribute put.
+                    // `apply_and_log`'s three statements with that charge:
+                    // its own would bill every entry's put again, serially.
+                    let lsn = self.wal_hand_over(WalOp {
+                        applied_entry_ids: dir_entries.iter().map(|e| e.entry_id).collect(),
+                        ..WalOp::local(None, effects)
+                    });
+                    self.cpu.run(self.wal_append_cost() + costs.kv_put).await;
+                    self.wal_flush_and_apply(lsn);
                 }
                 UpdateMode::AsyncNoCompaction | UpdateMode::Synchronous => {
                     // Apply every entry individually and serially: one
@@ -706,14 +722,19 @@ impl Server {
             let due = match trigger {
                 PushTrigger::Filled => log.in_flight() == 0 && full,
                 PushTrigger::Tick => {
-                    full || now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER
+                    (full || now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER)
+                        && log.last_push().is_none_or(|(sent, resends)| {
+                            now.duration_since(sent) >= self.cfg.costs.retry_wait(resends)
+                        })
                 }
                 PushTrigger::Flush => true,
             };
-            if !due || log.is_empty() {
+            let collecting = || self.locks.changelog(dir).wanted_by(RESPONDER);
+            if !due || log.is_empty() || (trigger != PushTrigger::Flush && collecting()) {
                 return;
             }
-            (log.dir_key.clone(), log.fp, log.push_batch(PUSH_MTU_BYTES))
+            let batch = log.push_batch(PUSH_MTU_BYTES, now);
+            (log.dir_key.clone(), log.fp, batch)
         };
         self.send_changelog_push(dir_key, fp, batch);
     }

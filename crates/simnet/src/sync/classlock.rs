@@ -128,6 +128,14 @@ impl SimClassLock {
         self.inner.borrow().waiters.len()
     }
 
+    /// True while some task holds the lock with `access` or is queued for it
+    /// with `access`.
+    pub fn wanted_by(&self, access: Access) -> bool {
+        let inner = self.inner.borrow();
+        (inner.holders > 0 && inner.held == access)
+            || inner.waiters.iter().any(|w| w.access == access)
+    }
+
     /// Runs `f` on the lock state, then wakes whoever it granted the lock to
     /// (outside the borrow: a woken task may touch the lock again).
     fn regrant(&self, f: impl FnOnce(&mut Inner)) {
@@ -352,6 +360,29 @@ mod tests {
             assert_eq!(acquired_at(&log, "a2"), 20);
             assert_eq!(acquired_at(&log, "a3"), 20);
         }
+    }
+
+    #[test]
+    fn wanted_by_sees_holders_and_waiters_of_a_class() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "a", class_a, 1, 10);
+        holder(&sim, &lock, &log, "b", class_b, 2, 10);
+        let (probe, h) = (lock.clone(), sim.handle());
+        sim.spawn(async move {
+            let wanted = || [Access::ClassA, Access::ClassB].map(|c| probe.wanted_by(c));
+            assert_eq!(wanted(), [false, false]);
+            // `a` holds (1–11 µs), `b` is queued behind it.
+            h.sleep(SimDuration::micros(5)).await;
+            assert_eq!(wanted(), [true, true]);
+            // `a` is gone, `b` holds (11–21 µs).
+            h.sleep(SimDuration::micros(10)).await;
+            assert_eq!(wanted(), [false, true]);
+            h.sleep(SimDuration::micros(10)).await;
+            assert_eq!(wanted(), [false, false]);
+        });
+        sim.run();
     }
 
     #[test]

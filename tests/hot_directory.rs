@@ -20,14 +20,29 @@
 //!    sees every update acknowledged before it was issued, with any number
 //!    of reads and updates in flight — also across a crash of the owner
 //!    with reads waiting for a round.
+//!
+//! And what a round and a push cost the owner:
+//!
+//! 4. **A round applies its entries on every core.** The group lock is held
+//!    for a quarter of the entries' apply-and-put time on a 4-core owner,
+//!    not for a serial put per entry.
+//! 5. **Pushes that carry nothing are not sent.** A holder re-sends an
+//!    unacknowledged batch at the pace of a retransmission, not of the scan
+//!    tick; the exchange still terminates when copies are lost; and no push
+//!    leaves a holder while a round has its change-log.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-use switchfs::proto::{DirId, Fingerprint, FsError, Placement};
-use switchfs::simnet::{SimDuration, SimHandle};
+use switchfs::proto::message::{Body, NetMsg, ServerMsg};
+use switchfs::proto::{DirId, Fingerprint, FsError, MetaKey, Placement, ServerId};
+use switchfs::simnet::net::LinkParams;
+use switchfs::simnet::{
+    NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchAction, SwitchLogic,
+};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkItem, WorkloadBuilder};
 
 /// splitmix64: the test's own generator, so its inputs do not move with the
@@ -404,4 +419,346 @@ fn reads_waiting_for_a_round_survive_a_crash_of_the_owner() {
     // passed the freshness check.
     assert_eq!(reads, READERS * 12);
     assert_settled(&cluster);
+}
+
+/// The server-to-server messages the tests below watch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    /// An asynchronous commit on its way to be mirrored: a create or delete
+    /// whose deferred update the sender has just appended.
+    Commit,
+    Push,
+    AggRequest,
+    /// `(owner, aggregation id)` names the round.
+    AggEntries(ServerId, u64),
+    AggAck(ServerId, u64),
+}
+
+/// A packet of interest as it crossed the switch: a link latency after its
+/// sender put it on the wire, a switch and a link latency before it arrives.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    at: SimTime,
+    src: NodeId,
+    dst: NodeId,
+    seen: Seen,
+}
+
+type TapLog = Rc<RefCell<Vec<Crossing>>>;
+
+/// The cluster's switch program with a tap in front: records the messages of
+/// [`Seen`] and, on request, loses every push.
+struct Tap {
+    program: SwitchAdapter,
+    log: TapLog,
+    lose_pushes: bool,
+}
+
+impl Tap {
+    /// Puts a tap that writes to `log` in front of `cluster`'s switch program.
+    fn install(cluster: &Cluster, log: &TapLog, lose_pushes: bool) {
+        let program = cluster.switch_program().expect("in-network tracking");
+        cluster.network().install_switch(Box::new(Tap {
+            program: SwitchAdapter::new(program),
+            log: log.clone(),
+            lose_pushes,
+        }));
+    }
+}
+
+impl SwitchLogic<NetMsg> for Tap {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+        let seen = match &pkt.payload.body {
+            Body::Server(ServerMsg::AsyncCommit { .. }) => Some(Seen::Commit),
+            Body::Server(ServerMsg::ChangeLogPush { .. }) => Some(Seen::Push),
+            Body::Server(ServerMsg::AggregationRequest { .. }) => Some(Seen::AggRequest),
+            Body::Server(ServerMsg::AggregationEntries { agg, .. }) => {
+                Some(Seen::AggEntries(agg.owner, agg.agg_id))
+            }
+            Body::Server(ServerMsg::AggregationAck { agg }) => {
+                Some(Seen::AggAck(agg.owner, agg.agg_id))
+            }
+            _ => None,
+        };
+        if let Some(seen) = seen {
+            self.log.borrow_mut().push(Crossing {
+                at: now,
+                src: pkt.src,
+                dst: pkt.dst,
+                seen,
+            });
+            if seen == Seen::Push && self.lose_pushes {
+                return vec![SwitchAction::Drop];
+            }
+        }
+        self.program.process(now, pkt)
+    }
+}
+
+#[test]
+fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
+    const ENTRIES: usize = 1_000;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    cluster.preload_dir("/hot");
+    // Every push is lost, so the creates stay in their holders' change-logs
+    // and the owner is idle until the read's round collects them all.
+    let log = TapLog::default();
+    Tap::install(&cluster, &log, true);
+    let creates = (0..ENTRIES)
+        .map(|i| WorkItem::new(OpKind::Create, format!("/hot/f{i}")))
+        .collect();
+    assert_eq!(cluster.run_workload(creates, 64, None).errors, 0);
+    let client = cluster.client(0);
+    let size = cluster.block_on(async move { client.statdir("/hot").await.expect("statdir").size });
+    assert_eq!(size as usize, ENTRIES);
+    let stats = cluster.total_server_stats();
+    assert_eq!(
+        (stats.aggregations, stats.entries_applied as usize),
+        (1, ENTRIES),
+        "one round applied every entry"
+    );
+
+    // The owner holds the group's write lock from just before the request
+    // leaves until the acknowledgments have left.
+    let log = log.borrow();
+    let requested = log.iter().find(|c| c.seen == Seen::AggRequest);
+    let acked = log.iter().rfind(|c| matches!(c.seen, Seen::AggAck(..)));
+    let held = match (requested, acked) {
+        (Some(requested), Some(acked)) => acked.at.duration_since(requested.at),
+        _ => panic!("the round sent a request and acknowledgments"),
+    };
+    let costs = cluster.servers()[0].costs();
+    let cores = cluster.config().cores_per_server;
+    // Request out, snapshot, entries back: three link pairs and a handler.
+    let collection = SimDuration::micros(10);
+    let bound = (costs.entry_apply + costs.kv_put) * ENTRIES.div_ceil(cores) as u64
+        + costs.wal_append
+        + costs.kv_put
+        + collection;
+    assert!(
+        held <= bound,
+        "a round of {ENTRIES} entries held the group lock {held:?}, bound {bound:?}"
+    );
+}
+
+#[test]
+fn an_unacknowledged_batch_is_resent_at_retransmission_pace_and_applied_once() {
+    // A readdir of a large, clean directory holds the owner's group lock (as
+    // a reader) for 2 ms: 0.05 µs per listed entry.
+    const LISTED: usize = 40_000;
+    const CREATES: usize = 400;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    cluster.preload_dir("/hot");
+    cluster.preload_files("/hot", "old", LISTED);
+    let handle = cluster.sim.handle();
+    let clients: Vec<_> = cluster.clients().to_vec();
+    let servers: Vec<_> = cluster.servers().to_vec();
+    let sent_while_held = cluster.block_on(async move {
+        let reader = clients[0].clone();
+        let started = handle.now();
+        let listing = handle.spawn_with_result(async move { reader.readdir("/hot").await });
+        // With the read under way, fill every holder's change-log: each cuts
+        // a full batch at once, and its push queues behind the read.
+        handle.sleep(SimDuration::micros(20)).await;
+        let mut creating = Vec::new();
+        for i in 0..CREATES {
+            let client = clients[i % clients.len()].clone();
+            creating.push(handle.spawn_with_result(async move {
+                client
+                    .create(&format!("/hot/new{i}"))
+                    .await
+                    .expect("create");
+            }));
+        }
+        for c in creating {
+            c.join().await;
+        }
+        let (_, entries) = listing.join().await.expect("readdir");
+        assert_eq!(entries.len(), LISTED, "the read predates every create");
+        let held = handle.now().duration_since(started);
+        assert!(held >= SimDuration::millis(2), "lock held only {held:?}");
+        servers
+            .iter()
+            .map(|s| s.stats().pushes_sent)
+            .collect::<Vec<_>>()
+    });
+    // One batch per holder is in flight (window = 1), so a holder's pushes
+    // are copies of it: the first, and a re-send after one and after two
+    // more retransmission timeouts. One per scan tick would be about ten.
+    let most = *sent_while_held.iter().max().expect("servers");
+    assert!(
+        (2..=4).contains(&most),
+        "copies of the in-flight batch per holder while the lock was held: {sent_while_held:?}"
+    );
+
+    cluster.settle(SimDuration::millis(10));
+    let stats = cluster.total_server_stats();
+    assert_eq!(stats.entries_applied as usize, CREATES, "each entry once");
+    for (i, server) in cluster.servers().iter().enumerate() {
+        assert_eq!(server.pending_changelog_entries(), 0, "server {i}");
+    }
+    let client = cluster.client(0);
+    let (attrs, entries) =
+        cluster.block_on(async move { client.readdir("/hot").await.expect("readdir") });
+    assert_eq!(
+        (attrs.size as usize, entries.len()),
+        (LISTED + CREATES, LISTED + CREATES)
+    );
+}
+
+#[test]
+fn a_push_whose_first_two_copies_are_lost_is_still_delivered_and_discarded() {
+    const FILES: usize = 5;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    let hot = cluster.preload_dir("/hot");
+    let placement = cluster.placement();
+    let owner = placement.dir_owner_by_fp(Fingerprint::of_dir(&DirId::ROOT, "hot"));
+    // Files that all live on one server other than the directory's owner:
+    // one holder, one change-log, one push session.
+    let holder = ServerId((owner.0 + 1) % cluster.servers().len() as u32);
+    let names: Vec<String> = (0..)
+        .map(|i| format!("f{i}"))
+        .filter(|name| placement.file_owner(&MetaKey::new(hot, name.as_str())) == holder)
+        .take(FILES)
+        .collect();
+    let handle = cluster.sim.handle();
+    let (client, network) = (cluster.client(0), cluster.network());
+    let holding = cluster.servers()[holder.0 as usize].clone();
+    let drained_after = cluster.block_on(async move {
+        for name in &names {
+            client
+                .create(&format!("/hot/{name}"))
+                .await
+                .expect("create");
+        }
+        assert_eq!(holding.pending_changelog_entries(), FILES);
+        let appended = handle.now();
+        // Nothing else is on the wire: lose everything until the batch has
+        // gone out twice, then heal.
+        network.set_faults(NetFaults::lossy(1.0, 0.0, SimDuration::ZERO));
+        while holding.stats().pushes_sent < 2 {
+            handle.sleep(SimDuration::micros(10)).await;
+        }
+        network.set_faults(NetFaults::reliable());
+        while holding.pending_changelog_entries() > 0 {
+            handle.sleep(SimDuration::micros(10)).await;
+            let waited = handle.now().duration_since(appended);
+            assert!(waited < SimDuration::millis(5), "the push never ended");
+        }
+        handle.now().duration_since(appended)
+    });
+    // Idle push, a timeout, two timeouts, rounded up to scan ticks, and the
+    // acknowledgment's way back.
+    assert!(
+        drained_after < SimDuration::millis(2),
+        "took {drained_after:?}"
+    );
+    let holder_stats = cluster.servers()[holder.0 as usize].stats();
+    let owner_stats = cluster.servers()[owner.0 as usize].stats();
+    assert_eq!(holder_stats.pushes_sent, 3, "two lost copies and the third");
+    assert_eq!(
+        (
+            owner_stats.pushes_received,
+            owner_stats.entries_applied as usize,
+            owner_stats.aggregations
+        ),
+        (1, FILES, 0),
+        "delivered by the push itself, once"
+    );
+    assert_eq!(
+        cluster.servers()[owner.0 as usize].peek_entries(&hot).len(),
+        FILES
+    );
+    assert_settled(&cluster);
+}
+
+#[test]
+fn no_push_leaves_a_holder_while_a_round_has_its_change_log() {
+    const WRITERS: usize = 64;
+    const READS: usize = 20;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    cluster.preload_dir("/hot");
+    let log = TapLog::default();
+    Tap::install(&cluster, &log, false);
+    let handle = cluster.sim.handle();
+    let clients: Vec<_> = cluster.clients().to_vec();
+    cluster.block_on(async move {
+        // More creates than the owner has cores to apply: pushes queue
+        // behind its group lock and go out all the time …
+        let reading = Rc::new(Cell::new(true));
+        let mut writers = Vec::new();
+        for w in 0..WRITERS {
+            let (client, reading) = (clients[w % clients.len()].clone(), reading.clone());
+            writers.push(handle.spawn_with_result(async move {
+                for i in 0.. {
+                    if !reading.get() {
+                        break;
+                    }
+                    client
+                        .create(&format!("/hot/w{w}f{i}"))
+                        .await
+                        .expect("create");
+                }
+            }));
+        }
+        // … and one read at a time keeps rounds coming.
+        for _ in 0..READS {
+            handle.sleep(SimDuration::micros(40)).await;
+            clients[0].statdir("/hot").await.expect("statdir");
+        }
+        reading.set(false);
+        for w in writers {
+            w.join().await;
+        }
+    });
+    let log = log.borrow();
+    let LinkParams {
+        link_latency: link,
+        switch_latency: switch,
+    } = LinkParams::default();
+    let from = |holder: NodeId, seen: Seen| {
+        log.iter()
+            .filter(move |c| c.src == holder && c.seen == seen)
+    };
+    let (mut locked, mut unlocked) = (0, 0);
+    for sent in log.iter() {
+        let Seen::AggEntries(owner, agg_id) = sent.seen else {
+            continue;
+        };
+        // A responder has the holder's change-log from before its entries
+        // leave until the owner's acknowledgment arrives. Both the response
+        // and whatever else the holder sends cross the switch a link
+        // latency after they left.
+        let holder = sent.src;
+        let acked = log
+            .iter()
+            .find(|c| c.seen == Seen::AggAck(owner, agg_id) && c.dst == holder)
+            .expect("no fault is injected: every responder is acknowledged");
+        let arrived = acked.at + switch + link;
+        let inside = |c: &&Crossing| c.at >= sent.at && c.at.duration_since(arrived) < link;
+        // It locks the logs it finds on arrival: a holder that a round or a
+        // push acknowledgment has just emptied has none, and what its
+        // creates append while the handler waits for a core is snapshot
+        // unlocked.
+        // The lock shows on the wire — an appender holds it from before its
+        // append until its commit is mirrored, so under a responder no
+        // commit leaves the holder.
+        if from(holder, Seen::Commit).any(|c| inside(&c)) {
+            unlocked += 1;
+            continue;
+        }
+        locked += 1;
+        if let Some(push) = from(holder, Seen::Push).find(inside) {
+            panic!(
+                "{holder} pushed at {:?} inside round {agg_id}: response crossed at {:?}, \
+                 ack arrived at {arrived:?}",
+                push.at, sent.at
+            );
+        }
+    }
+    let pushes = log.iter().filter(|c| c.seen == Seen::Push).count();
+    assert!(
+        locked >= 100 && unlocked <= locked && pushes >= 100,
+        "{locked} responses under a lock, {unlocked} without, {pushes} pushes"
+    );
 }

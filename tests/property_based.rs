@@ -74,56 +74,64 @@ proptest! {
         prop_assert_eq!(ds.occupancy(), model.len());
     }
 
-    /// Change-log compaction preserves the aggregate directory state: the
-    /// net size delta, the maximum timestamp, and the final per-name effect
-    /// all match an entry-by-entry replay.
+    /// Change-log compaction preserves the directory: applied to any listing,
+    /// the compacted ops leave exactly what an entry-by-entry replay leaves,
+    /// and the net size delta and the maximum timestamp match. Histories are
+    /// the ones the protocol produces — per name, creates and deletes
+    /// alternate, starting from whether the name was listed before the batch
+    /// (a batch that opens with `Remove x` says `x` was there).
     #[test]
     fn compaction_is_equivalent_to_replay(
-        names in proptest::collection::vec(0u8..6, 1..60),
-        inserts in proptest::collection::vec(any::<bool>(), 1..60),
+        listed_before in proptest::collection::vec(any::<bool>(), 6..7),
+        names in proptest::collection::vec(0usize..6, 1..60),
     ) {
-        let n = names.len().min(inserts.len());
-        let entries: Vec<ChangeLogEntry> = (0..n)
-            .map(|i| ChangeLogEntry {
-                entry_id: OpId { client: ClientId(0), seq: i as u64 },
-                dir: DirId::ROOT,
-                name: format!("n{}", names[i]),
-                op: if inserts[i] {
-                    ChangeOp::Insert { file_type: FileType::File, mode: 0o644 }
-                } else {
-                    ChangeOp::Remove
-                },
-                timestamp: (i as u64) * 10,
-                size_delta: if inserts[i] { 1 } else { -1 },
+        // Listing model: name → mode of the entry (each insert carries its
+        // own, so a remove→insert that kept the old entry would show).
+        let initial: BTreeMap<String, u16> = (0..6)
+            .filter(|i| listed_before[*i])
+            .map(|i| (format!("n{i}"), 0))
+            .collect();
+        let mut present = listed_before;
+        let entries: Vec<ChangeLogEntry> = names
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                present[name] = !present[name];
+                ChangeLogEntry {
+                    entry_id: OpId { client: ClientId(0), seq: i as u64 },
+                    dir: DirId::ROOT,
+                    name: format!("n{name}"),
+                    op: if present[name] {
+                        ChangeOp::Insert { file_type: FileType::File, mode: 1 + i as u16 }
+                    } else {
+                        ChangeOp::Remove
+                    },
+                    timestamp: (i as u64) * 10,
+                    size_delta: if present[name] { 1 } else { -1 },
+                }
             })
             .collect();
-        let compacted = CompactedChanges::from_entries(&entries);
-
-        // Replay model: apply entries one by one.
-        let mut size = 0i64;
-        let mut max_ts = 0u64;
-        let mut present: BTreeMap<String, bool> = BTreeMap::new();
-        for e in &entries {
-            size += e.size_delta;
-            max_ts = max_ts.max(e.timestamp);
-            present.insert(e.name.clone(), matches!(e.op, ChangeOp::Insert { .. }));
-        }
-        prop_assert_eq!(compacted.size_delta, size);
-        prop_assert_eq!(compacted.max_timestamp, max_ts);
-        // Applying the compacted entry ops to an empty listing produces the
-        // same final membership for every name that ends up present.
-        let mut listing: BTreeMap<String, bool> = BTreeMap::new();
-        for (name, op) in &compacted.entry_ops {
-            listing.insert(name.clone(), matches!(op, ChangeOp::Insert { .. }));
-        }
-        for (name, is_present) in present {
-            if is_present {
-                prop_assert_eq!(listing.get(&name), Some(&true), "name {} must survive", name);
-            } else {
-                // Either explicitly removed or cancelled out entirely.
-                prop_assert_ne!(listing.get(&name), Some(&true));
+        let apply = |listing: &mut BTreeMap<String, u16>, name: &str, op: ChangeOp| match op {
+            ChangeOp::Insert { mode, .. } => {
+                listing.insert(name.to_string(), mode);
             }
+            ChangeOp::Remove => {
+                listing.remove(name);
+            }
+        };
+        let mut replayed = initial.clone();
+        for e in &entries {
+            apply(&mut replayed, &e.name, e.op);
         }
+        let compacted = CompactedChanges::from_entries(&entries);
+        let mut folded = initial.clone();
+        for (name, op) in &compacted.entry_ops {
+            apply(&mut folded, name, *op);
+        }
+        prop_assert_eq!(&folded, &replayed);
+        prop_assert_eq!(compacted.size_delta, replayed.len() as i64 - initial.len() as i64);
+        prop_assert_eq!(compacted.max_timestamp, (entries.len() as u64 - 1) * 10);
+        prop_assert_eq!(compacted.merged_entries, entries.len() - compacted.entry_ops.len());
     }
 
     /// Fingerprints always fit in 49 bits and index/tag decomposition is
@@ -297,7 +305,7 @@ proptest! {
                 }
                 WindowOp::Push => {
                     let was_open = log.in_flight() == 0;
-                    let batch = log.push_batch(mtu);
+                    let batch = log.push_batch(mtu, SimTime::ZERO);
                     prop_assert_eq!(batch.len(), log.in_flight());
                     if was_open {
                         let bytes: usize = batch.iter().map(|e| e.wire_size()).sum();
