@@ -1,9 +1,6 @@
 //! The five evaluated systems and their configuration presets.
 
-use std::rc::Rc;
-
-use switchfs_client::{BaselineRouter, RequestRouter, SwitchFsRouter};
-use switchfs_proto::{PartitionPolicy, ShardMap};
+use switchfs_proto::PartitionPolicy;
 use switchfs_server::{CostModel, UpdateMode};
 
 /// One of the systems evaluated in §7.
@@ -58,10 +55,9 @@ impl SystemKind {
     pub fn partition_policy(&self) -> PartitionPolicy {
         match self {
             SystemKind::SwitchFs | SystemKind::EmulatedCfs => PartitionPolicy::PerFileHash,
-            SystemKind::EmulatedInfiniFs | SystemKind::IndexFsLike => {
+            SystemKind::EmulatedInfiniFs | SystemKind::CephFsLike | SystemKind::IndexFsLike => {
                 PartitionPolicy::PerDirectoryHash
             }
-            SystemKind::CephFsLike => PartitionPolicy::Subtree,
         }
     }
 
@@ -77,23 +73,6 @@ impl SystemKind {
     /// True for the system that uses the in-network dirty set.
     pub fn uses_switch(&self) -> bool {
         matches!(self, SystemKind::SwitchFs)
-    }
-
-    /// Builds a client-side request router for this system over a private
-    /// shard-map snapshot (each client caches its own copy and refreshes it
-    /// from `WrongOwner` rejections).
-    ///
-    /// `dirty_query_in_packet` only matters for SwitchFS: it is true under
-    /// in-network tracking and false when a dedicated coordinator or the
-    /// owner server tracks directory state (§7.3.3 variants).
-    pub fn make_router(&self, map: ShardMap, dirty_query_in_packet: bool) -> Rc<dyn RequestRouter> {
-        match self {
-            SystemKind::SwitchFs => Rc::new(SwitchFsRouter::new(map, dirty_query_in_packet)),
-            SystemKind::EmulatedCfs => Rc::new(SwitchFsRouter::new(map, false)),
-            SystemKind::EmulatedInfiniFs | SystemKind::CephFsLike | SystemKind::IndexFsLike => {
-                Rc::new(BaselineRouter::new(map))
-            }
-        }
     }
 }
 
@@ -142,14 +121,6 @@ mod tests {
             fast,
             SystemKind::EmulatedCfs.cost_model().request_overhead()
         );
-    }
-
-    #[test]
-    fn routers_have_expected_fanout() {
-        for s in SystemKind::all() {
-            let r = s.make_router(ShardMap::initial(s.partition_policy(), 8), true);
-            assert_eq!(r.num_servers(), 8);
-        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! and retry the whole operation, §5.2.1).
 //!
 //! The same LibFS drives both SwitchFS clusters and the emulated baselines —
-//! only the [`router::RequestRouter`] differs — mirroring the paper's setup
-//! where all emulated systems share one client framework.
+//! only the policy of the shard map its [`router::Router`] holds differs —
+//! mirroring the paper's setup where all emulated systems share one client
+//! framework.
 
 pub mod cache;
 pub mod libfs;
@@ -18,4 +19,4 @@ pub mod router;
 
 pub use cache::{CachedDir, MetaCache};
 pub use libfs::{ClientStats, LibFs, LibFsConfig};
-pub use router::{BaselineRouter, RequestRouter, SwitchFsRouter};
+pub use router::Router;

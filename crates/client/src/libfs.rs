@@ -15,7 +15,7 @@ use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, Endpoint, FxHashMap, NodeId, SimDuration, SimHandle};
 
 use crate::cache::{path_components, CachedDir, MetaCache};
-use crate::router::RequestRouter;
+use crate::router::Router;
 
 /// Client configuration.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +76,7 @@ struct Resolution {
 pub struct LibFs {
     handle: SimHandle,
     endpoint: Rc<Endpoint<NetMsg>>,
-    router: Rc<dyn RequestRouter>,
+    router: Router,
     server_nodes: Rc<RefCell<Vec<NodeId>>>,
     cfg: LibFsConfig,
     cache: RefCell<MetaCache>,
@@ -110,7 +110,7 @@ impl LibFs {
     pub fn new(
         handle: SimHandle,
         endpoint: Endpoint<NetMsg>,
-        router: Rc<dyn RequestRouter>,
+        router: Router,
         server_nodes: Rc<RefCell<Vec<NodeId>>>,
         cfg: LibFsConfig,
         obs: ObsHandle,
@@ -582,11 +582,7 @@ impl LibFs {
             acked_below,
         });
         let mut dst_node = {
-            let dst_server = self.router.destination(
-                &request.op,
-                request.parent.as_ref(),
-                target_attrs.as_ref(),
-            );
+            let dst_server = self.router.destination(&request.op, target_attrs.as_ref());
             self.node_of(dst_server)
         };
         // Exponential backoff between retransmissions: a queued-but-alive
@@ -638,11 +634,8 @@ impl LibFs {
                         let mut rebuilt = (*request).clone();
                         rebuilt.epoch = self.router.epoch();
                         request = Rc::new(rebuilt);
-                        let dst_server = self.router.destination(
-                            &request.op,
-                            request.parent.as_ref(),
-                            target_attrs.as_ref(),
-                        );
+                        let dst_server =
+                            self.router.destination(&request.op, target_attrs.as_ref());
                         dst_node = self.node_of(dst_server);
                     }
                     result => return Ok(result),

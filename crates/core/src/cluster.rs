@@ -4,12 +4,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use switchfs_client::{LibFs, LibFsConfig};
+use switchfs_client::{LibFs, LibFsConfig, Router};
 use switchfs_obs::{MetricsRegistry, Obs, ObsHandle};
 use switchfs_proto::message::NetMsg;
 use switchfs_proto::{
-    ClientId, DirEntry, DirId, FileType, Fingerprint, MetaKey, PartitionPolicy, Placement,
-    ServerId, SharedPlacement,
+    ClientId, DirEntry, DirId, FileType, Fingerprint, InodeAttrs, MetaKey, Placement, ServerId,
+    SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{DurableState, Server, ServerConfig, TrackingMode};
@@ -128,10 +128,9 @@ impl Cluster {
         // with its stale copy until a `WrongOwner` rejection refreshes it.
         let mut clients = Vec::with_capacity(cfg.clients);
         for i in 0..cfg.clients {
-            let router = cfg.system.make_router(
-                placement.snapshot(),
-                cfg.tracking == TrackingChoice::InNetwork,
-            );
+            // Directory reads carry a dirty-set query only where a switch
+            // answers it.
+            let router = Router::new(placement.snapshot(), switch.is_some());
             let endpoint = network.register(client_node(i));
             let mut lib_cfg = LibFsConfig::new(ClientId(i as u32));
             lib_cfg.request_timeout = cfg.client_request_timeout();
@@ -306,23 +305,18 @@ impl Cluster {
         let key = MetaKey::new(parent_id, name);
         self.preload_counter += 1;
         let id = DirId::generate(ServerId(u32::MAX), self.preload_counter);
-        let fp = Fingerprint::of_dir(&key.pid, &key.name);
-
-        match self.cfg.system.partition_policy() {
-            PartitionPolicy::PerFileHash => {
-                let owner = self.placement.dir_owner_by_fp(fp);
-                self.servers[owner.0 as usize].preload_dir(key.clone(), id, 0);
-            }
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                // Access replica with the parent's children; content replica
-                // with the directory's own children.
-                let access = self.placement.file_owner(&key);
-                let content = self.placement.dir_owner_by_id(&id);
-                self.servers[access.0 as usize].preload_dir(key.clone(), id, 0);
-                if content != access {
-                    self.servers[content.0 as usize].preload_dir(key.clone(), id, 0);
-                }
-            }
+        // One replica per role the policy stores a directory inode under (at
+        // most two, so `dedup` leaves each server once).
+        let roles = self
+            .placement
+            .inode_role_hashes(&key, &InodeAttrs::new_dir(id, 0, Default::default()));
+        let mut owners: Vec<ServerId> = roles
+            .iter()
+            .map(|h| self.placement.owner_of_hash(*h))
+            .collect();
+        owners.dedup();
+        for owner in owners {
+            self.servers[owner.0 as usize].preload_dir(key.clone(), id, 0);
         }
         self.preloaded_dirs.insert(path.to_string(), (key, id));
         id
@@ -661,13 +655,9 @@ pub async fn run_rebalance(placement: &SharedPlacement, servers: &[Server]) -> u
             if source.is_crashed() || servers[to.0 as usize].is_crashed() {
                 continue;
             }
-            let placement = placement.clone();
-            if source
-                .migrate_shard(shard, to, move || placement.assign(shard, to))
-                .await
-            {
-                moved += 1;
-            }
+            moved += source
+                .migrate_shards(&[(shard, to)], |shard, to| placement.assign(shard, to))
+                .await;
         }
     }
     moved

@@ -87,6 +87,12 @@ impl Fingerprint {
         self.0
     }
 
+    /// A stable 64-bit hash of the fingerprint, used for placement decisions:
+    /// every directory of a fingerprint group hashes alike (§4.3).
+    pub fn hash64(&self) -> u64 {
+        splitmix64(self.0)
+    }
+
     /// The 17-bit set index (upper bits).
     pub fn index(&self) -> u32 {
         (self.0 >> Self::TAG_BITS) as u32

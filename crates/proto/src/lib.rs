@@ -17,8 +17,8 @@
 //!   programmable switch, including its binary wire format (Fig. 9).
 //! * [`message`] — typed RPC requests, responses and server-to-server
 //!   protocol messages.
-//! * [`placement`] — partitioning policies mapping metadata objects to
-//!   servers (per-file hashing, per-directory hashing, subtree).
+//! * [`placement`] — the two partitioning policies (per-file hashing,
+//!   per-directory hashing) and the one routing rule every component asks.
 //! * [`wire`] — binary encoding of the switch-visible packet headers.
 
 pub mod changelog;

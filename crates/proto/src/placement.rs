@@ -1,22 +1,34 @@
-//! Metadata partitioning policies (§2.1, Tab. 1).
+//! Metadata placement (§2.1, Tab. 1): which server stores each metadata
+//! object and which server a request for it is sent to. This module *is* the
+//! routing rule: clients address every request with [`Placement::route`],
+//! servers re-check a stale-routed one with [`Placement::accepts`], and
+//! migration, preloading and the migration freeze gates ask
+//! [`Placement::inode_role_hashes`] / [`key_hashes`] where an object may be
+//! stored. Nothing outside it decides what an object hashes by. There are
+//! two policies:
 //!
 //! * **P/C separation** (per-file hashing): every metadata object is placed
 //!   by hashing its `(pid, name)` key — the policy of CFS and SwitchFS.
 //!   SwitchFS additionally requires that all directories sharing a
 //!   fingerprint live on the same server, so *directory* inodes are placed
-//!   by fingerprint (which is itself a hash of `(pid, name)`).
+//!   by fingerprint (which is itself a hash of `(pid, name)`). A directory
+//!   is stored once: inode, entry list and owner index live with its
+//!   fingerprint group.
 //! * **P/C grouping** (per-directory hashing): a directory's children are
 //!   colocated with the directory's entry list on the server selected by
-//!   hashing the directory id — the policy of InfiniFS / IndexFS / BeeGFS.
-//! * **Subtree**: entire top-level subtrees are assigned to servers — the
-//!   (static) approximation of CephFS's subtree partitioning used by the
-//!   CephFS-like baseline.
+//!   hashing the directory id — the policy of InfiniFS / IndexFS / BeeGFS,
+//!   and what the CephFS-like baseline runs. A directory's inode is stored
+//!   twice: the *access* replica with its parent's children (what `mkdir`,
+//!   `lookup` and a rename of its name address) and the *content* replica
+//!   with its own children (what `statdir`, `readdir`, `rmdir` and entry
+//!   updates address, by the directory's id).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::ids::{DirId, Fingerprint, ServerId};
-use crate::schema::MetaKey;
+use crate::message::MetaOp;
+use crate::schema::{InodeAttrs, MetaKey};
 use serde::{Deserialize, Serialize};
 
 /// Which partitioning rule a cluster uses.
@@ -26,8 +38,19 @@ pub enum PartitionPolicy {
     PerFileHash,
     /// Per-directory hashing (parent/children grouping).
     PerDirectoryHash,
-    /// Static subtree partitioning by top-level directory.
-    Subtree,
+}
+
+/// Every placement hash an object stored under `key` may have, whatever its
+/// type and the policy: per-file, fingerprint, parent. The conservative set
+/// of the migration freeze gates, which must not let a request or a staged
+/// mutation into a frozen shard under *any* of its roles; a directory's own
+/// id hash (not derivable from the key) is added by the caller that knows it.
+pub fn key_hashes(key: &MetaKey) -> [u64; 3] {
+    [
+        key.hash64(),
+        Fingerprint::of_dir(&key.pid, &key.name).hash64(),
+        key.pid.hash64(),
+    ]
 }
 
 /// Maps metadata objects to their owner servers. An implementation says
@@ -40,15 +63,23 @@ pub trait Placement {
     /// Owner for an arbitrary pre-computed placement hash.
     fn owner_of_hash(&self, hash: u64) -> ServerId;
 
+    /// True under P/C separation. The one policy question code outside this
+    /// module asks, and only where the *protocol* differs, never to pick a
+    /// hash: under separation a key's file and directory inodes live on
+    /// different servers (so the other type is probed for), a directory's
+    /// content travels with its fingerprint on rename, and there is no
+    /// second inode replica to initialise, remove or accept requests for.
+    fn is_separation(&self) -> bool {
+        self.policy() == PartitionPolicy::PerFileHash
+    }
+
     /// Owner of a *file* inode identified by its `(pid, name)` key.
     fn file_owner(&self, key: &MetaKey) -> ServerId {
         match self.policy() {
             // Files are spread by their own key.
             PartitionPolicy::PerFileHash => self.owner_of_hash(key.hash64()),
             // Files are colocated with their parent directory's children.
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-                self.dir_owner_by_id(&key.pid)
-            }
+            PartitionPolicy::PerDirectoryHash => self.dir_owner_by_id(&key.pid),
         }
     }
 
@@ -56,7 +87,7 @@ pub trait Placement {
     /// directory's fingerprint. Used by SwitchFS so that a fingerprint group
     /// maps to exactly one server (§4.3).
     fn dir_owner_by_fp(&self, fp: Fingerprint) -> ServerId {
-        self.owner_of_hash(crate::ids::splitmix64(fp.raw()))
+        self.owner_of_hash(fp.hash64())
     }
 
     /// Owner of a directory's children under P/C grouping, identified by the
@@ -65,15 +96,28 @@ pub trait Placement {
         self.owner_of_hash(id.hash64())
     }
 
+    /// The server holding the inode a directory is *reached* through — what
+    /// `mkdir`, `lookup` and a rename of its name address: the fingerprint
+    /// group's owner under separation, the parent's children server under
+    /// grouping (the access replica, where a file of that name would be too).
+    fn dir_access_owner(&self, key: &MetaKey) -> ServerId {
+        match self.policy() {
+            PartitionPolicy::PerFileHash => {
+                self.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name))
+            }
+            PartitionPolicy::PerDirectoryHash => self.dir_owner_by_id(&key.pid),
+        }
+    }
+
     /// The placement hash of a directory's *content*: its entry list, its
     /// owner-index record and every update addressed to it. Content follows
     /// the fingerprint under per-file hashing (the directory lives with its
-    /// fingerprint group) and the directory id under the grouping policies
-    /// (the directory lives with its children).
+    /// fingerprint group) and the directory id under grouping (the directory
+    /// lives with its children).
     fn dir_content_hash(&self, fp: Fingerprint, id: &DirId) -> u64 {
         match self.policy() {
-            PartitionPolicy::PerFileHash => crate::ids::splitmix64(fp.raw()),
-            PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => id.hash64(),
+            PartitionPolicy::PerFileHash => fp.hash64(),
+            PartitionPolicy::PerDirectoryHash => id.hash64(),
         }
     }
 
@@ -81,6 +125,87 @@ pub trait Placement {
     /// [`Placement::dir_content_hash`]).
     fn dir_content_owner(&self, fp: Fingerprint, id: &DirId) -> ServerId {
         self.owner_of_hash(self.dir_content_hash(fp, id))
+    }
+
+    /// The placement hashes under which an inode is stored, one per replica:
+    /// a file's single role, a directory's fingerprint under separation, a
+    /// directory's access and content roles under grouping. What migration
+    /// extracts and keeps by, and where preloading installs; allocates, so
+    /// not for the request path.
+    fn inode_role_hashes(&self, key: &MetaKey, attrs: &InodeAttrs) -> Vec<u64> {
+        match (self.policy(), attrs.is_dir()) {
+            (PartitionPolicy::PerFileHash, false) => vec![key.hash64()],
+            (PartitionPolicy::PerFileHash, true) => {
+                vec![Fingerprint::of_dir(&key.pid, &key.name).hash64()]
+            }
+            (PartitionPolicy::PerDirectoryHash, false) => vec![key.pid.hash64()],
+            (PartitionPolicy::PerDirectoryHash, true) => {
+                vec![key.pid.hash64(), attrs.id.hash64()]
+            }
+        }
+    }
+
+    /// True if the client must resolve the final path component before
+    /// [`Placement::route`] can address `op`: under grouping, the operations
+    /// on a directory's content go by the directory's id.
+    fn needs_target(&self, op: &MetaOp) -> bool {
+        !self.is_separation()
+            && matches!(
+                op,
+                MetaOp::Statdir { .. } | MetaOp::Readdir { .. } | MetaOp::Rmdir { .. }
+            )
+    }
+
+    /// The server a client sends `op` to. `target` is what the client knows
+    /// of the final path component: resolved attributes when
+    /// [`Placement::needs_target`] asked for them, a cached copy for
+    /// `rename`, `None` otherwise. On every request's path: no allocation.
+    ///
+    /// Not done here: `stat`, `open`, `close` and `chmod` address a *file*
+    /// key, whatever the path names. On a directory path they therefore
+    /// succeed under grouping (the access replica sits where a file of that
+    /// name would) and only by hash coincidence under separation (3 of 16
+    /// names at 8 servers, SwitchFS and E-CFS alike). Directories have
+    /// `statdir`; the chaos model counts "stat succeeded on a directory" as a
+    /// violation, so this is recorded, not repaired.
+    fn route(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> ServerId {
+        let key = op.primary_key();
+        if self.needs_target(op) {
+            // The content replica is addressed by the directory's own id;
+            // until the client has resolved it, by the parent's.
+            return self.dir_owner_by_id(&target.map_or(key.pid, |a| a.id));
+        }
+        match op {
+            MetaOp::Mkdir { .. }
+            | MetaOp::Rmdir { .. }
+            | MetaOp::Statdir { .. }
+            | MetaOp::Readdir { .. }
+            | MetaOp::Lookup { .. } => self.dir_access_owner(key),
+            // Rename is coordinated by the source inode's owner, which
+            // depends on the source's type. On a cold cache the request
+            // takes the file route and the server there forwards a
+            // directory rename — the client never probes.
+            MetaOp::Rename { .. } if target.is_some_and(InodeAttrs::is_dir) => {
+                self.dir_access_owner(key)
+            }
+            _ => self.file_owner(key),
+        }
+    }
+
+    /// True if `server` is a destination [`Placement::route`] may have
+    /// produced for `op`, whatever the client knew of the target: the check
+    /// a server makes of a request routed with a stale map, which must be
+    /// exactly as strict as the routing (accepting a non-owner would let a
+    /// stale-routed create materialize state on the wrong server). Knowledge
+    /// of the target moves two kinds of request: a rename, whose two
+    /// candidates are both accepted, and under grouping an operation on a
+    /// directory's content, addressed by an id the request does not carry —
+    /// only the server storing that replica can tell, and adds that clause
+    /// itself.
+    fn accepts(&self, op: &MetaOp, server: ServerId) -> bool {
+        self.route(op, None) == server
+            || matches!(op, MetaOp::Rename { .. })
+                && self.dir_access_owner(op.primary_key()) == server
     }
 }
 
@@ -477,10 +602,8 @@ mod tests {
         let id = DirId::generate(ServerId(3), 7);
         let by_fp = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
         assert_eq!(by_fp.dir_content_owner(fp, &id), by_fp.dir_owner_by_fp(fp));
-        for policy in [PartitionPolicy::PerDirectoryHash, PartitionPolicy::Subtree] {
-            let by_id = ShardMap::initial(policy, 8);
-            assert_eq!(by_id.dir_content_owner(fp, &id), by_id.dir_owner_by_id(&id));
-        }
+        let by_id = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
+        assert_eq!(by_id.dir_content_owner(fp, &id), by_id.dir_owner_by_id(&id));
     }
 
     #[test]
@@ -562,7 +685,7 @@ mod tests {
 
     #[test]
     fn rebalance_of_a_balanced_map_is_empty() {
-        let map = ShardMap::initial(PartitionPolicy::Subtree, 8);
+        let map = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
         assert!(map.plan_rebalance().is_empty());
     }
 
@@ -639,5 +762,176 @@ mod tests {
         }
         map.retire(victim);
         map.assign(0, victim);
+    }
+
+    // ------------------------------------------------------------------
+    // The routing rule against itself: what a client addresses, what a
+    // server accepts and where migration looks must agree, under both
+    // policies, at epoch 0 and after shards moved and a server retired.
+    // ------------------------------------------------------------------
+
+    const POLICIES: [PartitionPolicy; 2] = [
+        PartitionPolicy::PerFileHash,
+        PartitionPolicy::PerDirectoryHash,
+    ];
+
+    /// The epoch-0 map and one that drained and retired a server, added
+    /// another and rebalanced onto it.
+    fn maps(policy: PartitionPolicy) -> [ShardMap; 2] {
+        let fresh = ShardMap::initial(policy, 5);
+        let mut moved = fresh.clone();
+        for (shard, _, to) in moved.plan_drain(ServerId(3)) {
+            moved.assign(shard, to);
+        }
+        moved.retire(ServerId(3));
+        moved.add_server();
+        for (shard, _, to) in moved.plan_rebalance() {
+            moved.assign(shard, to);
+        }
+        assert!(moved.epoch() > 0 && moved.is_retired(ServerId(3)));
+        [fresh, moved]
+    }
+
+    /// Keys under the root and under a generated directory.
+    fn keys() -> impl Iterator<Item = MetaKey> {
+        (0..40u64).map(|i| {
+            let pid = [DirId::ROOT, DirId::generate(ServerId(1), i)][(i % 2) as usize];
+            MetaKey::new(pid, format!("n{i}"))
+        })
+    }
+
+    /// One operation of every kind on `key`, tagged with the type of inode
+    /// it addresses (`None`: either, the source's type decides).
+    fn every_op(key: &MetaKey) -> Vec<(MetaOp, Option<bool>)> {
+        let key = key.clone();
+        let perm = crate::schema::Permissions::default();
+        let dst = MetaKey::new(DirId::ROOT, "dst");
+        vec![
+            (MetaOp::Lookup { key: key.clone() }, Some(true)),
+            (
+                MetaOp::Mkdir {
+                    key: key.clone(),
+                    perm,
+                },
+                Some(true),
+            ),
+            (MetaOp::Rmdir { key: key.clone() }, Some(true)),
+            (MetaOp::Statdir { key: key.clone() }, Some(true)),
+            (MetaOp::Readdir { key: key.clone() }, Some(true)),
+            (
+                MetaOp::Create {
+                    key: key.clone(),
+                    perm,
+                },
+                Some(false),
+            ),
+            (MetaOp::Delete { key: key.clone() }, Some(false)),
+            (MetaOp::Stat { key: key.clone() }, Some(false)),
+            (MetaOp::Open { key: key.clone() }, Some(false)),
+            (MetaOp::Close { key: key.clone() }, Some(false)),
+            (
+                MetaOp::Chmod {
+                    key: key.clone(),
+                    mode: 0o600,
+                },
+                Some(false),
+            ),
+            (
+                MetaOp::Rename {
+                    src: key,
+                    dst,
+                    dst_parent: None,
+                },
+                None,
+            ),
+        ]
+    }
+
+    /// What the client may know of the target: nothing, a file, a directory.
+    fn targets(i: u64) -> [Option<InodeAttrs>; 3] {
+        let id = DirId::generate(ServerId(2), 1000 + i);
+        [
+            None,
+            Some(InodeAttrs::new_file(id, 0, Default::default())),
+            Some(InodeAttrs::new_dir(id, 0, Default::default())),
+        ]
+    }
+
+    fn stores(map: &ShardMap, server: ServerId, key: &MetaKey, attrs: &InodeAttrs) -> bool {
+        let roles = map.inode_role_hashes(key, attrs);
+        roles.iter().any(|h| map.owner_of_hash(*h) == server)
+    }
+
+    #[test]
+    fn the_server_accepts_what_the_router_routes() {
+        for map in POLICIES.into_iter().flat_map(maps) {
+            for (i, key) in keys().enumerate() {
+                for target in targets(i as u64) {
+                    for (op, _) in every_op(&key) {
+                        let dest = map.route(&op, target.as_ref());
+                        // `Server::may_own`: `accepts`, or under grouping a
+                        // replica of the addressed inode stored there.
+                        let stored = target.as_ref().is_some_and(|a| stores(&map, dest, &key, a));
+                        let accepted = map.accepts(&op, dest) || !map.is_separation() && stored;
+                        // The one destination nobody vouches for: a directory
+                        // operation the client resolved to a *file* goes by
+                        // that file's id to a server storing nothing under
+                        // it, which answers so whatever the epoch.
+                        let misaddressed =
+                            map.needs_target(&op) && target.as_ref().is_some_and(|a| !a.is_dir());
+                        assert!(
+                            accepted || misaddressed,
+                            "{:?} epoch {}: {op:?} with {target:?} routed to {dest}, not accepted",
+                            map.policy(),
+                            map.epoch()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_reaches_a_replica_of_the_inode_it_addresses() {
+        for map in POLICIES.into_iter().flat_map(maps) {
+            for (i, key) in keys().enumerate() {
+                let [_, file, dir] = targets(i as u64);
+                for (op, addresses_dir) in every_op(&key) {
+                    for attrs in [&file, &dir].into_iter().flatten() {
+                        if addresses_dir.is_some_and(|d| d != attrs.is_dir()) {
+                            continue;
+                        }
+                        let dest = map.route(&op, Some(attrs));
+                        assert!(
+                            stores(&map, dest, &key, attrs),
+                            "{:?} epoch {}: {op:?} routed to {dest}, which stores no replica",
+                            map.policy(),
+                            map.epoch()
+                        );
+                        assert!(!map.is_retired(dest));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_freeze_gates_cannot_miss_a_role() {
+        for policy in POLICIES {
+            let map = ShardMap::initial(policy, 5);
+            for (i, key) in keys().enumerate() {
+                for attrs in targets(i as u64).into_iter().flatten() {
+                    for role in map.inode_role_hashes(&key, &attrs) {
+                        // The gates add a directory's id hash themselves:
+                        // it is not derivable from the key.
+                        assert!(
+                            key_hashes(&key).contains(&role)
+                                || attrs.is_dir() && role == attrs.id.hash64(),
+                            "{policy:?}: a role of {key} is in no freeze gate's set"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -29,6 +29,7 @@ use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, Reply,
     ServerMsg,
 };
+use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState,
     FileType, Fingerprint, FsError, InodeAttrs, MetaKey, OpId, Placement, ServerId, Timestamps,
@@ -170,6 +171,53 @@ impl DirContent {
     }
 }
 
+/// An insertion-ordered set for bounded duplicate suppression: O(1)
+/// membership, eviction from the front (oldest first). A member carries a
+/// stamp `S` — its insertion time where eviction is by age, nothing where it
+/// is by count.
+#[derive(Debug, Default)]
+pub(crate) struct FifoSet<T, S = ()> {
+    members: FxHashSet<T>,
+    order: std::collections::VecDeque<(S, T)>,
+}
+
+impl<T: Copy + Eq + std::hash::Hash, S: Copy> FifoSet<T, S> {
+    /// Appends `item` unless it is a member; false when it already was.
+    pub fn insert(&mut self, item: T, stamp: S) -> bool {
+        let fresh = self.members.insert(item);
+        if fresh {
+            self.order.push_back((stamp, item));
+        }
+        fresh
+    }
+
+    /// True when `item` is a member.
+    pub fn contains(&self, item: &T) -> bool {
+        self.members.contains(item)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Evicts oldest-first for as long as `expired(oldest's stamp, len)`.
+    pub fn evict_while(&mut self, expired: impl Fn(S, usize) -> bool) {
+        while let Some(&(stamp, item)) = self.order.front() {
+            if !expired(stamp, self.order.len()) {
+                break;
+            }
+            self.order.pop_front();
+            self.members.remove(&item);
+        }
+    }
+
+    /// The members, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.order.iter().map(|(_, item)| *item)
+    }
+}
+
 /// Collector for an aggregation this server owns. The expected set uses the
 /// deterministic hasher like every other aggregation-path structure: no
 /// std-`RandomState` may influence (even only potentially) the replayable
@@ -229,11 +277,8 @@ pub(crate) struct ServerInner {
     /// within a bounded virtual-time window (fabric reorder + handler
     /// queueing), so ids are evicted once they outlive
     /// [`RETIRED_ENTRY_RETENTION`] — the set is bounded by the recent apply
-    /// rate, not by the server's lifetime.
-    pub retired_entry_ids: FxHashSet<OpId>,
-    /// Retirement times of `retired_entry_ids` in FIFO order, driving the
-    /// retention-based eviction.
-    pub retired_entry_order: std::collections::VecDeque<(SimTime, OpId)>,
+    /// rate, not by the server's lifetime. Stamped with the retirement time.
+    pub retired_entry_ids: FifoSet<OpId, SimTime>,
     /// Ids this server discarded (as a change-log holder) after an
     /// acknowledgment round trip, awaiting confirmation to the applying
     /// server. Drained onto the next message that already flows there
@@ -260,7 +305,7 @@ pub(crate) struct ServerInner {
     /// pruned by the acked watermark. Bounded: duplicates only arrive
     /// within the network's reorder window, so a short per-sender FIFO
     /// suffices.
-    pub seen_request_pkts: FxHashMap<u32, (FxHashSet<u64>, std::collections::VecDeque<u64>)>,
+    pub seen_request_pkts: FxHashMap<u32, FifoSet<u64>>,
     /// Shards currently frozen by an outbound live migration: requests
     /// touching them are dropped (clients retransmit; after the flip the
     /// retry is re-routed to the new owner).
@@ -327,9 +372,7 @@ pub(crate) struct ServerInner {
     /// finished applying (a copy racing a still-running apply is dropped).
     /// Bounded FIFO: duplicates only arrive within the coordinator's retry
     /// window, so old ids are evicted once the set outgrows the cap.
-    pub committed_txns: FxHashSet<u64>,
-    /// Insertion order of `committed_txns`, driving the FIFO eviction.
-    pub committed_txn_order: std::collections::VecDeque<u64>,
+    pub committed_txns: FifoSet<u64>,
     /// Whether the server is currently crashed (drops all work).
     pub crashed: bool,
     /// Whether the server was gracefully decommissioned: it owns no shards,
@@ -356,8 +399,7 @@ impl ServerInner {
             changelogs: ChangeLogStore::new(),
             invalidation: FxHashMap::default(),
             applied_entry_ids: FxHashSet::default(),
-            retired_entry_ids: FxHashSet::default(),
-            retired_entry_order: std::collections::VecDeque::new(),
+            retired_entry_ids: FifoSet::default(),
             pending_discard_confirms: FxHashMap::default(),
             completed_ops: FxHashMap::default(),
             in_flight_ops: FxHashSet::default(),
@@ -379,8 +421,7 @@ impl ServerInner {
             active_txns: FxHashSet::default(),
             resolving_txns: FxHashSet::default(),
             disk_slowdown: 1,
-            committed_txns: FxHashSet::default(),
-            committed_txn_order: std::collections::VecDeque::new(),
+            committed_txns: FifoSet::default(),
             crashed: false,
             decommissioned: false,
             unavailable: false,
@@ -544,16 +585,9 @@ impl ServerInner {
     /// this moves the id into.
     pub fn retire_entry_id(&mut self, id: OpId, now: SimTime) {
         self.applied_entry_ids.remove(&id);
-        if self.retired_entry_ids.insert(id) {
-            self.retired_entry_order.push_back((now, id));
-        }
-        while let Some((at, old)) = self.retired_entry_order.front().copied() {
-            if now.duration_since(at) <= RETIRED_ENTRY_RETENTION {
-                break;
-            }
-            self.retired_entry_order.pop_front();
-            self.retired_entry_ids.remove(&old);
-        }
+        self.retired_entry_ids.insert(id, now);
+        self.retired_entry_ids
+            .evict_while(|at, _| now.duration_since(at) > RETIRED_ENTRY_RETENTION);
     }
 
     /// Queues discard confirmations for `applier`, to ride on the next
@@ -592,16 +626,10 @@ impl ServerInner {
     /// fabric's reorder window, far shorter than 128 packets.
     pub fn note_request_pkt(&mut self, sender: u32, seq: u64) -> bool {
         const PKT_WINDOW: usize = 128;
-        let (set, order) = self.seen_request_pkts.entry(sender).or_default();
-        if !set.insert(seq) {
-            return false;
-        }
-        order.push_back(seq);
-        while order.len() > PKT_WINDOW {
-            let old = order.pop_front().expect("window overflow implies entries");
-            set.remove(&old);
-        }
-        true
+        let seen = self.seen_request_pkts.entry(sender).or_default();
+        let fresh = seen.insert(seq, ());
+        seen.evict_while(|(), len| len > PKT_WINDOW);
+        fresh
     }
 }
 
@@ -778,24 +806,7 @@ impl Server {
             // Everything else (stray server-to-server traffic addressed to
             // the previous incarnation) is dropped.
             if let Body::Request(req) = msg.body {
-                self.inner.borrow_mut().stats.wrong_owner_rejects += 1;
-                self.trace_event(
-                    Some(TraceId::of_op(req.op_id)),
-                    EventKind::WrongOwner {
-                        op: req.op_id,
-                        client_epoch: req.epoch,
-                    },
-                );
-                self.send_plain(
-                    src,
-                    Body::Response(ClientResponse {
-                        op_id: req.op_id,
-                        result: OpResult::WrongOwner {
-                            map: self.cfg.placement.snapshot(),
-                        },
-                        server: self.cfg.id,
-                    }),
-                );
+                self.reject_wrong_owner(src, &req);
             }
             return;
         }
@@ -887,25 +898,8 @@ impl Server {
         }
         if req.epoch != self.cfg.placement.epoch() && !self.may_own(&req.op) {
             // Routed with a stale shard map after the target shard moved
-            // away: hand back the current map for refresh-and-retry.
-            self.inner.borrow_mut().stats.wrong_owner_rejects += 1;
-            self.trace_event(
-                Some(TraceId::of_op(req.op_id)),
-                EventKind::WrongOwner {
-                    op: req.op_id,
-                    client_epoch: req.epoch,
-                },
-            );
-            self.send_plain(
-                client_node,
-                Body::Response(ClientResponse {
-                    op_id: req.op_id,
-                    result: OpResult::WrongOwner {
-                        map: self.cfg.placement.snapshot(),
-                    },
-                    server: self.cfg.id,
-                }),
-            );
+            // away.
+            self.reject_wrong_owner(client_node, &req);
             return;
         }
         self.inner.borrow_mut().in_flight_ops.insert(req.op_id);
@@ -936,65 +930,56 @@ impl Server {
         }
     }
 
+    /// Answers a request this server does not (or no longer) own with the
+    /// current shard map, for the client's refresh-and-retry.
+    fn reject_wrong_owner(&self, client_node: NodeId, req: &ClientRequest) {
+        self.inner.borrow_mut().stats.wrong_owner_rejects += 1;
+        self.trace_event(
+            Some(TraceId::of_op(req.op_id)),
+            EventKind::WrongOwner {
+                op: req.op_id,
+                client_epoch: req.epoch,
+            },
+        );
+        self.send_plain(
+            client_node,
+            Body::Response(ClientResponse {
+                op_id: req.op_id,
+                result: OpResult::WrongOwner {
+                    map: self.cfg.placement.snapshot(),
+                },
+                server: self.cfg.id,
+            }),
+        );
+    }
+
     /// The placement-hash shards a request's primary key may legitimately
-    /// map to under the current policy (its per-file hash, its fingerprint
-    /// and its parent-directory hash, plus a locally-known directory id for
-    /// grouping policies). Used by the migration freeze gate; computed only
-    /// while a migration is active, never on the hot path.
+    /// map to (its conservative [`key_hashes`], plus a locally-known
+    /// directory id for the content role under grouping). Used by the
+    /// migration freeze gate; computed only while a migration is active,
+    /// never on the hot path.
     fn request_shards(&self, op: &MetaOp) -> Vec<u32> {
         let key = op.primary_key();
-        let fp = Fingerprint::of_dir(&key.pid, &key.name);
         let placement = &self.cfg.placement;
-        let mut shards = vec![
-            placement.shard_of_hash(key.hash64()),
-            placement.shard_of_hash(switchfs_proto::ids::splitmix64(fp.raw())),
-            placement.shard_of_hash(key.pid.hash64()),
-        ];
         let dir_id = self.inner.borrow().inodes.peek(key).map(|a| a.id);
-        if let Some(id) = dir_id {
-            shards.push(placement.shard_of_hash(id.hash64()));
-        }
+        let mut shards: Vec<u32> = key_hashes(key)
+            .into_iter()
+            .chain(dir_id.map(|id| id.hash64()))
+            .map(|h| placement.shard_of_hash(h))
+            .collect();
         shards.dedup();
         shards
     }
 
-    /// Ownership check for stale-epoch requests, mirroring the client
-    /// router's per-op routing under the *current* map. The check must be
-    /// exactly as strict as the router: accepting a non-owner (e.g. the
-    /// per-file-hash server for a fingerprint-routed `mkdir`) would let a
-    /// stale-routed create materialize state on the wrong server.
+    /// Ownership check for stale-epoch requests under the *current* map:
+    /// what [`Placement::accepts`], plus the one clause only a server can
+    /// evaluate — under grouping a directory's content replica is addressed
+    /// by an id the request does not carry, so a replica stored here is
+    /// accepted.
     fn may_own(&self, op: &MetaOp) -> bool {
-        let key = op.primary_key();
         let placement = &self.cfg.placement;
-        let me = self.cfg.id;
-        match placement.policy() {
-            switchfs_proto::PartitionPolicy::PerFileHash => match op {
-                // Fingerprint-routed directory-target operations.
-                MetaOp::Mkdir { .. }
-                | MetaOp::Rmdir { .. }
-                | MetaOp::Statdir { .. }
-                | MetaOp::Readdir { .. }
-                | MetaOp::Lookup { .. } => {
-                    placement.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name)) == me
-                }
-                // Rename is legitimately addressed to either the source's
-                // fingerprint owner (directory source) or its per-file-hash
-                // owner (file source / cold cache, re-routed server-side).
-                MetaOp::Rename { src, .. } => {
-                    placement.owner_of_hash(src.hash64()) == me
-                        || placement.dir_owner_by_fp(Fingerprint::of_dir(&src.pid, &src.name)) == me
-                }
-                _ => placement.owner_of_hash(key.hash64()) == me,
-            },
-            // Grouping policies: most operations target the parent's
-            // children server; directory reads / rmdir target the content
-            // owner, addressed by an id only the client resolved — accept
-            // when the replica is locally stored.
-            _ => {
-                placement.dir_owner_by_id(&key.pid) == me
-                    || self.inner.borrow().inodes.contains(key)
-            }
-        }
+        placement.accepts(op, self.cfg.id)
+            || !placement.is_separation() && self.inner.borrow().inodes.contains(op.primary_key())
     }
 
     /// Durably records a completed mutating operation's response (piggybacked

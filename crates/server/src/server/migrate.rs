@@ -30,9 +30,9 @@
 //! shard and the cluster re-drives the migration.
 
 use switchfs_proto::message::{Body, ClientResponse, Reply, ServerMsg, ShardInstall};
+use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
-    ids::splitmix64, ChangeLogEntry, DirId, FileType, Fingerprint, InodeAttrs, MetaKey, OpId,
-    PartitionPolicy, Placement, ServerId,
+    ChangeLogEntry, DirId, Fingerprint, InodeAttrs, MetaKey, OpId, Placement, ServerId,
 };
 
 use crate::locks::AggGate;
@@ -58,39 +58,7 @@ impl ShardExtract {
     }
 }
 
-/// The placement hashes under which an inode may be stored on its owner:
-/// its routing roles under the given policy. A directory under grouping
-/// policies has two (access replica with the parent's children, content
-/// replica with its own).
-fn inode_role_hashes(policy: PartitionPolicy, key: &MetaKey, attrs: &InodeAttrs) -> Vec<u64> {
-    match policy {
-        PartitionPolicy::PerFileHash => {
-            if attrs.file_type == FileType::Directory {
-                vec![splitmix64(Fingerprint::of_dir(&key.pid, &key.name).raw())]
-            } else {
-                vec![key.hash64()]
-            }
-        }
-        PartitionPolicy::PerDirectoryHash | PartitionPolicy::Subtree => {
-            let mut v = vec![key.pid.hash64()];
-            if attrs.file_type == FileType::Directory {
-                v.push(attrs.id.hash64());
-            }
-            v
-        }
-    }
-}
-
 impl Server {
-    /// Extracts everything stored on this server that shard `shard` owns.
-    /// Thin wrapper over the batched [`Server::collect_shards`].
-    pub(crate) fn collect_shard(&self, shard: u32) -> ShardExtract {
-        let shards: std::collections::BTreeSet<u32> = std::iter::once(shard).collect();
-        self.collect_shards(&shards)
-            .remove(&shard)
-            .unwrap_or_default()
-    }
-
     /// Extracts everything stored on this server that any shard in `shards`
     /// owns, in ONE bucketing pass over the stores. A drain plan moving S
     /// shards off one donor scans the donor's inodes / entry lists / owner
@@ -100,27 +68,23 @@ impl Server {
     /// two independent per-shard scans would collect it.
     pub(crate) fn collect_shards(
         &self,
-        shards: &std::collections::BTreeSet<u32>,
+        shards: impl IntoIterator<Item = u32>,
     ) -> std::collections::BTreeMap<u32, ShardExtract> {
         let placement = &self.cfg.placement;
-        let policy = placement.policy();
         let inner = self.inner.borrow();
         let mut out: std::collections::BTreeMap<u32, ShardExtract> = shards
-            .iter()
-            .map(|s| (*s, ShardExtract::default()))
+            .into_iter()
+            .map(|s| (s, ShardExtract::default()))
             .collect();
         for (key, attrs) in inner.inodes.iter() {
-            let mut first_hit: Option<u32> = None;
-            for h in inode_role_hashes(policy, key, attrs) {
-                let s = placement.shard_of_hash(h);
-                if first_hit == Some(s) {
-                    continue;
-                }
+            // Once per shard, also when both roles of a directory map to it.
+            let roles = placement.inode_role_hashes(key, attrs);
+            let mut role_shards: Vec<u32> =
+                roles.iter().map(|h| placement.shard_of_hash(*h)).collect();
+            role_shards.dedup();
+            for s in role_shards {
                 if let Some(extract) = out.get_mut(&s) {
                     extract.inodes.push((key.clone(), attrs.clone()));
-                    if first_hit.is_none() {
-                        first_hit = Some(s);
-                    }
                 }
             }
         }
@@ -184,11 +148,7 @@ impl Server {
         applied.sort_unstable();
         // The retired FIFO ships in insertion order so the target's eviction
         // order matches; both halves are bounded, so the payload is small.
-        let retired: Vec<OpId> = inner
-            .retired_entry_order
-            .iter()
-            .map(|(_, id)| *id)
-            .collect();
+        let retired: Vec<OpId> = inner.retired_entry_ids.iter().collect();
         let mut completed: Vec<ClientResponse> = inner
             .completed_ops
             .values()
@@ -242,14 +202,15 @@ impl Server {
         if inner
             .pending_aggs
             .values()
-            .any(|agg| placement.shard_of_hash(splitmix64(agg.fp.raw())) == shard)
+            .any(|agg| placement.shard_of_hash(agg.fp.hash64()) == shard)
         {
             return true;
         }
         // Owner-side aggregations that finished collecting but are still
         // applying entries (pending_aggs empties before the apply phase).
         if inner.agg_gates.iter().any(|(raw, gate)| {
-            gate.round_running() && placement.shard_of_hash(splitmix64(*raw)) == shard
+            gate.round_running()
+                && placement.shard_of_hash(Fingerprint::from_raw(*raw).hash64()) == shard
         }) {
             return true;
         }
@@ -268,22 +229,13 @@ impl Server {
         shard: u32,
     ) -> bool {
         use switchfs_proto::message::TxnOp;
-        let placement = &self.cfg.placement;
-        let key_hits = |key: &MetaKey| {
-            let fp = Fingerprint::of_dir(&key.pid, &key.name);
-            placement.shard_of_hash(key.hash64()) == shard
-                || placement.shard_of_hash(splitmix64(fp.raw())) == shard
-                || placement.shard_of_hash(key.pid.hash64()) == shard
-        };
+        let hits = |hash: u64| self.cfg.placement.shard_of_hash(hash) == shard;
+        let key_hits = |key: &MetaKey| key_hashes(key).into_iter().any(hits);
         match op {
             TxnOp::PutInode { key, .. } | TxnOp::DeleteInode { key } => key_hits(key),
-            TxnOp::DirUpdate { dir_key, entry } => {
-                key_hits(dir_key) || placement.shard_of_hash(entry.dir.hash64()) == shard
-            }
-            TxnOp::PutDirContent { key, dir, .. } => {
-                key_hits(key) || placement.shard_of_hash(dir.hash64()) == shard
-            }
-            TxnOp::DeleteDirContent { dir, .. } => placement.shard_of_hash(dir.hash64()) == shard,
+            TxnOp::DirUpdate { dir_key, entry } => key_hits(dir_key) || hits(entry.dir.hash64()),
+            TxnOp::PutDirContent { key, dir, .. } => key_hits(key) || hits(dir.hash64()),
+            TxnOp::DeleteDirContent { dir, .. } => hits(dir.hash64()),
         }
     }
 
@@ -299,23 +251,6 @@ impl Server {
         self.durable.borrow_mut().wal.append_sized(record, size);
         self.cpu.run(self.wal_append_cost()).await;
         self.durable.borrow_mut().wal.flush();
-    }
-
-    /// Migrates `shard` to `target`: freeze → drain → stream (with ack +
-    /// retransmission) → `flip` (the caller reassigns the shard in the
-    /// shared map) → delete the local copy. Returns false — leaving
-    /// ownership unchanged and the shard unfrozen — if the target never
-    /// acked (e.g. it is down); the caller may retry later. Thin wrapper
-    /// over the batched [`Server::migrate_shards`].
-    pub async fn migrate_shard(&self, shard: u32, target: ServerId, flip: impl FnOnce()) -> bool {
-        let flip = std::cell::RefCell::new(Some(flip));
-        self.migrate_shards(&[(shard, target)], |_, _| {
-            if let Some(f) = flip.borrow_mut().take() {
-                f();
-            }
-        })
-        .await
-            == 1
     }
 
     /// Migrates a batch of shards off this server (the donor side of a
@@ -366,8 +301,7 @@ impl Server {
         }
 
         // One bucketing pass over the stores for every shard of the batch.
-        let shard_set: std::collections::BTreeSet<u32> = moves.iter().map(|(s, _)| *s).collect();
-        let mut extracts = self.collect_shards(&shard_set);
+        let mut extracts = self.collect_shards(moves.iter().map(|(s, _)| *s));
 
         let mut migrated = 0;
         for (shard, target) in moves {
@@ -442,10 +376,10 @@ impl Server {
     /// server with only one of them migrating).
     fn shard_delete_effects(&self, extract: &ShardExtract) -> Vec<KvEffect> {
         let placement = &self.cfg.placement;
-        let policy = placement.policy();
         let mut effects = Vec::new();
         for (key, attrs) in &extract.inodes {
-            let keep = inode_role_hashes(policy, key, attrs)
+            let keep = placement
+                .inode_role_hashes(key, attrs)
                 .iter()
                 .any(|h| placement.owner_of_hash(*h) == self.cfg.id);
             if !keep {
@@ -541,7 +475,10 @@ impl Server {
         // of a decommission drain is a loaded survivor, not a fresh node),
         // and dropping them would lose directory updates forever — the
         // pending-append below dedups against them by entry id instead.
-        let stale = self.collect_shard(shard);
+        let stale = self
+            .collect_shards([shard])
+            .remove(&shard)
+            .unwrap_or_default();
         if !stale.is_empty() {
             self.delete_shard_local(&stale, false).await;
         }
@@ -717,7 +654,10 @@ impl Server {
     /// rebuilt state the target now owns): the post-flip source delete,
     /// applied to the volatile stores only.
     pub(crate) fn drop_shard_state(&self, shard: u32) {
-        let extract = self.collect_shard(shard);
+        let extract = self
+            .collect_shards([shard])
+            .remove(&shard)
+            .unwrap_or_default();
         let effects = self.shard_delete_effects(&extract);
         {
             let mut inner = self.inner.borrow_mut();

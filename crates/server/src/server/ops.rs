@@ -251,23 +251,17 @@ impl Server {
         }
     }
 
-    /// Asks the fingerprint-group owner of `key` whether it stores a
-    /// directory inode under that key. Only meaningful under per-file-hash
-    /// placement, where file and directory inodes of the same key live on
-    /// different servers; the grouping placements colocate them and answer
-    /// locally.
+    /// Asks the server a directory called `key` would be reached at whether
+    /// it stores a directory inode under that key. Only meaningful under
+    /// separation, where file and directory inodes of the same key live on
+    /// different servers; grouping colocates them and answers locally.
     pub(crate) async fn probe_is_directory(&self, key: &switchfs_proto::MetaKey) -> bool {
-        if !matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerFileHash
-        ) {
-            return false;
-        }
-        let dir_owner = self
-            .cfg
-            .placement
-            .dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name));
-        self.probe_inode_type(dir_owner, key).await == Some(FileType::Directory)
+        let placement = &self.cfg.placement;
+        placement.is_separation()
+            && self
+                .probe_inode_type(placement.dir_access_owner(key), key)
+                .await
+                == Some(FileType::Directory)
     }
 
     /// Baseline-mode parent update: apply the directory update at the
@@ -329,18 +323,7 @@ impl Server {
                 .queue_discard_confirm(me, me, now, [entry.entry_id]);
             Ok(())
         } else {
-            let token = self.next_token();
-            let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-            let body = Body::Server(ServerMsg::RemoteDirUpdate {
-                req_id: token,
-                dir_key: parent.key.clone(),
-                entry: entry.clone(),
-                discard_confirm,
-            });
-            match self
-                .send_with_ack(self.cfg.node_of(owner), token, body)
-                .await
-            {
+            match self.send_remote_dir_update(owner, parent, entry).await {
                 Some(TokenReply::ACK) => {
                     // The update is applied and this server will never
                     // retransmit it: confirm so the owner can retire the id.
@@ -357,6 +340,27 @@ impl Server {
         }
     }
 
+    /// Sends `entry` to `owner` as a `RemoteDirUpdate`, with the discard
+    /// confirmations queued for that server riding along; the returned
+    /// future waits for the answer. Not an `async fn`: the caller awaits
+    /// [`Server::send_with_ack`]'s future itself, not a wrapper around it.
+    fn send_remote_dir_update<'a>(
+        &'a self,
+        owner: ServerId,
+        parent: &ParentRef,
+        entry: &ChangeLogEntry,
+    ) -> impl std::future::Future<Output = Option<TokenReply>> + 'a {
+        let token = self.next_token();
+        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
+        let body = Body::Server(ServerMsg::RemoteDirUpdate {
+            req_id: token,
+            dir_key: parent.key.clone(),
+            entry: entry.clone(),
+            discard_confirm,
+        });
+        self.send_with_ack(self.cfg.node_of(owner), token, body)
+    }
+
     /// The server owning a directory's updatable metadata under the
     /// synchronous (baseline) mode.
     pub(crate) fn sync_dir_owner(&self, parent: &ParentRef) -> ServerId {
@@ -366,11 +370,7 @@ impl Server {
     /// Baseline `mkdir` under P/C grouping: register the new directory's
     /// content replica on the server that will hold its children.
     async fn sync_init_dir_content(&self, key: &switchfs_proto::MetaKey, attrs: InodeAttrs) {
-        if !matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-                | switchfs_proto::PartitionPolicy::Subtree
-        ) {
+        if self.cfg.placement.is_separation() {
             return;
         }
         let content_owner = self.cfg.placement.dir_owner_by_id(&attrs.id);
@@ -504,12 +504,8 @@ impl Server {
         self.broadcast_invalidation(dir_id, key.clone());
         // Remove the access replica when the directory's children live on a
         // different server than its parent's (P/C grouping).
-        if matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerDirectoryHash
-                | switchfs_proto::PartitionPolicy::Subtree
-        ) {
-            let access_owner = self.cfg.placement.file_owner(key);
+        if !self.cfg.placement.is_separation() {
+            let access_owner = self.cfg.placement.dir_access_owner(key);
             if access_owner != self.cfg.id {
                 let token = self.next_token();
                 let body = Body::Server(ServerMsg::RemoteTxnOp {
@@ -676,18 +672,8 @@ impl Server {
     /// dirty-set insert cannot be used (dedicated-coordinator overflow).
     async fn sync_fallback_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
         let owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
-        let token = self.next_token();
-        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-        let body = Body::Server(ServerMsg::RemoteDirUpdate {
-            req_id: token,
-            dir_key: parent.key.clone(),
-            entry: entry.clone(),
-            discard_confirm,
-        });
-        let acked = self
-            .send_with_ack(self.cfg.node_of(owner), token, body)
-            .await
-            == Some(TokenReply::ACK);
+        let acked =
+            self.send_remote_dir_update(owner, parent, entry).await == Some(TokenReply::ACK);
         self.discard_fallback_entry(parent, entry, acked.then_some(owner));
     }
 

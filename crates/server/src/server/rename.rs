@@ -59,23 +59,18 @@ impl Server {
             return Some(OpResult::Err(FsError::NotFound));
         };
         // Cold-cache routing fold (the client never probes the source's
-        // type): under per-file hashing a directory's inode lives with its
+        // type): under separation a directory's inode lives with its
         // fingerprint group, not at the per-file-hash owner the client
         // defaults to. If the source is not stored here, hand the request to
-        // the group owner — it either coordinates the directory rename or
-        // authoritatively answers NotFound.
-        if matches!(
-            self.cfg.placement.policy(),
-            switchfs_proto::PartitionPolicy::PerFileHash
-        ) && !self.inner.borrow().inodes.contains(src)
-        {
-            let group_owner = self
-                .cfg
-                .placement
-                .dir_owner_by_fp(Fingerprint::of_dir(&src.pid, &src.name));
-            if group_owner != self.cfg.id {
+        // the server a directory of that name is reached at — it either
+        // coordinates the directory rename or authoritatively answers
+        // NotFound. Under grouping that server is this one (files and
+        // directories share the parent's children server): nothing to forward.
+        if !self.inner.borrow().inodes.contains(src) {
+            let access_owner = self.cfg.placement.dir_access_owner(src);
+            if access_owner != self.cfg.id {
                 self.send_plain(
-                    self.cfg.node_of(group_owner),
+                    self.cfg.node_of(access_owner),
                     Body::Server(ServerMsg::ForwardedRequest {
                         client_node: client_node.0,
                         req: req.clone(),
@@ -84,9 +79,9 @@ impl Server {
                 return None;
             }
         }
-        // Destination conflict pre-check for the placements that scatter a
+        // Destination conflict pre-check for the placement that scatters a
         // key's file and directory inodes across different servers
-        // (per-file hashing): the 2PC participants only validate the stores
+        // (separation): the 2PC participants only validate the stores
         // they own, so an existing inode of the *other* kind must be probed
         // explicitly — one typed probe RTT, replacing the two advisory
         // `stat`/`statdir` probes the client used to pay on every rename.
@@ -95,12 +90,7 @@ impl Server {
         // conflict-heavy rename bursts. The race this leaves open (a
         // conflicting inode appearing between probe and commit) is the same
         // one the client-side probes had.
-        if src != dst
-            && matches!(
-                self.cfg.placement.policy(),
-                switchfs_proto::PartitionPolicy::PerFileHash
-            )
-        {
+        if src != dst && self.cfg.placement.is_separation() {
             let src_is_dir = self
                 .inner
                 .borrow()
@@ -196,14 +186,9 @@ impl Server {
         let placement = &self.cfg.placement;
         let mut per_server: BTreeMap<ServerId, Vec<TxnOp>> = BTreeMap::new();
         // The destination inode goes where a fresh create/mkdir of `dst`
-        // would have placed it: for directories under per-file hashing that
-        // is the fingerprint-group owner, not the per-file-hash owner.
-        let dst_inode_owner = if src_attrs.is_dir()
-            && matches!(
-                placement.policy(),
-                switchfs_proto::PartitionPolicy::PerFileHash
-            ) {
-            placement.dir_owner_by_fp(Fingerprint::of_dir(&dst.pid, &dst.name))
+        // would have placed it.
+        let dst_inode_owner = if src_attrs.is_dir() {
+            placement.dir_access_owner(dst)
         } else {
             placement.file_owner(dst)
         };
@@ -216,30 +201,26 @@ impl Server {
             });
         if src_attrs.is_dir() {
             // The directory's content (owner-index registration and, under
-            // per-file hashing, the entry list keyed by its stable id)
-            // follows the inode. The coordinator owns the source content
-            // replica, so it can read the entries locally; under grouping
-            // policies content is placed by the unchanged directory id and
-            // only the id → key index needs re-pointing.
+            // separation, the entry list keyed by its stable id) follows the
+            // inode. The coordinator owns the source content replica, so it
+            // can read the entries locally; under grouping content is placed
+            // by the unchanged directory id and only the id → key index
+            // needs re-pointing.
             let dir_id = src_attrs.id;
             let content_owner =
                 placement.dir_content_owner(Fingerprint::of_dir(&dst.pid, &dst.name), &dir_id);
-            let entries: Vec<switchfs_proto::DirEntry> = match placement.policy() {
-                switchfs_proto::PartitionPolicy::PerFileHash => {
-                    let inner = self.inner.borrow();
-                    inner
-                        .entries
-                        .peek(&dir_id)
-                        .map(|c| c.iter().cloned().collect())
-                        .unwrap_or_default()
-                }
-                _ => Vec::new(),
+            let travels = placement.is_separation();
+            let entries: Vec<switchfs_proto::DirEntry> = if travels {
+                let inner = self.inner.borrow();
+                inner
+                    .entries
+                    .peek(&dir_id)
+                    .map(|c| c.iter().cloned().collect())
+                    .unwrap_or_default()
+            } else {
+                Vec::new()
             };
-            let migrating = content_owner != self.cfg.id
-                && matches!(
-                    placement.policy(),
-                    switchfs_proto::PartitionPolicy::PerFileHash
-                );
+            let migrating = travels && content_owner != self.cfg.id;
             per_server
                 .entry(content_owner)
                 .or_default()
@@ -674,17 +655,11 @@ impl Server {
                 // The staged ops are fully applied (and their effects WAL-
                 // logged); mark the prepared record resolved.
                 self.log_txn_marker(TxnMarker::Resolved { txn_id }).await;
-                let mut inner = self.inner.borrow_mut();
-                if inner.committed_txns.insert(txn_id) {
-                    inner.committed_txn_order.push_back(txn_id);
-                    // Duplicates only arrive within the coordinator's
-                    // bounded retry window; cap the memory.
-                    while inner.committed_txn_order.len() > 4096 {
-                        if let Some(old) = inner.committed_txn_order.pop_front() {
-                            inner.committed_txns.remove(&old);
-                        }
-                    }
-                }
+                // Duplicates only arrive within the coordinator's bounded
+                // retry window; cap the memory.
+                let committed = &mut self.inner.borrow_mut().committed_txns;
+                committed.insert(txn_id, ());
+                committed.evict_while(|(), len| len > 4096);
                 true
             }
             // A duplicate: acknowledgeable only once the first copy's apply

@@ -598,11 +598,7 @@ proptest! {
         // The reference: the historic modulo placement, spelled out per
         // entry point so it shares no code with the map under test.
         let modulo = |h: u64| ServerId((h % servers as u64) as u32);
-        for policy in [
-            PartitionPolicy::PerFileHash,
-            PartitionPolicy::PerDirectoryHash,
-            PartitionPolicy::Subtree,
-        ] {
+        for policy in [PartitionPolicy::PerFileHash, PartitionPolicy::PerDirectoryHash] {
             let file_owner = |key: &MetaKey| match policy {
                 PartitionPolicy::PerFileHash => modulo(key.hash64()),
                 _ => modulo(key.pid.hash64()),
