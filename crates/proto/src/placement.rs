@@ -532,11 +532,6 @@ impl SharedPlacement {
     pub fn plan_drain(&self, victim: ServerId) -> Vec<(u32, ServerId, ServerId)> {
         self.0.borrow().plan_drain(victim)
     }
-
-    /// Number of metadata servers.
-    pub fn num_servers(&self) -> usize {
-        self.0.borrow().num_servers()
-    }
 }
 
 impl Placement for SharedPlacement {

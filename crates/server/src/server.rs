@@ -885,16 +885,12 @@ impl Server {
         // Both checks below are off the hot path: shard classification runs
         // only while an outbound migration is active, and the ownership
         // re-check only when the client's map epoch is stale.
-        if !self.inner.borrow().migrating_shards.is_empty() {
-            let shards = self.request_shards(&req.op);
-            let inner = self.inner.borrow();
-            if shards.iter().any(|s| inner.migrating_shards.contains(s)) {
-                // The target shard is frozen by an outbound migration: drop
-                // the request; the client's retransmission lands after the
-                // flip and is either served here (shard kept) or rejected
-                // with the new map (shard moved).
-                return;
-            }
+        if self.touches_frozen_shard(&req.op) {
+            // The target shard is frozen by an outbound migration: drop the
+            // request; the client's retransmission lands after the flip and
+            // is either served here (shard kept) or rejected with the new
+            // map (shard moved).
+            return;
         }
         if req.epoch != self.cfg.placement.epoch() && !self.may_own(&req.op) {
             // Routed with a stale shard map after the target shard moved
@@ -953,22 +949,22 @@ impl Server {
         );
     }
 
-    /// The placement-hash shards a request's primary key may legitimately
-    /// map to (its conservative [`key_hashes`], plus a locally-known
-    /// directory id for the content role under grouping). Used by the
-    /// migration freeze gate; computed only while a migration is active,
-    /// never on the hot path.
-    fn request_shards(&self, op: &MetaOp) -> Vec<u32> {
+    /// The migration freeze gate: true when a shard the request's primary
+    /// key may legitimately map to is frozen — under any of its conservative
+    /// [`key_hashes`], or a locally-known directory id (the content role
+    /// under grouping).
+    fn touches_frozen_shard(&self, op: &MetaOp) -> bool {
+        let inner = self.inner.borrow();
+        if inner.migrating_shards.is_empty() {
+            return false;
+        }
         let key = op.primary_key();
-        let placement = &self.cfg.placement;
-        let dir_id = self.inner.borrow().inodes.peek(key).map(|a| a.id);
-        let mut shards: Vec<u32> = key_hashes(key)
-            .into_iter()
-            .chain(dir_id.map(|id| id.hash64()))
-            .map(|h| placement.shard_of_hash(h))
-            .collect();
-        shards.dedup();
-        shards
+        let dir_id = inner.inodes.peek(key).map(|a| a.id.hash64());
+        let mut hashes = key_hashes(key).into_iter().chain(dir_id);
+        hashes.any(|h| {
+            let shard = self.cfg.placement.shard_of_hash(h);
+            inner.migrating_shards.contains(&shard)
+        })
     }
 
     /// Ownership check for stale-epoch requests under the *current* map:

@@ -256,12 +256,11 @@ impl Server {
     /// separation, where file and directory inodes of the same key live on
     /// different servers; grouping colocates them and answers locally.
     pub(crate) async fn probe_is_directory(&self, key: &switchfs_proto::MetaKey) -> bool {
-        let placement = &self.cfg.placement;
-        placement.is_separation()
-            && self
-                .probe_inode_type(placement.dir_access_owner(key), key)
-                .await
-                == Some(FileType::Directory)
+        if !self.cfg.placement.is_separation() {
+            return false;
+        }
+        let dir_owner = self.cfg.placement.dir_access_owner(key);
+        self.probe_inode_type(dir_owner, key).await == Some(FileType::Directory)
     }
 
     /// Baseline-mode parent update: apply the directory update at the
@@ -373,7 +372,8 @@ impl Server {
         if self.cfg.placement.is_separation() {
             return;
         }
-        let content_owner = self.cfg.placement.dir_owner_by_id(&attrs.id);
+        let fp = Fingerprint::of_dir(&key.pid, &key.name);
+        let content_owner = self.cfg.placement.dir_content_owner(fp, &attrs.id);
         if content_owner == self.cfg.id {
             self.apply_and_log(
                 None,
