@@ -170,17 +170,15 @@ pub trait Placement {
     /// violation, so this is recorded, not repaired.
     fn route(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> ServerId {
         let key = op.primary_key();
-        if self.needs_target(op) {
-            // The content replica is addressed by the directory's own id;
-            // until the client has resolved it, by the parent's.
-            return self.dir_owner_by_id(&target.map_or(key.pid, |a| a.id));
-        }
         match op {
-            MetaOp::Mkdir { .. }
-            | MetaOp::Rmdir { .. }
-            | MetaOp::Statdir { .. }
-            | MetaOp::Readdir { .. }
-            | MetaOp::Lookup { .. } => self.dir_access_owner(key),
+            // A directory's content: with its fingerprint group under
+            // separation; under grouping by the directory's own id, and by
+            // the parent's until the client has resolved it.
+            MetaOp::Statdir { .. } | MetaOp::Readdir { .. } | MetaOp::Rmdir { .. } => {
+                let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                self.dir_content_owner(fp, &target.map_or(key.pid, |a| a.id))
+            }
+            MetaOp::Mkdir { .. } | MetaOp::Lookup { .. } => self.dir_access_owner(key),
             // Rename is coordinated by the source inode's owner, which
             // depends on the source's type. On a cold cache the request
             // takes the file route and the server there forwards a

@@ -78,11 +78,12 @@ impl Server {
             .collect();
         for (key, attrs) in inner.inodes.iter() {
             // Once per shard, also when both roles of a directory map to it.
-            let roles = placement.inode_role_hashes(key, attrs);
-            let mut role_shards: Vec<u32> =
-                roles.iter().map(|h| placement.shard_of_hash(*h)).collect();
-            role_shards.dedup();
-            for s in role_shards {
+            let mut last = None;
+            for h in placement.inode_role_hashes(key, attrs) {
+                let s = placement.shard_of_hash(h);
+                if last.replace(s) == Some(s) {
+                    continue;
+                }
                 if let Some(extract) = out.get_mut(&s) {
                     extract.inodes.push((key.clone(), attrs.clone()));
                 }

@@ -343,12 +343,12 @@ impl Server {
     /// confirmations queued for that server riding along; the returned
     /// future waits for the answer. Not an `async fn`: the caller awaits
     /// [`Server::send_with_ack`]'s future itself, not a wrapper around it.
-    fn send_remote_dir_update<'a>(
-        &'a self,
+    fn send_remote_dir_update(
+        &self,
         owner: ServerId,
         parent: &ParentRef,
         entry: &ChangeLogEntry,
-    ) -> impl std::future::Future<Output = Option<TokenReply>> + 'a {
+    ) -> impl std::future::Future<Output = Option<TokenReply>> + '_ {
         let token = self.next_token();
         let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
         let body = Body::Server(ServerMsg::RemoteDirUpdate {
