@@ -282,6 +282,7 @@ impl LibFs {
 
     /// Renames a file (or directory).
     pub async fn rename(&self, src_path: &str, dst_path: &str) -> FsResult<()> {
+        self.stats.borrow_mut().ops_issued += 1;
         let mut attempt = 0;
         loop {
             match self.try_rename(src_path, dst_path).await {
@@ -302,7 +303,10 @@ impl LibFs {
                         self.handle.sleep(self.cfg.request_timeout).await;
                     }
                 }
-                other => return other,
+                other => {
+                    self.count_outcome(other.is_ok());
+                    return other;
+                }
             }
         }
     }
@@ -390,7 +394,7 @@ impl LibFs {
                     continue;
                 }
                 Err(e) => {
-                    self.stats.borrow_mut().ops_err += 1;
+                    self.count_outcome(false);
                     return Err(e);
                 }
             };
@@ -426,20 +430,22 @@ impl LibFs {
                     }
                     continue;
                 }
-                Ok(r) => {
-                    let mut stats = self.stats.borrow_mut();
-                    if r.is_ok() {
-                        stats.ops_ok += 1;
-                    } else {
-                        stats.ops_err += 1;
-                    }
-                    return Ok(r);
-                }
-                Err(e) => {
-                    self.stats.borrow_mut().ops_err += 1;
-                    return Err(e);
+                out => {
+                    self.count_outcome(out.as_ref().is_ok_and(OpResult::is_ok));
+                    return out;
                 }
             }
+        }
+    }
+
+    /// Counts one operation's final outcome (`rename` has a retry loop of its
+    /// own and ends here too).
+    fn count_outcome(&self, ok: bool) {
+        let mut stats = self.stats.borrow_mut();
+        if ok {
+            stats.ops_ok += 1;
+        } else {
+            stats.ops_err += 1;
         }
     }
 

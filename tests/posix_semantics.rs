@@ -139,7 +139,17 @@ fn rename_moves_a_file_across_directories() {
         client.rename("/a/x", "/b/y").await.unwrap();
         assert_eq!(client.stat("/a/x").await.unwrap_err(), FsError::NotFound);
         client.stat("/b/y").await.expect("renamed file must exist");
+        let gone = client.rename("/a/x", "/b/z").await;
+        assert_eq!(gone.unwrap_err(), FsError::NotFound);
     });
+    // Seven operations, the two renames among them: rename runs its own
+    // retry loop and must be counted like every other operation.
+    let stats = cluster.client(0).stats();
+    assert_eq!(
+        (stats.ops_issued, stats.ops_ok, stats.ops_err),
+        (7, 5, 2),
+        "every call is one issued operation with one final outcome"
+    );
 }
 
 #[test]
