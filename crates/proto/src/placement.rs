@@ -167,7 +167,9 @@ pub trait Placement {
     /// name would) and only by hash coincidence under separation (3 of 16
     /// names at 8 servers, SwitchFS and E-CFS alike). Directories have
     /// `statdir`; the chaos model counts "stat succeeded on a directory" as a
-    /// violation, so this is recorded, not repaired.
+    /// violation, so this is recorded, not repaired. Nor is `target`'s type
+    /// checked: under grouping a directory operation on a path that resolved
+    /// to a file goes by the file's id, to a server that finds nothing there.
     fn route(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> ServerId {
         let key = op.primary_key();
         match op {
