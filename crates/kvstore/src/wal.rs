@@ -116,6 +116,9 @@ pub struct Wal<R> {
     /// crash-vulnerable suffix; after recovery the survivors' bytes are
     /// credited here (whatever survived a crash is by definition on media).
     flushed_bytes: u64,
+    /// Records [`Wal::mark_applied_where`] visited over the log's lifetime:
+    /// what the discards cost the host, as an exact count.
+    mark_visits: u64,
 }
 
 impl<R> Default for Wal<R> {
@@ -128,6 +131,7 @@ impl<R> Default for Wal<R> {
             bytes: 0,
             appends: 0,
             flushed_bytes: 0,
+            mark_visits: 0,
         }
     }
 }
@@ -308,6 +312,7 @@ impl<R: Clone> Wal<R> {
             if n == expect {
                 break;
             }
+            self.mark_visits += 1;
             if !r.applied && pred(&r.payload) {
                 r.applied = true;
                 n += 1;
@@ -352,6 +357,11 @@ impl<R: Clone> Wal<R> {
     /// sitting in the crash-vulnerable unflushed suffix.
     pub fn flushed_bytes(&self) -> u64 {
         self.flushed_bytes
+    }
+
+    /// Records visited by every [`Wal::mark_applied_where`] so far.
+    pub fn mark_visits(&self) -> u64 {
+        self.mark_visits
     }
 
     /// The LSN the next append will receive.
@@ -528,6 +538,8 @@ mod tests {
         );
         assert_eq!(looked_at.len(), 98);
         assert_eq!(wal.mark_applied_where(0, |_| unreachable!()), 0);
+        // Every record passed counts as a visit, already applied or not.
+        assert_eq!(wal.mark_visits(), 5 + 100);
     }
 
     #[test]

@@ -1319,23 +1319,30 @@ impl Server {
     /// Holder side of "these entries were applied by their directory's
     /// owner": drops them from the change-logs (`drop_from_logs` says where
     /// they sit — a fingerprint group, one directory's push window, one
-    /// directory), marks their WAL records applied so a recovery does not
-    /// rebuild them, and — the discard now being durable — queues the
-    /// discard confirmation for `applier`, the server that holds the ids in
-    /// its duplicate-suppression set, to ride on the next message that
-    /// flows there. `None` when that server is unknown or confirmed
-    /// nothing.
+    /// directory — and returns how many it removed), marks that many WAL
+    /// records applied so a recovery does not rebuild them, and — the
+    /// discard now being durable — queues the discard confirmation for
+    /// `applier`, the server that holds the ids in its duplicate-suppression
+    /// set, to ride on the next message that flows there. `None` when that
+    /// server is unknown or confirmed nothing.
+    ///
+    /// `ids` may name more than was removed — an owner's round passes the
+    /// remote entries it applied too, an acknowledgment names entries a
+    /// racing round already discarded — and only a removed entry has an
+    /// unapplied record here, so the walk back from the WAL's tail stops at
+    /// the oldest of those; a call that removed nothing walks nothing. (That
+    /// distance is inherent until a change-log entry carries its LSN.)
     pub(crate) fn discard_applied_entries<R>(
         &self,
-        drop_from_logs: impl FnOnce(&mut ChangeLogStore) -> R,
+        drop_from_logs: impl FnOnce(&mut ChangeLogStore) -> (usize, R),
         ids: &FxHashSet<OpId>,
         applier: Option<ServerId>,
     ) -> R {
-        let dropped = drop_from_logs(&mut self.inner.borrow_mut().changelogs);
+        let (removed, out) = drop_from_logs(&mut self.inner.borrow_mut().changelogs);
         self.durable
             .borrow_mut()
             .wal
-            .mark_applied_where(ids.len(), |rec| {
+            .mark_applied_where(removed, |rec| {
                 rec.pending_entry
                     .as_ref()
                     .is_some_and(|(_, _, e)| ids.contains(&e.entry_id))
@@ -1349,7 +1356,7 @@ impl Server {
                 ids.iter().copied(),
             );
         }
-        dropped
+        out
     }
 
     /// Allocates a fresh token / aggregation id.
@@ -1921,5 +1928,84 @@ impl Server {
     /// The cost model in effect (shared with benches).
     pub fn costs(&self) -> crate::costs::CostModel {
         self.cfg.costs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::UpdateMode;
+    use switchfs_proto::{PartitionPolicy, SharedPlacement};
+    use switchfs_simnet::net::LinkParams;
+    use switchfs_simnet::{NetFaults, Network, Sim};
+
+    /// Server `id` of a `servers`-strong deployment on a network of its own.
+    pub(crate) fn test_server(sim: &Sim, id: u32, servers: u32) -> Server {
+        let network: Network<NetMsg> = Network::new(
+            sim.handle(),
+            LinkParams::default(),
+            NetFaults::reliable(),
+            1,
+        );
+        let cfg = ServerConfig {
+            id: ServerId(id),
+            node: NodeId(id),
+            cores: 1,
+            costs: crate::costs::CostModel::default(),
+            update_mode: UpdateMode::AsyncCompacted,
+            tracking: TrackingMode::InNetwork,
+            placement: SharedPlacement::initial(PartitionPolicy::PerFileHash, servers as usize),
+            server_nodes: Rc::new(RefCell::new((0..servers).map(NodeId).collect())),
+            obs: switchfs_obs::Obs::disabled(),
+        };
+        let durable = Rc::new(RefCell::new(DurableState::new()));
+        Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
+    }
+
+    #[test]
+    fn a_discard_walks_back_to_the_oldest_entry_it_removed_and_no_further() {
+        let sim = Sim::new(1);
+        let server = test_server(&sim, 0, 1);
+        let dir_key = MetaKey::new(DirId::ROOT, "d");
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        let id = |seq| OpId {
+            client: ClientId(1),
+            seq,
+        };
+        let dir = DirId::generate(ServerId(0), 1);
+        // A hundred records of other work, then three deferred entries.
+        for _ in 0..100 {
+            server.wal_hand_over(WalOp::local(None, Vec::new()));
+        }
+        for seq in 0..3 {
+            let entry = server.make_entry(id(seq), dir, "f", ChangeOp::Remove, -1);
+            server.wal_hand_over(WalOp {
+                pending_entry: Some((dir, dir_key.clone(), entry.clone())),
+                ..WalOp::local(Some(id(seq)), Vec::new())
+            });
+            let mut inner = server.inner.borrow_mut();
+            inner
+                .changelogs
+                .append(dir, &dir_key, fp, entry, SimTime::ZERO);
+        }
+        let visits = || server.durable.borrow().wal.mark_visits();
+        // An owner's round names its own three entries and the remote ones
+        // it applied, which have no record here: the walk ends at the oldest
+        // of the three, not at the head of the log.
+        let ids: FxHashSet<OpId> = (0..40).map(id).collect();
+        let discard = || {
+            server.discard_applied_entries(
+                |logs| (logs.discard_applied_in_group(fp, &ids), ()),
+                &ids,
+                None,
+            )
+        };
+        discard();
+        assert_eq!(visits(), 3);
+        assert_eq!(server.durable.borrow().wal.unapplied().count(), 100);
+        // A second discard of the same entries (the acknowledgment that lost
+        // the race against the round) removes nothing and walks nothing.
+        discard();
+        assert_eq!(visits(), 3);
     }
 }

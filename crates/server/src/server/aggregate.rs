@@ -295,7 +295,7 @@ impl Server {
         // The owner's own deferred entries for this group are now applied.
         let own_ids: FxHashSet<OpId> = entries.iter().map(|e| e.entry_id).collect();
         self.discard_applied_entries(
-            |logs| logs.discard_applied_in_group(fp, &own_ids),
+            |logs| (logs.discard_applied_in_group(fp, &own_ids), ()),
             &own_ids,
             None,
         );
@@ -547,7 +547,7 @@ impl Server {
             // discarded, so the owner is told to retire them from its
             // duplicate-suppression set.
             self.discard_applied_entries(
-                |logs| logs.discard_applied_in_group(agg.fp, &sent_ids),
+                |logs| (logs.discard_applied_in_group(agg.fp, &sent_ids), ()),
                 &sent_ids,
                 Some(agg.owner),
             );

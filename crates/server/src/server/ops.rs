@@ -687,7 +687,10 @@ impl Server {
     ) {
         let id = entry.entry_id;
         self.discard_applied_entries(
-            |logs| logs.get_mut(&parent.id).map(|log| log.discard_one(id)),
+            |logs| {
+                let log = logs.get_mut(&parent.id);
+                (log.map_or(0, |log| usize::from(log.discard_one(id))), ())
+            },
             &FxHashSet::from_iter([id]),
             applier,
         );

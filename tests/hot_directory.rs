@@ -542,6 +542,62 @@ fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
 }
 
 #[test]
+fn a_round_walks_the_owners_wal_no_further_back_than_its_oldest_local_entry() {
+    const COLD: usize = 1_600;
+    const HOT: usize = 200;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    cluster.preload_dir("/cold");
+    cluster.preload_dir("/hot");
+    // Every push is lost: entries stay with their holders until a read's
+    // round collects them.
+    Tap::install(&cluster, &TapLog::default(), true);
+    let fill_and_read = |dir: &str, files: usize| {
+        let creates = (0..files)
+            .map(|i| WorkItem::new(OpKind::Create, format!("{dir}/f{i}")))
+            .collect();
+        assert_eq!(cluster.run_workload(creates, 64, None).errors, 0);
+        let pending: Vec<usize> = cluster
+            .servers()
+            .iter()
+            .map(|s| s.pending_changelog_entries())
+            .collect();
+        let (client, dir) = (cluster.client(0), dir.to_string());
+        let size =
+            cluster.block_on(async move { client.statdir(&dir).await.expect("statdir").size });
+        assert_eq!(size as usize, files);
+        pending
+    };
+    // A long prefix of applied records on every server.
+    fill_and_read("/cold", COLD);
+    let wal_at = |i: usize| {
+        let durable = cluster.durable_state(i);
+        let durable = durable.borrow();
+        (durable.wal.next_lsn(), durable.wal.mark_visits())
+    };
+    let before: Vec<(u64, u64)> = (0..cluster.servers().len()).map(wal_at).collect();
+    let pending = fill_and_read("/hot", HOT);
+    let owner = cluster
+        .placement()
+        .dir_owner_by_fp(Fingerprint::of_dir(&DirId::ROOT, "hot"))
+        .0 as usize;
+    assert!(
+        pending[owner] > 0 && pending[owner] < HOT,
+        "the owner's round applies entries of its own and remote ones: {pending:?}"
+    );
+    // The owner discards by the ids of everything it applied; only its own
+    // entries have records in its WAL, all of them appended since `before`.
+    for (i, (lsn_before, visits_before)) in before.into_iter().enumerate() {
+        let (lsn, visits) = wal_at(i);
+        assert!(
+            visits - visits_before <= lsn - lsn_before,
+            "server {i} (owner {owner}): {} records visited, {} appended since the first entry",
+            visits - visits_before,
+            lsn - lsn_before
+        );
+    }
+}
+
+#[test]
 fn an_unacknowledged_batch_is_resent_at_retransmission_pace_and_applied_once() {
     // A readdir of a large, clean directory holds the owner's group lock (as
     // a reader) for 2 ms: 0.05 µs per listed entry.
