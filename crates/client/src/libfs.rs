@@ -43,24 +43,25 @@ impl LibFsConfig {
     }
 }
 
-/// Client-side counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Operations attempted.
-    pub ops_issued: u64,
-    /// Operations that ultimately succeeded.
-    pub ops_ok: u64,
-    /// Operations that ultimately failed.
-    pub ops_err: u64,
-    /// Request retransmissions.
-    pub retransmissions: u64,
-    /// Whole-operation retries caused by stale caches.
-    pub stale_retries: u64,
-    /// Lookup RPCs issued during path resolution.
-    pub lookups: u64,
-    /// Shard-map refreshes triggered by `WrongOwner` rejections (live
-    /// migration moved a shard this client had cached).
-    pub map_refreshes: u64,
+switchfs_simnet::counters! {
+    /// Client-side counters.
+    pub struct ClientStats {
+        /// Operations attempted.
+        pub ops_issued: u64,
+        /// Operations that ultimately succeeded.
+        pub ops_ok: u64,
+        /// Operations that ultimately failed.
+        pub ops_err: u64,
+        /// Request retransmissions.
+        pub retransmissions: u64,
+        /// Whole-operation retries caused by stale caches.
+        pub stale_retries: u64,
+        /// Lookup RPCs issued during path resolution.
+        pub lookups: u64,
+        /// Shard-map refreshes triggered by `WrongOwner` rejections (live
+        /// migration moved a shard this client had cached).
+        pub map_refreshes: u64,
+    }
 }
 
 /// Result of path resolution.

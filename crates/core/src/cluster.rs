@@ -12,7 +12,7 @@ use switchfs_proto::{
     SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
-use switchfs_server::{DurableState, Server, ServerConfig, TrackingMode};
+use switchfs_server::{DurableState, Server, ServerConfig, COORDINATOR_NODE};
 use switchfs_simnet::net::LinkParams;
 use switchfs_simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use switchfs_switch::{DirtySetConfig, SwitchConfig, SwitchFsProgram, SwitchStats};
@@ -28,7 +28,6 @@ pub(crate) fn server_node(i: usize) -> NodeId {
 pub(crate) fn client_node(i: usize) -> NodeId {
     NodeId(1000 + i as u32)
 }
-const COORDINATOR_NODE: NodeId = NodeId(900);
 
 /// A fully built simulated deployment: servers, clients, switch, network.
 pub struct Cluster {
@@ -42,7 +41,6 @@ pub struct Cluster {
     switch: Option<Rc<RefCell<SwitchFsProgram>>>,
     placement: SharedPlacement,
     server_nodes: Rc<RefCell<Vec<NodeId>>>,
-    tracking_mode: TrackingMode,
     /// Shared observability sink: one flight recorder covering every server
     /// and client of the deployment.
     obs: ObsHandle,
@@ -90,79 +88,74 @@ impl Cluster {
             Rc::new(Coordinator::new(handle.clone(), ep, 12)).start();
         }
 
-        let tracking_mode = match cfg.tracking {
-            TrackingChoice::InNetwork => TrackingMode::InNetwork,
-            TrackingChoice::DedicatedServer => TrackingMode::DedicatedServer(COORDINATOR_NODE),
-            TrackingChoice::OwnerServer => TrackingMode::OwnerServer,
+        let mut cluster = Cluster {
+            sim,
+            cfg,
+            network,
+            servers: Vec::new(),
+            durables: Vec::new(),
+            clients: Vec::new(),
+            switch,
+            placement,
+            server_nodes,
+            obs,
+            preloaded_dirs: BTreeMap::new(),
+            preload_counter: 0,
         };
 
         // Metadata servers.
-        let mut servers = Vec::with_capacity(cfg.servers);
-        let mut durables = Vec::with_capacity(cfg.servers);
-        for i in 0..cfg.servers {
-            let endpoint = network.register(server_node(i));
-            let durable = Rc::new(RefCell::new(DurableState::new()));
-            let server = Server::new(
-                handle.clone(),
-                endpoint,
-                ServerConfig {
-                    id: ServerId(i as u32),
-                    node: server_node(i),
-                    cores: cfg.cores_per_server,
-                    costs: cfg.cost_model(),
-                    update_mode: cfg.update_mode(),
-                    tracking: tracking_mode,
-                    placement: placement.clone(),
-                    server_nodes: server_nodes.clone(),
-                    obs: obs.clone(),
-                },
-                durable.clone(),
-            );
-            server.start();
-            servers.push(server);
-            durables.push(durable);
+        for i in 0..cluster.cfg.servers {
+            cluster.build_server(i).start();
         }
 
         // Clients. Each gets a *private* shard-map snapshot: after a live
         // migration flips shards in the shared map, a client keeps routing
         // with its stale copy until a `WrongOwner` rejection refreshes it.
-        let mut clients = Vec::with_capacity(cfg.clients);
-        for i in 0..cfg.clients {
+        for i in 0..cluster.cfg.clients {
             // Directory reads carry a dirty-set query only where a switch
             // answers it.
-            let router = Router::new(placement.snapshot(), switch.is_some());
-            let endpoint = network.register(client_node(i));
+            let router = Router::new(cluster.placement.snapshot(), cluster.switch.is_some());
+            let endpoint = cluster.network.register(client_node(i));
             let mut lib_cfg = LibFsConfig::new(ClientId(i as u32));
-            lib_cfg.request_timeout = cfg.client_request_timeout();
+            lib_cfg.request_timeout = cluster.cfg.client_request_timeout();
             let client = LibFs::new(
                 handle.clone(),
                 endpoint,
                 router,
-                server_nodes.clone(),
+                cluster.server_nodes.clone(),
                 lib_cfg,
-                obs.clone(),
+                cluster.obs.clone(),
             );
             client.start();
-            clients.push(client);
+            cluster.clients.push(client);
         }
-
-        let mut cluster = Cluster {
-            sim,
-            cfg,
-            network,
-            servers,
-            durables,
-            clients,
-            switch,
-            placement,
-            server_nodes,
-            tracking_mode,
-            obs,
-            preloaded_dirs: BTreeMap::new(),
-            preload_counter: 0,
-        };
         cluster.preload_root();
         cluster
+    }
+
+    /// Builds metadata server `i` on its node, with an empty durable state,
+    /// and adds it to the deployment; the caller starts it.
+    fn build_server(&mut self, i: usize) -> Server {
+        let durable = Rc::new(RefCell::new(DurableState::new()));
+        let server = Server::new(
+            self.sim.handle(),
+            self.network.register(server_node(i)),
+            ServerConfig {
+                id: ServerId(i as u32),
+                node: server_node(i),
+                cores: self.cfg.cores_per_server,
+                costs: self.cfg.cost_model(),
+                update_mode: self.cfg.update_mode(),
+                tracking: self.cfg.tracking,
+                placement: self.placement.clone(),
+                server_nodes: self.server_nodes.clone(),
+                obs: self.obs.clone(),
+            },
+            durable.clone(),
+        );
+        self.servers.push(server.clone());
+        self.durables.push(durable);
+        server
     }
 
     /// The configuration the deployment was built from.
@@ -368,36 +361,17 @@ impl Cluster {
     pub fn add_server(&mut self) -> usize {
         let i = self.servers.len();
         let node = server_node(i);
-        let endpoint = self.network.register(node);
-        let durable = Rc::new(RefCell::new(DurableState::new()));
         let new_id = self.placement.add_server();
         debug_assert_eq!(new_id, ServerId(i as u32));
         self.server_nodes.borrow_mut().push(node);
         if let Some(program) = &self.switch {
             program.borrow_mut().add_server_node(node.0);
         }
-        let server = Server::new(
-            self.sim.handle(),
-            endpoint,
-            ServerConfig {
-                id: new_id,
-                node,
-                cores: self.cfg.cores_per_server,
-                costs: self.cfg.cost_model(),
-                update_mode: self.cfg.update_mode(),
-                tracking: self.tracking_mode,
-                placement: self.placement.clone(),
-                server_nodes: self.server_nodes.clone(),
-                obs: self.obs.clone(),
-            },
-            durable.clone(),
-        );
+        let server = self.build_server(i);
         // Setup-time state seeding (like preloading): the newcomer needs the
         // cluster's invalidation list before it serves stale-cache checks.
         server.seed_invalidation_from(&self.servers[0]);
         server.start();
-        self.servers.push(server);
-        self.durables.push(durable);
         i
     }
 
@@ -529,83 +503,38 @@ impl Cluster {
     /// mutates nothing.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let s = self.total_server_stats();
-        reg.counter("server.ops_completed", s.ops_completed)
-            .counter("server.ops_failed", s.ops_failed)
-            .counter("server.aggregations", s.aggregations)
-            .counter("server.entries_applied", s.entries_applied)
-            .counter("server.entries_compacted_away", s.entries_compacted_away)
-            .counter("server.pushes_sent", s.pushes_sent)
-            .counter("server.pushes_received", s.pushes_received)
-            .counter("server.fallback_syncs", s.fallback_syncs)
-            .counter("server.remote_updates", s.remote_updates)
-            .counter("server.retransmissions", s.retransmissions)
-            .counter("server.recoveries", s.recoveries)
-            .counter("server.shards_migrated_out", s.shards_migrated_out)
-            .counter("server.shards_migrated_in", s.shards_migrated_in)
-            .counter("server.wrong_owner_rejects", s.wrong_owner_rejects);
+        // One row per field of a counter struct, `<prefix>.<field name>`.
+        let mut add = |prefix: &str, rows: Vec<(&'static str, u64)>| {
+            for (name, value) in rows {
+                reg.counter(&format!("{prefix}.{name}"), value);
+            }
+        };
+        add("server", self.total_server_stats().rows());
 
-        let mut c = switchfs_client::ClientStats::default();
-        for client in &self.clients {
-            let st = client.stats();
-            c.ops_issued += st.ops_issued;
-            c.ops_ok += st.ops_ok;
-            c.ops_err += st.ops_err;
-            c.retransmissions += st.retransmissions;
-            c.stale_retries += st.stale_retries;
-            c.lookups += st.lookups;
-            c.map_refreshes += st.map_refreshes;
+        let mut client = switchfs_client::ClientStats::default();
+        for c in &self.clients {
+            client += c.stats();
         }
-        reg.counter("client.ops_issued", c.ops_issued)
-            .counter("client.ops_ok", c.ops_ok)
-            .counter("client.ops_err", c.ops_err)
-            .counter("client.retransmissions", c.retransmissions)
-            .counter("client.stale_retries", c.stale_retries)
-            .counter("client.lookups", c.lookups)
-            .counter("client.map_refreshes", c.map_refreshes);
+        add("client", client.rows());
 
         let mut kv = switchfs_kvstore::KvStats::default();
         let (mut wal_appends, mut wal_bytes, mut wal_flushed_bytes) = (0u64, 0u64, 0u64);
         for (server, durable) in self.servers.iter().zip(&self.durables) {
-            let st = server.kv_stats();
-            kv.gets += st.gets;
-            kv.puts += st.puts;
-            kv.deletes += st.deletes;
-            kv.scans += st.scans;
+            kv += server.kv_stats();
             let d = durable.borrow();
             wal_appends += d.wal.appends();
             wal_bytes += d.wal.bytes();
             wal_flushed_bytes += d.wal.flushed_bytes();
         }
-        reg.counter("kv.gets", kv.gets)
-            .counter("kv.puts", kv.puts)
-            .counter("kv.deletes", kv.deletes)
-            .counter("kv.scans", kv.scans)
-            .counter("wal.appends", wal_appends)
+        add("kv", kv.rows());
+        if let Some(sw) = self.switch_stats() {
+            add("switch", sw.rows());
+        }
+        add("net", self.network.stats().rows());
+
+        reg.counter("wal.appends", wal_appends)
             .counter("wal.bytes_appended", wal_bytes)
             .counter("wal.bytes_flushed", wal_flushed_bytes);
-
-        if let Some(sw) = self.switch_stats() {
-            reg.counter("switch.packets", sw.packets)
-                .counter("switch.regular_packets", sw.regular_packets)
-                .counter("switch.queries", sw.queries)
-                .counter("switch.inserts", sw.inserts)
-                .counter("switch.insert_overflows", sw.insert_overflows)
-                .counter("switch.removes", sw.removes)
-                .counter("switch.stale_removes", sw.stale_removes)
-                .counter("switch.mirrored", sw.mirrored)
-                .counter("switch.multicast_copies", sw.multicast_copies);
-        }
-
-        let net = self.network.stats();
-        reg.counter("net.sent", net.sent)
-            .counter("net.delivered", net.delivered)
-            .counter("net.dropped_faults", net.dropped_faults)
-            .counter("net.duplicated", net.duplicated)
-            .counter("net.dropped_node_down", net.dropped_node_down)
-            .counter("net.dropped_by_switch", net.dropped_by_switch)
-            .counter("net.dropped_partition", net.dropped_partition);
-
         reg.counter("obs.events_recorded", self.obs.recorder().len() as u64)
             .counter("obs.events_evicted", self.obs.recorder().evicted());
         reg
@@ -615,21 +544,7 @@ impl Cluster {
     pub fn total_server_stats(&self) -> switchfs_server::ServerStats {
         let mut total = switchfs_server::ServerStats::default();
         for s in &self.servers {
-            let st = s.stats();
-            total.ops_completed += st.ops_completed;
-            total.ops_failed += st.ops_failed;
-            total.aggregations += st.aggregations;
-            total.entries_applied += st.entries_applied;
-            total.entries_compacted_away += st.entries_compacted_away;
-            total.pushes_sent += st.pushes_sent;
-            total.pushes_received += st.pushes_received;
-            total.fallback_syncs += st.fallback_syncs;
-            total.remote_updates += st.remote_updates;
-            total.retransmissions += st.retransmissions;
-            total.recoveries += st.recoveries;
-            total.shards_migrated_out += st.shards_migrated_out;
-            total.shards_migrated_in += st.shards_migrated_in;
-            total.wrong_owner_rejects += st.wrong_owner_rejects;
+            total += s.stats();
         }
         total
     }

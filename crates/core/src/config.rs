@@ -1,19 +1,11 @@
 //! Cluster-level configuration.
 
 use switchfs_baselines::SystemKind;
+/// Where directory dirty state is tracked (the §7.3.3 comparison): the
+/// servers' own [`switchfs_server::TrackingMode`], handed to each unchanged.
+pub use switchfs_server::TrackingMode as TrackingChoice;
 use switchfs_server::{CostModel, UpdateMode};
 use switchfs_simnet::{NetFaults, SimDuration};
-
-/// Where directory dirty state is tracked (the §7.3.3 comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrackingChoice {
-    /// In the programmable switch (SwitchFS's design).
-    InNetwork,
-    /// On a dedicated coordinator server reached by RPC.
-    DedicatedServer,
-    /// On each directory's owner server.
-    OwnerServer,
-}
 
 /// Configuration of one simulated deployment.
 #[derive(Debug, Clone)]

@@ -2,22 +2,23 @@
 
 use std::collections::BTreeMap;
 
-/// Operation counters, used by the simulation to attribute storage costs and
-/// by tests to assert how many mutations an operation performed (change-log
-/// compaction is evaluated partly by how many `put()` calls it saves, §5.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KvStats {
-    /// Number of `get` calls.
-    pub gets: u64,
-    /// Number of `put` calls.
-    pub puts: u64,
-    /// Number of `delete` calls.
-    pub deletes: u64,
-    /// Number of scan calls. The store has none at present (a directory's
-    /// listing is one value, read with a `get`), so this stays 0; the field
-    /// and its `kv.scans` registry row are part of what the figures and the
-    /// benchmark report.
-    pub scans: u64,
+switchfs_simnet::counters! {
+    /// Operation counters, used by the simulation to attribute storage costs and
+    /// by tests to assert how many mutations an operation performed (change-log
+    /// compaction is evaluated partly by how many `put()` calls it saves, §5.3).
+    pub struct KvStats {
+        /// Number of `get` calls.
+        pub gets: u64,
+        /// Number of `put` calls.
+        pub puts: u64,
+        /// Number of `delete` calls.
+        pub deletes: u64,
+        /// Number of scan calls. The store has none at present (a directory's
+        /// listing is one value, read with a `get`), so this stays 0; the field
+        /// and its `kv.scans` registry row are part of what the figures and the
+        /// benchmark report.
+        pub scans: u64,
+    }
 }
 
 /// An ordered, in-memory key-value store.

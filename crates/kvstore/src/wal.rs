@@ -25,7 +25,7 @@
 //! distinguishable from any pre-crash survivor.
 
 /// splitmix64: the per-record fault draw for [`Wal::crash_apply`] and the
-/// modeled record checksum. Local so the kvstore crate stays dependency-free.
+/// modeled record checksum. Local: no other crate draws from it.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -38,13 +38,18 @@ impl UpdateMode {
 pub enum TrackingMode {
     /// In the programmable switch (the SwitchFS design).
     InNetwork,
-    /// On a dedicated coordinator server reached by RPC (adds one RTT to
-    /// every double-inode operation and directory read, Fig. 15).
-    DedicatedServer(NodeId),
+    /// On a dedicated coordinator server reached by RPC at
+    /// [`COORDINATOR_NODE`] (adds one RTT to every double-inode operation and
+    /// directory read, Fig. 15).
+    DedicatedServer,
     /// On each directory's owner server (doubles the packets per
     /// double-inode operation and adds queueing, Fig. 16).
     OwnerServer,
 }
+
+/// The network node of the dedicated dirty-set coordinator
+/// ([`TrackingMode::DedicatedServer`]).
+pub const COORDINATOR_NODE: NodeId = NodeId(900);
 
 /// Proactive change-log pushing (§5.3; on in every experiment of the
 /// paper, and always on here): a holder pushes a directory's change-log once

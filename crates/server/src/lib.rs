@@ -30,7 +30,7 @@ pub mod server;
 pub mod wal;
 
 pub use changelog::{ChangeLog, ChangeLogStore};
-pub use config::{ServerConfig, TrackingMode, UpdateMode};
+pub use config::{ServerConfig, TrackingMode, UpdateMode, COORDINATOR_NODE};
 pub use costs::CostModel;
 pub use locks::LockManager;
 pub use server::{DirContent, Server, ServerStats};

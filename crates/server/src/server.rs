@@ -40,50 +40,51 @@ use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimDuration, SimHandle
 use switchfs_switch::SoftwareDirtySet;
 
 use crate::changelog::ChangeLogStore;
-use crate::config::{ServerConfig, TrackingMode};
+use crate::config::{ServerConfig, TrackingMode, COORDINATOR_NODE};
 use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, WalOp};
 
-/// Counters describing what a server has done; read by tests and by the
-/// evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Client operations answered (including errors).
-    pub ops_completed: u64,
-    /// Client operations that failed.
-    pub ops_failed: u64,
-    /// Aggregations this server initiated as directory owner.
-    pub aggregations: u64,
-    /// Change-log entries applied to directories this server owns.
-    pub entries_applied: u64,
-    /// Entries that change-log compaction merged away before applying.
-    pub entries_compacted_away: u64,
-    /// Proactive change-log pushes sent.
-    pub pushes_sent: u64,
-    /// Proactive change-log pushes received and applied.
-    pub pushes_received: u64,
-    /// Asynchronous commits that overflowed the dirty set and fell back to a
-    /// synchronous update.
-    pub fallback_syncs: u64,
-    /// Synchronous remote directory updates served (baseline path and
-    /// overflow fallback).
-    pub remote_updates: u64,
-    /// Retransmissions performed by this server.
-    pub retransmissions: u64,
-    /// Crash recoveries completed.
-    pub recoveries: u64,
-    /// Shards this server migrated away (live scale-out): completed
-    /// freeze→stream→flip cycles.
-    pub shards_migrated_out: u64,
-    /// Shard installs this server applied. Counts install *events*: a
-    /// migration retried after a lost acknowledgment (the source never saw
-    /// the ack, re-streamed under a fresh token, and the target purged the
-    /// stale first copy) applies — and counts — twice, so under faults
-    /// this can exceed `shards_migrated_out`.
-    pub shards_migrated_in: u64,
-    /// Requests rejected because the client routed them with a stale shard
-    /// map (answered with the current map for refresh-and-retry).
-    pub wrong_owner_rejects: u64,
+switchfs_simnet::counters! {
+    /// Counters describing what a server has done; read by tests and by the
+    /// evaluation harness.
+    pub struct ServerStats {
+        /// Client operations answered (including errors).
+        pub ops_completed: u64,
+        /// Client operations that failed.
+        pub ops_failed: u64,
+        /// Aggregations this server initiated as directory owner.
+        pub aggregations: u64,
+        /// Change-log entries applied to directories this server owns.
+        pub entries_applied: u64,
+        /// Entries that change-log compaction merged away before applying.
+        pub entries_compacted_away: u64,
+        /// Proactive change-log pushes sent.
+        pub pushes_sent: u64,
+        /// Proactive change-log pushes received and applied.
+        pub pushes_received: u64,
+        /// Asynchronous commits that overflowed the dirty set and fell back to a
+        /// synchronous update.
+        pub fallback_syncs: u64,
+        /// Synchronous remote directory updates served (baseline path and
+        /// overflow fallback).
+        pub remote_updates: u64,
+        /// Retransmissions performed by this server.
+        pub retransmissions: u64,
+        /// Crash recoveries completed.
+        pub recoveries: u64,
+        /// Shards this server migrated away (live scale-out): completed
+        /// freeze→stream→flip cycles.
+        pub shards_migrated_out: u64,
+        /// Shard installs this server applied. Counts install *events*: a
+        /// migration retried after a lost acknowledgment (the source never saw
+        /// the ack, re-streamed under a fresh token, and the target purged the
+        /// stale first copy) applies — and counts — twice, so under faults
+        /// this can exceed `shards_migrated_out`.
+        pub shards_migrated_in: u64,
+        /// Requests rejected because the client routed them with a stale shard
+        /// map (answered with the current map for refresh-and-retry).
+        pub wrong_owner_rejects: u64,
+    }
 }
 
 /// What completes a token-matched wait (see [`Server::request_once`]).
@@ -693,14 +694,9 @@ impl Server {
     /// Combined counters of the server's KV stores (inode + entry-list).
     pub fn kv_stats(&self) -> switchfs_kvstore::KvStats {
         let inner = self.inner.borrow();
-        let a = inner.inodes.stats();
-        let b = inner.entries.stats();
-        switchfs_kvstore::KvStats {
-            gets: a.gets + b.gets,
-            puts: a.puts + b.puts,
-            deletes: a.deletes + b.deletes,
-            scans: a.scans + b.scans,
-        }
+        let mut stats = inner.inodes.stats();
+        stats += inner.entries.stats();
+        stats
     }
 
     /// Number of change-log entries waiting to be applied remotely.
@@ -1681,7 +1677,7 @@ impl Server {
                 // already-clean group is correct, just slower.
                 _ => DirtyState::Scattered,
             },
-            TrackingMode::DedicatedServer(coord) => {
+            TrackingMode::DedicatedServer => {
                 let token = self.next_token();
                 let query = CoordMsg::Request {
                     token,
@@ -1691,7 +1687,7 @@ impl Server {
                 };
                 match self
                     .request_once(token, self.cfg.costs.request_timeout, || {
-                        self.send_plain(coord, Body::Coord(query))
+                        self.send_plain(COORDINATOR_NODE, Body::Coord(query))
                     })
                     .await
                 {

@@ -19,8 +19,8 @@ use switchfs_simnet::sync::ClassGuard;
 use switchfs_simnet::timeout;
 
 use crate::config::{
-    TrackingMode, UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL,
-    PUSH_MTU_BYTES,
+    TrackingMode, UpdateMode, COORDINATOR_NODE, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER,
+    PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
 use crate::locks::{AggGate, RESPONDER};
 use crate::server::{AggCollector, Server};
@@ -334,10 +334,10 @@ impl Server {
                 // with a multicast to every other metadata server.
                 self.send_dirty(self.cfg.node, hdr, body);
             }
-            TrackingMode::DedicatedServer(coord) => {
+            TrackingMode::DedicatedServer => {
                 let token = self.next_token();
                 self.send_plain(
-                    coord,
+                    COORDINATOR_NODE,
                     Body::Coord(CoordMsg::Request {
                         token,
                         op: DirtySetOp::Remove,

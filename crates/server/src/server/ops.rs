@@ -19,7 +19,7 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{FxHashSet, NodeId};
 
-use crate::config::TrackingMode;
+use crate::config::{TrackingMode, COORDINATOR_NODE};
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
@@ -567,8 +567,9 @@ impl Server {
                 self.async_commit_in_network(client_node, response, parent, entry)
                     .await
             }
-            TrackingMode::DedicatedServer(coord) => {
-                self.async_commit_dedicated(coord, parent, entry).await
+            TrackingMode::DedicatedServer => {
+                self.async_commit_dedicated(COORDINATOR_NODE, parent, entry)
+                    .await
             }
             TrackingMode::OwnerServer => self.async_commit_owner(parent).await,
         }

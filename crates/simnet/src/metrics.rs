@@ -4,6 +4,37 @@
 
 use crate::time::SimDuration;
 
+/// Declares a struct of `u64` counters and makes it the only list of their
+/// names: the struct as written (with the derives every counter struct
+/// carries), field-wise `+=` for totals over servers, clients or stores, and
+/// `rows()` for reporting — a counter added to the struct is
+/// summed and reported without being named again.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$field_meta:meta])* pub $field:ident: u64,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: u64,)+
+        }
+
+        impl ::std::ops::AddAssign for $name {
+            fn add_assign(&mut self, other: Self) {
+                $(self.$field += other.$field;)+
+            }
+        }
+
+        impl $name {
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn rows(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field)),+]
+            }
+        }
+    };
+}
+
 /// A latency recorder with percentile queries.
 ///
 /// Samples are stored exactly (nanosecond resolution); experiments record at

@@ -153,23 +153,24 @@ impl Default for LinkParams {
     }
 }
 
-/// Statistics counters maintained by the network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Packets handed to the network by endpoints.
-    pub sent: u64,
-    /// Packets delivered into destination mailboxes.
-    pub delivered: u64,
-    /// Packets dropped by fault injection.
-    pub dropped_faults: u64,
-    /// Packets duplicated by fault injection.
-    pub duplicated: u64,
-    /// Packets dropped because the destination node was down.
-    pub dropped_node_down: u64,
-    /// Packets dropped by switch programs (e.g. no forwarding action).
-    pub dropped_by_switch: u64,
-    /// Packets dropped because a network partition separated the endpoints.
-    pub dropped_partition: u64,
+crate::counters! {
+    /// Statistics counters maintained by the network.
+    pub struct NetStats {
+        /// Packets handed to the network by endpoints.
+        pub sent: u64,
+        /// Packets delivered into destination mailboxes.
+        pub delivered: u64,
+        /// Packets dropped by fault injection.
+        pub dropped_faults: u64,
+        /// Packets duplicated by fault injection.
+        pub duplicated: u64,
+        /// Packets dropped because the destination node was down.
+        pub dropped_node_down: u64,
+        /// Packets dropped by switch programs (e.g. no forwarding action).
+        pub dropped_by_switch: u64,
+        /// Packets dropped because a network partition separated the endpoints.
+        pub dropped_partition: u64,
+    }
 }
 
 struct NetworkInner<M> {

@@ -48,27 +48,28 @@ impl Default for SwitchConfig {
     }
 }
 
-/// Counters exposed by the data plane, used by the evaluation and by tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwitchStats {
-    /// Packets processed in total.
-    pub packets: u64,
-    /// Packets without a dirty-set header (plain forwarding).
-    pub regular_packets: u64,
-    /// Dirty-set queries executed.
-    pub queries: u64,
-    /// Dirty-set inserts executed (including overflowed ones).
-    pub inserts: u64,
-    /// Inserts that overflowed and were redirected by the address rewriter.
-    pub insert_overflows: u64,
-    /// Dirty-set removes executed.
-    pub removes: u64,
-    /// Stale duplicate removes suppressed by the sequence-number check.
-    pub stale_removes: u64,
-    /// Packets mirrored to a different egress pipe than their natural one.
-    pub mirrored: u64,
-    /// Copies emitted by multicast (beyond the first).
-    pub multicast_copies: u64,
+switchfs_simnet::counters! {
+    /// Counters exposed by the data plane, used by the evaluation and by tests.
+    pub struct SwitchStats {
+        /// Packets processed in total.
+        pub packets: u64,
+        /// Packets without a dirty-set header (plain forwarding).
+        pub regular_packets: u64,
+        /// Dirty-set queries executed.
+        pub queries: u64,
+        /// Dirty-set inserts executed (including overflowed ones).
+        pub inserts: u64,
+        /// Inserts that overflowed and were redirected by the address rewriter.
+        pub insert_overflows: u64,
+        /// Dirty-set removes executed.
+        pub removes: u64,
+        /// Stale duplicate removes suppressed by the sequence-number check.
+        pub stale_removes: u64,
+        /// Packets mirrored to a different egress pipe than their natural one.
+        pub mirrored: u64,
+        /// Copies emitted by multicast (beyond the first).
+        pub multicast_copies: u64,
+    }
 }
 
 /// The SwitchFS switch program: per-pipe dirty sets plus forwarding logic.
