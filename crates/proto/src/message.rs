@@ -603,26 +603,36 @@ pub struct ShardInstall {
     pub req_id: u64,
     /// The shard being migrated.
     pub shard: u32,
-    /// Inodes stored under the shard.
+    /// Everything the source stores for the shard.
+    pub image: StateImage,
+}
+
+/// What a server stores, or one shard's slice of it: what a shard stream
+/// carries to the shard's new owner and what a checkpoint keeps of the whole
+/// server.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StateImage {
+    /// Inodes.
     pub inodes: Vec<(MetaKey, InodeAttrs)>,
-    /// Directory entry lists of directories owned by the shard.
+    /// Directory entry lists.
     pub entries: Vec<(DirId, DirEntry)>,
-    /// Owner-index entries (directory id → key) moving with the shard.
+    /// Owner-index entries (directory id → key).
     pub dir_index: Vec<(DirId, MetaKey)>,
-    /// Change-log entries pending for directories in the shard, with
-    /// their directory ids and keys.
+    /// Pending change-log entries, with their directory ids and keys.
     pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
     /// Duplicate-suppression set of already-applied remote change-log
     /// entries not yet confirmed discarded by their holders (copied, not
-    /// moved: a superset is always safe). Bounded by the in-flight
-    /// confirmation window, so the per-shard payload stays small.
+    /// moved, with a shard: a superset is always safe). Bounded by the
+    /// in-flight confirmation window.
     pub applied_entry_ids: Vec<OpId>,
-    /// The bounded FIFO of recently retired (holder-confirmed) entry
-    /// ids, shipped so a duplicate delayed across the flip is still
-    /// suppressed at the new owner.
+    /// The bounded FIFO of recently retired (holder-confirmed) entry ids, in
+    /// insertion order so that the receiver evicts in the same order — and a
+    /// duplicate delayed across a flip is still suppressed at the new owner.
     pub retired_entry_ids: Vec<OpId>,
-    /// Cached client responses (copied so a retransmission that lands on
-    /// the new owner after the flip still gets the original answer).
+    /// Cached responses of completed mutating operations (copied with a
+    /// shard so a retransmission that lands on the new owner after the flip
+    /// still gets the original answer). Bounded by the per-client acked
+    /// watermark.
     pub completed: Vec<ClientResponse>,
 }
 

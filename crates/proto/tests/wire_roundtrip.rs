@@ -11,7 +11,7 @@ use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
 use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef,
-    Reply, ServerMsg, ShardInstall, SyncFallback, TxnOp,
+    Reply, ServerMsg, ShardInstall, StateImage, SyncFallback, TxnOp,
 };
 use switchfs_proto::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
 use switchfs_proto::wire::{
@@ -355,13 +355,15 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                     ServerMsg::ShardInstall(ShardInstall {
                         req_id,
                         shard,
-                        inodes,
-                        entries: Vec::new(),
-                        dir_index,
-                        retired_entry_ids,
-                        pending,
-                        applied_entry_ids,
-                        completed,
+                        image: StateImage {
+                            inodes,
+                            entries: Vec::new(),
+                            dir_index,
+                            retired_entry_ids,
+                            pending,
+                            applied_entry_ids,
+                            completed,
+                        },
                     })
                 },
             ),

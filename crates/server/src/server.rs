@@ -42,7 +42,7 @@ use switchfs_switch::SoftwareDirtySet;
 use crate::changelog::ChangeLogStore;
 use crate::config::{ServerConfig, TrackingMode, COORDINATOR_NODE};
 use crate::locks::{AggGate, LockManager};
-use crate::wal::{DurableState, KvEffect, WalOp};
+use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
 
 switchfs_simnet::counters! {
     /// Counters describing what a server has done; read by tests and by the
@@ -974,41 +974,21 @@ impl Server {
             || !placement.is_separation() && self.inner.borrow().inodes.contains(op.primary_key())
     }
 
-    /// Durably records a completed mutating operation's response (piggybacked
-    /// on the operation's WAL append, so it costs no extra simulated
-    /// latency): a retransmission that spans a crash must get the original
-    /// result, not a re-execution.
-    pub(crate) fn persist_completion(
-        &self,
-        op: &MetaOp,
-        response: &switchfs_proto::message::ClientResponse,
-    ) {
-        let mutates =
-            op.is_double_inode() || matches!(op, MetaOp::Chmod { .. } | MetaOp::Rename { .. });
-        if !mutates {
-            return;
-        }
-        let record = WalOp::completion(response.clone());
-        let size = record.wire_size();
-        let mut durable = self.durable.borrow_mut();
-        let lsn = durable.wal.append_sized(record, size);
-        // Flush barrier: the caller is about to release the acknowledgment,
-        // and a completion record still sitting in the volatile tail would
-        // be exactly the torn-tail casualty that turns a post-crash
-        // retransmission into a re-execution. The flush rides the group
-        // commit already charged to the operation's own append, so it still
-        // costs no extra simulated latency.
-        let newly = durable.wal.flush();
-        if self.obs_on() {
-            let trace = Some(TraceId::of_op(response.op_id));
-            self.trace_event(trace, EventKind::WalAppend { lsn, bytes: size });
-            self.trace_event(
-                trace,
-                EventKind::WalFlush {
-                    through_lsn: durable.wal.flushed(),
-                    records: newly as u64,
-                },
-            );
+    /// Records a completed operation's response for duplicate suppression.
+    /// A mutating operation's is logged — applying the record caches it — so
+    /// that a retransmission that spans a crash gets the original result,
+    /// not a re-execution; it rides the group commit already charged to the
+    /// operation's own append, so it costs no extra simulated latency, and
+    /// it is flushed here because the caller is about to release the
+    /// acknowledgment: a completion still in the volatile tail would be
+    /// exactly the torn-tail casualty that turns the retransmission into a
+    /// re-execution. A read's response is only cached.
+    pub(crate) fn record_completion(&self, op: &MetaOp, response: &ClientResponse) {
+        if op.is_double_inode() || matches!(op, MetaOp::Chmod { .. } | MetaOp::Rename { .. }) {
+            let lsn = self.wal_hand_over(WalOp::Completed(response.clone()));
+            self.wal_flush_and_apply(lsn);
+        } else {
+            self.inner.borrow_mut().cache_response(response.clone());
         }
     }
 
@@ -1339,9 +1319,8 @@ impl Server {
             .borrow_mut()
             .wal
             .mark_applied_where(removed, |rec| {
-                rec.pending_entry
-                    .as_ref()
-                    .is_some_and(|(_, _, e)| ids.contains(&e.entry_id))
+                matches!(rec, WalOp::Effects { pending_entry: Some((_, _, e)), .. }
+                    if ids.contains(&e.entry_id))
             });
         if let Some(applier) = applier {
             let now = self.handle.now();
@@ -1412,25 +1391,21 @@ impl Server {
             if !response.result.is_ok() {
                 inner.stats.ops_failed += 1;
             }
-            inner.cache_response(response.clone());
         }
-        self.persist_completion(op, &response);
+        self.record_completion(op, &response);
         self.send_plain(client_node, Body::Response(response.clone()));
         response
     }
 
-    /// Builds the response object without sending it (the asynchronous commit
-    /// path lets the switch deliver it).
+    /// Builds the response object without sending or recording it (the
+    /// asynchronous commit path lets the switch deliver it).
     pub(crate) fn make_response(&self, op_id: OpId, result: OpResult) -> ClientResponse {
-        let response = ClientResponse {
+        self.inner.borrow_mut().stats.ops_completed += 1;
+        ClientResponse {
             op_id,
             result,
             server: self.cfg.id,
-        };
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.ops_completed += 1;
-        inner.cache_response(response.clone());
-        response
+        }
     }
 
     /// Answers the request that carried `req_id`.
@@ -1510,10 +1485,11 @@ impl Server {
         applied_entry_ids: Vec<OpId>,
     ) -> u64 {
         let kv_cost = self.cfg.costs.kv_put * effects.len().max(1) as u64;
-        let lsn = self.wal_hand_over(WalOp {
+        let lsn = self.wal_hand_over(WalOp::Effects {
+            op_id,
+            effects,
             pending_entry,
             applied_entry_ids,
-            ..WalOp::local(op_id, effects)
         });
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
         self.wal_flush_and_apply(lsn);
@@ -1575,28 +1551,34 @@ impl Server {
         });
     }
 
-    /// The causal identity of a WAL record: the client op it was logged for,
-    /// else the single change-log entry it applied. `None` when tracing is
-    /// off.
+    /// The causal identity of a WAL record: the client op it was logged for
+    /// or answers, else the single change-log entry it applied. `None` when
+    /// tracing is off.
     pub(crate) fn record_trace(&self, record: &WalOp) -> Option<TraceId> {
         if !self.obs_on() {
             return None;
         }
-        record
-            .op_id
-            .or(match record.applied_entry_ids[..] {
+        let op = match record {
+            WalOp::Effects {
+                op_id,
+                applied_entry_ids,
+                ..
+            } => op_id.or(match applied_entry_ids[..] {
                 [only] => Some(only),
                 _ => None,
-            })
-            .map(TraceId::of_op)
+            }),
+            WalOp::Completed(response) => Some(response.op_id),
+            WalOp::Txn(_) | WalOp::Migration(_) => None,
+        };
+        op.map(TraceId::of_op)
     }
 
-    /// Applies a durable record's effects and applied-entry ids to the
-    /// volatile stores: live, right after the record's flush, and again at
-    /// recovery replay. Each entry-list mutation emits the event
-    /// `entry_event(dir, insert, changed)` builds, peeked before the apply;
-    /// `changed` is false for an insert over a present name and a remove of
-    /// an absent one.
+    /// Turns a durable record into volatile state — the only function that
+    /// does: live, right after the record's flush, and again at recovery
+    /// replay, so the two cannot disagree about what a record means. Each
+    /// entry-list mutation emits the event `entry_event(dir, insert,
+    /// changed)` builds, peeked before the apply; `changed` is false for an
+    /// insert over a present name and a remove of an absent one.
     pub(crate) fn apply_record(
         &self,
         record: &WalOp,
@@ -1605,23 +1587,63 @@ impl Server {
     ) {
         let obs_on = self.obs_on();
         let mut inner = self.inner.borrow_mut();
-        for e in &record.effects {
-            if obs_on {
-                let mutation = match e {
-                    KvEffect::PutEntry(dir, entry) => Some((dir, &entry.name, true)),
-                    KvEffect::DeleteEntry(dir, name) => Some((dir, name, false)),
-                    _ => None,
-                };
-                if let Some((dir, name, insert)) = mutation {
-                    let changed = insert != inner.entry_exists(dir, name);
-                    self.trace_event(trace, entry_event(dir.hash64(), insert, changed));
+        match record {
+            WalOp::Effects {
+                effects,
+                applied_entry_ids,
+                ..
+            } => {
+                for e in effects {
+                    if obs_on {
+                        let mutation = match e {
+                            KvEffect::PutEntry(dir, entry) => Some((dir, &entry.name, true)),
+                            KvEffect::DeleteEntry(dir, name) => Some((dir, name, false)),
+                            _ => None,
+                        };
+                        if let Some((dir, name, insert)) = mutation {
+                            let changed = insert != inner.entry_exists(dir, name);
+                            self.trace_event(trace, entry_event(dir.hash64(), insert, changed));
+                        }
+                    }
+                    inner.apply_effect(e);
                 }
+                // The deferred `pending_entry` is not applied here: its
+                // change-log append is a volatile step of its own after the
+                // live flush, and replay rebuilds it from the record's
+                // `applied` flag.
+                inner
+                    .applied_entry_ids
+                    .extend(applied_entry_ids.iter().copied());
             }
-            inner.apply_effect(e);
+            WalOp::Txn(TxnMarker::Prepared {
+                txn_id,
+                coordinator,
+                ops,
+            }) => {
+                let staged = rename::PreparedTxn {
+                    ops: ops.clone(),
+                    coordinator: *coordinator,
+                    prepared_at: self.handle.now(),
+                };
+                inner.prepared_txns.insert(*txn_id, staged);
+            }
+            WalOp::Txn(TxnMarker::Decided { txn_id, commit }) => {
+                inner.decided_txns.insert(*txn_id, *commit);
+            }
+            // A no-op live (whoever decides takes the staged ops out before
+            // applying them) and, tolerated, for a marker whose `Prepared`
+            // is nowhere in sight at replay.
+            WalOp::Txn(TxnMarker::Resolved { txn_id }) => {
+                inner.prepared_txns.remove(txn_id);
+            }
+            WalOp::Txn(TxnMarker::Forgotten { txn_id }) => {
+                inner.decided_txns.remove(txn_id);
+            }
+            WalOp::Completed(response) => inner.cache_response(response.clone()),
+            // No table mirrors a migration's progress: recovery reads the
+            // markers off the log and resolves them against the shard map.
+            WalOp::Migration(_) => {}
         }
-        inner
-            .applied_entry_ids
-            .extend(record.applied_entry_ids.iter().copied());
     }
 
     /// The effective cost of one WAL append, including any chaos-injected
@@ -1634,11 +1656,10 @@ impl Server {
     /// append. Every caller relies on the marker being durable when this
     /// returns — `Prepared` before the vote escapes, `Decided` before the
     /// decision broadcast, `Resolved` before the decision ack.
-    pub(crate) async fn log_txn_marker(&self, marker: crate::wal::TxnMarker) -> u64 {
-        let lsn = self.wal_hand_over(WalOp::txn(marker));
+    pub(crate) async fn log_txn_marker(&self, marker: TxnMarker) {
+        let lsn = self.wal_hand_over(WalOp::Txn(marker));
         self.cpu.run(self.wal_append_cost()).await;
         self.wal_flush_and_apply(lsn);
-        lsn
     }
 
     /// Sends one body to every listed server, building the message once and
@@ -1975,9 +1996,11 @@ mod tests {
         }
         for seq in 0..3 {
             let entry = server.make_entry(id(seq), dir, "f", ChangeOp::Remove, -1);
-            server.wal_hand_over(WalOp {
+            server.wal_hand_over(WalOp::Effects {
+                op_id: Some(id(seq)),
+                effects: Vec::new(),
                 pending_entry: Some((dir, dir_key.clone(), entry.clone())),
-                ..WalOp::local(Some(id(seq)), Vec::new())
+                applied_entry_ids: Vec::new(),
             });
             let mut inner = server.inner.borrow_mut();
             inner

@@ -428,9 +428,11 @@ impl Server {
                     // durable is its append and the one attribute put.
                     // `apply_and_log`'s three statements with that charge:
                     // its own would bill every entry's put again, serially.
-                    let lsn = self.wal_hand_over(WalOp {
+                    let lsn = self.wal_hand_over(WalOp::Effects {
+                        op_id: None,
+                        effects,
+                        pending_entry: None,
                         applied_entry_ids: dir_entries.iter().map(|e| e.entry_id).collect(),
-                        ..WalOp::local(None, effects)
                     });
                     self.cpu.run(self.wal_append_cost() + costs.kv_put).await;
                     self.wal_flush_and_apply(lsn);

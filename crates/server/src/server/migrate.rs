@@ -29,134 +29,133 @@
 //! local copy is stale and is dropped; otherwise the source still owns the
 //! shard and the cluster re-drives the migration.
 
-use switchfs_proto::message::{Body, ClientResponse, Reply, ServerMsg, ShardInstall};
+use std::collections::{BTreeMap, BTreeSet};
+
+use switchfs_proto::message::{Body, Reply, ServerMsg, ShardInstall, StateImage};
 use switchfs_proto::placement::key_hashes;
-use switchfs_proto::{
-    ChangeLogEntry, DirId, Fingerprint, InodeAttrs, MetaKey, OpId, Placement, ServerId,
-};
+use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, ServerId};
 
 use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
-/// The extracted slice of one shard's server-side state.
-#[derive(Default)]
-pub(crate) struct ShardExtract {
-    pub inodes: Vec<(MetaKey, InodeAttrs)>,
-    pub entries: Vec<(DirId, switchfs_proto::DirEntry)>,
-    pub dir_index: Vec<(DirId, MetaKey)>,
-    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-}
-
-impl ShardExtract {
-    fn is_empty(&self) -> bool {
-        self.inodes.is_empty()
-            && self.entries.is_empty()
-            && self.dir_index.is_empty()
-            && self.pending.is_empty()
-    }
+/// The effects that store an image's inodes, entry lists and owner index, in
+/// that order; takes them out of the image.
+pub(crate) fn store_effects(image: &mut StateImage) -> Vec<KvEffect> {
+    let inodes = std::mem::take(&mut image.inodes).into_iter();
+    let entries = std::mem::take(&mut image.entries).into_iter();
+    let dir_index = std::mem::take(&mut image.dir_index).into_iter();
+    inodes
+        .map(|(key, attrs)| KvEffect::PutInode(key, attrs))
+        .chain(entries.map(|(dir, entry)| KvEffect::PutEntry(dir, entry)))
+        .chain(dir_index.map(|(dir, key)| KvEffect::IndexDir(dir, key)))
+        .collect()
 }
 
 impl Server {
-    /// Extracts everything stored on this server that any shard in `shards`
-    /// owns, in ONE bucketing pass over the stores. A drain plan moving S
-    /// shards off one donor scans the donor's inodes / entry lists / owner
-    /// index / change-logs once instead of S times — the difference between
-    /// a linear and a quadratic decommission. An inode whose routing roles
-    /// map to two shards of the batch appears in both extracts, exactly as
-    /// two independent per-shard scans would collect it.
-    pub(crate) fn collect_shards(
+    /// What this server stores — inodes, entry lists, the owner index,
+    /// pending change-log entries — in ONE pass over the stores, each object
+    /// into the image `bucket` names for the placement hash it is stored
+    /// under (`None`: into none), in the order the stores iterate. A drain
+    /// plan moving S shards off one donor scans the donor once instead of S
+    /// times — the difference between a linear and a quadratic decommission
+    /// — and a checkpoint is the same scan with one bucket. An inode whose
+    /// routing roles fall into two images appears in both, exactly as two
+    /// independent scans would collect it. The duplicate-suppression state
+    /// is not part of the scan: see [`Server::stamp_dedup`].
+    pub(crate) fn collect<K: Ord + Copy>(
         &self,
-        shards: impl IntoIterator<Item = u32>,
-    ) -> std::collections::BTreeMap<u32, ShardExtract> {
+        bucket: impl Fn(u64) -> Option<K>,
+    ) -> BTreeMap<K, StateImage> {
         let placement = &self.cfg.placement;
         let inner = self.inner.borrow();
-        let mut out: std::collections::BTreeMap<u32, ShardExtract> = shards
-            .into_iter()
-            .map(|s| (s, ShardExtract::default()))
-            .collect();
+        let mut out: BTreeMap<K, StateImage> = BTreeMap::new();
         for (key, attrs) in inner.inodes.iter() {
-            // Once per shard, also when both roles of a directory map to it.
+            // Once per image, also when both roles of a directory fall into it.
             let mut last = None;
-            for h in placement.inode_role_hashes(key, attrs) {
-                let s = placement.shard_of_hash(h);
-                if last.replace(s) == Some(s) {
-                    continue;
-                }
-                if let Some(extract) = out.get_mut(&s) {
-                    extract.inodes.push((key.clone(), attrs.clone()));
+            let roles = placement.inode_role_hashes(key, attrs);
+            for k in roles.into_iter().filter_map(&bucket) {
+                if last.replace(k) != Some(k) {
+                    let image = out.entry(k).or_default();
+                    image.inodes.push((key.clone(), attrs.clone()));
                 }
             }
         }
+        let content_hash = |dir: &DirId, key: &MetaKey| {
+            placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir)
+        };
         for (dir, content) in inner.entries.iter() {
             let h = match inner.dir_index.get(dir) {
-                Some(key) => {
-                    placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir)
-                }
+                Some(key) => content_hash(dir, key),
                 // Without an index entry the fingerprint is unknown; fall
                 // back to the id hash, which never matches a foreign shard
                 // under per-file hashing — the list simply stays put.
                 None => dir.hash64(),
             };
-            if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
-                for e in content.iter() {
-                    extract.entries.push((*dir, e.clone()));
-                }
+            if let Some(k) = bucket(h) {
+                let image = out.entry(k).or_default();
+                image
+                    .entries
+                    .extend(content.iter().map(|e| (*dir, e.clone())));
             }
         }
         for (dir, key) in inner.dir_index.iter() {
-            let h = placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir);
-            if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
-                extract.dir_index.push((*dir, key.clone()));
+            if let Some(k) = bucket(content_hash(dir, key)) {
+                let image = out.entry(k).or_default();
+                image.dir_index.push((*dir, key.clone()));
             }
         }
         for (dir, fp) in inner.changelogs.dirty_dirs() {
-            let h = placement.dir_content_hash(fp, &dir);
-            if let Some(extract) = out.get_mut(&placement.shard_of_hash(h)) {
-                if let Some(log) = inner.changelogs.get(&dir) {
-                    let key = log.dir_key.clone();
-                    for e in log.entries() {
-                        extract.pending.push((dir, key.clone(), e.clone()));
-                    }
-                }
+            let log = inner.changelogs.get(&dir);
+            if let (Some(k), Some(log)) = (bucket(placement.dir_content_hash(fp, &dir)), log) {
+                let pending = log.entries().map(|e| (dir, log.dir_key.clone(), e.clone()));
+                out.entry(k).or_default().pending.extend(pending);
             }
-        }
-        // Deterministic stream order regardless of hash-map iteration.
-        for extract in out.values_mut() {
-            extract.inodes.sort_by(|a, b| a.0.cmp(&b.0));
-            extract
-                .entries
-                .sort_by(|a, b| (a.0, &a.1.name).cmp(&(b.0, &b.1.name)));
-            extract.dir_index.sort_by_key(|e| e.0);
-            extract.pending.sort_by_key(|e| (e.0, e.2.entry_id));
         }
         out
     }
 
-    /// Copies of the duplicate-suppression state shipped with every shard.
-    /// Deliberately re-snapshotted per migration rather than once per
-    /// rebalance: under live traffic, responses cached between two shards'
-    /// freezes exist only in the later snapshot, and the later shard's flip
-    /// redirects exactly those clients' retransmissions to the target — a
-    /// stale snapshot would let them re-execute. A superset is always safe,
-    /// and the acked watermark (responses) plus the holders' discard
-    /// confirmations (entry ids) keep each snapshot within the in-flight
-    /// window, so the per-shard payload stays small by construction.
-    pub(crate) fn dedup_snapshot(&self) -> (Vec<OpId>, Vec<OpId>, Vec<ClientResponse>) {
+    /// [`Server::collect`] by shard, for the shards in `shards`, each image
+    /// sorted: the stream order must not depend on hash-map iteration.
+    pub(crate) fn collect_shards(
+        &self,
+        shards: impl IntoIterator<Item = u32>,
+    ) -> BTreeMap<u32, StateImage> {
+        let shards: BTreeSet<u32> = shards.into_iter().collect();
+        let shard_of = |h| Some(self.cfg.placement.shard_of_hash(h));
+        let mut out = self.collect(|h| shard_of(h).filter(|s| shards.contains(s)));
+        for image in out.values_mut() {
+            image.inodes.sort_by(|a, b| a.0.cmp(&b.0));
+            image
+                .entries
+                .sort_by(|a, b| (a.0, &a.1.name).cmp(&(b.0, &b.1.name)));
+            image.dir_index.sort_by_key(|e| e.0);
+            image.pending.sort_by_key(|e| (e.0, e.2.entry_id));
+        }
+        out
+    }
+
+    /// Fills in an image's copies of the duplicate-suppression state, which
+    /// ship with every shard and with a checkpoint. Deliberately
+    /// re-snapshotted per migration rather than once per rebalance: under
+    /// live traffic, responses cached between two shards' freezes exist only
+    /// in the later snapshot, and the later shard's flip redirects exactly
+    /// those clients' retransmissions to the target — a stale snapshot would
+    /// let them re-execute. A superset is always safe, and the acked
+    /// watermark (responses) plus the holders' discard confirmations (entry
+    /// ids) keep each snapshot within the in-flight window, so the per-shard
+    /// payload stays small by construction.
+    pub(crate) fn stamp_dedup(&self, image: &mut StateImage) {
         let inner = self.inner.borrow();
-        let mut applied: Vec<OpId> = inner.applied_entry_ids.iter().copied().collect();
-        applied.sort_unstable();
+        image.applied_entry_ids = inner.applied_entry_ids.iter().copied().collect();
+        image.applied_entry_ids.sort_unstable();
         // The retired FIFO ships in insertion order so the target's eviction
         // order matches; both halves are bounded, so the payload is small.
-        let retired: Vec<OpId> = inner.retired_entry_ids.iter().collect();
-        let mut completed: Vec<ClientResponse> = inner
-            .completed_ops
-            .values()
-            .flat_map(|m| m.values().cloned())
-            .collect();
-        completed.sort_by_key(|r| r.op_id);
-        (applied, retired, completed)
+        image.retired_entry_ids = inner.retired_entry_ids.iter().collect();
+        let responses = inner.completed_ops.values();
+        image.completed = responses.flat_map(|m| m.values().cloned()).collect();
+        image.completed.sort_by_key(|r| r.op_id);
     }
 
     /// True when the directory addressed by `fp`/`dir` lies in a shard this
@@ -243,15 +242,13 @@ impl Server {
     /// Durably logs a shard-migration state transition and charges one WAL
     /// append.
     pub(crate) async fn log_migration_marker(&self, marker: MigrationMarker) {
-        let record = WalOp::migration(marker);
-        let size = record.wire_size();
-        // Append before the disk wait (the torn-write window), flush after:
-        // `Started` must be durable before the freeze takes effect and
-        // `Completed` before the unfreeze, or a crash between the two could
-        // leave recovery blind to a half-migrated shard.
-        self.durable.borrow_mut().wal.append_sized(record, size);
+        // Flushed when this returns: `Started` must be durable before the
+        // freeze takes effect and `Completed` before the unfreeze, or a crash
+        // between the two could leave recovery blind to a half-migrated
+        // shard.
+        let lsn = self.wal_hand_over(WalOp::Migration(marker));
         self.cpu.run(self.wal_append_cost()).await;
-        self.durable.borrow_mut().wal.flush();
+        self.wal_flush_and_apply(lsn);
     }
 
     /// Migrates a batch of shards off this server (the donor side of a
@@ -302,20 +299,23 @@ impl Server {
         }
 
         // One bucketing pass over the stores for every shard of the batch.
-        let mut extracts = self.collect_shards(moves.iter().map(|(s, _)| *s));
+        let mut images = self.collect_shards(moves.iter().map(|(s, _)| *s));
 
         let mut migrated = 0;
         for (shard, target) in moves {
             if self.is_crashed() {
                 break;
             }
-            let extract = extracts.remove(shard).unwrap_or_default();
-            // Re-snapshotted per shard: responses cached while earlier
-            // shards of the batch streamed exist only in later snapshots,
-            // and a superset is always safe.
-            let (applied_entry_ids, retired_entry_ids, completed) = self.dedup_snapshot();
+            // What stays behind to delete by is the stores' slice; what ships
+            // is a copy of it plus the duplicate-suppression state,
+            // re-snapshotted per shard: responses cached while earlier shards
+            // of the batch streamed exist only in later snapshots, and a
+            // superset is always safe.
+            let stored = images.remove(shard).unwrap_or_default();
+            let mut image = stored.clone();
+            self.stamp_dedup(&mut image);
             // Stream cost: one KV read per extracted item.
-            let items = extract.inodes.len() + extract.entries.len() + extract.pending.len();
+            let items = stored.inodes.len() + stored.entries.len() + stored.pending.len();
             self.cpu
                 .run(self.cfg.costs.kv_get * items.max(1) as u64)
                 .await;
@@ -324,20 +324,14 @@ impl Server {
                 None,
                 switchfs_obs::EventKind::MigrationStream {
                     shard: *shard,
-                    inodes: extract.inodes.len() as u32,
+                    inodes: stored.inodes.len() as u32,
                 },
             );
             let token = self.next_token();
             let body = Body::Server(ServerMsg::ShardInstall(ShardInstall {
                 req_id: token,
                 shard: *shard,
-                inodes: extract.inodes.clone(),
-                entries: extract.entries.clone(),
-                dir_index: extract.dir_index.clone(),
-                pending: extract.pending.clone(),
-                applied_entry_ids,
-                retired_entry_ids,
-                completed,
+                image,
             }));
             let acked = self
                 .send_with_ack(self.cfg.node_of(*target), token, body)
@@ -358,7 +352,7 @@ impl Server {
                     new_epoch: self.cfg.placement.epoch(),
                 },
             );
-            self.delete_shard_local(&extract, true).await;
+            self.delete_shard_local(&stored, true).await;
             self.log_migration_marker(MigrationMarker::Completed { shard: *shard })
                 .await;
             {
@@ -375,10 +369,10 @@ impl Server {
     /// any object that still has a routing role mapping to this server
     /// (grouping policies can place two replicas of one directory on one
     /// server with only one of them migrating).
-    fn shard_delete_effects(&self, extract: &ShardExtract) -> Vec<KvEffect> {
+    fn shard_delete_effects(&self, image: &StateImage) -> Vec<KvEffect> {
         let placement = &self.cfg.placement;
         let mut effects = Vec::new();
-        for (key, attrs) in &extract.inodes {
+        for (key, attrs) in &image.inodes {
             let keep = placement
                 .inode_role_hashes(key, attrs)
                 .iter()
@@ -387,10 +381,10 @@ impl Server {
                 effects.push(KvEffect::DeleteInode(key.clone()));
             }
         }
-        for (dir, entry) in &extract.entries {
+        for (dir, entry) in &image.entries {
             effects.push(KvEffect::DeleteEntry(*dir, entry.name.clone()));
         }
-        for (dir, key) in &extract.dir_index {
+        for (dir, key) in &image.dir_index {
             let fp = Fingerprint::of_dir(&key.pid, &key.name);
             if placement.dir_content_owner(fp, dir) != self.cfg.id {
                 effects.push(KvEffect::UnindexDir(*dir));
@@ -400,10 +394,10 @@ impl Server {
     }
 
     /// Drops the volatile change-logs of an extracted slice's directories.
-    fn drop_shard_changelogs(&self, extract: &ShardExtract) {
+    fn drop_shard_changelogs(&self, image: &StateImage) {
         let mut inner = self.inner.borrow_mut();
         let dirs: std::collections::BTreeSet<DirId> =
-            extract.pending.iter().map(|(d, _, _)| *d).collect();
+            image.pending.iter().map(|(d, _, _)| *d).collect();
         for dir in dirs {
             inner.changelogs.remove(&dir);
         }
@@ -414,8 +408,8 @@ impl Server {
     /// a replay reconstructs the same purge. Used by the source after the
     /// flip, and by the target to purge the stale leftovers of a lost-ack
     /// earlier install attempt before applying a retried one.
-    async fn delete_shard_local(&self, extract: &ShardExtract, drop_changelogs: bool) {
-        let effects = self.shard_delete_effects(extract);
+    async fn delete_shard_local(&self, image: &StateImage, drop_changelogs: bool) {
+        let effects = self.shard_delete_effects(image);
         self.apply_and_log(None, effects, None, Vec::new()).await;
         // Source side only (`drop_changelogs`): the moved pending change-log
         // entries now live (durably) at the target; drop the volatile copies
@@ -425,7 +419,7 @@ impl Server {
         // already applied. The target's stale-purge passes `false`: its
         // change-log holds live holder-side entries, never stale state.
         if drop_changelogs {
-            self.drop_shard_changelogs(extract);
+            self.drop_shard_changelogs(image);
         }
     }
 
@@ -440,13 +434,7 @@ impl Server {
         let ShardInstall {
             req_id,
             shard,
-            inodes,
-            entries,
-            dir_index,
-            pending,
-            applied_entry_ids,
-            retired_entry_ids,
-            completed,
+            mut image,
         } = install;
         let install_key = (src.0, req_id);
         {
@@ -480,44 +468,31 @@ impl Server {
             .collect_shards([shard])
             .remove(&shard)
             .unwrap_or_default();
-        if !stale.is_empty() {
+        if stale != StateImage::default() {
             self.delete_shard_local(&stale, false).await;
         }
-        let items = inodes.len() + entries.len() + pending.len();
+        let items = image.inodes.len() + image.entries.len() + image.pending.len();
         self.cpu
             .run(self.cfg.costs.kv_put * items.max(1) as u64)
             .await;
-        let mut effects: Vec<KvEffect> = Vec::with_capacity(items);
-        for (key, attrs) in inodes {
-            // Freshness merge: a directory inode has two routing roles under
-            // the grouping policies (access replica by parent hash, content
-            // replica by its own id hash), so a decommission draining both
-            // role shards off one donor can deliver the *stale* access-role
-            // snapshot after this server's content-role copy already
-            // absorbed post-flip updates — blindly overwriting would roll
-            // its times and mode back. Keep whichever copy
-            // changed last (ties take the incoming copy, which keeps
-            // retransmitted installs idempotent).
-            let local_fresher = {
-                let inner = self.inner.borrow();
-                inner
-                    .inodes
-                    .peek(&key)
-                    .is_some_and(|local| local.times.ctime > attrs.times.ctime)
-            };
-            if !local_fresher {
-                effects.push(KvEffect::PutInode(key, attrs));
-            }
-        }
-        for (dir, entry) in entries {
-            effects.push(KvEffect::PutEntry(dir, entry));
-        }
-        for (dir, key) in dir_index {
-            effects.push(KvEffect::IndexDir(dir, key));
-        }
-        self.apply_and_log(None, effects, None, applied_entry_ids)
+        // Freshness merge: a directory inode has two routing roles under
+        // the grouping policies (access replica by parent hash, content
+        // replica by its own id hash), so a decommission draining both
+        // role shards off one donor can deliver the *stale* access-role
+        // snapshot after this server's content-role copy already
+        // absorbed post-flip updates — blindly overwriting would roll
+        // its times and mode back. Keep whichever copy
+        // changed last (ties take the incoming copy, which keeps
+        // retransmitted installs idempotent).
+        image.inodes.retain(|(key, attrs)| {
+            let inner = self.inner.borrow();
+            let local = inner.inodes.peek(key);
+            local.is_none_or(|local| local.times.ctime <= attrs.times.ctime)
+        });
+        let effects = store_effects(&mut image);
+        self.apply_and_log(None, effects, None, image.applied_entry_ids)
             .await;
-        for (dir, key, entry) in pending {
+        for (dir, key, entry) in image.pending {
             // Idempotent append: a lost-ack earlier install (or this
             // server's own holder-side change-log) may already carry the
             // entry — a second copy in one batch would pass the owner's
@@ -547,27 +522,25 @@ impl Server {
             // across the flip is still suppressed here; entering through the
             // retire path (re-stamped with install time — conservative)
             // keeps this server's FIFO bounded.
-            for id in retired_entry_ids {
+            for id in image.retired_entry_ids {
                 inner.retire_entry_id(id, now);
             }
-            let mut durable = self.durable.borrow_mut();
-            for response in completed {
-                // The crash-surviving-dedup guarantee must hold for
-                // migrated shards too: a retransmission that spans both
-                // the migration and a later target crash still gets the
-                // original result, so the cached responses are WAL-logged
-                // here exactly like locally-produced ones (piggybacked on
-                // the install's append, no extra simulated latency).
-                let record = WalOp::completion(response.clone());
-                let size = record.wire_size();
-                durable.wal.append_sized(record, size);
-                inner.cache_response(response);
-            }
-            // Flush barrier before the ack below escapes: once the source
-            // sees the ack it flips ownership and deletes its copy, so the
-            // completion records must not be sitting in a volatile tail a
-            // target crash could tear away.
-            durable.wal.flush();
+        }
+        for response in image.completed {
+            // The crash-surviving-dedup guarantee must hold for migrated
+            // shards too: a retransmission that spans both the migration
+            // and a later target crash still gets the original result, so
+            // the cached responses are logged here exactly like locally
+            // produced ones (piggybacked on the install's append, no extra
+            // simulated latency) — and flushed before the ack below escapes:
+            // once the source sees it, it flips ownership and deletes its
+            // copy, so the completion records must not be sitting in a
+            // volatile tail a target crash could tear away.
+            let lsn = self.wal_hand_over(WalOp::Completed(response));
+            self.wal_flush_and_apply(lsn);
+        }
+        {
+            let mut inner = self.inner.borrow_mut();
             inner.applied_installs.insert(install_key);
             inner.in_progress_installs.remove(&install_key);
             inner.stats.shards_migrated_in += 1;
@@ -652,20 +625,16 @@ impl Server {
 
     /// Drops every locally-stored object owned by `shard` (recovery of an
     /// interrupted migration whose flip already happened: the WAL replay
-    /// rebuilt state the target now owns): the post-flip source delete,
-    /// applied to the volatile stores only.
+    /// rebuilt state the target now owns): the record of the post-flip
+    /// source delete ([`Server::delete_shard_local`]), applied unlogged.
     pub(crate) fn drop_shard_state(&self, shard: u32) {
-        let extract = self
+        let image = self
             .collect_shards([shard])
             .remove(&shard)
             .unwrap_or_default();
-        let effects = self.shard_delete_effects(&extract);
-        {
-            let mut inner = self.inner.borrow_mut();
-            for e in &effects {
-                inner.apply_effect(e);
-            }
+        for effect in self.shard_delete_effects(&image) {
+            self.inner.borrow_mut().apply_effect(&effect);
         }
-        self.drop_shard_changelogs(&extract);
+        self.drop_shard_changelogs(&image);
     }
 }

@@ -208,7 +208,7 @@ impl Server {
 
         // Dirty-set update, reply and unlocking (§5.2.1 step 6–7).
         let response = self.make_response(req.op_id, result.clone());
-        self.persist_completion(&req.op, &response);
+        self.record_completion(&req.op, &response);
         match self
             .async_commit(client_node, &response, parent, entry)
             .await

@@ -18,13 +18,15 @@
 //! which every directory is back in *normal* state, consistent with the
 //! empty dirty set.
 
+use std::collections::BTreeMap;
+
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
 use switchfs_proto::{Fingerprint, Placement};
 
-use crate::server::rename::PreparedTxn;
+use crate::server::migrate::store_effects;
 use crate::server::Server;
-use crate::wal::{CheckpointData, TxnMarker};
+use crate::wal::{CheckpointData, MigrationMarker, TxnMarker, WalOp};
 
 /// Summary of one recovery run, reported to the harness (used by the §7.7
 /// experiment and asserted by the chaos checker).
@@ -97,14 +99,17 @@ impl Server {
         // Step 0b: load the checkpoint, if one exists.
         let checkpoint = self.durable.borrow().checkpoint.load();
         let replay_from = if let Some((lsn, data)) = checkpoint {
-            self.load_checkpoint(&data);
+            self.load_checkpoint(data);
             lsn
         } else {
             0
         };
 
-        // Step 1: replay the WAL.
-        let records: Vec<(u64, crate::wal::WalOp, bool, u64)> = self
+        // Step 1: replay the WAL. What a record means is `apply_record`'s
+        // business, here as on the live path; the loop adds what only a
+        // replay does — the change-log rebuild, the report, and reading the
+        // migration markers off the log.
+        let records: Vec<(u64, WalOp, bool, u64)> = self
             .durable
             .borrow()
             .wal
@@ -113,13 +118,48 @@ impl Server {
             .filter(|r| r.lsn > replay_from)
             .map(|r| (r.lsn, r.payload.clone(), r.applied, r.size))
             .collect();
-        let mut started_migrations: std::collections::BTreeMap<u32, switchfs_proto::ServerId> =
-            std::collections::BTreeMap::new();
+        let mut started_migrations: BTreeMap<u32, switchfs_proto::ServerId> = BTreeMap::new();
         for (lsn, op, applied, size) in &records {
             // Each replayed record costs one KV write's worth of CPU; this is
             // what makes the §7.7 recovery time proportional to the number of
             // operations to recover.
             self.cpu.run(costs.kv_put).await;
+            match op {
+                WalOp::Effects {
+                    pending_entry: Some((dir_id, dir_key, entry)),
+                    ..
+                } if !applied => {
+                    // The deferred update never reached the directory owner:
+                    // rebuild it into the change-log.
+                    let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+                    let now = self.handle.now();
+                    let mut inner = self.inner.borrow_mut();
+                    inner
+                        .changelogs
+                        .append(*dir_id, dir_key, fp, entry.clone(), now);
+                    report.changelog_entries_recovered += 1;
+                }
+                WalOp::Txn(TxnMarker::Resolved { txn_id })
+                    if !self.inner.borrow().prepared_txns.contains_key(txn_id) =>
+                {
+                    // No matching `Prepared` anywhere (checkpoint or
+                    // replay): tolerated, not assumed away. The decision
+                    // this marker witnessed was applied before it was
+                    // written, and its effects replay from their own
+                    // records; any txn genuinely still in doubt stays in
+                    // `prepared_txns` and is resolved by coordinator query
+                    // below.
+                    report.orphan_resolved_markers += 1;
+                }
+                WalOp::Completed(_) => report.completed_ops_recovered += 1,
+                WalOp::Migration(MigrationMarker::Started { shard, target }) => {
+                    started_migrations.insert(*shard, *target);
+                }
+                WalOp::Migration(MigrationMarker::Completed { shard }) => {
+                    started_migrations.remove(shard);
+                }
+                WalOp::Effects { .. } | WalOp::Txn(_) => {}
+            }
             // Per-effect replay events mirror the live path's, with the LSN
             // standing in for the batch id.
             self.apply_record(op, self.record_trace(op), |dir, insert, changed| {
@@ -130,74 +170,6 @@ impl Server {
                     changed,
                 }
             });
-            if let Some((dir_id, dir_key, entry)) = &op.pending_entry {
-                if !applied {
-                    // The deferred update never reached the directory owner:
-                    // rebuild it into the change-log.
-                    let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-                    let now = self.handle.now();
-                    self.inner.borrow_mut().changelogs.append(
-                        *dir_id,
-                        dir_key,
-                        fp,
-                        entry.clone(),
-                        now,
-                    );
-                    report.changelog_entries_recovered += 1;
-                }
-            }
-            if let Some(marker) = &op.txn_marker {
-                let now = self.handle.now();
-                let mut inner = self.inner.borrow_mut();
-                match marker {
-                    TxnMarker::Prepared {
-                        txn_id,
-                        coordinator,
-                        ops,
-                    } => {
-                        inner.prepared_txns.insert(
-                            *txn_id,
-                            PreparedTxn {
-                                ops: ops.clone(),
-                                coordinator: *coordinator,
-                                prepared_at: now,
-                            },
-                        );
-                    }
-                    TxnMarker::Decided { txn_id, commit } => {
-                        inner.decided_txns.insert(*txn_id, *commit);
-                    }
-                    TxnMarker::Resolved { txn_id } => {
-                        if inner.prepared_txns.remove(txn_id).is_none() {
-                            // No matching `Prepared` anywhere (checkpoint or
-                            // replay): tolerated, not assumed away. The
-                            // decision this marker witnessed was applied
-                            // before it was written, and its effects replay
-                            // from their own records; any txn genuinely
-                            // still in doubt stays in `prepared_txns` and is
-                            // resolved by coordinator query below.
-                            report.orphan_resolved_markers += 1;
-                        }
-                    }
-                    TxnMarker::Forgotten { txn_id } => {
-                        inner.decided_txns.remove(txn_id);
-                    }
-                }
-            }
-            if let Some(response) = &op.completed {
-                self.inner.borrow_mut().cache_response(response.clone());
-                report.completed_ops_recovered += 1;
-            }
-            if let Some(marker) = &op.migration {
-                match marker {
-                    crate::wal::MigrationMarker::Started { shard, target } => {
-                        started_migrations.insert(*shard, *target);
-                    }
-                    crate::wal::MigrationMarker::Completed { shard } => {
-                        started_migrations.remove(shard);
-                    }
-                }
-            }
             report.wal_records_replayed += 1;
             report.wal_bytes_replayed += size;
         }
@@ -303,50 +275,33 @@ impl Server {
     /// Writes a checkpoint of the current volatile state, allowing the WAL
     /// prefix to be truncated (the recovery-time optimization §7.7 mentions).
     pub fn checkpoint(&self) {
-        let (applied_entry_ids, retired_entry_ids, completed_ops) = self.dedup_snapshot();
+        // Every bucket is the same one: the whole server, in store order.
+        let mut image = self.collect(|_| Some(())).remove(&()).unwrap_or_default();
+        self.stamp_dedup(&mut image);
         let data = {
             let inner = self.inner.borrow();
+            let prepared = inner.prepared_txns.iter();
+            let decided = inner.decided_txns.iter();
             CheckpointData {
-                inodes: inner
-                    .inodes
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-                entries: inner
-                    .entries
-                    .iter()
-                    .flat_map(|(d, c)| c.iter().map(move |e| (*d, e.clone())))
-                    .collect(),
-                dir_index: inner
-                    .dir_index
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect(),
+                image,
                 invalidation: inner
                     .invalidation
                     .iter()
                     .map(|(k, v)| (*k, v.clone()))
                     .collect(),
-                pending: {
-                    let mut out = Vec::new();
-                    for (dir, _) in inner.changelogs.dirty_dirs() {
-                        if let Some(log) = inner.changelogs.get(&dir) {
-                            for e in log.entries() {
-                                out.push((dir, log.dir_key.clone(), e.clone()));
-                            }
-                        }
-                    }
-                    out
-                },
-                applied_entry_ids,
-                retired_entry_ids,
-                prepared_txns: inner
-                    .prepared_txns
-                    .iter()
-                    .map(|(id, p)| (*id, p.coordinator, p.ops.clone()))
+                // Prepared state is durable (§5.4.2), so it crosses the WAL
+                // truncation as the markers that rebuild it.
+                txns: prepared
+                    .map(|(id, p)| TxnMarker::Prepared {
+                        txn_id: *id,
+                        coordinator: p.coordinator,
+                        ops: p.ops.clone(),
+                    })
+                    .chain(decided.map(|(id, commit)| TxnMarker::Decided {
+                        txn_id: *id,
+                        commit: *commit,
+                    }))
                     .collect(),
-                decided_txns: inner.decided_txns.iter().map(|(k, v)| (*k, *v)).collect(),
-                completed_ops,
             }
         };
         let mut durable = self.durable.borrow_mut();
@@ -361,46 +316,31 @@ impl Server {
         durable.wal.truncate_through(lsn);
     }
 
-    fn load_checkpoint(&self, data: &CheckpointData) {
-        let mut inner = self.inner.borrow_mut();
-        for (k, v) in &data.inodes {
-            inner.inodes.put(k.clone(), v.clone());
-        }
-        for (d, e) in &data.entries {
-            inner.put_entry(*d, e.clone());
-        }
-        for (id, key) in &data.dir_index {
-            inner.dir_index.insert(*id, key.clone());
-        }
-        for (id, key) in &data.invalidation {
-            inner.invalidation.insert(*id, key.clone());
-        }
-        for id in &data.applied_entry_ids {
-            inner.applied_entry_ids.insert(*id);
+    /// Puts a checkpoint back: the image's objects through the effects a
+    /// shard install stores them with (unlogged — the checkpoint is their
+    /// durable copy), its transaction markers through the record applier.
+    fn load_checkpoint(&self, mut data: CheckpointData) {
+        for marker in data.txns {
+            self.apply_record(&WalOp::Txn(marker), None, |_, _, _| {
+                unreachable!("a marker has no entry effects")
+            });
         }
         let now = self.handle.now();
-        for id in &data.retired_entry_ids {
-            inner.retire_entry_id(*id, now);
+        let mut inner = self.inner.borrow_mut();
+        for effect in store_effects(&mut data.image) {
+            inner.apply_effect(&effect);
         }
-        for (dir, key, entry) in &data.pending {
+        inner.invalidation.extend(data.invalidation);
+        inner.applied_entry_ids.extend(data.image.applied_entry_ids);
+        for id in data.image.retired_entry_ids {
+            inner.retire_entry_id(id, now);
+        }
+        for (dir, key, entry) in data.image.pending {
             let fp = Fingerprint::of_dir(&key.pid, &key.name);
-            inner.changelogs.append(*dir, key, fp, entry.clone(), now);
+            inner.changelogs.append(dir, &key, fp, entry, now);
         }
-        for (txn_id, coordinator, ops) in &data.prepared_txns {
-            inner.prepared_txns.insert(
-                *txn_id,
-                PreparedTxn {
-                    ops: ops.clone(),
-                    coordinator: *coordinator,
-                    prepared_at: now,
-                },
-            );
-        }
-        for (txn_id, commit) in &data.decided_txns {
-            inner.decided_txns.insert(*txn_id, *commit);
-        }
-        for response in &data.completed_ops {
-            inner.cache_response(response.clone());
+        for response in data.image.completed {
+            inner.cache_response(response);
         }
     }
 }

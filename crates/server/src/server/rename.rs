@@ -382,14 +382,19 @@ impl Server {
         // record is a presumed abort; after it, recovery re-applies the
         // staged local half and participants learn the outcome from the
         // decision query.
-        let local_ops = per_server.get(&self.cfg.id).cloned();
-        if let Some(ops) = &local_ops {
+        let mut local_ops = None;
+        if let Some(ops) = per_server.get(&self.cfg.id) {
             self.log_txn_marker(TxnMarker::Prepared {
                 txn_id,
                 coordinator: self.cfg.id,
                 ops: ops.clone(),
             })
             .await;
+            // The record staged them like a participant's; the coordinator
+            // is the one that decides, so it takes them straight back out —
+            // what `handle_txn_decision` does when a decision arrives.
+            let staged = self.inner.borrow_mut().prepared_txns.remove(&txn_id);
+            local_ops = staged.map(|p| p.ops);
             self.trace_event(
                 Some(TraceId::of_op(req.op_id)),
                 EventKind::TxnPrepare {
@@ -410,11 +415,7 @@ impl Server {
                 commit: true,
             },
         );
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.decided_txns.insert(txn_id, true);
-            inner.active_txns.remove(&txn_id);
-        }
+        self.inner.borrow_mut().active_txns.remove(&txn_id);
 
         // Apply the local mutations, then tell every participant and wait
         // for its acknowledgment (retransmitting the decision over the
@@ -427,11 +428,10 @@ impl Server {
         }
         if self.broadcast_decision(txn_id, &per_server, true).await {
             // Every participant applied and acknowledged the commit: nobody
-            // can query this decision again, so drop it from the decision
-            // table (and durably, so checkpoints/replay drop it too). A
+            // can query this decision again, so the record drops it from the
+            // decision table (durably, so checkpoints/replay drop it too). A
             // participant that never acked keeps the entry alive forever —
             // it may still recover and ask.
-            self.inner.borrow_mut().decided_txns.remove(&txn_id);
             self.log_txn_marker(TxnMarker::Forgotten { txn_id }).await;
         }
         Some(OpResult::Done)
@@ -607,21 +607,13 @@ impl Server {
             // an in-doubt transaction that recovery resolves by re-asking
             // the coordinator (simplified presumed-abort), instead of
             // silently losing the staged ops and diverging the namespace.
+            // Applying the record is what stages them in `prepared_txns`.
             self.log_txn_marker(TxnMarker::Prepared {
                 txn_id,
                 coordinator,
-                ops: ops.clone(),
+                ops,
             })
             .await;
-            let now = self.handle.now();
-            self.inner.borrow_mut().prepared_txns.insert(
-                txn_id,
-                PreparedTxn {
-                    ops,
-                    coordinator,
-                    prepared_at: now,
-                },
-            );
         }
         vote(ok, dst_type);
     }

@@ -8,7 +8,7 @@
 //! [`crate::server::Server::recover`].
 
 use switchfs_kvstore::{Checkpoint, Wal};
-use switchfs_proto::message::{ClientResponse, TxnOp};
+use switchfs_proto::message::{ClientResponse, StateImage, TxnOp};
 use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, OpId, ServerId};
 
 /// One mutation against the volatile key-value stores, replayable during
@@ -107,110 +107,72 @@ pub enum MigrationMarker {
     },
 }
 
-/// One WAL record: the committed effects of an operation plus, for
-/// double-inode operations, the change-log entry that still has to reach the
-/// parent directory's owner.
+/// One WAL record. Four kinds, and for each exactly one meaning:
+/// [`crate::server::Server::apply_record`] is the only function that turns a
+/// record into volatile state, on the live path right after the record's
+/// flush and again at recovery replay (`docs/persist-order.md` tabulates who
+/// appends each kind and what must be flushed before what escapes).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalOp {
-    /// Id of the client operation (if the record stems from one).
-    pub op_id: Option<OpId>,
-    /// Mutations applied to this server's volatile stores.
-    pub effects: Vec<KvEffect>,
-    /// A deferred update to a (usually remote) parent directory:
-    /// `(parent directory id, parent directory key, entry)`. The WAL record
-    /// is marked *applied* once the entry has been applied by the directory
-    /// owner, so recovery knows whether to rebuild it into the change-log.
-    pub pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
-    /// Ids of remote change-log entries this record applied (aggregation /
-    /// push on the directory-owner side); used to rebuild the duplicate
-    /// suppression set during recovery.
-    pub applied_entry_ids: Vec<OpId>,
-    /// Durable 2PC state transition carried by this record, if any.
-    pub txn_marker: Option<TxnMarker>,
+pub enum WalOp {
+    /// The committed effects of an operation plus, for double-inode
+    /// operations, the change-log entry that still has to reach the parent
+    /// directory's owner.
+    Effects {
+        /// Id of the client operation (if the record stems from one).
+        op_id: Option<OpId>,
+        /// Mutations applied to this server's volatile stores.
+        effects: Vec<KvEffect>,
+        /// A deferred update to a (usually remote) parent directory:
+        /// `(parent directory id, parent directory key, entry)`. The WAL
+        /// record is marked *applied* once the entry has been applied by the
+        /// directory owner, so recovery knows whether to rebuild it into the
+        /// change-log.
+        pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
+        /// Ids of remote change-log entries this record applied (aggregation
+        /// / push on the directory-owner side); rebuilds the duplicate
+        /// suppression set during recovery.
+        applied_entry_ids: Vec<OpId>,
+    },
+    /// A durable 2PC state transition.
+    Txn(TxnMarker),
     /// A mutating operation's response, persisted so the duplicate-
     /// suppression cache survives a crash: a client that never received the
     /// reply retransmits after recovery and must get the original result
     /// back, not a re-execution (which would answer its own `create` with
     /// `Exists`). Modeled as piggybacked on the operation's WAL append
     /// (group commit), so it adds no extra simulated latency.
-    pub completed: Option<ClientResponse>,
-    /// Durable shard-migration transition carried by this record, if any.
-    pub migration: Option<MigrationMarker>,
+    Completed(ClientResponse),
+    /// A durable shard-migration transition.
+    Migration(MigrationMarker),
 }
 
 impl WalOp {
     /// A record with only local effects.
     pub fn local(op_id: Option<OpId>, effects: Vec<KvEffect>) -> Self {
-        WalOp {
+        WalOp::Effects {
             op_id,
             effects,
             pending_entry: None,
             applied_entry_ids: Vec::new(),
-            txn_marker: None,
-            completed: None,
-            migration: None,
-        }
-    }
-
-    /// A record carrying only a 2PC marker.
-    pub fn txn(marker: TxnMarker) -> Self {
-        WalOp {
-            op_id: None,
-            effects: Vec::new(),
-            pending_entry: None,
-            applied_entry_ids: Vec::new(),
-            txn_marker: Some(marker),
-            completed: None,
-            migration: None,
-        }
-    }
-
-    /// A record carrying only a completed operation's cached response.
-    pub fn completion(response: ClientResponse) -> Self {
-        WalOp {
-            op_id: None,
-            effects: Vec::new(),
-            pending_entry: None,
-            applied_entry_ids: Vec::new(),
-            txn_marker: None,
-            completed: Some(response),
-            migration: None,
-        }
-    }
-
-    /// A record carrying only a shard-migration marker.
-    pub fn migration(marker: MigrationMarker) -> Self {
-        WalOp {
-            op_id: None,
-            effects: Vec::new(),
-            pending_entry: None,
-            applied_entry_ids: Vec::new(),
-            txn_marker: None,
-            completed: None,
-            migration: Some(marker),
         }
     }
 
     /// Estimated persistent size, used for WAL byte accounting.
     pub fn wire_size(&self) -> u64 {
-        64 + self.effects.len() as u64 * 96
-            + self
-                .pending_entry
-                .as_ref()
-                .map(|(_, _, e)| e.wire_size() as u64)
-                .unwrap_or(0)
-            + self.applied_entry_ids.len() as u64 * 12
-            + match &self.txn_marker {
-                Some(TxnMarker::Prepared { ops, .. }) => 24 + ops.len() as u64 * 96,
-                Some(
-                    TxnMarker::Decided { .. }
-                    | TxnMarker::Resolved { .. }
-                    | TxnMarker::Forgotten { .. },
-                ) => 16,
-                None => 0,
+        64 + match self {
+            WalOp::Effects {
+                effects,
+                pending_entry,
+                applied_entry_ids,
+                ..
+            } => {
+                let entry = pending_entry.as_ref().map_or(0, |(_, _, e)| e.wire_size());
+                effects.len() as u64 * 96 + entry as u64 + applied_entry_ids.len() as u64 * 12
             }
-            + if self.completed.is_some() { 48 } else { 0 }
-            + if self.migration.is_some() { 16 } else { 0 }
+            WalOp::Txn(TxnMarker::Prepared { ops, .. }) => 24 + ops.len() as u64 * 96,
+            WalOp::Txn(_) | WalOp::Migration(_) => 16,
+            WalOp::Completed(_) => 48,
+        }
     }
 }
 
@@ -227,33 +189,18 @@ pub struct DurableState {
 /// of a WAL LSN.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointData {
-    /// All inodes.
-    pub inodes: Vec<(MetaKey, InodeAttrs)>,
-    /// All directory entries.
-    pub entries: Vec<(DirId, DirEntry)>,
-    /// The directory owner index.
-    pub dir_index: Vec<(DirId, MetaKey)>,
+    /// Everything a shard stream would carry, for all shards at once, in the
+    /// order the stores iterate: a reload puts objects back in that order.
+    /// Its pending entries, applied and retired ids and cached responses are
+    /// bounded by the in-flight windows, so the snapshot stays small.
+    pub image: StateImage,
     /// The invalidation list.
     pub invalidation: Vec<(DirId, MetaKey)>,
-    /// Change-log entries still pending, with their directory key.
-    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
-    /// Ids of remote entries applied but not yet confirmed discarded by
-    /// their holders (bounded by the in-flight confirmation window).
-    pub applied_entry_ids: Vec<OpId>,
-    /// The bounded FIFO of retired (holder-confirmed) entry ids, in
-    /// insertion order so a reload preserves the eviction order.
-    pub retired_entry_ids: Vec<OpId>,
-    /// In-doubt prepared transactions (`txn_id`, coordinator, staged ops):
-    /// prepared state is durable (§5.4.2), so a checkpoint must carry it
-    /// across WAL truncation.
-    pub prepared_txns: Vec<(u64, ServerId, Vec<TxnOp>)>,
-    /// Durable commit decisions this server made as a rename coordinator.
-    pub decided_txns: Vec<(u64, bool)>,
-    /// Cached responses of completed mutating operations (the duplicate-
-    /// suppression cache): bounded by the per-client acked watermark, so the
-    /// snapshot stays small, and carried across WAL truncation so a
-    /// retransmission spanning a crash still gets the original result.
-    pub completed_ops: Vec<ClientResponse>,
+    /// The in-doubt prepared transactions and this server's commit decisions
+    /// as a rename coordinator, as the `Prepared` / `Decided` markers that
+    /// rebuild them: both are durable (§5.4.2), so a checkpoint must carry
+    /// them across WAL truncation.
+    pub txns: Vec<TxnMarker>,
 }
 
 impl DurableState {
@@ -290,7 +237,7 @@ mod tests {
         let mut durable = DurableState::new();
         let key = MetaKey::new(DirId::ROOT, "f");
         let attrs = InodeAttrs::new_file(DirId::ROOT, 0, Permissions::default());
-        let record = WalOp {
+        let record = WalOp::Effects {
             op_id: Some(OpId {
                 client: ClientId(1),
                 seq: 1,
@@ -298,9 +245,6 @@ mod tests {
             effects: vec![KvEffect::PutInode(key.clone(), attrs)],
             pending_entry: Some((DirId::ROOT, MetaKey::new(DirId::ROOT, ""), sample_entry())),
             applied_entry_ids: vec![],
-            txn_marker: None,
-            completed: None,
-            migration: None,
         };
         let size = record.wire_size();
         let lsn = durable.wal.append_sized(record, size);
@@ -312,19 +256,22 @@ mod tests {
     #[test]
     fn wire_size_scales_with_contents() {
         let small = WalOp::local(None, vec![]);
-        let big = WalOp {
+        let big = WalOp::Effects {
             op_id: None,
             effects: vec![KvEffect::DeleteInode(MetaKey::new(DirId::ROOT, "x")); 4],
             pending_entry: Some((DirId::ROOT, MetaKey::new(DirId::ROOT, ""), sample_entry())),
             applied_entry_ids: vec![OpId::default(); 3],
-            txn_marker: None,
-            completed: None,
-            migration: None,
         };
         assert!(big.wire_size() > small.wire_size());
-        let prepared = WalOp::txn(TxnMarker::Prepared {
+        // The parts add up as they did when a record had every field.
+        assert_eq!(small.wire_size(), 64);
+        assert_eq!(
+            big.wire_size(),
+            64 + 4 * 96 + sample_entry().wire_size() as u64 + 3 * 12
+        );
+        let prepared = WalOp::Txn(TxnMarker::Prepared {
             txn_id: 1,
-            coordinator: switchfs_proto::ServerId(0),
+            coordinator: ServerId(0),
             ops: vec![
                 switchfs_proto::message::TxnOp::DeleteInode {
                     key: MetaKey::new(DirId::ROOT, "x")
@@ -332,11 +279,24 @@ mod tests {
                 2
             ],
         });
-        let decided = WalOp::txn(TxnMarker::Decided {
+        let decided = WalOp::Txn(TxnMarker::Decided {
             txn_id: 1,
             commit: true,
         });
         assert!(prepared.wire_size() > decided.wire_size());
+        assert_eq!(prepared.wire_size(), 64 + 24 + 2 * 96);
+        let started = MigrationMarker::Started {
+            shard: 1,
+            target: ServerId(0),
+        };
+        assert_eq!(decided.wire_size(), 64 + 16);
+        assert_eq!(WalOp::Migration(started).wire_size(), 64 + 16);
+        let response = ClientResponse {
+            op_id: OpId::default(),
+            result: switchfs_proto::OpResult::Done,
+            server: ServerId(0),
+        };
+        assert_eq!(WalOp::Completed(response).wire_size(), 64 + 48);
     }
 
     #[test]

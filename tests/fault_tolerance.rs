@@ -586,7 +586,7 @@ fn orphan_resolved_marker_is_tolerated_and_counted() {
     {
         let durable = cluster.durable_state(2);
         let mut durable = durable.borrow_mut();
-        let record = WalOp::txn(TxnMarker::Resolved {
+        let record = WalOp::Txn(TxnMarker::Resolved {
             txn_id: 0xdead_beef,
         });
         let size = record.wire_size();
@@ -613,7 +613,7 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
     use switchfs::proto::message::{ClientResponse, TxnOp};
     use switchfs::proto::{ClientId, DirId, MetaKey, OpId, OpResult, ServerId};
     use switchfs::server::wal::MigrationMarker;
-    use switchfs::server::{TxnMarker, WalOp};
+    use switchfs::server::{KvEffect, TxnMarker, WalOp};
 
     let cluster = cluster();
     let client = cluster.client(0);
@@ -629,23 +629,29 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
         let mut durable = durable.borrow_mut();
         let flushed = durable.wal.flushed();
         let records = vec![
-            WalOp::txn(TxnMarker::Prepared {
+            WalOp::local(
+                None,
+                vec![KvEffect::DeleteInode(MetaKey::new(DirId::ROOT, "x"))],
+            ),
+            WalOp::Txn(TxnMarker::Prepared {
                 txn_id: 4242,
                 coordinator: ServerId(0),
                 ops: vec![TxnOp::DeleteInode {
                     key: MetaKey::new(DirId::ROOT, "x"),
                 }],
             }),
-            WalOp::txn(TxnMarker::Decided {
+            WalOp::Txn(TxnMarker::Decided {
                 txn_id: 4242,
                 commit: true,
             }),
-            WalOp::txn(TxnMarker::Resolved { txn_id: 4242 }),
-            WalOp::migration(MigrationMarker::Started {
+            WalOp::Txn(TxnMarker::Resolved { txn_id: 4242 }),
+            WalOp::Txn(TxnMarker::Forgotten { txn_id: 4242 }),
+            WalOp::Migration(MigrationMarker::Started {
                 shard: 3,
                 target: ServerId(0),
             }),
-            WalOp::completion(ClientResponse {
+            WalOp::Migration(MigrationMarker::Completed { shard: 4 }),
+            WalOp::Completed(ClientResponse {
                 op_id: OpId {
                     client: ClientId(9),
                     seq: 9,
@@ -654,6 +660,23 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
                 server: ServerId(victim as u32),
             }),
         ];
+        // "Every kind" is the compiler's to check: with a new record or
+        // marker kind this match does not build until the kind is listed,
+        // next number, next record above.
+        let kinds: Vec<usize> = records
+            .iter()
+            .map(|record| match record {
+                WalOp::Effects { .. } => 0,
+                WalOp::Txn(TxnMarker::Prepared { .. }) => 1,
+                WalOp::Txn(TxnMarker::Decided { .. }) => 2,
+                WalOp::Txn(TxnMarker::Resolved { .. }) => 3,
+                WalOp::Txn(TxnMarker::Forgotten { .. }) => 4,
+                WalOp::Migration(MigrationMarker::Started { .. }) => 5,
+                WalOp::Migration(MigrationMarker::Completed { .. }) => 6,
+                WalOp::Completed(_) => 7,
+            })
+            .collect();
+        assert_eq!(kinds, (0..records.len()).collect::<Vec<_>>());
         for record in records {
             let size = record.wire_size();
             // Deliberately left unflushed: these model records caught
