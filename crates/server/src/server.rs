@@ -1952,37 +1952,44 @@ impl Server {
 mod tests {
     use super::*;
     use crate::config::UpdateMode;
+    use switchfs_proto::message::{ShardInstall, StateImage};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
     use switchfs_simnet::{NetFaults, Network, Sim};
 
-    /// Server `id` of a `servers`-strong deployment on a network of its own.
-    pub(crate) fn test_server(sim: &Sim, id: u32, servers: u32) -> Server {
+    /// The servers of a deployment, not started: a test calls the handlers.
+    fn test_servers(sim: &Sim, servers: u32) -> Vec<Server> {
         let network: Network<NetMsg> = Network::new(
             sim.handle(),
             LinkParams::default(),
             NetFaults::reliable(),
             1,
         );
-        let cfg = ServerConfig {
-            id: ServerId(id),
-            node: NodeId(id),
-            cores: 1,
-            costs: crate::costs::CostModel::default(),
-            update_mode: UpdateMode::AsyncCompacted,
-            tracking: TrackingMode::InNetwork,
-            placement: SharedPlacement::initial(PartitionPolicy::PerFileHash, servers as usize),
-            server_nodes: Rc::new(RefCell::new((0..servers).map(NodeId).collect())),
-            obs: switchfs_obs::Obs::disabled(),
+        let placement =
+            SharedPlacement::initial(PartitionPolicy::PerDirectoryHash, servers as usize);
+        let server_nodes = Rc::new(RefCell::new((0..servers).map(NodeId).collect()));
+        let server = |id| {
+            let cfg = ServerConfig {
+                id: ServerId(id),
+                node: NodeId(id),
+                cores: 1,
+                costs: crate::costs::CostModel::default(),
+                update_mode: UpdateMode::AsyncCompacted,
+                tracking: TrackingMode::InNetwork,
+                placement: placement.clone(),
+                server_nodes: Rc::clone(&server_nodes),
+                obs: switchfs_obs::Obs::disabled(),
+            };
+            let durable = Rc::new(RefCell::new(DurableState::new()));
+            Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
         };
-        let durable = Rc::new(RefCell::new(DurableState::new()));
-        Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
+        (0..servers).map(server).collect()
     }
 
     #[test]
     fn a_discard_walks_back_to_the_oldest_entry_it_removed_and_no_further() {
         let sim = Sim::new(1);
-        let server = test_server(&sim, 0, 1);
+        let server = test_servers(&sim, 1).remove(0);
         let dir_key = MetaKey::new(DirId::ROOT, "d");
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         let id = |seq| OpId {
@@ -2026,5 +2033,97 @@ mod tests {
         // the race against the round) removes nothing and walks nothing.
         discard();
         assert_eq!(visits(), 3);
+    }
+
+    /// Everything a loaded server stores, with its duplicate-suppression
+    /// state stamped on: the images of all shards, as they would ship.
+    fn shipped_images(server: &Server) -> std::collections::BTreeMap<u32, StateImage> {
+        let shards = 0..server.cfg.placement.num_shards() as u32;
+        let mut images = server.collect_shards(shards);
+        images.values_mut().for_each(|i| server.stamp_dedup(i));
+        images
+    }
+
+    #[test]
+    fn what_an_install_puts_in_a_collect_takes_out() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (source, target) = (&servers[0], &servers[1]);
+        let id = |seq| OpId {
+            client: ClientId(7),
+            seq,
+        };
+        // Load the source: directories with both their roles, entry lists,
+        // files, pending entries, and all three kinds of suppression state.
+        {
+            let mut inner = source.inner.borrow_mut();
+            for d in 0..6u64 {
+                let dir = DirId::generate(ServerId(0), d + 1);
+                let dir_key = MetaKey::new(DirId::ROOT, format!("d{d}"));
+                let attrs = InodeAttrs::new_dir(dir, d, Default::default());
+                inner.apply_effect(&KvEffect::PutInode(dir_key.clone(), attrs));
+                inner.apply_effect(&KvEffect::IndexDir(dir, dir_key.clone()));
+                for f in 0..4u64 {
+                    let key = MetaKey::new(dir, format!("f{f}"));
+                    let file = DirId::generate(ServerId(0), 100 + d * 10 + f);
+                    let attrs = InodeAttrs::new_file(file, f, Default::default());
+                    inner.apply_effect(&KvEffect::PutInode(key.clone(), attrs));
+                    let entry = DirEntry {
+                        name: key.name.clone(),
+                        file_type: FileType::File,
+                        mode: 0o644,
+                    };
+                    inner.apply_effect(&KvEffect::PutEntry(dir, entry));
+                }
+                let entry = ChangeLogEntry {
+                    entry_id: id(d),
+                    dir,
+                    name: "late".into(),
+                    op: ChangeOp::Remove,
+                    timestamp: d,
+                    size_delta: -1,
+                };
+                let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+                inner
+                    .changelogs
+                    .append(dir, &dir_key, fp, entry, SimTime::ZERO);
+                inner.applied_entry_ids.insert(id(100 + d));
+                inner.retire_entry_id(id(200 + d), SimTime::ZERO);
+                inner.cache_response(ClientResponse {
+                    op_id: id(300 + d),
+                    result: OpResult::Done,
+                    server: ServerId(0),
+                });
+            }
+        }
+        let images = shipped_images(source);
+        assert!(images.len() > 1, "the load spreads over shards");
+        let pending: usize = images.values().map(|i| i.pending.len()).sum();
+        assert_eq!(pending, 6);
+
+        // The target owns every shard and installs each image — then a
+        // retransmission of each install (same token: acknowledged, not
+        // applied), then a retry (fresh token: the stale copy is purged and
+        // the image applied again). Each time it stores what the source did.
+        for shard in images.keys() {
+            source.cfg.placement.assign(*shard, ServerId(1));
+        }
+        for (round, token_base) in [(0, 1_000), (1, 1_000), (2, 2_000)] {
+            let appends = target.durable.borrow().wal.appends();
+            for (shard, image) in &images {
+                let install = ShardInstall {
+                    req_id: token_base + u64::from(*shard),
+                    shard: *shard,
+                    image: image.clone(),
+                };
+                let target = target.clone();
+                sim.spawn(async move { target.handle_shard_install(NodeId(0), install).await });
+            }
+            sim.run();
+            assert_eq!(shipped_images(target), images, "round {round}");
+            let logged = target.durable.borrow().wal.appends() - appends;
+            assert_eq!(logged == 0, round == 1, "round {round}: {logged} records");
+        }
+        assert_eq!(target.stats().shards_migrated_in, 2 * images.len() as u64);
     }
 }

@@ -272,38 +272,41 @@ impl Server {
         aggregated
     }
 
-    /// Writes a checkpoint of the current volatile state, allowing the WAL
-    /// prefix to be truncated (the recovery-time optimization §7.7 mentions).
-    pub fn checkpoint(&self) {
+    /// The current volatile state, as a checkpoint keeps it.
+    pub fn snapshot(&self) -> CheckpointData {
         // Every bucket is the same one: the whole server, in store order.
         let mut image = self.collect(|_| Some(())).remove(&()).unwrap_or_default();
         self.stamp_dedup(&mut image);
-        let data = {
-            let inner = self.inner.borrow();
-            let prepared = inner.prepared_txns.iter();
-            let decided = inner.decided_txns.iter();
-            CheckpointData {
-                image,
-                invalidation: inner
-                    .invalidation
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect(),
-                // Prepared state is durable (§5.4.2), so it crosses the WAL
-                // truncation as the markers that rebuild it.
-                txns: prepared
-                    .map(|(id, p)| TxnMarker::Prepared {
-                        txn_id: *id,
-                        coordinator: p.coordinator,
-                        ops: p.ops.clone(),
-                    })
-                    .chain(decided.map(|(id, commit)| TxnMarker::Decided {
-                        txn_id: *id,
-                        commit: *commit,
-                    }))
-                    .collect(),
-            }
-        };
+        let inner = self.inner.borrow();
+        let prepared = inner.prepared_txns.iter();
+        let decided = inner.decided_txns.iter();
+        CheckpointData {
+            image,
+            invalidation: inner
+                .invalidation
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect(),
+            // Prepared state is durable (§5.4.2), so it crosses the WAL
+            // truncation as the markers that rebuild it.
+            txns: prepared
+                .map(|(id, p)| TxnMarker::Prepared {
+                    txn_id: *id,
+                    coordinator: p.coordinator,
+                    ops: p.ops.clone(),
+                })
+                .chain(decided.map(|(id, commit)| TxnMarker::Decided {
+                    txn_id: *id,
+                    commit: *commit,
+                }))
+                .collect(),
+        }
+    }
+
+    /// Writes a checkpoint of the current volatile state, allowing the WAL
+    /// prefix to be truncated (the recovery-time optimization §7.7 mentions).
+    pub fn checkpoint(&self) {
+        let data = self.snapshot();
         let mut durable = self.durable.borrow_mut();
         // Checkpoint at the durable watermark, never past it: a record still
         // in the volatile tail may not survive the next crash, and

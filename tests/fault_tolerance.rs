@@ -252,6 +252,110 @@ fn participant_crash_between_prepare_and_decision_recovers_and_converges() {
     });
 }
 
+/// One applier for the live path and for replay: what a settled server has
+/// built record by record is what a replay of the same records rebuilds.
+#[test]
+fn replay_rebuilds_what_the_live_path_built() {
+    use std::collections::BTreeSet;
+    use switchfs::server::WalOp;
+
+    let cluster = cluster();
+    // The preloaded root bypassed the WAL; the checkpoint is its durable copy
+    // (so a recovery here is a checkpoint load and then the replay).
+    cluster.checkpoint_all();
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        for dir in ["/a", "/b", "/a/sub"] {
+            client.mkdir(dir).await.unwrap();
+        }
+        for i in 0..40 {
+            client.create(&format!("/a/f{i}")).await.unwrap();
+        }
+        for i in 0..10 {
+            client.create(&format!("/a/sub/g{i}")).await.unwrap();
+        }
+        client.statdir("/a").await.unwrap();
+        // Renames of files across directories, over an existing file, and of
+        // a directory with children: 2PC on every server.
+        for i in 0..20 {
+            let dst = format!("/b/r{}", i % 15);
+            client.rename(&format!("/a/f{i}"), &dst).await.unwrap();
+        }
+        client.rename("/a/sub", "/b/moved").await.unwrap();
+        for i in 20..30 {
+            client.delete(&format!("/a/f{i}")).await.unwrap();
+            client
+                .chmod(&format!("/a/f{}", i + 10), 0o600)
+                .await
+                .unwrap();
+        }
+        client.mkdir("/a/gone").await.unwrap();
+        client.rmdir("/a/gone").await.unwrap();
+        assert_eq!(client.readdir("/b").await.unwrap().1.len(), 16);
+    });
+    cluster.settle(SimDuration::millis(10));
+    for server in cluster.servers() {
+        assert_eq!(server.pending_changelog_entries(), 0, "settled");
+        assert_eq!(server.prepared_txn_count(), 0, "settled");
+    }
+
+    for i in 0..cluster.servers().len() {
+        let before = cluster.servers()[i].snapshot();
+        assert!(!before.image.inodes.is_empty(), "server {i} stores nothing");
+        cluster.crash_server(i);
+        cluster.recover_server(i);
+        let after = cluster.servers()[i].snapshot();
+
+        // The stores come back as they were; the two hash maps, in any order.
+        assert_eq!(before.image.inodes, after.image.inodes, "server {i}");
+        assert_eq!(before.image.entries, after.image.entries, "server {i}");
+        assert_eq!(before.image.pending, after.image.pending, "server {i}");
+        let sorted = |index: &[(_, _)]| index.iter().cloned().collect::<BTreeSet<_>>();
+        assert_eq!(
+            sorted(&before.image.dir_index),
+            sorted(&after.image.dir_index),
+            "server {i}"
+        );
+        assert_eq!(
+            sorted(&before.invalidation),
+            sorted(&after.invalidation),
+            "server {i}"
+        );
+        // Both transaction tables (a settled server's are empty unless a
+        // participant never acknowledged).
+        let markers = |txns: &[_]| {
+            txns.iter()
+                .map(|m| format!("{m:?}"))
+                .collect::<BTreeSet<_>>()
+        };
+        assert_eq!(markers(&before.txns), markers(&after.txns), "server {i}");
+
+        // Duplicate suppression comes back as a superset: replay cannot know
+        // which ids were retired since, or which responses pruned.
+        let ids = |image: &switchfs::proto::message::StateImage| {
+            let both = image
+                .applied_entry_ids
+                .iter()
+                .chain(&image.retired_entry_ids);
+            both.copied().collect::<BTreeSet<_>>()
+        };
+        assert!(
+            ids(&after.image).is_superset(&ids(&before.image)),
+            "server {i}"
+        );
+        let durable = cluster.durable_state(i);
+        let durable = durable.borrow();
+        let logged = |response: &switchfs::proto::ClientResponse| {
+            let mut records = durable.wal.records().iter();
+            records.any(|r| matches!(&r.payload, WalOp::Completed(c) if c == response))
+        };
+        // (A read's response is cached, not logged: a crash forgets it.)
+        for response in before.image.completed.iter().filter(|r| logged(r)) {
+            assert!(after.image.completed.contains(response), "server {i}");
+        }
+    }
+}
+
 #[test]
 fn checkpoint_bounds_wal_replay() {
     let cluster = cluster();
