@@ -25,12 +25,12 @@ const SEND_FAMILY: &[&str] = &[
 
 /// Enforces WAL persist ordering at protocol barriers: any function that
 /// appends an ordering-critical record (a 2PC [`TxnMarker`], a shard
-/// [`MigrationMarker`], or a durable completion) must `flush()` it before
-/// any network send in the same body — otherwise a crash in the window
-/// leaves remote state ahead of local durable state (the torn-tail
-/// asymmetry PR 6 audited by hand). The server's two logging halves count
-/// as what they open with: `wal_hand_over` is an append,
-/// `wal_flush_and_apply` a flush.
+/// [`MigrationMarker`], or a durable completion) must flush it before any
+/// network send in the same body — otherwise a crash in the window leaves
+/// remote state ahead of local durable state (the torn-tail asymmetry PR 6
+/// audited by hand). The server logs every record through the same two
+/// halves, and they are the one spelling the rule knows: `wal_hand_over` is
+/// the append, `wal_flush_and_apply` the flush.
 pub fn persist_ordering(tokens: &[Token], findings: &mut Vec<Finding>) {
     let mut i = 0;
     while i < tokens.len() {
@@ -95,33 +95,24 @@ fn check_fn_persist(body: &[Token], findings: &mut Vec<Finding>) {
                 && body.get(k + 1).is_some_and(|t| t.is_punct(':'))
                 && body.get(k + 2).is_some_and(|t| t.is_punct(':'))
                 && body.get(k + 3).is_some_and(|t| {
-                    t.is_ident("txn") || t.is_ident("completion") || t.is_ident("migration")
-                }))
+                    t.is_ident("Txn") || t.is_ident("Completed") || t.is_ident("Migration")
+                })
+                && body.get(k + 4).is_some_and(|t| t.is_punct('(')))
     });
     if !critical {
         return;
     }
-    // `.name(` at `k`, for a `name` that `is` accepts.
-    let method_at = |k: usize, is: &dyn Fn(&str) -> bool| {
+    // `.name(` at `k`, for a `name` among `names`.
+    let method_at = |k: usize, names: &[&str]| {
         body.get(k).is_some_and(|t| t.is_punct('.'))
             && body
                 .get(k + 1)
-                .is_some_and(|t| t.kind == TokKind::Ident && is(&t.text))
+                .is_some_and(|t| t.kind == TokKind::Ident && names.contains(&t.text.as_str()))
             && body.get(k + 2).is_some_and(|t| t.is_punct('('))
     };
-    // Append-family calls on a WAL receiver, `…wal.append…(`, and the
-    // server's first logging half, `.wal_hand_over(`, which is one.
-    let appends: Vec<usize> = (0..body.len())
-        .filter(|&k| {
-            (body[k].is_ident("wal") && method_at(k + 1, &|name| name.starts_with("append")))
-                || method_at(k, &|name| name == "wal_hand_over")
-        })
-        .collect();
-    for &a in &appends {
-        // `.flush(`, or the second logging half, which opens with it.
-        let flush_at = (a..body.len())
-            .find(|&k| method_at(k, &|name| name == "flush" || name == "wal_flush_and_apply"));
-        let send_at = (a..body.len()).find(|&k| method_at(k, &|name| SEND_FAMILY.contains(&name)));
+    for a in (0..body.len()).filter(|&k| method_at(k, &["wal_hand_over"])) {
+        let flush_at = (a..body.len()).find(|&k| method_at(k, &["wal_flush_and_apply"]));
+        let send_at = (a..body.len()).find(|&k| method_at(k, SEND_FAMILY));
         match (flush_at, send_at) {
             (None, _) => findings.push(Finding::new(
                 RULE_PERSIST,

@@ -3,9 +3,9 @@
 impl Server {
     fn deliberate_early_send(&self, txn_id: u64, commit: bool) {
         let marker = TxnMarker::Decided { txn_id, commit };
-        self.durable.borrow_mut().wal.append(WalOp::txn(marker));
+        let lsn = self.wal_hand_over(WalOp::Txn(marker));
         // switchfs-lint: allow(persist-ordering) advisory hint only; the real decision is resent after the flush barrier
         self.net.send(self.coordinator, hint_msg(txn_id));
-        self.durable.borrow_mut().wal.flush();
+        self.wal_flush_and_apply(lsn);
     }
 }

@@ -107,7 +107,7 @@ fn event_coverage_passes_when_every_variant_is_emitted() {
 // ------------------------------------------------------- directive health ---
 
 /// A one-line function that trips `persist-ordering`.
-const UNFLUSHED: &str = "fn f(&self) { let m = TxnMarker::Commit; self.wal.append(m); }\n";
+const UNFLUSHED: &str = "fn f(&self) { let m = TxnMarker::Commit; self.wal_hand_over(m); }\n";
 
 #[test]
 fn suppression_without_reason_is_itself_a_finding() {
