@@ -286,29 +286,22 @@ impl ChangeLogStore {
 
     /// Removes the entries a push acknowledgment for the directory stored
     /// under `dir_key` names (see [`ChangeLog::discard_acked`]) and drops the
-    /// log if that emptied it. Returns how many entries were removed and the
+    /// log if that emptied it. Returns how many it removed and the
     /// directory, if it has a log here.
     pub fn discard_acked(
         &mut self,
         dir_key: &MetaKey,
         acked: &FxHashSet<OpId>,
-    ) -> (usize, Option<DirId>) {
+    ) -> Option<(usize, DirId)> {
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        let found = self.by_fp.get(&fp.raw()).and_then(|group| {
-            group
-                .iter()
-                .find(|d| self.logs[*d].dir_key == *dir_key)
-                .copied()
-        });
-        let Some(dir) = found else {
-            return (0, None);
-        };
-        let log = self.logs.get_mut(&dir).expect("indexed by fingerprint");
+        let group = self.by_fp.get(&fp.raw())?;
+        let dir = *group.iter().find(|d| self.logs[*d].dir_key == *dir_key)?;
+        let log = self.logs.get_mut(&dir)?;
         let removed = log.discard_acked(acked);
         if log.is_empty() {
             self.remove(&dir);
         }
-        (removed, Some(dir))
+        Some((removed, dir))
     }
 
     /// Every directory that currently has pending entries.
@@ -511,17 +504,17 @@ mod tests {
         store.append(dir(2), &key_b, fp(&key_b), entry("y", 2), SimTime::ZERO);
         let acked: FxHashSet<OpId> = [id(1), id(2)].into_iter().collect();
         // Not pushed yet: nothing is in the window, nothing is discarded.
-        assert_eq!(store.discard_acked(&key_a, &acked), (0, Some(dir(1))));
+        assert_eq!(store.discard_acked(&key_a, &acked), Some((0, dir(1))));
         assert_eq!(store.total_pending(), 2);
         store
             .get_mut(&dir(1))
             .unwrap()
             .push_batch(usize::MAX, SimTime::ZERO);
-        assert_eq!(store.discard_acked(&key_a, &acked), (1, Some(dir(1))));
+        assert_eq!(store.discard_acked(&key_a, &acked), Some((1, dir(1))));
         // The emptied log is gone, the other directory's is untouched.
         assert!(store.get(&dir(1)).is_none());
         assert_eq!(store.total_pending(), 1);
-        assert_eq!(store.discard_acked(&key_a, &acked), (0, None));
+        assert_eq!(store.discard_acked(&key_a, &acked), None);
     }
 
     #[test]

@@ -1373,28 +1373,13 @@ impl Server {
     /// acknowledgment escapes: an ack that outruns its completion record
     /// would be re-executed (not answered from the dedup cache) by a
     /// recovered server when the client gives up waiting and retransmits.
-    pub(crate) fn reply(
-        &self,
-        client_node: NodeId,
-        op: &MetaOp,
-        op_id: OpId,
-        result: OpResult,
-    ) -> ClientResponse {
-        let response = ClientResponse {
-            op_id,
-            result,
-            server: self.cfg.id,
-        };
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.ops_completed += 1;
-            if !response.result.is_ok() {
-                inner.stats.ops_failed += 1;
-            }
+    pub(crate) fn reply(&self, client_node: NodeId, op: &MetaOp, op_id: OpId, result: OpResult) {
+        let response = self.make_response(op_id, result);
+        if !response.result.is_ok() {
+            self.inner.borrow_mut().stats.ops_failed += 1;
         }
         self.record_completion(op, &response);
-        self.send_plain(client_node, Body::Response(response.clone()));
-        response
+        self.send_plain(client_node, Body::Response(response));
     }
 
     /// Builds the response object without sending or recording it (the

@@ -664,7 +664,10 @@ impl Server {
         // differ, and the confirm would otherwise never reach the real
         // applier.
         let dir = self.discard_applied_entries(
-            |logs| logs.discard_acked(&dir_key, &ids),
+            |logs| match logs.discard_acked(&dir_key, &ids) {
+                Some((removed, dir)) => (removed, Some(dir)),
+                None => (0, None),
+            },
             &ids,
             self.server_id_of(src),
         );

@@ -10,10 +10,12 @@
 //!    timers carry them across the window);
 //! 2. the source waits for in-flight work on the shard to drain (client
 //!    handlers, owner-side aggregations, prepared transactions);
-//! 3. the source extracts the shard's slice of its stores — inodes, entry
-//!    lists, the owner index, pending change-log entries — plus copies of
-//!    the duplicate-suppression state, and streams it to the target with
-//!    ack + retransmission ([`switchfs_proto::message::ServerMsg::ShardInstall`]);
+//! 3. the source collects the shard's slice of its stores — inodes, entry
+//!    lists, the owner index, pending change-log entries — stamps copies of
+//!    the duplicate-suppression state on, and streams this
+//!    [`StateImage`] to the target with ack + retransmission
+//!    ([`switchfs_proto::message::ServerMsg::ShardInstall`]). The collector
+//!    (`Server::collect`) is the scan a checkpoint also is;
 //! 4. the target applies and durably logs the state, then acks;
 //! 5. the source flips the shard in the shared map (bumping the epoch),
 //!    deletes its now-stale copy (logged, so recovery agrees), logs

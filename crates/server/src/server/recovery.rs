@@ -4,9 +4,11 @@
 //! change-logs, invalidation list); only the WAL and the optional checkpoint
 //! survive. Recovery proceeds in four steps:
 //!
-//! 1. replay the WAL (starting from the checkpoint, if present) to rebuild
-//!    the key-value store and the change-log entries not yet marked
-//!    "applied";
+//! 1. replay the WAL (starting from the checkpoint, if present) through
+//!    `Server::apply_record` — the applier the live path runs after every
+//!    flush, so a replayed record rebuilds exactly what logging it built:
+//!    stores, owner index, duplicate-suppression state, both transaction
+//!    tables — and rebuild the change-log entries not yet marked "applied";
 //! 2. proactively aggregate every directory this server owns, so that any
 //!    aggregation it had issued before the crash runs to completion and the
 //!    on-switch dirty set again reflects the true directory states;

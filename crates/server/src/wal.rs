@@ -5,7 +5,9 @@
 //! list in DRAM and recovers them from the write-ahead log after a crash.
 //! [`DurableState`] is the part the cluster harness keeps alive across a
 //! simulated crash; everything else is rebuilt by
-//! [`crate::server::Server::recover`].
+//! [`crate::server::Server::recover`]. A record is a [`WalOp`], an enum of
+//! four kinds; what each kind does to the volatile state is written once, in
+//! `Server::apply_record`.
 
 use switchfs_kvstore::{Checkpoint, Wal};
 use switchfs_proto::message::{ClientResponse, StateImage, TxnOp};
@@ -108,7 +110,7 @@ pub enum MigrationMarker {
 }
 
 /// One WAL record. Four kinds, and for each exactly one meaning:
-/// [`crate::server::Server::apply_record`] is the only function that turns a
+/// `Server::apply_record` is the only function that turns a
 /// record into volatile state, on the live path right after the record's
 /// flush and again at recovery replay (`docs/persist-order.md` tabulates who
 /// appends each kind and what must be flushed before what escapes).
