@@ -125,8 +125,10 @@ impl Server {
         shards: impl IntoIterator<Item = u32>,
     ) -> BTreeMap<u32, StateImage> {
         let shards: BTreeSet<u32> = shards.into_iter().collect();
-        let shard_of = |h| Some(self.cfg.placement.shard_of_hash(h));
-        let mut out = self.collect(|h| shard_of(h).filter(|s| shards.contains(s)));
+        let mut out = self.collect(|h| {
+            let shard = self.cfg.placement.shard_of_hash(h);
+            shards.contains(&shard).then_some(shard)
+        });
         for image in out.values_mut() {
             image.inodes.sort_by(|a, b| a.0.cmp(&b.0));
             image
@@ -487,9 +489,8 @@ impl Server {
         // changed last (ties take the incoming copy, which keeps
         // retransmitted installs idempotent).
         image.inodes.retain(|(key, attrs)| {
-            let inner = self.inner.borrow();
-            let local = inner.inodes.peek(key);
-            local.is_none_or(|local| local.times.ctime <= attrs.times.ctime)
+            let local = self.inner.borrow().inodes.peek(key).map(|a| a.times.ctime);
+            local.is_none_or(|local| local <= attrs.times.ctime)
         });
         let effects = store_effects(&mut image);
         self.apply_and_log(None, effects, None, image.applied_entry_ids)
