@@ -80,7 +80,6 @@ impl Cluster {
         data_latency: Option<SimDuration>,
     ) -> WorkloadReport {
         let collector: Rc<RefCell<Collector>> = Rc::new(RefCell::new(Collector::default()));
-        let total = items.len();
         let sem = Semaphore::new(in_flight.max(1));
         let handle = self.sim.handle();
         let clients: Vec<_> = self.clients().to_vec();
@@ -124,12 +123,12 @@ impl Cluster {
             // Wait for every in-flight operation to finish.
             let _all = master_sem.acquire_many(in_flight.max(1)).await;
         };
-        let _ = total;
         self.block_on(driver);
 
         let collector = Rc::try_unwrap(collector)
-            .map(|c| c.into_inner())
-            .unwrap_or_else(|rc| rc.borrow().clone_into_owned());
+            .ok()
+            .expect("every driver task has finished")
+            .into_inner();
         let start = collector.start.unwrap_or(SimTime::ZERO);
         let elapsed = collector.end.duration_since(start);
         let ops = collector.latency.count() as u64;
@@ -161,21 +160,6 @@ impl Cluster {
             kops,
             latency: collector.latency,
             per_op,
-        }
-    }
-}
-
-impl Collector {
-    fn clone_into_owned(&self) -> Collector {
-        Collector {
-            start: self.start,
-            end: self.end,
-            latency: self.latency.clone(),
-            per_op: self
-                .per_op
-                .iter()
-                .map(|(k, (h, c, e))| (*k, (h.clone(), *c, *e)))
-                .collect(),
         }
     }
 }
