@@ -634,6 +634,14 @@ impl ServerInner {
     }
 }
 
+/// What [`Server::wal_hand_over`] returns: a record the log holds and the
+/// media may still lose. The only thing to do with it is to give it to
+/// [`Server::wal_flush_and_apply`] once the disk wait has been charged —
+/// not `Copy`, not `Clone`, no accessor — so an append without its flush
+/// does not pass `-D warnings` (`docs/persist-order.md`, "The handle").
+#[must_use = "an appended record is volatile until wal_flush_and_apply takes it"]
+pub(crate) struct Unflushed(u64);
+
 /// One SwitchFS metadata server, bound to a simulated network endpoint.
 #[derive(Clone)]
 pub struct Server {
@@ -1468,7 +1476,7 @@ impl Server {
         effects: Vec<KvEffect>,
         pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
         applied_entry_ids: Vec<OpId>,
-    ) -> u64 {
+    ) {
         let kv_cost = self.cfg.costs.kv_put * effects.len().max(1) as u64;
         let lsn = self.wal_hand_over(WalOp::Effects {
             op_id,
@@ -1478,7 +1486,6 @@ impl Server {
         });
         self.cpu.run(self.wal_append_cost() + kv_cost).await;
         self.wal_flush_and_apply(lsn);
-        lsn
     }
 
     /// First half of logging a record: hands it to the log and stamps
@@ -1488,12 +1495,12 @@ impl Server {
     /// corrupt. Synchronous on purpose — the record lives in the WAL from
     /// here on, not in the caller's future, which is part of every
     /// request's allocation.
-    pub(crate) fn wal_hand_over(&self, record: WalOp) -> u64 {
+    pub(crate) fn wal_hand_over(&self, record: WalOp) -> Unflushed {
         let size = record.wire_size();
         let trace = self.record_trace(&record);
         let lsn = self.durable.borrow_mut().wal.append_sized(record, size);
         self.trace_event(trace, EventKind::WalAppend { lsn, bytes: size });
-        lsn
+        Unflushed(lsn)
     }
 
     /// Second half, after the disk wait: the flush barrier and the
@@ -1502,7 +1509,7 @@ impl Server {
     /// is applied from a borrow of its WAL slot, one materialization instead
     /// of a deep clone per logged operation. `WalFlush` is stamped here, so
     /// it and `WalAppend` span the disk time.
-    pub(crate) fn wal_flush_and_apply(&self, lsn: u64) {
+    pub(crate) fn wal_flush_and_apply(&self, Unflushed(lsn): Unflushed) {
         let durable = &mut *self.durable.borrow_mut();
         let newly_flushed = durable.wal.flush();
         let Some(record) = durable.wal.recent(lsn) else {
@@ -1982,13 +1989,15 @@ mod tests {
             seq,
         };
         let dir = DirId::generate(ServerId(0), 1);
-        // A hundred records of other work, then three deferred entries.
+        // A hundred records of other work, then three deferred entries. None
+        // is flushed (`let _`): a discard walks the retained records, flushed
+        // or not, and nothing below reads what applying them would change.
         for _ in 0..100 {
-            server.wal_hand_over(WalOp::local(None, Vec::new()));
+            let _ = server.wal_hand_over(WalOp::local(None, Vec::new()));
         }
         for seq in 0..3 {
             let entry = server.make_entry(id(seq), dir, "f", ChangeOp::Remove, -1);
-            server.wal_hand_over(WalOp::Effects {
+            let _ = server.wal_hand_over(WalOp::Effects {
                 op_id: Some(id(seq)),
                 effects: Vec::new(),
                 pending_entry: Some((dir, dir_key.clone(), entry.clone())),
