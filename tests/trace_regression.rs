@@ -1,5 +1,6 @@
 //! Regressions for the statdir size-vs-entries divergence family and for
-//! the recovery-replay instrumentation.
+//! the recovery-replay instrumentation, and the event vocabulary: every
+//! `EventKind` is emitted by a run.
 //!
 //! A directory's size used to be a counter stored in its inode beside the
 //! entry list; under dense chaos load the two drifted apart (`statdir size
@@ -71,5 +72,61 @@ fn recovery_replay_emits_per_effect_events() {
         found_detail,
         "no crash seed produced per-effect replay events; the instrumentation \
          (or the plan generator's crash coverage) regressed"
+    );
+}
+
+/// The event vocabulary, written once: the names the runs below must emit and
+/// a wildcard-free `match` from an event to its name. A new `EventKind`
+/// variant does not build until it is listed here, and once listed the test
+/// fails until some run emits it.
+macro_rules! vocabulary {
+    ($($kind:ident),* $(,)?) => {
+        const EVENT_KINDS: &[&str] = &[$(stringify!($kind)),*];
+        fn kind_name(kind: &EventKind) -> &'static str {
+            match kind {
+                $(EventKind::$kind { .. } => stringify!($kind)),*
+            }
+        }
+    };
+}
+vocabulary!(
+    ClientIssue,
+    ClientMapRefresh,
+    Dispatch,
+    WrongOwner,
+    WalAppend,
+    WalFlush,
+    TxnPrepare,
+    TxnDecide,
+    ChangeLogPush,
+    EntryApply,
+    DiscardConfirm,
+    MigrationFreeze,
+    MigrationStream,
+    MigrationFlip,
+    AggregationFanout,
+    RecoveryReplay,
+    RecoveryEntryApply,
+);
+
+/// An event kind nothing emits is a question a dump cannot answer: every kind
+/// of the vocabulary appears in the flight recorders of SwitchFS under every
+/// plan kind, seeds 0 and 1, at the default load.
+#[test]
+fn every_event_kind_is_emitted_by_some_run() {
+    let mut emitted = std::collections::BTreeSet::new();
+    for kind in PlanKind::all() {
+        for seed in 0..2 {
+            let report = run_chaos(ChaosConfig::new(SystemKind::SwitchFs, kind, seed));
+            emitted.extend(report.flight_recorder.iter().map(|e| kind_name(&e.kind)));
+        }
+    }
+    let silent: Vec<_> = EVENT_KINDS
+        .iter()
+        .filter(|kind| !emitted.contains(*kind))
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "no run emitted {silent:?}: the emission site is gone, or the plans no longer reach it"
     );
 }
