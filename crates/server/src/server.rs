@@ -484,6 +484,9 @@ impl ServerInner {
             KvEffect::Invalidate(id, key) => {
                 self.invalidation.insert(*id, key.clone());
             }
+            KvEffect::Revoke(id) => {
+                self.invalidation.remove(id);
+            }
         }
     }
 
@@ -1075,8 +1078,11 @@ impl Server {
                 )
                 .await;
             }
+            // Logged like the `Invalidate` it undoes, or a replay would
+            // re-apply that one alone.
             ServerMsg::InvalidationRevoke { dir_id } => {
-                self.inner.borrow_mut().invalidation.remove(&dir_id);
+                self.apply_and_log(None, vec![KvEffect::Revoke(dir_id)], None, Vec::new())
+                    .await;
             }
             ServerMsg::TxnPrepare {
                 req_id,

@@ -31,6 +31,9 @@ pub enum KvEffect {
     UnindexDir(DirId),
     /// Append a directory to the invalidation list (§5.2.3).
     Invalidate(DirId, MetaKey),
+    /// Take a directory off the invalidation list again: its `rmdir` was
+    /// refused after the removal had been announced.
+    Revoke(DirId),
 }
 
 /// A durable two-phase-commit marker (§5.4.2): the record that makes a

@@ -391,6 +391,44 @@ fn checkpoint_bounds_wal_replay() {
     });
 }
 
+/// A refused `rmdir` has already announced the removal on the aggregation
+/// multicast, and every receiver *logged* the invalidation; the revoke that
+/// follows the emptiness check has to be as durable as what it revokes, or a
+/// server that later recovers replays the invalidation alone and rejects
+/// everything under the directory as stale for ever.
+#[test]
+fn a_refused_rmdir_stays_refused_across_a_crash() {
+    let cluster = cluster();
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.mkdir("/keep").await.unwrap();
+        client.create("/keep/f0").await.unwrap();
+        assert_eq!(client.rmdir("/keep").await, Err(FsError::NotEmpty));
+        for i in 1..40 {
+            client.create(&format!("/keep/f{i}")).await.unwrap();
+        }
+    });
+    for i in 0..cluster.servers().len() {
+        cluster.crash_server(i);
+        cluster.recover_server(i);
+    }
+    let client = cluster.client(0);
+    let failed = cluster.block_on(async move {
+        let mut failed = Vec::new();
+        for i in 40..80 {
+            if let Err(e) = client.create(&format!("/keep/f{i}")).await {
+                failed.push((i, e));
+            }
+        }
+        failed
+    });
+    assert!(
+        failed.is_empty(),
+        "{} of 40 creates under a directory whose rmdir was refused fail after recovery: {failed:?}",
+        failed.len()
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Torn-write disk chaos: checksummed WAL + persist-ordering barriers (PR 6)
 // ---------------------------------------------------------------------------
