@@ -115,9 +115,9 @@ vocabulary!(
 #[test]
 fn every_event_kind_is_emitted_by_some_run() {
     let mut emitted = std::collections::BTreeSet::new();
-    for kind in PlanKind::all() {
+    for plan in PlanKind::all() {
         for seed in 0..2 {
-            let report = run_chaos(ChaosConfig::new(SystemKind::SwitchFs, kind, seed));
+            let report = run_chaos(ChaosConfig::new(SystemKind::SwitchFs, plan, seed));
             emitted.extend(report.flight_recorder.iter().map(|e| kind_name(&e.kind)));
         }
     }
