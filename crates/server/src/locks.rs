@@ -28,12 +28,13 @@
 //!   An aggregation round runs under the write lock, so a group has at most
 //!   one round at a time. Callers that only need the group *aggregated*
 //!   (scattered directory reads, a directory-source rename before it
-//!   migrates the content) take the write lock through
-//!   `Server::aggregated`, which consults the group's [`AggGate`]: a caller
-//!   that reaches the front of the queue after a round that started after
-//!   it arrived has completed skips its own. Rounds that run for another
-//!   reason (rename's directory half, `rmdir`, the proactive loop, recovery)
-//!   serve the callers queued behind them all the same.
+//!   migrates the content) go through `Server::aggregated` and the group's
+//!   [`AggGate`]: one of them takes the write lock for all that arrive
+//!   while it queues, skips its round if one that started after the last of
+//!   them arrived has completed, and hands each a share of its hold, turned
+//!   into a read hold. Rounds that run for another reason (rename's
+//!   directory half, `rmdir`, the proactive loop, recovery) serve the
+//!   callers queued behind them all the same.
 //!
 //! # Lock order
 //!
@@ -52,10 +53,11 @@
 //!   write lock. It is the only function that writes that sequence down, so
 //!   the order cannot differ between its four callers.
 //!
-//! The gate adds no lock and no edge to the order: its callers take the
-//! group's write lock where they took it before, and a directory read that
-//! another caller's round served releases it *before* queueing for the read
-//! lock — it never waits for one mode while holding the other.
+//! The gate adds no lock and no edge to the order: a leader takes the
+//! group's write lock where every gate caller took it before, a follower
+//! waits for it holding nothing, and the read hold either ends up with is
+//! the leader's own hold downgraded in place and shared — nobody waits for
+//! one mode while holding the other.
 //!
 //! Both appliers log the inode effect and the entry effects of one update
 //! in one WAL record (`docs/persist-order.md`), and a directory's size is
@@ -70,7 +72,7 @@ use std::rc::Rc;
 
 use switchfs_proto::{DirId, Fingerprint, MetaKey};
 pub use switchfs_simnet::sync::Access;
-use switchfs_simnet::sync::SimClassLock;
+use switchfs_simnet::sync::{oneshot, ClassGuard, SimClassLock};
 use switchfs_simnet::FxHashMap;
 
 /// Change-log lock class of the operations appending deferred updates.
@@ -125,18 +127,23 @@ impl LockManager {
     }
 }
 
-/// The aggregation gate of one fingerprint group: two counts that let every
-/// caller needing "the group as aggregated by a round that **started after
-/// I arrived**" share such a round instead of running one each.
+/// The aggregation gate of one fingerprint group: two counts and the group
+/// waiting for the next gate round, which let every caller needing "the
+/// group as aggregated by a round that **started after I arrived**" share
+/// such a round, and the hold it ends with, instead of running one each.
 ///
 /// Rounds are run by `Server::aggregate_group` under the group's write
 /// lock, which reports every round's start and end here — whoever runs it
 /// (a gate caller, rename's directory half, `rmdir`, the proactive loop,
-/// recovery). A caller takes a ticket on arrival — the number of rounds
-/// started so far — queues for the write lock like any writer, and when it
-/// reaches the front is [`served`](AggGate::served) if a round with a
-/// higher number has completed meanwhile; otherwise it runs the next round
-/// itself, which serves everyone who arrived before it started.
+/// recovery). A caller that [`arrive`](AggGate::arrive)s with no group
+/// waiting leads one and queues for the write lock like any writer; callers
+/// that arrive until it gets there follow it, parked on a oneshot and
+/// holding nothing. At the front the leader [`close`](AggGate::close)s the
+/// group and runs the next round — unless a round has completed that
+/// started after the group's *latest* ticket, the number of rounds started
+/// when its last member joined — then downgrades its hold to a read hold in
+/// place and sends every follower a share of it: the reads a round serves
+/// scan side by side right behind it, and nobody queues a second time.
 ///
 /// Sharing is as strong as a round of one's own: an update is in its
 /// holder's change-log before the dirty-set insert that completes it leaves
@@ -147,28 +154,78 @@ impl LockManager {
 /// inherit the round's outcome, an exhausted retry budget included, exactly
 /// as the round's own caller does.
 ///
-/// The counts are volatile (`ServerInner::reset_volatile` starts them
-/// over). A ticket from before a reset is compared with the fresh counts:
-/// every round they count started after the reset, hence after the ticket
-/// was taken. A round that straddles the reset ends at a gate that never
-/// saw it start, and is ignored there.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// A follower never outlives its leader: a group that is dropped — with the
+/// gate at `ServerInner::reset_volatile`, by a leader cancelled in the lock
+/// queue, or by a leader whose round straddled a reset and so ended at a
+/// gate that never saw it start, where it is ignored — drops its senders,
+/// so every follower's receive fails and it arrives again. The counts are
+/// as volatile as the group.
+#[derive(Default)]
 pub struct AggGate {
     /// Rounds started so far; a round's number is this count at its start.
     started: u64,
     /// The number of the last round that ran to its end.
     completed: u64,
+    /// The group the next gate round serves, until its leader closes it.
+    waiting: Option<Group>,
+}
+
+struct Group {
+    lead: Rc<()>,
+    /// Rounds started when the latest member joined.
+    ticket: u64,
+    followers: Vec<oneshot::Sender<ClassGuard>>,
+}
+
+/// A leader's name for its group (an address: resets start no count over)
+/// and its own ticket.
+pub struct Lead(Rc<()>, u64);
+
+/// What [`AggGate::arrive`] made of a caller.
+pub enum Arrival {
+    /// Nobody was waiting: queue for the write lock, then close the group.
+    Lead(Lead),
+    /// Joined the waiting group: its leader sends a share of its hold.
+    Follow(oneshot::Receiver<ClassGuard>),
 }
 
 impl AggGate {
-    /// A caller's ticket: the number of rounds started before it arrived.
-    pub fn arrive(&self) -> u64 {
-        self.started
+    /// A caller joins the waiting group, or opens it.
+    pub fn arrive(&mut self) -> Arrival {
+        let ticket = self.started;
+        if let Some(group) = &mut self.waiting {
+            let (tx, rx) = oneshot::channel();
+            group.ticket = ticket;
+            group.followers.push(tx);
+            return Arrival::Follow(rx);
+        }
+        let lead = Rc::new(());
+        self.waiting = Some(Group {
+            lead: lead.clone(),
+            ticket,
+            followers: Vec::new(),
+        });
+        Arrival::Lead(Lead(lead, ticket))
+    }
+
+    /// Takes `lead`'s group out of the gate: its latest ticket and its
+    /// followers. A group that a reset dropped leaves the leader its own
+    /// ticket: every round the fresh counts count started after it was taken.
+    pub fn close(&mut self, lead: &Lead) -> (u64, Vec<oneshot::Sender<ClassGuard>>) {
+        match self.waiting.take_if(|g| Rc::ptr_eq(&g.lead, &lead.0)) {
+            Some(group) => (group.ticket, group.followers),
+            None => (lead.1, Vec::new()),
+        }
     }
 
     /// True once a round that started after `ticket` was taken completed.
     pub fn served(&self, ticket: u64) -> bool {
         self.completed > ticket
+    }
+
+    /// Followers parked at the gate.
+    pub fn followers(&self) -> usize {
+        self.waiting.as_ref().map_or(0, |g| g.followers.len())
     }
 
     /// A round starts (its runner holds the group's write lock); returns the

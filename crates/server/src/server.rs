@@ -733,10 +733,11 @@ impl Server {
     }
 
     /// Tasks queued for or holding one of this server's fingerprint-group
-    /// locks — where the callers of an aggregation gate wait; zero whenever
+    /// locks, or parked at an aggregation gate as followers; zero whenever
     /// the server is quiescent (test/chaos observability).
     pub fn fp_group_waiter_count(&self) -> usize {
-        self.locks.fp_group_waiters()
+        let gates = &self.inner.borrow().agg_gates;
+        self.locks.fp_group_waiters() + gates.values().map(AggGate::followers).sum::<usize>()
     }
 
     /// Total duplicate-suppression cache entries across all clients
@@ -2033,6 +2034,88 @@ mod tests {
         // the race against the round) removes nothing and walks nothing.
         discard();
         assert_eq!(visits(), 3);
+    }
+
+    /// A scene at one group's gate. The group's write lock is held until
+    /// 100 µs; each of `callers` — `(arrives at, gives up after)`, in µs —
+    /// calls [`Server::aggregated`]; the server's volatile state is reset at
+    /// `reset_at`. Returns, per caller, whether it ran a round (`None`: it
+    /// gave up), with the parties at the lock and the gate at 8 µs.
+    fn at_the_gate(
+        callers: &[(u64, Option<u64>)],
+        reset_at: Option<u64>,
+    ) -> (Vec<Option<bool>>, usize) {
+        let sim = Sim::new(1);
+        let server = test_servers(&sim, 1).remove(0);
+        let fp = Fingerprint::of_dir(&DirId::ROOT, "d");
+        let at = |us| sim.handle().sleep(SimDuration::micros(us));
+        let (held, release) = (server.locks.fp_group(fp), at(100));
+        sim.spawn(async move {
+            let _w = held.write().await;
+            release.await;
+        });
+        let outcomes = Rc::new(RefCell::new(vec![None; callers.len()]));
+        for (i, &(arrives, patience)) in callers.iter().enumerate() {
+            let (server, outcomes, arrives) = (server.clone(), outcomes.clone(), at(arrives));
+            sim.spawn(async move {
+                arrives.await;
+                let call = server.aggregated(fp);
+                outcomes.borrow_mut()[i] = match patience {
+                    Some(us) => timeout(&server.handle, SimDuration::micros(us), call).await,
+                    None => Some(call.await),
+                }
+                .map(|(_hold, ran)| ran);
+            });
+        }
+        if let Some(us) = reset_at {
+            let (server, reset) = (server.clone(), at(us));
+            sim.spawn(async move {
+                reset.await;
+                server.inner.borrow_mut().reset_volatile();
+            });
+        }
+        let parties = Rc::new(std::cell::Cell::new(0));
+        {
+            let (server, parties, probe) = (server.clone(), parties.clone(), at(8));
+            sim.spawn(async move {
+                probe.await;
+                parties.set(server.fp_group_waiter_count());
+            });
+        }
+        sim.run();
+        assert_eq!(server.fp_group_waiter_count(), 0, "somebody never left");
+        assert_eq!(server.stats().aggregations, 1, "one round serves the scene");
+        let outcomes = outcomes.borrow().clone();
+        (outcomes, parties.get())
+    }
+
+    #[test]
+    fn a_follower_of_a_leader_cancelled_in_the_lock_queue_leads() {
+        // The leader (1 µs) gives up at 10 µs; its follower (5 µs) starts
+        // over, finds nobody waiting and runs the round itself.
+        let (outcomes, parties) = at_the_gate(&[(1, Some(9)), (5, None)], None);
+        assert_eq!(outcomes, [None, Some(true)]);
+        assert_eq!(
+            parties, 3,
+            "the holder, the queued leader, the parked follower"
+        );
+    }
+
+    #[test]
+    fn a_reset_sends_the_followers_of_the_waiting_group_back_to_the_gate() {
+        // Reset at 10 µs: the follower's group is gone, it leads a second
+        // one behind its old leader — whose round, started after the reset
+        // and so after the follower arrived again, serves that one too.
+        let (outcomes, _) = at_the_gate(&[(1, None), (5, None)], Some(10));
+        assert_eq!(outcomes, [Some(true), Some(false)]);
+    }
+
+    #[test]
+    fn a_share_sent_to_a_follower_that_is_gone_is_dropped() {
+        // The follower (5 µs) gives up at 10 µs; the leader's round ends
+        // after 100 µs and the lock is free once the leader is done.
+        let (outcomes, _) = at_the_gate(&[(1, None), (5, Some(5))], None);
+        assert_eq!(outcomes, [Some(true), None]);
     }
 
     /// Everything a loaded server stores, with its duplicate-suppression

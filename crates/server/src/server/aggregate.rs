@@ -22,7 +22,7 @@ use crate::config::{
     TrackingMode, UpdateMode, COORDINATOR_NODE, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER,
     PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
-use crate::locks::{AggGate, RESPONDER};
+use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
 use crate::server::{AggCollector, Server};
 use crate::wal::{KvEffect, WalOp};
 
@@ -48,6 +48,17 @@ pub(crate) enum PushTrigger {
     /// Everything must go (decommission drain): the batch in flight again
     /// or the next one, full or not, idle or not, round or no round.
     Flush,
+}
+
+/// A leader's place at a gate. Dropped with its group still waiting (the
+/// leader was cancelled in the lock queue), it takes the group out: the
+/// followers start over.
+struct Leading<'a>(&'a Server, Fingerprint, Lead);
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        drop(self.0.with_gate(self.1, |gate| gate.close(&self.2)));
+    }
 }
 
 impl Server {
@@ -76,50 +87,70 @@ impl Server {
         let fp = Fingerprint::of_dir(&key.pid, &key.name);
         let state = self.dirty_state_for_read(fp, dirty_ret).await;
 
-        if state == DirtyState::Scattered {
+        let _r = if state == DirtyState::Scattered {
             // The directory may have been removed concurrently.
             if self.inner.borrow().inodes.peek(&key).is_none() {
                 return OpResult::Err(FsError::NotFound);
             }
             // Aggregation path: the change-logs are pulled and applied by a
             // round that starts after this point. The read that runs it is
-            // served under the round's write lock, which blocks every
-            // directory read of the fingerprint group; one that another
-            // caller's round served gives the lock back and is a plain
-            // read from here on, together with the others that round served.
-            let (w, ran) = self.aggregated(fp).await;
+            // served under its hold as the round leaves it; one that another
+            // caller's round served holds a share of that caller's hold and
+            // is a plain read from here on, beside the others it served.
+            let (shared, ran) = self.aggregated(fp).await;
             if ran {
                 return self.finish_dir_read(&key, want_listing).await;
             }
-            drop(w);
-        }
-        // Normal state, or aggregated by another caller's round: a plain
-        // read, serialized after any in-flight aggregation of the same group.
-        let fpg = self.locks.fp_group(fp);
-        let _r = fpg.read().await;
+            shared
+        } else {
+            // Normal state: a plain read, serialized after any in-flight
+            // aggregation of the same group.
+            self.locks.fp_group(fp).read().await
+        };
         let lock = self.locks.inode(&key);
         let _g = lock.read().await;
         self.cpu.run(costs.lock_op + costs.kv_get).await;
         self.finish_dir_read(&key, want_listing).await
     }
 
-    /// The one way to need a fingerprint group aggregated: returns holding
-    /// the group's write lock once a round that **started after this call**
-    /// has completed (see [`AggGate`]), and whether this caller ran it. A
-    /// caller that reaches the front of the lock's queue after such a round
-    /// — another gate caller's, a rename's, `rmdir`'s, the proactive loop's —
-    /// skips its own.
+    /// The one way to need a fingerprint group aggregated: returns a read
+    /// hold of the group's lock that was a write hold when a round that
+    /// **started after this call** completed and was not released since (see
+    /// [`AggGate`]), and whether this caller ran that round. A leader skips
+    /// its round if such a round — another gate caller's, a rename's,
+    /// `rmdir`'s, the proactive loop's — has served its whole group.
     pub(crate) async fn aggregated(&self, fp: Fingerprint) -> (ClassGuard, bool) {
-        let ticket = self.with_gate(fp, |gate| gate.arrive());
-        let guard = self.locks.fp_group(fp).write().await;
-        if self.with_gate(fp, |gate| gate.served(ticket)) {
-            return (guard, false);
+        let lead = loop {
+            match self.with_gate(fp, AggGate::arrive) {
+                Arrival::Lead(lead) => break Leading(self, fp, lead),
+                Arrival::Follow(rx) => {
+                    // A failed receive: the group was dropped. Start over.
+                    if let Ok(share) = rx.recv().await {
+                        return (share, false);
+                    }
+                }
+            }
+        };
+        let mut guard = self.locks.fp_group(fp).write().await;
+        let (ticket, followers) = self.with_gate(fp, |gate| gate.close(&lead.2));
+        let served = || self.with_gate(fp, |gate| gate.served(ticket));
+        let ran = !served();
+        if ran {
+            self.cpu.run(self.cfg.costs.lock_op).await;
+            // Boxed: the aggregation machinery dominates this future's size
+            // but runs once per round, not once per caller.
+            Box::pin(self.aggregate_group(fp, None)).await;
         }
-        self.cpu.run(self.cfg.costs.lock_op).await;
-        // Boxed: the aggregation machinery dominates this future's size but
-        // runs once per round, not once per caller.
-        Box::pin(self.aggregate_group(fp, None)).await;
-        (guard, true)
+        guard.downgrade();
+        // Not served even now: the round straddled a reset, and the
+        // followers, dropped here, start over at the fresh gate.
+        if served() {
+            for follower in followers {
+                // A follower that is gone drops the share it is sent.
+                let _ = follower.send(guard.share());
+            }
+        }
+        (guard, ran)
     }
 
     /// Runs `f` on the aggregation gate of `fp`'s group.
@@ -282,16 +313,18 @@ impl Server {
                 }
             }
         }
-        let applied = self.apply_entries_to_owned_dirs(&entries).await;
-
-        // Acknowledge the responders so they can mark their entries applied
-        // and release their change-log locks (§5.2.2 steps 9a/9b).
-        for s in &responders {
-            self.send_plain(
-                self.cfg.node_of(*s),
-                Body::Server(ServerMsg::AggregationAck { agg: payload }),
-            );
-        }
+        // Acknowledge the responders once the batch is durable: they mark
+        // their entries applied and release their change-log locks (§5.2.2
+        // steps 9a/9b) while the apply is still being charged here.
+        let ack = || {
+            for s in &responders {
+                self.send_plain(
+                    self.cfg.node_of(*s),
+                    Body::Server(ServerMsg::AggregationAck { agg: payload }),
+                );
+            }
+        };
+        let applied = self.apply_entries_to_owned_dirs(&entries, ack).await;
         // The owner's own deferred entries for this group are now applied.
         let own_ids: FxHashSet<OpId> = entries.iter().map(|e| e.entry_id).collect();
         self.discard_applied_entries(
@@ -360,11 +393,15 @@ impl Server {
     ///
     /// The caller holds the group's fingerprint-group write lock, which is
     /// what excludes the single-update applier
-    /// ([`Server::apply_dir_update`]) for the whole batch.
-    pub(crate) async fn apply_entries_to_owned_dirs(&self, entries: &[ChangeLogEntry]) -> usize {
-        if entries.is_empty() {
-            return 0;
-        }
+    /// ([`Server::apply_dir_update`]) for the whole batch. `durable` runs
+    /// when every directory's record is flushed and before the entry
+    /// mutations are charged: both callers acknowledge the entries' holders
+    /// there, and nobody reads the new state before the lock is released.
+    pub(crate) async fn apply_entries_to_owned_dirs(
+        &self,
+        entries: &[ChangeLogEntry],
+        durable: impl FnOnce(),
+    ) -> usize {
         let costs = self.cfg.costs;
         // Group entries per directory by reference, preserving FIFO order
         // within each — nothing is cloned just to be regrouped.
@@ -376,6 +413,7 @@ impl Server {
             }
         }
         let mut applied = 0usize;
+        let mut mutations = 0usize;
         for (dir, dir_entries) in per_dir {
             let dir_key = {
                 let inner = self.inner.borrow();
@@ -404,28 +442,10 @@ impl Server {
                             .iter()
                             .map(|(name, op)| (name.as_str(), *op)),
                     );
-                    // Entry-list mutations are spread across cores: different
-                    // keys do not conflict, which is what restores
-                    // intra-server parallelism (Fig. 14). Each core's chunk
-                    // is charged the whole mutation — the apply and the
-                    // put — for its share of the entries …
-                    let per_core = entries_chunk_cost(
-                        compacted.entry_ops.len(),
-                        self.cpu.num_cores(),
-                        costs.entry_apply + costs.kv_put,
-                    );
-                    let mut joins = Vec::new();
-                    for chunk_cost in per_core {
-                        let cpu = self.cpu.clone();
-                        joins.push(self.handle.spawn_with_result(async move {
-                            cpu.run(chunk_cost).await;
-                        }));
-                    }
-                    for j in joins {
-                        j.join().await;
-                    }
-                    // … so what is left for the record that makes the batch
-                    // durable is its append and the one attribute put.
+                    mutations += compacted.entry_ops.len();
+                    // The entry mutations are charged per core below, so the
+                    // record that makes the batch durable costs its append
+                    // and the one attribute put here.
                     // `apply_and_log`'s three statements with that charge:
                     // its own would bill every entry's put again, serially.
                     let lsn = self.wal_hand_over(WalOp::Effects {
@@ -456,6 +476,23 @@ impl Server {
                 }
             }
             applied += dir_entries.len();
+        }
+        durable();
+        // Entry-list mutations are spread across cores: different keys do
+        // not conflict, which is what restores intra-server parallelism
+        // (Fig. 14). Each core's chunk is charged the whole mutation — the
+        // apply and the put — for its share of the compacted entries.
+        let unit = costs.entry_apply + costs.kv_put;
+        let per_core = entries_chunk_cost(mutations, self.cpu.num_cores(), unit);
+        let mut joins = Vec::new();
+        for chunk_cost in per_core {
+            let cpu = self.cpu.clone();
+            joins.push(self.handle.spawn_with_result(async move {
+                cpu.run(chunk_cost).await;
+            }));
+        }
+        for j in joins {
+            j.join().await;
         }
         self.inner.borrow_mut().stats.entries_applied += applied as u64;
         applied
@@ -632,20 +669,20 @@ impl Server {
                 .filter(|e| !inner.entry_already_applied(&e.entry_id))
                 .collect()
         };
-        self.apply_entries_to_owned_dirs(&fresh).await;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.pushes_received += 1;
-            let now = self.handle.now();
-            inner.push_timers.insert(fp.raw(), now);
-        }
-        self.send_plain(
-            self.cfg.node_of(from),
-            Body::Server(ServerMsg::ChangeLogPushAck {
-                dir_key,
-                applied: applied_ids,
-            }),
-        );
+        let ack = || {
+            self.send_plain(
+                self.cfg.node_of(from),
+                Body::Server(ServerMsg::ChangeLogPushAck {
+                    dir_key,
+                    applied: applied_ids,
+                }),
+            );
+        };
+        self.apply_entries_to_owned_dirs(&fresh, ack).await;
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.pushes_received += 1;
+        let now = self.handle.now();
+        inner.push_timers.insert(fp.raw(), now);
     }
 
     /// Pusher side: the owner applied our pushed entries. Discards them from

@@ -585,26 +585,27 @@ impl Server {
         let parent_owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
         let parent_owner_node = self.cfg.node_of(parent_owner);
         let op_token = self.next_token();
-        let body = Body::Server(ServerMsg::AsyncCommit {
-            response: response.clone(),
-            origin: self.cfg.id,
-            op_token,
-            fallback: SyncFallback {
-                dir_key: parent.key.clone(),
-                entry: entry.clone(),
-                client_node: client_node.0,
-            },
-        });
         let hdr = DirtySetHeader::insert(parent.fp, parent_owner_node.0);
         for attempt in 0..=self.cfg.costs.max_retries {
             if attempt > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
             // The packet is addressed to the client; the switch multicasts a
-            // mirror copy back to this server when the insert succeeds.
+            // mirror copy back to this server when the insert succeeds. Its
+            // body is built per transmission: a packet owns what it carries.
             match self
                 .request_once(op_token, self.cfg.costs.request_timeout, || {
-                    self.send_dirty(client_node, hdr, body.clone())
+                    let body = Body::Server(ServerMsg::AsyncCommit {
+                        response: response.clone(),
+                        origin: self.cfg.id,
+                        op_token,
+                        fallback: SyncFallback {
+                            dir_key: parent.key.clone(),
+                            entry: entry.clone(),
+                            client_node: client_node.0,
+                        },
+                    });
+                    self.send_dirty(client_node, hdr, body)
                 })
                 .await
             {

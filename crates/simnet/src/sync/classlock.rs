@@ -229,6 +229,28 @@ pub struct ClassGuard {
     lock: SimClassLock,
 }
 
+impl ClassGuard {
+    /// Turns an exclusive hold into a read ([`Access::ClassA`]) hold in
+    /// place — nothing queued gets in between — and admits the readers at
+    /// the front of the queue. Panics on a hold that is not exclusive.
+    pub fn downgrade(&mut self) {
+        self.lock.regrant(|inner| {
+            assert_eq!(inner.held, Access::Exclusive, "downgrade of a shared hold");
+            inner.held = Access::ClassA;
+        });
+    }
+
+    /// One more hold of this guard's class, for the holder to hand on: taken
+    /// at once, whoever is queued. Panics on an exclusive hold.
+    pub fn share(&self) -> ClassGuard {
+        let mut inner = self.lock.inner.borrow_mut();
+        assert_ne!(inner.held, Access::Exclusive, "share of an exclusive hold");
+        inner.holders += 1;
+        let lock = self.lock.clone();
+        ClassGuard { lock }
+    }
+}
+
 impl Drop for ClassGuard {
     fn drop(&mut self) {
         self.lock.release();
@@ -407,6 +429,76 @@ mod tests {
         assert_eq!(acquired_at(&log, "a2"), 6);
         assert_eq!(lock.holders(), 0);
         assert_eq!(lock.waiters(), 0);
+    }
+
+    #[test]
+    fn downgrade_admits_the_queues_leading_readers_and_not_a_queued_writer() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (lock, h) = (lock.clone(), sim.handle());
+            sim.spawn(async move {
+                let mut g = lock.write().await;
+                h.sleep(SimDuration::micros(10)).await;
+                g.downgrade();
+                assert_eq!(lock.holders(), 3, "the downgraded hold and r1, r2");
+                h.sleep(SimDuration::micros(10)).await;
+            });
+        }
+        holder(&sim, &lock, &log, "r1", SimClassLock::read, 1, 5);
+        holder(&sim, &lock, &log, "r2", SimClassLock::read, 2, 5);
+        holder(&sim, &lock, &log, "w", SimClassLock::write, 3, 5);
+        holder(&sim, &lock, &log, "r3", SimClassLock::read, 4, 5);
+        sim.run();
+        assert_eq!(acquired_at(&log, "r1"), 10);
+        assert_eq!(acquired_at(&log, "r2"), 10);
+        // The writer waits for the downgraded hold too; `r3` stays behind it.
+        assert_eq!(acquired_at(&log, "w"), 20);
+        assert_eq!(acquired_at(&log, "r3"), 25);
+    }
+
+    #[test]
+    fn a_share_enters_ahead_of_a_queued_writer_who_runs_when_the_last_share_drops() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        holder(&sim, &lock, &log, "w", SimClassLock::write, 1, 5);
+        let (l, h) = (lock.clone(), sim.handle());
+        sim.spawn(async move {
+            let g = l.read().await;
+            h.sleep(SimDuration::micros(5)).await;
+            assert_eq!(l.waiters(), 1, "the writer is queued");
+            let (s1, s2) = (g.share(), g.share().share());
+            assert_eq!(l.holders(), 3);
+            drop(g);
+            h.sleep(SimDuration::micros(5)).await;
+            drop(s1);
+            h.sleep(SimDuration::micros(5)).await;
+            assert_eq!((l.holders(), l.waiters()), (1, 1));
+            drop(s2);
+        });
+        sim.run();
+        assert_eq!(acquired_at(&log, "w"), 15);
+        assert_eq!(lock.holders(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "downgrade of a shared hold")]
+    fn downgrade_of_a_shared_hold_panics() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        sim.spawn(async move { lock.read().await.downgrade() });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "share of an exclusive hold")]
+    fn share_of_an_exclusive_hold_panics() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        sim.spawn(async move { drop(lock.write().await.share()) });
+        sim.run();
     }
 
     #[test]

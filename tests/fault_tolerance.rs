@@ -429,6 +429,114 @@ fn a_refused_rmdir_stays_refused_across_a_crash() {
     );
 }
 
+/// The cluster's switch program behind a filter that loses every change-log
+/// push and counts the aggregation acknowledgments that cross.
+struct RoundsOnly {
+    program: switchfs::core::switch_adapter::SwitchAdapter,
+    acks: Rc<std::cell::Cell<usize>>,
+}
+
+impl switchfs::simnet::SwitchLogic<switchfs::proto::message::NetMsg> for RoundsOnly {
+    fn process(
+        &mut self,
+        now: switchfs::simnet::SimTime,
+        pkt: switchfs::simnet::Packet<switchfs::proto::message::NetMsg>,
+    ) -> Vec<switchfs::simnet::SwitchAction<switchfs::proto::message::NetMsg>> {
+        use switchfs::proto::message::{Body, ServerMsg};
+        match pkt.payload.body {
+            Body::Server(ServerMsg::ChangeLogPush { .. }) => {
+                return vec![switchfs::simnet::SwitchAction::Drop]
+            }
+            Body::Server(ServerMsg::AggregationAck { .. }) => self.acks.set(self.acks.get() + 1),
+            _ => {}
+        }
+        self.program.process(now, pkt)
+    }
+}
+
+/// A round acknowledges its holders when its record is durable and charges
+/// the entries' apply afterwards (`docs/persist-order.md`, Aggregation). A
+/// crash in between must cost nothing: the record is on the log, so the
+/// replay applies the batch; the holders, acknowledged, have discarded it.
+#[test]
+fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_loses_nothing() {
+    use switchfs::proto::{DirId, Fingerprint};
+    use switchfs::workloads::{OpKind, WorkItem};
+    const ENTRIES: usize = 1_000;
+    let mut cluster = cluster();
+    let hot = cluster.preload_dir("/hot");
+    // Preloads bypass the WAL; the checkpoint lets them survive a crash.
+    cluster.checkpoint_all();
+    let acks = Rc::new(std::cell::Cell::new(0));
+    cluster.network().install_switch(Box::new(RoundsOnly {
+        program: switchfs::core::switch_adapter::SwitchAdapter::new(
+            cluster.switch_program().expect("in-network tracking"),
+        ),
+        acks: acks.clone(),
+    }));
+    // No push arrives: every create stays in its holder's change-log.
+    let creates = (0..ENTRIES)
+        .map(|i| WorkItem::new(OpKind::Create, format!("/hot/f{i}")))
+        .collect();
+    assert_eq!(cluster.run_workload(creates, 64, None).errors, 0);
+    let owner = cluster
+        .placement()
+        .dir_owner_by_fp(Fingerprint::of_dir(&DirId::ROOT, "hot"))
+        .0 as usize;
+    let holders = cluster.servers().len() - 1;
+
+    let (client, handle) = (cluster.client(0), cluster.sim.handle());
+    let (server, network, node) = (
+        cluster.servers()[owner].clone(),
+        cluster.network(),
+        cluster.server_node_id(owner),
+    );
+    let (applied_at_crash, size) = cluster.block_on(async move {
+        let reader = client.clone();
+        let read = handle.spawn_with_result(async move {
+            loop {
+                match reader.statdir("/hot").await {
+                    // The retransmission reached the owner mid-recovery.
+                    Err(FsError::Unavailable) => continue,
+                    read => return read.expect("statdir").size,
+                }
+            }
+        });
+        // The read's round collects everything; its acknowledgments cross
+        // the switch the moment the record is flushed …
+        while acks.get() < holders {
+            handle.sleep(SimDuration::nanos(100)).await;
+        }
+        // … and reach the holders while the owner is a few microseconds
+        // into the 400 µs its four cores charge for the entries.
+        handle.sleep(SimDuration::micros(5)).await;
+        assert_eq!(server.fp_group_waiter_count(), 1, "the round has the lock");
+        let applied_at_crash = server.stats().entries_applied;
+        server.crash();
+        network.set_node_down(node, true);
+        handle.sleep(SimDuration::micros(400)).await;
+        network.set_node_down(node, false);
+        server.recover().await;
+        (applied_at_crash, read.join().await)
+    });
+    assert_eq!(applied_at_crash, 0, "the crash came before the apply ended");
+    assert_eq!(size as usize, ENTRIES, "statdir after the recovery");
+    cluster.settle(SimDuration::millis(5));
+    let client = cluster.client(0);
+    let (attrs, listing) =
+        cluster.block_on(async move { client.readdir("/hot").await.expect("readdir") });
+    assert_eq!((attrs.size as usize, listing.len()), (ENTRIES, ENTRIES));
+    assert_eq!(cluster.servers()[owner].peek_entries(&hot).len(), ENTRIES);
+    for (i, server) in cluster.servers().iter().enumerate() {
+        assert_eq!(server.pending_changelog_entries(), 0, "server {i}'s logs");
+    }
+    assert_eq!(
+        cluster.total_server_stats().entries_applied as usize,
+        ENTRIES,
+        "each entry applied once"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Torn-write disk chaos: checksummed WAL + persist-ordering barriers (PR 6)
 // ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ use std::rc::Rc;
 
 use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-use switchfs::proto::message::{Body, NetMsg, ServerMsg};
-use switchfs::proto::{DirId, Fingerprint, FsError, MetaKey, Placement, ServerId};
+use switchfs::proto::message::{Body, NetMsg, OpResult, ServerMsg};
+use switchfs::proto::{DirId, Fingerprint, FsError, MetaKey, OpId, Placement, ServerId};
 use switchfs::simnet::net::LinkParams;
 use switchfs::simnet::{
     NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchAction, SwitchLogic,
@@ -432,6 +432,10 @@ enum Seen {
     /// `(owner, aggregation id)` names the round.
     AggEntries(ServerId, u64),
     AggAck(ServerId, u64),
+    /// A `statdir` or `readdir` on its way to the directory's owner, and the
+    /// reply (attributes or a listing) on its way back.
+    DirRead(OpId),
+    DirReply(OpId),
 }
 
 /// A packet of interest as it crossed the switch: a link latency after its
@@ -478,6 +482,12 @@ impl SwitchLogic<NetMsg> for Tap {
             Body::Server(ServerMsg::AggregationAck { agg }) => {
                 Some(Seen::AggAck(agg.owner, agg.agg_id))
             }
+            Body::Request(req) if req.op.is_dir_read() => Some(Seen::DirRead(req.op_id)),
+            Body::Response(resp)
+                if matches!(resp.result, OpResult::Attrs(_) | OpResult::Listing { .. }) =>
+            {
+                Some(Seen::DirReply(resp.op_id))
+            }
             _ => None,
         };
         if let Some(seen) = seen {
@@ -495,37 +505,44 @@ impl SwitchLogic<NetMsg> for Tap {
     }
 }
 
-#[test]
-fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
-    const ENTRIES: usize = 1_000;
+/// `entries` creates into `/hot` whose pushes are all lost — they stay in
+/// their holders' change-logs and the owner is idle — then one `statdir`,
+/// whose round collects and applies them all. Returns the cluster and what
+/// crossed the switch.
+fn one_round_of(entries: usize) -> (Cluster, TapLog) {
     let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     cluster.preload_dir("/hot");
-    // Every push is lost, so the creates stay in their holders' change-logs
-    // and the owner is idle until the read's round collects them all.
     let log = TapLog::default();
     Tap::install(&cluster, &log, true);
-    let creates = (0..ENTRIES)
+    let creates = (0..entries)
         .map(|i| WorkItem::new(OpKind::Create, format!("/hot/f{i}")))
         .collect();
     assert_eq!(cluster.run_workload(creates, 64, None).errors, 0);
     let client = cluster.client(0);
     let size = cluster.block_on(async move { client.statdir("/hot").await.expect("statdir").size });
-    assert_eq!(size as usize, ENTRIES);
+    assert_eq!(size as usize, entries);
     let stats = cluster.total_server_stats();
     assert_eq!(
         (stats.aggregations, stats.entries_applied as usize),
-        (1, ENTRIES),
+        (1, entries),
         "one round applied every entry"
     );
+    (cluster, log)
+}
 
-    // The owner holds the group's write lock from just before the request
-    // leaves until the acknowledgments have left.
+#[test]
+fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
+    const ENTRIES: usize = 1_000;
+    let (cluster, log) = one_round_of(ENTRIES);
+    // The owner holds the group's lock from just before the request leaves
+    // until the read that ran the round is answered: the acknowledgments
+    // leave earlier, when the batch is durable.
     let log = log.borrow();
     let requested = log.iter().find(|c| c.seen == Seen::AggRequest);
-    let acked = log.iter().rfind(|c| matches!(c.seen, Seen::AggAck(..)));
-    let held = match (requested, acked) {
-        (Some(requested), Some(acked)) => acked.at.duration_since(requested.at),
-        _ => panic!("the round sent a request and acknowledgments"),
+    let replied = log.iter().rfind(|c| matches!(c.seen, Seen::DirReply(_)));
+    let held = match (requested, replied) {
+        (Some(requested), Some(replied)) => replied.at.duration_since(requested.at),
+        _ => panic!("the round sent a request and the read was answered"),
     };
     let costs = cluster.servers()[0].costs();
     let cores = cluster.config().cores_per_server;
@@ -538,6 +555,10 @@ fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
     assert!(
         held <= bound,
         "a round of {ENTRIES} entries held the group lock {held:?}, bound {bound:?}"
+    );
+    assert!(
+        held >= (costs.entry_apply + costs.kv_put) * (ENTRIES / cores) as u64,
+        "the read was answered after {held:?}: before the apply was charged"
     );
 }
 
@@ -816,5 +837,122 @@ fn no_push_leaves_a_holder_while_a_round_has_its_change_log() {
     assert!(
         locked >= 100 && unlocked <= locked && pushes >= 100,
         "{locked} responses under a lock, {unlocked} without, {pushes} pushes"
+    );
+}
+
+#[test]
+fn a_directory_read_waits_for_at_most_one_round() {
+    const WRITERS: usize = 64;
+    const READERS: usize = 20;
+    const READS_EACH: usize = 10;
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+    cluster.preload_dir("/hot");
+    let log = TapLog::default();
+    Tap::install(&cluster, &log, false);
+    let handle = cluster.sim.handle();
+    let clients: Vec<_> = cluster.clients().to_vec();
+    cluster.block_on(async move {
+        let reading = Rc::new(Cell::new(true));
+        let mut writers = Vec::new();
+        for w in 0..WRITERS {
+            let (client, reading) = (clients[w % clients.len()].clone(), reading.clone());
+            writers.push(handle.spawn_with_result(async move {
+                for i in 0.. {
+                    if !reading.get() {
+                        break;
+                    }
+                    client
+                        .create(&format!("/hot/w{w}f{i}"))
+                        .await
+                        .expect("create");
+                }
+            }));
+        }
+        // `statdir`s: a `readdir` of a directory that grows without bound
+        // would keep the owner's cores scanning, and a read that waits for a
+        // core before it gets to the gate can miss a round on the way.
+        let mut readers = Vec::new();
+        for r in 0..READERS {
+            let client = clients[r % clients.len()].clone();
+            readers.push(handle.spawn_with_result(async move {
+                for _ in 0..READS_EACH {
+                    client.statdir("/hot").await.expect("statdir");
+                }
+            }));
+        }
+        for r in readers {
+            r.join().await;
+        }
+        reading.set(false);
+        for w in writers {
+            w.join().await;
+        }
+    });
+    let log = log.borrow();
+    let LinkParams {
+        link_latency: link,
+        switch_latency: switch,
+    } = LinkParams::default();
+    let mut reads = BTreeSet::new();
+    let mut waited_for_one = 0;
+    for read in log.iter() {
+        let Seen::DirRead(op) = read.seen else {
+            continue;
+        };
+        // A retransmitted copy joins the read that is already at the owner.
+        if !reads.insert(op) {
+            continue;
+        }
+        // The read reaches the owner a switch and a link latency after it
+        // crossed the switch; the reply, and the request of a round the
+        // owner starts, cross a link latency after they left it.
+        let reached = read.at + switch + link;
+        let replied = log
+            .iter()
+            .find(|c| c.seen == Seen::DirReply(op))
+            .expect("every read is answered");
+        let rounds = log
+            .iter()
+            .filter(|c| c.seen == Seen::AggRequest && c.src == read.dst)
+            .filter(|c| c.at.duration_since(reached) >= link && c.at <= replied.at)
+            .count();
+        // The round that serves it, whoever runs it — and no second one: a
+        // read that was handed a share does not queue behind the next
+        // round's runner for a lock of its own.
+        assert!(
+            rounds <= 1,
+            "{rounds} rounds started between read {op:?} reaching the owner and its reply"
+        );
+        waited_for_one += rounds;
+    }
+    assert_eq!(reads.len(), READERS * READS_EACH);
+    assert!(
+        waited_for_one * 2 >= reads.len(),
+        "only {waited_for_one} reads found the directory scattered"
+    );
+}
+
+#[test]
+fn a_round_acknowledges_its_holders_when_the_batch_is_durable() {
+    const ENTRIES: usize = 1_000;
+    let (cluster, log) = one_round_of(ENTRIES);
+    let log = log.borrow();
+    let collected = log.iter().rfind(|c| matches!(c.seen, Seen::AggEntries(..)));
+    let acked = log.iter().rfind(|c| matches!(c.seen, Seen::AggAck(..)));
+    let (Some(collected), Some(acked)) = (collected, acked) else {
+        panic!("the round collected entries and acknowledged them");
+    };
+    // The last response's way to the owner, the record (append and one
+    // attribute put, on an idle owner) and the acknowledgments' way out —
+    // not the entries' apply, which is 400 µs on the owner's four cores.
+    let waited = acked.at.duration_since(collected.at);
+    assert!(
+        waited <= SimDuration::micros(25),
+        "the acknowledgments crossed {waited:?} after the last entries"
+    );
+    let costs = cluster.servers()[0].costs();
+    assert!(
+        waited >= costs.wal_append + costs.kv_put,
+        "before the record?"
     );
 }

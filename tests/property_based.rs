@@ -649,26 +649,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The aggregation gate (`switchfs::server::locks::AggGate`), alone.
+// The aggregation gate (`switchfs::server::locks::AggGate`) and the lock it
+// hands shares of, alone.
 // ---------------------------------------------------------------------------
 
 /// One step in the life of a fingerprint group's gate and write lock.
 #[derive(Debug, Clone)]
 enum GateOp {
-    /// A caller arrives, takes its ticket and queues for the write lock.
+    /// A caller arrives: it leads the waiting group (and queues for the
+    /// write lock) or follows it (and waits for a share).
     Arrive,
     /// A foreign round's runner (`rmdir`, the proactive loop, recovery)
-    /// queues for the write lock: no ticket, it runs a round when it gets
+    /// queues for the write lock: no group, it runs a round when it gets
     /// there.
     ArriveForeign,
-    /// The lock is free and passes to the front of its queue: a caller
-    /// that is served by now leaves, anyone else starts a round.
+    /// The front of the lock's queue notices it was granted the lock: a
+    /// leader closes its group and, if the group is served by now, hands
+    /// out shares and leaves; anyone else starts a round.
     Grant,
-    /// The running round ends and its runner releases the lock.
+    /// The running round ends: a leader hands out shares, the runner
+    /// releases the lock.
     Complete,
-    /// The server recovers: the gate's counts start over. A round that is
-    /// running keeps running (and keeps the lock) — abandoned as far as
-    /// the fresh gate is concerned.
+    /// The server recovers: the gate starts over, dropping the waiting
+    /// group. A round that is running keeps running (and keeps the lock) —
+    /// abandoned as far as the fresh gate is concerned.
     Reset,
 }
 
@@ -680,8 +684,8 @@ fn gate_op() -> impl Strategy<Value = GateOp> {
         Just(GateOp::Arrive),
         Just(GateOp::Arrive),
         Just(GateOp::Arrive),
+        Just(GateOp::Arrive),
         Just(GateOp::ArriveForeign),
-        Just(GateOp::Grant),
         Just(GateOp::Grant),
         Just(GateOp::Grant),
         Just(GateOp::Grant),
@@ -692,86 +696,296 @@ fn gate_op() -> impl Strategy<Value = GateOp> {
     ]
 }
 
+mod gate_model {
+    use std::collections::VecDeque;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::{Context, Poll, Waker};
+
+    use switchfs::server::locks::{AggGate, Arrival, Lead};
+    use switchfs::simnet::sync::classlock::ClassAcquire;
+    use switchfs::simnet::sync::oneshot::{Recv, Sender};
+    use switchfs::simnet::sync::{ClassGuard, SimClassLock};
+
+    use super::GateOp;
+
+    /// The model is its own executor: a future is polled when a step says
+    /// its task runs.
+    fn poll<F: Future + ?Sized>(f: Pin<&mut F>) -> Poll<F::Output> {
+        f.poll(&mut Context::from_waker(Waker::noop()))
+    }
+
+    /// Who queues for the write lock: a group's leader (a caller, by index)
+    /// or a foreign runner.
+    enum Who {
+        Leader(usize, Lead),
+        Foreign,
+    }
+
+    /// A party in the lock's queue; `Err` until its acquire resolves.
+    struct Queued {
+        who: Who,
+        hold: Result<ClassGuard, Pin<Box<ClassAcquire>>>,
+    }
+
+    /// A round: when it started, its number at the gate that saw it start,
+    /// and whether it has completed.
+    struct Round {
+        started: usize,
+        number: u64,
+        completed: bool,
+    }
+
+    /// The round in progress: its runner's hold and, for a leader, the
+    /// closed group.
+    struct Running {
+        guard: ClassGuard,
+        round: usize,
+        group: Option<(u64, Vec<Sender<ClassGuard>>)>,
+    }
+
+    /// `Server::aggregated`, `Server::aggregate_group` and the foreign
+    /// runners, one step at a time, over the real gate and the real lock.
+    #[derive(Default)]
+    pub struct Model {
+        gate: AggGate,
+        lock: SimClassLock,
+        step: usize,
+        /// The step each caller (last) arrived at the gate.
+        joined: Vec<usize>,
+        left: usize,
+        queue: VecDeque<Queued>,
+        /// Followers parked at the gate, by caller.
+        parked: Vec<(usize, Pin<Box<Recv<ClassGuard>>>)>,
+        /// The caller leading the group that waits at the gate, if one does.
+        waiting: Option<usize>,
+        rounds: Vec<Round>,
+        running: Option<Running>,
+        last_reset: Option<usize>,
+    }
+
+    impl Model {
+        pub fn run(&mut self, op: GateOp) {
+            self.step += 1;
+            match op {
+                GateOp::Arrive => {
+                    self.joined.push(self.step);
+                    self.arrive(self.joined.len() - 1);
+                }
+                GateOp::ArriveForeign => self.enqueue(Who::Foreign),
+                GateOp::Grant => self.grant(),
+                GateOp::Complete => self.complete(),
+                GateOp::Reset => {
+                    self.gate = AggGate::default();
+                    self.waiting = None;
+                    self.last_reset = Some(self.step);
+                }
+            }
+            self.wake_followers();
+            if matches!(op, GateOp::Reset) {
+                // A reset makes followers rejoin: whoever is still parked
+                // arrived again in this step, or belongs to the closed group
+                // of the round in progress and leaves when that ends.
+                let closed = self.running.as_ref().and_then(|r| r.group.as_ref());
+                let rejoined = self
+                    .parked
+                    .iter()
+                    .filter(|(c, _)| self.joined[*c] == self.step);
+                assert_eq!(
+                    self.parked.len(),
+                    rejoined.count() + closed.map_or(0, |g| g.1.len())
+                );
+            }
+        }
+
+        fn arrive(&mut self, caller: usize) {
+            match self.gate.arrive() {
+                Arrival::Lead(lead) => {
+                    assert!(
+                        self.waiting.is_none(),
+                        "step {}: a second group waits",
+                        self.step
+                    );
+                    self.waiting = Some(caller);
+                    self.enqueue(Who::Leader(caller, lead));
+                }
+                Arrival::Follow(rx) => {
+                    assert!(
+                        self.waiting.is_some(),
+                        "step {}: nobody to follow",
+                        self.step
+                    );
+                    self.parked.push((caller, Box::pin(rx.recv())));
+                }
+            }
+        }
+
+        fn enqueue(&mut self, who: Who) {
+            let mut acquire = Box::pin(self.lock.write());
+            let hold = match poll(acquire.as_mut()) {
+                Poll::Ready(guard) => Ok(guard),
+                Poll::Pending => Err(acquire),
+            };
+            self.queue.push_back(Queued { who, hold });
+        }
+
+        fn grant(&mut self) {
+            if self.running.is_some() {
+                return; // the lock is held
+            }
+            let Some(Queued { who, hold }) = self.queue.pop_front() else {
+                return;
+            };
+            let mut guard = match hold.or_else(|mut acquire| match poll(acquire.as_mut()) {
+                Poll::Ready(guard) => Ok(guard),
+                Poll::Pending => Err(acquire),
+            }) {
+                Ok(guard) => guard,
+                Err(acquire) => panic!(
+                    "step {}: no round runs, yet the front of the queue is not granted ({} holders)",
+                    self.step, { drop(acquire); self.lock.holders() }
+                ),
+            };
+            let group = match who {
+                Who::Leader(caller, lead) => {
+                    if self.waiting == Some(caller) {
+                        self.waiting = None;
+                    }
+                    let (ticket, followers) = self.gate.close(&lead);
+                    if self.gate.served(ticket) {
+                        self.leave(caller);
+                        guard.downgrade();
+                        followers
+                            .into_iter()
+                            .for_each(|f| drop(f.send(guard.share())));
+                        return;
+                    }
+                    self.leave_unchecked(); // with a round of its own
+                    Some((ticket, followers))
+                }
+                Who::Foreign => None,
+            };
+            assert!(
+                !self.gate.round_running(),
+                "step {}: a second round starts",
+                self.step
+            );
+            let number = self.gate.round_started();
+            self.rounds.push(Round {
+                started: self.step,
+                number,
+                completed: false,
+            });
+            self.running = Some(Running {
+                guard,
+                round: self.rounds.len() - 1,
+                group,
+            });
+        }
+
+        fn complete(&mut self) {
+            let Some(Running {
+                mut guard,
+                round,
+                group,
+            }) = self.running.take()
+            else {
+                return;
+            };
+            let straddled = self
+                .last_reset
+                .is_some_and(|r| r > self.rounds[round].started);
+            let was_running = self.gate.round_running();
+            self.gate.round_completed(self.rounds[round].number);
+            self.rounds[round].completed = true;
+            // A round that straddled a reset does not move the fresh gate.
+            assert_eq!(self.gate.round_running(), straddled && was_running);
+            guard.downgrade();
+            if let Some((ticket, followers)) = group {
+                if self.gate.served(ticket) {
+                    assert!(!straddled, "step {}: served across a reset", self.step);
+                    followers
+                        .into_iter()
+                        .for_each(|f| drop(f.send(guard.share())));
+                } else {
+                    // Dropped followers arrive again; only a reset does that.
+                    assert!(straddled || followers.is_empty());
+                }
+            }
+        }
+
+        /// Runs every parked follower whose channel has news: a share (it
+        /// leaves) or a dropped sender (it arrives again).
+        fn wake_followers(&mut self) {
+            for (caller, mut recv) in std::mem::take(&mut self.parked) {
+                match poll(recv.as_mut()) {
+                    Poll::Pending => self.parked.push((caller, recv)),
+                    Poll::Ready(Ok(_share)) => self.leave(caller),
+                    Poll::Ready(Err(_)) => {
+                        assert!(
+                            self.last_reset.is_some_and(|r| r > self.joined[caller]),
+                            "step {}: a group was dropped without a reset",
+                            self.step
+                        );
+                        self.joined[caller] = self.step;
+                        self.arrive(caller);
+                    }
+                }
+            }
+        }
+
+        /// `caller` leaves holding (a share of) the lock: a round that
+        /// started after it arrived must have completed.
+        fn leave(&mut self, caller: usize) {
+            let joined = self.joined[caller];
+            assert!(
+                self.rounds
+                    .iter()
+                    .any(|r| r.started > joined && r.completed),
+                "step {}: caller {caller} (arrived at {joined}) is served, but no round that \
+                 started after it arrived has completed",
+                self.step
+            );
+            self.leave_unchecked();
+        }
+
+        fn leave_unchecked(&mut self) {
+            self.left += 1;
+        }
+
+        pub fn busy(&self) -> bool {
+            self.running.is_some() || !self.queue.is_empty()
+        }
+
+        pub fn assert_everybody_left(&self) {
+            assert!(self.parked.is_empty(), "followers outlived their leaders");
+            assert_eq!(self.left, self.joined.len(), "every caller must leave");
+            assert_eq!((self.lock.holders(), self.lock.waiters()), (0, 0));
+        }
+    }
+}
+
 proptest! {
     /// For any interleaving of arrivals, lock grants, round ends and resets:
-    /// no caller is served by a round that started before it arrived, every
-    /// caller leaves (served, or by running a round of its own), the gate
-    /// never shows more than one round running, and a round that straddles
-    /// a reset serves nobody at the fresh gate.
+    /// nobody is handed the lock — a leader past its skipped round, a
+    /// follower its share — before a round that started after it arrived
+    /// has completed; at most one group waits at the gate; the gate never
+    /// shows more than one round running and a round that straddles a reset
+    /// serves nobody; a reset makes followers arrive again; and everybody
+    /// leaves, with the lock free behind them.
     #[test]
     fn aggregation_gate_serves_only_rounds_started_after_arrival(
         ops in proptest::collection::vec(gate_op(), 1..300),
     ) {
-        use std::collections::VecDeque;
-        use switchfs::server::locks::AggGate;
-
-        /// A queued party: a gate caller with its arrival step and ticket,
-        /// or a foreign runner.
-        #[derive(Clone, Copy)]
-        enum Party { Caller { arrived: usize, ticket: u64 }, Foreign }
-        /// A round: when it started, its number at the gate that saw it
-        /// start, and when it completed.
-        struct Round { started: usize, number: u64, completed: Option<usize> }
-
-        let mut gate = AggGate::default();
-        let mut queue: VecDeque<Party> = VecDeque::new();
-        let mut rounds: Vec<Round> = Vec::new();
-        let mut running: Option<usize> = None; // index into `rounds`
-        let mut resets: Vec<usize> = Vec::new();
-        let (mut arrived, mut left) = (0usize, 0usize);
-
-        // Drain at the end: grant and complete until everybody left.
-        let drain = std::iter::repeat_n([GateOp::Grant, GateOp::Complete], ops.len() + 1).flatten();
-        for (step, op) in ops.iter().cloned().chain(drain).enumerate() {
-            match op {
-                GateOp::Arrive => {
-                    arrived += 1;
-                    queue.push_back(Party::Caller { arrived: step, ticket: gate.arrive() });
-                }
-                GateOp::ArriveForeign => queue.push_back(Party::Foreign),
-                GateOp::Grant => {
-                    if running.is_some() {
-                        continue; // the lock is held
-                    }
-                    let Some(party) = queue.pop_front() else { continue };
-                    if let Party::Caller { arrived: at, ticket } = party {
-                        if gate.served(ticket) {
-                            let witness = rounds.iter().any(|r| {
-                                r.started > at && r.completed.is_some_and(|c| c < step)
-                            });
-                            prop_assert!(witness, "step {}: caller that arrived at {} with ticket {} \
-                                is served, but no round that started after it has completed", step, at, ticket);
-                            left += 1;
-                            continue;
-                        }
-                    }
-                    prop_assert!(!gate.round_running(), "step {}: a round starts while the gate shows one running", step);
-                    let number = gate.round_started();
-                    rounds.push(Round { started: step, number, completed: None });
-                    running = Some(rounds.len() - 1);
-                    if matches!(party, Party::Caller { .. }) {
-                        left += 1; // leaves with its own round, whatever its outcome
-                    }
-                }
-                GateOp::Complete => {
-                    let Some(idx) = running.take() else { continue };
-                    let before = gate;
-                    gate.round_completed(rounds[idx].number);
-                    rounds[idx].completed = Some(step);
-                    let straddled = resets.iter().any(|r| *r > rounds[idx].started);
-                    if straddled {
-                        prop_assert_eq!(gate, before, "step {}: a round that straddled a reset moved the fresh gate", step);
-                    } else {
-                        prop_assert!(!gate.round_running());
-                    }
-                }
-                GateOp::Reset => {
-                    gate = AggGate::default();
-                    resets.push(step);
-                }
-            }
+        let mut model = gate_model::Model::default();
+        for op in ops {
+            model.run(op);
         }
-        prop_assert!(queue.iter().all(|p| matches!(p, Party::Foreign)) || queue.is_empty());
-        prop_assert_eq!(left, arrived, "every caller must leave");
+        // Drain: grant and complete until everybody left.
+        while model.busy() {
+            model.run(GateOp::Grant);
+            model.run(GateOp::Complete);
+        }
+        model.assert_everybody_left();
     }
 }
