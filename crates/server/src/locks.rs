@@ -29,12 +29,11 @@
 //!   one round at a time. Callers that only need the group *aggregated*
 //!   (scattered directory reads, a directory-source rename before it
 //!   migrates the content) go through `Server::aggregated` and the group's
-//!   [`AggGate`]: one of them takes the write lock for all that arrive
-//!   while it queues, skips its round if one that started after the last of
-//!   them arrived has completed, and hands each a share of its hold, turned
-//!   into a read hold. Rounds that run for another reason (rename's
-//!   directory half, `rmdir`, the proactive loop, recovery) serve the
-//!   callers queued behind them all the same.
+//!   [`AggGate`]: one takes the write lock for all that arrive while it
+//!   queues, skips its round if one that started after the last of them
+//!   arrived has completed, and hands each a share of its hold as a reader.
+//!   Rounds that run for another reason (rename's directory half, `rmdir`,
+//!   the proactive loop, recovery) serve the callers behind them all the same.
 //!
 //! # Lock order
 //!
@@ -53,11 +52,10 @@
 //!   write lock. It is the only function that writes that sequence down, so
 //!   the order cannot differ between its four callers.
 //!
-//! The gate adds no lock and no edge to the order: a leader takes the
-//! group's write lock where every gate caller took it before, a follower
-//! waits for it holding nothing, and the read hold either ends up with is
-//! the leader's own hold downgraded in place and shared — nobody waits for
-//! one mode while holding the other.
+//! The gate adds no lock and no edge to the order: a leader takes the write
+//! lock where every gate caller took it before, a follower waits holding
+//! nothing, and the read hold both end up with is the leader's own,
+//! downgraded in place — nobody waits for one mode while holding the other.
 //!
 //! Both appliers log the inode effect and the entry effects of one update
 //! in one WAL record (`docs/persist-order.md`), and a directory's size is
@@ -157,9 +155,8 @@ impl LockManager {
 /// A follower never outlives its leader: a group that is dropped — with the
 /// gate at `ServerInner::reset_volatile`, by a leader cancelled in the lock
 /// queue, or by a leader whose round straddled a reset and so ended at a
-/// gate that never saw it start, where it is ignored — drops its senders,
-/// so every follower's receive fails and it arrives again. The counts are
-/// as volatile as the group.
+/// gate that never saw it start, where it is ignored — drops its senders:
+/// every follower's receive fails and it arrives again.
 #[derive(Default)]
 pub struct AggGate {
     /// Rounds started so far; a round's number is this count at its start.
@@ -177,8 +174,7 @@ struct Group {
     followers: Vec<oneshot::Sender<ClassGuard>>,
 }
 
-/// A leader's name for its group (an address: resets start no count over)
-/// and its own ticket.
+/// A leader's name for its group (an address, so no reset recycles it) and its ticket.
 pub struct Lead(Rc<()>, u64);
 
 /// What [`AggGate::arrive`] made of a caller.

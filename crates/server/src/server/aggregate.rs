@@ -57,7 +57,8 @@ struct Leading<'a>(&'a Server, Fingerprint, Lead);
 
 impl Drop for Leading<'_> {
     fn drop(&mut self) {
-        drop(self.0.with_gate(self.1, |gate| gate.close(&self.2)));
+        let Leading(server, fp, lead) = self;
+        drop(server.with_gate(*fp, |gate| gate.close(lead)));
     }
 }
 
@@ -120,7 +121,7 @@ impl Server {
     /// its round if such a round — another gate caller's, a rename's,
     /// `rmdir`'s, the proactive loop's — has served its whole group.
     pub(crate) async fn aggregated(&self, fp: Fingerprint) -> (ClassGuard, bool) {
-        let lead = loop {
+        let leading = loop {
             match self.with_gate(fp, AggGate::arrive) {
                 Arrival::Lead(lead) => break Leading(self, fp, lead),
                 Arrival::Follow(rx) => {
@@ -132,7 +133,7 @@ impl Server {
             }
         };
         let mut guard = self.locks.fp_group(fp).write().await;
-        let (ticket, followers) = self.with_gate(fp, |gate| gate.close(&lead.2));
+        let (ticket, followers) = self.with_gate(fp, |gate| gate.close(&leading.2));
         let served = || self.with_gate(fp, |gate| gate.served(ticket));
         let ran = !served();
         if ran {

@@ -1,11 +1,13 @@
 //! Integration tests for crash recovery and switch failure (§5.4, §A.1).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
+use switchfs::proto::message::{Body, NetMsg, ServerMsg};
 use switchfs::proto::{FsError, Placement};
-use switchfs::simnet::SimDuration;
+use switchfs::simnet::{Packet, SimDuration, SimTime, SwitchAction, SwitchLogic};
 
 /// The shared slot a spawned rename reports its outcome into.
 type Outcome = Rc<RefCell<Option<Result<(), FsError>>>>;
@@ -432,21 +434,14 @@ fn a_refused_rmdir_stays_refused_across_a_crash() {
 /// The cluster's switch program behind a filter that loses every change-log
 /// push and counts the aggregation acknowledgments that cross.
 struct RoundsOnly {
-    program: switchfs::core::switch_adapter::SwitchAdapter,
-    acks: Rc<std::cell::Cell<usize>>,
+    program: SwitchAdapter,
+    acks: Rc<Cell<usize>>,
 }
 
-impl switchfs::simnet::SwitchLogic<switchfs::proto::message::NetMsg> for RoundsOnly {
-    fn process(
-        &mut self,
-        now: switchfs::simnet::SimTime,
-        pkt: switchfs::simnet::Packet<switchfs::proto::message::NetMsg>,
-    ) -> Vec<switchfs::simnet::SwitchAction<switchfs::proto::message::NetMsg>> {
-        use switchfs::proto::message::{Body, ServerMsg};
+impl SwitchLogic<NetMsg> for RoundsOnly {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
         match pkt.payload.body {
-            Body::Server(ServerMsg::ChangeLogPush { .. }) => {
-                return vec![switchfs::simnet::SwitchAction::Drop]
-            }
+            Body::Server(ServerMsg::ChangeLogPush { .. }) => return vec![SwitchAction::Drop],
             Body::Server(ServerMsg::AggregationAck { .. }) => self.acks.set(self.acks.get() + 1),
             _ => {}
         }
@@ -467,11 +462,9 @@ fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_lose
     let hot = cluster.preload_dir("/hot");
     // Preloads bypass the WAL; the checkpoint lets them survive a crash.
     cluster.checkpoint_all();
-    let acks = Rc::new(std::cell::Cell::new(0));
+    let acks = Rc::new(Cell::new(0));
     cluster.network().install_switch(Box::new(RoundsOnly {
-        program: switchfs::core::switch_adapter::SwitchAdapter::new(
-            cluster.switch_program().expect("in-network tracking"),
-        ),
+        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
         acks: acks.clone(),
     }));
     // No push arrives: every create stays in its holder's change-log.

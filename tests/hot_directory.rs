@@ -19,13 +19,17 @@
 //!    each, and a shared round is as fresh as a round of one's own: a read
 //!    sees every update acknowledged before it was issued, with any number
 //!    of reads and updates in flight — also across a crash of the owner
-//!    with reads waiting for a round.
+//!    with reads waiting for a round. A read waits for one round, not two:
+//!    the round that serves it hands it a share of its hold, so on the wire
+//!    at most one aggregation request leaves the owner between a read's
+//!    arrival and its reply.
 //!
 //! And what a round and a push cost the owner:
 //!
 //! 4. **A round applies its entries on every core.** The group lock is held
 //!    for a quarter of the entries' apply-and-put time on a 4-core owner,
-//!    not for a serial put per entry.
+//!    not for a serial put per entry — and the holders are acknowledged
+//!    when the batch is durable, before that time is charged.
 //! 5. **Pushes that carry nothing are not sent.** A holder re-sends an
 //!    unacknowledged batch at the pace of a retransmission, not of the scan
 //!    tick; the exchange still terminates when copies are lost; and no push

@@ -836,16 +836,12 @@ mod gate_model {
             let Some(Queued { who, hold }) = self.queue.pop_front() else {
                 return;
             };
-            let mut guard = match hold.or_else(|mut acquire| match poll(acquire.as_mut()) {
-                Poll::Ready(guard) => Ok(guard),
-                Poll::Pending => Err(acquire),
-            }) {
-                Ok(guard) => guard,
-                Err(acquire) => panic!(
-                    "step {}: no round runs, yet the front of the queue is not granted ({} holders)",
-                    self.step, { drop(acquire); self.lock.holders() }
-                ),
-            };
+            // No round runs and every share was dropped on receipt, so the
+            // front of the queue has been granted the lock.
+            let mut guard = hold.unwrap_or_else(|mut acquire| match poll(acquire.as_mut()) {
+                Poll::Ready(guard) => guard,
+                Poll::Pending => panic!("step {}: the lock is free and not granted", self.step),
+            });
             let group = match who {
                 Who::Leader(caller, lead) => {
                     if self.waiting == Some(caller) {
@@ -860,7 +856,7 @@ mod gate_model {
                             .for_each(|f| drop(f.send(guard.share())));
                         return;
                     }
-                    self.leave_unchecked(); // with a round of its own
+                    self.left += 1; // leaves with a round of its own
                     Some((ticket, followers))
                 }
                 Who::Foreign => None,
@@ -946,10 +942,6 @@ mod gate_model {
                  started after it arrived has completed",
                 self.step
             );
-            self.leave_unchecked();
-        }
-
-        fn leave_unchecked(&mut self) {
             self.left += 1;
         }
 
