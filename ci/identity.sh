@@ -103,7 +103,7 @@ EOF
             ;;
         *)
             echo "DIFFERS    $artifact"
-            diff "$a/$artifact" "$b/$artifact" | head -n 20
+            diff "$a/$artifact" "$b/$artifact" | head -n 20 || true
             status=1
             ;;
     esac

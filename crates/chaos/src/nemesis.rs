@@ -151,7 +151,7 @@ async fn apply_fault(handles: &NemesisHandles, fault: &Fault, log: &Rc<RefCell<N
                 // stop-the-world pause mirrors `crash_and_recover_switch`.
                 for s in &handles.servers {
                     if !s.is_crashed() {
-                        s.set_unavailable();
+                        s.set_available(false);
                     }
                 }
                 for s in &handles.servers {

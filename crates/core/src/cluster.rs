@@ -478,7 +478,7 @@ impl Cluster {
         let start = self.sim.now();
         self.block_on(async move {
             for s in &servers {
-                s.set_unavailable();
+                s.set_available(false);
             }
             for s in &servers {
                 s.aggregate_all_owned().await;

@@ -1,23 +1,25 @@
 //! The dedicated dirty-set coordinator server (§7.3.3, alternative (a)).
 //!
 //! Instead of tracking scattered directories in the switch, a standard
-//! server answers dirty-set RPCs. Every operation involving the dirty set
-//! pays one extra round trip, and the coordinator's CPU bounds the total
+//! server keeps them in a [`ServerDirtySet`] and answers the metadata
+//! servers' `ServerMsg::DirtySet` requests, the same request an owner
+//! server answers under owner tracking. Every operation involving the dirty
+//! set pays one extra round trip, and the coordinator's CPU bounds the total
 //! dirty-set operation rate — the two effects Fig. 15 quantifies.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use switchfs_proto::message::{Body, CoordMsg, NetMsg, PacketSeq};
+use switchfs_proto::message::{Body, NetMsg, PacketSeq, Reply, ServerMsg};
+use switchfs_server::ServerDirtySet;
 use switchfs_simnet::{CpuPool, Endpoint, SimDuration, SimHandle};
-use switchfs_switch::SoftwareDirtySet;
 
 /// The dedicated coordinator node.
 pub struct Coordinator {
     handle: SimHandle,
     cpu: CpuPool,
     endpoint: Rc<Endpoint<NetMsg>>,
-    set: Rc<RefCell<SoftwareDirtySet>>,
+    set: Rc<RefCell<ServerDirtySet>>,
     per_op_cost: SimDuration,
     next_seq: RefCell<u64>,
 }
@@ -31,7 +33,7 @@ impl Coordinator {
             handle,
             cpu,
             endpoint: Rc::new(endpoint),
-            set: Rc::new(RefCell::new(SoftwareDirtySet::new())),
+            set: Rc::default(),
             // ~1 µs of CPU per dirty-set RPC: 12 cores saturate at ~12 Mops/s,
             // matching the ~11 Mops/s ceiling reported in Fig. 15(b).
             per_op_cost: SimDuration::from_micros_f64(1.0),
@@ -47,7 +49,7 @@ impl Coordinator {
                 let Some(pkt) = me.endpoint.recv().await else {
                     return;
                 };
-                let Body::Coord(CoordMsg::Request { token, op, fp, .. }) = pkt.payload.body else {
+                let Body::Server(ServerMsg::DirtySet { req_id, op, fp }) = pkt.payload.body else {
                     continue;
                 };
                 let me2 = me.clone();
@@ -66,7 +68,10 @@ impl Coordinator {
                                 sender: me2.endpoint.node().0,
                                 seq,
                             },
-                            Body::Coord(CoordMsg::Reply { token, ret }),
+                            Body::Server(ServerMsg::Reply {
+                                req_id,
+                                reply: Reply::Dirty(ret),
+                            }),
                         ),
                     );
                 });
@@ -108,16 +113,19 @@ mod tests {
                     NodeId(900),
                     NetMsg::plain(
                         seq(i as u64),
-                        Body::Coord(CoordMsg::Request {
-                            token: i as u64,
+                        Body::Server(ServerMsg::DirtySet {
+                            req_id: i as u64,
                             op,
                             fp,
-                            seq: 0,
                         }),
                     ),
                 );
                 let reply = client_ep.recv().await.unwrap();
-                if let Body::Coord(CoordMsg::Reply { ret, .. }) = reply.payload.body {
+                if let Body::Server(ServerMsg::Reply {
+                    reply: Reply::Dirty(ret),
+                    ..
+                }) = reply.payload.body
+                {
                     got2.borrow_mut().push(ret);
                 }
             }

@@ -9,7 +9,9 @@
 //! * [`switch_adapter`] — plugs the `switchfs-switch` data plane into the
 //!   simulated network fabric;
 //! * [`coordinator`] — the dedicated dirty-set coordinator server used by the
-//!   §7.3.3 comparison;
+//!   §7.3.3 comparison: a `switchfs_server::ServerDirtySet` on 12 cores,
+//!   answering the same `ServerMsg::DirtySet` request a directory's owner
+//!   answers under owner tracking;
 //! * [`cluster::Cluster`] — builds the nodes, pre-populates namespaces,
 //!   exposes crash / recovery / switch-reboot orchestration (§5.4, §7.7);
 //! * [`driver`] — closed-loop workload execution with per-operation latency

@@ -6,6 +6,11 @@
 //! an optional [`DirtySetHeader`], and a body that only end hosts interpret.
 //! The switch never looks at [`Body`], mirroring the real data plane, which
 //! parses only the fixed-format header.
+//!
+//! A dirty set kept in software (§7.3.3: on a dedicated coordinator or on
+//! each directory's owner) is reached by one request, the same for both:
+//! [`ServerMsg::DirtySet`], answered through [`ServerMsg::Reply`] with
+//! [`Reply::Dirty`].
 
 use std::rc::Rc;
 
@@ -517,12 +522,14 @@ pub enum ServerMsg {
         /// Id of the change-log entry that was applied synchronously.
         entry_id: OpId,
     },
-    /// Owner-server dirty tracking (§7.3.3 variant): ask the directory's
-    /// owner to mark the directory dirty before an asynchronous commit
-    /// returns.
-    MarkDirty {
+    /// A dirty-set operation sent to the software tracker of the
+    /// fingerprint — the dedicated coordinator or the directory's owner
+    /// (§7.3.3) — instead of to the switch. Answered with [`Reply::Dirty`].
+    DirtySet {
         /// Request token.
         req_id: u64,
+        /// The operation.
+        op: DirtySetOp,
         /// Fingerprint of the directory.
         fp: Fingerprint,
     },
@@ -573,8 +580,8 @@ pub enum ServerMsg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
-    /// `RemoteDirUpdate`, `RemoteTxnOp`, `MarkDirty`, `InitDirContent`,
-    /// `ShardInstall`, `TxnCommit` and `TxnAbort`.
+    /// `RemoteDirUpdate`, `RemoteTxnOp`, `InitDirContent`, `ShardInstall`,
+    /// `TxnCommit` and `TxnAbort`.
     Done(Result<(), FsError>),
     /// A participant's vote on a `TxnPrepare`.
     Vote {
@@ -594,6 +601,8 @@ pub enum Reply {
     /// The answer to a `TypeProbe`: the type of the inode stored under the
     /// probed key, if any.
     Type(Option<FileType>),
+    /// The answer to a `DirtySet`: what the operation returned.
+    Dirty(DirtyRet),
 }
 
 /// Payload of a [`ServerMsg::ShardInstall`].
@@ -680,31 +689,6 @@ pub enum TxnOp {
     },
 }
 
-/// Messages understood by the dedicated dirty-set coordinator server used by
-/// the §7.3.3 comparison ("tracking directory state with a dedicated
-/// server").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoordMsg {
-    /// A dirty-set operation submitted over RPC instead of in-network.
-    Request {
-        /// Request token.
-        token: u64,
-        /// The operation.
-        op: DirtySetOp,
-        /// Target fingerprint.
-        fp: Fingerprint,
-        /// Remove sequence number.
-        seq: u64,
-    },
-    /// The coordinator's reply.
-    Reply {
-        /// Token copied from the request.
-        token: u64,
-        /// Result of the operation.
-        ret: DirtyRet,
-    },
-}
-
 /// The body of a SwitchFS packet. Only end hosts interpret it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Body {
@@ -713,10 +697,9 @@ pub enum Body {
     Request(Rc<ClientRequest>),
     /// A response to a client.
     Response(ClientResponse),
-    /// A server-to-server protocol message.
+    /// A server-to-server protocol message (the dedicated coordinator
+    /// speaks [`ServerMsg::DirtySet`] and [`ServerMsg::Reply`] too).
     Server(ServerMsg),
-    /// A dedicated-coordinator message.
-    Coord(CoordMsg),
     /// No body: the packet exists only for its dirty-set operation header.
     Empty,
 }

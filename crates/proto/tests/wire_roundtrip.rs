@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
 use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef,
-    Reply, ServerMsg, ShardInstall, StateImage, SyncFallback, TxnOp,
+    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef, Reply,
+    ServerMsg, ShardInstall, StateImage, SyncFallback, TxnOp,
 };
 use switchfs_proto::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
 use switchfs_proto::wire::{
@@ -370,6 +370,9 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
         // The one reply message, with every kind of answer, and the 2PC
         // requests carrying the token it echoes.
         (any::<u64>(), arb_reply()).prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
+        // The software dirty-set request (§7.3.3), every operation.
+        (any::<u64>(), arb_op(), arb_fingerprint())
+            .prop_map(|(req_id, op, fp)| ServerMsg::DirtySet { req_id, op, fp }),
         (
             (any::<u64>(), any::<u64>(), any::<u32>()),
             prop::collection::vec(arb_txn_op(), 0..3),
@@ -408,6 +411,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
             .prop_map(|(ok, dst_type)| Reply::Vote { ok, dst_type }),
         prop_oneof![Just(None), any::<bool>().prop_map(Some)].prop_map(Reply::Decision),
         arb_file_type_opt().prop_map(Reply::Type),
+        arb_ret().prop_map(Reply::Dirty),
     ]
 }
 
@@ -430,21 +434,12 @@ fn arb_fallback() -> impl Strategy<Value = SyncFallback> {
     })
 }
 
-fn arb_coord_msg() -> impl Strategy<Value = CoordMsg> {
-    prop_oneof![
-        (any::<u64>(), arb_op(), arb_fingerprint(), any::<u64>())
-            .prop_map(|(token, op, fp, seq)| CoordMsg::Request { token, op, fp, seq }),
-        (any::<u64>(), arb_ret()).prop_map(|(token, ret)| CoordMsg::Reply { token, ret }),
-    ]
-}
-
 fn arb_body() -> impl Strategy<Value = Body> {
     prop_oneof![
         Just(Body::Empty),
         arb_request().prop_map(|r| Body::Request(std::rc::Rc::new(r))),
         arb_response().prop_map(Body::Response),
         arb_server_msg().prop_map(Body::Server),
-        arb_coord_msg().prop_map(Body::Coord),
     ]
 }
 

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchfs_obs::ObsHandle;
-use switchfs_proto::{ServerId, SharedPlacement};
+use switchfs_proto::{Fingerprint, Placement, ServerId, SharedPlacement};
 use switchfs_simnet::{NodeId, SimDuration};
 
 use crate::costs::CostModel;
@@ -101,6 +101,17 @@ impl ServerConfig {
     /// The network node hosting `server`.
     pub fn node_of(&self, server: ServerId) -> NodeId {
         self.server_nodes.borrow()[server.0 as usize]
+    }
+
+    /// The node keeping `fp`'s dirty state in software (§7.3.3), reached by
+    /// `ServerMsg::DirtySet` unless it is this server: `None` when the
+    /// switch keeps it. The only place a tracking mode is told apart.
+    pub fn software_tracker(&self, fp: Fingerprint) -> Option<NodeId> {
+        match self.tracking {
+            TrackingMode::InNetwork => None,
+            TrackingMode::DedicatedServer => Some(COORDINATOR_NODE),
+            TrackingMode::OwnerServer => Some(self.node_of(self.placement.dir_owner_by_fp(fp))),
+        }
     }
 
     /// Number of metadata servers in the cluster.

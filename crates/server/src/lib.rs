@@ -25,6 +25,7 @@
 pub mod changelog;
 pub mod config;
 pub mod costs;
+pub mod dirty_set;
 pub mod locks;
 pub mod server;
 pub mod wal;
@@ -32,6 +33,7 @@ pub mod wal;
 pub use changelog::{ChangeLog, ChangeLogStore};
 pub use config::{ServerConfig, TrackingMode, UpdateMode, COORDINATOR_NODE};
 pub use costs::CostModel;
+pub use dirty_set::ServerDirtySet;
 pub use locks::LockManager;
 pub use server::{DirContent, Server, ServerStats};
 pub use switchfs_kvstore::TornTail;

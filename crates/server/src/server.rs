@@ -26,8 +26,7 @@ use switchfs_simnet::{FxHashMap, FxHashSet};
 use switchfs_kvstore::KvStore;
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, NetMsg, OpResult, PacketSeq, Reply,
-    ServerMsg,
+    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, ServerMsg,
 };
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
@@ -37,10 +36,10 @@ use switchfs_proto::{
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimDuration, SimHandle, SimTime};
-use switchfs_switch::SoftwareDirtySet;
 
 use crate::changelog::ChangeLogStore;
-use crate::config::{ServerConfig, TrackingMode, COORDINATOR_NODE};
+use crate::config::ServerConfig;
+use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
 
@@ -90,10 +89,9 @@ switchfs_simnet::counters! {
 /// What completes a token-matched wait (see [`Server::request_once`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenReply {
-    /// Another server's answer to a request that carried the token.
+    /// Another server's (or the dedicated coordinator's) answer to a
+    /// request that carried the token.
     Server(Reply),
-    /// The dedicated coordinator's answer to a dirty-set RPC.
-    Dirty(DirtyRet),
     /// An asynchronous commit came back mirrored: the switch stored the
     /// fingerprint and delivered the client's copy.
     Mirrored,
@@ -320,8 +318,10 @@ pub(crate) struct ServerInner {
     /// timer re-asks until the apply finished), exactly like in-flight
     /// client requests.
     pub in_progress_installs: FxHashSet<(u32, u64)>,
-    /// Local software dirty set, used in [`TrackingMode::OwnerServer`].
-    pub local_dirty: SoftwareDirtySet,
+    /// The dirty set of the fingerprints this server is the software
+    /// tracker of ([`ServerConfig::software_tracker`]): used under
+    /// owner-server tracking.
+    pub dirty_set: ServerDirtySet,
     /// Per-fingerprint time of the last received proactive push, driving
     /// owner-side proactive aggregation.
     pub push_timers: FxHashMap<u64, SimTime>,
@@ -333,8 +333,8 @@ pub(crate) struct ServerInner {
     pub remove_seq: u64,
     /// The token-matched waits: every exchange in which this server sent a
     /// request carrying a token and is waiting for whatever echoes it (a
-    /// [`ServerMsg::Reply`], the coordinator's answer, the switch's mirror
-    /// copy of an asynchronous commit). An entry lives from
+    /// [`ServerMsg::Reply`], the switch's mirror copy of an asynchronous
+    /// commit). An entry lives from
     /// [`Server::request_once`]'s send until the reply or the timeout, so
     /// the table is empty whenever the server is quiescent.
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
@@ -408,7 +408,7 @@ impl ServerInner {
             migrating_shards: std::collections::BTreeSet::new(),
             applied_installs: FxHashSet::default(),
             in_progress_installs: FxHashSet::default(),
-            local_dirty: SoftwareDirtySet::new(),
+            dirty_set: ServerDirtySet::default(),
             push_timers: FxHashMap::default(),
             dir_counter: 0,
             next_token: 1,
@@ -453,7 +453,7 @@ impl ServerInner {
             decommissioned: old.decommissioned,
             shutdown: old.shutdown,
             stats: old.stats,
-            local_dirty: old.local_dirty,
+            dirty_set: old.dirty_set,
             crashed: false,
             unavailable: true,
             ..ServerInner::new()
@@ -840,12 +840,6 @@ impl Server {
                 Box::pin(self.handle_client_request(src, req, dirty_ret)).await
             }
             Body::Server(smsg) => Box::pin(self.handle_server_msg(src, smsg, dirty_ret)).await,
-            Body::Coord(CoordMsg::Reply { token, ret }) => {
-                self.complete_token(token, TokenReply::Dirty(ret));
-            }
-            Body::Coord(CoordMsg::Request { .. }) => {
-                // Metadata servers are not coordinators; ignore.
-            }
             Body::Response(_) | Body::Empty => {}
         }
     }
@@ -1067,8 +1061,12 @@ impl Server {
                 let applier = self.server_id_of(src);
                 self.complete_token(op_token, TokenReply::FallbackDone(applier));
             }
-            ServerMsg::MarkDirty { req_id, fp } => {
-                self.handle_mark_dirty(src, req_id, fp).await;
+            ServerMsg::DirtySet { req_id, op, fp } => {
+                // The owner's CPU pays for every remote dirty-set operation:
+                // the overhead Fig. 16 quantifies.
+                self.cpu.run(self.cfg.costs.software_path).await;
+                let ret = self.inner.borrow_mut().dirty_set.apply(op, fp);
+                self.send_reply(src, req_id, Reply::Dirty(ret));
             }
             ServerMsg::InvalidationBroadcast { dir_id, dir_key } => {
                 self.apply_and_log(
@@ -1682,46 +1680,52 @@ impl Server {
         );
     }
 
-    /// Resolves the dirty state of a fingerprint according to the tracking
-    /// mode: the value attached by the switch, a coordinator RPC, or the
-    /// local software set.
+    /// Resolves the dirty state of a fingerprint for a directory read: the
+    /// value the switch attached, or the software tracker's answer.
     pub(crate) async fn dirty_state_for_read(
         &self,
         fp: Fingerprint,
         attached: Option<DirtyRet>,
     ) -> DirtyState {
-        match self.cfg.tracking {
-            TrackingMode::InNetwork => match attached {
-                Some(DirtyRet::State(s)) => s,
-                // Without switch information be conservative: aggregating an
-                // already-clean group is correct, just slower.
-                _ => DirtyState::Scattered,
-            },
-            TrackingMode::DedicatedServer => {
-                let token = self.next_token();
-                let query = CoordMsg::Request {
-                    token,
-                    op: DirtySetOp::Query,
-                    fp,
-                    seq: 0,
-                };
-                match self
-                    .request_once(token, self.cfg.costs.request_timeout, || {
-                        self.send_plain(COORDINATOR_NODE, Body::Coord(query))
-                    })
+        let ret = match self.cfg.software_tracker(fp) {
+            None => attached,
+            Some(tracker) => {
+                self.software_dirty_set(tracker, DirtySetOp::Query, fp)
                     .await
-                {
-                    Some(TokenReply::Dirty(DirtyRet::State(s))) => s,
-                    _ => DirtyState::Scattered,
-                }
             }
-            TrackingMode::OwnerServer => {
-                if self.inner.borrow_mut().local_dirty.query(fp) {
-                    DirtyState::Scattered
-                } else {
-                    DirtyState::Normal
-                }
-            }
+        };
+        match ret {
+            Some(DirtyRet::State(s)) => s,
+            // Without an answer be conservative: aggregating an
+            // already-clean group is correct, just slower.
+            _ => DirtyState::Scattered,
+        }
+    }
+
+    /// One operation on the dirty set `tracker` keeps in software (§7.3.3):
+    /// applied here, for free, when that is this server, else sent as a
+    /// [`ServerMsg::DirtySet`] and retransmitted until answered. A remove is
+    /// sent once and not waited for: the aggregation request sent after it
+    /// is what the round waits on, and a lost remove only costs a later read
+    /// a round it did not need.
+    pub(crate) async fn software_dirty_set(
+        &self,
+        tracker: NodeId,
+        op: DirtySetOp,
+        fp: Fingerprint,
+    ) -> Option<DirtyRet> {
+        if tracker == self.cfg.node {
+            return Some(self.inner.borrow_mut().dirty_set.apply(op, fp));
+        }
+        let req_id = self.next_token();
+        let body = Body::Server(ServerMsg::DirtySet { req_id, op, fp });
+        if op == DirtySetOp::Remove {
+            self.send_plain(tracker, body);
+            return None;
+        }
+        match self.send_with_ack(tracker, req_id, body).await {
+            Some(TokenReply::Server(Reply::Dirty(ret))) => Some(ret),
+            _ => None,
         }
     }
 
@@ -1888,15 +1892,10 @@ impl Server {
         self.inner.borrow().decommissioned
     }
 
-    /// Marks the server available again after recovery or reconfiguration.
+    /// Pauses (`false`) or resumes (`true`) serving client requests: the
+    /// stop-the-world window of a reconfiguration (§5.5).
     pub fn set_available(&self, available: bool) {
         self.inner.borrow_mut().unavailable = !available;
-    }
-
-    /// Pause serving client requests (used by stop-the-world
-    /// reconfiguration, §5.5).
-    pub fn set_unavailable(&self) {
-        self.inner.borrow_mut().unavailable = true;
     }
 
     /// Asks the background proactive loop to stop at its next wake-up so the
@@ -1950,7 +1949,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UpdateMode;
+    use crate::config::{TrackingMode, UpdateMode};
     use switchfs_proto::message::{ShardInstall, StateImage};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;

@@ -9,8 +9,7 @@
 
 use switchfs_simnet::FxHashSet;
 
-use switchfs_proto::message::{AggregationPayload, Body, ClientRequest, ServerMsg};
-use switchfs_proto::message::{CoordMsg, MetaOp};
+use switchfs_proto::message::{AggregationPayload, Body, ClientRequest, MetaOp, ServerMsg};
 use switchfs_proto::{
     changelog::CompactedChanges, ChangeLogEntry, DirId, DirtyRet, DirtySetHeader, DirtySetOp,
     DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, ServerId,
@@ -19,8 +18,7 @@ use switchfs_simnet::sync::ClassGuard;
 use switchfs_simnet::timeout;
 
 use crate::config::{
-    TrackingMode, UpdateMode, COORDINATOR_NODE, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER,
-    PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
+    UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
 use crate::server::{AggCollector, Server};
@@ -265,7 +263,8 @@ impl Server {
                         },
                     );
                 }
-                self.send_aggregation_request(&payload, invalidate.clone());
+                self.send_aggregation_request(&payload, invalidate.clone())
+                    .await;
                 let wait = timeout(
                     &self.handle,
                     costs.request_timeout * (attempt as u64 + 2),
@@ -348,10 +347,10 @@ impl Server {
         applied
     }
 
-    /// Sends the aggregation request according to the tracking mode: through
-    /// the switch (which removes the fingerprint and multicasts), or by
-    /// removing the state locally / at the coordinator and unicasting.
-    fn send_aggregation_request(
+    /// Sends the aggregation request: through the switch, which removes the
+    /// fingerprint and multicasts, or, with the dirty set kept in software,
+    /// after a remove at the tracker, to every other server directly.
+    async fn send_aggregation_request(
         &self,
         payload: &AggregationPayload,
         invalidate: Option<(DirId, MetaKey)>,
@@ -360,32 +359,17 @@ impl Server {
             agg: *payload,
             invalidate,
         });
-        match self.cfg.tracking {
-            TrackingMode::InNetwork => {
-                let seq = self.next_remove_seq();
-                let hdr = DirtySetHeader::remove(payload.fp, seq);
-                // Destination is nominally this server; the switch replaces it
-                // with a multicast to every other metadata server.
-                self.send_dirty(self.cfg.node, hdr, body);
-            }
-            TrackingMode::DedicatedServer => {
-                let token = self.next_token();
-                self.send_plain(
-                    COORDINATOR_NODE,
-                    Body::Coord(CoordMsg::Request {
-                        token,
-                        op: DirtySetOp::Remove,
-                        fp: payload.fp,
-                        seq: self.next_remove_seq(),
-                    }),
-                );
-                self.multicast_plain(&self.cfg.other_servers(), body);
-            }
-            TrackingMode::OwnerServer => {
-                self.inner.borrow_mut().local_dirty.remove(payload.fp);
-                self.multicast_plain(&self.cfg.other_servers(), body);
-            }
+        if let Some(tracker) = self.cfg.software_tracker(payload.fp) {
+            self.software_dirty_set(tracker, DirtySetOp::Remove, payload.fp)
+                .await;
+            self.multicast_plain(&self.cfg.other_servers(), body);
+            return;
         }
+        let seq = self.next_remove_seq();
+        let hdr = DirtySetHeader::remove(payload.fp, seq);
+        // Destination is nominally this server; the switch replaces it with a
+        // multicast to every other metadata server.
+        self.send_dirty(self.cfg.node, hdr, body);
     }
 
     /// Applies change-log entries to the directories of a fingerprint group

@@ -4,14 +4,18 @@
 //! The *local half* of a double-inode operation runs entirely on this server:
 //! it updates the target inode, persists the deferred parent-directory update
 //! in the change-log and in the WAL, then marks the parent directory
-//! *scattered*. Depending on the tracking mode the scatter marking is an
-//! in-network dirty-set insert (the switch then multicasts the completion to
-//! the client and mirrors it back so this server can release its locks), an
-//! RPC to a dedicated coordinator, or an RPC to the directory's owner server.
+//! *scattered*. The marking is an in-network dirty-set insert (the switch
+//! then multicasts the completion to the client and mirrors it back so this
+//! server can release its locks), or, when the set is kept in software
+//! (§7.3.3), a `DirtySet` insert at the fingerprint's tracker — the dedicated
+//! coordinator or the directory's owner — retransmitted until answered, after
+//! which this server replies. Either way no reply leaves before the parent
+//! is marked or, on overflow, updated: the operation stays in flight until
+//! then, and a retransmission of it is dropped, not answered from the
+//! completion cache.
 
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, CoordMsg, MetaOp, ParentRef, Reply, ServerMsg,
-    SyncFallback,
+    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, ServerMsg, SyncFallback,
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtyRet, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
@@ -19,7 +23,6 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{FxHashSet, NodeId};
 
-use crate::config::{TrackingMode, COORDINATOR_NODE};
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
@@ -322,7 +325,18 @@ impl Server {
                 .queue_discard_confirm(me, me, now, [entry.entry_id]);
             Ok(())
         } else {
-            match self.send_remote_dir_update(owner, parent, entry).await {
+            let token = self.next_token();
+            let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
+            let body = Body::Server(ServerMsg::RemoteDirUpdate {
+                req_id: token,
+                dir_key: parent.key.clone(),
+                entry: entry.clone(),
+                discard_confirm,
+            });
+            match self
+                .send_with_ack(self.cfg.node_of(owner), token, body)
+                .await
+            {
                 Some(TokenReply::ACK) => {
                     // The update is applied and this server will never
                     // retransmit it: confirm so the owner can retire the id.
@@ -337,27 +351,6 @@ impl Server {
                 _ => Err(FsError::TimedOut),
             }
         }
-    }
-
-    /// Sends `entry` to `owner` as a `RemoteDirUpdate`, with the discard
-    /// confirmations queued for that server riding along; the returned
-    /// future waits for the answer. Not an `async fn`: the caller awaits
-    /// [`Server::send_with_ack`]'s future itself, not a wrapper around it.
-    fn send_remote_dir_update(
-        &self,
-        owner: ServerId,
-        parent: &ParentRef,
-        entry: &ChangeLogEntry,
-    ) -> impl std::future::Future<Output = Option<TokenReply>> + '_ {
-        let token = self.next_token();
-        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-        let body = Body::Server(ServerMsg::RemoteDirUpdate {
-            req_id: token,
-            dir_key: parent.key.clone(),
-            entry: entry.clone(),
-            discard_confirm,
-        });
-        self.send_with_ack(self.cfg.node_of(owner), token, body)
     }
 
     /// The server owning a directory's updatable metadata under the
@@ -554,7 +547,8 @@ impl Server {
     }
 
     /// Marks the parent directory scattered and arranges for the response to
-    /// reach the client, according to the tracking mode.
+    /// reach the client: the switch delivers it after an in-network insert,
+    /// this server after a software tracker's.
     pub(crate) async fn async_commit(
         &self,
         client_node: NodeId,
@@ -562,26 +556,12 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> CommitOutcome {
-        match self.cfg.tracking {
-            TrackingMode::InNetwork => {
-                self.async_commit_in_network(client_node, response, parent, entry)
-                    .await
-            }
-            TrackingMode::DedicatedServer => {
-                self.async_commit_dedicated(COORDINATOR_NODE, parent, entry)
-                    .await
-            }
-            TrackingMode::OwnerServer => self.async_commit_owner(parent).await,
+        if let Some(tracker) = self.cfg.software_tracker(parent.fp) {
+            // A software set never overflows: the insert only has to land.
+            self.software_dirty_set(tracker, DirtySetOp::Insert, parent.fp)
+                .await;
+            return CommitOutcome::NeedDirectReply;
         }
-    }
-
-    async fn async_commit_in_network(
-        &self,
-        client_node: NodeId,
-        response: &ClientResponse,
-        parent: &ParentRef,
-        entry: &ChangeLogEntry,
-    ) -> CommitOutcome {
         let parent_owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
         let parent_owner_node = self.cfg.node_of(parent_owner);
         let op_token = self.next_token();
@@ -618,85 +598,22 @@ impl Server {
                     // actually applied it (the notification's sender — not
                     // the current map owner, which can differ across a
                     // shard flip).
-                    self.discard_fallback_entry(parent, entry, applier);
+                    let id = entry.entry_id;
+                    self.discard_applied_entries(
+                        |logs| {
+                            let log = logs.get_mut(&parent.id);
+                            (log.map_or(0, |log| usize::from(log.discard_one(id))), ())
+                        },
+                        &FxHashSet::from_iter([id]),
+                        applier,
+                    );
+                    self.inner.borrow_mut().stats.fallback_syncs += 1;
                     return CommitOutcome::FallbackHandled;
                 }
                 _ => {}
             }
         }
         CommitOutcome::NeedDirectReply
-    }
-
-    async fn async_commit_dedicated(
-        &self,
-        coord: NodeId,
-        parent: &ParentRef,
-        entry: &ChangeLogEntry,
-    ) -> CommitOutcome {
-        let token = self.next_token();
-        let insert = CoordMsg::Request {
-            token,
-            op: DirtySetOp::Insert,
-            fp: parent.fp,
-            seq: 0,
-        };
-        let reply = self
-            .request_once(token, self.cfg.costs.request_timeout, || {
-                self.send_plain(coord, Body::Coord(insert))
-            })
-            .await;
-        if reply == Some(TokenReply::Dirty(DirtyRet::Overflowed)) {
-            // Fall back to a synchronous remote update, as the in-network
-            // overflow path would.
-            self.sync_fallback_update(parent, entry).await;
-        }
-        CommitOutcome::NeedDirectReply
-    }
-
-    async fn async_commit_owner(&self, parent: &ParentRef) -> CommitOutcome {
-        let owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
-        if owner == self.cfg.id {
-            self.inner.borrow_mut().local_dirty.insert(parent.fp);
-            return CommitOutcome::NeedDirectReply;
-        }
-        let token = self.next_token();
-        let body = Body::Server(ServerMsg::MarkDirty {
-            req_id: token,
-            fp: parent.fp,
-        });
-        let _ = self
-            .send_with_ack(self.cfg.node_of(owner), token, body)
-            .await;
-        CommitOutcome::NeedDirectReply
-    }
-
-    /// Applies a deferred update synchronously at the parent owner when the
-    /// dirty-set insert cannot be used (dedicated-coordinator overflow).
-    async fn sync_fallback_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
-        let owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
-        let acked =
-            self.send_remote_dir_update(owner, parent, entry).await == Some(TokenReply::ACK);
-        self.discard_fallback_entry(parent, entry, acked.then_some(owner));
-    }
-
-    /// Discards one change-log entry that an overflow fallback applied
-    /// out-of-band, and counts the fallback.
-    fn discard_fallback_entry(
-        &self,
-        parent: &ParentRef,
-        entry: &ChangeLogEntry,
-        applier: Option<ServerId>,
-    ) {
-        let id = entry.entry_id;
-        self.discard_applied_entries(
-            |logs| {
-                let log = logs.get_mut(&parent.id);
-                (log.map_or(0, |log| usize::from(log.discard_one(id))), ())
-            },
-            &FxHashSet::from_iter([id]),
-            applier,
-        );
-        self.inner.borrow_mut().stats.fallback_syncs += 1;
     }
 
     /// Handles an `AsyncCommit` packet. Depending on where it arrives it is
@@ -739,17 +656,8 @@ impl Server {
         }
     }
 
-    /// Handles a `MarkDirty` request in owner-server tracking mode.
-    pub(crate) async fn handle_mark_dirty(&self, src: NodeId, req_id: u64, fp: Fingerprint) {
-        // The extra packet costs CPU on the owner, which is exactly the
-        // overhead Fig. 16 quantifies.
-        self.cpu.run(self.cfg.costs.software_path).await;
-        self.inner.borrow_mut().local_dirty.insert(fp);
-        self.send_reply(src, req_id, Reply::Done(Ok(())));
-    }
-
     /// Handles a synchronous remote directory update (baseline double-inode
-    /// operations and the dedicated-coordinator overflow fallback). A frozen
+    /// operations). A frozen
     /// or flipped-away directory fails with `Unavailable` instead of
     /// stranding the update at a non-owner: the caller re-resolves the owner
     /// against the shared map and retries there.

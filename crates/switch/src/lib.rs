@@ -17,9 +17,10 @@
 //!   used on insert overflow, duplicate-`remove` suppression by sequence
 //!   number, and the multicast behaviour used by asynchronous commits and
 //!   aggregations.
-//! * [`software`] — a software dirty set, used by the dedicated-server
-//!   coordinator and owner-server tracking variants that §7.3.3 compares
-//!   against.
+//!
+//! The two server-based alternatives §7.3.3 compares against keep their set
+//! in server memory, not here: `switchfs_server::ServerDirtySet`, reached
+//! through `ServerMsg::DirtySet`.
 //!
 //! The crate has no dependency on the simulation runtime; the network
 //! adapter that plugs [`program::SwitchFsProgram`] into the simulated fabric
@@ -28,9 +29,7 @@
 pub mod dirty_set;
 pub mod program;
 pub mod registers;
-pub mod software;
 
 pub use dirty_set::{DirtySet, DirtySetConfig, InsertOutcome};
 pub use program::{SwitchConfig, SwitchFsProgram, SwitchStats};
 pub use registers::RegisterStage;
-pub use software::SoftwareDirtySet;
