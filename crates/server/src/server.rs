@@ -850,9 +850,26 @@ impl Server {
         req: Rc<ClientRequest>,
         dirty_ret: Option<DirtyRet>,
     ) {
-        // Duplicate suppression: a retransmitted request gets the cached
-        // response back without re-executing. (Bind the lookup first so the
-        // RefCell borrow is released before sending.)
+        if self.inner.borrow().in_flight_ops.contains(&req.op_id) {
+            // Already executing (a retransmission raced a slow operation,
+            // e.g. the rename 2PC): drop it; the client keeps re-asking and
+            // gets the cached response once the first execution replies.
+            // Checked BEFORE the completion cache: a double-inode operation
+            // records its completion before it has marked its parent (or, on
+            // overflow, before the owner applied the update), and a reply
+            // from the cache would let the client's next read miss it.
+            // Checked BEFORE the availability gate: a stop-the-world window
+            // (switch-reboot re-aggregation, §5.5) does not kill in-flight
+            // handlers, and answering their retransmissions with
+            // `Unavailable` would tell the client "nothing happened" about
+            // an operation that is still happening (the chaos checker flags
+            // the resulting phantom mutation).
+            return;
+        }
+        // Duplicate suppression: a retransmitted request of a finished
+        // operation gets the cached response back without re-executing.
+        // (Bind the lookup first so the RefCell borrow is released before
+        // sending.)
         let cached = self.inner.borrow().cached_response(&req.op_id).cloned();
         if let Some(resp) = cached {
             self.send_plain(client_node, Body::Response(resp));
@@ -863,18 +880,6 @@ impl Server {
         self.inner
             .borrow_mut()
             .prune_completed(req.op_id.client, req.acked_below);
-        if self.inner.borrow().in_flight_ops.contains(&req.op_id) {
-            // Already executing (a retransmission raced a slow operation,
-            // e.g. the rename 2PC): drop it; the client keeps re-asking and
-            // gets the cached response once the first execution replies.
-            // Checked BEFORE the availability gate: a stop-the-world window
-            // (switch-reboot re-aggregation, §5.5) does not kill in-flight
-            // handlers, and answering their retransmissions with
-            // `Unavailable` would tell the client "nothing happened" about
-            // an operation that is still happening (the chaos checker flags
-            // the resulting phantom mutation).
-            return;
-        }
         if self.inner.borrow().unavailable {
             self.reply(
                 client_node,

@@ -1004,44 +1004,66 @@ fn completed_ops_stay_bounded_under_sustained_load() {
     );
 }
 
-/// Regression: with the dirty set on a dedicated coordinator, the commit of
-/// a double-inode operation and every directory read wait for the
-/// coordinator's reply under a timeout — and a wait whose reply was lost
-/// used to stay registered, one `pending_tokens` entry per lost reply for
-/// the server's lifetime. Every exchange must end: once the run quiesces no
-/// server still waits on a token.
+/// Regression, on every tracker and three seeds of a lossy network: a
+/// `statdir` after each create counts exactly the creates acknowledged so
+/// far, and once the run quiesces no server still waits on a token. The
+/// dedicated tracker acknowledged a create after one lost insert packet; on
+/// every tracker a retransmitted create was answered from the completion
+/// cache before its parent was marked; and a token-matched wait whose reply
+/// was lost used to stay registered for the server's lifetime.
 #[test]
-fn lost_coordinator_replies_leave_no_wait_behind() {
+fn every_tracker_answers_statdir_with_every_acked_create_and_no_wait_left() {
     use switchfs::core::TrackingChoice;
     use switchfs::simnet::NetFaults;
 
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 4;
-    cfg.clients = 1;
-    cfg.tracking = TrackingChoice::DedicatedServer;
-    cfg.net_faults = NetFaults::lossy(0.05, 0.02, SimDuration::micros(2));
-    let cluster = Cluster::new(cfg);
-    let client = cluster.client(0);
-    cluster.block_on(async move {
-        client.mkdir("/d").await.unwrap();
-        for i in 0..300 {
-            client.create(&format!("/d/f{i}")).await.unwrap();
-            if i % 2 == 0 {
-                client.statdir("/d").await.unwrap();
+    for tracking in [
+        TrackingChoice::InNetwork,
+        TrackingChoice::DedicatedServer,
+        TrackingChoice::OwnerServer,
+    ] {
+        for seed in [42, 1, 7] {
+            let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+            cfg.servers = 4;
+            cfg.clients = 1;
+            cfg.seed = seed;
+            cfg.tracking = tracking;
+            cfg.net_faults = NetFaults::lossy(0.05, 0.02, SimDuration::micros(2));
+            let cluster = Cluster::new(cfg);
+            let client = cluster.client(0);
+            let stale = cluster.block_on(async move {
+                client.mkdir("/d").await.unwrap();
+                let mut acked = 0;
+                let mut stale = Vec::new();
+                for i in 0..300 {
+                    if client.create(&format!("/d/f{i}")).await.is_ok() {
+                        acked += 1;
+                    }
+                    let size = client.statdir("/d").await.unwrap().size;
+                    if size != acked {
+                        stale.push((i, size, acked));
+                    }
+                }
+                stale
+            });
+            let case = format!("{tracking:?}, seed {seed}");
+            assert!(
+                stale.is_empty(),
+                "{case}: statdir disagrees with the acknowledged creates \
+                 (create, size, acked): {stale:?}"
+            );
+            assert!(
+                cluster.network().stats().dropped_faults > 0,
+                "{case}: the run must actually lose packets"
+            );
+            for server in cluster.servers() {
+                assert_eq!(
+                    server.pending_token_count(),
+                    0,
+                    "{case}: {} still waits on a token after quiescence",
+                    server.id()
+                );
             }
         }
-    });
-    assert!(
-        cluster.network().stats().dropped_faults > 0,
-        "the run must actually lose packets"
-    );
-    for server in cluster.servers() {
-        assert_eq!(
-            server.pending_token_count(),
-            0,
-            "{} still waits on a token after quiescence",
-            server.id()
-        );
     }
 }
 
