@@ -334,9 +334,9 @@ pub(crate) struct ServerInner {
     /// The token-matched waits: every exchange in which this server sent a
     /// request carrying a token and is waiting for whatever echoes it (a
     /// [`ServerMsg::Reply`], the switch's mirror copy of an asynchronous
-    /// commit). An entry lives from
-    /// [`Server::request_once`]'s send until the reply or the timeout, so
-    /// the table is empty whenever the server is quiescent.
+    /// commit). An entry lives from [`Server::request_once`]'s send until
+    /// the reply or the timeout, so the table is empty whenever the server
+    /// is quiescent.
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
     /// Aggregations in flight, keyed by aggregation id.
     pub pending_aggs: FxHashMap<u64, AggCollector>,
@@ -1694,9 +1694,10 @@ impl Server {
     ) -> DirtyState {
         let ret = match self.cfg.software_tracker(fp) {
             None => attached,
+            // Boxed: the retransmitting exchange would otherwise set the size
+            // of every directory read's future, in-network ones included.
             Some(tracker) => {
-                self.software_dirty_set(tracker, DirtySetOp::Query, fp)
-                    .await
+                Box::pin(self.software_dirty_set(tracker, DirtySetOp::Query, fp)).await
             }
         };
         match ret {
