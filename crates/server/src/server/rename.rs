@@ -67,7 +67,8 @@ impl Server {
         // NotFound. Under grouping that server is this one (files and
         // directories share the parent's children server): nothing to forward.
         if !self.inner.borrow().inodes.contains(src) {
-            let access_owner = self.cfg.placement.dir_access_owner(src);
+            let placement = &self.cfg.placement;
+            let access_owner = placement.dir_access_owner(src);
             if access_owner != self.cfg.id {
                 self.send_plain(
                     self.cfg.node_of(access_owner),
@@ -76,6 +77,14 @@ impl Server {
                         req: req.clone(),
                     }),
                 );
+                return None;
+            }
+            // A stale map sent the file route here because this server was
+            // the source's file owner before its shard moved; the access
+            // owner's clause let it through. Only the current file owner
+            // may say a file is missing.
+            if req.epoch != placement.epoch() && placement.file_owner(src) != self.cfg.id {
+                self.reject_wrong_owner(client_node, req);
                 return None;
             }
         }

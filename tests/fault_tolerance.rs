@@ -1452,6 +1452,61 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
     });
 }
 
+/// A client whose map predates the move of a file's shard routes a rename
+/// of that file to the shard's old owner. When that server is also where a
+/// directory of the same name is reached, rename's second route lets the
+/// request through there; finding no file, it must send the client to the
+/// current owner rather than answer `NotFound`.
+#[test]
+fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected() {
+    use switchfs::proto::{Fingerprint, MetaKey, ServerId};
+    let mut cluster = cluster();
+    let dir = cluster.preload_dir("/r");
+    let placement = cluster.placement();
+    // A name whose file and directory routes meet on one server through
+    // different shards: moving the file's shard leaves that server the
+    // name's access owner.
+    let key = (0..)
+        .map(|i| MetaKey::new(dir, format!("f{i}")))
+        .find(|key| {
+            let file = key.hash64();
+            let fp = Fingerprint::of_dir(&key.pid, &key.name).hash64();
+            placement.owner_of_hash(file) == placement.owner_of_hash(fp)
+                && placement.shard_of_hash(file) != placement.shard_of_hash(fp)
+        })
+        .unwrap();
+    let path = format!("/r/{}", key.name);
+    let client = cluster.client(0);
+    let created = path.clone();
+    cluster.block_on(async move { client.create(&created).await.unwrap() });
+
+    let old = placement.file_owner(&key);
+    let new = ServerId((old.0 + 1) % cluster.servers().len() as u32);
+    let shard = placement.shard_of_hash(key.hash64());
+    let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
+    let moved = cluster.block_on(async move {
+        donor
+            .migrate_shards(&[(shard, new)], |s, to| flip.assign(s, to))
+            .await
+    });
+    assert_eq!(moved, 1);
+    assert_eq!(placement.file_owner(&key), new);
+    assert_eq!(placement.dir_access_owner(&key), old);
+
+    // The client still holds the map from before the move.
+    let client = cluster.client(0);
+    let outcome = cluster.block_on(async move { client.rename(&path, "/r/g").await });
+    assert_eq!(outcome, Ok(()), "the rename reached the file's owner");
+    assert_eq!(cluster.client(0).stats().map_refreshes, 1);
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.stat("/r/g").await.expect("the rename's destination");
+        let (attrs, listing) = client.readdir("/r").await.unwrap();
+        assert_eq!(attrs.size, 1);
+        assert_eq!(listing[0].name, "g");
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Graceful server decommission (elastic shrink)
 // ---------------------------------------------------------------------------
