@@ -916,6 +916,14 @@ impl Server {
             self.reject_wrong_owner(client_node, &req);
             return;
         }
+        if let Some(txn_id) = self.overdue_txn_staging(req.op.primary_key()) {
+            // The rename that staged this key here may already be `Done` at
+            // its client, and this server has not applied it: ask its
+            // coordinator instead of answering from the state before it.
+            // The client's retransmission finds the transaction resolved.
+            Box::pin(self.resolve_prepared_txn(txn_id)).await;
+            return;
+        }
         let incarnation = self.inner.borrow().incarnation;
         self.inner.borrow_mut().in_flight_ops.insert(req.op_id);
         self.trace_event(

@@ -790,6 +790,35 @@ impl Server {
         }
     }
 
+    /// The prepared transaction staging a mutation of `key` whose client may
+    /// already have seen `Done`: one prepared at least as long ago as a
+    /// coordinator spends sending its decision to a participant that never
+    /// acknowledges ([`Server::broadcast_decision`]), so its coordinator may
+    /// have given up on this server (a partition outlived the retries) and
+    /// answered. Until it is resolved, no request for `key` may be served
+    /// from the state before it (§5.2: visible everywhere before `Done`).
+    pub(crate) fn overdue_txn_staging(&self, key: &MetaKey) -> Option<u64> {
+        let inner = self.inner.borrow();
+        if inner.prepared_txns.is_empty() {
+            return None;
+        }
+        let costs = self.cfg.costs;
+        let budget = costs.request_timeout * 4 * u64::from(costs.max_retries + 1);
+        let now = self.handle.now();
+        let stages = |op: &TxnOp| match op {
+            TxnOp::PutInode { key: k, .. }
+            | TxnOp::DeleteInode { key: k }
+            | TxnOp::PutDirContent { key: k, .. }
+            | TxnOp::DirUpdate { dir_key: k, .. } => k == key,
+            TxnOp::DeleteDirContent { .. } => false,
+        };
+        inner
+            .prepared_txns
+            .iter()
+            .find(|(_, p)| now.duration_since(p.prepared_at) >= budget && p.ops.iter().any(stages))
+            .map(|(id, _)| *id)
+    }
+
     /// Sends a commit/abort decision to every remote participant and waits
     /// for each acknowledgment, retransmitting over the unreliable fabric.
     /// Returns true when every participant acknowledged (nobody will ever

@@ -254,6 +254,84 @@ fn participant_crash_between_prepare_and_decision_recovers_and_converges() {
     });
 }
 
+/// The cluster's switch program behind a filter that cuts one server off
+/// from the first commit decision addressed to it until the test lets it
+/// go: a participant that voted yes and stays prepared while its
+/// coordinator spends every decision copy on it.
+struct IsolateOnCommit {
+    program: SwitchAdapter,
+    node: NodeId,
+    fired: bool,
+    isolated: Rc<Cell<bool>>,
+}
+
+impl SwitchLogic<NetMsg> for IsolateOnCommit {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+        if matches!(pkt.payload.body, Body::Server(ServerMsg::TxnCommit { .. }))
+            && pkt.dst == self.node
+            && !self.fired
+        {
+            self.fired = true;
+            self.isolated.set(true);
+        }
+        if self.isolated.get() && (pkt.src == self.node || pkt.dst == self.node) {
+            return vec![SwitchAction::Drop];
+        }
+        self.program.process(now, pkt)
+    }
+}
+
+/// A participant cut off after its vote for longer than the coordinator's
+/// decision budget: the client sees `Done` once the copies run out, and the
+/// participant, reachable again, has not applied its half. What the client
+/// reads next must already show the rename (§5.2), so the participant asks
+/// the coordinator before it serves a key its prepared transaction stages.
+#[test]
+fn a_participant_cut_off_past_the_decision_budget_serves_no_state_before_the_rename() {
+    use switchfs::proto::MetaKey;
+    let mut cluster = cluster();
+    let (src_dir, dst_dir) = (cluster.preload_dir("/src"), cluster.preload_dir("/dst"));
+    let placement = cluster.placement();
+    // A rename whose destination inode is staged at a participant, not at
+    // the coordinator (the source's owner).
+    let dst_owner = |i: usize| placement.file_owner(&MetaKey::new(dst_dir, format!("g{i}")));
+    let i = (0..)
+        .find(|i| placement.file_owner(&MetaKey::new(src_dir, format!("f{i}"))) != dst_owner(*i))
+        .unwrap();
+    let (src, dst) = (format!("/src/f{i}"), format!("/dst/g{i}"));
+    let client = cluster.client(0);
+    let created = src.clone();
+    cluster.block_on(async move { client.create(&created).await.unwrap() });
+    let isolated = Rc::new(Cell::new(false));
+    cluster.network().install_switch(Box::new(IsolateOnCommit {
+        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        node: cluster.server_node_id(dst_owner(i).0 as usize),
+        fired: false,
+        isolated: isolated.clone(),
+    }));
+    let (client, from, to) = (cluster.client(0), src.clone(), dst.clone());
+    let outcome = cluster.block_on(async move { client.rename(&from, &to).await });
+    assert!(
+        isolated.get(),
+        "the participant was cut off until the reply"
+    );
+    assert_eq!(outcome, Ok(()), "the coordinator committed");
+    isolated.set(false);
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.stat(&dst).await.expect("the rename's destination");
+        assert_eq!(client.stat(&src).await.err(), Some(FsError::NotFound));
+        for (dir, name, listed) in [
+            ("/src", format!("f{i}"), false),
+            ("/dst", format!("g{i}"), true),
+        ] {
+            let (attrs, listing) = client.readdir(dir).await.unwrap();
+            assert_eq!(attrs.size, listing.len() as u64, "{dir}");
+            assert_eq!(listing.iter().any(|e| e.name == name), listed, "{dir}");
+        }
+    });
+}
+
 /// One applier for the live path and for replay: what a settled server has
 /// built record by record is what a replay of the same records rebuilds.
 #[test]
