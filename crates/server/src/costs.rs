@@ -6,6 +6,16 @@
 //! code path charges the service times below to its [`switchfs_simnet::CpuPool`],
 //! calibrated against the latency breakdown of Fig. 2(b), the operation
 //! latencies of Fig. 13 and the ~3 µs RTT of Fig. 15(a).
+//!
+//! Storage work is charged once, by the code that logs the record:
+//! `Server::apply_and_log` charges one WAL append plus one put per effect,
+//! and its callers charge only what they do before the log — lock
+//! operations, reads and the software path. A synchronous parent update
+//! therefore holds its fingerprint group's lock for
+//! `lock_op + kv_get + wal_append + 2 × kv_put` (3.4 µs). Two callers log
+//! with a charge of their own: an aggregation round's batch applier (one
+//! append and one attribute put for the record, the entries' puts spread
+//! over the cores) and the 2PC and migration markers (one append each).
 
 use switchfs_simnet::SimDuration;
 

@@ -1181,9 +1181,7 @@ impl Server {
             } => {
                 // Baseline helper: register a directory's content replica on
                 // the server that will hold its children.
-                self.cpu
-                    .run(self.cfg.costs.software_path + self.cfg.costs.kv_put)
-                    .await;
+                self.cpu.run(self.cfg.costs.software_path).await;
                 self.apply_and_log(
                     None,
                     vec![
@@ -1247,9 +1245,7 @@ impl Server {
             MetaOp::Chmod { mode, .. } => {
                 let lock = self.locks.inode(&key);
                 let _g = lock.write().await;
-                self.cpu
-                    .run(costs.lock_op + costs.kv_get + costs.kv_put + costs.wal_append)
-                    .await;
+                self.cpu.run(costs.lock_op + costs.kv_get).await;
                 let existing = self.inner.borrow_mut().inodes.get(&key);
                 let Some(mut attrs) = existing else {
                     return OpResult::Err(FsError::NotFound);
@@ -1503,10 +1499,15 @@ impl Server {
 
     /// Appends a WAL record, applies its effects to the volatile stores and
     /// charges the corresponding storage costs: one WAL append plus one put
-    /// per effect, on one core. The logging itself is the two synchronous
-    /// halves below with the disk wait between them; a caller that charges
-    /// differently (the batch applier, a 2PC marker) writes the same three
-    /// statements with its own wait.
+    /// per effect, on one core. That is the record's whole storage charge,
+    /// made once: a caller charges only what it does before the log — its
+    /// lock operations, reads and software path — never the append or the
+    /// puts again. The logging itself is the two synchronous halves below
+    /// with the disk wait between them; the two callers that charge
+    /// differently write the same three statements with their own wait: the
+    /// round's batch applier (one append and one attribute put, the entries'
+    /// puts spread over the cores) and the 2PC and migration markers (one
+    /// append).
     pub(crate) async fn apply_and_log(
         &self,
         op_id: Option<OpId>,

@@ -475,10 +475,6 @@ impl Server {
         if stale != StateImage::default() {
             self.delete_shard_local(&stale, false).await;
         }
-        let items = image.inodes.len() + image.entries.len() + image.pending.len();
-        self.cpu
-            .run(self.cfg.costs.kv_put * items.max(1) as u64)
-            .await;
         // Freshness merge: a directory inode has two routing roles under
         // the grouping policies (access replica by parent hash, content
         // replica by its own id hash), so a decommission draining both

@@ -685,8 +685,9 @@ impl Server {
     /// directory this server owns: one update from the synchronous parent
     /// paths, all of a committed rename's updates to it at once. The only
     /// place that writes down the applier discipline: ownership gate → dedup
-    /// check → fp-group write lock → inode write lock → cost charge →
-    /// [`Server::apply_and_log`] → stats. The fp-group lock excludes the
+    /// check → fp-group write lock → inode write lock → lock and read charge
+    /// → [`Server::apply_and_log`], which charges the record's append and
+    /// puts → stats. The fp-group lock excludes the
     /// batch appliers (aggregation, push), which hold it but not the inode
     /// lock; the inode lock excludes the directory's other writers (`chmod`,
     /// `rmdir`). However many `entries`, that is one turn at each lock, one
@@ -736,10 +737,7 @@ impl Server {
         // The costs and the directory id are read here, not held across the
         // awaits above: this future is part of every double-inode handler's.
         let costs = self.cfg.costs;
-        let puts = costs.kv_put * entries.len() as u64;
-        self.cpu
-            .run(costs.lock_op + costs.kv_get + puts + costs.wal_append)
-            .await;
+        self.cpu.run(costs.lock_op + costs.kv_get).await;
         let timestamp = entries.iter().map(|e| e.timestamp).fold(0, u64::max);
         let effects = self.dir_update_effects(
             dir_key,

@@ -455,9 +455,7 @@ impl Server {
                 TxnOp::PutInode { key, attrs } => {
                     let lock = self.locks.inode(key);
                     let _g = lock.write().await;
-                    self.cpu
-                        .run(costs.lock_op + costs.kv_put + costs.wal_append)
-                        .await;
+                    self.cpu.run(costs.lock_op).await;
                     self.apply_and_log(
                         None,
                         vec![KvEffect::PutInode(key.clone(), attrs.clone())],
@@ -467,7 +465,6 @@ impl Server {
                     .await;
                 }
                 TxnOp::DeleteInode { key } => {
-                    self.cpu.run(costs.kv_put + costs.wal_append).await;
                     self.apply_and_log(
                         None,
                         vec![KvEffect::DeleteInode(key.clone())],
@@ -479,13 +476,7 @@ impl Server {
                 TxnOp::PutDirContent { key, dir, entries } => {
                     let lock = self.locks.inode(key);
                     let _g = lock.write().await;
-                    self.cpu
-                        .run(
-                            costs.lock_op
-                                + costs.kv_put * (1 + entries.len() as u64)
-                                + costs.wal_append,
-                        )
-                        .await;
+                    self.cpu.run(costs.lock_op).await;
                     // Under grouping placement this server holds the
                     // directory's *content* inode replica (the one directory
                     // reads are served from) under the old key; re-key it so
@@ -511,9 +502,6 @@ impl Server {
                     self.apply_and_log(None, effects, None, Vec::new()).await;
                 }
                 TxnOp::DeleteDirContent { dir, names } => {
-                    self.cpu
-                        .run(costs.kv_put * (1 + names.len() as u64) + costs.wal_append)
-                        .await;
                     let mut effects = vec![KvEffect::UnindexDir(*dir)];
                     effects.extend(names.iter().map(|n| KvEffect::DeleteEntry(*dir, n.clone())));
                     self.apply_and_log(None, effects, None, Vec::new()).await;

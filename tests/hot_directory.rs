@@ -29,7 +29,10 @@
 //! 4. **A round applies its entries on every core.** The group lock is held
 //!    for a quarter of the entries' apply-and-put time on a 4-core owner,
 //!    not for a serial put per entry — and the holders are acknowledged
-//!    when the batch is durable, before that time is charged.
+//!    when the batch is durable, before that time is charged. A lone
+//!    synchronous update (an Emulated-CFS create into another server's
+//!    directory, a `chmod`) takes exactly the sum of its steps: a record's
+//!    append and puts are charged once, by the code that logs it.
 //! 5. **Pushes that carry nothing are not sent.** A holder re-sends an
 //!    unacknowledged batch at the pace of a retransmission, not of the scan
 //!    tick; the exchange still terminates when copies are lost; and no push
@@ -567,6 +570,60 @@ fn a_round_holds_the_group_lock_for_a_cores_share_of_its_entries() {
     assert!(
         held >= (costs.entry_apply + costs.kv_put) * (ENTRIES / cores) as u64,
         "the read was answered after {held:?}: before the apply was charged"
+    );
+}
+
+#[test]
+fn a_lone_synchronous_update_takes_exactly_the_sum_of_its_steps() {
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::EmulatedCfs));
+    let dir = cluster.preload_dir("/sync");
+    let placement = cluster.placement();
+    let owner = placement.dir_content_owner(Fingerprint::of_dir(&DirId::ROOT, "sync"), &dir);
+    // A file whose inode lives on another server than its parent's content.
+    let path = (0..)
+        .map(|i| format!("f{i}"))
+        .find(|name| placement.file_owner(&MetaKey::new(dir, name.as_str())) != owner)
+        .map(|name| format!("/sync/{name}"))
+        .unwrap();
+    let (client, handle) = (cluster.client(0), cluster.sim.handle());
+    let (create, chmod) = cluster.block_on(async move {
+        // A first create resolves the parent, so that each operation below
+        // is one request.
+        client.create("/sync/warm").await.expect("create");
+        let start = handle.now();
+        client.create(&path).await.expect("create");
+        let created = handle.now();
+        client.chmod(&path, 0o600).await.expect("chmod");
+        (
+            created.duration_since(start),
+            handle.now().duration_since(created),
+        )
+    });
+    let costs = cluster.servers()[0].costs();
+    let LinkParams {
+        link_latency,
+        switch_latency,
+    } = LinkParams::default();
+    // Host to switch, the switch, switch to host.
+    let hop = link_latency * 2 + switch_latency;
+    // The file's server: two locks and a read, then the inode's record.
+    let file_half =
+        costs.software_path + costs.lock_op * 2 + costs.kv_get + costs.wal_append + costs.kv_put;
+    // The parent's owner, under its group lock: a lock and a read, then one
+    // record of the entry and the directory's attributes, charged once.
+    let parent_half =
+        costs.software_path + costs.lock_op + costs.kv_get + costs.wal_append + costs.kv_put * 2;
+    assert_eq!(
+        create,
+        hop * 4 + file_half + parent_half,
+        "client → file's server → parent's owner and back"
+    );
+    let chmod_steps =
+        costs.software_path + costs.lock_op + costs.kv_get + costs.wal_append + costs.kv_put;
+    assert_eq!(
+        chmod,
+        hop * 2 + chmod_steps,
+        "client → file's server and back"
     );
 }
 
