@@ -22,7 +22,9 @@
 //! high-water mark over everything ever appended, so a torn LSN cannot
 //! collide with id-based duplicate suppression after recovery — and each
 //! recovery bumps a generation stamp so post-crash records are
-//! distinguishable from any pre-crash survivor.
+//! distinguishable from any pre-crash survivor. The log remembers where each
+//! generation started, so the LSNs a recovery gave up are not mistaken for a
+//! hole by the next one.
 
 /// splitmix64: the per-record fault draw for [`Wal::crash_apply`] and the
 /// modeled record checksum. Local: no other crate draws from it.
@@ -107,6 +109,12 @@ pub struct Wal<R> {
     flushed: u64,
     /// Current crash epoch, stamped into appended records.
     generation: u64,
+    /// The LSN each generation's appends start at (index `generation - 1`):
+    /// where its recovery left `next_lsn`. The LSNs between a generation's
+    /// last survivor and the next generation's start were truncated or
+    /// dropped for good, so that gap is not a hole a later recovery must
+    /// cut at. Part of the media state, like the records.
+    generation_starts: Vec<u64>,
     /// Number of bytes the log would occupy on persistent media, estimated
     /// by the caller via [`Wal::append_sized`]; used for reporting only.
     bytes: u64,
@@ -128,6 +136,7 @@ impl<R> Default for Wal<R> {
             next_lsn: 1,
             flushed: 0,
             generation: 1,
+            generation_starts: vec![1],
             bytes: 0,
             appends: 0,
             flushed_bytes: 0,
@@ -256,16 +265,22 @@ impl<R: Clone> Wal<R> {
     /// definition on media) and bumps the generation stamp. `next_lsn` is
     /// deliberately left at its high-water mark: a truncated LSN is never
     /// reissued, so it can never collide with id-based duplicate
-    /// suppression built from the replayed log.
+    /// suppression built from the replayed log. The gap that leaves before
+    /// the next generation's first record is not a hole: a record that
+    /// starts its generation follows whatever an earlier recovery kept.
     pub fn recover_truncate(&mut self) -> TornTailReport {
         let mut cut = 0usize;
-        let mut prev: Option<u64> = None;
+        let mut prev: Option<&WalRecord<R>> = None;
         for r in &self.records {
-            let contiguous = prev.is_none_or(|p| r.lsn == p + 1);
+            let starts_generation =
+                self.generation_starts.get(r.generation as usize - 1) == Some(&r.lsn);
+            let contiguous = prev.is_none_or(|p| {
+                r.lsn == p.lsn + 1 || r.generation > p.generation && starts_generation
+            });
             if !contiguous || !r.is_intact() {
                 break;
             }
-            prev = Some(r.lsn);
+            prev = Some(r);
             cut += 1;
         }
         let torn = self.records[cut..]
@@ -282,6 +297,7 @@ impl<R: Clone> Wal<R> {
             self.flushed = self.flushed.max(last.lsn);
         }
         self.generation += 1;
+        self.generation_starts.push(self.next_lsn);
         TornTailReport { truncated, torn }
     }
 
@@ -661,6 +677,35 @@ mod tests {
         assert_eq!(report.truncated, 1);
         assert_eq!(report.torn, 0);
         assert_eq!(wal.records().last().unwrap().lsn, 7);
+    }
+
+    #[test]
+    fn a_later_recovery_keeps_what_was_appended_after_an_earlier_one() {
+        let mut wal = Wal::new();
+        wal.append_sized(0u32, 8);
+        wal.flush();
+        // The whole unflushed tail (LSNs 2 and 3) is dropped: the first
+        // recovery sees no gap, and the next generation starts at LSN 4.
+        wal.append_sized(1, 8);
+        wal.append_sized(2, 8);
+        wal.records.retain(|r| r.lsn == 1);
+        assert_eq!(wal.recover_truncate(), TornTailReport::default());
+        assert_eq!(wal.append_sized(3, 8), 4);
+        wal.append_sized(4, 8);
+        wal.flush();
+        // A second crash drops only an unflushed record: what was flushed
+        // after the first recovery survives the second.
+        wal.append_sized(5, 8);
+        wal.records.retain(|r| r.lsn != 6);
+        assert_eq!(wal.recover_truncate().truncated, 0);
+        let lsns = |wal: &Wal<u32>| wal.records().iter().map(|r| r.lsn).collect::<Vec<_>>();
+        assert_eq!(lsns(&wal), [1, 4, 5]);
+        // A generation that lost its first record still cuts there.
+        let first = wal.append_sized(6, 8);
+        wal.append_sized(7, 8);
+        wal.records.retain(|r| r.lsn != first);
+        assert_eq!(wal.recover_truncate().truncated, 1);
+        assert_eq!(lsns(&wal), [1, 4, 5]);
     }
 
     #[test]
