@@ -687,10 +687,10 @@ impl Server {
     /// place that writes down the applier discipline: ownership gate → dedup
     /// check → fp-group write lock → inode write lock → lock and read charge
     /// → [`Server::apply_and_log`], which charges the record's append and
-    /// puts → stats. The fp-group lock excludes the
-    /// batch appliers (aggregation, push), which hold it but not the inode
-    /// lock; the inode lock excludes the directory's other writers (`chmod`,
-    /// `rmdir`). However many `entries`, that is one turn at each lock, one
+    /// puts → stats. The fp-group lock excludes the batch appliers
+    /// (aggregation, push), which hold it but not the inode lock; the inode
+    /// lock excludes the directory's other writers (`chmod`, `rmdir`).
+    /// However many `entries`, that is one turn at each lock, one
     /// round for a `Txn` and one record carrying every entry and its id; so
     /// either all of them were applied before or none, and the dedup check
     /// skips the call only when all were.
