@@ -297,17 +297,17 @@ pub struct ClientResponse {
     pub server: ServerId,
 }
 
-/// Payload of a fallback synchronous directory update, used when a dirty-set
-/// insert overflows and the switch redirects the commit notification to the
-/// parent directory's owner server (§5.2.1, §6.2).
+/// The synchronous parent update an [`ServerMsg::AsyncCommit`] carries for
+/// the overflow path: when the dirty-set insert overflows, the switch
+/// redirects the commit to the parent directory's owner (§5.2.1, §6.2),
+/// which applies this update as it would a [`ServerMsg::RemoteDirUpdate`]
+/// and answers the origin. The origin, not the owner, replies to the client.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncFallback {
     /// Key of the parent directory to update synchronously.
     pub dir_key: MetaKey,
     /// The update to apply.
     pub entry: ChangeLogEntry,
-    /// Network node id of the client waiting for the response.
-    pub client_node: u32,
 }
 
 /// Data carried by an aggregation-related message.
@@ -328,17 +328,22 @@ pub enum ServerMsg {
     /// Commit notification of an asynchronous double-inode operation,
     /// carrying a dirty-set `insert`. On success the switch multicasts it to
     /// the client (operation completion) and back to the origin server
-    /// (lock release); on overflow the address rewriter redirects it to the
-    /// parent directory's owner for synchronous fallback (§5.2.1).
+    /// (lock release). On overflow the address rewriter redirects it to the
+    /// parent directory's owner, which serves it as the synchronous parent
+    /// update it falls back to (§5.2.1): the owner applies `fallback` as it
+    /// applies a [`ServerMsg::RemoteDirUpdate`] and answers the origin with
+    /// [`Reply::Done`] under `op_token`; the origin then replies to the
+    /// client.
     AsyncCommit {
         /// Response destined for the client.
         response: ClientResponse,
         /// Server that executed the local half (to release its locks when
         /// the packet is mirrored back).
         origin: ServerId,
-        /// Token identifying the pending operation on the origin server.
+        /// Token identifying the pending operation on the origin server;
+        /// the overflow path's `req_id`.
         op_token: u64,
-        /// Fallback information for the overflow path.
+        /// The parent update for the overflow path.
         fallback: SyncFallback,
     },
     /// Aggregation request from a directory owner, carrying a dirty-set
@@ -404,7 +409,10 @@ pub enum ServerMsg {
     },
     /// Synchronous remote directory update, used by the baselines
     /// (E-InfiniFS / E-CFS cross-server double-inode operations) and by the
-    /// SwitchFS overflow fallback.
+    /// SwitchFS overflow fallback once the owner the switch rewrote the
+    /// commit to refused it or never answered. The owner serves it, and an
+    /// overflowed [`ServerMsg::AsyncCommit`], with one handler, answering
+    /// [`Reply::Done`].
     RemoteDirUpdate {
         /// Request token for matching the acknowledgment.
         req_id: u64,
@@ -512,16 +520,6 @@ pub enum ServerMsg {
         /// Entries of the responding server's invalidation list.
         list: Vec<(DirId, MetaKey)>,
     },
-    /// Notification from the synchronous-fallback server back to the origin
-    /// server that an overflowed asynchronous commit has been applied
-    /// synchronously; the origin releases its locks and discards the
-    /// corresponding change-log entry.
-    FallbackDone {
-        /// Token of the pending operation on the origin server.
-        op_token: u64,
-        /// Id of the change-log entry that was applied synchronously.
-        entry_id: OpId,
-    },
     /// A dirty-set operation sent to the software tracker of the
     /// fingerprint — the dedicated coordinator or the directory's owner
     /// (§7.3.3) — instead of to the switch. Answered with [`Reply::Dirty`].
@@ -580,7 +578,8 @@ pub enum ServerMsg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
-    /// `RemoteDirUpdate`, `RemoteTxnOp`, `InitDirContent`, `ShardInstall`,
+    /// `RemoteDirUpdate`, an overflowed `AsyncCommit` (under its
+    /// `op_token`), `RemoteTxnOp`, `InitDirContent`, `ShardInstall`,
     /// `TxnCommit` and `TxnAbort`.
     Done(Result<(), FsError>),
     /// A participant's vote on a `TxnPrepare`.

@@ -425,13 +425,7 @@ fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
 }
 
 fn arb_fallback() -> impl Strategy<Value = SyncFallback> {
-    (arb_key(), arb_changelog_entry(), any::<u32>()).prop_map(|(dir_key, entry, client_node)| {
-        SyncFallback {
-            dir_key,
-            entry,
-            client_node,
-        }
-    })
+    (arb_key(), arb_changelog_entry()).prop_map(|(dir_key, entry)| SyncFallback { dir_key, entry })
 }
 
 fn arb_body() -> impl Strategy<Value = Body> {

@@ -27,6 +27,7 @@ use switchfs_kvstore::KvStore;
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, ServerMsg,
+    SyncFallback,
 };
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
@@ -95,13 +96,6 @@ pub(crate) enum TokenReply {
     /// An asynchronous commit came back mirrored: the switch stored the
     /// fingerprint and delivered the client's copy.
     Mirrored,
-    /// An asynchronous commit's insert overflowed; the fallback server
-    /// applied the update synchronously and notified us. Carries the
-    /// applier's identity (from the notification's source) so the later
-    /// discard confirmation reaches the server that actually holds the id —
-    /// which may differ from the current map owner if the shard flips in
-    /// between.
-    FallbackDone(Option<ServerId>),
 }
 
 impl TokenReply {
@@ -1036,19 +1030,25 @@ impl Server {
     // the per-packet copy small.
     async fn handle_server_msg(&self, src: NodeId, msg: ServerMsg, dirty_ret: Option<DirtyRet>) {
         match msg {
+            // What the switch made of an asynchronous commit's insert: the
+            // mirror copy back at the origin, or, on overflow, the commit
+            // rewritten to the parent's owner, which serves it as the
+            // synchronous parent update it falls back to (§5.2.1).
             ServerMsg::AsyncCommit {
-                response,
                 origin,
                 op_token,
                 fallback,
-            } => {
-                Box::pin(
-                    self.handle_async_commit_packet(
-                        response, origin, op_token, fallback, dirty_ret,
-                    ),
-                )
-                .await;
-            }
+                ..
+            } => match dirty_ret {
+                Some(DirtyRet::Inserted) if origin == self.cfg.id => {
+                    self.complete_token(op_token, TokenReply::Mirrored);
+                }
+                Some(DirtyRet::Overflowed) => {
+                    let SyncFallback { dir_key, entry } = fallback;
+                    Box::pin(self.handle_remote_dir_update(src, op_token, dir_key, entry)).await;
+                }
+                _ => {}
+            },
             ServerMsg::AggregationRequest { agg, invalidate } => {
                 Box::pin(self.handle_aggregation_request(agg, invalidate)).await;
             }
@@ -1088,10 +1088,6 @@ impl Server {
             }
             ServerMsg::Reply { req_id, reply } => {
                 self.complete_token(req_id, TokenReply::Server(reply));
-            }
-            ServerMsg::FallbackDone { op_token, .. } => {
-                let applier = self.server_id_of(src);
-                self.complete_token(op_token, TokenReply::FallbackDone(applier));
             }
             ServerMsg::DirtySet { req_id, op, fp } => {
                 // The owner's CPU pays for every remote dirty-set operation:
@@ -1481,15 +1477,25 @@ impl Server {
         token: u64,
         body: Body,
     ) -> Option<TokenReply> {
+        self.request_with_retries(token, || self.send_plain(dst, body.clone()))
+            .await
+    }
+
+    /// A token-matched exchange, retransmitted by `send` (which must put
+    /// `token` on the wire) until answered. Returns `None` after exhausting
+    /// the retry budget.
+    pub(crate) async fn request_with_retries(
+        &self,
+        token: u64,
+        send: impl Fn(),
+    ) -> Option<TokenReply> {
         // Exponential backoff, mirroring the client.
         for attempt in 0..=self.cfg.costs.max_retries {
             if attempt > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
             let wait = self.cfg.costs.retry_wait(attempt);
-            let reply = self
-                .request_once(token, wait, || self.send_plain(dst, body.clone()))
-                .await;
+            let reply = self.request_once(token, wait, &send).await;
             if reply.is_some() {
                 return reply;
             }

@@ -18,7 +18,7 @@ use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, ServerMsg, SyncFallback,
 };
 use switchfs_proto::{
-    ChangeLogEntry, ChangeOp, DirtyRet, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
+    ChangeLogEntry, ChangeOp, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
     InodeAttrs, OpResult, Placement, ServerId,
 };
 use switchfs_simnet::{FxHashSet, NodeId};
@@ -33,11 +33,9 @@ use crate::wal::KvEffect;
 pub(crate) enum CommitOutcome {
     /// The switch delivered the response to the client by multicast.
     DeliveredBySwitch,
-    /// The response still has to be sent by this server.
+    /// The response still has to be sent by this server: after a software
+    /// tracker's insert, or after an overflow's synchronous parent update.
     NeedDirectReply,
-    /// The dirty-set insert overflowed; the parent owner applied the update
-    /// synchronously and already replied to the client.
-    FallbackHandled,
 }
 
 /// Who hands [`Server::apply_dir_update`] its updates.
@@ -46,9 +44,11 @@ pub(crate) enum DirUpdateSource {
     /// This server's own handler, updating a parent it owns (baseline
     /// parent update with file and directory colocated). One update.
     Local,
-    /// Another server's message (overflow fallback, `RemoteDirUpdate`):
-    /// applied only while this server still owns the directory, and counted
-    /// in `remote_updates`. One update.
+    /// Another server's synchronous parent update: a `RemoteDirUpdate`, or
+    /// an `AsyncCommit` the switch rewrote to this owner on overflow, both
+    /// served by [`Server::handle_remote_dir_update`]. Applied only while
+    /// this server still owns the directory, and counted in
+    /// `remote_updates`. One update.
     Remote,
     /// A committed rename transaction, with all of its updates to the
     /// directory — both of them when source and destination share a parent:
@@ -59,8 +59,9 @@ pub(crate) enum DirUpdateSource {
 
 impl Server {
     /// Handles `create`, `delete` and `mkdir`. Returns `Some(result)` when
-    /// this server must reply directly, `None` when the reply has already
-    /// been delivered (through the switch multicast or the fallback path).
+    /// this server must reply directly, `None` when the commit tail has
+    /// already seen to the reply (the switch multicast, or a direct reply
+    /// after the parent was marked or updated).
     pub(crate) async fn handle_double_inode(
         &self,
         client_node: NodeId,
@@ -190,8 +191,8 @@ impl Server {
     /// steps 4–7), entered with the operation's locks held: WAL append of
     /// the local half together with the deferred parent update, change-log
     /// append, durable completion record, dirty-set update — and the reply,
-    /// which the switch delivers unless the tracking mode (or an exhausted
-    /// retry budget) leaves it to this server.
+    /// which the switch delivers unless the tracking mode or an overflow
+    /// leaves it to this server.
     async fn commit_deferred(
         &self,
         client_node: NodeId,
@@ -218,7 +219,7 @@ impl Server {
             .async_commit(client_node, &response, parent, entry)
             .await
         {
-            CommitOutcome::DeliveredBySwitch | CommitOutcome::FallbackHandled => {}
+            CommitOutcome::DeliveredBySwitch => {}
             CommitOutcome::NeedDirectReply => {
                 self.send_plain(client_node, Body::Response(response));
             }
@@ -550,7 +551,16 @@ impl Server {
 
     /// Marks the parent directory scattered and arranges for the response to
     /// reach the client: the switch delivers it after an in-network insert,
-    /// this server after a software tracker's.
+    /// this server after a software tracker's insert or after an overflow's
+    /// synchronous parent update.
+    ///
+    /// On overflow the switch's address rewriter sends the commit to the
+    /// header's alternative address, the parent's owner as of the first
+    /// copy, which serves it as a `RemoteDirUpdate` under the commit's
+    /// token. Its `ACK` means the update is applied there: the entry is
+    /// discarded here and confirmed to that owner. A refusal (the owner's
+    /// shard is frozen or moved away) or no answer at all ends in
+    /// [`Server::sync_parent_update`], which re-resolves the owner.
     pub(crate) async fn async_commit(
         &self,
         client_node: NodeId,
@@ -565,108 +575,58 @@ impl Server {
             return CommitOutcome::NeedDirectReply;
         }
         let parent_owner = self.cfg.placement.dir_owner_by_fp(parent.fp);
-        let parent_owner_node = self.cfg.node_of(parent_owner);
         let op_token = self.next_token();
-        let hdr = DirtySetHeader::insert(parent.fp, parent_owner_node.0);
-        for attempt in 0..=self.cfg.costs.max_retries {
-            if attempt > 0 {
-                self.inner.borrow_mut().stats.retransmissions += 1;
-            }
-            // The packet is addressed to the client; the switch multicasts a
-            // mirror copy back to this server when the insert succeeds. Its
-            // body is built per transmission: a packet owns what it carries.
-            match self
-                .request_once(op_token, self.cfg.costs.request_timeout, || {
-                    let body = Body::Server(ServerMsg::AsyncCommit {
-                        response: response.clone(),
-                        origin: self.cfg.id,
-                        op_token,
-                        fallback: SyncFallback {
-                            dir_key: parent.key.clone(),
-                            entry: entry.clone(),
-                            client_node: client_node.0,
-                        },
-                    });
-                    self.send_dirty(client_node, hdr, body)
-                })
-                .await
-            {
-                Some(TokenReply::Mirrored) => {
-                    return CommitOutcome::DeliveredBySwitch;
-                }
-                Some(TokenReply::FallbackDone(applier)) => {
-                    // The overflow fallback applied the entry synchronously:
-                    // discard it here, confirming to the server that
-                    // actually applied it (the notification's sender — not
-                    // the current map owner, which can differ across a
-                    // shard flip).
-                    let id = entry.entry_id;
-                    self.discard_applied_entries(
-                        |logs| {
-                            let log = logs.get_mut(&parent.id);
-                            (log.map_or(0, |log| usize::from(log.discard_one(id))), ())
-                        },
-                        &FxHashSet::from_iter([id]),
-                        applier,
-                    );
-                    self.inner.borrow_mut().stats.fallback_syncs += 1;
-                    return CommitOutcome::FallbackHandled;
-                }
-                _ => {}
-            }
-        }
+        let hdr = DirtySetHeader::insert(parent.fp, self.cfg.node_of(parent_owner).0);
+        // The packet is addressed to the client; the switch multicasts a
+        // mirror copy back to this server when the insert succeeds. Its body
+        // is built per transmission: a packet owns what it carries.
+        let answer = self
+            .request_with_retries(op_token, || {
+                let body = Body::Server(ServerMsg::AsyncCommit {
+                    response: response.clone(),
+                    origin: self.cfg.id,
+                    op_token,
+                    fallback: SyncFallback {
+                        dir_key: parent.key.clone(),
+                        entry: entry.clone(),
+                    },
+                });
+                self.send_dirty(client_node, hdr, body)
+            })
+            .await;
+        let applier = match answer {
+            Some(TokenReply::Mirrored) => return CommitOutcome::DeliveredBySwitch,
+            Some(TokenReply::ACK) => Some(parent_owner),
+            // Boxed: a cold path, which would otherwise set the size of
+            // every double-inode handler's future. `sync_parent_update`
+            // confirms the discard to the server that applied the update; an
+            // update it could not apply stays in the change-log for a push
+            // or a round to carry.
+            _ => match Box::pin(self.sync_parent_update(parent, entry)).await {
+                Ok(()) => None,
+                Err(_) => return CommitOutcome::NeedDirectReply,
+            },
+        };
+        let id = entry.entry_id;
+        self.discard_applied_entries(
+            |logs| {
+                let log = logs.get_mut(&parent.id);
+                (log.map_or(0, |log| usize::from(log.discard_one(id))), ())
+            },
+            &FxHashSet::from_iter([id]),
+            applier,
+        );
+        self.inner.borrow_mut().stats.fallback_syncs += 1;
         CommitOutcome::NeedDirectReply
     }
 
-    /// Handles an `AsyncCommit` packet. Depending on where it arrives it is
-    /// either the mirror copy (back at the origin server) or the overflow
-    /// fallback (at the parent directory's owner).
-    pub(crate) async fn handle_async_commit_packet(
-        &self,
-        response: ClientResponse,
-        origin: switchfs_proto::ServerId,
-        op_token: u64,
-        fallback: SyncFallback,
-        dirty_ret: Option<DirtyRet>,
-    ) {
-        if origin == self.cfg.id && dirty_ret == Some(DirtyRet::Inserted) {
-            // Mirror copy: release the waiting handler's locks.
-            self.complete_token(op_token, TokenReply::Mirrored);
-            return;
-        }
-        if dirty_ret == Some(DirtyRet::Overflowed) {
-            // Address-rewriter fallback: apply the deferred update
-            // synchronously, reply to the client, and notify the origin.
-            let applied = self
-                .apply_dir_update(
-                    &fallback.dir_key,
-                    &[&fallback.entry],
-                    DirUpdateSource::Remote,
-                )
-                .await;
-            if applied == Err(FsError::Unavailable) {
-                // The parent directory's shard is frozen by an outbound
-                // migration (or already flipped away): drop the fallback;
-                // the origin's commit wait times out and the operation
-                // retries against the current owner.
-                return;
-            }
-            self.send_plain(NodeId(fallback.client_node), Body::Response(response));
-            self.send_plain(
-                self.cfg.node_of(origin),
-                Body::Server(ServerMsg::FallbackDone {
-                    op_token,
-                    entry_id: fallback.entry.entry_id,
-                }),
-            );
-        }
-    }
-
-    /// Handles a synchronous remote directory update (baseline double-inode
-    /// operations). A frozen
-    /// or flipped-away directory fails with `Unavailable` instead of
-    /// stranding the update at a non-owner: the caller re-resolves the owner
-    /// against the shared map and retries there.
+    /// Handles a synchronous remote directory update — a `RemoteDirUpdate`
+    /// (the baselines' parent update, and an overflow's after a refusal) or
+    /// an overflowed `AsyncCommit`, whose token is `req_id` — and answers
+    /// `Reply::Done` with the result. A frozen or flipped-away directory
+    /// fails with `Unavailable` instead of stranding the update at a
+    /// non-owner: the caller re-resolves the owner against the shared map
+    /// and retries there.
     pub(crate) async fn handle_remote_dir_update(
         &self,
         src: NodeId,
@@ -683,13 +643,16 @@ impl Server {
 
     /// Applies one directory's updates (one at least) synchronously to a
     /// directory this server owns: one update from the synchronous parent
-    /// paths, all of a committed rename's updates to it at once. The only
-    /// place that writes down the applier discipline: ownership gate → dedup
-    /// check → fp-group write lock → inode write lock → lock and read charge
-    /// → [`Server::apply_and_log`], which charges the record's append and
-    /// puts → stats. The fp-group lock excludes the batch appliers
-    /// (aggregation, push), which hold it but not the inode lock; the inode
-    /// lock excludes the directory's other writers (`chmod`, `rmdir`).
+    /// paths (the baselines' and an overflow's), all of a committed rename's
+    /// updates to it at once. The only place that writes down the applier
+    /// discipline: ownership gate → fp-group write lock → dedup check →
+    /// inode write lock → lock and read charge → [`Server::apply_and_log`],
+    /// which charges the record's append and puts → stats. The fp-group lock
+    /// excludes the batch appliers (aggregation, push), which hold it but
+    /// not the inode lock; the inode lock excludes the directory's other
+    /// writers (`chmod`, `rmdir`). The dedup check comes after the group
+    /// lock because every applier of the group holds that lock: a copy that
+    /// queued behind the one that applied its id finds the id applied.
     /// However many `entries`, that is one turn at each lock, one
     /// round for a `Txn` and one record carrying every entry and its id; so
     /// either all of them were applied before or none, and the dedup check
@@ -711,14 +674,14 @@ impl Server {
         {
             return Err(FsError::Unavailable);
         }
+        let fpg = self.locks.fp_group(fp);
+        let _fpg_guard = fpg.write().await;
         if entries
             .iter()
             .all(|e| self.inner.borrow().entry_already_applied(&e.entry_id))
         {
             return Ok(());
         }
-        let fpg = self.locks.fp_group(fp);
-        let _fpg_guard = fpg.write().await;
         if source == DirUpdateSource::Txn && self.cfg.update_mode.is_async() {
             // The directory may hold deferred change-log entries that
             // logically precede this synchronous update (e.g. the create of

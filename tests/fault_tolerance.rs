@@ -1585,6 +1585,93 @@ fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected()
     });
 }
 
+/// The cluster's switch program behind a filter that loses the first
+/// asynchronous commit it sees.
+struct LoseFirstCommit {
+    program: SwitchAdapter,
+    lost: Rc<Cell<bool>>,
+}
+
+impl SwitchLogic<NetMsg> for LoseFirstCommit {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+        if matches!(
+            pkt.payload.body,
+            Body::Server(ServerMsg::AsyncCommit { .. })
+        ) && !self.lost.replace(true)
+        {
+            return vec![SwitchAction::Drop];
+        }
+        self.program.process(now, pkt)
+    }
+}
+
+/// An overflowed create whose parent's shard moves while the commit is in
+/// flight. The switch rewrites every copy of the commit to the owner its
+/// header named before the first, and that server no longer owns the
+/// directory: it refuses, and the create's server updates the parent at the
+/// owner the map names now and replies, instead of spending its retry budget
+/// on the old one.
+#[test]
+fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
+    use switchfs::proto::{DirId, Fingerprint, MetaKey, ServerId};
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    cfg.force_dirty_overflow = true;
+    let mut cluster = Cluster::new(cfg);
+    let dir = cluster.preload_dir("/o");
+    let placement = cluster.placement();
+    let fp = Fingerprint::of_dir(&DirId::ROOT, "o");
+    let old = placement.dir_owner_by_fp(fp);
+    let new = ServerId((old.0 + 1) % cluster.servers().len() as u32);
+    // A file on neither owner, so both parent updates cross the network.
+    let name = (0..)
+        .map(|i| format!("f{i}"))
+        .find(|name| ![old, new].contains(&placement.file_owner(&MetaKey::new(dir, name))))
+        .unwrap();
+    let lost = Rc::new(Cell::new(false));
+    cluster.network().install_switch(Box::new(LoseFirstCommit {
+        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        lost: lost.clone(),
+    }));
+
+    let (client, path) = (cluster.client(0), format!("/o/{name}"));
+    let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
+    let shard = placement.shard_of_hash(fp.hash64());
+    let h = cluster.sim.handle();
+    let (flipped_at, acked_at) = cluster.block_on(async move {
+        let clock = h.clone();
+        let create = h.spawn_with_result(async move {
+            client.create(&path).await.expect("the create");
+            clock.now()
+        });
+        while !lost.get() {
+            h.sleep(SimDuration::micros(1)).await;
+        }
+        let flipped_at = Cell::new(None);
+        let moved = donor
+            .migrate_shards(&[(shard, new)], |s, to| {
+                flip.assign(s, to);
+                flipped_at.set(Some(h.now()));
+            })
+            .await;
+        assert_eq!(moved, 1);
+        (flipped_at.get().unwrap(), create.join().await)
+    });
+    let budget = cluster.config().cost_model().request_timeout * 3;
+    assert!(
+        acked_at.duration_since(flipped_at) <= budget,
+        "acknowledged {:?} after the flip, more than {budget:?}",
+        acked_at.duration_since(flipped_at)
+    );
+    assert!(
+        cluster.servers()[new.0 as usize]
+            .peek_entries(&dir)
+            .contains(&name),
+        "the new owner lists the entry"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Graceful server decommission (elastic shrink)
 // ---------------------------------------------------------------------------

@@ -211,27 +211,34 @@ fn stale_client_caches_are_invalidated_lazily_after_rmdir() {
     });
 }
 
+/// §7.3.2's run: 2,000 creates into one directory at 256 in flight, every
+/// dirty-set insert overflowing. Each create is one synchronous parent
+/// update at the directory's owner, however many copies of its commit queue
+/// there behind the first, and one fallback at the server that ran it.
 #[test]
 fn dirty_set_overflow_falls_back_to_synchronous_updates() {
+    use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
+    const CREATES: u64 = 2_000;
     let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 4;
-    cfg.clients = 1;
+    cfg.servers = 8;
+    cfg.clients = 4;
     cfg.force_dirty_overflow = true;
-    let cluster = Cluster::new(cfg);
-    let client = cluster.client(0);
-    cluster.block_on(async move {
-        client.mkdir("/d").await.unwrap();
-        for i in 0..10 {
-            client.create(&format!("/d/f{i}")).await.unwrap();
-        }
-        let d = client.statdir("/d").await.unwrap();
-        assert_eq!(d.size, 10);
-    });
+    let mut cluster = Cluster::new(cfg);
+    let ns = NamespaceSpec::single_large_dir(0);
+    let dir = ns.dir_path(0);
+    cluster.preload_dir(&dir);
+    let items = WorkloadBuilder::new(ns, 5).uniform(OpKind::Create, CREATES as usize);
+    let report = cluster.run_workload(items, 256, None);
+    assert_eq!(report.errors, 0);
     let stats = cluster.total_server_stats();
-    assert!(
-        stats.fallback_syncs > 0,
-        "forced overflow must exercise the synchronous fallback path"
+    assert_eq!(
+        (stats.remote_updates, stats.fallback_syncs),
+        (CREATES, CREATES),
+        "updates applied by the owner, fallbacks finished by the origins"
     );
+    let client = cluster.client(0);
+    let size = cluster.block_on(async move { client.statdir(&dir).await.unwrap().size });
+    assert_eq!(size, CREATES);
 }
 
 #[test]
