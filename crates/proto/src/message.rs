@@ -501,11 +501,16 @@ pub enum ServerMsg {
         /// Key of the invalidated directory.
         dir_key: MetaKey,
     },
-    /// Broadcast retracting an invalidation-list entry: sent when an `rmdir`
-    /// that already announced the directory's removal (through the
-    /// aggregation multicast) fails its emptiness check and therefore does
-    /// not remove the directory after all.
+    /// Retracts an invalidation-list entry: sent to every other server when
+    /// an `rmdir` that already announced the directory's removal (through
+    /// the aggregation multicast) fails its emptiness check and therefore
+    /// does not remove the directory after all. Answered with
+    /// [`Reply::Done`] once the retraction is durable, and retransmitted
+    /// until then: a server that missed it would reject everything under
+    /// the directory as stale for good.
     InvalidationRevoke {
+        /// Request token, echoed by the acknowledgment.
+        req_id: u64,
         /// Id of the directory whose invalidation is retracted.
         dir_id: DirId,
     },
@@ -579,8 +584,8 @@ pub enum ServerMsg {
 pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
     /// `RemoteDirUpdate`, an overflowed `AsyncCommit` (under its
-    /// `op_token`), `RemoteTxnOp`, `InitDirContent`, `ShardInstall`,
-    /// `TxnCommit` and `TxnAbort`.
+    /// `op_token`), `RemoteTxnOp`, `InitDirContent`, `InvalidationRevoke`,
+    /// `ShardInstall`, `TxnCommit` and `TxnAbort`.
     Done(Result<(), FsError>),
     /// A participant's vote on a `TxnPrepare`.
     Vote {

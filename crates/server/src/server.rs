@@ -1106,10 +1106,12 @@ impl Server {
                 .await;
             }
             // Logged like the `Invalidate` it undoes, or a replay would
-            // re-apply that one alone.
-            ServerMsg::InvalidationRevoke { dir_id } => {
+            // re-apply that one alone; acknowledged once the record is
+            // flushed.
+            ServerMsg::InvalidationRevoke { req_id, dir_id } => {
                 self.apply_and_log(None, vec![KvEffect::Revoke(dir_id)], None, Vec::new())
                     .await;
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
             }
             ServerMsg::TxnPrepare {
                 req_id,

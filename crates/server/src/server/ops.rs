@@ -449,11 +449,20 @@ impl Server {
             // The aggregation multicast already announced the removal to the
             // other servers' invalidation lists; retract it, since the
             // directory is staying (otherwise later operations under it would
-            // be rejected as stale forever).
-            self.multicast_plain(
-                &self.cfg.other_servers(),
-                Body::Server(ServerMsg::InvalidationRevoke { dir_id }),
-            );
+            // be rejected as stale forever), at each of them before the
+            // reply. Boxed: a cold path.
+            let revoke = async {
+                for server in self.cfg.other_servers() {
+                    let token = self.next_token();
+                    let body = Body::Server(ServerMsg::InvalidationRevoke {
+                        req_id: token,
+                        dir_id,
+                    });
+                    self.send_with_ack(self.cfg.node_of(server), token, body)
+                        .await;
+                }
+            };
+            Box::pin(revoke).await;
             return Some(OpResult::Err(FsError::NotEmpty));
         }
 

@@ -509,6 +509,67 @@ fn a_refused_rmdir_stays_refused_across_a_crash() {
     );
 }
 
+/// The cluster's switch program behind a filter that loses the first
+/// invalidation revoke addressed to one server.
+struct LoseFirstRevoke {
+    program: SwitchAdapter,
+    node: NodeId,
+    lost: Rc<Cell<bool>>,
+}
+
+impl SwitchLogic<NetMsg> for LoseFirstRevoke {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+        if matches!(
+            pkt.payload.body,
+            Body::Server(ServerMsg::InvalidationRevoke { .. })
+        ) && pkt.dst == self.node
+            && !self.lost.replace(true)
+        {
+            return vec![SwitchAction::Drop];
+        }
+        self.program.process(now, pkt)
+    }
+}
+
+/// A refused `rmdir` retracts the removal it announced at every other
+/// server before it replies, so one lost copy of the retraction leaves no
+/// server rejecting the directory's children as stale.
+#[test]
+fn a_refused_rmdirs_revoke_reaches_a_server_that_lost_its_first_copy() {
+    use switchfs::proto::{DirId, Fingerprint, MetaKey};
+    let mut cluster = cluster();
+    let dir = cluster.preload_dir("/keep");
+    let placement = cluster.placement();
+    let rmdir_server = placement.dir_owner_by_fp(Fingerprint::of_dir(&DirId::ROOT, "keep"));
+    // A child whose server is not the one that runs the rmdir, so the
+    // revoke has to reach it over the network.
+    let name = (0..)
+        .map(|i| format!("f{i}"))
+        .find(|name| placement.file_owner(&MetaKey::new(dir, name)) != rmdir_server)
+        .unwrap();
+    let server = placement.file_owner(&MetaKey::new(dir, &name));
+    let client = cluster.client(0);
+    cluster.block_on(async move { client.create("/keep/first").await.unwrap() });
+    let lost = Rc::new(Cell::new(false));
+    cluster.network().install_switch(Box::new(LoseFirstRevoke {
+        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        node: cluster.server_node_id(server.0 as usize),
+        lost: lost.clone(),
+    }));
+    let client = cluster.client(0);
+    let (refused, created) = cluster.block_on(async move {
+        let refused = client.rmdir("/keep").await;
+        (refused, client.create(&format!("/keep/{name}")).await)
+    });
+    assert_eq!(refused, Err(FsError::NotEmpty));
+    assert!(lost.get(), "the first revoke to {server} was lost");
+    assert_eq!(
+        created.map(|_| ()),
+        Ok(()),
+        "a create under the directory through {server}"
+    );
+}
+
 /// The cluster's switch program behind a filter that loses every change-log
 /// push and counts the aggregation acknowledgments that cross.
 struct RoundsOnly {
