@@ -630,8 +630,9 @@ impl Server {
     }
 
     /// Handles a synchronous remote directory update — a `RemoteDirUpdate`
-    /// (the baselines' parent update, and an overflow's after a refusal) or
-    /// an overflowed `AsyncCommit`, whose token is `req_id` — and answers
+    /// (the baselines' parent update, and an overflow's once the rewriter's
+    /// target refused or never answered) or an overflowed `AsyncCommit`,
+    /// whose token is `req_id` — and answers
     /// `Reply::Done` with the result. A frozen or flipped-away directory
     /// fails with `Unavailable` instead of stranding the update at a
     /// non-owner: the caller re-resolves the owner against the shared map
