@@ -36,7 +36,7 @@ pub struct CostModel {
     pub changelog_append: SimDuration,
     /// Applying one change-log entry to a directory inode / entry list.
     pub entry_apply: SimDuration,
-    /// Scanning one directory entry during `readdir`.
+    /// Scanning one directory entry during `readdir`; once per listing per aggregation hold.
     pub readdir_per_entry: SimDuration,
     /// Additional fixed software overhead per operation; zero for SwitchFS
     /// and the emulated InfiniFS/CFS baselines, large for the CephFS-like

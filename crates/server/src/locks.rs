@@ -140,8 +140,8 @@ impl LockManager {
 /// group and runs the next round — unless a round has completed that
 /// started after the group's *latest* ticket, the number of rounds started
 /// when its last member joined — then downgrades its hold to a read hold in
-/// place and sends every follower a share of it: the reads a round serves
-/// scan side by side right behind it, and nobody queues a second time.
+/// place and sends every follower a share of it: the reads a round serves read right behind
+/// it, sharing one [`scan`](AggGate::scan) per listing, and nobody queues a second time.
 ///
 /// Sharing is as strong as a round of one's own: an update is in its
 /// holder's change-log before the dirty-set insert that completes it leaves
@@ -165,7 +165,12 @@ pub struct AggGate {
     completed: u64,
     /// The group the next gate round serves, until its leader closes it.
     waiting: Option<Group>,
+    /// The current hold's listing scans by directory: the readers waiting while one runs,
+    /// `None` once done. The first is inline: a group is one directory but for collisions.
+    scans: (Option<Scan>, Vec<Scan>),
 }
+
+type Scan = (DirId, Option<Vec<oneshot::Sender<()>>>);
 
 struct Group {
     lead: Rc<()>,
@@ -242,6 +247,45 @@ impl AggGate {
     /// True while a round that started at this gate has not ended.
     pub fn round_running(&self) -> bool {
         self.started > self.completed
+    }
+
+    /// A leader downgraded its write hold: the hold it starts scanned nothing.
+    pub fn hold_started(&mut self) {
+        self.scans = Default::default();
+    }
+
+    fn slot(&mut self, dir: DirId) -> Option<&mut Scan> {
+        let (first, more) = &mut self.scans;
+        first.iter_mut().chain(more).find(|(d, _)| *d == dir)
+    }
+
+    /// A reader of the hold needs `dir`'s listing. The first gets `None`: it scans and reports to
+    /// [`AggGate::scan_ended`]. The rest get the scan's end — a failed receive if it was dropped.
+    pub fn scan(&mut self, dir: DirId) -> Option<oneshot::Receiver<()>> {
+        let Some((_, waiters)) = self.slot(dir) else {
+            let moved = self.scans.0.replace((dir, Some(Vec::new())));
+            self.scans.1.extend(moved);
+            return None;
+        };
+        let (tx, rx) = oneshot::channel();
+        match waiters {
+            Some(waiters) => waiters.push(tx),
+            None => drop(tx.send(())),
+        }
+        Some(rx)
+    }
+
+    /// The scan of `dir` in this hold is `done`, or gone with its reader.
+    pub fn scan_ended(&mut self, dir: DirId, done: bool) {
+        let running = |(d, w): &mut Scan| *d == dir && w.is_some();
+        if !done {
+            self.scans.0.take_if(running);
+            self.scans.1.retain_mut(|scan| !running(scan));
+        } else if let Some((_, waiters)) = self.slot(dir) {
+            for waiter in waiters.take().into_iter().flatten() {
+                let _ = waiter.send(());
+            }
+        }
     }
 }
 

@@ -84,6 +84,8 @@ switchfs_simnet::counters! {
         /// Requests rejected because the client routed them with a stale shard
         /// map (answered with the current map for refresh-and-retry).
         pub wrong_owner_rejects: u64,
+        /// Listings scanned for `readdir`: one per aggregation hold's listing.
+        pub listing_scans: u64,
     }
 }
 
@@ -1864,13 +1866,13 @@ impl Server {
         effects
     }
 
-    /// Reads a directory's attributes and entries for `readdir`, charging the
-    /// per-entry scan cost. The listing is shared (`Rc`), not copied: the
-    /// same allocation flows into the response, the duplicate-suppression
-    /// cache and every in-flight packet copy.
+    /// Reads a directory's attributes and entries for `readdir`, charging its scan
+    /// ([`Server::scan_dir`]). The listing is shared (`Rc`), not copied: the same allocation
+    /// flows into the response, the duplicate-suppression cache and every in-flight packet copy.
     pub(crate) async fn read_listing(
         &self,
         key: &MetaKey,
+        hold: Option<Fingerprint>,
     ) -> Option<(InodeAttrs, Rc<Vec<DirEntry>>)> {
         let (attrs, entries) = {
             let mut inner = self.inner.borrow_mut();
@@ -1887,8 +1889,7 @@ impl Server {
             };
             (inner.with_dir_size(attrs), entries)
         };
-        let scan_cost = self.cfg.costs.readdir_per_entry * entries.len().max(1) as u64;
-        self.cpu.run(self.cfg.costs.kv_get + scan_cost).await;
+        self.scan_dir(hold, &attrs.id, entries.len()).await;
         Some((attrs, entries))
     }
 

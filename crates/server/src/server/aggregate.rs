@@ -60,6 +60,18 @@ impl Drop for Leading<'_> {
     }
 }
 
+/// A reader's scan in a hold: reported to the gate when dropped, unless a reset replaced it.
+struct Scanning<'a>(&'a Server, Fingerprint, &'a DirId, u64, bool);
+
+impl Drop for Scanning<'_> {
+    fn drop(&mut self) {
+        let Scanning(server, fp, dir, incarnation, done) = *self;
+        if server.inner.borrow().incarnation == incarnation {
+            server.with_gate(fp, |gate| gate.scan_ended(*dir, done));
+        }
+    }
+}
+
 impl Server {
     /// Handles `statdir` and `readdir` (§5.2.2). The dirty-set query result
     /// attached by the switch decides whether an aggregation is needed.
@@ -74,19 +86,18 @@ impl Server {
             return OpResult::Err(FsError::StaleCache);
         }
         let key = req.op.primary_key().clone();
-        let want_listing = matches!(req.op, MetaOp::Readdir { .. });
         if self.cfg.update_mode == UpdateMode::Synchronous {
             // Baseline systems read directories in place: the inode is always
             // up to date, no dirty-set involvement.
             let lock = self.locks.inode(&key);
             let _g = lock.read().await;
             self.cpu.run(costs.lock_op + costs.kv_get).await;
-            return self.finish_dir_read(&key, want_listing).await;
+            return self.finish_dir_read(&req.op, None).await;
         }
         let fp = Fingerprint::of_dir(&key.pid, &key.name);
         let state = self.dirty_state_for_read(fp, dirty_ret).await;
 
-        let _r = if state == DirtyState::Scattered {
+        let (_r, hold) = if state == DirtyState::Scattered {
             // The directory may have been removed concurrently.
             if self.inner.borrow().inodes.peek(&key).is_none() {
                 return OpResult::Err(FsError::NotFound);
@@ -95,21 +106,21 @@ impl Server {
             // round that starts after this point. The read that runs it is
             // served under its hold as the round leaves it; one that another
             // caller's round served holds a share of that caller's hold and
-            // is a plain read from here on, beside the others it served.
+            // is a plain read from here on, but for the listing's scan.
             let (shared, ran) = self.aggregated(fp).await;
             if ran {
-                return self.finish_dir_read(&key, want_listing).await;
+                return self.finish_dir_read(&req.op, Some(fp)).await;
             }
-            shared
+            (shared, Some(fp))
         } else {
             // Normal state: a plain read, serialized after any in-flight
             // aggregation of the same group.
-            self.locks.fp_group(fp).read().await
+            (self.locks.fp_group(fp).read().await, None)
         };
         let lock = self.locks.inode(&key);
         let _g = lock.read().await;
         self.cpu.run(costs.lock_op + costs.kv_get).await;
-        self.finish_dir_read(&key, want_listing).await
+        self.finish_dir_read(&req.op, hold).await
     }
 
     /// The one way to need a fingerprint group aggregated: returns a read
@@ -141,6 +152,7 @@ impl Server {
             Box::pin(self.aggregate_group(fp, None)).await;
         }
         guard.downgrade();
+        self.with_gate(fp, AggGate::hold_started);
         // Not served even now: the round straddled a reset, and the
         // followers, dropped here, start over at the fresh gate.
         if served() {
@@ -162,15 +174,37 @@ impl Server {
             .or_default())
     }
 
-    async fn finish_dir_read(&self, key: &MetaKey, want_listing: bool) -> OpResult {
-        if want_listing {
-            match self.read_listing(key).await {
+    /// Charges a `readdir`'s scan of `dir`'s `len` entries. In a hold of group
+    /// `hold` only the first readdir scans; the rest wait, then pay a `kv_get`.
+    pub(crate) async fn scan_dir(&self, hold: Option<Fingerprint>, dir: &DirId, len: usize) {
+        let mut scanning = None;
+        while let Some(fp) = hold {
+            let Some(scanned) = self.with_gate(fp, |gate| gate.scan(*dir)) else {
+                let incarnation = self.inner.borrow().incarnation;
+                scanning = Some(Scanning(self, fp, dir, incarnation, false));
+                break;
+            };
+            // A failed receive: the scanner is gone. Ask again.
+            if scanned.recv().await.is_ok() {
+                return self.cpu.run(self.cfg.costs.kv_get).await;
+            }
+        }
+        self.inner.borrow_mut().stats.listing_scans += 1;
+        let scan = self.cfg.costs.readdir_per_entry * len.max(1) as u64;
+        self.cpu.run(self.cfg.costs.kv_get + scan).await;
+        // Done: dropped at the end, it tells the waiters so.
+        scanning.iter_mut().for_each(|scanning| scanning.4 = true);
+    }
+
+    async fn finish_dir_read(&self, op: &MetaOp, hold: Option<Fingerprint>) -> OpResult {
+        if matches!(op, MetaOp::Readdir { .. }) {
+            match self.read_listing(op.primary_key(), hold).await {
                 Some((attrs, entries)) => OpResult::Listing { attrs, entries },
                 None => OpResult::Err(FsError::NotFound),
             }
         } else {
             let mut inner = self.inner.borrow_mut();
-            match inner.inodes.get(key) {
+            match inner.inodes.get(op.primary_key()) {
                 Some(attrs) if attrs.is_dir() => OpResult::Attrs(inner.with_dir_size(attrs)),
                 Some(_) => OpResult::Err(FsError::NotADirectory),
                 None => OpResult::Err(FsError::NotFound),

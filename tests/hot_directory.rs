@@ -22,7 +22,9 @@
 //!    with reads waiting for a round. A read waits for one round, not two:
 //!    the round that serves it hands it a share of its hold, so on the wire
 //!    at most one aggregation request leaves the owner between a read's
-//!    arrival and its reply.
+//!    arrival and its reply. The readdirs of one hold share one scan of the
+//!    listing, which no one can change under the hold; a readdir that no
+//!    round served scans for itself.
 //!
 //! And what a round and a push cost the owner:
 //!
@@ -516,11 +518,10 @@ impl SwitchLogic<NetMsg> for Tap {
     }
 }
 
-/// `entries` creates into `/hot` whose pushes are all lost — they stay in
-/// their holders' change-logs and the owner is idle — then one `statdir`,
-/// whose round collects and applies them all. Returns the cluster and what
-/// crossed the switch.
-fn one_round_of(entries: usize) -> (Cluster, TapLog) {
+/// `entries` creates into `/hot` whose pushes are all lost: they stay in
+/// their holders' change-logs, the directory stays scattered and the owner
+/// is idle. Returns the cluster and what crosses the switch.
+fn scattered(entries: usize) -> (Cluster, TapLog) {
     let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     cluster.preload_dir("/hot");
     let log = TapLog::default();
@@ -529,6 +530,13 @@ fn one_round_of(entries: usize) -> (Cluster, TapLog) {
         .map(|i| WorkItem::new(OpKind::Create, format!("/hot/f{i}")))
         .collect();
     assert_eq!(cluster.run_workload(creates, 64, None).errors, 0);
+    (cluster, log)
+}
+
+/// The [`scattered`] scene, then one `statdir`, whose round collects and
+/// applies every entry.
+fn one_round_of(entries: usize) -> (Cluster, TapLog) {
+    let (cluster, log) = scattered(entries);
     let client = cluster.client(0);
     let size = cluster.block_on(async move { client.statdir("/hot").await.expect("statdir").size });
     assert_eq!(size as usize, entries);
@@ -1020,6 +1028,79 @@ fn a_round_acknowledges_its_holders_when_the_batch_is_durable() {
         waited >= costs.wal_append + costs.kv_put,
         "before the record?"
     );
+}
+
+#[test]
+fn the_readdirs_of_one_hold_share_one_scan_of_the_listing() {
+    const ENTRIES: usize = 2_000;
+    const READS: usize = 8;
+    let (cluster, log) = scattered(ENTRIES);
+    let scans = |cluster: &Cluster| cluster.total_server_stats().listing_scans;
+    assert_eq!(scans(&cluster), 0);
+    // Eight readdirs at once from the four clients: the first leads a round
+    // and holds the lock alone; the others arrive before that round starts,
+    // so it serves them too, and they share the hold their own leader takes
+    // when the first is done.
+    let (handle, clients) = (cluster.sim.handle(), cluster.clients().to_vec());
+    let issued = log.borrow().len();
+    let listed = cluster.block_on(async move {
+        let reads: Vec<_> = (0..READS)
+            .map(|i| {
+                let client = clients[i % clients.len()].clone();
+                handle.spawn_with_result(async move {
+                    client.readdir("/hot").await.expect("readdir").1.len()
+                })
+            })
+            .collect();
+        let mut listed = Vec::new();
+        for read in reads {
+            listed.push(read.join().await);
+        }
+        listed
+    });
+    assert_eq!(listed, [ENTRIES; READS]);
+    let shared = scans(&cluster);
+    assert!(
+        shared <= 2,
+        "{shared} scans for {READS} readdirs in two holds"
+    );
+    // The replies leave the owner in one burst per hold. One scan of 2,000
+    // entries is 100 µs, so a hold whose readers scan for themselves — seven
+    // readers on four cores — answers in two bursts a scan apart.
+    let replies = log.borrow()[issued..]
+        .iter()
+        .filter(|c| matches!(c.seen, Seen::DirReply(_)))
+        .map(|c| c.at)
+        .collect::<Vec<_>>();
+    assert_eq!(replies.len(), READS);
+    let mut bursts: Vec<Vec<SimTime>> = Vec::new();
+    for at in replies {
+        match bursts.last_mut() {
+            Some(burst) if at.duration_since(burst[0]) <= SimDuration::micros(10) => burst.push(at),
+            _ => bursts.push(vec![at]),
+        }
+    }
+    assert!(
+        bursts.len() <= 2,
+        "{READS} readdirs in two holds answered in {} bursts: {bursts:?}",
+        bursts.len()
+    );
+
+    // No round serves a readdir of the now clean directory: it scans for
+    // itself.
+    let (client, handle) = (cluster.client(0), cluster.sim.handle());
+    let took = cluster.block_on(async move {
+        let start = handle.now();
+        let (_, entries) = client.readdir("/hot").await.expect("readdir");
+        assert_eq!(entries.len(), ENTRIES);
+        handle.now().duration_since(start)
+    });
+    let scan = cluster.servers()[0].costs().readdir_per_entry * ENTRIES as u64;
+    assert!(
+        took >= scan,
+        "a lone readdir took {took:?}, its scan {scan:?}"
+    );
+    assert_eq!(scans(&cluster), shared + 1);
 }
 
 /// Creates `src` — its entry stays in a change-log: every push is lost —

@@ -665,20 +665,27 @@ enum GateOp {
     ArriveForeign,
     /// The front of the lock's queue notices it was granted the lock: a
     /// leader closes its group and, if the group is served by now, hands
-    /// out shares and leaves; anyone else starts a round.
+    /// out shares and reads; anyone else starts a round.
     Grant,
-    /// The running round ends: a leader hands out shares, the runner
-    /// releases the lock.
+    /// The running round ends: a leader hands out shares and reads, the
+    /// runner releases the lock.
     Complete,
     /// The server recovers: the gate starts over, dropping the waiting
-    /// group. A round that is running keeps running (and keeps the lock) —
-    /// abandoned as far as the fresh gate is concerned.
+    /// group and the scan slots. A round that is running keeps running (and
+    /// keeps the lock) — abandoned as far as the fresh gate is concerned.
     Reset,
+    /// The longest-served reader needs its directory's listing: it scans
+    /// it, waits for the hold's scanner or answers from the listing.
+    NeedListing,
+    /// The oldest scanner's scan ends: it answers, and so do its waiters.
+    ScanFinished,
+    /// The oldest scanner is dropped mid-scan: its waiters ask again.
+    ScannerDropped,
 }
 
 fn gate_op() -> impl Strategy<Value = GateOp> {
-    // Repeated arms weight the draw: arrivals and grants dominate, resets
-    // and foreign rounds are the rare events they are.
+    // Repeated arms weight the draw: arrivals and grants dominate, resets,
+    // foreign rounds and dropped scanners are the rare events they are.
     prop_oneof![
         Just(GateOp::Arrive),
         Just(GateOp::Arrive),
@@ -693,15 +700,22 @@ fn gate_op() -> impl Strategy<Value = GateOp> {
         Just(GateOp::Complete),
         Just(GateOp::Complete),
         Just(GateOp::Reset),
+        Just(GateOp::NeedListing),
+        Just(GateOp::NeedListing),
+        Just(GateOp::NeedListing),
+        Just(GateOp::ScanFinished),
+        Just(GateOp::ScanFinished),
+        Just(GateOp::ScannerDropped),
     ]
 }
 
 mod gate_model {
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
     use std::future::Future;
     use std::pin::Pin;
     use std::task::{Context, Poll, Waker};
 
+    use switchfs::proto::{DirId, ServerId};
     use switchfs::server::locks::{AggGate, Arrival, Lead};
     use switchfs::simnet::sync::classlock::ClassAcquire;
     use switchfs::simnet::sync::oneshot::{Recv, Sender};
@@ -713,6 +727,12 @@ mod gate_model {
     /// its task runs.
     fn poll<F: Future + ?Sized>(f: Pin<&mut F>) -> Poll<F::Output> {
         f.poll(&mut Context::from_waker(Waker::noop()))
+    }
+
+    /// The group has two directories; a caller reads the listing of its
+    /// index's parity.
+    fn dir_of(caller: usize) -> DirId {
+        DirId::generate(ServerId(0), 1 + (caller % 2) as u64)
     }
 
     /// Who queues for the write lock: a group's leader (a caller, by index)
@@ -737,15 +757,23 @@ mod gate_model {
     }
 
     /// The round in progress: its runner's hold and, for a leader, the
-    /// closed group.
+    /// leader and its closed group.
     struct Running {
         guard: ClassGuard,
         round: usize,
-        group: Option<(u64, Vec<Sender<ClassGuard>>)>,
+        group: Option<(usize, u64, Vec<Sender<ClassGuard>>)>,
     }
 
-    /// `Server::aggregated`, `Server::aggregate_group` and the foreign
-    /// runners, one step at a time, over the real gate and the real lock.
+    /// A served caller holding (a share of) the lock, and the hold it is in.
+    struct Reader {
+        caller: usize,
+        hold: usize,
+        _share: ClassGuard,
+    }
+
+    /// `Server::aggregated`, `Server::aggregate_group`, the foreign runners
+    /// and `Server::scan_in_hold`, one step at a time, over the real gate
+    /// and the real lock.
     #[derive(Default)]
     pub struct Model {
         gate: AggGate,
@@ -762,6 +790,20 @@ mod gate_model {
         rounds: Vec<Round>,
         running: Option<Running>,
         last_reset: Option<usize>,
+        /// Holds started: leaders' downgrades.
+        holds: usize,
+        /// Resets so far: a scan belongs to the gate it started at.
+        resets: usize,
+        /// Served readers that have not asked for their listing yet.
+        readers: VecDeque<Reader>,
+        /// Readers scanning, with the gate they scan at (resets before).
+        scanners: VecDeque<(Reader, usize)>,
+        /// Readers waiting for another reader's scan.
+        scan_waiters: Vec<(Reader, Pin<Box<Recv<()>>>)>,
+        /// Scans finished, by (hold, gate, directory).
+        scans: BTreeMap<(usize, usize, DirId), usize>,
+        /// Readers that answered or were dropped.
+        done: usize,
     }
 
     impl Model {
@@ -779,9 +821,18 @@ mod gate_model {
                     self.gate = AggGate::default();
                     self.waiting = None;
                     self.last_reset = Some(self.step);
+                    self.resets += 1;
                 }
+                GateOp::NeedListing => {
+                    if let Some(reader) = self.readers.pop_front() {
+                        self.ask(reader);
+                    }
+                }
+                GateOp::ScanFinished => self.scan_ended(true),
+                GateOp::ScannerDropped => self.scan_ended(false),
             }
             self.wake_followers();
+            self.wake_scan_waiters();
             if matches!(op, GateOp::Reset) {
                 // A reset makes followers rejoin: whoever is still parked
                 // arrived again in this step, or belongs to the closed group
@@ -793,7 +844,19 @@ mod gate_model {
                     .filter(|(c, _)| self.joined[*c] == self.step);
                 assert_eq!(
                     self.parked.len(),
-                    rejoined.count() + closed.map_or(0, |g| g.1.len())
+                    rejoined.count() + closed.map_or(0, |g| g.2.len())
+                );
+            }
+            // Nobody waits on a slot whose scanner is gone — dropped, or
+            // scanning at a gate a reset replaced.
+            for (waiter, _) in &self.scan_waiters {
+                assert!(
+                    self.scanners.iter().any(|(s, gate)| *gate == self.resets
+                        && s.hold == waiter.hold
+                        && dir_of(s.caller) == dir_of(waiter.caller)),
+                    "step {}: caller {} waits for a scan nobody runs",
+                    self.step,
+                    waiter.caller
                 );
             }
         }
@@ -829,19 +892,35 @@ mod gate_model {
             self.queue.push_back(Queued { who, hold });
         }
 
+        /// Readers holding (a share of) the lock.
+        fn reading(&self) -> usize {
+            self.readers.len() + self.scanners.len() + self.scan_waiters.len()
+        }
+
         fn grant(&mut self) {
             if self.running.is_some() {
                 return; // the lock is held
             }
-            let Some(Queued { who, hold }) = self.queue.pop_front() else {
+            let Some(front) = self.queue.front_mut() else {
                 return;
             };
-            // No round runs and every share was dropped on receipt, so the
-            // front of the queue has been granted the lock.
-            let mut guard = hold.unwrap_or_else(|mut acquire| match poll(acquire.as_mut()) {
-                Poll::Ready(guard) => guard,
-                Poll::Pending => panic!("step {}: the lock is free and not granted", self.step),
-            });
+            if let Err(acquire) = &mut front.hold {
+                match poll(acquire.as_mut()) {
+                    Poll::Ready(guard) => front.hold = Ok(guard),
+                    // No round runs: only readers can hold the lock.
+                    Poll::Pending if self.reading() > 0 => return,
+                    Poll::Pending => {
+                        panic!("step {}: the lock is free and not granted", self.step)
+                    }
+                }
+            }
+            let Some(Queued {
+                who,
+                hold: Ok(mut guard),
+            }) = self.queue.pop_front()
+            else {
+                unreachable!("the front was granted the lock");
+            };
             let group = match who {
                 Who::Leader(caller, lead) => {
                     if self.waiting == Some(caller) {
@@ -851,13 +930,11 @@ mod gate_model {
                     if self.gate.served(ticket) {
                         self.leave(caller);
                         guard.downgrade();
-                        followers
-                            .into_iter()
-                            .for_each(|f| drop(f.send(guard.share())));
+                        self.start_hold(caller, guard, followers);
                         return;
                     }
                     self.left += 1; // leaves with a round of its own
-                    Some((ticket, followers))
+                    Some((caller, ticket, followers))
                 }
                 Who::Foreign => None,
             };
@@ -897,26 +974,53 @@ mod gate_model {
             // A round that straddled a reset does not move the fresh gate.
             assert_eq!(self.gate.round_running(), straddled && was_running);
             guard.downgrade();
-            if let Some((ticket, followers)) = group {
-                if self.gate.served(ticket) {
+            if let Some((caller, ticket, followers)) = group {
+                let served = self.gate.served(ticket);
+                if served {
                     assert!(!straddled, "step {}: served across a reset", self.step);
-                    followers
-                        .into_iter()
-                        .for_each(|f| drop(f.send(guard.share())));
                 } else {
                     // Dropped followers arrive again; only a reset does that.
                     assert!(straddled || followers.is_empty());
                 }
+                let followers = if served { followers } else { Vec::new() };
+                self.start_hold(caller, guard, followers);
             }
         }
 
+        /// A leader downgraded its hold: the gate's scan slots start over,
+        /// every follower gets a share and the leader reads.
+        fn start_hold(
+            &mut self,
+            leader: usize,
+            guard: ClassGuard,
+            followers: Vec<Sender<ClassGuard>>,
+        ) {
+            self.gate.hold_started();
+            self.holds += 1;
+            followers
+                .into_iter()
+                .for_each(|f| drop(f.send(guard.share())));
+            self.read(leader, guard);
+        }
+
+        fn read(&mut self, caller: usize, share: ClassGuard) {
+            self.readers.push_back(Reader {
+                caller,
+                hold: self.holds,
+                _share: share,
+            });
+        }
+
         /// Runs every parked follower whose channel has news: a share (it
-        /// leaves) or a dropped sender (it arrives again).
+        /// leaves and reads) or a dropped sender (it arrives again).
         fn wake_followers(&mut self) {
             for (caller, mut recv) in std::mem::take(&mut self.parked) {
                 match poll(recv.as_mut()) {
                     Poll::Pending => self.parked.push((caller, recv)),
-                    Poll::Ready(Ok(_share)) => self.leave(caller),
+                    Poll::Ready(Ok(share)) => {
+                        self.leave(caller);
+                        self.read(caller, share);
+                    }
                     Poll::Ready(Err(_)) => {
                         assert!(
                             self.last_reset.is_some_and(|r| r > self.joined[caller]),
@@ -945,26 +1049,91 @@ mod gate_model {
             self.left += 1;
         }
 
+        /// A reader asks the gate for its listing.
+        fn ask(&mut self, reader: Reader) {
+            match self.gate.scan(dir_of(reader.caller)) {
+                None => self.scanners.push_back((reader, self.resets)),
+                Some(rx) => self.scan_waiters.push((reader, Box::pin(rx.recv()))),
+            }
+        }
+
+        /// A reader answers from the listing without scanning it.
+        fn answer(&mut self, reader: Reader) {
+            let dir = dir_of(reader.caller);
+            assert!(
+                self.scans.contains_key(&(reader.hold, self.resets, dir)),
+                "step {}: caller {} answered from directory {}'s listing before hold {}'s scan of \
+                 it ended",
+                self.step,
+                reader.caller,
+                reader.caller % 2,
+                reader.hold
+            );
+            self.done += 1;
+        }
+
+        fn scan_ended(&mut self, done: bool) {
+            let Some((reader, gate)) = self.scanners.pop_front() else {
+                return;
+            };
+            let dir = dir_of(reader.caller);
+            // As `Server::scan_in_hold` does: a scan that started at a gate a
+            // reset replaced reports nothing.
+            if gate == self.resets {
+                self.gate.scan_ended(dir, done);
+            }
+            if done {
+                let scans = self.scans.entry((reader.hold, gate, dir)).or_default();
+                *scans += 1;
+                assert_eq!(
+                    *scans,
+                    1,
+                    "step {}: hold {} scanned directory {} twice",
+                    self.step,
+                    reader.hold,
+                    reader.caller % 2
+                );
+            }
+            self.done += 1;
+        }
+
+        /// Runs every reader waiting for a scan whose channel has news: the
+        /// scan ended (it answers) or the scanner is gone (it asks again).
+        fn wake_scan_waiters(&mut self) {
+            for (reader, mut recv) in std::mem::take(&mut self.scan_waiters) {
+                match poll(recv.as_mut()) {
+                    Poll::Pending => self.scan_waiters.push((reader, recv)),
+                    Poll::Ready(Ok(())) => self.answer(reader),
+                    Poll::Ready(Err(_)) => self.ask(reader),
+                }
+            }
+        }
+
         pub fn busy(&self) -> bool {
-            self.running.is_some() || !self.queue.is_empty()
+            self.running.is_some() || !self.queue.is_empty() || self.reading() > 0
         }
 
         pub fn assert_everybody_left(&self) {
             assert!(self.parked.is_empty(), "followers outlived their leaders");
             assert_eq!(self.left, self.joined.len(), "every caller must leave");
+            assert_eq!(self.reading(), 0, "a reader is parked");
+            assert_eq!(self.done, self.joined.len(), "every caller must read");
             assert_eq!((self.lock.holders(), self.lock.waiters()), (0, 0));
         }
     }
 }
 
 proptest! {
-    /// For any interleaving of arrivals, lock grants, round ends and resets:
-    /// nobody is handed the lock — a leader past its skipped round, a
-    /// follower its share — before a round that started after it arrived
-    /// has completed; at most one group waits at the gate; the gate never
-    /// shows more than one round running and a round that straddles a reset
-    /// serves nobody; a reset makes followers arrive again; and everybody
-    /// leaves, with the lock free behind them.
+    /// For any interleaving of arrivals, lock grants, round ends, resets and
+    /// the served readers' listing scans: nobody is handed the lock — a
+    /// leader past its skipped round, a follower its share — before a round
+    /// that started after it arrived has completed; at most one group waits
+    /// at the gate; the gate never shows more than one round running and a
+    /// round that straddles a reset serves nobody; a reset makes followers
+    /// arrive again; a hold scans each listing at most once, and no reader
+    /// answers from a listing before its hold's scan of it ended; a reset or
+    /// a dropped scanner leaves nobody waiting for a scan; and everybody
+    /// reads and leaves, with the lock free behind them.
     #[test]
     fn aggregation_gate_serves_only_rounds_started_after_arrival(
         ops in proptest::collection::vec(gate_op(), 1..300),
@@ -973,10 +1142,12 @@ proptest! {
         for op in ops {
             model.run(op);
         }
-        // Drain: grant and complete until everybody left.
+        // Drain: grant, complete, read and scan until everybody left.
         while model.busy() {
             model.run(GateOp::Grant);
             model.run(GateOp::Complete);
+            model.run(GateOp::NeedListing);
+            model.run(GateOp::ScanFinished);
         }
         model.assert_everybody_left();
     }
