@@ -42,10 +42,45 @@ pub struct CostModel {
     /// and the emulated InfiniFS/CFS baselines, large for the CephFS-like
     /// and IndexFS-like stacks (Fig. 13).
     pub extra_software: SimDuration,
-    /// Retransmission timeout for unacknowledged protocol packets (§5.4.1).
+    /// Retransmission timeout for unacknowledged protocol packets (§5.4.1):
+    /// the unit of every [`Retry`] policy below.
     pub request_timeout: SimDuration,
-    /// Maximum retransmissions before an operation fails with `ETIMEDOUT`.
-    pub max_retries: u32,
+}
+
+/// How long an aggregation responder holds its change-log locks waiting for
+/// the owner's acknowledgment before it gives up and keeps its entries.
+pub const RESPONDER_ACK_WAIT: SimDuration = SimDuration::millis(3);
+
+/// A retransmission policy (§5.4.1): the wait for an answer to copy `n` (0 =
+/// the first) is `min(first << n, cap)`, and the exchange gives up after
+/// `sends` copies. Receivers suppress duplicates, so pacing copies only sheds
+/// packets. The whole bound is [`Retry::budget`], stated once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retry {
+    /// The wait after the first copy.
+    pub first: SimDuration,
+    /// The longest wait.
+    pub cap: SimDuration,
+    /// Copies sent before giving up.
+    pub sends: u32,
+    /// Linear growth per copy in place of doubling (the collect's waits).
+    pub step: Option<SimDuration>,
+}
+
+impl Retry {
+    /// The wait for an answer to copy `n`.
+    pub fn wait(self, n: u32) -> SimDuration {
+        if let Some(step) = self.step {
+            return self.first + step * u64::from(n);
+        }
+        let doubled = self.first.as_nanos().saturating_mul(1 << n.min(63));
+        SimDuration::nanos(doubled.min(self.cap.as_nanos()))
+    }
+
+    /// The time from the first copy until the exchange gives up.
+    pub fn budget(self) -> SimDuration {
+        (0..self.sends).fold(SimDuration::ZERO, |sum, n| sum + self.wait(n))
+    }
 }
 
 impl Default for CostModel {
@@ -61,7 +96,6 @@ impl Default for CostModel {
             readdir_per_entry: SimDuration::from_micros_f64(0.05),
             extra_software: SimDuration::ZERO,
             request_timeout: SimDuration::micros(300),
-            max_retries: 8,
         }
     }
 }
@@ -88,12 +122,44 @@ impl CostModel {
         }
     }
 
-    /// How long to wait for an acknowledgment of transmission number
-    /// `attempt` (0 = the first copy) before sending again: exponential
-    /// backoff from `request_timeout`, capped at 16×. Duplicates are
-    /// suppressed by the receiver, so pacing retries only sheds packets.
-    pub fn retry_wait(&self, attempt: u32) -> SimDuration {
-        self.request_timeout * (1 << attempt.min(4))
+    /// ACK: a request another server answers once it has carried it out
+    /// (`send_with_ack`, the asynchronous commit), and the pacing of a
+    /// change-log push's re-sends: doubling from `request_timeout` up to 16×,
+    /// nine copies.
+    pub fn ack_retry(&self) -> Retry {
+        self.retry(1, 16, 9)
+    }
+
+    /// DECISION: a rename's commit or abort, to one participant: 4 ×
+    /// `request_timeout` per copy, nine copies. A participant prepared for
+    /// longer than its budget may have been given up on.
+    pub fn decision_retry(&self) -> Retry {
+        self.retry(4, 4, 9)
+    }
+
+    /// VOTE: a rename's prepare is sent once and waited for 4 ×
+    /// `request_timeout`; no vote is an abort.
+    pub fn vote_retry(&self) -> Retry {
+        self.retry(4, 4, 1)
+    }
+
+    /// COLLECT: an aggregation round's request for the change-logs of every
+    /// other server, nine copies.
+    pub fn collect_retry(&self) -> Retry {
+        Retry {
+            step: Some(self.request_timeout),
+            ..self.retry(2, 10, 9)
+        }
+    }
+
+    /// A policy of `first` and `cap` request timeouts.
+    fn retry(&self, first: u64, cap: u64, sends: u32) -> Retry {
+        Retry {
+            first: self.request_timeout * first,
+            cap: self.request_timeout * cap,
+            sends,
+            step: None,
+        }
     }
 
     /// Total fixed cost of handling one request before touching storage.
@@ -116,10 +182,30 @@ mod tests {
     }
 
     #[test]
-    fn retry_wait_doubles_up_to_sixteen_timeouts() {
+    fn each_policy_states_its_waits_and_budget_once() {
         let c = CostModel::default();
-        let waits: Vec<u64> = (0..7).map(|a| c.retry_wait(a).as_micros()).collect();
-        assert_eq!(waits, [300, 600, 1200, 2400, 4800, 4800, 4800]);
+        let waits = |r: Retry| {
+            (0..r.sends)
+                .map(|n| r.wait(n).as_micros())
+                .collect::<Vec<_>>()
+        };
+        let budget = |r: Retry| r.budget().as_micros();
+        let ack = c.ack_retry();
+        assert_eq!(
+            waits(ack),
+            [300, 600, 1200, 2400, 4800, 4800, 4800, 4800, 4800]
+        );
+        assert_eq!(budget(ack), 28_500);
+        assert_eq!(waits(c.decision_retry()), [1200; 9]);
+        assert_eq!(budget(c.decision_retry()), 10_800);
+        assert_eq!(waits(c.vote_retry()), [1200]);
+        assert_eq!(budget(c.vote_retry()), 1_200);
+        let collect = c.collect_retry();
+        assert_eq!(
+            waits(collect),
+            [600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000]
+        );
+        assert_eq!(budget(collect), 16_200);
     }
 
     #[test]

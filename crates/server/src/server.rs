@@ -36,10 +36,11 @@ use switchfs_proto::{
     TraceId,
 };
 use switchfs_simnet::sync::oneshot;
-use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimDuration, SimHandle, SimTime};
+use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
 
 use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
+use crate::costs::Retry;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
@@ -89,7 +90,7 @@ switchfs_simnet::counters! {
     }
 }
 
-/// What completes a token-matched wait (see [`Server::request_once`]).
+/// What completes a token-matched wait (see [`Server::exchange`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenReply {
     /// Another server's (or the dedicated coordinator's) answer to a
@@ -221,7 +222,6 @@ pub(crate) struct AggCollector {
     pub fp: Fingerprint,
     pub expected: FxHashSet<ServerId>,
     pub entries: Vec<ChangeLogEntry>,
-    pub done: Option<oneshot::Sender<Vec<ChangeLogEntry>>>,
 }
 
 /// Cap on cached responses kept per client when the piggybacked acked
@@ -330,7 +330,7 @@ pub(crate) struct ServerInner {
     /// The token-matched waits: every exchange in which this server sent a
     /// request carrying a token and is waiting for whatever echoes it (a
     /// [`ServerMsg::Reply`], the switch's mirror copy of an asynchronous
-    /// commit). An entry lives from [`Server::request_once`]'s send until
+    /// commit). An entry lives from [`Server::exchange`]'s send until
     /// the reply or the timeout, so the table is empty whenever the server
     /// is quiescent.
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
@@ -1447,64 +1447,50 @@ impl Server {
         }
     }
 
-    /// One attempt of a token-matched exchange: registers the wait under
-    /// `token`, runs `send` (which must put `token` on the wire), and waits
-    /// up to `wait` for [`Server::complete_token`] to deliver the reply. A
-    /// wait that ends without one is taken out of the table again, so the
-    /// table holds exactly the exchanges still in progress. Re-registering
-    /// the same token for a later attempt lets a late reply to an earlier
-    /// attempt complete the exchange.
-    pub(crate) async fn request_once(
+    /// The one retransmission loop (§5.4.1): registers a wait under `token`,
+    /// runs `send` (which must put `token` on the wire) and waits
+    /// [`Retry::wait`] for [`Server::complete_token`] to deliver the reply,
+    /// for at most [`Retry::sends`] copies, each one after the first counted
+    /// as a retransmission. A wait that ends without a reply is taken out of
+    /// the table again, so the table holds exactly the exchanges in progress;
+    /// re-registering the token for the next copy lets a late reply to an
+    /// earlier one complete the exchange. Returns `None` once
+    /// [`Retry::budget`] is spent.
+    pub(crate) async fn exchange(
         &self,
         token: u64,
-        wait: SimDuration,
-        send: impl FnOnce(),
+        retry: Retry,
+        mut send: impl AsyncFnMut(),
     ) -> Option<TokenReply> {
-        let (tx, rx) = oneshot::channel();
-        self.inner.borrow_mut().pending_tokens.insert(token, tx);
-        send();
-        match timeout(&self.handle, wait, rx.recv()).await {
-            Some(Ok(reply)) => Some(reply),
-            _ => {
-                self.inner.borrow_mut().pending_tokens.remove(&token);
-                None
+        for n in 0..retry.sends {
+            if n > 0 {
+                self.inner.borrow_mut().stats.retransmissions += 1;
             }
+            let (tx, rx) = oneshot::channel();
+            self.inner.borrow_mut().pending_tokens.insert(token, tx);
+            send().await;
+            if let Some(Ok(reply)) = timeout(&self.handle, retry.wait(n), rx.recv()).await {
+                return Some(reply);
+            }
+            self.inner.borrow_mut().pending_tokens.remove(&token);
         }
+        None
     }
 
-    /// Sends `body` to `dst` and waits for a token-matched acknowledgment,
-    /// retransmitting on timeout (§5.4.1). Returns `None` after exhausting
-    /// the retry budget.
+    /// Sends `body` to `dst` under [`CostModel::ack_retry`] and waits for
+    /// the token-matched answer. Returns `None` after exhausting the budget.
+    ///
+    /// [`CostModel::ack_retry`]: crate::costs::CostModel::ack_retry
     pub(crate) async fn send_with_ack(
         &self,
         dst: NodeId,
         token: u64,
         body: Body,
     ) -> Option<TokenReply> {
-        self.request_with_retries(token, || self.send_plain(dst, body.clone()))
-            .await
-    }
-
-    /// A token-matched exchange, retransmitted by `send` (which must put
-    /// `token` on the wire) until answered. Returns `None` after exhausting
-    /// the retry budget.
-    pub(crate) async fn request_with_retries(
-        &self,
-        token: u64,
-        send: impl Fn(),
-    ) -> Option<TokenReply> {
-        // Exponential backoff, mirroring the client.
-        for attempt in 0..=self.cfg.costs.max_retries {
-            if attempt > 0 {
-                self.inner.borrow_mut().stats.retransmissions += 1;
-            }
-            let wait = self.cfg.costs.retry_wait(attempt);
-            let reply = self.request_once(token, wait, &send).await;
-            if reply.is_some() {
-                return reply;
-            }
-        }
-        None
+        self.exchange(token, self.cfg.costs.ack_retry(), async || {
+            self.send_plain(dst, body.clone())
+        })
+        .await
     }
 
     /// Appends a WAL record, applies its effects to the volatile stores and
@@ -1996,7 +1982,7 @@ mod tests {
     use switchfs_proto::message::{ShardInstall, StateImage};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
-    use switchfs_simnet::{NetFaults, Network, Sim};
+    use switchfs_simnet::{NetFaults, Network, Sim, SimDuration};
 
     /// The servers of a deployment, not started: a test calls the handlers.
     fn test_servers(sim: &Sim, servers: u32) -> Vec<Server> {

@@ -20,8 +20,9 @@ use switchfs_simnet::timeout;
 use crate::config::{
     UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
+use crate::costs::RESPONDER_ACK_WAIT;
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
-use crate::server::{AggCollector, Server};
+use crate::server::{AggCollector, Server, TokenReply};
 use crate::wal::{KvEffect, WalOp};
 
 /// Why a holder considers pushing a change-log (§5.3). What a push carries
@@ -37,11 +38,11 @@ pub(crate) enum PushTrigger {
     /// The scan tick: push a log that holds a full MTU or that nothing was
     /// appended to lately. With a batch in flight that is the re-send, due
     /// once the retransmission wait for the copies already sent has passed
-    /// ([`CostModel::retry_wait`]) — the retry path shard migration relies
+    /// ([`CostModel::ack_retry`]) — the retry path shard migration relies
     /// on: a frozen or flipped owner drops pushes without an
     /// acknowledgment.
     ///
-    /// [`CostModel::retry_wait`]: crate::costs::CostModel::retry_wait
+    /// [`CostModel::ack_retry`]: crate::costs::CostModel::ack_retry
     Tick,
     /// Everything must go (decommission drain): the batch in flight again
     /// or the next one, full or not, idle or not, round or no round.
@@ -260,79 +261,55 @@ impl Server {
             inner.changelogs.snapshot_group(fp)
         };
 
-        // Collect remote change-logs, retrying lost requests (§5.4.1).
-        // Entries are *accumulated* across attempts (deduplicated by entry
-        // id): a server that responded to attempt 1 is acknowledged below,
-        // so its attempt-1 entries must survive even if a later attempt's
-        // partial collection no longer contains them (the responder may lose
-        // its re-sent copy to the same faults that forced the retry).
+        // Collect remote change-logs, retrying lost requests (§5.4.1). Each
+        // copy of the request gets a fresh collector, which completes the
+        // exchange once every other server answered it. Entries are
+        // *accumulated* across copies (deduplicated by entry id): a server
+        // that answered copy 1 is acknowledged below, so its copy-1 entries
+        // must survive even if a later copy's partial collection no longer
+        // contains them (the responder may lose its answer to the same
+        // faults that forced the retry).
         let mut remote_entries: Vec<ChangeLogEntry> = Vec::new();
         let mut collected_ids: FxHashSet<OpId> = FxHashSet::default();
-        let collect = |remote_entries: &mut Vec<ChangeLogEntry>,
-                       collected_ids: &mut FxHashSet<OpId>,
-                       entries: Vec<ChangeLogEntry>| {
-            for e in entries {
-                if collected_ids.insert(e.entry_id) {
-                    remote_entries.push(e);
-                }
-            }
-        };
         // Iterated below to send acknowledgments: must have a
         // process-independent iteration order, or the ack packet order (and
         // with it the whole downstream schedule) varies run to run.
         let mut responders: FxHashSet<ServerId> = FxHashSet::default();
         if !others.is_empty() {
-            let mut attempt = 0;
-            loop {
-                let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.pending_aggs.insert(
-                        agg_id,
-                        AggCollector {
-                            fp,
-                            expected: others.iter().copied().collect(),
-                            entries: Vec::new(),
-                            done: Some(tx),
-                        },
-                    );
+            let mut take_collected = |answered: bool| {
+                let collector = self.inner.borrow_mut().pending_aggs.remove(&agg_id);
+                let Some(c) = collector else { return };
+                if answered {
+                    // Every other server answered this copy: a set collected
+                    // at once, not grown by inserts into a full table.
+                    responders = others.iter().copied().collect();
+                } else {
+                    responders.extend(others.iter().copied().filter(|s| !c.expected.contains(s)));
                 }
-                self.send_aggregation_request(&payload, invalidate.clone())
-                    .await;
-                let wait = timeout(
-                    &self.handle,
-                    costs.request_timeout * (attempt as u64 + 2),
-                    rx.recv(),
-                )
-                .await;
-                match wait {
-                    Some(Ok(entries)) => {
-                        self.inner.borrow_mut().pending_aggs.remove(&agg_id);
-                        responders = others.iter().copied().collect();
-                        collect(&mut remote_entries, &mut collected_ids, entries);
-                        break;
-                    }
-                    _ => {
-                        // Timeout: collect whatever arrived so far, then
-                        // retry with a fresh multicast.
-                        let collector = self.inner.borrow_mut().pending_aggs.remove(&agg_id);
-                        if let Some(mut c) = collector {
-                            responders
-                                .extend(others.iter().copied().filter(|s| !c.expected.contains(s)));
-                            collect(
-                                &mut remote_entries,
-                                &mut collected_ids,
-                                std::mem::take(&mut c.entries),
-                            );
-                        }
-                        attempt += 1;
-                        self.inner.borrow_mut().stats.retransmissions += 1;
-                        if attempt > costs.max_retries {
-                            break;
-                        }
+                for e in c.entries {
+                    if collected_ids.insert(e.entry_id) {
+                        remote_entries.push(e);
                     }
                 }
-            }
+            };
+            let answered = self
+                .exchange(agg_id, costs.collect_retry(), async || {
+                    take_collected(false);
+                    let collector = AggCollector {
+                        fp,
+                        expected: others.iter().copied().collect(),
+                        entries: Vec::new(),
+                    };
+                    self.inner
+                        .borrow_mut()
+                        .pending_aggs
+                        .insert(agg_id, collector);
+                    self.send_aggregation_request(&payload, invalidate.clone())
+                        .await;
+                })
+                .await
+                .is_some();
+            take_collected(answered);
         }
 
         // Filter out anything already applied (duplicate aggregations,
@@ -591,12 +568,7 @@ impl Server {
         let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
         self.inner.borrow_mut().pending_agg_acks.insert(ack_key, tx);
         let acked = matches!(
-            timeout(
-                &self.handle,
-                costs.request_timeout * (costs.max_retries as u64 + 2),
-                rx.recv(),
-            )
-            .await,
+            timeout(&self.handle, RESPONDER_ACK_WAIT, rx.recv()).await,
             Some(Ok(()))
         );
         self.inner.borrow_mut().pending_agg_acks.remove(&ack_key);
@@ -628,10 +600,8 @@ impl Server {
             collector.entries.extend(entries);
         }
         if collector.expected.is_empty() {
-            let all = std::mem::take(&mut collector.entries);
-            if let Some(tx) = collector.done.take() {
-                let _ = tx.send(all);
-            }
+            drop(inner);
+            self.complete_token(agg.agg_id, TokenReply::ACK);
         }
     }
 
@@ -785,7 +755,7 @@ impl Server {
                 PushTrigger::Tick => {
                     (full || now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER)
                         && log.last_push().is_none_or(|(sent, resends)| {
-                            now.duration_since(sent) >= self.cfg.costs.retry_wait(resends)
+                            now.duration_since(sent) >= self.cfg.costs.ack_retry().wait(resends)
                         })
                 }
                 PushTrigger::Flush => true,

@@ -590,7 +590,7 @@ impl Server {
         // mirror copy back to this server when the insert succeeds. Its body
         // is built per transmission: a packet owns what it carries.
         let answer = self
-            .request_with_retries(op_token, || {
+            .exchange(op_token, self.cfg.costs.ack_retry(), async || {
                 let body = Body::Server(ServerMsg::AsyncCommit {
                     response: response.clone(),
                     origin: self.cfg.id,

@@ -336,7 +336,7 @@ impl Server {
             // that outlives its wait finds nothing to complete.
             let token = self.next_token();
             let vote = self
-                .request_once(token, self.cfg.costs.request_timeout * 4, || {
+                .exchange(token, self.cfg.costs.vote_retry(), async || {
                     self.send_plain(
                         self.cfg.node_of(*server),
                         Body::Server(ServerMsg::TxnPrepare {
@@ -790,8 +790,7 @@ impl Server {
         if inner.prepared_txns.is_empty() {
             return None;
         }
-        let costs = self.cfg.costs;
-        let budget = costs.request_timeout * 4 * u64::from(costs.max_retries + 1);
+        let budget = self.cfg.costs.decision_retry().budget();
         let now = self.handle.now();
         let stages = |op: &TxnOp| match op {
             TxnOp::PutInode { key: k, .. }
@@ -831,19 +830,12 @@ impl Server {
             } else {
                 ServerMsg::TxnAbort { req_id, txn_id }
             };
-            let mut acked = false;
-            for _attempt in 0..=self.cfg.costs.max_retries {
-                let ack = self
-                    .request_once(req_id, self.cfg.costs.request_timeout * 4, || {
-                        self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()))
-                    })
-                    .await;
-                if ack == Some(TokenReply::ACK) {
-                    acked = true;
-                    break;
-                }
-            }
-            all_acked &= acked;
+            let ack = self
+                .exchange(req_id, self.cfg.costs.decision_retry(), async || {
+                    self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()))
+                })
+                .await;
+            all_acked &= ack == Some(TokenReply::ACK);
         }
         all_acked
     }

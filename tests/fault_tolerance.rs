@@ -257,27 +257,71 @@ fn participant_crash_between_prepare_and_decision_recovers_and_converges() {
 /// The cluster's switch program behind a filter that cuts one server off
 /// from the first commit decision addressed to it until the test lets it
 /// go: a participant that voted yes and stays prepared while its
-/// coordinator spends every decision copy on it.
+/// coordinator spends every decision copy on it. Records when each copy
+/// addressed to it reached the switch.
 struct IsolateOnCommit {
     program: SwitchAdapter,
     node: NodeId,
-    fired: bool,
     isolated: Rc<Cell<bool>>,
+    commits: Rc<RefCell<Vec<SimTime>>>,
 }
 
 impl SwitchLogic<NetMsg> for IsolateOnCommit {
     fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
         if matches!(pkt.payload.body, Body::Server(ServerMsg::TxnCommit { .. }))
             && pkt.dst == self.node
-            && !self.fired
         {
-            self.fired = true;
-            self.isolated.set(true);
+            let mut commits = self.commits.borrow_mut();
+            if commits.is_empty() {
+                self.isolated.set(true);
+            }
+            commits.push(now);
         }
         if self.isolated.get() && (pkt.src == self.node || pkt.dst == self.node) {
             return vec![SwitchAction::Drop];
         }
         self.program.process(now, pkt)
+    }
+}
+
+/// A file rename `src` → `dst` whose destination inode is staged at a
+/// participant, not at the coordinator (the source's owner), with an
+/// [`IsolateOnCommit`] installed around that participant.
+struct CutOffRename {
+    src: String,
+    dst: String,
+    /// The file's name under `/src` is `f{i}`, under `/dst` `g{i}`.
+    i: usize,
+    coordinator: usize,
+    isolated: Rc<Cell<bool>>,
+    commits: Rc<RefCell<Vec<SimTime>>>,
+}
+
+fn cut_off_rename(cluster: &mut Cluster) -> CutOffRename {
+    use switchfs::proto::MetaKey;
+    let (src_dir, dst_dir) = (cluster.preload_dir("/src"), cluster.preload_dir("/dst"));
+    let placement = cluster.placement();
+    let src_owner = |i: usize| placement.file_owner(&MetaKey::new(src_dir, format!("f{i}")));
+    let dst_owner = |i: usize| placement.file_owner(&MetaKey::new(dst_dir, format!("g{i}")));
+    let i = (0..).find(|i| src_owner(*i) != dst_owner(*i)).unwrap();
+    let (src, dst) = (format!("/src/f{i}"), format!("/dst/g{i}"));
+    let client = cluster.client(0);
+    let created = src.clone();
+    cluster.block_on(async move { client.create(&created).await.unwrap() });
+    let (isolated, commits) = (Rc::default(), Rc::default());
+    cluster.network().install_switch(Box::new(IsolateOnCommit {
+        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        node: cluster.server_node_id(dst_owner(i).0 as usize),
+        isolated: Rc::clone(&isolated),
+        commits: Rc::clone(&commits),
+    }));
+    CutOffRename {
+        src,
+        dst,
+        i,
+        coordinator: src_owner(i).0 as usize,
+        isolated,
+        commits,
     }
 }
 
@@ -288,27 +332,14 @@ impl SwitchLogic<NetMsg> for IsolateOnCommit {
 /// the coordinator before it serves a key its prepared transaction stages.
 #[test]
 fn a_participant_cut_off_past_the_decision_budget_serves_no_state_before_the_rename() {
-    use switchfs::proto::MetaKey;
     let mut cluster = cluster();
-    let (src_dir, dst_dir) = (cluster.preload_dir("/src"), cluster.preload_dir("/dst"));
-    let placement = cluster.placement();
-    // A rename whose destination inode is staged at a participant, not at
-    // the coordinator (the source's owner).
-    let dst_owner = |i: usize| placement.file_owner(&MetaKey::new(dst_dir, format!("g{i}")));
-    let i = (0..)
-        .find(|i| placement.file_owner(&MetaKey::new(src_dir, format!("f{i}"))) != dst_owner(*i))
-        .unwrap();
-    let (src, dst) = (format!("/src/f{i}"), format!("/dst/g{i}"));
-    let client = cluster.client(0);
-    let created = src.clone();
-    cluster.block_on(async move { client.create(&created).await.unwrap() });
-    let isolated = Rc::new(Cell::new(false));
-    cluster.network().install_switch(Box::new(IsolateOnCommit {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
-        node: cluster.server_node_id(dst_owner(i).0 as usize),
-        fired: false,
-        isolated: isolated.clone(),
-    }));
+    let CutOffRename {
+        src,
+        dst,
+        i,
+        isolated,
+        ..
+    } = cut_off_rename(&mut cluster);
     let (client, from, to) = (cluster.client(0), src.clone(), dst.clone());
     let outcome = cluster.block_on(async move { client.rename(&from, &to).await });
     assert!(
@@ -330,6 +361,28 @@ fn a_participant_cut_off_past_the_decision_budget_serves_no_state_before_the_ren
             assert_eq!(listing.iter().any(|e| e.name == name), listed, "{dir}");
         }
     });
+}
+
+/// The decision to a participant that never answers goes out as the
+/// decision policy says — nine copies, 4 × `request_timeout` apart — and
+/// each copy after the first counts once as the coordinator's
+/// retransmission.
+#[test]
+fn a_cut_off_participant_gets_every_decision_copy_and_each_resend_counts() {
+    let mut cluster = cluster();
+    let cut = cut_off_rename(&mut cluster);
+    let coordinator = &cluster.servers()[cut.coordinator];
+    let before = coordinator.stats().retransmissions;
+    let client = cluster.client(0);
+    let outcome = cluster.block_on(async move { client.rename(&cut.src, &cut.dst).await });
+    assert_eq!(outcome, Ok(()), "the coordinator committed");
+    let copies = cut.commits.borrow().clone();
+    assert_eq!(copies.len(), 9, "{copies:?}");
+    let to = cluster.config().cost_model().request_timeout;
+    for pair in copies.windows(2) {
+        assert_eq!(pair[1].duration_since(pair[0]), to * 4, "{copies:?}");
+    }
+    assert_eq!(coordinator.stats().retransmissions - before, 8);
 }
 
 /// One applier for the live path and for replay: what a settled server has
