@@ -63,16 +63,11 @@ pub struct Retry {
     pub cap: SimDuration,
     /// Copies sent before giving up.
     pub sends: u32,
-    /// Linear growth per copy in place of doubling (the collect's waits).
-    pub step: Option<SimDuration>,
 }
 
 impl Retry {
     /// The wait for an answer to copy `n`.
     pub fn wait(self, n: u32) -> SimDuration {
-        if let Some(step) = self.step {
-            return self.first + step * u64::from(n);
-        }
         let doubled = self.first.as_nanos().saturating_mul(1 << n.min(63));
         SimDuration::nanos(doubled.min(self.cap.as_nanos()))
     }
@@ -144,12 +139,10 @@ impl CostModel {
     }
 
     /// COLLECT: an aggregation round's request for the change-logs of every
-    /// other server, nine copies.
+    /// other server: doubling from 2 × `request_timeout` up to 8×, nine
+    /// copies.
     pub fn collect_retry(&self) -> Retry {
-        Retry {
-            step: Some(self.request_timeout),
-            ..self.retry(2, 10, 9)
-        }
+        self.retry(2, 8, 9)
     }
 
     /// A policy of `first` and `cap` request timeouts.
@@ -158,7 +151,6 @@ impl CostModel {
             first: self.request_timeout * first,
             cap: self.request_timeout * cap,
             sends,
-            step: None,
         }
     }
 
@@ -203,9 +195,9 @@ mod tests {
         let collect = c.collect_retry();
         assert_eq!(
             waits(collect),
-            [600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000]
+            [600, 1200, 2400, 2400, 2400, 2400, 2400, 2400, 2400]
         );
-        assert_eq!(budget(collect), 16_200);
+        assert_eq!(budget(collect), 18_600);
     }
 
     #[test]
