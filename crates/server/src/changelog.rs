@@ -18,8 +18,8 @@
 //! A re-send is a retransmission and is paced like one: the log remembers
 //! when the batch last went out and how often it was re-sent, and
 //! `Server::push_changelog` lets the scan tick send it again only once the
-//! retransmission wait for that count has passed (`CostModel::retry_wait`,
-//! `send_with_ack`'s backoff). An unacknowledged batch is far more often
+//! retransmission wait for that count has passed (`CostModel::ack_retry`,
+//! `send_with_ack`'s policy). An unacknowledged batch is far more often
 //! queued behind the owner's group lock than lost, and every copy costs the
 //! owner a software-path charge and a turn at that lock. The pacing never
 //! gives up — the push → ack → discard exchange ends when the ack arrives,

@@ -42,38 +42,37 @@ pub struct CostModel {
     /// and the emulated InfiniFS/CFS baselines, large for the CephFS-like
     /// and IndexFS-like stacks (Fig. 13).
     pub extra_software: SimDuration,
-    /// Retransmission timeout for unacknowledged protocol packets (§5.4.1):
-    /// the unit of every [`Retry`] policy below.
+    /// Retransmission timeout (§5.4.1): the unit of every `Retry` policy.
     pub request_timeout: SimDuration,
 }
 
 /// How long an aggregation responder holds its change-log locks waiting for
 /// the owner's acknowledgment before it gives up and keeps its entries.
-pub const RESPONDER_ACK_WAIT: SimDuration = SimDuration::millis(3);
+pub(crate) const RESPONDER_ACK_WAIT: SimDuration = SimDuration::millis(3);
 
 /// A retransmission policy (§5.4.1): the wait for an answer to copy `n` (0 =
 /// the first) is `min(first << n, cap)`, and the exchange gives up after
 /// `sends` copies. Receivers suppress duplicates, so pacing copies only sheds
 /// packets. The whole bound is [`Retry::budget`], stated once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retry {
+pub(crate) struct Retry {
     /// The wait after the first copy.
-    pub first: SimDuration,
+    first: SimDuration,
     /// The longest wait.
-    pub cap: SimDuration,
+    cap: SimDuration,
     /// Copies sent before giving up.
-    pub sends: u32,
+    pub(crate) sends: u32,
 }
 
 impl Retry {
     /// The wait for an answer to copy `n`.
-    pub fn wait(self, n: u32) -> SimDuration {
+    pub(crate) fn wait(self, n: u32) -> SimDuration {
         let doubled = self.first.as_nanos().saturating_mul(1 << n.min(63));
         SimDuration::nanos(doubled.min(self.cap.as_nanos()))
     }
 
     /// The time from the first copy until the exchange gives up.
-    pub fn budget(self) -> SimDuration {
+    pub(crate) fn budget(self) -> SimDuration {
         (0..self.sends).fold(SimDuration::ZERO, |sum, n| sum + self.wait(n))
     }
 }
@@ -117,31 +116,27 @@ impl CostModel {
         }
     }
 
-    /// ACK: a request another server answers once it has carried it out
-    /// (`send_with_ack`, the asynchronous commit), and the pacing of a
-    /// change-log push's re-sends: doubling from `request_timeout` up to 16×,
-    /// nine copies.
-    pub fn ack_retry(&self) -> Retry {
+    /// ACK — `send_with_ack`, the asynchronous commit, a push's re-sends:
+    /// from `request_timeout`, doubling up to 16×, nine copies.
+    pub(crate) fn ack_retry(&self) -> Retry {
         self.retry(1, 16, 9)
     }
 
-    /// DECISION: a rename's commit or abort, to one participant: 4 ×
-    /// `request_timeout` per copy, nine copies. A participant prepared for
-    /// longer than its budget may have been given up on.
-    pub fn decision_retry(&self) -> Retry {
+    /// DECISION — a rename's commit or abort to one participant: 4 ×
+    /// `request_timeout` per copy, nine copies.
+    pub(crate) fn decision_retry(&self) -> Retry {
         self.retry(4, 4, 9)
     }
 
-    /// VOTE: a rename's prepare is sent once and waited for 4 ×
+    /// VOTE — a rename's prepare: one copy, waited for 4 ×
     /// `request_timeout`; no vote is an abort.
-    pub fn vote_retry(&self) -> Retry {
+    pub(crate) fn vote_retry(&self) -> Retry {
         self.retry(4, 4, 1)
     }
 
-    /// COLLECT: an aggregation round's request for the change-logs of every
-    /// other server: doubling from 2 × `request_timeout` up to 8×, nine
-    /// copies.
-    pub fn collect_retry(&self) -> Retry {
+    /// COLLECT — an aggregation round's request to every other server:
+    /// from 2 × `request_timeout`, doubling up to 8×, nine copies.
+    pub(crate) fn collect_retry(&self) -> Retry {
         self.retry(2, 8, 9)
     }
 

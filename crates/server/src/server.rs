@@ -1447,15 +1447,13 @@ impl Server {
         }
     }
 
-    /// The one retransmission loop (§5.4.1): registers a wait under `token`,
-    /// runs `send` (which must put `token` on the wire) and waits
-    /// [`Retry::wait`] for [`Server::complete_token`] to deliver the reply,
-    /// for at most [`Retry::sends`] copies, each one after the first counted
-    /// as a retransmission. A wait that ends without a reply is taken out of
-    /// the table again, so the table holds exactly the exchanges in progress;
-    /// re-registering the token for the next copy lets a late reply to an
-    /// earlier one complete the exchange. Returns `None` once
-    /// [`Retry::budget`] is spent.
+    /// The one retransmission loop (§5.4.1): per copy, registers a wait
+    /// under `token`, runs `send` (which must put `token` on the wire) and
+    /// waits [`Retry::wait`] for [`Server::complete_token`]; every copy after
+    /// the first counts as a retransmission. A wait that ends unanswered
+    /// leaves the table, so it holds exactly the exchanges in progress, and a
+    /// late reply to an earlier copy completes the next one's. Returns `None`
+    /// once [`Retry::budget`] is spent.
     pub(crate) async fn exchange(
         &self,
         token: u64,
@@ -1477,10 +1475,8 @@ impl Server {
         None
     }
 
-    /// Sends `body` to `dst` under [`CostModel::ack_retry`] and waits for
-    /// the token-matched answer. Returns `None` after exhausting the budget.
-    ///
-    /// [`CostModel::ack_retry`]: crate::costs::CostModel::ack_retry
+    /// Sends `body` to `dst` and waits for the token-matched answer under
+    /// the ACK policy. Returns `None` after exhausting its budget.
     pub(crate) async fn send_with_ack(
         &self,
         dst: NodeId,

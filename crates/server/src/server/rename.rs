@@ -779,8 +779,8 @@ impl Server {
     }
 
     /// The prepared transaction staging a mutation of `key` whose client may
-    /// already have seen `Done`: one prepared at least as long ago as a
-    /// coordinator spends sending its decision to a participant that never
+    /// already have seen `Done`: one prepared at least the DECISION budget
+    /// ago, all a coordinator spends on a participant that never
     /// acknowledges ([`Server::broadcast_decision`]), so its coordinator may
     /// have given up on this server (a partition outlived the retries) and
     /// answered. Until it is resolved, no request for `key` may be served
@@ -821,9 +821,7 @@ impl Server {
             if *server == self.cfg.id {
                 continue;
             }
-            // One token per (transaction, participant), re-registered for
-            // every attempt: a late acknowledgment of an earlier attempt
-            // still completes the wait.
+            // One token per (transaction, participant), for all its copies.
             let req_id = self.next_token();
             let msg = if commit {
                 ServerMsg::TxnCommit { req_id, txn_id }
