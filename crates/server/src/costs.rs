@@ -47,33 +47,59 @@ pub struct CostModel {
 }
 
 /// How long an aggregation responder holds its change-log locks waiting for
-/// the owner's acknowledgment before it gives up and keeps its entries.
+/// the owner's acknowledgment before it gives up and keeps its entries: 10 ×
+/// SwitchFS's `request_timeout`, the same for every system. It only matters
+/// in the asynchronous modes; a synchronous baseline keeps no change-log
+/// entries to send.
 pub(crate) const RESPONDER_ACK_WAIT: SimDuration = SimDuration::millis(3);
 
-/// A retransmission policy (§5.4.1): the wait for an answer to copy `n` (0 =
-/// the first) is `min(first << n, cap)`, and the exchange gives up after
+/// A retransmission policy (§5.4.1), in units of `request_timeout`: the wait
+/// for an answer to copy `n` (0 = the first) is `min(first << n, cap)`, or
+/// `min(first + n, cap)` for a linear policy, and the exchange gives up after
 /// `sends` copies. Receivers suppress duplicates, so pacing copies only sheds
 /// packets. The whole bound is [`Retry::budget`], stated once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Retry {
-    /// The wait after the first copy.
-    first: SimDuration,
-    /// The longest wait.
-    cap: SimDuration,
-    /// Copies sent before giving up.
+    first: u64,
+    cap: u64,
     pub(crate) sends: u32,
+    linear: bool,
 }
 
 impl Retry {
+    /// `send_with_ack`, the asynchronous commit, a push's re-send pace.
+    pub(crate) const ACK: Retry = Retry::doubling(1, 16, 9);
+    /// A rename's commit or abort, to one participant.
+    pub(crate) const DECISION: Retry = Retry::doubling(4, 4, 9);
+    /// A rename's prepare: one copy; no vote is an abort.
+    pub(crate) const VOTE: Retry = Retry::doubling(4, 4, 1);
+    /// An aggregation round's request to every other server.
+    pub(crate) const COLLECT: Retry = Retry {
+        linear: true,
+        ..Retry::doubling(2, 10, 9)
+    };
+
+    const fn doubling(first: u64, cap: u64, sends: u32) -> Retry {
+        Retry {
+            first,
+            cap,
+            sends,
+            linear: false,
+        }
+    }
+
     /// The wait for an answer to copy `n`.
-    pub(crate) fn wait(self, n: u32) -> SimDuration {
-        let doubled = self.first.as_nanos().saturating_mul(1 << n.min(63));
-        SimDuration::nanos(doubled.min(self.cap.as_nanos()))
+    pub(crate) fn wait(self, n: u32) -> u64 {
+        let grown = match self.linear {
+            true => self.first + u64::from(n),
+            false => self.first.saturating_mul(1 << n.min(63)),
+        };
+        grown.min(self.cap)
     }
 
     /// The time from the first copy until the exchange gives up.
-    pub(crate) fn budget(self) -> SimDuration {
-        (0..self.sends).fold(SimDuration::ZERO, |sum, n| sum + self.wait(n))
+    pub(crate) fn budget(self) -> u64 {
+        (0..self.sends).map(|n| self.wait(n)).sum()
     }
 }
 
@@ -116,39 +142,6 @@ impl CostModel {
         }
     }
 
-    /// ACK — `send_with_ack`, the asynchronous commit, a push's re-sends:
-    /// from `request_timeout`, doubling up to 16×, nine copies.
-    pub(crate) fn ack_retry(&self) -> Retry {
-        self.retry(1, 16, 9)
-    }
-
-    /// DECISION — a rename's commit or abort to one participant: 4 ×
-    /// `request_timeout` per copy, nine copies.
-    pub(crate) fn decision_retry(&self) -> Retry {
-        self.retry(4, 4, 9)
-    }
-
-    /// VOTE — a rename's prepare: one copy, waited for 4 ×
-    /// `request_timeout`; no vote is an abort.
-    pub(crate) fn vote_retry(&self) -> Retry {
-        self.retry(4, 4, 1)
-    }
-
-    /// COLLECT — an aggregation round's request to every other server:
-    /// from 2 × `request_timeout`, doubling up to 8×, nine copies.
-    pub(crate) fn collect_retry(&self) -> Retry {
-        self.retry(2, 8, 9)
-    }
-
-    /// A policy of `first` and `cap` request timeouts.
-    fn retry(&self, first: u64, cap: u64, sends: u32) -> Retry {
-        Retry {
-            first: self.request_timeout * first,
-            cap: self.request_timeout * cap,
-            sends,
-        }
-    }
-
     /// Total fixed cost of handling one request before touching storage.
     pub fn request_overhead(&self) -> SimDuration {
         self.software_path + self.extra_software
@@ -170,29 +163,18 @@ mod tests {
 
     #[test]
     fn each_policy_states_its_waits_and_budget_once() {
-        let c = CostModel::default();
-        let waits = |r: Retry| {
-            (0..r.sends)
-                .map(|n| r.wait(n).as_micros())
-                .collect::<Vec<_>>()
-        };
-        let budget = |r: Retry| r.budget().as_micros();
-        let ack = c.ack_retry();
-        assert_eq!(
-            waits(ack),
-            [300, 600, 1200, 2400, 4800, 4800, 4800, 4800, 4800]
-        );
-        assert_eq!(budget(ack), 28_500);
-        assert_eq!(waits(c.decision_retry()), [1200; 9]);
-        assert_eq!(budget(c.decision_retry()), 10_800);
-        assert_eq!(waits(c.vote_retry()), [1200]);
-        assert_eq!(budget(c.vote_retry()), 1_200);
-        let collect = c.collect_retry();
-        assert_eq!(
-            waits(collect),
-            [600, 1200, 2400, 2400, 2400, 2400, 2400, 2400, 2400]
-        );
-        assert_eq!(budget(collect), 18_600);
+        let waits = |r: Retry| (0..r.sends).map(|n| r.wait(n)).collect::<Vec<_>>();
+        // In milliseconds at SwitchFS's 300 µs request timeout.
+        let to = CostModel::default().request_timeout;
+        let budget_ms = |r: Retry| (to * r.budget()).as_micros_f64() / 1000.0;
+        assert_eq!(waits(Retry::ACK), [1, 2, 4, 8, 16, 16, 16, 16, 16]);
+        assert_eq!(budget_ms(Retry::ACK), 28.5);
+        assert_eq!(waits(Retry::DECISION), [4; 9]);
+        assert_eq!(budget_ms(Retry::DECISION), 10.8);
+        assert_eq!(waits(Retry::VOTE), [4]);
+        assert_eq!(budget_ms(Retry::VOTE), 1.2);
+        assert_eq!(waits(Retry::COLLECT), [2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(budget_ms(Retry::COLLECT), 16.2);
     }
 
     #[test]

@@ -90,7 +90,7 @@ switchfs_simnet::counters! {
     }
 }
 
-/// What completes a token-matched wait (see [`Server::exchange`]).
+/// What completes a token-matched wait (see [`Server::token_exchange`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TokenReply {
     /// Another server's (or the dedicated coordinator's) answer to a
@@ -214,14 +214,16 @@ impl<T: Copy + Eq + std::hash::Hash, S: Copy> FifoSet<T, S> {
     }
 }
 
-/// Collector for an aggregation this server owns. The expected set uses the
-/// deterministic hasher like every other aggregation-path structure: no
-/// std-`RandomState` may influence (even only potentially) the replayable
-/// schedule.
+/// Collector for one copy of an aggregation request this server owns. The
+/// expected set uses the deterministic hasher like every other
+/// aggregation-path structure: no std-`RandomState` may influence (even only
+/// potentially) the replayable schedule.
 pub(crate) struct AggCollector {
     pub fp: Fingerprint,
     pub expected: FxHashSet<ServerId>,
     pub entries: Vec<ChangeLogEntry>,
+    /// Told once every other server answered.
+    pub done: Option<oneshot::Sender<()>>,
 }
 
 /// Cap on cached responses kept per client when the piggybacked acked
@@ -330,7 +332,7 @@ pub(crate) struct ServerInner {
     /// The token-matched waits: every exchange in which this server sent a
     /// request carrying a token and is waiting for whatever echoes it (a
     /// [`ServerMsg::Reply`], the switch's mirror copy of an asynchronous
-    /// commit). An entry lives from [`Server::exchange`]'s send until
+    /// commit). An entry lives from [`Server::token_exchange`]'s send until
     /// the reply or the timeout, so the table is empty whenever the server
     /// is quiescent.
     pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
@@ -1447,32 +1449,50 @@ impl Server {
         }
     }
 
-    /// The one retransmission loop (§5.4.1): per copy, registers a wait
-    /// under `token`, runs `send` (which must put `token` on the wire) and
-    /// waits [`Retry::wait`] for [`Server::complete_token`]; every copy after
-    /// the first counts as a retransmission. A wait that ends unanswered
-    /// leaves the table, so it holds exactly the exchanges in progress, and a
-    /// late reply to an earlier copy completes the next one's. Returns `None`
-    /// once [`Retry::budget`] is spent.
-    pub(crate) async fn exchange(
+    /// The one retransmission loop (§5.4.1): per copy, `send` registers a
+    /// wait, puts the copy on the wire and returns the receiver its answer
+    /// arrives on; the loop waits [`Retry::wait`] for it and calls `expired`
+    /// when that wait ends unanswered. Every copy after the first counts as
+    /// a retransmission. Returns `None` once [`Retry::budget`] is spent.
+    pub(crate) async fn exchange<T>(
         &self,
-        token: u64,
         retry: Retry,
-        mut send: impl AsyncFnMut(),
-    ) -> Option<TokenReply> {
+        mut send: impl AsyncFnMut() -> oneshot::Receiver<T>,
+        mut expired: impl FnMut(),
+    ) -> Option<T> {
         for n in 0..retry.sends {
             if n > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
-            let (tx, rx) = oneshot::channel();
-            self.inner.borrow_mut().pending_tokens.insert(token, tx);
-            send().await;
-            if let Some(Ok(reply)) = timeout(&self.handle, retry.wait(n), rx.recv()).await {
+            let rx = send().await;
+            let wait = self.cfg.costs.request_timeout * retry.wait(n);
+            if let Some(Ok(reply)) = timeout(&self.handle, wait, rx.recv()).await {
                 return Some(reply);
             }
-            self.inner.borrow_mut().pending_tokens.remove(&token);
+            expired();
         }
         None
+    }
+
+    /// An exchange answered through the token table: each copy's wait is
+    /// registered under `token` (which `send` must put on the wire) for
+    /// [`Server::complete_token`], and leaves the table when it expires, so
+    /// the table holds exactly the exchanges in progress; a late reply to an
+    /// earlier copy completes the next one's.
+    pub(crate) fn token_exchange<'a>(
+        &'a self,
+        token: u64,
+        retry: Retry,
+        send: impl Fn() + 'a,
+    ) -> impl std::future::Future<Output = Option<TokenReply>> + 'a {
+        let register = async move || {
+            let (tx, rx) = oneshot::channel();
+            self.inner.borrow_mut().pending_tokens.insert(token, tx);
+            send();
+            rx
+        };
+        let forget = move || drop(self.inner.borrow_mut().pending_tokens.remove(&token));
+        self.exchange(retry, register, forget)
     }
 
     /// Sends `body` to `dst` and waits for the token-matched answer under
@@ -1483,10 +1503,8 @@ impl Server {
         token: u64,
         body: Body,
     ) -> Option<TokenReply> {
-        self.exchange(token, self.cfg.costs.ack_retry(), async || {
-            self.send_plain(dst, body.clone())
-        })
-        .await
+        self.token_exchange(token, Retry::ACK, || self.send_plain(dst, body.clone()))
+            .await
     }
 
     /// Appends a WAL record, applies its effects to the volatile stores and

@@ -20,9 +20,9 @@ use switchfs_simnet::timeout;
 use crate::config::{
     UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
-use crate::costs::RESPONDER_ACK_WAIT;
+use crate::costs::{Retry, RESPONDER_ACK_WAIT};
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
-use crate::server::{AggCollector, Server, TokenReply};
+use crate::server::{AggCollector, Server};
 use crate::wal::{KvEffect, WalOp};
 
 /// Why a holder considers pushing a change-log (§5.3). What a push carries
@@ -38,11 +38,8 @@ pub(crate) enum PushTrigger {
     /// The scan tick: push a log that holds a full MTU or that nothing was
     /// appended to lately. With a batch in flight that is the re-send, due
     /// once the retransmission wait for the copies already sent has passed
-    /// ([`CostModel::ack_retry`]) — the retry path shard migration relies
-    /// on: a frozen or flipped owner drops pushes without an
-    /// acknowledgment.
-    ///
-    /// [`CostModel::ack_retry`]: crate::costs::CostModel::ack_retry
+    /// ([`Retry::ACK`]) — the retry path shard migration relies on: a frozen
+    /// or flipped owner drops pushes without an acknowledgment.
     Tick,
     /// Everything must go (decommission drain): the batch in flight again
     /// or the next one, full or not, idle or not, round or no round.
@@ -238,7 +235,6 @@ impl Server {
         fp: Fingerprint,
         invalidate: Option<(DirId, MetaKey)>,
     ) -> usize {
-        let costs = self.cfg.costs;
         let others = self.cfg.other_servers();
         let agg_id = self.next_token();
         let payload = AggregationPayload {
@@ -262,13 +258,14 @@ impl Server {
         };
 
         // Collect remote change-logs, retrying lost requests (§5.4.1). Each
-        // copy of the request gets a fresh collector, which completes the
-        // exchange once every other server answered it. Entries are
-        // *accumulated* across copies (deduplicated by entry id): a server
-        // that answered copy 1 is acknowledged below, so its copy-1 entries
-        // must survive even if a later copy's partial collection no longer
-        // contains them (the responder may lose its answer to the same
-        // faults that forced the retry).
+        // copy of the request gets a fresh collector, which leaves the table
+        // when the copy's wait ends: a crash that empties the table mid-round
+        // loses only the copy in flight. Entries are *accumulated* across
+        // copies (deduplicated by entry id): a server that answered copy 1 is
+        // acknowledged below, so its copy-1 entries must survive even if a
+        // later copy's partial collection no longer contains them (the
+        // responder may lose its answer to the same faults that forced the
+        // retry).
         let mut remote_entries: Vec<ChangeLogEntry> = Vec::new();
         let mut collected_ids: FxHashSet<OpId> = FxHashSet::default();
         // Iterated below to send acknowledgments: must have a
@@ -276,7 +273,25 @@ impl Server {
         // with it the whole downstream schedule) varies run to run.
         let mut responders: FxHashSet<ServerId> = FxHashSet::default();
         if !others.is_empty() {
-            let mut take_collected = |answered: bool| {
+            let send = async || {
+                let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
+                let collector = AggCollector {
+                    fp,
+                    expected: others.iter().copied().collect(),
+                    entries: Vec::new(),
+                    done: Some(tx),
+                };
+                self.inner
+                    .borrow_mut()
+                    .pending_aggs
+                    .insert(agg_id, collector);
+                self.send_aggregation_request(&payload, invalidate.clone())
+                    .await;
+                rx
+            };
+            // A copy's wait ended: whoever answered it is acknowledged, and
+            // what it brought is kept.
+            let mut keep = |answered: bool| {
                 let collector = self.inner.borrow_mut().pending_aggs.remove(&agg_id);
                 let Some(c) = collector else { return };
                 if answered {
@@ -292,24 +307,13 @@ impl Server {
                     }
                 }
             };
-            let answered = self
-                .exchange(agg_id, costs.collect_retry(), async || {
-                    take_collected(false);
-                    let collector = AggCollector {
-                        fp,
-                        expected: others.iter().copied().collect(),
-                        entries: Vec::new(),
-                    };
-                    self.inner
-                        .borrow_mut()
-                        .pending_aggs
-                        .insert(agg_id, collector);
-                    self.send_aggregation_request(&payload, invalidate.clone())
-                        .await;
-                })
+            if self
+                .exchange(Retry::COLLECT, send, || keep(false))
                 .await
-                .is_some();
-            take_collected(answered);
+                .is_some()
+            {
+                keep(true);
+            }
         }
 
         // Filter out anything already applied (duplicate aggregations,
@@ -600,8 +604,9 @@ impl Server {
             collector.entries.extend(entries);
         }
         if collector.expected.is_empty() {
-            drop(inner);
-            self.complete_token(agg.agg_id, TokenReply::ACK);
+            if let Some(tx) = collector.done.take() {
+                let _ = tx.send(());
+            }
         }
     }
 
@@ -755,7 +760,8 @@ impl Server {
                 PushTrigger::Tick => {
                     (full || now.duration_since(log.last_append()) >= IDLE_PUSH_AFTER)
                         && log.last_push().is_none_or(|(sent, resends)| {
-                            now.duration_since(sent) >= self.cfg.costs.ack_retry().wait(resends)
+                            now.duration_since(sent)
+                                >= self.cfg.costs.request_timeout * Retry::ACK.wait(resends)
                         })
                 }
                 PushTrigger::Flush => true,

@@ -23,6 +23,7 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{FxHashSet, NodeId};
 
+use crate::costs::Retry;
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
@@ -590,7 +591,7 @@ impl Server {
         // mirror copy back to this server when the insert succeeds. Its body
         // is built per transmission: a packet owns what it carries.
         let answer = self
-            .exchange(op_token, self.cfg.costs.ack_retry(), async || {
+            .token_exchange(op_token, Retry::ACK, || {
                 let body = Body::Server(ServerMsg::AsyncCommit {
                     response: response.clone(),
                     origin: self.cfg.id,

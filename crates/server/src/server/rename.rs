@@ -18,6 +18,7 @@ use switchfs_proto::{
 };
 use switchfs_simnet::SimTime;
 
+use crate::costs::Retry;
 use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker};
@@ -336,7 +337,7 @@ impl Server {
             // that outlives its wait finds nothing to complete.
             let token = self.next_token();
             let vote = self
-                .exchange(token, self.cfg.costs.vote_retry(), async || {
+                .token_exchange(token, Retry::VOTE, || {
                     self.send_plain(
                         self.cfg.node_of(*server),
                         Body::Server(ServerMsg::TxnPrepare {
@@ -790,7 +791,7 @@ impl Server {
         if inner.prepared_txns.is_empty() {
             return None;
         }
-        let budget = self.cfg.costs.decision_retry().budget();
+        let budget = self.cfg.costs.request_timeout * Retry::DECISION.budget();
         let now = self.handle.now();
         let stages = |op: &TxnOp| match op {
             TxnOp::PutInode { key: k, .. }
@@ -829,7 +830,7 @@ impl Server {
                 ServerMsg::TxnAbort { req_id, txn_id }
             };
             let ack = self
-                .exchange(req_id, self.cfg.costs.decision_retry(), async || {
+                .token_exchange(req_id, Retry::DECISION, || {
                     self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()))
                 })
                 .await;
