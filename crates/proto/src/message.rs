@@ -310,25 +310,16 @@ pub struct SyncFallback {
     pub entry: ChangeLogEntry,
 }
 
-/// Data carried by an aggregation-related message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AggregationPayload {
-    /// Fingerprint group being aggregated.
-    pub fp: Fingerprint,
-    /// Unique aggregation id chosen by the directory owner (used to match
-    /// replies and acks and to make retries idempotent).
-    pub agg_id: u64,
-    /// The directory owner that issued the aggregation.
-    pub owner: ServerId,
-}
-
-/// Server-to-server and server-to-switch protocol messages.
+/// Server-to-server and server-to-switch protocol messages. None names its
+/// sender: a receiver that needs to know who sent a message (to answer it,
+/// or to remember which server to confirm a discard to) reads the packet's
+/// source, which the switch keeps on every copy it forwards or multicasts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServerMsg {
     /// Commit notification of an asynchronous double-inode operation,
     /// carrying a dirty-set `insert`. On success the switch multicasts it to
-    /// the client (operation completion) and back to the origin server
-    /// (lock release). On overflow the address rewriter redirects it to the
+    /// the client (operation completion) and back to the packet's source,
+    /// the origin server (lock release). On overflow the address rewriter redirects it to the
     /// parent directory's owner, which serves it as the synchronous parent
     /// update it falls back to (§5.2.1): the owner applies `fallback` as it
     /// applies a [`ServerMsg::RemoteDirUpdate`] and answers the origin with
@@ -337,9 +328,6 @@ pub enum ServerMsg {
     AsyncCommit {
         /// Response destined for the client.
         response: ClientResponse,
-        /// Server that executed the local half (to release its locks when
-        /// the packet is mirrored back).
-        origin: ServerId,
         /// Token identifying the pending operation on the origin server;
         /// the overflow path's `req_id`.
         op_token: u64,
@@ -350,8 +338,11 @@ pub enum ServerMsg {
     /// `remove`: the switch removes the fingerprint and multicasts the
     /// request to every other metadata server (§5.2.2, step 5).
     AggregationRequest {
-        /// Aggregation identity.
-        agg: AggregationPayload,
+        /// Fingerprint group being aggregated.
+        fp: Fingerprint,
+        /// Aggregation id, unique per owner: it matches the entries and the
+        /// acknowledgment to this request and makes retries idempotent.
+        agg_id: u64,
         /// For `rmdir`: the directory to append to every server's
         /// invalidation list before replying (§5.2.3, step 5).
         invalidate: Option<(DirId, MetaKey)>,
@@ -359,10 +350,8 @@ pub enum ServerMsg {
     /// A server's change-log entries for the requested fingerprint group,
     /// sent back to the aggregation owner (§5.2.2, step 6).
     AggregationEntries {
-        /// Aggregation identity (copied from the request).
-        agg: AggregationPayload,
-        /// Responding server.
-        from: ServerId,
+        /// Aggregation id (copied from the request).
+        agg_id: u64,
         /// All change-log entries of directories in the fingerprint group.
         entries: Vec<ChangeLogEntry>,
         /// Piggybacked discard confirmations: ids of entries this sender
@@ -375,19 +364,16 @@ pub enum ServerMsg {
     /// applied and logged; receivers unlock their change-logs and mark the
     /// entries "applied" in their WALs (§5.2.2, steps 9a/9b).
     AggregationAck {
-        /// Aggregation identity.
-        agg: AggregationPayload,
+        /// Aggregation id (copied from the request).
+        agg_id: u64,
     },
     /// Proactive change-log push from a holder to the directory's owner
     /// (§5.3): entries are transferred without an explicit aggregation so a
     /// later read does not stall.
     ChangeLogPush {
-        /// Key of the directory whose change-log is being pushed.
+        /// Key of the directory whose change-log is being pushed; its
+        /// fingerprint follows from it.
         dir_key: MetaKey,
-        /// Fingerprint of the directory.
-        fp: Fingerprint,
-        /// Pushing server.
-        from: ServerId,
         /// The pushed entries.
         entries: Vec<ChangeLogEntry>,
         /// Piggybacked discard confirmations: ids of entries this holder
@@ -443,28 +429,21 @@ pub enum ServerMsg {
         req_id: u64,
         /// Transaction id.
         txn_id: u64,
-        /// Coordinating server.
-        coordinator: ServerId,
         /// Mutations this participant must apply at commit.
         ops: Vec<TxnOp>,
     },
-    /// Commit decision. The participant answers [`Reply::Done`] once the
-    /// decision is fully applied; the coordinator retransmits the decision
-    /// until that arrives, so a committed rename is visible on every
-    /// participant before the client sees `Done`.
-    TxnCommit {
+    /// Commit or abort decision. The participant answers [`Reply::Done`]
+    /// once the decision is fully applied; the coordinator retransmits the
+    /// decision until that arrives, so a committed rename is visible on
+    /// every participant before the client sees `Done`, and an aborted
+    /// transaction never strands prepared state.
+    TxnDecision {
         /// Request token, echoed by the acknowledgment.
         req_id: u64,
         /// Transaction id.
         txn_id: u64,
-    },
-    /// Abort decision, acknowledged like [`ServerMsg::TxnCommit`] so an
-    /// aborted transaction never strands prepared state.
-    TxnAbort {
-        /// Request token, echoed by the acknowledgment.
-        req_id: u64,
-        /// Transaction id.
-        txn_id: u64,
+        /// True for commit.
+        commit: bool,
     },
     /// Recovery-time decision query (§5.4.2): a participant that crashed
     /// between prepare and decision asks the transaction's coordinator what
@@ -477,8 +456,6 @@ pub enum ServerMsg {
         req_id: u64,
         /// Transaction id being queried.
         txn_id: u64,
-        /// The querying (recovering) participant.
-        from: ServerId,
     },
     /// A client request re-routed between servers. Used by `rename` on a
     /// cold client cache: the client sends the request to the source's
@@ -515,11 +492,8 @@ pub enum ServerMsg {
         dir_id: DirId,
     },
     /// Request to clone the invalidation list during crash recovery
-    /// (§5.4.2).
-    RecoveryCloneInvalidation {
-        /// Recovering server.
-        from: ServerId,
-    },
+    /// (§5.4.2), answered to the recovering server that sent it.
+    RecoveryCloneInvalidation,
     /// Reply carrying the invalidation list.
     RecoveryInvalidationList {
         /// Entries of the responding server's invalidation list.
@@ -585,7 +559,7 @@ pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
     /// `RemoteDirUpdate`, an overflowed `AsyncCommit` (under its
     /// `op_token`), `RemoteTxnOp`, `InitDirContent`, `InvalidationRevoke`,
-    /// `ShardInstall`, `TxnCommit` and `TxnAbort`.
+    /// `ShardInstall` and `TxnDecision`.
     Done(Result<(), FsError>),
     /// A participant's vote on a `TxnPrepare`.
     Vote {
@@ -631,8 +605,9 @@ pub struct StateImage {
     pub entries: Vec<(DirId, DirEntry)>,
     /// Owner-index entries (directory id → key).
     pub dir_index: Vec<(DirId, MetaKey)>,
-    /// Pending change-log entries, with their directory ids and keys.
-    pub pending: Vec<(DirId, MetaKey, ChangeLogEntry)>,
+    /// Pending change-log entries, with their directories' keys (an
+    /// entry names its directory's id).
+    pub pending: Vec<(MetaKey, ChangeLogEntry)>,
     /// Duplicate-suppression set of already-applied remote change-log
     /// entries not yet confirmed discarded by their holders (copied, not
     /// moved, with a shard: a superset is always safe). Bounded by the

@@ -268,10 +268,9 @@ fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {
 
 fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
     prop_oneof![
-        (arb_response(), any::<u32>(), any::<u64>(), arb_fallback()).prop_map(
-            |(response, origin, op_token, fallback)| ServerMsg::AsyncCommit {
+        (arb_response(), any::<u64>(), arb_fallback()).prop_map(
+            |(response, op_token, fallback)| ServerMsg::AsyncCommit {
                 response,
-                origin: ServerId(origin),
                 op_token,
                 fallback,
             }
@@ -296,33 +295,30 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
         // and confirms generated independently so a field swap in the
         // codec cannot round-trip by accident.
         (
-            (arb_key(), arb_fingerprint(), any::<u32>()),
+            arb_key(),
             prop::collection::vec(arb_changelog_entry(), 0..3),
             prop::collection::vec(arb_op_id(), 0..3),
         )
-            .prop_map(|((dir_key, fp, from), entries, discard_confirm)| {
+            .prop_map(|(dir_key, entries, discard_confirm)| {
                 ServerMsg::ChangeLogPush {
                     dir_key,
-                    fp,
-                    from: ServerId(from),
                     entries,
                     discard_confirm,
                 }
             }),
+        (arb_fingerprint(), any::<u64>()).prop_map(|(fp, agg_id)| ServerMsg::AggregationRequest {
+            fp,
+            agg_id,
+            invalidate: None,
+        }),
         (
-            arb_fingerprint(),
-            (any::<u64>(), any::<u32>(), any::<u32>()),
+            any::<u64>(),
             prop::collection::vec(arb_changelog_entry(), 0..3),
             prop::collection::vec(arb_op_id(), 0..3),
         )
-            .prop_map(|(fp, (agg_id, owner, from), entries, discard_confirm)| {
+            .prop_map(|(agg_id, entries, discard_confirm)| {
                 ServerMsg::AggregationEntries {
-                    agg: switchfs_proto::message::AggregationPayload {
-                        fp,
-                        agg_id,
-                        owner: ServerId(owner),
-                    },
-                    from: ServerId(from),
+                    agg_id,
                     entries,
                     discard_confirm,
                 }
@@ -334,7 +330,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
             prop::collection::vec((arb_key(), arb_attrs()), 0..3),
             prop::collection::vec((arb_dir_id(), arb_key()), 0..3),
             (
-                prop::collection::vec((arb_dir_id(), arb_key(), arb_changelog_entry()), 0..3,),
+                prop::collection::vec((arb_key(), arb_changelog_entry()), 0..3),
                 prop::collection::vec(arb_op_id(), 0..3),
                 prop::collection::vec(arb_response(), 0..3),
             ),
@@ -374,22 +370,19 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
         (any::<u64>(), arb_op(), arb_fingerprint())
             .prop_map(|(req_id, op, fp)| ServerMsg::DirtySet { req_id, op, fp }),
         (
-            (any::<u64>(), any::<u64>(), any::<u32>()),
+            (any::<u64>(), any::<u64>()),
             prop::collection::vec(arb_txn_op(), 0..3),
         )
-            .prop_map(
-                |((req_id, txn_id, coordinator), ops)| ServerMsg::TxnPrepare {
-                    req_id,
-                    txn_id,
-                    coordinator: ServerId(coordinator),
-                    ops,
-                }
-            ),
+            .prop_map(|((req_id, txn_id), ops)| ServerMsg::TxnPrepare {
+                req_id,
+                txn_id,
+                ops,
+            }),
         (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(req_id, txn_id, commit)| {
-            if commit {
-                ServerMsg::TxnCommit { req_id, txn_id }
-            } else {
-                ServerMsg::TxnAbort { req_id, txn_id }
+            ServerMsg::TxnDecision {
+                req_id,
+                txn_id,
+                commit,
             }
         }),
     ]

@@ -216,22 +216,22 @@ impl ChangeLogStore {
         Self::default()
     }
 
-    /// Appends an entry to the directory's change-log, creating the log on
-    /// first use.
+    /// Appends an entry to the change-log of its directory (`entry.dir`,
+    /// stored under `dir_key`), creating the log on first use.
     pub fn append(
         &mut self,
-        dir_id: DirId,
         dir_key: &MetaKey,
         fp: Fingerprint,
         entry: ChangeLogEntry,
         now: SimTime,
     ) {
+        let dir = entry.dir;
         let log = self
             .logs
-            .entry(dir_id)
+            .entry(dir)
             .or_insert_with(|| ChangeLog::new(dir_key.clone(), fp, now));
         log.append(entry, now);
-        self.by_fp.entry(fp.raw()).or_default().insert(dir_id);
+        self.by_fp.entry(fp.raw()).or_default().insert(dir);
     }
 
     /// The change-log of a directory, if any.
@@ -347,12 +347,16 @@ mod tests {
     use switchfs_proto::{ChangeOp, ClientId, FileType, ServerId};
 
     fn entry(name: &str, seq: u64) -> ChangeLogEntry {
+        entry_in(DirId::ROOT, name, seq)
+    }
+
+    fn entry_in(dir: DirId, name: &str, seq: u64) -> ChangeLogEntry {
         ChangeLogEntry {
             entry_id: OpId {
                 client: ClientId(1),
                 seq,
             },
-            dir: DirId::ROOT,
+            dir,
             name: name.to_string(),
             op: ChangeOp::Insert {
                 file_type: FileType::File,
@@ -500,8 +504,8 @@ mod tests {
             MetaKey::new(DirId::ROOT, "b"),
         );
         let fp = |k: &MetaKey| Fingerprint::of_dir(&k.pid, &k.name);
-        store.append(dir(1), &key_a, fp(&key_a), entry("x", 1), SimTime::ZERO);
-        store.append(dir(2), &key_b, fp(&key_b), entry("y", 2), SimTime::ZERO);
+        store.append(&key_a, fp(&key_a), entry_in(dir(1), "x", 1), SimTime::ZERO);
+        store.append(&key_b, fp(&key_b), entry_in(dir(2), "y", 2), SimTime::ZERO);
         let acked: FxHashSet<OpId> = [id(1), id(2)].into_iter().collect();
         // Not pushed yet: nothing is in the window, nothing is discarded.
         assert_eq!(store.discard_acked(&key_a, &acked), Some((0, dir(1))));
@@ -523,27 +527,10 @@ mod tests {
         let fp_a = Fingerprint::from_raw(10);
         let fp_b = Fingerprint::from_raw(20);
         let (d1, d2, d3) = (dir(1), dir(2), dir(3));
-        store.append(
-            d1,
-            &MetaKey::new(DirId::ROOT, "a"),
-            fp_a,
-            entry("x", 1),
-            SimTime::ZERO,
-        );
-        store.append(
-            d2,
-            &MetaKey::new(DirId::ROOT, "b"),
-            fp_a,
-            entry("y", 2),
-            SimTime::ZERO,
-        );
-        store.append(
-            d3,
-            &MetaKey::new(DirId::ROOT, "c"),
-            fp_b,
-            entry("z", 3),
-            SimTime::ZERO,
-        );
+        let key = |name| MetaKey::new(DirId::ROOT, name);
+        store.append(&key("a"), fp_a, entry_in(d1, "x", 1), SimTime::ZERO);
+        store.append(&key("b"), fp_a, entry_in(d2, "y", 2), SimTime::ZERO);
+        store.append(&key("c"), fp_b, entry_in(d3, "z", 3), SimTime::ZERO);
         assert_eq!(store.total_pending(), 3);
         let mut group_a = store.dirs_in_group(fp_a);
         group_a.sort();
@@ -560,10 +547,9 @@ mod tests {
         let fp = Fingerprint::from_raw(10);
         let d1 = dir(1);
         store.append(
-            d1,
             &MetaKey::new(DirId::ROOT, "a"),
             fp,
-            entry("x", 1),
+            entry_in(d1, "x", 1),
             SimTime::ZERO,
         );
         let applied: FxHashSet<OpId> = [OpId {
@@ -581,10 +567,9 @@ mod tests {
     fn clear_drops_everything() {
         let mut store = ChangeLogStore::new();
         store.append(
-            dir(1),
             &MetaKey::new(DirId::ROOT, "a"),
             Fingerprint::from_raw(1),
-            entry("x", 1),
+            entry_in(dir(1), "x", 1),
             SimTime::ZERO,
         );
         store.clear();

@@ -344,8 +344,9 @@ pub(crate) struct ServerInner {
     /// phase); a shard migration's drain barrier waits on those.
     pub agg_gates: FxHashMap<u64, AggGate>,
     /// Remote-side aggregation lock holders waiting for the owner's ack,
-    /// keyed by `(owner, aggregation id)`: the ids are per-owner counters.
-    pub pending_agg_acks: FxHashMap<(ServerId, u64), oneshot::Sender<()>>,
+    /// keyed by `(owner's node, aggregation id)`: the ids are per-owner
+    /// counters.
+    pub pending_agg_acks: FxHashMap<(NodeId, u64), oneshot::Sender<()>>,
     /// Rename transactions prepared on this participant, awaiting a decision.
     /// Durable: every entry has a matching WAL `TxnMarker::Prepared` record
     /// (cleared by `TxnMarker::Resolved`), so a crash between prepare and
@@ -1035,16 +1036,13 @@ impl Server {
     async fn handle_server_msg(&self, src: NodeId, msg: ServerMsg, dirty_ret: Option<DirtyRet>) {
         match msg {
             // What the switch made of an asynchronous commit's insert: the
-            // mirror copy back at the origin, or, on overflow, the commit
-            // rewritten to the parent's owner, which serves it as the
-            // synchronous parent update it falls back to (§5.2.1).
+            // mirror copy back at the origin, its source, or, on overflow,
+            // the commit rewritten to the parent's owner, which serves it as
+            // the synchronous parent update it falls back to (§5.2.1).
             ServerMsg::AsyncCommit {
-                origin,
-                op_token,
-                fallback,
-                ..
+                op_token, fallback, ..
             } => match dirty_ret {
-                Some(DirtyRet::Inserted) if origin == self.cfg.id => {
+                Some(DirtyRet::Inserted) if src == self.cfg.node => {
                     self.complete_token(op_token, TokenReply::Mirrored);
                 }
                 Some(DirtyRet::Overflowed) => {
@@ -1053,30 +1051,31 @@ impl Server {
                 }
                 _ => {}
             },
-            ServerMsg::AggregationRequest { agg, invalidate } => {
-                Box::pin(self.handle_aggregation_request(agg, invalidate)).await;
+            ServerMsg::AggregationRequest {
+                fp,
+                agg_id,
+                invalidate,
+            } => {
+                Box::pin(self.handle_aggregation_request(src, fp, agg_id, invalidate)).await;
             }
             ServerMsg::AggregationEntries {
-                agg,
-                from,
+                agg_id,
                 entries,
                 discard_confirm,
             } => {
                 self.retire_confirmed(discard_confirm);
-                self.handle_aggregation_entries(agg, from, entries);
+                self.handle_aggregation_entries(src, agg_id, entries);
             }
-            ServerMsg::AggregationAck { agg } => {
-                self.handle_aggregation_ack(agg);
+            ServerMsg::AggregationAck { agg_id } => {
+                self.handle_aggregation_ack(src, agg_id);
             }
             ServerMsg::ChangeLogPush {
                 dir_key,
-                fp,
-                from,
                 entries,
                 discard_confirm,
             } => {
                 self.retire_confirmed(discard_confirm);
-                Box::pin(self.handle_changelog_push(dir_key, fp, from, entries)).await;
+                Box::pin(self.handle_changelog_push(src, dir_key, entries)).await;
             }
             ServerMsg::ChangeLogPushAck { dir_key, applied } => {
                 self.handle_push_ack(src, dir_key, applied);
@@ -1120,33 +1119,26 @@ impl Server {
             ServerMsg::TxnPrepare {
                 req_id,
                 txn_id,
-                coordinator,
                 ops,
             } => {
-                self.handle_txn_prepare(req_id, txn_id, coordinator, ops)
-                    .await;
+                self.handle_txn_prepare(src, req_id, txn_id, ops).await;
             }
-            ServerMsg::TxnCommit { req_id, txn_id } => {
-                // Ack once the commit is fully applied — by this copy or a
-                // previously completed one. A retransmitted copy racing a
-                // still-running apply is dropped; the coordinator's
-                // retransmission timer re-asks until the apply finished.
-                if Box::pin(self.handle_txn_decision(txn_id, true)).await {
+            ServerMsg::TxnDecision {
+                req_id,
+                txn_id,
+                commit,
+            } => {
+                // Ack once the decision is fully applied — by this copy or a
+                // previously completed one; an abort always is. A
+                // retransmitted commit racing a still-running apply is
+                // dropped; the coordinator's retransmission timer re-asks
+                // until the apply finished.
+                if Box::pin(self.handle_txn_decision(txn_id, commit)).await {
                     self.send_reply(src, req_id, Reply::Done(Ok(())));
                 }
             }
-            ServerMsg::TxnAbort { req_id, txn_id } => {
-                Box::pin(self.handle_txn_decision(txn_id, false)).await;
-                // Abort is idempotent (nothing is applied): always ack so
-                // the coordinator stops retransmitting.
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
-            }
-            ServerMsg::TxnDecisionQuery {
-                req_id,
-                txn_id,
-                from,
-            } => {
-                self.handle_txn_decision_query(req_id, txn_id, from).await;
+            ServerMsg::TxnDecisionQuery { req_id, txn_id } => {
+                self.handle_txn_decision_query(src, req_id, txn_id).await;
             }
             ServerMsg::ForwardedRequest { client_node, req } => {
                 // A rename re-routed by the source's per-file-hash owner:
@@ -1156,7 +1148,7 @@ impl Server {
                 // forwarded again) collapse onto one execution.
                 Box::pin(self.handle_client_request(NodeId(client_node), req, dirty_ret)).await;
             }
-            ServerMsg::RecoveryCloneInvalidation { from } => {
+            ServerMsg::RecoveryCloneInvalidation => {
                 let list: Vec<(DirId, MetaKey)> = self
                     .inner
                     .borrow()
@@ -1165,7 +1157,7 @@ impl Server {
                     .map(|(k, v)| (*k, v.clone()))
                     .collect();
                 self.send_plain(
-                    self.cfg.node_of(from),
+                    src,
                     Body::Server(ServerMsg::RecoveryInvalidationList { list }),
                 );
             }
@@ -1362,7 +1354,7 @@ impl Server {
             .borrow_mut()
             .wal
             .mark_applied_where(removed, |rec| {
-                matches!(rec, WalOp::Effects { pending_entry: Some((_, _, e)), .. }
+                matches!(rec, WalOp::Effects { pending_entry: Some((_, e)), .. }
                     if ids.contains(&e.entry_id))
             });
         if let Some(applier) = applier {
@@ -1522,7 +1514,7 @@ impl Server {
         &self,
         op_id: Option<OpId>,
         effects: Vec<KvEffect>,
-        pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
+        pending_entry: Option<(MetaKey, ChangeLogEntry)>,
         applied_entry_ids: Vec<OpId>,
     ) {
         let kv_cost = self.cfg.costs.kv_put * effects.len().max(1) as u64;
@@ -2049,13 +2041,11 @@ mod tests {
             let _ = server.wal_hand_over(WalOp::Effects {
                 op_id: Some(id(seq)),
                 effects: Vec::new(),
-                pending_entry: Some((dir, dir_key.clone(), entry.clone())),
+                pending_entry: Some((dir_key.clone(), entry.clone())),
                 applied_entry_ids: Vec::new(),
             });
             let mut inner = server.inner.borrow_mut();
-            inner
-                .changelogs
-                .append(dir, &dir_key, fp, entry, SimTime::ZERO);
+            inner.changelogs.append(&dir_key, fp, entry, SimTime::ZERO);
         }
         let visits = || server.durable.borrow().wal.mark_visits();
         // An owner's round names its own three entries and the remote ones
@@ -2209,9 +2199,7 @@ mod tests {
                     size_delta: -1,
                 };
                 let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-                inner
-                    .changelogs
-                    .append(dir, &dir_key, fp, entry, SimTime::ZERO);
+                inner.changelogs.append(&dir_key, fp, entry, SimTime::ZERO);
                 inner.applied_entry_ids.insert(id(100 + d));
                 inner.retire_entry_id(id(200 + d), SimTime::ZERO);
                 inner.cache_response(ClientResponse {

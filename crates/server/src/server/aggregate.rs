@@ -9,13 +9,13 @@
 
 use switchfs_simnet::FxHashSet;
 
-use switchfs_proto::message::{AggregationPayload, Body, ClientRequest, MetaOp, ServerMsg};
+use switchfs_proto::message::{Body, ClientRequest, MetaOp, ServerMsg};
 use switchfs_proto::{
     changelog::CompactedChanges, ChangeLogEntry, DirId, DirtyRet, DirtySetHeader, DirtySetOp,
     DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, ServerId,
 };
 use switchfs_simnet::sync::ClassGuard;
-use switchfs_simnet::timeout;
+use switchfs_simnet::{timeout, NodeId};
 
 use crate::config::{
     UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
@@ -237,11 +237,6 @@ impl Server {
     ) -> usize {
         let others = self.cfg.other_servers();
         let agg_id = self.next_token();
-        let payload = AggregationPayload {
-            fp,
-            agg_id,
-            owner: self.cfg.id,
-        };
         self.trace_event(
             None,
             switchfs_obs::EventKind::AggregationFanout {
@@ -285,7 +280,7 @@ impl Server {
                     .borrow_mut()
                     .pending_aggs
                     .insert(agg_id, collector);
-                self.send_aggregation_request(&payload, invalidate.clone())
+                self.send_aggregation_request(fp, agg_id, invalidate.clone())
                     .await;
                 rx
             };
@@ -335,7 +330,7 @@ impl Server {
             for s in &responders {
                 self.send_plain(
                     self.cfg.node_of(*s),
-                    Body::Server(ServerMsg::AggregationAck { agg: payload }),
+                    Body::Server(ServerMsg::AggregationAck { agg_id }),
                 );
             }
         };
@@ -367,21 +362,23 @@ impl Server {
     /// after a remove at the tracker, to every other server directly.
     async fn send_aggregation_request(
         &self,
-        payload: &AggregationPayload,
+        fp: Fingerprint,
+        agg_id: u64,
         invalidate: Option<(DirId, MetaKey)>,
     ) {
         let body = Body::Server(ServerMsg::AggregationRequest {
-            agg: *payload,
+            fp,
+            agg_id,
             invalidate,
         });
-        if let Some(tracker) = self.cfg.software_tracker(payload.fp) {
-            self.software_dirty_set(tracker, DirtySetOp::Remove, payload.fp)
+        if let Some(tracker) = self.cfg.software_tracker(fp) {
+            self.software_dirty_set(tracker, DirtySetOp::Remove, fp)
                 .await;
             self.multicast_plain(&self.cfg.other_servers(), body);
             return;
         }
         let seq = self.next_remove_seq();
-        let hdr = DirtySetHeader::remove(payload.fp, seq);
+        let hdr = DirtySetHeader::remove(fp, seq);
         // Destination is nominally this server; the switch replaces it with a
         // multicast to every other metadata server.
         self.send_dirty(self.cfg.node, hdr, body);
@@ -504,20 +501,22 @@ impl Server {
 
     /// Handles an aggregation request multicast by the switch (or unicast by
     /// the owner in the server-tracking modes): send the matching change-log
-    /// entries to the owner, then hold the change-log locks until the
-    /// owner's acknowledgment arrives (§5.2.2 step 6 / 9a).
+    /// entries to the owner, the request's source, then hold the change-log
+    /// locks until the owner's acknowledgment arrives (§5.2.2 step 6 / 9a).
     pub(crate) async fn handle_aggregation_request(
         &self,
-        agg: AggregationPayload,
+        src: NodeId,
+        fp: Fingerprint,
+        agg_id: u64,
         invalidate: Option<(DirId, MetaKey)>,
     ) {
         let costs = self.cfg.costs;
         self.cpu.run(costs.software_path).await;
-        if agg.owner == self.cfg.id {
-            // Our own multicast reflected back (possible in the unicast
-            // modes); nothing to do.
+        // Our own multicast reflected back (possible in the unicast modes):
+        // nothing to do.
+        let Some(owner) = self.server_id_of(src).filter(|s| *s != self.cfg.id) else {
             return;
-        }
+        };
         if let Some((dir_id, dir_key)) = invalidate {
             self.apply_and_log(
                 None,
@@ -534,7 +533,7 @@ impl Server {
         // handler's acknowledgment wait.
         let dirs = {
             let inner = self.inner.borrow();
-            inner.changelogs.dirs_in_group(agg.fp)
+            inner.changelogs.dirs_in_group(fp)
         };
         let mut guards = Vec::new();
         for d in &dirs {
@@ -544,16 +543,14 @@ impl Server {
         self.cpu.run(costs.lock_op * dirs.len().max(1) as u64).await;
         let entries = {
             let inner = self.inner.borrow();
-            inner.changelogs.snapshot_group(agg.fp)
+            inner.changelogs.snapshot_group(fp)
         };
         let sent_ids: FxHashSet<OpId> = entries.iter().map(|e| e.entry_id).collect();
-        let owner_node = self.cfg.node_of(agg.owner);
-        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(agg.owner);
+        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
         self.send_plain(
-            owner_node,
+            src,
             Body::Server(ServerMsg::AggregationEntries {
-                agg,
-                from: self.cfg.id,
+                agg_id,
                 entries,
                 discard_confirm,
             }),
@@ -568,7 +565,7 @@ impl Server {
         // per-owner counters, so the wait is keyed by owner *and* id: two
         // owners aggregating at once with equal ids must not take each
         // other's acknowledgments.
-        let ack_key = (agg.owner, agg.agg_id);
+        let ack_key = (src, agg_id);
         let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
         self.inner.borrow_mut().pending_agg_acks.insert(ack_key, tx);
         let acked = matches!(
@@ -581,26 +578,27 @@ impl Server {
             // discarded, so the owner is told to retire them from its
             // duplicate-suppression set.
             self.discard_applied_entries(
-                |logs| (logs.discard_applied_in_group(agg.fp, &sent_ids), ()),
+                |logs| (logs.discard_applied_in_group(fp, &sent_ids), ()),
                 &sent_ids,
-                Some(agg.owner),
+                Some(owner),
             );
         }
         drop(guards);
     }
 
-    /// Owner side: a server's change-log entries arrived.
+    /// Owner side: the change-log entries of the server at `src` arrived.
     pub(crate) fn handle_aggregation_entries(
         &self,
-        agg: AggregationPayload,
-        from: ServerId,
+        src: NodeId,
+        agg_id: u64,
         entries: Vec<ChangeLogEntry>,
     ) {
+        let from = self.server_id_of(src);
         let mut inner = self.inner.borrow_mut();
-        let Some(collector) = inner.pending_aggs.get_mut(&agg.agg_id) else {
+        let Some(collector) = inner.pending_aggs.get_mut(&agg_id) else {
             return;
         };
-        if collector.expected.remove(&from) {
+        if from.is_some_and(|from| collector.expected.remove(&from)) {
             collector.entries.extend(entries);
         }
         if collector.expected.is_empty() {
@@ -610,13 +608,13 @@ impl Server {
         }
     }
 
-    /// Remote side: the owner acknowledged our entries.
-    pub(crate) fn handle_aggregation_ack(&self, agg: AggregationPayload) {
+    /// Remote side: the owner at `src` acknowledged our entries.
+    pub(crate) fn handle_aggregation_ack(&self, src: NodeId, agg_id: u64) {
         let tx = self
             .inner
             .borrow_mut()
             .pending_agg_acks
-            .remove(&(agg.owner, agg.agg_id));
+            .remove(&(src, agg_id));
         if let Some(tx) = tx {
             let _ = tx.send(());
         }
@@ -626,14 +624,14 @@ impl Server {
     // Proactive pushing and proactive aggregation (§5.3).
     // ------------------------------------------------------------------
 
-    /// Owner side: a holder proactively pushed change-log entries.
+    /// Owner side: the holder at `src` proactively pushed change-log entries.
     pub(crate) async fn handle_changelog_push(
         &self,
+        src: NodeId,
         dir_key: MetaKey,
-        fp: Fingerprint,
-        from: ServerId,
         entries: Vec<ChangeLogEntry>,
     ) {
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         let costs = self.cfg.costs;
         self.cpu.run(costs.software_path).await;
         if let Some(first) = entries.first() {
@@ -665,7 +663,7 @@ impl Server {
         };
         let ack = || {
             self.send_plain(
-                self.cfg.node_of(from),
+                src,
                 Body::Server(ServerMsg::ChangeLogPushAck {
                     dir_key,
                     applied: applied_ids,
@@ -682,12 +680,7 @@ impl Server {
     /// Pusher side: the owner applied our pushed entries. Discards them from
     /// the directory's push window and, now that the window is open, sends
     /// the next batch if a full one is waiting.
-    pub(crate) fn handle_push_ack(
-        &self,
-        src: switchfs_simnet::NodeId,
-        dir_key: MetaKey,
-        applied: Vec<OpId>,
-    ) {
+    pub(crate) fn handle_push_ack(&self, src: NodeId, dir_key: MetaKey, applied: Vec<OpId>) {
         let ids: FxHashSet<OpId> = applied.into_iter().collect();
         // The confirmation goes to the server that *sent this ack* (the one
         // actually holding the ids in its suppression set), not to the
@@ -799,8 +792,6 @@ impl Server {
             self.cfg.node_of(owner),
             Body::Server(ServerMsg::ChangeLogPush {
                 dir_key,
-                fp,
-                from: self.cfg.id,
                 entries,
                 discard_confirm,
             }),

@@ -111,7 +111,7 @@ impl Server {
         for (dir, fp) in inner.changelogs.dirty_dirs() {
             let log = inner.changelogs.get(&dir);
             if let (Some(k), Some(log)) = (bucket(placement.dir_content_hash(fp, &dir)), log) {
-                let pending = log.entries().map(|e| (dir, log.dir_key.clone(), e.clone()));
+                let pending = log.entries().map(|e| (log.dir_key.clone(), e.clone()));
                 out.entry(k).or_default().pending.extend(pending);
             }
         }
@@ -135,7 +135,7 @@ impl Server {
                 .entries
                 .sort_by(|a, b| (a.0, &a.1.name).cmp(&(b.0, &b.1.name)));
             image.dir_index.sort_by_key(|e| e.0);
-            image.pending.sort_by_key(|e| (e.0, e.2.entry_id));
+            image.pending.sort_by_key(|(_, e)| (e.dir, e.entry_id));
         }
         out
     }
@@ -401,7 +401,7 @@ impl Server {
     fn drop_shard_changelogs(&self, image: &StateImage) {
         let mut inner = self.inner.borrow_mut();
         let dirs: std::collections::BTreeSet<DirId> =
-            image.pending.iter().map(|(d, _, _)| *d).collect();
+            image.pending.iter().map(|(_, e)| e.dir).collect();
         for dir in dirs {
             inner.changelogs.remove(&dir);
         }
@@ -491,7 +491,7 @@ impl Server {
         let effects = store_effects(&mut image);
         self.apply_and_log(None, effects, None, image.applied_entry_ids)
             .await;
-        for (dir, key, entry) in image.pending {
+        for (key, entry) in image.pending {
             // Idempotent append: a lost-ack earlier install (or this
             // server's own holder-side change-log) may already carry the
             // entry — a second copy in one batch would pass the owner's
@@ -500,7 +500,7 @@ impl Server {
                 .inner
                 .borrow()
                 .changelogs
-                .get(&dir)
+                .get(&entry.dir)
                 .is_some_and(|log| log.entries().any(|e| e.entry_id == entry.entry_id));
             if dup {
                 continue;
@@ -510,8 +510,8 @@ impl Server {
             self.inner
                 .borrow_mut()
                 .changelogs
-                .append(dir, &key, fp, entry.clone(), now);
-            self.apply_and_log(None, Vec::new(), Some((dir, key, entry)), Vec::new())
+                .append(&key, fp, entry.clone(), now);
+            self.apply_and_log(None, Vec::new(), Some((key, entry)), Vec::new())
                 .await;
         }
         {
@@ -566,14 +566,10 @@ impl Server {
             if discard_confirm.is_empty() {
                 continue;
             }
-            let dir_key = MetaKey::new(DirId::ROOT, "");
-            let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
             self.send_plain(
                 self.cfg.node_of(applier),
                 Body::Server(ServerMsg::ChangeLogPush {
-                    dir_key,
-                    fp,
-                    from: self.cfg.id,
+                    dir_key: MetaKey::new(DirId::ROOT, ""),
                     entries: Vec::new(),
                     discard_confirm,
                 }),

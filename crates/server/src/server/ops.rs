@@ -207,7 +207,7 @@ impl Server {
         self.apply_and_log(
             Some(req.op_id),
             effects,
-            Some((parent.id, parent.key.clone(), entry.clone())),
+            Some((parent.key.clone(), entry.clone())),
             Vec::new(),
         )
         .await;
@@ -549,13 +549,10 @@ impl Server {
     async fn append_deferred_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
         self.cpu.run(self.cfg.costs.changelog_append).await;
         let now = self.handle.now();
-        self.inner.borrow_mut().changelogs.append(
-            parent.id,
-            &parent.key,
-            parent.fp,
-            entry.clone(),
-            now,
-        );
+        self.inner
+            .borrow_mut()
+            .changelogs
+            .append(&parent.key, parent.fp, entry.clone(), now);
         self.push_changelog(&parent.id, PushTrigger::Filled);
     }
 
@@ -594,7 +591,6 @@ impl Server {
             .token_exchange(op_token, Retry::ACK, || {
                 let body = Body::Server(ServerMsg::AsyncCommit {
                     response: response.clone(),
-                    origin: self.cfg.id,
                     op_token,
                     fallback: SyncFallback {
                         dir_key: parent.key.clone(),

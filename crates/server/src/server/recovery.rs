@@ -128,7 +128,7 @@ impl Server {
             self.cpu.run(costs.kv_put).await;
             match op {
                 WalOp::Effects {
-                    pending_entry: Some((dir_id, dir_key, entry)),
+                    pending_entry: Some((dir_key, entry)),
                     ..
                 } if !applied => {
                     // The deferred update never reached the directory owner:
@@ -136,9 +136,7 @@ impl Server {
                     let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
                     let now = self.handle.now();
                     let mut inner = self.inner.borrow_mut();
-                    inner
-                        .changelogs
-                        .append(*dir_id, dir_key, fp, entry.clone(), now);
+                    inner.changelogs.append(dir_key, fp, entry.clone(), now);
                     report.changelog_entries_recovered += 1;
                 }
                 WalOp::Txn(TxnMarker::Resolved { txn_id })
@@ -227,7 +225,7 @@ impl Server {
         if let Some(other) = self.cfg.other_servers().first() {
             self.send_plain(
                 self.cfg.node_of(*other),
-                Body::Server(ServerMsg::RecoveryCloneInvalidation { from: self.cfg.id }),
+                Body::Server(ServerMsg::RecoveryCloneInvalidation),
             );
             // The reply is handled by the dispatcher; give it a bounded wait.
             self.handle.sleep(costs.request_timeout).await;
@@ -340,9 +338,9 @@ impl Server {
         for id in data.image.retired_entry_ids {
             inner.retire_entry_id(id, now);
         }
-        for (dir, key, entry) in data.image.pending {
+        for (key, entry) in data.image.pending {
             let fp = Fingerprint::of_dir(&key.pid, &key.name);
-            inner.changelogs.append(dir, &key, fp, entry, now);
+            inner.changelogs.append(&key, fp, entry, now);
         }
         for response in data.image.completed {
             inner.cache_response(response);

@@ -16,7 +16,7 @@ use switchfs_proto::{
     ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, MetaKey, OpResult, Placement,
     ServerId, TraceId,
 };
-use switchfs_simnet::SimTime;
+use switchfs_simnet::{NodeId, SimTime};
 
 use crate::costs::Retry;
 use crate::server::ops::DirUpdateSource;
@@ -343,7 +343,6 @@ impl Server {
                         Body::Server(ServerMsg::TxnPrepare {
                             req_id: token,
                             txn_id,
-                            coordinator: self.cfg.id,
                             ops: ops.clone(),
                         }),
                     )
@@ -539,22 +538,19 @@ impl Server {
     }
 
     /// Participant side of the two-phase commit: validate and stage the
-    /// mutations, then vote.
+    /// mutations, then vote to the coordinator, the prepare's source.
     pub(crate) async fn handle_txn_prepare(
         &self,
+        src: NodeId,
         req_id: u64,
         txn_id: u64,
-        coordinator: ServerId,
         ops: Vec<TxnOp>,
     ) {
         self.cpu.run(self.cfg.costs.software_path).await;
-        let vote = |ok, dst_type| {
-            self.send_reply(
-                self.cfg.node_of(coordinator),
-                req_id,
-                Reply::Vote { ok, dst_type },
-            )
+        let Some(coordinator) = self.server_id_of(src) else {
+            return;
         };
+        let vote = |ok, dst_type| self.send_reply(src, req_id, Reply::Vote { ok, dst_type });
         // A network-duplicated prepare arriving after this participant
         // already committed the transaction must not re-stage it (the
         // re-staged copy would be stranded forever); just re-vote yes.
@@ -673,8 +669,8 @@ impl Server {
     /// Answers from the durable decision table; a transaction still in its
     /// voting phase gets "undecided" (the participant keeps its prepared
     /// state and asks again), anything else without a commit record is
-    /// presumed aborted.
-    pub(crate) async fn handle_txn_decision_query(&self, req_id: u64, txn_id: u64, from: ServerId) {
+    /// presumed aborted. The answer goes to the query's source.
+    pub(crate) async fn handle_txn_decision_query(&self, src: NodeId, req_id: u64, txn_id: u64) {
         self.cpu.run(self.cfg.costs.software_path).await;
         let commit = {
             let inner = self.inner.borrow();
@@ -684,7 +680,7 @@ impl Server {
                 None => Some(false),
             }
         };
-        self.send_reply(self.cfg.node_of(from), req_id, Reply::Decision(commit));
+        self.send_reply(src, req_id, Reply::Decision(commit));
     }
 
     /// Resolves one in-doubt prepared transaction: asks its coordinator for
@@ -725,7 +721,6 @@ impl Server {
                 let body = Body::Server(ServerMsg::TxnDecisionQuery {
                     req_id: token,
                     txn_id,
-                    from: self.cfg.id,
                 });
                 match self
                     .send_with_ack(self.cfg.node_of(coordinator), token, body)
@@ -824,10 +819,10 @@ impl Server {
             }
             // One token per (transaction, participant), for all its copies.
             let req_id = self.next_token();
-            let msg = if commit {
-                ServerMsg::TxnCommit { req_id, txn_id }
-            } else {
-                ServerMsg::TxnAbort { req_id, txn_id }
+            let msg = ServerMsg::TxnDecision {
+                req_id,
+                txn_id,
+                commit,
             };
             let ack = self
                 .token_exchange(req_id, Retry::DECISION, || {

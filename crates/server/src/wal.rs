@@ -128,11 +128,11 @@ pub enum WalOp {
         /// Mutations applied to this server's volatile stores.
         effects: Vec<KvEffect>,
         /// A deferred update to a (usually remote) parent directory:
-        /// `(parent directory id, parent directory key, entry)`. The WAL
-        /// record is marked *applied* once the entry has been applied by the
-        /// directory owner, so recovery knows whether to rebuild it into the
-        /// change-log.
-        pending_entry: Option<(DirId, MetaKey, ChangeLogEntry)>,
+        /// `(parent directory key, entry)`; the entry names the directory's
+        /// id. The WAL record is marked *applied* once the entry has been
+        /// applied by the directory owner, so recovery knows whether to
+        /// rebuild it into the change-log.
+        pending_entry: Option<(MetaKey, ChangeLogEntry)>,
         /// Ids of remote change-log entries this record applied (aggregation
         /// / push on the directory-owner side); rebuilds the duplicate
         /// suppression set during recovery.
@@ -171,7 +171,7 @@ impl WalOp {
                 applied_entry_ids,
                 ..
             } => {
-                let entry = pending_entry.as_ref().map_or(0, |(_, _, e)| e.wire_size());
+                let entry = pending_entry.as_ref().map_or(0, |(_, e)| e.wire_size());
                 effects.len() as u64 * 96 + entry as u64 + applied_entry_ids.len() as u64 * 12
             }
             WalOp::Txn(TxnMarker::Prepared { ops, .. }) => 24 + ops.len() as u64 * 96,
@@ -248,7 +248,7 @@ mod tests {
                 seq: 1,
             }),
             effects: vec![KvEffect::PutInode(key.clone(), attrs)],
-            pending_entry: Some((DirId::ROOT, MetaKey::new(DirId::ROOT, ""), sample_entry())),
+            pending_entry: Some((MetaKey::new(DirId::ROOT, ""), sample_entry())),
             applied_entry_ids: vec![],
         };
         let size = record.wire_size();
@@ -264,7 +264,7 @@ mod tests {
         let big = WalOp::Effects {
             op_id: None,
             effects: vec![KvEffect::DeleteInode(MetaKey::new(DirId::ROOT, "x")); 4],
-            pending_entry: Some((DirId::ROOT, MetaKey::new(DirId::ROOT, ""), sample_entry())),
+            pending_entry: Some((MetaKey::new(DirId::ROOT, ""), sample_entry())),
             applied_entry_ids: vec![OpId::default(); 3],
         };
         assert!(big.wire_size() > small.wire_size());

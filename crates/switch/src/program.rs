@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn remove_with_server_body_multicasts_to_other_servers() {
-        use switchfs_proto::message::{AggregationPayload, ServerMsg};
+        use switchfs_proto::message::ServerMsg;
         let mut p = program(vec![10, 11, 12, 13]);
         let f = fp(4);
         p.process(
@@ -364,11 +364,8 @@ mod tests {
         );
         assert!(p.contains(f));
         let agg = Body::Server(ServerMsg::AggregationRequest {
-            agg: AggregationPayload {
-                fp: f,
-                agg_id: 1,
-                owner: ServerId(0),
-            },
+            fp: f,
+            agg_id: 1,
             invalidate: None,
         });
         let rm = NetMsg::with_dirty(seq(11, 1), DirtySetHeader::remove(f, 1), agg);

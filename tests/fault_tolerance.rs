@@ -268,8 +268,11 @@ struct IsolateOnCommit {
 
 impl SwitchLogic<NetMsg> for IsolateOnCommit {
     fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
-        if matches!(pkt.payload.body, Body::Server(ServerMsg::TxnCommit { .. }))
-            && pkt.dst == self.node
+        let body = &pkt.payload.body;
+        if matches!(
+            body,
+            Body::Server(ServerMsg::TxnDecision { commit: true, .. })
+        ) && pkt.dst == self.node
         {
             let mut commits = self.commits.borrow_mut();
             if commits.is_empty() {

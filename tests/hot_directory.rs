@@ -442,9 +442,9 @@ enum Seen {
     Commit,
     Push,
     AggRequest,
-    /// `(owner, aggregation id)` names the round.
-    AggEntries(ServerId, u64),
-    AggAck(ServerId, u64),
+    /// `(owner's node, aggregation id)` names the round.
+    AggEntries(NodeId, u64),
+    AggAck(NodeId, u64),
     /// A `statdir` or `readdir` on its way to the directory's owner, and the
     /// reply (attributes or a listing) on its way back.
     DirRead(OpId),
@@ -489,11 +489,11 @@ impl SwitchLogic<NetMsg> for Tap {
             Body::Server(ServerMsg::AsyncCommit { .. }) => Some(Seen::Commit),
             Body::Server(ServerMsg::ChangeLogPush { .. }) => Some(Seen::Push),
             Body::Server(ServerMsg::AggregationRequest { .. }) => Some(Seen::AggRequest),
-            Body::Server(ServerMsg::AggregationEntries { agg, .. }) => {
-                Some(Seen::AggEntries(agg.owner, agg.agg_id))
+            Body::Server(ServerMsg::AggregationEntries { agg_id, .. }) => {
+                Some(Seen::AggEntries(pkt.dst, *agg_id))
             }
-            Body::Server(ServerMsg::AggregationAck { agg }) => {
-                Some(Seen::AggAck(agg.owner, agg.agg_id))
+            Body::Server(ServerMsg::AggregationAck { agg_id }) => {
+                Some(Seen::AggAck(pkt.src, *agg_id))
             }
             Body::Request(req) if req.op.is_dir_read() => Some(Seen::DirRead(req.op_id)),
             Body::Response(resp)

@@ -475,8 +475,6 @@ proptest! {
                 let msg = match step {
                     DirStep::Push(_) => ServerMsg::ChangeLogPush {
                         dir_key: dir_key.clone(),
-                        fp,
-                        from: ServerId(holder as u32),
                         entries: fresh,
                         discard_confirm: Vec::new(),
                     },
