@@ -518,7 +518,7 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
     // Provision the ninth server and rebalance onto it *while* the next
     // workload window runs: the migration and the load interleave inside
     // one simulation run.
-    let before_shards = cluster.placement().num_shards();
+    let before_shards = cluster.placement().map().num_shards();
     cluster.add_server();
     let moved: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
     {
@@ -553,7 +553,7 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
             .col("shards moved", shards_moved as f64)
             .col("total shards", before_shards as f64)
             .col("moved fraction", shards_moved as f64 / before_shards as f64)
-            .col("map epoch", cluster.placement().epoch() as f64),
+            .col("map epoch", cluster.placement().map().epoch() as f64),
     ]
 }
 
@@ -586,8 +586,8 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
     // drain and the load interleave inside one simulation run.
     let victim = 0usize;
     let victim_id = switchfs_proto::ServerId(victim as u32);
-    let total_shards = cluster.placement().num_shards();
-    let owned_before = cluster.placement().shards_owned(victim_id);
+    let total_shards = cluster.placement().map().num_shards();
+    let owned_before = cluster.placement().map().shards_owned(victim_id);
     let outcome: Rc<RefCell<Option<switchfs_core::DecommissionReport>>> =
         Rc::new(RefCell::new(None));
     {
@@ -626,7 +626,7 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
             .col("victim shards before", owned_before as f64)
             .col("total shards", total_shards as f64)
             .col("completed", f64::from(u8::from(report.completed)))
-            .col("map epoch", cluster.placement().epoch() as f64),
+            .col("map epoch", cluster.placement().map().epoch() as f64),
     ]
 }
 

@@ -1,4 +1,4 @@
-//! The nemesis: drives a [`FaultPlan`](crate::plan::FaultPlan) against a
+//! The nemesis: drives a [`FaultPlan`] against a
 //! running deployment from inside the simulation.
 //!
 //! The nemesis runs as an ordinary simulated task alongside the workload

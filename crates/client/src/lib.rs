@@ -9,14 +9,12 @@
 //! and retry the whole operation, §5.2.1).
 //!
 //! The same LibFS drives both SwitchFS clusters and the emulated baselines —
-//! only the policy of the shard map its [`router::Router`] holds differs —
+//! only the policy of the shard map each [`LibFs`] routes with differs —
 //! mirroring the paper's setup where all emulated systems share one client
 //! framework.
 
 pub mod cache;
 pub mod libfs;
-pub mod router;
 
 pub use cache::{CachedDir, MetaCache};
 pub use libfs::{ClientStats, LibFs, LibFsConfig};
-pub use router::Router;

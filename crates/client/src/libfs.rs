@@ -9,36 +9,39 @@ use switchfs_proto::message::{
 };
 use switchfs_proto::{
     ClientId, DirEntry, DirId, DirtySetHeader, Fingerprint, FsError, FsResult, InodeAttrs, MetaKey,
-    OpId, OpResult, Permissions, ServerId, TraceId,
+    OpId, OpResult, Permissions, Placement, Retry, ServerId, ShardMap, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, Endpoint, FxHashMap, NodeId, SimDuration, SimHandle};
 
 use crate::cache::{path_components, CachedDir, MetaCache};
-use crate::router::Router;
+
+/// Whole-operation retries on retryable errors (stale cache, unavailable
+/// server).
+const MAX_OP_RETRIES: u32 = 16;
 
 /// Client configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LibFsConfig {
     /// This client's identity.
     pub id: ClientId,
-    /// Retransmission timeout for a single request.
+    /// Retransmission timeout for a single request: the unit of
+    /// [`Retry::REQUEST`].
     pub request_timeout: SimDuration,
-    /// Retransmissions per request before giving up.
-    pub max_retries: u32,
-    /// Whole-operation retries on retryable errors (stale cache, unavailable
-    /// server).
-    pub max_op_retries: u32,
+    /// Whether directory reads carry a dirty-set query header (true for
+    /// SwitchFS under in-network tracking; false when a dedicated coordinator
+    /// or the owner server tracks dirty state, and for every baseline).
+    pub dirty_query_in_packet: bool,
 }
 
 impl LibFsConfig {
-    /// A sensible default configuration for client `id`.
+    /// A sensible default configuration for client `id`: no switch answers
+    /// a dirty-set query.
     pub fn new(id: ClientId) -> Self {
         LibFsConfig {
             id,
             request_timeout: SimDuration::micros(400),
-            max_retries: 10,
-            max_op_retries: 16,
+            dirty_query_in_packet: false,
         }
     }
 }
@@ -77,7 +80,10 @@ struct Resolution {
 pub struct LibFs {
     handle: SimHandle,
     endpoint: Rc<Endpoint<NetMsg>>,
-    router: Router,
+    /// The client's private copy of the shard map it routes with (see
+    /// [`Placement::route`]), refreshed from `WrongOwner` rejections. Its
+    /// policy is the only client-side difference between the systems.
+    map: RefCell<ShardMap>,
     server_nodes: Rc<RefCell<Vec<NodeId>>>,
     cfg: LibFsConfig,
     cache: RefCell<MetaCache>,
@@ -106,12 +112,13 @@ pub struct LibFs {
 }
 
 impl LibFs {
-    /// Creates a client bound to a network endpoint. Call [`LibFs::start`]
-    /// to spawn its response dispatcher before issuing operations.
+    /// Creates a client bound to a network endpoint that routes with `map`.
+    /// Call [`LibFs::start`] to spawn its response dispatcher before issuing
+    /// operations.
     pub fn new(
         handle: SimHandle,
         endpoint: Endpoint<NetMsg>,
-        router: Router,
+        map: ShardMap,
         server_nodes: Rc<RefCell<Vec<NodeId>>>,
         cfg: LibFsConfig,
         obs: ObsHandle,
@@ -120,7 +127,7 @@ impl LibFs {
         Rc::new(LibFs {
             handle,
             endpoint: Rc::new(endpoint),
-            router,
+            map: RefCell::new(map),
             server_nodes,
             cfg,
             cache: RefCell::new(MetaCache::new()),
@@ -144,7 +151,7 @@ impl LibFs {
         self.obs.record(TraceEvent {
             at_ns: self.handle.now().as_nanos(),
             node: self.endpoint.node().0,
-            epoch: self.router.epoch(),
+            epoch: self.epoch(),
             trace,
             kind,
         });
@@ -293,7 +300,7 @@ impl LibFs {
                 // other operation. A timeout's outcome is ambiguous and is
                 // surfaced to the caller.
                 Err(e @ (FsError::Unavailable | FsError::StaleCache))
-                    if attempt < self.cfg.max_op_retries =>
+                    if attempt < MAX_OP_RETRIES =>
                 {
                     attempt += 1;
                     if e == FsError::StaleCache {
@@ -385,10 +392,10 @@ impl LibFs {
         let mut attempt = 0;
         loop {
             let op_probe = build(MetaKey::new(DirId::ROOT, String::new()));
-            let need_target = self.router.needs_target_resolution(&op_probe);
+            let need_target = self.map.borrow().needs_target(&op_probe);
             let res = match self.resolve(path, need_target).await {
                 Ok(r) => r,
-                Err(FsError::StaleCache) if attempt < self.cfg.max_op_retries => {
+                Err(FsError::StaleCache) if attempt < MAX_OP_RETRIES => {
                     attempt += 1;
                     self.stats.borrow_mut().stale_retries += 1;
                     self.cache.borrow_mut().invalidate_path(path);
@@ -418,7 +425,7 @@ impl LibFs {
             };
             let out = self.issue(op, parent, ancestors, target_attrs).await;
             match out {
-                Ok(OpResult::Err(e)) if e.is_retryable() && attempt < self.cfg.max_op_retries => {
+                Ok(OpResult::Err(e)) if e.is_retryable() && attempt < MAX_OP_RETRIES => {
                     attempt += 1;
                     if e == FsError::StaleCache {
                         self.stats.borrow_mut().stale_retries += 1;
@@ -560,9 +567,9 @@ impl LibFs {
             client: self.cfg.id,
             seq,
         };
-        let attach_query = self.router.attach_dirty_query(&op);
         // Only directory reads carry a dirty-set query header; compute the
         // fingerprint lazily so every other operation skips the hash.
+        let attach_query = self.cfg.dirty_query_in_packet && op.is_dir_read();
         let fp = attach_query.then(|| {
             let key = op.primary_key();
             Fingerprint::of_dir(&key.pid, &key.name)
@@ -585,21 +592,18 @@ impl LibFs {
             op,
             ancestors,
             parent,
-            epoch: self.router.epoch(),
+            epoch: self.epoch(),
             acked_below,
         });
-        let mut dst_node = {
-            let dst_server = self.router.destination(&request.op, target_attrs.as_ref());
-            self.node_of(dst_server)
-        };
-        // Exponential backoff between retransmissions: a queued-but-alive
-        // server answers when it answers regardless of duplicates (they are
-        // suppressed), so pacing the retries only sheds useless packets —
-        // heavyweight baselines otherwise exhaust the whole retry budget on
-        // every operation the moment their queues exceed one timeout.
-        let mut wait = self.cfg.request_timeout;
-        let max_wait = self.cfg.request_timeout * 16;
-        for attempt in 0..=self.cfg.max_retries {
+        let mut dst_node = self.destination(&request.op, target_attrs.as_ref());
+        // Exponential backoff between retransmissions ([`Retry::REQUEST`],
+        // indexed by the timeouts so far): a queued-but-alive server answers
+        // when it answers regardless of duplicates (they are suppressed), so
+        // pacing the retries only sheds useless packets — heavyweight
+        // baselines otherwise exhaust the whole retry budget on every
+        // operation the moment their queues exceed one timeout.
+        let mut timeouts = 0;
+        for attempt in 0..Retry::REQUEST.sends {
             if attempt > 0 {
                 self.stats.borrow_mut().retransmissions += 1;
             }
@@ -623,40 +627,51 @@ impl LibFs {
             .traced(trace);
             self.trace_event(Some(trace), EventKind::ClientIssue { op: op_id, attempt });
             self.endpoint.send(dst_node, msg);
+            let wait = self.cfg.request_timeout * Retry::REQUEST.wait(timeouts);
             match timeout(&self.handle, wait, rx.recv()).await {
                 Some(Ok(resp)) => match resp.result {
                     OpResult::WrongOwner { map } => {
                         // Refresh-and-retry: install the newer map, restamp
                         // the request's epoch and re-route. No backoff — the
                         // new owner is live and this is not congestion.
+                        // Older or same-epoch maps are ignored.
                         self.stats.borrow_mut().map_refreshes += 1;
-                        self.router.install_map(&map);
+                        if map.epoch() > self.epoch() {
+                            *self.map.borrow_mut() = map;
+                        }
                         self.trace_event(
                             Some(trace),
                             EventKind::ClientMapRefresh {
                                 op: op_id,
-                                new_epoch: self.router.epoch(),
+                                new_epoch: self.epoch(),
                             },
                         );
                         let mut rebuilt = (*request).clone();
-                        rebuilt.epoch = self.router.epoch();
+                        rebuilt.epoch = self.epoch();
                         request = Rc::new(rebuilt);
-                        let dst_server =
-                            self.router.destination(&request.op, target_attrs.as_ref());
-                        dst_node = self.node_of(dst_server);
+                        dst_node = self.destination(&request.op, target_attrs.as_ref());
                     }
                     result => return Ok(result),
                 },
                 _ => {
                     self.pending.borrow_mut().remove(&seq);
-                    wait = (wait * 2).min(max_wait);
+                    timeouts += 1;
                 }
             }
         }
         Err(FsError::TimedOut)
     }
 
-    fn node_of(&self, server: ServerId) -> NodeId {
+    /// The epoch of the cached shard map, stamped on every request so a
+    /// server with a newer map can reject the routing.
+    fn epoch(&self) -> u64 {
+        self.map.borrow().epoch()
+    }
+
+    /// The node of the server the request must be sent to. `target` is what
+    /// the client knows of the final path component.
+    fn destination(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> NodeId {
+        let server: ServerId = self.map.borrow().route(op, target);
         self.server_nodes.borrow()[server.0 as usize]
     }
 }

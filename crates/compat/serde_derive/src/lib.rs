@@ -4,7 +4,7 @@
 //! (non-generic, attribute-free) structs and enums by hand-parsing the item's
 //! token stream — no `syn`/`quote`, since the build environment has no
 //! registry access. The generated impls convert through the stub serde's
-//! [`Value`] tree using the externally-tagged enum representation, matching
+//! `Value` tree using the externally-tagged enum representation, matching
 //! upstream serde's default JSON shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use switchfs_client::{LibFs, LibFsConfig, Router};
+use switchfs_client::{LibFs, LibFsConfig};
 use switchfs_obs::{MetricsRegistry, Obs, ObsHandle};
 use switchfs_proto::message::NetMsg;
 use switchfs_proto::{
@@ -112,16 +112,16 @@ impl Cluster {
         // migration flips shards in the shared map, a client keeps routing
         // with its stale copy until a `WrongOwner` rejection refreshes it.
         for i in 0..cluster.cfg.clients {
-            // Directory reads carry a dirty-set query only where a switch
-            // answers it.
-            let router = Router::new(cluster.placement.snapshot(), cluster.switch.is_some());
             let endpoint = cluster.network.register(client_node(i));
             let mut lib_cfg = LibFsConfig::new(ClientId(i as u32));
             lib_cfg.request_timeout = cluster.cfg.client_request_timeout();
+            // Directory reads carry a dirty-set query only where a switch
+            // answers it.
+            lib_cfg.dirty_query_in_packet = cluster.switch.is_some();
             let client = LibFs::new(
                 handle.clone(),
                 endpoint,
-                router,
+                cluster.placement.map().clone(),
                 cluster.server_nodes.clone(),
                 lib_cfg,
                 cluster.obs.clone(),
@@ -361,7 +361,7 @@ impl Cluster {
     pub fn add_server(&mut self) -> usize {
         let i = self.servers.len();
         let node = server_node(i);
-        let new_id = self.placement.add_server();
+        let new_id = self.placement.map_mut().add_server();
         debug_assert_eq!(new_id, ServerId(i as u32));
         self.server_nodes.borrow_mut().push(node);
         if let Some(program) = &self.switch {
@@ -413,7 +413,7 @@ impl Cluster {
     /// the redirect tombstone.
     pub fn finalize_decommission(&self, idx: usize) {
         assert!(
-            self.placement.is_retired(ServerId(idx as u32)),
+            self.placement.map().is_retired(ServerId(idx as u32)),
             "server {idx} was not drained and retired"
         );
         if let Some(program) = &self.switch {
@@ -561,7 +561,7 @@ pub async fn run_rebalance(placement: &SharedPlacement, servers: &[Server]) -> u
     // Two passes: a shard whose transfer failed (e.g. the target crashed
     // mid-stream) is retried once after the rest of the plan completed.
     for _pass in 0..2 {
-        let plan = placement.plan_rebalance();
+        let plan = placement.map().plan_rebalance();
         if plan.is_empty() {
             break;
         }
@@ -571,7 +571,9 @@ pub async fn run_rebalance(placement: &SharedPlacement, servers: &[Server]) -> u
                 continue;
             }
             moved += source
-                .migrate_shards(&[(shard, to)], |shard, to| placement.assign(shard, to))
+                .migrate_shards(&[(shard, to)], |shard, to| {
+                    placement.map_mut().assign(shard, to)
+                })
                 .await;
         }
     }
@@ -615,6 +617,7 @@ pub async fn run_decommission(
             break;
         }
         let moves: Vec<(u32, ServerId)> = placement
+            .map()
             .plan_drain(victim_id)
             .into_iter()
             .filter(|(_, _, to)| !servers[to.0 as usize].is_crashed())
@@ -625,13 +628,13 @@ pub async fn run_decommission(
         }
         let p = placement.clone();
         moved += source
-            .migrate_shards(&moves, |shard, to| p.assign(shard, to))
+            .migrate_shards(&moves, |shard, to| p.map_mut().assign(shard, to))
             .await;
     }
-    let drained = !source.is_crashed() && placement.shards_owned(victim_id) == 0;
+    let drained = !source.is_crashed() && placement.map().shards_owned(victim_id) == 0;
     let completed = drained && source.drain_for_shutdown().await;
     if completed {
-        placement.retire(victim_id);
+        placement.map_mut().retire(victim_id);
     }
     DecommissionReport {
         shards_moved: moved,

@@ -14,8 +14,8 @@
 //!   run digest is bit-identical with tracing enabled or disabled (pinned by
 //!   a conformance test).
 //! - Buffers are bounded FIFO rings: a long run keeps the most recent
-//!   [`Obs::capacity`] events per node and forgets the rest, like a real
-//!   flight recorder.
+//!   `capacity` events per node (see [`Obs::recording`]) and forgets the
+//!   rest, like a real flight recorder.
 //! - When disabled (the default), every recording call is a single branch on
 //!   a [`Cell`] and returns before constructing the event.
 //!

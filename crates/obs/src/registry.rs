@@ -12,34 +12,22 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use switchfs_simnet::LatencyHistogram;
 
-/// One registered metric value.
+/// One registered metric value. Counters are the only kind today; a caller
+/// outside this crate matches with a wildcard arm so that a kind added for a
+/// caller that needs it breaks nobody.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[non_exhaustive]
 pub enum MetricValue {
     /// A monotonically accumulated count.
     Counter(u64),
-    /// A point-in-time level (may be negative, e.g. a backlog delta).
-    Gauge(i64),
-    /// A latency distribution summarized as
-    /// `(count, mean_us, p50_us, p99_us, max_us)`.
-    Histogram {
-        count: u64,
-        mean_us: f64,
-        p50_us: u64,
-        p99_us: u64,
-        max_us: u64,
-    },
 }
 
 impl MetricValue {
-    /// The scalar CI compares against: count for counters, level for
-    /// gauges, p99 for histograms.
+    /// The scalar CI compares against: the count.
     pub fn scalar(&self) -> f64 {
         match self {
             MetricValue::Counter(v) => *v as f64,
-            MetricValue::Gauge(v) => *v as f64,
-            MetricValue::Histogram { p99_us, .. } => *p99_us as f64,
         }
     }
 }
@@ -67,31 +55,6 @@ impl MetricsRegistry {
         self
     }
 
-    /// Registers (or replaces) a gauge.
-    pub fn gauge(&mut self, name: &str, value: i64) -> &mut Self {
-        self.metrics
-            .insert(name.to_string(), MetricValue::Gauge(value));
-        self
-    }
-
-    /// Registers (or replaces) a latency histogram by its summary
-    /// statistics. The histogram itself is consumed into five scalars — the
-    /// registry snapshot is for reporting, not re-aggregation.
-    pub fn histogram(&mut self, name: &str, hist: &LatencyHistogram) -> &mut Self {
-        let mut h = hist.clone();
-        self.metrics.insert(
-            name.to_string(),
-            MetricValue::Histogram {
-                count: h.count() as u64,
-                mean_us: h.mean().as_micros_f64(),
-                p50_us: h.median().as_micros(),
-                p99_us: h.percentile(99.0).as_micros(),
-                max_us: h.max().as_micros(),
-            },
-        );
-        self
-    }
-
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.metrics.get(name)
@@ -115,8 +78,8 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Serializes the snapshot as a JSON object `{name: {kind, value...}}`
-    /// with keys in stable order.
+    /// Serializes the snapshot as a JSON object `{name: {kind: value}}` with
+    /// keys in stable order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
@@ -127,16 +90,6 @@ impl MetricsRegistry {
             out.push(':');
             let rendered = match value {
                 MetricValue::Counter(v) => format!("{{\"counter\":{v}}}"),
-                MetricValue::Gauge(v) => format!("{{\"gauge\":{v}}}"),
-                MetricValue::Histogram {
-                    count,
-                    mean_us,
-                    p50_us,
-                    p99_us,
-                    max_us,
-                } => format!(
-                    "{{\"count\":{count},\"mean_us\":{mean_us:.3},\"p50_us\":{p50_us},\"p99_us\":{p99_us},\"max_us\":{max_us}}}"
-                ),
             };
             out.push_str(&rendered);
         }
@@ -154,38 +107,20 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter("z.last", 1)
             .counter("a.first", 2)
-            .gauge("m.mid", -3);
+            .counter("m.mid", 3);
         let names: Vec<String> = reg.snapshot().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
-    }
-
-    #[test]
-    fn histogram_summarizes() {
-        use switchfs_simnet::SimDuration;
-        let mut h = LatencyHistogram::new();
-        for v in [10, 20, 30, 40, 100] {
-            h.record(SimDuration::micros(v));
-        }
-        let mut reg = MetricsRegistry::new();
-        reg.histogram("lat", &h);
-        match reg.get("lat").unwrap() {
-            MetricValue::Histogram { count, max_us, .. } => {
-                assert_eq!(*count, 5);
-                assert_eq!(*max_us, 100);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 
     #[test]
     fn json_emission_is_deterministic_and_named() {
         let mut reg = MetricsRegistry::new();
         reg.counter("server.ops_completed", 42)
-            .gauge("net.inflight", 7);
+            .counter("net.sent", 7);
         let json = reg.to_json();
         assert_eq!(json, reg.to_json());
         assert!(json.contains("\"server.ops_completed\":{\"counter\":42}"));
-        assert!(json.contains("\"net.inflight\":{\"gauge\":7}"));
+        assert!(json.contains("\"net.sent\":{\"counter\":7}"));
         // Parses back as JSON.
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert!(matches!(v, serde_json::Value::Object(_)));
@@ -194,6 +129,5 @@ mod tests {
     #[test]
     fn scalar_projection() {
         assert_eq!(MetricValue::Counter(9).scalar(), 9.0);
-        assert_eq!(MetricValue::Gauge(-2).scalar(), -2.0);
     }
 }

@@ -19,6 +19,7 @@
 //!   protocol messages.
 //! * [`placement`] — the two partitioning policies (per-file hashing,
 //!   per-directory hashing) and the one routing rule every component asks.
+//! * [`retry`] — the retransmission policies of clients and servers.
 //! * [`wire`] — binary encoding of the switch-visible packet headers.
 
 pub mod changelog;
@@ -27,6 +28,7 @@ pub mod error;
 pub mod ids;
 pub mod message;
 pub mod placement;
+pub mod retry;
 pub mod schema;
 pub mod wire;
 
@@ -38,4 +40,5 @@ pub use message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, ParentRef, ServerMsg, UdpPorts,
 };
 pub use placement::{PartitionPolicy, Placement, ShardMap, SharedPlacement};
+pub use retry::Retry;
 pub use schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};

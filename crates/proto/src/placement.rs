@@ -23,7 +23,7 @@
 //!   with its own children (what `statdir`, `readdir`, `rmdir` and entry
 //!   updates address, by the directory's id).
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 use crate::ids::{DirId, Fingerprint, ServerId};
@@ -451,7 +451,7 @@ impl Placement for ShardMap {
 /// A cluster-wide shared, mutable [`ShardMap`] handle.
 ///
 /// Servers (and the cluster harness) share one instance: a migration flip
-/// through [`SharedPlacement::assign`] is immediately visible to every
+/// through [`SharedPlacement::map_mut`] is immediately visible to every
 /// server. Clients hold private *snapshots* instead and refresh them from
 /// `WrongOwner` rejections, which is what the epoch field models.
 #[derive(Debug, Clone)]
@@ -468,69 +468,16 @@ impl SharedPlacement {
         Self::new(ShardMap::initial(policy, servers))
     }
 
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.0.borrow().epoch()
+    /// The shared map, to read. The borrow must not be held across an
+    /// `.await` (clippy's `await_holding_refcell_ref`): a flip during the
+    /// wait would panic.
+    pub fn map(&self) -> Ref<'_, ShardMap> {
+        self.0.borrow()
     }
 
-    /// Number of virtual shards.
-    pub fn num_shards(&self) -> usize {
-        self.0.borrow().num_shards()
-    }
-
-    /// A point-in-time copy of the map (client caches, `WrongOwner` bodies).
-    pub fn snapshot(&self) -> ShardMap {
-        self.0.borrow().clone()
-    }
-
-    /// See [`ShardMap::shard_of_hash`].
-    pub fn shard_of_hash(&self, hash: u64) -> u32 {
-        self.0.borrow().shard_of_hash(hash)
-    }
-
-    /// See [`ShardMap::owner_of_shard`].
-    pub fn owner_of_shard(&self, shard: u32) -> ServerId {
-        self.0.borrow().owner_of_shard(shard)
-    }
-
-    /// See [`ShardMap::shards_owned`].
-    pub fn shards_owned(&self, server: ServerId) -> usize {
-        self.0.borrow().shards_owned(server)
-    }
-
-    /// See [`ShardMap::add_server`].
-    pub fn add_server(&self) -> ServerId {
-        self.0.borrow_mut().add_server()
-    }
-
-    /// See [`ShardMap::assign`].
-    pub fn assign(&self, shard: u32, to: ServerId) {
-        self.0.borrow_mut().assign(shard, to);
-    }
-
-    /// See [`ShardMap::retire`].
-    pub fn retire(&self, server: ServerId) {
-        self.0.borrow_mut().retire(server);
-    }
-
-    /// See [`ShardMap::is_retired`].
-    pub fn is_retired(&self, server: ServerId) -> bool {
-        self.0.borrow().is_retired(server)
-    }
-
-    /// See [`ShardMap::num_active_servers`].
-    pub fn num_active_servers(&self) -> usize {
-        self.0.borrow().num_active_servers()
-    }
-
-    /// See [`ShardMap::plan_rebalance`].
-    pub fn plan_rebalance(&self) -> Vec<(u32, ServerId, ServerId)> {
-        self.0.borrow().plan_rebalance()
-    }
-
-    /// See [`ShardMap::plan_drain`].
-    pub fn plan_drain(&self, victim: ServerId) -> Vec<(u32, ServerId, ServerId)> {
-        self.0.borrow().plan_drain(victim)
+    /// The shared map, to change (a flip, a server added or retired).
+    pub fn map_mut(&self) -> RefMut<'_, ShardMap> {
+        self.0.borrow_mut()
     }
 }
 
@@ -582,6 +529,38 @@ mod tests {
             .map(|i| p.file_owner(&MetaKey::new(DirId::ROOT, format!("f{i}"))))
             .collect();
         assert_eq!(owners.len(), 1, "P/C grouping must colocate siblings");
+    }
+
+    #[test]
+    fn routing_pins_a_directory_and_spreads_or_groups_its_files() {
+        let key = |name: &str| MetaKey::new(DirId::ROOT, name);
+        let perm = crate::schema::Permissions::default();
+        let creates = |map: &ShardMap| -> std::collections::BTreeSet<ServerId> {
+            (0..200)
+                .map(|i| MetaOp::Create {
+                    key: key(&format!("f{i}")),
+                    perm,
+                })
+                .map(|op| map.route(&op, None))
+                .collect()
+        };
+        let statdir = MetaOp::Statdir { key: key("dir") };
+        let mkdir = MetaOp::Mkdir {
+            key: key("dir"),
+            perm,
+        };
+        // Separation: siblings spread, while a directory's reads and its
+        // mkdir reach its fingerprint owner without knowing its id.
+        let sep = ShardMap::initial(PartitionPolicy::PerFileHash, 8);
+        assert!(creates(&sep).len() > 1, "siblings must spread");
+        assert_eq!(sep.route(&statdir, None), sep.route(&mkdir, None));
+        assert!(!sep.needs_target(&statdir));
+        // Grouping: siblings colocate, and a directory read goes by the
+        // directory's id, which the client must resolve first.
+        let grp = ShardMap::initial(PartitionPolicy::PerDirectoryHash, 8);
+        assert_eq!(creates(&grp).len(), 1, "siblings must colocate");
+        assert!(grp.needs_target(&statdir));
+        assert!(!grp.needs_target(&MetaOp::Delete { key: key("f") }));
     }
 
     #[test]
@@ -667,15 +646,15 @@ mod tests {
     fn shared_placement_flip_is_visible_through_every_handle() {
         let shared = SharedPlacement::initial(PartitionPolicy::PerFileHash, 2);
         let other = shared.clone();
-        let new = shared.add_server();
-        shared.assign(0, new);
-        assert_eq!(other.owner_of_shard(0), new);
-        assert_eq!(other.epoch(), 1);
+        let new = shared.map_mut().add_server();
+        shared.map_mut().assign(0, new);
+        assert_eq!(other.map().owner_of_shard(0), new);
+        assert_eq!(other.map().epoch(), 1);
         // Snapshots are decoupled: a later flip does not change them.
-        let snap = other.snapshot();
-        shared.assign(1, new);
+        let snap = other.map().clone();
+        shared.map_mut().assign(1, new);
         assert_eq!(snap.owner_of_shard(1), ServerId(1));
-        assert_eq!(other.owner_of_shard(1), new);
+        assert_eq!(other.map().owner_of_shard(1), new);
     }
 
     #[test]

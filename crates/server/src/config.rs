@@ -126,7 +126,7 @@ impl ServerConfig {
     pub fn other_servers(&self) -> Vec<ServerId> {
         (0..self.num_servers() as u32)
             .map(ServerId)
-            .filter(|s| *s != self.id && !self.placement.is_retired(*s))
+            .filter(|s| *s != self.id && !self.placement.map().is_retired(*s))
             .collect()
     }
 }

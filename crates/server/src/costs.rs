@@ -42,7 +42,8 @@ pub struct CostModel {
     /// and the emulated InfiniFS/CFS baselines, large for the CephFS-like
     /// and IndexFS-like stacks (Fig. 13).
     pub extra_software: SimDuration,
-    /// Retransmission timeout (§5.4.1): the unit of every `Retry` policy.
+    /// Retransmission timeout (§5.4.1): the unit of every
+    /// [`switchfs_proto::Retry`] policy a server sends under.
     pub request_timeout: SimDuration,
 }
 
@@ -52,56 +53,6 @@ pub struct CostModel {
 /// in the asynchronous modes; a synchronous baseline keeps no change-log
 /// entries to send.
 pub(crate) const RESPONDER_ACK_WAIT: SimDuration = SimDuration::millis(3);
-
-/// A retransmission policy (§5.4.1), in units of `request_timeout`: the wait
-/// for an answer to copy `n` (0 = the first) is `min(first << n, cap)`, or
-/// `min(first + n, cap)` for a linear policy, and the exchange gives up after
-/// `sends` copies. Receivers suppress duplicates, so pacing copies only sheds
-/// packets. The whole bound is [`Retry::budget`], stated once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Retry {
-    first: u64,
-    cap: u64,
-    pub(crate) sends: u32,
-    linear: bool,
-}
-
-impl Retry {
-    /// `send_with_ack`, the asynchronous commit, a push's re-send pace.
-    pub(crate) const ACK: Retry = Retry::doubling(1, 16, 9);
-    /// A rename's commit or abort, to one participant.
-    pub(crate) const DECISION: Retry = Retry::doubling(4, 4, 9);
-    /// A rename's prepare: one copy; no vote is an abort.
-    pub(crate) const VOTE: Retry = Retry::doubling(4, 4, 1);
-    /// An aggregation round's request to every other server.
-    pub(crate) const COLLECT: Retry = Retry {
-        linear: true,
-        ..Retry::doubling(2, 10, 9)
-    };
-
-    const fn doubling(first: u64, cap: u64, sends: u32) -> Retry {
-        Retry {
-            first,
-            cap,
-            sends,
-            linear: false,
-        }
-    }
-
-    /// The wait for an answer to copy `n`.
-    pub(crate) fn wait(self, n: u32) -> u64 {
-        let grown = match self.linear {
-            true => self.first + u64::from(n),
-            false => self.first.saturating_mul(1 << n.min(63)),
-        };
-        grown.min(self.cap)
-    }
-
-    /// The time from the first copy until the exchange gives up.
-    pub(crate) fn budget(self) -> u64 {
-        (0..self.sends).map(|n| self.wait(n)).sum()
-    }
-}
 
 impl Default for CostModel {
     fn default() -> Self {
@@ -159,22 +110,6 @@ mod tests {
         assert!(c.kv_put.as_micros_f64() < 5.0);
         assert_eq!(c.extra_software, SimDuration::ZERO);
         assert_eq!(c.request_overhead(), c.software_path);
-    }
-
-    #[test]
-    fn each_policy_states_its_waits_and_budget_once() {
-        let waits = |r: Retry| (0..r.sends).map(|n| r.wait(n)).collect::<Vec<_>>();
-        // In milliseconds at SwitchFS's 300 µs request timeout.
-        let to = CostModel::default().request_timeout;
-        let budget_ms = |r: Retry| (to * r.budget()).as_micros_f64() / 1000.0;
-        assert_eq!(waits(Retry::ACK), [1, 2, 4, 8, 16, 16, 16, 16, 16]);
-        assert_eq!(budget_ms(Retry::ACK), 28.5);
-        assert_eq!(waits(Retry::DECISION), [4; 9]);
-        assert_eq!(budget_ms(Retry::DECISION), 10.8);
-        assert_eq!(waits(Retry::VOTE), [4]);
-        assert_eq!(budget_ms(Retry::VOTE), 1.2);
-        assert_eq!(waits(Retry::COLLECT), [2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        assert_eq!(budget_ms(Retry::COLLECT), 16.2);
     }
 
     #[test]

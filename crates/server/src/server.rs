@@ -40,10 +40,10 @@ use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
 
 use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
-use crate::costs::Retry;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
+use switchfs_proto::Retry;
 
 switchfs_simnet::counters! {
     /// Counters describing what a server has done; read by tests and by the
@@ -909,7 +909,7 @@ impl Server {
             // map (shard moved).
             return;
         }
-        if req.epoch != self.cfg.placement.epoch() && !self.may_own(&req.op) {
+        if req.epoch != self.cfg.placement.map().epoch() && !self.may_own(&req.op) {
             // Routed with a stale shard map after the target shard moved
             // away.
             self.reject_wrong_owner(client_node, &req);
@@ -975,7 +975,7 @@ impl Server {
             Body::Response(ClientResponse {
                 op_id: req.op_id,
                 result: OpResult::WrongOwner {
-                    map: self.cfg.placement.snapshot(),
+                    map: self.cfg.placement.map().clone(),
                 },
                 server: self.cfg.id,
             }),
@@ -995,7 +995,7 @@ impl Server {
         let dir_id = inner.inodes.peek(key).map(|a| a.id.hash64());
         let mut hashes = key_hashes(key).into_iter().chain(dir_id);
         hashes.any(|h| {
-            let shard = self.cfg.placement.shard_of_hash(h);
+            let shard = self.cfg.placement.map().shard_of_hash(h);
             inner.migrating_shards.contains(&shard)
         })
     }
@@ -1284,7 +1284,7 @@ impl Server {
         self.cfg.obs.record(TraceEvent {
             at_ns: self.now_ns(),
             node: self.cfg.node.0,
-            epoch: self.cfg.placement.epoch(),
+            epoch: self.cfg.placement.map().epoch(),
             trace,
             kind,
         });
@@ -2153,7 +2153,7 @@ mod tests {
     /// Everything a loaded server stores, with its duplicate-suppression
     /// state stamped on: the images of all shards, as they would ship.
     fn shipped_images(server: &Server) -> std::collections::BTreeMap<u32, StateImage> {
-        let shards = 0..server.cfg.placement.num_shards() as u32;
+        let shards = 0..server.cfg.placement.map().num_shards() as u32;
         let mut images = server.collect_shards(shards);
         images.values_mut().for_each(|i| server.stamp_dedup(i));
         images
@@ -2219,7 +2219,7 @@ mod tests {
         // applied), then a retry (fresh token: the stale copy is purged and
         // the image applied again). Each time it stores what the source did.
         for shard in images.keys() {
-            source.cfg.placement.assign(*shard, ServerId(1));
+            source.cfg.placement.map_mut().assign(*shard, ServerId(1));
         }
         for (round, token_base) in [(0, 1_000), (1, 1_000), (2, 2_000)] {
             let appends = target.durable.borrow().wal.appends();

@@ -20,10 +20,11 @@ use switchfs_simnet::{timeout, NodeId};
 use crate::config::{
     UpdateMode, IDLE_PUSH_AFTER, OWNER_AGGREGATE_AFTER, PROACTIVE_SCAN_INTERVAL, PUSH_MTU_BYTES,
 };
-use crate::costs::{Retry, RESPONDER_ACK_WAIT};
+use crate::costs::RESPONDER_ACK_WAIT;
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
 use crate::server::{AggCollector, Server};
 use crate::wal::{KvEffect, WalOp};
+use switchfs_proto::Retry;
 
 /// Why a holder considers pushing a change-log (§5.3). What a push carries
 /// never depends on the trigger: the unacknowledged batch if there is one,

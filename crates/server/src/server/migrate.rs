@@ -126,7 +126,7 @@ impl Server {
     ) -> BTreeMap<u32, StateImage> {
         let shards: BTreeSet<u32> = shards.into_iter().collect();
         let mut out = self.collect(|h| {
-            let shard = self.cfg.placement.shard_of_hash(h);
+            let shard = self.cfg.placement.map().shard_of_hash(h);
             shards.contains(&shard).then_some(shard)
         });
         for image in out.values_mut() {
@@ -176,7 +176,9 @@ impl Server {
         }
         let placement = &self.cfg.placement;
         let h = placement.dir_content_hash(fp, dir);
-        inner.migrating_shards.contains(&placement.shard_of_hash(h))
+        inner
+            .migrating_shards
+            .contains(&placement.map().shard_of_hash(h))
     }
 
     /// True when this server currently owns the directory addressed by
@@ -206,7 +208,7 @@ impl Server {
         if inner
             .pending_aggs
             .values()
-            .any(|agg| placement.shard_of_hash(agg.fp.hash64()) == shard)
+            .any(|agg| placement.map().shard_of_hash(agg.fp.hash64()) == shard)
         {
             return true;
         }
@@ -214,7 +216,10 @@ impl Server {
         // applying entries (pending_aggs empties before the apply phase).
         if inner.agg_gates.iter().any(|(raw, gate)| {
             gate.round_running()
-                && placement.shard_of_hash(Fingerprint::from_raw(*raw).hash64()) == shard
+                && placement
+                    .map()
+                    .shard_of_hash(Fingerprint::from_raw(*raw).hash64())
+                    == shard
         }) {
             return true;
         }
@@ -233,7 +238,7 @@ impl Server {
         shard: u32,
     ) -> bool {
         use switchfs_proto::message::TxnOp;
-        let hits = |hash: u64| self.cfg.placement.shard_of_hash(hash) == shard;
+        let hits = |hash: u64| self.cfg.placement.map().shard_of_hash(hash) == shard;
         let key_hits = |key: &MetaKey| key_hashes(key).into_iter().any(hits);
         match op {
             TxnOp::PutInode { key, .. } | TxnOp::DeleteInode { key } => key_hits(key),
@@ -258,7 +263,7 @@ impl Server {
     /// Migrates a batch of shards off this server (the donor side of a
     /// decommission drain): freeze the whole batch, wait once for every
     /// pre-freeze piece of work to clear, bucket all the shards' state in a
-    /// single pass over the stores ([`Server::collect_shards`]), then stream
+    /// single pass over the stores (`collect_shards`), then stream
     /// each shard to its target with ack + retransmission, flipping and
     /// deleting per shard as acks arrive. A shard whose target never acks is
     /// unfrozen with ownership unchanged (the caller may retry); if this
@@ -353,7 +358,7 @@ impl Server {
                 None,
                 switchfs_obs::EventKind::MigrationFlip {
                     shard: *shard,
-                    new_epoch: self.cfg.placement.epoch(),
+                    new_epoch: self.cfg.placement.map().epoch(),
                 },
             );
             self.delete_shard_local(&stored, true).await;

@@ -23,11 +23,11 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{FxHashSet, NodeId};
 
-use crate::costs::Retry;
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::KvEffect;
+use switchfs_proto::Retry;
 
 /// How an asynchronous commit finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

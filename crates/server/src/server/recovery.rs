@@ -187,7 +187,7 @@ impl Server {
         // mapping here never left this server's ownership; the cluster
         // re-drives the migration.
         for (shard, _target) in started_migrations {
-            if self.cfg.placement.owner_of_shard(shard) != self.cfg.id {
+            if self.cfg.placement.map().owner_of_shard(shard) != self.cfg.id {
                 self.drop_shard_state(shard);
                 report.migrations_resolved += 1;
             }

@@ -18,10 +18,10 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{NodeId, SimTime};
 
-use crate::costs::Retry;
 use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker};
+use switchfs_proto::Retry;
 
 /// A prepared-but-undecided transaction on a participant. Mirrored by a WAL
 /// `TxnMarker::Prepared` record, so the staged state survives a crash; the
@@ -84,7 +84,7 @@ impl Server {
             // the source's file owner before its shard moved; the access
             // owner's clause let it through. Only the current file owner
             // may say a file is missing.
-            if req.epoch != placement.epoch() && placement.file_owner(src) != self.cfg.id {
+            if req.epoch != placement.map().epoch() && placement.file_owner(src) != self.cfg.id {
                 self.reject_wrong_owner(client_node, req);
                 return None;
             }

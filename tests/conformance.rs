@@ -487,7 +487,7 @@ fn switchfs_agrees_across_an_epoch_bump() {
     elastic.add_server();
     let moved = elastic.rebalance();
     assert!(moved > 0, "the rebalance must migrate shards");
-    assert!(elastic.placement().epoch() > 0);
+    assert!(elastic.placement().map().epoch() > 0);
     let (second_half, _) = run_scenario(&elastic, &steps[split..]);
     let got_snapshot = namespace_snapshot(&elastic, &["/proj", "/a"]);
 

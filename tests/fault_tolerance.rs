@@ -1582,7 +1582,7 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
         }
     });
 
-    let num_shards = cluster.placement().num_shards();
+    let num_shards = cluster.placement().map().num_shards();
     let new_idx = cluster.add_server();
     assert_eq!(new_idx, 4);
     let moved = cluster.rebalance();
@@ -1596,12 +1596,13 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
     assert_eq!(
         cluster
             .placement()
+            .map()
             .shards_owned(switchfs::proto::ServerId(4)),
         moved,
         "every migrated shard must now be owned by the new server"
     );
     assert!(
-        cluster.placement().epoch() > 0,
+        cluster.placement().map().epoch() > 0,
         "the flip must bump the epoch"
     );
     let stats = cluster.total_server_stats();
@@ -1667,7 +1668,7 @@ fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected()
             let file = key.hash64();
             let fp = Fingerprint::of_dir(&key.pid, &key.name).hash64();
             placement.owner_of_hash(file) == placement.owner_of_hash(fp)
-                && placement.shard_of_hash(file) != placement.shard_of_hash(fp)
+                && placement.map().shard_of_hash(file) != placement.map().shard_of_hash(fp)
         })
         .unwrap();
     let path = format!("/r/{}", key.name);
@@ -1677,11 +1678,11 @@ fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected()
 
     let old = placement.file_owner(&key);
     let new = ServerId((old.0 + 1) % cluster.servers().len() as u32);
-    let shard = placement.shard_of_hash(key.hash64());
+    let shard = placement.map().shard_of_hash(key.hash64());
     let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
     let moved = cluster.block_on(async move {
         donor
-            .migrate_shards(&[(shard, new)], |s, to| flip.assign(s, to))
+            .migrate_shards(&[(shard, new)], |s, to| flip.map_mut().assign(s, to))
             .await
     });
     assert_eq!(moved, 1);
@@ -1754,7 +1755,7 @@ fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
 
     let (client, path) = (cluster.client(0), format!("/o/{name}"));
     let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
-    let shard = placement.shard_of_hash(fp.hash64());
+    let shard = placement.map().shard_of_hash(fp.hash64());
     let h = cluster.sim.handle();
     let (flipped_at, acked_at) = cluster.block_on(async move {
         let clock = h.clone();
@@ -1768,7 +1769,7 @@ fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
         let flipped_at = Cell::new(None);
         let moved = donor
             .migrate_shards(&[(shard, new)], |s, to| {
-                flip.assign(s, to);
+                flip.map_mut().assign(s, to);
                 flipped_at.set(Some(h.now()));
             })
             .await;
@@ -1816,7 +1817,7 @@ fn remove_server_drains_every_shard_and_preserves_the_namespace() {
 
     let victim = 1usize;
     let victim_id = ServerId(victim as u32);
-    let owned_before = cluster.placement().shards_owned(victim_id);
+    let owned_before = cluster.placement().map().shards_owned(victim_id);
     assert!(owned_before > 0);
 
     let report = cluster.remove_server(victim);
@@ -1825,11 +1826,11 @@ fn remove_server_drains_every_shard_and_preserves_the_namespace() {
         report.shards_moved, owned_before,
         "every victim shard must migrate"
     );
-    assert_eq!(cluster.placement().shards_owned(victim_id), 0);
-    assert!(cluster.placement().is_retired(victim_id));
-    assert_eq!(cluster.placement().num_active_servers(), 3);
+    assert_eq!(cluster.placement().map().shards_owned(victim_id), 0);
+    assert!(cluster.placement().map().is_retired(victim_id));
+    assert_eq!(cluster.placement().map().num_active_servers(), 3);
     assert!(
-        cluster.placement().epoch() as usize > owned_before,
+        cluster.placement().map().epoch() as usize > owned_before,
         "each flip and the retirement bump the epoch"
     );
     assert!(cluster.servers()[victim].is_decommissioned());
@@ -1904,7 +1905,7 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
 
     let victim = 0usize;
     let victim_id = ServerId(victim as u32);
-    let owned_before = cluster.placement().shards_owned(victim_id);
+    let owned_before = cluster.placement().map().shards_owned(victim_id);
     assert!(owned_before > 1);
 
     // Start the drain concurrently, then crash the victim once some — but
@@ -1927,12 +1928,12 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
     while cluster.sim.now() < deadline {
         let t = cluster.sim.now() + SimDuration::micros(20);
         cluster.run_until(t);
-        let left = cluster.placement().shards_owned(victim_id);
+        let left = cluster.placement().map().shards_owned(victim_id);
         if left < owned_before && left > 0 {
             break;
         }
     }
-    let mid = cluster.placement().shards_owned(victim_id);
+    let mid = cluster.placement().map().shards_owned(victim_id);
     assert!(
         mid < owned_before && mid > 0,
         "crash window missed: victim still owns {mid} of {owned_before}"
@@ -1952,19 +1953,19 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
         Some(Err(FsError::Unavailable)),
         "a drain interrupted by a crash must report itself incomplete"
     );
-    assert!(!cluster.placement().is_retired(victim_id));
+    assert!(!cluster.placement().map().is_retired(victim_id));
 
     // Recovery resolves the interrupted migrations against the shared map:
     // shards that flipped drop their replayed stale copies; the rest stay.
     let report = cluster.recover_server(victim);
     assert!(report.wal_records_replayed > 0);
-    assert_eq!(cluster.placement().shards_owned(victim_id), mid);
+    assert_eq!(cluster.placement().map().shards_owned(victim_id), mid);
 
     // Re-running the decommission finishes the drain.
     let report = cluster.remove_server(victim);
     assert!(report.completed, "re-run must finish the interrupted drain");
-    assert_eq!(cluster.placement().shards_owned(victim_id), 0);
-    assert!(cluster.placement().is_retired(victim_id));
+    assert_eq!(cluster.placement().map().shards_owned(victim_id), 0);
+    assert!(cluster.placement().map().is_retired(victim_id));
     assert!(cluster.servers()[victim].is_decommissioned());
 
     // The namespace survived the crash + partial drain + re-drain.
