@@ -32,8 +32,8 @@ use switchfs_proto::message::{
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState,
-    FileType, Fingerprint, FsError, InodeAttrs, MetaKey, OpId, Placement, ServerId, Timestamps,
-    TraceId,
+    FileType, Fingerprint, FsError, InodeAttrs, MetaKey, OpId, Placement, Retry, ServerId,
+    Timestamps, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
@@ -43,7 +43,6 @@ use crate::config::ServerConfig;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
-use switchfs_proto::Retry;
 
 switchfs_simnet::counters! {
     /// Counters describing what a server has done; read by tests and by the
@@ -368,7 +367,7 @@ pub(crate) struct ServerInner {
     /// spike).
     pub disk_slowdown: u64,
     /// Transactions whose commit this participant fully applied; lets a
-    /// retransmitted `TxnCommit` be acked if and only if the first copy
+    /// retransmitted commit decision be acked if and only if the first copy
     /// finished applying (a copy racing a still-running apply is dropped).
     /// Bounded FIFO: duplicates only arrive within the coordinator's retry
     /// window, so old ids are evicted once the set outgrows the cap.

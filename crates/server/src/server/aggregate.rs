@@ -12,7 +12,7 @@ use switchfs_simnet::FxHashSet;
 use switchfs_proto::message::{Body, ClientRequest, MetaOp, ServerMsg};
 use switchfs_proto::{
     changelog::CompactedChanges, ChangeLogEntry, DirId, DirtyRet, DirtySetHeader, DirtySetOp,
-    DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, ServerId,
+    DirtyState, Fingerprint, FsError, MetaKey, OpId, OpResult, Placement, Retry, ServerId,
 };
 use switchfs_simnet::sync::ClassGuard;
 use switchfs_simnet::{timeout, NodeId};
@@ -24,7 +24,6 @@ use crate::costs::RESPONDER_ACK_WAIT;
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
 use crate::server::{AggCollector, Server};
 use crate::wal::{KvEffect, WalOp};
-use switchfs_proto::Retry;
 
 /// Why a holder considers pushing a change-log (§5.3). What a push carries
 /// never depends on the trigger: the unacknowledged batch if there is one,

@@ -19,7 +19,7 @@ use switchfs_proto::message::{
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
-    InodeAttrs, OpResult, Placement, ServerId,
+    InodeAttrs, OpResult, Placement, Retry, ServerId,
 };
 use switchfs_simnet::{FxHashSet, NodeId};
 
@@ -27,7 +27,6 @@ use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::KvEffect;
-use switchfs_proto::Retry;
 
 /// How an asynchronous commit finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

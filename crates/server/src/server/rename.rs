@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ClientRequest, MetaOp, Reply, ServerMsg, TxnOp};
 use switchfs_proto::{
-    ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, MetaKey, OpResult, Placement,
+    ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, MetaKey, OpResult, Placement, Retry,
     ServerId, TraceId,
 };
 use switchfs_simnet::{NodeId, SimTime};
@@ -21,7 +21,6 @@ use switchfs_simnet::{NodeId, SimTime};
 use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker};
-use switchfs_proto::Retry;
 
 /// A prepared-but-undecided transaction on a participant. Mirrored by a WAL
 /// `TxnMarker::Prepared` record, so the staged state survives a crash; the
