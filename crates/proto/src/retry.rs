@@ -59,9 +59,8 @@ mod tests {
 
     #[test]
     fn each_policy_states_its_waits_and_budget_once() {
-        // Budgets at a server's 300 µs request timeout: ACK 28.5 ms,
-        // DECISION 10.8 ms, VOTE 1.2 ms, COLLECT 16.2 ms; a SwitchFS
-        // client's 400 µs makes REQUEST 50.8 ms.
+        // In request timeouts; the server's cost model checks the servers'
+        // budgets in time.
         let waits = |r: Retry| (0..r.sends).map(|n| r.wait(n)).collect::<Vec<_>>();
         assert_eq!(
             waits(Retry::REQUEST),

@@ -217,21 +217,16 @@ impl ChangeLogStore {
     }
 
     /// Appends an entry to the change-log of its directory (`entry.dir`,
-    /// stored under `dir_key`), creating the log on first use.
-    pub fn append(
-        &mut self,
-        dir_key: &MetaKey,
-        fp: Fingerprint,
-        entry: ChangeLogEntry,
-        now: SimTime,
-    ) {
+    /// stored under `dir_key`), creating the log on first use; only then is
+    /// the directory's fingerprint computed.
+    pub fn append(&mut self, dir_key: &MetaKey, entry: ChangeLogEntry, now: SimTime) {
         let dir = entry.dir;
-        let log = self
-            .logs
-            .entry(dir)
-            .or_insert_with(|| ChangeLog::new(dir_key.clone(), fp, now));
+        let log = self.logs.entry(dir).or_insert_with(|| {
+            let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+            ChangeLog::new(dir_key.clone(), fp, now)
+        });
         log.append(entry, now);
-        self.by_fp.entry(fp.raw()).or_default().insert(dir);
+        self.by_fp.entry(log.fp.raw()).or_default().insert(dir);
     }
 
     /// The change-log of a directory, if any.
@@ -503,9 +498,8 @@ mod tests {
             MetaKey::new(DirId::ROOT, "a"),
             MetaKey::new(DirId::ROOT, "b"),
         );
-        let fp = |k: &MetaKey| Fingerprint::of_dir(&k.pid, &k.name);
-        store.append(&key_a, fp(&key_a), entry_in(dir(1), "x", 1), SimTime::ZERO);
-        store.append(&key_b, fp(&key_b), entry_in(dir(2), "y", 2), SimTime::ZERO);
+        store.append(&key_a, entry_in(dir(1), "x", 1), SimTime::ZERO);
+        store.append(&key_b, entry_in(dir(2), "y", 2), SimTime::ZERO);
         let acked: FxHashSet<OpId> = [id(1), id(2)].into_iter().collect();
         // Not pushed yet: nothing is in the window, nothing is discarded.
         assert_eq!(store.discard_acked(&key_a, &acked), Some((0, dir(1))));
@@ -524,14 +518,20 @@ mod tests {
     #[test]
     fn store_groups_by_fingerprint() {
         let mut store = ChangeLogStore::new();
-        let fp_a = Fingerprint::from_raw(10);
-        let fp_b = Fingerprint::from_raw(20);
+        let (key_a, key_b) = (
+            MetaKey::new(DirId::ROOT, "a"),
+            MetaKey::new(DirId::ROOT, "b"),
+        );
+        let fp_a = Fingerprint::of_dir(&key_a.pid, &key_a.name);
+        let fp_b = Fingerprint::of_dir(&key_b.pid, &key_b.name);
+        // `d1` and `d2` are two lives of the directory `a` (removed and made
+        // again): one key, so one fingerprint group, two logs.
         let (d1, d2, d3) = (dir(1), dir(2), dir(3));
-        let key = |name| MetaKey::new(DirId::ROOT, name);
-        store.append(&key("a"), fp_a, entry_in(d1, "x", 1), SimTime::ZERO);
-        store.append(&key("b"), fp_a, entry_in(d2, "y", 2), SimTime::ZERO);
-        store.append(&key("c"), fp_b, entry_in(d3, "z", 3), SimTime::ZERO);
+        store.append(&key_a, entry_in(d1, "x", 1), SimTime::ZERO);
+        store.append(&key_a, entry_in(d2, "y", 2), SimTime::ZERO);
+        store.append(&key_b, entry_in(d3, "z", 3), SimTime::ZERO);
         assert_eq!(store.total_pending(), 3);
+        assert_eq!(store.get(&d3).map(|log| log.fp), Some(fp_b));
         let mut group_a = store.dirs_in_group(fp_a);
         group_a.sort();
         let mut expect = vec![d1, d2];
@@ -544,14 +544,9 @@ mod tests {
     #[test]
     fn discard_in_group_drops_empty_logs() {
         let mut store = ChangeLogStore::new();
-        let fp = Fingerprint::from_raw(10);
-        let d1 = dir(1);
-        store.append(
-            &MetaKey::new(DirId::ROOT, "a"),
-            fp,
-            entry_in(d1, "x", 1),
-            SimTime::ZERO,
-        );
+        let key = MetaKey::new(DirId::ROOT, "a");
+        let fp = Fingerprint::of_dir(&key.pid, &key.name);
+        store.append(&key, entry_in(dir(1), "x", 1), SimTime::ZERO);
         let applied: FxHashSet<OpId> = [OpId {
             client: ClientId(1),
             seq: 1,
@@ -568,7 +563,6 @@ mod tests {
         let mut store = ChangeLogStore::new();
         store.append(
             &MetaKey::new(DirId::ROOT, "a"),
-            Fingerprint::from_raw(1),
             entry_in(dir(1), "x", 1),
             SimTime::ZERO,
         );

@@ -102,6 +102,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use switchfs_proto::Retry;
 
     #[test]
     fn defaults_are_single_digit_microseconds() {
@@ -119,5 +120,15 @@ mod tests {
         assert!(ceph.extra_software > index.extra_software);
         assert!(index.extra_software > CostModel::default().extra_software);
         assert!(ceph.request_overhead().as_micros() >= 400);
+    }
+
+    #[test]
+    fn retry_budgets_at_the_switchfs_request_timeout() {
+        // A prepared rename turns overdue after the DECISION budget.
+        let budget = |r: Retry| CostModel::default().request_timeout * r.budget();
+        assert_eq!(budget(Retry::ACK), SimDuration::micros(28_500));
+        assert_eq!(budget(Retry::DECISION), SimDuration::micros(10_800));
+        assert_eq!(budget(Retry::VOTE), SimDuration::micros(1_200));
+        assert_eq!(budget(Retry::COLLECT), SimDuration::micros(16_200));
     }
 }

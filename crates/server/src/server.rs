@@ -2044,7 +2044,7 @@ mod tests {
                 applied_entry_ids: Vec::new(),
             });
             let mut inner = server.inner.borrow_mut();
-            inner.changelogs.append(&dir_key, fp, entry, SimTime::ZERO);
+            inner.changelogs.append(&dir_key, entry, SimTime::ZERO);
         }
         let visits = || server.durable.borrow().wal.mark_visits();
         // An owner's round names its own three entries and the remote ones
@@ -2197,8 +2197,7 @@ mod tests {
                     timestamp: d,
                     size_delta: -1,
                 };
-                let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-                inner.changelogs.append(&dir_key, fp, entry, SimTime::ZERO);
+                inner.changelogs.append(&dir_key, entry, SimTime::ZERO);
                 inner.applied_entry_ids.insert(id(100 + d));
                 inner.retire_entry_id(id(200 + d), SimTime::ZERO);
                 inner.cache_response(ClientResponse {

@@ -510,12 +510,11 @@ impl Server {
             if dup {
                 continue;
             }
-            let fp = Fingerprint::of_dir(&key.pid, &key.name);
             let now = self.handle.now();
             self.inner
                 .borrow_mut()
                 .changelogs
-                .append(&key, fp, entry.clone(), now);
+                .append(&key, entry.clone(), now);
             self.apply_and_log(None, Vec::new(), Some((key, entry)), Vec::new())
                 .await;
         }

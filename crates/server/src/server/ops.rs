@@ -551,7 +551,7 @@ impl Server {
         self.inner
             .borrow_mut()
             .changelogs
-            .append(&parent.key, parent.fp, entry.clone(), now);
+            .append(&parent.key, entry.clone(), now);
         self.push_changelog(&parent.id, PushTrigger::Filled);
     }
 

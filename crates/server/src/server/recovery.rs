@@ -133,10 +133,9 @@ impl Server {
                 } if !applied => {
                     // The deferred update never reached the directory owner:
                     // rebuild it into the change-log.
-                    let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
                     let now = self.handle.now();
                     let mut inner = self.inner.borrow_mut();
-                    inner.changelogs.append(dir_key, fp, entry.clone(), now);
+                    inner.changelogs.append(dir_key, entry.clone(), now);
                     report.changelog_entries_recovered += 1;
                 }
                 WalOp::Txn(TxnMarker::Resolved { txn_id })
@@ -339,8 +338,7 @@ impl Server {
             inner.retire_entry_id(id, now);
         }
         for (key, entry) in data.image.pending {
-            let fp = Fingerprint::of_dir(&key.pid, &key.name);
-            inner.changelogs.append(&key, fp, entry, now);
+            inner.changelogs.append(&key, entry, now);
         }
         for response in data.image.completed {
             inner.cache_response(response);

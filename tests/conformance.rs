@@ -13,13 +13,27 @@
 //!    produce identical virtual-time schedules and identical cluster
 //!    statistics, which is what makes the figures reproducible.
 //!
+//! And one property of the wire format the systems share:
+//!
+//! 3. **The dirty-set query header** (§5.2): a client's `statdir` and
+//!    `readdir` carry a query for their directory's fingerprint where a
+//!    switch answers it — SwitchFS with in-network tracking — and no other
+//!    request carries one, on any system.
+//!
 //! The scenario DSL below is intentionally tiny: a `Step` list is executed
 //! sequentially (each operation awaited before the next), so the durable-
 //! visibility property guarantees that all systems expose identical state
 //! to every read.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind, TrackingChoice};
-use switchfs::proto::{FileType, FsError};
+use switchfs::proto::message::{Body, NetMsg};
+use switchfs::proto::{DirtySetOp, FileType, Fingerprint, FsError};
+use switchfs::simnet::net::L2Forward;
+use switchfs::simnet::{Packet, SimTime, SwitchAction, SwitchLogic};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
 
 // ---------------------------------------------------------------------------
@@ -324,6 +338,93 @@ fn switchfs_tracking_variants_agree_with_in_network_mode() {
                 assert_eq!(&outcomes, ref_outcomes, "{tracking:?} outcomes diverge");
                 assert_eq!(&snapshot, ref_snapshot, "{tracking:?} namespace diverges");
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The dirty-set query header: directory reads only, and only to a switch
+// ---------------------------------------------------------------------------
+
+/// One client request as it crossed the switch: its operation, and the
+/// dirty-set operation of its header with whether that header names the
+/// fingerprint of the operation's directory.
+type HeaderLog = Rc<RefCell<Vec<(&'static str, Option<(DirtySetOp, bool)>)>>>;
+
+/// Records every client request, then hands the packet to the switch the
+/// cluster runs.
+struct RequestTap {
+    inner: Box<dyn SwitchLogic<NetMsg>>,
+    log: HeaderLog,
+}
+
+impl SwitchLogic<NetMsg> for RequestTap {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+        if let Body::Request(req) = &pkt.payload.body {
+            let key = req.op.primary_key();
+            let header = pkt.payload.dirty.map(|h| {
+                (
+                    h.op,
+                    h.fingerprint == Fingerprint::of_dir(&key.pid, &key.name),
+                )
+            });
+            self.log.borrow_mut().push((req.op.name(), header));
+        }
+        self.inner.process(now, pkt)
+    }
+}
+
+/// Runs a mkdir, a create, a statdir and a readdir on `cfg`'s cluster behind
+/// a [`RequestTap`] and returns what it recorded.
+fn request_headers(cfg: ClusterConfig) -> Vec<(&'static str, Option<(DirtySetOp, bool)>)> {
+    let cluster = Cluster::new(cfg);
+    let inner: Box<dyn SwitchLogic<NetMsg>> = match cluster.switch_program() {
+        Some(program) => Box::new(SwitchAdapter::new(program)),
+        None => Box::new(L2Forward),
+    };
+    let log = HeaderLog::default();
+    cluster.network().install_switch(Box::new(RequestTap {
+        inner,
+        log: log.clone(),
+    }));
+    let steps = [
+        Step::Mkdir("/d"),
+        Step::Create("/d/f"),
+        Step::Statdir("/d"),
+        Step::Readdir("/d"),
+    ];
+    let (outcomes, _times) = run_scenario(&cluster, &steps);
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    let seen = log.borrow().clone();
+    for op in ["mkdir", "create", "statdir", "readdir"] {
+        assert!(seen.iter().any(|(name, _)| *name == op), "no {op} seen");
+    }
+    seen
+}
+
+#[test]
+fn only_directory_reads_carry_a_dirty_set_query_and_only_to_a_switch() {
+    let is_dir_read = |name: &str| name == "statdir" || name == "readdir";
+    let in_network = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    for (name, header) in request_headers(in_network) {
+        if is_dir_read(name) {
+            assert_eq!(header, Some((DirtySetOp::Query, true)), "{name}");
+        } else {
+            assert_eq!(header, None, "{name}");
+        }
+    }
+    // Where no switch answers the query, no request carries one: every
+    // baseline, and SwitchFS with a software tracker.
+    let mut software = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    software.tracking = TrackingChoice::OwnerServer;
+    let baselines = SystemKind::all()
+        .into_iter()
+        .filter(|s| !s.uses_switch())
+        .map(ClusterConfig::paper_default);
+    for cfg in baselines.chain([software]) {
+        let what = (cfg.system, cfg.tracking);
+        for (name, header) in request_headers(cfg) {
+            assert_eq!(header, None, "{what:?}: {name}");
         }
     }
 }
