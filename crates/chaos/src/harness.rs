@@ -512,7 +512,7 @@ fn structural_check(
         let dir2 = dir.clone();
         let listing: Result<(u64, Vec<String>), FsError> = cluster.block_on(async move {
             let (attrs, entries) = prober.readdir(&dir2).await?;
-            let mut names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
+            let mut names: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
             names.sort();
             Ok((attrs.size, names))
         });

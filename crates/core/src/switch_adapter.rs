@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchfs_proto::message::NetMsg;
-use switchfs_simnet::{NodeId, Packet, SimTime, SwitchAction, SwitchLogic};
+use switchfs_simnet::{Fanout, NodeId, Packet, SimTime, SwitchAction, SwitchLogic};
 use switchfs_switch::SwitchFsProgram;
 
 /// Wraps a shared [`SwitchFsProgram`] as the logic of a simulated switch.
@@ -25,16 +25,14 @@ impl SwitchAdapter {
 }
 
 impl SwitchLogic<NetMsg> for SwitchAdapter {
-    fn process(&mut self, _now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, _now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         self.program
             .borrow_mut()
             .process(pkt.src.0, pkt.dst.0, pkt.payload)
-            .into_iter()
             .map(|(dst, payload)| SwitchAction::Forward {
                 dst: NodeId(dst),
                 payload,
             })
-            .collect()
     }
 
     fn name(&self) -> &str {

@@ -41,4 +41,4 @@ pub use message::{
 };
 pub use placement::{PartitionPolicy, Placement, ShardMap, SharedPlacement};
 pub use retry::Retry;
-pub use schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
+pub use schema::{DirEntry, FileType, InodeAttrs, MetaKey, Name, Permissions, Timestamps};

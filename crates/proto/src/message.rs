@@ -18,7 +18,7 @@ use crate::changelog::ChangeLogEntry;
 use crate::dirtyset::{DirtyRet, DirtySetHeader, DirtySetOp};
 use crate::error::FsError;
 use crate::ids::{DirId, Fingerprint, OpId, ServerId, TraceId};
-use crate::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions};
+use crate::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Name, Permissions};
 use serde::{Deserialize, Serialize};
 
 /// Reserved UDP ports (§6.1): one for packets carrying a dirty-set operation
@@ -664,7 +664,7 @@ pub enum TxnOp {
         /// The directory's stable id.
         dir: DirId,
         /// Names of the entries to drop.
-        names: Vec<String>,
+        names: Vec<Name>,
     },
 }
 

@@ -2,8 +2,120 @@
 //! entries.
 
 use crate::ids::DirId;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
+
+/// An immutable file or directory name, shared by reference count.
+///
+/// A name never changes after it is created, so the inode key, the
+/// directory entry and the entry map's key of one object share one
+/// allocation, and a key's clone copies a pointer. It hashes, compares and
+/// orders exactly as the `String` holding the same text (every impl goes
+/// through `str`), so hash-map iteration order, [`MetaKey::hash64`] and
+/// placement are those of the string form. The empty name (the root's)
+/// is one per thread, so making one allocates nothing.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name(Rc<str>);
+
+thread_local! {
+    static EMPTY_NAME: Name = Name(Rc::from(""));
+}
+
+impl Default for Name {
+    fn default() -> Name {
+        EMPTY_NAME.with(Name::clone)
+    }
+}
+
+impl Name {
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        if s.is_empty() {
+            Name::default()
+        } else {
+            Name(Rc::from(s))
+        }
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name::from(s.as_str())
+    }
+}
+
+impl From<&String> for Name {
+    fn from(s: &String) -> Name {
+        Name::from(s.as_str())
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Serialize for Name {
+    fn to_value(&self) -> Value {
+        Value::String(self.0.to_string())
+    }
+}
+
+impl Deserialize for Name {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_str()
+            .map(Name::from)
+            .ok_or_else(|| DeError::expected("string"))
+    }
+}
 
 /// The type of a namespace object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,12 +186,12 @@ pub struct MetaKey {
     /// Parent directory id (`pid`).
     pub pid: DirId,
     /// File or directory name within the parent.
-    pub name: String,
+    pub name: Name,
 }
 
 impl MetaKey {
     /// Convenience constructor.
-    pub fn new(pid: DirId, name: impl Into<String>) -> MetaKey {
+    pub fn new(pid: DirId, name: impl Into<Name>) -> MetaKey {
         MetaKey {
             pid,
             name: name.into(),
@@ -157,7 +269,7 @@ impl InodeAttrs {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirEntry {
     /// Entry name.
-    pub name: String,
+    pub name: Name,
     /// Entry type.
     pub file_type: FileType,
     /// Entry permission bits (cached from the child inode).

@@ -191,7 +191,7 @@ fn arb_result() -> impl Strategy<Value = OpResult> {
             arb_attrs(),
             prop::collection::vec(
                 (arb_name(), any::<u16>()).prop_map(|(name, mode)| DirEntry {
-                    name,
+                    name: name.into(),
                     file_type: FileType::File,
                     mode,
                 }),

@@ -32,7 +32,7 @@ use switchfs_proto::message::{
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, ClientId, DirEntry, DirId, DirtyRet, DirtySetOp, DirtyState,
-    FileType, Fingerprint, FsError, InodeAttrs, MetaKey, OpId, Placement, Retry, ServerId,
+    FileType, Fingerprint, FsError, InodeAttrs, MetaKey, Name, OpId, Placement, Retry, ServerId,
     Timestamps, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
@@ -115,7 +115,7 @@ impl TokenReply {
 /// paths free of per-entry memmoves and hot read paths free of deep copies.
 #[derive(Debug, Clone, Default)]
 pub struct DirContent {
-    map: std::collections::BTreeMap<String, DirEntry>,
+    map: std::collections::BTreeMap<Name, DirEntry>,
     listing: Option<Rc<Vec<DirEntry>>>,
 }
 
@@ -561,16 +561,17 @@ impl ServerInner {
             return;
         }
         if let Some(per) = self.completed_ops.get_mut(&client) {
-            // Only rebuild the map when there is actually something to
-            // drop — this runs on every request.
-            if per
-                .first_key_value()
-                .is_some_and(|(seq, _)| *seq < acked_below)
-            {
-                *per = per.split_off(&acked_below);
-                if per.is_empty() {
-                    self.completed_ops.remove(&client);
+            // In place: this runs on every request.
+            let mut pruned = false;
+            while let Some(oldest) = per.first_entry() {
+                if *oldest.key() >= acked_below {
+                    break;
                 }
+                oldest.remove();
+                pruned = true;
+            }
+            if pruned && per.is_empty() {
+                self.completed_ops.remove(&client);
             }
         }
     }
@@ -783,7 +784,7 @@ impl Server {
         inner
             .entries
             .peek(dir)
-            .map(|c| c.iter().map(|e| e.name.clone()).collect())
+            .map(|c| c.iter().map(|e| e.name.to_string()).collect())
             .unwrap_or_default()
     }
 
@@ -1847,12 +1848,12 @@ impl Server {
             ChangeOp::Insert { file_type, mode } => KvEffect::PutEntry(
                 dir,
                 DirEntry {
-                    name: name.to_string(),
+                    name: Name::from(name),
                     file_type,
                     mode,
                 },
             ),
-            ChangeOp::Remove => KvEffect::DeleteEntry(dir, name.to_string()),
+            ChangeOp::Remove => KvEffect::DeleteEntry(dir, Name::from(name)),
         }));
         effects
     }

@@ -166,7 +166,7 @@ impl Server {
         let src_parent_entry = ChangeLogEntry {
             entry_id: req.op_id,
             dir: src.pid,
-            name: src.name.clone(),
+            name: src.name.to_string(),
             op: ChangeOp::Remove,
             timestamp: now,
             size_delta: -1,
@@ -179,7 +179,7 @@ impl Server {
                 seq: req.op_id.seq | (1 << 63),
             },
             dir: dst.pid,
-            name: dst.name.clone(),
+            name: dst.name.to_string(),
             op: ChangeOp::Insert {
                 file_type: src_attrs.file_type,
                 mode: src_attrs.perm.mode,

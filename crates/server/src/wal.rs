@@ -11,7 +11,7 @@
 
 use switchfs_kvstore::{Checkpoint, Wal};
 use switchfs_proto::message::{ClientResponse, StateImage, TxnOp};
-use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, OpId, ServerId};
+use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, Name, OpId, ServerId};
 
 /// One mutation against the volatile key-value stores, replayable during
 /// recovery.
@@ -24,7 +24,7 @@ pub enum KvEffect {
     /// Insert or overwrite a directory entry.
     PutEntry(DirId, DirEntry),
     /// Remove a directory entry.
-    DeleteEntry(DirId, String),
+    DeleteEntry(DirId, Name),
     /// Register a directory this server owns (id → key index).
     IndexDir(DirId, MetaKey),
     /// Remove a directory from the owner index.

@@ -52,13 +52,22 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One live task: its future (taken out while being polled) and its waker,
-/// created once at spawn and reused for every poll — polling allocates
-/// nothing.
+/// One live task: its id and its future (taken out while being polled).
 struct Task {
     id: u64,
     fut: Option<LocalFuture>,
-    waker: Waker,
+}
+
+/// One slot of the task slab: the task living in it, if any, and the waker
+/// of that task (or of the last one, once it finished). Every poll wakes
+/// through a clone of the one waker, so polling allocates nothing. A
+/// finished task's waker stays with its slot; the slot's next task takes it
+/// over, re-stamped with the new id, unless a clone of it is still held
+/// somewhere — then the next task gets a fresh one, and the stale clone's
+/// wake is ignored by id.
+struct Slot {
+    task: Option<Task>,
+    waker: Arc<TaskWaker>,
 }
 
 /// Shared waker slot of one registered timer. The owning [`Sleep`] clears
@@ -97,8 +106,8 @@ struct SimState {
     now: SimTime,
     next_task: u64,
     next_timer_seq: u64,
-    /// Slab of live tasks; `free_slots` lists vacant indices for reuse.
-    tasks: Vec<Option<Task>>,
+    /// Slab of tasks; `free_slots` lists vacant indices for reuse.
+    tasks: Vec<Slot>,
     free_slots: Vec<u32>,
     live_tasks: usize,
     timers: BinaryHeap<Reverse<TimerEntry>>,
@@ -278,7 +287,11 @@ impl Sim {
         // itself stays occupied, so it cannot be reused mid-poll.
         let (mut fut, waker) = {
             let mut state = self.state.borrow_mut();
-            let Some(task) = state.tasks.get_mut(slot as usize).and_then(Option::as_mut) else {
+            let Some(Slot {
+                task: Some(task),
+                waker,
+            }) = state.tasks.get_mut(slot as usize)
+            else {
                 return;
             };
             if task.id != id {
@@ -290,7 +303,7 @@ impl Sim {
                 // queued us again will be re-observed through the waker.
                 return;
             };
-            let waker = task.waker.clone();
+            let waker = Waker::from(Arc::clone(waker));
             state.polls_total += 1;
             (fut, waker)
         };
@@ -298,13 +311,17 @@ impl Sim {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 let mut state = self.state.borrow_mut();
-                state.tasks[slot as usize] = None;
+                state.tasks[slot as usize].task = None;
                 state.free_slots.push(slot);
                 state.live_tasks -= 1;
             }
             Poll::Pending => {
                 let mut state = self.state.borrow_mut();
-                if let Some(task) = state.tasks.get_mut(slot as usize).and_then(Option::as_mut) {
+                if let Some(task) = state
+                    .tasks
+                    .get_mut(slot as usize)
+                    .and_then(|s| s.task.as_mut())
+                {
                     task.fut = Some(fut);
                 }
             }
@@ -329,23 +346,36 @@ impl SimHandle {
             state.next_task += 1;
             state.spawned_total += 1;
             state.live_tasks += 1;
-            let slot = match state.free_slots.pop() {
-                Some(s) => s,
-                None => {
-                    state.tasks.push(None);
-                    (state.tasks.len() - 1) as u32
-                }
-            };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                slot,
-                id,
-                ready: self.ready.clone(),
-            }));
-            state.tasks[slot as usize] = Some(Task {
+            let task = Some(Task {
                 id,
                 fut: Some(Box::pin(fut)),
-                waker,
             });
+            let fresh_waker = |slot| {
+                Arc::new(TaskWaker {
+                    slot,
+                    id,
+                    ready: self.ready.clone(),
+                })
+            };
+            let slot = match state.free_slots.pop() {
+                Some(slot) => {
+                    let vacant = &mut state.tasks[slot as usize];
+                    match Arc::get_mut(&mut vacant.waker) {
+                        Some(waker) => waker.id = id,
+                        None => vacant.waker = fresh_waker(slot),
+                    }
+                    vacant.task = task;
+                    slot
+                }
+                None => {
+                    let slot = state.tasks.len() as u32;
+                    state.tasks.push(Slot {
+                        task,
+                        waker: fresh_waker(slot),
+                    });
+                    slot
+                }
+            };
             (slot, id)
         };
         self.ready
@@ -682,5 +712,76 @@ mod tests {
         });
         sim.run();
         assert_eq!(*out.borrow(), vec![true, false]);
+    }
+
+    /// Spawns a task that never finishes and records its polls and its
+    /// latest waker.
+    fn pending_task(sim: &Sim) -> (Rc<Cell<u32>>, Rc<RefCell<Option<Waker>>>) {
+        let (polls, waker) = (Rc::new(Cell::new(0)), Rc::new(RefCell::new(None)));
+        let (p, w) = (polls.clone(), waker.clone());
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            *w.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+        (polls, waker)
+    }
+
+    #[test]
+    fn a_finished_tasks_waker_held_elsewhere_wakes_nothing_in_its_slots_next_task() {
+        let sim = Sim::new(1);
+        let held = Rc::new(RefCell::new(None));
+        let h = held.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *h.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        let stale: Waker = held.borrow_mut().take().expect("waker held");
+        // The next task takes the vacant slot, with a waker of its own.
+        let (polls, waker) = pending_task(&sim);
+        sim.run();
+        assert_eq!(polls.get(), 1);
+        let own = waker.borrow_mut().take().expect("waker recorded");
+        assert!(!own.will_wake(&stale), "a held waker is never re-stamped");
+        stale.wake();
+        sim.run();
+        assert_eq!(
+            polls.get(),
+            1,
+            "the stale wake reached the slot's next task"
+        );
+        own.wake();
+        sim.run();
+        assert_eq!(polls.get(), 2);
+    }
+
+    #[test]
+    fn a_restamped_waker_wakes_exactly_the_slots_new_task() {
+        let sim = Sim::new(1);
+        let (other_polls, _other) = pending_task(&sim);
+        let finished = Rc::new(Cell::new(std::ptr::null::<()>()));
+        let f = finished.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            f.set(cx.waker().data());
+            Poll::Ready(())
+        }));
+        sim.run();
+        let (polls, waker) = pending_task(&sim);
+        sim.run();
+        let waker = waker.borrow_mut().take().expect("waker recorded");
+        assert_eq!(
+            waker.data(),
+            finished.get(),
+            "the finished task's waker is re-stamped, not replaced"
+        );
+        waker.wake();
+        sim.run();
+        assert_eq!(polls.get(), 2);
+        assert_eq!(
+            other_polls.get(),
+            1,
+            "a re-stamped wake reached another task"
+        );
     }
 }

@@ -62,6 +62,88 @@ pub enum SwitchAction<M> {
     Drop,
 }
 
+/// A short, ordered list that keeps its first two items inline: a packet's
+/// delivery copies (the packet, and a fault-injected duplicate) or a switch
+/// program's outputs (a unicast, or an insert's multicast to two). Only a
+/// third item, a multicast to more than two destinations, spills to the
+/// heap.
+#[derive(Debug, Clone)]
+pub struct Fanout<T> {
+    first: Option<T>,
+    second: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for Fanout<T> {
+    fn default() -> Self {
+        Fanout {
+            first: None,
+            second: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<T> Fanout<T> {
+    /// A list of one item.
+    pub fn one(item: T) -> Self {
+        Fanout {
+            first: Some(item),
+            ..Fanout::default()
+        }
+    }
+
+    /// Appends an item.
+    pub fn push(&mut self, item: T) {
+        if self.first.is_none() {
+            self.first = Some(item);
+        } else if self.second.is_none() {
+            self.second = Some(item);
+        } else {
+            self.rest.push(item);
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + usize::from(self.second.is_some()) + self.rest.len()
+    }
+
+    /// True when the list holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The items, in order, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.first
+            .iter_mut()
+            .chain(&mut self.second)
+            .chain(&mut self.rest)
+    }
+
+    /// The list of `f` applied to each item, in order.
+    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Fanout<U> {
+        Fanout {
+            first: self.first.map(&mut f),
+            second: self.second.map(&mut f),
+            rest: self.rest.into_iter().map(f).collect(),
+        }
+    }
+}
+
+impl<T> IntoIterator for Fanout<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<
+        std::iter::Chain<std::option::IntoIter<T>, std::option::IntoIter<T>>,
+        std::vec::IntoIter<T>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.second).chain(self.rest)
+    }
+}
+
 /// A packet-processing program attached to the switch.
 pub trait SwitchLogic<M> {
     /// Processes one packet arriving at this switch at time `now` and returns
@@ -69,7 +151,7 @@ pub trait SwitchLogic<M> {
     /// none, equivalent to a drop). The packet is passed by value so the
     /// common single-`Forward` case can move the payload through the switch
     /// instead of cloning it per hop.
-    fn process(&mut self, now: SimTime, pkt: Packet<M>) -> Vec<SwitchAction<M>>;
+    fn process(&mut self, now: SimTime, pkt: Packet<M>) -> Fanout<SwitchAction<M>>;
 
     /// Human-readable name used in traces.
     fn name(&self) -> &str {
@@ -82,11 +164,11 @@ pub trait SwitchLogic<M> {
 pub struct L2Forward;
 
 impl<M: Clone> SwitchLogic<M> for L2Forward {
-    fn process(&mut self, _now: SimTime, pkt: Packet<M>) -> Vec<SwitchAction<M>> {
-        vec![SwitchAction::Forward {
+    fn process(&mut self, _now: SimTime, pkt: Packet<M>) -> Fanout<SwitchAction<M>> {
+        Fanout::one(SwitchAction::Forward {
             dst: pkt.dst,
             payload: pkt.payload,
-        }]
+        })
     }
 
     fn name(&self) -> &str {
@@ -290,7 +372,7 @@ impl<M: Clone + 'static> Network<M> {
         };
         let copies = {
             let mut inner = self.inner.borrow_mut();
-            let mut copies = Vec::with_capacity(2);
+            let mut copies = Fanout::default();
             if inner.rng.gen::<f64>() < inner.faults.drop_prob {
                 inner.stats.dropped_faults += 1;
             } else {
@@ -306,7 +388,7 @@ impl<M: Clone + 'static> Network<M> {
             // Reordering jitter applies to every copy independently.
             let jitter_max = inner.faults.reorder_jitter.as_nanos();
             if jitter_max > 0 {
-                for c in &mut copies {
+                for c in copies.iter_mut() {
                     let extra = inner.rng.gen_range(0..=jitter_max);
                     *c += SimDuration::nanos(extra);
                 }
@@ -331,10 +413,6 @@ impl<M: Clone + 'static> Network<M> {
     }
 
     /// Runs one packet through the rack: link → switch → link → mailbox.
-    ///
-    /// The single-packet flow (no multicast) stays alloc-free past the switch
-    /// program's own action list: the packet travels in an `Option` and only
-    /// a multicasting switch spills into a vector.
     async fn deliver(&self, pkt: Packet<M>, extra_delay: SimDuration) {
         let (handle, link_latency, switch_latency) = {
             let inner = self.inner.borrow();
@@ -348,17 +426,14 @@ impl<M: Clone + 'static> Network<M> {
             handle.sleep(extra_delay).await;
         }
         handle.sleep(link_latency).await;
-        // Only `first`/`rest` live across the sleeps: the switch-processing
-        // block is a plain function, so its scratch never inflates this
-        // future's state machine.
-        let (first, rest) = self.process_at_switch(handle.now(), pkt);
-        if first.is_none() {
+        let forwarded = self.process_at_switch(handle.now(), pkt);
+        if forwarded.is_empty() {
             return;
         }
         handle.sleep(switch_latency).await;
         handle.sleep(link_latency).await;
         let mut inner = self.inner.borrow_mut();
-        for p in first.into_iter().chain(rest) {
+        for p in forwarded {
             if *inner.node_down.get(&p.dst).unwrap_or(&false) {
                 inner.stats.dropped_node_down += 1;
                 continue;
@@ -383,35 +458,25 @@ impl<M: Clone + 'static> Network<M> {
         }
     }
 
-    /// Runs one packet through the switch program. Returns what it forwards,
-    /// in order: the first packet, and the further copies of a multicast.
-    fn process_at_switch(
-        &self,
-        now: SimTime,
-        pkt: Packet<M>,
-    ) -> (Option<Packet<M>>, Vec<Packet<M>>) {
+    /// Runs one packet through the switch program and returns the packets
+    /// it forwards, in order.
+    fn process_at_switch(&self, now: SimTime, pkt: Packet<M>) -> Fanout<Packet<M>> {
         let mut inner = self.inner.borrow_mut();
         let src = pkt.src;
         let actions = inner.switch.process(now, pkt);
         if actions.is_empty() {
             inner.stats.dropped_by_switch += 1;
         }
-        let mut first = None;
-        let mut rest = Vec::new();
+        let mut forwarded = Fanout::default();
         for action in actions {
             match action {
                 SwitchAction::Forward { dst, payload } => {
-                    let p = Packet { src, dst, payload };
-                    if first.is_none() {
-                        first = Some(p);
-                    } else {
-                        rest.push(p);
-                    }
+                    forwarded.push(Packet { src, dst, payload });
                 }
                 SwitchAction::Drop => inner.stats.dropped_by_switch += 1,
             }
         }
-        (first, rest)
+        forwarded
     }
 }
 
@@ -574,15 +639,15 @@ mod tests {
         seen: Rc<Cell<u32>>,
     }
     impl SwitchLogic<u32> for CountingSwitch {
-        fn process(&mut self, _now: SimTime, pkt: Packet<u32>) -> Vec<SwitchAction<u32>> {
+        fn process(&mut self, _now: SimTime, pkt: Packet<u32>) -> Fanout<SwitchAction<u32>> {
             self.seen.set(self.seen.get() + 1);
             if pkt.payload == 0 {
-                vec![SwitchAction::Drop]
+                Fanout::one(SwitchAction::Drop)
             } else {
-                vec![SwitchAction::Forward {
+                Fanout::one(SwitchAction::Forward {
                     dst: pkt.dst,
                     payload: pkt.payload * 10,
-                }]
+                })
             }
         }
     }

@@ -22,12 +22,13 @@
 //! writer-fair rule: a waiting writer blocks later readers, and consecutive
 //! queued readers are granted together.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+use super::WaitQueue;
 
 /// How an acquire wants to hold a [`SimClassLock`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,17 +41,12 @@ pub enum Access {
     Exclusive,
 }
 
-struct Waiter {
-    access: Access,
-    granted: Rc<Cell<bool>>,
-    waker: Option<Waker>,
-}
-
 struct Inner {
     holders: usize,
     /// The access the current holders share; meaningful while `holders > 0`.
     held: Access,
-    waiters: VecDeque<Waiter>,
+    /// Each waiter wants an access.
+    queue: WaitQueue<Access>,
 }
 
 impl Inner {
@@ -63,15 +59,15 @@ impl Inner {
         self.held = access;
     }
 
-    /// Grants the lock to waiters from the front of the queue for as long as
-    /// the front is compatible with the current holders.
-    fn grant_from_queue(&mut self, wakers: &mut Vec<Waker>) {
-        while self.waiters.front().is_some_and(|w| self.admits(w.access)) {
-            let mut w = self.waiters.pop_front().expect("front exists");
-            self.admit(w.access);
-            w.granted.set(true);
-            wakers.extend(w.waker.take());
+    /// Grants the lock to the front waiter if it is compatible with the
+    /// current holders, and returns its waker.
+    fn grant_front(&mut self) -> Option<Waker> {
+        if !self.admits(self.queue.front()?) {
+            return None;
         }
+        let (access, waker) = self.queue.grant_front();
+        self.admit(access);
+        Some(waker)
     }
 }
 
@@ -94,7 +90,7 @@ impl SimClassLock {
             inner: Rc::new(RefCell::new(Inner {
                 holders: 0,
                 held: Access::Exclusive,
-                waiters: VecDeque::new(),
+                queue: WaitQueue::default(),
             })),
         }
     }
@@ -104,7 +100,7 @@ impl SimClassLock {
         ClassAcquire {
             lock: self.clone(),
             access,
-            granted: None,
+            ticket: None,
         }
     }
 
@@ -125,28 +121,28 @@ impl SimClassLock {
 
     /// Number of tasks currently waiting.
     pub fn waiters(&self) -> usize {
-        self.inner.borrow().waiters.len()
+        self.inner.borrow().queue.len()
     }
 
     /// True while some task holds the lock with `access` or is queued for it
     /// with `access`.
     pub fn wanted_by(&self, access: Access) -> bool {
         let inner = self.inner.borrow();
-        (inner.holders > 0 && inner.held == access)
-            || inner.waiters.iter().any(|w| w.access == access)
+        (inner.holders > 0 && inner.held == access) || inner.queue.wants().any(|a| a == access)
     }
 
-    /// Runs `f` on the lock state, then wakes whoever it granted the lock to
-    /// (outside the borrow: a woken task may touch the lock again).
+    /// Runs `f` on the lock state, then grants the lock from the front of
+    /// the queue for as long as the front is compatible with the holders,
+    /// waking each waiter it grants outside the borrow (a woken task may
+    /// touch the lock again).
     fn regrant(&self, f: impl FnOnce(&mut Inner)) {
-        let mut wakers = Vec::new();
-        {
-            let mut inner = self.inner.borrow_mut();
-            f(&mut inner);
-            inner.grant_from_queue(&mut wakers);
-        }
-        for w in wakers {
-            w.wake();
+        f(&mut self.inner.borrow_mut());
+        loop {
+            let granted = self.inner.borrow_mut().grant_front();
+            match granted {
+                Some(waker) => waker.wake(),
+                None => break,
+            }
         }
     }
 
@@ -155,70 +151,62 @@ impl SimClassLock {
     }
 }
 
-/// Future returned by [`SimClassLock::acquire`]. Dropping it before it
-/// resolves cancels the acquire.
+/// Future returned by [`SimClassLock::acquire`]. Once queued it holds a
+/// ticket; dropping it before it resolves cancels the acquire, or hands on
+/// the hold it was granted.
 pub struct ClassAcquire {
     lock: SimClassLock,
     access: Access,
-    granted: Option<Rc<Cell<bool>>>,
+    ticket: Option<u64>,
 }
 
 impl Future for ClassAcquire {
     type Output = ClassGuard;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(granted) = self.granted.clone() {
-            if granted.get() {
-                // Clear the flag so dropping the finished future does not
+        if let Some(ticket) = self.ticket {
+            let mut inner = self.lock.inner.borrow_mut();
+            if inner.queue.granted(ticket) {
+                drop(inner);
+                // Clear the ticket so dropping the finished future does not
                 // release the lock a second time.
-                self.granted = None;
+                self.ticket = None;
                 return Poll::Ready(ClassGuard {
                     lock: self.lock.clone(),
                 });
             }
-            let mut inner = self.lock.inner.borrow_mut();
-            if let Some(w) = inner
-                .waiters
-                .iter_mut()
-                .find(|w| Rc::ptr_eq(&w.granted, &granted))
-            {
-                w.waker = Some(cx.waker().clone());
-            }
+            inner.queue.set_waker(ticket, cx.waker());
             return Poll::Pending;
         }
         let mut inner = self.lock.inner.borrow_mut();
-        if inner.waiters.is_empty() && inner.admits(self.access) {
+        if inner.queue.is_empty() && inner.admits(self.access) {
             inner.admit(self.access);
             drop(inner);
             return Poll::Ready(ClassGuard {
                 lock: self.lock.clone(),
             });
         }
-        let granted = Rc::new(Cell::new(false));
-        inner.waiters.push_back(Waiter {
-            access: self.access,
-            granted: granted.clone(),
-            waker: Some(cx.waker().clone()),
-        });
+        let ticket = inner.queue.push(self.access, cx.waker());
         drop(inner);
-        self.granted = Some(granted);
+        self.ticket = Some(ticket);
         Poll::Pending
     }
 }
 
 impl Drop for ClassAcquire {
     fn drop(&mut self) {
-        let Some(granted) = &self.granted else {
+        let Some(ticket) = self.ticket else {
             return;
         };
-        if granted.get() {
+        let granted = self.lock.inner.borrow().queue.granted(ticket);
+        if granted {
             // Granted but never polled to completion: hand the lock on.
             self.lock.release();
         } else {
             // Leaving the queue can unblock the waiters that were behind
             // this one (they may be compatible with the current holders).
             self.lock.regrant(|inner| {
-                inner.waiters.retain(|w| !Rc::ptr_eq(&w.granted, granted));
+                inner.queue.cancel(ticket);
             });
         }
     }

@@ -5,22 +5,31 @@
 //! requests, mirroring the "up to 512 concurrent requests" load generator of
 //! the paper's evaluation (§7.2.1).
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-struct Waiter {
-    need: usize,
-    granted: Rc<Cell<bool>>,
-    waker: Option<Waker>,
-}
+use super::WaitQueue;
 
 struct Inner {
     permits: usize,
-    waiters: VecDeque<Waiter>,
+    /// Each waiter wants a number of permits.
+    queue: WaitQueue<usize>,
+}
+
+impl Inner {
+    /// Grants the front waiter its permits if they are free, and returns
+    /// its waker.
+    fn grant_front(&mut self) -> Option<Waker> {
+        if self.queue.front()? > self.permits {
+            return None;
+        }
+        let (need, waker) = self.queue.grant_front();
+        self.permits -= need;
+        Some(waker)
+    }
 }
 
 /// An asynchronous, FIFO-fair counting semaphore.
@@ -35,7 +44,7 @@ impl Semaphore {
         Semaphore {
             inner: Rc::new(RefCell::new(Inner {
                 permits,
-                waiters: VecDeque::new(),
+                queue: WaitQueue::default(),
             })),
         }
     }
@@ -50,7 +59,7 @@ impl Semaphore {
         Acquire {
             semaphore: self.clone(),
             need: n,
-            granted: None,
+            ticket: None,
         }
     }
 
@@ -59,71 +68,49 @@ impl Semaphore {
         self.inner.borrow().permits
     }
 
-    /// Adds `n` permits, waking waiters that can now proceed. The common
-    /// single-waiter hand-off stays alloc-free; only a multi-waiter wake
-    /// spills into a vector.
+    /// Adds `n` permits, waking, in queue order, the waiters that can now
+    /// proceed.
     pub fn release(&self, n: usize) {
-        let mut first: Option<Waker> = None;
-        let mut rest: Vec<Waker> = Vec::new();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.permits += n;
-            while let Some(front) = inner.waiters.front() {
-                if front.need > inner.permits {
-                    break;
-                }
-                let mut w = inner.waiters.pop_front().expect("front exists");
-                inner.permits -= w.need;
-                w.granted.set(true);
-                if let Some(wk) = w.waker.take() {
-                    if first.is_none() {
-                        first = Some(wk);
-                    } else {
-                        rest.push(wk);
-                    }
-                }
+        self.inner.borrow_mut().permits += n;
+        // One grant per borrow: each waker runs outside it.
+        loop {
+            let granted = self.inner.borrow_mut().grant_front();
+            match granted {
+                Some(waker) => waker.wake(),
+                None => break,
             }
-        }
-        if let Some(w) = first {
-            w.wake();
-        }
-        for w in rest {
-            w.wake();
         }
     }
 }
 
-/// Future returned by [`Semaphore::acquire`].
+/// Future returned by [`Semaphore::acquire`]. Once queued it holds a
+/// ticket; dropping it before it resolves cancels the acquire, or hands on
+/// the permits it was granted.
 pub struct Acquire {
     semaphore: Semaphore,
     need: usize,
-    granted: Option<Rc<Cell<bool>>>,
+    ticket: Option<u64>,
 }
 
 impl Future for Acquire {
     type Output = SemaphorePermit;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(granted) = self.granted.clone() {
-            if granted.get() {
-                self.granted = None;
+        if let Some(ticket) = self.ticket {
+            let mut inner = self.semaphore.inner.borrow_mut();
+            if inner.queue.granted(ticket) {
+                drop(inner);
+                self.ticket = None;
                 return Poll::Ready(SemaphorePermit {
                     semaphore: self.semaphore.clone(),
                     count: self.need,
                 });
             }
-            let mut inner = self.semaphore.inner.borrow_mut();
-            if let Some(w) = inner
-                .waiters
-                .iter_mut()
-                .find(|w| Rc::ptr_eq(&w.granted, &granted))
-            {
-                w.waker = Some(cx.waker().clone());
-            }
+            inner.queue.set_waker(ticket, cx.waker());
             return Poll::Pending;
         }
         let mut inner = self.semaphore.inner.borrow_mut();
-        if inner.waiters.is_empty() && inner.permits >= self.need {
+        if inner.queue.is_empty() && inner.permits >= self.need {
             inner.permits -= self.need;
             drop(inner);
             return Poll::Ready(SemaphorePermit {
@@ -131,27 +118,24 @@ impl Future for Acquire {
                 count: self.need,
             });
         }
-        let granted = Rc::new(Cell::new(false));
-        inner.waiters.push_back(Waiter {
-            need: self.need,
-            granted: granted.clone(),
-            waker: Some(cx.waker().clone()),
-        });
+        let ticket = inner.queue.push(self.need, cx.waker());
         drop(inner);
-        self.granted = Some(granted);
+        self.ticket = Some(ticket);
         Poll::Pending
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Some(granted) = &self.granted {
-            if granted.get() {
-                self.semaphore.release(self.need);
-            } else {
-                let mut inner = self.semaphore.inner.borrow_mut();
-                inner.waiters.retain(|w| !Rc::ptr_eq(&w.granted, granted));
-            }
+        let Some(ticket) = self.ticket else {
+            return;
+        };
+        let mut inner = self.semaphore.inner.borrow_mut();
+        if inner.queue.granted(ticket) {
+            drop(inner);
+            self.semaphore.release(self.need);
+        } else {
+            inner.queue.cancel(ticket);
         }
     }
 }
@@ -173,8 +157,9 @@ impl Drop for SemaphorePermit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Sim;
+    use crate::executor::{timeout, Sim};
     use crate::time::{SimDuration, SimTime};
+    use std::cell::Cell;
 
     #[test]
     fn limits_concurrency() {
@@ -240,5 +225,42 @@ mod tests {
         });
         sim.run();
         assert_eq!(sem.available(), 3);
+    }
+
+    #[test]
+    fn a_dropped_acquire_neither_keeps_nor_leaks_a_permit() {
+        // Dropped while queued, and dropped after its grant but before it
+        // was polled again: either way the permit goes on to the acquire
+        // queued behind it.
+        for granted in [false, true] {
+            let sim = Sim::new(1);
+            let sem = Semaphore::new(1);
+            let (s, h) = (sem.clone(), sim.handle());
+            let served = Rc::new(Cell::new(false));
+            let served2 = served.clone();
+            sim.spawn(async move {
+                let held = s.acquire().await;
+                let mut queued = Box::pin(s.acquire());
+                let mut behind = Box::pin(s.acquire());
+                for acquire in [queued.as_mut(), behind.as_mut()] {
+                    let got = timeout(&h, SimDuration::micros(1), acquire).await;
+                    assert!(got.is_none(), "the permit is held");
+                }
+                if granted {
+                    drop(held);
+                    assert_eq!(s.available(), 0, "the permit is the queued acquire's");
+                    drop(queued);
+                } else {
+                    drop(queued);
+                    drop(held);
+                }
+                assert_eq!(s.available(), 0, "the permit is the acquire behind's");
+                drop(behind.await);
+                served2.set(true);
+            });
+            sim.run();
+            assert!(served.get(), "granted: {granted}");
+            assert_eq!(sem.available(), 1, "granted: {granted}");
+        }
     }
 }

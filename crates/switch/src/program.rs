@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use switchfs_proto::message::{Body, NetMsg, UdpPorts};
 use switchfs_proto::{DirtyRet, DirtySetOp, DirtyState};
+use switchfs_simnet::Fanout;
 
 use crate::dirty_set::{DirtySet, DirtySetConfig, InsertOutcome};
 
@@ -164,17 +165,17 @@ impl SwitchFsProgram {
     /// dominant single-output cases (plain forwarding, query, overflow
     /// redirect) move the payload through the data plane without cloning;
     /// only genuine multicast pays for copies.
-    pub fn process(&mut self, src: u32, dst: u32, mut msg: NetMsg) -> Vec<(u32, NetMsg)> {
+    pub fn process(&mut self, src: u32, dst: u32, mut msg: NetMsg) -> Fanout<(u32, NetMsg)> {
         self.stats.packets += 1;
         let Some(hdr) = msg.dirty else {
             self.stats.regular_packets += 1;
-            return vec![(dst, msg)];
+            return Fanout::one((dst, msg));
         };
         if msg.dst_port != UdpPorts::DIRTY_SET {
             // Malformed: a dirty header on the plain port is ignored by the
             // parser and the packet is forwarded untouched.
             self.stats.regular_packets += 1;
-            return vec![(dst, msg)];
+            return Fanout::one((dst, msg));
         }
         let fp = hdr.fingerprint;
         let pipe_idx = self.pipe_of(fp);
@@ -192,7 +193,7 @@ impl SwitchFsProgram {
                         DirtyState::Normal
                     });
                 }
-                vec![(dst, msg)]
+                Fanout::one((dst, msg))
             }
             DirtySetOp::Insert => {
                 self.stats.inserts += 1;
@@ -210,7 +211,9 @@ impl SwitchFsProgram {
                         // (the client, completing the operation) and one back
                         // to the origin server (releasing its locks).
                         self.stats.multicast_copies += 1;
-                        vec![(dst, msg.clone()), (src, msg)]
+                        let mut out = Fanout::one((dst, msg.clone()));
+                        out.push((src, msg));
+                        out
                     }
                     InsertOutcome::Overflow => {
                         self.stats.insert_overflows += 1;
@@ -221,7 +224,7 @@ impl SwitchFsProgram {
                         // destination (the parent directory's owner) for
                         // synchronous fallback handling.
                         let fallback_dst = hdr.alt_dst.unwrap_or(dst);
-                        vec![(fallback_dst, msg)]
+                        Fanout::one((fallback_dst, msg))
                     }
                 }
             }
@@ -231,7 +234,7 @@ impl SwitchFsProgram {
                     // A duplicate remove that arrives after a newer request
                     // from the same server must not take effect (§5.4.1).
                     self.stats.stale_removes += 1;
-                    return Vec::new();
+                    return Fanout::default();
                 }
                 *high = hdr.remove_seq;
                 self.stats.removes += 1;
@@ -242,25 +245,26 @@ impl SwitchFsProgram {
                 // Aggregation requests are multicast to every other metadata
                 // server; other remove-carrying packets (none today) would
                 // just go to their destination.
-                if matches!(msg.body, Body::Server(_)) {
-                    let targets: Vec<u32> = self
-                        .config
-                        .server_nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| n != src)
-                        .collect();
-                    let Some((last, rest)) = targets.split_last() else {
-                        return vec![(dst, msg)];
-                    };
-                    self.stats.multicast_copies += rest.len() as u64;
-                    let mut out: Vec<(u32, NetMsg)> =
-                        rest.iter().map(|&n| (n, msg.clone())).collect();
-                    out.push((*last, msg));
-                    out
-                } else {
-                    vec![(dst, msg)]
+                if !matches!(msg.body, Body::Server(_)) {
+                    return Fanout::one((dst, msg));
                 }
+                let mut targets = self
+                    .config
+                    .server_nodes
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != src);
+                let Some(mut last) = targets.next() else {
+                    return Fanout::one((dst, msg));
+                };
+                let mut out = Fanout::default();
+                for n in targets {
+                    out.push((last, msg.clone()));
+                    last = n;
+                }
+                self.stats.multicast_copies += out.len() as u64;
+                out.push((last, msg));
+                out
             }
         }
     }
@@ -293,7 +297,7 @@ mod tests {
     fn regular_packets_pass_through() {
         let mut p = program(vec![10, 11]);
         let msg = NetMsg::plain(seq(1, 1), Body::Empty);
-        let out = p.process(1, 10, msg);
+        let out: Vec<_> = p.process(1, 10, msg).into_iter().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 10);
         assert_eq!(p.stats().regular_packets, 1);
@@ -304,7 +308,7 @@ mod tests {
         let mut p = program(vec![10, 11]);
         let f = fp(1);
         let q = NetMsg::with_dirty(seq(1, 1), DirtySetHeader::query(f), Body::Empty);
-        let out = p.process(1, 10, q.clone());
+        let out: Vec<_> = p.process(1, 10, q.clone()).into_iter().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].1.dirty.unwrap().ret,
@@ -313,7 +317,7 @@ mod tests {
         // Insert, then query again.
         let ins = NetMsg::with_dirty(seq(10, 2), DirtySetHeader::insert(f, 11), Body::Empty);
         p.process(10, 1, ins);
-        let out = p.process(1, 10, q);
+        let out: Vec<_> = p.process(1, 10, q).into_iter().collect();
         assert_eq!(
             out[0].1.dirty.unwrap().ret,
             DirtyRet::State(DirtyState::Scattered)
@@ -325,7 +329,7 @@ mod tests {
         let mut p = program(vec![10, 11]);
         let ins = NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(fp(2), 11), Body::Empty);
         // src = server 10, dst = client 1.
-        let out = p.process(10, 1, ins);
+        let out: Vec<_> = p.process(10, 1, ins).into_iter().collect();
         let dests: Vec<u32> = out.iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![1, 10]);
         for (_, m) in &out {
@@ -341,7 +345,7 @@ mod tests {
             ..program(vec![10, 11]).config().clone()
         });
         let ins = NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(fp(3), 42), Body::Empty);
-        let out = p.process(10, 1, ins);
+        let out: Vec<_> = p.process(10, 1, ins).into_iter().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].0, 42,
@@ -369,7 +373,7 @@ mod tests {
             invalidate: None,
         });
         let rm = NetMsg::with_dirty(seq(11, 1), DirtySetHeader::remove(f, 1), agg);
-        let out = p.process(11, 11, rm);
+        let out: Vec<_> = p.process(11, 11, rm).into_iter().collect();
         let mut dests: Vec<u32> = out.iter().map(|(d, _)| *d).collect();
         dests.sort_unstable();
         assert_eq!(
@@ -395,7 +399,7 @@ mod tests {
         );
         assert!(p.contains(f));
         // ...and the stale duplicate remove must not clear it.
-        let out = p.process(11, 10, rm_stale);
+        let out: Vec<_> = p.process(11, 10, rm_stale).into_iter().collect();
         assert!(out.is_empty());
         assert!(p.contains(f));
         assert_eq!(p.stats().stale_removes, 1);
@@ -416,11 +420,14 @@ mod tests {
             1,
             NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(f, 11), Body::Empty),
         );
-        let out = p.process(
-            12,
-            10,
-            NetMsg::with_dirty(seq(12, 1), DirtySetHeader::remove(f, 1), Body::Empty),
-        );
+        let out: Vec<_> = p
+            .process(
+                12,
+                10,
+                NetMsg::with_dirty(seq(12, 1), DirtySetHeader::remove(f, 1), Body::Empty),
+            )
+            .into_iter()
+            .collect();
         assert!(!out.is_empty());
         assert!(!p.contains(f));
     }
@@ -444,11 +451,14 @@ mod tests {
         assert!(!p.contains(f));
         assert_eq!(p.occupancy(), 0);
         // After a reboot, sequence numbering restarts: seq 1 is accepted.
-        let out = p.process(
-            11,
-            10,
-            NetMsg::with_dirty(seq(11, 2), DirtySetHeader::remove(fp(8), 1), Body::Empty),
-        );
+        let out: Vec<_> = p
+            .process(
+                11,
+                10,
+                NetMsg::with_dirty(seq(11, 2), DirtySetHeader::remove(fp(8), 1), Body::Empty),
+            )
+            .into_iter()
+            .collect();
         assert!(!out.is_empty());
     }
 

@@ -33,7 +33,7 @@ use switchfs::core::{Cluster, ClusterConfig, SystemKind, TrackingChoice};
 use switchfs::proto::message::{Body, NetMsg};
 use switchfs::proto::{DirtySetOp, FileType, Fingerprint, FsError};
 use switchfs::simnet::net::L2Forward;
-use switchfs::simnet::{Packet, SimTime, SwitchAction, SwitchLogic};
+use switchfs::simnet::{Fanout, Packet, SimTime, SwitchAction, SwitchLogic};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
 
 // ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ struct RequestTap {
 }
 
 impl SwitchLogic<NetMsg> for RequestTap {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         if let Body::Request(req) = &pkt.payload.body {
             let key = req.op.primary_key();
             let header = pkt.payload.dirty.map(|h| {

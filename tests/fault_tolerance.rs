@@ -7,7 +7,7 @@ use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
 use switchfs::proto::message::{Body, MetaOp, NetMsg, ServerMsg};
 use switchfs::proto::{FsError, OpId, Placement};
-use switchfs::simnet::{NodeId, Packet, SimDuration, SimTime, SwitchAction, SwitchLogic};
+use switchfs::simnet::{Fanout, NodeId, Packet, SimDuration, SimTime, SwitchAction, SwitchLogic};
 
 /// The shared slot a spawned rename reports its outcome into.
 type Outcome = Rc<RefCell<Option<Result<(), FsError>>>>;
@@ -267,7 +267,7 @@ struct IsolateOnCommit {
 }
 
 impl SwitchLogic<NetMsg> for IsolateOnCommit {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         let body = &pkt.payload.body;
         if matches!(
             body,
@@ -281,7 +281,7 @@ impl SwitchLogic<NetMsg> for IsolateOnCommit {
             commits.push(now);
         }
         if self.isolated.get() && (pkt.src == self.node || pkt.dst == self.node) {
-            return vec![SwitchAction::Drop];
+            return Fanout::one(SwitchAction::Drop);
         }
         self.program.process(now, pkt)
     }
@@ -574,14 +574,14 @@ struct LoseFirstRevoke {
 }
 
 impl SwitchLogic<NetMsg> for LoseFirstRevoke {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         if matches!(
             pkt.payload.body,
             Body::Server(ServerMsg::InvalidationRevoke { .. })
         ) && pkt.dst == self.node
             && !self.lost.replace(true)
         {
-            return vec![SwitchAction::Drop];
+            return Fanout::one(SwitchAction::Drop);
         }
         self.program.process(now, pkt)
     }
@@ -634,9 +634,11 @@ struct RoundsOnly {
 }
 
 impl SwitchLogic<NetMsg> for RoundsOnly {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         match pkt.payload.body {
-            Body::Server(ServerMsg::ChangeLogPush { .. }) => return vec![SwitchAction::Drop],
+            Body::Server(ServerMsg::ChangeLogPush { .. }) => {
+                return Fanout::one(SwitchAction::Drop)
+            }
             Body::Server(ServerMsg::AggregationAck { .. }) => self.acks.set(self.acks.get() + 1),
             _ => {}
         }
@@ -746,20 +748,20 @@ struct ParkOneRename {
 }
 
 impl SwitchLogic<NetMsg> for ParkOneRename {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         let parked = &self.parked;
         let held = |op| parked.hold.get() && parked.rename.get().map(|(id, _)| id) == Some(op);
         match &pkt.payload.body {
             Body::Request(req) if matches!(req.op, MetaOp::Rename { .. }) => {
                 if held(req.op_id) {
-                    return vec![SwitchAction::Drop];
+                    return Fanout::one(SwitchAction::Drop);
                 }
                 self.last_rename = Some(req.op_id);
             }
             Body::Server(ServerMsg::TxnPrepare { .. }) if parked.rename.get().is_none() => {
                 let op = self.last_rename.expect("a prepare follows its rename");
                 parked.rename.set(Some((op, pkt.src)));
-                return vec![SwitchAction::Drop];
+                return Fanout::one(SwitchAction::Drop);
             }
             Body::Response(response) if held(response.op_id) => {
                 parked.responses_held.set(parked.responses_held.get() + 1);
@@ -1711,13 +1713,13 @@ struct LoseFirstCommit {
 }
 
 impl SwitchLogic<NetMsg> for LoseFirstCommit {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         if matches!(
             pkt.payload.body,
             Body::Server(ServerMsg::AsyncCommit { .. })
         ) && !self.lost.replace(true)
         {
-            return vec![SwitchAction::Drop];
+            return Fanout::one(SwitchAction::Drop);
         }
         self.program.process(now, pkt)
     }

@@ -54,7 +54,7 @@ use switchfs::proto::{DirId, Fingerprint, FsError, MetaKey, OpId, Placement, Ser
 use switchfs::server::{KvEffect, WalOp};
 use switchfs::simnet::net::LinkParams;
 use switchfs::simnet::{
-    NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchAction, SwitchLogic,
+    Fanout, NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchAction, SwitchLogic,
 };
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkItem, WorkloadBuilder};
 
@@ -484,7 +484,7 @@ impl Tap {
 }
 
 impl SwitchLogic<NetMsg> for Tap {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Vec<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         let seen = match &pkt.payload.body {
             Body::Server(ServerMsg::AsyncCommit { .. }) => Some(Seen::Commit),
             Body::Server(ServerMsg::ChangeLogPush { .. }) => Some(Seen::Push),
@@ -511,7 +511,7 @@ impl SwitchLogic<NetMsg> for Tap {
                 seen,
             });
             if seen == Seen::Push && self.lose_pushes {
-                return vec![SwitchAction::Drop];
+                return Fanout::one(SwitchAction::Drop);
             }
         }
         self.program.process(now, pkt)

@@ -172,7 +172,7 @@ proptest! {
             if *insert {
                 let mode = i as u16;
                 content.insert(DirEntry {
-                    name: name.clone(),
+                    name: name.as_str().into(),
                     file_type: FileType::File,
                     mode,
                 });
@@ -193,11 +193,11 @@ proptest! {
         // the state the reader observed when it was taken.
         for (listing, expected) in &snapshots {
             let got: Vec<(String, u16)> =
-                listing.iter().map(|e| (e.name.clone(), e.mode)).collect();
+                listing.iter().map(|e| (e.name.to_string(), e.mode)).collect();
             prop_assert_eq!(&got, expected);
         }
         // And the store's final view matches the model.
-        let final_view: Vec<String> = content.iter().map(|e| e.name.clone()).collect();
+        let final_view: Vec<String> = content.iter().map(|e| e.name.to_string()).collect();
         let model_view: Vec<String> = model.keys().cloned().collect();
         prop_assert_eq!(final_view, model_view);
     }
@@ -506,7 +506,7 @@ proptest! {
             let (stat_size, list_size, names) = cluster.block_on(async move {
                 let stat = client.statdir("/d").await.expect("statdir");
                 let (attrs, entries) = client.readdir("/d").await.expect("readdir");
-                let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
+                let names: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
                 (stat.size, attrs.size, names)
             });
             let expected: Vec<String> = model.keys().cloned().collect();
