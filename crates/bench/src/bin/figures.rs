@@ -53,100 +53,106 @@ fn print_rows(title: &str, rows: &[Row], json: bool) {
     }
 }
 
-const EXPERIMENTS: [&str; 18] = [
-    "tab2",
-    "fig2",
-    "fig12a",
-    "fig12b",
-    "fig13",
-    "fig14",
-    "overflow",
-    "fig15",
-    "fig16",
-    "fig17a",
-    "fig17b",
-    "fig18",
-    "fig19",
-    "recovery",
-    "availability",
-    "rebalance",
-    "decommission",
-    "metrics",
+/// Every experiment: its command-line name, its title and how to compute
+/// its rows, in the order `all` runs them.
+type Experiment = (&'static str, &'static str, fn(ExperimentScale) -> Vec<Row>);
+
+const EXPERIMENTS: [Experiment; 18] = [
+    ("tab2", "Tab. 2: PanguFS operation mix", |_| {
+        experiments::tab2()
+    }),
+    (
+        "fig2",
+        "Fig. 2: motivation — baseline scalability and contention",
+        experiments::fig2,
+    ),
+    (
+        "fig12a",
+        "Fig. 12(a): throughput, single large directory (8 servers)",
+        |scale| experiments::fig12(scale, true, 8),
+    ),
+    (
+        "fig12b",
+        "Fig. 12(b): throughput, multiple directories (8 servers)",
+        |scale| experiments::fig12(scale, false, 8),
+    ),
+    (
+        "fig13",
+        "Fig. 13: operation latency (single client, 8 servers)",
+        experiments::fig13,
+    ),
+    (
+        "fig14",
+        "Fig. 14: contribution breakdown (Baseline / +Async / +Compaction)",
+        experiments::fig14,
+    ),
+    (
+        "overflow",
+        "§7.3.2: impact of dirty-set overflow",
+        experiments::overflow,
+    ),
+    (
+        "fig15",
+        "Fig. 15: dedicated server vs programmable switch",
+        experiments::fig15,
+    ),
+    (
+        "fig16",
+        "Fig. 16: owner-server tracking vs in-network tracking",
+        experiments::fig16,
+    ),
+    (
+        "fig17a",
+        "Fig. 17(a): create bursts, 32 in-flight requests",
+        |scale| experiments::fig17(scale, 32),
+    ),
+    (
+        "fig17b",
+        "Fig. 17(b): create bursts, 256 in-flight requests",
+        |scale| experiments::fig17(scale, 256),
+    ),
+    (
+        "fig18",
+        "Fig. 18: statdir latency after preceding creates (aggregation overhead)",
+        experiments::fig18,
+    ),
+    ("fig19", "Fig. 19: end-to-end workloads", experiments::fig19),
+    (
+        "recovery",
+        "§7.7: crash recovery time",
+        experiments::recovery,
+    ),
+    (
+        "availability",
+        "§7.7: availability under a server crash (healthy / degraded / recovered)",
+        experiments::availability,
+    ),
+    (
+        "rebalance",
+        "Elastic scale-out: live shard migration onto a newly added server",
+        experiments::rebalance,
+    ),
+    (
+        "decommission",
+        "Elastic shrink: graceful decommission of a loaded server",
+        experiments::decommission,
+    ),
+    (
+        "metrics",
+        "Unified metrics registry (flight recorder enabled)",
+        experiments::metrics,
+    ),
 ];
 
 fn compute(which: &str, scale: ExperimentScale) -> Option<(&'static str, Vec<Row>)> {
-    match which {
-        "tab2" => Some(("Tab. 2: PanguFS operation mix", experiments::tab2())),
-        "fig2" => Some((
-            "Fig. 2: motivation — baseline scalability and contention",
-            experiments::fig2(scale),
-        )),
-        "fig12a" => Some((
-            "Fig. 12(a): throughput, single large directory (8 servers)",
-            experiments::fig12(scale, true, 8),
-        )),
-        "fig12b" => Some((
-            "Fig. 12(b): throughput, multiple directories (8 servers)",
-            experiments::fig12(scale, false, 8),
-        )),
-        "fig13" => Some((
-            "Fig. 13: operation latency (single client, 8 servers)",
-            experiments::fig13(scale),
-        )),
-        "fig14" => Some((
-            "Fig. 14: contribution breakdown (Baseline / +Async / +Compaction)",
-            experiments::fig14(scale),
-        )),
-        "overflow" => Some((
-            "§7.3.2: impact of dirty-set overflow",
-            experiments::overflow(scale),
-        )),
-        "fig15" => Some((
-            "Fig. 15: dedicated server vs programmable switch",
-            experiments::fig15(scale),
-        )),
-        "fig16" => Some((
-            "Fig. 16: owner-server tracking vs in-network tracking",
-            experiments::fig16(scale),
-        )),
-        "fig17a" => Some((
-            "Fig. 17(a): create bursts, 32 in-flight requests",
-            experiments::fig17(scale, 32),
-        )),
-        "fig17b" => Some((
-            "Fig. 17(b): create bursts, 256 in-flight requests",
-            experiments::fig17(scale, 256),
-        )),
-        "fig18" => Some((
-            "Fig. 18: statdir latency after preceding creates (aggregation overhead)",
-            experiments::fig18(scale),
-        )),
-        "fig19" => Some(("Fig. 19: end-to-end workloads", experiments::fig19(scale))),
-        "recovery" => Some(("§7.7: crash recovery time", experiments::recovery(scale))),
-        "availability" => Some((
-            "§7.7: availability under a server crash (healthy / degraded / recovered)",
-            experiments::availability(scale),
-        )),
-        "rebalance" => Some((
-            "Elastic scale-out: live shard migration onto a newly added server",
-            experiments::rebalance(scale),
-        )),
-        "decommission" => Some((
-            "Elastic shrink: graceful decommission of a loaded server",
-            experiments::decommission(scale),
-        )),
-        "metrics" => Some((
-            "Unified metrics registry (flight recorder enabled)",
-            experiments::metrics(scale),
-        )),
-        _ => None,
-    }
+    let (_, title, rows) = EXPERIMENTS.iter().find(|(name, ..)| *name == which)?;
+    Some((title, rows(scale)))
 }
 
 fn run(which: &str, scale: ExperimentScale, json: bool) {
     if which == "all" {
-        for w in EXPERIMENTS {
-            run(w, scale, json);
+        for (name, ..) in EXPERIMENTS {
+            run(name, scale, json);
         }
         return;
     }
@@ -169,7 +175,7 @@ fn run(which: &str, scale: ExperimentScale, json: bool) {
 )]
 fn run_to_file(which: &str, scale: ExperimentScale, path: &str) {
     let selection: Vec<&str> = if which == "all" {
-        EXPERIMENTS.to_vec()
+        EXPERIMENTS.iter().map(|(name, ..)| *name).collect()
     } else {
         vec![which]
     };
@@ -220,7 +226,11 @@ fn main() {
     let json_pos = args.iter().position(|a| a == "--json");
     let json_path = json_pos.and_then(|i| {
         args.get(i + 1)
-            .filter(|a| !a.starts_with("--") && !EXPERIMENTS.contains(&a.as_str()) && *a != "all")
+            .filter(|a| {
+                !a.starts_with("--")
+                    && !EXPERIMENTS.iter().any(|(name, ..)| name == a)
+                    && *a != "all"
+            })
             .cloned()
     });
     let which = args

@@ -75,7 +75,6 @@ fn cluster_for(system: SystemKind, servers: usize, cores: usize) -> Cluster {
     let mut cfg = ClusterConfig::paper_default(system);
     cfg.servers = servers;
     cfg.cores_per_server = cores;
-    cfg.clients = 4;
     Cluster::new(cfg)
 }
 
@@ -234,9 +233,7 @@ pub fn fig14(scale: ExperimentScale) -> Vec<Row> {
         let mut row = Row::new(format!("{cores} cores"));
         for (label, system, mode) in &variants {
             let mut cfg = ClusterConfig::paper_default(*system);
-            cfg.servers = 8;
             cfg.cores_per_server = cores;
-            cfg.clients = 4;
             cfg.update_mode_override = *mode;
             let mut cluster = Cluster::new(cfg);
             cluster.preload_dir(&ns.dir_path(0));
@@ -259,8 +256,6 @@ pub fn overflow(scale: ExperimentScale) -> Vec<Row> {
     let mut rows = Vec::new();
     for (label, force) in [("inserts succeed", false), ("inserts overflow", true)] {
         let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-        cfg.servers = 8;
-        cfg.clients = 4;
         cfg.force_dirty_overflow = force;
         let mut cluster = Cluster::new(cfg);
         cluster.preload_dir(&ns.dir_path(0));
@@ -287,7 +282,6 @@ pub fn fig15(scale: ExperimentScale) -> Vec<Row> {
     ] {
         for kind in [OpKind::Create, OpKind::Statdir] {
             let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-            cfg.servers = 8;
             cfg.clients = 1;
             cfg.tracking = tracking;
             let mut cluster = Cluster::new(cfg);
@@ -304,8 +298,6 @@ pub fn fig15(scale: ExperimentScale) -> Vec<Row> {
         }
         // Throughput of statdir with many in-flight requests.
         let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-        cfg.servers = 8;
-        cfg.clients = 4;
         cfg.tracking = tracking;
         let mut cluster = Cluster::new(cfg);
         let mut ns2 = ns.clone();
@@ -330,8 +322,6 @@ pub fn fig16(scale: ExperimentScale) -> Vec<Row> {
     ] {
         for (load_label, in_flight) in [("medium load", 16usize), ("heavy load", 128)] {
             let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-            cfg.servers = 8;
-            cfg.clients = 4;
             cfg.tracking = tracking;
             let mut cluster = Cluster::new(cfg);
             for d in 0..ns.dirs {
@@ -454,10 +444,7 @@ pub fn fig19(scale: ExperimentScale) -> Vec<Row> {
 /// and the post-recovery restoration are the availability story the chaos
 /// subsystem sweeps at scale.
 pub fn availability(scale: ExperimentScale) -> Vec<Row> {
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 8;
-    cfg.clients = 4;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     let ns = NamespaceSpec::multi_dir(64, 0);
     for d in ns.all_dirs() {
         cluster.preload_dir(&d);
@@ -501,10 +488,7 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 8;
-    cfg.clients = 4;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     let ns = NamespaceSpec::multi_dir(64, 0);
     for d in ns.all_dirs() {
         cluster.preload_dir(&d);
@@ -522,12 +506,10 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
     cluster.add_server();
     let moved: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
     {
-        let placement = cluster.placement();
-        let servers = cluster.servers().to_vec();
+        let rebalanced = cluster.control().rebalance();
         let moved = moved.clone();
         cluster.sim.spawn(async move {
-            let n = switchfs_core::run_rebalance(&placement, &servers).await;
-            *moved.borrow_mut() = Some(n);
+            *moved.borrow_mut() = Some(rebalanced.await);
         });
     }
     let degraded = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
@@ -568,10 +550,7 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 8;
-    cfg.clients = 4;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     let ns = NamespaceSpec::multi_dir(64, 0);
     for d in ns.all_dirs() {
         cluster.preload_dir(&d);
@@ -591,12 +570,10 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
     let outcome: Rc<RefCell<Option<switchfs_core::DecommissionReport>>> =
         Rc::new(RefCell::new(None));
     {
-        let placement = cluster.placement();
-        let servers = cluster.servers().to_vec();
+        let drained = cluster.control().drain(victim);
         let outcome = outcome.clone();
         cluster.sim.spawn(async move {
-            let report = switchfs_core::run_decommission(&placement, &servers, victim).await;
-            *outcome.borrow_mut() = Some(report);
+            *outcome.borrow_mut() = Some(drained.await);
         });
     }
     let during = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
@@ -607,7 +584,7 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
     }
     let report = outcome.borrow().expect("decommission completed");
     if report.completed {
-        cluster.finalize_decommission(victim);
+        cluster.control().tombstone(victim);
     }
     let after = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
 
@@ -632,10 +609,7 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
 
 /// §7.7: crash-recovery time after a server failure and a switch failure.
 pub fn recovery(scale: ExperimentScale) -> Vec<Row> {
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 8;
-    cfg.clients = 4;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     let ns = NamespaceSpec::multi_dir(64, 0);
     for d in ns.all_dirs() {
         cluster.preload_dir(&d);

@@ -17,7 +17,7 @@ use switchfs_simnet::{SimDuration, SimHandle};
 use crate::history::{
     check_client, FinalState, History, HistoryEvent, ModelState, SequentialModel,
 };
-use crate::nemesis::{run_nemesis, NemesisHandles, NemesisLog};
+use crate::nemesis::{run_nemesis, NemesisLog};
 use crate::plan::{FaultPlan, PlanKind};
 
 /// Shape of one chaos run.
@@ -337,7 +337,7 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         cluster.add_server();
     }
 
-    let handles = NemesisHandles::capture(&cluster);
+    let control = cluster.control();
     let clients: Vec<Rc<LibFs>> = cluster.clients().to_vec();
     let history = Rc::new(RefCell::new(History::default()));
     let nemesis_log = Rc::new(RefCell::new(NemesisLog::default()));
@@ -346,13 +346,12 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
 
     // Phase 1: workload + nemesis, concurrently, inside one simulation run.
     {
-        let handles = handles.clone();
         let plan = plan.clone();
         let history = history.clone();
         let log = nemesis_log.clone();
         cluster.block_on(async move {
-            let h = handles.handle.clone();
-            let nem = h.spawn_with_result(run_nemesis(handles, plan, log));
+            let h = control.sim().clone();
+            let nem = h.spawn_with_result(run_nemesis(control, plan, log));
             let mut joins = Vec::new();
             for (c, script) in scripts.into_iter().enumerate() {
                 let client = clients[c % clients.len()].clone();
@@ -430,26 +429,6 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         violations.push(format!(
             "{stranded_prepared} prepared transaction(s) still unresolved after the final settle"
         ));
-    }
-
-    // Debug aid: `CHAOS_DEBUG=1` dumps per-server state when a run fails.
-    if !violations.is_empty() && std::env::var("CHAOS_DEBUG").is_ok() {
-        for (path, (_, id)) in &cluster.preloaded_dirs {
-            for (i, s) in cluster.servers().iter().enumerate() {
-                let entries = s.peek_entries(id);
-                if !entries.is_empty() {
-                    eprintln!("debug: server {i} entries[{path}] = {entries:?}");
-                }
-            }
-        }
-        for (i, s) in cluster.servers().iter().enumerate() {
-            eprintln!(
-                "debug: server {i} stats={:?} pending_changelog={} prepared={}",
-                s.stats(),
-                s.pending_changelog_entries(),
-                s.prepared_txn_count()
-            );
-        }
     }
 
     // Digest for bit-identical replay verification.

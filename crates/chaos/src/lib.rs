@@ -10,8 +10,9 @@
 //!   reboots, network partitions, loss/duplication/reorder windows and
 //!   disk-latency spikes, serializable so any failing seed is a one-command
 //!   repro;
-//! * [`nemesis`] — applies a plan against a live [`switchfs_core::Cluster`]
-//!   from inside the simulation, collecting every `RecoveryReport`;
+//! * [`nemesis`] — applies a plan from inside the simulation through the
+//!   deployment's [`switchfs_core::Control`] handle, collecting every
+//!   `RecoveryReport`;
 //! * [`history`] — records each client operation's invocation/response and
 //!   checks the run against a per-path sequential model (timeouts are
 //!   ambiguous and admit either outcome; everything definite must agree),
@@ -35,5 +36,5 @@ pub mod plan;
 
 pub use harness::{run_chaos, verify_replay, ChaosConfig, ChaosReport};
 pub use history::{FinalState, History, HistoryEvent};
-pub use nemesis::{NemesisHandles, NemesisLog};
+pub use nemesis::NemesisLog;
 pub use plan::{Fault, FaultEvent, FaultPlan, PlanKind};

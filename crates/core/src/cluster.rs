@@ -12,12 +12,13 @@ use switchfs_proto::{
     SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
-use switchfs_server::{DurableState, Server, ServerConfig, COORDINATOR_NODE};
+use switchfs_server::{DurableState, Server, ServerConfig, TornTail, COORDINATOR_NODE};
 use switchfs_simnet::net::LinkParams;
 use switchfs_simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use switchfs_switch::{DirtySetConfig, SwitchConfig, SwitchFsProgram, SwitchStats};
 
 use crate::config::{ClusterConfig, TrackingChoice};
+use crate::control::{Control, DecommissionReport};
 use crate::coordinator::Coordinator;
 use crate::switch_adapter::SwitchAdapter;
 
@@ -75,7 +76,6 @@ impl Cluster {
             let program = Rc::new(RefCell::new(SwitchFsProgram::new(SwitchConfig {
                 server_nodes: (0..cfg.servers).map(|i| server_node(i).0).collect(),
                 dirty_set: DirtySetConfig::default(),
-                pipes: 2,
                 force_insert_overflow: cfg.force_dirty_overflow,
             })));
             network.install_switch(Box::new(SwitchAdapter::new(program.clone())));
@@ -206,8 +206,8 @@ impl Cluster {
         self.switch.as_ref().map(|s| s.borrow().stats())
     }
 
-    /// The programmable switch program itself, if one is deployed (the chaos
-    /// nemesis reboots it from inside the simulation).
+    /// The programmable switch program itself, if one is deployed (tests
+    /// wrap it to intercept the packets it sees).
     pub fn switch_program(&self) -> Option<Rc<RefCell<SwitchFsProgram>>> {
         self.switch.clone()
     }
@@ -377,116 +377,66 @@ impl Cluster {
 
     /// Live-migrates shards until ownership is balanced across the current
     /// membership (after [`Cluster::add_server`], ~1/N of all shards move to
-    /// the newcomer). Runs on the simulation; client traffic keeps flowing
-    /// and refreshes its maps via `WrongOwner`. Returns the number of shards
-    /// migrated.
+    /// the newcomer); see [`Control::rebalance`]. Returns the number of
+    /// shards migrated.
     pub fn rebalance(&self) -> usize {
-        let placement = self.placement.clone();
-        let servers = self.servers.clone();
-        self.block_on(async move { run_rebalance(&placement, &servers).await })
+        self.block_on(self.control().rebalance())
     }
 
-    /// Gracefully decommissions metadata server `idx`: every shard it owns
-    /// migrates to the survivors (fair share, one bucketing scan over the
-    /// victim's stores), its remaining change-logs flush to their owners,
-    /// the shared map retires the id with an epoch bump, the switch drops
-    /// the node from the aggregation multicast group, and the server turns
-    /// into a redirect tombstone answering stale-routed client requests
-    /// with `WrongOwner` — the cluster keeps serving throughout. A crash
-    /// mid-decommission resolves from the WAL `MigrationMarker`s on
-    /// recovery; re-run `remove_server` afterwards to finish the drain.
+    /// Gracefully decommissions metadata server `idx`: its shards drain to
+    /// the survivors ([`Control::drain`]) while the cluster keeps serving,
+    /// and a completed drain leaves it a redirect tombstone
+    /// ([`Control::tombstone`]). A crash mid-decommission resolves from the
+    /// WAL `MigrationMarker`s on recovery; re-run `remove_server` afterwards
+    /// to finish the drain.
     pub fn remove_server(&mut self, idx: usize) -> DecommissionReport {
-        assert!(idx < self.servers.len(), "no server {idx}");
-        let placement = self.placement.clone();
-        let servers = self.servers.clone();
-        let report =
-            self.block_on(async move { run_decommission(&placement, &servers, idx).await });
+        let report = self.block_on(self.control().drain(idx));
         if report.completed {
-            self.finalize_decommission(idx);
+            self.control().tombstone(idx);
         }
         report
-    }
-
-    /// The control-plane tail of a decommission whose drain already ran
-    /// (e.g. concurrently with a workload via [`run_decommission`]): removes
-    /// the node from the switch multicast group and turns the server into
-    /// the redirect tombstone.
-    pub fn finalize_decommission(&self, idx: usize) {
-        assert!(
-            self.placement.map().is_retired(ServerId(idx as u32)),
-            "server {idx} was not drained and retired"
-        );
-        if let Some(program) = &self.switch {
-            program.borrow_mut().remove_server_node(server_node(idx).0);
-        }
-        self.servers[idx].decommission();
     }
 
     // ------------------------------------------------------------------
     // Fault orchestration (§5.4, §7.7).
     // ------------------------------------------------------------------
 
-    /// Crashes metadata server `i`: its volatile state is lost and its
-    /// traffic is dropped until recovery.
+    /// The deployment's control handle over its current membership: every
+    /// fault and membership change, usable from inside a simulated task.
+    pub fn control(&self) -> Control {
+        Control::new(
+            self.sim.handle(),
+            self.network.clone(),
+            self.servers.clone(),
+            self.switch.clone(),
+            self.placement.clone(),
+        )
+    }
+
+    /// Crashes metadata server `i` ([`Control::crash`]).
     pub fn crash_server(&self, i: usize) {
-        self.servers[i].crash();
-        self.network.set_node_down(server_node(i), true);
+        self.control().crash(i);
     }
 
-    /// Crashes metadata server `i` with a torn disk write: the WAL's flushed
-    /// prefix survives bit-exactly, while each unflushed record is kept,
-    /// torn or dropped under `tear_seed`. Returns what the crash did to the
-    /// tail (see `switchfs_kvstore::Wal::crash_apply`).
-    pub fn crash_server_torn(&self, i: usize, tear_seed: u64) -> switchfs_kvstore::TornTail {
-        let tail = self.servers[i].crash_torn(tear_seed);
-        self.network.set_node_down(server_node(i), true);
-        tail
+    /// Crashes metadata server `i` with a torn disk write
+    /// ([`Control::crash_torn`]).
+    pub fn crash_server_torn(&self, i: usize, tear_seed: u64) -> TornTail {
+        self.control().crash_torn(i, tear_seed)
     }
 
-    /// Recovers metadata server `i` and returns the recovery report.
+    /// Recovers metadata server `i` and returns the recovery report
+    /// ([`Control::recover`]).
     pub fn recover_server(&self, i: usize) -> RecoveryReport {
-        let server = self.mark_server_up(i);
-        self.block_on(async move { server.recover().await })
+        self.block_on(self.control().recover(i))
     }
 
-    /// Brings server `i`'s network node back up and returns the server so an
-    /// already-running async task (the chaos nemesis) can drive
-    /// `Server::recover` itself instead of re-entering the simulation via
-    /// [`Cluster::block_on`].
-    pub fn mark_server_up(&self, i: usize) -> Server {
-        self.network.set_node_down(server_node(i), false);
-        self.servers[i].clone()
-    }
-
-    /// Clears all in-network state (a switch reboot) without running the
-    /// recovery protocol; the caller is responsible for re-aggregating every
-    /// owned directory (see [`Cluster::crash_and_recover_switch`] for the
-    /// blocking variant).
-    pub fn reboot_switch(&self) {
-        if let Some(s) = &self.switch {
-            s.borrow_mut().reboot();
-        }
-    }
-
-    /// Reboots the programmable switch: all in-network state is lost, every
-    /// server aggregates the directories it owns, and the deployment returns
-    /// to a consistent state (§5.4.2). Returns the virtual time the recovery
-    /// took.
+    /// Reboots the programmable switch and waits until every live server
+    /// has re-aggregated its directories ([`Control::reboot_switch`]).
+    /// Returns the virtual time the recovery took.
     pub fn crash_and_recover_switch(&self) -> SimDuration {
-        self.reboot_switch();
-        let servers = self.servers.clone();
+        let recovered = self.control().reboot_switch();
         let start = self.sim.now();
-        self.block_on(async move {
-            for s in &servers {
-                s.set_available(false);
-            }
-            for s in &servers {
-                s.aggregate_all_owned().await;
-            }
-            for s in &servers {
-                s.set_available(true);
-            }
-        });
+        self.block_on(recovered);
         self.sim.now().duration_since(start)
     }
 
@@ -547,97 +497,5 @@ impl Cluster {
             total += s.stats();
         }
         total
-    }
-}
-
-/// Drives a full rebalance against a live deployment: plans the moves from
-/// the shared map, then migrates each shard (freeze → stream → flip) from
-/// its owner, skipping servers that are currently down. Usable both from
-/// [`Cluster::rebalance`] and from inside an already-running simulation
-/// (the chaos nemesis' membership-change fault). Returns the number of
-/// shards successfully migrated.
-pub async fn run_rebalance(placement: &SharedPlacement, servers: &[Server]) -> usize {
-    let mut moved = 0;
-    // Two passes: a shard whose transfer failed (e.g. the target crashed
-    // mid-stream) is retried once after the rest of the plan completed.
-    for _pass in 0..2 {
-        let plan = placement.map().plan_rebalance();
-        if plan.is_empty() {
-            break;
-        }
-        for (shard, from, to) in plan {
-            let source = &servers[from.0 as usize];
-            if source.is_crashed() || servers[to.0 as usize].is_crashed() {
-                continue;
-            }
-            moved += source
-                .migrate_shards(&[(shard, to)], |shard, to| {
-                    placement.map_mut().assign(shard, to)
-                })
-                .await;
-        }
-    }
-    moved
-}
-
-/// What a decommission drain accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecommissionReport {
-    /// Shards migrated off the victim.
-    pub shards_moved: usize,
-    /// True when the victim is fully drained (no shards, change-logs
-    /// flushed, nothing in flight) and retired in the shared map. False
-    /// leaves the cluster in a consistent partially-drained state — re-run
-    /// the decommission once the obstruction (a crashed target, a fault
-    /// window) clears.
-    pub completed: bool,
-}
-
-/// Drives the drain phase of a graceful decommission against a live
-/// deployment: plans the fair-share moves off `victim`, migrates them in one
-/// batch per pass (a single bucketing scan of the victim's stores instead of
-/// one per shard), force-flushes the victim's remaining change-logs to their
-/// owners, and — once nothing recovery-critical remains on the victim —
-/// retires its id in the shared map with an epoch bump. Usable both from
-/// [`Cluster::remove_server`] and from inside an already-running simulation
-/// (the chaos nemesis' decommission fault, the bench decommission figure).
-pub async fn run_decommission(
-    placement: &SharedPlacement,
-    servers: &[Server],
-    victim: usize,
-) -> DecommissionReport {
-    let victim_id = ServerId(victim as u32);
-    let source = &servers[victim];
-    let mut moved = 0;
-    // Two passes, like the rebalance: a shard whose transfer failed (target
-    // crashed, loss window ate the retry budget) is retried once after the
-    // rest of the plan completed.
-    for _pass in 0..2 {
-        if source.is_crashed() {
-            break;
-        }
-        let moves: Vec<(u32, ServerId)> = placement
-            .map()
-            .plan_drain(victim_id)
-            .into_iter()
-            .filter(|(_, _, to)| !servers[to.0 as usize].is_crashed())
-            .map(|(shard, _, to)| (shard, to))
-            .collect();
-        if moves.is_empty() {
-            break;
-        }
-        let p = placement.clone();
-        moved += source
-            .migrate_shards(&moves, |shard, to| p.map_mut().assign(shard, to))
-            .await;
-    }
-    let drained = !source.is_crashed() && placement.map().shards_owned(victim_id) == 0;
-    let completed = drained && source.drain_for_shutdown().await;
-    if completed {
-        placement.map_mut().retire(victim_id);
-    }
-    DecommissionReport {
-        shards_moved: moved,
-        completed,
     }
 }

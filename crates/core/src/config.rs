@@ -1,6 +1,6 @@
 //! Cluster-level configuration.
 
-use switchfs_baselines::SystemKind;
+use crate::systems::SystemKind;
 /// Where directory dirty state is tracked (the §7.3.3 comparison): the
 /// servers' own [`switchfs_server::TrackingMode`], handed to each unchanged.
 pub use switchfs_server::TrackingMode as TrackingChoice;

@@ -52,7 +52,6 @@ mod tests {
         let program = Rc::new(RefCell::new(SwitchFsProgram::new(SwitchConfig {
             server_nodes: vec![10, 11],
             dirty_set: DirtySetConfig::tiny(4, 8),
-            pipes: 2,
             force_insert_overflow: false,
         })));
         let mut adapter = SwitchAdapter::new(program.clone());

@@ -23,30 +23,20 @@ use switchfs_simnet::Fanout;
 
 use crate::dirty_set::{DirtySet, DirtySetConfig, InsertOutcome};
 
+/// Number of egress pipes; fingerprints are sharded across pipes by prefix
+/// (§6.2). The paper's Tofino has up to four pipes.
+const PIPES: usize = 2;
+
 /// Static configuration installed on the switch from the control plane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SwitchConfig {
     /// Raw node ids of every metadata server (the multicast group used by
     /// aggregation requests).
     pub server_nodes: Vec<u32>,
     /// Dirty-set sizing per egress pipe.
     pub dirty_set: DirtySetConfig,
-    /// Number of egress pipes; fingerprints are sharded across pipes by
-    /// prefix (§6.2). The paper's Tofino has up to four pipes.
-    pub pipes: usize,
     /// Force every insert to fail, reproducing the §7.3.2 overflow study.
     pub force_insert_overflow: bool,
-}
-
-impl Default for SwitchConfig {
-    fn default() -> Self {
-        SwitchConfig {
-            server_nodes: Vec::new(),
-            dirty_set: DirtySetConfig::default(),
-            pipes: 2,
-            force_insert_overflow: false,
-        }
-    }
 }
 
 switchfs_simnet::counters! {
@@ -84,13 +74,8 @@ pub struct SwitchFsProgram {
 
 impl SwitchFsProgram {
     /// Creates a program with empty dirty sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration requests zero pipes.
     pub fn new(config: SwitchConfig) -> Self {
-        assert!(config.pipes > 0, "the switch needs at least one pipe");
-        let pipes = (0..config.pipes)
+        let pipes = (0..PIPES)
             .map(|_| DirtySet::new(config.dirty_set))
             .collect();
         SwitchFsProgram {
@@ -149,7 +134,7 @@ impl SwitchFsProgram {
     fn pipe_of(&self, fp: switchfs_proto::Fingerprint) -> usize {
         // Shard by fingerprint prefix: the top bits of the index select the
         // owning pipe.
-        (fp.prefix(4) as usize) % self.config.pipes
+        (fp.prefix(4) as usize) % PIPES
     }
 
     /// Natural egress pipe of a destination node — only used to count
@@ -157,7 +142,7 @@ impl SwitchFsProgram {
     /// mirror hop itself has no behavioural effect beyond its latency, which
     /// the network model charges as part of switch latency).
     fn natural_pipe(&self, dst: u32) -> usize {
-        dst as usize % self.config.pipes
+        dst as usize % PIPES
     }
 
     /// Processes one packet and returns the list of `(destination node,
@@ -288,7 +273,6 @@ mod tests {
         SwitchFsProgram::new(SwitchConfig {
             server_nodes: servers,
             dirty_set: DirtySetConfig::tiny(4, 8),
-            pipes: 2,
             force_insert_overflow: false,
         })
     }

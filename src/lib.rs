@@ -11,9 +11,9 @@
 //! * [`server`] — the SwitchFS metadata server (asynchronous updates,
 //!   change-log compaction, aggregation, recovery);
 //! * [`client`] — LibFS, the client library;
-//! * [`baselines`] — the emulated baseline systems (E-InfiniFS, E-CFS,
-//!   CephFS-like, IndexFS-like);
-//! * [`core`] — cluster orchestration and the workload driver;
+//! * [`core`] — the evaluated systems (SwitchFS and the emulated
+//!   E-InfiniFS, E-CFS, CephFS-like and IndexFS-like baselines), cluster
+//!   orchestration, the fault control handle and the workload driver;
 //! * [`workloads`] — generators for every evaluation workload.
 //!
 //! # Quickstart
@@ -36,7 +36,6 @@
 //! });
 //! ```
 
-pub use switchfs_baselines as baselines;
 pub use switchfs_chaos as chaos;
 pub use switchfs_client as client;
 pub use switchfs_core as core;

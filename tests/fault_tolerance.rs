@@ -115,6 +115,40 @@ fn switch_reboot_reconciles_directory_states() {
     });
 }
 
+/// A switch reboot re-aggregates on the live servers only (§5.4.2): a
+/// crashed owner is left alone, and its own recovery later brings back
+/// every create it acknowledged.
+#[test]
+fn a_switch_reboot_leaves_a_crashed_server_to_its_own_recovery() {
+    use switchfs::proto::{DirId, Fingerprint};
+    const CREATES: usize = 50;
+    let cluster = cluster();
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.mkdir("/held").await.unwrap();
+        for i in 0..CREATES {
+            client.create(&format!("/held/f{i}")).await.unwrap();
+        }
+    });
+    let owner = cluster
+        .placement()
+        .dir_owner_by_fp(Fingerprint::of_dir(&DirId::ROOT, "held"))
+        .0 as usize;
+    cluster.crash_server(owner);
+    let aggregations = cluster.servers()[owner].stats().aggregations;
+    cluster.crash_and_recover_switch();
+    assert_eq!(
+        cluster.servers()[owner].stats().aggregations,
+        aggregations,
+        "the crashed owner must not aggregate during the switch recovery"
+    );
+
+    cluster.recover_server(owner);
+    let client = cluster.client(0);
+    let size = cluster.block_on(async move { client.statdir("/held").await.unwrap().size });
+    assert_eq!(size, CREATES as u64);
+}
+
 #[test]
 fn operations_issued_during_recovery_are_retried_and_succeed() {
     let cluster = cluster();
@@ -1889,7 +1923,6 @@ fn remove_server_drains_every_shard_and_preserves_the_namespace() {
 /// afterwards finishes the drain with the namespace intact.
 #[test]
 fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
-    use switchfs::core::run_decommission;
     use switchfs::proto::ServerId;
 
     let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
@@ -1914,11 +1947,10 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
     // not all — shards have flipped.
     let outcome: Outcome = Rc::new(RefCell::new(None));
     {
-        let placement = cluster.placement();
-        let servers = cluster.servers().to_vec();
+        let drained = cluster.control().drain(victim);
         let outcome = outcome.clone();
         cluster.sim.spawn(async move {
-            let report = run_decommission(&placement, &servers, victim).await;
+            let report = drained.await;
             *outcome.borrow_mut() = Some(if report.completed {
                 Ok(())
             } else {
