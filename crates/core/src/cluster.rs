@@ -404,13 +404,13 @@ impl Cluster {
     /// The deployment's control handle over its current membership: every
     /// fault and membership change, usable from inside a simulated task.
     pub fn control(&self) -> Control {
-        Control::new(
-            self.sim.handle(),
-            self.network.clone(),
-            self.servers.clone(),
-            self.switch.clone(),
-            self.placement.clone(),
-        )
+        Control {
+            handle: self.sim.handle(),
+            network: self.network.clone(),
+            servers: self.servers.clone(),
+            switch: self.switch.clone(),
+            placement: self.placement.clone(),
+        }
     }
 
     /// Crashes metadata server `i` ([`Control::crash`]).

@@ -33,11 +33,11 @@ use crate::cluster::server_node;
 /// is not in it.
 #[derive(Clone)]
 pub struct Control {
-    handle: SimHandle,
-    network: Network<NetMsg>,
-    servers: Vec<Server>,
-    switch: Option<Rc<RefCell<SwitchFsProgram>>>,
-    placement: SharedPlacement,
+    pub(crate) handle: SimHandle,
+    pub(crate) network: Network<NetMsg>,
+    pub(crate) servers: Vec<Server>,
+    pub(crate) switch: Option<Rc<RefCell<SwitchFsProgram>>>,
+    pub(crate) placement: SharedPlacement,
 }
 
 /// What a decommission drain accomplished.
@@ -54,22 +54,6 @@ pub struct DecommissionReport {
 }
 
 impl Control {
-    pub(crate) fn new(
-        handle: SimHandle,
-        network: Network<NetMsg>,
-        servers: Vec<Server>,
-        switch: Option<Rc<RefCell<SwitchFsProgram>>>,
-        placement: SharedPlacement,
-    ) -> Self {
-        Control {
-            handle,
-            network,
-            servers,
-            switch,
-            placement,
-        }
-    }
-
     /// The simulation handle (clock, sleep, spawn).
     pub fn sim(&self) -> &SimHandle {
         &self.handle
@@ -123,13 +107,10 @@ impl Control {
     /// The future yields whether a switch was rebooted; without one, both
     /// steps do nothing.
     pub fn reboot_switch(&self) -> impl Future<Output = bool> + 'static {
-        let servers = match &self.switch {
-            Some(program) => {
-                program.borrow_mut().reboot();
-                Some(self.servers.clone())
-            }
-            None => None,
-        };
+        let servers = self.switch.as_ref().map(|program| {
+            program.borrow_mut().reboot();
+            self.servers.clone()
+        });
         async move {
             let Some(servers) = servers else {
                 return false;
