@@ -509,7 +509,8 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
         let rebalanced = cluster.control().rebalance();
         let moved = moved.clone();
         cluster.sim.spawn(async move {
-            *moved.borrow_mut() = Some(rebalanced.await);
+            let n = rebalanced.await;
+            *moved.borrow_mut() = Some(n);
         });
     }
     let degraded = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
@@ -573,7 +574,8 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
         let drained = cluster.control().drain(victim);
         let outcome = outcome.clone();
         cluster.sim.spawn(async move {
-            *outcome.borrow_mut() = Some(drained.await);
+            let report = drained.await;
+            *outcome.borrow_mut() = Some(report);
         });
     }
     let during = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
