@@ -42,6 +42,8 @@ use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
+use crate::server::migrate::InstallState;
+use crate::server::rename::{CoordinatorTxn, PreparedTxn};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
 
 switchfs_simnet::counters! {
@@ -306,15 +308,13 @@ pub(crate) struct ServerInner {
     /// touching them are dropped (clients retransmit; after the flip the
     /// retry is re-routed to the new owner).
     pub migrating_shards: std::collections::BTreeSet<u32>,
-    /// `(source node, token)` of shard installs already applied, so a
-    /// retransmitted install is acked without double-appending the shard's
-    /// pending change-log entries.
-    pub applied_installs: FxHashSet<(u32, u64)>,
-    /// Shard installs currently being applied; a retransmission racing the
-    /// still-running first copy is dropped (the source's retransmission
-    /// timer re-asks until the apply finished), exactly like in-flight
-    /// client requests.
-    pub in_progress_installs: FxHashSet<(u32, u64)>,
+    /// Shard installs by `(source node, token)`. A retransmission racing
+    /// the still-running first copy ([`InstallState::Applying`]) is dropped
+    /// (the source's retransmission timer re-asks until the apply finished),
+    /// exactly like in-flight client requests; one arriving after it
+    /// ([`InstallState::Applied`]) is acked without double-appending the
+    /// shard's pending change-log entries.
+    pub installs: FxHashMap<(u32, u64), InstallState>,
     /// The dirty set of the fingerprints this server is the software
     /// tracker of ([`ServerConfig::software_tracker`]): used under
     /// owner-server tracking.
@@ -351,26 +351,23 @@ pub(crate) struct ServerInner {
     /// (cleared by `TxnMarker::Resolved`), so a crash between prepare and
     /// decision leaves an in-doubt transaction that recovery resolves by
     /// re-querying the coordinator instead of silently dropping it.
-    pub prepared_txns: FxHashMap<u64, crate::server::rename::PreparedTxn>,
-    /// Commit decisions this server made as a rename coordinator, rebuilt
-    /// from WAL `TxnMarker::Decided` records; answers recovery-time decision
-    /// queries (absent = presumed abort).
-    pub decided_txns: FxHashMap<u64, bool>,
-    /// Transactions this server currently coordinates whose outcome is not
-    /// yet decided: a decision query for one of these gets "undecided, ask
-    /// again" rather than a premature presumed-abort.
-    pub active_txns: FxHashSet<u64>,
-    /// Prepared transactions currently being resolved by a decision query
-    /// (recovery or the background sweep); prevents duplicate resolutions.
-    pub resolving_txns: FxHashSet<u64>,
+    pub prepared_txns: FxHashMap<u64, PreparedTxn>,
+    /// The transactions this server coordinates, answering recovery-time
+    /// decision queries: [`CoordinatorTxn::Voting`] (volatile) gets
+    /// "undecided, ask again" rather than a premature presumed-abort,
+    /// [`CoordinatorTxn::Committed`] is rebuilt from WAL `TxnMarker::Decided`
+    /// records, and an absent transaction is presumed aborted.
+    pub coordinated_txns: FxHashMap<u64, CoordinatorTxn>,
     /// WAL-append slow-down multiplier (chaos disk-latency spikes; 1 = no
     /// spike).
     pub disk_slowdown: u64,
     /// Transactions whose commit this participant fully applied; lets a
     /// retransmitted commit decision be acked if and only if the first copy
     /// finished applying (a copy racing a still-running apply is dropped).
-    /// Bounded FIFO: duplicates only arrive within the coordinator's retry
-    /// window, so old ids are evicted once the set outgrows the cap.
+    /// A set of its own, not a state of [`PreparedTxn`]: it outlives the
+    /// prepared entry, and it is evicted by count, not by an event — a
+    /// bounded FIFO, because duplicates only arrive within the
+    /// coordinator's retry window.
     pub committed_txns: FifoSet<u64>,
     /// Whether the server is currently crashed (drops all work).
     pub crashed: bool,
@@ -407,8 +404,7 @@ impl ServerInner {
             in_flight_ops: FxHashSet::default(),
             seen_request_pkts: FxHashMap::default(),
             migrating_shards: std::collections::BTreeSet::new(),
-            applied_installs: FxHashSet::default(),
-            in_progress_installs: FxHashSet::default(),
+            installs: FxHashMap::default(),
             dirty_set: ServerDirtySet::default(),
             push_timers: FxHashMap::default(),
             dir_counter: 0,
@@ -419,9 +415,7 @@ impl ServerInner {
             agg_gates: FxHashMap::default(),
             pending_agg_acks: FxHashMap::default(),
             prepared_txns: FxHashMap::default(),
-            decided_txns: FxHashMap::default(),
-            active_txns: FxHashSet::default(),
-            resolving_txns: FxHashSet::default(),
+            coordinated_txns: FxHashMap::default(),
             disk_slowdown: 1,
             committed_txns: FifoSet::default(),
             crashed: false,
@@ -1652,15 +1646,19 @@ impl Server {
                 coordinator,
                 ops,
             }) => {
-                let staged = rename::PreparedTxn {
+                let staged = PreparedTxn {
                     ops: ops.clone(),
                     coordinator: *coordinator,
                     prepared_at: self.handle.now(),
+                    resolving: false,
                 };
                 inner.prepared_txns.insert(*txn_id, staged);
             }
-            WalOp::Txn(TxnMarker::Decided { txn_id, commit }) => {
-                inner.decided_txns.insert(*txn_id, *commit);
+            // Overwrites the coordinator's `Voting`: the commit point.
+            WalOp::Txn(TxnMarker::Decided { txn_id }) => {
+                inner
+                    .coordinated_txns
+                    .insert(*txn_id, CoordinatorTxn::Committed);
             }
             // A no-op live (whoever decides takes the staged ops out before
             // applying them) and, tolerated, for a marker whose `Prepared`
@@ -1669,7 +1667,7 @@ impl Server {
                 inner.prepared_txns.remove(txn_id);
             }
             WalOp::Txn(TxnMarker::Forgotten { txn_id }) => {
-                inner.decided_txns.remove(txn_id);
+                inner.coordinated_txns.remove(txn_id);
             }
             WalOp::Completed(response) => inner.cache_response(response.clone()),
             // No table mirrors a migration's progress: recovery reads the
@@ -2237,5 +2235,118 @@ mod tests {
             assert_eq!(logged == 0, round == 1, "round {round}: {logged} records");
         }
         assert_eq!(target.stats().shards_migrated_in, 2 * images.len() as u64);
+    }
+
+    /// The replies waiting in a server's mailbox, with their senders.
+    fn replies(server: &Server) -> Vec<(NodeId, Reply)> {
+        std::iter::from_fn(|| server.endpoint.try_recv())
+            .filter_map(|pkt| match pkt.payload.body {
+                Body::Server(ServerMsg::Reply { reply, .. }) => Some((pkt.src, reply)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_install_copy_racing_the_first_gets_no_ack_and_logs_nothing() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 3);
+        let (source, alone, raced) = (&servers[0], &servers[1], &servers[2]);
+        {
+            let key = MetaKey::new(DirId::ROOT, "f");
+            let file = DirId::generate(ServerId(0), 1);
+            let attrs = InodeAttrs::new_file(file, 1, Default::default());
+            let mut inner = source.inner.borrow_mut();
+            inner.apply_effect(&KvEffect::PutInode(key, attrs));
+        }
+        let (shard, image) = shipped_images(source).pop_first().expect("one shard");
+        // One target gets the install once; the other gets it twice with the
+        // same token, the second copy arriving while the first is applying.
+        for (target, copies) in [(alone, 1), (raced, 2)] {
+            for _ in 0..copies {
+                let install = ShardInstall {
+                    req_id: 9,
+                    shard,
+                    image: image.clone(),
+                };
+                let target = target.clone();
+                sim.spawn(async move { target.handle_shard_install(NodeId(0), install).await });
+            }
+        }
+        sim.run();
+        let appends = |server: &Server| server.durable.borrow().wal.appends();
+        assert!(appends(alone) > 0);
+        assert_eq!(appends(raced), appends(alone));
+        let acks = replies(source);
+        let ack = Reply::Done(Ok(()));
+        assert_eq!(acks, [(NodeId(1), ack), (NodeId(2), ack)]);
+        assert_eq!(raced.stats().shards_migrated_in, 1);
+    }
+
+    #[test]
+    fn a_decision_query_answers_from_the_coordinators_one_entry() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (participant, coordinator) = (&servers[0], &servers[1]);
+        let log = |marker| {
+            let coordinator = coordinator.clone();
+            sim.spawn(async move { coordinator.log_txn_marker(marker).await });
+            sim.run();
+        };
+        let ask = || {
+            let coordinator = coordinator.clone();
+            sim.spawn(async move { coordinator.handle_txn_decision_query(NodeId(0), 1, 7).await });
+            sim.run();
+            match replies(participant)[..] {
+                [(_, Reply::Decision(answer))] => answer,
+                ref other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(ask(), Some(false), "no record: presumed abort");
+        let mut inner = coordinator.inner.borrow_mut();
+        inner.coordinated_txns.insert(7, CoordinatorTxn::Voting);
+        drop(inner);
+        assert_eq!(ask(), None, "voting: undecided");
+        log(TxnMarker::Decided { txn_id: 7 });
+        assert_eq!(ask(), Some(true), "decided: commit");
+        log(TxnMarker::Forgotten { txn_id: 7 });
+        assert_eq!(ask(), Some(false), "forgotten: presumed abort");
+    }
+
+    #[test]
+    fn a_second_resolution_of_a_transaction_being_resolved_returns_none() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let participant = &servers[1];
+        // Prepared for server 0, which is not running: its decision queries
+        // go unanswered.
+        {
+            let participant = participant.clone();
+            let prepared = TxnMarker::Prepared {
+                txn_id: 7,
+                coordinator: ServerId(0),
+                ops: Vec::new(),
+            };
+            sim.spawn(async move { participant.log_txn_marker(prepared).await });
+            sim.run();
+        }
+        let start = sim.handle().now();
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let (participant, outcomes) = (participant.clone(), outcomes.clone());
+            sim.spawn(async move {
+                let decision = participant.resolve_prepared_txn(7).await;
+                outcomes
+                    .borrow_mut()
+                    .push((participant.handle.now(), decision));
+            });
+        }
+        sim.run();
+        // The second returns at once; the first gives up after its queries
+        // time out and leaves the transaction staged for the next attempt.
+        let outcomes = outcomes.borrow();
+        assert_eq!(outcomes[0], (start, None));
+        assert!(outcomes[1].0 > start && outcomes[1].1.is_none());
+        assert!(!participant.inner.borrow().prepared_txns[&7].resolving);
     }
 }

@@ -42,6 +42,16 @@ use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
+/// Where a shard install, keyed by source node and token, stands on its
+/// target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InstallState {
+    /// The first copy is still applying.
+    Applying,
+    /// Applied and acked.
+    Applied,
+}
+
 /// The effects that store an image's inodes, entry lists and owner index, in
 /// that order; takes them out of the image.
 pub(crate) fn store_effects(image: &mut StateImage) -> Vec<KvEffect> {
@@ -446,10 +456,9 @@ impl Server {
             mut image,
         } = install;
         let install_key = (src.0, req_id);
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.applied_installs.contains(&install_key) {
-                drop(inner);
+        let state = self.inner.borrow().installs.get(&install_key).copied();
+        match state {
+            Some(InstallState::Applied) => {
                 self.send_reply(src, req_id, Reply::Done(Ok(())));
                 return;
             }
@@ -458,8 +467,10 @@ impl Server {
             // deletes interleaved with puts) nor be acked early (the source
             // would flip before the apply finished): drop it; the source's
             // retransmission timer re-asks until the first apply is done.
-            if !inner.in_progress_installs.insert(install_key) {
-                return;
+            Some(InstallState::Applying) => return,
+            None => {
+                let mut inner = self.inner.borrow_mut();
+                inner.installs.insert(install_key, InstallState::Applying);
             }
         }
         // A *retried* migration (the previous attempt's ack was lost, the
@@ -544,8 +555,7 @@ impl Server {
         }
         {
             let mut inner = self.inner.borrow_mut();
-            inner.applied_installs.insert(install_key);
-            inner.in_progress_installs.remove(&install_key);
+            inner.installs.insert(install_key, InstallState::Applied);
             inner.stats.shards_migrated_in += 1;
         }
         self.send_reply(src, req_id, Reply::Done(Ok(())));

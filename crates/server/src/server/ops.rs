@@ -429,83 +429,71 @@ impl Server {
             return Some(OpResult::Err(FsError::NotADirectory));
         }
         let dir_id = attrs.id;
-
-        if self.cfg.update_mode == crate::config::UpdateMode::Synchronous {
-            return Some(self.sync_rmdir(req, &key, dir_id, parent).await);
+        let is_async = self.cfg.update_mode.is_async();
+        if is_async {
+            // Collect the latest updates to the directory and have every
+            // other server append it to its invalidation list (§5.2.3 steps
+            // 4–7).
+            self.aggregate_group(target_fp, Some((dir_id, key.clone())))
+                .await;
         }
 
-        // Collect the latest updates to the directory and have every other
-        // server append it to its invalidation list (§5.2.3 steps 4–7).
-        self.aggregate_group(target_fp, Some((dir_id, key.clone())))
-            .await;
-
-        // Emptiness check on the aggregated state.
+        // Emptiness check, on the aggregated state in the async modes.
         let entry_count = {
             let mut inner = self.inner.borrow_mut();
             inner.entries.get_ref(&dir_id).map_or(0, |c| c.len())
         };
         self.cpu.run(costs.kv_get).await;
         if entry_count > 0 {
-            // The aggregation multicast already announced the removal to the
-            // other servers' invalidation lists; retract it, since the
-            // directory is staying (otherwise later operations under it would
-            // be rejected as stale forever), at each of them before the
-            // reply. Boxed: a cold path.
-            let revoke = async {
-                for server in self.cfg.other_servers() {
-                    let token = self.next_token();
-                    let body = Body::Server(ServerMsg::InvalidationRevoke {
-                        req_id: token,
-                        dir_id,
-                    });
-                    self.send_with_ack(self.cfg.node_of(server), token, body)
-                        .await;
-                }
-            };
-            Box::pin(revoke).await;
+            if is_async {
+                // The aggregation multicast already announced the removal to
+                // the other servers' invalidation lists; retract it, since
+                // the directory is staying (otherwise later operations under
+                // it would be rejected as stale forever), at each of them
+                // before the reply. Boxed: a cold path.
+                let revoke = async {
+                    for server in self.cfg.other_servers() {
+                        let token = self.next_token();
+                        let body = Body::Server(ServerMsg::InvalidationRevoke {
+                            req_id: token,
+                            dir_id,
+                        });
+                        self.send_with_ack(self.cfg.node_of(server), token, body)
+                            .await;
+                    }
+                };
+                Box::pin(revoke).await;
+            }
             return Some(OpResult::Err(FsError::NotEmpty));
         }
 
         // Commit the removal.
-        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
         let effects = vec![
             KvEffect::DeleteInode(key.clone()),
             KvEffect::UnindexDir(dir_id),
             KvEffect::Invalidate(dir_id, key.clone()),
         ];
+        if !is_async {
+            return Some(self.sync_rmdir(req, &key, dir_id, parent, effects).await);
+        }
+        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
         self.commit_deferred(client_node, req, parent, effects, &entry, &OpResult::Done)
             .await;
         None
     }
 
-    /// Baseline-mode `rmdir`: purely synchronous, no aggregation.
+    /// Baseline-mode removal of an empty directory: purely synchronous, no
+    /// aggregation.
     async fn sync_rmdir(
         &self,
         req: &ClientRequest,
         key: &switchfs_proto::MetaKey,
         dir_id: switchfs_proto::DirId,
         parent: &ParentRef,
+        effects: Vec<KvEffect>,
     ) -> OpResult {
-        let costs = self.cfg.costs;
-        let entry_count = {
-            let mut inner = self.inner.borrow_mut();
-            inner.entries.get_ref(&dir_id).map_or(0, |c| c.len())
-        };
-        self.cpu.run(costs.kv_get).await;
-        if entry_count > 0 {
-            return OpResult::Err(FsError::NotEmpty);
-        }
-        self.apply_and_log(
-            Some(req.op_id),
-            vec![
-                KvEffect::DeleteInode(key.clone()),
-                KvEffect::UnindexDir(dir_id),
-                KvEffect::Invalidate(dir_id, key.clone()),
-            ],
-            None,
-            Vec::new(),
-        )
-        .await;
+        self.apply_and_log(Some(req.op_id), effects, None, Vec::new())
+            .await;
         self.broadcast_invalidation(dir_id, key.clone());
         // Remove the access replica when the directory's children live on a
         // different server than its parent's (P/C grouping).

@@ -27,6 +27,7 @@ use switchfs_proto::message::{Body, ServerMsg};
 use switchfs_proto::{Fingerprint, Placement};
 
 use crate::server::migrate::store_effects;
+use crate::server::rename::CoordinatorTxn;
 use crate::server::Server;
 use crate::wal::{CheckpointData, MigrationMarker, TxnMarker, WalOp};
 
@@ -278,7 +279,10 @@ impl Server {
         self.stamp_dedup(&mut image);
         let inner = self.inner.borrow();
         let prepared = inner.prepared_txns.iter();
-        let decided = inner.decided_txns.iter();
+        // A voting transaction is volatile: a crash aborts it.
+        let committed = (inner.coordinated_txns.iter())
+            .filter(|(_, txn)| **txn == CoordinatorTxn::Committed)
+            .map(|(id, _)| TxnMarker::Decided { txn_id: *id });
         CheckpointData {
             image,
             invalidation: inner
@@ -294,10 +298,7 @@ impl Server {
                     coordinator: p.coordinator,
                     ops: p.ops.clone(),
                 })
-                .chain(decided.map(|(id, commit)| TxnMarker::Decided {
-                    txn_id: *id,
-                    commit: *commit,
-                }))
+                .chain(committed)
                 .collect(),
         }
     }

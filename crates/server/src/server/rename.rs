@@ -34,6 +34,21 @@ pub(crate) struct PreparedTxn {
     /// When the transaction was staged; drives the background sweep that
     /// resolves transactions whose decision packets were all lost.
     pub prepared_at: SimTime,
+    /// A decision query for it is running (recovery or the background
+    /// sweep); a second resolution stays out. Volatile: replay stages the
+    /// transaction unresolved.
+    pub resolving: bool,
+}
+
+/// A transaction this server coordinates, as the decision query sees it.
+/// The coordinator logs only a commit (presumed abort): an aborted or
+/// forgotten transaction has no entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CoordinatorTxn {
+    /// Still collecting votes (volatile): a query is told to ask again.
+    Voting,
+    /// The `Decided` record is durable: the rename committed.
+    Committed,
 }
 
 impl Server {
@@ -291,19 +306,15 @@ impl Server {
                 entry: dst_parent_entry,
             });
 
-        // Coordinator-local destination check (mirroring the participant's
-        // prepare-time validation): an inode overwrite is only legal for
-        // file-over-file. The reject carries the occupying inode's type so
-        // the client can map it to the right POSIX error without having
-        // probed the destination.
-        if dst_inode_owner == self.cfg.id {
-            if let Some(existing) = self.inner.borrow().inodes.peek(dst) {
-                if existing.is_dir() || dst_attrs.is_dir() {
-                    return Some(OpResult::RenameDstExists {
-                        dst_type: existing.file_type,
-                    });
-                }
-            }
+        // The participants' destination check, on the coordinator's own
+        // half: the reject carries the occupying inode's type so the client
+        // can map it to the right POSIX error without having probed the
+        // destination.
+        if let Some(dst_type) = per_server
+            .get(&self.cfg.id)
+            .and_then(|ops| self.dst_conflict(ops))
+        {
+            return Some(OpResult::RenameDstExists { dst_type });
         }
 
         // Two-phase commit. The transaction id embeds the coordinating
@@ -318,7 +329,10 @@ impl Server {
         // answer "undecided" instead of a premature presumed-abort (a
         // crashed-and-quickly-recovered participant may ask before we
         // decide).
-        self.inner.borrow_mut().active_txns.insert(txn_id);
+        self.inner
+            .borrow_mut()
+            .coordinated_txns
+            .insert(txn_id, CoordinatorTxn::Voting);
         let mut vote_ok = true;
         let mut typed_reject: Option<switchfs_proto::FileType> = None;
         for (server, ops) in &per_server {
@@ -365,7 +379,7 @@ impl Server {
         if !vote_ok {
             // The abort is decided: presumed-abort needs no durable record,
             // and decision queries may now answer `Some(false)`.
-            self.inner.borrow_mut().active_txns.remove(&txn_id);
+            self.inner.borrow_mut().coordinated_txns.remove(&txn_id);
             self.trace_event(
                 Some(TraceId::of_op(req.op_id)),
                 EventKind::TxnDecide {
@@ -411,11 +425,7 @@ impl Server {
                 },
             );
         }
-        self.log_txn_marker(TxnMarker::Decided {
-            txn_id,
-            commit: true,
-        })
-        .await;
+        self.log_txn_marker(TxnMarker::Decided { txn_id }).await;
         self.trace_event(
             Some(TraceId::of_op(req.op_id)),
             EventKind::TxnDecide {
@@ -423,7 +433,6 @@ impl Server {
                 commit: true,
             },
         );
-        self.inner.borrow_mut().active_txns.remove(&txn_id);
 
         // Apply the local mutations, then tell every participant and wait
         // for its acknowledgment (retransmitting the decision over the
@@ -579,23 +588,10 @@ impl Server {
                 return;
             }
         }
-        // Authoritative destination check: an inode overwrite is only legal
-        // for file-over-file (POSIX rename). Overwriting a directory, or
-        // landing a directory on an existing inode, votes the transaction
-        // down; the vote carries the occupying inode's type so the
-        // coordinator can reject the client with the right POSIX error and
-        // the client never needs its own destination probe.
-        let mut dst_type: Option<switchfs_proto::FileType> = None;
-        for op in &ops {
-            if let TxnOp::PutInode { key, attrs } = op {
-                if let Some(existing) = self.inner.borrow().inodes.peek(key) {
-                    if existing.is_dir() || attrs.is_dir() {
-                        dst_type = Some(existing.file_type);
-                        break;
-                    }
-                }
-            }
-        }
+        // The vote carries the occupying inode's type so the coordinator can
+        // reject the client with the right POSIX error and the client never
+        // needs its own destination probe.
+        let dst_type = self.dst_conflict(&ops);
         let ok = dst_type.is_none();
         self.trace_event(
             None,
@@ -619,6 +615,22 @@ impl Server {
             .await;
         }
         vote(ok, dst_type);
+    }
+
+    /// The authoritative destination check: an inode overwrite is only legal
+    /// for file-over-file (POSIX rename). Returns the type of the inode one
+    /// of `ops` would overwrite illegally — a directory, or anything a
+    /// directory would land on.
+    fn dst_conflict(&self, ops: &[TxnOp]) -> Option<FileType> {
+        let inner = self.inner.borrow();
+        ops.iter().find_map(|op| match op {
+            TxnOp::PutInode { key, attrs } => inner
+                .inodes
+                .peek(key)
+                .filter(|existing| existing.is_dir() || attrs.is_dir())
+                .map(|existing| existing.file_type),
+            _ => None,
+        })
     }
 
     /// Participant side: the coordinator's commit/abort decision arrived.
@@ -665,19 +677,16 @@ impl Server {
 
     /// Coordinator side of the recovery-time decision query (§5.4.2): a
     /// participant that lost the decision asks what became of `txn_id`.
-    /// Answers from the durable decision table; a transaction still in its
-    /// voting phase gets "undecided" (the participant keeps its prepared
-    /// state and asks again), anything else without a commit record is
-    /// presumed aborted. The answer goes to the query's source.
+    /// A transaction still in its voting phase gets "undecided" (the
+    /// participant keeps its prepared state and asks again), one without a
+    /// commit record is presumed aborted. The answer goes to the query's
+    /// source.
     pub(crate) async fn handle_txn_decision_query(&self, src: NodeId, req_id: u64, txn_id: u64) {
         self.cpu.run(self.cfg.costs.software_path).await;
-        let commit = {
-            let inner = self.inner.borrow();
-            match inner.decided_txns.get(&txn_id) {
-                Some(c) => Some(*c),
-                None if inner.active_txns.contains(&txn_id) => None,
-                None => Some(false),
-            }
+        let commit = match self.inner.borrow().coordinated_txns.get(&txn_id) {
+            Some(CoordinatorTxn::Voting) => None,
+            Some(CoordinatorTxn::Committed) => Some(true),
+            None => Some(false),
         };
         self.send_reply(src, req_id, Reply::Decision(commit));
     }
@@ -691,26 +700,21 @@ impl Server {
     pub(crate) async fn resolve_prepared_txn(&self, txn_id: u64) -> Option<bool> {
         let coordinator = {
             let mut inner = self.inner.borrow_mut();
-            let coordinator = inner.prepared_txns.get(&txn_id).map(|p| p.coordinator)?;
-            if !inner.resolving_txns.insert(txn_id) {
+            let prepared = inner.prepared_txns.get_mut(&txn_id)?;
+            if prepared.resolving {
                 // Another resolution (sweep vs. recovery) is already
                 // running.
                 return None;
             }
-            coordinator
+            prepared.resolving = true;
+            prepared.coordinator
         };
         let decision = if coordinator == self.cfg.id {
             // Self-coordinated (the coordinator crashed mid-commit): the
             // durable decision table is authoritative, and an absent record
             // means the crash preceded the commit point — presumed abort.
-            Some(
-                self.inner
-                    .borrow()
-                    .decided_txns
-                    .get(&txn_id)
-                    .copied()
-                    .unwrap_or(false),
-            )
+            let inner = self.inner.borrow();
+            Some(inner.coordinated_txns.get(&txn_id) == Some(&CoordinatorTxn::Committed))
         } else {
             let mut decision = None;
             // "Undecided" replies are re-asked a few times; unreachable
@@ -741,7 +745,9 @@ impl Server {
         if let Some(commit) = decision {
             self.handle_txn_decision(txn_id, commit).await;
         }
-        self.inner.borrow_mut().resolving_txns.remove(&txn_id);
+        if let Some(prepared) = self.inner.borrow_mut().prepared_txns.get_mut(&txn_id) {
+            prepared.resolving = false;
+        }
         decision
     }
 
@@ -761,10 +767,7 @@ impl Server {
             inner
                 .prepared_txns
                 .iter()
-                .filter(|(id, p)| {
-                    now.duration_since(p.prepared_at) >= threshold
-                        && !inner.resolving_txns.contains(*id)
-                })
+                .filter(|(_, p)| now.duration_since(p.prepared_at) >= threshold && !p.resolving)
                 .map(|(id, _)| *id)
                 .collect()
         };

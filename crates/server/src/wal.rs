@@ -59,16 +59,14 @@ pub enum TxnMarker {
         /// table.
         ops: Vec<TxnOp>,
     },
-    /// The coordinator's durable commit/abort decision, logged *before* the
-    /// local apply and the decision broadcast — the transaction's commit
-    /// point. Rebuilt into the decision table so the coordinator answers
-    /// recovery-time decision queries authoritatively (a transaction with no
-    /// `Decided { commit: true }` record is presumed aborted).
+    /// The coordinator's durable commit decision, logged *before* the local
+    /// apply and the decision broadcast — the transaction's commit point.
+    /// Rebuilt into the coordinator's transaction table so it answers
+    /// recovery-time decision queries authoritatively. There is no abort
+    /// record: a transaction without a `Decided` is presumed aborted.
     Decided {
         /// Transaction id.
         txn_id: u64,
-        /// True for commit.
-        commit: bool,
     },
     /// The staged mutations of `txn_id` were fully applied (commit) or
     /// dropped (abort) on this server; clears the matching
@@ -284,10 +282,7 @@ mod tests {
                 2
             ],
         });
-        let decided = WalOp::Txn(TxnMarker::Decided {
-            txn_id: 1,
-            commit: true,
-        });
+        let decided = WalOp::Txn(TxnMarker::Decided { txn_id: 1 });
         assert!(prepared.wire_size() > decided.wire_size());
         assert_eq!(prepared.wire_size(), 64 + 24 + 2 * 96);
         let started = MigrationMarker::Started {

@@ -1246,10 +1246,7 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
                     key: MetaKey::new(DirId::ROOT, "x"),
                 }],
             }),
-            WalOp::Txn(TxnMarker::Decided {
-                txn_id: 4242,
-                commit: true,
-            }),
+            WalOp::Txn(TxnMarker::Decided { txn_id: 4242 }),
             WalOp::Txn(TxnMarker::Resolved { txn_id: 4242 }),
             WalOp::Txn(TxnMarker::Forgotten { txn_id: 4242 }),
             WalOp::Migration(MigrationMarker::Started {
