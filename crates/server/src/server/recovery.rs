@@ -196,7 +196,7 @@ impl Server {
 
         // Step 1b: resolve in-doubt transactions (§5.4.2) — prepared records
         // with no durable decision. Self-coordinated ones (this server
-        // crashed mid-commit) resolve from the replayed decision table;
+        // crashed mid-commit) resolve from the replayed `coordinated_txns`;
         // everything else re-asks its coordinator. Runs before the
         // re-aggregation so a committed rename's migrated content is in
         // place when the owned directories aggregate.

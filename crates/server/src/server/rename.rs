@@ -445,10 +445,10 @@ impl Server {
         }
         if self.broadcast_decision(txn_id, &per_server, true).await {
             // Every participant applied and acknowledged the commit: nobody
-            // can query this decision again, so the record drops it from the
-            // decision table (durably, so checkpoints/replay drop it too). A
-            // participant that never acked keeps the entry alive forever —
-            // it may still recover and ask.
+            // can query this decision again, so the record drops its
+            // `coordinated_txns` entry (durably, so checkpoints/replay drop
+            // it too). A participant that never acked keeps the entry alive
+            // forever — it may still recover and ask.
             self.log_txn_marker(TxnMarker::Forgotten { txn_id }).await;
         }
         Some(OpResult::Done)
@@ -711,8 +711,8 @@ impl Server {
         };
         let decision = if coordinator == self.cfg.id {
             // Self-coordinated (the coordinator crashed mid-commit): the
-            // durable decision table is authoritative, and an absent record
-            // means the crash preceded the commit point — presumed abort.
+            // replayed `Committed` entry is authoritative, and without one
+            // the crash preceded the commit point — presumed abort.
             let inner = self.inner.borrow();
             Some(inner.coordinated_txns.get(&txn_id) == Some(&CoordinatorTxn::Committed))
         } else {
