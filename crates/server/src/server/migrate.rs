@@ -44,7 +44,7 @@ use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
 /// Where a shard install, keyed by source node and token, stands on its
 /// target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum InstallState {
     /// The first copy is still applying.
     Applying,

@@ -43,7 +43,7 @@ pub(crate) struct PreparedTxn {
 /// A transaction this server coordinates, as the decision query sees it.
 /// The coordinator logs only a commit (presumed abort): an aborted or
 /// forgotten transaction has no entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CoordinatorTxn {
     /// Still collecting votes (volatile): a query is told to ask again.
     Voting,
