@@ -102,10 +102,11 @@ impl Control {
 
     /// Reboots the programmable switch, losing all in-network state, then
     /// returns the future that restores consistency (§5.4.2): every server
-    /// that is not crashed stops serving, re-aggregates the directories it
-    /// owns and resumes. A crashed server catches up in its own recovery.
-    /// The future yields whether a switch was rebooted; without one, both
-    /// steps do nothing.
+    /// not crashed re-aggregates the directories it owns (a recovering one
+    /// may have aggregated before the reboot); only serving ones pause, so
+    /// a recovering one resumes when its own recovery ends. The future
+    /// yields whether a switch was rebooted; without one, both steps do
+    /// nothing.
     pub fn reboot_switch(&self) -> impl Future<Output = bool> + 'static {
         let servers = self.switch.as_ref().map(|program| {
             program.borrow_mut().reboot();

@@ -19,7 +19,7 @@ pub mod recovery;
 pub mod rename;
 
 use std::cell::RefCell;
-
+use std::collections::VecDeque;
 use std::rc::Rc;
 use switchfs_simnet::{FxHashMap, FxHashSet};
 
@@ -169,21 +169,24 @@ impl DirContent {
 }
 
 /// An insertion-ordered set for bounded duplicate suppression: O(1)
-/// membership, eviction from the front (oldest first). A member carries a
-/// stamp `S` — its insertion time where eviction is by age, nothing where it
-/// is by count.
+/// membership, eviction from the front (oldest first) by count.
 #[derive(Debug, Default)]
-pub(crate) struct FifoSet<T, S = ()> {
+pub(crate) struct FifoSet<T> {
     members: FxHashSet<T>,
-    order: std::collections::VecDeque<(S, T)>,
+    order: VecDeque<T>,
 }
 
-impl<T: Copy + Eq + std::hash::Hash, S: Copy> FifoSet<T, S> {
-    /// Appends `item` unless it is a member; false when it already was.
-    pub fn insert(&mut self, item: T, stamp: S) -> bool {
+impl<T: Copy + Eq + std::hash::Hash> FifoSet<T> {
+    /// Appends `item` unless it is a member, then evicts the oldest members
+    /// beyond `cap`; false when `item` already was a member.
+    pub fn insert(&mut self, item: T, cap: usize) -> bool {
         let fresh = self.members.insert(item);
         if fresh {
-            self.order.push_back((stamp, item));
+            self.order.push_back(item);
+        }
+        let over = self.order.len().saturating_sub(cap);
+        for oldest in self.order.drain(..over) {
+            self.members.remove(&oldest);
         }
         fresh
     }
@@ -191,27 +194,6 @@ impl<T: Copy + Eq + std::hash::Hash, S: Copy> FifoSet<T, S> {
     /// True when `item` is a member.
     pub fn contains(&self, item: &T) -> bool {
         self.members.contains(item)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Evicts oldest-first for as long as `expired(oldest's stamp, len)`.
-    pub fn evict_while(&mut self, expired: impl Fn(S, usize) -> bool) {
-        while let Some(&(stamp, item)) = self.order.front() {
-            if !expired(stamp, self.order.len()) {
-                break;
-            }
-            self.order.pop_front();
-            self.members.remove(&item);
-        }
-    }
-
-    /// The members, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.order.iter().map(|(_, item)| *item)
     }
 }
 
@@ -233,18 +215,50 @@ pub(crate) struct AggCollector {
 /// are exactly the ones the client can no longer retransmit.
 pub(crate) const COMPLETED_OPS_PER_CLIENT_CAP: usize = 512;
 
-/// How long a retired entry id stays in the suppression FIFO before
-/// eviction. The only copies of an entry that can arrive *after* its
-/// holder's discard confirmation are ones sent earlier and still sitting in
-/// the fabric or in a handler queue (e.g. a re-pushed batch whose handler
-/// is parked behind the fingerprint-group lock while the confirmation is
-/// processed at dispatch); those windows are bounded by virtual time, not
-/// by a count, so eviction is by retention age. 256 retransmission
-/// timeouts (~100 ms of virtual time) dwarfs every retry budget and every
-/// observed queueing backlog, while keeping the FIFO bounded by the recent
-/// apply *rate* instead of the server's lifetime.
+/// An applied remote change-log entry's id in [`ServerInner::entry_ids`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum EntryState {
+    /// Applied; the holder may still re-send the entry.
+    Applied,
+    /// The holder confirmed the durable discard: it cannot re-send.
+    Retired,
+}
+
+/// How long a retired entry id stays suppressed before eviction. The only
+/// copies of an entry that can arrive *after* its holder's discard
+/// confirmation are ones sent earlier and still sitting in the fabric or in
+/// a handler queue (e.g. a re-pushed batch whose handler is parked behind
+/// the fingerprint-group lock while the confirmation is processed at
+/// dispatch); those windows are bounded by virtual time, not by a count, so
+/// eviction is by retention age. 256 retransmission timeouts (~100 ms of
+/// virtual time) dwarfs every retry budget and every observed queueing
+/// backlog, while keeping the retired ids bounded by the recent apply
+/// *rate* instead of the server's lifetime.
 pub(crate) const RETIRED_ENTRY_RETENTION: switchfs_simnet::SimDuration =
     switchfs_simnet::SimDuration::millis(100);
+
+/// Where a server is in its life. The transitions:
+///
+/// * [`Server::crash`]: any state but `Tombstone` → `Crashed`;
+/// * [`Server::recover`]: `Crashed` → `Recovering` at its start,
+///   `Recovering` → `Serving` at its end;
+/// * [`Server::set_available`]: `Serving` → `Paused` and back, nothing else;
+/// * [`Server::decommission`]: any state → `Tombstone`, for good.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Liveness {
+    /// Serving client requests.
+    Serving,
+    /// A stop-the-world window (§5.5): client requests get `Unavailable`.
+    Paused,
+    /// Rebuilding after a crash (§5.4): client requests get `Unavailable`.
+    Recovering,
+    /// Drops every packet; the background loop idles.
+    Crashed,
+    /// Decommissioned: redirects client requests (see `dispatch`), drops
+    /// the rest. (A real deployment keeps this thin redirector until the
+    /// lease on the old membership expires.)
+    Tombstone,
+}
 
 /// The volatile state of a metadata server. Rebuilt from the WAL after a
 /// crash.
@@ -262,21 +276,15 @@ pub(crate) struct ServerInner {
     /// Invalidation list (§5.2): directories removed/renamed elsewhere whose
     /// client cache entries must be invalidated lazily.
     pub invalidation: FxHashMap<DirId, MetaKey>,
-    /// Remote change-log entries applied but not yet confirmed discarded by
-    /// their holders (duplicate suppression). Bounded: once a holder's
-    /// piggybacked `discard_confirm` arrives — the holder durably dropped
-    /// the entry after the acknowledgment round trip and can never re-send
-    /// it — the id moves to the [`ServerInner::retired_entry_ids`] FIFO, so
-    /// this set tracks the in-flight confirmation window, not the server's
-    /// lifetime.
-    pub applied_entry_ids: FxHashSet<OpId>,
-    /// Recently retired (holder-confirmed) entry ids, still honored for
-    /// duplicate suppression. A copy of a confirmed entry can only arrive
-    /// within a bounded virtual-time window (fabric reorder + handler
-    /// queueing), so ids are evicted once they outlive
-    /// [`RETIRED_ENTRY_RETENTION`] — the set is bounded by the recent apply
-    /// rate, not by the server's lifetime. Stamped with the retirement time.
-    pub retired_entry_ids: FifoSet<OpId, SimTime>,
+    /// The owner's duplicate suppression, by remote change-log entry id: an
+    /// id is `Applied` until its holder's piggybacked `discard_confirm`
+    /// arrives (the holder durably dropped the entry), then `Retired` until
+    /// [`RETIRED_ENTRY_RETENTION`] passes. Bounded by the confirmation
+    /// window plus the recent apply rate, not by the server's lifetime.
+    pub entry_ids: FxHashMap<OpId, EntryState>,
+    /// The `Retired` ids of `entry_ids`, oldest first, with the only copy
+    /// of their retirement time.
+    pub retirement_order: VecDeque<(SimTime, OpId)>,
     /// Ids this server discarded (as a change-log holder) after an
     /// acknowledgment round trip, awaiting confirmation to the applying
     /// server. Drained onto the next message that already flows there
@@ -369,18 +377,11 @@ pub(crate) struct ServerInner {
     /// bounded FIFO, because duplicates only arrive within the
     /// coordinator's retry window.
     pub committed_txns: FifoSet<u64>,
-    /// Whether the server is currently crashed (drops all work).
-    pub crashed: bool,
-    /// Whether the server was gracefully decommissioned: it owns no shards,
-    /// serves no work, and only answers client requests with a `WrongOwner`
-    /// redirect carrying the current map — the tombstone that lets clients
-    /// holding a pre-shrink map refresh instead of timing out against a
-    /// silent node. (A real deployment keeps exactly this thin redirector
-    /// until the lease on the old membership expires.)
-    pub decommissioned: bool,
-    /// Whether the server is recovering or migrating (rejects client work).
-    pub unavailable: bool,
-    /// Whether background loops should terminate (end of experiment).
+    /// Where the server is in its life.
+    pub liveness: Liveness,
+    /// Whether the background loop should terminate. Not a [`Liveness`]: it
+    /// applies in every state, and `Cluster::block_on` toggles it on every
+    /// server around each run's quiescence.
     pub shutdown: bool,
     /// How many times [`ServerInner::reset_volatile`] ran: a handler that
     /// finds it changed across its awaits outlived a crash.
@@ -397,8 +398,8 @@ impl ServerInner {
             dir_index: FxHashMap::default(),
             changelogs: ChangeLogStore::new(),
             invalidation: FxHashMap::default(),
-            applied_entry_ids: FxHashSet::default(),
-            retired_entry_ids: FifoSet::default(),
+            entry_ids: FxHashMap::default(),
+            retirement_order: VecDeque::new(),
             pending_discard_confirms: FxHashMap::default(),
             completed_ops: FxHashMap::default(),
             in_flight_ops: FxHashSet::default(),
@@ -418,17 +419,15 @@ impl ServerInner {
             coordinated_txns: FxHashMap::default(),
             disk_slowdown: 1,
             committed_txns: FifoSet::default(),
-            crashed: false,
-            decommissioned: false,
-            unavailable: false,
+            liveness: Liveness::Serving,
             shutdown: false,
             incarnation: 0,
             stats: ServerStats::default(),
         }
     }
 
-    /// Forgets everything a crash loses and enters recovery (not crashed,
-    /// not yet available). Everything not named here is reset, so a field
+    /// Forgets everything a crash loses and enters recovery (a tombstone
+    /// stays one). Everything not named here is reset, so a field
     /// added later is volatile by default. The survivors are identity
     /// counters (a reused token or directory id would collide with the
     /// previous incarnation's), the incarnation count itself, harness-set
@@ -447,12 +446,13 @@ impl ServerInner {
             remove_seq: old.remove_seq,
             incarnation: old.incarnation + 1,
             disk_slowdown: old.disk_slowdown,
-            decommissioned: old.decommissioned,
+            liveness: match old.liveness {
+                Liveness::Tombstone => Liveness::Tombstone,
+                _ => Liveness::Recovering,
+            },
             shutdown: old.shutdown,
             stats: old.stats,
             dirty_set: old.dirty_set,
-            crashed: false,
-            unavailable: true,
             ..ServerInner::new()
         };
     }
@@ -578,18 +578,38 @@ impl ServerInner {
     /// True when a remote change-log entry was already applied here — still
     /// awaiting its holder's discard confirmation, or recently retired.
     pub fn entry_already_applied(&self, id: &OpId) -> bool {
-        self.applied_entry_ids.contains(id) || self.retired_entry_ids.contains(id)
+        self.entry_ids.contains_key(id)
     }
 
-    /// Retires one applied entry id: its holder confirmed the durable
-    /// discard, so the only copies that can still arrive were sent earlier
-    /// and are bounded in (virtual) time — covered by the retention FIFO
-    /// this moves the id into.
-    pub fn retire_entry_id(&mut self, id: OpId, now: SimTime) {
-        self.applied_entry_ids.remove(&id);
-        self.retired_entry_ids.insert(id, now);
-        self.retired_entry_ids
-            .evict_while(|at, _| now.duration_since(at) > RETIRED_ENTRY_RETENTION);
+    /// Marks remote entry ids applied. An id already retired stays retired
+    /// (a partly duplicate batch re-applies it), keeping its place in the
+    /// retirement order.
+    pub fn note_entries_applied(&mut self, ids: &[OpId]) {
+        // Reserves the way `HashMap::extend` does.
+        let (n, empty) = (ids.len(), self.entry_ids.is_empty());
+        self.entry_ids
+            .reserve(if empty { n } else { n.div_ceil(2) });
+        for &id in ids {
+            self.entry_ids.entry(id).or_insert(EntryState::Applied);
+        }
+    }
+
+    /// Retires entry ids one at a time (an id retired before keeps its
+    /// place), each retirement evicting every id retired longer than
+    /// [`RETIRED_ENTRY_RETENTION`] ago.
+    pub fn retire_entry_ids(&mut self, ids: impl IntoIterator<Item = OpId>, now: SimTime) {
+        for id in ids {
+            if self.entry_ids.insert(id, EntryState::Retired) != Some(EntryState::Retired) {
+                self.retirement_order.push_back((now, id));
+            }
+            while let Some(&(at, oldest)) = self.retirement_order.front() {
+                if now.duration_since(at) <= RETIRED_ENTRY_RETENTION {
+                    break;
+                }
+                self.retirement_order.pop_front();
+                self.entry_ids.remove(&oldest);
+            }
+        }
     }
 
     /// Queues discard confirmations for `applier`, to ride on the next
@@ -603,9 +623,7 @@ impl ServerInner {
         ids: impl IntoIterator<Item = OpId>,
     ) {
         if applier == me {
-            for id in ids {
-                self.retire_entry_id(id, now);
-            }
+            self.retire_entry_ids(ids, now);
         } else {
             self.pending_discard_confirms
                 .entry(applier)
@@ -629,9 +647,7 @@ impl ServerInner {
     pub fn note_request_pkt(&mut self, sender: u32, seq: u64) -> bool {
         const PKT_WINDOW: usize = 128;
         let seen = self.seen_request_pkts.entry(sender).or_default();
-        let fresh = seen.insert(seq, ());
-        seen.evict_while(|(), len| len > PKT_WINDOW);
-        fresh
+        seen.insert(seq, PKT_WINDOW)
     }
 }
 
@@ -751,14 +767,16 @@ impl Server {
     }
 
     /// Applied-but-unconfirmed remote change-log entry ids currently held
-    /// (test observability for the bounded `applied_entry_ids` guarantee).
+    /// (test observability for the bounded entry-id table).
     pub fn applied_entry_id_count(&self) -> usize {
-        self.inner.borrow().applied_entry_ids.len()
+        let inner = self.inner.borrow();
+        inner.entry_ids.len() - inner.retirement_order.len()
     }
 
-    /// Retired (holder-confirmed) entry ids currently in the bounded FIFO.
+    /// Retired (holder-confirmed) entry ids currently held until their
+    /// retention expires.
     pub fn retired_entry_id_count(&self) -> usize {
-        self.inner.borrow().retired_entry_ids.len()
+        self.inner.borrow().retirement_order.len()
     }
 
     /// Number of shards currently frozen by outbound migrations.
@@ -796,7 +814,7 @@ impl Server {
             let Some(pkt) = self.endpoint.recv().await else {
                 return;
             };
-            if self.inner.borrow().crashed {
+            if self.is_crashed() {
                 continue;
             }
             let me = self.clone();
@@ -807,20 +825,22 @@ impl Server {
     }
 
     async fn dispatch(&self, src: NodeId, msg: NetMsg) {
-        if self.inner.borrow().crashed {
-            return;
-        }
-        if self.inner.borrow().decommissioned {
+        let liveness = self.inner.borrow().liveness;
+        match liveness {
+            Liveness::Crashed => return,
             // Redirect tombstone: the server owns nothing and serves
             // nothing, but a client that still routes here with a
             // pre-shrink map gets the current map back instead of a
             // timeout — the ordinary WrongOwner refresh-and-retry path.
             // Everything else (stray server-to-server traffic addressed to
             // the previous incarnation) is dropped.
-            if let Body::Request(req) = msg.body {
-                self.reject_wrong_owner(src, &req);
+            Liveness::Tombstone => {
+                if let Body::Request(req) = msg.body {
+                    self.reject_wrong_owner(src, &req);
+                }
+                return;
             }
-            return;
+            _ => {}
         }
         let dirty_ret = msg.dirty.map(|h| h.ret);
         let pkt_seq = msg.pkt_seq;
@@ -884,7 +904,7 @@ impl Server {
         self.inner
             .borrow_mut()
             .prune_completed(req.op_id.client, req.acked_below);
-        if self.inner.borrow().unavailable {
+        if self.inner.borrow().liveness != Liveness::Serving {
             self.reply(
                 client_node,
                 &req.op,
@@ -1304,21 +1324,12 @@ impl Server {
     /// (piggybacked on an incoming push / aggregation reply / remote
     /// update). Pure state motion — no modeled cost, no packets.
     pub(crate) fn retire_confirmed(&self, ids: Vec<OpId>) {
-        if ids.is_empty() {
-            return;
+        for &id in &ids {
+            let trace = Some(TraceId::of_op(id));
+            self.trace_event(trace, EventKind::DiscardConfirm { entry: id });
         }
         let now = self.handle.now();
-        let obs_on = self.obs_on();
-        let mut inner = self.inner.borrow_mut();
-        for id in ids {
-            if obs_on {
-                self.trace_event(
-                    Some(TraceId::of_op(id)),
-                    EventKind::DiscardConfirm { entry: id },
-                );
-            }
-            inner.retire_entry_id(id, now);
-        }
+        self.inner.borrow_mut().retire_entry_ids(ids, now);
     }
 
     /// Holder side of "these entries were applied by their directory's
@@ -1637,9 +1648,7 @@ impl Server {
                 // change-log append is a volatile step of its own after the
                 // live flush, and replay rebuilds it from the record's
                 // `applied` flag.
-                inner
-                    .applied_entry_ids
-                    .extend(applied_entry_ids.iter().copied());
+                inner.note_entries_applied(applied_entry_ids);
             }
             WalOp::Txn(TxnMarker::Prepared {
                 txn_id,
@@ -1888,8 +1897,9 @@ impl Server {
     /// network so in-flight packets are dropped.
     pub fn crash(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.crashed = true;
-        inner.unavailable = true;
+        if inner.liveness != Liveness::Tombstone {
+            inner.liveness = Liveness::Crashed;
+        }
     }
 
     /// Crashes the server *and* applies a torn-write fault to the WAL: the
@@ -1904,7 +1914,7 @@ impl Server {
 
     /// True if the server is currently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.inner.borrow().crashed
+        self.inner.borrow().liveness == Liveness::Crashed
     }
 
     /// Turns a fully drained server into the decommission tombstone: it
@@ -1914,7 +1924,7 @@ impl Server {
     /// the shared map) first.
     pub fn decommission(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.decommissioned = true;
+        inner.liveness = Liveness::Tombstone;
         // Stop the proactive loop at its next wake-up; `restart_background`
         // refuses to revive a decommissioned server's loop.
         inner.shutdown = true;
@@ -1922,13 +1932,18 @@ impl Server {
 
     /// True once the server was gracefully decommissioned.
     pub fn is_decommissioned(&self) -> bool {
-        self.inner.borrow().decommissioned
+        self.inner.borrow().liveness == Liveness::Tombstone
     }
 
-    /// Pauses (`false`) or resumes (`true`) serving client requests: the
-    /// stop-the-world window of a reconfiguration (§5.5).
+    /// Pauses (`false`) a serving server or resumes (`true`) a paused one,
+    /// around the stop-the-world window of a reconfiguration (§5.5).
     pub fn set_available(&self, available: bool) {
-        self.inner.borrow_mut().unavailable = !available;
+        let liveness = &mut self.inner.borrow_mut().liveness;
+        *liveness = match (*liveness, available) {
+            (Liveness::Serving, false) => Liveness::Paused,
+            (Liveness::Paused, true) => Liveness::Serving,
+            (unchanged, _) => unchanged,
+        };
     }
 
     /// Asks the background proactive loop to stop at its next wake-up so the
@@ -1941,19 +1956,13 @@ impl Server {
     /// A decommissioned server stays quiet: its tombstone answers requests
     /// without any background machinery.
     pub fn restart_background(&self) {
-        let was_shutdown = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.decommissioned {
-                return;
-            }
-            let was = inner.shutdown;
-            inner.shutdown = false;
-            was
-        };
-        if was_shutdown {
-            let me = self.clone();
-            self.handle.spawn(async move { me.proactive_loop().await });
+        let mut inner = self.inner.borrow_mut();
+        if inner.liveness == Liveness::Tombstone || !std::mem::take(&mut inner.shutdown) {
+            return;
         }
+        drop(inner);
+        let me = self.clone();
+        self.handle.spawn(async move { me.proactive_loop().await });
     }
 
     /// Setup-time seeding for a newly added server: copies another server's
@@ -2197,8 +2206,8 @@ mod tests {
                     size_delta: -1,
                 };
                 inner.changelogs.append(&dir_key, entry, SimTime::ZERO);
-                inner.applied_entry_ids.insert(id(100 + d));
-                inner.retire_entry_id(id(200 + d), SimTime::ZERO);
+                inner.note_entries_applied(&[id(100 + d)]);
+                inner.retire_entry_ids([id(200 + d)], SimTime::ZERO);
                 inner.cache_response(ClientResponse {
                     op_id: id(300 + d),
                     result: OpResult::Done,
@@ -2245,6 +2254,63 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn an_entry_id_is_suppressed_from_its_apply_until_its_retirement_expires() {
+        let sim = Sim::new(1);
+        let owner = test_servers(&sim, 1).remove(0);
+        let id = |seq| OpId {
+            client: ClientId(1),
+            seq,
+        };
+        let (entry, later, batch) = (id(1), id(2), [id(9), id(5)]);
+        let apply = |ids: &[OpId]| {
+            let (owner, ids) = (owner.clone(), ids.to_vec());
+            sim.spawn(async move { owner.apply_and_log(None, Vec::new(), None, ids).await });
+            sim.run();
+        };
+        let retire = |id, at| owner.inner.borrow_mut().retire_entry_ids([id], at);
+        let state = |id| owner.inner.borrow().entry_ids.get(&id).copied();
+        let suppressed = |id| owner.inner.borrow().entry_already_applied(&id);
+        let order = || Vec::from(owner.inner.borrow().retirement_order.clone());
+        let dedup = || {
+            let mut image = StateImage::default();
+            owner.stamp_dedup(&mut image);
+            (image.applied_entry_ids, image.retired_entry_ids)
+        };
+        let t0 = SimTime::ZERO + SimDuration::millis(1);
+        let t1 = t0 + RETIRED_ENTRY_RETENTION;
+
+        // 1. Applied: suppressed until its holder confirms the discard.
+        apply(&[entry]);
+        assert_eq!(state(entry), Some(EntryState::Applied));
+        assert!(suppressed(entry));
+        // 2. Confirmed: retired, stamped with the retirement time.
+        retire(entry, t0);
+        retire(later, t1);
+        assert_eq!(state(entry), Some(EntryState::Retired));
+        assert_eq!(owner.applied_entry_id_count(), 0);
+        // 3. A partly duplicate batch re-applies it, and a second
+        //    confirmation retires it again: it stays retired, in its place.
+        apply(&[batch[0], entry, batch[1]]);
+        retire(entry, t1);
+        assert_eq!(state(entry), Some(EntryState::Retired));
+        assert_eq!(order(), [(t0, entry), (t1, later)]);
+        assert!(suppressed(entry));
+        assert_eq!(owner.applied_entry_id_count(), 2);
+        assert_eq!(owner.retired_entry_id_count(), 2);
+        // The shipped copy: applied ids sorted, retired ids in retirement
+        // order.
+        assert_eq!(dedup(), (vec![id(5), id(9)], vec![entry, later]));
+        // 4. Past the retention, the next retirement evicts it, and only it.
+        retire(
+            batch[0],
+            t0 + RETIRED_ENTRY_RETENTION + SimDuration::nanos(1),
+        );
+        assert_eq!(state(entry), None);
+        assert!(!suppressed(entry));
+        assert_eq!(dedup(), (vec![id(5)], vec![later, batch[0]]));
     }
 
     #[test]

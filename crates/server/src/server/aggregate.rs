@@ -345,12 +345,11 @@ impl Server {
         // The owner held (and just durably discarded) its own local entries:
         // holder and applier are the same server, so the discard confirms
         // itself and those ids — every one it held, applied now or earlier —
-        // retire into the bounded FIFO immediately.
+        // retire immediately.
         {
-            let me = self.cfg.id;
             let now = self.handle.now();
             let mut inner = self.inner.borrow_mut();
-            inner.queue_discard_confirm(me, me, now, local_ids);
+            inner.retire_entry_ids(local_ids, now);
             inner.push_timers.remove(&fp.raw());
             inner.stats.aggregations += 1;
         }
@@ -709,10 +708,10 @@ impl Server {
             // when the harness quiesces the simulation, or a run with an
             // unrecovered server never reaches quiescence (the crashed
             // `continue` would re-arm the timer forever).
-            if self.shutdown_requested() {
+            if self.inner.borrow().shutdown {
                 return;
             }
-            if self.inner.borrow().crashed {
+            if self.is_crashed() {
                 continue;
             }
             self.push_all_changelogs(PushTrigger::Tick);
@@ -836,10 +835,6 @@ impl Server {
             let _w = fpg.write().await;
             self.aggregate_group(fp, None).await;
         }
-    }
-
-    fn shutdown_requested(&self) -> bool {
-        self.inner.borrow().shutdown
     }
 }
 

@@ -39,7 +39,7 @@ use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, ServerId};
 
 use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
-use crate::server::{Server, TokenReply};
+use crate::server::{EntryState, Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
 /// Where a shard install, keyed by source node and token, stands on its
@@ -162,11 +162,13 @@ impl Server {
     /// payload stays small by construction.
     pub(crate) fn stamp_dedup(&self, image: &mut StateImage) {
         let inner = self.inner.borrow();
-        image.applied_entry_ids = inner.applied_entry_ids.iter().copied().collect();
+        let ids = inner.entry_ids.iter();
+        let applied = ids.filter(|(_, &state)| state == EntryState::Applied);
+        image.applied_entry_ids = applied.map(|(&id, _)| id).collect();
         image.applied_entry_ids.sort_unstable();
-        // The retired FIFO ships in insertion order so the target's eviction
+        // The retired ids ship in retirement order so the target's eviction
         // order matches; both halves are bounded, so the payload is small.
-        image.retired_entry_ids = inner.retired_entry_ids.iter().collect();
+        image.retired_entry_ids = inner.retirement_order.iter().map(|&(_, id)| id).collect();
         let responses = inner.completed_ops.values();
         image.completed = responses.flat_map(|m| m.values().cloned()).collect();
         image.completed.sort_by_key(|r| r.op_id);
@@ -529,17 +531,12 @@ impl Server {
             self.apply_and_log(None, Vec::new(), Some((key, entry)), Vec::new())
                 .await;
         }
-        {
-            let now = self.handle.now();
-            let mut inner = self.inner.borrow_mut();
-            // The source's retired FIFO rides along so a duplicate delayed
-            // across the flip is still suppressed here; entering through the
-            // retire path (re-stamped with install time — conservative)
-            // keeps this server's FIFO bounded.
-            for id in image.retired_entry_ids {
-                inner.retire_entry_id(id, now);
-            }
-        }
+        // The source's retired ids ride along so a duplicate delayed across
+        // the flip is still suppressed here; entering through the retire
+        // path (re-stamped with install time — conservative) keeps this
+        // server's table bounded.
+        let (retired, now) = (image.retired_entry_ids, self.handle.now());
+        self.inner.borrow_mut().retire_entry_ids(retired, now);
         for response in image.completed {
             // The crash-surviving-dedup guarantee must hold for migrated
             // shards too: a retransmission that spans both the migration

@@ -320,12 +320,9 @@ impl Server {
                 .await?;
             // Applier and issuer are the same server and the operation's
             // own duplicate suppression covers re-execution: retire the id
-            // into the bounded FIFO immediately.
-            let me = self.cfg.id;
-            let now = self.handle.now();
-            self.inner
-                .borrow_mut()
-                .queue_discard_confirm(me, me, now, [entry.entry_id]);
+            // immediately.
+            let (id, now) = (entry.entry_id, self.handle.now());
+            self.inner.borrow_mut().retire_entry_ids([id], now);
             Ok(())
         } else {
             let token = self.next_token();

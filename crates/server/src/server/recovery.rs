@@ -28,7 +28,7 @@ use switchfs_proto::{Fingerprint, Placement};
 
 use crate::server::migrate::store_effects;
 use crate::server::rename::CoordinatorTxn;
-use crate::server::Server;
+use crate::server::{Liveness, Server};
 use crate::wal::{CheckpointData, MigrationMarker, TxnMarker, WalOp};
 
 /// Summary of one recovery run, reported to the harness (used by the §7.7
@@ -234,7 +234,9 @@ impl Server {
         // Step 4: resume serving.
         {
             let mut inner = self.inner.borrow_mut();
-            inner.unavailable = false;
+            if inner.liveness == Liveness::Recovering {
+                inner.liveness = Liveness::Serving;
+            }
             inner.stats.recoveries += 1;
         }
         report.duration_ns = self.handle.now().duration_since(start).as_nanos();
@@ -334,10 +336,8 @@ impl Server {
             inner.apply_effect(&effect);
         }
         inner.invalidation.extend(data.invalidation);
-        inner.applied_entry_ids.extend(data.image.applied_entry_ids);
-        for id in data.image.retired_entry_ids {
-            inner.retire_entry_id(id, now);
-        }
+        inner.note_entries_applied(&data.image.applied_entry_ids);
+        inner.retire_entry_ids(data.image.retired_entry_ids, now);
         for (key, entry) in data.image.pending {
             inner.changelogs.append(&key, entry, now);
         }

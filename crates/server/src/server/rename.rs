@@ -664,9 +664,7 @@ impl Server {
                 self.log_txn_marker(TxnMarker::Resolved { txn_id }).await;
                 // Duplicates only arrive within the coordinator's bounded
                 // retry window; cap the memory.
-                let committed = &mut self.inner.borrow_mut().committed_txns;
-                committed.insert(txn_id, ());
-                committed.evict_while(|(), len| len > 4096);
+                self.inner.borrow_mut().committed_txns.insert(txn_id, 4096);
                 true
             }
             // A duplicate: acknowledgeable only once the first copy's apply

@@ -149,6 +149,54 @@ fn a_switch_reboot_leaves_a_crashed_server_to_its_own_recovery() {
     assert_eq!(size, CREATES as u64);
 }
 
+/// A switch reboot during a server's recovery (§5.4.2 during §5.4) pauses
+/// and resumes only the servers that were serving: the recovering one
+/// still re-aggregates, but serves again only at the end of its own
+/// recovery, not when the reboot's stop-the-world window closes.
+#[test]
+fn a_switch_reboot_does_not_resume_a_recovering_server() {
+    const CREATES: usize = 2_000;
+    let cluster = cluster();
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        client.mkdir("/d").await.unwrap();
+        for i in 0..CREATES {
+            client.create(&format!("/d/f{i}")).await.unwrap();
+        }
+    });
+    cluster.crash_server(0);
+    let server = cluster.servers()[0].clone();
+    let served = move || {
+        let stats = server.stats();
+        stats.ops_completed - stats.ops_failed
+    };
+    let (control, handle, client) = (cluster.control(), cluster.sim.handle(), cluster.client(0));
+    let (at_reboot_end, at_recovery_end) = cluster.block_on(async move {
+        let recovered: Rc<Cell<Option<u64>>> = Rc::new(Cell::new(None));
+        let recovery = control.recover(0);
+        let (slot, served_then) = (recovered.clone(), served.clone());
+        handle.spawn(async move {
+            recovery.await;
+            slot.set(Some(served_then()));
+        });
+        handle.sleep(SimDuration::micros(5)).await;
+        assert!(control.reboot_switch().await);
+        assert!(recovered.get().is_none(), "the recovery outran the reboot");
+        let at_reboot_end = served();
+        let mut i = 0;
+        while recovered.get().is_none() {
+            let _ = client.stat(&format!("/d/f{}", i % CREATES)).await;
+            i += 1;
+        }
+        (at_reboot_end, recovered.get().unwrap())
+    });
+    assert_eq!(
+        at_recovery_end - at_reboot_end,
+        0,
+        "server 0 served client operations after the reboot but before its recovery ended"
+    );
+}
+
 #[test]
 fn operations_issued_during_recovery_are_retried_and_succeed() {
     let cluster = cluster();
