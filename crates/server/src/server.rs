@@ -585,10 +585,11 @@ impl ServerInner {
     /// (a partly duplicate batch re-applies it), keeping its place in the
     /// retirement order.
     pub fn note_entries_applied(&mut self, ids: &[OpId]) {
-        // Reserves the way `HashMap::extend` does.
+        // Reserves the way `HashMap::extend` does: a batch grows the table
+        // at most once, not once per doubling.
         let (n, empty) = (ids.len(), self.entry_ids.is_empty());
-        self.entry_ids
-            .reserve(if empty { n } else { n.div_ceil(2) });
+        let additional = if empty { n } else { n.div_ceil(2) };
+        self.entry_ids.reserve(additional);
         for &id in ids {
             self.entry_ids.entry(id).or_insert(EntryState::Applied);
         }
