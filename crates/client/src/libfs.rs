@@ -459,11 +459,12 @@ impl LibFs {
 
     /// Resolves the parent chain of `path` (and optionally the final
     /// component), filling the metadata cache. Components are borrowed
-    /// slices of `path` and the growing prefix lives in one reused buffer —
-    /// no per-component `String` is allocated.
+    /// slices of `path` and the growing prefix lives in one reused buffer,
+    /// which ends as the parent's path — no per-component `String` is
+    /// allocated.
     async fn resolve(&self, path: &str, resolve_target: bool) -> FsResult<Resolution> {
-        let comps: Vec<&str> = path_components(path).collect();
-        if comps.is_empty() {
+        let (count, name) = path_components(path).fold((0, ""), |(n, _), c| (n + 1, c));
+        if count == 0 {
             return Err(FsError::NotFound);
         }
         let mut ancestors = vec![DirId::ROOT];
@@ -472,14 +473,11 @@ impl LibFs {
             id: DirId::ROOT,
             fp: Fingerprint::of_dir(&DirId::ROOT, ""),
         };
-        let mut parent_path = String::from("/");
         let mut current = String::new();
-        let upto = if resolve_target {
-            comps.len()
-        } else {
-            comps.len() - 1
-        };
-        for (i, comp) in comps[..upto].iter().enumerate() {
+        // Length of `current` at the last parent update: the parent's path.
+        let mut parent_len = 0;
+        let upto = if resolve_target { count } else { count - 1 };
+        for (i, comp) in path_components(path).take(upto).enumerate() {
             current.push('/');
             current.push_str(comp);
             let cached = self.cache.borrow_mut().get(&current);
@@ -487,7 +485,7 @@ impl LibFs {
                 Some(d) => d,
                 None => {
                     self.stats.borrow_mut().lookups += 1;
-                    let key = MetaKey::new(parent.id, *comp);
+                    let key = MetaKey::new(parent.id, comp);
                     let op = MetaOp::Lookup { key: key.clone() };
                     // Boxed: the lookup RPC runs only on a cache miss, but
                     // its inline state machine would otherwise dominate the
@@ -510,19 +508,23 @@ impl LibFs {
                     dir
                 }
             };
-            // Only the first `comps.len() - 1` components become the parent
+            // Only the first `count - 1` components become the parent
             // chain; a resolved target does not change the parent.
-            if i + 1 < comps.len() {
+            if i + 1 < count {
                 ancestors.push(dir.id);
                 parent = ParentRef {
                     key: dir.key.clone(),
                     id: dir.id,
                     fp: dir.fp,
                 };
-                parent_path.clone_from(&current);
+                parent_len = current.len();
             }
         }
-        let name = *comps.last().expect("non-empty");
+        let mut parent_path = current;
+        parent_path.truncate(parent_len);
+        if parent_path.is_empty() {
+            parent_path.push('/');
+        }
         let key = MetaKey::new(parent.id, name);
         // Operations directly under the root still carry the root as parent;
         // only the root itself has no parent, and it is never resolved here.

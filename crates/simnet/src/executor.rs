@@ -1,10 +1,13 @@
 //! The virtual-time task executor.
 //!
-//! A [`Sim`] owns a set of cooperative tasks (ordinary `Future`s), a ready
-//! queue, and a timer wheel ordered by virtual time. Tasks run until they
-//! block on a simulation primitive (a timer, a channel, a lock, a CPU core,
-//! a network delivery); when no task is runnable, the clock jumps to the next
-//! timer deadline. The executor is single-threaded and deterministic: task
+//! A [`Sim`] owns a set of cooperative tasks, a ready queue, and a timer
+//! wheel ordered by virtual time. A task is a boxed future, or a pooled one
+//! whose state its spawner owns (the network keeps each packet in flight in a
+//! slab of its own and spawns it with `SimHandle::spawn_pooled`); both are
+//! scheduled, woken and counted alike. Tasks run until they block on a
+//! simulation primitive (a timer, a channel, a lock, a CPU core, a network
+//! delivery); when no task is runnable, the clock jumps to the next timer
+//! deadline. The executor is single-threaded and deterministic: task
 //! wake-ups are processed in FIFO order and ties between timers are broken by
 //! registration order.
 
@@ -13,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -28,6 +31,35 @@ use crate::time::{SimDuration, SimTime};
 pub struct TaskId(pub u64);
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+
+/// A pool of tasks whose state its owner keeps, one entry per task, instead
+/// of a boxed future each.
+pub(crate) trait PooledTask {
+    /// Polls the task kept at `index` of the pool, as `Future::poll` would;
+    /// the owner frees the entry before returning `Ready`.
+    fn poll_pooled(&self, index: u32, cx: &mut Context<'_>) -> Poll<()>;
+}
+
+/// What a task runs. A pooled task holds its pool weakly: the pool's owner
+/// holds a [`SimHandle`], so a strong reference would make a cycle that
+/// keeps both alive after the owner and the [`Sim`] are dropped.
+enum Body {
+    Boxed(LocalFuture),
+    Pooled(Weak<dyn PooledTask>, u32),
+}
+
+impl Body {
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        match self {
+            Body::Boxed(fut) => fut.as_mut().poll(cx),
+            // A dropped pool has nothing left to run.
+            Body::Pooled(pool, index) => match pool.upgrade() {
+                Some(pool) => pool.poll_pooled(*index, cx),
+                None => Poll::Ready(()),
+            },
+        }
+    }
+}
 
 /// The queue of `(slot, task id)` pairs that have been woken and are ready
 /// to be polled. The id disambiguates stale wake-ups after a slot is reused.
@@ -52,10 +84,10 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One live task: its id and its future (taken out while being polled).
+/// One live task: its id and its body (taken out while being polled).
 struct Task {
     id: u64,
-    fut: Option<LocalFuture>,
+    body: Option<Body>,
 }
 
 /// One slot of the task slab: the task living in it, if any, and the waker
@@ -282,10 +314,10 @@ impl Sim {
     }
 
     fn poll_task(&self, slot: u32, id: u64) {
-        // Take the future out of its slot before polling so that code inside
+        // Take the body out of its slot before polling so that code inside
         // it can freely spawn new tasks (which mutates the slab); the slot
         // itself stays occupied, so it cannot be reused mid-poll.
-        let (mut fut, waker) = {
+        let (mut body, waker) = {
             let mut state = self.state.borrow_mut();
             let Some(Slot {
                 task: Some(task),
@@ -298,17 +330,17 @@ impl Sim {
                 // The slot was reused; this wake-up targets a dead task.
                 return;
             }
-            let Some(fut) = task.fut.take() else {
+            let Some(body) = task.body.take() else {
                 // Already being polled higher up the stack; the wake-up that
                 // queued us again will be re-observed through the waker.
                 return;
             };
             let waker = Waker::from(Arc::clone(waker));
             state.polls_total += 1;
-            (fut, waker)
+            (body, waker)
         };
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
+        match body.poll(&mut cx) {
             Poll::Ready(()) => {
                 let mut state = self.state.borrow_mut();
                 state.tasks[slot as usize].task = None;
@@ -322,7 +354,7 @@ impl Sim {
                     .get_mut(slot as usize)
                     .and_then(|s| s.task.as_mut())
                 {
-                    task.fut = Some(fut);
+                    task.body = Some(body);
                 }
             }
         }
@@ -340,6 +372,17 @@ impl SimHandle {
     where
         F: Future<Output = ()> + 'static,
     {
+        self.spawn_body(Body::Boxed(Box::pin(fut)))
+    }
+
+    /// Spawns the task kept at `index` of `pool`, exactly as [`Self::spawn`]
+    /// spawns a future (same ids, slots, wakers, ready-queue position and
+    /// counts), but without boxing anything.
+    pub(crate) fn spawn_pooled(&self, pool: Weak<dyn PooledTask>, index: u32) -> TaskId {
+        self.spawn_body(Body::Pooled(pool, index))
+    }
+
+    fn spawn_body(&self, body: Body) -> TaskId {
         let (slot, id) = {
             let mut state = self.state.borrow_mut();
             let id = state.next_task;
@@ -348,7 +391,7 @@ impl SimHandle {
             state.live_tasks += 1;
             let task = Some(Task {
                 id,
-                fut: Some(Box::pin(fut)),
+                body: Some(body),
             });
             let fresh_waker = |slot| {
                 Arc::new(TaskWaker {

@@ -12,12 +12,15 @@
 //! suppression.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{ready, Context, Poll};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::executor::SimHandle;
+use crate::executor::{PooledTask, SimHandle, Sleep};
 use crate::fxhash::FxHashMap;
 use crate::sync::mpsc;
 use crate::time::{SimDuration, SimTime};
@@ -255,8 +258,33 @@ crate::counters! {
     }
 }
 
+/// Where a packet in flight is; each stage ends when its sleep does.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Waiting out the fault injector's extra delay (zero for most packets).
+    Jitter,
+    /// On the link to the switch.
+    Uplink,
+    /// In the switch, after its program ran.
+    Switch,
+    /// On the link to the destination.
+    Downlink,
+}
+
+/// One packet copy in flight: its stage, the packet (after the switch, the
+/// packets the switch program forwarded) and the sleep that ends the stage.
+struct Delivery<M> {
+    stage: Stage,
+    packets: Fanout<Packet<M>>,
+    sleep: Sleep,
+}
+
 struct NetworkInner<M> {
     handle: SimHandle,
+    /// Slab of packets in flight, each run by a pooled task; `free_deliveries`
+    /// lists vacant indices for reuse.
+    deliveries: Vec<Option<Delivery<M>>>,
+    free_deliveries: Vec<u32>,
     mailboxes: FxHashMap<NodeId, mpsc::Sender<Packet<M>>>,
     node_down: FxHashMap<NodeId, bool>,
     /// Partition group of each node; packets between different groups are
@@ -291,6 +319,8 @@ impl<M: Clone + 'static> Network<M> {
         Network {
             inner: Rc::new(RefCell::new(NetworkInner {
                 handle,
+                deliveries: Vec::new(),
+                free_deliveries: Vec::new(),
                 mailboxes: FxHashMap::default(),
                 node_down: FxHashMap::default(),
                 partition: None,
@@ -359,113 +389,132 @@ impl<M: Clone + 'static> Network<M> {
         self.inner.borrow().stats
     }
 
-    /// Injects a packet into the fabric.
+    /// Injects a packet into the fabric. Each copy that survives fault
+    /// injection (the packet, and a duplicate) becomes an entry of the
+    /// network's slab of packets in flight, run by a pooled task: no
+    /// per-packet allocation once the slab has grown to the traffic.
     pub fn send(&self, pkt: Packet<M>) {
-        let handle = {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.sent += 1;
-            if *inner.node_down.get(&pkt.src).unwrap_or(&false) {
-                inner.stats.dropped_node_down += 1;
-                return;
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.sent += 1;
+        if *inner.node_down.get(&pkt.src).unwrap_or(&false) {
+            inner.stats.dropped_node_down += 1;
+            return;
+        }
+        let mut copies = Fanout::default();
+        if inner.rng.gen::<f64>() < inner.faults.drop_prob {
+            inner.stats.dropped_faults += 1;
+        } else {
+            copies.push(SimDuration::ZERO);
+        }
+        if inner.faults.duplicate_prob > 0.0 && inner.rng.gen::<f64>() < inner.faults.duplicate_prob
+        {
+            inner.stats.duplicated += 1;
+            let jitter = inner.params.link_latency;
+            copies.push(jitter);
+        }
+        // Reordering jitter applies to every copy independently.
+        let jitter_max = inner.faults.reorder_jitter.as_nanos();
+        if jitter_max > 0 {
+            for c in copies.iter_mut() {
+                let extra = inner.rng.gen_range(0..=jitter_max);
+                *c += SimDuration::nanos(extra);
             }
-            inner.handle.clone()
-        };
-        let copies = {
-            let mut inner = self.inner.borrow_mut();
-            let mut copies = Fanout::default();
-            if inner.rng.gen::<f64>() < inner.faults.drop_prob {
-                inner.stats.dropped_faults += 1;
-            } else {
-                copies.push(SimDuration::ZERO);
-            }
-            if inner.faults.duplicate_prob > 0.0
-                && inner.rng.gen::<f64>() < inner.faults.duplicate_prob
-            {
-                inner.stats.duplicated += 1;
-                let jitter = inner.params.link_latency;
-                copies.push(jitter);
-            }
-            // Reordering jitter applies to every copy independently.
-            let jitter_max = inner.faults.reorder_jitter.as_nanos();
-            if jitter_max > 0 {
-                for c in copies.iter_mut() {
-                    let extra = inner.rng.gen_range(0..=jitter_max);
-                    *c += SimDuration::nanos(extra);
-                }
-            }
-            copies
-        };
-        // Move the packet into the last copy's delivery task; only fault
-        // duplication pays for a clone.
+        }
+        // Move the packet into the last copy; only fault duplication pays
+        // for a clone.
         let mut pkt = Some(pkt);
         let last = copies.len().saturating_sub(1);
         for (i, extra_delay) in copies.into_iter().enumerate() {
-            let net = self.clone();
             let pkt = if i == last {
                 pkt.take().expect("one packet per copy")
             } else {
                 pkt.clone().expect("one packet per copy")
             };
-            handle.spawn(async move {
-                net.deliver(pkt, extra_delay).await;
-            });
+            // The clock cannot move before the task's first poll (it is
+            // ready now), so the extra delay's sleep may start here.
+            let delivery = Delivery {
+                stage: Stage::Jitter,
+                packets: Fanout::one(pkt),
+                sleep: inner.handle.sleep(extra_delay),
+            };
+            let index = match inner.free_deliveries.pop() {
+                Some(index) => {
+                    inner.deliveries[index as usize] = Some(delivery);
+                    index
+                }
+                None => {
+                    inner.deliveries.push(Some(delivery));
+                    (inner.deliveries.len() - 1) as u32
+                }
+            };
+            let pool = Rc::downgrade(&self.inner);
+            inner.handle.spawn_pooled(pool, index);
+        }
+    }
+}
+
+impl<M: 'static> PooledTask for RefCell<NetworkInner<M>> {
+    fn poll_pooled(&self, index: u32, cx: &mut Context<'_>) -> Poll<()> {
+        self.borrow_mut().poll_delivery(index, cx)
+    }
+}
+
+impl<M> NetworkInner<M> {
+    /// Runs the packet at `index` of the slab through the rack: extra delay
+    /// → link → switch → link → mailbox, one sleep per stage. A zero-length
+    /// sleep completes at once, without registering a timer.
+    fn poll_delivery(&mut self, index: u32, cx: &mut Context<'_>) -> Poll<()> {
+        loop {
+            let delivery = self.deliveries[index as usize]
+                .as_mut()
+                .expect("a packet in flight");
+            ready!(Pin::new(&mut delivery.sleep).poll(cx));
+            let (stage, wait) = match delivery.stage {
+                Stage::Jitter => (Stage::Uplink, self.params.link_latency),
+                Stage::Uplink => {
+                    let pkt = delivery.packets.first.take().expect("one packet");
+                    let forwarded = self.process_at_switch(pkt);
+                    if forwarded.is_empty() {
+                        self.free_delivery(index);
+                        return Poll::Ready(());
+                    }
+                    self.deliveries[index as usize]
+                        .as_mut()
+                        .expect("a packet in flight")
+                        .packets = forwarded;
+                    (Stage::Switch, self.params.switch_latency)
+                }
+                Stage::Switch => (Stage::Downlink, self.params.link_latency),
+                Stage::Downlink => {
+                    let delivery = self.free_delivery(index);
+                    self.hand_to_mailboxes(delivery.packets);
+                    return Poll::Ready(());
+                }
+            };
+            let sleep = self.handle.sleep(wait);
+            let delivery = self.deliveries[index as usize]
+                .as_mut()
+                .expect("a packet in flight");
+            delivery.stage = stage;
+            delivery.sleep = sleep;
         }
     }
 
-    /// Runs one packet through the rack: link → switch → link → mailbox.
-    async fn deliver(&self, pkt: Packet<M>, extra_delay: SimDuration) {
-        let (handle, link_latency, switch_latency) = {
-            let inner = self.inner.borrow();
-            (
-                inner.handle.clone(),
-                inner.params.link_latency,
-                inner.params.switch_latency,
-            )
-        };
-        if !extra_delay.is_zero() {
-            handle.sleep(extra_delay).await;
-        }
-        handle.sleep(link_latency).await;
-        let forwarded = self.process_at_switch(handle.now(), pkt);
-        if forwarded.is_empty() {
-            return;
-        }
-        handle.sleep(switch_latency).await;
-        handle.sleep(link_latency).await;
-        let mut inner = self.inner.borrow_mut();
-        for p in forwarded {
-            if *inner.node_down.get(&p.dst).unwrap_or(&false) {
-                inner.stats.dropped_node_down += 1;
-                continue;
-            }
-            if let Some(groups) = &inner.partition {
-                let src_group = groups.get(&p.src).copied().unwrap_or(0);
-                let dst_group = groups.get(&p.dst).copied().unwrap_or(0);
-                if src_group != dst_group {
-                    inner.stats.dropped_partition += 1;
-                    continue;
-                }
-            }
-            let delivered = inner
-                .mailboxes
-                .get(&p.dst)
-                .is_some_and(|tx| tx.send(p).is_ok());
-            if delivered {
-                inner.stats.delivered += 1;
-            } else {
-                inner.stats.dropped_node_down += 1;
-            }
-        }
+    /// Empties the slab entry at `index` for reuse and returns what it held.
+    fn free_delivery(&mut self, index: u32) -> Delivery<M> {
+        self.free_deliveries.push(index);
+        self.deliveries[index as usize]
+            .take()
+            .expect("a packet in flight")
     }
 
     /// Runs one packet through the switch program and returns the packets
     /// it forwards, in order.
-    fn process_at_switch(&self, now: SimTime, pkt: Packet<M>) -> Fanout<Packet<M>> {
-        let mut inner = self.inner.borrow_mut();
+    fn process_at_switch(&mut self, pkt: Packet<M>) -> Fanout<Packet<M>> {
         let src = pkt.src;
-        let actions = inner.switch.process(now, pkt);
+        let actions = self.switch.process(self.handle.now(), pkt);
         if actions.is_empty() {
-            inner.stats.dropped_by_switch += 1;
+            self.stats.dropped_by_switch += 1;
         }
         let mut forwarded = Fanout::default();
         for action in actions {
@@ -473,10 +522,39 @@ impl<M: Clone + 'static> Network<M> {
                 SwitchAction::Forward { dst, payload } => {
                     forwarded.push(Packet { src, dst, payload });
                 }
-                SwitchAction::Drop => inner.stats.dropped_by_switch += 1,
+                SwitchAction::Drop => self.stats.dropped_by_switch += 1,
             }
         }
         forwarded
+    }
+
+    /// Hands the packets that reached the end of the downlink to their
+    /// destinations' mailboxes, unless the destination is down or a
+    /// partition now separates it from the source.
+    fn hand_to_mailboxes(&mut self, packets: Fanout<Packet<M>>) {
+        for p in packets {
+            if *self.node_down.get(&p.dst).unwrap_or(&false) {
+                self.stats.dropped_node_down += 1;
+                continue;
+            }
+            if let Some(groups) = &self.partition {
+                let src_group = groups.get(&p.src).copied().unwrap_or(0);
+                let dst_group = groups.get(&p.dst).copied().unwrap_or(0);
+                if src_group != dst_group {
+                    self.stats.dropped_partition += 1;
+                    continue;
+                }
+            }
+            let delivered = self
+                .mailboxes
+                .get(&p.dst)
+                .is_some_and(|tx| tx.send(p).is_ok());
+            if delivered {
+                self.stats.delivered += 1;
+            } else {
+                self.stats.dropped_node_down += 1;
+            }
+        }
     }
 }
 
@@ -743,5 +821,183 @@ mod tests {
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(b.pending(), 0);
         assert_eq!(net.stats().dropped_partition, 1);
+    }
+
+    /// Logs when the switch sees a packet.
+    struct LoggingSwitch {
+        log: Rc<RefCell<Vec<(&'static str, usize)>>>,
+    }
+    impl SwitchLogic<u32> for LoggingSwitch {
+        fn process(&mut self, now: SimTime, pkt: Packet<u32>) -> Fanout<SwitchAction<u32>> {
+            self.log.borrow_mut().push(("switch", 0));
+            L2Forward.process(now, pkt)
+        }
+    }
+
+    /// Sends one packet from node 1 to node 2 (from outside the run when
+    /// `packet_first`, so its first poll comes before every other task's;
+    /// else from a task spawned last) next to three sleepers: one until the
+    /// packet's uplink timer (registered at 0), one until its downlink timer
+    /// registered at 0, and one until the same deadline registered at 1 µs,
+    /// after the packet's. Returns the order in which the switch and the
+    /// sleepers woke, each sleeper with the number of packets then in node
+    /// 2's mailbox.
+    fn wake_order(packet_first: bool) -> Vec<(&'static str, usize)> {
+        let (sim, net) = mk(1, NetFaults::reliable());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        net.install_switch(Box::new(LoggingSwitch { log: log.clone() }));
+        let a = net.register(NodeId(1));
+        let b = Rc::new(net.register(NodeId(2)));
+        if packet_first {
+            a.send(NodeId(2), 1);
+        }
+        let sleepers = [
+            ("uplink", 0, 550),
+            ("downlink, early", 0, 1_500),
+            ("downlink, late", 1_000, 1_500),
+        ];
+        for (name, from, until) in sleepers {
+            let (h, log, b) = (sim.handle(), log.clone(), b.clone());
+            sim.spawn(async move {
+                h.sleep_until(SimTime::from_nanos(from)).await;
+                h.sleep_until(SimTime::from_nanos(until)).await;
+                log.borrow_mut().push((name, b.pending()));
+            });
+        }
+        if !packet_first {
+            sim.spawn(async move { a.send(NodeId(2), 1) });
+        }
+        sim.run();
+        assert_eq!(b.pending(), 1);
+        let order = log.borrow().clone();
+        order
+    }
+
+    #[test]
+    fn a_packets_timers_and_a_tasks_sleep_at_one_deadline_wake_in_registration_order() {
+        // The timer registered first wakes first, whether a packet's or a
+        // task's: the packet's uplink timer before the uplink sleeper's when
+        // it was polled first, after it when sent by a later task; its
+        // downlink timer (registered at 950 ns) always between the sleeper
+        // registered at 0 and the one registered at 1 µs.
+        assert_eq!(
+            wake_order(true),
+            [
+                ("switch", 0),
+                ("uplink", 0),
+                ("downlink, early", 0),
+                ("downlink, late", 1)
+            ]
+        );
+        assert_eq!(
+            wake_order(false),
+            [
+                ("uplink", 0),
+                ("switch", 0),
+                ("downlink, early", 0),
+                ("downlink, late", 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn with_zero_latencies_a_packet_is_delivered_at_the_send_instant() {
+        let sim = Sim::new(1);
+        let zero = LinkParams {
+            link_latency: SimDuration::ZERO,
+            switch_latency: SimDuration::ZERO,
+        };
+        let net = Network::new(sim.handle(), zero, NetFaults::reliable(), 1);
+        let a = net.register(NodeId(1));
+        let b = net.register(NodeId(2));
+        let got = Rc::new(Cell::new(None));
+        let (h, got2) = (sim.handle(), got.clone());
+        sim.spawn(async move {
+            h.sleep(SimDuration::micros(5)).await;
+            a.send(NodeId(2), 4);
+            let p = b.recv().await.expect("delivered");
+            got2.set(Some((p.payload, h.now())));
+        });
+        let stats = sim.run();
+        assert_eq!(got.get(), Some((4, SimTime::from_micros(5))));
+        assert_eq!(stats.end_time, SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn duplicated_and_reordered_packets_each_arrive_as_often_as_the_stats_say() {
+        const N: u32 = 1_000;
+        let faults = NetFaults::lossy(0.0, 0.3, SimDuration::micros(2));
+        let (sim, net) = mk(7, faults);
+        let a = net.register(NodeId(1));
+        let b = net.register(NodeId(2));
+        let h = sim.handle();
+        sim.spawn(async move {
+            for i in 0..N {
+                a.send(NodeId(2), i);
+                h.sleep(SimDuration::nanos(250)).await;
+            }
+        });
+        let arrivals = Rc::new(RefCell::new(vec![0u32; N as usize]));
+        let arr = arrivals.clone();
+        sim.spawn(async move {
+            while let Some(p) = b.recv().await {
+                arr.borrow_mut()[p.payload as usize] += 1;
+            }
+        });
+        sim.run();
+        let stats = net.stats();
+        let arrivals = arrivals.borrow();
+        assert_eq!(stats.sent, u64::from(N));
+        assert!(stats.duplicated > 0, "no packet was duplicated");
+        assert_eq!(stats.delivered, u64::from(N) + stats.duplicated);
+        assert_eq!(
+            arrivals.iter().map(|&n| u64::from(n)).sum::<u64>(),
+            stats.delivered
+        );
+        assert!(arrivals.iter().all(|&n| n == 1 || n == 2));
+        let twice = arrivals.iter().filter(|&&n| n == 2).count() as u64;
+        assert_eq!(twice, stats.duplicated);
+        // A few dozen packets are in flight at a time: the slab's entries
+        // were reused, not grown to one per packet.
+        let inner = net.inner.borrow();
+        assert!(inner.deliveries.len() < 64, "{}", inner.deliveries.len());
+        assert!(inner.deliveries.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn dropping_the_sim_and_network_mid_flight_frees_the_packets() {
+        let sim = Sim::new(1);
+        let net: Network<Rc<u32>> =
+            Network::new(sim.handle(), LinkParams::default(), NetFaults::reliable(), 1);
+        let _a = net.register(NodeId(1));
+        let b = net.register(NodeId(2));
+        let payload = Rc::new(9);
+        let send = |payload: &Rc<u32>| {
+            net.send(Packet {
+                src: NodeId(1),
+                dst: NodeId(2),
+                payload: payload.clone(),
+            })
+        };
+        // At 1.1 µs one packet is on each stage: on the downlink (sent at
+        // 0), in the switch (at 600 ns), on the uplink (at 1 µs), and
+        // not yet polled (sent after the run stopped).
+        for at in [0, 600, 1_000] {
+            let (h, net, payload) = (sim.handle(), net.clone(), payload.clone());
+            sim.spawn(async move {
+                h.sleep_until(SimTime::from_nanos(at)).await;
+                net.send(Packet {
+                    src: NodeId(1),
+                    dst: NodeId(2),
+                    payload,
+                });
+            });
+        }
+        sim.run_until(SimTime::from_nanos(1_100));
+        send(&payload);
+        assert_eq!(b.pending(), 0);
+        assert_eq!(Rc::strong_count(&payload), 5);
+        drop((sim, net, _a, b));
+        assert_eq!(Rc::strong_count(&payload), 1);
     }
 }
