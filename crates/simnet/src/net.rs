@@ -465,9 +465,7 @@ impl<M> NetworkInner<M> {
     /// sleep completes at once, without registering a timer.
     fn poll_delivery(&mut self, index: u32, cx: &mut Context<'_>) -> Poll<()> {
         loop {
-            let delivery = self.deliveries[index as usize]
-                .as_mut()
-                .expect("a packet in flight");
+            let delivery = self.delivery(index);
             ready!(Pin::new(&mut delivery.sleep).poll(cx));
             let (stage, wait) = match delivery.stage {
                 Stage::Jitter => (Stage::Uplink, self.params.link_latency),
@@ -478,10 +476,7 @@ impl<M> NetworkInner<M> {
                         self.free_delivery(index);
                         return Poll::Ready(());
                     }
-                    self.deliveries[index as usize]
-                        .as_mut()
-                        .expect("a packet in flight")
-                        .packets = forwarded;
+                    self.delivery(index).packets = forwarded;
                     (Stage::Switch, self.params.switch_latency)
                 }
                 Stage::Switch => (Stage::Downlink, self.params.link_latency),
@@ -492,12 +487,16 @@ impl<M> NetworkInner<M> {
                 }
             };
             let sleep = self.handle.sleep(wait);
-            let delivery = self.deliveries[index as usize]
-                .as_mut()
-                .expect("a packet in flight");
+            let delivery = self.delivery(index);
             delivery.stage = stage;
             delivery.sleep = sleep;
         }
+    }
+
+    fn delivery(&mut self, index: u32) -> &mut Delivery<M> {
+        self.deliveries[index as usize]
+            .as_mut()
+            .expect("a packet in flight")
     }
 
     /// Empties the slab entry at `index` for reuse and returns what it held.
@@ -967,8 +966,12 @@ mod tests {
     #[test]
     fn dropping_the_sim_and_network_mid_flight_frees_the_packets() {
         let sim = Sim::new(1);
-        let net: Network<Rc<u32>> =
-            Network::new(sim.handle(), LinkParams::default(), NetFaults::reliable(), 1);
+        let net: Network<Rc<u32>> = Network::new(
+            sim.handle(),
+            LinkParams::default(),
+            NetFaults::reliable(),
+            1,
+        );
         let _a = net.register(NodeId(1));
         let b = net.register(NodeId(2));
         let payload = Rc::new(9);
