@@ -12,11 +12,13 @@
 # keeping each sweep's per-run output (stdout and stderr, so a red cell's
 # violation text is compared too) and its `--summary`: seven artifacts a
 # side. Every artifact is `cmp`ed; a summary that differs is diffed row by
-# row of its `metrics`. Exit 0 only if nothing outside `--allow` moved. A
-# sweep's own exit status is not a gate (the all-systems dense sweep is red
-# while ROADMAP item 1 is open): the two sides are compared, red cells and
-# all. A side is cached under target/identity/<commit>, so re-checking a new
-# change against the same parent rebuilds and re-runs one side only.
+# row of its `metrics`, and figures that differ cell by cell, one line per
+# moved cell: `experiment / row / column old -> new`. Exit 0 only if nothing
+# outside `--allow` moved. A sweep's own exit status is not a gate (the
+# all-systems dense sweep is red while ROADMAP item 1 is open): the two
+# sides are compared, red cells and all. A side is cached under
+# target/identity/<commit>, so re-checking a new change against the same
+# parent rebuilds and re-runs one side only.
 #
 #   ci/identity.sh REV_A [REV_B] [--allow ROW,ROW]     (REV_B defaults to HEAD)
 #
@@ -24,7 +26,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 }
 allow=""
@@ -100,6 +102,36 @@ for row in sorted(set(ma) | set(mb)):
         print(f"{'allowed   ' if ok else 'DIFFERS   '} {name}: {row} {ma.get(row)} -> {mb.get(row)}")
 sys.exit(1 if bad else 0)
 EOF
+            ;;
+        figures.json)
+            # One experiment per line: name each cell that moved.
+            echo "DIFFERS    $artifact"
+            python3 - "$a/$artifact" "$b/$artifact" <<'EOF' || true
+import json, sys
+def cells(path):
+    out = {}
+    for line in open(path):
+        exp = json.loads(line)
+        name, seen = exp.pop("experiment", "?"), {}
+        for key, value in exp.items():
+            if key != "rows":
+                out[(name, "-", key)] = value
+        for row in exp.get("rows", []):
+            label = str(row.get("label"))
+            seen[label] = seen.get(label, 0) + 1
+            if seen[label] > 1:
+                label += f" #{seen[label]}"
+            for column, value in row.items():
+                if column != "label":
+                    out[(name, label, column)] = value
+    return out
+a, b = (cells(p) for p in sys.argv[1:3])
+for cell in list(a) + [c for c in b if c not in a]:
+    old, new = a.get(cell, "(absent)"), b.get(cell, "(absent)")
+    if old != new:
+        print(f"           {' / '.join(cell)} {old} -> {new}")
+EOF
+            status=1
             ;;
         *)
             echo "DIFFERS    $artifact"

@@ -2,7 +2,7 @@
 //!
 //! Instead of tracking scattered directories in the switch, a standard
 //! server keeps them in a [`ServerDirtySet`] and answers the metadata
-//! servers' `ServerMsg::DirtySet` requests, the same request an owner
+//! servers' `Request::DirtySet` requests, the same request an owner
 //! server answers under owner tracking. Every operation involving the dirty
 //! set pays one extra round trip, and the coordinator's CPU bounds the total
 //! dirty-set operation rate — the two effects Fig. 15 quantifies.
@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use switchfs_proto::message::{Body, NetMsg, PacketSeq, Reply, ServerMsg};
+use switchfs_proto::message::{Body, NetMsg, PacketSeq, Reply, Request, ServerMsg};
 use switchfs_server::ServerDirtySet;
 use switchfs_simnet::{CpuPool, Endpoint, SimDuration, SimHandle};
 
@@ -49,7 +49,11 @@ impl Coordinator {
                 let Some(pkt) = me.endpoint.recv().await else {
                     return;
                 };
-                let Body::Server(ServerMsg::DirtySet { req_id, op, fp }) = pkt.payload.body else {
+                let Body::Server(ServerMsg::Request {
+                    req_id,
+                    req: Request::DirtySet { op, fp },
+                }) = pkt.payload.body
+                else {
                     continue;
                 };
                 let me2 = me.clone();
@@ -113,10 +117,9 @@ mod tests {
                     NodeId(900),
                     NetMsg::plain(
                         seq(i as u64),
-                        Body::Server(ServerMsg::DirtySet {
+                        Body::Server(ServerMsg::Request {
                             req_id: i as u64,
-                            op,
-                            fp,
+                            req: Request::DirtySet { op, fp },
                         }),
                     ),
                 );

@@ -12,7 +12,7 @@
 //!   simulated network fabric;
 //! * [`coordinator`] — the dedicated dirty-set coordinator server used by the
 //!   §7.3.3 comparison: a `switchfs_server::ServerDirtySet` on 12 cores,
-//!   answering the same `ServerMsg::DirtySet` request a directory's owner
+//!   answering the same `Request::DirtySet` request a directory's owner
 //!   answers under owner tracking;
 //! * [`cluster::Cluster`] — builds the nodes, pre-populates namespaces and
 //!   runs work on the simulation, with blocking wrappers over every fault;

@@ -7,10 +7,14 @@
 //! The switch never looks at [`Body`], mirroring the real data plane, which
 //! parses only the fixed-format header.
 //!
-//! A dirty set kept in software (§7.3.3: on a dedicated coordinator or on
-//! each directory's owner) is reached by one request, the same for both:
-//! [`ServerMsg::DirtySet`], answered through [`ServerMsg::Reply`] with
-//! [`Reply::Dirty`].
+//! Every server-to-server request that wants an answer travels in one
+//! envelope, [`ServerMsg::Request`]: a token plus a [`Request`]. The answer
+//! is a [`ServerMsg::Reply`] echoing that token, so a lost or duplicated copy
+//! of either is harmless (§5.4.1): the sender retransmits under the same
+//! token, and a reply nobody waits for is dropped. A dirty set kept in
+//! software (§7.3.3: on a dedicated coordinator or on each directory's
+//! owner) is reached by one such request, the same for both:
+//! [`Request::DirtySet`], answered with [`Reply::Dirty`].
 
 use std::rc::Rc;
 
@@ -300,7 +304,7 @@ pub struct ClientResponse {
 /// The synchronous parent update an [`ServerMsg::AsyncCommit`] carries for
 /// the overflow path: when the dirty-set insert overflows, the switch
 /// redirects the commit to the parent directory's owner (§5.2.1, §6.2),
-/// which applies this update as it would a [`ServerMsg::RemoteDirUpdate`]
+/// which applies this update as it would a [`Request::RemoteDirUpdate`]
 /// and answers the origin. The origin, not the owner, replies to the client.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncFallback {
@@ -322,14 +326,14 @@ pub enum ServerMsg {
     /// the origin server (lock release). On overflow the address rewriter redirects it to the
     /// parent directory's owner, which serves it as the synchronous parent
     /// update it falls back to (§5.2.1): the owner applies `fallback` as it
-    /// applies a [`ServerMsg::RemoteDirUpdate`] and answers the origin with
+    /// applies a [`Request::RemoteDirUpdate`] and answers the origin with
     /// [`Reply::Done`] under `op_token`; the origin then replies to the
     /// client.
     AsyncCommit {
         /// Response destined for the client.
         response: ClientResponse,
-        /// Token identifying the pending operation on the origin server;
-        /// the overflow path's `req_id`.
+        /// Token identifying the pending operation on the origin server:
+        /// what the switch's mirror copy and the overflow path's reply echo.
         op_token: u64,
         /// The parent update for the overflow path.
         fallback: SyncFallback,
@@ -393,69 +397,26 @@ pub enum ServerMsg {
         /// Ids of the entries that were applied by the owner.
         applied: Vec<OpId>,
     },
-    /// Synchronous remote directory update, used by the baselines
-    /// (E-InfiniFS / E-CFS cross-server double-inode operations) and by the
-    /// SwitchFS overflow fallback once the owner the switch rewrote the
-    /// commit to refused it or never answered. The owner serves it, and an
-    /// overflowed [`ServerMsg::AsyncCommit`], with one handler, answering
-    /// [`Reply::Done`].
-    RemoteDirUpdate {
-        /// Request token for matching the acknowledgment.
+    /// A request that wants an answer: the receiver answers it with a
+    /// [`ServerMsg::Reply`] echoing `req_id`, or drops it (a copy racing a
+    /// still-running first copy), and the sender retransmits under the same
+    /// token until the reply arrives.
+    Request {
+        /// Token the reply echoes; fresh per request, shared by its copies.
         req_id: u64,
-        /// Key of the directory to update.
-        dir_key: MetaKey,
-        /// The update.
-        entry: ChangeLogEntry,
-        /// Piggybacked discard confirmations (see
-        /// `ChangeLogPush::discard_confirm`); lets the synchronous baseline
-        /// path bound the receiver's duplicate-suppression set too.
-        discard_confirm: Vec<OpId>,
+        /// What is asked.
+        req: Request,
     },
-    /// The answer to any request that carries a `req_id`: the receiver
-    /// echoes the token, and the sender's one table of token-matched waits
-    /// routes the [`Reply`] to whoever is waiting for it. A reply nobody
-    /// waits for any more (a duplicate, or one that outlived its timeout) is
-    /// dropped.
+    /// The answer to a [`ServerMsg::Request`] (or to an overflowed
+    /// [`ServerMsg::AsyncCommit`], under its `op_token`): the sender's one
+    /// table of token-matched waits routes the [`Reply`] to whoever is
+    /// waiting for it. A reply nobody waits for any more (a duplicate, or
+    /// one that outlived its timeout) is dropped.
     Reply {
         /// Token copied from the request.
         req_id: u64,
         /// The answer.
         reply: Reply,
-    },
-    /// Two-phase-commit prepare for `rename` (and baseline transactions);
-    /// answered with [`Reply::Vote`].
-    TxnPrepare {
-        /// Request token, echoed by the vote.
-        req_id: u64,
-        /// Transaction id.
-        txn_id: u64,
-        /// Mutations this participant must apply at commit.
-        ops: Vec<TxnOp>,
-    },
-    /// Commit or abort decision. The participant answers [`Reply::Done`]
-    /// once the decision is fully applied; the coordinator retransmits the
-    /// decision until that arrives, so a committed rename is visible on
-    /// every participant before the client sees `Done`, and an aborted
-    /// transaction never strands prepared state.
-    TxnDecision {
-        /// Request token, echoed by the acknowledgment.
-        req_id: u64,
-        /// Transaction id.
-        txn_id: u64,
-        /// True for commit.
-        commit: bool,
-    },
-    /// Recovery-time decision query (§5.4.2): a participant that crashed
-    /// between prepare and decision asks the transaction's coordinator what
-    /// became of it. The coordinator durably logs commit decisions before
-    /// broadcasting them, so the answer is authoritative; a transaction the
-    /// coordinator has no commit record of is presumed aborted.
-    /// Answered with [`Reply::Decision`].
-    TxnDecisionQuery {
-        /// Request token for matching the reply.
-        req_id: u64,
-        /// Transaction id being queried.
-        txn_id: u64,
     },
     /// A client request re-routed between servers. Used by `rename` on a
     /// cold client cache: the client sends the request to the source's
@@ -478,19 +439,6 @@ pub enum ServerMsg {
         /// Key of the invalidated directory.
         dir_key: MetaKey,
     },
-    /// Retracts an invalidation-list entry: sent to every other server when
-    /// an `rmdir` that already announced the directory's removal (through
-    /// the aggregation multicast) fails its emptiness check and therefore
-    /// does not remove the directory after all. Answered with
-    /// [`Reply::Done`] once the retraction is durable, and retransmitted
-    /// until then: a server that missed it would reject everything under
-    /// the directory as stale for good.
-    InvalidationRevoke {
-        /// Request token, echoed by the acknowledgment.
-        req_id: u64,
-        /// Id of the directory whose invalidation is retracted.
-        dir_id: DirId,
-    },
     /// Request to clone the invalidation list during crash recovery
     /// (§5.4.2), answered to the recovering server that sent it.
     RecoveryCloneInvalidation,
@@ -499,12 +447,75 @@ pub enum ServerMsg {
         /// Entries of the responding server's invalidation list.
         list: Vec<(DirId, MetaKey)>,
     },
+}
+
+/// What a [`ServerMsg::Request`] asks: every server-to-server request that
+/// is answered, each with the [`Reply`] named in its doc.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Request {
+    /// Synchronous remote directory update, used by the baselines
+    /// (E-InfiniFS / E-CFS cross-server double-inode operations) and by the
+    /// SwitchFS overflow fallback once the owner the switch rewrote the
+    /// commit to refused it or never answered. The owner serves it, and an
+    /// overflowed [`ServerMsg::AsyncCommit`], with one handler, answering
+    /// [`Reply::Done`].
+    RemoteDirUpdate {
+        /// Key of the directory to update.
+        dir_key: MetaKey,
+        /// The update.
+        entry: ChangeLogEntry,
+        /// Piggybacked discard confirmations (see
+        /// `ServerMsg::ChangeLogPush::discard_confirm`); lets the
+        /// synchronous baseline path bound the receiver's
+        /// duplicate-suppression set too.
+        discard_confirm: Vec<OpId>,
+    },
+    /// Two-phase-commit prepare for `rename` (and baseline transactions);
+    /// answered with [`Reply::Vote`], or not at all when the sender is not
+    /// a metadata server.
+    TxnPrepare {
+        /// Transaction id.
+        txn_id: u64,
+        /// Mutations this participant must apply at commit.
+        ops: Vec<TxnOp>,
+    },
+    /// Commit or abort decision. The participant answers [`Reply::Done`]
+    /// once the decision is fully applied, and drops a commit copy that
+    /// races a still-running apply; the coordinator retransmits the
+    /// decision until the answer arrives, so a committed rename is visible
+    /// on every participant before the client sees `Done`, and an aborted
+    /// transaction never strands prepared state.
+    TxnDecision {
+        /// Transaction id.
+        txn_id: u64,
+        /// True for commit.
+        commit: bool,
+    },
+    /// Recovery-time decision query (§5.4.2): a participant that crashed
+    /// between prepare and decision asks the transaction's coordinator what
+    /// became of it. The coordinator durably logs commit decisions before
+    /// broadcasting them, so the answer is authoritative; a transaction the
+    /// coordinator has no commit record of is presumed aborted.
+    /// Answered with [`Reply::Decision`].
+    TxnDecisionQuery {
+        /// Transaction id being queried.
+        txn_id: u64,
+    },
+    /// Retracts an invalidation-list entry: sent to every other server when
+    /// an `rmdir` that already announced the directory's removal (through
+    /// the aggregation multicast) fails its emptiness check and therefore
+    /// does not remove the directory after all. Answered with
+    /// [`Reply::Done`] once the retraction is durable, and retransmitted
+    /// until then: a server that missed it would reject everything under
+    /// the directory as stale for good.
+    InvalidationRevoke {
+        /// Id of the directory whose invalidation is retracted.
+        dir_id: DirId,
+    },
     /// A dirty-set operation sent to the software tracker of the
     /// fingerprint — the dedicated coordinator or the directory's owner
     /// (§7.3.3) — instead of to the switch. Answered with [`Reply::Dirty`].
     DirtySet {
-        /// Request token.
-        req_id: u64,
         /// The operation.
         op: DirtySetOp,
         /// Fingerprint of the directory.
@@ -512,10 +523,9 @@ pub enum ServerMsg {
     },
     /// Baseline (P/C grouping) `mkdir`: initialize the new directory's
     /// content replica on its content server (the server that will hold the
-    /// directory's entry list and its children's inodes).
+    /// directory's entry list and its children's inodes). Answered with
+    /// [`Reply::Done`].
     InitDirContent {
-        /// Request token.
-        req_id: u64,
         /// Id of the new directory.
         dir_id: DirId,
         /// Key under which the content replica is stored.
@@ -524,10 +534,9 @@ pub enum ServerMsg {
         attrs: InodeAttrs,
     },
     /// A single synchronous remote mutation (used by the baseline `rmdir`
-    /// to delete the access replica of a removed directory).
+    /// to delete the access replica of a removed directory). Answered with
+    /// [`Reply::Done`].
     RemoteTxnOp {
-        /// Request token.
-        req_id: u64,
         /// The mutation to apply.
         op: TxnOp,
     },
@@ -538,8 +547,6 @@ pub enum ServerMsg {
     /// `IsADirectory` from `NotFound` (POSIX `EISDIR` vs `ENOENT`).
     /// Answered with [`Reply::Type`].
     TypeProbe {
-        /// Request token.
-        req_id: u64,
         /// Key to probe.
         key: MetaKey,
     },
@@ -547,21 +554,27 @@ pub enum ServerMsg {
     /// state from its current owner to the new owner. The source retransmits
     /// until the target's [`Reply::Done`] arrives — the target applied and
     /// durably logged the shard's state; installation is idempotent, so
-    /// duplicates are harmless. Only after that acknowledgment does the
-    /// cluster flip the shard in the epoch-versioned map and the source
-    /// delete its copy.
-    ShardInstall(ShardInstall),
+    /// duplicates are harmless, and a copy racing the still-running first
+    /// one is dropped. Only after that acknowledgment does the cluster flip
+    /// the shard in the epoch-versioned map and the source delete its copy.
+    ShardInstall {
+        /// The shard being migrated.
+        shard: u32,
+        /// Everything the source stores for the shard.
+        image: StateImage,
+    },
 }
 
 /// What a [`ServerMsg::Reply`] answers with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
-    /// `RemoteDirUpdate`, an overflowed `AsyncCommit` (under its
-    /// `op_token`), `RemoteTxnOp`, `InitDirContent`, `InvalidationRevoke`,
-    /// `ShardInstall` and `TxnDecision`.
+    /// [`Request::RemoteDirUpdate`], an overflowed [`ServerMsg::AsyncCommit`]
+    /// (under its `op_token`), [`Request::RemoteTxnOp`],
+    /// [`Request::InitDirContent`], [`Request::InvalidationRevoke`],
+    /// [`Request::ShardInstall`] and [`Request::TxnDecision`].
     Done(Result<(), FsError>),
-    /// A participant's vote on a `TxnPrepare`.
+    /// A participant's vote on a [`Request::TxnPrepare`].
     Vote {
         /// Whether the participant can commit.
         ok: bool,
@@ -571,27 +584,16 @@ pub enum Reply {
         /// the destination itself.
         dst_type: Option<FileType>,
     },
-    /// The answer to a `TxnDecisionQuery`: `Some(true)` committed,
+    /// The answer to a [`Request::TxnDecisionQuery`]: `Some(true)` committed,
     /// `Some(false)` aborted (or presumed aborted), `None` still in the
     /// voting phase — the participant must keep its prepared state and ask
     /// again.
     Decision(Option<bool>),
-    /// The answer to a `TypeProbe`: the type of the inode stored under the
-    /// probed key, if any.
+    /// The answer to a [`Request::TypeProbe`]: the type of the inode stored
+    /// under the probed key, if any.
     Type(Option<FileType>),
-    /// The answer to a `DirtySet`: what the operation returned.
+    /// The answer to a [`Request::DirtySet`]: what the operation returned.
     Dirty(DirtyRet),
-}
-
-/// Payload of a [`ServerMsg::ShardInstall`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardInstall {
-    /// Request token for matching the acknowledgment.
-    pub req_id: u64,
-    /// The shard being migrated.
-    pub shard: u32,
-    /// Everything the source stores for the shard.
-    pub image: StateImage,
 }
 
 /// What a server stores, or one shard's slice of it: what a shard stream
@@ -677,7 +679,7 @@ pub enum Body {
     /// A response to a client.
     Response(ClientResponse),
     /// A server-to-server protocol message (the dedicated coordinator
-    /// speaks [`ServerMsg::DirtySet`] and [`ServerMsg::Reply`] too).
+    /// answers [`Request::DirtySet`] with a [`ServerMsg::Reply`] too).
     Server(ServerMsg),
     /// No body: the packet exists only for its dirty-set operation header.
     Empty,

@@ -17,7 +17,8 @@ pub struct Retry {
 impl Retry {
     /// A client request to its server.
     pub const REQUEST: Retry = Retry::doubling(1, 16, 11);
-    /// `send_with_ack`, the asynchronous commit, a push's re-send pace.
+    /// Most requests a server asks another, the asynchronous commit, a
+    /// push's re-send pace.
     pub const ACK: Retry = Retry::doubling(1, 16, 9);
     /// A rename's commit or abort, to one participant.
     pub const DECISION: Retry = Retry::doubling(4, 4, 9);

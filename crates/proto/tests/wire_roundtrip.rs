@@ -11,7 +11,7 @@ use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
 use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef, Reply,
-    ServerMsg, ShardInstall, StateImage, SyncFallback, TxnOp,
+    Request, ServerMsg, StateImage, SyncFallback, TxnOp,
 };
 use switchfs_proto::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
 use switchfs_proto::wire::{
@@ -275,20 +275,11 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                 fallback,
             }
         ),
-        (
-            arb_key(),
-            any::<u64>(),
-            arb_changelog_entry(),
-            prop::collection::vec(arb_op_id(), 0..3),
-        )
-            .prop_map(|(dir_key, req_id, entry, discard_confirm)| {
-                ServerMsg::RemoteDirUpdate {
-                    req_id,
-                    dir_key,
-                    entry,
-                    discard_confirm,
-                }
-            }),
+        // Every kind of request, in the envelope that carries its token.
+        (any::<u64>(), arb_server_request())
+            .prop_map(|(req_id, req)| ServerMsg::Request { req_id, req }),
+        // The one reply message, with every kind of answer.
+        (any::<u64>(), arb_reply()).prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
         (arb_key(), prop::collection::vec(arb_op_id(), 0..3))
             .prop_map(|(dir_key, applied)| { ServerMsg::ChangeLogPushAck { dir_key, applied } }),
         // Proactive push with piggybacked discard confirmations: entries
@@ -323,10 +314,27 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                     discard_confirm,
                 }
             }),
+    ]
+}
+
+fn arb_server_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        (
+            arb_key(),
+            arb_changelog_entry(),
+            prop::collection::vec(arb_op_id(), 0..3),
+        )
+            .prop_map(|(dir_key, entry, discard_confirm)| {
+                Request::RemoteDirUpdate {
+                    dir_key,
+                    entry,
+                    discard_confirm,
+                }
+            }),
         // Live-migration stream: the messages the elastic-placement
         // protocol depends on must round-trip with full payloads.
         (
-            (any::<u64>(), any::<u32>()),
+            any::<u32>(),
             prop::collection::vec((arb_key(), arb_attrs()), 0..3),
             prop::collection::vec((arb_dir_id(), arb_key()), 0..3),
             (
@@ -336,7 +344,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
             ),
         )
             .prop_map(
-                |((req_id, shard), inodes, dir_index, (pending, applied_entry_ids, completed))| {
+                |(shard, inodes, dir_index, (pending, applied_entry_ids, completed))| {
                     // The retired set is generated independently of the
                     // applied set (a deterministic transform of different
                     // op ids), so swapping the two fields in the codec
@@ -348,8 +356,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                             seq: id.seq.wrapping_add(1_000_000),
                         })
                         .collect();
-                    ServerMsg::ShardInstall(ShardInstall {
-                        req_id,
+                    Request::ShardInstall {
                         shard,
                         image: StateImage {
                             inodes,
@@ -360,31 +367,16 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                             applied_entry_ids,
                             completed,
                         },
-                    })
+                    }
                 },
             ),
-        // The one reply message, with every kind of answer, and the 2PC
-        // requests carrying the token it echoes.
-        (any::<u64>(), arb_reply()).prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
         // The software dirty-set request (§7.3.3), every operation.
-        (any::<u64>(), arb_op(), arb_fingerprint())
-            .prop_map(|(req_id, op, fp)| ServerMsg::DirtySet { req_id, op, fp }),
-        (
-            (any::<u64>(), any::<u64>()),
-            prop::collection::vec(arb_txn_op(), 0..3),
-        )
-            .prop_map(|((req_id, txn_id), ops)| ServerMsg::TxnPrepare {
-                req_id,
-                txn_id,
-                ops,
-            }),
-        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(|(req_id, txn_id, commit)| {
-            ServerMsg::TxnDecision {
-                req_id,
-                txn_id,
-                commit,
-            }
-        }),
+        (arb_op(), arb_fingerprint()).prop_map(|(op, fp)| Request::DirtySet { op, fp }),
+        // The 2PC requests.
+        (any::<u64>(), prop::collection::vec(arb_txn_op(), 0..3))
+            .prop_map(|(txn_id, ops)| Request::TxnPrepare { txn_id, ops }),
+        (any::<u64>(), any::<bool>())
+            .prop_map(|(txn_id, commit)| Request::TxnDecision { txn_id, commit }),
     ]
 }
 

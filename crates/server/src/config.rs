@@ -104,7 +104,7 @@ impl ServerConfig {
     }
 
     /// The node keeping `fp`'s dirty state in software (§7.3.3), reached by
-    /// `ServerMsg::DirtySet` unless it is this server: `None` when the
+    /// `Request::DirtySet` unless it is this server: `None` when the
     /// switch keeps it. The only place a tracking mode is told apart.
     pub fn software_tracker(&self, fp: Fingerprint) -> Option<NodeId> {
         match self.tracking {

@@ -5,7 +5,7 @@
 //! state, and *owner-server tracking*, where each directory's owner tracks
 //! its own. Both keep this set; [`crate::ServerConfig::software_tracker`]
 //! says which node keeps it for a fingerprint, and every other server
-//! reaches it with `ServerMsg::DirtySet`. Unlike the switch's it has no
+//! reaches it with `Request::DirtySet`. Unlike the switch's it has no
 //! set-associativity to overflow, but every remote access costs the keeper
 //! CPU and the caller a round trip — the overhead Fig. 15 and Fig. 16 show.
 

@@ -26,8 +26,8 @@ use switchfs_simnet::{FxHashMap, FxHashSet};
 use switchfs_kvstore::KvStore;
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, ServerMsg,
-    SyncFallback,
+    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, Request,
+    ServerMsg, SyncFallback,
 };
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
@@ -826,6 +826,14 @@ impl Server {
     }
 
     async fn dispatch(&self, src: NodeId, msg: NetMsg) {
+        // Taken apart at once: each field moved out of `msg` on its own
+        // would keep a drop flag in this per-packet future.
+        let NetMsg {
+            dirty,
+            pkt_seq,
+            body,
+            ..
+        } = msg;
         let liveness = self.inner.borrow().liveness;
         match liveness {
             Liveness::Crashed => return,
@@ -836,16 +844,15 @@ impl Server {
             // Everything else (stray server-to-server traffic addressed to
             // the previous incarnation) is dropped.
             Liveness::Tombstone => {
-                if let Body::Request(req) = msg.body {
+                if let Body::Request(req) = body {
                     self.reject_wrong_owner(src, &req);
                 }
                 return;
             }
             _ => {}
         }
-        let dirty_ret = msg.dirty.map(|h| h.ret);
-        let pkt_seq = msg.pkt_seq;
-        match msg.body {
+        let dirty_ret = dirty.map(|h| h.ret);
+        match body {
             // Boxed: the packet-loop spawns one dispatch future per packet;
             // keeping it at pointer size makes that copy cheap and pays for
             // the handler box only when a request/server message arrives.
@@ -863,6 +870,9 @@ impl Server {
                     return;
                 }
                 Box::pin(self.handle_client_request(src, req, dirty_ret)).await
+            }
+            Body::Server(ServerMsg::Request { req_id, req }) => {
+                Box::pin(self.answer(src, req_id, req)).await
             }
             Body::Server(smsg) => Box::pin(self.handle_server_msg(src, smsg, dirty_ret)).await,
             Body::Response(_) | Body::Empty => {}
@@ -1062,7 +1072,8 @@ impl Server {
                 }
                 Some(DirtyRet::Overflowed) => {
                     let SyncFallback { dir_key, entry } = fallback;
-                    Box::pin(self.handle_remote_dir_update(src, op_token, dir_key, entry)).await;
+                    let reply = Box::pin(self.handle_remote_dir_update(dir_key, entry)).await;
+                    self.send_reply(src, op_token, reply);
                 }
                 _ => {}
             },
@@ -1095,24 +1106,10 @@ impl Server {
             ServerMsg::ChangeLogPushAck { dir_key, applied } => {
                 self.handle_push_ack(src, dir_key, applied);
             }
-            ServerMsg::RemoteDirUpdate {
-                req_id,
-                dir_key,
-                entry,
-                discard_confirm,
-            } => {
-                self.retire_confirmed(discard_confirm);
-                Box::pin(self.handle_remote_dir_update(src, req_id, dir_key, entry)).await;
-            }
+            // Answered by `dispatch`, which never hands one over.
+            ServerMsg::Request { .. } => {}
             ServerMsg::Reply { req_id, reply } => {
                 self.complete_token(req_id, TokenReply::Server(reply));
-            }
-            ServerMsg::DirtySet { req_id, op, fp } => {
-                // The owner's CPU pays for every remote dirty-set operation:
-                // the overhead Fig. 16 quantifies.
-                self.cpu.run(self.cfg.costs.software_path).await;
-                let ret = self.inner.borrow_mut().dirty_set.apply(op, fp);
-                self.send_reply(src, req_id, Reply::Dirty(ret));
             }
             ServerMsg::InvalidationBroadcast { dir_id, dir_key } => {
                 self.apply_and_log(
@@ -1122,38 +1119,6 @@ impl Server {
                     Vec::new(),
                 )
                 .await;
-            }
-            // Logged like the `Invalidate` it undoes, or a replay would
-            // re-apply that one alone; acknowledged once the record is
-            // flushed.
-            ServerMsg::InvalidationRevoke { req_id, dir_id } => {
-                self.apply_and_log(None, vec![KvEffect::Revoke(dir_id)], None, Vec::new())
-                    .await;
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
-            }
-            ServerMsg::TxnPrepare {
-                req_id,
-                txn_id,
-                ops,
-            } => {
-                self.handle_txn_prepare(src, req_id, txn_id, ops).await;
-            }
-            ServerMsg::TxnDecision {
-                req_id,
-                txn_id,
-                commit,
-            } => {
-                // Ack once the decision is fully applied — by this copy or a
-                // previously completed one; an abort always is. A
-                // retransmitted commit racing a still-running apply is
-                // dropped; the coordinator's retransmission timer re-asks
-                // until the apply finished.
-                if Box::pin(self.handle_txn_decision(txn_id, commit)).await {
-                    self.send_reply(src, req_id, Reply::Done(Ok(())));
-                }
-            }
-            ServerMsg::TxnDecisionQuery { req_id, txn_id } => {
-                self.handle_txn_decision_query(src, req_id, txn_id).await;
             }
             ServerMsg::ForwardedRequest { client_node, req } => {
                 // A rename re-routed by the source's per-file-hash owner:
@@ -1182,12 +1147,57 @@ impl Server {
                     inner.invalidation.insert(id, key);
                 }
             }
-            ServerMsg::InitDirContent {
-                req_id,
-                dir_id,
-                key,
-                attrs,
+        }
+    }
+
+    /// Serves one [`Request`] from `src` and sends the reply back under
+    /// `req_id`: the only place a request is answered. Each handler returns
+    /// its reply; `None` drops the request unanswered — a
+    /// [`Request::ShardInstall`] or commit [`Request::TxnDecision`] copy
+    /// racing its first copy's apply (the sender's retransmission re-asks
+    /// until it finished), or a [`Request::TxnPrepare`] from a node that is
+    /// not a metadata server.
+    async fn answer(&self, src: NodeId, req_id: u64, req: Request) {
+        const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
+        let reply = match req {
+            Request::RemoteDirUpdate {
+                dir_key,
+                entry,
+                discard_confirm,
             } => {
+                self.retire_confirmed(discard_confirm);
+                Some(Box::pin(self.handle_remote_dir_update(dir_key, entry)).await)
+            }
+            Request::DirtySet { op, fp } => {
+                // The owner's CPU pays for every remote dirty-set operation:
+                // the overhead Fig. 16 quantifies.
+                self.cpu.run(self.cfg.costs.software_path).await;
+                Some(Reply::Dirty(
+                    self.inner.borrow_mut().dirty_set.apply(op, fp),
+                ))
+            }
+            // Logged like the `Invalidate` it undoes, or a replay would
+            // re-apply that one alone; acknowledged once the record is
+            // flushed.
+            Request::InvalidationRevoke { dir_id } => {
+                self.apply_and_log(None, vec![KvEffect::Revoke(dir_id)], None, Vec::new())
+                    .await;
+                DONE
+            }
+            Request::TxnPrepare { txn_id, ops } => self.handle_txn_prepare(src, txn_id, ops).await,
+            // Acked once the decision is fully applied — by this copy or a
+            // previously completed one; an abort always is. A retransmitted
+            // commit racing a still-running apply is dropped; the
+            // coordinator's retransmission timer re-asks until the apply
+            // finished.
+            Request::TxnDecision { txn_id, commit } => {
+                let applied = Box::pin(self.handle_txn_decision(txn_id, commit)).await;
+                applied.then_some(Reply::Done(Ok(())))
+            }
+            Request::TxnDecisionQuery { txn_id } => {
+                Some(self.handle_txn_decision_query(txn_id).await)
+            }
+            Request::InitDirContent { dir_id, key, attrs } => {
                 // Baseline helper: register a directory's content replica on
                 // the server that will hold its children.
                 self.cpu.run(self.cfg.costs.software_path).await;
@@ -1201,14 +1211,14 @@ impl Server {
                     Vec::new(),
                 )
                 .await;
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
+                DONE
             }
-            ServerMsg::RemoteTxnOp { req_id, op } => {
+            Request::RemoteTxnOp { op } => {
                 self.cpu.run(self.cfg.costs.software_path).await;
                 Box::pin(self.apply_txn_ops(std::slice::from_ref(&op))).await;
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
+                DONE
             }
-            ServerMsg::TypeProbe { req_id, key } => {
+            Request::TypeProbe { key } => {
                 self.cpu
                     .run(self.cfg.costs.software_path + self.cfg.costs.kv_get)
                     .await;
@@ -1218,11 +1228,14 @@ impl Server {
                     .inodes
                     .get_ref(&key)
                     .map(|a| a.file_type);
-                self.send_reply(src, req_id, Reply::Type(file_type));
+                Some(Reply::Type(file_type))
             }
-            ServerMsg::ShardInstall(install) => {
-                Box::pin(self.handle_shard_install(src, install)).await;
+            Request::ShardInstall { shard, image } => {
+                Box::pin(self.handle_shard_install(src, req_id, shard, image)).await
             }
+        };
+        if let Some(reply) = reply {
+            self.send_reply(src, req_id, reply);
         }
     }
 
@@ -1435,7 +1448,7 @@ impl Server {
     }
 
     /// Answers the request that carried `req_id`.
-    pub(crate) fn send_reply(&self, dst: NodeId, req_id: u64, reply: Reply) {
+    fn send_reply(&self, dst: NodeId, req_id: u64, reply: Reply) {
         self.send_plain(dst, Body::Server(ServerMsg::Reply { req_id, reply }));
     }
 
@@ -1493,16 +1506,21 @@ impl Server {
         self.exchange(retry, register, forget)
     }
 
-    /// Sends `body` to `dst` and waits for the token-matched answer under
-    /// the ACK policy. Returns `None` after exhausting its budget.
-    pub(crate) async fn send_with_ack(
+    /// Asks `dst` one [`Request`] and waits for the answer under `retry`:
+    /// draws the request's token and sends each copy in a
+    /// [`ServerMsg::Request`] under it. `req` builds each copy — a packet
+    /// owns what it carries. `None` once the budget is spent.
+    pub(crate) async fn ask(
         &self,
         dst: NodeId,
-        token: u64,
-        body: Body,
+        retry: Retry,
+        req: impl Fn() -> Request,
     ) -> Option<TokenReply> {
-        self.token_exchange(token, Retry::ACK, || self.send_plain(dst, body.clone()))
-            .await
+        let req_id = self.next_token();
+        self.token_exchange(req_id, retry, || {
+            self.send_plain(dst, Body::Server(ServerMsg::Request { req_id, req: req() }))
+        })
+        .await
     }
 
     /// Appends a WAL record, applies its effects to the volatile stores and
@@ -1748,7 +1766,7 @@ impl Server {
 
     /// One operation on the dirty set `tracker` keeps in software (§7.3.3):
     /// applied here, for free, when that is this server, else sent as a
-    /// [`ServerMsg::DirtySet`] and retransmitted until answered. A remove is
+    /// [`Request::DirtySet`] and retransmitted until answered. A remove is
     /// sent once and not waited for: the aggregation request sent after it
     /// is what the round waits on, and a lost remove only costs a later read
     /// a round it did not need.
@@ -1761,13 +1779,15 @@ impl Server {
         if tracker == self.cfg.node {
             return Some(self.inner.borrow_mut().dirty_set.apply(op, fp));
         }
-        let req_id = self.next_token();
-        let body = Body::Server(ServerMsg::DirtySet { req_id, op, fp });
         if op == DirtySetOp::Remove {
-            self.send_plain(tracker, body);
+            let (req_id, req) = (self.next_token(), Request::DirtySet { op, fp });
+            self.send_plain(tracker, Body::Server(ServerMsg::Request { req_id, req }));
             return None;
         }
-        match self.send_with_ack(tracker, req_id, body).await {
+        match self
+            .ask(tracker, Retry::ACK, || Request::DirtySet { op, fp })
+            .await
+        {
             Some(TokenReply::Server(Reply::Dirty(ret))) => Some(ret),
             _ => None,
         }
@@ -1993,10 +2013,18 @@ impl Server {
 mod tests {
     use super::*;
     use crate::config::{TrackingMode, UpdateMode};
-    use switchfs_proto::message::{ShardInstall, StateImage};
+    use switchfs_proto::message::{StateImage, TxnOp};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
     use switchfs_simnet::{NetFaults, Network, Sim, SimDuration};
+
+    /// Spawns `server`'s handling of one request from `src` under `req_id`,
+    /// as if its packet had arrived; the reply, if any, goes to `src`.
+    fn serve(sim: &Sim, server: &Server, src: NodeId, req_id: u64, req: Request) {
+        let body = Body::Server(ServerMsg::Request { req_id, req });
+        let (server, msg) = (server.clone(), NetMsg::plain(PacketSeq::default(), body));
+        sim.spawn(async move { server.dispatch(src, msg).await });
+    }
 
     /// The servers of a deployment, not started: a test calls the handlers.
     fn test_servers(sim: &Sim, servers: u32) -> Vec<Server> {
@@ -2231,13 +2259,17 @@ mod tests {
         for (round, token_base) in [(0, 1_000), (1, 1_000), (2, 2_000)] {
             let appends = target.durable.borrow().wal.appends();
             for (shard, image) in &images {
-                let install = ShardInstall {
-                    req_id: token_base + u64::from(*shard),
+                let install = Request::ShardInstall {
                     shard: *shard,
                     image: image.clone(),
                 };
-                let target = target.clone();
-                sim.spawn(async move { target.handle_shard_install(NodeId(0), install).await });
+                serve(
+                    &sim,
+                    target,
+                    NodeId(0),
+                    token_base + u64::from(*shard),
+                    install,
+                );
             }
             sim.run();
             assert_eq!(shipped_images(target), images, "round {round}");
@@ -2247,11 +2279,12 @@ mod tests {
         assert_eq!(target.stats().shards_migrated_in, 2 * images.len() as u64);
     }
 
-    /// The replies waiting in a server's mailbox, with their senders.
-    fn replies(server: &Server) -> Vec<(NodeId, Reply)> {
+    /// The replies waiting in a server's mailbox, with their senders and
+    /// the tokens they echo.
+    fn replies(server: &Server) -> Vec<(NodeId, u64, Reply)> {
         std::iter::from_fn(|| server.endpoint.try_recv())
             .filter_map(|pkt| match pkt.payload.body {
-                Body::Server(ServerMsg::Reply { reply, .. }) => Some((pkt.src, reply)),
+                Body::Server(ServerMsg::Reply { req_id, reply }) => Some((pkt.src, req_id, reply)),
                 _ => None,
             })
             .collect()
@@ -2331,13 +2364,11 @@ mod tests {
         // same token, the second copy arriving while the first is applying.
         for (target, copies) in [(alone, 1), (raced, 2)] {
             for _ in 0..copies {
-                let install = ShardInstall {
-                    req_id: 9,
+                let install = Request::ShardInstall {
                     shard,
                     image: image.clone(),
                 };
-                let target = target.clone();
-                sim.spawn(async move { target.handle_shard_install(NodeId(0), install).await });
+                serve(&sim, target, NodeId(0), 9, install);
             }
         }
         sim.run();
@@ -2346,7 +2377,7 @@ mod tests {
         assert_eq!(appends(raced), appends(alone));
         let acks = replies(source);
         let ack = Reply::Done(Ok(()));
-        assert_eq!(acks, [(NodeId(1), ack), (NodeId(2), ack)]);
+        assert_eq!(acks, [(NodeId(1), 9, ack), (NodeId(2), 9, ack)]);
         assert_eq!(raced.stats().shards_migrated_in, 1);
     }
 
@@ -2361,11 +2392,11 @@ mod tests {
             sim.run();
         };
         let ask = || {
-            let coordinator = coordinator.clone();
-            sim.spawn(async move { coordinator.handle_txn_decision_query(NodeId(0), 1, 7).await });
+            let query = Request::TxnDecisionQuery { txn_id: 7 };
+            serve(&sim, coordinator, NodeId(0), 1, query);
             sim.run();
             match replies(participant)[..] {
-                [(_, Reply::Decision(answer))] => answer,
+                [(NodeId(1), 1, Reply::Decision(answer))] => answer,
                 ref other => panic!("{other:?}"),
             }
         };
@@ -2378,6 +2409,45 @@ mod tests {
         assert_eq!(ask(), Some(true), "decided: commit");
         log(TxnMarker::Forgotten { txn_id: 7 });
         assert_eq!(ask(), Some(false), "forgotten: presumed abort");
+    }
+
+    #[test]
+    fn a_decision_copy_racing_its_apply_gets_no_ack() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (coordinator, participant) = (&servers[0], &servers[1]);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        let attrs = InodeAttrs::new_file(DirId::generate(ServerId(0), 1), 1, Default::default());
+        {
+            let participant = participant.clone();
+            let prepared = TxnMarker::Prepared {
+                txn_id: 7,
+                coordinator: ServerId(0),
+                ops: vec![TxnOp::PutInode {
+                    key: key.clone(),
+                    attrs,
+                }],
+            };
+            sim.spawn(async move { participant.log_txn_marker(prepared).await });
+            sim.run();
+        }
+        // Two copies of the commit under one token, the second arriving
+        // while the first is applying: one ack, under that token.
+        let commit = || Request::TxnDecision {
+            txn_id: 7,
+            commit: true,
+        };
+        for _ in 0..2 {
+            serve(&sim, participant, NodeId(0), 5, commit());
+        }
+        sim.run();
+        let ack = (NodeId(1), 5, Reply::Done(Ok(())));
+        assert_eq!(replies(coordinator), [ack]);
+        assert!(participant.inner.borrow().inodes.contains(&key));
+        // A copy arriving after the apply finished is acked again.
+        serve(&sim, participant, NodeId(0), 5, commit());
+        sim.run();
+        assert_eq!(replies(coordinator), [ack]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    lists, the owner index, pending change-log entries — stamps copies of
 //!    the duplicate-suppression state on, and streams this
 //!    [`StateImage`] to the target with ack + retransmission
-//!    ([`switchfs_proto::message::ServerMsg::ShardInstall`]). The collector
+//!    ([`switchfs_proto::message::Request::ShardInstall`]). The collector
 //!    (`Server::collect`) is the scan a checkpoint also is;
 //! 4. the target applies and durably logs the state, then acks;
 //! 5. the source flips the shard in the shared map (bumping the epoch),
@@ -33,9 +33,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use switchfs_proto::message::{Body, Reply, ServerMsg, ShardInstall, StateImage};
+use switchfs_proto::message::{Body, Reply, Request, ServerMsg, StateImage};
 use switchfs_proto::placement::key_hashes;
-use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, ServerId};
+use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, Retry, ServerId};
 
 use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
@@ -348,14 +348,12 @@ impl Server {
                     inodes: stored.inodes.len() as u32,
                 },
             );
-            let token = self.next_token();
-            let body = Body::Server(ServerMsg::ShardInstall(ShardInstall {
-                req_id: token,
+            let install = Request::ShardInstall {
                 shard: *shard,
                 image,
-            }));
+            };
             let acked = self
-                .send_with_ack(self.cfg.node_of(*target), token, body)
+                .ask(self.cfg.node_of(*target), Retry::ACK, || install.clone())
                 .await
                 == Some(TokenReply::ACK);
             if !acked {
@@ -445,31 +443,26 @@ impl Server {
     }
 
     /// Target side of the stream: applies and durably logs one shard's
-    /// state, then acks. Idempotent — a retransmitted install is re-acked
-    /// without re-appending the pending change-log entries.
+    /// state, then acks. Idempotent — a retransmitted install (same source,
+    /// same `req_id`) is re-acked without re-appending the pending
+    /// change-log entries.
     pub(crate) async fn handle_shard_install(
         &self,
         src: switchfs_simnet::NodeId,
-        install: ShardInstall,
-    ) {
-        let ShardInstall {
-            req_id,
-            shard,
-            mut image,
-        } = install;
+        req_id: u64,
+        shard: u32,
+        mut image: StateImage,
+    ) -> Option<Reply> {
         let install_key = (src.0, req_id);
         let state = self.inner.borrow().installs.get(&install_key).copied();
         match state {
-            Some(InstallState::Applied) => {
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
-                return;
-            }
+            Some(InstallState::Applied) => return Some(Reply::Done(Ok(()))),
             // A retransmission racing the still-running first copy must not
             // apply concurrently (double-appended change-log entries,
             // deletes interleaved with puts) nor be acked early (the source
             // would flip before the apply finished): drop it; the source's
             // retransmission timer re-asks until the first apply is done.
-            Some(InstallState::Applying) => return,
+            Some(InstallState::Applying) => return None,
             None => {
                 let mut inner = self.inner.borrow_mut();
                 inner.installs.insert(install_key, InstallState::Applying);
@@ -555,7 +548,7 @@ impl Server {
             inner.installs.insert(install_key, InstallState::Applied);
             inner.stats.shards_migrated_in += 1;
         }
-        self.send_reply(src, req_id, Reply::Done(Ok(())));
+        Some(Reply::Done(Ok(())))
     }
 
     /// Sends every queued discard confirmation as an empty change-log push

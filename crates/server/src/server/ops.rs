@@ -15,7 +15,8 @@
 //! completion cache.
 
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, ServerMsg, SyncFallback,
+    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg,
+    SyncFallback, TxnOp,
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
@@ -243,15 +244,8 @@ impl Server {
                 .get_ref(key)
                 .map(|a| a.file_type);
         }
-        let token = self.next_token();
-        let body = Body::Server(ServerMsg::TypeProbe {
-            req_id: token,
-            key: key.clone(),
-        });
-        match self
-            .send_with_ack(self.cfg.node_of(owner), token, body)
-            .await
-        {
+        let req = || Request::TypeProbe { key: key.clone() };
+        match self.ask(self.cfg.node_of(owner), Retry::ACK, req).await {
             Some(TokenReply::Server(Reply::Type(t))) => t,
             _ => None,
         }
@@ -325,16 +319,14 @@ impl Server {
             self.inner.borrow_mut().retire_entry_ids([id], now);
             Ok(())
         } else {
-            let token = self.next_token();
             let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-            let body = Body::Server(ServerMsg::RemoteDirUpdate {
-                req_id: token,
+            let req = Request::RemoteDirUpdate {
                 dir_key: parent.key.clone(),
                 entry: entry.clone(),
                 discard_confirm,
-            });
+            };
             match self
-                .send_with_ack(self.cfg.node_of(owner), token, body)
+                .ask(self.cfg.node_of(owner), Retry::ACK, || req.clone())
                 .await
             {
                 Some(TokenReply::ACK) => {
@@ -380,15 +372,13 @@ impl Server {
             .await;
             return;
         }
-        let token = self.next_token();
-        let body = Body::Server(ServerMsg::InitDirContent {
-            req_id: token,
+        let req = Request::InitDirContent {
             dir_id: attrs.id,
             key: key.clone(),
             attrs,
-        });
+        };
         let _ = self
-            .send_with_ack(self.cfg.node_of(content_owner), token, body)
+            .ask(self.cfg.node_of(content_owner), Retry::ACK, || req.clone())
             .await;
     }
 
@@ -450,13 +440,8 @@ impl Server {
                 // before the reply. Boxed: a cold path.
                 let revoke = async {
                     for server in self.cfg.other_servers() {
-                        let token = self.next_token();
-                        let body = Body::Server(ServerMsg::InvalidationRevoke {
-                            req_id: token,
-                            dir_id,
-                        });
-                        self.send_with_ack(self.cfg.node_of(server), token, body)
-                            .await;
+                        let req = || Request::InvalidationRevoke { dir_id };
+                        self.ask(self.cfg.node_of(server), Retry::ACK, req).await;
                     }
                 };
                 Box::pin(revoke).await;
@@ -497,13 +482,11 @@ impl Server {
         if !self.cfg.placement.is_separation() {
             let access_owner = self.cfg.placement.dir_access_owner(key);
             if access_owner != self.cfg.id {
-                let token = self.next_token();
-                let body = Body::Server(ServerMsg::RemoteTxnOp {
-                    req_id: token,
-                    op: switchfs_proto::message::TxnOp::DeleteInode { key: key.clone() },
-                });
+                let req = || Request::RemoteTxnOp {
+                    op: TxnOp::DeleteInode { key: key.clone() },
+                };
                 let _ = self
-                    .send_with_ack(self.cfg.node_of(access_owner), token, body)
+                    .ask(self.cfg.node_of(access_owner), Retry::ACK, req)
                     .await;
             }
         }
@@ -612,24 +595,21 @@ impl Server {
 
     /// Handles a synchronous remote directory update — a `RemoteDirUpdate`
     /// (the baselines' parent update, and an overflow's once the rewriter's
-    /// target refused or never answered) or an overflowed `AsyncCommit`,
-    /// whose token is `req_id` — and answers
-    /// `Reply::Done` with the result. A frozen or flipped-away directory
-    /// fails with `Unavailable` instead of stranding the update at a
-    /// non-owner: the caller re-resolves the owner against the shared map
-    /// and retries there.
+    /// target refused or never answered) or an overflowed `AsyncCommit` —
+    /// and returns the `Reply::Done` with the result. A frozen or
+    /// flipped-away directory fails with `Unavailable` instead of stranding
+    /// the update at a non-owner: the caller re-resolves the owner against
+    /// the shared map and retries there.
     pub(crate) async fn handle_remote_dir_update(
         &self,
-        src: NodeId,
-        req_id: u64,
         dir_key: switchfs_proto::MetaKey,
         entry: ChangeLogEntry,
-    ) {
+    ) -> Reply {
         self.cpu.run(self.cfg.costs.software_path).await;
         let result = self
             .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
             .await;
-        self.send_reply(src, req_id, Reply::Done(result));
+        Reply::Done(result)
     }
 
     /// Applies one directory's updates (one at least) synchronously to a

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use switchfs_obs::EventKind;
-use switchfs_proto::message::{Body, ClientRequest, MetaOp, Reply, ServerMsg, TxnOp};
+use switchfs_proto::message::{Body, ClientRequest, MetaOp, Reply, Request, ServerMsg, TxnOp};
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, FileType, Fingerprint, FsError, MetaKey, OpResult, Placement, Retry,
     ServerId, TraceId,
@@ -348,18 +348,12 @@ impl Server {
             // a network-duplicated vote from an earlier participant cannot
             // be credited to the one currently being awaited, and a vote
             // that outlives its wait finds nothing to complete.
-            let token = self.next_token();
+            let prepare = || Request::TxnPrepare {
+                txn_id,
+                ops: ops.clone(),
+            };
             let vote = self
-                .token_exchange(token, Retry::VOTE, || {
-                    self.send_plain(
-                        self.cfg.node_of(*server),
-                        Body::Server(ServerMsg::TxnPrepare {
-                            req_id: token,
-                            txn_id,
-                            ops: ops.clone(),
-                        }),
-                    )
-                })
+                .ask(self.cfg.node_of(*server), Retry::VOTE, prepare)
                 .await;
             match vote {
                 Some(TokenReply::Server(Reply::Vote { ok: true, .. })) => {}
@@ -546,25 +540,22 @@ impl Server {
     }
 
     /// Participant side of the two-phase commit: validate and stage the
-    /// mutations, then vote to the coordinator, the prepare's source.
+    /// mutations, then return the vote for the coordinator, the prepare's
+    /// source; `None` when that is not a metadata server.
     pub(crate) async fn handle_txn_prepare(
         &self,
         src: NodeId,
-        req_id: u64,
         txn_id: u64,
         ops: Vec<TxnOp>,
-    ) {
+    ) -> Option<Reply> {
         self.cpu.run(self.cfg.costs.software_path).await;
-        let Some(coordinator) = self.server_id_of(src) else {
-            return;
-        };
-        let vote = |ok, dst_type| self.send_reply(src, req_id, Reply::Vote { ok, dst_type });
+        let coordinator = self.server_id_of(src)?;
+        let vote = |ok, dst_type| Some(Reply::Vote { ok, dst_type });
         // A network-duplicated prepare arriving after this participant
         // already committed the transaction must not re-stage it (the
         // re-staged copy would be stranded forever); just re-vote yes.
         if self.inner.borrow().committed_txns.contains(&txn_id) {
-            vote(true, None);
-            return;
+            return vote(true, None);
         }
         // Never stage mutations into a shard this server is migrating out:
         // the drain barrier only covers transactions prepared before the
@@ -584,8 +575,7 @@ impl Server {
                         .any(|s| self.txn_op_touches_shard(op, *s))
                 })
             {
-                vote(false, None);
-                return;
+                return vote(false, None);
             }
         }
         // The vote carries the occupying inode's type so the coordinator can
@@ -614,7 +604,7 @@ impl Server {
             })
             .await;
         }
-        vote(ok, dst_type);
+        vote(ok, dst_type)
     }
 
     /// The authoritative destination check: an inode overwrite is only legal
@@ -677,16 +667,15 @@ impl Server {
     /// participant that lost the decision asks what became of `txn_id`.
     /// A transaction still in its voting phase gets "undecided" (the
     /// participant keeps its prepared state and asks again), one without a
-    /// commit record is presumed aborted. The answer goes to the query's
-    /// source.
-    pub(crate) async fn handle_txn_decision_query(&self, src: NodeId, req_id: u64, txn_id: u64) {
+    /// commit record is presumed aborted.
+    pub(crate) async fn handle_txn_decision_query(&self, txn_id: u64) -> Reply {
         self.cpu.run(self.cfg.costs.software_path).await;
         let commit = match self.inner.borrow().coordinated_txns.get(&txn_id) {
             Some(CoordinatorTxn::Voting) => None,
             Some(CoordinatorTxn::Committed) => Some(true),
             None => Some(false),
         };
-        self.send_reply(src, req_id, Reply::Decision(commit));
+        Reply::Decision(commit)
     }
 
     /// Resolves one in-doubt prepared transaction: asks its coordinator for
@@ -716,15 +705,11 @@ impl Server {
         } else {
             let mut decision = None;
             // "Undecided" replies are re-asked a few times; unreachable
-            // coordinators exhaust `send_with_ack`'s own retry budget.
+            // coordinators exhaust the ACK retry budget of each ask.
             for _ in 0..4 {
-                let token = self.next_token();
-                let body = Body::Server(ServerMsg::TxnDecisionQuery {
-                    req_id: token,
-                    txn_id,
-                });
+                let query = || Request::TxnDecisionQuery { txn_id };
                 match self
-                    .send_with_ack(self.cfg.node_of(coordinator), token, body)
+                    .ask(self.cfg.node_of(coordinator), Retry::ACK, query)
                     .await
                 {
                     Some(TokenReply::Server(Reply::Decision(Some(c)))) => {
@@ -818,16 +803,9 @@ impl Server {
                 continue;
             }
             // One token per (transaction, participant), for all its copies.
-            let req_id = self.next_token();
-            let msg = ServerMsg::TxnDecision {
-                req_id,
-                txn_id,
-                commit,
-            };
+            let decision = || Request::TxnDecision { txn_id, commit };
             let ack = self
-                .token_exchange(req_id, Retry::DECISION, || {
-                    self.send_plain(self.cfg.node_of(*server), Body::Server(msg.clone()))
-                })
+                .ask(self.cfg.node_of(*server), Retry::DECISION, decision)
                 .await;
             all_acked &= ack == Some(TokenReply::ACK);
         }

@@ -48,7 +48,7 @@ pub enum TxnMarker {
     /// before the commit decision. A `Prepared` with no later [`TxnMarker::Resolved`]
     /// is an in-doubt transaction that recovery must resolve — by the
     /// durable decision for self-coordinated transactions, or by a
-    /// [`switchfs_proto::message::ServerMsg::TxnDecisionQuery`] to the
+    /// [`switchfs_proto::message::Request::TxnDecisionQuery`] to the
     /// coordinator otherwise.
     Prepared {
         /// Transaction id.

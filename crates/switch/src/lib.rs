@@ -20,7 +20,7 @@
 //!
 //! The two server-based alternatives §7.3.3 compares against keep their set
 //! in server memory, not here: `switchfs_server::ServerDirtySet`, reached
-//! through `ServerMsg::DirtySet`.
+//! through `Request::DirtySet`.
 //!
 //! The crate has no dependency on the simulation runtime; the network
 //! adapter that plugs [`program::SwitchFsProgram`] into the simulated fabric

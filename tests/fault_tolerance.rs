@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-use switchfs::proto::message::{Body, MetaOp, NetMsg, ServerMsg};
+use switchfs::proto::message::{Body, MetaOp, NetMsg, Request, ServerMsg};
 use switchfs::proto::{FsError, OpId, Placement};
 use switchfs::simnet::{Fanout, NodeId, Packet, SimDuration, SimTime, SwitchAction, SwitchLogic};
 
@@ -353,7 +353,10 @@ impl SwitchLogic<NetMsg> for IsolateOnCommit {
         let body = &pkt.payload.body;
         if matches!(
             body,
-            Body::Server(ServerMsg::TxnDecision { commit: true, .. })
+            Body::Server(ServerMsg::Request {
+                req: Request::TxnDecision { commit: true, .. },
+                ..
+            })
         ) && pkt.dst == self.node
         {
             let mut commits = self.commits.borrow_mut();
@@ -659,7 +662,10 @@ impl SwitchLogic<NetMsg> for LoseFirstRevoke {
     fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
         if matches!(
             pkt.payload.body,
-            Body::Server(ServerMsg::InvalidationRevoke { .. })
+            Body::Server(ServerMsg::Request {
+                req: Request::InvalidationRevoke { .. },
+                ..
+            })
         ) && pkt.dst == self.node
             && !self.lost.replace(true)
         {
@@ -840,7 +846,10 @@ impl SwitchLogic<NetMsg> for ParkOneRename {
                 }
                 self.last_rename = Some(req.op_id);
             }
-            Body::Server(ServerMsg::TxnPrepare { .. }) if parked.rename.get().is_none() => {
+            Body::Server(ServerMsg::Request {
+                req: Request::TxnPrepare { .. },
+                ..
+            }) if parked.rename.get().is_none() => {
                 let op = self.last_rename.expect("a prepare follows its rename");
                 parked.rename.set(Some((op, pkt.src)));
                 return Fanout::one(SwitchAction::Drop);

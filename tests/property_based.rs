@@ -411,7 +411,7 @@ proptest! {
         crash_at in 0usize..20,
     ) {
         use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-        use switchfs::proto::message::{Body, NetMsg, PacketSeq, ServerMsg};
+        use switchfs::proto::message::{Body, NetMsg, PacketSeq, Request, ServerMsg};
         use switchfs::proto::{MetaKey, Placement};
         use switchfs::server::UpdateMode;
         use switchfs::simnet::{Packet, SimDuration};
@@ -478,11 +478,13 @@ proptest! {
                         entries: fresh,
                         discard_confirm: Vec::new(),
                     },
-                    DirStep::Update(..) => ServerMsg::RemoteDirUpdate {
+                    DirStep::Update(..) => ServerMsg::Request {
                         req_id: i as u64,
-                        dir_key: dir_key.clone(),
-                        entry: fresh.into_iter().next().expect("one entry"),
-                        discard_confirm: Vec::new(),
+                        req: Request::RemoteDirUpdate {
+                            dir_key: dir_key.clone(),
+                            entry: fresh.into_iter().next().expect("one entry"),
+                            discard_confirm: Vec::new(),
+                        },
                     },
                     DirStep::Resend(which) => match sent.len() {
                         0 => continue,
