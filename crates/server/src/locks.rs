@@ -19,9 +19,17 @@
 //!   queue behind the first one's acknowledgment wait), and the two classes
 //!   exclude each other, so a snapshot never contains an entry whose commit
 //!   is still in progress and nothing is appended between a snapshot and
-//!   its discard. The lock is FIFO-fair across the classes. The synchronous
-//!   baselines take it exclusively: serializing a directory's updates is
-//!   what they model;
+//!   its discard. One exception: a responder locks the group's change-logs
+//!   that exist when it starts to wait for them (`handle_aggregation_request`
+//!   lists the group before its `RESPONDER` awaits) but snapshots the whole
+//!   group after them, so a change-log created in the group while it waited
+//!   is sent without a responder lock. That is harmless: the owner filters
+//!   what it applies by entry id, so an entry that also reaches it another
+//!   way is applied once, and the discard after the acknowledgment removes
+//!   only the ids that were sent, so an entry appended after the snapshot
+//!   stays for a later push or round. The lock is FIFO-fair across the
+//!   classes. The synchronous baselines take it exclusively: serializing a
+//!   directory's updates is what they model;
 //! * **fingerprint-group locks** — per fingerprint; write-locked by whoever
 //!   applies updates to a directory of the group, so that directory reads
 //!   of any directory in the group wait for the apply to finish (§5.2.2).

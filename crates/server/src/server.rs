@@ -1151,12 +1151,13 @@ impl Server {
     }
 
     /// Serves one [`Request`] from `src` and sends the reply back under
-    /// `req_id`: the only place a request is answered. Each handler returns
-    /// its reply; `None` drops the request unanswered — a
-    /// [`Request::ShardInstall`] or commit [`Request::TxnDecision`] copy
-    /// racing its first copy's apply (the sender's retransmission re-asks
-    /// until it finished), or a [`Request::TxnPrepare`] from a node that is
-    /// not a metadata server.
+    /// `req_id`: the only place a server answers a request (the one other
+    /// reply, to an overflowed `AsyncCommit`, reuses the directory-update
+    /// handler). Each handler returns its reply; `None` drops the request
+    /// unanswered — a [`Request::ShardInstall`] or commit
+    /// [`Request::TxnDecision`] copy racing its first copy's apply (the
+    /// sender's retransmission re-asks until it finished), or a
+    /// [`Request::TxnPrepare`] from a node that is not a metadata server.
     async fn answer(&self, src: NodeId, req_id: u64, req: Request) {
         const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
         let reply = match req {

@@ -529,7 +529,9 @@ impl Server {
         // while its entries are in flight: no append lands between the
         // snapshot and its discard, while a retried request for the same
         // aggregation shares the locks instead of queueing behind this
-        // handler's acknowledgment wait.
+        // handler's acknowledgment wait. A change-log created in the group
+        // during these waits is snapshotted unlocked, which is harmless
+        // (see `crate::locks`).
         let dirs = {
             let inner = self.inner.borrow();
             inner.changelogs.dirs_in_group(fp)
