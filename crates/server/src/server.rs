@@ -1047,6 +1047,7 @@ impl Server {
     /// re-execution. A read's response is only cached.
     pub(crate) fn record_completion(&self, op: &MetaOp, response: &ClientResponse) {
         if op.is_double_inode() || matches!(op, MetaOp::Chmod { .. } | MetaOp::Rename { .. }) {
+            // Not `log_record`: the append is already charged, and no await.
             let lsn = self.wal_hand_over(WalOp::Completed(response.clone()));
             self.wal_flush_and_apply(lsn);
         } else {
@@ -1112,12 +1113,10 @@ impl Server {
                 self.complete_token(req_id, TokenReply::Server(reply));
             }
             ServerMsg::InvalidationBroadcast { dir_id, dir_key } => {
-                self.apply_and_log(
+                self.log_record(WalOp::local(
                     None,
                     vec![KvEffect::Invalidate(dir_id, dir_key)],
-                    None,
-                    Vec::new(),
-                )
+                ))
                 .await;
             }
             ServerMsg::ForwardedRequest { client_node, req } => {
@@ -1181,7 +1180,7 @@ impl Server {
             // re-apply that one alone; acknowledged once the record is
             // flushed.
             Request::InvalidationRevoke { dir_id } => {
-                self.apply_and_log(None, vec![KvEffect::Revoke(dir_id)], None, Vec::new())
+                self.log_record(WalOp::local(None, vec![KvEffect::Revoke(dir_id)]))
                     .await;
                 DONE
             }
@@ -1202,15 +1201,13 @@ impl Server {
                 // Baseline helper: register a directory's content replica on
                 // the server that will hold its children.
                 self.cpu.run(self.cfg.costs.software_path).await;
-                self.apply_and_log(
+                self.log_record(WalOp::local(
                     None,
                     vec![
                         KvEffect::PutInode(key.clone(), attrs),
                         KvEffect::IndexDir(dir_id, key),
                     ],
-                    None,
-                    Vec::new(),
-                )
+                ))
                 .await;
                 DONE
             }
@@ -1276,7 +1273,7 @@ impl Server {
                 attrs.perm.mode = *mode;
                 attrs.times.ctime = self.now_ns();
                 let effects = vec![KvEffect::PutInode(key.clone(), attrs.clone())];
-                self.apply_and_log(Some(req.op_id), effects, None, Vec::new())
+                self.log_record(WalOp::local(Some(req.op_id), effects))
                     .await;
                 OpResult::Done
             }
@@ -1524,32 +1521,36 @@ impl Server {
         .await
     }
 
-    /// Appends a WAL record, applies its effects to the volatile stores and
-    /// charges the corresponding storage costs: one WAL append plus one put
-    /// per effect, on one core. That is the record's whole storage charge,
-    /// made once: a caller charges only what it does before the log — its
-    /// lock operations, reads and software path — never the append or the
-    /// puts again. The logging itself is the two synchronous halves below
-    /// with the disk wait between them; the two callers that charge
-    /// differently write the same three statements with their own wait: the
-    /// round's batch applier (one append and one attribute put, the entries'
-    /// puts spread over the cores) and the 2PC and migration markers (one
-    /// append).
-    pub(crate) async fn apply_and_log(
-        &self,
-        op_id: Option<OpId>,
-        effects: Vec<KvEffect>,
-        pending_entry: Option<(MetaKey, ChangeLogEntry)>,
-        applied_entry_ids: Vec<OpId>,
-    ) {
-        let kv_cost = self.cfg.costs.kv_put * effects.len().max(1) as u64;
-        let lsn = self.wal_hand_over(WalOp::Effects {
-            op_id,
-            effects,
-            pending_entry,
-            applied_entry_ids,
-        });
-        self.cpu.run(self.wal_append_cost() + kv_cost).await;
+    /// Logs one WAL record durably: hands it to the log, charges the disk
+    /// wait, then flushes and applies it. The wait is one WAL append plus,
+    /// for [`WalOp::Effects`], one put per effect (at least one); a 2PC or
+    /// migration marker costs the append alone. That is the record's whole
+    /// storage charge, made once: a caller charges only what it does before
+    /// the log — its lock operations, reads and software path — never the
+    /// append or the puts again. The record is durable and applied when this
+    /// returns, which every caller relies on: effects before the reply or
+    /// the dirty-set insert, `Prepared` before the vote, `Decided` before
+    /// the decision broadcast, `Resolved` before the decision ack,
+    /// `Started` before the freeze and `Completed` before the unfreeze.
+    ///
+    /// Three sites use the two halves directly instead: the batch applier's
+    /// compacted arm (one append and one put, the entries' puts spread over
+    /// the cores), and `record_completion` and the install's completion
+    /// loop (each rides on an append already charged and must not await).
+    pub(crate) async fn log_record(&self, record: impl Into<WalOp>) {
+        // Converted, charged and handed over in a block that ends before the
+        // await, so neither the record nor a borrow of it is held in the
+        // caller's future across the wait.
+        let (lsn, cost) = {
+            let record = record.into();
+            let puts = match &record {
+                WalOp::Effects { effects, .. } => effects.len().max(1) as u64,
+                _ => 0,
+            };
+            let lsn = self.wal_hand_over(record);
+            (lsn, self.wal_append_cost() + self.cfg.costs.kv_put * puts)
+        };
+        self.cpu.run(cost).await;
         self.wal_flush_and_apply(lsn);
     }
 
@@ -1709,16 +1710,6 @@ impl Server {
     /// disk-latency spike.
     pub(crate) fn wal_append_cost(&self) -> switchfs_simnet::SimDuration {
         self.cfg.costs.wal_append * self.inner.borrow().disk_slowdown
-    }
-
-    /// Durably logs a 2PC state transition (§5.4.2) and charges one WAL
-    /// append. Every caller relies on the marker being durable when this
-    /// returns — `Prepared` before the vote escapes, `Decided` before the
-    /// decision broadcast, `Resolved` before the decision ack.
-    pub(crate) async fn log_txn_marker(&self, marker: TxnMarker) {
-        let lsn = self.wal_hand_over(WalOp::Txn(marker));
-        self.cpu.run(self.wal_append_cost()).await;
-        self.wal_flush_and_apply(lsn);
     }
 
     /// Sends one body to every listed server, building the message once and
@@ -2014,6 +2005,7 @@ impl Server {
 mod tests {
     use super::*;
     use crate::config::{TrackingMode, UpdateMode};
+    use crate::wal::MigrationMarker;
     use switchfs_proto::message::{StateImage, TxnOp};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
@@ -2302,7 +2294,16 @@ mod tests {
         let (entry, later, batch) = (id(1), id(2), [id(9), id(5)]);
         let apply = |ids: &[OpId]| {
             let (owner, ids) = (owner.clone(), ids.to_vec());
-            sim.spawn(async move { owner.apply_and_log(None, Vec::new(), None, ids).await });
+            sim.spawn(async move {
+                owner
+                    .log_record(WalOp::Effects {
+                        op_id: None,
+                        effects: Vec::new(),
+                        pending_entry: None,
+                        applied_entry_ids: ids,
+                    })
+                    .await
+            });
             sim.run();
         };
         let retire = |id, at| owner.inner.borrow_mut().retire_entry_ids([id], at);
@@ -2389,7 +2390,7 @@ mod tests {
         let (participant, coordinator) = (&servers[0], &servers[1]);
         let log = |marker| {
             let coordinator = coordinator.clone();
-            sim.spawn(async move { coordinator.log_txn_marker(marker).await });
+            sim.spawn(async move { coordinator.log_record(marker).await });
             sim.run();
         };
         let ask = || {
@@ -2429,7 +2430,7 @@ mod tests {
                     attrs,
                 }],
             };
-            sim.spawn(async move { participant.log_txn_marker(prepared).await });
+            sim.spawn(async move { participant.log_record(prepared).await });
             sim.run();
         }
         // Two copies of the commit under one token, the second arriving
@@ -2465,7 +2466,7 @@ mod tests {
                 coordinator: ServerId(0),
                 ops: Vec::new(),
             };
-            sim.spawn(async move { participant.log_txn_marker(prepared).await });
+            sim.spawn(async move { participant.log_record(prepared).await });
             sim.run();
         }
         let start = sim.handle().now();
@@ -2486,5 +2487,52 @@ mod tests {
         assert_eq!(outcomes[0], (start, None));
         assert!(outcomes[1].0 > start && outcomes[1].1.is_none());
         assert!(!participant.inner.borrow().prepared_txns[&7].resolving);
+    }
+
+    /// Logs `record` on an idle `server` and returns the virtual time the
+    /// call took, checking that it appended and flushed exactly one record.
+    fn time_log_record(
+        sim: &Sim,
+        server: &Server,
+        record: impl Into<WalOp> + 'static,
+    ) -> SimDuration {
+        let wal = || {
+            let wal = &server.durable.borrow().wal;
+            (wal.appends(), wal.flushed(), wal.unflushed_len())
+        };
+        let (start, (appends, flushed, _)) = (sim.handle().now(), wal());
+        let logger = server.clone();
+        sim.spawn(async move { logger.log_record(record).await });
+        sim.run();
+        assert_eq!(wal(), (appends + 1, flushed + 1, 0));
+        sim.handle().now() - start
+    }
+
+    #[test]
+    fn a_record_costs_one_append_and_a_put_per_effect() {
+        let sim = Sim::new(1);
+        let server = test_servers(&sim, 1).remove(0);
+        let costs = server.cfg.costs;
+        let effects = |k: u64| {
+            let revoke = |i| KvEffect::Revoke(DirId::generate(ServerId(0), i));
+            WalOp::local(None, (0..k).map(revoke).collect())
+        };
+        for k in [0, 1, 3] {
+            let cost = costs.wal_append + costs.kv_put * k.max(1);
+            assert_eq!(time_log_record(&sim, &server, effects(k)), cost);
+        }
+        let decided = TxnMarker::Decided { txn_id: 7 };
+        assert_eq!(time_log_record(&sim, &server, decided), costs.wal_append);
+        let completed = MigrationMarker::Completed { shard: 3 };
+        assert_eq!(time_log_record(&sim, &server, completed), costs.wal_append);
+        // A disk slow-down stretches the append, never the puts.
+        server.set_disk_slowdown(3);
+        let cost = costs.wal_append * 3 + costs.kv_put * 3;
+        assert_eq!(time_log_record(&sim, &server, effects(3)), cost);
+        let decided = TxnMarker::Decided { txn_id: 8 };
+        assert_eq!(
+            time_log_record(&sim, &server, decided),
+            costs.wal_append * 3
+        );
     }
 }

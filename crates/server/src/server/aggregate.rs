@@ -441,9 +441,8 @@ impl Server {
                     mutations += compacted.entry_ops.len();
                     // The entry mutations are charged per core below, so the
                     // record that makes the batch durable costs its append
-                    // and the one attribute put here.
-                    // `apply_and_log`'s three statements with that charge:
-                    // its own would bill every entry's put again, serially.
+                    // and the one attribute put here: the two halves by
+                    // hand, as `log_record` would bill every put serially.
                     let lsn = self.wal_hand_over(WalOp::Effects {
                         op_id: None,
                         effects,
@@ -466,8 +465,13 @@ impl Server {
                             e.timestamp,
                             [(e.name.as_str(), e.op)],
                         );
-                        self.apply_and_log(None, effects, None, vec![e.entry_id])
-                            .await;
+                        self.log_record(WalOp::Effects {
+                            op_id: None,
+                            effects,
+                            pending_entry: None,
+                            applied_entry_ids: vec![e.entry_id],
+                        })
+                        .await;
                     }
                 }
             }
@@ -517,12 +521,10 @@ impl Server {
             return;
         };
         if let Some((dir_id, dir_key)) = invalidate {
-            self.apply_and_log(
+            self.log_record(WalOp::local(
                 None,
                 vec![KvEffect::Invalidate(dir_id, dir_key)],
-                None,
-                Vec::new(),
-            )
+            ))
             .await;
         }
         // Lock every change-log in the fingerprint group as a responder

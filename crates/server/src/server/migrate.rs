@@ -260,18 +260,6 @@ impl Server {
         }
     }
 
-    /// Durably logs a shard-migration state transition and charges one WAL
-    /// append.
-    pub(crate) async fn log_migration_marker(&self, marker: MigrationMarker) {
-        // Flushed when this returns: `Started` must be durable before the
-        // freeze takes effect and `Completed` before the unfreeze, or a crash
-        // between the two could leave recovery blind to a half-migrated
-        // shard.
-        let lsn = self.wal_hand_over(WalOp::Migration(marker));
-        self.cpu.run(self.wal_append_cost()).await;
-        self.wal_flush_and_apply(lsn);
-    }
-
     /// Migrates a batch of shards off this server (the donor side of a
     /// decommission drain): freeze the whole batch, wait once for every
     /// pre-freeze piece of work to clear, bucket all the shards' state in a
@@ -291,7 +279,9 @@ impl Server {
             return 0;
         }
         for (shard, target) in moves {
-            self.log_migration_marker(MigrationMarker::Started {
+            // Durable before the freeze, as `Completed` is before the
+            // unfreeze: recovery resolves a half-migrated shard from them.
+            self.log_record(MigrationMarker::Started {
                 shard: *shard,
                 target: *target,
             })
@@ -372,7 +362,7 @@ impl Server {
                 },
             );
             self.delete_shard_local(&stored, true).await;
-            self.log_migration_marker(MigrationMarker::Completed { shard: *shard })
+            self.log_record(MigrationMarker::Completed { shard: *shard })
                 .await;
             {
                 let mut inner = self.inner.borrow_mut();
@@ -429,7 +419,7 @@ impl Server {
     /// earlier install attempt before applying a retried one.
     async fn delete_shard_local(&self, image: &StateImage, drop_changelogs: bool) {
         let effects = self.shard_delete_effects(image);
-        self.apply_and_log(None, effects, None, Vec::new()).await;
+        self.log_record(WalOp::local(None, effects)).await;
         // Source side only (`drop_changelogs`): the moved pending change-log
         // entries now live (durably) at the target; drop the volatile copies
         // so this server stops pushing them. Their unapplied WAL records are
@@ -500,8 +490,13 @@ impl Server {
             local.is_none_or(|local| local <= attrs.times.ctime)
         });
         let effects = store_effects(&mut image);
-        self.apply_and_log(None, effects, None, image.applied_entry_ids)
-            .await;
+        self.log_record(WalOp::Effects {
+            op_id: None,
+            effects,
+            pending_entry: None,
+            applied_entry_ids: image.applied_entry_ids,
+        })
+        .await;
         for (key, entry) in image.pending {
             // Idempotent append: a lost-ack earlier install (or this
             // server's own holder-side change-log) may already carry the
@@ -521,8 +516,13 @@ impl Server {
                 .borrow_mut()
                 .changelogs
                 .append(&key, entry.clone(), now);
-            self.apply_and_log(None, Vec::new(), Some((key, entry)), Vec::new())
-                .await;
+            self.log_record(WalOp::Effects {
+                op_id: None,
+                effects: Vec::new(),
+                pending_entry: Some((key, entry)),
+                applied_entry_ids: Vec::new(),
+            })
+            .await;
         }
         // The source's retired ids ride along so a duplicate delayed across
         // the flip is still suppressed here; entering through the retire
@@ -539,7 +539,8 @@ impl Server {
             // simulated latency) — and flushed before the ack below escapes:
             // once the source sees it, it flips ownership and deletes its
             // copy, so the completion records must not be sitting in a
-            // volatile tail a target crash could tear away.
+            // volatile tail a target crash could tear away. Not
+            // `log_record`: the append is already charged, and no await.
             let lsn = self.wal_hand_over(WalOp::Completed(response));
             self.wal_flush_and_apply(lsn);
         }

@@ -27,7 +27,7 @@ use switchfs_simnet::{FxHashSet, NodeId};
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::{Server, TokenReply};
-use crate::wal::KvEffect;
+use crate::wal::{KvEffect, WalOp};
 
 /// How an asynchronous commit finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +170,7 @@ impl Server {
         if self.cfg.update_mode == crate::config::UpdateMode::Synchronous {
             // Baseline path: commit the local half, then update the parent
             // directory in place (possibly across servers) before replying.
-            self.apply_and_log(Some(req.op_id), effects, None, Vec::new())
+            self.log_record(WalOp::local(Some(req.op_id), effects))
                 .await;
             if let MetaOp::Mkdir { .. } = &req.op {
                 if let OpResult::Attrs(attrs) = &result {
@@ -204,12 +204,12 @@ impl Server {
         result: &OpResult,
     ) {
         // Commit: WAL append, then execute the local half (§5.2.1 step 4–5).
-        self.apply_and_log(
-            Some(req.op_id),
+        self.log_record(WalOp::Effects {
+            op_id: Some(req.op_id),
             effects,
-            Some((parent.key.clone(), entry.clone())),
-            Vec::new(),
-        )
+            pending_entry: Some((parent.key.clone(), entry.clone())),
+            applied_entry_ids: Vec::new(),
+        })
         .await;
         self.append_deferred_update(parent, entry).await;
 
@@ -360,15 +360,13 @@ impl Server {
         let fp = Fingerprint::of_dir(&key.pid, &key.name);
         let content_owner = self.cfg.placement.dir_content_owner(fp, &attrs.id);
         if content_owner == self.cfg.id {
-            self.apply_and_log(
+            self.log_record(WalOp::local(
                 None,
                 vec![
                     KvEffect::PutInode(key.clone(), attrs.clone()),
                     KvEffect::IndexDir(attrs.id, key.clone()),
                 ],
-                None,
-                Vec::new(),
-            )
+            ))
             .await;
             return;
         }
@@ -474,7 +472,7 @@ impl Server {
         parent: &ParentRef,
         effects: Vec<KvEffect>,
     ) -> OpResult {
-        self.apply_and_log(Some(req.op_id), effects, None, Vec::new())
+        self.log_record(WalOp::local(Some(req.op_id), effects))
             .await;
         self.broadcast_invalidation(dir_id, key.clone());
         // Remove the access replica when the directory's children live on a
@@ -683,7 +681,13 @@ impl Server {
             return Err(FsError::NotFound);
         }
         let ids = entries.iter().map(|e| e.entry_id).collect();
-        self.apply_and_log(None, effects, None, ids).await;
+        self.log_record(WalOp::Effects {
+            op_id: None,
+            effects,
+            pending_entry: None,
+            applied_entry_ids: ids,
+        })
+        .await;
         if source == DirUpdateSource::Remote {
             self.inner.borrow_mut().stats.remote_updates += 1;
         }

@@ -20,7 +20,7 @@ use switchfs_simnet::{NodeId, SimTime};
 
 use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
-use crate::wal::{KvEffect, TxnMarker};
+use crate::wal::{KvEffect, TxnMarker, WalOp};
 
 /// A prepared-but-undecided transaction on a participant. Mirrored by a WAL
 /// `TxnMarker::Prepared` record, so the staged state survives a crash; the
@@ -400,7 +400,7 @@ impl Server {
         // decision query.
         let mut local_ops = None;
         if let Some(ops) = per_server.get(&self.cfg.id) {
-            self.log_txn_marker(TxnMarker::Prepared {
+            self.log_record(TxnMarker::Prepared {
                 txn_id,
                 coordinator: self.cfg.id,
                 ops: ops.clone(),
@@ -419,7 +419,7 @@ impl Server {
                 },
             );
         }
-        self.log_txn_marker(TxnMarker::Decided { txn_id }).await;
+        self.log_record(TxnMarker::Decided { txn_id }).await;
         self.trace_event(
             Some(TraceId::of_op(req.op_id)),
             EventKind::TxnDecide {
@@ -435,7 +435,7 @@ impl Server {
         // `Done` (§5.2: rename is fully synchronous).
         if let Some(ops) = &local_ops {
             self.apply_txn_ops(ops).await;
-            self.log_txn_marker(TxnMarker::Resolved { txn_id }).await;
+            self.log_record(TxnMarker::Resolved { txn_id }).await;
         }
         if self.broadcast_decision(txn_id, &per_server, true).await {
             // Every participant applied and acknowledged the commit: nobody
@@ -443,7 +443,7 @@ impl Server {
             // `coordinated_txns` entry (durably, so checkpoints/replay drop
             // it too). A participant that never acked keeps the entry alive
             // forever — it may still recover and ask.
-            self.log_txn_marker(TxnMarker::Forgotten { txn_id }).await;
+            self.log_record(TxnMarker::Forgotten { txn_id }).await;
         }
         Some(OpResult::Done)
     }
@@ -458,22 +458,15 @@ impl Server {
                     let lock = self.locks.inode(key);
                     let _g = lock.write().await;
                     self.cpu.run(costs.lock_op).await;
-                    self.apply_and_log(
+                    self.log_record(WalOp::local(
                         None,
                         vec![KvEffect::PutInode(key.clone(), attrs.clone())],
-                        None,
-                        Vec::new(),
-                    )
+                    ))
                     .await;
                 }
                 TxnOp::DeleteInode { key } => {
-                    self.apply_and_log(
-                        None,
-                        vec![KvEffect::DeleteInode(key.clone())],
-                        None,
-                        Vec::new(),
-                    )
-                    .await;
+                    self.log_record(WalOp::local(None, vec![KvEffect::DeleteInode(key.clone())]))
+                        .await;
                 }
                 TxnOp::PutDirContent { key, dir, entries } => {
                     let lock = self.locks.inode(key);
@@ -501,12 +494,12 @@ impl Server {
                     }
                     effects.push(KvEffect::IndexDir(*dir, key.clone()));
                     effects.extend(entries.iter().map(|e| KvEffect::PutEntry(*dir, e.clone())));
-                    self.apply_and_log(None, effects, None, Vec::new()).await;
+                    self.log_record(WalOp::local(None, effects)).await;
                 }
                 TxnOp::DeleteDirContent { dir, names } => {
                     let mut effects = vec![KvEffect::UnindexDir(*dir)];
                     effects.extend(names.iter().map(|n| KvEffect::DeleteEntry(*dir, n.clone())));
-                    self.apply_and_log(None, effects, None, Vec::new()).await;
+                    self.log_record(WalOp::local(None, effects)).await;
                 }
                 TxnOp::DirUpdate { dir_key, entry } => {
                     // Resolve the directory key: prefer the provided key, but
@@ -597,7 +590,7 @@ impl Server {
             // the coordinator (simplified presumed-abort), instead of
             // silently losing the staged ops and diverging the namespace.
             // Applying the record is what stages them in `prepared_txns`.
-            self.log_txn_marker(TxnMarker::Prepared {
+            self.log_record(TxnMarker::Prepared {
                 txn_id,
                 coordinator,
                 ops,
@@ -642,7 +635,7 @@ impl Server {
             if prepared.is_some() {
                 // Clear the durable `Prepared` record so recovery does not
                 // re-resolve an already-aborted transaction.
-                self.log_txn_marker(TxnMarker::Resolved { txn_id }).await;
+                self.log_record(TxnMarker::Resolved { txn_id }).await;
             }
             return true;
         }
@@ -651,7 +644,7 @@ impl Server {
                 self.apply_txn_ops(&prepared.ops).await;
                 // The staged ops are fully applied (and their effects WAL-
                 // logged); mark the prepared record resolved.
-                self.log_txn_marker(TxnMarker::Resolved { txn_id }).await;
+                self.log_record(TxnMarker::Resolved { txn_id }).await;
                 // Duplicates only arrive within the coordinator's bounded
                 // retry window; cap the memory.
                 self.inner.borrow_mut().committed_txns.insert(txn_id, 4096);

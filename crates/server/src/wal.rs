@@ -149,6 +149,18 @@ pub enum WalOp {
     Migration(MigrationMarker),
 }
 
+impl From<TxnMarker> for WalOp {
+    fn from(marker: TxnMarker) -> Self {
+        WalOp::Txn(marker)
+    }
+}
+
+impl From<MigrationMarker> for WalOp {
+    fn from(marker: MigrationMarker) -> Self {
+        WalOp::Migration(marker)
+    }
+}
+
 impl WalOp {
     /// A record with only local effects.
     pub fn local(op_id: Option<OpId>, effects: Vec<KvEffect>) -> Self {

@@ -1150,7 +1150,7 @@ fn retransmission_after_torn_crash_still_gets_the_original_result() {
 }
 
 /// Crash-in-window regression for the Prepared-before-vote barrier
-/// (`log_txn_marker` flushes before returning, and the participant inserts
+/// (`log_record` flushes before returning, and the participant inserts
 /// the volatile entry — observable by this test — only after that): a
 /// participant hit by a worst-case torn crash right after voting yes must
 /// still find its in-doubt transaction in the WAL's surviving prefix and
