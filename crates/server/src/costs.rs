@@ -8,15 +8,14 @@
 //! latencies of Fig. 13 and the ~3 µs RTT of Fig. 15(a).
 //!
 //! Storage work is charged once, by the code that logs the record:
-//! `Server::log_record` charges one WAL append plus one put per effect (at
-//! least one) for an operation's effects and the append alone for a 2PC or
-//! migration marker, and its callers charge only what they do before the
-//! log — lock operations, reads and the software path. A synchronous parent
-//! update therefore holds its fingerprint group's lock for
-//! `lock_op + kv_get + wal_append + 2 × kv_put` (3.4 µs). One caller logs
-//! with a charge of its own: an aggregation round's batch applier (one
-//! append and one attribute put for the record, the entries' puts spread
-//! over the cores).
+//! `Server::log_record` charges one WAL append, plus one put per effect for
+//! an operation's effects (a 2PC or migration marker costs the append), and
+//! its callers charge only what they do before the log — lock operations,
+//! reads and the software path. A synchronous parent update therefore holds
+//! its fingerprint group's lock for `lock_op + kv_get + wal_append + 2 ×
+//! kv_put` (3.4 µs). One caller logs with a charge of its own: an
+//! aggregation round's batch applier (one append and one attribute put for
+//! the record, the entries' puts spread over the cores).
 
 use switchfs_simnet::SimDuration;
 

@@ -1521,26 +1521,17 @@ impl Server {
         .await
     }
 
-    /// Logs one WAL record durably: hands it to the log, charges the disk
-    /// wait, then flushes and applies it. The wait is one WAL append plus,
-    /// for [`WalOp::Effects`], one put per effect (at least one); a 2PC or
-    /// migration marker costs the append alone. That is the record's whole
-    /// storage charge, made once: a caller charges only what it does before
-    /// the log — its lock operations, reads and software path — never the
-    /// append or the puts again. The record is durable and applied when this
-    /// returns, which every caller relies on: effects before the reply or
-    /// the dirty-set insert, `Prepared` before the vote, `Decided` before
-    /// the decision broadcast, `Resolved` before the decision ack,
-    /// `Started` before the freeze and `Completed` before the unfreeze.
-    ///
-    /// Three sites use the two halves directly instead: the batch applier's
-    /// compacted arm (one append and one put, the entries' puts spread over
-    /// the cores), and `record_completion` and the install's completion
-    /// loop (each rides on an append already charged and must not await).
+    /// Logs one record durably: hands it to the WAL, charges the disk wait
+    /// — one append, plus one put per effect (at least one) for
+    /// [`WalOp::Effects`] — then flushes and applies it. That is the
+    /// record's whole storage charge: callers charge only their locks, reads
+    /// and software path. The record is durable and applied on return. Three
+    /// sites use the two halves directly: the batch applier's compacted arm
+    /// (one append and one put, the entry puts spread over the cores), and
+    /// `record_completion` and the install's completion loop (each rides on
+    /// an append already charged and must not await).
     pub(crate) async fn log_record(&self, record: impl Into<WalOp>) {
-        // Converted, charged and handed over in a block that ends before the
-        // await, so neither the record nor a borrow of it is held in the
-        // caller's future across the wait.
+        // The record and any borrow of it end with this block, before the await.
         let (lsn, cost) = {
             let record = record.into();
             let puts = match &record {

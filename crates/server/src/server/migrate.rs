@@ -279,8 +279,6 @@ impl Server {
             return 0;
         }
         for (shard, target) in moves {
-            // Durable before the freeze, as `Completed` is before the
-            // unfreeze: recovery resolves a half-migrated shard from them.
             self.log_record(MigrationMarker::Started {
                 shard: *shard,
                 target: *target,

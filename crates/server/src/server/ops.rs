@@ -615,7 +615,7 @@ impl Server {
     /// paths (the baselines' and an overflow's), all of a committed rename's
     /// updates to it at once. The only place that writes down the applier
     /// discipline: ownership gate → fp-group write lock → dedup check →
-    /// inode write lock → lock and read charge → [`Server::apply_and_log`],
+    /// inode write lock → lock and read charge → [`Server::log_record`],
     /// which charges the record's append and puts → stats. The fp-group lock
     /// excludes the batch appliers (aggregation, push), which hold it but
     /// not the inode lock; the inode lock excludes the directory's other
