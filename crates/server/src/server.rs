@@ -1531,7 +1531,7 @@ impl Server {
     /// `record_completion` and the install's completion loop (each rides on
     /// an append already charged and must not await).
     pub(crate) async fn log_record(&self, record: impl Into<WalOp>) {
-        // The record and any borrow of it end with this block, before the await.
+        // Ends before the await, so the caller's future does not carry the record.
         let (lsn, cost) = {
             let record = record.into();
             let puts = match &record {
