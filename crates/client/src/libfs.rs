@@ -84,7 +84,6 @@ pub struct LibFs {
     /// [`Placement::route`]), refreshed from `WrongOwner` rejections. Its
     /// policy is the only client-side difference between the systems.
     map: RefCell<ShardMap>,
-    server_nodes: Rc<RefCell<Vec<NodeId>>>,
     cfg: LibFsConfig,
     cache: RefCell<MetaCache>,
     pending: Rc<RefCell<FxHashMap<u64, oneshot::Sender<ClientResponse>>>>,
@@ -119,7 +118,6 @@ impl LibFs {
         handle: SimHandle,
         endpoint: Endpoint<NetMsg>,
         map: ShardMap,
-        server_nodes: Rc<RefCell<Vec<NodeId>>>,
         cfg: LibFsConfig,
         obs: ObsHandle,
     ) -> Rc<Self> {
@@ -128,7 +126,6 @@ impl LibFs {
             handle,
             endpoint: Rc::new(endpoint),
             map: RefCell::new(map),
-            server_nodes,
             cfg,
             cache: RefCell::new(MetaCache::new()),
             pending: Rc::new(RefCell::new(FxHashMap::default())),
@@ -674,6 +671,6 @@ impl LibFs {
     /// the client knows of the final path component.
     fn destination(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> NodeId {
         let server: ServerId = self.map.borrow().route(op, target);
-        self.server_nodes.borrow()[server.0 as usize]
+        NodeId(server.node())
     }
 }

@@ -22,9 +22,10 @@ use crate::control::{Control, DecommissionReport};
 use crate::coordinator::Coordinator;
 use crate::switch_adapter::SwitchAdapter;
 
-/// Node-id layout of a deployment.
+/// Node-id layout of a deployment: servers where [`ServerId::node`] puts
+/// them, clients from node 1000 on.
 pub(crate) fn server_node(i: usize) -> NodeId {
-    NodeId(i as u32)
+    NodeId(ServerId(i as u32).node())
 }
 pub(crate) fn client_node(i: usize) -> NodeId {
     NodeId(1000 + i as u32)
@@ -41,7 +42,6 @@ pub struct Cluster {
     clients: Vec<Rc<LibFs>>,
     switch: Option<Rc<RefCell<SwitchFsProgram>>>,
     placement: SharedPlacement,
-    server_nodes: Rc<RefCell<Vec<NodeId>>>,
     /// Shared observability sink: one flight recorder covering every server
     /// and client of the deployment.
     obs: ObsHandle,
@@ -67,8 +67,6 @@ impl Cluster {
             None => Obs::disabled(),
         };
         let placement = SharedPlacement::initial(cfg.system.partition_policy(), cfg.servers);
-        let server_nodes: Rc<RefCell<Vec<NodeId>>> =
-            Rc::new(RefCell::new((0..cfg.servers).map(server_node).collect()));
 
         // Programmable switch (only SwitchFS with in-network tracking).
         let mut switch = None;
@@ -97,7 +95,6 @@ impl Cluster {
             clients: Vec::new(),
             switch,
             placement,
-            server_nodes,
             obs,
             preloaded_dirs: BTreeMap::new(),
             preload_counter: 0,
@@ -122,7 +119,6 @@ impl Cluster {
                 handle.clone(),
                 endpoint,
                 cluster.placement.map().clone(),
-                cluster.server_nodes.clone(),
                 lib_cfg,
                 cluster.obs.clone(),
             );
@@ -142,13 +138,11 @@ impl Cluster {
             self.network.register(server_node(i)),
             ServerConfig {
                 id: ServerId(i as u32),
-                node: server_node(i),
                 cores: self.cfg.cores_per_server,
                 costs: self.cfg.cost_model(),
                 update_mode: self.cfg.update_mode(),
                 tracking: self.cfg.tracking,
                 placement: self.placement.clone(),
-                server_nodes: self.server_nodes.clone(),
                 obs: self.obs.clone(),
             },
             durable.clone(),
@@ -355,15 +349,14 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Registers one more metadata server: a new node joins the network,
-    /// the shared membership list and the switch's multicast group, and
-    /// starts serving — but owns no shards until [`Cluster::rebalance`]
+    /// the shared shard map's membership and the switch's multicast group,
+    /// and starts serving — but owns no shards until [`Cluster::rebalance`]
     /// migrates a fair share to it. Returns the new server's index.
     pub fn add_server(&mut self) -> usize {
         let i = self.servers.len();
         let node = server_node(i);
         let new_id = self.placement.map_mut().add_server();
         debug_assert_eq!(new_id, ServerId(i as u32));
-        self.server_nodes.borrow_mut().push(node);
         if let Some(program) = &self.switch {
             program.borrow_mut().add_server_node(node.0);
         }

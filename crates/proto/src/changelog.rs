@@ -6,7 +6,9 @@
 //! the same directory are conditionally commutative, which is what allows
 //! SwitchFS to *compact* a change-log before applying it:
 //!
-//! * size deltas add up in any order (action type (a));
+//! * size deltas add up in any order (action type (a)); a directory's size
+//!   is its listing's length here, so the compacted entry-list mutations
+//!   carry the sum;
 //! * only the largest timestamp survives (action type (b));
 //! * insert/remove of *different* names commute, while insert/remove of the
 //!   *same* name must be applied in commit order — guaranteed because the
@@ -61,11 +63,9 @@ impl ChangeLogEntry {
 }
 
 /// A compacted view of a set of change-log entries for one directory:
-/// the aggregate attribute deltas plus the ordered entry-list mutations.
+/// the latest timestamp plus the ordered entry-list mutations.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompactedChanges {
-    /// Net entry-count / size delta.
-    pub size_delta: i64,
     /// Largest commit timestamp seen (overwrites directory `mtime`/`ctime`).
     pub max_timestamp: u64,
     /// Net entry-list mutations, in original FIFO order after removing
@@ -79,10 +79,10 @@ impl CompactedChanges {
     /// Compacts a FIFO sequence of change-log entries for a single
     /// directory.
     ///
-    /// Attribute updates (size deltas, timestamps) are merged into single
-    /// values. Entry-list operations on *different* names are kept; repeated
-    /// insert/remove of the *same* name is reduced to its net effect while
-    /// preserving the relative order of surviving operations.
+    /// Timestamps are merged into a single value. Entry-list operations on
+    /// *different* names are kept; repeated insert/remove of the *same* name
+    /// is reduced to its net effect while preserving the relative order of
+    /// surviving operations.
     pub fn from_entries(entries: &[ChangeLogEntry]) -> CompactedChanges {
         Self::from_entry_refs(entries.iter())
     }
@@ -108,7 +108,6 @@ impl CompactedChanges {
             std::collections::BTreeMap::new();
         let mut ops: Vec<Option<(String, ChangeOp)>> = Vec::new();
         for e in entries {
-            out.size_delta += e.size_delta;
             out.max_timestamp = out.max_timestamp.max(e.timestamp);
             match (in_play.get(e.name.as_str()), e.op) {
                 // insert … remove of a name the batch introduced cancels out.
@@ -170,7 +169,6 @@ mod tests {
             entry("c", INS, 20, 1, 3),
         ];
         let c = CompactedChanges::from_entries(&entries);
-        assert_eq!(c.size_delta, 3);
         assert_eq!(c.max_timestamp, 30);
         assert_eq!(c.entry_ops.len(), 3);
     }
@@ -183,7 +181,6 @@ mod tests {
             entry("tmp", ChangeOp::Remove, 12, -1, 3),
         ];
         let c = CompactedChanges::from_entries(&entries);
-        assert_eq!(c.size_delta, 1);
         assert_eq!(c.entry_ops.len(), 1);
         assert_eq!(c.entry_ops[0].0, "keep");
         assert_eq!(c.merged_entries, 2);
@@ -200,7 +197,6 @@ mod tests {
         let c = CompactedChanges::from_entries(&entries);
         assert_eq!(c.entry_ops.len(), 1);
         assert!(matches!(c.entry_ops[0].1, ChangeOp::Insert { .. }));
-        assert_eq!(c.size_delta, 0);
         assert_eq!(c.merged_entries, 1);
     }
 
@@ -224,7 +220,6 @@ mod tests {
                 ("keep".to_string(), INS)
             ]
         );
-        assert_eq!(c.size_delta, 0);
         assert_eq!(c.merged_entries, 2);
         // One more turn ends on the insert; a name the batch introduced still
         // cancels, also after it cancelled once already.
@@ -245,7 +240,6 @@ mod tests {
     #[test]
     fn empty_compaction_is_identity() {
         let c = CompactedChanges::from_entries(&[]);
-        assert_eq!(c.size_delta, 0);
         assert_eq!(c.max_timestamp, 0);
         assert!(c.entry_ops.is_empty());
     }

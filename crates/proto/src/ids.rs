@@ -135,6 +135,15 @@ impl fmt::Display for Fingerprint {
 )]
 pub struct ServerId(pub u32);
 
+impl ServerId {
+    /// The raw network node hosting this server. A deployment's layout is
+    /// that server `i` sits on node `i`, below every other node; this is
+    /// the one place that rule is written down.
+    pub const fn node(self) -> u32 {
+        self.0
+    }
+}
+
 impl fmt::Display for ServerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ms{}", self.0)

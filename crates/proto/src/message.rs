@@ -21,7 +21,7 @@ use std::rc::Rc;
 use crate::changelog::ChangeLogEntry;
 use crate::dirtyset::{DirtyRet, DirtySetHeader, DirtySetOp};
 use crate::error::FsError;
-use crate::ids::{DirId, Fingerprint, OpId, ServerId, TraceId};
+use crate::ids::{DirId, Fingerprint, OpId, TraceId};
 use crate::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Name, Permissions};
 use serde::{Deserialize, Serialize};
 
@@ -297,8 +297,6 @@ pub struct ClientResponse {
     pub op_id: OpId,
     /// The result.
     pub result: OpResult,
-    /// The server that executed the operation.
-    pub server: ServerId,
 }
 
 /// The synchronous parent update an [`ServerMsg::AsyncCommit`] carries for
@@ -349,7 +347,7 @@ pub enum ServerMsg {
         agg_id: u64,
         /// For `rmdir`: the directory to append to every server's
         /// invalidation list before replying (§5.2.3, step 5).
-        invalidate: Option<(DirId, MetaKey)>,
+        invalidate: Option<DirId>,
     },
     /// A server's change-log entries for the requested fingerprint group,
     /// sent back to the aggregation owner (§5.2.2, step 6).
@@ -436,16 +434,14 @@ pub enum ServerMsg {
     InvalidationBroadcast {
         /// Id of the invalidated directory.
         dir_id: DirId,
-        /// Key of the invalidated directory.
-        dir_key: MetaKey,
     },
     /// Request to clone the invalidation list during crash recovery
     /// (§5.4.2), answered to the recovering server that sent it.
     RecoveryCloneInvalidation,
     /// Reply carrying the invalidation list.
     RecoveryInvalidationList {
-        /// Entries of the responding server's invalidation list.
-        list: Vec<(DirId, MetaKey)>,
+        /// The responding server's invalidation list.
+        list: Vec<DirId>,
     },
 }
 
@@ -526,11 +522,9 @@ pub enum Request {
     /// directory's entry list and its children's inodes). Answered with
     /// [`Reply::Done`].
     InitDirContent {
-        /// Id of the new directory.
-        dir_id: DirId,
         /// Key under which the content replica is stored.
         key: MetaKey,
-        /// Attributes of the new directory.
+        /// Attributes of the new directory, its id among them.
         attrs: InodeAttrs,
     },
     /// A single synchronous remote mutation (used by the baseline `rmdir`

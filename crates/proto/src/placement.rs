@@ -234,8 +234,9 @@ pub struct ShardMap {
     servers: usize,
     shards: Vec<ServerId>,
     /// Servers that were gracefully decommissioned: their ids stay allocated
-    /// (ids index node tables and must never be reused), but they own no
-    /// shards and are excluded from every rebalance/drain plan. Sorted.
+    /// (an id names its node, [`ServerId::node`], and is never reused), but
+    /// they own no shards and are excluded from every rebalance/drain plan.
+    /// Sorted.
     retired: Vec<ServerId>,
 }
 

@@ -15,7 +15,7 @@ use switchfs_proto::message::{Body, MetaOp, NetMsg, OpResult, PacketSeq};
 use switchfs_proto::wire::{decode_net_msg, encode_net_msg};
 use switchfs_proto::{
     ClientId, ClientRequest, ClientResponse, DirEntry, DirId, FileType, Fingerprint, InodeAttrs,
-    MetaKey, Name, OpId, ServerId,
+    MetaKey, Name, OpId,
 };
 use switchfs_simnet::fxhash::FxHasher;
 
@@ -74,7 +74,6 @@ proptest! {
             Body::Response(ClientResponse {
                 op_id,
                 result: OpResult::Listing { attrs, entries: Rc::new(vec![entry]) },
-                server: ServerId(0),
             }),
         ];
         for body in bodies {

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
-use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
+use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, TraceId};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef, Reply,
     Request, ServerMsg, StateImage, SyncFallback, TxnOp,
@@ -233,11 +233,7 @@ fn arb_shard_map() -> impl Strategy<Value = switchfs_proto::ShardMap> {
 }
 
 fn arb_response() -> impl Strategy<Value = ClientResponse> {
-    (arb_op_id(), arb_result(), any::<u32>()).prop_map(|(op_id, result, server)| ClientResponse {
-        op_id,
-        result,
-        server: ServerId(server),
-    })
+    (arb_op_id(), arb_result()).prop_map(|(op_id, result)| ClientResponse { op_id, result })
 }
 
 fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {

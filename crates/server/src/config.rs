@@ -1,9 +1,6 @@
 //! Server configuration: identity, placement, update protocol and
 //! directory-state tracking modes.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use switchfs_obs::ObsHandle;
 use switchfs_proto::{Fingerprint, Placement, ServerId, SharedPlacement};
 use switchfs_simnet::{NodeId, SimDuration};
@@ -70,10 +67,9 @@ pub const PROACTIVE_SCAN_INTERVAL: SimDuration = SimDuration::micros(200);
 /// Full configuration of one metadata server.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// This server's identity.
+    /// This server's identity; its network node follows from it
+    /// ([`ServerId::node`]).
     pub id: ServerId,
-    /// This server's network node.
-    pub node: NodeId,
     /// Number of cores (Fig. 2(d) / Fig. 14 vary this).
     pub cores: usize,
     /// Calibrated service times.
@@ -86,11 +82,6 @@ pub struct ServerConfig {
     /// migration flips entries in place; every server sees the new owner the
     /// moment a shard is flipped.
     pub placement: SharedPlacement,
-    /// Network node of every metadata server, indexed by `ServerId.0`.
-    /// Shared and growable: `Cluster::add_server` appends to it, so fan-out
-    /// paths (aggregation, invalidation broadcast) include new members
-    /// immediately.
-    pub server_nodes: Rc<RefCell<Vec<NodeId>>>,
     /// Cluster-wide observability handle. Disabled by default; recording
     /// never touches protocol state, so the replay digest is identical
     /// either way.
@@ -100,7 +91,12 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// The network node hosting `server`.
     pub fn node_of(&self, server: ServerId) -> NodeId {
-        self.server_nodes.borrow()[server.0 as usize]
+        NodeId(server.node())
+    }
+
+    /// This server's network node.
+    pub fn node(&self) -> NodeId {
+        self.node_of(self.id)
     }
 
     /// The node keeping `fp`'s dirty state in software (§7.3.3), reached by
@@ -114,9 +110,12 @@ impl ServerConfig {
         }
     }
 
-    /// Number of metadata servers in the cluster.
+    /// Number of metadata servers in the cluster, retired ones included.
+    /// Read from the shared shard map, which `Cluster::add_server` grows,
+    /// so fan-out paths (aggregation, invalidation broadcast) include a new
+    /// member immediately.
     pub fn num_servers(&self) -> usize {
-        self.server_nodes.borrow().len()
+        self.placement.map().num_servers()
     }
 
     /// All *active* server ids other than this one (the aggregation /
@@ -139,15 +138,11 @@ mod tests {
     fn cfg(n: usize) -> ServerConfig {
         ServerConfig {
             id: ServerId(1),
-            node: NodeId(101),
             cores: 4,
             costs: CostModel::default(),
             update_mode: UpdateMode::AsyncCompacted,
             tracking: TrackingMode::InNetwork,
             placement: SharedPlacement::initial(PartitionPolicy::PerFileHash, n),
-            server_nodes: Rc::new(RefCell::new(
-                (0..n as u32).map(|i| NodeId(100 + i)).collect(),
-            )),
             obs: switchfs_obs::Obs::disabled(),
         }
     }
@@ -159,6 +154,7 @@ mod tests {
         let others = c.other_servers();
         assert_eq!(others.len(), 3);
         assert!(!others.contains(&ServerId(1)));
-        assert_eq!(c.node_of(ServerId(2)), NodeId(102));
+        assert_eq!(c.node_of(ServerId(2)), NodeId(2));
+        assert_eq!(c.node(), NodeId(1));
     }
 }

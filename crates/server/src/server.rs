@@ -275,7 +275,7 @@ pub(crate) struct ServerInner {
     pub changelogs: ChangeLogStore,
     /// Invalidation list (§5.2): directories removed/renamed elsewhere whose
     /// client cache entries must be invalidated lazily.
-    pub invalidation: FxHashMap<DirId, MetaKey>,
+    pub invalidation: FxHashSet<DirId>,
     /// The owner's duplicate suppression, by remote change-log entry id: an
     /// id is `Applied` until its holder's piggybacked `discard_confirm`
     /// arrives (the holder durably dropped the entry), then `Retired` until
@@ -397,7 +397,7 @@ impl ServerInner {
             entries: KvStore::new(),
             dir_index: FxHashMap::default(),
             changelogs: ChangeLogStore::new(),
-            invalidation: FxHashMap::default(),
+            invalidation: FxHashSet::default(),
             entry_ids: FxHashMap::default(),
             retirement_order: VecDeque::new(),
             pending_discard_confirms: FxHashMap::default(),
@@ -478,8 +478,8 @@ impl ServerInner {
             KvEffect::UnindexDir(id) => {
                 self.dir_index.remove(id);
             }
-            KvEffect::Invalidate(id, key) => {
-                self.invalidation.insert(*id, key.clone());
+            KvEffect::Invalidate(id) => {
+                self.invalidation.insert(*id);
             }
             KvEffect::Revoke(id) => {
                 self.invalidation.remove(id);
@@ -709,7 +709,7 @@ impl Server {
 
     /// This server's network node.
     pub fn node(&self) -> NodeId {
-        self.cfg.node
+        self.cfg.node()
     }
 
     /// Snapshot of the server's counters.
@@ -1002,7 +1002,6 @@ impl Server {
                 result: OpResult::WrongOwner {
                     map: self.cfg.placement.map().clone(),
                 },
-                server: self.cfg.id,
             }),
         );
     }
@@ -1068,7 +1067,7 @@ impl Server {
             ServerMsg::AsyncCommit {
                 op_token, fallback, ..
             } => match dirty_ret {
-                Some(DirtyRet::Inserted) if src == self.cfg.node => {
+                Some(DirtyRet::Inserted) if src == self.cfg.node() => {
                     self.complete_token(op_token, TokenReply::Mirrored);
                 }
                 Some(DirtyRet::Overflowed) => {
@@ -1112,12 +1111,9 @@ impl Server {
             ServerMsg::Reply { req_id, reply } => {
                 self.complete_token(req_id, TokenReply::Server(reply));
             }
-            ServerMsg::InvalidationBroadcast { dir_id, dir_key } => {
-                self.log_record(WalOp::local(
-                    None,
-                    vec![KvEffect::Invalidate(dir_id, dir_key)],
-                ))
-                .await;
+            ServerMsg::InvalidationBroadcast { dir_id } => {
+                self.log_record(WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]))
+                    .await;
             }
             ServerMsg::ForwardedRequest { client_node, req } => {
                 // A rename re-routed by the source's per-file-hash owner:
@@ -1128,23 +1124,14 @@ impl Server {
                 Box::pin(self.handle_client_request(NodeId(client_node), req, dirty_ret)).await;
             }
             ServerMsg::RecoveryCloneInvalidation => {
-                let list: Vec<(DirId, MetaKey)> = self
-                    .inner
-                    .borrow()
-                    .invalidation
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
+                let list = self.inner.borrow().invalidation.iter().copied().collect();
                 self.send_plain(
                     src,
                     Body::Server(ServerMsg::RecoveryInvalidationList { list }),
                 );
             }
             ServerMsg::RecoveryInvalidationList { list } => {
-                let mut inner = self.inner.borrow_mut();
-                for (id, key) in list {
-                    inner.invalidation.insert(id, key);
-                }
+                self.inner.borrow_mut().invalidation.extend(list);
             }
         }
     }
@@ -1197,10 +1184,11 @@ impl Server {
             Request::TxnDecisionQuery { txn_id } => {
                 Some(self.handle_txn_decision_query(txn_id).await)
             }
-            Request::InitDirContent { dir_id, key, attrs } => {
+            Request::InitDirContent { key, attrs } => {
                 // Baseline helper: register a directory's content replica on
                 // the server that will hold its children.
                 self.cpu.run(self.cfg.costs.software_path).await;
+                let dir_id = attrs.id;
                 self.log_record(WalOp::local(
                     None,
                     vec![
@@ -1309,7 +1297,7 @@ impl Server {
         }
         self.cfg.obs.record(TraceEvent {
             at_ns: self.now_ns(),
-            node: self.cfg.node.0,
+            node: self.cfg.node().0,
             epoch: self.cfg.placement.map().epoch(),
             trace,
             kind,
@@ -1319,17 +1307,13 @@ impl Server {
     /// True if any ancestor directory appears in the invalidation list.
     pub(crate) fn is_stale(&self, ancestors: &[DirId]) -> bool {
         let inner = self.inner.borrow();
-        ancestors.iter().any(|a| inner.invalidation.contains_key(a))
+        ancestors.iter().any(|a| inner.invalidation.contains(a))
     }
 
-    /// The server identity hosted on `node`, if it is a metadata server.
+    /// The server identity hosted on `node`, if it is a metadata server:
+    /// the inverse of [`ServerId::node`], which puts server `i` on node `i`.
     pub(crate) fn server_id_of(&self, node: NodeId) -> Option<ServerId> {
-        self.cfg
-            .server_nodes
-            .borrow()
-            .iter()
-            .position(|n| *n == node)
-            .map(|i| ServerId(i as u32))
+        ((node.0 as usize) < self.cfg.num_servers()).then_some(ServerId(node.0))
     }
 
     /// Retires entry ids whose holders confirmed the durable discard
@@ -1403,7 +1387,7 @@ impl Server {
 
     fn next_pkt_seq(&self) -> PacketSeq {
         PacketSeq {
-            sender: self.cfg.node.0,
+            sender: self.cfg.node().0,
             seq: self.next_token(),
         }
     }
@@ -1438,11 +1422,7 @@ impl Server {
     /// asynchronous commit path lets the switch deliver it).
     pub(crate) fn make_response(&self, op_id: OpId, result: OpResult) -> ClientResponse {
         self.inner.borrow_mut().stats.ops_completed += 1;
-        ClientResponse {
-            op_id,
-            result,
-            server: self.cfg.id,
-        }
+        ClientResponse { op_id, result }
     }
 
     /// Answers the request that carried `req_id`.
@@ -1717,10 +1697,10 @@ impl Server {
     }
 
     /// Broadcasts an invalidation-list append to every other server.
-    pub(crate) fn broadcast_invalidation(&self, dir_id: DirId, dir_key: MetaKey) {
+    pub(crate) fn broadcast_invalidation(&self, dir_id: DirId) {
         self.multicast_plain(
             &self.cfg.other_servers(),
-            Body::Server(ServerMsg::InvalidationBroadcast { dir_id, dir_key }),
+            Body::Server(ServerMsg::InvalidationBroadcast { dir_id }),
         );
     }
 
@@ -1759,7 +1739,7 @@ impl Server {
         op: DirtySetOp,
         fp: Fingerprint,
     ) -> Option<DirtyRet> {
-        if tracker == self.cfg.node {
+        if tracker == self.cfg.node() {
             return Some(self.inner.borrow_mut().dirty_set.apply(op, fp));
         }
         if op == DirtySetOp::Remove {
@@ -1814,15 +1794,19 @@ impl Server {
         DirId::generate(self.cfg.id, inner.dir_counter)
     }
 
-    /// Builds a change-log entry for a deferred parent-directory update.
+    /// Builds a change-log entry for a deferred parent-directory update:
+    /// an insert grows the directory by one, a remove shrinks it by one.
     pub(crate) fn make_entry(
         &self,
         op_id: OpId,
         parent_id: DirId,
         name: &str,
         op: ChangeOp,
-        size_delta: i64,
     ) -> ChangeLogEntry {
+        let size_delta = match op {
+            ChangeOp::Insert { .. } => 1,
+            ChangeOp::Remove => -1,
+        };
         ChangeLogEntry {
             entry_id: op_id,
             dir: parent_id,
@@ -1973,17 +1957,8 @@ impl Server {
     /// invalidation list directly, like preloading does for namespaces (the
     /// newcomer has served no traffic yet, so no protocol run is needed).
     pub fn seed_invalidation_from(&self, other: &Server) {
-        let list: Vec<(DirId, MetaKey)> = other
-            .inner
-            .borrow()
-            .invalidation
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        let mut inner = self.inner.borrow_mut();
-        for (id, key) in list {
-            inner.invalidation.insert(id, key);
-        }
+        let list = other.inner.borrow().invalidation.clone();
+        self.inner.borrow_mut().invalidation.extend(list);
     }
 
     /// The cost model in effect (shared with benches).
@@ -2020,23 +1995,35 @@ mod tests {
         );
         let placement =
             SharedPlacement::initial(PartitionPolicy::PerDirectoryHash, servers as usize);
-        let server_nodes = Rc::new(RefCell::new((0..servers).map(NodeId).collect()));
         let server = |id| {
             let cfg = ServerConfig {
                 id: ServerId(id),
-                node: NodeId(id),
                 cores: 1,
                 costs: crate::costs::CostModel::default(),
                 update_mode: UpdateMode::AsyncCompacted,
                 tracking: TrackingMode::InNetwork,
                 placement: placement.clone(),
-                server_nodes: Rc::clone(&server_nodes),
                 obs: switchfs_obs::Obs::disabled(),
             };
             let durable = Rc::new(RefCell::new(DurableState::new()));
-            Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
+            Server::new(sim.handle(), network.register(cfg.node()), cfg, durable)
         };
         (0..servers).map(server).collect()
+    }
+
+    #[test]
+    fn a_servers_address_is_its_id() {
+        let sim = Sim::new(1);
+        let server = test_servers(&sim, 3).remove(0);
+        // A member the shared map gains later is addressable at once.
+        let added = server.cfg.placement.map_mut().add_server();
+        assert_eq!(added, ServerId(3));
+        for id in (0..3).map(ServerId).chain([added]) {
+            assert_eq!(server.server_id_of(server.cfg.node_of(id)), Some(id));
+        }
+        // A deployment puts its clients from node 1000 on.
+        assert_eq!(server.server_id_of(NodeId(1000)), None);
+        assert_eq!(server.server_id_of(crate::COORDINATOR_NODE), None);
     }
 
     #[test]
@@ -2057,7 +2044,7 @@ mod tests {
             let _ = server.wal_hand_over(WalOp::local(None, Vec::new()));
         }
         for seq in 0..3 {
-            let entry = server.make_entry(id(seq), dir, "f", ChangeOp::Remove, -1);
+            let entry = server.make_entry(id(seq), dir, "f", ChangeOp::Remove);
             let _ = server.wal_hand_over(WalOp::Effects {
                 op_id: Some(id(seq)),
                 effects: Vec::new(),
@@ -2224,7 +2211,6 @@ mod tests {
                 inner.cache_response(ClientResponse {
                     op_id: id(300 + d),
                     result: OpResult::Done,
-                    server: ServerId(0),
                 });
             }
         }

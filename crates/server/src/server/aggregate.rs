@@ -217,7 +217,7 @@ impl Server {
     pub(crate) async fn aggregate_group(
         &self,
         fp: Fingerprint,
-        invalidate: Option<(DirId, MetaKey)>,
+        invalidate: Option<DirId>,
     ) -> usize {
         // The gate sees the round running for the whole call — including the
         // apply phase after the collection completes — so a shard
@@ -230,11 +230,7 @@ impl Server {
         applied
     }
 
-    async fn aggregate_round(
-        &self,
-        fp: Fingerprint,
-        invalidate: Option<(DirId, MetaKey)>,
-    ) -> usize {
+    async fn aggregate_round(&self, fp: Fingerprint, invalidate: Option<DirId>) -> usize {
         let others = self.cfg.other_servers();
         let agg_id = self.next_token();
         self.trace_event(
@@ -280,8 +276,7 @@ impl Server {
                     .borrow_mut()
                     .pending_aggs
                     .insert(agg_id, collector);
-                self.send_aggregation_request(fp, agg_id, invalidate.clone())
-                    .await;
+                self.send_aggregation_request(fp, agg_id, invalidate).await;
                 rx
             };
             // A copy's wait ended: whoever answered it is acknowledged, and
@@ -363,7 +358,7 @@ impl Server {
         &self,
         fp: Fingerprint,
         agg_id: u64,
-        invalidate: Option<(DirId, MetaKey)>,
+        invalidate: Option<DirId>,
     ) {
         let body = Body::Server(ServerMsg::AggregationRequest {
             fp,
@@ -380,7 +375,7 @@ impl Server {
         let hdr = DirtySetHeader::remove(fp, seq);
         // Destination is nominally this server; the switch replaces it with a
         // multicast to every other metadata server.
-        self.send_dirty(self.cfg.node, hdr, body);
+        self.send_dirty(self.cfg.node(), hdr, body);
     }
 
     /// Applies change-log entries to the directories of a fingerprint group
@@ -511,7 +506,7 @@ impl Server {
         src: NodeId,
         fp: Fingerprint,
         agg_id: u64,
-        invalidate: Option<(DirId, MetaKey)>,
+        invalidate: Option<DirId>,
     ) {
         let costs = self.cfg.costs;
         self.cpu.run(costs.software_path).await;
@@ -520,12 +515,9 @@ impl Server {
         let Some(owner) = self.server_id_of(src).filter(|s| *s != self.cfg.id) else {
             return;
         };
-        if let Some((dir_id, dir_key)) = invalidate {
-            self.log_record(WalOp::local(
-                None,
-                vec![KvEffect::Invalidate(dir_id, dir_key)],
-            ))
-            .await;
+        if let Some(dir_id) = invalidate {
+            self.log_record(WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]))
+                .await;
         }
         // Lock every change-log in the fingerprint group as a responder
         // while its entries are in flight: no append lands between the

@@ -278,12 +278,9 @@ impl Server {
         if moves.is_empty() {
             return 0;
         }
-        for (shard, target) in moves {
-            self.log_record(MigrationMarker::Started {
-                shard: *shard,
-                target: *target,
-            })
-            .await;
+        for (shard, _) in moves {
+            self.log_record(MigrationMarker::Started { shard: *shard })
+                .await;
             self.inner.borrow_mut().migrating_shards.insert(*shard);
             self.trace_event(
                 None,

@@ -109,7 +109,6 @@ impl Server {
                         file_type: FileType::File,
                         mode: perm.mode,
                     },
-                    1,
                 );
                 (
                     vec![KvEffect::PutInode(key.clone(), attrs.clone())],
@@ -132,7 +131,7 @@ impl Server {
                 if file_type == FileType::Directory {
                     return Some(OpResult::Err(FsError::IsADirectory));
                 }
-                let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+                let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
                 (
                     vec![KvEffect::DeleteInode(key.clone())],
                     entry,
@@ -153,7 +152,6 @@ impl Server {
                         file_type: FileType::Directory,
                         mode: perm.mode,
                     },
-                    1,
                 );
                 (
                     vec![
@@ -371,7 +369,6 @@ impl Server {
             return;
         }
         let req = Request::InitDirContent {
-            dir_id: attrs.id,
             key: key.clone(),
             attrs,
         };
@@ -419,8 +416,7 @@ impl Server {
             // Collect the latest updates to the directory and have every
             // other server append it to its invalidation list (§5.2.3 steps
             // 4–7).
-            self.aggregate_group(target_fp, Some((dir_id, key.clone())))
-                .await;
+            self.aggregate_group(target_fp, Some(dir_id)).await;
         }
 
         // Emptiness check, on the aggregated state in the async modes.
@@ -451,12 +447,12 @@ impl Server {
         let effects = vec![
             KvEffect::DeleteInode(key.clone()),
             KvEffect::UnindexDir(dir_id),
-            KvEffect::Invalidate(dir_id, key.clone()),
+            KvEffect::Invalidate(dir_id),
         ];
         if !is_async {
             return Some(self.sync_rmdir(req, &key, dir_id, parent, effects).await);
         }
-        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
         self.commit_deferred(client_node, req, parent, effects, &entry, &OpResult::Done)
             .await;
         None
@@ -474,7 +470,7 @@ impl Server {
     ) -> OpResult {
         self.log_record(WalOp::local(Some(req.op_id), effects))
             .await;
-        self.broadcast_invalidation(dir_id, key.clone());
+        self.broadcast_invalidation(dir_id);
         // Remove the access replica when the directory's children live on a
         // different server than its parent's (P/C grouping).
         if !self.cfg.placement.is_separation() {
@@ -488,7 +484,7 @@ impl Server {
                     .await;
             }
         }
-        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove, -1);
+        let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
         match self.sync_parent_update(parent, &entry).await {
             Ok(()) => OpResult::Done,
             Err(e) => OpResult::Err(e),

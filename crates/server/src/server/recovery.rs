@@ -20,7 +20,7 @@
 //! which every directory is back in *normal* state, consistent with the
 //! empty dirty set.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
@@ -121,7 +121,7 @@ impl Server {
             .filter(|r| r.lsn > replay_from)
             .map(|r| (r.lsn, r.payload.clone(), r.applied, r.size))
             .collect();
-        let mut started_migrations: BTreeMap<u32, switchfs_proto::ServerId> = BTreeMap::new();
+        let mut started_migrations: BTreeSet<u32> = BTreeSet::new();
         for (lsn, op, applied, size) in &records {
             // Each replayed record costs one KV write's worth of CPU; this is
             // what makes the §7.7 recovery time proportional to the number of
@@ -152,8 +152,8 @@ impl Server {
                     report.orphan_resolved_markers += 1;
                 }
                 WalOp::Completed(_) => report.completed_ops_recovered += 1,
-                WalOp::Migration(MigrationMarker::Started { shard, target }) => {
-                    started_migrations.insert(*shard, *target);
+                WalOp::Migration(MigrationMarker::Started { shard }) => {
+                    started_migrations.insert(*shard);
                 }
                 WalOp::Migration(MigrationMarker::Completed { shard }) => {
                     started_migrations.remove(shard);
@@ -186,7 +186,7 @@ impl Server {
         // and the new owner is authoritative, so drop it. A shard still
         // mapping here never left this server's ownership; the cluster
         // re-drives the migration.
-        for (shard, _target) in started_migrations {
+        for shard in started_migrations {
             if self.cfg.placement.map().owner_of_shard(shard) != self.cfg.id {
                 self.drop_shard_state(shard);
                 report.migrations_resolved += 1;
@@ -287,11 +287,7 @@ impl Server {
             .map(|(id, _)| TxnMarker::Decided { txn_id: *id });
         CheckpointData {
             image,
-            invalidation: inner
-                .invalidation
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
+            invalidation: inner.invalidation.iter().copied().collect(),
             // Prepared state is durable (§5.4.2), so it crosses the WAL
             // truncation as the markers that rebuild it.
             txns: prepared

@@ -178,30 +178,22 @@ impl Server {
         let now = self.now_ns();
         let mut dst_attrs = src_attrs.clone();
         dst_attrs.times.ctime = now;
-        let src_parent_entry = ChangeLogEntry {
-            entry_id: req.op_id,
-            dir: src.pid,
-            name: src.name.to_string(),
-            op: ChangeOp::Remove,
-            timestamp: now,
-            size_delta: -1,
+        let src_parent_entry = self.make_entry(req.op_id, src.pid, &src.name, ChangeOp::Remove);
+        // A distinct id for the second directory update, so the two
+        // deferred effects are tracked independently.
+        let dst_entry_id = switchfs_proto::OpId {
+            client: req.op_id.client,
+            seq: req.op_id.seq | (1 << 63),
         };
-        let dst_parent_entry = ChangeLogEntry {
-            entry_id: switchfs_proto::OpId {
-                client: req.op_id.client,
-                // Derive a distinct id for the second directory update so the
-                // two deferred effects are tracked independently.
-                seq: req.op_id.seq | (1 << 63),
-            },
-            dir: dst.pid,
-            name: dst.name.to_string(),
-            op: ChangeOp::Insert {
+        let dst_parent_entry = self.make_entry(
+            dst_entry_id,
+            dst.pid,
+            &dst.name,
+            ChangeOp::Insert {
                 file_type: src_attrs.file_type,
                 mode: src_attrs.perm.mode,
             },
-            timestamp: now,
-            size_delta: 1,
-        };
+        );
 
         // Participant mutation lists, grouped by owning server. Ordered so
         // prepare/decision packets go out in the same order every run — the

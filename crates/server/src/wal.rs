@@ -30,7 +30,7 @@ pub enum KvEffect {
     /// Remove a directory from the owner index.
     UnindexDir(DirId),
     /// Append a directory to the invalidation list (§5.2.3).
-    Invalidate(DirId, MetaKey),
+    Invalidate(DirId),
     /// Take a directory off the invalidation list again: its `rmdir` was
     /// refused after the removal had been announced.
     Revoke(DirId),
@@ -95,12 +95,10 @@ pub enum TxnMarker {
 /// the cluster re-drives the migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationMarker {
-    /// The source froze `shard` and began streaming it to `target`.
+    /// The source froze `shard` and began streaming it to its new owner.
     Started {
         /// The migrating shard.
         shard: u32,
-        /// The receiving server.
-        target: ServerId,
     },
     /// The shard's state was installed at the target, the map flipped, and
     /// the source deleted its copy.
@@ -210,7 +208,7 @@ pub struct CheckpointData {
     /// bounded by the in-flight windows, so the snapshot stays small.
     pub image: StateImage,
     /// The invalidation list.
-    pub invalidation: Vec<(DirId, MetaKey)>,
+    pub invalidation: Vec<DirId>,
     /// The in-doubt prepared transactions and this server's commit decisions
     /// as a rename coordinator, as the `Prepared` / `Decided` markers that
     /// rebuild them: both are durable (§5.4.2), so a checkpoint must carry
@@ -262,9 +260,13 @@ mod tests {
             applied_entry_ids: vec![],
         };
         let size = record.wire_size();
-        let lsn = durable.wal.append_sized(record, size);
+        durable.wal.append_sized(record, size);
         assert_eq!(durable.wal.unapplied().count(), 1);
-        durable.wal.mark_applied(lsn);
+        let marked = durable.wal.mark_applied_where(1, |r| {
+            matches!(r, WalOp::Effects { pending_entry: Some((_, e)), .. }
+                if e.entry_id == sample_entry().entry_id)
+        });
+        assert_eq!(marked, 1);
         assert_eq!(durable.wal.unapplied().count(), 0);
     }
 
@@ -297,16 +299,12 @@ mod tests {
         let decided = WalOp::Txn(TxnMarker::Decided { txn_id: 1 });
         assert!(prepared.wire_size() > decided.wire_size());
         assert_eq!(prepared.wire_size(), 64 + 24 + 2 * 96);
-        let started = MigrationMarker::Started {
-            shard: 1,
-            target: ServerId(0),
-        };
+        let started = MigrationMarker::Started { shard: 1 };
         assert_eq!(decided.wire_size(), 64 + 16);
         assert_eq!(WalOp::Migration(started).wire_size(), 64 + 16);
         let response = ClientResponse {
             op_id: OpId::default(),
             result: switchfs_proto::OpResult::Done,
-            server: ServerId(0),
         };
         assert_eq!(WalOp::Completed(response).wire_size(), 64 + 48);
     }
@@ -318,7 +316,8 @@ mod tests {
         let size = record.wire_size();
         durable.wal.append_sized(record, size);
         durable.checkpoint.store(1, CheckpointData::default());
-        assert!(durable.checkpoint.is_present());
-        assert_eq!(durable.checkpoint.lsn(), Some(1));
+        let (lsn, data) = durable.checkpoint.load().expect("stored");
+        assert_eq!(lsn, 1);
+        assert!(data.invalidation.is_empty());
     }
 }

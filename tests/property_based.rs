@@ -129,7 +129,6 @@ proptest! {
             apply(&mut folded, name, *op);
         }
         prop_assert_eq!(&folded, &replayed);
-        prop_assert_eq!(compacted.size_delta, replayed.len() as i64 - initial.len() as i64);
         prop_assert_eq!(compacted.max_timestamp, (entries.len() as u64 - 1) * 10);
         prop_assert_eq!(compacted.merged_entries, entries.len() - compacted.entry_ops.len());
     }
