@@ -301,18 +301,6 @@ impl<R: Clone> Wal<R> {
         TornTailReport { truncated, torn }
     }
 
-    /// Marks a record as applied. Returns `false` if the LSN does not exist
-    /// (e.g. already truncated by a checkpoint).
-    pub fn mark_applied(&mut self, lsn: u64) -> bool {
-        match self.records.binary_search_by_key(&lsn, |r| r.lsn) {
-            Ok(idx) => {
-                self.records[idx].applied = true;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Marks unapplied records matching the predicate as applied, newest
     /// first, until `expect` of them changed state; returns how many did.
     ///
@@ -426,16 +414,6 @@ impl<S: Clone> Checkpoint<S> {
     pub fn load(&self) -> Option<(u64, S)> {
         self.state.clone()
     }
-
-    /// The LSN of the stored checkpoint, if any.
-    pub fn lsn(&self) -> Option<u64> {
-        self.state.as_ref().map(|(l, _)| *l)
-    }
-
-    /// True if a snapshot is stored.
-    pub fn is_present(&self) -> bool {
-        self.state.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -501,10 +479,10 @@ mod tests {
     #[test]
     fn applied_marks_filter_unapplied() {
         let mut wal = Wal::new();
-        let l1 = wal.append_sized("x", 4);
+        wal.append_sized("x", 4);
         let l2 = wal.append_sized("y", 4);
-        assert!(wal.mark_applied(l1));
-        assert!(!wal.mark_applied(99));
+        assert_eq!(wal.mark_applied_where(1, |r| *r == "x"), 1);
+        assert_eq!(wal.mark_applied_where(1, |r| *r == "z"), 0);
         let un: Vec<_> = wal.unapplied().map(|r| r.lsn).collect();
         assert_eq!(un, vec![l2]);
     }
@@ -726,10 +704,8 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip() {
         let mut cp = Checkpoint::new();
-        assert!(!cp.is_present());
         assert_eq!(cp.load(), None);
         cp.store(42, vec![1, 2, 3]);
-        assert_eq!(cp.lsn(), Some(42));
         assert_eq!(cp.load(), Some((42, vec![1, 2, 3])));
     }
 }
