@@ -18,7 +18,9 @@
 # all-systems dense sweep is red while ROADMAP item 1 is open): the two
 # sides are compared, red cells and all. A side is cached under
 # target/identity/<commit>, so re-checking a new change against the same
-# parent rebuilds and re-runs one side only.
+# parent rebuilds and re-runs one side only. Last, both sides' size as
+# `ci/loc.sh` counts it, per crate with the total and the delta: a report
+# that leaves the exit status alone.
 #
 #   ci/identity.sh REV_A [REV_B] [--allow ROW,ROW]     (REV_B defaults to HEAD)
 #
@@ -26,7 +28,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,27p' "$0" >&2
     exit 2
 }
 allow=""
@@ -140,4 +142,17 @@ EOF
             ;;
     esac
 done
+
+# Size of both sides, counted by this tree's ci/loc.sh.
+echo "size (ci/loc.sh): A = ${revs[0]}, B = ${revs[1]:-HEAD}"
+printf '%-20s %8s %8s %8s\n' crate A B delta
+awk 'NR == FNR { old[$1] = $2 } NR > FNR { new[$1] = $2 }
+     !($1 in seen) && $1 != "total" { seen[$1]; order[++n] = $1 }
+     END {
+         order[++n] = "total"
+         for (i = 1; i <= n; i++) {
+             c = order[i]
+             printf "%-20s %8d %8d %+8d\n", c, old[c], new[c], new[c] - old[c]
+         }
+     }' <("$root/ci/loc.sh" "${a%/out}/src") <("$root/ci/loc.sh" "${b%/out}/src")
 exit "$status"
