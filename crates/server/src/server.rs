@@ -2327,6 +2327,36 @@ mod tests {
     }
 
     #[test]
+    fn a_push_of_discard_confirmations_alone_only_retires_them() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (applier, holder) = (&servers[0], &servers[1]);
+        let confirmed = OpId {
+            client: ClientId(1),
+            seq: 1,
+        };
+        applier
+            .inner
+            .borrow_mut()
+            .note_entries_applied(&[confirmed]);
+        // What a decommissioning holder's last flush sends.
+        let push = ServerMsg::ChangeLogPush {
+            dir_key: MetaKey::new(DirId::ROOT, ""),
+            entries: Vec::new(),
+            discard_confirm: vec![confirmed],
+        };
+        let msg = NetMsg::plain(PacketSeq::default(), Body::Server(push));
+        let (to, from) = (applier.clone(), holder.node());
+        sim.spawn(async move { to.dispatch(from, msg).await });
+        sim.run();
+        let inner = applier.inner.borrow();
+        assert_eq!(inner.entry_ids.get(&confirmed), Some(&EntryState::Retired));
+        assert!(holder.endpoint.try_recv().is_none(), "no ack");
+        assert!(inner.push_timers.is_empty(), "no aggregation armed");
+        assert_eq!(inner.stats.pushes_received, 0);
+    }
+
+    #[test]
     fn an_install_copy_racing_the_first_gets_no_ack_and_logs_nothing() {
         let sim = Sim::new(1);
         let servers = test_servers(&sim, 3);

@@ -626,25 +626,30 @@ impl Server {
         dir_key: MetaKey,
         entries: Vec<ChangeLogEntry>,
     ) {
+        // Discard confirmations alone (the decommission flush): the
+        // dispatcher already retired them, and there is nothing to apply,
+        // acknowledge or aggregate.
+        if entries.is_empty() {
+            return;
+        }
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         let costs = self.cfg.costs;
         self.cpu.run(costs.software_path).await;
-        if let Some(first) = entries.first() {
-            if self.dir_update_frozen(fp, &first.dir) {
-                // The target directory's shard is frozen by an outbound
-                // migration: applying now would strand the entries at the
-                // old owner after the flip. No ack — the pusher retries,
-                // and its placement lookup then routes to the new owner.
-                return;
-            }
-            if !self.owns_dir_updates(fp, &first.dir) {
-                // A push that was in flight across a flip: this server no
-                // longer owns the directory and already deleted its copy —
-                // acknowledging would let the holder discard an entry the
-                // new owner never saw. Drop without ack; the holder's next
-                // push round routes to the new owner.
-                return;
-            }
+        let dir = entries[0].dir;
+        if self.dir_update_frozen(fp, &dir) {
+            // The target directory's shard is frozen by an outbound
+            // migration: applying now would strand the entries at the old
+            // owner after the flip. No ack — the pusher retries, and its
+            // placement lookup then routes to the new owner.
+            return;
+        }
+        if !self.owns_dir_updates(fp, &dir) {
+            // A push that was in flight across a flip: this server no
+            // longer owns the directory and already deleted its copy —
+            // acknowledging would let the holder discard an entry the new
+            // owner never saw. Drop without ack; the holder's next push
+            // round routes to the new owner.
+            return;
         }
         let fpg = self.locks.fp_group(fp);
         let _w = fpg.write().await;
