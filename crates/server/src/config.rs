@@ -94,11 +94,6 @@ impl ServerConfig {
         NodeId(server.node())
     }
 
-    /// This server's network node.
-    pub fn node(&self) -> NodeId {
-        self.node_of(self.id)
-    }
-
     /// The node keeping `fp`'s dirty state in software (§7.3.3), reached by
     /// `Request::DirtySet` unless it is this server: `None` when the
     /// switch keeps it. The only place a tracking mode is told apart.
@@ -155,6 +150,5 @@ mod tests {
         assert_eq!(others.len(), 3);
         assert!(!others.contains(&ServerId(1)));
         assert_eq!(c.node_of(ServerId(2)), NodeId(2));
-        assert_eq!(c.node(), NodeId(1));
     }
 }

@@ -709,7 +709,7 @@ impl Server {
 
     /// This server's network node.
     pub fn node(&self) -> NodeId {
-        self.cfg.node()
+        self.cfg.node_of(self.cfg.id)
     }
 
     /// Snapshot of the server's counters.
@@ -1067,7 +1067,7 @@ impl Server {
             ServerMsg::AsyncCommit {
                 op_token, fallback, ..
             } => match dirty_ret {
-                Some(DirtyRet::Inserted) if src == self.cfg.node() => {
+                Some(DirtyRet::Inserted) if src == self.node() => {
                     self.complete_token(op_token, TokenReply::Mirrored);
                 }
                 Some(DirtyRet::Overflowed) => {
@@ -1297,7 +1297,7 @@ impl Server {
         }
         self.cfg.obs.record(TraceEvent {
             at_ns: self.now_ns(),
-            node: self.cfg.node().0,
+            node: self.node().0,
             epoch: self.cfg.placement.map().epoch(),
             trace,
             kind,
@@ -1387,7 +1387,7 @@ impl Server {
 
     fn next_pkt_seq(&self) -> PacketSeq {
         PacketSeq {
-            sender: self.cfg.node().0,
+            sender: self.node().0,
             seq: self.next_token(),
         }
     }
@@ -1739,7 +1739,7 @@ impl Server {
         op: DirtySetOp,
         fp: Fingerprint,
     ) -> Option<DirtyRet> {
-        if tracker == self.cfg.node() {
+        if tracker == self.node() {
             return Some(self.inner.borrow_mut().dirty_set.apply(op, fp));
         }
         if op == DirtySetOp::Remove {
@@ -2006,7 +2006,7 @@ mod tests {
                 obs: switchfs_obs::Obs::disabled(),
             };
             let durable = Rc::new(RefCell::new(DurableState::new()));
-            Server::new(sim.handle(), network.register(cfg.node()), cfg, durable)
+            Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
         };
         (0..servers).map(server).collect()
     }

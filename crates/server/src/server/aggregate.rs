@@ -375,7 +375,7 @@ impl Server {
         let hdr = DirtySetHeader::remove(fp, seq);
         // Destination is nominally this server; the switch replaces it with a
         // multicast to every other metadata server.
-        self.send_dirty(self.cfg.node(), hdr, body);
+        self.send_dirty(self.node(), hdr, body);
     }
 
     /// Applies change-log entries to the directories of a fingerprint group
