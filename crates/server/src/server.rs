@@ -1,4 +1,4 @@
-//! The metadata server runtime: state, packet dispatch, single-inode
+//! The metadata server runtime: state, packet delivery, single-inode
 //! operations, bulk loading and crash/recovery entry points.
 //!
 //! The double-inode operation handlers live in [`crate::server::ops`], the
@@ -20,6 +20,7 @@ pub mod rename;
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 use switchfs_simnet::{FxHashMap, FxHashSet};
 
@@ -36,7 +37,7 @@ use switchfs_proto::{
     Timestamps, TraceId,
 };
 use switchfs_simnet::sync::oneshot;
-use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime};
+use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime, TaskId};
 
 use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
@@ -254,7 +255,7 @@ pub(crate) enum Liveness {
     Recovering,
     /// Drops every packet; the background loop idles.
     Crashed,
-    /// Decommissioned: redirects client requests (see `dispatch`), drops
+    /// Decommissioned: redirects client requests (see `begin_request`), drops
     /// the rest. (A real deployment keeps this thin redirector until the
     /// lease on the old membership expires.)
     Tombstone,
@@ -809,7 +810,17 @@ impl Server {
         let me = self.clone();
         self.handle.spawn(async move { me.proactive_loop().await });
     }
+}
 
+// Each task future is built by an `async move` block in a plain `fn`: an
+// `async fn` would store its arguments twice, once as arguments and once
+// as the locals its body moves them into, and every received packet
+// allocates its task's future.
+#[expect(
+    clippy::manual_async_fn,
+    reason = "an `async fn` stores a task's arguments twice"
+)]
+impl Server {
     async fn run_loop(&self) {
         loop {
             let Some(pkt) = self.endpoint.recv().await else {
@@ -818,73 +829,172 @@ impl Server {
             if self.is_crashed() {
                 continue;
             }
-            let me = self.clone();
-            self.handle.spawn(async move {
-                me.dispatch(pkt.src, pkt.payload).await;
-            });
+            self.deliver(pkt.src, pkt.payload);
         }
     }
 
-    async fn dispatch(&self, src: NodeId, msg: NetMsg) {
-        // Taken apart at once: each field moved out of `msg` on its own
-        // would keep a drop flag in this per-packet future.
+    /// Spawns the one task that serves a packet from `src`: the future of
+    /// the handler the packet names — by its body, a client request's
+    /// operation class, a server message's variant — boxed once, by the
+    /// spawn. Inside a task, a `Box::pin` only keeps a rare branch out of a
+    /// hot task. Nothing here reads the server's state: each task passes the
+    /// liveness gate and makes its reads at its first poll, so a crash in
+    /// the instant the packet arrives drops it. A body that nothing serves
+    /// still gets its (empty) task: with one task per packet, every later
+    /// task keeps its id. Returns that task's id.
+    pub(crate) fn deliver(&self, src: NodeId, msg: NetMsg) -> TaskId {
         let NetMsg {
             dirty,
             pkt_seq,
             body,
             ..
         } = msg;
-        let liveness = self.inner.borrow().liveness;
-        match liveness {
-            Liveness::Crashed => return,
-            // Redirect tombstone: the server owns nothing and serves
-            // nothing, but a client that still routes here with a
-            // pre-shrink map gets the current map back instead of a
-            // timeout — the ordinary WrongOwner refresh-and-retry path.
-            // Everything else (stray server-to-server traffic addressed to
-            // the previous incarnation) is dropped.
-            Liveness::Tombstone => {
-                if let Body::Request(req) = body {
-                    self.reject_wrong_owner(src, &req);
-                }
-                return;
-            }
-            _ => {}
-        }
         let dirty_ret = dirty.map(|h| h.ret);
         match body {
-            // Boxed: the packet-loop spawns one dispatch future per packet;
-            // keeping it at pointer size makes that copy cheap and pays for
-            // the handler box only when a request/server message arrives.
-            Body::Request(req) => {
-                // Network-duplicate suppression below the op-level cache:
-                // a delayed duplicate of an already-acknowledged operation
-                // must not re-execute after the acked watermark pruned its
-                // cached response. Retransmissions carry fresh packet
-                // sequences and pass through.
-                if !self
-                    .inner
-                    .borrow_mut()
-                    .note_request_pkt(pkt_seq.sender, pkt_seq.seq)
-                {
-                    return;
-                }
-                Box::pin(self.handle_client_request(src, req, dirty_ret)).await
-            }
-            Body::Server(ServerMsg::Request { req_id, req }) => {
-                Box::pin(self.answer(src, req_id, req)).await
-            }
-            Body::Server(smsg) => Box::pin(self.handle_server_msg(src, smsg, dirty_ret)).await,
-            Body::Response(_) | Body::Empty => {}
+            Body::Request(req) => self.deliver_request(src, req, Some(pkt_seq), dirty_ret),
+            Body::Server(msg) => self.deliver_server_msg(src, msg, dirty_ret),
+            Body::Response(_) | Body::Empty => self.handle.spawn(async {}),
         }
     }
 
-    async fn handle_client_request(
+    /// Spawns a client request's task, one kind per operation class, each
+    /// running its class's handler between [`Server::begin_request`] and
+    /// [`Server::end_request`]: no task is as large as the largest class.
+    /// `pkt` is the packet's sequence when the client sent the request
+    /// itself, `None` when a server forwarded it.
+    fn deliver_request(
         &self,
         client_node: NodeId,
         req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
         dirty_ret: Option<DirtyRet>,
-    ) {
+    ) -> TaskId {
+        let (me, handle) = (self.clone(), &self.handle);
+        match req.op {
+            MetaOp::Create { .. } | MetaOp::Delete { .. } | MetaOp::Mkdir { .. } => {
+                handle.spawn(me.double_inode_task(client_node, req, pkt))
+            }
+            MetaOp::Rmdir { .. } => handle.spawn(me.rmdir_task(client_node, req, pkt)),
+            MetaOp::Statdir { .. } | MetaOp::Readdir { .. } => {
+                handle.spawn(me.dir_read_task(client_node, req, pkt, dirty_ret))
+            }
+            MetaOp::Rename { .. } => handle.spawn(me.rename_task(client_node, req, pkt)),
+            _ => handle.spawn(me.single_inode_task(client_node, req, pkt)),
+        }
+    }
+
+    fn single_inode_task(
+        self,
+        client_node: NodeId,
+        req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
+                return;
+            };
+            let result = self.handle_single_inode(&req).await;
+            self.end_request(client_node, &req, incarnation, Some(result));
+        }
+    }
+
+    fn double_inode_task(
+        self,
+        client_node: NodeId,
+        req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
+                return;
+            };
+            let result = self.handle_double_inode(client_node, &req).await;
+            self.end_request(client_node, &req, incarnation, result);
+        }
+    }
+
+    fn dir_read_task(
+        self,
+        client_node: NodeId,
+        req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
+        dirty_ret: Option<DirtyRet>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
+                return;
+            };
+            let result = self.handle_dir_read(&req, dirty_ret).await;
+            self.end_request(client_node, &req, incarnation, Some(result));
+        }
+    }
+
+    fn rmdir_task(
+        self,
+        client_node: NodeId,
+        req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
+                return;
+            };
+            let result = self.handle_rmdir(client_node, &req).await;
+            self.end_request(client_node, &req, incarnation, result);
+        }
+    }
+
+    fn rename_task(
+        self,
+        client_node: NodeId,
+        req: Rc<ClientRequest>,
+        pkt: Option<PacketSeq>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
+                return;
+            };
+            let result = self.handle_rename(client_node, &req).await;
+            self.end_request(client_node, &req, incarnation, result);
+        }
+    }
+
+    /// A client request's way to its handler, run at its task's first poll.
+    /// Returns the incarnation the handler runs in, with the operation
+    /// marked in flight, or `None` when the request was answered or dropped
+    /// here.
+    async fn begin_request(
+        &self,
+        client_node: NodeId,
+        req: &ClientRequest,
+        pkt: Option<PacketSeq>,
+    ) -> Option<u64> {
+        let liveness = self.inner.borrow().liveness;
+        match liveness {
+            Liveness::Crashed => return None,
+            // Redirect tombstone: the server owns nothing and serves
+            // nothing, but a client that still routes here with a
+            // pre-shrink map gets the current map back instead of a
+            // timeout — the ordinary WrongOwner refresh-and-retry path. A
+            // forwarded request (server-to-server traffic addressed to the
+            // previous incarnation) is dropped.
+            Liveness::Tombstone => {
+                if pkt.is_some() {
+                    self.reject_wrong_owner(client_node, req);
+                }
+                return None;
+            }
+            _ => {}
+        }
+        // Network-duplicate suppression below the op-level cache: a delayed
+        // duplicate of an already-acknowledged operation must not
+        // re-execute after the acked watermark pruned its cached response.
+        // Retransmissions carry fresh packet sequences and pass through.
+        if let Some(PacketSeq { sender, seq }) = pkt {
+            if !self.inner.borrow_mut().note_request_pkt(sender, seq) {
+                return None;
+            }
+        }
         if self.inner.borrow().in_flight_ops.contains(&req.op_id) {
             // Already executing (a retransmission raced a slow operation,
             // e.g. the rename 2PC): drop it; the client keeps re-asking and
@@ -899,7 +1009,7 @@ impl Server {
             // `Unavailable` would tell the client "nothing happened" about
             // an operation that is still happening (the chaos checker flags
             // the resulting phantom mutation).
-            return;
+            return None;
         }
         // Duplicate suppression: a retransmitted request of a finished
         // operation gets the cached response back without re-executing.
@@ -908,7 +1018,7 @@ impl Server {
         let cached = self.inner.borrow().cached_response(&req.op_id).cloned();
         if let Some(resp) = cached {
             self.send_plain(client_node, Body::Response(resp));
-            return;
+            return None;
         }
         // The piggybacked watermark bounds the dedup cache: everything this
         // client acknowledged receiving can never be retransmitted again.
@@ -922,7 +1032,7 @@ impl Server {
                 req.op_id,
                 OpResult::Err(FsError::Unavailable),
             );
-            return;
+            return None;
         }
         // Both checks below are off the hot path: shard classification runs
         // only while an outbound migration is active, and the ownership
@@ -932,21 +1042,22 @@ impl Server {
             // request; the client's retransmission lands after the flip and
             // is either served here (shard kept) or rejected with the new
             // map (shard moved).
-            return;
+            return None;
         }
         if req.epoch != self.cfg.placement.map().epoch() && !self.may_own(&req.op) {
             // Routed with a stale shard map after the target shard moved
             // away.
-            self.reject_wrong_owner(client_node, &req);
-            return;
+            self.reject_wrong_owner(client_node, req);
+            return None;
         }
         if let Some(txn_id) = self.overdue_txn_staging(req.op.primary_key()) {
             // The rename that staged this key here may already be `Done` at
             // its client, and this server has not applied it: ask its
             // coordinator instead of answering from the state before it.
             // The client's retransmission finds the transaction resolved.
+            // Boxed: a rare branch, kept out of every request's task.
             Box::pin(self.resolve_prepared_txn(txn_id)).await;
-            return;
+            return None;
         }
         let incarnation = self.inner.borrow().incarnation;
         self.inner.borrow_mut().in_flight_ops.insert(req.op_id);
@@ -954,21 +1065,20 @@ impl Server {
             Some(TraceId::of_op(req.op_id)),
             EventKind::Dispatch { op: req.op_id },
         );
-        // The rarely-taken handlers with huge state machines (rename's 2PC,
-        // rmdir's aggregation) are boxed so the per-packet dispatch future —
-        // whose size is the MAX over these branches and which is copied into
-        // a fresh allocation on every spawn — stays small for the hot ops.
-        let result = match &req.op {
-            MetaOp::Create { .. } | MetaOp::Delete { .. } | MetaOp::Mkdir { .. } => {
-                Box::pin(self.handle_double_inode(client_node, &req)).await
-            }
-            MetaOp::Rmdir { .. } => Box::pin(self.handle_rmdir(client_node, &req)).await,
-            MetaOp::Statdir { .. } | MetaOp::Readdir { .. } => {
-                Some(Box::pin(self.handle_dir_read(&req, dirty_ret)).await)
-            }
-            MetaOp::Rename { .. } => Box::pin(self.handle_rename(client_node, &req)).await,
-            _ => Some(self.handle_single_inode(&req).await),
-        };
+        Some(incarnation)
+    }
+
+    /// A client request's end, once its handler returned `result` in the
+    /// task that [`Server::begin_request`] let through at `incarnation`.
+    /// `None` means the operation replies through the switch multicast
+    /// (asynchronous commit) or its handler already replied.
+    fn end_request(
+        &self,
+        client_node: NodeId,
+        req: &ClientRequest,
+        incarnation: u64,
+        result: Option<OpResult>,
+    ) {
         if self.inner.borrow().incarnation != incarnation {
             // Parked across a crash, this handler resumed in the next
             // incarnation and may have read its half-replayed stores: it
@@ -977,8 +1087,6 @@ impl Server {
             return;
         }
         self.inner.borrow_mut().in_flight_ops.remove(&req.op_id);
-        // `None` means the operation replies through the switch multicast
-        // (asynchronous commit); anything else is replied here.
         if let Some(result) = result {
             self.reply(client_node, &req.op, req.op_id, result);
         }
@@ -1054,177 +1162,300 @@ impl Server {
         }
     }
 
-    // Handlers with large state machines are boxed: the per-packet dispatch
-    // future's size is the max over every arm below, and it is copied into a
-    // fresh allocation on every packet spawn — keeping the arms small keeps
-    // the per-packet copy small.
-    async fn handle_server_msg(&self, src: NodeId, msg: ServerMsg, dirty_ret: Option<DirtyRet>) {
+    /// The liveness gate of a server-to-server packet, passed at its task's
+    /// first poll: a crashed server drops it, and so does the redirect
+    /// tombstone (stray traffic addressed to the previous incarnation).
+    fn serves_servers(&self) -> bool {
+        !matches!(
+            self.inner.borrow().liveness,
+            Liveness::Crashed | Liveness::Tombstone
+        )
+    }
+
+    /// Spawns a server message's task. A handler with a large state machine
+    /// runs in a task of its own; the quick ones share
+    /// [`Server::server_msg_task`], and the other requests
+    /// [`Server::answer`].
+    fn deliver_server_msg(
+        &self,
+        src: NodeId,
+        msg: ServerMsg,
+        dirty_ret: Option<DirtyRet>,
+    ) -> TaskId {
+        let (me, handle) = (self.clone(), &self.handle);
         match msg {
-            // What the switch made of an asynchronous commit's insert: the
-            // mirror copy back at the origin, its source, or, on overflow,
-            // the commit rewritten to the parent's owner, which serves it as
-            // the synchronous parent update it falls back to (§5.2.1).
-            ServerMsg::AsyncCommit {
-                op_token, fallback, ..
-            } => match dirty_ret {
-                Some(DirtyRet::Inserted) if src == self.node() => {
-                    self.complete_token(op_token, TokenReply::Mirrored);
-                }
-                Some(DirtyRet::Overflowed) => {
-                    let SyncFallback { dir_key, entry } = fallback;
-                    let reply = Box::pin(self.handle_remote_dir_update(dir_key, entry)).await;
-                    self.send_reply(src, op_token, reply);
-                }
-                _ => {}
-            },
+            ServerMsg::Request {
+                req_id,
+                req:
+                    Request::RemoteDirUpdate {
+                        dir_key,
+                        entry,
+                        discard_confirm,
+                    },
+            } => handle.spawn(me.dir_update_task(src, req_id, dir_key, entry, discard_confirm)),
+            ServerMsg::Request {
+                req_id,
+                req: Request::TxnDecision { txn_id, commit },
+            } => handle.spawn(me.txn_decision_task(src, req_id, txn_id, commit)),
+            ServerMsg::Request { req_id, req } => handle.spawn(me.answer(src, req_id, req)),
+            // A rename re-routed by the source's per-file-hash owner: served
+            // as if the client had sent it here, replying to the client
+            // directly. Duplicate suppression keys on the unchanged op id,
+            // so client retransmissions (which are forwarded again) collapse
+            // onto one execution.
+            ServerMsg::ForwardedRequest { client_node, req } => {
+                self.deliver_request(NodeId(client_node), req, None, dirty_ret)
+            }
             ServerMsg::AggregationRequest {
                 fp,
                 agg_id,
                 invalidate,
-            } => {
-                Box::pin(self.handle_aggregation_request(src, fp, agg_id, invalidate)).await;
-            }
-            ServerMsg::AggregationEntries {
-                agg_id,
-                entries,
-                discard_confirm,
-            } => {
-                self.retire_confirmed(discard_confirm);
-                self.handle_aggregation_entries(src, agg_id, entries);
-            }
-            ServerMsg::AggregationAck { agg_id } => {
-                self.handle_aggregation_ack(src, agg_id);
-            }
+            } => handle.spawn(me.aggregation_request_task(src, fp, agg_id, invalidate)),
             ServerMsg::ChangeLogPush {
                 dir_key,
                 entries,
                 discard_confirm,
-            } => {
-                self.retire_confirmed(discard_confirm);
-                Box::pin(self.handle_changelog_push(src, dir_key, entries)).await;
-            }
-            ServerMsg::ChangeLogPushAck { dir_key, applied } => {
-                self.handle_push_ack(src, dir_key, applied);
-            }
-            // Answered by `dispatch`, which never hands one over.
-            ServerMsg::Request { .. } => {}
-            ServerMsg::Reply { req_id, reply } => {
-                self.complete_token(req_id, TokenReply::Server(reply));
-            }
-            ServerMsg::InvalidationBroadcast { dir_id } => {
-                self.log_record(WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]))
+            } => handle.spawn(me.changelog_push_task(src, dir_key, entries, discard_confirm)),
+            // What the switch made of an asynchronous commit's insert: on
+            // overflow, the commit rewritten to the parent's owner, which
+            // serves it as the synchronous parent update it falls back to
+            // (§5.2.1), under the commit's token; otherwise the mirror copy
+            // back at the origin, or its source.
+            ServerMsg::AsyncCommit {
+                op_token, fallback, ..
+            } => match dirty_ret {
+                Some(DirtyRet::Overflowed) => {
+                    let SyncFallback { dir_key, entry } = fallback;
+                    handle.spawn(me.dir_update_task(src, op_token, dir_key, entry, Vec::new()))
+                }
+                _ => handle.spawn(me.commit_copy_task(src, op_token, dirty_ret)),
+            },
+            msg => handle.spawn(me.server_msg_task(src, msg)),
+        }
+    }
+
+    fn aggregation_request_task(
+        self,
+        src: NodeId,
+        fp: Fingerprint,
+        agg_id: u64,
+        invalidate: Option<DirId>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            if self.serves_servers() {
+                self.handle_aggregation_request(src, fp, agg_id, invalidate)
                     .await;
             }
-            ServerMsg::ForwardedRequest { client_node, req } => {
-                // A rename re-routed by the source's per-file-hash owner:
-                // handle it as if the client had sent it here, replying to
-                // the client directly. Duplicate suppression keys on the
-                // unchanged op id, so client retransmissions (which are
-                // forwarded again) collapse onto one execution.
-                Box::pin(self.handle_client_request(NodeId(client_node), req, dirty_ret)).await;
+        }
+    }
+
+    fn changelog_push_task(
+        self,
+        src: NodeId,
+        dir_key: MetaKey,
+        entries: Vec<ChangeLogEntry>,
+        discard_confirm: Vec<OpId>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            if self.serves_servers() {
+                self.retire_confirmed(discard_confirm);
+                self.handle_changelog_push(src, dir_key, entries).await;
             }
-            ServerMsg::RecoveryCloneInvalidation => {
-                let list = self.inner.borrow().invalidation.iter().copied().collect();
-                self.send_plain(
-                    src,
-                    Body::Server(ServerMsg::RecoveryInvalidationList { list }),
-                );
+        }
+    }
+
+    /// An asynchronous commit's copy that did not overflow: the mirror copy
+    /// back at the origin completes the commit's token.
+    fn commit_copy_task(
+        self,
+        src: NodeId,
+        op_token: u64,
+        dirty_ret: Option<DirtyRet>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            let mirrored = dirty_ret == Some(DirtyRet::Inserted) && src == self.node();
+            if mirrored && self.serves_servers() {
+                self.complete_token(op_token, TokenReply::Mirrored);
             }
-            ServerMsg::RecoveryInvalidationList { list } => {
-                self.inner.borrow_mut().invalidation.extend(list);
+        }
+    }
+
+    /// Serves a synchronous update of a directory this server owns — a
+    /// [`Request::RemoteDirUpdate`] or an overflowed `AsyncCommit` — and
+    /// replies to `src` under `token`.
+    fn dir_update_task(
+        self,
+        src: NodeId,
+        token: u64,
+        dir_key: MetaKey,
+        entry: ChangeLogEntry,
+        discard_confirm: Vec<OpId>,
+    ) -> impl Future<Output = ()> {
+        async move {
+            if self.serves_servers() {
+                self.retire_confirmed(discard_confirm);
+                let reply = self.handle_remote_dir_update(&dir_key, &entry).await;
+                self.send_reply(src, token, reply);
+            }
+        }
+    }
+
+    /// Serves a transaction's decision: acked once the decision is fully
+    /// applied — by this copy or a previously completed one; an abort always
+    /// is. A retransmitted commit racing a still-running apply is dropped;
+    /// the coordinator's retransmission timer re-asks until the apply
+    /// finished.
+    fn txn_decision_task(
+        self,
+        src: NodeId,
+        req_id: u64,
+        txn_id: u64,
+        commit: bool,
+    ) -> impl Future<Output = ()> {
+        async move {
+            if self.serves_servers() && self.handle_txn_decision(txn_id, commit).await {
+                self.send_reply(src, req_id, Reply::Done(Ok(())));
+            }
+        }
+    }
+
+    /// Serves the server messages that need no task of their own: quick
+    /// ones, which carry every reply and acknowledgment.
+    fn server_msg_task(self, src: NodeId, msg: ServerMsg) -> impl Future<Output = ()> {
+        async move {
+            if !self.serves_servers() {
+                return;
+            }
+            match msg {
+                ServerMsg::AggregationEntries {
+                    agg_id,
+                    entries,
+                    discard_confirm,
+                } => {
+                    self.retire_confirmed(discard_confirm);
+                    self.handle_aggregation_entries(src, agg_id, entries);
+                }
+                ServerMsg::AggregationAck { agg_id } => {
+                    self.handle_aggregation_ack(src, agg_id);
+                }
+                ServerMsg::ChangeLogPushAck { dir_key, applied } => {
+                    self.handle_push_ack(src, dir_key, applied);
+                }
+                ServerMsg::Reply { req_id, reply } => {
+                    self.complete_token(req_id, TokenReply::Server(reply));
+                }
+                // Boxed: a rare branch (one per `rmdir`), kept out of a hot
+                // task.
+                ServerMsg::InvalidationBroadcast { dir_id } => {
+                    let record = WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]);
+                    Box::pin(self.log_record(record)).await;
+                }
+                ServerMsg::RecoveryCloneInvalidation => {
+                    let list = self.inner.borrow().invalidation.iter().copied().collect();
+                    self.send_plain(
+                        src,
+                        Body::Server(ServerMsg::RecoveryInvalidationList { list }),
+                    );
+                }
+                ServerMsg::RecoveryInvalidationList { list } => {
+                    self.inner.borrow_mut().invalidation.extend(list);
+                }
+                // Tasks of their own, spawned by `deliver_server_msg`, which
+                // never hands one over.
+                ServerMsg::AsyncCommit { .. }
+                | ServerMsg::Request { .. }
+                | ServerMsg::ForwardedRequest { .. }
+                | ServerMsg::AggregationRequest { .. }
+                | ServerMsg::ChangeLogPush { .. } => {}
             }
         }
     }
 
     /// Serves one [`Request`] from `src` and sends the reply back under
-    /// `req_id`: the only place a server answers a request (the one other
-    /// reply, to an overflowed `AsyncCommit`, reuses the directory-update
-    /// handler). Each handler returns its reply; `None` drops the request
-    /// unanswered — a [`Request::ShardInstall`] or commit
-    /// [`Request::TxnDecision`] copy racing its first copy's apply (the
-    /// sender's retransmission re-asks until it finished), or a
-    /// [`Request::TxnPrepare`] from a node that is not a metadata server.
-    async fn answer(&self, src: NodeId, req_id: u64, req: Request) {
-        const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
-        let reply = match req {
-            Request::RemoteDirUpdate {
-                dir_key,
-                entry,
-                discard_confirm,
-            } => {
-                self.retire_confirmed(discard_confirm);
-                Some(Box::pin(self.handle_remote_dir_update(dir_key, entry)).await)
+    /// `req_id`. Each handler returns its reply; `None` drops the request
+    /// unanswered — a [`Request::ShardInstall`] copy racing its first copy's
+    /// apply (the sender's retransmission re-asks until it finished), or a
+    /// [`Request::TxnPrepare`] from a node that is not a metadata server. A
+    /// directory update and a transaction's decision are answered by tasks
+    /// of their own.
+    fn answer(self, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
+        async move {
+            if !self.serves_servers() {
+                return;
             }
-            Request::DirtySet { op, fp } => {
-                // The owner's CPU pays for every remote dirty-set operation:
-                // the overhead Fig. 16 quantifies.
-                self.cpu.run(self.cfg.costs.software_path).await;
-                Some(Reply::Dirty(
-                    self.inner.borrow_mut().dirty_set.apply(op, fp),
-                ))
-            }
-            // Logged like the `Invalidate` it undoes, or a replay would
-            // re-apply that one alone; acknowledged once the record is
-            // flushed.
-            Request::InvalidationRevoke { dir_id } => {
-                self.log_record(WalOp::local(None, vec![KvEffect::Revoke(dir_id)]))
+            const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
+            let reply = match req {
+                Request::DirtySet { op, fp } => {
+                    // The owner's CPU pays for every remote dirty-set operation:
+                    // the overhead Fig. 16 quantifies.
+                    self.cpu.run(self.cfg.costs.software_path).await;
+                    Some(Reply::Dirty(
+                        self.inner.borrow_mut().dirty_set.apply(op, fp),
+                    ))
+                }
+                // Logged like the `Invalidate` it undoes, or a replay would
+                // re-apply that one alone; acknowledged once the record is
+                // flushed.
+                Request::InvalidationRevoke { dir_id } => {
+                    self.log_record(WalOp::local(None, vec![KvEffect::Revoke(dir_id)]))
+                        .await;
+                    DONE
+                }
+                Request::TxnPrepare { txn_id, ops } => {
+                    self.handle_txn_prepare(src, txn_id, ops).await
+                }
+                Request::TxnDecisionQuery { txn_id } => {
+                    Some(self.handle_txn_decision_query(txn_id).await)
+                }
+                Request::InitDirContent { key, attrs } => {
+                    // Baseline helper: register a directory's content replica on
+                    // the server that will hold its children.
+                    self.cpu.run(self.cfg.costs.software_path).await;
+                    let dir_id = attrs.id;
+                    self.log_record(WalOp::local(
+                        None,
+                        vec![
+                            KvEffect::PutInode(key.clone(), attrs),
+                            KvEffect::IndexDir(dir_id, key),
+                        ],
+                    ))
                     .await;
-                DONE
+                    DONE
+                }
+                // This and `ShardInstall` are boxed: rare branches (a
+                // baseline `rmdir`'s remote half, a migration's install), kept
+                // out of the task that answers every other request.
+                Request::RemoteTxnOp { op } => {
+                    self.cpu.run(self.cfg.costs.software_path).await;
+                    Box::pin(self.apply_txn_ops(std::slice::from_ref(&op))).await;
+                    DONE
+                }
+                Request::TypeProbe { key } => {
+                    self.cpu
+                        .run(self.cfg.costs.software_path + self.cfg.costs.kv_get)
+                        .await;
+                    let file_type = self
+                        .inner
+                        .borrow_mut()
+                        .inodes
+                        .get_ref(&key)
+                        .map(|a| a.file_type);
+                    Some(Reply::Type(file_type))
+                }
+                Request::ShardInstall { shard, image } => {
+                    Box::pin(self.handle_shard_install(src, req_id, shard, image)).await
+                }
+                // Tasks of their own, spawned by `deliver_server_msg`.
+                Request::RemoteDirUpdate { .. } | Request::TxnDecision { .. } => None,
+            };
+            if let Some(reply) = reply {
+                self.send_reply(src, req_id, reply);
             }
-            Request::TxnPrepare { txn_id, ops } => self.handle_txn_prepare(src, txn_id, ops).await,
-            // Acked once the decision is fully applied — by this copy or a
-            // previously completed one; an abort always is. A retransmitted
-            // commit racing a still-running apply is dropped; the
-            // coordinator's retransmission timer re-asks until the apply
-            // finished.
-            Request::TxnDecision { txn_id, commit } => {
-                let applied = Box::pin(self.handle_txn_decision(txn_id, commit)).await;
-                applied.then_some(Reply::Done(Ok(())))
-            }
-            Request::TxnDecisionQuery { txn_id } => {
-                Some(self.handle_txn_decision_query(txn_id).await)
-            }
-            Request::InitDirContent { key, attrs } => {
-                // Baseline helper: register a directory's content replica on
-                // the server that will hold its children.
-                self.cpu.run(self.cfg.costs.software_path).await;
-                let dir_id = attrs.id;
-                self.log_record(WalOp::local(
-                    None,
-                    vec![
-                        KvEffect::PutInode(key.clone(), attrs),
-                        KvEffect::IndexDir(dir_id, key),
-                    ],
-                ))
-                .await;
-                DONE
-            }
-            Request::RemoteTxnOp { op } => {
-                self.cpu.run(self.cfg.costs.software_path).await;
-                Box::pin(self.apply_txn_ops(std::slice::from_ref(&op))).await;
-                DONE
-            }
-            Request::TypeProbe { key } => {
-                self.cpu
-                    .run(self.cfg.costs.software_path + self.cfg.costs.kv_get)
-                    .await;
-                let file_type = self
-                    .inner
-                    .borrow_mut()
-                    .inodes
-                    .get_ref(&key)
-                    .map(|a| a.file_type);
-                Some(Reply::Type(file_type))
-            }
-            Request::ShardInstall { shard, image } => {
-                Box::pin(self.handle_shard_install(src, req_id, shard, image)).await
-            }
-        };
-        if let Some(reply) = reply {
-            self.send_reply(src, req_id, reply);
         }
     }
+}
 
+impl Server {
     // ------------------------------------------------------------------
     // Single-inode operations (§5.2: performed synchronously).
     // ------------------------------------------------------------------
@@ -1977,12 +2208,11 @@ mod tests {
     use switchfs_simnet::net::LinkParams;
     use switchfs_simnet::{NetFaults, Network, Sim, SimDuration};
 
-    /// Spawns `server`'s handling of one request from `src` under `req_id`,
-    /// as if its packet had arrived; the reply, if any, goes to `src`.
-    fn serve(sim: &Sim, server: &Server, src: NodeId, req_id: u64, req: Request) {
+    /// Delivers one request from `src` under `req_id` to `server`, as if its
+    /// packet had arrived; the reply, if any, goes to `src`.
+    fn serve(server: &Server, src: NodeId, req_id: u64, req: Request) {
         let body = Body::Server(ServerMsg::Request { req_id, req });
-        let (server, msg) = (server.clone(), NetMsg::plain(PacketSeq::default(), body));
-        sim.spawn(async move { server.dispatch(src, msg).await });
+        server.deliver(src, NetMsg::plain(PacketSeq::default(), body));
     }
 
     /// The servers of a deployment, not started: a test calls the handlers.
@@ -2009,6 +2239,142 @@ mod tests {
             Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
         };
         (0..servers).map(server).collect()
+    }
+
+    /// A request of `op` from client 1, routed with `server`'s current map.
+    fn request(server: &Server, seq: u64, op: MetaOp, acked_below: u64) -> Rc<ClientRequest> {
+        Rc::new(ClientRequest {
+            op_id: OpId {
+                client: ClientId(1),
+                seq,
+            },
+            op,
+            ancestors: vec![DirId::ROOT],
+            parent: None,
+            epoch: server.cfg.placement.map().epoch(),
+            acked_below,
+        })
+    }
+
+    /// The packet a client sends `req` in, under packet sequence `seq`.
+    fn client_packet(seq: u64, req: &Rc<ClientRequest>) -> NetMsg {
+        let pkt_seq = PacketSeq { sender: 1000, seq };
+        NetMsg::plain(pkt_seq, Body::Request(req.clone()))
+    }
+
+    /// Everything waiting in a node's mailbox.
+    fn received(node: &Server) -> Vec<Body> {
+        std::iter::from_fn(|| node.endpoint.try_recv())
+            .map(|pkt| pkt.payload.body)
+            .collect()
+    }
+
+    /// The results of the responses waiting in a node's mailbox.
+    fn results(node: &Server) -> Vec<OpResult> {
+        let result = |body| match body {
+            Body::Response(response) => response.result,
+            other => panic!("{other:?}"),
+        };
+        received(node).into_iter().map(result).collect()
+    }
+
+    #[test]
+    fn a_request_task_and_the_hot_classes_stay_small() {
+        // A received packet is one allocation, the size of its task's future:
+        // a large state machine inlined into a hot class shows in every
+        // workload's bytes per operation. A rare branch is boxed instead.
+        // (The ceilings are exact for the pinned toolchain; a new std can
+        // move them.)
+        let sim = Sim::new(1);
+        let server = test_servers(&sim, 1).remove(0);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        let stat = request(&server, 1, MetaOp::Stat { key }, 0);
+        let single = server
+            .clone()
+            .single_inode_task(NodeId(1), stat.clone(), None);
+        let double = server.clone().double_inode_task(NodeId(1), stat, None);
+        assert!(std::mem::size_of_val(&single) <= 792);
+        assert!(std::mem::size_of_val(&double) <= 1336);
+    }
+
+    #[test]
+    fn a_request_delivered_in_the_instant_of_a_crash_is_dropped() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (server, client) = (&servers[0], &servers[1]);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        server.preload_file(key.clone(), 0);
+        let stat = |seq| request(server, seq, MetaOp::Stat { key: key.clone() }, 0);
+        server.deliver(client.node(), client_packet(1, &stat(1)));
+        sim.run();
+        assert!(matches!(results(client)[..], [OpResult::Attrs(_)]));
+        // Delivered, then crashed before its task ran: the gate at the
+        // task's first poll drops it — no `Unavailable`, nothing in flight.
+        server.deliver(client.node(), client_packet(2, &stat(2)));
+        server.crash();
+        sim.run();
+        assert_eq!(results(client), []);
+        assert_eq!(server.in_flight_op_count(), 0);
+    }
+
+    #[test]
+    fn a_network_duplicate_executes_once_and_a_retransmission_gets_the_cached_response() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (server, client) = (&servers[0], &servers[1]);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        server.preload_file(key.clone(), 0);
+        let chmod = |seq, acked_below| {
+            let op = MetaOp::Chmod {
+                key: key.clone(),
+                mode: 0o600,
+            };
+            request(server, seq, op, acked_below)
+        };
+        let appends = || server.durable.borrow().wal.appends();
+        let (first, second) = (chmod(1, 0), chmod(2, 2));
+        server.deliver(client.node(), client_packet(7, &first));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        // The next request's watermark prunes the first one's cached
+        // response: only the packet filter stands between a late copy of the
+        // first packet and a second execution.
+        server.deliver(client.node(), client_packet(8, &second));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        let executed = appends();
+        server.deliver(client.node(), client_packet(7, &first));
+        sim.run();
+        assert_eq!(results(client), []);
+        assert_eq!(appends(), executed);
+        // A retransmission travels in a fresh packet and gets the cached
+        // response without executing.
+        server.deliver(client.node(), client_packet(9, &second));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        assert_eq!(appends(), executed);
+    }
+
+    #[test]
+    fn a_tombstone_redirects_a_clients_request_and_drops_a_servers() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (server, peer) = (&servers[0], &servers[1]);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        server.preload_file(key.clone(), 0);
+        // Both arrive while the server still serves; it is decommissioned
+        // before their tasks run.
+        let stat = request(server, 1, MetaOp::Stat { key: key.clone() }, 0);
+        server.deliver(peer.node(), client_packet(1, &stat));
+        serve(server, peer.node(), 5, Request::TypeProbe { key });
+        server.decommission();
+        sim.run();
+        let map = server.cfg.placement.map().clone();
+        let redirect = Body::Response(ClientResponse {
+            op_id: stat.op_id,
+            result: OpResult::WrongOwner { map },
+        });
+        assert_eq!(received(peer), [redirect]);
     }
 
     #[test]
@@ -2233,13 +2599,7 @@ mod tests {
                     shard: *shard,
                     image: image.clone(),
                 };
-                serve(
-                    &sim,
-                    target,
-                    NodeId(0),
-                    token_base + u64::from(*shard),
-                    install,
-                );
+                serve(target, NodeId(0), token_base + u64::from(*shard), install);
             }
             sim.run();
             assert_eq!(shipped_images(target), images, "round {round}");
@@ -2346,8 +2706,7 @@ mod tests {
             discard_confirm: vec![confirmed],
         };
         let msg = NetMsg::plain(PacketSeq::default(), Body::Server(push));
-        let (to, from) = (applier.clone(), holder.node());
-        sim.spawn(async move { to.dispatch(from, msg).await });
+        applier.deliver(holder.node(), msg);
         sim.run();
         let inner = applier.inner.borrow();
         assert_eq!(inner.entry_ids.get(&confirmed), Some(&EntryState::Retired));
@@ -2377,7 +2736,7 @@ mod tests {
                     shard,
                     image: image.clone(),
                 };
-                serve(&sim, target, NodeId(0), 9, install);
+                serve(target, NodeId(0), 9, install);
             }
         }
         sim.run();
@@ -2402,7 +2761,7 @@ mod tests {
         };
         let ask = || {
             let query = Request::TxnDecisionQuery { txn_id: 7 };
-            serve(&sim, coordinator, NodeId(0), 1, query);
+            serve(coordinator, NodeId(0), 1, query);
             sim.run();
             match replies(participant)[..] {
                 [(NodeId(1), 1, Reply::Decision(answer))] => answer,
@@ -2447,14 +2806,14 @@ mod tests {
             commit: true,
         };
         for _ in 0..2 {
-            serve(&sim, participant, NodeId(0), 5, commit());
+            serve(participant, NodeId(0), 5, commit());
         }
         sim.run();
         let ack = (NodeId(1), 5, Reply::Done(Ok(())));
         assert_eq!(replies(coordinator), [ack]);
         assert!(participant.inner.borrow().inodes.contains(&key));
         // A copy arriving after the apply finished is acked again.
-        serve(&sim, participant, NodeId(0), 5, commit());
+        serve(participant, NodeId(0), 5, commit());
         sim.run();
         assert_eq!(replies(coordinator), [ack]);
     }

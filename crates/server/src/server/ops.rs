@@ -596,12 +596,12 @@ impl Server {
     /// the shared map and retries there.
     pub(crate) async fn handle_remote_dir_update(
         &self,
-        dir_key: switchfs_proto::MetaKey,
-        entry: ChangeLogEntry,
+        dir_key: &switchfs_proto::MetaKey,
+        entry: &ChangeLogEntry,
     ) -> Reply {
         self.cpu.run(self.cfg.costs.software_path).await;
         let result = self
-            .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
+            .apply_dir_update(dir_key, &[entry], DirUpdateSource::Remote)
             .await;
         Reply::Done(result)
     }
