@@ -959,10 +959,13 @@ impl Server {
         }
     }
 
-    /// A client request's way to its handler, run at its task's first poll.
-    /// Returns the incarnation the handler runs in, with the operation
-    /// marked in flight, or `None` when the request was answered or dropped
-    /// here.
+    /// The checks a client request passes on its way to its handler, run at
+    /// its task's first poll: the liveness gate, the packet-duplicate filter
+    /// (for a packet the client sent itself), the in-flight and completion
+    /// caches, availability, the migration freeze, ownership and an overdue
+    /// rename's staging. Returns the incarnation the handler runs in, with
+    /// the operation marked in flight, or `None` when the request was
+    /// answered or dropped here.
     async fn begin_request(
         &self,
         client_node: NodeId,
