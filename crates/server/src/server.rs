@@ -842,7 +842,7 @@ impl Server {
     /// the instant the packet arrives drops it. A body that nothing serves
     /// still gets its (empty) task: with one task per packet, every later
     /// task keeps its id. Returns that task's id.
-    pub(crate) fn deliver(&self, src: NodeId, msg: NetMsg) -> TaskId {
+    fn deliver(&self, src: NodeId, msg: NetMsg) -> TaskId {
         let NetMsg {
             dirty,
             pkt_seq,
