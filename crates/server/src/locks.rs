@@ -70,10 +70,29 @@
 //! read off the entry list when a reply is built, so no interleaving of the
 //! two can make `statdir` disagree with `readdir`.
 //!
-//! Locks are created lazily and kept forever; the number of distinct keys a
-//! single simulated server touches is bounded by the experiment size.
+//! # The tables
+//!
+//! Each family's locks live in a table by key, created on a key's first
+//! miss and kept only while something outside the table has a handle to
+//! them. A miss that finds its table twice as large as the last sweep left
+//! it (and at least [`SWEEP_FLOOR`]) first sweeps it: every lock whose
+//! handle is the table's only one leaves, and up to as many of those as are
+//! still in use (at least the floor's worth) are kept, free, for the next
+//! misses to take before they allocate. So a table holds at most twice the
+//! locks in use at its last sweep, or the floor, not every key the server
+//! has touched, and a steady load allocates hardly a lock.
+//!
+//! A sweep counts handles ([`SimClassLock::is_unshared`]), not holders and
+//! waiters: a handler takes its handle (`self.locks.inode(&key)`) before it
+//! awaits the acquire, so a lock nobody holds or waits for can still be
+//! about to be locked. Dropping it would let the next task for the key get
+//! a second lock, and two writers would hold one inode. A lock with no
+//! handle has no holder and no waiter (guards and acquires hold handles),
+//! so it carries no state anyone can see, and recycling it for another key
+//! changes nothing simulated.
 
 use std::cell::RefCell;
+use std::hash::Hash;
 use std::rc::Rc;
 
 use switchfs_proto::{DirId, Fingerprint, MetaKey};
@@ -86,12 +105,16 @@ pub const APPENDER: Access = Access::ClassA;
 /// Change-log lock class of the handlers answering an aggregation request.
 pub const RESPONDER: Access = Access::ClassB;
 
-/// Lazily-created named locks.
+/// The size below which a lock table never sweeps.
+pub const SWEEP_FLOOR: usize = 64;
+
+/// Lazily-created named locks, one table per family (module doc, "The
+/// tables").
 #[derive(Clone, Default)]
 pub struct LockManager {
-    inodes: Rc<RefCell<FxHashMap<MetaKey, SimClassLock>>>,
-    changelogs: Rc<RefCell<FxHashMap<DirId, SimClassLock>>>,
-    fp_groups: Rc<RefCell<FxHashMap<u64, SimClassLock>>>,
+    inodes: Rc<RefCell<Table<MetaKey>>>,
+    changelogs: Rc<RefCell<Table<DirId>>>,
+    fp_groups: Rc<RefCell<Table<u64>>>,
 }
 
 impl LockManager {
@@ -102,34 +125,91 @@ impl LockManager {
 
     /// The lock guarding the inode stored under `key`.
     pub fn inode(&self, key: &MetaKey) -> SimClassLock {
-        let mut map = self.inodes.borrow_mut();
-        // Look up by reference first: the common hit path must not clone
-        // the key just to satisfy the entry API.
-        if let Some(l) = map.get(key) {
-            return l.clone();
-        }
-        let lock = SimClassLock::new();
-        map.insert(key.clone(), lock.clone());
-        lock
+        self.inodes.borrow_mut().lock(key)
     }
 
     /// The lock guarding the change-log of directory `dir`.
     pub fn changelog(&self, dir: &DirId) -> SimClassLock {
-        let mut map = self.changelogs.borrow_mut();
-        map.entry(*dir).or_default().clone()
+        self.changelogs.borrow_mut().lock(dir)
     }
 
     /// The lock guarding reads and aggregations of a fingerprint group.
     pub fn fp_group(&self, fp: Fingerprint) -> SimClassLock {
-        let mut map = self.fp_groups.borrow_mut();
-        map.entry(fp.raw()).or_default().clone()
+        self.fp_groups.borrow_mut().lock(&fp.raw())
     }
 
     /// Tasks queued for or holding any fingerprint-group lock (used by
     /// tests).
     pub fn fp_group_waiters(&self) -> usize {
-        let map = self.fp_groups.borrow();
-        map.values().map(|l| l.waiters() + l.holders()).sum()
+        self.fp_groups.borrow().in_use()
+    }
+
+    /// Tasks queued for or holding any lock of the three families.
+    pub fn in_use(&self) -> usize {
+        self.inodes.borrow().in_use()
+            + self.changelogs.borrow().in_use()
+            + self.fp_groups.borrow().in_use()
+    }
+
+    /// Locks in the three tables, in use or not yet swept.
+    pub fn tabled(&self) -> usize {
+        self.inodes.borrow().locks.len()
+            + self.changelogs.borrow().locks.len()
+            + self.fp_groups.borrow().locks.len()
+    }
+}
+
+/// One family's locks by key (module doc, "The tables").
+struct Table<K> {
+    locks: FxHashMap<K, SimClassLock>,
+    /// Free locks the last sweep removed, for the next misses to take.
+    spare: Vec<SimClassLock>,
+    /// The size at which the next miss sweeps.
+    sweep_at: usize,
+}
+
+impl<K> Default for Table<K> {
+    fn default() -> Self {
+        Table {
+            locks: FxHashMap::default(),
+            spare: Vec::new(),
+            sweep_at: SWEEP_FLOOR,
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone> Table<K> {
+    fn lock(&mut self, key: &K) -> SimClassLock {
+        // Look up by reference first: the common hit path must not clone
+        // the key just to satisfy the entry API.
+        if let Some(l) = self.locks.get(key) {
+            return l.clone();
+        }
+        if self.locks.len() >= self.sweep_at {
+            self.sweep();
+        }
+        let lock = self.spare.pop().unwrap_or_default();
+        self.locks.insert(key.clone(), lock.clone());
+        lock
+    }
+
+    /// Removes every lock the table has the only handle to, and keeps up to
+    /// as many of them as are still in use, at least [`SWEEP_FLOOR`].
+    fn sweep(&mut self) {
+        let in_use = self.locks.values().filter(|l| !l.is_unshared()).count();
+        self.sweep_at = (2 * in_use).max(SWEEP_FLOOR);
+        let (spare, room) = (&mut self.spare, in_use.max(SWEEP_FLOOR));
+        self.locks.retain(|_, lock| {
+            let unshared = lock.is_unshared();
+            if unshared && spare.len() < room {
+                spare.push(lock.clone());
+            }
+            !unshared
+        });
+    }
+
+    fn in_use(&self) -> usize {
+        self.locks.values().map(|l| l.waiters() + l.holders()).sum()
     }
 }
 
@@ -351,6 +431,100 @@ mod tests {
         assert_eq!(done.get(), 3);
         // All three ran in parallel: total time is one critical section.
         assert_eq!(stats.end_time.as_micros(), 10);
+    }
+
+    fn key(i: usize) -> MetaKey {
+        MetaKey::new(DirId::ROOT, format!("k{i}"))
+    }
+
+    /// Spawns a task that write-locks and releases `n` keys from `first` on,
+    /// one after another, 1 µs each.
+    fn churn(sim: &Sim, mgr: &LockManager, first: usize, n: usize) {
+        let (mgr, h) = (mgr.clone(), sim.handle());
+        sim.spawn(async move {
+            for i in first..first + n {
+                let _g = mgr.inode(&key(i)).write().await;
+                h.sleep(SimDuration::micros(1)).await;
+            }
+        });
+    }
+
+    #[test]
+    fn a_table_of_released_locks_stays_within_its_sweep_floor() {
+        let sim = Sim::new(1);
+        let mgr = LockManager::new();
+        churn(&sim, &mgr, 0, 10_000);
+        sim.run();
+        assert!(
+            mgr.tabled() <= SWEEP_FLOOR,
+            "{} locks tabled after 10,000 released keys",
+            mgr.tabled()
+        );
+        assert_eq!(mgr.in_use(), 0);
+    }
+
+    #[test]
+    fn a_handle_held_across_sweeps_keeps_its_lock() {
+        let sim = Sim::new(1);
+        let mgr = LockManager::new();
+        let k = key(usize::MAX);
+        let done = Rc::new(Cell::new(false));
+        // The first task takes its handle at once, holds no guard while
+        // 1,000 other keys churn through sweeps, then write-locks it.
+        {
+            let (l, h, done) = (mgr.inode(&k), sim.handle(), done.clone());
+            sim.spawn(async move {
+                h.sleep(SimDuration::micros(1_000)).await;
+                let _g = l.write().await;
+                h.sleep(SimDuration::micros(10)).await;
+                done.set(true);
+            });
+        }
+        churn(&sim, &mgr, 0, 1_000);
+        let (m, h, second) = (mgr.clone(), sim.handle(), done.clone());
+        sim.spawn(async move {
+            h.sleep(SimDuration::micros(1_001)).await;
+            assert!(m.tabled() <= SWEEP_FLOOR, "the churn swept");
+            let _g = m.inode(&k).write().await;
+            assert!(second.get(), "the second writer must wait for the first");
+        });
+        let stats = sim.run();
+        assert!(done.get());
+        assert_eq!(stats.end_time.as_micros(), 1_010);
+    }
+
+    #[test]
+    fn a_recycled_lock_starts_free() {
+        for access in [Access::ClassA, Access::ClassB, Access::Exclusive] {
+            let sim = Sim::new(1);
+            let mgr = LockManager::new();
+            // Fill the table with locks each last held in one of the three
+            // classes while another class queued behind it.
+            let h = sim.handle();
+            for i in 0..SWEEP_FLOOR {
+                let held = [Access::ClassA, Access::ClassB, Access::Exclusive][i % 3];
+                let queued = [Access::ClassB, Access::Exclusive, Access::ClassA][i % 3];
+                let (first, second, h) = (mgr.inode(&key(i)), mgr.inode(&key(i)), h.clone());
+                sim.spawn(async move {
+                    let _g = first.acquire(held).await;
+                    h.sleep(SimDuration::micros(1)).await;
+                });
+                sim.spawn(async move { drop(second.acquire(queued).await) });
+            }
+            sim.run();
+            assert_eq!(mgr.in_use(), 0);
+            // The next miss sweeps, and takes a lock the sweep kept.
+            let lock = mgr.inode(&key(SWEEP_FLOOR));
+            assert_eq!(mgr.inodes.borrow().spare.len(), SWEEP_FLOOR - 1);
+            let (h, at) = (sim.handle(), Rc::new(Cell::new(None)));
+            let (start, got) = (h.now(), at.clone());
+            sim.spawn(async move {
+                let _g = lock.acquire(access).await;
+                got.set(Some(h.now()));
+            });
+            sim.run();
+            assert_eq!(at.get(), Some(start), "{access:?} is granted at once");
+        }
     }
 
     #[test]

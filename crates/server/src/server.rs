@@ -756,6 +756,21 @@ impl Server {
         self.locks.fp_group_waiters() + gates.values().map(AggGate::followers).sum::<usize>()
     }
 
+    /// Tasks holding or queued for one of this server's inode, change-log or
+    /// fingerprint-group locks; zero whenever the server is quiescent
+    /// (test/chaos observability).
+    pub fn locks_in_use(&self) -> usize {
+        self.locks.in_use()
+    }
+
+    /// Locks in this server's lock tables, in use or not yet swept; each
+    /// table sweeps its unused locks before it outgrows
+    /// [`SWEEP_FLOOR`](crate::locks::SWEEP_FLOOR) or twice the locks in use
+    /// at its last sweep (test observability).
+    pub fn tabled_lock_count(&self) -> usize {
+        self.locks.tabled()
+    }
+
     /// Total duplicate-suppression cache entries across all clients
     /// (test observability for the bounded-dedup guarantee).
     pub fn completed_op_count(&self) -> usize {

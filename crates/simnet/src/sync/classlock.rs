@@ -124,6 +124,13 @@ impl SimClassLock {
         self.inner.borrow().queue.len()
     }
 
+    /// True when this is the lock's only handle: no other clone, guard or
+    /// acquire of it exists, so nobody holds it, waits for it or can still
+    /// ask for it.
+    pub fn is_unshared(&self) -> bool {
+        Rc::strong_count(&self.inner) == 1
+    }
+
     /// True while some task holds the lock with `access` or is queued for it
     /// with `access`.
     pub fn wanted_by(&self, access: Access) -> bool {
@@ -393,6 +400,34 @@ mod tests {
             assert_eq!(wanted(), [false, false]);
         });
         sim.run();
+    }
+
+    #[test]
+    fn a_lock_is_unshared_only_without_clones_guards_or_acquires() {
+        let sim = Sim::new(1);
+        let lock = SimClassLock::new();
+        assert!(lock.is_unshared());
+        let handle = lock.clone();
+        assert!(!lock.is_unshared());
+        let (h, probe) = (sim.handle(), lock.clone());
+        sim.spawn(async move {
+            let g = handle.write().await;
+            drop(handle);
+            // The guard and the queued acquire below each share the lock.
+            h.sleep(SimDuration::micros(2)).await;
+            drop(g);
+        });
+        sim.spawn(async move {
+            let _g = probe.read().await;
+        });
+        let (h, lock2) = (sim.handle(), lock.clone());
+        sim.spawn(async move {
+            h.sleep(SimDuration::micros(1)).await;
+            assert_eq!((lock2.holders(), lock2.waiters()), (1, 1));
+            assert!(!lock2.is_unshared());
+        });
+        sim.run();
+        assert!(lock.is_unshared());
     }
 
     #[test]

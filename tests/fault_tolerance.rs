@@ -1418,6 +1418,51 @@ fn completed_ops_stay_bounded_under_sustained_load() {
     );
 }
 
+/// The lock half of the quiescence oracle: after a mixed create / delete /
+/// stat / statdir workload has settled, no task holds or waits for any lock,
+/// and each server's three lock tables hold no more than their sweep floor —
+/// not a lock for every key the run touched.
+#[test]
+fn no_lock_is_in_use_after_a_settled_mix_and_the_lock_tables_stay_at_their_floor() {
+    use switchfs::server::locks::SWEEP_FLOOR;
+    use switchfs::workloads::{NamespaceSpec, OpKind, OpMix, WorkloadBuilder};
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 2;
+    let mut cluster = Cluster::new(cfg);
+    let ns = NamespaceSpec::multi_dir(8, 256);
+    for d in 0..ns.dirs {
+        let dir = ns.dir_path(d);
+        cluster.preload_dir(&dir);
+        cluster.preload_files(&dir, &ns.file_prefix, ns.files_per_dir);
+    }
+    let mix = OpMix::new(vec![
+        (OpKind::Create, 3.0),
+        (OpKind::Delete, 1.0),
+        (OpKind::Stat, 4.0),
+        (OpKind::Statdir, 2.0),
+    ]);
+    let total_ops = 4_000;
+    let items = WorkloadBuilder::new(ns, 5).mixed(&mix, total_ops);
+    let report = cluster.run_workload(items, 16, None);
+    assert_eq!(report.ops as usize, total_ops);
+    cluster.settle(SimDuration::millis(5));
+
+    for (i, server) in cluster.servers().iter().enumerate() {
+        assert_eq!(
+            server.locks_in_use(),
+            0,
+            "server {i}: a lock is still in use"
+        );
+        assert!(
+            server.tabled_lock_count() <= 3 * SWEEP_FLOOR,
+            "server {i}: {} locks tabled after {total_ops} ops",
+            server.tabled_lock_count()
+        );
+    }
+}
+
 /// Regression, on every tracker and three seeds of a lossy network: a
 /// `statdir` after each create counts exactly the creates acknowledged so
 /// far, and once the run quiesces no server still waits on a token. The
