@@ -193,8 +193,9 @@ impl<K: Hash + Eq + Clone> Table<K> {
         lock
     }
 
-    /// Removes every lock the table has the only handle to, and keeps up to
-    /// as many of them as are still in use, at least [`SWEEP_FLOOR`].
+    /// Removes every lock the table has the only handle to, and keeps as
+    /// many of them as are still in use, or [`SWEEP_FLOOR`] if that is more,
+    /// for the next misses.
     fn sweep(&mut self) {
         let in_use = self.locks.values().filter(|l| !l.is_unshared()).count();
         self.sweep_at = (2 * in_use).max(SWEEP_FLOOR);
@@ -437,12 +438,12 @@ mod tests {
         MetaKey::new(DirId::ROOT, format!("k{i}"))
     }
 
-    /// Spawns a task that write-locks and releases `n` keys from `first` on,
-    /// one after another, 1 µs each.
-    fn churn(sim: &Sim, mgr: &LockManager, first: usize, n: usize) {
+    /// Spawns a task that write-locks and releases keys `0..n`, one after
+    /// another, 1 µs each.
+    fn churn(sim: &Sim, mgr: &LockManager, n: usize) {
         let (mgr, h) = (mgr.clone(), sim.handle());
         sim.spawn(async move {
-            for i in first..first + n {
+            for i in 0..n {
                 let _g = mgr.inode(&key(i)).write().await;
                 h.sleep(SimDuration::micros(1)).await;
             }
@@ -453,7 +454,7 @@ mod tests {
     fn a_table_of_released_locks_stays_within_its_sweep_floor() {
         let sim = Sim::new(1);
         let mgr = LockManager::new();
-        churn(&sim, &mgr, 0, 10_000);
+        churn(&sim, &mgr, 10_000);
         sim.run();
         assert!(
             mgr.tabled() <= SWEEP_FLOOR,
@@ -480,7 +481,7 @@ mod tests {
                 done.set(true);
             });
         }
-        churn(&sim, &mgr, 0, 1_000);
+        churn(&sim, &mgr, 1_000);
         let (m, h, second) = (mgr.clone(), sim.handle(), done.clone());
         sim.spawn(async move {
             h.sleep(SimDuration::micros(1_001)).await;
