@@ -7,9 +7,10 @@
 //! its invalidation list), the client drops every cached entry along that
 //! path and retries the operation from scratch (§5.2.1, §5.2.3).
 
+use std::borrow::Cow;
 use std::rc::Rc;
 
-use switchfs_proto::{DirId, Fingerprint, InodeAttrs, MetaKey};
+use switchfs_proto::{DirId, Fingerprint, FsError, FsResult, InodeAttrs, MetaKey};
 use switchfs_simnet::FxHashMap;
 
 /// One cached directory.
@@ -117,9 +118,9 @@ impl MetaCache {
 /// `"/a/b/c"` → `"/a"`, `"/a/b"`, `"/a/b/c"`. Alloc-free — each prefix is a
 /// slice of the input ending at a component boundary, so the input must be
 /// canonical (no repeated separators): `"/a//b"` yields `"/a//b"`, not
-/// `"/a/b"`, and would miss the canonical cache key. Every path the client
-/// caches under is canonical (resolution builds them component by
-/// component), so callers passing resolved paths are always safe.
+/// `"/a/b"`, and would miss the canonical cache key. `LibFs` canonicalizes
+/// every path where it enters an operation (`canonical_path`), so every
+/// path it caches under, looks up or invalidates is canonical.
 pub fn path_prefixes(path: &str) -> impl Iterator<Item = &str> {
     path.char_indices()
         .filter_map(move |(i, c)| {
@@ -129,6 +130,31 @@ pub fn path_prefixes(path: &str) -> impl Iterator<Item = &str> {
             boundary.then(|| &path[..i + c.len_utf8()])
         })
         .filter(|p| !p.is_empty())
+}
+
+/// The canonical spelling of a path: each component after one `/`, nothing
+/// after the last (`"/a//b/"` and `"a/b"` → `"/a/b"`). Borrowed when `path`
+/// is already canonical. A path without components (`"/"`, `""`) names the
+/// root, which no operation resolves: `NotFound`.
+pub(crate) fn canonical_path(path: &str) -> FsResult<Cow<'_, str>> {
+    let canonical = path.starts_with('/') && !path.ends_with('/') && !path.contains("//");
+    if canonical {
+        return Ok(Cow::Borrowed(path));
+    }
+    let mut out = String::with_capacity(path.len() + 1);
+    for comp in path_components(path) {
+        out.push('/');
+        out.push_str(comp);
+    }
+    if out.is_empty() {
+        return Err(FsError::NotFound);
+    }
+    Ok(Cow::Owned(out))
+}
+
+/// Number of components of a canonical path: one per separator.
+pub(crate) fn depth(path: &str) -> usize {
+    path.bytes().filter(|&b| b == b'/').count()
 }
 
 /// Iterates the components of an absolute path without allocating.
@@ -204,5 +230,19 @@ mod tests {
             path_prefixes("/a/b/").collect::<Vec<_>>(),
             vec!["/a", "/a/b"]
         );
+    }
+
+    #[test]
+    fn canonical_path_collapses_separators_and_borrows_a_canonical_path() {
+        assert_eq!(canonical_path("/a//b/").unwrap(), "/a/b");
+        assert_eq!(canonical_path("a/b").unwrap(), "/a/b");
+        assert_eq!(canonical_path("/"), Err(FsError::NotFound));
+        assert_eq!(canonical_path("//"), Err(FsError::NotFound));
+        assert_eq!(canonical_path(""), Err(FsError::NotFound));
+        assert!(matches!(canonical_path("/a/b"), Ok(Cow::Borrowed("/a/b"))));
+        assert!(matches!(canonical_path("/a"), Ok(Cow::Borrowed("/a"))));
+        assert!(matches!(canonical_path("/a/"), Ok(Cow::Owned(_))));
+        assert_eq!(depth("/a/b/c"), 3);
+        assert_eq!(depth("/a"), 1);
     }
 }

@@ -14,7 +14,7 @@ use switchfs_proto::{
 use switchfs_simnet::sync::oneshot;
 use switchfs_simnet::{timeout, Endpoint, FxHashMap, NodeId, SimDuration, SimHandle};
 
-use crate::cache::{path_components, CachedDir, MetaCache};
+use crate::cache::{canonical_path, depth, path_components, CachedDir, MetaCache};
 
 /// Whole-operation retries on retryable errors (stale cache, unavailable
 /// server).
@@ -72,8 +72,6 @@ switchfs_simnet::counters! {
 struct Resolution {
     key: MetaKey,
     parent: Option<ParentRef>,
-    ancestors: Vec<DirId>,
-    parent_path: String,
 }
 
 /// The SwitchFS client library.
@@ -237,7 +235,9 @@ impl LibFs {
     pub async fn rmdir(&self, path: &str) -> FsResult<()> {
         let r = self.run_path_op(path, |key| MetaOp::Rmdir { key }).await;
         // A removed directory must disappear from the cache.
-        self.cache.borrow_mut().invalidate_subtree(path);
+        if let Ok(path) = canonical_path(path) {
+            self.cache.borrow_mut().invalidate_subtree(&path);
+        }
         self.expect_done(r)
     }
 
@@ -288,9 +288,11 @@ impl LibFs {
     /// Renames a file (or directory).
     pub async fn rename(&self, src_path: &str, dst_path: &str) -> FsResult<()> {
         self.stats.borrow_mut().ops_issued += 1;
+        let src_path = canonical_path(src_path).inspect_err(|_| self.count_outcome(false))?;
+        let dst_path = canonical_path(dst_path).inspect_err(|_| self.count_outcome(false))?;
         let mut attempt = 0;
         loop {
-            match self.try_rename(src_path, dst_path).await {
+            match self.try_rename(&src_path, &dst_path).await {
                 // `Unavailable` is the coordinator's abort verdict (nothing
                 // was mutated) and `StaleCache` a failed ancestor check:
                 // both are safe to retry, like `run_path_op` does for every
@@ -302,8 +304,8 @@ impl LibFs {
                     attempt += 1;
                     if e == FsError::StaleCache {
                         self.stats.borrow_mut().stale_retries += 1;
-                        self.cache.borrow_mut().invalidate_path(src_path);
-                        self.cache.borrow_mut().invalidate_path(dst_path);
+                        self.cache.borrow_mut().invalidate_path(&src_path);
+                        self.cache.borrow_mut().invalidate_path(&dst_path);
                     } else {
                         self.handle.sleep(self.cfg.request_timeout).await;
                     }
@@ -316,7 +318,8 @@ impl LibFs {
         }
     }
 
-    /// One rename attempt: resolve both paths and run the transaction. The
+    /// One rename attempt on two canonical paths: resolve both into one
+    /// ancestor chain, sized for both up front, and run the transaction. The
     /// client probes NEITHER end of the rename:
     ///
     /// * the destination's owner re-checks authoritatively at prepare time
@@ -338,15 +341,14 @@ impl LibFs {
         if src_path == dst_path && cached.is_some() {
             return Ok(());
         }
-        let src_res = self.resolve(src_path, false).await?;
-        let dst_res = self.resolve(dst_path, false).await?;
+        let mut ancestors = Vec::with_capacity(depth(src_path) + depth(dst_path));
+        let src_res = self.resolve(src_path, false, &mut ancestors).await?;
+        let dst_res = self.resolve(dst_path, false, &mut ancestors).await?;
         let op = MetaOp::Rename {
             src: src_res.key,
             dst: dst_res.key,
             dst_parent: dst_res.parent,
         };
-        let mut ancestors = src_res.ancestors;
-        ancestors.extend(dst_res.ancestors.iter().copied());
         let result = self.issue(op, src_res.parent, ancestors, cached).await?;
         self.cache.borrow_mut().invalidate_subtree(src_path);
         self.cache.borrow_mut().invalidate_path(dst_path);
@@ -379,23 +381,27 @@ impl LibFs {
     // Resolution and request execution.
     // ------------------------------------------------------------------
 
-    /// Runs one path-addressed operation with stale-cache retries.
+    /// Runs one path-addressed operation with stale-cache retries. The path
+    /// is canonicalized once, here: every cache key, lookup and invalidation
+    /// below is the canonical path or a prefix of it.
     async fn run_path_op(
         &self,
         path: &str,
         build: impl Fn(MetaKey) -> MetaOp,
     ) -> FsResult<OpResult> {
         self.stats.borrow_mut().ops_issued += 1;
+        let path = canonical_path(path).inspect_err(|_| self.count_outcome(false))?;
         let mut attempt = 0;
         loop {
             let op_probe = build(MetaKey::new(DirId::ROOT, String::new()));
             let need_target = self.map.borrow().needs_target(&op_probe);
-            let res = match self.resolve(path, need_target).await {
+            let mut ancestors = Vec::with_capacity(depth(&path));
+            let res = match self.resolve(&path, need_target, &mut ancestors).await {
                 Ok(r) => r,
                 Err(FsError::StaleCache) if attempt < MAX_OP_RETRIES => {
                     attempt += 1;
                     self.stats.borrow_mut().stale_retries += 1;
-                    self.cache.borrow_mut().invalidate_path(path);
+                    self.cache.borrow_mut().invalidate_path(&path);
                     continue;
                 }
                 Err(e) => {
@@ -405,17 +411,12 @@ impl LibFs {
             };
             // The resolution is rebuilt on every retry, so its fields move
             // straight into the request — no per-attempt clones.
-            let Resolution {
-                key,
-                parent,
-                ancestors,
-                parent_path,
-            } = res;
+            let Resolution { key, parent } = res;
             let op = build(key);
             let target_attrs = if need_target {
                 self.cache
                     .borrow_mut()
-                    .get(path)
+                    .get(&path)
                     .and_then(|c| c.attrs.clone())
             } else {
                 None
@@ -426,10 +427,9 @@ impl LibFs {
                     attempt += 1;
                     if e == FsError::StaleCache {
                         self.stats.borrow_mut().stale_retries += 1;
-                        self.cache.borrow_mut().invalidate_path(path);
-                        // Also drop the parent entry itself; the retry
-                        // re-resolves from the root.
-                        self.cache.borrow_mut().invalidate_path(&parent_path);
+                        // Every cached directory along the path, the parent
+                        // included: the retry re-resolves from the root.
+                        self.cache.borrow_mut().invalidate_path(&path);
                     } else {
                         self.handle.sleep(self.cfg.request_timeout).await;
                     }
@@ -454,42 +454,48 @@ impl LibFs {
         }
     }
 
-    /// Resolves the parent chain of `path` (and optionally the final
-    /// component), filling the metadata cache. Components are borrowed
-    /// slices of `path` and the growing prefix lives in one reused buffer,
-    /// which ends as the parent's path — no per-component `String` is
-    /// allocated.
-    async fn resolve(&self, path: &str, resolve_target: bool) -> FsResult<Resolution> {
+    /// Resolves the parent chain of the canonical `path` (and optionally
+    /// the final component), filling the metadata cache, and appends the ids
+    /// of the parent chain, the root first, to `ancestors`. Components and
+    /// cache keys are slices of `path`, so a cache hit allocates nothing but
+    /// the target's name.
+    async fn resolve(
+        &self,
+        path: &str,
+        resolve_target: bool,
+        ancestors: &mut Vec<DirId>,
+    ) -> FsResult<Resolution> {
         let (count, name) = path_components(path).fold((0, ""), |(n, _), c| (n + 1, c));
-        if count == 0 {
-            return Err(FsError::NotFound);
-        }
-        let mut ancestors = vec![DirId::ROOT];
+        debug_assert!(count > 0, "{path:?} is not canonical");
+        let chain_start = ancestors.len();
+        ancestors.push(DirId::ROOT);
         let mut parent = ParentRef {
             key: MetaKey::new(DirId::ROOT, String::new()),
             id: DirId::ROOT,
             fp: Fingerprint::of_dir(&DirId::ROOT, ""),
         };
-        let mut current = String::new();
-        // Length of `current` at the last parent update: the parent's path.
-        let mut parent_len = 0;
+        // End of the current prefix: `path[..end]` is the directory the
+        // current component names.
+        let mut end = 0;
         let upto = if resolve_target { count } else { count - 1 };
         for (i, comp) in path_components(path).take(upto).enumerate() {
-            current.push('/');
-            current.push_str(comp);
-            let cached = self.cache.borrow_mut().get(&current);
+            end += 1 + comp.len();
+            let prefix = &path[..end];
+            let cached = self.cache.borrow_mut().get(prefix);
             let dir = match cached {
                 Some(d) => d,
                 None => {
                     self.stats.borrow_mut().lookups += 1;
                     let key = MetaKey::new(parent.id, comp);
                     let op = MetaOp::Lookup { key: key.clone() };
+                    // This path's chain so far, without what an earlier
+                    // resolution into the same buffer appended.
+                    let chain = ancestors[chain_start..].to_vec();
                     // Boxed: the lookup RPC runs only on a cache miss, but
                     // its inline state machine would otherwise dominate the
                     // size of every resolution future above it.
                     let result =
-                        Box::pin(self.issue(op, Some(parent.clone()), ancestors.clone(), None))
-                            .await?;
+                        Box::pin(self.issue(op, Some(parent.clone()), chain, None)).await?;
                     let attrs = match result {
                         OpResult::Attrs(a) => a,
                         OpResult::Err(e) => return Err(e),
@@ -501,7 +507,7 @@ impl LibFs {
                         key,
                         attrs: Some(attrs),
                     });
-                    self.cache.borrow_mut().insert(&current, Rc::clone(&dir));
+                    self.cache.borrow_mut().insert(prefix, Rc::clone(&dir));
                     dir
                 }
             };
@@ -514,13 +520,7 @@ impl LibFs {
                     id: dir.id,
                     fp: dir.fp,
                 };
-                parent_len = current.len();
             }
-        }
-        let mut parent_path = current;
-        parent_path.truncate(parent_len);
-        if parent_path.is_empty() {
-            parent_path.push('/');
         }
         let key = MetaKey::new(parent.id, name);
         // Operations directly under the root still carry the root as parent;
@@ -528,8 +528,6 @@ impl LibFs {
         Ok(Resolution {
             key,
             parent: Some(parent),
-            ancestors,
-            parent_path,
         })
     }
 

@@ -107,14 +107,15 @@ where
 
 #[test]
 fn a_warm_stat_stays_within_its_allocation_budget() {
-    // 9.4 per stat; 667 (10.4 per stat) before a received packet became one
-    // task, the future of the handler that serves it; 987 (15.4 per stat)
-    // before a packet in flight became an entry of the network's slab and
-    // `resolve` stopped copying its components and the parent's path; and
-    // 1,691 (26.4 per stat) before names were shared, the packet path kept
-    // its lists inline, task wakers were reused and lock waiters became
-    // tickets.
-    const BUDGET: u64 = 603;
+    // 7.4 per stat; 603 (9.4 per stat) before `resolve` stopped building its
+    // path prefix and growing its ancestor chain; 667 (10.4 per stat) before
+    // a received packet became one task, the future of the handler that
+    // serves it; 987 (15.4 per stat) before a packet in flight became an
+    // entry of the network's slab and `resolve` stopped copying its
+    // components and the parent's path; and 1,691 (26.4 per stat) before
+    // names were shared, the packet path kept its lists inline, task wakers
+    // were reused and lock waiters became tickets.
+    const BUDGET: u64 = 475;
     let paths = (0..2 * OPS).map(|i| format!("/d/f{i}")).collect();
     let n = allocs_of(paths, |client, path| async move {
         client.stat(&path).await.expect("stat");
@@ -127,9 +128,10 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
-    // 21.9 per create; 1,597 (25.0 per create), 1,921 (30.0 per create) and
-    // 3,218 (50.3 per create) before the same three changes.
-    const BUDGET: u64 = 1_399;
+    // 19.9 per create; 1,399 (21.9 per create), 1,597 (25.0 per create),
+    // 1,921 (30.0 per create) and 3,218 (50.3 per create) before the same
+    // four changes.
+    const BUDGET: u64 = 1_271;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
     let n = allocs_of(paths, |client, path| async move {
         client.create(&path).await.expect("create");

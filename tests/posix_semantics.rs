@@ -211,6 +211,47 @@ fn stale_client_caches_are_invalidated_lazily_after_rmdir() {
     });
 }
 
+/// A client canonicalizes a path where it enters an operation, so a
+/// non-canonical spelling hits the cache entries the canonical one filled,
+/// and a stale retry on it drops them.
+#[test]
+fn a_non_canonical_path_shares_the_canonical_cache_entries() {
+    let cluster = small_cluster(SystemKind::SwitchFs);
+    let creator = cluster.client(0);
+    let other = cluster.client(1);
+    cluster.block_on(async move {
+        creator.mkdir("/a").await.unwrap();
+        creator.mkdir("/a/b").await.unwrap();
+        creator.create("/a/b/f").await.unwrap();
+        other.stat("/a/b/f").await.unwrap();
+        let lookups = other.stats().lookups;
+        other.stat("/a//b/f").await.unwrap();
+        other.stat("a/b/f/").await.unwrap();
+        assert_eq!(
+            other.stats().lookups,
+            lookups,
+            "both spellings resolve from the entries /a/b/f cached"
+        );
+        // Replace /a/b: the other client's entry for it goes stale.
+        creator.delete("/a/b/f").await.unwrap();
+        creator.rmdir("/a/b").await.unwrap();
+        creator.mkdir("/a/b").await.unwrap();
+        creator.create("/a/b/f").await.unwrap();
+        let (_, _, invalidations) = other.cache_counters();
+        other.stat("/a//b/f").await.unwrap();
+        let stats = other.stats();
+        assert_eq!(stats.stale_retries, 1, "one retry after ESTALE");
+        assert_eq!(
+            other.cache_counters().2 - invalidations,
+            2,
+            "the retry drops the cached /a and /a/b"
+        );
+        assert_eq!(stats.lookups, lookups + 2, "and looks both up again");
+        other.stat("/a/b/f").await.unwrap();
+        assert_eq!(other.stats().lookups, lookups + 2);
+    });
+}
+
 /// §7.3.2's run: 2,000 creates into one directory at 256 in flight, every
 /// dirty-set insert overflowing. Each create is one synchronous parent
 /// update at the directory's owner, however many copies of its commit queue
