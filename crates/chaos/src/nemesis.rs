@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use switchfs_core::Control;
 use switchfs_server::server::recovery::RecoveryReport;
-use switchfs_simnet::{NetFaults, SimDuration, SimHandle, SimTime};
+use switchfs_simnet::{NetFaults, SimDuration};
 
 use crate::plan::{Fault, FaultPlan};
 
@@ -44,18 +44,12 @@ pub async fn run_nemesis(control: Control, plan: FaultPlan, log: Rc<RefCell<Neme
     let start = control.sim().now();
     for ev in &plan.events {
         let deadline = start + SimDuration::micros(ev.at_us);
-        sleep_until(control.sim(), deadline).await;
+        control.sim().sleep_until(deadline).await;
         apply_fault(&control, &ev.fault, &log).await;
         log.borrow_mut().events_applied += 1;
     }
-    sleep_until(control.sim(), start + SimDuration::micros(plan.horizon_us)).await;
-}
-
-async fn sleep_until(handle: &SimHandle, deadline: SimTime) {
-    let now = handle.now();
-    if deadline > now {
-        handle.sleep(deadline.duration_since(now)).await;
-    }
+    let horizon = start + SimDuration::micros(plan.horizon_us);
+    control.sim().sleep_until(horizon).await;
 }
 
 async fn apply_fault(control: &Control, fault: &Fault, log: &Rc<RefCell<NemesisLog>>) {

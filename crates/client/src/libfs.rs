@@ -77,14 +77,14 @@ struct Resolution {
 /// The SwitchFS client library.
 pub struct LibFs {
     handle: SimHandle,
-    endpoint: Rc<Endpoint<NetMsg>>,
+    endpoint: Endpoint<NetMsg>,
     /// The client's private copy of the shard map it routes with (see
     /// [`Placement::route`]), refreshed from `WrongOwner` rejections. Its
     /// policy is the only client-side difference between the systems.
     map: RefCell<ShardMap>,
     cfg: LibFsConfig,
     cache: RefCell<MetaCache>,
-    pending: Rc<RefCell<FxHashMap<u64, oneshot::Sender<ClientResponse>>>>,
+    pending: RefCell<FxHashMap<u64, oneshot::Sender<ClientResponse>>>,
     next_seq: Cell<u64>,
     /// Packet-sequence counter, distinct from the operation counter: every
     /// transmitted copy (including retransmissions) gets a unique value, so
@@ -100,12 +100,6 @@ pub struct LibFs {
     /// Shared observability sink; disabled handles make every recording
     /// site a single branch.
     obs: ObsHandle,
-    /// Snapshot of `obs.on()` taken at construction. The handle's
-    /// interior-mutable flag lives behind an `Rc` and must be re-read at
-    /// every instrumentation site; a plain immutable bool is free to
-    /// hoist. Recording is always decided at cluster construction, so
-    /// the snapshot never goes stale.
-    obs_enabled: bool,
 }
 
 impl LibFs {
@@ -119,20 +113,18 @@ impl LibFs {
         cfg: LibFsConfig,
         obs: ObsHandle,
     ) -> Rc<Self> {
-        let obs_enabled = obs.on();
         Rc::new(LibFs {
             handle,
-            endpoint: Rc::new(endpoint),
+            endpoint,
             map: RefCell::new(map),
             cfg,
             cache: RefCell::new(MetaCache::new()),
-            pending: Rc::new(RefCell::new(FxHashMap::default())),
+            pending: RefCell::default(),
             next_seq: Cell::new(1),
             next_pkt: Cell::new(1),
             outstanding: RefCell::new(std::collections::BTreeSet::new()),
             stats: RefCell::new(ClientStats::default()),
             obs,
-            obs_enabled,
         })
     }
 
@@ -140,7 +132,7 @@ impl LibFs {
     /// the routing epoch this client currently trusts. A disabled handle
     /// makes this a single branch.
     fn trace_event(&self, trace: Option<TraceId>, kind: EventKind) {
-        if !self.obs_enabled {
+        if !self.obs.on() {
             return;
         }
         self.obs.record(TraceEvent {
@@ -198,17 +190,11 @@ impl LibFs {
 
     /// Creates a regular file.
     pub async fn create(&self, path: &str) -> FsResult<InodeAttrs> {
-        match self
-            .run_path_op(path, |key| MetaOp::Create {
-                key,
-                perm: Permissions::default(),
-            })
-            .await?
-        {
-            OpResult::Attrs(a) => Ok(a),
-            OpResult::Listing { attrs, .. } => Ok(attrs),
-            other => Err(other.err().unwrap_or(FsError::NotFound)),
-        }
+        let op = |key| MetaOp::Create {
+            key,
+            perm: Permissions::default(),
+        };
+        self.expect_attrs(self.run_path_op(path, op).await)
     }
 
     /// Deletes a regular file.
@@ -218,17 +204,11 @@ impl LibFs {
 
     /// Creates a directory.
     pub async fn mkdir(&self, path: &str) -> FsResult<InodeAttrs> {
-        match self
-            .run_path_op(path, |key| MetaOp::Mkdir {
-                key,
-                perm: Permissions::default(),
-            })
-            .await?
-        {
-            OpResult::Attrs(a) => Ok(a),
-            OpResult::Err(e) => Err(e),
-            _ => Err(FsError::NotFound),
-        }
+        let op = |key| MetaOp::Mkdir {
+            key,
+            perm: Permissions::default(),
+        };
+        self.expect_attrs(self.run_path_op(path, op).await)
     }
 
     /// Removes an empty directory.
@@ -271,10 +251,7 @@ impl LibFs {
 
     /// Closes a file.
     pub async fn close(&self, path: &str) -> FsResult<()> {
-        match self.run_path_op(path, |key| MetaOp::Close { key }).await? {
-            OpResult::Err(e) => Err(e),
-            _ => Ok(()),
-        }
+        self.expect_done(self.run_path_op(path, |key| MetaOp::Close { key }).await)
     }
 
     /// Changes permission bits.

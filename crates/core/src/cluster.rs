@@ -37,7 +37,7 @@ pub struct Cluster {
     pub sim: Sim,
     cfg: ClusterConfig,
     network: Network<NetMsg>,
-    servers: Vec<Server>,
+    servers: Vec<Rc<Server>>,
     durables: Vec<Rc<RefCell<DurableState>>>,
     clients: Vec<Rc<LibFs>>,
     switch: Option<Rc<RefCell<SwitchFsProgram>>>,
@@ -83,7 +83,7 @@ impl Cluster {
         // Dedicated coordinator, if requested; its serving loop keeps it alive.
         if cfg.tracking == TrackingChoice::DedicatedServer {
             let ep = network.register(COORDINATOR_NODE);
-            Rc::new(Coordinator::new(handle.clone(), ep, 12)).start();
+            Coordinator::new(handle.clone(), ep, 12).start();
         }
 
         let mut cluster = Cluster {
@@ -131,7 +131,7 @@ impl Cluster {
 
     /// Builds metadata server `i` on its node, with an empty durable state,
     /// and adds it to the deployment; the caller starts it.
-    fn build_server(&mut self, i: usize) -> Server {
+    fn build_server(&mut self, i: usize) -> Rc<Server> {
         let durable = Rc::new(RefCell::new(DurableState::new()));
         let server = Server::new(
             self.sim.handle(),
@@ -158,7 +158,7 @@ impl Cluster {
     }
 
     /// The metadata servers.
-    pub fn servers(&self) -> &[Server] {
+    pub fn servers(&self) -> &[Rc<Server>] {
         &self.servers
     }
 

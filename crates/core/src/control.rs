@@ -35,7 +35,7 @@ use crate::cluster::server_node;
 pub struct Control {
     pub(crate) handle: SimHandle,
     pub(crate) network: Network<NetMsg>,
-    pub(crate) servers: Vec<Server>,
+    pub(crate) servers: Vec<Rc<Server>>,
     pub(crate) switch: Option<Rc<RefCell<SwitchFsProgram>>>,
     pub(crate) placement: SharedPlacement,
 }
@@ -65,7 +65,7 @@ impl Control {
     }
 
     /// The metadata servers, by index.
-    pub fn servers(&self) -> &[Server] {
+    pub fn servers(&self) -> &[Rc<Server>] {
         &self.servers
     }
 

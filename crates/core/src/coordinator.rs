@@ -18,8 +18,8 @@ use switchfs_simnet::{CpuPool, Endpoint, SimDuration, SimHandle};
 pub struct Coordinator {
     handle: SimHandle,
     cpu: CpuPool,
-    endpoint: Rc<Endpoint<NetMsg>>,
-    set: Rc<RefCell<ServerDirtySet>>,
+    endpoint: Endpoint<NetMsg>,
+    set: RefCell<ServerDirtySet>,
     per_op_cost: SimDuration,
     next_seq: RefCell<u64>,
 }
@@ -27,18 +27,18 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator with `cores` worker cores (the paper's
     /// dedicated server uses 12 cores with DPDK).
-    pub fn new(handle: SimHandle, endpoint: Endpoint<NetMsg>, cores: usize) -> Self {
+    pub fn new(handle: SimHandle, endpoint: Endpoint<NetMsg>, cores: usize) -> Rc<Self> {
         let cpu = CpuPool::new(handle.clone(), cores);
-        Coordinator {
+        Rc::new(Coordinator {
             handle,
             cpu,
-            endpoint: Rc::new(endpoint),
-            set: Rc::default(),
+            endpoint,
+            set: RefCell::default(),
             // ~1 µs of CPU per dirty-set RPC: 12 cores saturate at ~12 Mops/s,
             // matching the ~11 Mops/s ceiling reported in Fig. 15(b).
             per_op_cost: SimDuration::from_micros_f64(1.0),
             next_seq: RefCell::new(1),
-        }
+        })
     }
 
     /// Spawns the serving loop.
@@ -102,7 +102,7 @@ mod tests {
         );
         let coord_ep = net.register(NodeId(900));
         let client_ep = net.register(NodeId(1));
-        let coordinator = Rc::new(Coordinator::new(sim.handle(), coord_ep, 12));
+        let coordinator = Coordinator::new(sim.handle(), coord_ep, 12);
         coordinator.start();
         let fp = Fingerprint::of_dir(&DirId::ROOT, "d");
         let got = Rc::new(RefCell::new(Vec::new()));

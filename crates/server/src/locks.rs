@@ -110,19 +110,14 @@ pub const SWEEP_FLOOR: usize = 64;
 
 /// Lazily-created named locks, one table per family (module doc, "The
 /// tables").
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct LockManager {
-    inodes: Rc<RefCell<Table<MetaKey>>>,
-    changelogs: Rc<RefCell<Table<DirId>>>,
-    fp_groups: Rc<RefCell<Table<u64>>>,
+    inodes: RefCell<Table<MetaKey>>,
+    changelogs: RefCell<Table<DirId>>,
+    fp_groups: RefCell<Table<u64>>,
 }
 
 impl LockManager {
-    /// Creates an empty lock manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The lock guarding the inode stored under `key`.
     pub fn inode(&self, key: &MetaKey) -> SimClassLock {
         self.inodes.borrow_mut().lock(key)
@@ -387,7 +382,7 @@ mod tests {
     #[test]
     fn same_key_returns_same_lock() {
         let sim = Sim::new(1);
-        let mgr = LockManager::new();
+        let mgr = LockManager::default();
         let key = MetaKey::new(DirId::ROOT, "a");
         let order = Rc::new(Cell::new(0u32));
         {
@@ -416,7 +411,7 @@ mod tests {
     #[test]
     fn different_keys_do_not_conflict() {
         let sim = Sim::new(1);
-        let mgr = LockManager::new();
+        let mgr = LockManager::default();
         let done = Rc::new(Cell::new(0u32));
         for name in ["a", "b", "c"] {
             let l = mgr.inode(&MetaKey::new(DirId::ROOT, name));
@@ -440,7 +435,7 @@ mod tests {
 
     /// Spawns a task that write-locks and releases keys `0..n`, one after
     /// another, 1 µs each.
-    fn churn(sim: &Sim, mgr: &LockManager, n: usize) {
+    fn churn(sim: &Sim, mgr: &Rc<LockManager>, n: usize) {
         let (mgr, h) = (mgr.clone(), sim.handle());
         sim.spawn(async move {
             for i in 0..n {
@@ -453,7 +448,7 @@ mod tests {
     #[test]
     fn a_table_of_released_locks_stays_within_its_sweep_floor() {
         let sim = Sim::new(1);
-        let mgr = LockManager::new();
+        let mgr = Rc::new(LockManager::default());
         churn(&sim, &mgr, 10_000);
         sim.run();
         assert!(
@@ -467,7 +462,7 @@ mod tests {
     #[test]
     fn a_handle_held_across_sweeps_keeps_its_lock() {
         let sim = Sim::new(1);
-        let mgr = LockManager::new();
+        let mgr = Rc::new(LockManager::default());
         let k = key(usize::MAX);
         let done = Rc::new(Cell::new(false));
         // The first task takes its handle at once, holds no guard while
@@ -498,7 +493,7 @@ mod tests {
     fn a_recycled_lock_starts_free() {
         for access in [Access::ClassA, Access::ClassB, Access::Exclusive] {
             let sim = Sim::new(1);
-            let mgr = LockManager::new();
+            let mgr = LockManager::default();
             // Fill the table with locks each last held in one of the three
             // classes while another class queued behind it.
             let h = sim.handle();
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn changelog_and_fp_group_locks_are_distinct_namespaces() {
-        let mgr = LockManager::new();
+        let mgr = LockManager::default();
         let dir = DirId::generate(switchfs_proto::ServerId(0), 1);
         let fp = Fingerprint::of_dir(&DirId::ROOT, "x");
         let a = mgr.changelog(&dir);

@@ -661,23 +661,18 @@ impl ServerInner {
 #[must_use = "an appended record is volatile until wal_flush_and_apply takes it"]
 pub(crate) struct Unflushed(u64);
 
-/// One SwitchFS metadata server, bound to a simulated network endpoint.
-#[derive(Clone)]
+/// One SwitchFS metadata server, bound to a simulated network endpoint and
+/// shared as `Rc<Server>`: each task that serves a packet holds one.
 pub struct Server {
     pub(crate) handle: SimHandle,
     pub(crate) cpu: CpuPool,
-    pub(crate) endpoint: Rc<Endpoint<NetMsg>>,
-    pub(crate) cfg: Rc<ServerConfig>,
-    pub(crate) inner: Rc<RefCell<ServerInner>>,
+    pub(crate) endpoint: Endpoint<NetMsg>,
+    pub(crate) cfg: ServerConfig,
+    pub(crate) inner: RefCell<ServerInner>,
+    /// The crash-surviving WAL/checkpoint bundle: shared with the cluster
+    /// harness, which keeps it across crashes.
     pub(crate) durable: Rc<RefCell<DurableState>>,
     pub(crate) locks: LockManager,
-    /// Snapshot of `cfg.obs.on()` taken at construction. Hot-path
-    /// instrumentation guards read this plain immutable bool instead of
-    /// the recorder's interior-mutable flag (a `Cell` behind two `Rc`s
-    /// that the optimizer must re-read at every site). Recording is
-    /// always decided at cluster construction, so the snapshot never
-    /// goes stale.
-    pub(crate) obs_enabled: bool,
 }
 
 impl Server {
@@ -688,19 +683,17 @@ impl Server {
         endpoint: Endpoint<NetMsg>,
         cfg: ServerConfig,
         durable: Rc<RefCell<DurableState>>,
-    ) -> Self {
+    ) -> Rc<Self> {
         let cpu = CpuPool::new(handle.clone(), cfg.cores);
-        let obs_enabled = cfg.obs.on();
-        Server {
+        Rc::new(Server {
             handle,
             cpu,
-            endpoint: Rc::new(endpoint),
-            cfg: Rc::new(cfg),
-            inner: Rc::new(RefCell::new(ServerInner::new())),
+            endpoint,
+            cfg,
+            inner: RefCell::new(ServerInner::new()),
             durable,
-            locks: LockManager::new(),
-            obs_enabled,
-        }
+            locks: LockManager::default(),
+        })
     }
 
     /// This server's identity.
@@ -819,7 +812,7 @@ impl Server {
 
     /// Starts the server: spawns the packet loop and the proactive
     /// push/aggregation loop.
-    pub fn start(&self) {
+    pub fn start(self: &Rc<Self>) {
         let me = self.clone();
         self.handle.spawn(async move { me.run_loop().await });
         let me = self.clone();
@@ -836,7 +829,7 @@ impl Server {
     reason = "an `async fn` stores a task's arguments twice"
 )]
 impl Server {
-    async fn run_loop(&self) {
+    async fn run_loop(self: &Rc<Self>) {
         loop {
             let Some(pkt) = self.endpoint.recv().await else {
                 return;
@@ -857,7 +850,7 @@ impl Server {
     /// the instant the packet arrives drops it. A body that nothing serves
     /// still gets its (empty) task: with one task per packet, every later
     /// task keeps its id. Returns that task's id.
-    fn deliver(&self, src: NodeId, msg: NetMsg) -> TaskId {
+    fn deliver(self: &Rc<Self>, src: NodeId, msg: NetMsg) -> TaskId {
         let NetMsg {
             dirty,
             pkt_seq,
@@ -878,7 +871,7 @@ impl Server {
     /// `pkt` is the packet's sequence when the client sent the request
     /// itself, `None` when a server forwarded it.
     fn deliver_request(
-        &self,
+        self: &Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -899,7 +892,7 @@ impl Server {
     }
 
     fn single_inode_task(
-        self,
+        self: Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -914,7 +907,7 @@ impl Server {
     }
 
     fn double_inode_task(
-        self,
+        self: Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -929,7 +922,7 @@ impl Server {
     }
 
     fn dir_read_task(
-        self,
+        self: Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -945,7 +938,7 @@ impl Server {
     }
 
     fn rmdir_task(
-        self,
+        self: Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -960,7 +953,7 @@ impl Server {
     }
 
     fn rename_task(
-        self,
+        self: Rc<Self>,
         client_node: NodeId,
         req: Rc<ClientRequest>,
         pkt: Option<PacketSeq>,
@@ -1195,7 +1188,7 @@ impl Server {
     /// [`Server::server_msg_task`], and the other requests
     /// [`Server::answer`].
     fn deliver_server_msg(
-        &self,
+        self: &Rc<Self>,
         src: NodeId,
         msg: ServerMsg,
         dirty_ret: Option<DirtyRet>,
@@ -1253,7 +1246,7 @@ impl Server {
     }
 
     fn aggregation_request_task(
-        self,
+        self: Rc<Self>,
         src: NodeId,
         fp: Fingerprint,
         agg_id: u64,
@@ -1268,7 +1261,7 @@ impl Server {
     }
 
     fn changelog_push_task(
-        self,
+        self: Rc<Self>,
         src: NodeId,
         dir_key: MetaKey,
         entries: Vec<ChangeLogEntry>,
@@ -1285,7 +1278,7 @@ impl Server {
     /// An asynchronous commit's copy that did not overflow: the mirror copy
     /// back at the origin completes the commit's token.
     fn commit_copy_task(
-        self,
+        self: Rc<Self>,
         src: NodeId,
         op_token: u64,
         dirty_ret: Option<DirtyRet>,
@@ -1302,7 +1295,7 @@ impl Server {
     /// [`Request::RemoteDirUpdate`] or an overflowed `AsyncCommit` — and
     /// replies to `src` under `token`.
     fn dir_update_task(
-        self,
+        self: Rc<Self>,
         src: NodeId,
         token: u64,
         dir_key: MetaKey,
@@ -1324,7 +1317,7 @@ impl Server {
     /// the coordinator's retransmission timer re-asks until the apply
     /// finished.
     fn txn_decision_task(
-        self,
+        self: Rc<Self>,
         src: NodeId,
         req_id: u64,
         txn_id: u64,
@@ -1339,7 +1332,7 @@ impl Server {
 
     /// Serves the server messages that need no task of their own: quick
     /// ones, which carry every reply and acknowledgment.
-    fn server_msg_task(self, src: NodeId, msg: ServerMsg) -> impl Future<Output = ()> {
+    fn server_msg_task(self: Rc<Self>, src: NodeId, msg: ServerMsg) -> impl Future<Output = ()> {
         async move {
             if !self.serves_servers() {
                 return;
@@ -1396,7 +1389,7 @@ impl Server {
     /// [`Request::TxnPrepare`] from a node that is not a metadata server. A
     /// directory update and a transaction's decision are answered by tasks
     /// of their own.
-    fn answer(self, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
+    fn answer(self: Rc<Self>, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
         async move {
             if !self.serves_servers() {
                 return;
@@ -1529,11 +1522,10 @@ impl Server {
 
     /// True when the observability layer is recording. Instrumentation
     /// sites check this before computing event payloads, so a disabled run
-    /// pays one branch per site (on a construction-time snapshot; see the
-    /// `obs_enabled` field).
+    /// pays one branch per site.
     #[inline]
     pub(crate) fn obs_on(&self) -> bool {
-        self.obs_enabled
+        self.cfg.obs.on()
     }
 
     /// Records a flight-recorder event stamped with virtual time, this
@@ -1541,7 +1533,7 @@ impl Server {
     /// ring-buffer write: never touches protocol state, stats or the
     /// schedule, so the replay digest is identical with tracing on or off.
     pub(crate) fn trace_event(&self, trace: Option<TraceId>, kind: EventKind) {
-        if !self.obs_enabled {
+        if !self.obs_on() {
             return;
         }
         self.cfg.obs.record(TraceEvent {
@@ -2192,7 +2184,7 @@ impl Server {
     /// Restarts the background proactive loop after [`Server::stop_background`].
     /// A decommissioned server stays quiet: its tombstone answers requests
     /// without any background machinery.
-    pub fn restart_background(&self) {
+    pub fn restart_background(self: &Rc<Self>) {
         let mut inner = self.inner.borrow_mut();
         if inner.liveness == Liveness::Tombstone || !std::mem::take(&mut inner.shutdown) {
             return;
@@ -2228,13 +2220,13 @@ mod tests {
 
     /// Delivers one request from `src` under `req_id` to `server`, as if its
     /// packet had arrived; the reply, if any, goes to `src`.
-    fn serve(server: &Server, src: NodeId, req_id: u64, req: Request) {
+    fn serve(server: &Rc<Server>, src: NodeId, req_id: u64, req: Request) {
         let body = Body::Server(ServerMsg::Request { req_id, req });
         server.deliver(src, NetMsg::plain(PacketSeq::default(), body));
     }
 
     /// The servers of a deployment, not started: a test calls the handlers.
-    fn test_servers(sim: &Sim, servers: u32) -> Vec<Server> {
+    fn test_servers(sim: &Sim, servers: u32) -> Vec<Rc<Server>> {
         let network: Network<NetMsg> = Network::new(
             sim.handle(),
             LinkParams::default(),
@@ -2302,7 +2294,8 @@ mod tests {
         // a large state machine inlined into a hot class shows in every
         // workload's bytes per operation. A rare branch is boxed instead.
         // (The ceilings are exact for the pinned toolchain; a new std can
-        // move them.)
+        // move them. They were 792 and 1,336 while each task held its own
+        // clone of the server's ten shared parts instead of one `Rc`.)
         let sim = Sim::new(1);
         let server = test_servers(&sim, 1).remove(0);
         let key = MetaKey::new(DirId::ROOT, "f");
@@ -2311,8 +2304,8 @@ mod tests {
             .clone()
             .single_inode_task(NodeId(1), stat.clone(), None);
         let double = server.clone().double_inode_task(NodeId(1), stat, None);
-        assert!(std::mem::size_of_val(&single) <= 792);
-        assert!(std::mem::size_of_val(&double) <= 1336);
+        assert!(std::mem::size_of_val(&single) <= 688);
+        assert!(std::mem::size_of_val(&double) <= 1232);
     }
 
     #[test]
@@ -2877,7 +2870,7 @@ mod tests {
     /// call took, checking that it appended and flushed exactly one record.
     fn time_log_record(
         sim: &Sim,
-        server: &Server,
+        server: &Rc<Server>,
         record: impl Into<WalOp> + 'static,
     ) -> SimDuration {
         let wal = || {

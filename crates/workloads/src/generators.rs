@@ -30,11 +30,6 @@ impl WorkloadBuilder {
         }
     }
 
-    /// The namespace this builder targets.
-    pub fn namespace(&self) -> &NamespaceSpec {
-        &self.namespace
-    }
-
     /// Directs `hot_fraction` of the operations at `hot_dirs_fraction` of the
     /// directories (e.g. `0.8, 0.2` for the 80/20 skew of §7.6).
     pub fn with_skew(mut self, hot_fraction: f64, hot_dirs_fraction: f64) -> Self {

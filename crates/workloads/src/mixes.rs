@@ -64,25 +64,6 @@ impl OpMix {
         ])
     }
 
-    /// The chaos-mix: a fault-injection workload deliberately heavy in
-    /// namespace *mutations* (creates, deletes, renames, directory
-    /// lifecycle) with enough directory reads to force aggregations, so
-    /// every recovery path — WAL replay, re-aggregation, 2PC decision
-    /// re-query — is exercised while the nemesis schedules faults.
-    pub fn chaos() -> Self {
-        OpMix::new(vec![
-            (OpKind::Create, 24.0),
-            (OpKind::Delete, 14.0),
-            (OpKind::Rename, 18.0),
-            (OpKind::Mkdir, 6.0),
-            (OpKind::Rmdir, 4.0),
-            (OpKind::Stat, 14.0),
-            (OpKind::Statdir, 8.0),
-            (OpKind::Readdir, 8.0),
-            (OpKind::Chmod, 4.0),
-        ])
-    }
-
     /// Total weight.
     pub fn total_weight(&self) -> f64 {
         self.weights.iter().map(|(_, w)| w).sum()
