@@ -7,7 +7,7 @@
 //! clock; the *shape* of each result (who wins, where curves flatten, where
 //! crossovers fall) is what the reproduction targets.
 
-use switchfs_core::{Cluster, ClusterConfig, SystemKind, TrackingChoice};
+use switchfs_core::{Cluster, ClusterConfig, SystemKind, TrackingMode};
 use switchfs_simnet::SimDuration;
 use switchfs_workloads::{NamespaceSpec, OpKind, OpMix, WorkloadBuilder};
 
@@ -277,8 +277,8 @@ pub fn fig15(scale: ExperimentScale) -> Vec<Row> {
     let ns = NamespaceSpec::multi_dir(scale.dirs(), 0);
     let mut rows = Vec::new();
     for (label, tracking) in [
-        ("programmable switch", TrackingChoice::InNetwork),
-        ("dedicated server", TrackingChoice::DedicatedServer),
+        ("programmable switch", TrackingMode::InNetwork),
+        ("dedicated server", TrackingMode::DedicatedServer),
     ] {
         for kind in [OpKind::Create, OpKind::Statdir] {
             let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
@@ -317,8 +317,8 @@ pub fn fig16(scale: ExperimentScale) -> Vec<Row> {
     let ns = NamespaceSpec::multi_dir(scale.dirs(), 0);
     let mut rows = Vec::new();
     for (label, tracking) in [
-        ("SwitchFS (in-network)", TrackingChoice::InNetwork),
-        ("owner-server variant", TrackingChoice::OwnerServer),
+        ("SwitchFS (in-network)", TrackingMode::InNetwork),
+        ("owner-server variant", TrackingMode::OwnerServer),
     ] {
         for (load_label, in_flight) in [("medium load", 16usize), ("heavy load", 128)] {
             let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);

@@ -69,7 +69,8 @@ async fn apply_fault(control: &Control, fault: &Fault, log: &Rc<RefCell<NemesisL
             }
         }
         Fault::Partition { isolated } => {
-            let groups = isolated.iter().map(|i| (control.node(*i), 1u32));
+            let servers = control.servers();
+            let groups = isolated.iter().map(|i| (servers[*i].node(), 1u32));
             control.network().set_partition(groups);
         }
         Fault::HealPartition => control.network().heal_partition(),

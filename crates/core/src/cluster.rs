@@ -12,22 +12,21 @@ use switchfs_proto::{
     SharedPlacement,
 };
 use switchfs_server::server::recovery::RecoveryReport;
-use switchfs_server::{DurableState, Server, ServerConfig, TornTail, COORDINATOR_NODE};
+use switchfs_server::{Server, ServerConfig, TornTail, TrackingMode, COORDINATOR_NODE};
 use switchfs_simnet::net::LinkParams;
 use switchfs_simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use switchfs_switch::{DirtySetConfig, SwitchConfig, SwitchFsProgram, SwitchStats};
 
-use crate::config::{ClusterConfig, TrackingChoice};
+use crate::config::ClusterConfig;
 use crate::control::{Control, DecommissionReport};
 use crate::coordinator::Coordinator;
-use crate::switch_adapter::SwitchAdapter;
 
 /// Node-id layout of a deployment: servers where [`ServerId::node`] puts
 /// them, clients from node 1000 on.
-pub(crate) fn server_node(i: usize) -> NodeId {
+fn server_node(i: usize) -> NodeId {
     NodeId(ServerId(i as u32).node())
 }
-pub(crate) fn client_node(i: usize) -> NodeId {
+fn client_node(i: usize) -> NodeId {
     NodeId(1000 + i as u32)
 }
 
@@ -36,12 +35,9 @@ pub struct Cluster {
     /// The simulation everything runs on.
     pub sim: Sim,
     cfg: ClusterConfig,
-    network: Network<NetMsg>,
-    servers: Vec<Rc<Server>>,
-    durables: Vec<Rc<RefCell<DurableState>>>,
+    /// The network, the servers, the switch program and the shard map.
+    control: Control,
     clients: Vec<Rc<LibFs>>,
-    switch: Option<Rc<RefCell<SwitchFsProgram>>>,
-    placement: SharedPlacement,
     /// Shared observability sink: one flight recorder covering every server
     /// and client of the deployment.
     obs: ObsHandle,
@@ -70,31 +66,34 @@ impl Cluster {
 
         // Programmable switch (only SwitchFS with in-network tracking).
         let mut switch = None;
-        if cfg.system.uses_switch() && cfg.tracking == TrackingChoice::InNetwork {
+        if cfg.system.uses_switch() && cfg.tracking == TrackingMode::InNetwork {
             let program = Rc::new(RefCell::new(SwitchFsProgram::new(SwitchConfig {
                 server_nodes: (0..cfg.servers).map(|i| server_node(i).0).collect(),
                 dirty_set: DirtySetConfig::default(),
                 force_insert_overflow: cfg.force_dirty_overflow,
             })));
-            network.install_switch(Box::new(SwitchAdapter::new(program.clone())));
+            network.install_switch(Box::new(program.clone()));
             switch = Some(program);
         }
 
         // Dedicated coordinator, if requested; its serving loop keeps it alive.
-        if cfg.tracking == TrackingChoice::DedicatedServer {
+        if cfg.tracking == TrackingMode::DedicatedServer {
             let ep = network.register(COORDINATOR_NODE);
             Coordinator::new(handle.clone(), ep, 12).start();
         }
 
+        let control = Control {
+            handle: handle.clone(),
+            network,
+            servers: Vec::new(),
+            switch,
+            placement,
+        };
         let mut cluster = Cluster {
             sim,
             cfg,
-            network,
-            servers: Vec::new(),
-            durables: Vec::new(),
+            control,
             clients: Vec::new(),
-            switch,
-            placement,
             obs,
             preloaded_dirs: BTreeMap::new(),
             preload_counter: 0,
@@ -109,16 +108,16 @@ impl Cluster {
         // migration flips shards in the shared map, a client keeps routing
         // with its stale copy until a `WrongOwner` rejection refreshes it.
         for i in 0..cluster.cfg.clients {
-            let endpoint = cluster.network.register(client_node(i));
+            let endpoint = cluster.control.network.register(client_node(i));
             let mut lib_cfg = LibFsConfig::new(ClientId(i as u32));
             lib_cfg.request_timeout = cluster.cfg.client_request_timeout();
             // Directory reads carry a dirty-set query only where a switch
             // answers it.
-            lib_cfg.dirty_query_in_packet = cluster.switch.is_some();
+            lib_cfg.dirty_query_in_packet = cluster.control.switch.is_some();
             let client = LibFs::new(
                 handle.clone(),
                 endpoint,
-                cluster.placement.map().clone(),
+                cluster.control.placement.map().clone(),
                 lib_cfg,
                 cluster.obs.clone(),
             );
@@ -129,26 +128,24 @@ impl Cluster {
         cluster
     }
 
-    /// Builds metadata server `i` on its node, with an empty durable state,
-    /// and adds it to the deployment; the caller starts it.
+    /// Builds metadata server `i` on its node and adds it to the
+    /// deployment; the caller starts it.
     fn build_server(&mut self, i: usize) -> Rc<Server> {
-        let durable = Rc::new(RefCell::new(DurableState::new()));
+        let control = &mut self.control;
         let server = Server::new(
             self.sim.handle(),
-            self.network.register(server_node(i)),
+            control.network.register(server_node(i)),
             ServerConfig {
                 id: ServerId(i as u32),
                 cores: self.cfg.cores_per_server,
                 costs: self.cfg.cost_model(),
                 update_mode: self.cfg.update_mode(),
                 tracking: self.cfg.tracking,
-                placement: self.placement.clone(),
+                placement: control.placement.clone(),
                 obs: self.obs.clone(),
             },
-            durable.clone(),
         );
-        self.servers.push(server.clone());
-        self.durables.push(durable);
+        control.servers.push(server.clone());
         server
     }
 
@@ -159,7 +156,7 @@ impl Cluster {
 
     /// The metadata servers.
     pub fn servers(&self) -> &[Rc<Server>] {
-        &self.servers
+        &self.control.servers
     }
 
     /// Client `i`.
@@ -172,43 +169,33 @@ impl Cluster {
         &self.clients
     }
 
-    /// The crash-surviving durable state (WAL + checkpoint) of server `i`.
-    pub fn durable_state(&self, i: usize) -> Rc<RefCell<DurableState>> {
-        self.durables[i].clone()
-    }
-
     /// The simulated network fabric (cheap clone of the shared handle); the
     /// chaos nemesis uses it to partition links and tune loss/duplication.
     pub fn network(&self) -> Network<NetMsg> {
-        self.network.clone()
+        self.control.network.clone()
     }
 
     /// The cluster's epoch-versioned shard map, shared with every server;
     /// lets tests and the chaos harness reason about which server owns a
     /// key (clients hold private snapshots refreshed via `WrongOwner`).
     pub fn placement(&self) -> SharedPlacement {
-        self.placement.clone()
-    }
-
-    /// The network node hosting metadata server `i`.
-    pub fn server_node_id(&self, i: usize) -> NodeId {
-        server_node(i)
+        self.control.placement.clone()
     }
 
     /// Counters of the programmable switch, if one is deployed.
     pub fn switch_stats(&self) -> Option<SwitchStats> {
-        self.switch.as_ref().map(|s| s.borrow().stats())
+        self.control.switch.as_ref().map(|s| s.borrow().stats())
     }
 
     /// The programmable switch program itself, if one is deployed (tests
     /// wrap it to intercept the packets it sees).
     pub fn switch_program(&self) -> Option<Rc<RefCell<SwitchFsProgram>>> {
-        self.switch.clone()
+        self.control.switch.clone()
     }
 
     /// Number of fingerprints currently tracked by the switch.
     pub fn switch_occupancy(&self) -> Option<usize> {
-        self.switch.as_ref().map(|s| s.borrow().occupancy())
+        self.control.switch.as_ref().map(|s| s.borrow().occupancy())
     }
 
     // ------------------------------------------------------------------
@@ -226,7 +213,7 @@ impl Cluster {
     {
         let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
         let out2 = out.clone();
-        let servers = self.servers.clone();
+        let servers = self.control.servers.clone();
         self.sim.spawn(async move {
             let value = fut.await;
             *out2.borrow_mut() = Some(value);
@@ -235,7 +222,7 @@ impl Cluster {
             }
         });
         self.sim.run();
-        for s in &self.servers {
+        for s in self.servers() {
             s.restart_background();
         }
         let value = out.borrow_mut().take();
@@ -261,10 +248,11 @@ impl Cluster {
     fn preload_root(&mut self) {
         let root_key = MetaKey::new(DirId::ROOT, "");
         let fp = Fingerprint::of_dir(&root_key.pid, &root_key.name);
-        let by_fp = self.placement.dir_owner_by_fp(fp);
-        let by_id = self.placement.dir_owner_by_id(&DirId::ROOT);
+        let placement = &self.control.placement;
+        let by_fp = placement.dir_owner_by_fp(fp);
+        let by_id = placement.dir_owner_by_id(&DirId::ROOT);
         for owner in [by_fp, by_id] {
-            self.servers[owner.0 as usize].preload_dir(root_key.clone(), DirId::ROOT, 0);
+            self.servers()[owner.0 as usize].preload_dir(root_key.clone(), DirId::ROOT, 0);
         }
         self.preloaded_dirs
             .insert("/".to_string(), (root_key, DirId::ROOT));
@@ -294,16 +282,13 @@ impl Cluster {
         let id = DirId::generate(ServerId(u32::MAX), self.preload_counter);
         // One replica per role the policy stores a directory inode under (at
         // most two, so `dedup` leaves each server once).
-        let roles = self
-            .placement
-            .inode_role_hashes(&key, &InodeAttrs::new_dir(id, 0, Default::default()));
-        let mut owners: Vec<ServerId> = roles
-            .iter()
-            .map(|h| self.placement.owner_of_hash(*h))
-            .collect();
+        let placement = &self.control.placement;
+        let roles =
+            placement.inode_role_hashes(&key, &InodeAttrs::new_dir(id, 0, Default::default()));
+        let mut owners: Vec<ServerId> = roles.iter().map(|h| placement.owner_of_hash(*h)).collect();
         owners.dedup();
         for owner in owners {
-            self.servers[owner.0 as usize].preload_dir(key.clone(), id, 0);
+            self.servers()[owner.0 as usize].preload_dir(key.clone(), id, 0);
         }
         self.preloaded_dirs.insert(path.to_string(), (key, id));
         id
@@ -318,12 +303,13 @@ impl Cluster {
             .cloned()
             .unwrap_or_else(|| panic!("directory {dir_path} was not preloaded"));
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        let content_owner = self.placement.dir_content_owner(fp, &dir_id);
+        let (placement, servers) = (&self.control.placement, &self.control.servers);
+        let content_owner = placement.dir_content_owner(fp, &dir_id);
         for i in 0..count {
             let key = MetaKey::new(dir_id, format!("{prefix}{i}"));
-            let owner = self.placement.file_owner(&key);
-            self.servers[owner.0 as usize].preload_file(key.clone(), 0);
-            self.servers[content_owner.0 as usize].preload_entry(
+            let owner = placement.file_owner(&key);
+            servers[owner.0 as usize].preload_file(key.clone(), 0);
+            servers[content_owner.0 as usize].preload_entry(
                 dir_id,
                 DirEntry {
                     name: key.name.clone(),
@@ -339,7 +325,7 @@ impl Cluster {
     /// preloads bypass the protocol (and therefore the WAL), so without a
     /// checkpoint a recovery rebuilds a world without them.
     pub fn checkpoint_all(&self) {
-        for s in &self.servers {
+        for s in self.servers() {
             s.checkpoint();
         }
     }
@@ -353,17 +339,16 @@ impl Cluster {
     /// and starts serving — but owns no shards until [`Cluster::rebalance`]
     /// migrates a fair share to it. Returns the new server's index.
     pub fn add_server(&mut self) -> usize {
-        let i = self.servers.len();
-        let node = server_node(i);
-        let new_id = self.placement.map_mut().add_server();
+        let i = self.servers().len();
+        let new_id = self.control.placement.map_mut().add_server();
         debug_assert_eq!(new_id, ServerId(i as u32));
-        if let Some(program) = &self.switch {
-            program.borrow_mut().add_server_node(node.0);
+        if let Some(program) = &self.control.switch {
+            program.borrow_mut().add_server_node(server_node(i).0);
         }
         let server = self.build_server(i);
         // Setup-time state seeding (like preloading): the newcomer needs the
         // cluster's invalidation list before it serves stale-cache checks.
-        server.seed_invalidation_from(&self.servers[0]);
+        server.seed_invalidation_from(&self.servers()[0]);
         server.start();
         i
     }
@@ -397,13 +382,7 @@ impl Cluster {
     /// The deployment's control handle over its current membership: every
     /// fault and membership change, usable from inside a simulated task.
     pub fn control(&self) -> Control {
-        Control {
-            handle: self.sim.handle(),
-            network: self.network.clone(),
-            servers: self.servers.clone(),
-            switch: self.switch.clone(),
-            placement: self.placement.clone(),
-        }
+        self.control.clone()
     }
 
     /// Crashes metadata server `i` ([`Control::crash`]).
@@ -462,9 +441,9 @@ impl Cluster {
 
         let mut kv = switchfs_kvstore::KvStats::default();
         let (mut wal_appends, mut wal_bytes, mut wal_flushed_bytes) = (0u64, 0u64, 0u64);
-        for (server, durable) in self.servers.iter().zip(&self.durables) {
+        for server in self.servers() {
             kv += server.kv_stats();
-            let d = durable.borrow();
+            let d = server.durable().borrow();
             wal_appends += d.wal.appends();
             wal_bytes += d.wal.bytes();
             wal_flushed_bytes += d.wal.flushed_bytes();
@@ -473,7 +452,7 @@ impl Cluster {
         if let Some(sw) = self.switch_stats() {
             add("switch", sw.rows());
         }
-        add("net", self.network.stats().rows());
+        add("net", self.control.network.stats().rows());
 
         reg.counter("wal.appends", wal_appends)
             .counter("wal.bytes_appended", wal_bytes)
@@ -486,7 +465,7 @@ impl Cluster {
     /// Aggregate counters across all servers.
     pub fn total_server_stats(&self) -> switchfs_server::ServerStats {
         let mut total = switchfs_server::ServerStats::default();
-        for s in &self.servers {
+        for s in self.servers() {
             total += s.stats();
         }
         total

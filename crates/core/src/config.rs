@@ -1,10 +1,7 @@
 //! Cluster-level configuration.
 
 use crate::systems::SystemKind;
-/// Where directory dirty state is tracked (the §7.3.3 comparison): the
-/// servers' own [`switchfs_server::TrackingMode`], handed to each unchanged.
-pub use switchfs_server::TrackingMode as TrackingChoice;
-use switchfs_server::{CostModel, UpdateMode};
+use switchfs_server::{CostModel, TrackingMode, UpdateMode};
 use switchfs_simnet::{NetFaults, SimDuration};
 
 /// Configuration of one simulated deployment.
@@ -20,8 +17,9 @@ pub struct ClusterConfig {
     pub clients: usize,
     /// Simulation seed.
     pub seed: u64,
-    /// Dirty-state tracking mode (only meaningful for SwitchFS).
-    pub tracking: TrackingChoice,
+    /// Where directory dirty state is tracked (the §7.3.3 comparison; only
+    /// meaningful for SwitchFS), handed to each server unchanged.
+    pub tracking: TrackingMode,
     /// Overrides the system's update mode (used by the Fig. 14 breakdown to
     /// run "+Async" without compaction).
     pub update_mode_override: Option<UpdateMode>,
@@ -46,7 +44,7 @@ impl ClusterConfig {
             cores_per_server: 4,
             clients: 4,
             seed: 42,
-            tracking: TrackingChoice::InNetwork,
+            tracking: TrackingMode::InNetwork,
             update_mode_override: None,
             force_dirty_overflow: false,
             net_faults: NetFaults::reliable(),
@@ -90,7 +88,7 @@ mod tests {
         let c = ClusterConfig::paper_default(SystemKind::SwitchFs);
         assert_eq!(c.servers, 8);
         assert_eq!(c.cores_per_server, 4);
-        assert_eq!(c.tracking, TrackingChoice::InNetwork);
+        assert_eq!(c.tracking, TrackingMode::InNetwork);
         assert_eq!(c.update_mode(), UpdateMode::AsyncCompacted);
     }
 

@@ -3,9 +3,9 @@
 //!
 //! [`Cluster`](crate::Cluster) wraps each method in a blocking call, the
 //! chaos nemesis awaits them from inside a running simulation, and the
-//! elastic-membership figures spawn them next to a workload. A [`Control`]
-//! is a cheap clone of the deployment's shared parts, so it moves into a
-//! simulated task where a `Cluster` cannot.
+//! elastic-membership figures spawn them next to a workload. The cluster
+//! keeps one [`Control`] as its handle on those parts; a clone is cheap and
+//! moves into a simulated task where a `Cluster` cannot.
 //!
 //! An async fault returns a `'static` future, and its synchronous first step
 //! (a node coming up, the switch losing its state) runs when the method is
@@ -21,16 +21,15 @@ use switchfs_proto::message::NetMsg;
 use switchfs_proto::{ServerId, SharedPlacement};
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{Server, TornTail};
-use switchfs_simnet::{Network, NodeId, SimHandle};
+use switchfs_simnet::{Network, SimHandle};
 use switchfs_switch::SwitchFsProgram;
 
-use crate::cluster::server_node;
-
-/// A snapshot of a deployment's membership with the handles every fault
-/// acts on: the simulation, the network, the metadata servers, the switch
-/// program (if one is deployed) and the shared shard map. Taken by
-/// [`Cluster::control`](crate::Cluster::control); a server added afterwards
-/// is not in it.
+/// A deployment's membership with the handles every fault acts on: the
+/// simulation, the network, the metadata servers, the switch program (if
+/// one is deployed) and the shared shard map. The cluster keeps one and
+/// extends it in [`Cluster::add_server`](crate::Cluster::add_server);
+/// [`Cluster::control`](crate::Cluster::control) returns a clone, which a
+/// server added afterwards is not in.
 #[derive(Clone)]
 pub struct Control {
     pub(crate) handle: SimHandle,
@@ -69,16 +68,11 @@ impl Control {
         &self.servers
     }
 
-    /// The network node hosting metadata server `i`.
-    pub fn node(&self, i: usize) -> NodeId {
-        server_node(i)
-    }
-
     /// Crashes metadata server `i`: its volatile state is lost and its
     /// traffic is dropped until [`Control::recover`].
     pub fn crash(&self, i: usize) {
         self.servers[i].crash();
-        self.network.set_node_down(server_node(i), true);
+        self.network.set_node_down(self.servers[i].node(), true);
     }
 
     /// Crashes metadata server `i` with a torn disk write: the WAL's flushed
@@ -87,7 +81,7 @@ impl Control {
     /// tail (see `switchfs_kvstore::Wal::crash_apply`).
     pub fn crash_torn(&self, i: usize, tear_seed: u64) -> TornTail {
         let tail = self.servers[i].crash_torn(tear_seed);
-        self.network.set_node_down(server_node(i), true);
+        self.network.set_node_down(self.servers[i].node(), true);
         tail
     }
 
@@ -95,8 +89,8 @@ impl Control {
     /// `Server::recover` (WAL replay, invalidation-list cloning) and yields
     /// its report.
     pub fn recover(&self, i: usize) -> impl Future<Output = RecoveryReport> + 'static {
-        self.network.set_node_down(server_node(i), false);
         let server = self.servers[i].clone();
+        self.network.set_node_down(server.node(), false);
         async move { server.recover().await }
     }
 
@@ -152,11 +146,7 @@ impl Control {
                     if source.is_crashed() || servers[to.0 as usize].is_crashed() {
                         continue;
                     }
-                    moved += source
-                        .migrate_shards(&[(shard, to)], |shard, to| {
-                            placement.map_mut().assign(shard, to)
-                        })
-                        .await;
+                    moved += source.migrate_shards(&[(shard, to)]).await;
                 }
             }
             moved
@@ -194,10 +184,7 @@ impl Control {
                 if moves.is_empty() {
                     break;
                 }
-                let p = placement.clone();
-                moved += source
-                    .migrate_shards(&moves, |shard, to| p.map_mut().assign(shard, to))
-                    .await;
+                moved += source.migrate_shards(&moves).await;
             }
             let drained = !source.is_crashed() && placement.map().shards_owned(victim_id) == 0;
             let completed = drained && source.drain_for_shutdown().await;
@@ -221,7 +208,9 @@ impl Control {
             "server {i} was not drained and retired"
         );
         if let Some(program) = &self.switch {
-            program.borrow_mut().remove_server_node(server_node(i).0);
+            program
+                .borrow_mut()
+                .remove_server_node(self.servers[i].node().0);
         }
         self.servers[i].decommission();
     }

@@ -37,7 +37,7 @@ pub use dirtyset::{DirtyRet, DirtySetHeader, DirtySetOp, DirtyState};
 pub use error::{FsError, FsResult};
 pub use ids::{ClientId, DirId, Fingerprint, OpId, ServerId, TraceId};
 pub use message::{
-    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, ParentRef, ServerMsg, UdpPorts,
+    Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, ParentRef, ServerMsg,
 };
 pub use placement::{PartitionPolicy, Placement, ShardMap, SharedPlacement};
 pub use retry::Retry;

@@ -25,18 +25,6 @@ use crate::ids::{DirId, Fingerprint, OpId, TraceId};
 use crate::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Name, Permissions};
 use serde::{Deserialize, Serialize};
 
-/// Reserved UDP ports (§6.1): one for packets carrying a dirty-set operation
-/// header, one for plain SwitchFS packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpPorts;
-
-impl UdpPorts {
-    /// Destination port of packets that begin with a [`DirtySetHeader`].
-    pub const DIRTY_SET: u16 = 5310;
-    /// Destination port of plain SwitchFS packets.
-    pub const PLAIN: u16 = 5311;
-}
-
 /// Per-packet sender sequencing, used by receivers to detect duplicates
 /// introduced by retransmission (§5.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -682,9 +670,6 @@ pub enum Body {
 /// One SwitchFS UDP datagram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetMsg {
-    /// Destination UDP port; [`UdpPorts::DIRTY_SET`] if and only if `dirty`
-    /// is present.
-    pub dst_port: u16,
     /// Per-sender packet sequence number for duplicate detection.
     pub pkt_seq: PacketSeq,
     /// Optional dirty-set operation header, parsed by the switch.
@@ -701,7 +686,6 @@ impl NetMsg {
     /// Builds a plain packet (no dirty-set header).
     pub fn plain(pkt_seq: PacketSeq, body: Body) -> NetMsg {
         NetMsg {
-            dst_port: UdpPorts::PLAIN,
             pkt_seq,
             dirty: None,
             trace: None,
@@ -712,7 +696,6 @@ impl NetMsg {
     /// Builds a packet carrying a dirty-set operation header.
     pub fn with_dirty(pkt_seq: PacketSeq, dirty: DirtySetHeader, body: Body) -> NetMsg {
         NetMsg {
-            dst_port: UdpPorts::DIRTY_SET,
             pkt_seq,
             dirty: Some(dirty),
             trace: None,
@@ -770,18 +753,6 @@ mod tests {
             Some(FsError::NotEmpty)
         );
         assert_eq!(OpResult::Done.err(), None);
-    }
-
-    #[test]
-    fn netmsg_port_matches_header_presence() {
-        let seq = PacketSeq { sender: 1, seq: 2 };
-        let plain = NetMsg::plain(seq, Body::Empty);
-        assert_eq!(plain.dst_port, UdpPorts::PLAIN);
-        assert!(plain.dirty.is_none());
-        let hdr = DirtySetHeader::query(Fingerprint::from_raw(5));
-        let dirty = NetMsg::with_dirty(seq, hdr, Body::Empty);
-        assert_eq!(dirty.dst_port, UdpPorts::DIRTY_SET);
-        assert!(dirty.dirty.is_some());
     }
 
     #[test]

@@ -35,6 +35,20 @@ pub const DIRTY_HEADER_LEN: usize = 23;
 /// body length (4) and the body itself.
 pub const NET_MSG_FIXED_LEN: usize = 2 + 4 + 8 + 1 + 4;
 
+/// Reserved UDP destination ports (§6.1): the switch parser reads a
+/// dirty-set header only from a packet on the first. A frame's port follows
+/// from its header flag, so a [`NetMsg`] does not carry it.
+const DIRTY_SET_PORT: u16 = 5310;
+const PLAIN_PORT: u16 = 5311;
+
+fn port_of(has_dirty_header: bool) -> u16 {
+    if has_dirty_header {
+        DIRTY_SET_PORT
+    } else {
+        PLAIN_PORT
+    }
+}
+
 /// Errors produced when decoding a header from raw bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -134,7 +148,7 @@ pub fn decode_dirty_header(mut buf: &[u8]) -> Result<DirtySetHeader, WireError> 
 ///
 /// ```text
 /// offset  size  field
-/// 0       2     DST PORT
+/// 0       2     DST PORT       (5310 with a dirty header, else 5311)
 /// 2       4     PKT SENDER     (raw node id)
 /// 6       8     PKT SEQ
 /// 14      1     FLAGS          (bit 0 = dirty header follows,
@@ -154,7 +168,7 @@ pub fn decode_dirty_header(mut buf: &[u8]) -> Result<DirtySetHeader, WireError> 
 pub fn encode_net_msg(msg: &NetMsg) -> Bytes {
     let body = serde_json::to_string(&msg.body).expect("Body serializes infallibly");
     let mut buf = BytesMut::with_capacity(NET_MSG_FIXED_LEN + DIRTY_HEADER_LEN + 8 + body.len());
-    buf.put_u16_le(msg.dst_port);
+    buf.put_u16_le(port_of(msg.dirty.is_some()));
     buf.put_u32_le(msg.pkt_seq.sender);
     buf.put_u64_le(msg.pkt_seq.seq);
     let flags = (msg.dirty.is_some() as u8) | ((msg.trace.is_some() as u8) << 1);
@@ -181,6 +195,9 @@ pub fn decode_net_msg(mut buf: &[u8]) -> Result<NetMsg, WireError> {
     let flags = buf.get_u8();
     if flags > 3 {
         return Err(WireError::InvalidField("dirty_flag"));
+    }
+    if dst_port != port_of(flags & 1 != 0) {
+        return Err(WireError::InvalidField("dst_port"));
     }
     let dirty = if flags & 1 != 0 {
         if buf.len() < DIRTY_HEADER_LEN {
@@ -220,7 +237,6 @@ pub fn decode_net_msg(mut buf: &[u8]) -> Result<NetMsg, WireError> {
         std::str::from_utf8(&buf[..body_len]).map_err(|_| WireError::InvalidField("body"))?;
     let body = serde_json::from_str(body_str).map_err(|_| WireError::InvalidField("body"))?;
     Ok(NetMsg {
-        dst_port,
         pkt_seq: PacketSeq { sender, seq },
         dirty,
         trace,
@@ -427,6 +443,24 @@ mod tests {
             decode_net_msg(&bytes),
             Err(WireError::InvalidField("body_len"))
         );
+    }
+
+    #[test]
+    fn net_msg_port_follows_the_header_flag_and_a_disagreeing_port_is_rejected() {
+        let seq = PacketSeq { sender: 1, seq: 2 };
+        let plain = NetMsg::plain(seq, Body::Empty);
+        let dirty = NetMsg::with_dirty(seq, headers()[0], Body::Empty);
+        for (msg, port, other) in [(&plain, 5311u16, 5310u16), (&dirty, 5310, 5311)] {
+            let mut bytes = encode_net_msg(msg).to_vec();
+            assert_eq!(bytes[..2], port.to_le_bytes());
+            for wrong in [other, 0, 53] {
+                bytes[..2].copy_from_slice(&wrong.to_le_bytes());
+                assert_eq!(
+                    decode_net_msg(&bytes),
+                    Err(WireError::InvalidField("dst_port"))
+                );
+            }
+        }
     }
 
     #[test]

@@ -429,13 +429,11 @@ fn arb_trace() -> impl Strategy<Value = Option<TraceId>> {
 
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     (
-        any::<u16>(),
         (any::<u32>(), any::<u64>()),
         prop_oneof![Just(None), arb_header().prop_map(Some)],
         (arb_trace(), arb_body()),
     )
-        .prop_map(|(dst_port, (sender, seq), dirty, (trace, body))| NetMsg {
-            dst_port,
+        .prop_map(|((sender, seq), dirty, (trace, body))| NetMsg {
             pkt_seq: PacketSeq { sender, seq },
             dirty,
             trace,
@@ -450,7 +448,9 @@ fn encode_old_format(msg: &NetMsg) -> Vec<u8> {
     assert!(msg.trace.is_none(), "old format cannot carry a trace id");
     let body = serde_json::to_string(&msg.body).unwrap();
     let mut buf = Vec::new();
-    buf.extend_from_slice(&msg.dst_port.to_le_bytes());
+    // The destination port follows from the header flag (§6.1).
+    let dst_port: u16 = if msg.dirty.is_some() { 5310 } else { 5311 };
+    buf.extend_from_slice(&dst_port.to_le_bytes());
     buf.extend_from_slice(&msg.pkt_seq.sender.to_le_bytes());
     buf.extend_from_slice(&msg.pkt_seq.seq.to_le_bytes());
     match &msg.dirty {
@@ -504,7 +504,6 @@ proptest! {
 
     #[test]
     fn old_format_frames_still_decode(
-        dst_port in any::<u16>(),
         sender in any::<u32>(),
         seq in any::<u64>(),
         dirty in prop_oneof![Just(None), arb_header().prop_map(Some)],
@@ -512,11 +511,10 @@ proptest! {
     ) {
         // Frames encoded before the trace-id field existed (flag byte 0/1,
         // no trace bytes) must decode to the same message with trace=None.
-        let mut msg = match dirty {
+        let msg = match dirty {
             Some(h) => NetMsg::with_dirty(PacketSeq { sender, seq }, h, body),
             None => NetMsg::plain(PacketSeq { sender, seq }, body),
         };
-        msg.dst_port = dst_port;
         let old_bytes = encode_old_format(&msg);
         let back = decode_net_msg(&old_bytes).unwrap();
         prop_assert_eq!(&msg, &back);

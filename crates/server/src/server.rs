@@ -669,21 +669,16 @@ pub struct Server {
     pub(crate) endpoint: Endpoint<NetMsg>,
     pub(crate) cfg: ServerConfig,
     pub(crate) inner: RefCell<ServerInner>,
-    /// The crash-surviving WAL/checkpoint bundle: shared with the cluster
-    /// harness, which keeps it across crashes.
-    pub(crate) durable: Rc<RefCell<DurableState>>,
+    /// The crash-surviving WAL/checkpoint bundle: a crash resets `inner`
+    /// and leaves this as the media left it.
+    pub(crate) durable: RefCell<DurableState>,
     pub(crate) locks: LockManager,
 }
 
 impl Server {
-    /// Creates a server bound to `endpoint`. `durable` is the crash-surviving
-    /// WAL/checkpoint bundle owned by the cluster harness.
-    pub fn new(
-        handle: SimHandle,
-        endpoint: Endpoint<NetMsg>,
-        cfg: ServerConfig,
-        durable: Rc<RefCell<DurableState>>,
-    ) -> Rc<Self> {
+    /// Creates a server bound to `endpoint`, with an empty WAL and no
+    /// checkpoint.
+    pub fn new(handle: SimHandle, endpoint: Endpoint<NetMsg>, cfg: ServerConfig) -> Rc<Self> {
         let cpu = CpuPool::new(handle.clone(), cfg.cores);
         Rc::new(Server {
             handle,
@@ -691,7 +686,7 @@ impl Server {
             endpoint,
             cfg,
             inner: RefCell::new(ServerInner::new()),
-            durable,
+            durable: RefCell::new(DurableState::new()),
             locks: LockManager::default(),
         })
     }
@@ -704,6 +699,12 @@ impl Server {
     /// This server's network node.
     pub fn node(&self) -> NodeId {
         self.cfg.node_of(self.cfg.id)
+    }
+
+    /// The crash-surviving WAL and checkpoint. A borrow of it must not be
+    /// held while the simulation runs: the server appends to it.
+    pub fn durable(&self) -> &RefCell<DurableState> {
+        &self.durable
     }
 
     /// Snapshot of the server's counters.
@@ -2245,8 +2246,7 @@ mod tests {
                 placement: placement.clone(),
                 obs: switchfs_obs::Obs::disabled(),
             };
-            let durable = Rc::new(RefCell::new(DurableState::new()));
-            Server::new(sim.handle(), network.register(NodeId(id)), cfg, durable)
+            Server::new(sim.handle(), network.register(NodeId(id)), cfg)
         };
         (0..servers).map(server).collect()
     }

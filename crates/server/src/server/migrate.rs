@@ -264,17 +264,14 @@ impl Server {
     /// decommission drain): freeze the whole batch, wait once for every
     /// pre-freeze piece of work to clear, bucket all the shards' state in a
     /// single pass over the stores (`collect_shards`), then stream
-    /// each shard to its target with ack + retransmission, flipping and
-    /// deleting per shard as acks arrive. A shard whose target never acks is
+    /// each shard to its target with ack + retransmission, assigning it to
+    /// the target in the shared map (`cfg.placement`) and deleting it here
+    /// per shard as acks arrive. A shard whose target never acks is
     /// unfrozen with ownership unchanged (the caller may retry); if this
     /// server crashes mid-batch the remaining shards are abandoned — their
     /// durable `Started` markers resolve against the shared map on recovery.
     /// Returns the number of shards successfully migrated.
-    pub async fn migrate_shards(
-        &self,
-        moves: &[(u32, ServerId)],
-        flip: impl Fn(u32, ServerId),
-    ) -> usize {
+    pub async fn migrate_shards(&self, moves: &[(u32, ServerId)]) -> usize {
         if moves.is_empty() {
             return 0;
         }
@@ -348,7 +345,7 @@ impl Server {
 
             // Commit point: the shard flips in the shared map; every server
             // and every subsequently-refreshed client routes to the target.
-            flip(*shard, *target);
+            self.cfg.placement.map_mut().assign(*shard, *target);
             self.trace_event(
                 None,
                 switchfs_obs::EventKind::MigrationFlip {

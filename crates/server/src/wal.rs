@@ -3,8 +3,8 @@
 //!
 //! §5.4.2: a server keeps its key-value store, change-logs and invalidation
 //! list in DRAM and recovers them from the write-ahead log after a crash.
-//! [`DurableState`] is the part the cluster harness keeps alive across a
-//! simulated crash; everything else is rebuilt by
+//! [`DurableState`] is the part a server keeps across a simulated crash
+//! ([`crate::server::Server::durable`]); everything else is rebuilt by
 //! [`crate::server::Server::recover`]. A record is a [`WalOp`], an enum of
 //! four kinds; what each kind does to the volatile state is written once, in
 //! `Server::apply_record`.

@@ -52,5 +52,5 @@ pub use cpu::CpuPool;
 pub use executor::{timeout, Sim, SimHandle, TaskId};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::LatencyHistogram;
-pub use net::{Endpoint, Fanout, NetFaults, Network, NodeId, Packet, SwitchAction, SwitchLogic};
+pub use net::{Endpoint, Fanout, NetFaults, Network, NodeId, Packet, SwitchLogic};
 pub use time::{SimDuration, SimTime};

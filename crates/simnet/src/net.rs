@@ -50,21 +50,6 @@ pub struct Packet<M> {
     pub payload: M,
 }
 
-/// A forwarding decision made by a switch for one incoming packet.
-#[derive(Debug, Clone)]
-pub enum SwitchAction<M> {
-    /// Forward a (possibly rewritten) packet towards `dst`.
-    Forward {
-        /// New destination node.
-        dst: NodeId,
-        /// Possibly rewritten payload (e.g. with the dirty-set `RET` field
-        /// filled in).
-        payload: M,
-    },
-    /// Drop the packet.
-    Drop,
-}
-
 /// A short, ordered list that keeps its first two items inline: a packet's
 /// delivery copies (the packet, and a fault-injected duplicate) or a switch
 /// program's outputs (a unicast, or an insert's multicast to two). Only a
@@ -150,15 +135,18 @@ impl<T> IntoIterator for Fanout<T> {
 /// A packet-processing program attached to the switch.
 pub trait SwitchLogic<M> {
     /// Processes one packet arriving at this switch at time `now` and returns
-    /// the forwarding decisions (possibly several, for multicast; possibly
-    /// none, equivalent to a drop). The packet is passed by value so the
-    /// common single-`Forward` case can move the payload through the switch
-    /// instead of cloning it per hop.
-    fn process(&mut self, now: SimTime, pkt: Packet<M>) -> Fanout<SwitchAction<M>>;
+    /// the `(destination, payload)` pairs to forward: several for a
+    /// multicast, none for a drop. The packet is passed by value so the
+    /// common unicast can move the payload through the switch instead of
+    /// cloning it per hop.
+    fn process(&mut self, now: SimTime, pkt: Packet<M>) -> Fanout<(NodeId, M)>;
+}
 
-    /// Human-readable name used in traces.
-    fn name(&self) -> &str {
-        "switch"
+/// A program the network runs while someone else holds it too (the cluster
+/// reads its counters and reboots it; a test tap hands packets on to it).
+impl<M, T: SwitchLogic<M> + ?Sized> SwitchLogic<M> for Rc<RefCell<T>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<M>) -> Fanout<(NodeId, M)> {
+        self.borrow_mut().process(now, pkt)
     }
 }
 
@@ -166,16 +154,9 @@ pub trait SwitchLogic<M> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct L2Forward;
 
-impl<M: Clone> SwitchLogic<M> for L2Forward {
-    fn process(&mut self, _now: SimTime, pkt: Packet<M>) -> Fanout<SwitchAction<M>> {
-        Fanout::one(SwitchAction::Forward {
-            dst: pkt.dst,
-            payload: pkt.payload,
-        })
-    }
-
-    fn name(&self) -> &str {
-        "l2-forward"
+impl<M> SwitchLogic<M> for L2Forward {
+    fn process(&mut self, _now: SimTime, pkt: Packet<M>) -> Fanout<(NodeId, M)> {
+        Fanout::one((pkt.dst, pkt.payload))
     }
 }
 
@@ -508,23 +489,14 @@ impl<M> NetworkInner<M> {
     }
 
     /// Runs one packet through the switch program and returns the packets
-    /// it forwards, in order.
+    /// it forwards, in order; forwarding none is a drop.
     fn process_at_switch(&mut self, pkt: Packet<M>) -> Fanout<Packet<M>> {
         let src = pkt.src;
-        let actions = self.switch.process(self.handle.now(), pkt);
-        if actions.is_empty() {
+        let forwarded = self.switch.process(self.handle.now(), pkt);
+        if forwarded.is_empty() {
             self.stats.dropped_by_switch += 1;
         }
-        let mut forwarded = Fanout::default();
-        for action in actions {
-            match action {
-                SwitchAction::Forward { dst, payload } => {
-                    forwarded.push(Packet { src, dst, payload });
-                }
-                SwitchAction::Drop => self.stats.dropped_by_switch += 1,
-            }
-        }
-        forwarded
+        forwarded.map(|(dst, payload)| Packet { src, dst, payload })
     }
 
     /// Hands the packets that reached the end of the downlink to their
@@ -716,15 +688,12 @@ mod tests {
         seen: Rc<Cell<u32>>,
     }
     impl SwitchLogic<u32> for CountingSwitch {
-        fn process(&mut self, _now: SimTime, pkt: Packet<u32>) -> Fanout<SwitchAction<u32>> {
+        fn process(&mut self, _now: SimTime, pkt: Packet<u32>) -> Fanout<(NodeId, u32)> {
             self.seen.set(self.seen.get() + 1);
             if pkt.payload == 0 {
-                Fanout::one(SwitchAction::Drop)
+                Fanout::default()
             } else {
-                Fanout::one(SwitchAction::Forward {
-                    dst: pkt.dst,
-                    payload: pkt.payload * 10,
-                })
+                Fanout::one((pkt.dst, pkt.payload * 10))
             }
         }
     }
@@ -827,7 +796,7 @@ mod tests {
         log: Rc<RefCell<Vec<(&'static str, usize)>>>,
     }
     impl SwitchLogic<u32> for LoggingSwitch {
-        fn process(&mut self, now: SimTime, pkt: Packet<u32>) -> Fanout<SwitchAction<u32>> {
+        fn process(&mut self, now: SimTime, pkt: Packet<u32>) -> Fanout<(NodeId, u32)> {
             self.log.borrow_mut().push(("switch", 0));
             L2Forward.process(now, pkt)
         }

@@ -11,8 +11,8 @@
 //!   overflow detection. Operations on the same fingerprint are linearizable
 //!   because each simulated packet is processed to completion before the
 //!   next (the pipeline's per-stage atomicity and ordered execution).
-//! * [`program`] — the full SwitchFS data-plane program: parser (reserved
-//!   UDP ports), router (by destination or by fingerprint prefix),
+//! * [`program`] — the full SwitchFS data-plane program: parser (the
+//!   dirty-set header), router (by destination or by fingerprint prefix),
 //!   per-egress-pipe dirty-set sharding with mirroring, the address rewriter
 //!   used on insert overflow, duplicate-`remove` suppression by sequence
 //!   number, and the multicast behaviour used by asynchronous commits and
@@ -22,9 +22,9 @@
 //! in server memory, not here: `switchfs_server::ServerDirtySet`, reached
 //! through `Request::DirtySet`.
 //!
-//! The crate has no dependency on the simulation runtime; the network
-//! adapter that plugs [`program::SwitchFsProgram`] into the simulated fabric
-//! lives in `switchfs-core`.
+//! [`program::SwitchFsProgram`] is a `switchfs_simnet::SwitchLogic`: the
+//! simulated network runs it as the rack switch's program, with no adapter
+//! in between.
 
 pub mod dirty_set;
 pub mod program;

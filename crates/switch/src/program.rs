@@ -1,8 +1,8 @@
 //! The SwitchFS data-plane program (§6.2, Fig. 8).
 //!
 //! The program sees every packet crossing the switch. For packets without a
-//! dirty-set header it behaves like an ordinary L2 switch. For packets on
-//! the reserved dirty-set port it:
+//! dirty-set header it behaves like an ordinary L2 switch. For packets with
+//! one (those on the reserved dirty-set port) it:
 //!
 //! 1. **parses** the dirty-set operation header;
 //! 2. **routes** the packet to the egress pipe owning the fingerprint's
@@ -17,9 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use switchfs_proto::message::{Body, NetMsg, UdpPorts};
+use switchfs_proto::message::{Body, NetMsg};
 use switchfs_proto::{DirtyRet, DirtySetOp, DirtyState};
-use switchfs_simnet::Fanout;
+use switchfs_simnet::{Fanout, NodeId, Packet, SimTime, SwitchLogic};
 
 use crate::dirty_set::{DirtySet, DirtySetConfig, InsertOutcome};
 
@@ -156,12 +156,6 @@ impl SwitchFsProgram {
             self.stats.regular_packets += 1;
             return Fanout::one((dst, msg));
         };
-        if msg.dst_port != UdpPorts::DIRTY_SET {
-            // Malformed: a dirty header on the plain port is ignored by the
-            // parser and the packet is forwarded untouched.
-            self.stats.regular_packets += 1;
-            return Fanout::one((dst, msg));
-        }
         let fp = hdr.fingerprint;
         let pipe_idx = self.pipe_of(fp);
         if pipe_idx != self.natural_pipe(dst) {
@@ -255,9 +249,19 @@ impl SwitchFsProgram {
     }
 }
 
+/// The program as the simulated network runs it.
+impl SwitchLogic<NetMsg> for SwitchFsProgram {
+    fn process(&mut self, _now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
+        SwitchFsProgram::process(self, pkt.src.0, pkt.dst.0, pkt.payload)
+            .map(|(dst, msg)| (NodeId(dst), msg))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use switchfs_proto::message::{Body, PacketSeq};
     use switchfs_proto::{DirId, DirtySetHeader, Fingerprint, ServerId};
 
@@ -460,5 +464,26 @@ mod tests {
             "some fingerprints should hash to the non-natural pipe"
         );
         assert!(s.mirrored < 50);
+    }
+
+    #[test]
+    fn the_network_gets_an_inserts_client_copy_then_its_origin_copy() {
+        // The cluster installs the program behind `Rc<RefCell<…>>` and keeps
+        // a handle to it.
+        let shared = Rc::new(RefCell::new(program(vec![10, 11])));
+        let f = fp(1);
+        let pkt = Packet {
+            src: NodeId(10),
+            dst: NodeId(1000),
+            payload: NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(f, 11), Body::Empty),
+        };
+        let mut logic: Box<dyn SwitchLogic<NetMsg>> = Box::new(shared.clone());
+        let out: Vec<_> = logic.process(SimTime::ZERO, pkt).into_iter().collect();
+        let dsts: Vec<NodeId> = out.iter().map(|(dst, _)| *dst).collect();
+        assert_eq!(dsts, [NodeId(1000), NodeId(10)]);
+        for (_, msg) in &out {
+            assert_eq!(msg.dirty.map(|h| h.ret), Some(DirtyRet::Inserted));
+        }
+        assert!(shared.borrow().contains(f));
     }
 }

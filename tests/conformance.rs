@@ -28,12 +28,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use switchfs::core::switch_adapter::SwitchAdapter;
-use switchfs::core::{Cluster, ClusterConfig, SystemKind, TrackingChoice};
+use switchfs::core::{Cluster, ClusterConfig, SystemKind, TrackingMode};
 use switchfs::proto::message::{Body, NetMsg};
 use switchfs::proto::{DirtySetOp, FileType, Fingerprint, FsError};
 use switchfs::simnet::net::L2Forward;
-use switchfs::simnet::{Fanout, Packet, SimTime, SwitchAction, SwitchLogic};
+use switchfs::simnet::{Fanout, NodeId, Packet, SimTime, SwitchLogic};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
 
 // ---------------------------------------------------------------------------
@@ -319,9 +318,9 @@ fn switchfs_tracking_variants_agree_with_in_network_mode() {
     let steps = reference_scenario();
     let mut reference: Option<(Vec<Outcome>, Vec<String>)> = None;
     for tracking in [
-        TrackingChoice::InNetwork,
-        TrackingChoice::DedicatedServer,
-        TrackingChoice::OwnerServer,
+        TrackingMode::InNetwork,
+        TrackingMode::DedicatedServer,
+        TrackingMode::OwnerServer,
     ] {
         let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
         cfg.servers = 4;
@@ -359,7 +358,7 @@ struct RequestTap {
 }
 
 impl SwitchLogic<NetMsg> for RequestTap {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         if let Body::Request(req) = &pkt.payload.body {
             let key = req.op.primary_key();
             let header = pkt.payload.dirty.map(|h| {
@@ -379,7 +378,7 @@ impl SwitchLogic<NetMsg> for RequestTap {
 fn request_headers(cfg: ClusterConfig) -> Vec<(&'static str, Option<(DirtySetOp, bool)>)> {
     let cluster = Cluster::new(cfg);
     let inner: Box<dyn SwitchLogic<NetMsg>> = match cluster.switch_program() {
-        Some(program) => Box::new(SwitchAdapter::new(program)),
+        Some(program) => Box::new(program),
         None => Box::new(L2Forward),
     };
     let log = HeaderLog::default();
@@ -416,7 +415,7 @@ fn only_directory_reads_carry_a_dirty_set_query_and_only_to_a_switch() {
     // Where no switch answers the query, no request carries one: every
     // baseline, and SwitchFS with a software tracker.
     let mut software = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    software.tracking = TrackingChoice::OwnerServer;
+    software.tracking = TrackingMode::OwnerServer;
     let baselines = SystemKind::all()
         .into_iter()
         .filter(|s| !s.uses_switch())

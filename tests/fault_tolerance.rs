@@ -3,11 +3,11 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
 use switchfs::proto::message::{Body, MetaOp, NetMsg, Request, ServerMsg};
 use switchfs::proto::{FsError, OpId, Placement};
-use switchfs::simnet::{Fanout, NodeId, Packet, SimDuration, SimTime, SwitchAction, SwitchLogic};
+use switchfs::simnet::{Fanout, NodeId, Packet, SimDuration, SimTime, SwitchLogic};
+use switchfs::switch::SwitchFsProgram;
 
 /// The shared slot a spawned rename reports its outcome into.
 type Outcome = Rc<RefCell<Option<Result<(), FsError>>>>;
@@ -24,7 +24,7 @@ fn cluster() -> Cluster {
 /// qualifies when nothing is unflushed; the probe works on a clone, so the
 /// real log is untouched until the crash itself.)
 fn tear_all_seed(cluster: &Cluster, victim: usize) -> u64 {
-    let durable = cluster.durable_state(victim);
+    let durable = cluster.servers()[victim].durable();
     (0..10_000u64)
         .find(|s| {
             let mut probe = durable.borrow().wal.clone();
@@ -44,7 +44,7 @@ fn server_crash_recovery_restores_inodes_and_changelogs() {
         }
     });
     let before: usize = cluster.servers().iter().map(|s| s.inode_count()).sum();
-    let durable = cluster.durable_state(0);
+    let durable = cluster.servers()[0].durable();
     let appended_before = durable.borrow().wal.bytes();
     assert!(durable.borrow().wal.flushed_bytes() <= appended_before);
 
@@ -342,14 +342,14 @@ fn participant_crash_between_prepare_and_decision_recovers_and_converges() {
 /// coordinator spends every decision copy on it. Records when each copy
 /// addressed to it reached the switch.
 struct IsolateOnCommit {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     node: NodeId,
     isolated: Rc<Cell<bool>>,
     commits: Rc<RefCell<Vec<SimTime>>>,
 }
 
 impl SwitchLogic<NetMsg> for IsolateOnCommit {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         let body = &pkt.payload.body;
         if matches!(
             body,
@@ -366,7 +366,7 @@ impl SwitchLogic<NetMsg> for IsolateOnCommit {
             commits.push(now);
         }
         if self.isolated.get() && (pkt.src == self.node || pkt.dst == self.node) {
-            return Fanout::one(SwitchAction::Drop);
+            return Fanout::default();
         }
         self.program.process(now, pkt)
     }
@@ -398,8 +398,8 @@ fn cut_off_rename(cluster: &mut Cluster) -> CutOffRename {
     cluster.block_on(async move { client.create(&created).await.unwrap() });
     let (isolated, commits) = (Rc::default(), Rc::default());
     cluster.network().install_switch(Box::new(IsolateOnCommit {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
-        node: cluster.server_node_id(dst_owner(i).0 as usize),
+        program: cluster.switch_program().expect("in-network tracking"),
+        node: cluster.servers()[dst_owner(i).0 as usize].node(),
         isolated: Rc::clone(&isolated),
         commits: Rc::clone(&commits),
     }));
@@ -565,7 +565,7 @@ fn replay_rebuilds_what_the_live_path_built() {
             ids(&after.image).is_superset(&ids(&before.image)),
             "server {i}"
         );
-        let durable = cluster.durable_state(i);
+        let durable = cluster.servers()[i].durable();
         let durable = durable.borrow();
         let logged = |response: &switchfs::proto::ClientResponse| {
             let mut records = durable.wal.records().iter();
@@ -654,13 +654,13 @@ fn a_refused_rmdir_stays_refused_across_a_crash() {
 /// The cluster's switch program behind a filter that loses the first
 /// invalidation revoke addressed to one server.
 struct LoseFirstRevoke {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     node: NodeId,
     lost: Rc<Cell<bool>>,
 }
 
 impl SwitchLogic<NetMsg> for LoseFirstRevoke {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         if matches!(
             pkt.payload.body,
             Body::Server(ServerMsg::Request {
@@ -670,7 +670,7 @@ impl SwitchLogic<NetMsg> for LoseFirstRevoke {
         ) && pkt.dst == self.node
             && !self.lost.replace(true)
         {
-            return Fanout::one(SwitchAction::Drop);
+            return Fanout::default();
         }
         self.program.process(now, pkt)
     }
@@ -697,8 +697,8 @@ fn a_refused_rmdirs_revoke_reaches_a_server_that_lost_its_first_copy() {
     cluster.block_on(async move { client.create("/keep/first").await.unwrap() });
     let lost = Rc::new(Cell::new(false));
     cluster.network().install_switch(Box::new(LoseFirstRevoke {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
-        node: cluster.server_node_id(server.0 as usize),
+        program: cluster.switch_program().expect("in-network tracking"),
+        node: cluster.servers()[server.0 as usize].node(),
         lost: lost.clone(),
     }));
     let client = cluster.client(0);
@@ -718,16 +718,14 @@ fn a_refused_rmdirs_revoke_reaches_a_server_that_lost_its_first_copy() {
 /// The cluster's switch program behind a filter that loses every change-log
 /// push and counts the aggregation acknowledgments that cross.
 struct RoundsOnly {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     acks: Rc<Cell<usize>>,
 }
 
 impl SwitchLogic<NetMsg> for RoundsOnly {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         match pkt.payload.body {
-            Body::Server(ServerMsg::ChangeLogPush { .. }) => {
-                return Fanout::one(SwitchAction::Drop)
-            }
+            Body::Server(ServerMsg::ChangeLogPush { .. }) => return Fanout::default(),
             Body::Server(ServerMsg::AggregationAck { .. }) => self.acks.set(self.acks.get() + 1),
             _ => {}
         }
@@ -750,7 +748,7 @@ fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_lose
     cluster.checkpoint_all();
     let acks = Rc::new(Cell::new(0));
     cluster.network().install_switch(Box::new(RoundsOnly {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        program: cluster.switch_program().expect("in-network tracking"),
         acks: acks.clone(),
     }));
     // No push arrives: every create stays in its holder's change-log.
@@ -768,7 +766,7 @@ fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_lose
     let (server, network, node) = (
         cluster.servers()[owner].clone(),
         cluster.network(),
-        cluster.server_node_id(owner),
+        cluster.servers()[owner].node(),
     );
     let (applied_at_crash, size) = cluster.block_on(async move {
         let reader = client.clone();
@@ -831,19 +829,19 @@ struct Parked {
 /// loses the first `TxnPrepare`, so that rename's coordinator waits for a
 /// vote that never comes.
 struct ParkOneRename {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     last_rename: Option<OpId>,
     parked: Rc<Parked>,
 }
 
 impl SwitchLogic<NetMsg> for ParkOneRename {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         let parked = &self.parked;
         let held = |op| parked.hold.get() && parked.rename.get().map(|(id, _)| id) == Some(op);
         match &pkt.payload.body {
             Body::Request(req) if matches!(req.op, MetaOp::Rename { .. }) => {
                 if held(req.op_id) {
-                    return Fanout::one(SwitchAction::Drop);
+                    return Fanout::default();
                 }
                 self.last_rename = Some(req.op_id);
             }
@@ -853,7 +851,7 @@ impl SwitchLogic<NetMsg> for ParkOneRename {
             }) if parked.rename.get().is_none() => {
                 let op = self.last_rename.expect("a prepare follows its rename");
                 parked.rename.set(Some((op, pkt.src)));
-                return Fanout::one(SwitchAction::Drop);
+                return Fanout::default();
             }
             Body::Response(response) if held(response.op_id) => {
                 parked.responses_held.set(parked.responses_held.get() + 1);
@@ -884,14 +882,14 @@ fn a_handler_parked_across_a_crash_does_not_answer_from_the_next_incarnation() {
     });
     let parked = Rc::new(Parked::default());
     cluster.network().install_switch(Box::new(ParkOneRename {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        program: cluster.switch_program().expect("in-network tracking"),
         last_rename: None,
         parked: parked.clone(),
     }));
     let (client, handle, network) = (cluster.client(0), cluster.sim.handle(), cluster.network());
     let servers = cluster.servers().to_vec();
     let nodes: Vec<NodeId> = (0..servers.len())
-        .map(|i| cluster.server_node_id(i))
+        .map(|i| cluster.servers()[i].node())
         .collect();
     let seen = parked.clone();
     let (i, outcome) = cluster.block_on(async move {
@@ -994,7 +992,7 @@ fn torn_wal_tail_is_detected_truncated_and_loses_no_acked_update() {
         let t = cluster.sim.now() + SimDuration::micros(5);
         cluster.run_until(t);
         if let Some(v) = (0..cluster.servers().len())
-            .find(|i| cluster.durable_state(*i).borrow().wal.unflushed_len() > 0)
+            .find(|i| cluster.servers()[*i].durable().borrow().wal.unflushed_len() > 0)
         {
             victim = Some(v);
             break;
@@ -1003,7 +1001,7 @@ fn torn_wal_tail_is_detected_truncated_and_loses_no_acked_update() {
     let victim = victim.expect("no server was caught mid-append with an unflushed tail");
     // A tear seed that provably corrupts at least one unflushed record.
     let seed = {
-        let durable = cluster.durable_state(victim);
+        let durable = cluster.servers()[victim].durable();
         (0..10_000u64)
             .find(|s| {
                 let mut probe = durable.borrow().wal.clone();
@@ -1028,7 +1026,12 @@ fn torn_wal_tail_is_detected_truncated_and_loses_no_acked_update() {
     );
     assert!(report.wal_bytes_replayed > 0);
     assert!(
-        cluster.durable_state(victim).borrow().wal.generation() >= 2,
+        cluster.servers()[victim]
+            .durable()
+            .borrow()
+            .wal
+            .generation()
+            >= 2,
         "recovery must bump the WAL generation"
     );
 
@@ -1074,7 +1077,7 @@ fn retransmission_after_torn_crash_still_gets_the_original_result() {
     let placement = cluster.placement();
     let key = MetaKey::new(DirId::ROOT, "torn-victim-file");
     let owner = placement.file_owner(&key).0 as usize;
-    let owner_node = cluster.server_node_id(owner);
+    let owner_node = cluster.servers()[owner].node();
 
     let endpoint = Rc::new(cluster.network().register(NodeId(7778)));
     let request = Rc::new(ClientRequest {
@@ -1248,7 +1251,7 @@ fn orphan_resolved_marker_is_tolerated_and_counted() {
         client.create("/orphan/f").await.unwrap();
     });
     {
-        let durable = cluster.durable_state(2);
+        let durable = cluster.servers()[2].durable();
         let mut durable = durable.borrow_mut();
         let record = WalOp::Txn(TxnMarker::Resolved {
             txn_id: 0xdead_beef,
@@ -1289,7 +1292,7 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
     });
     let victim = 1usize;
     let flushed_before = {
-        let durable = cluster.durable_state(victim);
+        let durable = cluster.servers()[victim].durable();
         let mut durable = durable.borrow_mut();
         let flushed = durable.wal.flushed();
         let records = vec![
@@ -1362,7 +1365,7 @@ fn unflushed_protocol_records_of_every_kind_truncate_cleanly() {
         "a torn migration marker must not trigger shard resolution: {report:?}"
     );
     assert!(
-        cluster.durable_state(victim).borrow().wal.flushed() >= flushed_before,
+        cluster.servers()[victim].durable().borrow().wal.flushed() >= flushed_before,
         "truncation must never regress the durable watermark"
     );
     let client = cluster.client(0);
@@ -1472,13 +1475,13 @@ fn no_lock_is_in_use_after_a_settled_mix_and_the_lock_tables_stay_at_their_floor
 /// was lost used to stay registered for the server's lifetime.
 #[test]
 fn every_tracker_answers_statdir_with_every_acked_create_and_no_wait_left() {
-    use switchfs::core::TrackingChoice;
+    use switchfs::core::TrackingMode;
     use switchfs::simnet::NetFaults;
 
     for tracking in [
-        TrackingChoice::InNetwork,
-        TrackingChoice::DedicatedServer,
-        TrackingChoice::OwnerServer,
+        TrackingMode::InNetwork,
+        TrackingMode::DedicatedServer,
+        TrackingMode::OwnerServer,
     ] {
         for seed in [42, 1, 7] {
             let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
@@ -1544,7 +1547,7 @@ fn retransmission_after_crash_gets_the_original_result() {
     let placement = cluster.placement();
     let key = MetaKey::new(DirId::ROOT, "victim-file");
     let owner = placement.file_owner(&key).0 as usize;
-    let owner_node = cluster.server_node_id(owner);
+    let owner_node = cluster.servers()[owner].node();
 
     // A raw client endpoint lets the test model the exact failure window:
     // the response is produced (and the reply sent) but the "client" acts
@@ -1811,12 +1814,8 @@ fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected()
     let old = placement.file_owner(&key);
     let new = ServerId((old.0 + 1) % cluster.servers().len() as u32);
     let shard = placement.map().shard_of_hash(key.hash64());
-    let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
-    let moved = cluster.block_on(async move {
-        donor
-            .migrate_shards(&[(shard, new)], |s, to| flip.map_mut().assign(s, to))
-            .await
-    });
+    let donor = cluster.servers()[old.0 as usize].clone();
+    let moved = cluster.block_on(async move { donor.migrate_shards(&[(shard, new)]).await });
     assert_eq!(moved, 1);
     assert_eq!(placement.file_owner(&key), new);
     assert_eq!(placement.dir_access_owner(&key), old);
@@ -1838,18 +1837,18 @@ fn a_file_rename_routed_by_a_stale_map_to_the_names_access_owner_is_redirected()
 /// The cluster's switch program behind a filter that loses the first
 /// asynchronous commit it sees.
 struct LoseFirstCommit {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     lost: Rc<Cell<bool>>,
 }
 
 impl SwitchLogic<NetMsg> for LoseFirstCommit {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         if matches!(
             pkt.payload.body,
             Body::Server(ServerMsg::AsyncCommit { .. })
         ) && !self.lost.replace(true)
         {
-            return Fanout::one(SwitchAction::Drop);
+            return Fanout::default();
         }
         self.program.process(now, pkt)
     }
@@ -1863,11 +1862,14 @@ impl SwitchLogic<NetMsg> for LoseFirstCommit {
 /// on the old one.
 #[test]
 fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
+    use switchfs::obs::EventKind;
     use switchfs::proto::{DirId, Fingerprint, MetaKey, ServerId};
     let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
     cfg.servers = 4;
     cfg.clients = 1;
     cfg.force_dirty_overflow = true;
+    // The flip's time is read off its `MigrationFlip` event.
+    cfg.trace_capacity = Some(1 << 16);
     let mut cluster = Cluster::new(cfg);
     let dir = cluster.preload_dir("/o");
     let placement = cluster.placement();
@@ -1881,15 +1883,15 @@ fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
         .unwrap();
     let lost = Rc::new(Cell::new(false));
     cluster.network().install_switch(Box::new(LoseFirstCommit {
-        program: SwitchAdapter::new(cluster.switch_program().expect("in-network tracking")),
+        program: cluster.switch_program().expect("in-network tracking"),
         lost: lost.clone(),
     }));
 
     let (client, path) = (cluster.client(0), format!("/o/{name}"));
-    let (donor, flip) = (cluster.servers()[old.0 as usize].clone(), placement.clone());
+    let donor = cluster.servers()[old.0 as usize].clone();
     let shard = placement.map().shard_of_hash(fp.hash64());
     let h = cluster.sim.handle();
-    let (flipped_at, acked_at) = cluster.block_on(async move {
+    let acked_at = cluster.block_on(async move {
         let clock = h.clone();
         let create = h.spawn_with_result(async move {
             client.create(&path).await.expect("the create");
@@ -1898,16 +1900,19 @@ fn an_overflowed_create_whose_parent_moves_is_applied_at_the_new_owner() {
         while !lost.get() {
             h.sleep(SimDuration::micros(1)).await;
         }
-        let flipped_at = Cell::new(None);
-        let moved = donor
-            .migrate_shards(&[(shard, new)], |s, to| {
-                flip.map_mut().assign(s, to);
-                flipped_at.set(Some(h.now()));
-            })
-            .await;
-        assert_eq!(moved, 1);
-        (flipped_at.get().unwrap(), create.join().await)
+        assert_eq!(donor.migrate_shards(&[(shard, new)]).await, 1);
+        create.join().await
     });
+    assert_eq!(placement.dir_owner_by_fp(fp), new, "the shared map flipped");
+    let obs = cluster.obs();
+    assert_eq!(obs.recorder().evicted(), 0);
+    let flipped_at = obs
+        .recorder()
+        .dump()
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::MigrationFlip { shard: s, .. } if s == shard))
+        .map(|e| SimTime::from_nanos(e.at_ns))
+        .expect("the flip's event");
     let budget = cluster.config().cost_model().request_timeout * 3;
     assert!(
         acked_at.duration_since(flipped_at) <= budget,

@@ -47,15 +47,15 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use switchfs::core::switch_adapter::SwitchAdapter;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
 use switchfs::proto::message::{Body, NetMsg, OpResult, ServerMsg};
 use switchfs::proto::{DirId, Fingerprint, FsError, MetaKey, OpId, Placement, ServerId};
 use switchfs::server::{KvEffect, WalOp};
 use switchfs::simnet::net::LinkParams;
 use switchfs::simnet::{
-    Fanout, NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchAction, SwitchLogic,
+    Fanout, NetFaults, NodeId, Packet, SimDuration, SimHandle, SimTime, SwitchLogic,
 };
+use switchfs::switch::SwitchFsProgram;
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkItem, WorkloadBuilder};
 
 /// splitmix64: the test's own generator, so its inputs do not move with the
@@ -410,7 +410,7 @@ fn reads_waiting_for_a_round_survive_a_crash_of_the_owner() {
         let fp = Fingerprint::of_dir(&DirId::ROOT, "hot");
         let owner = cluster.placement().dir_owner_by_fp(fp).0 as usize;
         let server = cluster.servers()[owner].clone();
-        let (network, node) = (cluster.network(), cluster.server_node_id(owner));
+        let (network, node) = (cluster.network(), cluster.servers()[owner].node());
         async move {
             // Crash the owner the moment reads are queued behind a round.
             while server.fp_group_waiter_count() < 8 {
@@ -466,7 +466,7 @@ type TapLog = Rc<RefCell<Vec<Crossing>>>;
 /// The cluster's switch program with a tap in front: records the messages of
 /// [`Seen`] and, on request, loses every push.
 struct Tap {
-    program: SwitchAdapter,
+    program: Rc<RefCell<SwitchFsProgram>>,
     log: TapLog,
     lose_pushes: bool,
 }
@@ -474,9 +474,8 @@ struct Tap {
 impl Tap {
     /// Puts a tap that writes to `log` in front of `cluster`'s switch program.
     fn install(cluster: &Cluster, log: &TapLog, lose_pushes: bool) {
-        let program = cluster.switch_program().expect("in-network tracking");
         cluster.network().install_switch(Box::new(Tap {
-            program: SwitchAdapter::new(program),
+            program: cluster.switch_program().expect("in-network tracking"),
             log: log.clone(),
             lose_pushes,
         }));
@@ -484,7 +483,7 @@ impl Tap {
 }
 
 impl SwitchLogic<NetMsg> for Tap {
-    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<SwitchAction<NetMsg>> {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         let seen = match &pkt.payload.body {
             Body::Server(ServerMsg::AsyncCommit { .. }) => Some(Seen::Commit),
             Body::Server(ServerMsg::ChangeLogPush { .. }) => Some(Seen::Push),
@@ -511,7 +510,7 @@ impl SwitchLogic<NetMsg> for Tap {
                 seen,
             });
             if seen == Seen::Push && self.lose_pushes {
-                return Fanout::one(SwitchAction::Drop);
+                return Fanout::default();
             }
         }
         self.program.process(now, pkt)
@@ -664,7 +663,7 @@ fn a_round_walks_the_owners_wal_no_further_back_than_its_oldest_local_entry() {
     // A long prefix of applied records on every server.
     fill_and_read("/cold", COLD);
     let wal_at = |i: usize| {
-        let durable = cluster.durable_state(i);
+        let durable = cluster.servers()[i].durable();
         let durable = durable.borrow();
         (durable.wal.next_lsn(), durable.wal.mark_visits())
     };
@@ -1127,7 +1126,7 @@ fn rename_a_deferred_entry(src: (&str, &str), dst: (&str, &str)) -> (u64, Vec<Ve
         .sum();
     assert_eq!(pending, 1, "the create's entry is deferred");
 
-    let next_lsn = |i| cluster.durable_state(i).borrow().wal.next_lsn();
+    let next_lsn = |i: usize| cluster.servers()[i].durable().borrow().wal.next_lsn();
     let lsns: Vec<u64> = (0..servers).map(next_lsn).collect();
     let rounds = cluster.total_server_stats().aggregations;
     let client = cluster.client(0);
@@ -1140,7 +1139,7 @@ fn rename_a_deferred_entry(src: (&str, &str), dst: (&str, &str)) -> (u64, Vec<Ve
     };
     let mut records = Vec::new();
     for (i, lsn) in lsns.into_iter().enumerate() {
-        let durable = cluster.durable_state(i);
+        let durable = cluster.servers()[i].durable();
         for record in durable
             .borrow()
             .wal

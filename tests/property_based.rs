@@ -491,10 +491,10 @@ proptest! {
                     },
                 };
                 sent.push(msg.clone());
-                let src = cluster.server_node_id(holder);
+                let src = cluster.servers()[holder].node();
                 cluster.network().send(Packet {
                     src,
-                    dst: cluster.server_node_id(owner),
+                    dst: cluster.servers()[owner].node(),
                     payload: NetMsg::plain(
                         PacketSeq { sender: src.0, seq: (1 << 40) | i as u64 },
                         Body::Server(msg),
