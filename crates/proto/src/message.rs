@@ -515,12 +515,12 @@ pub enum Request {
         /// Attributes of the new directory, its id among them.
         attrs: InodeAttrs,
     },
-    /// A single synchronous remote mutation (used by the baseline `rmdir`
-    /// to delete the access replica of a removed directory). Answered with
+    /// Baseline (P/C grouping) `rmdir`: delete the removed directory's
+    /// access replica on the server its name is reached at. Answered with
     /// [`Reply::Done`].
-    RemoteTxnOp {
-        /// The mutation to apply.
-        op: TxnOp,
+    DeleteAccessReplica {
+        /// Key under which the access replica is stored.
+        key: MetaKey,
     },
     /// Asks the receiver whether it stores an inode under `key` and of what
     /// type. Used by the `delete` path under per-file-hash placement: the
@@ -552,7 +552,7 @@ pub enum Request {
 pub enum Reply {
     /// The request was carried out, or failed with the error: the answer to
     /// [`Request::RemoteDirUpdate`], an overflowed [`ServerMsg::AsyncCommit`]
-    /// (under its `op_token`), [`Request::RemoteTxnOp`],
+    /// (under its `op_token`), [`Request::DeleteAccessReplica`],
     /// [`Request::InitDirContent`], [`Request::InvalidationRevoke`],
     /// [`Request::ShardInstall`] and [`Request::TxnDecision`].
     Done(Result<(), FsError>),

@@ -42,9 +42,10 @@ pub enum PartitionPolicy {
 
 /// Every placement hash an object stored under `key` may have, whatever its
 /// type and the policy: per-file, fingerprint, parent. The conservative set
-/// of the migration freeze gates, which must not let a request or a staged
-/// mutation into a frozen shard under *any* of its roles; a directory's own
-/// id hash (not derivable from the key) is added by the caller that knows it.
+/// the server's admission gate checks against frozen shards, which must not
+/// let a request or a staged mutation into one under *any* of its roles; a
+/// directory's own id hash (not derivable from the key) is added by the
+/// caller that knows it.
 pub fn key_hashes(key: &MetaKey) -> [u64; 3] {
     [
         key.hash64(),
@@ -101,11 +102,15 @@ pub trait Placement {
     /// group's owner under separation, the parent's children server under
     /// grouping (the access replica, where a file of that name would be too).
     fn dir_access_owner(&self, key: &MetaKey) -> ServerId {
+        self.owner_of_hash(self.dir_access_hash(key))
+    }
+
+    /// The placement hash of the inode a directory is reached through (see
+    /// [`Placement::dir_access_owner`]).
+    fn dir_access_hash(&self, key: &MetaKey) -> u64 {
         match self.policy() {
-            PartitionPolicy::PerFileHash => {
-                self.dir_owner_by_fp(Fingerprint::of_dir(&key.pid, &key.name))
-            }
-            PartitionPolicy::PerDirectoryHash => self.dir_owner_by_id(&key.pid),
+            PartitionPolicy::PerFileHash => Fingerprint::of_dir(&key.pid, &key.name).hash64(),
+            PartitionPolicy::PerDirectoryHash => key.pid.hash64(),
         }
     }
 
@@ -897,8 +902,8 @@ mod tests {
             for (i, key) in keys().enumerate() {
                 for attrs in targets(i as u64).into_iter().flatten() {
                     for role in map.inode_role_hashes(&key, &attrs) {
-                        // The gates add a directory's id hash themselves:
-                        // it is not derivable from the key.
+                        // The admission gate's callers add a directory's
+                        // id hash: it is not derivable from the key.
                         assert!(
                             key_hashes(&key).contains(&role)
                                 || attrs.is_dir() && role == attrs.id.hash64(),

@@ -43,7 +43,7 @@ use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
-use crate::server::migrate::InstallState;
+use crate::server::migrate::{Admit, InstallState};
 use crate::server::rename::{CoordinatorTxn, PreparedTxn};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
 
@@ -1048,12 +1048,18 @@ impl Server {
         }
         // Both checks below are off the hot path: shard classification runs
         // only while an outbound migration is active, and the ownership
-        // re-check only when the client's map epoch is stale.
-        if self.touches_frozen_shard(&req.op) {
-            // The target shard is frozen by an outbound migration: drop the
-            // request; the client's retransmission lands after the flip and
-            // is either served here (shard kept) or rejected with the new
-            // map (shard moved).
+        // re-check only when the client's map epoch is stale. A request may
+        // touch any of its key's [`key_hashes`], or a locally-known
+        // directory id (the content role under grouping).
+        let key = req.op.primary_key();
+        let touched = || {
+            let dir_id = self.inner.borrow().inodes.peek(key).map(|a| a.id.hash64());
+            key_hashes(key).into_iter().chain(dir_id)
+        };
+        if self.admit(None, touched) == Admit::Frozen {
+            // Drop the request; the client's retransmission lands after the
+            // flip and is either served here (shard kept) or rejected with
+            // the new map (shard moved).
             return None;
         }
         if req.epoch != self.cfg.placement.map().epoch() && !self.may_own(&req.op) {
@@ -1124,24 +1130,6 @@ impl Server {
                 },
             }),
         );
-    }
-
-    /// The migration freeze gate: true when a shard the request's primary
-    /// key may legitimately map to is frozen — under any of its conservative
-    /// [`key_hashes`], or a locally-known directory id (the content role
-    /// under grouping).
-    fn touches_frozen_shard(&self, op: &MetaOp) -> bool {
-        let inner = self.inner.borrow();
-        if inner.migrating_shards.is_empty() {
-            return false;
-        }
-        let key = op.primary_key();
-        let dir_id = inner.inodes.peek(key).map(|a| a.id.hash64());
-        let mut hashes = key_hashes(key).into_iter().chain(dir_id);
-        hashes.any(|h| {
-            let shard = self.cfg.placement.map().shard_of_hash(h);
-            inner.migrating_shards.contains(&shard)
-        })
     }
 
     /// Ownership check for stale-epoch requests under the *current* map:
@@ -1389,7 +1377,9 @@ impl Server {
     /// apply (the sender's retransmission re-asks until it finished), or a
     /// [`Request::TxnPrepare`] from a node that is not a metadata server. A
     /// directory update and a transaction's decision are answered by tasks
-    /// of their own.
+    /// of their own. The writes among these pass [`Server::admit`], the gate
+    /// of every write: a refused replica write answers `Unavailable`, which
+    /// its sender re-routes on, and a refused prepare votes no.
     fn answer(self: Rc<Self>, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
         async move {
             if !self.serves_servers() {
@@ -1419,28 +1409,13 @@ impl Server {
                 Request::TxnDecisionQuery { txn_id } => {
                     Some(self.handle_txn_decision_query(txn_id).await)
                 }
-                Request::InitDirContent { key, attrs } => {
-                    // Baseline helper: register a directory's content replica on
-                    // the server that will hold its children.
+                // The replica writes of a baseline `mkdir` and `rmdir` under
+                // grouping. This and `ShardInstall` are boxed: rare branches
+                // (these, a migration's install), kept out of the task that
+                // answers every other request.
+                Request::InitDirContent { .. } | Request::DeleteAccessReplica { .. } => {
                     self.cpu.run(self.cfg.costs.software_path).await;
-                    let dir_id = attrs.id;
-                    self.log_record(WalOp::local(
-                        None,
-                        vec![
-                            KvEffect::PutInode(key.clone(), attrs),
-                            KvEffect::IndexDir(dir_id, key),
-                        ],
-                    ))
-                    .await;
-                    DONE
-                }
-                // This and `ShardInstall` are boxed: rare branches (a
-                // baseline `rmdir`'s remote half, a migration's install), kept
-                // out of the task that answers every other request.
-                Request::RemoteTxnOp { op } => {
-                    self.cpu.run(self.cfg.costs.software_path).await;
-                    Box::pin(self.apply_txn_ops(std::slice::from_ref(&op))).await;
-                    DONE
+                    Some(Reply::Done(Box::pin(self.apply_replica_write(&req)).await))
                 }
                 Request::TypeProbe { key } => {
                     self.cpu

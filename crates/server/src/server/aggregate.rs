@@ -22,6 +22,7 @@ use crate::config::{
 };
 use crate::costs::RESPONDER_ACK_WAIT;
 use crate::locks::{AggGate, Arrival, Lead, RESPONDER};
+use crate::server::migrate::Admit;
 use crate::server::{AggCollector, Server};
 use crate::wal::{KvEffect, WalOp};
 
@@ -635,20 +636,12 @@ impl Server {
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         let costs = self.cfg.costs;
         self.cpu.run(costs.software_path).await;
-        let dir = entries[0].dir;
-        if self.dir_update_frozen(fp, &dir) {
-            // The target directory's shard is frozen by an outbound
-            // migration: applying now would strand the entries at the old
-            // owner after the flip. No ack — the pusher retries, and its
-            // placement lookup then routes to the new owner.
-            return;
-        }
-        if !self.owns_dir_updates(fp, &dir) {
-            // A push that was in flight across a flip: this server no
-            // longer owns the directory and already deleted its copy —
-            // acknowledging would let the holder discard an entry the new
-            // owner never saw. Drop without ack; the holder's next push
-            // round routes to the new owner.
+        let role = self.cfg.placement.dir_content_hash(fp, &entries[0].dir);
+        if self.admit(Some(role), || None) != Admit::Serve {
+            // Frozen, the entries would be stranded here after the flip; not
+            // this server's any more (a push in flight across a flip), an ack
+            // would let the holder discard entries the new owner never saw.
+            // No ack: the holder's next push round routes to the owner.
             return;
         }
         let fpg = self.locks.fp_group(fp);
@@ -815,22 +808,25 @@ impl Server {
             // Never start an owner-side aggregation for a group in a shard
             // that is mid-migration: entries pulled and applied after the
             // shard snapshot would be stranded at the old owner when the
-            // shard flips. The new owner aggregates after the flip. The
-            // fingerprint covers the per-file-hash policy; the group's
-            // directory ids cover the (id-hashed) grouping policies.
-            let dirs = self.inner.borrow().changelogs.dirs_in_group(fp);
-            if self.dir_update_frozen(fp, &DirId::ROOT)
-                || dirs.iter().any(|d| self.dir_update_frozen(fp, d))
-            {
-                continue;
-            }
-            // Nor for a group whose shard already flipped away: this server
-            // would pull remote entries, find no owner-index record, count
-            // them "applied" as moot and acknowledge — silently losing
-            // updates the new owner never saw. The new owner aggregates.
-            if self.cfg.placement.dir_owner_by_fp(fp) != self.cfg.id {
-                self.inner.borrow_mut().push_timers.remove(&raw);
-                continue;
+            // shard flips; the group's directory ids cover the (id-hashed)
+            // grouping policies. Nor for a group whose shard already flipped
+            // away: this server would pull remote entries, find no
+            // owner-index record, count them "applied" as moot and
+            // acknowledge — silently losing updates the new owner never saw.
+            // Either way the new owner aggregates after the flip.
+            let placement = &self.cfg.placement;
+            let group = || {
+                let dirs = self.inner.borrow().changelogs.dirs_in_group(fp);
+                dirs.into_iter()
+                    .map(move |d| placement.dir_content_hash(fp, &d))
+            };
+            match self.admit(Some(fp.hash64()), group) {
+                Admit::Serve => {}
+                Admit::Frozen => continue,
+                Admit::NotMine => {
+                    self.inner.borrow_mut().push_timers.remove(&raw);
+                    continue;
+                }
             }
             let fpg = self.locks.fp_group(fp);
             let _w = fpg.write().await;

@@ -6,8 +6,8 @@
 //! protocol:
 //!
 //! 1. the source durably logs a `MigrationMarker::Started` and freezes the
-//!    shard (requests touching it are dropped; the clients' retransmission
-//!    timers carry them across the window);
+//!    shard: [`Server::admit`], the gate of every write, refuses what may
+//!    land in it (the senders' retransmissions carry it across the window);
 //! 2. the source waits for in-flight work on the shard to drain (client
 //!    handlers, owner-side aggregations, prepared transactions);
 //! 3. the source collects the shard's slice of its stores — inodes, entry
@@ -23,7 +23,9 @@
 //!
 //! Clients keep routing with their cached map until a server rejects them
 //! with `WrongOwner { map }`, at which point they refresh and retry — one
-//! extra round trip per client per epoch bump, only on moved shards.
+//! extra round trip per client per epoch bump, only on moved shards. The
+//! same gate refuses a server's write that reaches the former owner after
+//! the flip, and the sender re-resolves (`Server::ask_owner`).
 //!
 //! A crash between steps leaves a durable `Started` with no `Completed`;
 //! recovery resolves it against the shared map (see
@@ -33,7 +35,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use switchfs_proto::message::{Body, Reply, Request, ServerMsg, StateImage};
+use switchfs_proto::message::{Body, Reply, Request, ServerMsg, StateImage, TxnOp};
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, Retry, ServerId};
 
@@ -50,6 +52,33 @@ pub(crate) enum InstallState {
     Applying,
     /// Applied and acked.
     Applied,
+}
+
+/// What [`Server::admit`] makes of a write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// Apply it.
+    Serve,
+    /// An outbound migration froze one of its shards: applied now, it could
+    /// miss the shard's image and be stranded here after the flip.
+    Frozen,
+    /// Its role is another server's under the current map (a write in
+    /// flight across a flip): the sender re-resolves the owner.
+    NotMine,
+}
+
+/// Every placement hash a staged transaction mutation may land under,
+/// conservatively: each routing role of its key, and the directory id it
+/// names.
+pub(crate) fn txn_op_hashes(op: &TxnOp) -> impl Iterator<Item = u64> {
+    let (key, dir) = match op {
+        TxnOp::PutInode { key, .. } | TxnOp::DeleteInode { key } => (Some(key), None),
+        TxnOp::DirUpdate { dir_key, entry } => (Some(dir_key), Some(entry.dir)),
+        TxnOp::PutDirContent { key, dir, .. } => (Some(key), Some(*dir)),
+        TxnOp::DeleteDirContent { dir, .. } => (None, Some(*dir)),
+    };
+    let keys = key.map(key_hashes).into_iter().flatten();
+    keys.chain(dir.map(|dir| dir.hash64()))
 }
 
 /// The effects that store an image's inodes, entry lists and owner index, in
@@ -174,37 +203,29 @@ impl Server {
         image.completed.sort_by_key(|r| r.op_id);
     }
 
-    /// True when the directory addressed by `fp`/`dir` lies in a shard this
-    /// server is currently migrating out. Server-to-server update paths
-    /// (change-log pushes, synchronous remote updates, overflow fallbacks)
-    /// must check this before applying: an entry applied at the source
-    /// after the shard was snapshotted would be stranded at the old owner
-    /// when the shard flips. Senders retry, and after the flip their
-    /// placement lookup routes the update to the new owner.
-    pub(crate) fn dir_update_frozen(&self, fp: Fingerprint, dir: &DirId) -> bool {
+    /// The one admission gate of every write this server applies: client
+    /// requests, directory updates, pushes, aggregation ticks, prepares and
+    /// replica writes ask it, each with its own reaction to a refusal.
+    /// `role` is the placement hash whose owner applies the write (`None`:
+    /// the sender's map picked this server). `touched` yields every other
+    /// hash it may store under, and is called only while a migration runs.
+    pub(crate) fn admit<I: IntoIterator<Item = u64>>(
+        &self,
+        role: Option<u64>,
+        touched: impl FnOnce() -> I,
+    ) -> Admit {
         let inner = self.inner.borrow();
-        if inner.migrating_shards.is_empty() {
-            return false;
+        let map = self.cfg.placement.map();
+        if !inner.migrating_shards.is_empty() {
+            let frozen = |h: u64| inner.migrating_shards.contains(&map.shard_of_hash(h));
+            if role.into_iter().chain(touched()).any(frozen) {
+                return Admit::Frozen;
+            }
         }
-        let placement = &self.cfg.placement;
-        let h = placement.dir_content_hash(fp, dir);
-        inner
-            .migrating_shards
-            .contains(&placement.map().shard_of_hash(h))
-    }
-
-    /// True when this server currently owns the directory addressed by
-    /// `fp`/`dir` under the shared map. Owner-side apply paths must check
-    /// this alongside the freeze gate: a push *in flight across a flip*
-    /// lands at the old owner after it deleted its migrated copy, and the
-    /// missing owner-index entry would make the apply treat the update as
-    /// "directory removed, moot" — acknowledging it, so the holder durably
-    /// discards an entry the *new* owner never saw (a lost directory
-    /// update; found by the decommission chaos sweep as a statdir/listing
-    /// divergence). A non-owner drops the message without an ack; the
-    /// holder's next round routes to the new owner via the shared map.
-    pub(crate) fn owns_dir_updates(&self, fp: Fingerprint, dir: &DirId) -> bool {
-        self.cfg.placement.dir_content_owner(fp, dir) == self.cfg.id
+        match role {
+            Some(h) if map.owner_of_hash(h) != self.cfg.id => Admit::NotMine,
+            _ => Admit::Serve,
+        }
     }
 
     /// True while work that predates the freeze may still touch `shard`:
@@ -235,29 +256,10 @@ impl Server {
         }) {
             return true;
         }
-        inner.prepared_txns.values().any(|txn| {
-            txn.ops
-                .iter()
-                .any(|op| self.txn_op_touches_shard(op, shard))
-        })
-    }
-
-    /// Conservative: true if a staged transaction mutation may land in
-    /// `shard` under any of its routing roles.
-    pub(crate) fn txn_op_touches_shard(
-        &self,
-        op: &switchfs_proto::message::TxnOp,
-        shard: u32,
-    ) -> bool {
-        use switchfs_proto::message::TxnOp;
-        let hits = |hash: u64| self.cfg.placement.map().shard_of_hash(hash) == shard;
-        let key_hits = |key: &MetaKey| key_hashes(key).into_iter().any(hits);
-        match op {
-            TxnOp::PutInode { key, .. } | TxnOp::DeleteInode { key } => key_hits(key),
-            TxnOp::DirUpdate { dir_key, entry } => key_hits(dir_key) || hits(entry.dir.hash64()),
-            TxnOp::PutDirContent { key, dir, .. } => key_hits(key) || hits(dir.hash64()),
-            TxnOp::DeleteDirContent { dir, .. } => hits(dir.hash64()),
-        }
+        let staged = inner.prepared_txns.values().flat_map(|txn| &txn.ops);
+        staged
+            .flat_map(txn_op_hashes)
+            .any(|h| placement.map().shard_of_hash(h) == shard)
     }
 
     /// Migrates a batch of shards off this server (the donor side of a

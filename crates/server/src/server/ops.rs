@@ -15,8 +15,7 @@
 //! completion cache.
 
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg,
-    SyncFallback, TxnOp,
+    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg, SyncFallback,
 };
 use switchfs_proto::{
     ChangeLogEntry, ChangeOp, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
@@ -26,6 +25,7 @@ use switchfs_simnet::{FxHashSet, NodeId};
 
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
+use crate::server::migrate::Admit;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, WalOp};
 
@@ -170,9 +170,18 @@ impl Server {
             // directory in place (possibly across servers) before replying.
             self.log_record(WalOp::local(Some(req.op_id), effects))
                 .await;
-            if let MetaOp::Mkdir { .. } = &req.op {
-                if let OpResult::Attrs(attrs) = &result {
-                    self.sync_init_dir_content(&key, attrs.clone()).await;
+            // Under grouping a new directory's content replica is
+            // registered on the server that will hold its children. Boxed: a
+            // cold path, kept out of the handler's future.
+            if let (MetaOp::Mkdir { .. }, OpResult::Attrs(attrs)) = (&req.op, &result) {
+                if !self.cfg.placement.is_separation() {
+                    let init = Request::InitDirContent {
+                        key: key.clone(),
+                        attrs: attrs.clone(),
+                    };
+                    if let Err(e) = Box::pin(self.write_replica(init)).await {
+                        return Some(OpResult::Err(e));
+                    }
                 }
             }
             if let Err(e) = self.sync_parent_update(parent, &entry).await {
@@ -262,51 +271,63 @@ impl Server {
     }
 
     /// Baseline-mode parent update: apply the directory update at the
-    /// parent's owner, locally when colocated (P/C grouping) or through a
-    /// synchronous RPC (P/C separation, and cross-server `mkdir`/`rmdir`).
-    ///
-    /// Rides through live shard migration: a frozen target rejects with
-    /// `Unavailable` and a flipped one with `NotFound` (the old owner
-    /// deleted its copy) — both are re-resolved against the current map and
-    /// retried here, because the operation's local half is already applied
-    /// and surfacing a retryable error to the client would let its retry
-    /// observe the half-done operation (`AlreadyExists` on its own create).
+    /// parent's owner ([`Server::ask_owner`]), locally when colocated (P/C
+    /// grouping) or through a synchronous RPC (P/C separation, and
+    /// cross-server `mkdir`/`rmdir`).
     pub(crate) async fn sync_parent_update(
         &self,
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let mut attempt = 0u32;
-        loop {
-            let owner = self.sync_dir_owner(parent);
-            match self.sync_parent_update_once(parent, entry).await {
-                Err(FsError::NotFound) if attempt < 64 && self.sync_dir_owner(parent) != owner => {
-                    // The owner changed under us (the old one already
-                    // deleted its migrated copy): re-route immediately. An
-                    // unchanged owner's NotFound is genuine (the parent was
-                    // removed concurrently) and fails through unchanged.
-                    attempt += 1;
-                }
+        let owner = || self.sync_dir_owner(parent);
+        self.ask_owner(owner, |to| self.sync_parent_update_once(to, parent, entry))
+            .await
+    }
+
+    /// The one re-routing loop of the synchronous server-to-server writes,
+    /// sent by `send` once the operation's local half is applied: while the
+    /// owner under the current map (`owner`) refuses with `Unavailable` (a
+    /// frozen or moved shard) or a changed owner answered `NotFound` (the
+    /// old one deleted its migrated copy), re-resolve and send again, after
+    /// a retransmission timeout if the owner is unchanged. Surfacing either
+    /// error would let the client's retry observe the half-done operation
+    /// (`AlreadyExists` on its own create). Anything else, `TimedOut` for no
+    /// answer among it, is the operation's result.
+    pub(crate) async fn ask_owner<F: std::future::Future<Output = Result<(), FsError>>>(
+        &self,
+        owner: impl Fn() -> ServerId,
+        mut send: impl FnMut(ServerId) -> F,
+    ) -> Result<(), FsError> {
+        for attempt in 0.. {
+            let to = owner();
+            match send(to).await {
+                Err(FsError::NotFound) if attempt < 64 && owner() != to => {}
                 Err(FsError::Unavailable) if attempt < 64 => {
-                    // Frozen by an outbound migration: wait out the freeze
-                    // window (the flip re-routes the retry via the shared
-                    // map) instead of surfacing a retryable error.
-                    attempt += 1;
-                    if self.sync_dir_owner(parent) == owner {
+                    if owner() == to {
                         self.handle.sleep(self.cfg.costs.request_timeout).await;
                     }
                 }
                 other => return other,
             }
         }
+        unreachable!("the attempts are bounded")
+    }
+
+    /// Asks server `to` for a write answered with [`Reply::Done`]: its
+    /// result, or `TimedOut` when no answer came.
+    async fn ask_done(&self, to: ServerId, req: impl Fn() -> Request) -> Result<(), FsError> {
+        match self.ask(self.cfg.node_of(to), Retry::ACK, req).await {
+            Some(TokenReply::Server(Reply::Done(result))) => result,
+            _ => Err(FsError::TimedOut),
+        }
     }
 
     async fn sync_parent_update_once(
         &self,
+        owner: ServerId,
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let owner = self.sync_dir_owner(parent);
         if owner == self.cfg.id {
             self.apply_dir_update(&parent.key, &[entry], DirUpdateSource::Local)
                 .await?;
@@ -315,32 +336,22 @@ impl Server {
             // immediately.
             let (id, now) = (entry.entry_id, self.handle.now());
             self.inner.borrow_mut().retire_entry_ids([id], now);
-            Ok(())
-        } else {
-            let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
-            let req = Request::RemoteDirUpdate {
-                dir_key: parent.key.clone(),
-                entry: entry.clone(),
-                discard_confirm,
-            };
-            match self
-                .ask(self.cfg.node_of(owner), Retry::ACK, || req.clone())
-                .await
-            {
-                Some(TokenReply::ACK) => {
-                    // The update is applied and this server will never
-                    // retransmit it: confirm so the owner can retire the id.
-                    let me = self.cfg.id;
-                    let now = self.handle.now();
-                    self.inner
-                        .borrow_mut()
-                        .queue_discard_confirm(me, owner, now, [entry.entry_id]);
-                    Ok(())
-                }
-                Some(TokenReply::Server(Reply::Done(Err(e)))) => Err(e),
-                _ => Err(FsError::TimedOut),
-            }
+            return Ok(());
         }
+        let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
+        let req = Request::RemoteDirUpdate {
+            dir_key: parent.key.clone(),
+            entry: entry.clone(),
+            discard_confirm,
+        };
+        self.ask_done(owner, || req.clone()).await?;
+        // The update is applied and this server will never retransmit it:
+        // confirm so the owner can retire the id.
+        let (me, now) = (self.cfg.id, self.handle.now());
+        self.inner
+            .borrow_mut()
+            .queue_discard_confirm(me, owner, now, [entry.entry_id]);
+        Ok(())
     }
 
     /// The server owning a directory's updatable metadata under the
@@ -349,32 +360,55 @@ impl Server {
         self.cfg.placement.dir_content_owner(parent.fp, &parent.id)
     }
 
-    /// Baseline `mkdir` under P/C grouping: register the new directory's
-    /// content replica on the server that will hold its children.
-    async fn sync_init_dir_content(&self, key: &switchfs_proto::MetaKey, attrs: InodeAttrs) {
-        if self.cfg.placement.is_separation() {
-            return;
+    /// A replica write of a baseline `mkdir` or `rmdir` under P/C grouping
+    /// ([`Request::InitDirContent`], [`Request::DeleteAccessReplica`]),
+    /// applied at its role's owner through [`Server::ask_owner`]: here when
+    /// that is this server, by request otherwise.
+    async fn write_replica(&self, req: Request) -> Result<(), FsError> {
+        let (role, _) = self.replica_write(&req);
+        let (owner, req) = (|| self.cfg.placement.owner_of_hash(role), &req);
+        self.ask_owner(owner, |to| async move {
+            if to == self.cfg.id {
+                self.apply_replica_write(req).await
+            } else {
+                self.ask_done(to, || req.clone()).await
+            }
+        })
+        .await
+    }
+
+    /// Applies a replica write here if [`Server::admit`] lets it, and
+    /// refuses it with `Unavailable` otherwise: the body of its handler and
+    /// of a sender that owns the replica itself.
+    pub(crate) async fn apply_replica_write(&self, req: &Request) -> Result<(), FsError> {
+        let (role, effects) = self.replica_write(req);
+        if self.admit(Some(role), || None) != Admit::Serve {
+            return Err(FsError::Unavailable);
         }
-        let fp = Fingerprint::of_dir(&key.pid, &key.name);
-        let content_owner = self.cfg.placement.dir_content_owner(fp, &attrs.id);
-        if content_owner == self.cfg.id {
-            self.log_record(WalOp::local(
-                None,
-                vec![
+        self.log_record(WalOp::local(None, effects)).await;
+        Ok(())
+    }
+
+    /// A replica write's role, the placement hash of the replica it stores
+    /// or deletes (a new directory's content, a removed one's access inode),
+    /// and its effects.
+    fn replica_write(&self, req: &Request) -> (u64, Vec<KvEffect>) {
+        let placement = &self.cfg.placement;
+        match req {
+            Request::InitDirContent { key, attrs } => {
+                let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                let effects = vec![
                     KvEffect::PutInode(key.clone(), attrs.clone()),
                     KvEffect::IndexDir(attrs.id, key.clone()),
-                ],
-            ))
-            .await;
-            return;
+                ];
+                (placement.dir_content_hash(fp, &attrs.id), effects)
+            }
+            Request::DeleteAccessReplica { key } => {
+                let effects = vec![KvEffect::DeleteInode(key.clone())];
+                (placement.dir_access_hash(key), effects)
+            }
+            other => unreachable!("not a replica write: {other:?}"),
         }
-        let req = Request::InitDirContent {
-            key: key.clone(),
-            attrs,
-        };
-        let _ = self
-            .ask(self.cfg.node_of(content_owner), Retry::ACK, || req.clone())
-            .await;
     }
 
     /// Handles `rmdir` (§5.2.3): aggregate the target directory, check
@@ -472,16 +506,13 @@ impl Server {
             .await;
         self.broadcast_invalidation(dir_id);
         // Remove the access replica when the directory's children live on a
-        // different server than its parent's (P/C grouping).
-        if !self.cfg.placement.is_separation() {
-            let access_owner = self.cfg.placement.dir_access_owner(key);
-            if access_owner != self.cfg.id {
-                let req = || Request::RemoteTxnOp {
-                    op: TxnOp::DeleteInode { key: key.clone() },
-                };
-                let _ = self
-                    .ask(self.cfg.node_of(access_owner), Retry::ACK, req)
-                    .await;
+        // different server than its parent's (P/C grouping). Boxed: a cold
+        // path, kept out of the handler's future.
+        let placement = &self.cfg.placement;
+        if !placement.is_separation() && placement.dir_access_owner(key) != self.cfg.id {
+            let delete = Request::DeleteAccessReplica { key: key.clone() };
+            if let Err(e) = Box::pin(self.write_replica(delete)).await {
+                return OpResult::Err(e);
             }
         }
         let entry = self.make_entry(req.op_id, parent.id, &key.name, ChangeOp::Remove);
@@ -633,11 +664,11 @@ impl Server {
         source: DirUpdateSource,
     ) -> Result<(), FsError> {
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
-        let dir = entries[0].dir;
-        if source == DirUpdateSource::Remote
-            && (self.dir_update_frozen(fp, &dir) || !self.owns_dir_updates(fp, &dir))
-        {
-            return Err(FsError::Unavailable);
+        if source == DirUpdateSource::Remote {
+            let role = self.cfg.placement.dir_content_hash(fp, &entries[0].dir);
+            if self.admit(Some(role), || None) != Admit::Serve {
+                return Err(FsError::Unavailable);
+            }
         }
         let fpg = self.locks.fp_group(fp);
         let _fpg_guard = fpg.write().await;

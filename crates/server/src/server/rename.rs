@@ -18,6 +18,7 @@ use switchfs_proto::{
 };
 use switchfs_simnet::{NodeId, SimTime};
 
+use crate::server::migrate::{txn_op_hashes, Admit};
 use crate::server::ops::DirUpdateSource;
 use crate::server::{Server, TokenReply};
 use crate::wal::{KvEffect, TxnMarker, WalOp};
@@ -548,20 +549,8 @@ impl Server {
         // commit into the already-extracted slice and be stranded at the
         // old owner after the flip. Vote no — the coordinator aborts, the
         // client retries, and the retry lands after the flip.
-        {
-            let frozen_shards: Vec<u32> = {
-                let inner = self.inner.borrow();
-                inner.migrating_shards.iter().copied().collect()
-            };
-            if !frozen_shards.is_empty()
-                && ops.iter().any(|op| {
-                    frozen_shards
-                        .iter()
-                        .any(|s| self.txn_op_touches_shard(op, *s))
-                })
-            {
-                return vote(false, None);
-            }
+        if self.admit(None, || ops.iter().flat_map(txn_op_hashes)) != Admit::Serve {
+            return vote(false, None);
         }
         // The vote carries the occupying inode's type so the coordinator can
         // reject the client with the right POSIX error and the client never

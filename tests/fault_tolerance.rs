@@ -2115,3 +2115,138 @@ fn crash_mid_decommission_resolves_from_wal_markers_and_converges() {
         }
     });
 }
+
+/// The baselines' L2 forwarding behind a filter that holds a new
+/// directory's content-replica registration until a migration off its
+/// server has collected what it streams, then holds the migration's installs
+/// until a copy of the registration has gone through: the registration lands
+/// in a frozen shard after the collect.
+struct RegisterAfterCollect {
+    /// The first registration's destination.
+    init: Rc<Cell<Option<NodeId>>>,
+    /// The first install went by: the donor has collected.
+    collected: Rc<Cell<bool>>,
+    /// A registration copy went through after the collect.
+    landed: Rc<Cell<bool>>,
+}
+
+impl SwitchLogic<NetMsg> for RegisterAfterCollect {
+    fn process(&mut self, _now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
+        if let Body::Server(ServerMsg::Request { req, .. }) = &pkt.payload.body {
+            match req {
+                Request::InitDirContent { .. } => {
+                    self.init.set(self.init.get().or(Some(pkt.dst)));
+                    if !self.collected.get() {
+                        return Fanout::default();
+                    }
+                    self.landed.set(true);
+                }
+                Request::ShardInstall { .. } => {
+                    self.collected.set(true);
+                    if !self.landed.get() {
+                        return Fanout::default();
+                    }
+                }
+                _ => {}
+            }
+        }
+        Fanout::one((pkt.dst, pkt.payload))
+    }
+}
+
+/// A baseline `mkdir` whose content replica is registered while the
+/// decommission of its server holds the replica's shard frozen, past the
+/// collect, then an `rmdir` of it: the registration is refused while frozen
+/// and retried at the shard's new owner, so the `rmdir` finds the replica
+/// there and the directory is gone from its parent and from `stat`.
+#[test]
+fn a_directory_registered_while_its_content_shard_is_frozen_is_removed_by_its_rmdir() {
+    let mut cfg = ClusterConfig::paper_default(SystemKind::EmulatedInfiniFs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    let mut cluster = Cluster::new(cfg);
+    cluster.preload_dir("/p");
+    let init = Rc::new(Cell::new(None));
+    let collected = Rc::new(Cell::new(false));
+    cluster
+        .network()
+        .install_switch(Box::new(RegisterAfterCollect {
+            init: init.clone(),
+            collected: collected.clone(),
+            landed: Rc::new(Cell::new(false)),
+        }));
+    let (control, client, h) = (cluster.control(), cluster.client(0), cluster.sim.handle());
+    cluster.block_on(async move {
+        let mkdir = {
+            let client = client.clone();
+            h.spawn_with_result(async move { client.mkdir("/p/d").await.map(|_| ()) })
+        };
+        let victim = loop {
+            if let Some(node) = init.get() {
+                break node.0 as usize;
+            }
+            h.sleep(SimDuration::micros(1)).await;
+        };
+        let report = control.drain(victim).await;
+        assert!(report.completed, "the decommission finishes");
+        assert!(collected.get());
+        control.tombstone(victim);
+        assert_eq!(mkdir.join().await, Ok(()));
+        assert_eq!(client.rmdir("/p/d").await, Ok(()));
+        let (_, listing) = client.readdir("/p").await.unwrap();
+        assert!(listing.is_empty(), "/p still lists {listing:?}");
+        assert_eq!(client.stat("/p/d").await.err(), Some(FsError::NotFound));
+    });
+}
+
+/// A baseline `rmdir` whose access-replica delete gets no answer — its
+/// server is down past the sender's retry budget — fails instead of
+/// answering `Ok` over a replica that survives: the directory stays listed
+/// and reachable. (The client retries the `TimedOut`, and the retry, which
+/// finds the content replica gone, answers `NotFound`.)
+#[test]
+fn an_rmdir_whose_access_replica_delete_gets_no_answer_fails() {
+    use switchfs::proto::{Fingerprint, MetaKey, Retry};
+    let mut cfg = ClusterConfig::paper_default(SystemKind::EmulatedInfiniFs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    let mut cluster = Cluster::new(cfg);
+    let parent = cluster.preload_dir("/p");
+    let placement = cluster.placement();
+    // A directory whose content and access replicas live on two servers.
+    let client = cluster.client(0);
+    let (name, access) = cluster.block_on(async move {
+        for i in 0.. {
+            let name = format!("d{i}");
+            let attrs = client.mkdir(&format!("/p/{name}")).await.unwrap();
+            let key = MetaKey::new(parent, &name);
+            let access = placement.dir_access_owner(&key);
+            let fp = Fingerprint::of_dir(&key.pid, &key.name);
+            if placement.dir_content_owner(fp, &attrs.id) != access {
+                return (name, access.0 as usize);
+            }
+        }
+        unreachable!()
+    });
+    let budget = cluster.config().cost_model().request_timeout * Retry::ACK.budget();
+    let (control, client, h) = (cluster.control(), cluster.client(0), cluster.sim.handle());
+    let path = format!("/p/{name}");
+    cluster.block_on(async move {
+        // Resolved now, so the `rmdir` needs nothing of the access replica's
+        // server to reach the content replica's.
+        client.statdir(&path).await.unwrap();
+        control.crash(access);
+        let rmdir = {
+            let (client, path) = (client.clone(), path.clone());
+            h.spawn_with_result(async move { client.rmdir(&path).await })
+        };
+        h.sleep(budget + SimDuration::millis(1)).await;
+        control.recover(access).await;
+        let outcome = rmdir.join().await;
+        assert_ne!(outcome, Ok(()), "the access replica was never deleted");
+        let (_, listing) = client.readdir("/p").await.unwrap();
+        assert!(listing.iter().any(|e| *e.name == *name), "{name} left /p");
+        let attrs = client.stat(&path).await.expect("the access replica");
+        assert!(attrs.is_dir());
+    });
+}
