@@ -14,9 +14,9 @@
 # side. Every artifact is `cmp`ed; a summary that differs is diffed row by
 # row of its `metrics`, and figures that differ cell by cell, one line per
 # moved cell: `experiment / row / column old -> new`. Exit 0 only if nothing
-# outside `--allow` moved. A sweep's own exit status is not a gate (the
-# all-systems dense sweep is red while ROADMAP item 1 is open): the two
-# sides are compared, red cells and all. A side is cached under
+# outside `--allow` moved. A sweep's own exit status is not a gate (a
+# parent may be red where the change is not, or the other way round): the
+# two sides are compared, red cells and all. A side is cached under
 # target/identity/<commit>, so re-checking a new change against the same
 # parent rebuilds and re-runs one side only. Last, both sides' size as
 # `ci/loc.sh` counts it, per crate with the total and the delta: a report

@@ -44,6 +44,7 @@ use crate::config::ServerConfig;
 use crate::dirty_set::ServerDirtySet;
 use crate::locks::{AggGate, LockManager};
 use crate::server::migrate::{Admit, InstallState};
+use crate::server::ops::DirUpdateSource;
 use crate::server::rename::{CoordinatorTxn, PreparedTxn};
 use crate::wal::{DurableState, KvEffect, TxnMarker, WalOp};
 
@@ -1281,8 +1282,11 @@ impl Server {
     }
 
     /// Serves a synchronous update of a directory this server owns — a
-    /// [`Request::RemoteDirUpdate`] or an overflowed `AsyncCommit` — and
-    /// replies to `src` under `token`.
+    /// [`Request::RemoteDirUpdate`] (the baselines' parent update, and an
+    /// overflow's once the rewriter's target refused or never answered) or
+    /// an overflowed `AsyncCommit` — and replies to `src` under `token` with
+    /// the result. A frozen or flipped-away directory fails with
+    /// `Unavailable`: the sender re-resolves the owner and retries there.
     fn dir_update_task(
         self: Rc<Self>,
         src: NodeId,
@@ -1294,8 +1298,11 @@ impl Server {
         async move {
             if self.serves_servers() {
                 self.retire_confirmed(discard_confirm);
-                let reply = self.handle_remote_dir_update(&dir_key, &entry).await;
-                self.send_reply(src, token, reply);
+                self.cpu.run(self.cfg.costs.software_path).await;
+                let update = self
+                    .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
+                    .await;
+                self.send_reply(src, token, Reply::Done(update));
             }
         }
     }
@@ -1410,12 +1417,19 @@ impl Server {
                     Some(self.handle_txn_decision_query(txn_id).await)
                 }
                 // The replica writes of a baseline `mkdir` and `rmdir` under
-                // grouping. This and `ShardInstall` are boxed: rare branches
-                // (these, a migration's install), kept out of the task that
-                // answers every other request.
+                // grouping ([`Server::write_replica`]).
                 Request::InitDirContent { .. } | Request::DeleteAccessReplica { .. } => {
                     self.cpu.run(self.cfg.costs.software_path).await;
-                    Some(Reply::Done(Box::pin(self.apply_replica_write(&req)).await))
+                    let (role, effects) = self.replica_write(&req);
+                    match self.admit(Some(role), || None) {
+                        Admit::Serve => {
+                            self.log_record(WalOp::local(None, effects)).await;
+                            DONE
+                        }
+                        Admit::Frozen | Admit::NotMine => {
+                            Some(Reply::Done(Err(FsError::Unavailable)))
+                        }
+                    }
                 }
                 Request::TypeProbe { key } => {
                     self.cpu
@@ -1429,6 +1443,8 @@ impl Server {
                         .map(|a| a.file_type);
                     Some(Reply::Type(file_type))
                 }
+                // Boxed: a rare branch, kept out of the task that answers
+                // every other request.
                 Request::ShardInstall { shard, image } => {
                     Box::pin(self.handle_shard_install(src, req_id, shard, image)).await
                 }

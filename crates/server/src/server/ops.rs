@@ -46,9 +46,8 @@ pub(crate) enum DirUpdateSource {
     /// parent update with file and directory colocated). One update.
     Local,
     /// Another server's synchronous parent update: a `RemoteDirUpdate`, or
-    /// an `AsyncCommit` the switch rewrote to this owner on overflow, both
-    /// served by [`Server::handle_remote_dir_update`]. Applied only while
-    /// this server still owns the directory, and counted in
+    /// an `AsyncCommit` the switch rewrote to this owner on overflow.
+    /// Applied only while [`Server::admit`] lets it, and counted in
     /// `remote_updates`. One update.
     Remote,
     /// A committed rename transaction, with all of its updates to the
@@ -143,6 +142,17 @@ impl Server {
                     return Some(OpResult::Err(FsError::AlreadyExists));
                 }
                 let id = self.fresh_dir_id();
+                // Under grouping the new directory's content replica goes by
+                // this id, which the request's admission could not see: a
+                // frozen shard here must not get it after its image was
+                // collected. Refused before anything is written.
+                if !self.cfg.placement.is_separation() {
+                    let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                    let role = self.cfg.placement.dir_content_hash(fp, &id);
+                    if self.admit(Some(role), || None) == Admit::Frozen {
+                        return Some(OpResult::Err(FsError::Unavailable));
+                    }
+                }
                 let attrs = InodeAttrs::new_dir(id, now, *perm);
                 let entry = self.make_entry(
                     req.op_id,
@@ -279,7 +289,7 @@ impl Server {
         parent: &ParentRef,
         entry: &ChangeLogEntry,
     ) -> Result<(), FsError> {
-        let owner = || self.sync_dir_owner(parent);
+        let owner = || self.cfg.placement.dir_content_owner(parent.fp, &parent.id);
         self.ask_owner(owner, |to| self.sync_parent_update_once(to, parent, entry))
             .await
     }
@@ -354,45 +364,30 @@ impl Server {
         Ok(())
     }
 
-    /// The server owning a directory's updatable metadata under the
-    /// synchronous (baseline) mode.
-    pub(crate) fn sync_dir_owner(&self, parent: &ParentRef) -> ServerId {
-        self.cfg.placement.dir_content_owner(parent.fp, &parent.id)
-    }
-
     /// A replica write of a baseline `mkdir` or `rmdir` under P/C grouping
     /// ([`Request::InitDirContent`], [`Request::DeleteAccessReplica`]),
     /// applied at its role's owner through [`Server::ask_owner`]: here when
-    /// that is this server, by request otherwise.
+    /// that is this server, by request otherwise. A local write needs no
+    /// gate: the request that makes it was admitted, and a migration's drain
+    /// waits for it.
     async fn write_replica(&self, req: Request) -> Result<(), FsError> {
         let (role, _) = self.replica_write(&req);
         let (owner, req) = (|| self.cfg.placement.owner_of_hash(role), &req);
         self.ask_owner(owner, |to| async move {
-            if to == self.cfg.id {
-                self.apply_replica_write(req).await
-            } else {
-                self.ask_done(to, || req.clone()).await
+            if to != self.cfg.id {
+                return self.ask_done(to, || req.clone()).await;
             }
+            let (_, effects) = self.replica_write(req);
+            self.log_record(WalOp::local(None, effects)).await;
+            Ok(())
         })
         .await
-    }
-
-    /// Applies a replica write here if [`Server::admit`] lets it, and
-    /// refuses it with `Unavailable` otherwise: the body of its handler and
-    /// of a sender that owns the replica itself.
-    pub(crate) async fn apply_replica_write(&self, req: &Request) -> Result<(), FsError> {
-        let (role, effects) = self.replica_write(req);
-        if self.admit(Some(role), || None) != Admit::Serve {
-            return Err(FsError::Unavailable);
-        }
-        self.log_record(WalOp::local(None, effects)).await;
-        Ok(())
     }
 
     /// A replica write's role, the placement hash of the replica it stores
     /// or deletes (a new directory's content, a removed one's access inode),
     /// and its effects.
-    fn replica_write(&self, req: &Request) -> (u64, Vec<KvEffect>) {
+    pub(crate) fn replica_write(&self, req: &Request) -> (u64, Vec<KvEffect>) {
         let placement = &self.cfg.placement;
         match req {
             Request::InitDirContent { key, attrs } => {
@@ -616,25 +611,6 @@ impl Server {
         );
         self.inner.borrow_mut().stats.fallback_syncs += 1;
         CommitOutcome::NeedDirectReply
-    }
-
-    /// Handles a synchronous remote directory update — a `RemoteDirUpdate`
-    /// (the baselines' parent update, and an overflow's once the rewriter's
-    /// target refused or never answered) or an overflowed `AsyncCommit` —
-    /// and returns the `Reply::Done` with the result. A frozen or
-    /// flipped-away directory fails with `Unavailable` instead of stranding
-    /// the update at a non-owner: the caller re-resolves the owner against
-    /// the shared map and retries there.
-    pub(crate) async fn handle_remote_dir_update(
-        &self,
-        dir_key: &switchfs_proto::MetaKey,
-        entry: &ChangeLogEntry,
-    ) -> Reply {
-        self.cpu.run(self.cfg.costs.software_path).await;
-        let result = self
-            .apply_dir_update(dir_key, &[entry], DirUpdateSource::Remote)
-            .await;
-        Reply::Done(result)
     }
 
     /// Applies one directory's updates (one at least) synchronously to a
