@@ -323,10 +323,20 @@ impl Server {
         unreachable!("the attempts are bounded")
     }
 
-    /// Asks server `to` for a write answered with [`Reply::Done`]: its
-    /// result, or `TimedOut` when no answer came.
-    async fn ask_done(&self, to: ServerId, req: impl Fn() -> Request) -> Result<(), FsError> {
-        match self.ask(self.cfg.node_of(to), Retry::ACK, req).await {
+    /// Asks for a write answered with [`Reply::Done`], each copy sent to the
+    /// server `to` names as it leaves: the result, or `TimedOut` when no
+    /// answer came.
+    async fn ask_done(
+        &self,
+        to: impl Fn() -> ServerId,
+        req: impl Fn() -> Request,
+    ) -> Result<(), FsError> {
+        let req_id = self.next_token();
+        let send = || {
+            let msg = ServerMsg::Request { req_id, req: req() };
+            self.send_plain(self.cfg.node_of(to()), Body::Server(msg));
+        };
+        match self.token_exchange(req_id, Retry::ACK, send).await {
             Some(TokenReply::Server(Reply::Done(result))) => result,
             _ => Err(FsError::TimedOut),
         }
@@ -354,7 +364,7 @@ impl Server {
             entry: entry.clone(),
             discard_confirm,
         };
-        self.ask_done(owner, || req.clone()).await?;
+        self.ask_done(|| owner, || req.clone()).await?;
         // The update is applied and this server will never retransmit it:
         // confirm so the owner can retire the id.
         let (me, now) = (self.cfg.id, self.handle.now());
@@ -365,17 +375,17 @@ impl Server {
     }
 
     /// A replica write of a baseline `mkdir` or `rmdir` under P/C grouping
-    /// ([`Request::InitDirContent`], [`Request::DeleteAccessReplica`]),
-    /// applied at its role's owner through [`Server::ask_owner`]: here when
-    /// that is this server, by request otherwise. A local write needs no
-    /// gate: the request that makes it was admitted, and a migration's drain
-    /// waits for it.
+    /// ([`Request::InitDirContent`], [`Request::DeleteAccessReplica`]) at
+    /// its role's owner, through [`Server::ask_owner`]: here, or by request
+    /// with each copy to the owner of the moment (a decommissioned former
+    /// owner answers nothing). A local write needs no gate: its request was
+    /// admitted, and a migration's drain waits for it.
     async fn write_replica(&self, req: Request) -> Result<(), FsError> {
         let (role, _) = self.replica_write(&req);
         let (owner, req) = (|| self.cfg.placement.owner_of_hash(role), &req);
         self.ask_owner(owner, |to| async move {
             if to != self.cfg.id {
-                return self.ask_done(to, || req.clone()).await;
+                return self.ask_done(owner, || req.clone()).await;
             }
             let (_, effects) = self.replica_write(req);
             self.log_record(WalOp::local(None, effects)).await;
