@@ -203,12 +203,12 @@ impl Server {
         image.completed.sort_by_key(|r| r.op_id);
     }
 
-    /// The one admission gate of every write this server applies: client
-    /// requests, directory updates, pushes, aggregation ticks, prepares and
-    /// replica writes ask it, each with its own reaction to a refusal.
-    /// `role` is the placement hash whose owner applies the write (`None`:
-    /// the sender's map picked this server). `touched` yields every other
-    /// hash it may store under, and is called only while a migration runs.
+    /// The one admission gate of the writes this server applies: requests,
+    /// directory updates, pushes, ticks, prepares and replica writes ask it,
+    /// each reacting its own way (an admitted handler's later local writes
+    /// need none: the drain waits for them). `role` is the hash whose owner
+    /// applies the write (`None`: the sender's map chose this server);
+    /// `touched`, called only mid-migration, yields its other hashes.
     pub(crate) fn admit<I: IntoIterator<Item = u64>>(
         &self,
         role: Option<u64>,
