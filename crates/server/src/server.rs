@@ -1384,9 +1384,9 @@ impl Server {
     /// apply (the sender's retransmission re-asks until it finished), or a
     /// [`Request::TxnPrepare`] from a node that is not a metadata server. A
     /// directory update and a transaction's decision are answered by tasks
-    /// of their own. The writes among these pass [`Server::admit`], the gate
-    /// of every write: a refused replica write answers `Unavailable`, which
-    /// its sender re-routes on, and a refused prepare votes no.
+    /// of their own. The replica writes and the prepare pass
+    /// [`Server::admit`]: a refused replica write answers `Unavailable`,
+    /// which its sender re-routes on, and a refused prepare votes no.
     fn answer(self: Rc<Self>, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
         async move {
             if !self.serves_servers() {

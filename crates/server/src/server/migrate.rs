@@ -6,7 +6,7 @@
 //! protocol:
 //!
 //! 1. the source durably logs a `MigrationMarker::Started` and freezes the
-//!    shard: [`Server::admit`], the gate of every write, refuses what may
+//!    shard: `Server::admit`, the gate of every write, refuses what may
 //!    land in it (the senders' retransmissions carry it across the window);
 //! 2. the source waits for in-flight work on the shard to drain (client
 //!    handlers, owner-side aggregations, prepared transactions);
