@@ -4,7 +4,7 @@
 # stand-ins (crates/compat), integration tests and benches, each file counted
 # through its first `#[cfg(test)]` line — so a unit-test module does not
 # count and moving code into one is not a saving. Prints one row per crate
-# and the total. A report, not a gate.
+# and the total, kept in ci/golden/loc.txt.
 #
 #   ci/loc.sh [REPO_ROOT]
 set -euo pipefail

@@ -3,17 +3,15 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p switchfs-bench --bin figures -- <experiment> [--full] [--json [PATH]]
+//! cargo run --release -p switchfs-bench --bin figures -- [<experiment>...] [--full] [--json]
 //! ```
 //!
-//! where `<experiment>` is one of `tab2`, `fig2`, `fig12a`, `fig12b`,
+//! where each `<experiment>` is one of `tab2`, `fig2`, `fig12a`, `fig12b`,
 //! `fig13`, `fig14`, `overflow`, `fig15`, `fig16`, `fig17a`, `fig17b`,
 //! `fig18`, `fig19`, `recovery`, `availability`, `rebalance`,
-//! `decommission`, `metrics`, or `all`. `--full` uses the larger
-//! experiment scale; `--json` emits machine-readable output — one JSON
-//! document per experiment to stdout, or, when a `PATH` follows, a single
-//! document collecting every experiment plus per-experiment and total wall
-//! clock.
+//! `decommission`, `metrics`, or `all` (the default). `--full` uses the
+//! larger experiment scale; `--json` prints one JSON document per
+//! experiment to stdout. Any other argument prints the usage and exits 2.
 
 use switchfs_bench::{experiments, ExperimentScale, Row};
 
@@ -144,108 +142,34 @@ const EXPERIMENTS: [Experiment; 18] = [
     ),
 ];
 
-fn compute(which: &str, scale: ExperimentScale) -> Option<(&'static str, Vec<Row>)> {
-    let (_, title, rows) = EXPERIMENTS.iter().find(|(name, ..)| *name == which)?;
-    Some((title, rows(scale)))
-}
-
-fn run(which: &str, scale: ExperimentScale, json: bool) {
-    if which == "all" {
-        for (name, ..) in EXPERIMENTS {
-            run(name, scale, json);
-        }
-        return;
-    }
-    match compute(which, scale) {
-        Some((title, rows)) => print_rows(title, &rows, json),
-        None => {
-            eprintln!("unknown experiment: {which}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Runs the selection and writes one collected JSON document (rows +
-/// per-experiment and total wall clock) to `path`.
-#[allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "measures the wall-clock run time of the sweep by design: this binary drives the \
-              simulator but is not driven by it, so host-time reads here cannot perturb a replay"
-)]
-fn run_to_file(which: &str, scale: ExperimentScale, path: &str) {
-    let selection: Vec<&str> = if which == "all" {
-        EXPERIMENTS.iter().map(|(name, ..)| *name).collect()
-    } else {
-        vec![which]
-    };
-    let total_start = std::time::Instant::now();
-    let mut docs = Vec::new();
-    for w in selection {
-        let start = std::time::Instant::now();
-        let Some((title, rows)) = compute(w, scale) else {
-            eprintln!("unknown experiment: {w}");
-            std::process::exit(2);
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let mut doc = rows_to_json(title, &rows);
-        if let serde_json::Value::Object(m) = &mut doc {
-            m.insert("name".into(), serde_json::Value::String(w.to_string()));
-            m.insert(
-                "wall_clock_secs".into(),
-                serde_json::Number::from_f64(wall)
-                    .map(serde_json::Value::Number)
-                    .unwrap_or(serde_json::Value::Null),
-            );
-        }
-        docs.push(doc);
-    }
-    let out = serde_json::json!({
-        "scale": if scale == ExperimentScale::Full { "full" } else { "quick" },
-        "total_wall_clock_secs": serde_json::Number::from_f64(total_start.elapsed().as_secs_f64())
-            .map(serde_json::Value::Number)
-            .unwrap_or(serde_json::Value::Null),
-        "experiments": docs,
-    });
-    std::fs::write(path, format!("{out}\n")).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {path}");
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
+    format!(
+        "usage: figures [EXPERIMENT...] [--full] [--json]\nEXPERIMENT: all (the default), {}",
+        names.join(", ")
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        ExperimentScale::Full
-    } else {
-        ExperimentScale::Quick
-    };
-    // `--json` alone streams one JSON document per experiment to stdout;
-    // `--json PATH` collects everything (plus wall clocks) into PATH.
-    let json_pos = args.iter().position(|a| a == "--json");
-    let json_path = json_pos.and_then(|i| {
-        args.get(i + 1)
-            .filter(|a| {
-                !a.starts_with("--")
-                    && !EXPERIMENTS.iter().any(|(name, ..)| name == a)
-                    && *a != "all"
-            })
-            .cloned()
-    });
-    let which = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && json_path
-                    .as_ref()
-                    .is_none_or(|_| Some(*i) != json_pos.map(|p| p + 1))
-        })
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_string());
-    match json_path {
-        Some(path) => run_to_file(&which, scale, &path),
-        None => run(&which, scale, json_pos.is_some()),
+    let (mut scale, mut json, mut selection) = (ExperimentScale::Quick, false, Vec::new());
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--full" => scale = ExperimentScale::Full,
+            "--json" => json = true,
+            "all" => selection.extend(EXPERIMENTS.iter()),
+            name => match EXPERIMENTS.iter().find(|(known, ..)| *known == name) {
+                Some(experiment) => selection.push(experiment),
+                None => {
+                    eprintln!("unknown argument: {name}\n{}", usage());
+                    std::process::exit(2);
+                }
+            },
+        }
+    }
+    if selection.is_empty() {
+        selection.extend(EXPERIMENTS.iter());
+    }
+    for (_, title, rows) in selection {
+        print_rows(title, &rows(scale), json);
     }
 }
