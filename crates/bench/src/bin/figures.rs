@@ -13,6 +13,8 @@
 //! larger experiment scale; `--json` prints one JSON document per
 //! experiment to stdout. Any other argument prints the usage and exits 2.
 
+use std::io::{ErrorKind, Write};
+
 use switchfs_bench::{experiments, ExperimentScale, Row};
 
 fn rows_to_json(title: &str, rows: &[Row]) -> serde_json::Value {
@@ -35,20 +37,20 @@ fn rows_to_json(title: &str, rows: &[Row]) -> serde_json::Value {
     serde_json::json!({ "experiment": title, "rows": obj })
 }
 
-fn print_rows(title: &str, rows: &[Row], json: bool) {
+fn print_rows(out: &mut impl Write, title: &str, rows: &[Row], json: bool) -> std::io::Result<()> {
     if json {
-        println!("{}", rows_to_json(title, rows));
-        return;
+        return writeln!(out, "{}", rows_to_json(title, rows));
     }
-    println!("\n== {title} ==");
+    writeln!(out, "\n== {title} ==")?;
     for row in rows {
         let cols: Vec<String> = row
             .values
             .iter()
             .map(|(k, v)| format!("{k}={v:.1}"))
             .collect();
-        println!("  {:<40} {}", row.label, cols.join("  "));
+        writeln!(out, "  {:<40} {}", row.label, cols.join("  "))?;
     }
+    Ok(())
 }
 
 /// Every experiment: its command-line name, its title and how to compute
@@ -169,7 +171,16 @@ fn main() {
     if selection.is_empty() {
         selection.extend(EXPERIMENTS.iter());
     }
+    let mut out = std::io::stdout().lock();
     for (_, title, rows) in selection {
-        print_rows(title, &rows(scale), json);
+        match print_rows(&mut out, title, &rows(scale), json) {
+            Ok(()) => {}
+            // The reader has gone (`figures all | head`): nothing left to do.
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => return,
+            Err(e) => {
+                eprintln!("cannot write to stdout: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }

@@ -23,12 +23,12 @@
 //! violations, summed unified metrics) whether the sweep passes or fails —
 //! so a green CI run leaves evidence too, not only a red one.
 //!
-//! `--trace-dump PATH` writes the flight-recorder contents of the most
-//! recently completed run after every run, green or red — so trace events
-//! are inspectable without waiting for a checker to trip.
+//! `--trace-dump PATH` writes the flight-recorder contents of the last run,
+//! green or red, once the sweep (or the `--repro` run) is over — so trace
+//! events are inspectable without waiting for a checker to trip.
 
 use serde::Deserialize;
-use switchfs_chaos::{run_chaos, verify_replay, ChaosConfig, PlanKind};
+use switchfs_chaos::{run_chaos, verify_replay, ChaosConfig, ChaosReport, PlanKind};
 use switchfs_core::SystemKind;
 
 /// The failure-artifact schema (also what `--repro` reads back).
@@ -119,7 +119,7 @@ fn recorder_json(events: &[switchfs_obs::TraceEvent]) -> serde_json::Value {
 
 /// The artifact format: everything needed to re-run one failing scenario,
 /// plus the flight-recorder dump showing what led up to the violation.
-fn failure_artifact(cfg: &ChaosConfig, report: &switchfs_chaos::ChaosReport) -> String {
+fn failure_artifact(cfg: &ChaosConfig, report: &ChaosReport) -> String {
     let violations_json: Vec<serde_json::Value> = report
         .violations
         .iter()
@@ -141,12 +141,32 @@ fn failure_artifact(cfg: &ChaosConfig, report: &switchfs_chaos::ChaosReport) -> 
     .to_string()
 }
 
-fn run_one(
-    cfg: ChaosConfig,
-    check_replay: bool,
-    artifact: &str,
-    trace_dump: Option<&str>,
-) -> (bool, switchfs_chaos::ChaosReport) {
+/// Writes one run's flight-recorder contents to `path`.
+fn write_trace_dump(path: &str, cfg: &ChaosConfig, report: &ChaosReport) {
+    let dump = serde_json::json!({
+        "system": format!("{}", cfg.system),
+        "seed": cfg.seed,
+        "kind": report.plan.kind.label(),
+        "events": recorder_json(&report.flight_recorder),
+    });
+    if let Err(e) = std::fs::write(path, format!("{dump}\n")) {
+        eprintln!("cannot write trace dump {path}: {e}");
+    }
+}
+
+/// The item of `all` whose label is `label`; an unknown label ends the
+/// process with exit status 2.
+fn by_label<T: Copy>(all: &[T], label: fn(&T) -> &'static str, wanted: &str, what: &str) -> T {
+    all.iter()
+        .copied()
+        .find(|item| label(item) == wanted)
+        .unwrap_or_else(|| {
+            eprintln!("unknown {what} in the artifact: {wanted:?}");
+            std::process::exit(2);
+        })
+}
+
+fn run_one(cfg: ChaosConfig, check_replay: bool, artifact: &str) -> (bool, ChaosReport) {
     let label = format!("{} / {} / seed {}", cfg.system, cfg.kind.label(), cfg.seed);
     let (report, replay_ok) = if check_replay {
         verify_replay(cfg)
@@ -157,18 +177,6 @@ fn run_one(
     if !replay_ok {
         eprintln!("FAIL {label}: same seed + plan did not replay bit-identically");
         ok = false;
-    }
-    if let Some(path) = trace_dump {
-        // Written green or red: the most recent run's recorder contents.
-        let dump = serde_json::json!({
-            "system": format!("{}", cfg.system),
-            "seed": cfg.seed,
-            "kind": report.plan.kind.label(),
-            "events": recorder_json(&report.flight_recorder),
-        });
-        if let Err(e) = std::fs::write(path, format!("{dump}\n")) {
-            eprintln!("cannot write trace dump {path}: {e}");
-        }
     }
     if !report.passed() {
         eprintln!("FAIL {label}: {} violation(s)", report.violations.len());
@@ -183,16 +191,19 @@ fn run_one(
         }
     } else if ok {
         let recovered: usize = report
+            .nemesis
             .recoveries
             .iter()
             .map(|(_, r)| r.prepared_txns_recovered)
             .sum();
         let unflushed: usize = report
+            .nemesis
             .torn_tails
             .iter()
             .map(|(_, t)| t.kept + t.torn + t.dropped)
             .sum();
         let truncated: usize = report
+            .nemesis
             .recoveries
             .iter()
             .map(|(_, r)| r.wal_truncated_records)
@@ -202,7 +213,7 @@ fn run_one(
             report.history.events.len(),
             report.history.ok(),
             report.history.ambiguous(),
-            report.recoveries.len(),
+            report.nemesis.recoveries.len(),
             recovered,
             if unflushed > 0 || truncated > 0 {
                 format!(", {unflushed} WAL records caught unflushed ({truncated} truncated)")
@@ -222,38 +233,20 @@ fn main() {
         // Re-run one failing scenario from its artifact.
         let text = std::fs::read_to_string(path).expect("readable artifact");
         let doc: Artifact = serde_json::from_str(&text).expect("valid artifact JSON");
-        let kind = match doc.kind.as_str() {
-            "crash" => PlanKind::Crash,
-            "partition" => PlanKind::Partition,
-            "loss" => PlanKind::Loss,
-            "membership" => PlanKind::Membership,
-            "decommission" => PlanKind::Decommission,
-            "diskchaos" => PlanKind::DiskChaos,
-            _ => PlanKind::Combined,
-        };
-        let system = match doc.system.as_str() {
-            "SwitchFS" => SystemKind::SwitchFs,
-            "Emulated-InfiniFS" => SystemKind::EmulatedInfiniFs,
-            "Emulated-CFS" => SystemKind::EmulatedCfs,
-            "CephFS" => SystemKind::CephFsLike,
-            _ => SystemKind::IndexFsLike,
-        };
         let cfg = ChaosConfig {
-            system,
+            system: by_label(&SystemKind::all(), SystemKind::label, &doc.system, "system"),
             seed: doc.seed,
-            kind,
+            kind: by_label(&PlanKind::all(), PlanKind::label, &doc.kind, "plan kind"),
             servers: doc.servers,
             clients: doc.clients,
             ops_per_client: doc.ops_per_client,
             horizon_us: doc.horizon_us,
             trace: true,
         };
-        let (ok, _) = run_one(
-            cfg,
-            true,
-            "chaos-failure-repro.json",
-            args.trace_dump.as_deref(),
-        );
+        let (ok, report) = run_one(cfg, true, "chaos-failure-repro.json");
+        if let Some(path) = &args.trace_dump {
+            write_trace_dump(path, &cfg, &report);
+        }
         std::process::exit(if ok { 0 } else { 1 });
     }
 
@@ -267,6 +260,7 @@ fn main() {
     let mut cells: Vec<serde_json::Value> = Vec::new();
     let mut failed_runs: Vec<serde_json::Value> = Vec::new();
     let mut metric_totals: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut last = None;
     for system in &systems {
         for kind in PlanKind::all() {
             let mut cell_passed = 0u64;
@@ -276,12 +270,7 @@ fn main() {
                 cfg.ops_per_client = args.ops;
                 let check_replay = args.replay_every > 0 && seed % args.replay_every == 0;
                 runs += 1;
-                let (ok, report) = run_one(
-                    cfg,
-                    check_replay,
-                    &args.artifact,
-                    args.trace_dump.as_deref(),
-                );
+                let (ok, report) = run_one(cfg, check_replay, &args.artifact);
                 for (name, value) in report.metrics.snapshot() {
                     if let switchfs_obs::MetricValue::Counter(v) = value {
                         *metric_totals.entry(name).or_insert(0) += v;
@@ -301,6 +290,7 @@ fn main() {
                         "violations": report.violations,
                     }));
                 }
+                last = Some((cfg, report));
             }
             cells.push(serde_json::json!({
                 "system": format!("{system}"),
@@ -316,6 +306,9 @@ fn main() {
         PlanKind::all().len(),
         args.seeds
     );
+    if let (Some(path), Some((cfg, report))) = (&args.trace_dump, &last) {
+        write_trace_dump(path, cfg, report);
+    }
     // The summary is written on success AND failure: a green sweep should
     // leave evidence of what it covered, not only a red one.
     if let Some(path) = &args.summary {

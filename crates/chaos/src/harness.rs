@@ -9,10 +9,11 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use switchfs_client::LibFs;
+use switchfs_core::driver::run_item;
 use switchfs_core::{Cluster, ClusterConfig, SystemKind};
 use switchfs_proto::FsError;
-use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_simnet::{SimDuration, SimHandle};
+use switchfs_workloads::{OpKind, WorkItem};
 
 use crate::history::{
     check_client, FinalState, History, HistoryEvent, ModelState, SequentialModel,
@@ -73,22 +74,12 @@ pub struct ChaosReport {
     pub history: History,
     /// Consistency violations (empty ⇔ the run passed).
     pub violations: Vec<String>,
-    /// Recovery reports, one per nemesis-driven recovery.
-    pub recoveries: Vec<(usize, RecoveryReport)>,
-    /// Switch reboots injected.
-    pub switch_reboots: usize,
+    /// What the nemesis did: recoveries, switch reboots, shards moved,
+    /// decommissions and torn WAL tails.
+    pub nemesis: NemesisLog,
     /// Prepared transactions still unresolved after the final settle (must
     /// be zero; also surfaced as a violation).
     pub stranded_prepared: usize,
-    /// Shards live-migrated by membership-change faults (zero for the other
-    /// plan kinds).
-    pub shards_moved: usize,
-    /// Graceful decommissions completed by the nemesis (decommission plans
-    /// only; zero when a fault window kept the drain from finishing).
-    pub decommissions: usize,
-    /// What each torn crash did to the victim's unflushed WAL suffix
-    /// (diskchaos plans only; empty for the other kinds).
-    pub torn_tails: Vec<(usize, switchfs_server::TornTail)>,
     /// Flight-recorder contents at the end of the run (empty when tracing
     /// was off): every retained trace event, ordered by node then FIFO.
     /// Deliberately *not* part of the digest — the digest must be identical
@@ -112,27 +103,13 @@ impl ChaosReport {
     }
 }
 
-/// One scripted client operation.
-#[derive(Debug, Clone)]
-enum ScriptOp {
-    Create(String),
-    Delete(String),
-    Rename(String, String),
-    Mkdir(String),
-    Rmdir(String),
-    Stat(String),
-    Statdir(String),
-    Readdir(String),
-    Chmod(String),
-}
-
 /// One script step: think, then act. The think times are pre-generated so
 /// the script *spans the fault horizon* — without them the whole workload
 /// would finish in a few healthy milliseconds before the first fault lands.
 #[derive(Debug, Clone)]
 struct ScriptStep {
     think_us: u64,
-    op: ScriptOp,
+    item: WorkItem,
 }
 
 fn client_dir(c: usize) -> String {
@@ -154,9 +131,9 @@ fn generate_script(cfg: &ChaosConfig, c: usize) -> Vec<ScriptStep> {
         let f = format!("{dir}/f{}", rng.gen_range(0..files));
         let d = format!("{dir}/d{}", rng.gen_range(0..subdirs));
         let roll = rng.gen_range(0..100u32);
-        let op = match roll {
-            0..=29 => ScriptOp::Create(f),
-            30..=44 => ScriptOp::Delete(f),
+        let item = match roll {
+            0..=29 => WorkItem::new(OpKind::Create, f),
+            30..=44 => WorkItem::new(OpKind::Delete, f),
             45..=56 => {
                 let src = if !renamed.is_empty() && rng.gen_bool(0.3) {
                     renamed[rng.gen_range(0..renamed.len())].clone()
@@ -166,25 +143,25 @@ fn generate_script(cfg: &ChaosConfig, c: usize) -> Vec<ScriptStep> {
                 let dst = format!("{dir}/r{rename_counter}");
                 rename_counter += 1;
                 renamed.push(dst.clone());
-                ScriptOp::Rename(src, dst)
+                WorkItem::rename(src, dst)
             }
-            57..=62 => ScriptOp::Mkdir(d),
-            63..=67 => ScriptOp::Rmdir(d),
+            57..=62 => WorkItem::new(OpKind::Mkdir, d),
+            63..=67 => WorkItem::new(OpKind::Rmdir, d),
             68..=79 => {
                 let p = if !renamed.is_empty() && rng.gen_bool(0.3) {
                     renamed[rng.gen_range(0..renamed.len())].clone()
                 } else {
                     f
                 };
-                ScriptOp::Stat(p)
+                WorkItem::new(OpKind::Stat, p)
             }
-            80..=87 => ScriptOp::Statdir(dir.clone()),
-            88..=95 => ScriptOp::Readdir(dir.clone()),
-            _ => ScriptOp::Chmod(f),
+            80..=87 => WorkItem::new(OpKind::Statdir, dir.clone()),
+            88..=95 => WorkItem::new(OpKind::Readdir, dir.clone()),
+            _ => WorkItem::new(OpKind::Chmod, f),
         };
         out.push(ScriptStep {
             think_us: rng.gen_range(0..mean_think * 2),
-            op,
+            item,
         });
     }
     out
@@ -201,77 +178,13 @@ async fn run_script(
         if step.think_us > 0 {
             handle.sleep(SimDuration::micros(step.think_us)).await;
         }
-        let op = step.op;
         let start_ns = handle.now().as_nanos();
-        let (name, path, dst, outcome) = match &op {
-            ScriptOp::Create(p) => (
-                "create",
-                p.clone(),
-                None,
-                client.create(p).await.map(|_| "file".to_string()),
-            ),
-            ScriptOp::Delete(p) => (
-                "delete",
-                p.clone(),
-                None,
-                client.delete(p).await.map(|_| "deleted".to_string()),
-            ),
-            ScriptOp::Rename(a, b) => (
-                "rename",
-                a.clone(),
-                Some(b.clone()),
-                client.rename(a, b).await.map(|_| "renamed".to_string()),
-            ),
-            ScriptOp::Mkdir(p) => (
-                "mkdir",
-                p.clone(),
-                None,
-                client.mkdir(p).await.map(|_| "dir".to_string()),
-            ),
-            ScriptOp::Rmdir(p) => (
-                "rmdir",
-                p.clone(),
-                None,
-                client.rmdir(p).await.map(|_| "removed".to_string()),
-            ),
-            ScriptOp::Stat(p) => (
-                "stat",
-                p.clone(),
-                None,
-                client.stat(p).await.map(|_| "file".to_string()),
-            ),
-            ScriptOp::Statdir(p) => (
-                "statdir",
-                p.clone(),
-                None,
-                client
-                    .statdir(p)
-                    .await
-                    .map(|a| format!("dir size={}", a.size)),
-            ),
-            ScriptOp::Readdir(p) => (
-                "readdir",
-                p.clone(),
-                None,
-                client
-                    .readdir(p)
-                    .await
-                    .map(|(_, e)| format!("{} entries", e.len())),
-            ),
-            ScriptOp::Chmod(p) => (
-                "chmod",
-                p.clone(),
-                None,
-                client.chmod(p, 0o700).await.map(|_| "chmod".to_string()),
-            ),
-        };
+        let outcome = run_item(&client, &step.item, None, &handle).await;
         let end_ns = handle.now().as_nanos();
         history.borrow_mut().record(HistoryEvent {
             client: c,
             idx,
-            op: name.to_string(),
-            path,
-            dst,
+            item: step.item,
             start_ns,
             end_ns,
             outcome,
@@ -284,11 +197,6 @@ async fn probe_final(client: &Rc<LibFs>, path: &str) -> FinalState {
     match client.stat(path).await {
         Ok(a) if a.is_dir() => FinalState::Dir,
         Ok(_) => FinalState::File,
-        Err(FsError::NotFound) => match client.statdir(path).await {
-            Ok(_) => FinalState::Dir,
-            Err(FsError::NotFound) => FinalState::Missing,
-            Err(_) => FinalState::Unprobed,
-        },
         Err(_) => match client.statdir(path).await {
             Ok(_) => FinalState::Dir,
             Err(FsError::NotFound) => FinalState::Missing,
@@ -391,8 +299,8 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
     // Phase 3: probe the final state of every path the history touched.
     let mut paths: BTreeSet<String> = BTreeSet::new();
     for ev in &history.borrow().events {
-        paths.insert(ev.path.clone());
-        if let Some(d) = &ev.dst {
+        paths.insert(ev.item.path.clone());
+        if let Some(d) = &ev.item.dst {
             paths.insert(d.clone());
         }
     }
@@ -447,17 +355,12 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
     let final_now_ns = cluster.sim.now().as_nanos();
     fnv1a(&mut digest, &final_now_ns.to_le_bytes());
 
-    let log = nemesis_log.borrow();
     ChaosReport {
         plan,
         history: history_ref.clone(),
         violations,
-        recoveries: log.recoveries.clone(),
-        switch_reboots: log.switch_reboots,
+        nemesis: nemesis_log.take(),
         stranded_prepared,
-        shards_moved: log.shards_moved,
-        decommissions: log.decommissions,
-        torn_tails: log.torn_tails.clone(),
         flight_recorder: cluster.obs().recorder().dump(),
         metrics: cluster.metrics_snapshot(),
         final_now_ns,

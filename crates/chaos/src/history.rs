@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use switchfs_proto::FsError;
+use switchfs_workloads::{OpKind, WorkItem};
 
 /// What kind of inode a model state refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,18 +47,14 @@ pub struct HistoryEvent {
     pub client: usize,
     /// Per-client sequence number (the client issues sequentially).
     pub idx: usize,
-    /// Operation name (`create`, `rename`, …).
-    pub op: String,
-    /// Primary path.
-    pub path: String,
-    /// Rename destination, when applicable.
-    pub dst: Option<String>,
+    /// The operation, in the workload vocabulary.
+    pub item: WorkItem,
     /// Virtual time the invocation started, ns.
     pub start_ns: u64,
     /// Virtual time the response arrived (or the op gave up), ns.
     pub end_ns: u64,
-    /// Canonical outcome: `Ok(description)` or the POSIX error.
-    pub outcome: Result<String, FsError>,
+    /// Success, or the POSIX error.
+    pub outcome: Result<(), FsError>,
 }
 
 /// The recorded history of one chaos run.
@@ -147,7 +144,11 @@ impl SequentialModel {
     fn violation(&mut self, ev: &HistoryEvent, why: &str) {
         self.violations.push(format!(
             "client {} op {} ({} {}): {}",
-            ev.client, ev.idx, ev.op, ev.path, why
+            ev.client,
+            ev.idx,
+            ev.item.kind.name(),
+            ev.item.path,
+            why
         ));
     }
 
@@ -170,15 +171,21 @@ impl SequentialModel {
             ev.outcome,
             Err(FsError::TimedOut) | Err(FsError::Unavailable)
         );
-        let path = ev.path.clone();
+        let path = ev.item.path.clone();
         let st = self.state(&path);
-        match ev.op.as_str() {
-            "create" => match &ev.outcome {
+        let name = ev.item.kind.name();
+        match ev.item.kind {
+            OpKind::Create | OpKind::Mkdir => match &ev.outcome {
                 Ok(_) => {
                     if let ModelState::Present(_) = st {
-                        self.violation(ev, "create succeeded over a present path");
+                        self.violation(ev, &format!("{name} succeeded over a present path"));
                     }
-                    self.set(&path, ModelState::Present(NodeKind::File));
+                    let kind = if ev.item.kind == OpKind::Create {
+                        NodeKind::File
+                    } else {
+                        NodeKind::Dir
+                    };
+                    self.set(&path, ModelState::Present(kind));
                 }
                 Err(FsError::AlreadyExists) => {
                     // Pin: something definitely occupies the path (possibly
@@ -194,29 +201,10 @@ impl SequentialModel {
                 }
                 Err(_) => {}
             },
-            "mkdir" => match &ev.outcome {
-                Ok(_) => {
-                    if let ModelState::Present(_) = st {
-                        self.violation(ev, "mkdir succeeded over a present path");
-                    }
-                    self.set(&path, ModelState::Present(NodeKind::Dir));
-                }
-                Err(FsError::AlreadyExists) => {
-                    if st == ModelState::Absent {
-                        self.set(&path, ModelState::Present(NodeKind::Any));
-                    }
-                }
-                Err(_) if ambiguous => {
-                    if st == ModelState::Absent {
-                        self.set(&path, ModelState::Unknown);
-                    }
-                }
-                Err(_) => {}
-            },
-            "delete" => match &ev.outcome {
+            OpKind::Delete | OpKind::Rmdir => match &ev.outcome {
                 Ok(_) => {
                     if st == ModelState::Absent {
-                        self.violation(ev, "delete succeeded on an absent path");
+                        self.violation(ev, &format!("{name} succeeded on an absent path"));
                     }
                     self.set(&path, ModelState::Absent);
                 }
@@ -232,25 +220,8 @@ impl SequentialModel {
                 }
                 Err(_) => {}
             },
-            "rmdir" => match &ev.outcome {
-                Ok(_) => {
-                    if st == ModelState::Absent {
-                        self.violation(ev, "rmdir succeeded on an absent path");
-                    }
-                    self.set(&path, ModelState::Absent);
-                }
-                Err(FsError::NotFound) => {
-                    self.set(&path, ModelState::Absent);
-                }
-                Err(_) if ambiguous => {
-                    if matches!(st, ModelState::Present(_)) {
-                        self.set(&path, ModelState::Unknown);
-                    }
-                }
-                Err(_) => {}
-            },
-            "rename" => {
-                let dst = ev.dst.clone().unwrap_or_default();
+            OpKind::Rename => {
+                let dst = ev.item.dst.clone().unwrap_or_default();
                 let dst_st = self.state(&dst);
                 match &ev.outcome {
                     Ok(_) => {
@@ -286,7 +257,7 @@ impl SequentialModel {
                     Err(_) => {}
                 }
             }
-            "stat" => match &ev.outcome {
+            OpKind::Stat => match &ev.outcome {
                 Ok(_) => {
                     match st {
                         ModelState::Absent => {
@@ -309,7 +280,7 @@ impl SequentialModel {
                 }
                 Err(_) => {}
             },
-            "statdir" | "readdir" => match &ev.outcome {
+            OpKind::Statdir | OpKind::Readdir => match &ev.outcome {
                 Ok(_) => {
                     match st {
                         ModelState::Absent => {
@@ -332,7 +303,7 @@ impl SequentialModel {
                 }
                 Err(_) => {}
             },
-            "chmod" if ev.outcome.is_ok() => {
+            OpKind::Chmod if ev.outcome.is_ok() => {
                 if st == ModelState::Absent {
                     self.violation(ev, "chmod succeeded on an absent path");
                 }
@@ -400,24 +371,26 @@ pub fn check_client(
             model.set(p, ModelState::Present(NodeKind::Dir));
         }
         for (i, ev) in events.iter().enumerate() {
-            if ev.op == "rename" {
-                let dst = ev.dst.clone().unwrap_or_default();
+            if ev.item.kind == OpKind::Rename {
+                let src = &ev.item.path;
+                let dst = ev.item.dst.clone().unwrap_or_default();
                 let later_touch = events[i + 1..].iter().any(|e| {
-                    e.path == ev.path
-                        || e.path == dst
-                        || e.dst.as_deref() == Some(&ev.path)
-                        || e.dst.as_deref() == Some(dst.as_str())
+                    e.item.path == *src
+                        || e.item.path == dst
+                        || e.item.dst.as_deref() == Some(src)
+                        || e.item.dst.as_deref() == Some(dst.as_str())
                 });
                 if !later_touch {
-                    rename_checks.push((ev, model.state(&ev.path), model.state(&dst)));
+                    rename_checks.push((ev, model.state(src), model.state(&dst)));
                 }
             }
             model.apply(ev);
         }
     }
     for (ev, src_before, dst_before) in rename_checks {
-        let dst = ev.dst.clone().unwrap_or_default();
-        let (Some(fa), Some(fb)) = (finals.get(&ev.path), finals.get(&dst)) else {
+        let src = &ev.item.path;
+        let dst = ev.item.dst.clone().unwrap_or_default();
+        let (Some(fa), Some(fb)) = (finals.get(src), finals.get(&dst)) else {
             continue;
         };
         if matches!(fa, FinalState::Unprobed) || matches!(fb, FinalState::Unprobed) {
@@ -430,7 +403,7 @@ pub fn check_client(
                 violations.push(format!(
                     "client {} op {}: committed rename {} -> {} not atomic in the final \
                      namespace (src {:?}, dst {:?})",
-                    ev.client, ev.idx, ev.path, dst, fa, fb
+                    ev.client, ev.idx, src, dst, fa, fb
                 ));
             }
             // The exactly-one-end argument needs both priors pinned: with
@@ -447,7 +420,7 @@ pub fn check_client(
                 violations.push(format!(
                     "client {} op {}: ambiguous rename {} -> {} diverged: src {:?}, dst {:?} \
                      (must hold exactly one end)",
-                    ev.client, ev.idx, ev.path, dst, fa, fb
+                    ev.client, ev.idx, src, dst, fa, fb
                 ));
             }
             _ => {}
@@ -460,33 +433,32 @@ pub fn check_client(
 mod tests {
     use super::*;
 
-    fn ev(idx: usize, op: &str, path: &str, outcome: Result<&str, FsError>) -> HistoryEvent {
+    fn event(idx: usize, item: WorkItem, outcome: Result<(), FsError>) -> HistoryEvent {
         HistoryEvent {
             client: 0,
             idx,
-            op: op.into(),
-            path: path.into(),
-            dst: None,
+            item,
             start_ns: idx as u64,
             end_ns: idx as u64 + 1,
-            outcome: outcome.map(|s| s.to_string()),
+            outcome,
         }
     }
 
-    fn rename(idx: usize, src: &str, dst: &str, outcome: Result<&str, FsError>) -> HistoryEvent {
-        HistoryEvent {
-            dst: Some(dst.into()),
-            ..ev(idx, "rename", src, outcome)
-        }
+    fn ev(idx: usize, kind: OpKind, path: &str, outcome: Result<(), FsError>) -> HistoryEvent {
+        event(idx, WorkItem::new(kind, path), outcome)
+    }
+
+    fn rename(idx: usize, src: &str, dst: &str, outcome: Result<(), FsError>) -> HistoryEvent {
+        event(idx, WorkItem::rename(src, dst), outcome)
     }
 
     #[test]
     fn clean_lifecycle_has_no_violations() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Ok("file")));
-        h.record(ev(1, "stat", "/c0/f0", Ok("file")));
-        h.record(ev(2, "delete", "/c0/f0", Ok("deleted")));
-        h.record(ev(3, "stat", "/c0/f0", Err(FsError::NotFound)));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
+        h.record(ev(1, OpKind::Stat, "/c0/f0", Ok(())));
+        h.record(ev(2, OpKind::Delete, "/c0/f0", Ok(())));
+        h.record(ev(3, OpKind::Stat, "/c0/f0", Err(FsError::NotFound)));
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::Missing);
         assert!(check_client(&h, 0, &finals, &[]).is_empty());
@@ -495,8 +467,8 @@ mod tests {
     #[test]
     fn lost_update_is_flagged() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Ok("file")));
-        h.record(ev(1, "stat", "/c0/f0", Err(FsError::NotFound)));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
+        h.record(ev(1, OpKind::Stat, "/c0/f0", Err(FsError::NotFound)));
         let finals = BTreeMap::new();
         let v = check_client(&h, 0, &finals, &[]);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -506,7 +478,7 @@ mod tests {
     #[test]
     fn ambiguous_timeout_permits_either_state() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Err(FsError::TimedOut)));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Err(FsError::TimedOut)));
         for fin in [FinalState::File, FinalState::Missing] {
             let mut finals = BTreeMap::new();
             finals.insert("/c0/f0".to_string(), fin);
@@ -517,7 +489,7 @@ mod tests {
     #[test]
     fn final_state_must_match_pinned_model() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Ok("file")));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::Missing);
         let v = check_client(&h, 0, &finals, &[]);
@@ -527,8 +499,8 @@ mod tests {
     #[test]
     fn committed_rename_must_be_atomic() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Ok("file")));
-        h.record(rename(1, "/c0/f0", "/c0/r0", Ok("renamed")));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
+        h.record(rename(1, "/c0/f0", "/c0/r0", Ok(())));
         // Divergent: both ends present.
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::File);
@@ -545,7 +517,7 @@ mod tests {
     #[test]
     fn ambiguous_rename_must_hold_exactly_one_end() {
         let mut h = History::default();
-        h.record(ev(0, "create", "/c0/f0", Ok("file")));
+        h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
         h.record(rename(1, "/c0/f0", "/c0/r0", Err(FsError::TimedOut)));
         // Either end alone is fine.
         for (fa, fb) in [
@@ -571,5 +543,40 @@ mod tests {
             let v = check_client(&h, 0, &finals, &[]);
             assert!(v.iter().any(|s| s.contains("diverged")), "{fa:?}/{fb:?}");
         }
+    }
+
+    #[test]
+    fn mkdir_over_a_present_path_is_flagged() {
+        let mut h = History::default();
+        h.record(ev(0, OpKind::Mkdir, "/c0/d0", Ok(())));
+        h.record(ev(1, OpKind::Mkdir, "/c0/d0", Ok(())));
+        assert_eq!(
+            check_client(&h, 0, &BTreeMap::new(), &[]),
+            ["client 0 op 1 (mkdir /c0/d0): mkdir succeeded over a present path"]
+        );
+    }
+
+    #[test]
+    fn rmdir_of_an_absent_path_is_flagged() {
+        let mut h = History::default();
+        h.record(ev(0, OpKind::Rmdir, "/c0/d0", Ok(())));
+        assert_eq!(
+            check_client(&h, 0, &BTreeMap::new(), &[]),
+            ["client 0 op 0 (rmdir /c0/d0): rmdir succeeded on an absent path"]
+        );
+    }
+
+    #[test]
+    fn a_successful_mkdir_pins_a_directory() {
+        let mut h = History::default();
+        h.record(ev(0, OpKind::Mkdir, "/c0/d0", Ok(())));
+        let mut finals = BTreeMap::new();
+        finals.insert("/c0/d0".to_string(), FinalState::Dir);
+        assert!(check_client(&h, 0, &finals, &[]).is_empty());
+        finals.insert("/c0/d0".to_string(), FinalState::File);
+        assert_eq!(
+            check_client(&h, 0, &finals, &[]),
+            ["client 0: final state of /c0/d0 is File but the model says Present(Dir)"]
+        );
     }
 }

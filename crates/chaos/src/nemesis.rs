@@ -24,8 +24,6 @@ pub struct NemesisLog {
     pub recoveries: Vec<(usize, RecoveryReport)>,
     /// Number of switch reboots injected.
     pub switch_reboots: usize,
-    /// Number of events applied in total.
-    pub events_applied: usize,
     /// Shards migrated by membership-change faults (grow and shrink).
     pub shards_moved: usize,
     /// Graceful decommissions completed (victim drained, retired and turned
@@ -46,7 +44,6 @@ pub async fn run_nemesis(control: Control, plan: FaultPlan, log: Rc<RefCell<Neme
         let deadline = start + SimDuration::micros(ev.at_us);
         control.sim().sleep_until(deadline).await;
         apply_fault(&control, &ev.fault, &log).await;
-        log.borrow_mut().events_applied += 1;
     }
     let horizon = start + SimDuration::micros(plan.horizon_us);
     control.sim().sleep_until(horizon).await;

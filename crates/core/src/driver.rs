@@ -9,6 +9,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use switchfs_proto::FsResult;
 use switchfs_simnet::sync::Semaphore;
 use switchfs_simnet::{LatencyHistogram, SimDuration, SimTime};
 use switchfs_workloads::{OpKind, WorkItem};
@@ -103,7 +104,7 @@ impl Cluster {
                 master_handle.spawn(async move {
                     let _permit = permit;
                     let t0 = h.now();
-                    let (name, ok) = run_item(&client, &item, data_latency, &h).await;
+                    let ok = run_item(&client, &item, data_latency, &h).await.is_ok();
                     let t1 = h.now();
                     let mut c = collector.borrow_mut();
                     let lat = t1.duration_since(t0);
@@ -111,7 +112,7 @@ impl Cluster {
                     c.end = t1;
                     let entry = c
                         .per_op
-                        .entry(name)
+                        .entry(item.kind.name())
                         .or_insert_with(|| (LatencyHistogram::new(), 0, 0));
                     entry.0.record(lat);
                     entry.1 += 1;
@@ -164,43 +165,45 @@ impl Cluster {
     }
 }
 
-/// Executes one work item on a client; returns the operation name and
-/// whether it succeeded.
-async fn run_item(
-    client: &Rc<switchfs_client::LibFs>,
+/// Executes one work item on a client and returns the call's outcome. This
+/// is the one place a [`WorkItem`] becomes a [`LibFs`](switchfs_client::LibFs)
+/// call: the measured workloads and the chaos harness's scripts both run
+/// through it. `data_latency` models the data-plane transfer that follows a
+/// `read` / `write` item's open.
+pub async fn run_item(
+    client: &switchfs_client::LibFs,
     item: &WorkItem,
     data_latency: Option<SimDuration>,
     handle: &switchfs_simnet::SimHandle,
-) -> (&'static str, bool) {
-    let name = item.kind.name();
-    let ok = match item.kind {
-        OpKind::Create => client.create(&item.path).await.is_ok(),
-        OpKind::Delete => client.delete(&item.path).await.is_ok(),
-        OpKind::Mkdir => client.mkdir(&item.path).await.is_ok(),
-        OpKind::Rmdir => client.rmdir(&item.path).await.is_ok(),
-        OpKind::Stat => client.stat(&item.path).await.is_ok(),
-        OpKind::Statdir => client.statdir(&item.path).await.is_ok(),
-        OpKind::Readdir => client.readdir(&item.path).await.is_ok(),
-        OpKind::Open => client.open(&item.path).await.is_ok(),
-        OpKind::Close => client.close(&item.path).await.is_ok(),
-        OpKind::Chmod => client.chmod(&item.path, 0o700).await.is_ok(),
+) -> FsResult<()> {
+    let path = item.path.as_str();
+    match item.kind {
+        OpKind::Create => client.create(path).await.map(drop),
+        OpKind::Delete => client.delete(path).await,
+        OpKind::Mkdir => client.mkdir(path).await.map(drop),
+        OpKind::Rmdir => client.rmdir(path).await,
+        OpKind::Stat => client.stat(path).await.map(drop),
+        OpKind::Statdir => client.statdir(path).await.map(drop),
+        OpKind::Readdir => client.readdir(path).await.map(drop),
+        OpKind::Open => client.open(path).await.map(drop),
+        OpKind::Close => client.close(path).await,
+        OpKind::Chmod => client.chmod(path, 0o700).await,
         OpKind::Rename => {
             let dst = item
                 .dst
                 .clone()
-                .unwrap_or_else(|| format!("{}.renamed", item.path));
-            client.rename(&item.path, &dst).await.is_ok()
+                .unwrap_or_else(|| format!("{path}.renamed"));
+            client.rename(path, &dst).await
         }
         OpKind::Read | OpKind::Write => {
             // Data access: open the file (metadata path) then model the data
             // transfer to/from a data node with a fixed latency, as the
             // paper's end-to-end workloads do with small (<256 KB) objects.
-            let opened = client.open(&item.path).await.is_ok();
+            let opened = client.open(path).await.map(drop);
             if let Some(lat) = data_latency {
                 handle.sleep(lat).await;
             }
             opened
         }
-    };
-    (name, ok)
+    }
 }

@@ -35,7 +35,7 @@ fn main() {
     );
 
     println!("\nrecoveries driven by the nemesis:");
-    for (server, r) in &report.recoveries {
+    for (server, r) in &report.nemesis.recoveries {
         println!(
             "  server {server}: {} WAL records replayed, {} inodes rebuilt, {} change-log \
              entries rebuilt, {} dirs re-aggregated, {} in-doubt txns ({} committed, {} aborted), \
@@ -50,10 +50,10 @@ fn main() {
             r.duration_ns as f64 / 1e6
         );
     }
-    if report.switch_reboots > 0 {
+    if report.nemesis.switch_reboots > 0 {
         println!(
             "  plus {} switch reboot(s) reconciled",
-            report.switch_reboots
+            report.nemesis.switch_reboots
         );
     }
 

@@ -41,10 +41,10 @@ fn every_system_kind_survives_a_combined_plan() {
 fn crash_plans_actually_recover_servers() {
     let report = assert_passed(ChaosConfig::new(SystemKind::SwitchFs, PlanKind::Crash, 0));
     assert!(
-        !report.recoveries.is_empty(),
+        !report.nemesis.recoveries.is_empty(),
         "a crash plan must drive at least one recovery"
     );
-    for (server, r) in &report.recoveries {
+    for (server, r) in &report.nemesis.recoveries {
         assert!(
             r.wal_records_replayed > 0 || r.inodes_recovered > 0,
             "server {server} recovery replayed nothing: {r:?}"
