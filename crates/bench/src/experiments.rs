@@ -7,7 +7,11 @@
 //! clock; the *shape* of each result (who wins, where curves flatten, where
 //! crossovers fall) is what the reproduction targets.
 
-use switchfs_core::{Cluster, ClusterConfig, SystemKind, TrackingMode};
+use std::cell::RefCell;
+use std::future::Future;
+use std::rc::Rc;
+
+use switchfs_core::{Cluster, ClusterConfig, SystemKind, TrackingMode, WorkloadReport};
 use switchfs_simnet::SimDuration;
 use switchfs_workloads::{NamespaceSpec, OpKind, OpMix, WorkloadBuilder};
 
@@ -71,20 +75,68 @@ impl Row {
     }
 }
 
-fn cluster_for(system: SystemKind, servers: usize, cores: usize) -> Cluster {
+/// A `system` deployment on the paper's configuration changed by `tune`,
+/// with every directory of `ns` preloaded, then `ns.files_per_dir` files in
+/// each.
+fn deploy(
+    system: SystemKind,
+    ns: &NamespaceSpec,
+    tune: impl FnOnce(&mut ClusterConfig),
+) -> Cluster {
     let mut cfg = ClusterConfig::paper_default(system);
-    cfg.servers = servers;
-    cfg.cores_per_server = cores;
-    Cluster::new(cfg)
+    tune(&mut cfg);
+    let mut cluster = Cluster::new(cfg);
+    for d in ns.all_dirs() {
+        cluster.preload_dir(&d);
+    }
+    for d in ns.all_dirs() {
+        cluster.preload_files(&d, &ns.file_prefix, ns.files_per_dir);
+    }
+    cluster
 }
 
-fn preload_namespace(cluster: &mut Cluster, ns: &NamespaceSpec, files: usize) {
-    for d in 0..ns.dirs {
-        cluster.preload_dir(&ns.dir_path(d));
-    }
-    let per_dir = files / ns.dirs.max(1);
-    for d in 0..ns.dirs {
-        cluster.preload_files(&ns.dir_path(d), &ns.file_prefix, per_dir);
+/// Runs `n` creates from `builder`, 256 in flight.
+fn creates(cluster: &Cluster, builder: &mut WorkloadBuilder, n: usize) -> WorkloadReport {
+    cluster.run_workload(builder.uniform(OpKind::Create, n), 256, None)
+}
+
+/// The row of one create window.
+fn window_row(label: &str, report: &WorkloadReport) -> Row {
+    Row::new(label)
+        .col("create Kops/s", report.kops)
+        .col("errors", report.errors as f64)
+}
+
+/// The setup the elastic rows share: SwitchFS over 64 preloaded
+/// directories, checkpointed because preloads bypass the WAL and a crash
+/// must not erase the namespace the windows run against.
+fn elastic(seed: u64) -> (Cluster, WorkloadBuilder) {
+    let ns = NamespaceSpec::multi_dir(64, 0);
+    let cluster = deploy(SystemKind::SwitchFs, &ns, |_| {});
+    cluster.checkpoint_all();
+    (cluster, WorkloadBuilder::new(ns, seed))
+}
+
+/// Spawns `change`, runs `n` creates while it proceeds inside the same
+/// simulation run, then settles in 5 ms steps until a change that outlived
+/// the window is done. Returns the window's report and the change's result.
+fn during<T: 'static>(
+    cluster: &Cluster,
+    builder: &mut WorkloadBuilder,
+    n: usize,
+    change: impl Future<Output = T> + 'static,
+) -> (WorkloadReport, T) {
+    let done: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
+    let slot = done.clone();
+    cluster
+        .sim
+        .spawn(async move { *slot.borrow_mut() = Some(change.await) });
+    let window = creates(cluster, builder, n);
+    loop {
+        if let Some(result) = done.take() {
+            return (window, result);
+        }
+        cluster.settle(SimDuration::millis(5));
     }
 }
 
@@ -97,10 +149,12 @@ fn op_throughput(
     scale: ExperimentScale,
     in_flight: usize,
 ) -> (f64, f64) {
-    let mut cluster = cluster_for(system, servers, cores);
     let mut ns = ns.clone();
     ns.files_per_dir = scale.preload_files() / ns.dirs.max(1);
-    preload_namespace(&mut cluster, &ns, scale.preload_files());
+    let cluster = deploy(system, &ns, |cfg| {
+        cfg.servers = servers;
+        cfg.cores_per_server = cores;
+    });
     let mut builder = WorkloadBuilder::new(ns, 7);
     let items = match kind {
         OpKind::Rmdir => {
@@ -231,15 +285,13 @@ pub fn fig14(scale: ExperimentScale) -> Vec<Row> {
     let mut rows = Vec::new();
     for cores in [2usize, 4, 6] {
         let mut row = Row::new(format!("{cores} cores"));
-        for (label, system, mode) in &variants {
-            let mut cfg = ClusterConfig::paper_default(*system);
-            cfg.cores_per_server = cores;
-            cfg.update_mode_override = *mode;
-            let mut cluster = Cluster::new(cfg);
-            cluster.preload_dir(&ns.dir_path(0));
+        for &(label, system, mode) in &variants {
+            let cluster = deploy(system, &ns, |cfg| {
+                cfg.cores_per_server = cores;
+                cfg.update_mode_override = mode;
+            });
             let mut builder = WorkloadBuilder::new(ns.clone(), 3);
-            let items = builder.uniform(OpKind::Create, scale.ops());
-            let report = cluster.run_workload(items, 256, None);
+            let report = creates(&cluster, &mut builder, scale.ops());
             row = row
                 .col(format!("{label} Kops/s"), report.kops)
                 .col(format!("{label} mean us"), report.mean_latency_us());
@@ -255,13 +307,11 @@ pub fn overflow(scale: ExperimentScale) -> Vec<Row> {
     let ns = NamespaceSpec::single_large_dir(0);
     let mut rows = Vec::new();
     for (label, force) in [("inserts succeed", false), ("inserts overflow", true)] {
-        let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-        cfg.force_dirty_overflow = force;
-        let mut cluster = Cluster::new(cfg);
-        cluster.preload_dir(&ns.dir_path(0));
+        let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| {
+            cfg.force_dirty_overflow = force
+        });
         let mut builder = WorkloadBuilder::new(ns.clone(), 5);
-        let items = builder.uniform(OpKind::Create, scale.ops());
-        let report = cluster.run_workload(items, 256, None);
+        let report = creates(&cluster, &mut builder, scale.ops());
         rows.push(
             Row::new(label)
                 .col("create Kops/s", report.kops)
@@ -274,21 +324,18 @@ pub fn overflow(scale: ExperimentScale) -> Vec<Row> {
 /// Fig. 15: tracking directory state on a dedicated server vs in the switch:
 /// per-operation latency and `statdir` scalability.
 pub fn fig15(scale: ExperimentScale) -> Vec<Row> {
-    let ns = NamespaceSpec::multi_dir(scale.dirs(), 0);
+    let ns = NamespaceSpec::multi_dir(scale.dirs(), 8);
     let mut rows = Vec::new();
     for (label, tracking) in [
         ("programmable switch", TrackingMode::InNetwork),
         ("dedicated server", TrackingMode::DedicatedServer),
     ] {
         for kind in [OpKind::Create, OpKind::Statdir] {
-            let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-            cfg.clients = 1;
-            cfg.tracking = tracking;
-            let mut cluster = Cluster::new(cfg);
-            let mut ns2 = ns.clone();
-            ns2.files_per_dir = 8;
-            preload_namespace(&mut cluster, &ns2, ns2.dirs * 8);
-            let mut builder = WorkloadBuilder::new(ns2, 9);
+            let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| {
+                cfg.clients = 1;
+                cfg.tracking = tracking;
+            });
+            let mut builder = WorkloadBuilder::new(ns.clone(), 9);
             let items = builder.uniform(kind, scale.ops() / 4);
             let report = cluster.run_workload(items, 1, None);
             rows.push(
@@ -297,13 +344,8 @@ pub fn fig15(scale: ExperimentScale) -> Vec<Row> {
             );
         }
         // Throughput of statdir with many in-flight requests.
-        let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-        cfg.tracking = tracking;
-        let mut cluster = Cluster::new(cfg);
-        let mut ns2 = ns.clone();
-        ns2.files_per_dir = 8;
-        preload_namespace(&mut cluster, &ns2, ns2.dirs * 8);
-        let mut builder = WorkloadBuilder::new(ns2, 9);
+        let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| cfg.tracking = tracking);
+        let mut builder = WorkloadBuilder::new(ns.clone(), 9);
         let items = builder.uniform(OpKind::Statdir, scale.ops());
         let report = cluster.run_workload(items, 256, None);
         rows.push(Row::new(format!("{label} statdir throughput")).col("Kops/s", report.kops));
@@ -321,12 +363,7 @@ pub fn fig16(scale: ExperimentScale) -> Vec<Row> {
         ("owner-server variant", TrackingMode::OwnerServer),
     ] {
         for (load_label, in_flight) in [("medium load", 16usize), ("heavy load", 128)] {
-            let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-            cfg.tracking = tracking;
-            let mut cluster = Cluster::new(cfg);
-            for d in 0..ns.dirs {
-                cluster.preload_dir(&ns.dir_path(d));
-            }
+            let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| cfg.tracking = tracking);
             let mut builder = WorkloadBuilder::new(ns.clone(), 13);
             let items = builder.uniform(OpKind::Create, scale.ops());
             let mut report = cluster.run_workload(items, in_flight, None);
@@ -348,16 +385,13 @@ pub fn fig17(scale: ExperimentScale, in_flight: usize) -> Vec<Row> {
         SystemKind::EmulatedCfs,
         SystemKind::SwitchFs,
     ];
+    let ns = NamespaceSpec::multi_dir(64, 0);
     let mut rows = Vec::new();
     for burst in [10usize, 20, 50, 100, 1000] {
         let mut row = Row::new(format!("burst {burst}"));
         for system in systems {
-            let mut cluster = cluster_for(system, 8, 4);
-            let ns = NamespaceSpec::multi_dir(64, 0);
-            for d in ns.all_dirs() {
-                cluster.preload_dir(&d);
-            }
-            let mut builder = WorkloadBuilder::new(ns, 17);
+            let cluster = deploy(system, &ns, |_| {});
+            let mut builder = WorkloadBuilder::new(ns.clone(), 17);
             let items = builder.create_bursts(burst, scale.ops());
             let report = cluster.run_workload(items, in_flight, None);
             row = row.col(format!("{} Kops/s", system.label()), report.kops);
@@ -370,31 +404,27 @@ pub fn fig17(scale: ExperimentScale, in_flight: usize) -> Vec<Row> {
 /// Fig. 18: `statdir` latency after a run of preceding creates (aggregation
 /// overhead), versus the number of creates and versus the server count.
 pub fn fig18(scale: ExperimentScale) -> Vec<Row> {
+    let ns = NamespaceSpec::single_large_dir(0);
+    let statdir_us = |servers: usize, creates: usize| {
+        let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| cfg.servers = servers);
+        let mut builder = WorkloadBuilder::new(ns.clone(), 19);
+        let report = cluster.run_workload(builder.creates_then_statdir(creates), 64, None);
+        report.op(OpKind::Statdir).map_or(0.0, |o| o.mean_us)
+    };
     let mut rows = Vec::new();
-    let creates_axis = [1usize, 10, 100, 1000, 10_000];
-    for creates in creates_axis {
+    for creates in [1usize, 10, 100, 1000, 10_000] {
         if creates > scale.ops() * 5 {
             continue;
         }
-        let mut cluster = cluster_for(SystemKind::SwitchFs, 8, 4);
-        let ns = NamespaceSpec::single_large_dir(0);
-        cluster.preload_dir(&ns.dir_path(0));
-        let mut builder = WorkloadBuilder::new(ns, 19);
-        let items = builder.creates_then_statdir(creates);
-        let report = cluster.run_workload(items, 64, None);
-        let statdir_us = report.op(OpKind::Statdir).map(|o| o.mean_us).unwrap_or(0.0);
-        rows.push(Row::new(format!("{creates} preceding creates")).col("statdir us", statdir_us));
+        rows.push(
+            Row::new(format!("{creates} preceding creates"))
+                .col("statdir us", statdir_us(8, creates)),
+        );
     }
     for servers in [4usize, 8, 12, 16] {
-        let mut cluster = cluster_for(SystemKind::SwitchFs, servers, 4);
-        let ns = NamespaceSpec::single_large_dir(0);
-        cluster.preload_dir(&ns.dir_path(0));
-        let mut builder = WorkloadBuilder::new(ns, 19);
-        let items = builder.creates_then_statdir(100);
-        let report = cluster.run_workload(items, 64, None);
-        let statdir_us = report.op(OpKind::Statdir).map(|o| o.mean_us).unwrap_or(0.0);
         rows.push(
-            Row::new(format!("{servers} servers, 100 creates")).col("statdir us", statdir_us),
+            Row::new(format!("{servers} servers, 100 creates"))
+                .col("statdir us", statdir_us(servers, 100)),
         );
     }
     rows
@@ -405,6 +435,7 @@ pub fn fig18(scale: ExperimentScale) -> Vec<Row> {
 pub fn fig19(scale: ExperimentScale) -> Vec<Row> {
     let mut rows = Vec::new();
     let data_latency = Some(SimDuration::micros(30));
+    let ns = NamespaceSpec::multi_dir(scale.dirs(), 8);
     let workloads: [(&str, bool); 3] = [
         ("synthetic", false),
         ("cnn-training", true),
@@ -418,12 +449,8 @@ pub fn fig19(scale: ExperimentScale) -> Vec<Row> {
             SystemKind::EmulatedCfs,
             SystemKind::SwitchFs,
         ] {
-            let mut cluster = cluster_for(system, 8, 4);
-            let ns = NamespaceSpec::multi_dir(scale.dirs(), 0);
-            let mut ns2 = ns.clone();
-            ns2.files_per_dir = 8;
-            preload_namespace(&mut cluster, &ns2, ns2.dirs * 8);
-            let mut builder = WorkloadBuilder::new(ns2, 23).with_skew(0.8, 0.2);
+            let cluster = deploy(system, &ns, |_| {});
+            let mut builder = WorkloadBuilder::new(ns.clone(), 23).with_skew(0.8, 0.2);
             let items = match wl {
                 "synthetic" => builder.mixed(&OpMix::datacenter_services(), scale.ops()),
                 "cnn-training" => builder.cnn_training_trace(scale.ops() / 4, 1),
@@ -444,33 +471,19 @@ pub fn fig19(scale: ExperimentScale) -> Vec<Row> {
 /// and the post-recovery restoration are the availability story the chaos
 /// subsystem sweeps at scale.
 pub fn availability(scale: ExperimentScale) -> Vec<Row> {
-    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
-    let ns = NamespaceSpec::multi_dir(64, 0);
-    for d in ns.all_dirs() {
-        cluster.preload_dir(&d);
-    }
-    // Preloads bypass the WAL; checkpoint so the crash below cannot erase
-    // the namespace the workload runs against.
-    cluster.checkpoint_all();
-    let mut builder = WorkloadBuilder::new(ns, 31);
+    let (cluster, mut builder) = elastic(31);
     let window_ops = scale.ops() / 2;
 
-    let healthy = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
+    let healthy = creates(&cluster, &mut builder, window_ops);
     cluster.crash_server(0);
-    let degraded = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
+    let degraded = creates(&cluster, &mut builder, window_ops);
     let report = cluster.recover_server(0);
-    let recovered = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
+    let recovered = creates(&cluster, &mut builder, window_ops);
 
     vec![
-        Row::new("healthy")
-            .col("create Kops/s", healthy.kops)
-            .col("errors", healthy.errors as f64),
-        Row::new("one server down")
-            .col("create Kops/s", degraded.kops)
-            .col("errors", degraded.errors as f64),
-        Row::new("after recovery")
-            .col("create Kops/s", recovered.kops)
-            .col("errors", recovered.errors as f64),
+        window_row("healthy", &healthy),
+        window_row("one server down", &degraded),
+        window_row("after recovery", &recovered),
         Row::new("recovery work")
             .col("WAL records replayed", report.wal_records_replayed as f64)
             .col("WAL KB replayed", report.wal_bytes_replayed as f64 / 1024.0)
@@ -485,53 +498,22 @@ pub fn availability(scale: ExperimentScale) -> Vec<Row> {
 /// virtual shards migrate, where the old modulo placement would have
 /// reshuffled nearly every key.
 pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
-    let ns = NamespaceSpec::multi_dir(64, 0);
-    for d in ns.all_dirs() {
-        cluster.preload_dir(&d);
-    }
-    cluster.checkpoint_all();
-    let mut builder = WorkloadBuilder::new(ns, 37);
+    let (mut cluster, mut builder) = elastic(37);
     let window_ops = scale.ops() / 2;
 
-    let healthy = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
-
+    let healthy = creates(&cluster, &mut builder, window_ops);
     // Provision the ninth server and rebalance onto it *while* the next
-    // workload window runs: the migration and the load interleave inside
-    // one simulation run.
+    // workload window runs.
     let before_shards = cluster.placement().map().num_shards();
     cluster.add_server();
-    let moved: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
-    {
-        let rebalanced = cluster.control().rebalance();
-        let moved = moved.clone();
-        cluster.sim.spawn(async move {
-            let n = rebalanced.await;
-            *moved.borrow_mut() = Some(n);
-        });
-    }
-    let degraded = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
-    // Let a migration that outlived the window finish before measuring the
-    // settled cluster.
-    while moved.borrow().is_none() {
-        cluster.settle(SimDuration::millis(5));
-    }
-    let shards_moved = moved.borrow().expect("rebalance completed");
-    let absorbed = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
+    let rebalanced = cluster.control().rebalance();
+    let (degraded, shards_moved) = during(&cluster, &mut builder, window_ops, rebalanced);
+    let absorbed = creates(&cluster, &mut builder, window_ops);
 
     vec![
-        Row::new("healthy (8 servers)")
-            .col("create Kops/s", healthy.kops)
-            .col("errors", healthy.errors as f64),
-        Row::new("during rebalance (+1 server)")
-            .col("create Kops/s", degraded.kops)
-            .col("errors", degraded.errors as f64),
-        Row::new("after rebalance (9 servers)")
-            .col("create Kops/s", absorbed.kops)
-            .col("errors", absorbed.errors as f64),
+        window_row("healthy (8 servers)", &healthy),
+        window_row("during rebalance (+1 server)", &degraded),
+        window_row("after rebalance (9 servers)", &absorbed),
         Row::new("shard movement")
             .col("shards moved", shards_moved as f64)
             .col("total shards", before_shards as f64)
@@ -548,58 +530,26 @@ pub fn rebalance(scale: ExperimentScale) -> Vec<Row> {
 /// single failed operation (freeze-window drops are absorbed by
 /// retransmission; stale maps refresh via WrongOwner).
 pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
-    let ns = NamespaceSpec::multi_dir(64, 0);
-    for d in ns.all_dirs() {
-        cluster.preload_dir(&d);
-    }
-    cluster.checkpoint_all();
-    let mut builder = WorkloadBuilder::new(ns, 41);
+    let (cluster, mut builder) = elastic(41);
     let window_ops = scale.ops() / 2;
 
-    let healthy = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
-
-    // Decommission server 0 *while* the next workload window runs: the
-    // drain and the load interleave inside one simulation run.
+    let healthy = creates(&cluster, &mut builder, window_ops);
+    // Decommission server 0 *while* the next workload window runs.
     let victim = 0usize;
     let victim_id = switchfs_proto::ServerId(victim as u32);
     let total_shards = cluster.placement().map().num_shards();
     let owned_before = cluster.placement().map().shards_owned(victim_id);
-    let outcome: Rc<RefCell<Option<switchfs_core::DecommissionReport>>> =
-        Rc::new(RefCell::new(None));
-    {
-        let drained = cluster.control().drain(victim);
-        let outcome = outcome.clone();
-        cluster.sim.spawn(async move {
-            let report = drained.await;
-            *outcome.borrow_mut() = Some(report);
-        });
-    }
-    let during = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
-    // Let a drain that outlived the window finish before measuring the
-    // settled (smaller) cluster.
-    while outcome.borrow().is_none() {
-        cluster.settle(SimDuration::millis(5));
-    }
-    let report = outcome.borrow().expect("decommission completed");
+    let drained = cluster.control().drain(victim);
+    let (during_window, report) = during(&cluster, &mut builder, window_ops, drained);
     if report.completed {
         cluster.control().tombstone(victim);
     }
-    let after = cluster.run_workload(builder.uniform(OpKind::Create, window_ops), 256, None);
+    let after = creates(&cluster, &mut builder, window_ops);
 
     vec![
-        Row::new("healthy (8 servers)")
-            .col("create Kops/s", healthy.kops)
-            .col("errors", healthy.errors as f64),
-        Row::new("during decommission (-1 server)")
-            .col("create Kops/s", during.kops)
-            .col("errors", during.errors as f64),
-        Row::new("after decommission (7 servers)")
-            .col("create Kops/s", after.kops)
-            .col("errors", after.errors as f64),
+        window_row("healthy (8 servers)", &healthy),
+        window_row("during decommission (-1 server)", &during_window),
+        window_row("after decommission (7 servers)", &after),
         Row::new("drain")
             .col("shards drained", report.shards_moved as f64)
             .col("victim shards before", owned_before as f64)
@@ -611,14 +561,9 @@ pub fn decommission(scale: ExperimentScale) -> Vec<Row> {
 
 /// §7.7: crash-recovery time after a server failure and a switch failure.
 pub fn recovery(scale: ExperimentScale) -> Vec<Row> {
-    let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
     let ns = NamespaceSpec::multi_dir(64, 0);
-    for d in ns.all_dirs() {
-        cluster.preload_dir(&d);
-    }
-    let mut builder = WorkloadBuilder::new(ns, 29);
-    let items = builder.uniform(OpKind::Create, scale.ops());
-    cluster.run_workload(items, 256, None);
+    let cluster = deploy(SystemKind::SwitchFs, &ns, |_| {});
+    creates(&cluster, &mut WorkloadBuilder::new(ns, 29), scale.ops());
 
     cluster.crash_server(0);
     let report = cluster.recover_server(0);
@@ -643,15 +588,12 @@ pub fn recovery(scale: ExperimentScale) -> Vec<Row> {
 /// names and basic sanity (ops issued, WAL flushed ≤ appended), not exact
 /// values.
 pub fn metrics(scale: ExperimentScale) -> Vec<Row> {
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
-    cfg.servers = 4;
-    cfg.clients = 2;
-    cfg.trace_capacity = Some(switchfs_obs::DEFAULT_RING_CAPACITY);
-    let mut cluster = Cluster::new(cfg);
     let ns = NamespaceSpec::multi_dir(16, 0);
-    for d in ns.all_dirs() {
-        cluster.preload_dir(&d);
-    }
+    let cluster = deploy(SystemKind::SwitchFs, &ns, |cfg| {
+        cfg.servers = 4;
+        cfg.clients = 2;
+        cfg.trace_capacity = Some(switchfs_obs::DEFAULT_RING_CAPACITY);
+    });
     let mut builder = WorkloadBuilder::new(ns, 41);
     let items = builder.uniform(OpKind::Create, scale.ops() / 4);
     cluster.run_workload(items, 64, None);
@@ -708,7 +650,7 @@ mod tests {
                 .values[0]
                 .1
         };
-        let costs = ClusterConfig::paper_default(SystemKind::SwitchFs).cost_model();
+        let costs = SystemKind::SwitchFs.cost_model();
         let per_entry_us = (costs.entry_apply + costs.kv_put).as_micros_f64() / 4.0;
         let (most, limit) = (statdir_us(10_000), 10_000.0 * per_entry_us + 250.0);
         assert!(

@@ -65,47 +65,37 @@ fn parse_args() -> Args {
         repro: None,
         trace_dump: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                args.seeds = argv[i].parse().expect("--seeds N");
-            }
-            "--ops" => {
-                i += 1;
-                args.ops = argv[i].parse().expect("--ops N");
-            }
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
+            "--seeds" => args.seeds = value(&mut argv, &flag),
+            "--ops" => args.ops = value(&mut argv, &flag),
             "--all-systems" => args.all_systems = true,
-            "--replay-every" => {
-                i += 1;
-                args.replay_every = argv[i].parse().expect("--replay-every N");
-            }
-            "--artifact" => {
-                i += 1;
-                args.artifact = argv[i].clone();
-            }
-            "--summary" => {
-                i += 1;
-                args.summary = Some(argv[i].clone());
-            }
-            "--repro" => {
-                i += 1;
-                args.repro = Some(argv[i].clone());
-            }
-            "--trace-dump" => {
-                i += 1;
-                args.trace_dump = Some(argv[i].clone());
-            }
+            "--replay-every" => args.replay_every = value(&mut argv, &flag),
+            "--artifact" => args.artifact = value(&mut argv, &flag),
+            "--summary" => args.summary = Some(value(&mut argv, &flag)),
+            "--repro" => args.repro = Some(value(&mut argv, &flag)),
+            "--trace-dump" => args.trace_dump = Some(value(&mut argv, &flag)),
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     args
+}
+
+/// The value after `flag`; a missing or unparsable one ends the process
+/// with exit status 2.
+fn value<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    match argv.next() {
+        None => eprintln!("{flag} needs a value"),
+        Some(text) => match text.parse() {
+            Ok(v) => return v,
+            Err(_) => eprintln!("{flag}: not a valid value: {text:?}"),
+        },
+    }
+    std::process::exit(2);
 }
 
 /// Serializes a flight-recorder dump into a JSON value (an array of trace

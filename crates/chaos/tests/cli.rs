@@ -1,5 +1,6 @@
-//! The `chaos-sweep --repro` command line: an artifact whose labels it does
-//! not know is an error, not a silent run of some other scenario.
+//! The `chaos-sweep` command line: an artifact whose labels `--repro` does
+//! not know is an error, not a silent run of some other scenario, and so is
+//! a flag without a valid value.
 
 use std::process::Command;
 
@@ -27,5 +28,23 @@ fn repro_of_an_unknown_label_exits_2_without_running_anything() {
             "unknown {field}, stdout: {}",
             String::from_utf8_lossy(&out.stdout)
         );
+    }
+}
+
+#[test]
+fn a_missing_or_unparsable_flag_value_exits_2_without_a_panic() {
+    for args in [&["--seeds"][..], &["--seeds", "x"], &["--artifact"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_chaos-sweep"))
+            .args(args)
+            .output()
+            .expect("chaos-sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}, stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}, stderr: {stderr}");
     }
 }

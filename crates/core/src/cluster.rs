@@ -69,8 +69,14 @@ impl Cluster {
         if cfg.system.uses_switch() && cfg.tracking == TrackingMode::InNetwork {
             let program = Rc::new(RefCell::new(SwitchFsProgram::new(SwitchConfig {
                 server_nodes: (0..cfg.servers).map(|i| server_node(i).0).collect(),
-                dirty_set: DirtySetConfig::default(),
-                force_insert_overflow: cfg.force_dirty_overflow,
+                dirty_set: if cfg.force_dirty_overflow {
+                    DirtySetConfig {
+                        stages: 0,
+                        ..Default::default()
+                    }
+                } else {
+                    DirtySetConfig::default()
+                },
             })));
             network.install_switch(Box::new(program.clone()));
             switch = Some(program);

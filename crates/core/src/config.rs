@@ -23,7 +23,8 @@ pub struct ClusterConfig {
     /// Overrides the system's update mode (used by the Fig. 14 breakdown to
     /// run "+Async" without compaction).
     pub update_mode_override: Option<UpdateMode>,
-    /// Force every dirty-set insert to overflow (§7.3.2).
+    /// Force every dirty-set insert to overflow (§7.3.2): the switch gets a
+    /// dirty set with zero stages.
     pub force_dirty_overflow: bool,
     /// Network fault injection.
     pub net_faults: NetFaults,

@@ -81,14 +81,10 @@ impl Cluster {
         data_latency: Option<SimDuration>,
     ) -> WorkloadReport {
         let collector: Rc<RefCell<Collector>> = Rc::new(RefCell::new(Collector::default()));
-        let sem = Semaphore::new(in_flight.max(1));
-        let handle = self.sim.handle();
-        let clients: Vec<_> = self.clients().to_vec();
         let collector_main = collector.clone();
-
-        let master_clients = clients.clone();
-        let master_sem = sem.clone();
-        let master_handle = handle.clone();
+        let master_clients = self.clients().to_vec();
+        let master_sem = Semaphore::new(in_flight.max(1));
+        let master_handle = self.sim.handle();
         let driver = async move {
             {
                 let mut c = collector_main.borrow_mut();

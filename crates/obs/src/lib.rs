@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use switchfs_proto::ids::{OpId, TraceId};
 
 mod registry;
-pub use registry::{MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use registry::{MetricValue, MetricsRegistry};
 
 /// Default per-node ring capacity: enough for several thousand protocol
 /// steps of history around a failure without unbounded growth.

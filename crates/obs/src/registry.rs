@@ -39,9 +39,6 @@ pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
 }
 
-/// A stable-ordered list of `(name, value)` rows, ready for JSON emission.
-pub type MetricsSnapshot = Vec<(String, MetricValue)>;
-
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> MetricsRegistry {
@@ -55,46 +52,12 @@ impl MetricsRegistry {
         self
     }
 
-    /// Looks up a metric by name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.metrics.get(name)
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// The stable-ordered snapshot: rows sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
         self.metrics
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-
-    /// Serializes the snapshot as a JSON object `{name: {kind: value}}` with
-    /// keys in stable order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&serde_json::to_string(name).unwrap());
-            out.push(':');
-            let rendered = match value {
-                MetricValue::Counter(v) => format!("{{\"counter\":{v}}}"),
-            };
-            out.push_str(&rendered);
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -110,20 +73,6 @@ mod tests {
             .counter("m.mid", 3);
         let names: Vec<String> = reg.snapshot().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
-    }
-
-    #[test]
-    fn json_emission_is_deterministic_and_named() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("server.ops_completed", 42)
-            .counter("net.sent", 7);
-        let json = reg.to_json();
-        assert_eq!(json, reg.to_json());
-        assert!(json.contains("\"server.ops_completed\":{\"counter\":42}"));
-        assert!(json.contains("\"net.sent\":{\"counter\":7}"));
-        // Parses back as JSON.
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert!(matches!(v, serde_json::Value::Object(_)));
     }
 
     #[test]

@@ -75,9 +75,9 @@ impl DirtySet {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero stages or zero index bits.
+    /// Panics if the configuration has zero index bits. Zero stages is the
+    /// set with no room: every insert overflows and no query matches.
     pub fn new(config: DirtySetConfig) -> Self {
-        assert!(config.stages > 0, "dirty set needs at least one stage");
         assert!(
             config.index_bits > 0,
             "dirty set needs at least one index bit"
@@ -177,6 +177,17 @@ mod tests {
         assert_eq!(ds.insert(f), InsertOutcome::Inserted);
         assert!(ds.query(f));
         assert_eq!(ds.occupancy(), 1);
+        ds.remove(f);
+        assert!(!ds.query(f));
+        assert_eq!(ds.occupancy(), 0);
+    }
+
+    #[test]
+    fn a_zero_stage_set_overflows_every_insert_and_matches_no_query() {
+        let mut ds = DirtySet::new(DirtySetConfig::tiny(0, 8));
+        let f = fp(1);
+        assert_eq!(ds.insert(f), InsertOutcome::Overflow);
+        assert!(!ds.query(f));
         ds.remove(f);
         assert!(!ds.query(f));
         assert_eq!(ds.occupancy(), 0);

@@ -35,8 +35,6 @@ pub struct SwitchConfig {
     pub server_nodes: Vec<u32>,
     /// Dirty-set sizing per egress pipe.
     pub dirty_set: DirtySetConfig,
-    /// Force every insert to fail, reproducing the §7.3.2 overflow study.
-    pub force_insert_overflow: bool,
 }
 
 switchfs_simnet::counters! {
@@ -84,11 +82,6 @@ impl SwitchFsProgram {
             remove_seq_high: BTreeMap::new(),
             stats: SwitchStats::default(),
         }
-    }
-
-    /// The installed configuration.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.config
     }
 
     /// Control-plane update: registers one more metadata server in the
@@ -176,12 +169,7 @@ impl SwitchFsProgram {
             }
             DirtySetOp::Insert => {
                 self.stats.inserts += 1;
-                let outcome = if self.config.force_insert_overflow {
-                    InsertOutcome::Overflow
-                } else {
-                    self.pipes[pipe_idx].insert(fp)
-                };
-                match outcome {
+                match self.pipes[pipe_idx].insert(fp) {
                     InsertOutcome::Inserted => {
                         if let Some(h) = &mut msg.dirty {
                             h.ret = DirtyRet::Inserted;
@@ -277,7 +265,6 @@ mod tests {
         SwitchFsProgram::new(SwitchConfig {
             server_nodes: servers,
             dirty_set: DirtySetConfig::tiny(4, 8),
-            force_insert_overflow: false,
         })
     }
 
@@ -329,8 +316,8 @@ mod tests {
     #[test]
     fn overflow_redirects_to_alternative_destination() {
         let mut p = SwitchFsProgram::new(SwitchConfig {
-            force_insert_overflow: true,
-            ..program(vec![10, 11]).config().clone()
+            server_nodes: vec![10, 11],
+            dirty_set: DirtySetConfig::tiny(0, 8),
         });
         let ins = NetMsg::with_dirty(seq(10, 1), DirtySetHeader::insert(fp(3), 42), Body::Empty);
         let out: Vec<_> = p.process(10, 1, ins).into_iter().collect();
