@@ -94,9 +94,11 @@ sweep() {
 
 # The six commands of CI's benchmark-smoke job, as they ran there: three end
 # to end only, three in both modes (the traced repetition gives the
-# per-layer values).
+# per-layer values). benchmark/run.sh builds without --locked and rewrites
+# benchmark/Cargo.lock; the committed lock is put back afterwards.
 bench() {
     local workload trace reports=()
+    cp benchmark/Cargo.lock "$work/Cargo.lock"
     for workload in hotdir-create:0 solo-latency:0 lookup-stat:0 dirread-mix: dc-mix: hotdir-create-cfs:; do
         trace="${workload#*:}"
         workload="${workload%:*}"
@@ -105,6 +107,7 @@ bench() {
             --out "$work/bench-$workload.json" --trace-out "$work/trace-$workload.json" || status=1
         reports+=("$work/bench-$workload.json")
     done
+    cp "$work/Cargo.lock" benchmark/Cargo.lock
     flatten bench "${reports[@]}" > "$golden/bench.txt"
 }
 

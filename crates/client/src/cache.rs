@@ -1,16 +1,17 @@
 //! The client-side metadata cache.
 //!
 //! LibFS caches **only directory metadata** (§4.2): for every resolved
-//! directory path it remembers the directory's key, id, fingerprint and
-//! attributes, which is what path resolution needs. Entries are invalidated
-//! lazily: when a server answers `ESTALE` (because an ancestor appears in
-//! its invalidation list), the client drops every cached entry along that
-//! path and retries the operation from scratch (§5.2.1, §5.2.3).
+//! directory path it remembers the directory's key, fingerprint and
+//! attributes (its id among them), which is what path resolution needs.
+//! Entries are invalidated lazily: when a server answers `ESTALE` (because
+//! an ancestor appears in its invalidation list), the client drops every
+//! cached entry along that path and retries the operation from scratch
+//! (§5.2.1, §5.2.3).
 
 use std::borrow::Cow;
 use std::rc::Rc;
 
-use switchfs_proto::{DirId, Fingerprint, FsError, FsResult, InodeAttrs, MetaKey};
+use switchfs_proto::{Fingerprint, FsError, FsResult, InodeAttrs, MetaKey};
 use switchfs_simnet::FxHashMap;
 
 /// One cached directory.
@@ -18,12 +19,10 @@ use switchfs_simnet::FxHashMap;
 pub struct CachedDir {
     /// The directory's `(pid, name)` key.
     pub key: MetaKey,
-    /// The directory's id.
-    pub id: DirId,
     /// The directory's fingerprint.
     pub fp: Fingerprint,
-    /// The directory's attributes as of the last lookup.
-    pub attrs: Option<InodeAttrs>,
+    /// The directory's attributes (its id among them) as of the last lookup.
+    pub attrs: InodeAttrs,
 }
 
 /// Path-indexed cache of directory metadata. Entries are shared (`Rc`):
@@ -63,21 +62,16 @@ impl MetaCache {
         self.dirs.insert(path.to_string(), dir);
     }
 
-    /// Drops the entry for `path` and for every path beneath it (a removed
-    /// or renamed directory invalidates its whole subtree). Alloc-free: the
-    /// descendant test slices `path` instead of building a prefix string.
+    /// Drops the entry for the canonical `path` and for every path beneath
+    /// it (a removed or renamed directory invalidates its whole subtree).
+    /// Alloc-free: the descendant test slices `path` instead of building a
+    /// prefix string.
     pub fn invalidate_subtree(&mut self, path: &str) {
         let before = self.dirs.len();
+        // Drops `path` itself and every entry that continues it with a '/'.
         self.dirs.retain(|p, _| {
-            if p == path {
-                return false;
-            }
-            // A strict descendant is `path` followed by a '/' separator
-            // (or anything below a path that already ends in '/').
-            match p.strip_prefix(path) {
-                Some(rest) => !(path.ends_with('/') || rest.starts_with('/')),
-                None => true,
-            }
+            p.strip_prefix(path)
+                .is_none_or(|rest| !rest.is_empty() && !rest.starts_with('/'))
         });
         self.invalidations += (before - self.dirs.len()) as u64;
     }
@@ -165,13 +159,13 @@ pub fn path_components(path: &str) -> impl Iterator<Item = &str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use switchfs_proto::{DirId, Permissions};
 
     fn dir(name: &str) -> CachedDir {
         CachedDir {
             key: MetaKey::new(DirId::ROOT, name),
-            id: DirId::ROOT,
             fp: Fingerprint::of_dir(&DirId::ROOT, name),
-            attrs: None,
+            attrs: InodeAttrs::new_dir(DirId::ROOT, 0, Permissions::default()),
         }
     }
 

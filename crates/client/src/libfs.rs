@@ -71,7 +71,7 @@ switchfs_simnet::counters! {
 #[derive(Debug, Clone)]
 struct Resolution {
     key: MetaKey,
-    parent: Option<ParentRef>,
+    parent: ParentRef,
 }
 
 /// The SwitchFS client library.
@@ -149,9 +149,7 @@ impl LibFs {
         let me = self.clone();
         self.handle.spawn(async move {
             loop {
-                let Some(pkt) = me.endpoint.recv().await else {
-                    return;
-                };
+                let pkt = me.endpoint.recv().await;
                 let response = match pkt.payload.body {
                     Body::Response(r) => Some(r),
                     // Asynchronous commits are delivered by the switch inside
@@ -314,7 +312,7 @@ impl LibFs {
             .cache
             .borrow_mut()
             .get(src_path)
-            .and_then(|c| c.attrs.clone());
+            .map(|c| c.attrs.clone());
         if src_path == dst_path && cached.is_some() {
             return Ok(());
         }
@@ -324,9 +322,11 @@ impl LibFs {
         let op = MetaOp::Rename {
             src: src_res.key,
             dst: dst_res.key,
-            dst_parent: dst_res.parent,
+            dst_parent: Some(dst_res.parent),
         };
-        let result = self.issue(op, src_res.parent, ancestors, cached).await?;
+        let result = self
+            .issue(op, Some(src_res.parent), ancestors, cached)
+            .await?;
         self.cache.borrow_mut().invalidate_subtree(src_path);
         self.cache.borrow_mut().invalidate_path(dst_path);
         // The destination may overwrite an existing *file* (POSIX rename
@@ -391,14 +391,11 @@ impl LibFs {
             let Resolution { key, parent } = res;
             let op = build(key);
             let target_attrs = if need_target {
-                self.cache
-                    .borrow_mut()
-                    .get(&path)
-                    .and_then(|c| c.attrs.clone())
+                self.cache.borrow_mut().get(&path).map(|c| c.attrs.clone())
             } else {
                 None
             };
-            let out = self.issue(op, parent, ancestors, target_attrs).await;
+            let out = self.issue(op, Some(parent), ancestors, target_attrs).await;
             match out {
                 Ok(OpResult::Err(e)) if e.is_retryable() && attempt < MAX_OP_RETRIES => {
                     attempt += 1;
@@ -480,9 +477,8 @@ impl LibFs {
                     };
                     let dir = Rc::new(CachedDir {
                         fp: Fingerprint::of_dir(&key.pid, &key.name),
-                        id: attrs.id,
                         key,
-                        attrs: Some(attrs),
+                        attrs,
                     });
                     self.cache.borrow_mut().insert(prefix, Rc::clone(&dir));
                     dir
@@ -491,10 +487,10 @@ impl LibFs {
             // Only the first `count - 1` components become the parent
             // chain; a resolved target does not change the parent.
             if i + 1 < count {
-                ancestors.push(dir.id);
+                ancestors.push(dir.attrs.id);
                 parent = ParentRef {
                     key: dir.key.clone(),
-                    id: dir.id,
+                    id: dir.attrs.id,
                     fp: dir.fp,
                 };
             }
@@ -502,10 +498,7 @@ impl LibFs {
         let key = MetaKey::new(parent.id, name);
         // Operations directly under the root still carry the root as parent;
         // only the root itself has no parent, and it is never resolved here.
-        Ok(Resolution {
-            key,
-            parent: Some(parent),
-        })
+        Ok(Resolution { key, parent })
     }
 
     /// Sends one request (with retransmission) and returns the server's

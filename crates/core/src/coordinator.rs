@@ -46,9 +46,7 @@ impl Coordinator {
         let me = self.clone();
         self.handle.spawn(async move {
             loop {
-                let Some(pkt) = me.endpoint.recv().await else {
-                    return;
-                };
+                let pkt = me.endpoint.recv().await;
                 let Body::Server(ServerMsg::Request {
                     req_id,
                     req: Request::DirtySet { op, fp },
@@ -123,7 +121,7 @@ mod tests {
                         }),
                     ),
                 );
-                let reply = client_ep.recv().await.unwrap();
+                let reply = client_ep.recv().await;
                 if let Body::Server(ServerMsg::Reply {
                     reply: Reply::Dirty(ret),
                     ..

@@ -833,9 +833,7 @@ impl Server {
 impl Server {
     async fn run_loop(self: &Rc<Self>) {
         loop {
-            let Some(pkt) = self.endpoint.recv().await else {
-                return;
-            };
+            let pkt = self.endpoint.recv().await;
             if self.is_crashed() {
                 continue;
             }

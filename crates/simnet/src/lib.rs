@@ -14,12 +14,13 @@
 //! * [`time::SimTime`] and [`time::SimDuration`] — nanosecond-resolution
 //!   virtual time.
 //! * [`sync`] — FIFO-fair simulation-aware synchronization primitives
-//!   (the class lock, semaphore, oneshot and mpsc channels, notify).
+//!   (the class lock, semaphore, oneshot channel, notify).
 //! * [`cpu::CpuPool`] — an *N*-core processor model with FIFO run-queue
 //!   semantics; server code paths charge calibrated service times to it.
 //! * [`net`] — a message-passing network with per-hop latency, programmable
 //!   switch hooks and loss / duplication / reordering injection, for one
-//!   rack behind one switch.
+//!   rack behind one switch. The network keeps each node's mailbox, owned
+//!   by the node's [`Endpoint`].
 //! * [`metrics`] — the latency histogram used by the evaluation harness.
 //!
 //! Determinism: given the same seed and the same sequence of operations, a

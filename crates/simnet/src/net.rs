@@ -12,17 +12,17 @@
 //! suppression.
 
 use std::cell::RefCell;
-use std::future::Future;
+use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{ready, Context, Poll};
+use std::rc::{Rc, Weak};
+use std::task::{ready, Context, Poll, Waker};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::executor::{PooledTask, SimHandle, Sleep};
 use crate::fxhash::FxHashMap;
-use crate::sync::mpsc;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of an end host (client, metadata server, data node, …).
@@ -260,13 +260,22 @@ struct Delivery<M> {
     sleep: Sleep,
 }
 
+/// A node's receive queue: the packets delivered to it, in arrival order,
+/// and the waker of its task parked in [`Endpoint::recv`].
+struct Mailbox<M> {
+    queue: VecDeque<Packet<M>>,
+    waker: Option<Waker>,
+}
+
 struct NetworkInner<M> {
     handle: SimHandle,
     /// Slab of packets in flight, each run by a pooled task; `free_deliveries`
     /// lists vacant indices for reuse.
     deliveries: Vec<Option<Delivery<M>>>,
     free_deliveries: Vec<u32>,
-    mailboxes: FxHashMap<NodeId, mpsc::Sender<Packet<M>>>,
+    /// Each node's mailbox, owned by its [`Endpoint`]: a packet for an
+    /// endpoint that no longer exists is dropped.
+    mailboxes: FxHashMap<NodeId, Weak<RefCell<Mailbox<M>>>>,
     node_down: FxHashMap<NodeId, bool>,
     /// Partition group of each node; packets between different groups are
     /// dropped. Nodes absent from the map belong to group 0. `None` means no
@@ -330,18 +339,21 @@ impl<M: Clone + 'static> Network<M> {
     ///
     /// Panics if the node is already registered.
     pub fn register(&self, node: NodeId) -> Endpoint<M> {
-        let (tx, rx) = mpsc::channel();
+        let mailbox = Rc::new(RefCell::new(Mailbox {
+            queue: VecDeque::new(),
+            waker: None,
+        }));
         let mut inner = self.inner.borrow_mut();
         assert!(
             !inner.mailboxes.contains_key(&node),
             "node {node} registered twice"
         );
-        inner.mailboxes.insert(node, tx);
+        inner.mailboxes.insert(node, Rc::downgrade(&mailbox));
         inner.node_down.insert(node, false);
         Endpoint {
             node,
             network: self.clone(),
-            rx,
+            mailbox,
         }
     }
 
@@ -516,14 +528,18 @@ impl<M> NetworkInner<M> {
                     continue;
                 }
             }
-            let delivered = self
-                .mailboxes
-                .get(&p.dst)
-                .is_some_and(|tx| tx.send(p).is_ok());
-            if delivered {
-                self.stats.delivered += 1;
-            } else {
+            let Some(mailbox) = self.mailboxes.get(&p.dst).and_then(Weak::upgrade) else {
                 self.stats.dropped_node_down += 1;
+                continue;
+            };
+            self.stats.delivered += 1;
+            let waker = {
+                let mut mailbox = mailbox.borrow_mut();
+                mailbox.queue.push_back(p);
+                mailbox.waker.take()
+            };
+            if let Some(w) = waker {
+                w.wake();
             }
         }
     }
@@ -533,7 +549,7 @@ impl<M> NetworkInner<M> {
 pub struct Endpoint<M> {
     node: NodeId,
     network: Network<M>,
-    rx: mpsc::Receiver<Packet<M>>,
+    mailbox: Rc<RefCell<Mailbox<M>>>,
 }
 
 impl<M: Clone + 'static> Endpoint<M> {
@@ -551,19 +567,30 @@ impl<M: Clone + 'static> Endpoint<M> {
         });
     }
 
-    /// Waits for the next packet addressed to this node.
-    pub async fn recv(&self) -> Option<Packet<M>> {
-        self.rx.recv().await
+    /// Waits for the next packet addressed to this node. It cannot fail:
+    /// the endpoint owns its mailbox, which lives as long as it does.
+    pub async fn recv(&self) -> Packet<M> {
+        poll_fn(|cx| {
+            let mut mailbox = self.mailbox.borrow_mut();
+            match mailbox.queue.pop_front() {
+                Some(pkt) => Poll::Ready(pkt),
+                None => {
+                    mailbox.waker = Some(cx.waker().clone());
+                    Poll::Pending
+                }
+            }
+        })
+        .await
     }
 
     /// Returns a queued packet if one is available.
     pub fn try_recv(&self) -> Option<Packet<M>> {
-        self.rx.try_recv()
+        self.mailbox.borrow_mut().queue.pop_front()
     }
 
     /// Number of packets waiting in the mailbox.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.mailbox.borrow().queue.len()
     }
 
     /// Discards every packet currently queued in the mailbox. Used when a
@@ -571,7 +598,7 @@ impl<M: Clone + 'static> Endpoint<M> {
     /// incarnation are dropped, as they would be by a rebooted DPDK process.
     pub fn drain(&self) -> usize {
         let mut n = 0;
-        while self.rx.try_recv().is_some() {
+        while self.try_recv().is_some() {
             n += 1;
         }
         n
@@ -603,7 +630,7 @@ mod tests {
             a.send(NodeId(2), 7);
         });
         sim.spawn(async move {
-            let p = b.recv().await.unwrap();
+            let p = b.recv().await;
             assert_eq!(p.payload, 7);
             assert_eq!(p.src, NodeId(1));
             t2.set(h.now());
@@ -628,7 +655,7 @@ mod tests {
         });
         sim.spawn(async move {
             for _ in 0..10 {
-                let p = b.recv().await.unwrap().payload;
+                let p = b.recv().await.payload;
                 got2.borrow_mut().push(p);
             }
         });
@@ -661,13 +688,27 @@ mod tests {
             a.send(NodeId(2), 9);
         });
         sim.spawn(async move {
-            while let Some(_p) = b.recv().await {
+            loop {
+                b.recv().await;
                 c2.set(c2.get() + 1);
             }
         });
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(count.get(), 2);
         assert_eq!(net.stats().duplicated, 1);
+    }
+
+    #[test]
+    fn a_packet_for_a_dropped_endpoint_is_dropped_not_delivered() {
+        let (sim, net) = mk(1, NetFaults::reliable());
+        let a = net.register(NodeId(1));
+        drop(net.register(NodeId(2)));
+        sim.spawn(async move {
+            a.send(NodeId(2), 1);
+        });
+        sim.run();
+        assert_eq!(net.stats().delivered, 0);
+        assert_eq!(net.stats().dropped_node_down, 1);
     }
 
     #[test]
@@ -712,7 +753,7 @@ mod tests {
             a.send(NodeId(2), 3);
         });
         sim.spawn(async move {
-            let p = b.recv().await.unwrap().payload;
+            let p = b.recv().await.payload;
             got2.borrow_mut().push(p);
         });
         sim.run_until(SimTime::from_millis(1));
@@ -765,7 +806,7 @@ mod tests {
         let b2c = b2.clone();
         sim.spawn(async move {
             c.send(NodeId(2), 9);
-            let p = b.recv().await.unwrap();
+            let p = b.recv().await;
             b2c.set(p.payload);
         });
         sim.run_until(SimTime::from_millis(2));
@@ -883,7 +924,7 @@ mod tests {
         sim.spawn(async move {
             h.sleep(SimDuration::micros(5)).await;
             a.send(NodeId(2), 4);
-            let p = b.recv().await.expect("delivered");
+            let p = b.recv().await;
             got2.set(Some((p.payload, h.now())));
         });
         let stats = sim.run();
@@ -908,7 +949,8 @@ mod tests {
         let arrivals = Rc::new(RefCell::new(vec![0u32; N as usize]));
         let arr = arrivals.clone();
         sim.spawn(async move {
-            while let Some(p) = b.recv().await {
+            loop {
+                let p = b.recv().await;
                 arr.borrow_mut()[p.payload as usize] += 1;
             }
         });

@@ -7,13 +7,11 @@
 //! paper assumes for locks and CPU run queues.
 
 pub mod classlock;
-pub mod mpsc;
 pub mod notify;
 pub mod oneshot;
 pub mod semaphore;
 
 pub use classlock::{Access, ClassGuard, SimClassLock};
-pub use mpsc::{channel, Receiver, Sender};
 pub use notify::Notify;
 pub use semaphore::{Semaphore, SemaphorePermit};
 

@@ -1114,7 +1114,7 @@ fn retransmission_after_torn_crash_still_gets_the_original_result() {
                 ),
             );
             loop {
-                let pkt = endpoint.recv().await.expect("network alive");
+                let pkt = endpoint.recv().await;
                 match pkt.payload.body {
                     Body::Response(r) => return r,
                     Body::Server(ServerMsg::AsyncCommit { response, .. }) => return response,
@@ -1588,7 +1588,7 @@ fn retransmission_after_crash_gets_the_original_result() {
                 ),
             );
             loop {
-                let pkt = endpoint.recv().await.expect("network alive");
+                let pkt = endpoint.recv().await;
                 match pkt.payload.body {
                     Body::Response(r) => return r,
                     // Double-inode responses arrive through the switch's
