@@ -15,9 +15,7 @@ use switchfs_proto::FsError;
 use switchfs_simnet::{SimDuration, SimHandle};
 use switchfs_workloads::{OpKind, WorkItem};
 
-use crate::history::{
-    check_client, FinalState, History, HistoryEvent, ModelState, SequentialModel,
-};
+use crate::history::{check, FinalState, History, HistoryEvent, Listing};
 use crate::nemesis::{run_nemesis, NemesisLog};
 use crate::plan::{FaultPlan, PlanKind};
 
@@ -280,23 +278,23 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
     // change-log and for the prepared-transaction sweep (threshold 256 ×
     // request timeout) to resolve anything the faults stranded.
     let timeout = cluster.config().cost_model().request_timeout;
-    cluster.settle(timeout * 300 + SimDuration::millis(5));
-    let mut stranded_prepared: usize = cluster
-        .servers()
-        .iter()
-        .map(|s| s.prepared_txn_count())
-        .sum();
-    if stranded_prepared > 0 {
-        // One more sweep window: a resolution may itself have been unlucky.
-        cluster.settle(timeout * 300);
-        stranded_prepared = cluster
+    let prepared = |cluster: &Cluster| -> usize {
+        cluster
             .servers()
             .iter()
             .map(|s| s.prepared_txn_count())
-            .sum();
+            .sum()
+    };
+    cluster.settle(timeout * 300 + SimDuration::millis(5));
+    let mut stranded_prepared = prepared(&cluster);
+    if stranded_prepared > 0 {
+        // One more sweep window: a resolution may itself have been unlucky.
+        cluster.settle(timeout * 300);
+        stranded_prepared = prepared(&cluster);
     }
 
-    // Phase 3: probe the final state of every path the history touched.
+    // Phase 3: observe the settled namespace — the final state of every path
+    // the history touched, then each client directory's listing.
     let mut paths: BTreeSet<String> = BTreeSet::new();
     for ev in &history.borrow().events {
         paths.insert(ev.item.path.clone());
@@ -317,32 +315,32 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         })
     };
 
-    // Phase 4: consistency checking — per-client sequential models plus the
-    // cross-replica structural walk of each client directory.
-    let history_ref = history.borrow();
-    let mut violations = Vec::new();
+    let listings: Vec<(String, Listing)> = (0..cfg.clients)
+        .map(|c| {
+            let dir = client_dir(c);
+            let prober = cluster.client(0);
+            let path = dir.clone();
+            let listing = cluster.block_on(async move {
+                let (attrs, entries) = prober.readdir(&path).await?;
+                let mut names: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
+                names.sort();
+                Ok((attrs.size, names))
+            });
+            (dir, listing)
+        })
+        .collect();
+
+    // Phase 4: the verdict over what the run observed.
+    let history = history.take();
     let preloaded: Vec<String> = std::iter::once("/chaos".to_string())
         .chain((0..cfg.clients).map(client_dir))
         .collect();
-    for c in 0..cfg.clients {
-        violations.extend(check_client(&history_ref, c, &finals, &preloaded));
-    }
-    violations.extend(structural_check(
-        &cluster,
-        &history_ref,
-        cfg.clients,
-        &finals,
-    ));
-    if stranded_prepared > 0 {
-        violations.push(format!(
-            "{stranded_prepared} prepared transaction(s) still unresolved after the final settle"
-        ));
-    }
+    let violations = check(&history, &preloaded, &finals, &listings, stranded_prepared);
 
     // Digest for bit-identical replay verification.
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     fnv1a(&mut digest, plan.to_json().as_bytes());
-    for ev in &history_ref.events {
+    for ev in &history.events {
         fnv1a(&mut digest, format!("{ev:?}").as_bytes());
     }
     for (p, st) in &finals {
@@ -357,7 +355,7 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
 
     ChaosReport {
         plan,
-        history: history_ref.clone(),
+        history,
         violations,
         nemesis: nemesis_log.take(),
         stranded_prepared,
@@ -366,89 +364,6 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         final_now_ns,
         digest,
     }
-}
-
-/// Cross-replica structural invariants of the final namespace: every client
-/// directory's listing (served by the directory's content owner) must agree
-/// with the per-path inode probes (served by each inode's owner), and the
-/// directory's entry count must equal its listing length.
-fn structural_check(
-    cluster: &Cluster,
-    history: &History,
-    clients: usize,
-    finals: &BTreeMap<String, FinalState>,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    // Rebuild each client's final model to know which paths are pinned.
-    let mut pinned: BTreeMap<String, ModelState> = BTreeMap::new();
-    for c in 0..clients {
-        let mut model = SequentialModel::default();
-        for ev in history.of_client(c) {
-            model.apply(ev);
-        }
-        pinned.extend(model.paths);
-    }
-    for c in 0..clients {
-        let dir = client_dir(c);
-        let prober = cluster.client(0);
-        let dir2 = dir.clone();
-        let listing: Result<(u64, Vec<String>), FsError> = cluster.block_on(async move {
-            let (attrs, entries) = prober.readdir(&dir2).await?;
-            let mut names: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
-            names.sort();
-            Ok((attrs.size, names))
-        });
-        let (size, names) = match listing {
-            Ok(v) => v,
-            Err(e) => {
-                violations.push(format!("cannot list {dir}: {e}"));
-                continue;
-            }
-        };
-        if size != names.len() as u64 {
-            violations.push(format!(
-                "{dir}: statdir size {size} != {} listed entries",
-                names.len()
-            ));
-        }
-        let listed: BTreeSet<&String> = names.iter().collect();
-        for (path, st) in pinned.range(format!("{dir}/")..format!("{dir}0")) {
-            let Some(name) = path.strip_prefix(&format!("{dir}/")) else {
-                continue;
-            };
-            if name.contains('/') {
-                continue;
-            }
-            let name = name.to_string();
-            match st {
-                ModelState::Present(_) => {
-                    if !listed.contains(&name) {
-                        violations.push(format!(
-                            "{path} is present (model + probe) but missing from {dir}'s listing"
-                        ));
-                    }
-                }
-                ModelState::Absent => {
-                    if listed.contains(&name) {
-                        violations.push(format!(
-                            "{path} is absent (model) but still listed in {dir}"
-                        ));
-                    }
-                }
-                ModelState::Unknown => {}
-            }
-        }
-        // Every listed entry must be probeable as the type it claims.
-        for name in &names {
-            let path = format!("{dir}/{name}");
-            if finals.get(&path) == Some(&FinalState::Missing) {
-                violations.push(format!(
-                    "{path} is listed in {dir} but both inode probes miss it"
-                ));
-            }
-        }
-    }
-    violations
 }
 
 /// Runs the same configuration twice and verifies the digests match

@@ -1,4 +1,4 @@
-//! History recording and the sequential-model consistency checker.
+//! History recording and the chaos verdict.
 //!
 //! Every client operation the chaos harness issues is recorded as an
 //! invocation/response pair ([`HistoryEvent`]). Clients operate on disjoint,
@@ -9,19 +9,19 @@
 //!
 //! * `Present(kind)` — the path definitely holds a file/directory;
 //! * `Absent` — the path definitely holds nothing;
-//! * `Unknown` — an *ambiguous* operation (a timeout: the request may or may
-//!   not have executed before the fault ate the response) touched the path;
-//!   any state is admissible until a later definite read or mutation
-//!   re-pins it.
+//! * `Unknown` — an [ambiguous](HistoryEvent::is_ambiguous) operation (the
+//!   request may or may not have executed before the fault ate the
+//!   response) touched the path; any state is admissible until a later
+//!   definite read or mutation re-pins it.
 //!
-//! Definite outcomes must agree with the model as the history is replayed
-//! (e.g. `create → Ok` while the model says `Present` is a lost-update
-//! violation), and the final namespace — harvested after every fault has
-//! healed and the cluster has settled — must agree with each path's final
-//! model state. Renames additionally get an atomicity check: whatever a
-//! rename's outcome, the cluster must never end up with *both* ends present
-//! or both ends absent when the model pins them — exactly the namespace
-//! divergence a volatile 2PC prepare used to produce.
+//! The verdict, [`check`], is a pure function of what the settled run
+//! observed. It replays each client's history once, and the one model it
+//! builds judges everything: definite outcomes as they are replayed (e.g.
+//! `create → Ok` while the model says `Present` is a lost update), the final
+//! probed namespace, rename atomicity — a rename must never leave *both* ends
+//! present or both absent where the model pins them, the divergence a
+//! volatile 2PC prepare used to produce — and each client directory's
+//! listing.
 
 use std::collections::BTreeMap;
 
@@ -57,6 +57,14 @@ pub struct HistoryEvent {
     pub outcome: Result<(), FsError>,
 }
 
+impl HistoryEvent {
+    /// Whether the outcome is ambiguous: a timeout or `Unavailable` may hide
+    /// a mutation that executed and lost its response.
+    pub fn is_ambiguous(&self) -> bool {
+        matches!(self.outcome, Err(FsError::TimedOut | FsError::Unavailable))
+    }
+}
+
 /// The recorded history of one chaos run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct History {
@@ -78,18 +86,9 @@ impl History {
         evs
     }
 
-    /// Number of ambiguous operations (timed out or surfaced `Unavailable`
-    /// — either may hide an executed-but-response-lost mutation).
+    /// Number of ambiguous operations ([`HistoryEvent::is_ambiguous`]).
     pub fn ambiguous(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.outcome,
-                    Err(FsError::TimedOut) | Err(FsError::Unavailable)
-                )
-            })
-            .count()
+        self.events.iter().filter(|e| e.is_ambiguous()).count()
     }
 
     /// Number of definite successes.
@@ -167,10 +166,7 @@ impl SequentialModel {
     /// `AlreadyExists` (and a retried delete as `NotFound`), so those
     /// outcomes describe the namespace rather than contradict it.
     pub fn apply(&mut self, ev: &HistoryEvent) {
-        let ambiguous = matches!(
-            ev.outcome,
-            Err(FsError::TimedOut) | Err(FsError::Unavailable)
-        );
+        let ambiguous = ev.is_ambiguous();
         let path = ev.item.path.clone();
         let st = self.state(&path);
         let name = ev.item.kind.name();
@@ -316,25 +312,73 @@ impl SequentialModel {
     }
 }
 
-/// Checks one client's history against the sequential model and the final
-/// probed namespace. `preloaded` names directories installed before the run
-/// (they start `Present(Dir)` instead of `Absent`). Returns human-readable
-/// violations (empty = consistent).
-pub fn check_client(
+/// A client directory's final `readdir`: its `statdir` size and its entry
+/// names, sorted — or the error the read returned.
+pub type Listing = Result<(u64, Vec<String>), FsError>;
+
+/// The chaos verdict over what a settled run observed: the history, the
+/// final probe of every path it touched, one [`Listing`] per client (client
+/// `c`'s directory at `listings[c]`) and the prepared transactions left
+/// unresolved. `preloaded` directories start `Present(Dir)`. Returns the
+/// violations (empty = consistent): each client's history, final states and
+/// renames, then the listings, then the stranded transactions.
+pub fn check(
+    history: &History,
+    preloaded: &[String],
+    finals: &BTreeMap<String, FinalState>,
+    listings: &[(String, Listing)],
+    stranded_prepared: usize,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    let models: Vec<SequentialModel> = (0..listings.len())
+        .map(|c| check_client(history, c, preloaded, finals, &mut violations))
+        .collect();
+    for ((dir, listing), model) in listings.iter().zip(&models) {
+        check_listing(dir, listing, model, finals, &mut violations);
+    }
+    if stranded_prepared > 0 {
+        violations.push(format!(
+            "{stranded_prepared} prepared transaction(s) still unresolved after the final settle"
+        ));
+    }
+    violations
+}
+
+/// Replays one client's history, checks it and the final states against the
+/// model, and returns the model for the listing check.
+fn check_client(
     history: &History,
     client: usize,
-    finals: &BTreeMap<String, FinalState>,
     preloaded: &[String],
-) -> Vec<String> {
+    finals: &BTreeMap<String, FinalState>,
+    violations: &mut Vec<String>,
+) -> SequentialModel {
+    let events = history.of_client(client);
+    // Only a rename that is the last touch (as source or destination) of
+    // both its ends gets the atomicity check: a later op may move either.
+    let mut last_touch: BTreeMap<&str, usize> = BTreeMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        last_touch.insert(&ev.item.path, i);
+        if let Some(dst) = &ev.item.dst {
+            last_touch.insert(dst, i);
+        }
+    }
     let mut model = SequentialModel::default();
     for p in preloaded {
         model.set(p, ModelState::Present(NodeKind::Dir));
     }
-    let events = history.of_client(client);
-    for ev in &events {
+    // Each checked rename with the model states of its ends before it ran.
+    let mut renames: Vec<(&HistoryEvent, ModelState, ModelState)> = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
+        if let (OpKind::Rename, Some(dst)) = (ev.item.kind, &ev.item.dst) {
+            let src = ev.item.path.as_str();
+            if last_touch[src] == i && last_touch[dst.as_str()] == i {
+                renames.push((ev, model.state(src), model.state(dst)));
+            }
+        }
         model.apply(ev);
     }
-    let mut violations = std::mem::take(&mut model.violations);
+    violations.append(&mut model.violations);
 
     // Final-state agreement: every definitely-pinned path must match the
     // probed namespace.
@@ -359,38 +403,14 @@ pub fn check_client(
         }
     }
 
-    // Rename atomicity: for every rename that is the *last* event touching
-    // both of its ends, the final namespace must hold exactly one end — both
+    // Rename atomicity: the final namespace must hold exactly one end — both
     // present or both absent is the 2PC divergence the checker exists to
     // catch. Ambiguous renames admit either pre- or post-state, but never a
     // mixed one.
-    let mut rename_checks: Vec<(&HistoryEvent, ModelState, ModelState)> = Vec::new();
-    {
-        let mut model = SequentialModel::default();
-        for p in preloaded {
-            model.set(p, ModelState::Present(NodeKind::Dir));
-        }
-        for (i, ev) in events.iter().enumerate() {
-            if ev.item.kind == OpKind::Rename {
-                let src = &ev.item.path;
-                let dst = ev.item.dst.clone().unwrap_or_default();
-                let later_touch = events[i + 1..].iter().any(|e| {
-                    e.item.path == *src
-                        || e.item.path == dst
-                        || e.item.dst.as_deref() == Some(src)
-                        || e.item.dst.as_deref() == Some(dst.as_str())
-                });
-                if !later_touch {
-                    rename_checks.push((ev, model.state(src), model.state(&dst)));
-                }
-            }
-            model.apply(ev);
-        }
-    }
-    for (ev, src_before, dst_before) in rename_checks {
+    for (ev, src_before, dst_before) in renames {
         let src = &ev.item.path;
-        let dst = ev.item.dst.clone().unwrap_or_default();
-        let (Some(fa), Some(fb)) = (finals.get(src), finals.get(&dst)) else {
+        let dst = ev.item.dst.as_deref().unwrap_or_default();
+        let (Some(fa), Some(fb)) = (finals.get(src), finals.get(dst)) else {
             continue;
         };
         if matches!(fa, FinalState::Unprobed) || matches!(fb, FinalState::Unprobed) {
@@ -412,8 +432,9 @@ pub fn check_client(
             // (absent, present) — both-absent and both-present are the 2PC
             // divergence. An already-absent source legitimately yields a
             // both-absent no-op, so it is excluded.
-            Err(FsError::TimedOut | FsError::Unavailable)
-                if matches!(src_before, ModelState::Present(_))
+            Err(_)
+                if ev.is_ambiguous()
+                    && matches!(src_before, ModelState::Present(_))
                     && dst_before == ModelState::Absent
                     && a_present == b_present =>
             {
@@ -426,7 +447,61 @@ pub fn check_client(
             _ => {}
         }
     }
-    violations
+    model
+}
+
+/// Checks one client directory's listing against the client's model (for
+/// the pinned entries directly under `dir`) and against the final probes.
+fn check_listing(
+    dir: &str,
+    listing: &Listing,
+    model: &SequentialModel,
+    finals: &BTreeMap<String, FinalState>,
+    violations: &mut Vec<String>,
+) {
+    let (size, names) = match listing {
+        Ok((size, names)) => (*size, names),
+        Err(e) => {
+            violations.push(format!("cannot list {dir}: {e}"));
+            return;
+        }
+    };
+    if size != names.len() as u64 {
+        violations.push(format!(
+            "{dir}: statdir size {size} != {} listed entries",
+            names.len()
+        ));
+    }
+    let listed = |name: &str| names.iter().any(|n| n == name);
+    let prefix = format!("{dir}/");
+    for (path, st) in model.paths.range(prefix.clone()..format!("{dir}0")) {
+        let name = &path[prefix.len()..];
+        if name.contains('/') {
+            continue;
+        }
+        match st {
+            ModelState::Present(_) if !listed(name) => {
+                violations.push(format!(
+                    "{path} is present (model + probe) but missing from {dir}'s listing"
+                ));
+            }
+            ModelState::Absent if listed(name) => {
+                violations.push(format!(
+                    "{path} is absent (model) but still listed in {dir}"
+                ));
+            }
+            _ => {}
+        }
+    }
+    // Every listed entry must be probeable as the type it claims.
+    for name in names {
+        let path = format!("{dir}/{name}");
+        if finals.get(&path) == Some(&FinalState::Missing) {
+            violations.push(format!(
+                "{path} is listed in {dir} but both inode probes miss it"
+            ));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -452,6 +527,39 @@ mod tests {
         event(idx, WorkItem::rename(src, dst), outcome)
     }
 
+    fn history(events: impl IntoIterator<Item = HistoryEvent>) -> History {
+        History {
+            events: events.into_iter().collect(),
+        }
+    }
+
+    fn finals<const N: usize>(states: [(&str, FinalState); N]) -> BTreeMap<String, FinalState> {
+        states
+            .into_iter()
+            .map(|(p, f)| (p.to_string(), f))
+            .collect()
+    }
+
+    /// Client 0's history and final-state violations, nothing preloaded.
+    fn client_violations(h: &History, finals: &BTreeMap<String, FinalState>) -> Vec<String> {
+        let mut violations = Vec::new();
+        check_client(h, 0, &[], finals, &mut violations);
+        violations
+    }
+
+    /// The verdict for client 0 alone, whose directory `/c0` lists `listing`.
+    fn verdict(
+        h: &History,
+        finals: &BTreeMap<String, FinalState>,
+        listing: Listing,
+    ) -> Vec<String> {
+        check(h, &[], finals, &[("/c0".to_string(), listing)], 0)
+    }
+
+    fn listed(size: u64, names: &[&str]) -> Listing {
+        Ok((size, names.iter().map(|n| n.to_string()).collect()))
+    }
+
     #[test]
     fn clean_lifecycle_has_no_violations() {
         let mut h = History::default();
@@ -461,7 +569,7 @@ mod tests {
         h.record(ev(3, OpKind::Stat, "/c0/f0", Err(FsError::NotFound)));
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::Missing);
-        assert!(check_client(&h, 0, &finals, &[]).is_empty());
+        assert!(client_violations(&h, &finals).is_empty());
     }
 
     #[test]
@@ -470,7 +578,7 @@ mod tests {
         h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
         h.record(ev(1, OpKind::Stat, "/c0/f0", Err(FsError::NotFound)));
         let finals = BTreeMap::new();
-        let v = check_client(&h, 0, &finals, &[]);
+        let v = client_violations(&h, &finals);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("lost a present file"));
     }
@@ -482,7 +590,7 @@ mod tests {
         for fin in [FinalState::File, FinalState::Missing] {
             let mut finals = BTreeMap::new();
             finals.insert("/c0/f0".to_string(), fin);
-            assert!(check_client(&h, 0, &finals, &[]).is_empty(), "{fin:?}");
+            assert!(client_violations(&h, &finals).is_empty(), "{fin:?}");
         }
     }
 
@@ -492,7 +600,7 @@ mod tests {
         h.record(ev(0, OpKind::Create, "/c0/f0", Ok(())));
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::Missing);
-        let v = check_client(&h, 0, &finals, &[]);
+        let v = client_violations(&h, &finals);
         assert!(!v.is_empty());
     }
 
@@ -505,13 +613,13 @@ mod tests {
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::File);
         finals.insert("/c0/r0".to_string(), FinalState::File);
-        let v = check_client(&h, 0, &finals, &[]);
+        let v = client_violations(&h, &finals);
         assert!(v.iter().any(|s| s.contains("not atomic")), "{v:?}");
         // Clean: moved.
         let mut finals = BTreeMap::new();
         finals.insert("/c0/f0".to_string(), FinalState::Missing);
         finals.insert("/c0/r0".to_string(), FinalState::File);
-        assert!(check_client(&h, 0, &finals, &[]).is_empty());
+        assert!(client_violations(&h, &finals).is_empty());
     }
 
     #[test]
@@ -527,10 +635,7 @@ mod tests {
             let mut finals = BTreeMap::new();
             finals.insert("/c0/f0".to_string(), fa);
             finals.insert("/c0/r0".to_string(), fb);
-            assert!(
-                check_client(&h, 0, &finals, &[]).is_empty(),
-                "{fa:?}/{fb:?}"
-            );
+            assert!(client_violations(&h, &finals).is_empty(), "{fa:?}/{fb:?}");
         }
         // Both absent (the volatile-prepare hole) and both present diverge.
         for (fa, fb) in [
@@ -540,7 +645,7 @@ mod tests {
             let mut finals = BTreeMap::new();
             finals.insert("/c0/f0".to_string(), fa);
             finals.insert("/c0/r0".to_string(), fb);
-            let v = check_client(&h, 0, &finals, &[]);
+            let v = client_violations(&h, &finals);
             assert!(v.iter().any(|s| s.contains("diverged")), "{fa:?}/{fb:?}");
         }
     }
@@ -551,7 +656,7 @@ mod tests {
         h.record(ev(0, OpKind::Mkdir, "/c0/d0", Ok(())));
         h.record(ev(1, OpKind::Mkdir, "/c0/d0", Ok(())));
         assert_eq!(
-            check_client(&h, 0, &BTreeMap::new(), &[]),
+            client_violations(&h, &BTreeMap::new()),
             ["client 0 op 1 (mkdir /c0/d0): mkdir succeeded over a present path"]
         );
     }
@@ -561,7 +666,7 @@ mod tests {
         let mut h = History::default();
         h.record(ev(0, OpKind::Rmdir, "/c0/d0", Ok(())));
         assert_eq!(
-            check_client(&h, 0, &BTreeMap::new(), &[]),
+            client_violations(&h, &BTreeMap::new()),
             ["client 0 op 0 (rmdir /c0/d0): rmdir succeeded on an absent path"]
         );
     }
@@ -572,11 +677,144 @@ mod tests {
         h.record(ev(0, OpKind::Mkdir, "/c0/d0", Ok(())));
         let mut finals = BTreeMap::new();
         finals.insert("/c0/d0".to_string(), FinalState::Dir);
-        assert!(check_client(&h, 0, &finals, &[]).is_empty());
+        assert!(client_violations(&h, &finals).is_empty());
         finals.insert("/c0/d0".to_string(), FinalState::File);
         assert_eq!(
-            check_client(&h, 0, &finals, &[]),
+            client_violations(&h, &finals),
             ["client 0: final state of /c0/d0 is File but the model says Present(Dir)"]
+        );
+    }
+
+    #[test]
+    fn a_listing_that_agrees_with_model_and_probes_passes() {
+        let h = history([
+            ev(0, OpKind::Create, "/c0/f0", Ok(())),
+            ev(1, OpKind::Mkdir, "/c0/d0", Ok(())),
+            ev(2, OpKind::Create, "/c0/d0/x", Ok(())),
+        ]);
+        let finals = finals([
+            ("/c0/f0", FinalState::File),
+            ("/c0/d0", FinalState::Dir),
+            ("/c0/d0/x", FinalState::File),
+        ]);
+        // `/c0/d0/x` is not a direct entry of `/c0`, so it is not expected
+        // in its listing.
+        assert!(verdict(&h, &finals, listed(2, &["d0", "f0"])).is_empty());
+    }
+
+    #[test]
+    fn a_present_entry_missing_from_the_listing_is_flagged() {
+        let h = history([ev(0, OpKind::Create, "/c0/f0", Ok(()))]);
+        let finals = finals([("/c0/f0", FinalState::File)]);
+        assert_eq!(
+            verdict(&h, &finals, listed(0, &[])),
+            ["/c0/f0 is present (model + probe) but missing from /c0's listing"]
+        );
+    }
+
+    #[test]
+    fn an_absent_entry_still_listed_is_flagged() {
+        let h = history([
+            ev(0, OpKind::Create, "/c0/f0", Ok(())),
+            ev(1, OpKind::Delete, "/c0/f0", Ok(())),
+        ]);
+        // Unprobed: only the model speaks about `/c0/f0`.
+        let finals = finals([("/c0/f0", FinalState::Unprobed)]);
+        assert_eq!(
+            verdict(&h, &finals, listed(1, &["f0"])),
+            ["/c0/f0 is absent (model) but still listed in /c0"]
+        );
+    }
+
+    #[test]
+    fn a_statdir_size_that_differs_from_the_listing_is_flagged() {
+        let h = History::default();
+        assert_eq!(
+            verdict(&h, &BTreeMap::new(), listed(2, &["f0"])),
+            ["/c0: statdir size 2 != 1 listed entries"]
+        );
+    }
+
+    #[test]
+    fn a_listed_entry_both_probes_miss_is_flagged() {
+        // The timed-out create leaves the model `Unknown`: only the probes
+        // speak about `/c0/f0`.
+        let h = history([ev(0, OpKind::Create, "/c0/f0", Err(FsError::TimedOut))]);
+        let finals = finals([("/c0/f0", FinalState::Missing)]);
+        assert_eq!(
+            verdict(&h, &finals, listed(1, &["f0"])),
+            ["/c0/f0 is listed in /c0 but both inode probes miss it"]
+        );
+    }
+
+    #[test]
+    fn an_unreadable_directory_is_flagged() {
+        let e = FsError::Unavailable;
+        assert_eq!(
+            verdict(&History::default(), &BTreeMap::new(), Err(e)),
+            [format!("cannot list /c0: {e}")]
+        );
+    }
+
+    #[test]
+    fn only_the_last_rename_on_both_ends_gets_the_atomicity_check() {
+        // Op 1's source is touched later as op 3's destination: op 1 is not
+        // checked, although its final (both ends present) would fail it.
+        let mut h = history([
+            ev(0, OpKind::Create, "/c0/a", Ok(())),
+            rename(1, "/c0/a", "/c0/b", Ok(())),
+            ev(2, OpKind::Create, "/c0/x", Ok(())),
+            rename(3, "/c0/x", "/c0/a", Ok(())),
+        ]);
+        let moved = finals([
+            ("/c0/a", FinalState::File),
+            ("/c0/b", FinalState::File),
+            ("/c0/x", FinalState::Missing),
+        ]);
+        assert!(client_violations(&h, &moved).is_empty());
+        // Op 3 is the last touch of both its ends, so it is checked.
+        let both = finals([
+            ("/c0/a", FinalState::File),
+            ("/c0/b", FinalState::File),
+            ("/c0/x", FinalState::File),
+        ]);
+        assert_eq!(
+            client_violations(&h, &both),
+            [
+                "client 0: final state of /c0/x is File but the model says Absent",
+                "client 0 op 3: committed rename /c0/x -> /c0/a not atomic in the final \
+                 namespace (src File, dst File)",
+            ]
+        );
+        // A later stat of op 3's destination takes the check away too.
+        h.record(ev(4, OpKind::Stat, "/c0/a", Ok(())));
+        assert_eq!(
+            client_violations(&h, &both),
+            ["client 0: final state of /c0/x is File but the model says Absent"]
+        );
+    }
+
+    #[test]
+    fn the_verdict_lists_histories_then_listings_then_stranded_transactions() {
+        let h = history([
+            ev(0, OpKind::Create, "/c0/f0", Ok(())),
+            HistoryEvent {
+                client: 1,
+                ..ev(0, OpKind::Rmdir, "/c1/d0", Ok(()))
+            },
+        ]);
+        let finals = finals([("/c0/f0", FinalState::File)]);
+        let listings = [
+            ("/c0".to_string(), listed(0, &[])),
+            ("/c1".to_string(), listed(0, &[])),
+        ];
+        assert_eq!(
+            check(&h, &[], &finals, &listings, 2),
+            [
+                "client 1 op 0 (rmdir /c1/d0): rmdir succeeded on an absent path",
+                "/c0/f0 is present (model + probe) but missing from /c0's listing",
+                "2 prepared transaction(s) still unresolved after the final settle",
+            ]
         );
     }
 }

@@ -13,11 +13,11 @@
 //! * [`nemesis`] — applies a plan from inside the simulation through the
 //!   deployment's [`switchfs_core::Control`] handle, collecting every
 //!   `RecoveryReport`;
-//! * [`history`] — records each client operation's invocation/response and
-//!   checks the run against a per-path sequential model (timeouts are
-//!   ambiguous and admit either outcome; everything definite must agree),
-//!   including a rename-atomicity check that catches exactly the namespace
-//!   divergence a volatile 2PC prepare produces;
+//! * [`history`] — records each client operation's invocation/response;
+//!   [`history::check`] replays each client's history once through a
+//!   per-path sequential model and judges outcomes (an ambiguous one admits
+//!   either state), final states, rename atomicity and the client
+//!   directories' listings against that one model;
 //! * [`harness`] — ties it together: [`run_chaos`] executes one scenario end
 //!   to end and [`verify_replay`] asserts same-seed runs are bit-identical.
 //!

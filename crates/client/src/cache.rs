@@ -1,8 +1,9 @@
 //! The client-side metadata cache.
 //!
 //! LibFS caches **only directory metadata** (§4.2): for every resolved
-//! directory path it remembers the directory's key, fingerprint and
-//! attributes (its id among them), which is what path resolution needs.
+//! directory path it remembers the directory's key and attributes (its id
+//! among them), which is what path resolution needs; the fingerprint derives
+//! from the key.
 //! Entries are invalidated lazily: when a server answers `ESTALE` (because
 //! an ancestor appears in its invalidation list), the client drops every
 //! cached entry along that path and retries the operation from scratch
@@ -11,7 +12,7 @@
 use std::borrow::Cow;
 use std::rc::Rc;
 
-use switchfs_proto::{Fingerprint, FsError, FsResult, InodeAttrs, MetaKey};
+use switchfs_proto::{FsError, FsResult, InodeAttrs, MetaKey};
 use switchfs_simnet::FxHashMap;
 
 /// One cached directory.
@@ -19,8 +20,6 @@ use switchfs_simnet::FxHashMap;
 pub struct CachedDir {
     /// The directory's `(pid, name)` key.
     pub key: MetaKey,
-    /// The directory's fingerprint.
-    pub fp: Fingerprint,
     /// The directory's attributes (its id among them) as of the last lookup.
     pub attrs: InodeAttrs,
 }
@@ -164,7 +163,6 @@ mod tests {
     fn dir(name: &str) -> CachedDir {
         CachedDir {
             key: MetaKey::new(DirId::ROOT, name),
-            fp: Fingerprint::of_dir(&DirId::ROOT, name),
             attrs: InodeAttrs::new_dir(DirId::ROOT, 0, Permissions::default()),
         }
     }

@@ -475,11 +475,7 @@ impl LibFs {
                         OpResult::Err(e) => return Err(e),
                         _ => return Err(FsError::NotFound),
                     };
-                    let dir = Rc::new(CachedDir {
-                        fp: Fingerprint::of_dir(&key.pid, &key.name),
-                        key,
-                        attrs,
-                    });
+                    let dir = Rc::new(CachedDir { key, attrs });
                     self.cache.borrow_mut().insert(prefix, Rc::clone(&dir));
                     dir
                 }
@@ -491,7 +487,7 @@ impl LibFs {
                 parent = ParentRef {
                     key: dir.key.clone(),
                     id: dir.attrs.id,
-                    fp: dir.fp,
+                    fp: Fingerprint::of_dir(&dir.key.pid, &dir.key.name),
                 };
             }
         }

@@ -14,7 +14,7 @@ use switchfs_proto::{
 use switchfs_server::server::recovery::RecoveryReport;
 use switchfs_server::{Server, ServerConfig, TornTail, TrackingMode, COORDINATOR_NODE};
 use switchfs_simnet::net::LinkParams;
-use switchfs_simnet::{Network, NodeId, Sim, SimDuration, SimTime};
+use switchfs_simnet::{NetFaults, Network, NodeId, Sim, SimDuration, SimTime};
 use switchfs_switch::{DirtySetConfig, SwitchConfig, SwitchFsProgram, SwitchStats};
 
 use crate::config::ClusterConfig;
@@ -54,7 +54,7 @@ impl Cluster {
         let network: Network<NetMsg> = Network::new(
             handle.clone(),
             LinkParams::default(),
-            cfg.net_faults,
+            NetFaults::reliable(),
             cfg.seed ^ 0xbeef,
         );
 

@@ -2,7 +2,7 @@
 
 use crate::systems::SystemKind;
 use switchfs_server::{CostModel, TrackingMode, UpdateMode};
-use switchfs_simnet::{NetFaults, SimDuration};
+use switchfs_simnet::SimDuration;
 
 /// Configuration of one simulated deployment.
 #[derive(Debug, Clone)]
@@ -26,8 +26,6 @@ pub struct ClusterConfig {
     /// Force every dirty-set insert to overflow (§7.3.2): the switch gets a
     /// dirty set with zero stages.
     pub force_dirty_overflow: bool,
-    /// Network fault injection.
-    pub net_faults: NetFaults,
     /// Enable causal op tracing into the shared flight recorder with this
     /// many events of per-node ring capacity. `None` (the default) deploys a
     /// disabled recorder: every instrumentation site is a single branch and
@@ -48,7 +46,6 @@ impl ClusterConfig {
             tracking: TrackingMode::InNetwork,
             update_mode_override: None,
             force_dirty_overflow: false,
-            net_faults: NetFaults::reliable(),
             trace_capacity: None,
         }
     }

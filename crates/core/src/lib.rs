@@ -7,7 +7,8 @@
 //!   and the emulated baselines, each a partitioning policy, update mode and
 //!   cost model over the same server runtime;
 //! * [`config::ClusterConfig`] — how many servers/cores/clients, which
-//!   system, which dirty-state tracking mode, fault injection;
+//!   system, which dirty-state tracking mode, tracing (network faults are
+//!   set on the deployment's [`Network`](switchfs_simnet::Network));
 //! * [`coordinator`] — the dedicated dirty-set coordinator server used by the
 //!   §7.3.3 comparison: a `switchfs_server::ServerDirtySet` on 12 cores,
 //!   answering the same `Request::DirtySet` request a directory's owner

@@ -1489,8 +1489,10 @@ fn every_tracker_answers_statdir_with_every_acked_create_and_no_wait_left() {
             cfg.clients = 1;
             cfg.seed = seed;
             cfg.tracking = tracking;
-            cfg.net_faults = NetFaults::lossy(0.05, 0.02, SimDuration::micros(2));
             let cluster = Cluster::new(cfg);
+            cluster
+                .network()
+                .set_faults(NetFaults::lossy(0.05, 0.02, SimDuration::micros(2)));
             let client = cluster.client(0);
             let stale = cluster.block_on(async move {
                 client.mkdir("/d").await.unwrap();

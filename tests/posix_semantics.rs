@@ -289,8 +289,10 @@ fn lossy_network_still_completes_operations() {
     cfg.servers = 4;
     cfg.clients = 1;
     // 2% loss, 2% duplication, light reordering jitter (§5.4.1).
-    cfg.net_faults = NetFaults::lossy(0.02, 0.02, SimDuration::micros(2));
     let cluster = Cluster::new(cfg);
+    cluster
+        .network()
+        .set_faults(NetFaults::lossy(0.02, 0.02, SimDuration::micros(2)));
     let client = cluster.client(0);
     cluster.block_on(async move {
         client.mkdir("/lossy").await.unwrap();
