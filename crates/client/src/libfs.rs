@@ -1,6 +1,7 @@
 //! The LibFS client: path resolution, request execution, retries.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use switchfs_obs::{EventKind, ObsHandle, TraceEvent};
@@ -11,8 +12,8 @@ use switchfs_proto::{
     ClientId, DirEntry, DirId, DirtySetHeader, Fingerprint, FsError, FsResult, InodeAttrs, MetaKey,
     OpId, OpResult, Permissions, Placement, Retry, ServerId, ShardMap, TraceId,
 };
-use switchfs_simnet::sync::oneshot;
-use switchfs_simnet::{timeout, Endpoint, FxHashMap, NodeId, SimDuration, SimHandle};
+use switchfs_simnet::sync::{Replies, Wait};
+use switchfs_simnet::{timeout, Endpoint, NodeId, SimDuration, SimHandle};
 
 use crate::cache::{canonical_path, depth, path_components, CachedDir, MetaCache};
 
@@ -84,18 +85,21 @@ pub struct LibFs {
     map: RefCell<ShardMap>,
     cfg: LibFsConfig,
     cache: RefCell<MetaCache>,
-    pending: RefCell<FxHashMap<u64, oneshot::Sender<ClientResponse>>>,
+    /// The reply of each transmitted request, awaited by operation sequence:
+    /// the dispatcher in [`LibFs::start`] completes it, the issuing
+    /// operation waits on it for one retransmission timeout per copy.
+    pending: RefCell<Replies<ClientResponse>>,
     next_seq: Cell<u64>,
     /// Packet-sequence counter, distinct from the operation counter: every
     /// transmitted copy (including retransmissions) gets a unique value, so
     /// receivers can tell a *network-duplicated* packet (same sequence)
     /// from a deliberate retransmission (fresh sequence) — §5.4.1.
     next_pkt: Cell<u64>,
-    /// Sequence numbers of operations still inside their retransmission
-    /// loop. Everything below the minimum can never be retransmitted again;
-    /// that bound is piggybacked on each request as the `acked_below`
-    /// watermark so servers can prune their dedup caches.
-    outstanding: RefCell<std::collections::BTreeSet<u64>>,
+    /// The operations still inside their retransmission loop, from the
+    /// oldest on. Everything below the oldest can never be retransmitted
+    /// again; that bound is piggybacked on each request as the
+    /// `acked_below` watermark so servers can prune their dedup caches.
+    outstanding: RefCell<Outstanding>,
     stats: RefCell<ClientStats>,
     /// Shared observability sink; disabled handles make every recording
     /// site a single branch.
@@ -122,7 +126,7 @@ impl LibFs {
             pending: RefCell::default(),
             next_seq: Cell::new(1),
             next_pkt: Cell::new(1),
-            outstanding: RefCell::new(std::collections::BTreeSet::new()),
+            outstanding: RefCell::default(),
             stats: RefCell::new(ClientStats::default()),
             obs,
         })
@@ -158,10 +162,7 @@ impl LibFs {
                     _ => None,
                 };
                 if let Some(r) = response {
-                    let tx = me.pending.borrow_mut().remove(&r.op_id.seq);
-                    if let Some(tx) = tx {
-                        let _ = tx.send(r);
-                    }
+                    me.pending.borrow_mut().complete(r.op_id.seq, r);
                 }
             }
         });
@@ -510,11 +511,11 @@ impl LibFs {
     ) -> FsResult<OpResult> {
         let seq = self.next_seq.get();
         self.next_seq.set(seq + 1);
-        self.outstanding.borrow_mut().insert(seq);
+        self.outstanding.borrow_mut().issue(seq);
         let result = self
             .issue_tracked(seq, op, parent, ancestors, target_attrs)
             .await;
-        self.outstanding.borrow_mut().remove(&seq);
+        self.outstanding.borrow_mut().finish(seq);
         result
     }
 
@@ -540,13 +541,7 @@ impl LibFs {
         // Everything this client issued below its oldest outstanding
         // operation has been answered and abandoned-or-consumed: the server
         // may prune those cached responses.
-        let acked_below = self
-            .outstanding
-            .borrow()
-            .first()
-            .copied()
-            .unwrap_or(seq)
-            .min(seq);
+        let acked_below = self.outstanding.borrow().acked_below(seq);
         // Built once, shared (`Rc`) across retransmission attempts and with
         // every in-flight packet copy. Rebuilt only on a map refresh (the
         // epoch stamp must match the routing).
@@ -570,8 +565,7 @@ impl LibFs {
             if attempt > 0 {
                 self.stats.borrow_mut().retransmissions += 1;
             }
-            let (tx, rx) = oneshot::channel();
-            self.pending.borrow_mut().insert(seq, tx);
+            let reply = Wait::new(|| self.pending.borrow_mut(), seq);
             let pkt = self.next_pkt.get();
             self.next_pkt.set(pkt + 1);
             let pkt_seq = PacketSeq {
@@ -591,8 +585,8 @@ impl LibFs {
             self.trace_event(Some(trace), EventKind::ClientIssue { op: op_id, attempt });
             self.endpoint.send(dst_node, msg);
             let wait = self.cfg.request_timeout * Retry::REQUEST.wait(timeouts);
-            match timeout(&self.handle, wait, rx.recv()).await {
-                Some(Ok(resp)) => match resp.result {
+            match timeout(&self.handle, wait, reply).await {
+                Some(Some(resp)) => match resp.result {
                     OpResult::WrongOwner { map } => {
                         // Refresh-and-retry: install the newer map, restamp
                         // the request's epoch and re-route. No backoff — the
@@ -616,10 +610,8 @@ impl LibFs {
                     }
                     result => return Ok(result),
                 },
-                _ => {
-                    self.pending.borrow_mut().remove(&seq);
-                    timeouts += 1;
-                }
+                // The expired wait left the table when it was dropped.
+                _ => timeouts += 1,
             }
         }
         Err(FsError::TimedOut)
@@ -636,5 +628,64 @@ impl LibFs {
     fn destination(&self, op: &MetaOp, target: Option<&InodeAttrs>) -> NodeId {
         let server: ServerId = self.map.borrow().route(op, target);
         NodeId(server.node())
+    }
+}
+
+/// The operations still inside their retransmission loop, as a ring of done
+/// flags indexed by sequence from the oldest one not yet done. Sequences are
+/// issued in order, so issuing pushes at the back; a finished operation is
+/// marked done, and the done ones at the front leave. The ring keeps its
+/// capacity, so tracking an operation allocates nothing.
+#[derive(Debug, Default)]
+struct Outstanding {
+    /// The sequence of the ring's front.
+    base: u64,
+    done: VecDeque<bool>,
+}
+
+impl Outstanding {
+    /// Tracks `seq`, the next sequence issued.
+    fn issue(&mut self, seq: u64) {
+        if self.done.is_empty() {
+            self.base = seq;
+        }
+        debug_assert_eq!(seq, self.base + self.done.len() as u64);
+        self.done.push_back(false);
+    }
+
+    /// Marks `seq` done and drops the done operations at the front.
+    fn finish(&mut self, seq: u64) {
+        self.done[(seq - self.base) as usize] = true;
+        while self.done.front() == Some(&true) {
+            self.done.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The `acked_below` watermark of a request issued as `seq`: the oldest
+    /// sequence still outstanding, and at most `seq`.
+    fn acked_below(&self, seq: u64) -> u64 {
+        let oldest = if self.done.is_empty() { seq } else { self.base };
+        oldest.min(seq)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Outstanding;
+
+    #[test]
+    fn the_outstanding_ring_starts_at_the_oldest_operation_not_done() {
+        let mut ring = Outstanding::default();
+        for seq in 1..=3 {
+            ring.issue(seq);
+        }
+        ring.finish(2);
+        assert_eq!(ring.acked_below(4), 1);
+        ring.finish(1);
+        assert_eq!(ring.acked_below(4), 3);
+        ring.finish(3);
+        assert!(ring.done.is_empty());
+        assert_eq!(ring.acked_below(4), 4);
     }
 }

@@ -18,10 +18,11 @@ pub mod ops;
 pub mod recovery;
 pub mod rename;
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
+use std::task::Waker;
 use switchfs_simnet::{FxHashMap, FxHashSet};
 
 use switchfs_kvstore::KvStore;
@@ -36,7 +37,7 @@ use switchfs_proto::{
     FileType, Fingerprint, FsError, InodeAttrs, MetaKey, Name, OpId, Placement, Retry, ServerId,
     Timestamps, TraceId,
 };
-use switchfs_simnet::sync::oneshot;
+use switchfs_simnet::sync::{oneshot, Replies, Wait};
 use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime, TaskId};
 
 use crate::changelog::ChangeLogStore;
@@ -207,8 +208,17 @@ pub(crate) struct AggCollector {
     pub fp: Fingerprint,
     pub expected: FxHashSet<ServerId>,
     pub entries: Vec<ChangeLogEntry>,
-    /// Told once every other server answered.
-    pub done: Option<oneshot::Sender<()>>,
+    /// The waker of the copy's exchange, woken once every other server
+    /// answered, or when a crash drops the collector.
+    pub waker: Option<Waker>,
+}
+
+impl Drop for AggCollector {
+    fn drop(&mut self) {
+        if let Some(waker) = self.waker.take() {
+            waker.wake();
+        }
+    }
 }
 
 /// Cap on cached responses kept per client when the piggybacked acked
@@ -295,8 +305,9 @@ pub(crate) struct ServerInner {
     /// Responses already sent, re-sent verbatim on duplicate requests.
     /// Keyed per client and ordered by sequence so the piggybacked acked
     /// watermark can prune everything the client will never retransmit —
-    /// the map is bounded by each client's in-flight window (plus the
-    /// [`COMPLETED_OPS_PER_CLIENT_CAP`] fallback), not by uptime.
+    /// each client's map is bounded by its in-flight window (plus the
+    /// [`COMPLETED_OPS_PER_CLIENT_CAP`] fallback), not by uptime. A pruned
+    /// client's map stays, empty, for its next response.
     pub completed_ops: FxHashMap<ClientId, std::collections::BTreeMap<u64, ClientResponse>>,
     /// Requests currently executing; retransmissions of these are dropped
     /// (the client's timer re-asks until the cached response exists). This
@@ -341,10 +352,12 @@ pub(crate) struct ServerInner {
     /// The token-matched waits: every exchange in which this server sent a
     /// request carrying a token and is waiting for whatever echoes it (a
     /// [`ServerMsg::Reply`], the switch's mirror copy of an asynchronous
-    /// commit). An entry lives from [`Server::token_exchange`]'s send until
-    /// the reply or the timeout, so the table is empty whenever the server
-    /// is quiescent.
-    pub pending_tokens: FxHashMap<u64, oneshot::Sender<TokenReply>>,
+    /// commit). A wait lives from [`Server::token_exchange`]'s send until
+    /// [`Server::complete_token`] answers it and its exchange reads the
+    /// answer, or until the copy's timeout, so the table is empty whenever
+    /// the server is quiescent. A crash drops the table, which wakes every
+    /// exchange still waiting; each then finds its copy unanswered.
+    pub pending_tokens: Replies<TokenReply>,
     /// Aggregations in flight, keyed by aggregation id.
     pub pending_aggs: FxHashMap<u64, AggCollector>,
     /// The aggregation gate of every fingerprint group this server ran or
@@ -413,7 +426,7 @@ impl ServerInner {
             dir_counter: 0,
             next_token: 1,
             remove_seq: 0,
-            pending_tokens: FxHashMap::default(),
+            pending_tokens: Replies::default(),
             pending_aggs: FxHashMap::default(),
             agg_gates: FxHashMap::default(),
             pending_agg_acks: FxHashMap::default(),
@@ -556,18 +569,15 @@ impl ServerInner {
         if acked_below == 0 {
             return;
         }
+        // In place: this runs on every request. An emptied map stays: with
+        // one operation in flight, the client's next response would
+        // allocate its node again.
         if let Some(per) = self.completed_ops.get_mut(&client) {
-            // In place: this runs on every request.
-            let mut pruned = false;
             while let Some(oldest) = per.first_entry() {
                 if *oldest.key() >= acked_below {
                     break;
                 }
                 oldest.remove();
-                pruned = true;
-            }
-            if pruned && per.is_empty() {
-                self.completed_ops.remove(&client);
             }
         }
     }
@@ -1663,30 +1673,32 @@ impl Server {
 
     /// Completes a token-matched wait, if still registered.
     pub(crate) fn complete_token(&self, token: u64, reply: TokenReply) {
-        let tx = self.inner.borrow_mut().pending_tokens.remove(&token);
-        if let Some(tx) = tx {
-            let _ = tx.send(reply);
-        }
+        self.inner
+            .borrow_mut()
+            .pending_tokens
+            .complete(token, reply);
     }
 
-    /// The one retransmission loop (§5.4.1): per copy, `send` registers a
-    /// wait, puts the copy on the wire and returns the receiver its answer
-    /// arrives on; the loop waits [`Retry::wait`] for it and calls `expired`
-    /// when that wait ends unanswered. Every copy after the first counts as
-    /// a retransmission. Returns `None` once [`Retry::budget`] is spent.
-    pub(crate) async fn exchange<T>(
+    /// The one retransmission loop (§5.4.1): per copy, `wait` registers the
+    /// wait the copy's answer completes and returns it, and `send` puts the
+    /// copy on the wire; the loop gives the wait [`Retry::wait`] and calls
+    /// `expired` when it ends unanswered. Every copy after the first counts
+    /// as a retransmission. Returns `None` once [`Retry::budget`] is spent.
+    pub(crate) async fn exchange<T, W: Future<Output = Option<T>>>(
         &self,
         retry: Retry,
-        mut send: impl AsyncFnMut() -> oneshot::Receiver<T>,
+        mut wait: impl FnMut() -> W,
+        mut send: impl AsyncFnMut(),
         mut expired: impl FnMut(),
     ) -> Option<T> {
         for n in 0..retry.sends {
             if n > 0 {
                 self.inner.borrow_mut().stats.retransmissions += 1;
             }
-            let rx = send().await;
-            let wait = self.cfg.costs.request_timeout * retry.wait(n);
-            if let Some(Ok(reply)) = timeout(&self.handle, wait, rx.recv()).await {
+            let reply = wait();
+            send().await;
+            let after = self.cfg.costs.request_timeout * retry.wait(n);
+            if let Some(Some(reply)) = timeout(&self.handle, after, reply).await {
                 return Some(reply);
             }
             expired();
@@ -1696,7 +1708,7 @@ impl Server {
 
     /// An exchange answered through the token table: each copy's wait is
     /// registered under `token` (which `send` must put on the wire) for
-    /// [`Server::complete_token`], and leaves the table when it expires, so
+    /// [`Server::complete_token`], and leaves the table when it ends, so
     /// the table holds exactly the exchanges in progress; a late reply to an
     /// earlier copy completes the next one's.
     pub(crate) fn token_exchange<'a>(
@@ -1704,15 +1716,14 @@ impl Server {
         token: u64,
         retry: Retry,
         send: impl Fn() + 'a,
-    ) -> impl std::future::Future<Output = Option<TokenReply>> + 'a {
-        let register = async move || {
-            let (tx, rx) = oneshot::channel();
-            self.inner.borrow_mut().pending_tokens.insert(token, tx);
-            send();
-            rx
-        };
-        let forget = move || drop(self.inner.borrow_mut().pending_tokens.remove(&token));
-        self.exchange(retry, register, forget)
+    ) -> impl Future<Output = Option<TokenReply>> + 'a {
+        let table = || RefMut::map(self.inner.borrow_mut(), |i| &mut i.pending_tokens);
+        self.exchange(
+            retry,
+            move || Wait::new(table, token),
+            async move || send(),
+            || {},
+        )
     }
 
     /// Asks `dst` one [`Request`] and waits for the answer under `retry`:
@@ -2350,6 +2361,39 @@ mod tests {
         // A retransmission travels in a fresh packet and gets the cached
         // response without executing.
         server.deliver(client.node(), client_packet(9, &second));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        assert_eq!(appends(), executed);
+    }
+
+    #[test]
+    fn a_client_pruned_to_empty_still_gets_its_next_retransmission_from_the_cache() {
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (server, client) = (&servers[0], &servers[1]);
+        let key = MetaKey::new(DirId::ROOT, "f");
+        server.preload_file(key.clone(), 0);
+        let chmod = |seq| {
+            let op = MetaOp::Chmod {
+                key: key.clone(),
+                mode: 0o600,
+            };
+            request(server, seq, op, seq)
+        };
+        let appends = || server.durable.borrow().wal.appends();
+        let (first, second) = (chmod(1), chmod(2));
+        server.deliver(client.node(), client_packet(1, &first));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        // The watermark passes the only cached response: the client's map
+        // is empty, and stays for the next one.
+        server.inner.borrow_mut().prune_completed(ClientId(1), 2);
+        assert_eq!(server.completed_op_count(), 0);
+        server.deliver(client.node(), client_packet(2, &second));
+        sim.run();
+        assert_eq!(results(client), [OpResult::Done]);
+        let executed = appends();
+        server.deliver(client.node(), client_packet(3, &second));
         sim.run();
         assert_eq!(results(client), [OpResult::Done]);
         assert_eq!(appends(), executed);

@@ -7,6 +7,8 @@
 //! (cross-process same-seed runs must be bit-identical; asserted by
 //! `tests/conformance.rs`).
 
+use std::task::{Context, Poll};
+
 use switchfs_simnet::FxHashSet;
 
 use switchfs_proto::message::{Body, ClientRequest, MetaOp, ServerMsg};
@@ -265,26 +267,27 @@ impl Server {
         // with it the whole downstream schedule) varies run to run.
         let mut responders: FxHashSet<ServerId> = FxHashSet::default();
         if !others.is_empty() {
-            let send = async || {
-                let (tx, rx) = switchfs_simnet::sync::oneshot::channel();
+            let wait = || {
                 let collector = AggCollector {
                     fp,
                     expected: others.iter().copied().collect(),
                     entries: Vec::new(),
-                    done: Some(tx),
+                    waker: None,
                 };
                 self.inner
                     .borrow_mut()
                     .pending_aggs
                     .insert(agg_id, collector);
-                self.send_aggregation_request(fp, agg_id, invalidate).await;
-                rx
+                std::future::poll_fn(move |cx| self.poll_collected(agg_id, cx))
             };
+            let send = async || self.send_aggregation_request(fp, agg_id, invalidate).await;
             // A copy's wait ended: whoever answered it is acknowledged, and
             // what it brought is kept.
             let mut keep = |answered: bool| {
                 let collector = self.inner.borrow_mut().pending_aggs.remove(&agg_id);
-                let Some(c) = collector else { return };
+                let Some(mut c) = collector else { return };
+                // Nobody waits on the copy any more.
+                c.waker = None;
                 if answered {
                     // Every other server answered this copy: a set collected
                     // at once, not grown by inserts into a full table.
@@ -292,14 +295,14 @@ impl Server {
                 } else {
                     responders.extend(others.iter().copied().filter(|s| !c.expected.contains(s)));
                 }
-                for e in c.entries {
+                for e in std::mem::take(&mut c.entries) {
                     if collected_ids.insert(e.entry_id) {
                         remote_entries.push(e);
                     }
                 }
             };
             if self
-                .exchange(Retry::COLLECT, send, || keep(false))
+                .exchange(Retry::COLLECT, wait, send, || keep(false))
                 .await
                 .is_some()
             {
@@ -598,8 +601,23 @@ impl Server {
             collector.entries.extend(entries);
         }
         if collector.expected.is_empty() {
-            if let Some(tx) = collector.done.take() {
-                let _ = tx.send(());
+            if let Some(waker) = collector.waker.take() {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Polls the collection of aggregation copy `agg_id`: `Some` once every
+    /// other server answered, `None` once its collector is gone (a crash
+    /// dropped it).
+    fn poll_collected(&self, agg_id: u64, cx: &mut Context<'_>) -> Poll<Option<()>> {
+        let mut inner = self.inner.borrow_mut();
+        match inner.pending_aggs.get_mut(&agg_id) {
+            None => Poll::Ready(None),
+            Some(c) if c.expected.is_empty() => Poll::Ready(Some(())),
+            Some(c) => {
+                c.waker = Some(cx.waker().clone());
+                Poll::Pending
             }
         }
     }

@@ -14,7 +14,8 @@
 //! * [`time::SimTime`] and [`time::SimDuration`] — nanosecond-resolution
 //!   virtual time.
 //! * [`sync`] — FIFO-fair simulation-aware synchronization primitives
-//!   (the class lock, semaphore, oneshot channel, notify).
+//!   (the class lock, semaphore, oneshot channel, notify, and the reply
+//!   table a node awaits its requests' answers in).
 //! * [`cpu::CpuPool`] — an *N*-core processor model with FIFO run-queue
 //!   semantics; server code paths charge calibrated service times to it.
 //! * [`net`] — a message-passing network with per-hop latency, programmable

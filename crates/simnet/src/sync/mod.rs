@@ -9,10 +9,12 @@
 pub mod classlock;
 pub mod notify;
 pub mod oneshot;
+pub mod replies;
 pub mod semaphore;
 
 pub use classlock::{Access, ClassGuard, SimClassLock};
 pub use notify::Notify;
+pub use replies::{Replies, Wait};
 pub use semaphore::{Semaphore, SemaphorePermit};
 
 use std::collections::VecDeque;

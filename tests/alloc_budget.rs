@@ -2,10 +2,10 @@
 //!
 //! The simulation is deterministic, so the number of heap allocations a
 //! warmed-up operation makes is an exact count, the same on every host and
-//! every run. These tests hold three of them to ceilings set at today's
-//! counts: a `stat`, a `create` into one directory (both on a small SwitchFS
-//! deployment) and one unicast packet through plain L2 forwarding, which
-//! allocates nothing. A change that adds a per-op allocation on any of these
+//! every run. These tests hold four of them to ceilings set at today's
+//! counts: a `stat` and a `create` into one directory on a small SwitchFS
+//! deployment, the same `create` on Emulated-CFS, and one unicast packet
+//! through plain L2 forwarding, which allocates nothing. A change that adds a per-op allocation on any of these
 //! paths fails here, however little wall-clock time it costs.
 //!
 //! Counting is per thread (the test harness runs tests side by side, and a
@@ -71,10 +71,10 @@ static GLOBAL: Counting = Counting;
 /// Operations measured per budget (after as many warm-up operations).
 const OPS: u64 = 64;
 
-/// A small SwitchFS deployment (4 servers, 1 client) with `/d` preloaded
-/// with `2 * OPS` files `f0`, `f1`, ….
-fn cluster() -> Cluster {
-    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+/// A small deployment of `system` (4 servers, 1 client) with `/d`
+/// preloaded with `2 * OPS` files `f0`, `f1`, ….
+fn cluster(system: SystemKind) -> Cluster {
+    let mut cfg = ClusterConfig::paper_default(system);
     cfg.servers = 4;
     cfg.clients = 1;
     let mut cluster = Cluster::new(cfg);
@@ -83,15 +83,15 @@ fn cluster() -> Cluster {
     cluster
 }
 
-/// Runs `op` on every path in order, twice as many as [`OPS`]: the first
-/// half warms caches, pools and buffers, the second half is counted. Returns
-/// the allocations of the counted half.
-fn allocs_of<F, Fut>(paths: Vec<String>, op: F) -> u64
+/// Runs `op` on every path in order on a [`cluster`] of `system`, twice as
+/// many as [`OPS`]: the first half warms caches, pools and buffers, the
+/// second half is counted. Returns the allocations of the counted half.
+fn allocs_of<F, Fut>(system: SystemKind, paths: Vec<String>, op: F) -> u64
 where
     F: Fn(Rc<switchfs::client::LibFs>, String) -> Fut + 'static,
     Fut: std::future::Future<Output = ()>,
 {
-    let cluster = cluster();
+    let cluster = cluster(system);
     let client = cluster.client(0);
     cluster.block_on(async move {
         let mut before = 0;
@@ -107,7 +107,9 @@ where
 
 #[test]
 fn a_warm_stat_stays_within_its_allocation_budget() {
-    // 7.4 per stat; 603 (9.4 per stat) before `resolve` stopped building its
+    // 5.4 per stat; 475 (7.4 per stat) before the client awaited its
+    // replies in one table instead of a channel per transmission; 603 (9.4
+    // per stat) before `resolve` stopped building its
     // path prefix and growing its ancestor chain; 667 (10.4 per stat) before
     // a received packet became one task, the future of the handler that
     // serves it; 987 (15.4 per stat) before a packet in flight became an
@@ -115,9 +117,9 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
     // components and the parent's path; and 1,691 (26.4 per stat) before
     // names were shared, the packet path kept its lists inline, task wakers
     // were reused and lock waiters became tickets.
-    const BUDGET: u64 = 475;
+    const BUDGET: u64 = 347;
     let paths = (0..2 * OPS).map(|i| format!("/d/f{i}")).collect();
-    let n = allocs_of(paths, |client, path| async move {
+    let n = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
         client.stat(&path).await.expect("stat");
     });
     assert!(
@@ -128,12 +130,30 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
-    // 19.9 per create; 1,399 (21.9 per create), 1,597 (25.0 per create),
-    // 1,921 (30.0 per create) and 3,218 (50.3 per create) before the same
-    // four changes.
-    const BUDGET: u64 = 1_271;
+    // 16.9 per create; 1,271 (19.9 per create) before the client and the
+    // server awaited their replies in one table each; 1,399 (21.9 per
+    // create), 1,597 (25.0 per create), 1,921 (30.0 per create) and 3,218
+    // (50.3 per create) before the four changes named above.
+    const BUDGET: u64 = 1_079;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
-    let n = allocs_of(paths, |client, path| async move {
+    let n = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
+        client.create(&path).await.expect("create");
+    });
+    assert!(
+        n <= BUDGET,
+        "{OPS} creates allocated {n} times (budget {BUDGET})"
+    );
+}
+
+#[test]
+fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
+    // The parent update is synchronous here: the file's server asks the
+    // directory's owner and waits for its answer, so this budget holds the
+    // server's side of an awaited request as the two above hold the
+    // client's. 15.6 per create.
+    const BUDGET: u64 = 999;
+    let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
+    let n = allocs_of(SystemKind::EmulatedCfs, paths, |client, path| async move {
         client.create(&path).await.expect("create");
     });
     assert!(
