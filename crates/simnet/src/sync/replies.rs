@@ -79,10 +79,7 @@ impl<T> Replies<T> {
         }
         match self.waiting.get_mut(&key) {
             Some(waker) => {
-                match waker {
-                    Some(w) => w.clone_from(cx.waker()),
-                    None => *waker = Some(cx.waker().clone()),
-                }
+                *waker = Some(cx.waker().clone());
                 Poll::Pending
             }
             None => Poll::Ready(None),
