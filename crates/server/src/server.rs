@@ -110,8 +110,9 @@ impl TokenReply {
     pub(crate) const ACK: TokenReply = TokenReply::Server(Reply::Done(Ok(())));
 }
 
-/// One directory's entry list: a name-ordered map for O(log n) mutation
-/// plus a lazily materialized, `Rc`-shared listing for O(1) reads.
+/// One directory's entry list: a set ordered by each entry's own name, for
+/// O(log n) mutation, plus a lazily materialized, `Rc`-shared listing for
+/// O(1) reads. Each name is stored once, in its entry.
 ///
 /// `readdir`/`statdir`, the duplicate-suppression response cache and every
 /// in-flight packet copy all share the one materialized allocation; a
@@ -120,29 +121,60 @@ impl TokenReply {
 /// paths free of per-entry memmoves and hot read paths free of deep copies.
 #[derive(Debug, Clone, Default)]
 pub struct DirContent {
-    map: std::collections::BTreeMap<Name, DirEntry>,
+    set: std::collections::BTreeSet<ByName>,
     listing: Option<Rc<Vec<DirEntry>>>,
+}
+
+/// A [`DirEntry`] that orders, compares and borrows as its name alone, so a
+/// set of them is keyed by name without a second copy of it.
+#[derive(Debug, Clone)]
+struct ByName(DirEntry);
+
+impl PartialEq for ByName {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.name == other.0.name
+    }
+}
+
+impl Eq for ByName {}
+
+impl PartialOrd for ByName {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByName {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.name.cmp(&other.0.name)
+    }
+}
+
+impl std::borrow::Borrow<str> for ByName {
+    fn borrow(&self) -> &str {
+        &self.0.name
+    }
 }
 
 impl DirContent {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.set.len()
     }
 
     /// True when the directory lists nothing.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.set.is_empty()
     }
 
     /// True when an entry called `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(name)
+        self.set.contains(name)
     }
 
     /// Iterates the entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = &DirEntry> {
-        self.map.values()
+        self.set.iter().map(|e| &e.0)
     }
 
     /// The shared, name-sorted listing; materialized on first use after a
@@ -151,7 +183,7 @@ impl DirContent {
         match &self.listing {
             Some(l) => Rc::clone(l),
             None => {
-                let l = Rc::new(self.map.values().cloned().collect::<Vec<_>>());
+                let l = Rc::new(self.iter().cloned().collect::<Vec<_>>());
                 self.listing = Some(Rc::clone(&l));
                 l
             }
@@ -161,13 +193,13 @@ impl DirContent {
     /// Inserts or replaces an entry, invalidating the shared listing memo.
     pub fn insert(&mut self, entry: DirEntry) {
         self.listing = None;
-        self.map.insert(entry.name.clone(), entry);
+        self.set.replace(ByName(entry));
     }
 
     /// Removes an entry by name, invalidating the shared listing memo.
     pub fn remove(&mut self, name: &str) {
         self.listing = None;
-        self.map.remove(name);
+        self.set.remove(name);
     }
 }
 
@@ -2306,6 +2338,44 @@ mod tests {
         let double = server.clone().double_inode_task(NodeId(1), stat, None);
         assert!(std::mem::size_of_val(&single) <= 688);
         assert!(std::mem::size_of_val(&double) <= 1232);
+    }
+
+    #[test]
+    fn a_dir_content_keeps_one_entry_a_name_in_byte_order() {
+        let entry = |name: &str, file_type, mode| DirEntry {
+            name: Name::from(name),
+            file_type,
+            mode,
+        };
+        let mut content = DirContent::default();
+        content.insert(entry("f9", FileType::File, 0o644));
+        content.insert(entry("f10", FileType::File, 0o644));
+        content.insert(entry("d", FileType::File, 0o600));
+        // Re-inserting a name replaces its entry: one entry, the new fields.
+        content.insert(entry("d", FileType::Directory, 0o755));
+        assert_eq!(content.len(), 3);
+        let listed: Vec<_> = content
+            .listing()
+            .iter()
+            .map(|e| (e.name.to_string(), e.file_type, e.mode))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                ("d".to_owned(), FileType::Directory, 0o755),
+                ("f10".to_owned(), FileType::File, 0o644),
+                ("f9".to_owned(), FileType::File, 0o644),
+            ],
+            "byte order: `f10` sorts before `f9`"
+        );
+        // Lookups and removes take the name as a `&str`.
+        assert!(content.contains("f10"));
+        content.remove("f10");
+        assert!(!content.contains("f10"));
+        content.remove("absent");
+        let names: Vec<&str> = content.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["d", "f9"]);
+        assert_eq!(content.listing().len(), 2);
     }
 
     #[test]

@@ -57,6 +57,12 @@ pub enum InsertOutcome {
 }
 
 /// The set-associative in-network dirty set.
+///
+/// Capacity, stages and set-associativity are the paper's (§6.5): an insert
+/// overflows exactly when every stage's register at its index holds another
+/// tag. Each stage keeps its registers in host pages allocated on first
+/// write (see [`RegisterStage`]), so an empty set of the default sizing costs
+/// the host its 1,280 page slots (10 KiB), not the 5.24 MB of its registers.
 #[derive(Debug, Clone)]
 pub struct DirtySet {
     config: DirtySetConfig,

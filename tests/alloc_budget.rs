@@ -6,7 +6,9 @@
 //! counts: a `stat` and a `create` into one directory on a small SwitchFS
 //! deployment, the same `create` on Emulated-CFS, and one unicast packet
 //! through plain L2 forwarding, which allocates nothing. A change that adds a per-op allocation on any of these
-//! paths fails here, however little wall-clock time it costs.
+//! paths fails here, however little wall-clock time it costs. One more
+//! budget holds the live bytes of an empty switch program, whose registers
+//! the host allocates a page at a time as they are written.
 //!
 //! Counting is per thread (the test harness runs tests side by side, and a
 //! simulation runs entirely on the thread that drives it), by a counting
@@ -17,13 +19,16 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
+use switchfs::proto::{DirId, Fingerprint, ServerId};
 use switchfs::simnet::net::LinkParams;
 use switchfs::simnet::{NetFaults, Network, NodeId, Sim};
+use switchfs::switch::{DirtySet, InsertOutcome, SwitchConfig, SwitchFsProgram};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -31,9 +36,20 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Adds `bytes` (negative when freed) to this thread's live bytes.
+fn count_live(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
 /// Allocations made by this thread so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread has allocated and not freed, less what it freed of
+/// other threads' allocations.
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -41,17 +57,20 @@ fn allocs() -> u64 {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_live(layout.size() as i64);
         // SAFETY: same layout the caller handed to us.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_live(layout.size() as i64);
         // SAFETY: same layout the caller handed to us.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -60,6 +79,7 @@ unsafe impl GlobalAlloc for Counting {
         // A realloc counts as one allocation, like the alloc + copy + dealloc
         // it stands for.
         count_one();
+        count_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -194,4 +214,29 @@ fn a_unicast_packet_through_l2_forwarding_stays_within_its_allocation_budget() {
     sim.run();
     let n = counted.get();
     assert_eq!(n, 0, "{OPS} packets allocated {n} times (budget 0)");
+}
+
+#[test]
+fn an_empty_switch_keeps_only_its_page_slots_live() {
+    // The default sizing: 2 pipes x 10 stages x 2^17 registers. Each stage
+    // keeps one 8 B slot per page of 1,024 registers, and no page until a
+    // register in it is written. 10,486,496 B before the stages were paged,
+    // 10,485,760 of them the registers at 4 B each.
+    const BUDGET: i64 = 21_376;
+    let before = live();
+    let program = SwitchFsProgram::new(SwitchConfig::default());
+    let kept = live() - before;
+    drop(program);
+    assert!(
+        kept <= BUDGET,
+        "an empty switch program keeps {kept} B live (budget {BUDGET})"
+    );
+
+    // The first insert writes one register: one page, 4 KiB.
+    let mut set = DirtySet::default();
+    let fp = Fingerprint::of_dir(&DirId::generate(ServerId(0), 1), "d");
+    let (allocs_before, live_before) = (allocs(), live());
+    assert_eq!(set.insert(fp), InsertOutcome::Inserted);
+    assert_eq!(allocs() - allocs_before, 1, "one insert allocates one page");
+    assert_eq!(live() - live_before, 4096, "one page is 4 KiB");
 }
