@@ -6,8 +6,10 @@
 #   smoke.txt    chaos-sweep --seeds 20 --all-systems --replay-every 5
 #   dense.txt    chaos-sweep --seeds 20 --ops 400 --all-systems
 #                (each: the per-run lines, then the summary one key per line)
-#   bench.txt    workload metric value, for every metric of the six CI
-#                benchmark/run.sh commands whose clock is not `host`
+#   bench.txt    `rustc --version`, then workload metric value, for every
+#                metric of the six CI benchmark/run.sh commands whose clock
+#                is not `host` (the allocation counts and bytes are exact
+#                for the compiler that first line names)
 #   loc.txt      ci/loc.sh
 #
 #   ci/golden.sh [PART...]      PART: figures smoke dense bench loc (default: all)
@@ -108,7 +110,10 @@ bench() {
         reports+=("$work/bench-$workload.json")
     done
     cp "$work/Cargo.lock" benchmark/Cargo.lock
-    flatten bench "${reports[@]}" > "$golden/bench.txt"
+    {
+        rustc --version
+        flatten bench "${reports[@]}"
+    } > "$golden/bench.txt"
 }
 
 loc() {
@@ -122,7 +127,7 @@ for part in "$@"; do
         smoke) sweep smoke --seeds 20 --all-systems --replay-every 5 --trace-dump "$work/smoke-trace.json" ;;
         dense) sweep dense --seeds 20 --ops 400 --all-systems ;;
         *)
-            sed -n '2,21p' "$0" >&2
+            sed -n '2,23p' "$0" >&2
             exit 2
             ;;
     esac

@@ -864,14 +864,53 @@ impl Server {
     }
 }
 
-// Each task future is built by an `async move` block in a plain `fn`: an
-// `async fn` would store its arguments twice, once as arguments and once
-// as the locals its body moves them into, and every received packet
-// allocates its task's future.
-#[expect(
-    clippy::manual_async_fn,
-    reason = "an `async fn` stores a task's arguments twice"
-)]
+/// The request bracket: the future of a client request's task, which runs
+/// `$serve` — the class's handler, giving its `Option<OpResult>` — between
+/// [`Server::begin_request`] and [`Server::end_request`]. A macro, not a
+/// function taking the handler as a closure, so that the task holds nothing
+/// between the bracket and the handler's future: a packet allocates its
+/// task's future, whose size every workload's bytes per operation shows.
+macro_rules! request_task {
+    ($me:ident, $client_node:ident, $req:ident, $pkt:ident, $serve:expr) => {
+        async move {
+            let Some(incarnation) = $me.begin_request($client_node, &$req, $pkt).await else {
+                return;
+            };
+            let result = $serve;
+            $me.end_request($client_node, &$req, incarnation, result);
+        }
+    };
+}
+
+/// The server gate: the future of a server message's task, which drops the
+/// message when the server is crashed or a redirect tombstone (stray
+/// traffic addressed to the previous incarnation), and runs `$serve`
+/// otherwise. The gate passes at the task's first poll. The answered form
+/// serves a [`Request`]: `$serve` gives its `Option<Reply>`, sent back to
+/// `$src` under `$req_id`, or `None` to leave it unanswered. (The reply is
+/// bound before it is sent: a `RefCell` borrow in `$serve`'s tail would
+/// otherwise live into the send.)
+macro_rules! server_task {
+    ($me:ident, $src:ident, $req_id:ident, $serve:expr) => {
+        server_task!($me, {
+            let reply: Option<Reply> = $serve;
+            if let Some(reply) = reply {
+                $me.send_reply($src, $req_id, reply);
+            }
+        })
+    };
+    ($me:ident, $serve:expr) => {
+        async move {
+            if !matches!(
+                $me.inner.borrow().liveness,
+                Liveness::Crashed | Liveness::Tombstone
+            ) {
+                $serve;
+            }
+        }
+    };
+}
+
 impl Server {
     async fn run_loop(self: &Rc<Self>) {
         loop {
@@ -885,14 +924,25 @@ impl Server {
 
     /// Spawns the one task that serves a packet from `src`: the future of
     /// the handler the packet names — by its body, a client request's
-    /// operation class, a server message's variant — boxed once, by the
-    /// spawn. Inside a task, a `Box::pin` only keeps a rare branch out of a
-    /// hot task. Nothing here reads the server's state: each task passes the
-    /// liveness gate and makes its reads at its first poll, so a crash in
-    /// the instant the packet arrives drops it. A body that nothing serves
-    /// still gets its (empty) task: with one task per packet, every later
-    /// task keeps its id. Returns that task's id.
+    /// operation class, a server message's variant — in its bracket
+    /// ([`request_task!`] or [`server_task!`]), boxed once, by the spawn.
+    /// Each variant gets a task of its own, sized for its own handler.
+    /// Nothing here reads the server's state: each task passes its gate and
+    /// makes its reads at its first poll, so a crash in the instant the
+    /// packet arrives drops it. A body that nothing serves still gets its
+    /// (empty) task: with one task per packet, every later task keeps its
+    /// id. Returns that task's id.
+    ///
+    /// A request from a server is answered by its handler's reply. The
+    /// replica writes and the prepare pass [`Server::admit`]: a refused
+    /// replica write answers `Unavailable`, which its sender re-routes on,
+    /// and a refused prepare votes no. A [`Request::ShardInstall`] copy
+    /// racing its first copy's apply, a [`Request::TxnPrepare`] from a node
+    /// that is not a metadata server and a retransmitted
+    /// [`Request::TxnDecision`] racing a still-running apply go unanswered:
+    /// their senders re-ask until the first copy finished.
     fn deliver(self: &Rc<Self>, src: NodeId, msg: NetMsg) -> TaskId {
+        const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
         let NetMsg {
             dirty,
             pkt_seq,
@@ -900,18 +950,182 @@ impl Server {
             ..
         } = msg;
         let dirty_ret = dirty.map(|h| h.ret);
-        match body {
-            Body::Request(req) => self.deliver_request(src, req, Some(pkt_seq), dirty_ret),
-            Body::Server(msg) => self.deliver_server_msg(src, msg, dirty_ret),
-            Body::Response(_) | Body::Empty => self.handle.spawn(async {}),
+        let handle = &self.handle;
+        let msg = match body {
+            Body::Request(req) => return self.deliver_request(src, req, Some(pkt_seq), dirty_ret),
+            Body::Server(msg) => msg,
+            Body::Response(_) | Body::Empty => return handle.spawn(async {}),
+        };
+        let me = self.clone();
+        match msg {
+            ServerMsg::Request { req_id, req } => match req {
+                // The baselines' parent update, and an overflow's once the
+                // rewriter's target refused or never answered.
+                Request::RemoteDirUpdate {
+                    dir_key,
+                    entry,
+                    discard_confirm,
+                } => handle.spawn(server_task!(me, src, req_id, {
+                    me.retire_confirmed(discard_confirm);
+                    let update = me
+                        .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
+                        .await;
+                    Some(Reply::Done(update))
+                })),
+                // Acked once the decision is fully applied — by this copy or
+                // a previously completed one; an abort always is.
+                Request::TxnDecision { txn_id, commit } => {
+                    handle.spawn(server_task!(me, src, req_id, {
+                        let applied = me.handle_txn_decision(txn_id, commit).await;
+                        applied.then_some(Reply::Done(Ok(())))
+                    }))
+                }
+                Request::DirtySet { op, fp } => handle.spawn(server_task!(me, src, req_id, {
+                    // The owner's CPU pays for every remote dirty-set
+                    // operation: the overhead Fig. 16 quantifies.
+                    me.cpu.run(me.cfg.costs.software_path).await;
+                    Some(Reply::Dirty(me.inner.borrow_mut().dirty_set.apply(op, fp)))
+                })),
+                // Logged like the `Invalidate` it undoes, or a replay would
+                // re-apply that one alone; acknowledged once the record is
+                // flushed.
+                Request::InvalidationRevoke { dir_id } => {
+                    handle.spawn(server_task!(me, src, req_id, {
+                        me.log_record(WalOp::local(None, vec![KvEffect::Revoke(dir_id)]))
+                            .await;
+                        DONE
+                    }))
+                }
+                Request::TxnPrepare { txn_id, ops } => handle.spawn(server_task!(
+                    me,
+                    src,
+                    req_id,
+                    me.handle_txn_prepare(src, txn_id, ops).await
+                )),
+                Request::TxnDecisionQuery { txn_id } => {
+                    handle.spawn(server_task!(me, src, req_id, {
+                        Some(me.handle_txn_decision_query(txn_id).await)
+                    }))
+                }
+                // The replica writes of a baseline `mkdir` and `rmdir` under
+                // grouping ([`Server::write_replica`]).
+                req @ (Request::InitDirContent { .. } | Request::DeleteAccessReplica { .. }) => {
+                    handle.spawn(server_task!(me, src, req_id, {
+                        me.cpu.run(me.cfg.costs.software_path).await;
+                        let (role, effects) = me.replica_write(&req);
+                        match me.admit(Some(role), || None) {
+                            Admit::Serve => {
+                                me.log_record(WalOp::local(None, effects)).await;
+                                DONE
+                            }
+                            Admit::Frozen | Admit::NotMine => {
+                                Some(Reply::Done(Err(FsError::Unavailable)))
+                            }
+                        }
+                    }))
+                }
+                Request::TypeProbe { key } => handle.spawn(server_task!(me, src, req_id, {
+                    me.cpu
+                        .run(me.cfg.costs.software_path + me.cfg.costs.kv_get)
+                        .await;
+                    let file_type = me
+                        .inner
+                        .borrow_mut()
+                        .inodes
+                        .get_ref(&key)
+                        .map(|a| a.file_type);
+                    Some(Reply::Type(file_type))
+                })),
+                Request::ShardInstall { shard, image } => {
+                    handle.spawn(server_task!(me, src, req_id, {
+                        me.handle_shard_install(src, req_id, shard, image).await
+                    }))
+                }
+            },
+            // A rename re-routed by the source's per-file-hash owner: served
+            // as if the client had sent it here, replying to the client
+            // directly. Duplicate suppression keys on the unchanged op id,
+            // so client retransmissions (which are forwarded again) collapse
+            // onto one execution.
+            ServerMsg::ForwardedRequest { client_node, req } => {
+                self.deliver_request(NodeId(client_node), req, None, dirty_ret)
+            }
+            // What the switch made of an asynchronous commit's insert: on
+            // overflow, the commit rewritten to the parent's owner, which
+            // serves it as the synchronous parent update it falls back to
+            // (§5.2.1), under the commit's token; otherwise the mirror copy
+            // back at the origin, which completes the token, or its source.
+            ServerMsg::AsyncCommit {
+                op_token,
+                fallback: SyncFallback { dir_key, entry },
+                ..
+            } => match dirty_ret {
+                Some(DirtyRet::Overflowed) => handle.spawn(server_task!(me, src, op_token, {
+                    let update = me
+                        .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
+                        .await;
+                    Some(Reply::Done(update))
+                })),
+                _ => handle.spawn(server_task!(me, {
+                    if dirty_ret == Some(DirtyRet::Inserted) && src == me.node() {
+                        me.complete_token(op_token, TokenReply::Mirrored);
+                    }
+                })),
+            },
+            ServerMsg::AggregationRequest {
+                fp,
+                agg_id,
+                invalidate,
+            } => handle.spawn(server_task!(me, {
+                me.handle_aggregation_request(src, fp, agg_id, invalidate)
+                    .await
+            })),
+            ServerMsg::ChangeLogPush {
+                dir_key,
+                entries,
+                discard_confirm,
+            } => handle.spawn(server_task!(me, {
+                me.retire_confirmed(discard_confirm);
+                me.handle_changelog_push(src, dir_key, entries).await;
+            })),
+            ServerMsg::AggregationEntries {
+                agg_id,
+                entries,
+                discard_confirm,
+            } => handle.spawn(server_task!(me, {
+                me.retire_confirmed(discard_confirm);
+                me.handle_aggregation_entries(src, agg_id, entries);
+            })),
+            ServerMsg::AggregationAck { agg_id } => {
+                handle.spawn(server_task!(me, me.handle_aggregation_ack(src, agg_id)))
+            }
+            ServerMsg::ChangeLogPushAck { dir_key, applied } => {
+                handle.spawn(server_task!(me, me.handle_push_ack(src, dir_key, applied)))
+            }
+            ServerMsg::Reply { req_id, reply } => handle.spawn(server_task!(me, {
+                me.complete_token(req_id, TokenReply::Server(reply))
+            })),
+            ServerMsg::InvalidationBroadcast { dir_id } => handle.spawn(server_task!(me, {
+                let record = WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]);
+                me.log_record(record).await;
+            })),
+            ServerMsg::RecoveryCloneInvalidation => handle.spawn(server_task!(me, {
+                let list = me.inner.borrow().invalidation.iter().copied().collect();
+                me.send_plain(
+                    src,
+                    Body::Server(ServerMsg::RecoveryInvalidationList { list }),
+                );
+            })),
+            ServerMsg::RecoveryInvalidationList { list } => handle.spawn(server_task!(me, {
+                me.inner.borrow_mut().invalidation.extend(list)
+            })),
         }
     }
 
     /// Spawns a client request's task, one kind per operation class, each
-    /// running its class's handler between [`Server::begin_request`] and
-    /// [`Server::end_request`]: no task is as large as the largest class.
-    /// `pkt` is the packet's sequence when the client sent the request
-    /// itself, `None` when a server forwarded it.
+    /// its class's handler in the request bracket: no task is as large as
+    /// the largest class. `pkt` is the packet's sequence when the client
+    /// sent the request itself, `None` when a server forwarded it.
     fn deliver_request(
         self: &Rc<Self>,
         client_node: NodeId,
@@ -922,90 +1136,24 @@ impl Server {
         let (me, handle) = (self.clone(), &self.handle);
         match req.op {
             MetaOp::Create { .. } | MetaOp::Delete { .. } | MetaOp::Mkdir { .. } => {
-                handle.spawn(me.double_inode_task(client_node, req, pkt))
+                handle.spawn(request_task!(me, client_node, req, pkt, {
+                    me.handle_double_inode(client_node, &req).await
+                }))
             }
-            MetaOp::Rmdir { .. } => handle.spawn(me.rmdir_task(client_node, req, pkt)),
+            MetaOp::Rmdir { .. } => handle.spawn(request_task!(me, client_node, req, pkt, {
+                me.handle_rmdir(client_node, &req).await
+            })),
             MetaOp::Statdir { .. } | MetaOp::Readdir { .. } => {
-                handle.spawn(me.dir_read_task(client_node, req, pkt, dirty_ret))
+                handle.spawn(request_task!(me, client_node, req, pkt, {
+                    Some(me.handle_dir_read(&req, dirty_ret).await)
+                }))
             }
-            MetaOp::Rename { .. } => handle.spawn(me.rename_task(client_node, req, pkt)),
-            _ => handle.spawn(me.single_inode_task(client_node, req, pkt)),
-        }
-    }
-
-    fn single_inode_task(
-        self: Rc<Self>,
-        client_node: NodeId,
-        req: Rc<ClientRequest>,
-        pkt: Option<PacketSeq>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
-                return;
-            };
-            let result = self.handle_single_inode(&req).await;
-            self.end_request(client_node, &req, incarnation, Some(result));
-        }
-    }
-
-    fn double_inode_task(
-        self: Rc<Self>,
-        client_node: NodeId,
-        req: Rc<ClientRequest>,
-        pkt: Option<PacketSeq>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
-                return;
-            };
-            let result = self.handle_double_inode(client_node, &req).await;
-            self.end_request(client_node, &req, incarnation, result);
-        }
-    }
-
-    fn dir_read_task(
-        self: Rc<Self>,
-        client_node: NodeId,
-        req: Rc<ClientRequest>,
-        pkt: Option<PacketSeq>,
-        dirty_ret: Option<DirtyRet>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
-                return;
-            };
-            let result = self.handle_dir_read(&req, dirty_ret).await;
-            self.end_request(client_node, &req, incarnation, Some(result));
-        }
-    }
-
-    fn rmdir_task(
-        self: Rc<Self>,
-        client_node: NodeId,
-        req: Rc<ClientRequest>,
-        pkt: Option<PacketSeq>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
-                return;
-            };
-            let result = self.handle_rmdir(client_node, &req).await;
-            self.end_request(client_node, &req, incarnation, result);
-        }
-    }
-
-    fn rename_task(
-        self: Rc<Self>,
-        client_node: NodeId,
-        req: Rc<ClientRequest>,
-        pkt: Option<PacketSeq>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let Some(incarnation) = self.begin_request(client_node, &req, pkt).await else {
-                return;
-            };
-            let result = self.handle_rename(client_node, &req).await;
-            self.end_request(client_node, &req, incarnation, result);
+            MetaOp::Rename { .. } => handle.spawn(request_task!(me, client_node, req, pkt, {
+                me.handle_rename(client_node, &req).await
+            })),
+            _ => handle.spawn(request_task!(me, client_node, req, pkt, {
+                Some(me.handle_single_inode(&req).await)
+            })),
         }
     }
 
@@ -1200,300 +1348,6 @@ impl Server {
             self.wal_flush_and_apply(lsn);
         } else {
             self.inner.borrow_mut().cache_response(response.clone());
-        }
-    }
-
-    /// The liveness gate of a server-to-server packet, passed at its task's
-    /// first poll: a crashed server drops it, and so does the redirect
-    /// tombstone (stray traffic addressed to the previous incarnation).
-    fn serves_servers(&self) -> bool {
-        !matches!(
-            self.inner.borrow().liveness,
-            Liveness::Crashed | Liveness::Tombstone
-        )
-    }
-
-    /// Spawns a server message's task. A handler with a large state machine
-    /// runs in a task of its own; the quick ones share
-    /// [`Server::server_msg_task`], and the other requests
-    /// [`Server::answer`].
-    fn deliver_server_msg(
-        self: &Rc<Self>,
-        src: NodeId,
-        msg: ServerMsg,
-        dirty_ret: Option<DirtyRet>,
-    ) -> TaskId {
-        let (me, handle) = (self.clone(), &self.handle);
-        match msg {
-            ServerMsg::Request {
-                req_id,
-                req:
-                    Request::RemoteDirUpdate {
-                        dir_key,
-                        entry,
-                        discard_confirm,
-                    },
-            } => handle.spawn(me.dir_update_task(src, req_id, dir_key, entry, discard_confirm)),
-            ServerMsg::Request {
-                req_id,
-                req: Request::TxnDecision { txn_id, commit },
-            } => handle.spawn(me.txn_decision_task(src, req_id, txn_id, commit)),
-            ServerMsg::Request { req_id, req } => handle.spawn(me.answer(src, req_id, req)),
-            // A rename re-routed by the source's per-file-hash owner: served
-            // as if the client had sent it here, replying to the client
-            // directly. Duplicate suppression keys on the unchanged op id,
-            // so client retransmissions (which are forwarded again) collapse
-            // onto one execution.
-            ServerMsg::ForwardedRequest { client_node, req } => {
-                self.deliver_request(NodeId(client_node), req, None, dirty_ret)
-            }
-            ServerMsg::AggregationRequest {
-                fp,
-                agg_id,
-                invalidate,
-            } => handle.spawn(me.aggregation_request_task(src, fp, agg_id, invalidate)),
-            ServerMsg::ChangeLogPush {
-                dir_key,
-                entries,
-                discard_confirm,
-            } => handle.spawn(me.changelog_push_task(src, dir_key, entries, discard_confirm)),
-            // What the switch made of an asynchronous commit's insert: on
-            // overflow, the commit rewritten to the parent's owner, which
-            // serves it as the synchronous parent update it falls back to
-            // (§5.2.1), under the commit's token; otherwise the mirror copy
-            // back at the origin, or its source.
-            ServerMsg::AsyncCommit {
-                op_token, fallback, ..
-            } => match dirty_ret {
-                Some(DirtyRet::Overflowed) => {
-                    let SyncFallback { dir_key, entry } = fallback;
-                    handle.spawn(me.dir_update_task(src, op_token, dir_key, entry, Vec::new()))
-                }
-                _ => handle.spawn(me.commit_copy_task(src, op_token, dirty_ret)),
-            },
-            msg => handle.spawn(me.server_msg_task(src, msg)),
-        }
-    }
-
-    fn aggregation_request_task(
-        self: Rc<Self>,
-        src: NodeId,
-        fp: Fingerprint,
-        agg_id: u64,
-        invalidate: Option<DirId>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            if self.serves_servers() {
-                self.handle_aggregation_request(src, fp, agg_id, invalidate)
-                    .await;
-            }
-        }
-    }
-
-    fn changelog_push_task(
-        self: Rc<Self>,
-        src: NodeId,
-        dir_key: MetaKey,
-        entries: Vec<ChangeLogEntry>,
-        discard_confirm: Vec<OpId>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            if self.serves_servers() {
-                self.retire_confirmed(discard_confirm);
-                self.handle_changelog_push(src, dir_key, entries).await;
-            }
-        }
-    }
-
-    /// An asynchronous commit's copy that did not overflow: the mirror copy
-    /// back at the origin completes the commit's token.
-    fn commit_copy_task(
-        self: Rc<Self>,
-        src: NodeId,
-        op_token: u64,
-        dirty_ret: Option<DirtyRet>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            let mirrored = dirty_ret == Some(DirtyRet::Inserted) && src == self.node();
-            if mirrored && self.serves_servers() {
-                self.complete_token(op_token, TokenReply::Mirrored);
-            }
-        }
-    }
-
-    /// Serves a synchronous update of a directory this server owns — a
-    /// [`Request::RemoteDirUpdate`] (the baselines' parent update, and an
-    /// overflow's once the rewriter's target refused or never answered) or
-    /// an overflowed `AsyncCommit` — and replies to `src` under `token` with
-    /// the result. A frozen or flipped-away directory fails with
-    /// `Unavailable`: the sender re-resolves the owner and retries there.
-    fn dir_update_task(
-        self: Rc<Self>,
-        src: NodeId,
-        token: u64,
-        dir_key: MetaKey,
-        entry: ChangeLogEntry,
-        discard_confirm: Vec<OpId>,
-    ) -> impl Future<Output = ()> {
-        async move {
-            if self.serves_servers() {
-                self.retire_confirmed(discard_confirm);
-                self.cpu.run(self.cfg.costs.software_path).await;
-                let update = self
-                    .apply_dir_update(&dir_key, &[&entry], DirUpdateSource::Remote)
-                    .await;
-                self.send_reply(src, token, Reply::Done(update));
-            }
-        }
-    }
-
-    /// Serves a transaction's decision: acked once the decision is fully
-    /// applied — by this copy or a previously completed one; an abort always
-    /// is. A retransmitted commit racing a still-running apply is dropped;
-    /// the coordinator's retransmission timer re-asks until the apply
-    /// finished.
-    fn txn_decision_task(
-        self: Rc<Self>,
-        src: NodeId,
-        req_id: u64,
-        txn_id: u64,
-        commit: bool,
-    ) -> impl Future<Output = ()> {
-        async move {
-            if self.serves_servers() && self.handle_txn_decision(txn_id, commit).await {
-                self.send_reply(src, req_id, Reply::Done(Ok(())));
-            }
-        }
-    }
-
-    /// Serves the server messages that need no task of their own: quick
-    /// ones, which carry every reply and acknowledgment.
-    fn server_msg_task(self: Rc<Self>, src: NodeId, msg: ServerMsg) -> impl Future<Output = ()> {
-        async move {
-            if !self.serves_servers() {
-                return;
-            }
-            match msg {
-                ServerMsg::AggregationEntries {
-                    agg_id,
-                    entries,
-                    discard_confirm,
-                } => {
-                    self.retire_confirmed(discard_confirm);
-                    self.handle_aggregation_entries(src, agg_id, entries);
-                }
-                ServerMsg::AggregationAck { agg_id } => {
-                    self.handle_aggregation_ack(src, agg_id);
-                }
-                ServerMsg::ChangeLogPushAck { dir_key, applied } => {
-                    self.handle_push_ack(src, dir_key, applied);
-                }
-                ServerMsg::Reply { req_id, reply } => {
-                    self.complete_token(req_id, TokenReply::Server(reply));
-                }
-                // Boxed: a rare branch (one per `rmdir`), kept out of a hot
-                // task.
-                ServerMsg::InvalidationBroadcast { dir_id } => {
-                    let record = WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]);
-                    Box::pin(self.log_record(record)).await;
-                }
-                ServerMsg::RecoveryCloneInvalidation => {
-                    let list = self.inner.borrow().invalidation.iter().copied().collect();
-                    self.send_plain(
-                        src,
-                        Body::Server(ServerMsg::RecoveryInvalidationList { list }),
-                    );
-                }
-                ServerMsg::RecoveryInvalidationList { list } => {
-                    self.inner.borrow_mut().invalidation.extend(list);
-                }
-                // Tasks of their own, spawned by `deliver_server_msg`, which
-                // never hands one over.
-                ServerMsg::AsyncCommit { .. }
-                | ServerMsg::Request { .. }
-                | ServerMsg::ForwardedRequest { .. }
-                | ServerMsg::AggregationRequest { .. }
-                | ServerMsg::ChangeLogPush { .. } => {}
-            }
-        }
-    }
-
-    /// Serves one [`Request`] from `src` and sends the reply back under
-    /// `req_id`. Each handler returns its reply; `None` drops the request
-    /// unanswered — a [`Request::ShardInstall`] copy racing its first copy's
-    /// apply (the sender's retransmission re-asks until it finished), or a
-    /// [`Request::TxnPrepare`] from a node that is not a metadata server. A
-    /// directory update and a transaction's decision are answered by tasks
-    /// of their own. The replica writes and the prepare pass
-    /// [`Server::admit`]: a refused replica write answers `Unavailable`,
-    /// which its sender re-routes on, and a refused prepare votes no.
-    fn answer(self: Rc<Self>, src: NodeId, req_id: u64, req: Request) -> impl Future<Output = ()> {
-        async move {
-            if !self.serves_servers() {
-                return;
-            }
-            const DONE: Option<Reply> = Some(Reply::Done(Ok(())));
-            let reply = match req {
-                Request::DirtySet { op, fp } => {
-                    // The owner's CPU pays for every remote dirty-set operation:
-                    // the overhead Fig. 16 quantifies.
-                    self.cpu.run(self.cfg.costs.software_path).await;
-                    Some(Reply::Dirty(
-                        self.inner.borrow_mut().dirty_set.apply(op, fp),
-                    ))
-                }
-                // Logged like the `Invalidate` it undoes, or a replay would
-                // re-apply that one alone; acknowledged once the record is
-                // flushed.
-                Request::InvalidationRevoke { dir_id } => {
-                    self.log_record(WalOp::local(None, vec![KvEffect::Revoke(dir_id)]))
-                        .await;
-                    DONE
-                }
-                Request::TxnPrepare { txn_id, ops } => {
-                    self.handle_txn_prepare(src, txn_id, ops).await
-                }
-                Request::TxnDecisionQuery { txn_id } => {
-                    Some(self.handle_txn_decision_query(txn_id).await)
-                }
-                // The replica writes of a baseline `mkdir` and `rmdir` under
-                // grouping ([`Server::write_replica`]).
-                Request::InitDirContent { .. } | Request::DeleteAccessReplica { .. } => {
-                    self.cpu.run(self.cfg.costs.software_path).await;
-                    let (role, effects) = self.replica_write(&req);
-                    match self.admit(Some(role), || None) {
-                        Admit::Serve => {
-                            self.log_record(WalOp::local(None, effects)).await;
-                            DONE
-                        }
-                        Admit::Frozen | Admit::NotMine => {
-                            Some(Reply::Done(Err(FsError::Unavailable)))
-                        }
-                    }
-                }
-                Request::TypeProbe { key } => {
-                    self.cpu
-                        .run(self.cfg.costs.software_path + self.cfg.costs.kv_get)
-                        .await;
-                    let file_type = self
-                        .inner
-                        .borrow_mut()
-                        .inodes
-                        .get_ref(&key)
-                        .map(|a| a.file_type);
-                    Some(Reply::Type(file_type))
-                }
-                // Boxed: a rare branch, kept out of the task that answers
-                // every other request.
-                Request::ShardInstall { shard, image } => {
-                    Box::pin(self.handle_shard_install(src, req_id, shard, image)).await
-                }
-                // Tasks of their own, spawned by `deliver_server_msg`.
-                Request::RemoteDirUpdate { .. } | Request::TxnDecision { .. } => None,
-            };
-            if let Some(reply) = reply {
-                self.send_reply(src, req_id, reply);
-            }
         }
     }
 }
@@ -2246,6 +2100,7 @@ mod tests {
     use super::*;
     use crate::config::{TrackingMode, UpdateMode};
     use crate::wal::MigrationMarker;
+    use std::task::{Context, Poll};
     use switchfs_proto::message::{StateImage, TxnOp};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
@@ -2325,19 +2180,27 @@ mod tests {
         // A received packet is one allocation, the size of its task's future:
         // a large state machine inlined into a hot class shows in every
         // workload's bytes per operation. A rare branch is boxed instead.
-        // (The ceilings are exact for the pinned toolchain; a new std can
-        // move them. They were 792 and 1,336 while each task held its own
-        // clone of the server's ten shared parts instead of one `Rc`.)
+        // (The ceilings are exact for the rustc that `ci/golden/bench.txt`'s
+        // first line names; another compiler can move them. They were 792
+        // and 1,336 while each task held its own clone of the server's ten
+        // shared parts instead of one `Rc`.) Both futures are built as
+        // `Server::deliver_request` builds them.
         let sim = Sim::new(1);
         let server = test_servers(&sim, 1).remove(0);
         let key = MetaKey::new(DirId::ROOT, "f");
         let stat = request(&server, 1, MetaOp::Stat { key }, 0);
-        let single = server
-            .clone()
-            .single_inode_task(NodeId(1), stat.clone(), None);
-        let double = server.clone().double_inode_task(NodeId(1), stat, None);
-        assert!(std::mem::size_of_val(&single) <= 688);
-        assert!(std::mem::size_of_val(&double) <= 1232);
+        let (me, req, client_node, pkt) = (server.clone(), stat.clone(), NodeId(1), None);
+        let single = request_task!(me, client_node, req, pkt, {
+            Some(me.handle_single_inode(&req).await)
+        });
+        let size = std::mem::size_of_val(&single);
+        assert!(size <= 688, "a stat task is {size} B");
+        let (me, req) = (server.clone(), stat);
+        let double = request_task!(me, client_node, req, pkt, {
+            me.handle_double_inode(client_node, &req).await
+        });
+        let size = std::mem::size_of_val(&double);
+        assert!(size <= 1232, "a create task is {size} B");
     }
 
     #[test]
@@ -2378,24 +2241,138 @@ mod tests {
         assert_eq!(content.listing().len(), 2);
     }
 
+    /// A directory `server` owns, preloaded, and an insert into it.
+    fn owned_dir_update(server: &Server) -> (MetaKey, ChangeLogEntry) {
+        let placement = &server.cfg.placement;
+        let dir_key = MetaKey::new(DirId::ROOT, "d");
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        let owned = |dir: &DirId| {
+            placement.owner_of_hash(placement.dir_content_hash(fp, dir)) == server.cfg.id
+        };
+        let dir = (1..).map(|n| DirId::generate(ServerId(0), n)).find(owned);
+        let dir = dir.expect("a directory id this server owns");
+        server.preload_dir(dir_key.clone(), dir, 0);
+        let insert = ChangeOp::Insert {
+            file_type: FileType::File,
+            mode: 0o644,
+        };
+        let op_id = OpId {
+            client: ClientId(1),
+            seq: 1,
+        };
+        (dir_key.clone(), server.make_entry(op_id, dir, "f", insert))
+    }
+
     #[test]
     fn a_request_delivered_in_the_instant_of_a_crash_is_dropped() {
-        let sim = Sim::new(1);
-        let servers = test_servers(&sim, 2);
-        let (server, client) = (&servers[0], &servers[1]);
-        let key = MetaKey::new(DirId::ROOT, "f");
-        server.preload_file(key.clone(), 0);
-        let stat = |seq| request(server, seq, MetaOp::Stat { key: key.clone() }, 0);
-        server.deliver(client.node(), client_packet(1, &stat(1)));
-        sim.run();
-        assert!(matches!(results(client)[..], [OpResult::Attrs(_)]));
-        // Delivered, then crashed before its task ran: the gate at the
-        // task's first poll drops it — no `Unavailable`, nothing in flight.
-        server.deliver(client.node(), client_packet(2, &stat(2)));
-        server.crash();
-        sim.run();
-        assert_eq!(results(client), []);
-        assert_eq!(server.in_flight_op_count(), 0);
+        // One packet for each kind of task `deliver` spawns, sent by a peer
+        // that is also the client: every answer lands in its mailbox.
+        const TOKEN: u64 = 7;
+        let stat = |server: &Server| {
+            let key = MetaKey::new(DirId::ROOT, "f");
+            server.preload_file(key.clone(), 0);
+            request(server, 1, MetaOp::Stat { key }, 0)
+        };
+        let server_msg = |msg| NetMsg::plain(PacketSeq::default(), Body::Server(msg));
+        type Packet<'a> = &'a dyn Fn(&Server, &Server) -> NetMsg;
+        let cases: [(&str, Packet); 6] = [
+            ("a client request", &|server, _| {
+                client_packet(1, &stat(server))
+            }),
+            ("a forwarded request", &|server, peer| {
+                let client_node = peer.node().0;
+                server_msg(ServerMsg::ForwardedRequest {
+                    client_node,
+                    req: stat(server),
+                })
+            }),
+            ("an answered request", &|_, _| {
+                let key = MetaKey::new(DirId::ROOT, "f");
+                server_msg(ServerMsg::Request {
+                    req_id: TOKEN,
+                    req: Request::TypeProbe { key },
+                })
+            }),
+            ("a remote directory update", &|server, _| {
+                let (dir_key, entry) = owned_dir_update(server);
+                let req = Request::RemoteDirUpdate {
+                    dir_key,
+                    entry,
+                    discard_confirm: Vec::new(),
+                };
+                server_msg(ServerMsg::Request { req_id: TOKEN, req })
+            }),
+            ("an overflowed asynchronous commit", &|server, _| {
+                let (dir_key, entry) = owned_dir_update(server);
+                let hdr = switchfs_proto::DirtySetHeader {
+                    op: DirtySetOp::Insert,
+                    fingerprint: Fingerprint::of_dir(&dir_key.pid, &dir_key.name),
+                    remove_seq: 0,
+                    ret: DirtyRet::Overflowed,
+                    alt_dst: None,
+                };
+                let commit = ServerMsg::AsyncCommit {
+                    response: ClientResponse {
+                        op_id: entry.entry_id,
+                        result: OpResult::Done,
+                    },
+                    op_token: TOKEN,
+                    fallback: SyncFallback { dir_key, entry },
+                };
+                NetMsg::with_dirty(PacketSeq::default(), hdr, Body::Server(commit))
+            }),
+            ("a reply", &|_, _| {
+                let reply = Reply::Done(Ok(()));
+                server_msg(ServerMsg::Reply {
+                    req_id: TOKEN,
+                    reply,
+                })
+            }),
+        ];
+        // What serving the packet did: packets sent, WAL records appended,
+        // whether the number of waits held changed, and whether the wait
+        // under `TOKEN` got its answer.
+        const NOTHING: (usize, u64, bool, bool) = (0, 0, false, false);
+        let serve_packet = |packet: Packet, crash: bool| {
+            let sim = Sim::new(1);
+            let servers = test_servers(&sim, 2);
+            let (server, peer) = (&servers[0], &servers[1]);
+            let waits = || {
+                (
+                    server.durable.borrow().wal.appends(),
+                    server.pending_token_count(),
+                )
+            };
+            server.inner.borrow_mut().pending_tokens.register(TOKEN);
+            let msg = packet(server, peer);
+            let before = waits();
+            server.deliver(peer.node(), msg);
+            if crash {
+                server.crash();
+            }
+            sim.run();
+            assert_eq!(server.in_flight_op_count(), 0);
+            let mut cx = Context::from_waker(Waker::noop());
+            let reply = server
+                .inner
+                .borrow_mut()
+                .pending_tokens
+                .poll_reply(TOKEN, &mut cx);
+            let after = waits();
+            let answered = matches!(reply, Poll::Ready(Some(_)));
+            (
+                received(peer).len(),
+                after.0 - before.0,
+                after.1 != before.1,
+                answered,
+            )
+        };
+        for (name, packet) in cases {
+            // Served, it does something; delivered, then crashed before its
+            // task ran, the gate at the task's first poll drops it.
+            assert_ne!(serve_packet(packet, false), NOTHING, "{name} served");
+            assert_eq!(serve_packet(packet, true), NOTHING, "{name} dropped");
+        }
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub(crate) enum DirUpdateSource {
     /// parent update with file and directory colocated). One update.
     Local,
     /// Another server's synchronous parent update: a `RemoteDirUpdate`, or
-    /// an `AsyncCommit` the switch rewrote to this owner on overflow.
-    /// Applied only while [`Server::admit`] lets it, and counted in
-    /// `remote_updates`. One update.
+    /// an `AsyncCommit` the switch rewrote to this owner on overflow. The
+    /// served request's software path is charged first; applied only while
+    /// [`Server::admit`] lets it, and counted in `remote_updates`. One
+    /// update.
     Remote,
     /// A committed rename transaction, with all of its updates to the
     /// directory — both of them when source and destination share a parent:
@@ -627,7 +628,8 @@ impl Server {
     /// directory this server owns: one update from the synchronous parent
     /// paths (the baselines' and an overflow's), all of a committed rename's
     /// updates to it at once. The only place that writes down the applier
-    /// discipline: ownership gate → fp-group write lock → dedup check →
+    /// discipline: (for a remote update, the software path charge →)
+    /// ownership gate → fp-group write lock → dedup check →
     /// inode write lock → lock and read charge → [`Server::log_record`],
     /// which charges the record's append and puts → stats. The fp-group lock
     /// excludes the batch appliers (aggregation, push), which hold it but
@@ -649,6 +651,9 @@ impl Server {
         entries: &[&ChangeLogEntry],
         source: DirUpdateSource,
     ) -> Result<(), FsError> {
+        if source == DirUpdateSource::Remote {
+            self.cpu.run(self.cfg.costs.software_path).await;
+        }
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         if source == DirUpdateSource::Remote {
             let role = self.cfg.placement.dir_content_hash(fp, &entries[0].dir);

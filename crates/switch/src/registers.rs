@@ -70,9 +70,14 @@ impl RegisterStage {
     }
 
     /// *Conditional insert*: returns true if the register is empty or
-    /// already holds `tag`; writes `tag` when the register was empty.
+    /// already holds `tag`; writes `tag` when the register was empty. 0 is
+    /// the empty register, not a tag: inserting it answers false, writes
+    /// nothing and allocates nothing, as removing it does.
     pub fn conditional_insert(&mut self, index: usize, tag: u32) -> bool {
         let (page, slot) = self.locate(index);
+        if tag == 0 {
+            return false;
+        }
         let reg = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[slot];
         if *reg == 0 {
             *reg = tag;
@@ -172,7 +177,9 @@ mod tests {
     impl Flat {
         fn conditional_insert(&mut self, index: usize, tag: u32) -> bool {
             let reg = &mut self.regs[index];
-            if *reg == 0 {
+            if tag == 0 {
+                false
+            } else if *reg == 0 {
                 *reg = tag;
                 self.occupied += 1;
                 true
@@ -285,6 +292,23 @@ mod tests {
         assert_eq!(s.pages(), 1, "one write allocates its page alone");
         assert!(!s.conditional_remove(2 * PAGE, 0xab));
         assert_eq!(s.pages(), 1);
+    }
+
+    #[test]
+    fn a_zero_tag_is_never_inserted() {
+        let mut s = RegisterStage::new(4 * PAGE);
+        for _ in 0..3 {
+            for index in [0, PAGE + 5, 4 * PAGE - 1] {
+                assert!(!s.conditional_insert(index, 0));
+            }
+        }
+        assert_eq!(s.occupied(), 0);
+        assert_eq!(s.pages(), 0);
+        // Nor does it match a register that holds a tag.
+        assert!(s.conditional_insert(PAGE + 5, 0xab));
+        assert!(!s.conditional_insert(PAGE + 5, 0));
+        assert_eq!(s.read(PAGE + 5), 0xab);
+        assert_eq!(s.occupied(), 1);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! counts: a `stat` and a `create` into one directory on a small SwitchFS
 //! deployment, the same `create` on Emulated-CFS, and one unicast packet
 //! through plain L2 forwarding, which allocates nothing. A change that adds a per-op allocation on any of these
-//! paths fails here, however little wall-clock time it costs. One more
-//! budget holds the live bytes of an empty switch program, whose registers
-//! the host allocates a page at a time as they are written.
+//! paths fails here, however little wall-clock time it costs. The
+//! Emulated-CFS `create` also has a budget of bytes allocated, which holds
+//! the size of the futures its server tasks allocate. One more budget holds
+//! the live bytes of an empty switch program, whose registers the host
+//! allocates a page at a time as they are written.
 //!
 //! Counting is per thread (the test harness runs tests side by side, and a
 //! simulation runs entirely on the thread that drives it), by a counting
@@ -28,12 +30,15 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation of `bytes`.
+fn count_one(bytes: usize) {
     // `try_with`: an allocation during thread teardown is simply not counted.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Adds `bytes` (negative when freed) to this thread's live bytes.
@@ -46,6 +51,11 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes this thread's allocations so far asked for.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 /// Bytes this thread has allocated and not freed, less what it freed of
 /// other threads' allocations.
 fn live() -> i64 {
@@ -56,14 +66,14 @@ fn live() -> i64 {
 // `GlobalAlloc` contract; the counter never influences the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         count_live(layout.size() as i64);
         // SAFETY: same layout the caller handed to us.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         count_live(layout.size() as i64);
         // SAFETY: same layout the caller handed to us.
         unsafe { System.alloc_zeroed(layout) }
@@ -76,9 +86,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc counts as one allocation, like the alloc + copy + dealloc
-        // it stands for.
-        count_one();
+        // A realloc counts as one allocation of the new size, like the
+        // alloc + copy + dealloc it stands for.
+        count_one(new_size);
         count_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -105,8 +115,9 @@ fn cluster(system: SystemKind) -> Cluster {
 
 /// Runs `op` on every path in order on a [`cluster`] of `system`, twice as
 /// many as [`OPS`]: the first half warms caches, pools and buffers, the
-/// second half is counted. Returns the allocations of the counted half.
-fn allocs_of<F, Fut>(system: SystemKind, paths: Vec<String>, op: F) -> u64
+/// second half is counted. Returns the allocations of the counted half and
+/// the bytes they asked for.
+fn allocs_of<F, Fut>(system: SystemKind, paths: Vec<String>, op: F) -> (u64, u64)
 where
     F: Fn(Rc<switchfs::client::LibFs>, String) -> Fut + 'static,
     Fut: std::future::Future<Output = ()>,
@@ -114,14 +125,14 @@ where
     let cluster = cluster(system);
     let client = cluster.client(0);
     cluster.block_on(async move {
-        let mut before = 0;
+        let mut before = (0, 0);
         for (i, path) in paths.into_iter().enumerate() {
             if i as u64 == OPS {
-                before = allocs();
+                before = (allocs(), bytes());
             }
             op(client.clone(), path).await;
         }
-        allocs() - before
+        (allocs() - before.0, bytes() - before.1)
     })
 }
 
@@ -139,7 +150,7 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
     // were reused and lock waiters became tickets.
     const BUDGET: u64 = 347;
     let paths = (0..2 * OPS).map(|i| format!("/d/f{i}")).collect();
-    let n = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
+    let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
         client.stat(&path).await.expect("stat");
     });
     assert!(
@@ -156,7 +167,7 @@ fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
     // (50.3 per create) before the four changes named above.
     const BUDGET: u64 = 1_079;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
-    let n = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
+    let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
         client.create(&path).await.expect("create");
     });
     assert!(
@@ -172,13 +183,22 @@ fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
     // server's side of an awaited request as the two above hold the
     // client's. 15.6 per create.
     const BUDGET: u64 = 999;
+    // Bytes: each received packet allocates its task's future, sized for
+    // the handler of its own body variant. 5,753.3 per create; 382,896
+    // (5,982.8 per create) while the quick messages shared one task, and
+    // the answered requests another, each sized for its largest variant.
+    const BYTES_BUDGET: u64 = 368_208;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
-    let n = allocs_of(SystemKind::EmulatedCfs, paths, |client, path| async move {
+    let (n, bytes) = allocs_of(SystemKind::EmulatedCfs, paths, |client, path| async move {
         client.create(&path).await.expect("create");
     });
     assert!(
         n <= BUDGET,
         "{OPS} creates allocated {n} times (budget {BUDGET})"
+    );
+    assert!(
+        bytes <= BYTES_BUDGET,
+        "{OPS} creates allocated {bytes} B (budget {BYTES_BUDGET})"
     );
 }
 
