@@ -651,11 +651,9 @@ impl Server {
         entries: &[&ChangeLogEntry],
         source: DirUpdateSource,
     ) -> Result<(), FsError> {
-        if source == DirUpdateSource::Remote {
-            self.cpu.run(self.cfg.costs.software_path).await;
-        }
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         if source == DirUpdateSource::Remote {
+            self.cpu.run(self.cfg.costs.software_path).await;
             let role = self.cfg.placement.dir_content_hash(fp, &entries[0].dir);
             if self.admit(Some(role), || None) != Admit::Serve {
                 return Err(FsError::Unavailable);
