@@ -300,8 +300,11 @@ impl Cluster {
         id
     }
 
-    /// Installs `count` files named `f0..f{count-1}` in an already preloaded
-    /// directory and in the directory's entry list.
+    /// Installs `count` files named `{prefix}0..{prefix}{count-1}` in an
+    /// already preloaded directory and in the directory's entry list. Each
+    /// file's owner gets its files as one batch, in file order (so each
+    /// draws the ids it would one file at a time), and the content owner
+    /// gets every entry at once.
     pub fn preload_files(&mut self, dir_path: &str, prefix: &str, count: usize) {
         let (dir_key, dir_id) = self
             .preloaded_dirs
@@ -310,20 +313,23 @@ impl Cluster {
             .unwrap_or_else(|| panic!("directory {dir_path} was not preloaded"));
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
         let (placement, servers) = (&self.control.placement, &self.control.servers);
-        let content_owner = placement.dir_content_owner(fp, &dir_id);
+        let mut batches = vec![Vec::new(); servers.len()];
+        let mut entries = Vec::with_capacity(count);
         for i in 0..count {
             let key = MetaKey::new(dir_id, format!("{prefix}{i}"));
             let owner = placement.file_owner(&key);
-            servers[owner.0 as usize].preload_file(key.clone(), 0);
-            servers[content_owner.0 as usize].preload_entry(
-                dir_id,
-                DirEntry {
-                    name: key.name.clone(),
-                    file_type: FileType::File,
-                    mode: 0o644,
-                },
-            );
+            entries.push(DirEntry {
+                name: key.name.clone(),
+                file_type: FileType::File,
+                mode: 0o644,
+            });
+            batches[owner.0 as usize].push(key.name);
         }
+        for (server, names) in servers.iter().zip(batches) {
+            server.preload_files(dir_id, names, 0);
+        }
+        let content_owner = placement.dir_content_owner(fp, &dir_id);
+        servers[content_owner.0 as usize].preload_entries(dir_id, entries);
     }
 
     /// Checkpoints every server's volatile state into its durable bundle.
@@ -475,5 +481,59 @@ impl Cluster {
             total += s.stats();
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SystemKind;
+    use switchfs_proto::{Name, Placement};
+
+    /// Every server's stores, in their order, and counters.
+    fn stores(cluster: &Cluster) -> Vec<impl PartialEq + std::fmt::Debug> {
+        let state = |s: &Rc<Server>| (s.snapshot().image, s.kv_stats());
+        cluster.servers().iter().map(state).collect()
+    }
+
+    fn cluster_with(dir: &str) -> Cluster {
+        let mut cluster = Cluster::new(ClusterConfig::paper_default(SystemKind::SwitchFs));
+        cluster.preload_dir(dir);
+        cluster
+    }
+
+    #[test]
+    fn a_zero_file_preload_changes_no_store_and_counts_nothing() {
+        let mut cluster = cluster_with("/d");
+        let before = stores(&cluster);
+        cluster.preload_files("/d", "f", 0);
+        assert_eq!(stores(&cluster), before);
+    }
+
+    #[test]
+    fn a_bulk_preload_equals_installing_one_file_at_a_time() {
+        const FILES: usize = 300;
+        let mut bulk = cluster_with("/d");
+        bulk.preload_files("/d", "f", FILES);
+        // One file at a time, on the same servers the bulk path picks.
+        let single = cluster_with("/d");
+        let (dir_key, dir) = single.preloaded_dirs["/d"].clone();
+        let placement = single.placement();
+        let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
+        let content_owner = &single.servers()[placement.dir_content_owner(fp, &dir).0 as usize];
+        for i in 0..FILES {
+            let key = MetaKey::new(dir, format!("f{i}"));
+            let owner = &single.servers()[placement.file_owner(&key).0 as usize];
+            owner.preload_files(dir, [key.name.clone()], 0);
+            let entry = DirEntry {
+                name: Name::clone(&key.name),
+                file_type: FileType::File,
+                mode: 0o644,
+            };
+            content_owner.preload_entries(dir, vec![entry]);
+        }
+        assert_eq!(stores(&bulk), stores(&single));
+        let inodes: usize = bulk.servers().iter().map(|s| s.inode_count()).sum();
+        assert!(inodes > FILES, "the files and the preloaded directories");
     }
 }

@@ -65,8 +65,15 @@ impl<K: Ord + Clone, V: Clone> KvStore<K, V> {
     /// plus a put, like the load/store pair it replaces). Used for in-place
     /// copy-on-write updates of `Rc`-shared values.
     pub fn get_mut_counted(&mut self, key: &K) -> Option<&mut V> {
-        self.stats.gets += 1;
-        self.stats.puts += 1;
+        self.get_mut_counted_n(key, 1)
+    }
+
+    /// Mutable access for a batch of `n` read-modify-writes of one value
+    /// done at once, counted as the `n` [`KvStore::get_mut_counted`] calls
+    /// it stands for.
+    pub fn get_mut_counted_n(&mut self, key: &K, n: u64) -> Option<&mut V> {
+        self.stats.gets += n;
+        self.stats.puts += n;
         self.map.get_mut(key)
     }
 

@@ -26,6 +26,7 @@ pub mod changelog;
 pub mod config;
 pub mod costs;
 pub mod dirty_set;
+mod inodes;
 pub mod locks;
 pub mod server;
 pub mod wal;

@@ -43,6 +43,7 @@ use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime, Ta
 use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
 use crate::dirty_set::ServerDirtySet;
+use crate::inodes::InodeStore;
 use crate::locks::{AggGate, LockManager};
 use crate::server::migrate::{Admit, InstallState};
 use crate::server::ops::DirUpdateSource;
@@ -196,6 +197,17 @@ impl DirContent {
         self.set.replace(ByName(entry));
     }
 
+    /// Inserts or replaces a batch of entries, invalidating the shared
+    /// listing memo. The batch is sorted once and merged in one pass, which
+    /// fills every node of the set, where one insert at a time leaves
+    /// about half of each node empty. A later entry replaces an earlier one
+    /// of the same name, as [`DirContent::insert`] does.
+    pub fn extend(&mut self, entries: impl IntoIterator<Item = DirEntry>) {
+        self.listing = None;
+        let mut batch = entries.into_iter().map(ByName).collect();
+        self.set.append(&mut batch);
+    }
+
     /// Removes an entry by name, invalidating the shared listing memo.
     pub fn remove(&mut self, name: &str) {
         self.listing = None;
@@ -307,8 +319,8 @@ pub(crate) enum Liveness {
 /// The volatile state of a metadata server. Rebuilt from the WAL after a
 /// crash.
 pub(crate) struct ServerInner {
-    /// Inode store: `(pid, name)` → attributes.
-    pub inodes: KvStore<MetaKey, InodeAttrs>,
+    /// Inode store: `(pid, name)` → attributes, kept per parent directory.
+    pub inodes: InodeStore,
     /// Entry-list store: directory id → entry list with a shareable
     /// materialized listing (see [`DirContent`]). Mutations go through
     /// [`ServerInner::put_entry`] / [`ServerInner::remove_entry`].
@@ -440,7 +452,7 @@ pub(crate) struct ServerInner {
 impl ServerInner {
     fn new() -> Self {
         ServerInner {
-            inodes: KvStore::new(),
+            inodes: InodeStore::default(),
             entries: KvStore::new(),
             dir_index: FxHashMap::default(),
             changelogs: ChangeLogStore::new(),
@@ -482,7 +494,8 @@ impl ServerInner {
     pub(crate) fn reset_volatile(&mut self) {
         let mut old = std::mem::replace(self, ServerInner::new());
         // The stores restart empty but keep their access counters
-        // (`KvStore::clear`), which registry rows read across recoveries.
+        // (`InodeStore::clear`, `KvStore::clear`), which registry rows read
+        // across recoveries.
         old.inodes.clear();
         old.entries.clear();
         *self = ServerInner {
@@ -542,6 +555,23 @@ impl ServerInner {
         } else {
             let mut content = DirContent::default();
             content.insert(entry);
+            self.entries.put(dir, content);
+        }
+    }
+
+    /// Inserts or replaces a batch of entries in a directory's list, building
+    /// it in one pass. Counted as the [`ServerInner::put_entry`] calls it
+    /// stands for; an empty batch touches nothing.
+    pub fn put_entries(&mut self, dir: DirId, entries: Vec<DirEntry>) {
+        if entries.is_empty() {
+            return;
+        }
+        let n = entries.len() as u64;
+        if let Some(content) = self.entries.get_mut_counted_n(&dir, n) {
+            content.extend(entries);
+        } else {
+            let mut content = DirContent::default();
+            content.extend(entries);
             self.entries.put(dir, content);
         }
     }
@@ -1898,21 +1928,23 @@ impl Server {
         inner.dir_index.insert(id, key);
     }
 
-    /// Directly installs a file inode (and optionally counts it in the parent
-    /// directory entry list if this server also owns the parent).
-    pub fn preload_file(&self, key: MetaKey, now: u64) {
-        let id = DirId::generate(self.cfg.id, {
-            let mut inner = self.inner.borrow_mut();
-            inner.dir_counter += 1;
-            inner.dir_counter
-        });
-        let attrs = InodeAttrs::new_file(id, now, Default::default());
-        self.inner.borrow_mut().inodes.put(key, attrs);
+    /// Directly installs the file inodes `names` under directory `dir`,
+    /// each with a fresh id drawn in the order given: the files of one
+    /// directory that this server owns.
+    pub fn preload_files(&self, dir: DirId, names: impl IntoIterator<Item = Name>, now: u64) {
+        for name in names {
+            let attrs = InodeAttrs::new_file(self.fresh_dir_id(), now, Default::default());
+            let key = MetaKey { pid: dir, name };
+            self.inner.borrow_mut().inodes.put(key, attrs);
+        }
     }
 
-    /// Directly installs a directory entry on the owner of the directory.
-    pub fn preload_entry(&self, dir: DirId, entry: DirEntry) {
-        self.inner.borrow_mut().put_entry(dir, entry);
+    /// Directly installs directory entries on the owner of the directory's
+    /// content, merged into its list in one pass (see
+    /// [`DirContent::extend`]). Counted as one entry put at a time would be;
+    /// an empty batch creates no list.
+    pub fn preload_entries(&self, dir: DirId, entries: Vec<DirEntry>) {
+        self.inner.borrow_mut().put_entries(dir, entries);
     }
 
     /// Generates a fresh directory id.
@@ -2241,6 +2273,87 @@ mod tests {
         assert_eq!(content.listing().len(), 2);
     }
 
+    /// A preloaded file's entry, as `Cluster::preload_files` makes it.
+    fn file_entry(name: &Name) -> DirEntry {
+        DirEntry {
+            name: name.clone(),
+            file_type: FileType::File,
+            mode: 0o644,
+        }
+    }
+
+    /// What a preload leaves to compare: the stores in their order, the
+    /// counters and the next id.
+    fn preloaded_state(server: &Server) -> impl PartialEq + std::fmt::Debug {
+        let image = server.snapshot().image;
+        let inner = server.inner.borrow();
+        let lists = inner.entries.len();
+        (
+            image.inodes,
+            image.entries,
+            lists,
+            server.kv_stats(),
+            inner.dir_counter,
+        )
+    }
+
+    #[test]
+    fn a_batch_preload_equals_installing_one_file_at_a_time() {
+        let dir = DirId::generate(ServerId(0), 1);
+        let names: Vec<Name> = (0..40)
+            .map(|i| Name::from(format!("f{i}").as_str()))
+            .collect();
+        let (sim_a, sim_b) = (Sim::new(1), Sim::new(1));
+        let (batched, single) = (&test_servers(&sim_a, 1)[0], &test_servers(&sim_b, 1)[0]);
+        batched.preload_files(dir, names.iter().cloned(), 0);
+        batched.preload_entries(dir, names.iter().map(file_entry).collect());
+        // The per-file path: a fresh id, an inode put and an entry put.
+        for name in &names {
+            let attrs = InodeAttrs::new_file(single.fresh_dir_id(), 0, Default::default());
+            let mut inner = single.inner.borrow_mut();
+            inner.inodes.put(MetaKey::new(dir, name.clone()), attrs);
+            inner.put_entry(dir, file_entry(name));
+        }
+        assert_eq!(preloaded_state(batched), preloaded_state(single));
+    }
+
+    #[test]
+    fn two_preload_batches_equal_one_and_an_empty_batch_touches_nothing() {
+        let dir = DirId::generate(ServerId(0), 1);
+        let names = |range: std::ops::Range<u32>| -> Vec<Name> {
+            range
+                .map(|i| Name::from(format!("f{i}").as_str()))
+                .collect()
+        };
+        // `f9` is in both halves: the second batch replaces it.
+        let (first, second) = (names(0..10), names(9..25));
+        let (sim_a, sim_b) = (Sim::new(1), Sim::new(1));
+        let (twice, once) = (&test_servers(&sim_a, 1)[0], &test_servers(&sim_b, 1)[0]);
+        for batch in [&first, &second] {
+            twice.preload_files(dir, batch.iter().cloned(), 0);
+            twice.preload_entries(dir, batch.iter().map(file_entry).collect());
+        }
+        let both: Vec<Name> = first.iter().chain(&second).cloned().collect();
+        once.preload_files(dir, both.iter().cloned(), 0);
+        once.preload_entries(dir, both.iter().map(file_entry).collect());
+        assert_eq!(preloaded_state(twice), preloaded_state(once));
+        assert_eq!(
+            once.inner.borrow().entries.peek(&dir).map(DirContent::len),
+            Some(25)
+        );
+
+        let sim = Sim::new(1);
+        let server = &test_servers(&sim, 1)[0];
+        let before = preloaded_state(server);
+        server.preload_files(dir, [], 0);
+        server.preload_entries(dir, Vec::new());
+        assert_eq!(preloaded_state(server), before);
+        assert!(
+            server.inner.borrow().entries.peek(&dir).is_none(),
+            "no entry list"
+        );
+    }
+
     /// A directory `server` owns, preloaded, and an insert into it.
     fn owned_dir_update(server: &Server) -> (MetaKey, ChangeLogEntry) {
         let placement = &server.cfg.placement;
@@ -2270,7 +2383,7 @@ mod tests {
         const TOKEN: u64 = 7;
         let stat = |server: &Server| {
             let key = MetaKey::new(DirId::ROOT, "f");
-            server.preload_file(key.clone(), 0);
+            server.preload_files(key.pid, [key.name.clone()], 0);
             request(server, 1, MetaOp::Stat { key }, 0)
         };
         let server_msg = |msg| NetMsg::plain(PacketSeq::default(), Body::Server(msg));
@@ -2381,7 +2494,7 @@ mod tests {
         let servers = test_servers(&sim, 2);
         let (server, client) = (&servers[0], &servers[1]);
         let key = MetaKey::new(DirId::ROOT, "f");
-        server.preload_file(key.clone(), 0);
+        server.preload_files(key.pid, [key.name.clone()], 0);
         let chmod = |seq, acked_below| {
             let op = MetaOp::Chmod {
                 key: key.clone(),
@@ -2419,7 +2532,7 @@ mod tests {
         let servers = test_servers(&sim, 2);
         let (server, client) = (&servers[0], &servers[1]);
         let key = MetaKey::new(DirId::ROOT, "f");
-        server.preload_file(key.clone(), 0);
+        server.preload_files(key.pid, [key.name.clone()], 0);
         let chmod = |seq| {
             let op = MetaOp::Chmod {
                 key: key.clone(),
@@ -2452,7 +2565,7 @@ mod tests {
         let servers = test_servers(&sim, 2);
         let (server, peer) = (&servers[0], &servers[1]);
         let key = MetaKey::new(DirId::ROOT, "f");
-        server.preload_file(key.clone(), 0);
+        server.preload_files(key.pid, [key.name.clone()], 0);
         // Both arrive while the server still serves; it is decommissioned
         // before their tasks run.
         let stat = request(server, 1, MetaOp::Stat { key: key.clone() }, 0);

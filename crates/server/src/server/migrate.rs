@@ -115,7 +115,7 @@ impl Server {
         for (key, attrs) in inner.inodes.iter() {
             // Once per image, also when both roles of a directory fall into it.
             let mut last = None;
-            let roles = placement.inode_role_hashes(key, attrs);
+            let roles = placement.inode_role_hashes(&key, attrs);
             for k in roles.into_iter().filter_map(&bucket) {
                 if last.replace(k) != Some(k) {
                     let image = out.entry(k).or_default();

@@ -102,13 +102,19 @@ static GLOBAL: Counting = Counting;
 const OPS: u64 = 64;
 
 /// A small deployment of `system` (4 servers, 1 client) with `/d`
-/// preloaded with `2 * OPS` files `f0`, `f1`, ….
-fn cluster(system: SystemKind) -> Cluster {
+/// preloaded, and no file in it yet.
+fn empty_dir(system: SystemKind) -> Cluster {
     let mut cfg = ClusterConfig::paper_default(system);
     cfg.servers = 4;
     cfg.clients = 1;
     let mut cluster = Cluster::new(cfg);
     cluster.preload_dir("/d");
+    cluster
+}
+
+/// An [`empty_dir`] deployment with `2 * OPS` files `f0`, `f1`, … in `/d`.
+fn cluster(system: SystemKind) -> Cluster {
+    let mut cluster = empty_dir(system);
     cluster.preload_files("/d", "f", 2 * OPS as usize);
     cluster
 }
@@ -259,4 +265,23 @@ fn an_empty_switch_keeps_only_its_page_slots_live() {
     assert_eq!(set.insert(fp), InsertOutcome::Inserted);
     assert_eq!(allocs() - allocs_before, 1, "one insert allocates one page");
     assert_eq!(live() - live_before, 4096, "one page is 4 KiB");
+}
+
+#[test]
+fn a_preloaded_directory_keeps_its_inodes_and_entries_packed() {
+    // What `2 * OPS` preloaded files keep live: their names, inodes and
+    // entries. Each server keeps the directory's id once for all of its
+    // files, and the content owner builds the entry list in one pass. 38,792
+    // B while every inode's key held its own copy of the id and the entries
+    // went in one at a time.
+    const BUDGET: i64 = 32_096;
+    let mut cluster = empty_dir(SystemKind::SwitchFs);
+    let before = live();
+    cluster.preload_files("/d", "f", 2 * OPS as usize);
+    let kept = live() - before;
+    assert!(
+        kept <= BUDGET,
+        "{} preloaded files keep {kept} B live (budget {BUDGET})",
+        2 * OPS
+    );
 }
