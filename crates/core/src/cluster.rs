@@ -488,7 +488,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::SystemKind;
-    use switchfs_proto::{Name, Placement};
+    use switchfs_proto::Placement;
 
     /// Every server's stores, in their order, and counters.
     fn stores(cluster: &Cluster) -> Vec<impl PartialEq + std::fmt::Debug> {
@@ -526,7 +526,7 @@ mod tests {
             let owner = &single.servers()[placement.file_owner(&key).0 as usize];
             owner.preload_files(dir, [key.name.clone()], 0);
             let entry = DirEntry {
-                name: Name::clone(&key.name),
+                name: key.name.clone(),
                 file_type: FileType::File,
                 mode: 0o644,
             };

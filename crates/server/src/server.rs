@@ -559,23 +559,6 @@ impl ServerInner {
         }
     }
 
-    /// Inserts or replaces a batch of entries in a directory's list, building
-    /// it in one pass. Counted as the [`ServerInner::put_entry`] calls it
-    /// stands for; an empty batch touches nothing.
-    pub fn put_entries(&mut self, dir: DirId, entries: Vec<DirEntry>) {
-        if entries.is_empty() {
-            return;
-        }
-        let n = entries.len() as u64;
-        if let Some(content) = self.entries.get_mut_counted_n(&dir, n) {
-            content.extend(entries);
-        } else {
-            let mut content = DirContent::default();
-            content.extend(entries);
-            self.entries.put(dir, content);
-        }
-    }
-
     /// Removes an entry from a directory's list, dropping the list once it
     /// becomes empty.
     pub fn remove_entry(&mut self, dir: DirId, name: &str) {
@@ -1941,10 +1924,22 @@ impl Server {
 
     /// Directly installs directory entries on the owner of the directory's
     /// content, merged into its list in one pass (see
-    /// [`DirContent::extend`]). Counted as one entry put at a time would be;
-    /// an empty batch creates no list.
+    /// [`DirContent::extend`]). Counted as the n single inserts it stands
+    /// for: n gets and n puts, one more put for a new list. An empty batch
+    /// creates no list and counts nothing.
     pub fn preload_entries(&self, dir: DirId, entries: Vec<DirEntry>) {
-        self.inner.borrow_mut().put_entries(dir, entries);
+        if entries.is_empty() {
+            return;
+        }
+        let n = entries.len() as u64;
+        let store = &mut self.inner.borrow_mut().entries;
+        if let Some(content) = store.get_mut_counted_n(&dir, n) {
+            content.extend(entries);
+        } else {
+            let mut content = DirContent::default();
+            content.extend(entries);
+            store.put(dir, content);
+        }
     }
 
     /// Generates a fresh directory id.
