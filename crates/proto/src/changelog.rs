@@ -63,19 +63,21 @@ impl ChangeLogEntry {
 }
 
 /// A compacted view of a set of change-log entries for one directory:
-/// the latest timestamp plus the ordered entry-list mutations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompactedChanges {
+/// the latest timestamp plus the ordered entry-list mutations. It borrows
+/// the names from the entries it was compacted from; the owner applies it
+/// at once and no message carries it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CompactedChanges<'a> {
     /// Largest commit timestamp seen (overwrites directory `mtime`/`ctime`).
     pub max_timestamp: u64,
     /// Net entry-list mutations, in original FIFO order after removing
     /// insert/remove pairs that cancel out.
-    pub entry_ops: Vec<(String, ChangeOp)>,
+    pub entry_ops: Vec<(&'a str, ChangeOp)>,
     /// Number of raw entries that were compacted away.
     pub merged_entries: usize,
 }
 
-impl CompactedChanges {
+impl<'a> CompactedChanges<'a> {
     /// Compacts a FIFO sequence of change-log entries for a single
     /// directory.
     ///
@@ -83,16 +85,16 @@ impl CompactedChanges {
     /// *different* names are kept; repeated insert/remove of the *same* name
     /// is reduced to its net effect while preserving the relative order of
     /// surviving operations.
-    pub fn from_entries(entries: &[ChangeLogEntry]) -> CompactedChanges {
+    pub fn from_entries(entries: &'a [ChangeLogEntry]) -> CompactedChanges<'a> {
         Self::from_entry_refs(entries.iter())
     }
 
     /// Like [`CompactedChanges::from_entries`], but over borrowed entries —
     /// the aggregation path groups entries per directory by reference, so no
     /// entry is cloned just to be compacted.
-    pub fn from_entry_refs<'a>(
+    pub fn from_entry_refs(
         entries: impl IntoIterator<Item = &'a ChangeLogEntry>,
-    ) -> CompactedChanges {
+    ) -> CompactedChanges<'a> {
         let mut out = CompactedChanges::default();
         // Net effect per name: we walk the FIFO and fold insert/remove pairs.
         // Per name still in play: the position of its surviving op in `ops`,
@@ -106,7 +108,7 @@ impl CompactedChanges {
         // makes the cross-process determinism guarantee auditable.
         let mut in_play: std::collections::BTreeMap<&str, (usize, bool)> =
             std::collections::BTreeMap::new();
-        let mut ops: Vec<Option<(String, ChangeOp)>> = Vec::new();
+        let mut ops: Vec<Option<(&str, ChangeOp)>> = Vec::new();
         for e in entries {
             out.max_timestamp = out.max_timestamp.max(e.timestamp);
             match (in_play.get(e.name.as_str()), e.op) {
@@ -122,11 +124,11 @@ impl CompactedChanges {
                 // remove→insert→remove is a remove again — the name was
                 // listed before the batch and must not be afterwards).
                 (Some(&(idx, _)), op) => {
-                    ops[idx] = Some((e.name.clone(), op));
+                    ops[idx] = Some((e.name.as_str(), op));
                     out.merged_entries += 1;
                 }
                 (None, op) => {
-                    ops.push(Some((e.name.clone(), op)));
+                    ops.push(Some((e.name.as_str(), op)));
                     let first_is_insert = matches!(op, ChangeOp::Insert { .. });
                     in_play.insert(e.name.as_str(), (ops.len() - 1, first_is_insert));
                 }
@@ -213,13 +215,7 @@ mod tests {
             entry("x", ChangeOp::Remove, 13, -1, 456),
         ];
         let c = CompactedChanges::from_entries(&entries);
-        assert_eq!(
-            c.entry_ops,
-            [
-                ("x".to_string(), ChangeOp::Remove),
-                ("keep".to_string(), INS)
-            ]
-        );
+        assert_eq!(c.entry_ops, [("x", ChangeOp::Remove), ("keep", INS)]);
         assert_eq!(c.merged_entries, 2);
         // One more turn ends on the insert; a name the batch introduced still
         // cancels, also after it cancelled once already.
@@ -230,10 +226,7 @@ mod tests {
         entries.push(entry("tmp", INS, 17, 1, 462));
         entries.push(entry("tmp", ChangeOp::Remove, 18, -1, 463));
         let c = CompactedChanges::from_entries(&entries);
-        assert_eq!(
-            c.entry_ops,
-            [("x".to_string(), INS), ("keep".to_string(), INS)]
-        );
+        assert_eq!(c.entry_ops, [("x", INS), ("keep", INS)]);
         assert_eq!(c.merged_entries, 7);
     }
 

@@ -296,8 +296,9 @@ pub struct ClientResponse {
 pub struct SyncFallback {
     /// Key of the parent directory to update synchronously.
     pub dir_key: MetaKey,
-    /// The update to apply.
-    pub entry: ChangeLogEntry,
+    /// The update to apply, shared with the origin's WAL record and
+    /// change-log.
+    pub entry: Rc<ChangeLogEntry>,
 }
 
 /// Server-to-server and server-to-switch protocol messages. None names its
@@ -343,7 +344,7 @@ pub enum ServerMsg {
         /// Aggregation id (copied from the request).
         agg_id: u64,
         /// All change-log entries of directories in the fingerprint group.
-        entries: Vec<ChangeLogEntry>,
+        entries: Vec<Rc<ChangeLogEntry>>,
         /// Piggybacked discard confirmations: ids of entries this sender
         /// previously discarded after an owner acknowledgment. The owner may
         /// prune them from its duplicate-suppression set — the holder can
@@ -365,7 +366,7 @@ pub enum ServerMsg {
         /// fingerprint follows from it.
         dir_key: MetaKey,
         /// The pushed entries.
-        entries: Vec<ChangeLogEntry>,
+        entries: Vec<Rc<ChangeLogEntry>>,
         /// Piggybacked discard confirmations: ids of entries this holder
         /// durably discarded after an earlier acknowledgment round trip. The
         /// receiver can prune them from its duplicate-suppression set (the
@@ -447,7 +448,7 @@ pub enum Request {
         /// Key of the directory to update.
         dir_key: MetaKey,
         /// The update.
-        entry: ChangeLogEntry,
+        entry: Rc<ChangeLogEntry>,
         /// Piggybacked discard confirmations (see
         /// `ServerMsg::ChangeLogPush::discard_confirm`); lets the
         /// synchronous baseline path bound the receiver's
@@ -591,7 +592,7 @@ pub struct StateImage {
     pub dir_index: Vec<(DirId, MetaKey)>,
     /// Pending change-log entries, with their directories' keys (an
     /// entry names its directory's id).
-    pub pending: Vec<(MetaKey, ChangeLogEntry)>,
+    pub pending: Vec<(MetaKey, Rc<ChangeLogEntry>)>,
     /// Duplicate-suppression set of already-applied remote change-log
     /// entries not yet confirmed discarded by their holders (copied, not
     /// moved, with a shard: a superset is always safe). Bounded by the
@@ -628,7 +629,7 @@ pub enum TxnOp {
         /// Directory key.
         dir_key: MetaKey,
         /// The update.
-        entry: ChangeLogEntry,
+        entry: Rc<ChangeLogEntry>,
     },
     /// Install a renamed directory's content at its (possibly new) owner:
     /// re-point the id → key owner index at the new key and store the

@@ -5,6 +5,8 @@
 //! `encode → decode` is the identity over `proto::wire`, and that encoded
 //! sizes match the documented layout (Fig. 9 / §6.1).
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
@@ -200,7 +202,7 @@ fn arb_result() -> impl Strategy<Value = OpResult> {
         )
             .prop_map(|(attrs, entries)| OpResult::Listing {
                 attrs,
-                entries: std::rc::Rc::new(entries),
+                entries: Rc::new(entries),
             }),
         any::<bool>().prop_map(|dir| OpResult::RenameDstExists {
             dst_type: if dir {
@@ -236,7 +238,9 @@ fn arb_response() -> impl Strategy<Value = ClientResponse> {
     (arb_op_id(), arb_result()).prop_map(|(op_id, result)| ClientResponse { op_id, result })
 }
 
-fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {
+/// An entry as every message carries one: shared, so each message that
+/// holds an `Rc` is round-tripped through the codec.
+fn arb_changelog_entry() -> impl Strategy<Value = Rc<ChangeLogEntry>> {
     (
         arb_op_id(),
         arb_dir_id(),
@@ -244,20 +248,22 @@ fn arb_changelog_entry() -> impl Strategy<Value = ChangeLogEntry> {
         (any::<bool>(), any::<u16>(), any::<u64>(), any::<i64>()),
     )
         .prop_map(
-            |(entry_id, dir, name, (ins, mode, timestamp, size_delta))| ChangeLogEntry {
-                entry_id,
-                dir,
-                name,
-                op: if ins {
-                    ChangeOp::Insert {
-                        file_type: FileType::File,
-                        mode,
-                    }
-                } else {
-                    ChangeOp::Remove
-                },
-                timestamp,
-                size_delta,
+            |(entry_id, dir, name, (ins, mode, timestamp, size_delta))| {
+                Rc::new(ChangeLogEntry {
+                    entry_id,
+                    dir,
+                    name,
+                    op: if ins {
+                        ChangeOp::Insert {
+                            file_type: FileType::File,
+                            mode,
+                        }
+                    } else {
+                        ChangeOp::Remove
+                    },
+                    timestamp,
+                    size_delta,
+                })
             },
         )
 }
@@ -412,7 +418,7 @@ fn arb_fallback() -> impl Strategy<Value = SyncFallback> {
 fn arb_body() -> impl Strategy<Value = Body> {
     prop_oneof![
         Just(Body::Empty),
-        arb_request().prop_map(|r| Body::Request(std::rc::Rc::new(r))),
+        arb_request().prop_map(|r| Body::Request(Rc::new(r))),
         arb_response().prop_map(Body::Response),
         arb_server_msg().prop_map(Body::Server),
     ]

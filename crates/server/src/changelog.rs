@@ -1,7 +1,9 @@
 //! Server-side change-log storage (§5.3, Fig. 7).
 //!
 //! Each server keeps one [`ChangeLog`] per *scattered* directory it has
-//! deferred updates for. The log is a FIFO of [`ChangeLogEntry`] records; it
+//! deferred updates for. The log is a FIFO of [`ChangeLogEntry`] records,
+//! each shared (`Rc`) with the WAL record that made it durable and with
+//! every push or aggregation answer that carries it; it
 //! also tracks the marshalled byte size of its pending entries (for the
 //! MTU-based proactive push), the time of the last append (for the
 //! idle-push timer) and the *push window*: the prefix of the log that went
@@ -28,6 +30,7 @@
 //! lock: that round is taking the whole log anyway.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use switchfs_proto::{ChangeLogEntry, DirId, Fingerprint, MetaKey, OpId};
 use switchfs_simnet::{FxHashMap, FxHashSet, SimTime};
@@ -39,7 +42,7 @@ pub struct ChangeLog {
     pub dir_key: MetaKey,
     /// Fingerprint of the directory.
     pub fp: Fingerprint,
-    entries: VecDeque<ChangeLogEntry>,
+    entries: VecDeque<Rc<ChangeLogEntry>>,
     pending_bytes: usize,
     /// How many entries at the front of `entries` are in the push batch
     /// awaiting its acknowledgment; 0 means the window is open.
@@ -67,14 +70,14 @@ impl ChangeLog {
     }
 
     /// Appends an entry (FIFO order preserves same-name commit order).
-    pub fn append(&mut self, entry: ChangeLogEntry, now: SimTime) {
+    pub fn append(&mut self, entry: Rc<ChangeLogEntry>, now: SimTime) {
         self.pending_bytes += entry.wire_size();
         self.entries.push_back(entry);
         self.last_append = now;
     }
 
     /// All pending entries in FIFO order.
-    pub fn entries(&self) -> impl Iterator<Item = &ChangeLogEntry> {
+    pub fn entries(&self) -> impl Iterator<Item = &Rc<ChangeLogEntry>> {
         self.entries.iter()
     }
 
@@ -112,7 +115,7 @@ impl ChangeLog {
     /// Takes a snapshot of the pending entries (e.g. to transmit during an
     /// aggregation) without removing them; removal happens when the
     /// aggregation acknowledgment arrives.
-    pub fn snapshot(&self) -> Vec<ChangeLogEntry> {
+    pub fn snapshot(&self) -> Vec<Rc<ChangeLogEntry>> {
         self.entries.iter().cloned().collect()
     }
 
@@ -122,7 +125,7 @@ impl ChangeLog {
     /// closes the window until every entry of the batch has been discarded.
     /// Empty when the log is. `now` is recorded as the batch's send time
     /// (see [`ChangeLog::last_push`]).
-    pub fn push_batch(&mut self, mtu_bytes: usize, now: SimTime) -> Vec<ChangeLogEntry> {
+    pub fn push_batch(&mut self, mtu_bytes: usize, now: SimTime) -> Vec<Rc<ChangeLogEntry>> {
         self.last_sent = now;
         if self.in_flight > 0 {
             self.resends += 1;
@@ -219,7 +222,7 @@ impl ChangeLogStore {
     /// Appends an entry to the change-log of its directory (`entry.dir`,
     /// stored under `dir_key`), creating the log on first use; only then is
     /// the directory's fingerprint computed.
-    pub fn append(&mut self, dir_key: &MetaKey, entry: ChangeLogEntry, now: SimTime) {
+    pub fn append(&mut self, dir_key: &MetaKey, entry: Rc<ChangeLogEntry>, now: SimTime) {
         let dir = entry.dir;
         let log = self.logs.entry(dir).or_insert_with(|| {
             let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
@@ -250,7 +253,7 @@ impl ChangeLogStore {
 
     /// Snapshot of every pending entry in a fingerprint group, across all of
     /// the group's directories, in per-directory FIFO order.
-    pub fn snapshot_group(&self, fp: Fingerprint) -> Vec<ChangeLogEntry> {
+    pub fn snapshot_group(&self, fp: Fingerprint) -> Vec<Rc<ChangeLogEntry>> {
         let mut out = Vec::new();
         for dir in self.dirs_in_group(fp) {
             if let Some(log) = self.logs.get(&dir) {
@@ -341,12 +344,12 @@ mod tests {
     use super::*;
     use switchfs_proto::{ChangeOp, ClientId, FileType, ServerId};
 
-    fn entry(name: &str, seq: u64) -> ChangeLogEntry {
+    fn entry(name: &str, seq: u64) -> Rc<ChangeLogEntry> {
         entry_in(DirId::ROOT, name, seq)
     }
 
-    fn entry_in(dir: DirId, name: &str, seq: u64) -> ChangeLogEntry {
-        ChangeLogEntry {
+    fn entry_in(dir: DirId, name: &str, seq: u64) -> Rc<ChangeLogEntry> {
+        Rc::new(ChangeLogEntry {
             entry_id: OpId {
                 client: ClientId(1),
                 seq,
@@ -359,7 +362,7 @@ mod tests {
             },
             timestamp: seq,
             size_delta: 1,
-        }
+        })
     }
 
     fn dir(i: u64) -> DirId {
@@ -431,7 +434,7 @@ mod tests {
         log
     }
 
-    fn seqs(batch: &[ChangeLogEntry]) -> Vec<u64> {
+    fn seqs(batch: &[Rc<ChangeLogEntry>]) -> Vec<u64> {
         batch.iter().map(|e| e.entry_id.seq).collect()
     }
 

@@ -251,7 +251,7 @@ impl<T: Copy + Eq + std::hash::Hash> FifoSet<T> {
 pub(crate) struct AggCollector {
     pub fp: Fingerprint,
     pub expected: FxHashSet<ServerId>,
-    pub entries: Vec<ChangeLogEntry>,
+    pub entries: Vec<Rc<ChangeLogEntry>>,
     /// The waker of the copy's exchange, woken once every other server
     /// answered, or when a crash drops the collector.
     pub waker: Option<Waker>,
@@ -550,13 +550,9 @@ impl ServerInner {
     /// Inserts or replaces an entry in a directory's list, invalidating the
     /// directory's shared listing memo.
     pub fn put_entry(&mut self, dir: DirId, entry: DirEntry) {
-        if let Some(content) = self.entries.get_mut_counted(&dir) {
-            content.insert(entry);
-        } else {
-            let mut content = DirContent::default();
-            content.insert(entry);
-            self.entries.put(dir, content);
-        }
+        self.entries
+            .get_or_insert_counted_n(dir, 1, DirContent::default)
+            .insert(entry);
     }
 
     /// Removes an entry from a directory's list, dropping the list once it
@@ -1925,21 +1921,18 @@ impl Server {
     /// Directly installs directory entries on the owner of the directory's
     /// content, merged into its list in one pass (see
     /// [`DirContent::extend`]). Counted as the n single inserts it stands
-    /// for: n gets and n puts, one more put for a new list. An empty batch
-    /// creates no list and counts nothing.
+    /// for: n gets and n puts, into a new list or an existing one. An empty
+    /// batch creates no list and counts nothing.
     pub fn preload_entries(&self, dir: DirId, entries: Vec<DirEntry>) {
         if entries.is_empty() {
             return;
         }
         let n = entries.len() as u64;
-        let store = &mut self.inner.borrow_mut().entries;
-        if let Some(content) = store.get_mut_counted_n(&dir, n) {
-            content.extend(entries);
-        } else {
-            let mut content = DirContent::default();
-            content.extend(entries);
-            store.put(dir, content);
-        }
+        self.inner
+            .borrow_mut()
+            .entries
+            .get_or_insert_counted_n(dir, n, DirContent::default)
+            .extend(entries);
     }
 
     /// Generates a fresh directory id.
@@ -1951,25 +1944,27 @@ impl Server {
 
     /// Builds a change-log entry for a deferred parent-directory update:
     /// an insert grows the directory by one, a remove shrinks it by one.
+    /// Built once and shared: the WAL record, the change-log, every packet
+    /// that carries it and the owner's apply hold the same allocation.
     pub(crate) fn make_entry(
         &self,
         op_id: OpId,
         parent_id: DirId,
         name: &str,
         op: ChangeOp,
-    ) -> ChangeLogEntry {
+    ) -> Rc<ChangeLogEntry> {
         let size_delta = match op {
             ChangeOp::Insert { .. } => 1,
             ChangeOp::Remove => -1,
         };
-        ChangeLogEntry {
+        Rc::new(ChangeLogEntry {
             entry_id: op_id,
             dir: parent_id,
             name: name.to_string(),
             op,
             timestamp: self.now_ns(),
             size_delta,
-        }
+        })
     }
 
     /// The KV effects of applying deferred updates to a directory this
@@ -2128,7 +2123,7 @@ mod tests {
     use crate::config::{TrackingMode, UpdateMode};
     use crate::wal::MigrationMarker;
     use std::task::{Context, Poll};
-    use switchfs_proto::message::{StateImage, TxnOp};
+    use switchfs_proto::message::{ParentRef, StateImage, TxnOp};
     use switchfs_proto::{PartitionPolicy, SharedPlacement};
     use switchfs_simnet::net::LinkParams;
     use switchfs_simnet::{NetFaults, Network, Sim, SimDuration};
@@ -2350,7 +2345,7 @@ mod tests {
     }
 
     /// A directory `server` owns, preloaded, and an insert into it.
-    fn owned_dir_update(server: &Server) -> (MetaKey, ChangeLogEntry) {
+    fn owned_dir_update(server: &Server) -> (MetaKey, Rc<ChangeLogEntry>) {
         let placement = &server.cfg.placement;
         let dir_key = MetaKey::new(DirId::ROOT, "d");
         let fp = Fingerprint::of_dir(&dir_key.pid, &dir_key.name);
@@ -2591,6 +2586,86 @@ mod tests {
         assert_eq!(server.server_id_of(crate::COORDINATOR_NODE), None);
     }
 
+    /// Runs `sim` a microsecond at a time until `done` holds.
+    fn run_until_holds(sim: &Sim, done: impl Fn() -> bool) {
+        for _ in 0..100_000 {
+            if done() {
+                return;
+            }
+            sim.run_until(sim.now() + SimDuration::micros(1));
+        }
+        panic!("still not done at {:?}", sim.now());
+    }
+
+    #[test]
+    fn a_deferred_update_is_one_allocation_from_the_wal_to_the_push_and_recovers_equal() {
+        // A create whose parent another server owns: its entry waits here.
+        let sim = Sim::new(1);
+        let servers = test_servers(&sim, 2);
+        let (server, peer) = (&servers[0], &servers[1]);
+        let dir_key = MetaKey::new(DirId::ROOT, "d");
+        let parent = ParentRef {
+            id: DirId::generate(ServerId(1), 1),
+            fp: Fingerprint::of_dir(&dir_key.pid, &dir_key.name),
+            key: dir_key,
+        };
+        let placement = &server.cfg.placement;
+        let key = (0..)
+            .map(|i| MetaKey::new(parent.id, format!("f{i}")))
+            .find(|key| placement.file_owner(key) == server.cfg.id)
+            .expect("a name this server owns");
+        let op = MetaOp::Create {
+            key,
+            perm: Default::default(),
+        };
+        let mut create = Rc::unwrap_or_clone(request(server, 1, op, 0));
+        create.parent = Some(parent.clone());
+        server.deliver(peer.node(), client_packet(1, &Rc::new(create)));
+        let logged = || {
+            let inner = server.inner.borrow();
+            let log = inner.changelogs.get(&parent.id);
+            log.and_then(|log| log.entries().next().cloned())
+        };
+        run_until_holds(&sim, || logged().is_some());
+
+        // The record, the change-log and the push batch hold one entry.
+        let in_wal = || {
+            let durable = server.durable.borrow();
+            let mut records = durable.wal.records().iter();
+            records
+                .find_map(|r| match &r.payload {
+                    WalOp::Effects {
+                        pending_entry: Some((_, entry)),
+                        ..
+                    } => Some(Rc::clone(entry)),
+                    _ => None,
+                })
+                .expect("the create's record")
+        };
+        let entry = logged().expect("logged");
+        let pushed = {
+            let mut inner = server.inner.borrow_mut();
+            let log = inner.changelogs.get_mut(&parent.id).expect("the log");
+            log.push_batch(crate::config::PUSH_MTU_BYTES, sim.now())
+        };
+        assert_eq!(pushed.len(), 1);
+        assert!(Rc::ptr_eq(&entry, &in_wal()), "the WAL record's entry");
+        assert!(Rc::ptr_eq(&entry, &pushed[0]), "the push batch's entry");
+
+        // Recovery rebuilds the change-log from the record: equal, entry for
+        // entry, and still the record's allocation.
+        let before = server.inner.borrow().changelogs.snapshot_group(parent.fp);
+        server.crash();
+        let recovered = Rc::new(std::cell::Cell::new(None));
+        let (me, out) = (server.clone(), recovered.clone());
+        sim.spawn(async move { out.set(Some(me.recover().await.changelog_entries_recovered)) });
+        run_until_holds(&sim, || recovered.get().is_some());
+        assert_eq!(recovered.get(), Some(1));
+        let after = server.inner.borrow().changelogs.snapshot_group(parent.fp);
+        assert_eq!(after, before);
+        assert!(Rc::ptr_eq(&after[0], &in_wal()), "rebuilt from the record");
+    }
+
     #[test]
     fn a_discard_walks_back_to_the_oldest_entry_it_removed_and_no_further() {
         let sim = Sim::new(1);
@@ -2762,14 +2837,14 @@ mod tests {
                     };
                     inner.apply_effect(&KvEffect::PutEntry(dir, entry));
                 }
-                let entry = ChangeLogEntry {
+                let entry = Rc::new(ChangeLogEntry {
                     entry_id: id(d),
                     dir,
                     name: "late".into(),
                     op: ChangeOp::Remove,
                     timestamp: d,
                     size_delta: -1,
-                };
+                });
                 inner.changelogs.append(&dir_key, entry, SimTime::ZERO);
                 inner.note_entries_applied(&[id(100 + d)]);
                 inner.retire_entry_ids([id(200 + d)], SimTime::ZERO);

@@ -7,6 +7,7 @@
 //! (cross-process same-seed runs must be bit-identical; asserted by
 //! `tests/conformance.rs`).
 
+use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use switchfs_simnet::FxHashSet;
@@ -246,7 +247,7 @@ impl Server {
 
         // Locally-held entries for directories in this group (the file owner
         // and the directory owner can be the same server).
-        let local_entries: Vec<ChangeLogEntry> = {
+        let local_entries: Vec<Rc<ChangeLogEntry>> = {
             let inner = self.inner.borrow();
             inner.changelogs.snapshot_group(fp)
         };
@@ -260,7 +261,7 @@ impl Server {
         // later copy's partial collection no longer contains them (the
         // responder may lose its answer to the same faults that forced the
         // retry).
-        let mut remote_entries: Vec<ChangeLogEntry> = Vec::new();
+        let mut remote_entries: Vec<Rc<ChangeLogEntry>> = Vec::new();
         let mut collected_ids: FxHashSet<OpId> = FxHashSet::default();
         // Iterated below to send acknowledgments: must have a
         // process-independent iteration order, or the ack packet order (and
@@ -313,7 +314,7 @@ impl Server {
         // Filter out anything already applied (duplicate aggregations,
         // re-sent entries).
         let local_ids: Vec<OpId> = local_entries.iter().map(|e| e.entry_id).collect();
-        let mut entries: Vec<ChangeLogEntry> = Vec::new();
+        let mut entries: Vec<Rc<ChangeLogEntry>> = Vec::new();
         {
             let inner = self.inner.borrow();
             for e in local_entries.into_iter().chain(remote_entries) {
@@ -394,7 +395,7 @@ impl Server {
     /// there, and nobody reads the new state before the lock is released.
     pub(crate) async fn apply_entries_to_owned_dirs(
         &self,
-        entries: &[ChangeLogEntry],
+        entries: &[Rc<ChangeLogEntry>],
         durable: impl FnOnce(),
     ) -> usize {
         let costs = self.cfg.costs;
@@ -432,10 +433,7 @@ impl Server {
                         &dir_key,
                         dir,
                         compacted.max_timestamp,
-                        compacted
-                            .entry_ops
-                            .iter()
-                            .map(|(name, op)| (name.as_str(), *op)),
+                        compacted.entry_ops.iter().map(|&(name, op)| (name, op)),
                     );
                     mutations += compacted.entry_ops.len();
                     // The entry mutations are charged per core below, so the
@@ -590,7 +588,7 @@ impl Server {
         &self,
         src: NodeId,
         agg_id: u64,
-        entries: Vec<ChangeLogEntry>,
+        entries: Vec<Rc<ChangeLogEntry>>,
     ) {
         let from = self.server_id_of(src);
         let mut inner = self.inner.borrow_mut();
@@ -643,7 +641,7 @@ impl Server {
         &self,
         src: NodeId,
         dir_key: MetaKey,
-        entries: Vec<ChangeLogEntry>,
+        entries: Vec<Rc<ChangeLogEntry>>,
     ) {
         // Discard confirmations alone (the decommission flush): the
         // dispatcher already retired them, and there is nothing to apply,
@@ -665,7 +663,7 @@ impl Server {
         let fpg = self.locks.fp_group(fp);
         let _w = fpg.write().await;
         let applied_ids: Vec<OpId> = entries.iter().map(|e| e.entry_id).collect();
-        let fresh: Vec<ChangeLogEntry> = {
+        let fresh: Vec<Rc<ChangeLogEntry>> = {
             let inner = self.inner.borrow();
             entries
                 .into_iter()
@@ -782,7 +780,12 @@ impl Server {
 
     /// Sends one push batch to the directory's current owner, draining any
     /// queued discard confirmations addressed to it.
-    fn send_changelog_push(&self, dir_key: MetaKey, fp: Fingerprint, entries: Vec<ChangeLogEntry>) {
+    fn send_changelog_push(
+        &self,
+        dir_key: MetaKey,
+        fp: Fingerprint,
+        entries: Vec<Rc<ChangeLogEntry>>,
+    ) {
         let owner = self.cfg.placement.dir_owner_by_fp(fp);
         let discard_confirm = self.inner.borrow_mut().take_discard_confirms(owner);
         self.inner.borrow_mut().stats.pushes_sent += 1;

@@ -14,6 +14,8 @@
 //! then, and a retransmission of it is dropped, not answered from the
 //! completion cache.
 
+use std::rc::Rc;
+
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg, SyncFallback,
 };
@@ -218,7 +220,7 @@ impl Server {
         req: &ClientRequest,
         parent: &ParentRef,
         effects: Vec<KvEffect>,
-        entry: &ChangeLogEntry,
+        entry: &Rc<ChangeLogEntry>,
         result: &OpResult,
     ) {
         // Commit: WAL append, then execute the local half (§5.2.1 step 4–5).
@@ -288,7 +290,7 @@ impl Server {
     pub(crate) async fn sync_parent_update(
         &self,
         parent: &ParentRef,
-        entry: &ChangeLogEntry,
+        entry: &Rc<ChangeLogEntry>,
     ) -> Result<(), FsError> {
         let owner = || self.cfg.placement.dir_content_owner(parent.fp, &parent.id);
         self.ask_owner(owner, |to| self.sync_parent_update_once(to, parent, entry))
@@ -347,10 +349,10 @@ impl Server {
         &self,
         owner: ServerId,
         parent: &ParentRef,
-        entry: &ChangeLogEntry,
+        entry: &Rc<ChangeLogEntry>,
     ) -> Result<(), FsError> {
         if owner == self.cfg.id {
-            self.apply_dir_update(&parent.key, &[entry], DirUpdateSource::Local)
+            self.apply_dir_update(&parent.key, &[entry.as_ref()], DirUpdateSource::Local)
                 .await?;
             // Applier and issuer are the same server and the operation's
             // own duplicate suppression covers re-execution: retire the id
@@ -544,7 +546,7 @@ impl Server {
     /// Appends a committed operation's deferred parent update to the
     /// parent's change-log (§5.2.1 step 5) and pushes a batch if this append
     /// filled an MTU.
-    async fn append_deferred_update(&self, parent: &ParentRef, entry: &ChangeLogEntry) {
+    async fn append_deferred_update(&self, parent: &ParentRef, entry: &Rc<ChangeLogEntry>) {
         self.cpu.run(self.cfg.costs.changelog_append).await;
         let now = self.handle.now();
         self.inner
@@ -571,7 +573,7 @@ impl Server {
         client_node: NodeId,
         response: &ClientResponse,
         parent: &ParentRef,
-        entry: &ChangeLogEntry,
+        entry: &Rc<ChangeLogEntry>,
     ) -> CommitOutcome {
         if let Some(tracker) = self.cfg.software_tracker(parent.fp) {
             // A software set never overflows: the insert only has to land.

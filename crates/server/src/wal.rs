@@ -9,6 +9,8 @@
 //! four kinds; what each kind does to the volatile state is written once, in
 //! `Server::apply_record`.
 
+use std::rc::Rc;
+
 use switchfs_kvstore::{Checkpoint, Wal};
 use switchfs_proto::message::{ClientResponse, StateImage, TxnOp};
 use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, Name, OpId, ServerId};
@@ -127,8 +129,9 @@ pub enum WalOp {
         /// `(parent directory key, entry)`; the entry names the directory's
         /// id. The WAL record is marked *applied* once the entry has been
         /// applied by the directory owner, so recovery knows whether to
-        /// rebuild it into the change-log.
-        pending_entry: Option<(MetaKey, ChangeLogEntry)>,
+        /// rebuild it into the change-log. The entry is the one the
+        /// change-log holds, shared.
+        pending_entry: Option<(MetaKey, Rc<ChangeLogEntry>)>,
         /// Ids of remote change-log entries this record applied (aggregation
         /// / push on the directory-owner side); rebuilds the duplicate
         /// suppression set during recovery.
@@ -228,8 +231,8 @@ mod tests {
     use super::*;
     use switchfs_proto::{ChangeOp, ClientId, FileType, Permissions};
 
-    fn sample_entry() -> ChangeLogEntry {
-        ChangeLogEntry {
+    fn sample_entry() -> Rc<ChangeLogEntry> {
+        Rc::new(ChangeLogEntry {
             entry_id: OpId {
                 client: ClientId(1),
                 seq: 1,
@@ -242,7 +245,7 @@ mod tests {
             },
             timestamp: 1,
             size_delta: 1,
-        }
+        })
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use switchfs::kvstore::KvStore;
 use switchfs::proto::changelog::{ChangeLogEntry, ChangeOp, CompactedChanges};
@@ -300,7 +301,7 @@ proptest! {
             match op {
                 WindowOp::Append(name) => {
                     appended += 1;
-                    log.append(entry(appended, name), SimTime::ZERO);
+                    log.append(Rc::new(entry(appended, name)), SimTime::ZERO);
                 }
                 WindowOp::Push => {
                     let was_open = log.in_flight() == 0;
@@ -439,7 +440,7 @@ proptest! {
             let mut next_seq = 0u64;
             let mut entry = |name: u8, insert: bool| {
                 next_seq += 1;
-                ChangeLogEntry {
+                Rc::new(ChangeLogEntry {
                     entry_id: OpId { client: ClientId(9), seq: next_seq },
                     dir,
                     name: format!("n{name}"),
@@ -450,7 +451,7 @@ proptest! {
                     },
                     timestamp: next_seq,
                     size_delta: if insert { 1 } else { -1 },
-                }
+                })
             };
             let mut sent: Vec<ServerMsg> = Vec::new();
             for (i, step) in steps.iter().enumerate() {
@@ -458,7 +459,7 @@ proptest! {
                     cluster.crash_server(owner);
                     cluster.recover_server(owner);
                 }
-                let fresh: Vec<ChangeLogEntry> = match step {
+                let fresh: Vec<Rc<ChangeLogEntry>> = match step {
                     DirStep::Push(updates) => updates.iter().map(|(n, ins)| entry(*n, *ins)).collect(),
                     DirStep::Update(n, ins) => vec![entry(*n, *ins)],
                     DirStep::Resend(_) => Vec::new(),
