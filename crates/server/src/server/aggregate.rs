@@ -433,7 +433,7 @@ impl Server {
                         &dir_key,
                         dir,
                         compacted.max_timestamp,
-                        compacted.entry_ops.iter().map(|&(name, op)| (name, op)),
+                        compacted.entry_ops.iter().copied(),
                     );
                     mutations += compacted.entry_ops.len();
                     // The entry mutations are charged per core below, so the
