@@ -1,31 +1,29 @@
-//! Where a warm simulated operation allocates: a sampling allocation-site
-//! profiler.
+//! Where a warm simulated operation allocates: an allocation-site profiler.
 //!
 //! Builds the small deployment `tests/alloc_budget.rs` measures (4 servers,
-//! 1 client, `/d` preloaded with files `f0`, `f1`, …), runs `--ops` warm-up
-//! operations and then `--ops` counted ones. A counting global allocator
-//! counts every allocation the driving thread makes while the counted ones
-//! run, and takes a backtrace of one in `--every`. Each sample is charged to
-//! its first frame in this workspace, and the sites are printed with their
-//! estimated allocations per operation, most first.
+//! 1 client, `/d` preloaded with `2 * OPS` files `f0`, `f1`, …), runs `OPS`
+//! warm-up operations and then `OPS` counted ones. A counting global
+//! allocator takes a backtrace of every allocation the driving thread makes
+//! while the counted ones run. Each is charged to its first frame in this
+//! workspace, and every site is printed with its allocations per operation,
+//! most first. The split is exact, and its total is the budget test's count.
+//! This file mirrors that test's `empty_dir`, `cluster`, `OPS` and realloc
+//! rule; change both together.
 //!
 //! ```sh
 //! CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
-//!     cargo run --release --example alloc_sites -- [create|stat|cfs-create] \
-//!     [--ops N] [--every N] [--top N]
+//!     cargo run --release --example alloc_sites -- [create|stat|cfs-create]
 //! ```
 //!
 //! A site is named by function, file and line when the build carries line
 //! tables. The root manifest's release profile (`debug = true`) does;
 //! `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` keeps only what the
-//! sampler reads and links faster. Without line tables a site is named by
+//! profiler reads and links faster. Without line tables a site is named by
 //! its function alone.
 //!
-//! The total is exact; the split is an estimate, one sample standing for
-//! `--every` allocations. The sampler's own allocations (the backtrace and
-//! the sample list) are neither counted nor sampled: counting them would
-//! charge every backtrace's allocations to whichever site the next sample
-//! lands on.
+//! The profiler's own allocations (the backtrace and the trace list) are not
+//! counted: counting them would charge every backtrace's allocations to
+//! whichever site the next trace lands on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -36,43 +34,40 @@ use std::rc::Rc;
 use switchfs::client::LibFs;
 use switchfs::core::{Cluster, ClusterConfig, SystemKind};
 
+/// Operations counted (after as many warm-up operations), as in
+/// `tests/alloc_budget.rs`.
+const OPS: usize = 64;
+
 thread_local! {
-    /// Allocations counted since counting started.
-    static COUNT: Cell<u64> = const { Cell::new(0) };
-    /// Sample one allocation in this many; 0 while nothing is counted.
-    static EVERY: Cell<u64> = const { Cell::new(0) };
-    /// True while the sampler itself allocates.
-    static IN_SAMPLER: Cell<bool> = const { Cell::new(false) };
-    static SAMPLES: RefCell<Vec<Backtrace>> = const { RefCell::new(Vec::new()) };
+    /// True while the counted operations run.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// True while the profiler itself allocates.
+    static IN_PROFILER: Cell<bool> = const { Cell::new(false) };
+    static TRACES: RefCell<Vec<Backtrace>> = const { RefCell::new(Vec::new()) };
 }
 
-struct Sampling;
+struct Tracing;
 
-impl Sampling {
-    /// Counts one allocation of the driving thread and samples it if its
-    /// turn has come.
+impl Tracing {
+    /// Takes a backtrace of one allocation of the driving thread while the
+    /// counted operations run.
     fn note(&self) {
         // `try_with`: an allocation during thread teardown is not counted.
-        let every = EVERY.try_with(Cell::get).unwrap_or(0);
-        if every == 0 || IN_SAMPLER.try_with(Cell::get).unwrap_or(true) {
+        if !COUNTING.try_with(Cell::get).unwrap_or(false)
+            || IN_PROFILER.try_with(Cell::get).unwrap_or(true)
+        {
             return;
         }
-        let n = COUNT.with(|c| {
-            c.set(c.get() + 1);
-            c.get()
-        });
-        if n.is_multiple_of(every) {
-            IN_SAMPLER.with(|s| s.set(true));
-            let trace = Backtrace::force_capture();
-            SAMPLES.with(|s| s.borrow_mut().push(trace));
-            IN_SAMPLER.with(|s| s.set(false));
-        }
+        IN_PROFILER.with(|p| p.set(true));
+        let trace = Backtrace::force_capture();
+        TRACES.with(|t| t.borrow_mut().push(trace));
+        IN_PROFILER.with(|p| p.set(false));
     }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the returned memory.
-unsafe impl GlobalAlloc for Sampling {
+// `GlobalAlloc` contract; the profiler never influences the returned memory.
+unsafe impl GlobalAlloc for Tracing {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.note();
         // SAFETY: same layout the caller handed to us.
@@ -100,7 +95,7 @@ unsafe impl GlobalAlloc for Sampling {
 }
 
 #[global_allocator]
-static GLOBAL: Sampling = Sampling;
+static GLOBAL: Tracing = Tracing;
 
 /// The first frame of `trace` in this workspace, outside this file: its
 /// function, with its file and line when the build has line tables.
@@ -121,8 +116,7 @@ fn site(trace: &Backtrace) -> String {
             Some(path) => {
                 let path = path.strip_prefix(workspace).unwrap_or(path);
                 let path = path.trim_start_matches("./").trim_start_matches('/');
-                let ours = path.starts_with("crates/") || path.starts_with("src/");
-                if ours && !path.starts_with("examples/") {
+                if path.starts_with("crates/") || path.starts_with("src/") {
                     let file_line = path.rsplit_once(':').map_or(path, |(fl, _col)| fl);
                     return format!("{function}  {file_line}");
                 }
@@ -136,62 +130,34 @@ fn site(trace: &Backtrace) -> String {
     first_named.unwrap_or_else(|| "(no workspace frame)".to_string())
 }
 
-struct Args {
-    workload: String,
-    ops: usize,
-    every: u64,
-    top: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        workload: "create".to_string(),
-        ops: 2048,
-        every: 7,
-        top: 30,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut number = |name: &str| -> u64 {
-            let value = it.next().and_then(|v| v.parse().ok());
-            value.unwrap_or_else(|| panic!("{name} takes a positive number"))
-        };
-        match arg.as_str() {
-            "--ops" => args.ops = number("--ops").max(1) as usize,
-            "--every" => args.every = number("--every").max(1),
-            "--top" => args.top = number("--top") as usize,
-            "create" | "stat" | "cfs-create" => args.workload = arg,
-            other => {
-                eprintln!("unknown argument {other:?}; workloads: create, stat, cfs-create");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let system = match args.workload.as_str() {
-        "cfs-create" => SystemKind::EmulatedCfs,
-        _ => SystemKind::SwitchFs,
+    let workload = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "create".to_string());
+    let (system, stat) = match workload.as_str() {
+        "create" => (SystemKind::SwitchFs, false),
+        "stat" => (SystemKind::SwitchFs, true),
+        "cfs-create" => (SystemKind::EmulatedCfs, false),
+        other => {
+            eprintln!("unknown workload {other:?}; workloads: create, stat, cfs-create");
+            std::process::exit(2);
+        }
     };
     let mut cfg = ClusterConfig::paper_default(system);
     cfg.servers = 4;
     cfg.clients = 1;
     let mut cluster = Cluster::new(cfg);
     cluster.preload_dir("/d");
-    cluster.preload_files("/d", "f", 2 * args.ops);
+    cluster.preload_files("/d", "f", 2 * OPS);
     let client: Rc<LibFs> = cluster.client(0);
 
     // The paths are built before anything is counted, as the budgets do.
-    let (ops, every, stat) = (args.ops, args.every, args.workload == "stat");
     let prefix = if stat { "/d/f" } else { "/d/n" };
-    let paths: Vec<String> = (0..2 * ops).map(|i| format!("{prefix}{i}")).collect();
-    let counted = cluster.block_on(async move {
+    let paths: Vec<String> = (0..2 * OPS).map(|i| format!("{prefix}{i}")).collect();
+    cluster.block_on(async move {
         for (i, path) in paths.iter().enumerate() {
-            if i == ops {
-                EVERY.with(|e| e.set(every));
+            if i == OPS {
+                COUNTING.with(|c| c.set(true));
             }
             if stat {
                 client.stat(path).await.expect("stat");
@@ -199,32 +165,27 @@ fn main() {
                 client.create(path).await.expect("create");
             }
         }
-        EVERY.with(|e| e.set(0));
-        COUNT.with(Cell::get)
+        COUNTING.with(|c| c.set(false));
     });
 
-    let samples = SAMPLES.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    let mut sites: BTreeMap<String, u64> = BTreeMap::new();
-    for trace in &samples {
+    let traces = TRACES.with(|t| std::mem::take(&mut *t.borrow_mut()));
+    let mut sites: BTreeMap<String, usize> = BTreeMap::new();
+    for trace in &traces {
         *sites.entry(site(trace)).or_default() += 1;
     }
-    let mut sites: Vec<(String, u64)> = sites.into_iter().collect();
+    let mut sites: Vec<(String, usize)> = sites.into_iter().collect();
     sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
-    let per_op = |n: f64| n / ops as f64;
+    let per_op = |n: usize| n as f64 / OPS as f64;
+    let total = traces.len();
     println!(
-        "{} on {}: {ops} warm ops, {counted} allocations ({:.2} per op); {} samples, 1 in {every}",
-        args.workload,
+        "{workload} on {}: {OPS} warm ops, {total} allocations ({:.2} per op)",
         system.label(),
-        per_op(counted as f64),
-        samples.len(),
+        per_op(total),
     );
     println!("{:>7}  {:>6}  site", "per op", "share");
-    for (site, n) in sites.iter().take(args.top) {
-        let share = 100.0 * *n as f64 / samples.len().max(1) as f64;
-        println!("{:>7.3}  {share:>5.1}%  {site}", per_op((n * every) as f64));
-    }
-    if sites.len() > args.top {
-        println!("… and {} more sites", sites.len() - args.top);
+    for (site, n) in &sites {
+        let share = 100.0 * *n as f64 / total.max(1) as f64;
+        println!("{:>7.3}  {share:>5.1}%  {site}", per_op(*n));
     }
 }
