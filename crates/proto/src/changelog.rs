@@ -134,8 +134,12 @@ impl<'a> CompactedChanges<'a> {
                 }
             }
         }
-        out.entry_ops = ops.into_iter().flatten().collect();
-        out
+        #[expect(
+            clippy::filter_map_identity,
+            reason = "flatten does not collect in place"
+        )]
+        let entry_ops = ops.into_iter().filter_map(|op| op).collect();
+        CompactedChanges { entry_ops, ..out }
     }
 }
 
