@@ -4,8 +4,10 @@
 //! metadata server uses for its metadata (§4.2, §7.1: "RocksDB in
 //! asynchronous write mode"). It provides:
 //!
-//! * [`KvStore`] — an ordered map with point operations, plus operation
-//!   counters used to attribute storage-layer costs in the simulation.
+//! * [`KvStats`] — the operation counters a server's store keeps, used to
+//!   attribute storage-layer costs in the simulation, and [`KvStore`], a
+//!   flat ordered map that counts them: the reference that store is tested
+//!   against.
 //! * [`Wal`] — a write-ahead log with commit records, per-record "applied"
 //!   marks (used by the asynchronous-update protocol to distinguish
 //!   change-log entries that have already reached the directory owner,
@@ -15,7 +17,7 @@
 //!
 //! "Persistence" in a simulation means surviving a simulated crash: the WAL
 //! and checkpoint objects are kept by the cluster harness across a server's
-//! crash/restart cycle, while the [`KvStore`] and all other volatile server
+//! crash/restart cycle, while a server's store and all its other volatile
 //! state are dropped and rebuilt by recovery.
 
 pub mod store;

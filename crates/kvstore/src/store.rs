@@ -23,9 +23,10 @@ switchfs_simnet::counters! {
 
 /// An ordered, in-memory key-value store.
 ///
-/// Keys must be `Ord + Clone`; values must be `Clone`. The store is the
-/// volatile half of a metadata server's storage: it is rebuilt from the WAL
-/// after a crash.
+/// Keys must be `Ord + Clone`; values must be `Clone`. A flat store with
+/// point operations and [`KvStats`] counters: the reference a metadata
+/// server's directory store is tested against, which answers and counts as
+/// flat stores of inodes and entry lists would.
 #[derive(Debug, Clone, Default)]
 pub struct KvStore<K: Ord + Clone, V: Clone> {
     map: BTreeMap<K, V>,
@@ -59,36 +60,6 @@ impl<K: Ord + Clone, V: Clone> KvStore<K, V> {
     pub fn get_ref(&mut self, key: &K) -> Option<&V> {
         self.stats.gets += 1;
         self.map.get(key)
-    }
-
-    /// Mutable access to a value, counted as one read-modify-write (a get
-    /// plus a put, like the load/store pair it replaces) when the key is
-    /// present, and as the get alone when it is not: nothing was written.
-    /// Used for in-place copy-on-write updates of `Rc`-shared values.
-    pub fn get_mut_counted(&mut self, key: &K) -> Option<&mut V> {
-        self.stats.gets += 1;
-        let value = self.map.get_mut(key);
-        self.stats.puts += u64::from(value.is_some());
-        value
-    }
-
-    /// Mutable access for `n` read-modify-writes of one value done at once,
-    /// creating the value with `make` if the key is absent. Counted as `n`
-    /// gets and `n` puts whether or not it was present: the `n` writes a
-    /// caller doing one at a time would count, the first of which creates
-    /// the value on a miss.
-    pub fn get_or_insert_counted_n(&mut self, key: K, n: u64, make: impl FnOnce() -> V) -> &mut V {
-        self.stats.gets += n;
-        self.stats.puts += n;
-        self.map.entry(key).or_insert_with(make)
-    }
-
-    /// Mutable access counted as a single read. For logically read-only
-    /// accesses that memoize inside the value (e.g. materializing a shared
-    /// directory listing): the storage cost is one get, not a write.
-    pub fn get_mut_read(&mut self, key: &K) -> Option<&mut V> {
-        self.stats.gets += 1;
-        self.map.get_mut(key)
     }
 
     /// Looks up a key without recording a read (used by internal bookkeeping
@@ -171,72 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_counted_counts_a_read_modify_write() {
-        let mut kv = KvStore::new();
-        kv.put(1u32, 10u32);
-        if let Some(v) = kv.get_mut_counted(&1) {
-            *v += 1;
-        }
-        assert_eq!(kv.peek(&1), Some(&11));
-        let s = kv.stats();
-        assert_eq!((s.gets, s.puts), (1, 2), "one get plus one put per RMW");
-    }
-
-    /// What a count says happened did happen: a hit is a read-modify-write,
-    /// a miss a read alone, and a batch of n counts as n single writes do,
-    /// into a new value or an existing one.
-    #[test]
-    fn counted_access_counts_only_the_puts_that_happened() {
-        let counts = |kv: &KvStore<u32, Vec<u32>>| (kv.stats().gets, kv.stats().puts);
-        // Hit: one get, one put.
-        let mut kv = KvStore::new();
-        kv.put(1u32, vec![10]);
-        let before = counts(&kv);
-        kv.get_mut_counted(&1).expect("present").push(11);
-        assert_eq!(counts(&kv), (before.0 + 1, before.1 + 1));
-        // Miss: one get, no put, nothing created.
-        assert!(kv.get_mut_counted(&2).is_none());
-        assert_eq!(counts(&kv), (before.0 + 2, before.1 + 1));
-        assert!(!kv.contains(&2));
-
-        // Batch: n entries into a new value count what n single inserts do
-        // (the first misses and puts the new value, the rest are
-        // read-modify-writes), and n into an existing value likewise.
-        let one_at_a_time = |keys: &[u32], n: u32| {
-            let mut kv: KvStore<u32, Vec<u32>> = KvStore::new();
-            for &key in keys {
-                for i in 0..n {
-                    match kv.get_mut_counted(&key) {
-                        Some(v) => v.push(i),
-                        None => {
-                            kv.put(key, vec![i]);
-                        }
-                    }
-                }
-            }
-            kv
-        };
-        let batched = |keys: &[u32], n: u32| {
-            let mut kv: KvStore<u32, Vec<u32>> = KvStore::new();
-            for &key in keys {
-                kv.get_or_insert_counted_n(key, u64::from(n), Vec::new)
-                    .extend(0..n);
-            }
-            kv
-        };
-        for (keys, n) in [(&[1u32][..], 5u32), (&[1, 1, 2][..], 3), (&[4][..], 1)] {
-            let (single, batch) = (one_at_a_time(keys, n), batched(keys, n));
-            assert_eq!(single.stats(), batch.stats(), "{keys:?} × {n}");
-            assert_eq!(
-                single.iter().collect::<Vec<_>>(),
-                batch.iter().collect::<Vec<_>>()
-            );
-            let inserts = (keys.len() as u64) * u64::from(n);
-            assert_eq!(counts(&batch), (inserts, inserts));
-        }
-    }
-
-    #[test]
     fn rc_values_share_without_deep_copies() {
         use std::rc::Rc;
         let mut kv: KvStore<u32, Rc<Vec<u32>>> = KvStore::new();
@@ -245,9 +150,9 @@ mod tests {
         let b = Rc::clone(kv.get_ref(&1).unwrap());
         assert!(Rc::ptr_eq(&a, &b), "readers share one allocation");
         // Copy-on-write: mutating through make_mut leaves readers intact.
-        if let Some(v) = kv.get_mut_counted(&1) {
-            Rc::make_mut(v).push(4);
-        }
+        let mut v = kv.get(&1).unwrap();
+        Rc::make_mut(&mut v).push(4);
+        kv.put(1, v);
         assert_eq!(*a, vec![1, 2, 3], "existing readers see the old list");
         assert_eq!(**kv.peek(&1).unwrap(), vec![1, 2, 3, 4]);
     }

@@ -25,8 +25,8 @@
 pub mod changelog;
 pub mod config;
 pub mod costs;
+mod dirs;
 pub mod dirty_set;
-mod inodes;
 pub mod locks;
 pub mod server;
 pub mod wal;

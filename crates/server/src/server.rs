@@ -25,7 +25,6 @@ use std::rc::Rc;
 use std::task::Waker;
 use switchfs_simnet::{FxHashMap, FxHashSet};
 
-use switchfs_kvstore::KvStore;
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, Request,
@@ -42,8 +41,8 @@ use switchfs_simnet::{timeout, CpuPool, Endpoint, NodeId, SimHandle, SimTime, Ta
 
 use crate::changelog::ChangeLogStore;
 use crate::config::ServerConfig;
+use crate::dirs::DirStore;
 use crate::dirty_set::ServerDirtySet;
-use crate::inodes::InodeStore;
 use crate::locks::{AggGate, LockManager};
 use crate::server::migrate::{Admit, InstallState};
 use crate::server::ops::DirUpdateSource;
@@ -204,8 +203,12 @@ impl DirContent {
     /// of the same name, as [`DirContent::insert`] does.
     pub fn extend(&mut self, entries: impl IntoIterator<Item = DirEntry>) {
         self.listing = None;
-        let mut batch = entries.into_iter().map(ByName).collect();
-        self.set.append(&mut batch);
+        let mut batch: std::collections::BTreeSet<ByName> =
+            entries.into_iter().map(ByName).collect();
+        // Into the batch: of two equal elements, `append` keeps its
+        // receiver's.
+        batch.append(&mut self.set);
+        self.set = batch;
     }
 
     /// Removes an entry by name, invalidating the shared listing memo.
@@ -300,9 +303,10 @@ pub(crate) const RETIRED_ENTRY_RETENTION: switchfs_simnet::SimDuration =
 ///   `Recovering` → `Serving` at its end;
 /// * [`Server::set_available`]: `Serving` → `Paused` and back, nothing else;
 /// * [`Server::decommission`]: any state → `Tombstone`, for good.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub(crate) enum Liveness {
     /// Serving client requests.
+    #[default]
     Serving,
     /// A stop-the-world window (§5.5): client requests get `Unavailable`.
     Paused,
@@ -318,15 +322,11 @@ pub(crate) enum Liveness {
 
 /// The volatile state of a metadata server. Rebuilt from the WAL after a
 /// crash.
+#[derive(Default)]
 pub(crate) struct ServerInner {
-    /// Inode store: `(pid, name)` → attributes, kept per parent directory.
-    pub inodes: InodeStore,
-    /// Entry-list store: directory id → entry list with a shareable
-    /// materialized listing (see [`DirContent`]). Mutations go through
-    /// [`ServerInner::put_entry`] / [`ServerInner::remove_entry`].
-    pub entries: KvStore<DirId, DirContent>,
-    /// Index of directories this server owns: id → key.
-    pub dir_index: FxHashMap<DirId, MetaKey>,
+    /// One record per directory: the children this server stores, the
+    /// directory's key where it owns the content, and its entry list.
+    pub dirs: DirStore,
     /// Per-directory change-logs of deferred updates to remote parents.
     pub changelogs: ChangeLogStore,
     /// Invalidation list (§5.2): directories removed/renamed elsewhere whose
@@ -452,36 +452,9 @@ pub(crate) struct ServerInner {
 impl ServerInner {
     fn new() -> Self {
         ServerInner {
-            inodes: InodeStore::default(),
-            entries: KvStore::new(),
-            dir_index: FxHashMap::default(),
-            changelogs: ChangeLogStore::new(),
-            invalidation: FxHashSet::default(),
-            entry_ids: FxHashMap::default(),
-            retirement_order: VecDeque::new(),
-            pending_discard_confirms: FxHashMap::default(),
-            completed_ops: FxHashMap::default(),
-            in_flight_ops: FxHashSet::default(),
-            seen_request_pkts: FxHashMap::default(),
-            migrating_shards: std::collections::BTreeSet::new(),
-            installs: FxHashMap::default(),
-            dirty_set: ServerDirtySet::default(),
-            push_timers: FxHashMap::default(),
-            dir_counter: 0,
             next_token: 1,
-            remove_seq: 0,
-            pending_tokens: Replies::default(),
-            pending_aggs: FxHashMap::default(),
-            agg_gates: FxHashMap::default(),
-            pending_agg_acks: FxHashMap::default(),
-            prepared_txns: FxHashMap::default(),
-            coordinated_txns: FxHashMap::default(),
             disk_slowdown: 1,
-            committed_txns: FifoSet::default(),
-            liveness: Liveness::Serving,
-            shutdown: false,
-            incarnation: 0,
-            stats: ServerStats::default(),
+            ..ServerInner::default()
         }
     }
 
@@ -493,14 +466,11 @@ impl ServerInner {
     /// modes, lifetime statistics and the owner-tracking dirty set.
     pub(crate) fn reset_volatile(&mut self) {
         let mut old = std::mem::replace(self, ServerInner::new());
-        // The stores restart empty but keep their access counters
-        // (`InodeStore::clear`, `KvStore::clear`), which registry rows read
-        // across recoveries.
-        old.inodes.clear();
-        old.entries.clear();
+        // The store restarts empty but keeps its access counters
+        // (`DirStore::clear`), which registry rows read across recoveries.
+        old.dirs.clear();
         *self = ServerInner {
-            inodes: old.inodes,
-            entries: old.entries,
+            dirs: old.dirs,
             dir_counter: old.dir_counter,
             next_token: old.next_token,
             remove_seq: old.remove_seq,
@@ -521,23 +491,15 @@ impl ServerInner {
     pub fn apply_effect(&mut self, effect: &KvEffect) {
         match effect {
             KvEffect::PutInode(k, v) => {
-                self.inodes.put(k.clone(), v.clone());
+                self.dirs.put(k.clone(), v.clone());
             }
             KvEffect::DeleteInode(k) => {
-                self.inodes.delete(k);
+                self.dirs.delete(k);
             }
-            KvEffect::PutEntry(dir, e) => {
-                self.put_entry(*dir, e.clone());
-            }
-            KvEffect::DeleteEntry(dir, name) => {
-                self.remove_entry(*dir, name);
-            }
-            KvEffect::IndexDir(id, key) => {
-                self.dir_index.insert(*id, key.clone());
-            }
-            KvEffect::UnindexDir(id) => {
-                self.dir_index.remove(id);
-            }
+            KvEffect::PutEntry(dir, e) => self.dirs.put_entry(*dir, e.clone()),
+            KvEffect::DeleteEntry(dir, name) => self.dirs.remove_entry(*dir, name),
+            KvEffect::IndexDir(id, key) => self.dirs.index(*id, key.clone()),
+            KvEffect::UnindexDir(id) => self.dirs.unindex(*id),
             KvEffect::Invalidate(id) => {
                 self.invalidation.insert(*id);
             }
@@ -545,45 +507,6 @@ impl ServerInner {
                 self.invalidation.remove(id);
             }
         }
-    }
-
-    /// Inserts or replaces an entry in a directory's list, invalidating the
-    /// directory's shared listing memo.
-    pub fn put_entry(&mut self, dir: DirId, entry: DirEntry) {
-        self.entries
-            .get_or_insert_counted_n(dir, 1, DirContent::default)
-            .insert(entry);
-    }
-
-    /// Removes an entry from a directory's list, dropping the list once it
-    /// becomes empty.
-    pub fn remove_entry(&mut self, dir: DirId, name: &str) {
-        let emptied = match self.entries.get_mut_counted(&dir) {
-            Some(content) => {
-                content.remove(name);
-                content.is_empty()
-            }
-            None => false,
-        };
-        if emptied {
-            self.entries.delete(&dir);
-        }
-    }
-
-    /// True if `dir` currently lists an entry called `name`.
-    pub fn entry_exists(&self, dir: &DirId, name: &str) -> bool {
-        self.entries.peek(dir).is_some_and(|c| c.contains(name))
-    }
-
-    /// Stamps a directory's attributes with its size: the length of the
-    /// entry list this server holds for it. The size is not stored — every
-    /// reply carrying a directory's attributes passes through here, so it
-    /// cannot disagree with the listing. Files pass through unchanged.
-    pub fn with_dir_size(&self, mut attrs: InodeAttrs) -> InodeAttrs {
-        if attrs.is_dir() {
-            attrs.size = self.entries.peek(&attrs.id).map_or(0, |c| c.len() as u64);
-        }
-        attrs
     }
 
     /// The cached response of a completed operation, if still retained.
@@ -764,12 +687,9 @@ impl Server {
         self.inner.borrow().stats
     }
 
-    /// Combined counters of the server's KV stores (inode + entry-list).
+    /// Counters of the server's store (inodes and entry lists).
     pub fn kv_stats(&self) -> switchfs_kvstore::KvStats {
-        let inner = self.inner.borrow();
-        let mut stats = inner.inodes.stats();
-        stats += inner.entries.stats();
-        stats
+        self.inner.borrow().dirs.stats()
     }
 
     /// Number of change-log entries waiting to be applied remotely.
@@ -779,7 +699,7 @@ impl Server {
 
     /// Number of inodes stored on this server.
     pub fn inode_count(&self) -> usize {
-        self.inner.borrow().inodes.len()
+        self.inner.borrow().dirs.len()
     }
 
     /// Number of prepared-but-undecided transactions staged on this server
@@ -856,11 +776,15 @@ impl Server {
     /// Lists a directory's entry names directly (test/verification helper).
     pub fn peek_entries(&self, dir: &DirId) -> Vec<String> {
         let inner = self.inner.borrow();
-        inner
-            .entries
-            .peek(dir)
+        (inner.dirs.list(dir))
             .map(|c| c.iter().map(|e| e.name.to_string()).collect())
             .unwrap_or_default()
+    }
+
+    /// True if this server keeps a record for directory `dir`: children,
+    /// the directory's key or its entry list (test/verification helper).
+    pub fn holds_dir_record(&self, dir: &DirId) -> bool {
+        self.inner.borrow().dirs.holds(dir)
     }
 
     /// Starts the server: spawns the packet loop and the proactive
@@ -1040,7 +964,7 @@ impl Server {
                     let file_type = me
                         .inner
                         .borrow_mut()
-                        .inodes
+                        .dirs
                         .get_ref(&key)
                         .map(|a| a.file_type);
                     Some(Reply::Type(file_type))
@@ -1251,7 +1175,7 @@ impl Server {
         // directory id (the content role under grouping).
         let key = req.op.primary_key();
         let touched = || {
-            let dir_id = self.inner.borrow().inodes.peek(key).map(|a| a.id.hash64());
+            let dir_id = self.inner.borrow().dirs.peek(key).map(|a| a.id.hash64());
             key_hashes(key).into_iter().chain(dir_id)
         };
         if self.admit(None, touched) == Admit::Frozen {
@@ -1338,7 +1262,7 @@ impl Server {
     fn may_own(&self, op: &MetaOp) -> bool {
         let placement = &self.cfg.placement;
         placement.accepts(op, self.cfg.id)
-            || !placement.is_separation() && self.inner.borrow().inodes.contains(op.primary_key())
+            || !placement.is_separation() && self.inner.borrow().dirs.contains(op.primary_key())
     }
 
     /// Records a completed operation's response for duplicate suppression.
@@ -1382,8 +1306,8 @@ impl Server {
                 let _g = lock.read().await;
                 self.cpu.run(costs.lock_op + costs.kv_get).await;
                 let mut inner = self.inner.borrow_mut();
-                match inner.inodes.get(&key) {
-                    Some(attrs) => OpResult::Attrs(inner.with_dir_size(attrs)),
+                match inner.dirs.get(&key) {
+                    Some(attrs) => OpResult::Attrs(inner.dirs.with_dir_size(attrs)),
                     None => OpResult::Err(FsError::NotFound),
                 }
             }
@@ -1391,7 +1315,7 @@ impl Server {
                 let lock = self.locks.inode(&key);
                 let _g = lock.write().await;
                 self.cpu.run(costs.lock_op + costs.kv_get).await;
-                let existing = self.inner.borrow_mut().inodes.get(&key);
+                let existing = self.inner.borrow_mut().dirs.get(&key);
                 let Some(mut attrs) = existing else {
                     return OpResult::Err(FsError::NotFound);
                 };
@@ -1767,7 +1691,7 @@ impl Server {
                             _ => None,
                         };
                         if let Some((dir, name, insert)) = mutation {
-                            let changed = insert != inner.entry_exists(dir, name);
+                            let changed = insert != inner.dirs.entry_exists(dir, name);
                             self.trace_event(trace, entry_event(dir.hash64(), insert, changed));
                         }
                     }
@@ -1903,8 +1827,8 @@ impl Server {
     pub fn preload_dir(&self, key: MetaKey, id: DirId, now: u64) {
         let attrs = InodeAttrs::new_dir(id, now, Default::default());
         let mut inner = self.inner.borrow_mut();
-        inner.inodes.put(key.clone(), attrs);
-        inner.dir_index.insert(id, key);
+        inner.dirs.put(key.clone(), attrs);
+        inner.dirs.index(id, key);
     }
 
     /// Directly installs the file inodes `names` under directory `dir`,
@@ -1914,25 +1838,15 @@ impl Server {
         for name in names {
             let attrs = InodeAttrs::new_file(self.fresh_dir_id(), now, Default::default());
             let key = MetaKey { pid: dir, name };
-            self.inner.borrow_mut().inodes.put(key, attrs);
+            self.inner.borrow_mut().dirs.put(key, attrs);
         }
     }
 
     /// Directly installs directory entries on the owner of the directory's
-    /// content, merged into its list in one pass (see
-    /// [`DirContent::extend`]). Counted as the n single inserts it stands
-    /// for: n gets and n puts, into a new list or an existing one. An empty
-    /// batch creates no list and counts nothing.
+    /// content, in one pass counted as the n single inserts it stands for
+    /// (`DirStore::extend_list`).
     pub fn preload_entries(&self, dir: DirId, entries: Vec<DirEntry>) {
-        if entries.is_empty() {
-            return;
-        }
-        let n = entries.len() as u64;
-        self.inner
-            .borrow_mut()
-            .entries
-            .get_or_insert_counted_n(dir, n, DirContent::default)
-            .extend(entries);
+        self.inner.borrow_mut().dirs.extend_list(dir, entries);
     }
 
     /// Generates a fresh directory id.
@@ -1980,7 +1894,7 @@ impl Server {
         timestamp: u64,
         ops: impl IntoIterator<Item = (&'a str, ChangeOp)>,
     ) -> Vec<KvEffect> {
-        let Some(mut attrs) = self.inner.borrow().inodes.peek(dir_key).cloned() else {
+        let Some(mut attrs) = self.inner.borrow().dirs.peek(dir_key).cloned() else {
             return Vec::new();
         };
         let mut times = Timestamps::at(timestamp);
@@ -2013,18 +1927,12 @@ impl Server {
     ) -> Option<(InodeAttrs, Rc<Vec<DirEntry>>)> {
         let (attrs, entries) = {
             let mut inner = self.inner.borrow_mut();
-            let attrs = inner.inodes.get(key)?;
+            let attrs = inner.dirs.get(key)?;
             if attrs.file_type != FileType::Directory {
                 return None;
             }
-            let dir = attrs.id;
-            // `get_mut_read`: mutable only to fill the listing memo — this
-            // is a read and must be billed as one.
-            let entries = match inner.entries.get_mut_read(&dir) {
-                Some(content) => content.listing(),
-                None => Rc::new(Vec::new()),
-            };
-            (inner.with_dir_size(attrs), entries)
+            let entries = inner.dirs.listing(&attrs.id);
+            (inner.dirs.with_dir_size(attrs), entries)
         };
         self.scan_dir(hold, &attrs.id, entries.len()).await;
         Some((attrs, entries))
@@ -2277,7 +2185,7 @@ mod tests {
     fn preloaded_state(server: &Server) -> impl PartialEq + std::fmt::Debug {
         let image = server.snapshot().image;
         let inner = server.inner.borrow();
-        let lists = inner.entries.len();
+        let lists = inner.dirs.records().filter_map(|(_, r)| r.list()).count();
         (
             image.inodes,
             image.entries,
@@ -2301,8 +2209,8 @@ mod tests {
         for name in &names {
             let attrs = InodeAttrs::new_file(single.fresh_dir_id(), 0, Default::default());
             let mut inner = single.inner.borrow_mut();
-            inner.inodes.put(MetaKey::new(dir, name.clone()), attrs);
-            inner.put_entry(dir, file_entry(name));
+            inner.dirs.put(MetaKey::new(dir, name.clone()), attrs);
+            inner.dirs.put_entry(dir, file_entry(name));
         }
         assert_eq!(preloaded_state(batched), preloaded_state(single));
     }
@@ -2328,7 +2236,7 @@ mod tests {
         once.preload_entries(dir, both.iter().map(file_entry).collect());
         assert_eq!(preloaded_state(twice), preloaded_state(once));
         assert_eq!(
-            once.inner.borrow().entries.peek(&dir).map(DirContent::len),
+            once.inner.borrow().dirs.list(&dir).map(DirContent::len),
             Some(25)
         );
 
@@ -2339,9 +2247,45 @@ mod tests {
         server.preload_entries(dir, Vec::new());
         assert_eq!(preloaded_state(server), before);
         assert!(
-            server.inner.borrow().entries.peek(&dir).is_none(),
+            server.inner.borrow().dirs.list(&dir).is_none(),
             "no entry list"
         );
+    }
+
+    /// The groups recovery aggregates come in an order that depends only on
+    /// the directories a server keeps the key of: two servers that indexed
+    /// the same directories in opposite orders, one of them indexing and
+    /// dropping others in between, visit the same groups in the same order,
+    /// each once.
+    #[test]
+    fn recovery_visits_groups_in_an_order_of_what_is_stored() {
+        let sim = Sim::new(1);
+        let [ours, theirs] = &test_servers(&sim, 2)[..] else {
+            unreachable!()
+        };
+        let dir = |i: u64| {
+            let key = MetaKey::new(DirId::ROOT, format!("d{i}").as_str());
+            (DirId::generate(ServerId(0), i), key)
+        };
+        let apply = |server: &Server, effect| server.inner.borrow_mut().apply_effect(&effect);
+        let index = |server: &Server, (id, key)| apply(server, KvEffect::IndexDir(id, key));
+        let unindex = |server: &Server, i| apply(server, KvEffect::UnindexDir(dir(i).0));
+        const KEPT: u64 = 48;
+        for i in 0..KEPT {
+            index(ours, dir(i));
+        }
+        for i in (0..KEPT).rev() {
+            index(theirs, dir(i));
+            index(theirs, dir(KEPT + i));
+            unindex(theirs, KEPT + i + 1);
+        }
+        unindex(theirs, KEPT);
+        let groups = ours.indexed_groups();
+        assert_eq!(groups, theirs.indexed_groups());
+        let of = |i| Fingerprint::of_dir(&DirId::ROOT, &format!("d{i}"));
+        let distinct: std::collections::BTreeSet<_> = (0..KEPT).map(of).collect();
+        assert_eq!(groups.len(), distinct.len(), "each group once");
+        assert!(groups.iter().all(|fp| distinct.contains(fp)));
     }
 
     /// A directory `server` owns, preloaded, and an insert into it.
@@ -3085,7 +3029,7 @@ mod tests {
         sim.run();
         let ack = (NodeId(1), 5, Reply::Done(Ok(())));
         assert_eq!(replies(coordinator), [ack]);
-        assert!(participant.inner.borrow().inodes.contains(&key));
+        assert!(participant.inner.borrow().dirs.contains(&key));
         // A copy arriving after the apply finished is acked again.
         serve(participant, NodeId(0), 5, commit());
         sim.run();

@@ -101,7 +101,7 @@ impl Server {
 
         let (_r, hold) = if state == DirtyState::Scattered {
             // The directory may have been removed concurrently.
-            if self.inner.borrow().inodes.peek(&key).is_none() {
+            if self.inner.borrow().dirs.peek(&key).is_none() {
                 return OpResult::Err(FsError::NotFound);
             }
             // Aggregation path: the change-logs are pulled and applied by a
@@ -206,8 +206,8 @@ impl Server {
             }
         } else {
             let mut inner = self.inner.borrow_mut();
-            match inner.inodes.get(op.primary_key()) {
-                Some(attrs) if attrs.is_dir() => OpResult::Attrs(inner.with_dir_size(attrs)),
+            match inner.dirs.get(op.primary_key()) {
+                Some(attrs) if attrs.is_dir() => OpResult::Attrs(inner.dirs.with_dir_size(attrs)),
                 Some(_) => OpResult::Err(FsError::NotADirectory),
                 None => OpResult::Err(FsError::NotFound),
             }
@@ -411,10 +411,7 @@ impl Server {
         let mut applied = 0usize;
         let mut mutations = 0usize;
         for (dir, dir_entries) in per_dir {
-            let dir_key = {
-                let inner = self.inner.borrow();
-                inner.dir_index.get(&dir).cloned()
-            };
+            let dir_key = self.inner.borrow().dirs.key(&dir).cloned();
             let Some(dir_key) = dir_key else {
                 // The directory was removed; its deferred updates are moot,
                 // but they still count as consumed.

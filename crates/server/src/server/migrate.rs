@@ -41,7 +41,7 @@ use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, Retry, Server
 
 use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
-use crate::server::{EntryState, Server, TokenReply};
+use crate::server::{DirContent, EntryState, Server, TokenReply};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
 /// Where a shard install, keyed by source node and token, stands on its
@@ -96,9 +96,10 @@ pub(crate) fn store_effects(image: &mut StateImage) -> Vec<KvEffect> {
 
 impl Server {
     /// What this server stores — inodes, entry lists, the owner index,
-    /// pending change-log entries — in ONE pass over the stores, each object
-    /// into the image `bucket` names for the placement hash it is stored
-    /// under (`None`: into none), in the order the stores iterate. A drain
+    /// pending change-log entries — in ONE pass over the directory records
+    /// and one over the change-logs, each object into the image `bucket`
+    /// names for the placement hash it is stored under (`None`: into none):
+    /// inodes in `MetaKey` order, lists and keys in `DirId` order. A drain
     /// plan moving S shards off one donor scans the donor once instead of S
     /// times — the difference between a linear and a quadratic decommission
     /// — and a checkpoint is the same scan with one bucket. An inode whose
@@ -112,38 +113,34 @@ impl Server {
         let placement = &self.cfg.placement;
         let inner = self.inner.borrow();
         let mut out: BTreeMap<K, StateImage> = BTreeMap::new();
-        for (key, attrs) in inner.inodes.iter() {
-            // Once per image, also when both roles of a directory fall into it.
-            let mut last = None;
-            let roles = placement.inode_role_hashes(&key, attrs);
-            for k in roles.into_iter().filter_map(&bucket) {
-                if last.replace(k) != Some(k) {
-                    let image = out.entry(k).or_default();
-                    image.inodes.push((key.clone(), attrs.clone()));
+        for (dir, record) in inner.dirs.records() {
+            for (key, attrs) in record.inodes(*dir) {
+                // Once per image, also when both roles of a directory fall
+                // into it.
+                let mut last = None;
+                let roles = placement.inode_role_hashes(&key, attrs);
+                for k in roles.into_iter().filter_map(&bucket) {
+                    if last.replace(k) != Some(k) {
+                        let image = out.entry(k).or_default();
+                        image.inodes.push((key.clone(), attrs.clone()));
+                    }
                 }
             }
-        }
-        let content_hash = |dir: &DirId, key: &MetaKey| {
-            placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir)
-        };
-        for (dir, content) in inner.entries.iter() {
-            let h = match inner.dir_index.get(dir) {
-                Some(key) => content_hash(dir, key),
-                // Without an index entry the fingerprint is unknown; fall
-                // back to the id hash, which never matches a foreign shard
-                // under per-file hashing — the list simply stays put.
-                None => dir.hash64(),
-            };
-            if let Some(k) = bucket(h) {
-                let image = out.entry(k).or_default();
-                image
-                    .entries
-                    .extend(content.iter().map(|e| (*dir, e.clone())));
+            let (key, list) = (record.key(), record.list());
+            if key.is_none() && list.is_none() {
+                continue;
             }
-        }
-        for (dir, key) in inner.dir_index.iter() {
-            if let Some(k) = bucket(content_hash(dir, key)) {
-                let image = out.entry(k).or_default();
+            // Without a key the fingerprint is unknown; the list falls back
+            // to the id hash, which never matches a foreign shard under
+            // per-file hashing — it simply stays put.
+            let h = key.map_or(dir.hash64(), |key| {
+                placement.dir_content_hash(Fingerprint::of_dir(&key.pid, &key.name), dir)
+            });
+            let Some(k) = bucket(h) else { continue };
+            let image = out.entry(k).or_default();
+            let list = list.into_iter().flat_map(DirContent::iter);
+            image.entries.extend(list.map(|e| (*dir, e.clone())));
+            if let Some(key) = key {
                 image.dir_index.push((*dir, key.clone()));
             }
         }
@@ -158,7 +155,8 @@ impl Server {
     }
 
     /// [`Server::collect`] by shard, for the shards in `shards`, each image
-    /// sorted: the stream order must not depend on hash-map iteration.
+    /// sorted: the stream order must not depend on hash-map iteration (the
+    /// change-logs' pending entries; the records come sorted).
     pub(crate) fn collect_shards(
         &self,
         shards: impl IntoIterator<Item = u32>,
@@ -169,11 +167,6 @@ impl Server {
             shards.contains(&shard).then_some(shard)
         });
         for image in out.values_mut() {
-            image.inodes.sort_by(|a, b| a.0.cmp(&b.0));
-            image
-                .entries
-                .sort_by(|a, b| (a.0, &a.1.name).cmp(&(b.0, &b.1.name)));
-            image.dir_index.sort_by_key(|e| e.0);
             image.pending.sort_by_key(|(_, e)| (e.dir, e.entry_id));
         }
         out
@@ -480,7 +473,7 @@ impl Server {
         // changed last (ties take the incoming copy, which keeps
         // retransmitted installs idempotent).
         image.inodes.retain(|(key, attrs)| {
-            let local = self.inner.borrow().inodes.peek(key).map(|a| a.times.ctime);
+            let local = self.inner.borrow().dirs.peek(key).map(|a| a.times.ctime);
             local.is_none_or(|local| local <= attrs.times.ctime)
         });
         let effects = store_effects(&mut image);

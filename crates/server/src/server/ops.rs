@@ -91,7 +91,7 @@ impl Server {
         let existing_type = self
             .inner
             .borrow_mut()
-            .inodes
+            .dirs
             .get_ref(&key)
             .map(|a| a.file_type);
         let now = self.now_ns();
@@ -260,7 +260,7 @@ impl Server {
             return self
                 .inner
                 .borrow_mut()
-                .inodes
+                .dirs
                 .get_ref(key)
                 .map(|a| a.file_type);
         }
@@ -446,7 +446,7 @@ impl Server {
         if self.is_stale(&req.ancestors) {
             return Some(OpResult::Err(FsError::StaleCache));
         }
-        let Some(attrs) = self.inner.borrow_mut().inodes.get(&key) else {
+        let Some(attrs) = self.inner.borrow_mut().dirs.get(&key) else {
             return Some(OpResult::Err(FsError::NotFound));
         };
         if !attrs.is_dir() {
@@ -462,10 +462,7 @@ impl Server {
         }
 
         // Emptiness check, on the aggregated state in the async modes.
-        let entry_count = {
-            let mut inner = self.inner.borrow_mut();
-            inner.entries.get_ref(&dir_id).map_or(0, |c| c.len())
-        };
+        let entry_count = self.inner.borrow_mut().dirs.list_len(&dir_id);
         self.cpu.run(costs.kv_get).await;
         if entry_count > 0 {
             if is_async {

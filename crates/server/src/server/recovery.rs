@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
-use switchfs_proto::{Fingerprint, Placement};
+use switchfs_proto::{Fingerprint, MetaKey, Placement};
 
 use crate::server::migrate::store_effects;
 use crate::server::rename::CoordinatorTxn;
@@ -192,7 +192,7 @@ impl Server {
                 report.migrations_resolved += 1;
             }
         }
-        report.inodes_recovered = self.inner.borrow().inodes.len();
+        report.inodes_recovered = self.inner.borrow().dirs.len();
 
         // Step 1b: resolve in-doubt transactions (§5.4.2) — prepared records
         // with no durable decision. Self-coordinated ones (this server
@@ -248,19 +248,8 @@ impl Server {
     /// stop-the-world reconfiguration (§5.5). Returns how many groups were
     /// aggregated.
     pub async fn aggregate_all_owned(&self) -> usize {
-        // Deterministic iteration: the aggregation order below is part of
-        // the replayable schedule.
-        let fps: switchfs_simnet::FxHashSet<u64> = {
-            let inner = self.inner.borrow();
-            inner
-                .dir_index
-                .values()
-                .map(|key| Fingerprint::of_dir(&key.pid, &key.name).raw())
-                .collect()
-        };
         let mut aggregated = 0;
-        for raw in fps {
-            let fp = Fingerprint::from_raw(raw);
+        for fp in self.indexed_groups() {
             // Only aggregate groups this server actually owns (preloaded
             // namespaces can index foreign directories defensively).
             if self.cfg.placement.dir_owner_by_fp(fp) != self.cfg.id {
@@ -272,6 +261,24 @@ impl Server {
             aggregated += 1;
         }
         aggregated
+    }
+
+    /// The fingerprint groups of the directories this server keeps the key
+    /// of, each once, in the order [`Server::aggregate_all_owned`] visits
+    /// them. That order is part of the replayable schedule, so it depends
+    /// only on what the server stores: the set is filled in `DirId` order,
+    /// whatever order a WAL or a checkpoint indexed the directories in.
+    pub(crate) fn indexed_groups(&self) -> Vec<Fingerprint> {
+        let inner = self.inner.borrow();
+        // Into a `Vec` first: its exact length sizes the set before the
+        // first insert, and the set's order depends on that size.
+        let keys: Vec<&MetaKey> = (inner.dirs.records())
+            .filter_map(|(_, r)| r.key())
+            .collect();
+        let fps: switchfs_simnet::FxHashSet<u64> = (keys.iter())
+            .map(|key| Fingerprint::of_dir(&key.pid, &key.name).raw())
+            .collect();
+        fps.into_iter().map(Fingerprint::from_raw).collect()
     }
 
     /// The current volatile state, as a checkpoint keeps it.

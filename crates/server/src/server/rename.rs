@@ -82,7 +82,7 @@ impl Server {
         // coordinates the directory rename or authoritatively answers
         // NotFound. Under grouping that server is this one (files and
         // directories share the parent's children server): nothing to forward.
-        if !self.inner.borrow().inodes.contains(src) {
+        if !self.inner.borrow().dirs.contains(src) {
             let placement = &self.cfg.placement;
             let access_owner = placement.dir_access_owner(src);
             if access_owner != self.cfg.id {
@@ -119,7 +119,7 @@ impl Server {
             let src_is_dir = self
                 .inner
                 .borrow()
-                .inodes
+                .dirs
                 .peek(src)
                 .is_some_and(|a| a.is_dir());
             if src_is_dir {
@@ -145,7 +145,7 @@ impl Server {
         let src_lock = self.locks.inode(src);
         let _src_guard = src_lock.write().await;
         self.cpu.run(costs.lock_op + costs.kv_get).await;
-        let Some(mut src_attrs) = self.inner.borrow_mut().inodes.get(src) else {
+        let Some(mut src_attrs) = self.inner.borrow_mut().dirs.get(src) else {
             return Some(OpResult::Err(FsError::NotFound));
         };
         // POSIX: renaming a path onto itself is a successful no-op. Guarded
@@ -169,7 +169,7 @@ impl Server {
                 let _w = Box::pin(self.aggregated(fp)).await;
                 // The aggregation just merged timestamps into the source
                 // inode; re-read it so the migrated attributes are current.
-                if let Some(fresh) = self.inner.borrow_mut().inodes.get(src) {
+                if let Some(fresh) = self.inner.borrow_mut().dirs.get(src) {
                     src_attrs = fresh;
                 }
             }
@@ -229,9 +229,7 @@ impl Server {
             let travels = placement.is_separation();
             let entries: Vec<switchfs_proto::DirEntry> = if travels {
                 let inner = self.inner.borrow();
-                inner
-                    .entries
-                    .peek(&dir_id)
+                (inner.dirs.list(&dir_id))
                     .map(|c| c.iter().cloned().collect())
                     .unwrap_or_default()
             } else {
@@ -471,9 +469,9 @@ impl Server {
                     // id-routed reads keep observing the live attrs.
                     let moved = {
                         let inner = self.inner.borrow();
-                        match inner.dir_index.get(dir) {
+                        match inner.dirs.key(dir) {
                             Some(old_key) if old_key != key => inner
-                                .inodes
+                                .dirs
                                 .peek(old_key)
                                 .cloned()
                                 .map(|attrs| (old_key.clone(), attrs)),
@@ -499,10 +497,10 @@ impl Server {
                     // fall back to the owner index when only the id is known.
                     let resolved = {
                         let inner = self.inner.borrow();
-                        if inner.inodes.peek(dir_key).is_some() {
+                        if inner.dirs.peek(dir_key).is_some() {
                             Some(dir_key.clone())
                         } else {
-                            inner.dir_index.get(&entry.dir).cloned()
+                            inner.dirs.key(&entry.dir).cloned()
                         }
                     };
                     if let Some(key) = resolved {
@@ -589,7 +587,7 @@ impl Server {
         let inner = self.inner.borrow();
         ops.iter().find_map(|op| match op {
             TxnOp::PutInode { key, attrs } => inner
-                .inodes
+                .dirs
                 .peek(key)
                 .filter(|existing| existing.is_dir() || attrs.is_dir())
                 .map(|existing| existing.file_type),

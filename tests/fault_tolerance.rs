@@ -2020,6 +2020,120 @@ fn remove_server_drains_every_shard_and_preserves_the_namespace() {
     });
 }
 
+/// A server keeps one record per directory it stores anything of (the
+/// children it holds, the directory's key, its entry list), and the record
+/// goes with the last of them. After an `rmdir` whose change-logs have
+/// drained, no server keeps a record for the removed directory; the
+/// invalidation list still names it, by design (its entries outlive their
+/// directories).
+#[test]
+fn no_server_keeps_a_record_for_a_removed_directory() {
+    let cluster = cluster();
+    let client = cluster.client(0);
+    let gone = cluster.block_on(async move {
+        let gone = client.mkdir("/gone").await.unwrap().id;
+        for i in 0..40 {
+            client.create(&format!("/gone/f{i}")).await.unwrap();
+        }
+        client.statdir("/gone").await.unwrap();
+        gone
+    });
+    let holders = |cluster: &Cluster| {
+        let servers = cluster.servers().iter();
+        servers.filter(|s| s.holds_dir_record(&gone)).count()
+    };
+    assert!(
+        holders(&cluster) > 1,
+        "the children spread over the servers"
+    );
+
+    let client = cluster.client(0);
+    cluster.block_on(async move {
+        for i in 0..40 {
+            client.delete(&format!("/gone/f{i}")).await.unwrap();
+        }
+        client.rmdir("/gone").await.unwrap();
+    });
+    let deadline = cluster.sim.now() + SimDuration::millis(50);
+    let pending = |cluster: &Cluster| -> usize {
+        let servers = cluster.servers().iter();
+        servers.map(|s| s.pending_changelog_entries()).sum()
+    };
+    while pending(&cluster) > 0 && cluster.sim.now() < deadline {
+        cluster.run_until(cluster.sim.now() + SimDuration::micros(100));
+    }
+    assert_eq!(pending(&cluster), 0, "the change-logs drained");
+    assert_eq!(holders(&cluster), 0, "a removed directory's record stays");
+    let servers = cluster.servers().iter();
+    let listed = servers.filter(|s| s.snapshot().invalidation.contains(&gone));
+    assert!(listed.count() > 0, "the invalidation list names it");
+}
+
+/// A shard migration takes a directory's records along with its roles:
+/// after a rebalance onto a new server, and again after draining a server,
+/// a server keeps a record for a directory exactly when it still owns one
+/// of its roles (the content, or a child's inode), and a drained server
+/// keeps none.
+#[test]
+fn a_migrated_directory_leaves_no_record_where_it_has_no_role() {
+    use switchfs::proto::{DirId, Fingerprint, InodeAttrs, MetaKey, ServerId};
+
+    let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+    cfg.servers = 4;
+    cfg.clients = 1;
+    let mut cluster = Cluster::new(cfg);
+    let client = cluster.client(0);
+    // Each directory's key and attributes, and its children's: /m, and
+    // eight directories under it, every other one with a file (where a
+    // record holds no children, it is the key and the list alone).
+    type Dir = (MetaKey, InodeAttrs, Vec<(MetaKey, InodeAttrs)>);
+    let dirs: Vec<Dir> = cluster.block_on(async move {
+        let m = client.mkdir("/m").await.unwrap();
+        let mut dirs = vec![(MetaKey::new(DirId::ROOT, "m"), m.clone(), Vec::new())];
+        for j in 0..8 {
+            let name = format!("s{j}");
+            let sub = client.mkdir(&format!("/m/{name}")).await.unwrap();
+            let key = MetaKey::new(m.id, name.as_str());
+            dirs[0].2.push((key.clone(), sub.clone()));
+            let mut files = Vec::new();
+            for i in 0..j % 2 {
+                let file = client.create(&format!("/m/{name}/g{i}")).await.unwrap();
+                files.push((MetaKey::new(sub.id, format!("g{i}").as_str()), file));
+            }
+            dirs.push((key, sub, files));
+        }
+        dirs
+    });
+    let holds_exactly_where_it_has_a_role = |cluster: &Cluster| {
+        let placement = cluster.placement();
+        let owns = |me: ServerId, key: &MetaKey, attrs: &InodeAttrs| {
+            let roles = placement.inode_role_hashes(key, attrs);
+            roles.iter().any(|h| placement.owner_of_hash(*h) == me)
+        };
+        for (i, server) in cluster.servers().iter().enumerate() {
+            let me = ServerId(i as u32);
+            for (key, attrs, children) in &dirs {
+                let fp = Fingerprint::of_dir(&key.pid, &key.name);
+                let content = placement.dir_content_owner(fp, &attrs.id) == me;
+                let child = children.iter().any(|(k, a)| owns(me, k, a));
+                assert_eq!(
+                    server.holds_dir_record(&attrs.id),
+                    content || child,
+                    "server {i}, directory {key:?}"
+                );
+            }
+        }
+    };
+    holds_exactly_where_it_has_a_role(&cluster);
+    cluster.add_server();
+    assert!(cluster.rebalance() > 0);
+    holds_exactly_where_it_has_a_role(&cluster);
+    assert!(cluster.remove_server(1).completed);
+    holds_exactly_where_it_has_a_role(&cluster);
+    let victim = &cluster.servers()[1];
+    assert!(dirs.iter().all(|(_, a, _)| !victim.holds_dir_record(&a.id)));
+}
+
 /// A decommission interrupted by a crash must resolve from the WAL
 /// `MigrationMarker`s on recovery (flipped shards drop their replayed stale
 /// copies; unflipped ones stay owned), and re-running `remove_server`
