@@ -14,7 +14,7 @@ use crate::server::DirContent;
 #[derive(Debug, Default)]
 pub(crate) struct DirRecord {
     /// The inodes of the directory's children this server holds, by name.
-    pub children: BTreeMap<Name, InodeAttrs>,
+    children: BTreeMap<Name, InodeAttrs>,
     /// The key and the list, kept apart: one server holds them and every
     /// server that holds a child holds the record, so a record is 32 bytes
     /// where it would be 104. Made on first use, it goes with the record.
