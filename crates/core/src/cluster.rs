@@ -536,4 +536,27 @@ mod tests {
         let inodes: usize = bulk.servers().iter().map(|s| s.inode_count()).sum();
         assert!(inodes > FILES, "the files and the preloaded directories");
     }
+
+    #[test]
+    fn a_dropped_cluster_frees_its_servers_and_clients() {
+        let mut cfg = ClusterConfig::paper_default(SystemKind::SwitchFs);
+        cfg.servers = 4;
+        cfg.clients = 1;
+        let mut cluster = Cluster::new(cfg);
+        cluster.preload_dir("/d");
+        let client = cluster.client(0);
+        cluster.block_on(async move {
+            for i in 0..8 {
+                client.create(&format!("/d/f{i}")).await.expect("create");
+            }
+        });
+        // The tasks left when the run stops hold the servers and the client:
+        // receive loops parked on their mailboxes, and the background loops
+        // `block_on` restarted, not yet polled.
+        let server = Rc::downgrade(&cluster.servers()[0]);
+        let client = Rc::downgrade(&cluster.client(0));
+        drop(cluster);
+        assert!(server.upgrade().is_none(), "a server outlived its cluster");
+        assert!(client.upgrade().is_none(), "a client outlived its cluster");
+    }
 }

@@ -303,8 +303,8 @@ impl ChangeLogStore {
     }
 
     /// Every directory that currently has pending entries.
-    pub fn dirty_dirs(&self) -> Vec<(DirId, Fingerprint)> {
-        self.logs.iter().map(|(d, l)| (*d, l.fp)).collect()
+    pub fn dirty_dirs(&self) -> impl Iterator<Item = (DirId, Fingerprint)> + '_ {
+        self.logs.iter().map(|(d, l)| (*d, l.fp))
     }
 
     /// Total number of pending entries across all logs.
@@ -571,6 +571,6 @@ mod tests {
         );
         store.clear();
         assert!(store.is_empty());
-        assert_eq!(store.dirty_dirs().len(), 0);
+        assert_eq!(store.dirty_dirs().count(), 0);
     }
 }

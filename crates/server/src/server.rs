@@ -387,6 +387,9 @@ pub(crate) struct ServerInner {
     /// Per-fingerprint time of the last received proactive push, driving
     /// owner-side proactive aggregation.
     pub push_timers: FxHashMap<u64, SimTime>,
+    /// Scratch list of the dirty directories a scan pushes, kept so a scan
+    /// tick allocates nothing.
+    pub push_scratch: Vec<DirId>,
     /// Counter used to build fresh directory ids.
     pub dir_counter: u64,
     /// Counter for request tokens, aggregation ids and packet sequences.

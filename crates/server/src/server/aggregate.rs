@@ -732,10 +732,19 @@ impl Server {
 
     /// One round of holder-side pushes over every dirty directory.
     pub(crate) fn push_all_changelogs(&self, trigger: PushTrigger) {
-        let dirty = self.inner.borrow().changelogs.dirty_dirs();
-        for (dir, _) in dirty {
-            self.push_changelog(&dir, trigger);
+        // `push_changelog` borrows the server, so the dirty directories are
+        // copied out first, into a buffer kept for the next scan.
+        let mut dirty = {
+            let mut inner = self.inner.borrow_mut();
+            let mut dirty = std::mem::take(&mut inner.push_scratch);
+            dirty.extend(inner.changelogs.dirty_dirs().map(|(dir, _)| dir));
+            dirty
+        };
+        for dir in &dirty {
+            self.push_changelog(dir, trigger);
         }
+        dirty.clear();
+        self.inner.borrow_mut().push_scratch = dirty;
     }
 
     /// Sends the next push batch of `dir`'s change-log if `trigger` says one

@@ -1,28 +1,31 @@
 //! The virtual-time task executor.
 //!
 //! A [`Sim`] owns a set of cooperative tasks, a ready queue, and a timer
-//! wheel ordered by virtual time. A task is a boxed future, or a pooled one
-//! whose state its spawner owns (the network keeps each packet in flight in a
-//! slab of its own and spawns it with `SimHandle::spawn_pooled`); both are
-//! scheduled, woken and counted alike. Tasks run until they block on a
-//! simulation primitive (a timer, a channel, a lock, a CPU core, a network
-//! delivery); when no task is runnable, the clock jumps to the next timer
-//! deadline. The executor is single-threaded and deterministic: task
+//! wheel ordered by virtual time. There is one kind of task: a future in a
+//! box. When a task finishes, its future is dropped but the box is kept, and
+//! the next task whose future has the same type moves into it, so a spawn
+//! allocates only when no finished task of its type left a box (at most
+//! `TASK_BOX_POOL_CAP` are kept per type). Tasks run until they block
+//! on a simulation primitive (a timer, a channel, a lock, a CPU core, a
+//! network delivery); when no task is runnable, the clock jumps to the next
+//! timer deadline. The executor is single-threaded and deterministic: task
 //! wake-ups are processed in FIFO order and ties between timers are broken by
-//! registration order.
+//! registration order. Dropping the [`Sim`] drops every task it still holds.
 
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fxhash::FxHashMap;
 use crate::sync::oneshot;
 use crate::time::{SimDuration, SimTime};
 
@@ -30,35 +33,58 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
-type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+/// Upper bound on the finished tasks' boxes kept per future type (a memory
+/// cap, not a correctness knob): a burst of many tasks of one type leaves
+/// at most this many boxes behind.
+pub(crate) const TASK_BOX_POOL_CAP: usize = 16;
 
-/// A pool of tasks whose state its owner keeps, one entry per task, instead
-/// of a boxed future each.
-pub(crate) trait PooledTask {
-    /// Polls the task kept at `index` of the pool, as `Future::poll` would;
-    /// the owner frees the entry before returning `Ready`.
-    fn poll_pooled(&self, index: u32, cx: &mut Context<'_>) -> Poll<()>;
+/// The boxes kept for reuse, one list per future type `F`, each a
+/// `Vec<Pin<Box<Option<F>>>>` of empty boxes. Looked up by type, never
+/// iterated, so no order depends on the hash.
+type BoxPools = FxHashMap<TypeId, Box<dyn Any>>;
+
+/// What a task runs: its future, in a box that outlives it.
+type Body = Pin<Box<dyn TaskBody>>;
+
+/// A task's future in a reusable box: `Some` while the task lives, `None`
+/// once it finished and the box waits in its type's pool.
+trait TaskBody {
+    /// Polls the future, as `Future::poll` would.
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()>;
+
+    /// Drops the future in place, leaving the box empty.
+    fn clear(self: Pin<&mut Self>);
+
+    /// Returns the (cleared) box to its type's pool, unless that is full.
+    fn recycle(self: Pin<Box<Self>>, pools: &mut BoxPools);
 }
 
-/// What a task runs. A pooled task holds its pool weakly: the pool's owner
-/// holds a [`SimHandle`], so a strong reference would make a cycle that
-/// keeps both alive after the owner and the [`Sim`] are dropped.
-enum Body {
-    Boxed(LocalFuture),
-    Pooled(Weak<dyn PooledTask>, u32),
-}
+impl<F: Future<Output = ()> + 'static> TaskBody for Option<F> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.as_pin_mut()
+            .expect("a live task's box holds its future")
+            .poll(cx)
+    }
 
-impl Body {
-    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
-        match self {
-            Body::Boxed(fut) => fut.as_mut().poll(cx),
-            // A dropped pool has nothing left to run.
-            Body::Pooled(pool, index) => match pool.upgrade() {
-                Some(pool) => pool.poll_pooled(*index, cx),
-                None => Poll::Ready(()),
-            },
+    fn clear(mut self: Pin<&mut Self>) {
+        self.set(None);
+    }
+
+    fn recycle(self: Pin<Box<Self>>, pools: &mut BoxPools) {
+        let pool = pool_of::<F>(pools);
+        if pool.len() < TASK_BOX_POOL_CAP {
+            pool.push(self);
         }
     }
+}
+
+/// The pool of empty boxes for futures of type `F`, made on first use.
+fn pool_of<F: 'static>(pools: &mut BoxPools) -> &mut Vec<Pin<Box<Option<F>>>> {
+    pools
+        .entry(TypeId::of::<F>())
+        .or_insert_with(|| Box::new(Vec::<Pin<Box<Option<F>>>>::new()))
+        .downcast_mut()
+        .expect("a pool is keyed by its boxes' type")
 }
 
 /// The queue of `(slot, task id)` pairs that have been woken and are ready
@@ -147,6 +173,8 @@ struct SimState {
     fired_scratch: Vec<TimerSlot>,
     /// Pool of spent timer slots, recycled to keep sleeps alloc-free.
     slot_pool: Vec<TimerSlot>,
+    /// Finished tasks' boxes, for the next tasks of their future types.
+    box_pools: BoxPools,
     rng: StdRng,
     spawned_total: u64,
     polls_total: u64,
@@ -198,6 +226,7 @@ impl Sim {
             timers: BinaryHeap::new(),
             fired_scratch: Vec::new(),
             slot_pool: Vec::new(),
+            box_pools: BoxPools::default(),
             rng: StdRng::seed_from_u64(seed),
             spawned_total: 0,
             polls_total: 0,
@@ -340,12 +369,16 @@ impl Sim {
             (body, waker)
         };
         let mut cx = Context::from_waker(&waker);
-        match body.poll(&mut cx) {
+        match body.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
+                // Dropping the future can re-enter the executor (a `Sleep`
+                // returns its timer slot), so it happens before the borrow.
+                body.as_mut().clear();
                 let mut state = self.state.borrow_mut();
                 state.tasks[slot as usize].task = None;
                 state.free_slots.push(slot);
                 state.live_tasks -= 1;
+                body.recycle(&mut state.box_pools);
             }
             Poll::Pending => {
                 let mut state = self.state.borrow_mut();
@@ -361,30 +394,46 @@ impl Sim {
     }
 }
 
+impl Drop for Sim {
+    /// Drops the tasks, which would otherwise keep the simulation alive:
+    /// nearly every task holds a [`SimHandle`]. Their futures are dropped
+    /// after the borrow ends, since a future's drop can re-enter it.
+    fn drop(&mut self) {
+        let dropped = {
+            let mut state = self.state.borrow_mut();
+            state.free_slots.clear();
+            state.live_tasks = 0;
+            (
+                std::mem::take(&mut state.tasks),
+                std::mem::take(&mut state.box_pools),
+            )
+        };
+        drop(dropped);
+    }
+}
+
 impl SimHandle {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.state.borrow().now
     }
 
-    /// Spawns a task; it becomes runnable immediately.
+    /// Spawns a task; it becomes runnable immediately. The future moves
+    /// into a box a finished task of the same type left behind, if one is
+    /// pooled, and into a new box otherwise.
     pub fn spawn<F>(&self, fut: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
-        self.spawn_body(Body::Boxed(Box::pin(fut)))
-    }
-
-    /// Spawns the task kept at `index` of `pool`, exactly as [`Self::spawn`]
-    /// spawns a future (same ids, slots, wakers, ready-queue position and
-    /// counts), but without boxing anything.
-    pub(crate) fn spawn_pooled(&self, pool: Weak<dyn PooledTask>, index: u32) -> TaskId {
-        self.spawn_body(Body::Pooled(pool, index))
-    }
-
-    fn spawn_body(&self, body: Body) -> TaskId {
         let (slot, id) = {
             let mut state = self.state.borrow_mut();
+            let body: Body = match pool_of::<F>(&mut state.box_pools).pop() {
+                Some(mut empty) => {
+                    empty.set(Some(fut));
+                    empty
+                }
+                None => Box::pin(Some(fut)),
+            };
             let id = state.next_task;
             state.next_task += 1;
             state.spawned_total += 1;
@@ -499,6 +548,14 @@ impl SimHandle {
                 state.slot_pool.push(slot);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl SimHandle {
+    /// The number of empty boxes kept for futures of `like`'s type.
+    pub(crate) fn pooled_boxes<F: 'static>(&self, _like: &F) -> usize {
+        pool_of::<F>(&mut self.state.borrow_mut().box_pools).len()
     }
 }
 
@@ -826,5 +883,63 @@ mod tests {
             1,
             "a re-stamped wake reached another task"
         );
+    }
+
+    /// A task that holds `held` until it finishes, `after` from now.
+    async fn holder(h: SimHandle, held: Rc<()>, after: SimDuration) {
+        h.sleep(after).await;
+        drop(held);
+    }
+
+    #[test]
+    fn a_finished_task_drops_what_it_captured_when_it_completes() {
+        let sim = Sim::new(1);
+        let captured = Rc::new(());
+        let c = captured.clone();
+        // The closure, and so its capture, lives as long as the future.
+        sim.spawn(std::future::poll_fn(move |_| {
+            let _ = &c;
+            Poll::Ready(())
+        }));
+        sim.run();
+        assert_eq!(Rc::strong_count(&captured), 1, "the box still holds it");
+    }
+
+    #[test]
+    fn sequential_tasks_of_one_type_share_one_box() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        for _ in 0..10 {
+            sim.spawn(holder(h.clone(), Rc::new(()), SimDuration::micros(1)));
+            sim.run();
+        }
+        let probe = holder(h.clone(), Rc::new(()), SimDuration::ZERO);
+        assert_eq!(h.pooled_boxes(&probe), 1);
+    }
+
+    #[test]
+    fn a_burst_of_tasks_leaves_the_cap_of_boxes_behind() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        for _ in 0..3 * TASK_BOX_POOL_CAP {
+            sim.spawn(holder(h.clone(), Rc::new(()), SimDuration::micros(1)));
+        }
+        sim.run();
+        let probe = holder(h.clone(), Rc::new(()), SimDuration::ZERO);
+        assert_eq!(h.pooled_boxes(&probe), TASK_BOX_POOL_CAP);
+    }
+
+    #[test]
+    fn a_task_that_never_finished_is_dropped_with_the_sim() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        let held = Rc::new(());
+        // It sleeps past the end of the run, holding a handle to the sim.
+        sim.spawn(holder(h.clone(), held.clone(), SimDuration::millis(1)));
+        sim.run_until(SimTime::from_micros(1));
+        drop(h);
+        assert_eq!(Rc::strong_count(&held), 2);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 }

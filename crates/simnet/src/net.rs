@@ -13,15 +13,14 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::future::{poll_fn, Future};
-use std::pin::Pin;
+use std::future::poll_fn;
 use std::rc::{Rc, Weak};
-use std::task::{ready, Context, Poll, Waker};
+use std::task::{Poll, Waker};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::executor::{PooledTask, SimHandle, Sleep};
+use crate::executor::SimHandle;
 use crate::fxhash::FxHashMap;
 use crate::time::{SimDuration, SimTime};
 
@@ -239,27 +238,6 @@ crate::counters! {
     }
 }
 
-/// Where a packet in flight is; each stage ends when its sleep does.
-#[derive(Clone, Copy)]
-enum Stage {
-    /// Waiting out the fault injector's extra delay (zero for most packets).
-    Jitter,
-    /// On the link to the switch.
-    Uplink,
-    /// In the switch, after its program ran.
-    Switch,
-    /// On the link to the destination.
-    Downlink,
-}
-
-/// One packet copy in flight: its stage, the packet (after the switch, the
-/// packets the switch program forwarded) and the sleep that ends the stage.
-struct Delivery<M> {
-    stage: Stage,
-    packets: Fanout<Packet<M>>,
-    sleep: Sleep,
-}
-
 /// A node's receive queue: the packets delivered to it, in arrival order,
 /// and the waker of its task parked in [`Endpoint::recv`].
 struct Mailbox<M> {
@@ -269,10 +247,6 @@ struct Mailbox<M> {
 
 struct NetworkInner<M> {
     handle: SimHandle,
-    /// Slab of packets in flight, each run by a pooled task; `free_deliveries`
-    /// lists vacant indices for reuse.
-    deliveries: Vec<Option<Delivery<M>>>,
-    free_deliveries: Vec<u32>,
     /// Each node's mailbox, owned by its [`Endpoint`]: a packet for an
     /// endpoint that no longer exists is dropped.
     mailboxes: FxHashMap<NodeId, Weak<RefCell<Mailbox<M>>>>,
@@ -309,8 +283,6 @@ impl<M: Clone + 'static> Network<M> {
         Network {
             inner: Rc::new(RefCell::new(NetworkInner {
                 handle,
-                deliveries: Vec::new(),
-                free_deliveries: Vec::new(),
                 mailboxes: FxHashMap::default(),
                 node_down: FxHashMap::default(),
                 partition: None,
@@ -383,9 +355,10 @@ impl<M: Clone + 'static> Network<M> {
     }
 
     /// Injects a packet into the fabric. Each copy that survives fault
-    /// injection (the packet, and a duplicate) becomes an entry of the
-    /// network's slab of packets in flight, run by a pooled task: no
-    /// per-packet allocation once the slab has grown to the traffic.
+    /// injection (the packet, and a duplicate) is a task of its own that
+    /// carries it through the rack. Its future moves into the box a
+    /// delivered packet's task left behind, so a packet allocates nothing
+    /// once the executor keeps boxes for the traffic.
     pub fn send(&self, pkt: Packet<M>) {
         let mut inner = self.inner.borrow_mut();
         inner.stats.sent += 1;
@@ -423,83 +396,54 @@ impl<M: Clone + 'static> Network<M> {
             } else {
                 pkt.clone().expect("one packet per copy")
             };
-            // The clock cannot move before the task's first poll (it is
-            // ready now), so the extra delay's sleep may start here.
-            let delivery = Delivery {
-                stage: Stage::Jitter,
-                packets: Fanout::one(pkt),
-                sleep: inner.handle.sleep(extra_delay),
-            };
-            let index = match inner.free_deliveries.pop() {
-                Some(index) => {
-                    inner.deliveries[index as usize] = Some(delivery);
-                    index
-                }
-                None => {
-                    inner.deliveries.push(Some(delivery));
-                    (inner.deliveries.len() - 1) as u32
-                }
-            };
-            let pool = Rc::downgrade(&self.inner);
-            inner.handle.spawn_pooled(pool, index);
+            let net = Rc::downgrade(&self.inner);
+            let handle = inner.handle.clone();
+            inner.handle.spawn(deliver(net, handle, pkt, extra_delay));
         }
     }
 }
 
-impl<M: 'static> PooledTask for RefCell<NetworkInner<M>> {
-    fn poll_pooled(&self, index: u32, cx: &mut Context<'_>) -> Poll<()> {
-        self.borrow_mut().poll_delivery(index, cx)
+/// Runs one packet copy through the rack: extra delay → link → switch →
+/// link → mailbox, one sleep per stage. A zero-length sleep completes at
+/// once, without registering a timer. The task holds its network weakly, so
+/// a packet in flight does not keep a dropped network alive; it ends at its
+/// next stage once the network is gone.
+async fn deliver<M>(
+    net: Weak<RefCell<NetworkInner<M>>>,
+    handle: SimHandle,
+    pkt: Packet<M>,
+    extra_delay: SimDuration,
+) {
+    handle.sleep(extra_delay).await;
+    let Some(uplink) = with_net(&net, |n| n.params.link_latency) else {
+        return;
+    };
+    handle.sleep(uplink).await;
+    let Some((packets, switch)) = with_net(&net, |n| {
+        (n.process_at_switch(pkt), n.params.switch_latency)
+    }) else {
+        return;
+    };
+    if packets.is_empty() {
+        return;
     }
+    handle.sleep(switch).await;
+    let Some(downlink) = with_net(&net, |n| n.params.link_latency) else {
+        return;
+    };
+    handle.sleep(downlink).await;
+    with_net(&net, |n| n.hand_to_mailboxes(packets));
+}
+
+/// Runs `f` on the network `net` refers to, unless it was dropped.
+fn with_net<M, R>(
+    net: &Weak<RefCell<NetworkInner<M>>>,
+    f: impl FnOnce(&mut NetworkInner<M>) -> R,
+) -> Option<R> {
+    net.upgrade().map(|inner| f(&mut inner.borrow_mut()))
 }
 
 impl<M> NetworkInner<M> {
-    /// Runs the packet at `index` of the slab through the rack: extra delay
-    /// → link → switch → link → mailbox, one sleep per stage. A zero-length
-    /// sleep completes at once, without registering a timer.
-    fn poll_delivery(&mut self, index: u32, cx: &mut Context<'_>) -> Poll<()> {
-        loop {
-            let delivery = self.delivery(index);
-            ready!(Pin::new(&mut delivery.sleep).poll(cx));
-            let (stage, wait) = match delivery.stage {
-                Stage::Jitter => (Stage::Uplink, self.params.link_latency),
-                Stage::Uplink => {
-                    let pkt = delivery.packets.first.take().expect("one packet");
-                    let forwarded = self.process_at_switch(pkt);
-                    if forwarded.is_empty() {
-                        self.free_delivery(index);
-                        return Poll::Ready(());
-                    }
-                    self.delivery(index).packets = forwarded;
-                    (Stage::Switch, self.params.switch_latency)
-                }
-                Stage::Switch => (Stage::Downlink, self.params.link_latency),
-                Stage::Downlink => {
-                    let delivery = self.free_delivery(index);
-                    self.hand_to_mailboxes(delivery.packets);
-                    return Poll::Ready(());
-                }
-            };
-            let sleep = self.handle.sleep(wait);
-            let delivery = self.delivery(index);
-            delivery.stage = stage;
-            delivery.sleep = sleep;
-        }
-    }
-
-    fn delivery(&mut self, index: u32) -> &mut Delivery<M> {
-        self.deliveries[index as usize]
-            .as_mut()
-            .expect("a packet in flight")
-    }
-
-    /// Empties the slab entry at `index` for reuse and returns what it held.
-    fn free_delivery(&mut self, index: u32) -> Delivery<M> {
-        self.free_deliveries.push(index);
-        self.deliveries[index as usize]
-            .take()
-            .expect("a packet in flight")
-    }
-
     /// Runs one packet through the switch program and returns the packets
     /// it forwards, in order; forwarding none is a drop.
     fn process_at_switch(&mut self, pkt: Packet<M>) -> Fanout<Packet<M>> {
@@ -608,7 +552,7 @@ impl<M: Clone + 'static> Endpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Sim;
+    use crate::executor::{Sim, TASK_BOX_POOL_CAP};
     use crate::time::SimTime;
     use std::cell::Cell;
 
@@ -967,11 +911,19 @@ mod tests {
         assert!(arrivals.iter().all(|&n| n == 1 || n == 2));
         let twice = arrivals.iter().filter(|&&n| n == 2).count() as u64;
         assert_eq!(twice, stats.duplicated);
-        // A few dozen packets are in flight at a time: the slab's entries
-        // were reused, not grown to one per packet.
-        let inner = net.inner.borrow();
-        assert!(inner.deliveries.len() < 64, "{}", inner.deliveries.len());
-        assert!(inner.deliveries.iter().all(Option::is_none));
+        // Packets in flight reused the boxes of delivered ones, and the
+        // executor keeps no more of them than its cap.
+        let probe = deliver(
+            Weak::new(),
+            sim.handle(),
+            Packet {
+                src: NodeId(1),
+                dst: NodeId(2),
+                payload: 0u32,
+            },
+            SimDuration::ZERO,
+        );
+        assert_eq!(sim.handle().pooled_boxes(&probe), TASK_BOX_POOL_CAP);
     }
 
     #[test]

@@ -144,7 +144,9 @@ where
 
 #[test]
 fn a_warm_stat_stays_within_its_allocation_budget() {
-    // 5.4 per stat; 475 (7.4 per stat) before the client awaited its
+    // 4.4 per stat; 347 measured (5.4 per stat) while every task's future
+    // had a box of its own, freed when the task ended; 475 (7.4 per stat)
+    // before the client awaited its
     // replies in one table instead of a channel per transmission; 603 (9.4
     // per stat) before `resolve` stopped building its
     // path prefix and growing its ancestor chain; 667 (10.4 per stat) before
@@ -154,7 +156,7 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
     // components and the parent's path; and 1,691 (26.4 per stat) before
     // names were shared, the packet path kept its lists inline, task wakers
     // were reused and lock waiters became tickets.
-    const BUDGET: u64 = 347;
+    const BUDGET: u64 = 283;
     let paths = (0..2 * OPS).map(|i| format!("/d/f{i}")).collect();
     let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
         client.stat(&path).await.expect("stat");
@@ -167,7 +169,9 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
-    // 11.9 per create; 770 measured (12.0 per create) while compaction
+    // 9.8 per create; 762 measured (11.9 per create) while every task's
+    // future had a box of its own and the scan tick listed the dirty
+    // directories into a new buffer; 770 (12.0 per create) while compaction
     // collected its surviving operations into a second buffer; 1,078 (16.8
     // per create) while every hop of a deferred update (the WAL record, the
     // change-log, each commit transmission, the switch's mirror copy, the
@@ -177,7 +181,7 @@ fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
     // one table each; 1,399 (21.9 per create), 1,597 (25.0 per create),
     // 1,921 (30.0 per create) and 3,218 (50.3 per create) before the four
     // changes named above.
-    const BUDGET: u64 = 762;
+    const BUDGET: u64 = 627;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
     let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
         client.create(&path).await.expect("create");
@@ -193,17 +197,20 @@ fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
     // The parent update is synchronous here: the file's server asks the
     // directory's owner and waits for its answer, so this budget holds the
     // server's side of an awaited request as the two above hold the
-    // client's. 14.9 per create; 999 measured (15.6 per create) while the
+    // client's. 12.2 per create; 955 measured (14.9 per create) while every
+    // task's future had a box of its own; 999 (15.6 per create) while the
     // synchronous update copied its change-log entry into each request.
-    const BUDGET: u64 = 955;
-    // Bytes: each received packet allocates its task's future, sized for
-    // the handler of its own body variant. 4,767.7 per create; 364,160
-    // measured (5,690 per create) while an entry was copied at each hop
+    const BUDGET: u64 = 783;
+    // Bytes: a task's future moves into the box a finished task of its type
+    // left behind, so only a type's concurrency peak allocates. 3,200.9 per
+    // create; 305,132 measured (4,767.7 per create) while each task, a
+    // received packet's handler among them, allocated its future's box;
+    // 364,160 (5,690 per create) while an entry was copied at each hop
     // and a message carried it inline, which made every packet's body and
     // task larger; 382,896 (5,982.8 per create) while the quick messages
     // shared one task, and the answered requests another, each sized for
     // its largest variant.
-    const BYTES_BUDGET: u64 = 305_132;
+    const BYTES_BUDGET: u64 = 204_860;
     let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
     let (n, bytes) = allocs_of(SystemKind::EmulatedCfs, paths, |client, path| async move {
         client.create(&path).await.expect("create");
@@ -220,11 +227,13 @@ fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_unicast_packet_through_l2_forwarding_stays_within_its_allocation_budget() {
-    // Nothing: a packet in flight is an entry of the network's slab, run by
-    // a pooled task with its slot's waker. 64 (one per packet, its delivery
-    // task's boxed future) before that, and 256 (four per packet) before
-    // the delivery copies and the switch's output list were kept inline and
-    // the delivery task's waker was reused.
+    // Nothing: a packet in flight is a task whose future moves into the box
+    // a delivered packet's task left behind, woken by its slot's waker. 64
+    // (one per packet, its delivery task's boxed future) before finished
+    // tasks' boxes were reused (or, for a while, packets were kept in a
+    // slab of the network's), and 256 (four per packet) before the delivery
+    // copies and the switch's output list were kept inline and the delivery
+    // task's waker was reused.
     let sim = Sim::new(1);
     let net: Network<u64> = Network::new(
         sim.handle(),
