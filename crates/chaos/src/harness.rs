@@ -282,7 +282,7 @@ pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
         cluster
             .servers()
             .iter()
-            .map(|s| s.prepared_txn_count())
+            .map(|s| s.tables().prepared_txns)
             .sum()
     };
     cluster.settle(timeout * 300 + SimDuration::millis(5));

@@ -533,7 +533,7 @@ mod tests {
             content_owner.preload_entries(dir, vec![entry]);
         }
         assert_eq!(stores(&bulk), stores(&single));
-        let inodes: usize = bulk.servers().iter().map(|s| s.inode_count()).sum();
+        let inodes: usize = bulk.servers().iter().map(|s| s.tables().inodes).sum();
         assert!(inodes > FILES, "the files and the preloaded directories");
     }
 

@@ -21,7 +21,6 @@ pub struct Coordinator {
     endpoint: Endpoint<NetMsg>,
     set: RefCell<ServerDirtySet>,
     per_op_cost: SimDuration,
-    next_seq: RefCell<u64>,
 }
 
 impl Coordinator {
@@ -37,7 +36,6 @@ impl Coordinator {
             // ~1 µs of CPU per dirty-set RPC: 12 cores saturate at ~12 Mops/s,
             // matching the ~11 Mops/s ceiling reported in Fig. 15(b).
             per_op_cost: SimDuration::from_micros_f64(1.0),
-            next_seq: RefCell::new(1),
         })
     }
 
@@ -58,24 +56,12 @@ impl Coordinator {
                 me.handle.spawn(async move {
                     me2.cpu.run(me2.per_op_cost).await;
                     let ret = me2.set.borrow_mut().apply(op, fp);
-                    let seq = {
-                        let mut s = me2.next_seq.borrow_mut();
-                        *s += 1;
-                        *s
-                    };
-                    me2.endpoint.send(
-                        pkt.src,
-                        NetMsg::plain(
-                            PacketSeq {
-                                sender: me2.endpoint.node().0,
-                                seq,
-                            },
-                            Body::Server(ServerMsg::Reply {
-                                req_id,
-                                reply: Reply::Dirty(ret),
-                            }),
-                        ),
-                    );
+                    let reply = Body::Server(ServerMsg::Reply {
+                        req_id,
+                        reply: Reply::Dirty(ret),
+                    });
+                    me2.endpoint
+                        .send(pkt.src, NetMsg::plain(PacketSeq::default(), reply));
                 });
             }
         });

@@ -12,16 +12,14 @@
 //!   marks (used by the asynchronous-update protocol to distinguish
 //!   change-log entries that have already reached the directory owner,
 //!   §5.4.2) and replay support.
-//! * [`Checkpoint`] — an optional snapshot slot that bounds replay work, the
-//!   paper's suggested extension for reducing recovery time (§7.7).
 //!
-//! "Persistence" in a simulation means surviving a simulated crash: the WAL
-//! and checkpoint objects are kept by the cluster harness across a server's
-//! crash/restart cycle, while a server's store and all its other volatile
-//! state are dropped and rebuilt by recovery.
+//! "Persistence" in a simulation means surviving a simulated crash: a
+//! server's WAL (and the checkpoint it keeps beside it) outlives its
+//! crash/restart cycle, while its store and all its other volatile state
+//! are dropped and rebuilt by recovery.
 
 pub mod store;
 pub mod wal;
 
 pub use store::{KvStats, KvStore};
-pub use wal::{Checkpoint, TornTail, TornTailReport, Wal, WalRecord};
+pub use wal::{TornTail, TornTailReport, Wal, WalRecord};

@@ -1,4 +1,4 @@
-//! The write-ahead log and checkpoint slot.
+//! The write-ahead log.
 //!
 //! SwitchFS keeps its change-log, invalidation list and key-value store in
 //! DRAM for performance and relies on a per-server WAL for durability
@@ -392,30 +392,6 @@ impl<R: Clone> Wal<R> {
     }
 }
 
-/// A snapshot slot bounding WAL replay (§7.7 notes recovery time "could be
-/// substantially reduced through the use of checkpointing").
-#[derive(Debug, Clone, Default)]
-pub struct Checkpoint<S> {
-    state: Option<(u64, S)>,
-}
-
-impl<S: Clone> Checkpoint<S> {
-    /// Creates an empty checkpoint slot.
-    pub fn new() -> Self {
-        Checkpoint { state: None }
-    }
-
-    /// Stores a snapshot of the state as of `lsn`.
-    pub fn store(&mut self, lsn: u64, state: S) {
-        self.state = Some((lsn, state));
-    }
-
-    /// Returns the checkpointed state and its LSN, if any.
-    pub fn load(&self) -> Option<(u64, S)> {
-        self.state.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,13 +675,5 @@ mod tests {
         // Watermark follows the survivors even when the crash predated the
         // last flush bookkeeping.
         assert_eq!(wal.flushed(), 5);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let mut cp = Checkpoint::new();
-        assert_eq!(cp.load(), None);
-        cp.store(42, vec![1, 2, 3]);
-        assert_eq!(cp.load(), Some((42, vec![1, 2, 3])));
     }
 }

@@ -25,8 +25,11 @@ use crate::ids::{DirId, Fingerprint, OpId, TraceId};
 use crate::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Name, Permissions};
 use serde::{Deserialize, Serialize};
 
-/// Per-packet sender sequencing, used by receivers to detect duplicates
-/// introduced by retransmission (§5.4.1).
+/// A client's packet numbering: each copy of a request it sends, a
+/// retransmission included, carries a fresh `seq`, so a server tells a
+/// network-duplicated packet (same sequence) from a retransmission (§5.4.1).
+/// Servers and the coordinator number nothing and send the default: the
+/// duplicate window reads only client requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct PacketSeq {
     /// Raw node id of the sender.
@@ -671,7 +674,8 @@ pub enum Body {
 /// One SwitchFS UDP datagram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetMsg {
-    /// Per-sender packet sequence number for duplicate detection.
+    /// The client's packet sequence on a request (duplicate detection);
+    /// the default on every other packet.
     pub pkt_seq: PacketSeq,
     /// Optional dirty-set operation header, parsed by the switch.
     pub dirty: Option<DirtySetHeader>,

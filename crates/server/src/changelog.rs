@@ -214,11 +214,6 @@ pub struct ChangeLogStore {
 }
 
 impl ChangeLogStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends an entry to the change-log of its directory (`entry.dir`,
     /// stored under `dir_key`), creating the log on first use; only then is
     /// the directory's fingerprint computed.
@@ -496,7 +491,7 @@ mod tests {
 
     #[test]
     fn a_push_ack_addresses_the_directory_by_key() {
-        let mut store = ChangeLogStore::new();
+        let mut store = ChangeLogStore::default();
         let (key_a, key_b) = (
             MetaKey::new(DirId::ROOT, "a"),
             MetaKey::new(DirId::ROOT, "b"),
@@ -520,7 +515,7 @@ mod tests {
 
     #[test]
     fn store_groups_by_fingerprint() {
-        let mut store = ChangeLogStore::new();
+        let mut store = ChangeLogStore::default();
         let (key_a, key_b) = (
             MetaKey::new(DirId::ROOT, "a"),
             MetaKey::new(DirId::ROOT, "b"),
@@ -546,7 +541,7 @@ mod tests {
 
     #[test]
     fn discard_in_group_drops_empty_logs() {
-        let mut store = ChangeLogStore::new();
+        let mut store = ChangeLogStore::default();
         let key = MetaKey::new(DirId::ROOT, "a");
         let fp = Fingerprint::of_dir(&key.pid, &key.name);
         store.append(&key, entry_in(dir(1), "x", 1), SimTime::ZERO);
@@ -563,7 +558,7 @@ mod tests {
 
     #[test]
     fn clear_drops_everything() {
-        let mut store = ChangeLogStore::new();
+        let mut store = ChangeLogStore::default();
         store.append(
             &MetaKey::new(DirId::ROOT, "a"),
             entry_in(dir(1), "x", 1),

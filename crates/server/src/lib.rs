@@ -36,6 +36,6 @@ pub use config::{ServerConfig, TrackingMode, UpdateMode, COORDINATOR_NODE};
 pub use costs::CostModel;
 pub use dirty_set::ServerDirtySet;
 pub use locks::LockManager;
-pub use server::{DirContent, Server, ServerStats};
+pub use server::{DirContent, Server, ServerStats, ServerTables};
 pub use switchfs_kvstore::TornTail;
 pub use wal::{DurableState, KvEffect, TxnMarker, WalOp};

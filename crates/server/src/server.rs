@@ -110,6 +110,42 @@ impl TokenReply {
     pub(crate) const ACK: TokenReply = TokenReply::Server(Reply::Done(Ok(())));
 }
 
+/// The sizes of a server's tables at one moment ([`Server::tables`]), read
+/// by tests and the chaos harness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerTables {
+    /// Change-log entries waiting to be applied remotely.
+    pub pending_changelog_entries: usize,
+    /// Inodes stored on this server.
+    pub inodes: usize,
+    /// Prepared-but-undecided transactions staged here.
+    pub prepared_txns: usize,
+    /// Token-matched exchanges still waiting; zero when quiescent.
+    pub pending_tokens: usize,
+    /// Tasks queued for or holding a fingerprint-group lock, or parked at an
+    /// aggregation gate as followers; zero when quiescent.
+    pub fp_group_waiters: usize,
+    /// Tasks holding or queued for an inode, change-log or fingerprint-group
+    /// lock; zero when quiescent.
+    pub locks_in_use: usize,
+    /// Locks in the lock tables, in use or not yet swept; each table sweeps
+    /// its unused locks before it outgrows
+    /// [`SWEEP_FLOOR`](crate::locks::SWEEP_FLOOR) or twice the locks in use
+    /// at its last sweep.
+    pub tabled_locks: usize,
+    /// Cached responses across all clients (the bounded duplicate cache).
+    pub completed_ops: usize,
+    /// Client operations executing; zero when quiescent.
+    pub in_flight_ops: usize,
+    /// Applied remote change-log entry ids awaiting their holder's
+    /// confirmation.
+    pub applied_entry_ids: usize,
+    /// Confirmed entry ids held until their retention expires.
+    pub retired_entry_ids: usize,
+    /// Shards frozen by outbound migrations.
+    pub migrating_shards: usize,
+}
+
 /// One directory's entry list: a set ordered by each entry's own name, for
 /// O(log n) mutation, plus a lazily materialized, `Rc`-shared listing for
 /// O(1) reads. Each name is stored once, in its entry.
@@ -392,7 +428,7 @@ pub(crate) struct ServerInner {
     pub push_scratch: Vec<DirId>,
     /// Counter used to build fresh directory ids.
     pub dir_counter: u64,
-    /// Counter for request tokens, aggregation ids and packet sequences.
+    /// Counter for request tokens, aggregation ids and transaction ids.
     pub next_token: u64,
     /// Monotonic remove-sequence number for dirty-set removes (§5.4.1).
     pub remove_seq: u64,
@@ -549,11 +585,6 @@ impl ServerInner {
         }
     }
 
-    /// Total cached responses across all clients (test observability).
-    pub fn completed_ops_len(&self) -> usize {
-        self.completed_ops.values().map(|m| m.len()).sum()
-    }
-
     /// True when a remote change-log entry was already applied here — still
     /// awaiting its holder's discard confirmation, or recently retired.
     pub fn entry_already_applied(&self, id: &OpId) -> bool {
@@ -664,7 +695,7 @@ impl Server {
             endpoint,
             cfg,
             inner: RefCell::new(ServerInner::new()),
-            durable: RefCell::new(DurableState::new()),
+            durable: RefCell::default(),
             locks: LockManager::default(),
         })
     }
@@ -695,79 +726,28 @@ impl Server {
         self.inner.borrow().dirs.stats()
     }
 
-    /// Number of change-log entries waiting to be applied remotely.
-    pub fn pending_changelog_entries(&self) -> usize {
-        self.inner.borrow().changelogs.total_pending()
-    }
-
-    /// Number of inodes stored on this server.
-    pub fn inode_count(&self) -> usize {
-        self.inner.borrow().dirs.len()
-    }
-
-    /// Number of prepared-but-undecided transactions staged on this server
-    /// (test/chaos observability).
-    pub fn prepared_txn_count(&self) -> usize {
-        self.inner.borrow().prepared_txns.len()
-    }
-
-    /// Number of token-matched exchanges this server is still waiting on;
-    /// zero whenever the server is quiescent (test/chaos observability).
-    pub fn pending_token_count(&self) -> usize {
-        self.inner.borrow().pending_tokens.len()
-    }
-
-    /// Tasks queued for or holding one of this server's fingerprint-group
-    /// locks, or parked at an aggregation gate as followers; zero whenever
-    /// the server is quiescent (test/chaos observability).
-    pub fn fp_group_waiter_count(&self) -> usize {
-        let gates = &self.inner.borrow().agg_gates;
-        self.locks.fp_group_waiters() + gates.values().map(AggGate::followers).sum::<usize>()
-    }
-
-    /// Tasks holding or queued for one of this server's inode, change-log or
-    /// fingerprint-group locks; zero whenever the server is quiescent
-    /// (test/chaos observability).
-    pub fn locks_in_use(&self) -> usize {
-        self.locks.in_use()
-    }
-
-    /// Locks in this server's lock tables, in use or not yet swept; each
-    /// table sweeps its unused locks before it outgrows
-    /// [`SWEEP_FLOOR`](crate::locks::SWEEP_FLOOR) or twice the locks in use
-    /// at its last sweep (test observability).
-    pub fn tabled_lock_count(&self) -> usize {
-        self.locks.tabled()
-    }
-
-    /// Total duplicate-suppression cache entries across all clients
-    /// (test observability for the bounded-dedup guarantee).
-    pub fn completed_op_count(&self) -> usize {
-        self.inner.borrow().completed_ops_len()
-    }
-
-    /// Client operations this server is executing; zero whenever it is
-    /// quiescent (test/chaos observability).
-    pub fn in_flight_op_count(&self) -> usize {
-        self.inner.borrow().in_flight_ops.len()
-    }
-
-    /// Applied-but-unconfirmed remote change-log entry ids currently held
-    /// (test observability for the bounded entry-id table).
-    pub fn applied_entry_id_count(&self) -> usize {
+    /// The sizes of the server's tables (test and chaos observability).
+    pub fn tables(&self) -> ServerTables {
         let inner = self.inner.borrow();
-        inner.entry_ids.len() - inner.retirement_order.len()
-    }
-
-    /// Retired (holder-confirmed) entry ids currently held until their
-    /// retention expires.
-    pub fn retired_entry_id_count(&self) -> usize {
-        self.inner.borrow().retirement_order.len()
-    }
-
-    /// Number of shards currently frozen by outbound migrations.
-    pub fn migrating_shard_count(&self) -> usize {
-        self.inner.borrow().migrating_shards.len()
+        ServerTables {
+            pending_changelog_entries: inner.changelogs.total_pending(),
+            inodes: inner.dirs.len(),
+            prepared_txns: inner.prepared_txns.len(),
+            pending_tokens: inner.pending_tokens.len(),
+            fp_group_waiters: self.locks.fp_group_waiters()
+                + inner
+                    .agg_gates
+                    .values()
+                    .map(AggGate::followers)
+                    .sum::<usize>(),
+            locks_in_use: self.locks.in_use(),
+            tabled_locks: self.locks.tabled(),
+            completed_ops: inner.completed_ops.values().map(|m| m.len()).sum(),
+            in_flight_ops: inner.in_flight_ops.len(),
+            applied_entry_ids: inner.entry_ids.len() - inner.retirement_order.len(),
+            retired_entry_ids: inner.retirement_order.len(),
+            migrating_shards: inner.migrating_shards.len(),
+        }
     }
 
     /// Sets the WAL-append slow-down multiplier (chaos disk-latency spikes;
@@ -1448,22 +1428,15 @@ impl Server {
         inner.remove_seq
     }
 
-    fn next_pkt_seq(&self) -> PacketSeq {
-        PacketSeq {
-            sender: self.node().0,
-            seq: self.next_token(),
-        }
-    }
-
     /// Sends a plain (no dirty-set header) packet.
     pub(crate) fn send_plain(&self, dst: NodeId, body: Body) {
-        let msg = NetMsg::plain(self.next_pkt_seq(), body);
+        let msg = NetMsg::plain(PacketSeq::default(), body);
         self.endpoint.send(dst, msg);
     }
 
     /// Sends a packet carrying a dirty-set operation header.
     pub(crate) fn send_dirty(&self, dst: NodeId, hdr: switchfs_proto::DirtySetHeader, body: Body) {
-        let msg = NetMsg::with_dirty(self.next_pkt_seq(), hdr, body);
+        let msg = NetMsg::with_dirty(PacketSeq::default(), hdr, body);
         self.endpoint.send(dst, msg);
     }
 
@@ -2390,7 +2363,7 @@ mod tests {
             let waits = || {
                 (
                     server.durable.borrow().wal.appends(),
-                    server.pending_token_count(),
+                    server.tables().pending_tokens,
                 )
             };
             server.inner.borrow_mut().pending_tokens.register(TOKEN);
@@ -2401,7 +2374,7 @@ mod tests {
                 server.crash();
             }
             sim.run();
-            assert_eq!(server.in_flight_op_count(), 0);
+            assert_eq!(server.tables().in_flight_ops, 0);
             let mut cx = Context::from_waker(Waker::noop());
             let reply = server
                 .inner
@@ -2485,7 +2458,7 @@ mod tests {
         // The watermark passes the only cached response: the client's map
         // is empty, and stays for the next one.
         server.inner.borrow_mut().prune_completed(ClientId(1), 2);
-        assert_eq!(server.completed_op_count(), 0);
+        assert_eq!(server.tables().completed_ops, 0);
         server.deliver(client.node(), client_packet(2, &second));
         sim.run();
         assert_eq!(results(client), [OpResult::Done]);
@@ -2705,11 +2678,11 @@ mod tests {
             let (server, parties, probe) = (server.clone(), parties.clone(), at(8));
             sim.spawn(async move {
                 probe.await;
-                parties.set(server.fp_group_waiter_count());
+                parties.set(server.tables().fp_group_waiters);
             });
         }
         sim.run();
-        assert_eq!(server.fp_group_waiter_count(), 0, "somebody never left");
+        assert_eq!(server.tables().fp_group_waiters, 0, "somebody never left");
         assert_eq!(server.stats().aggregations, 1, "one round serves the scene");
         let outcomes = outcomes.borrow().clone();
         (outcomes, parties.get())
@@ -2884,7 +2857,7 @@ mod tests {
         retire(entry, t0);
         retire(later, t1);
         assert_eq!(state(entry), Some(EntryState::Retired));
-        assert_eq!(owner.applied_entry_id_count(), 0);
+        assert_eq!(owner.tables().applied_entry_ids, 0);
         // 3. A partly duplicate batch re-applies it, and a second
         //    confirmation retires it again: it stays retired, in its place.
         apply(&[batch[0], entry, batch[1]]);
@@ -2892,8 +2865,8 @@ mod tests {
         assert_eq!(state(entry), Some(EntryState::Retired));
         assert_eq!(order(), [(t0, entry), (t1, later)]);
         assert!(suppressed(entry));
-        assert_eq!(owner.applied_entry_id_count(), 2);
-        assert_eq!(owner.retired_entry_id_count(), 2);
+        assert_eq!(owner.tables().applied_entry_ids, 2);
+        assert_eq!(owner.tables().retired_entry_ids, 2);
         // The shipped copy: applied ids sorted, retired ids in retirement
         // order.
         assert_eq!(dedup(), (vec![id(5), id(9)], vec![entry, later]));

@@ -100,7 +100,7 @@ impl Server {
         report.wal_truncated_records = torn.truncated;
 
         // Step 0b: load the checkpoint, if one exists.
-        let checkpoint = self.durable.borrow().checkpoint.load();
+        let checkpoint = self.durable.borrow().checkpoint.clone();
         let replay_from = if let Some((lsn, data)) = checkpoint {
             self.load_checkpoint(data);
             lsn
@@ -320,7 +320,7 @@ impl Server {
         // barrier has run) does reflect it. Cutting at `flushed` keeps the
         // unflushed suffix replayable either way.
         let lsn = durable.wal.flushed();
-        durable.checkpoint.store(lsn, data);
+        durable.checkpoint = Some((lsn, data));
         durable.wal.truncate_through(lsn);
     }
 

@@ -66,11 +66,16 @@ impl Server {
         if self.is_stale(&req.ancestors) {
             return Some(OpResult::Err(FsError::StaleCache));
         }
-        let MetaOp::Rename {
-            src,
-            dst,
-            dst_parent,
-        } = &req.op
+        // LibFs sends both parents, the root's for a top-level name; only
+        // the root itself has none, and it cannot be renamed.
+        let (
+            MetaOp::Rename {
+                src,
+                dst,
+                dst_parent: Some(dst_parent),
+            },
+            Some(src_parent),
+        ) = (&req.op, &req.parent)
         else {
             return Some(OpResult::Err(FsError::NotFound));
         };
@@ -262,40 +267,18 @@ impl Server {
         // owning the parents' *content* replicas: the fingerprint owner
         // under per-file hashing, the directory-id owner under the grouping
         // policies (the same placement preloading and `mkdir` use).
-        let src_parent_key = req
-            .parent
-            .as_ref()
-            .map(|p| p.key.clone())
-            .unwrap_or_else(|| switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, ""));
-        let src_parent_fp = Fingerprint::of_dir(&src_parent_key.pid, &src_parent_key.name);
-        let src_parent_owner = placement.dir_content_owner(src_parent_fp, &src.pid);
-        per_server
-            .entry(src_parent_owner)
-            .or_default()
-            .push(TxnOp::DirUpdate {
-                dir_key: src_parent_key,
-                entry: src_parent_entry,
-            });
-        let (dst_parent_key, dst_parent_owner) = match dst_parent {
-            Some(p) => (p.key.clone(), placement.dir_content_owner(p.fp, &p.id)),
-            None => {
-                // Destination directly under the root: its parent is the
-                // root directory, whose content replica every placement
-                // keeps at the root-id owner (and at the root-fp owner
-                // under per-file hashing; both are preloaded).
-                let key = switchfs_proto::MetaKey::new(switchfs_proto::DirId::ROOT, "");
-                let fp = Fingerprint::of_dir(&key.pid, &key.name);
-                let owner = placement.dir_content_owner(fp, &switchfs_proto::DirId::ROOT);
-                (key, owner)
-            }
-        };
-        per_server
-            .entry(dst_parent_owner)
-            .or_default()
-            .push(TxnOp::DirUpdate {
-                dir_key: dst_parent_key,
-                entry: dst_parent_entry,
-            });
+        for (parent, entry) in [
+            (src_parent, src_parent_entry),
+            (dst_parent, dst_parent_entry),
+        ] {
+            per_server
+                .entry(placement.dir_content_owner(parent.fp, &parent.id))
+                .or_default()
+                .push(TxnOp::DirUpdate {
+                    dir_key: parent.key.clone(),
+                    entry,
+                });
+        }
 
         // The participants' destination check, on the coordinator's own
         // half: the reject carries the occupying inode's type so the client

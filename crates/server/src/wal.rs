@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use switchfs_kvstore::{Checkpoint, Wal};
+use switchfs_kvstore::Wal;
 use switchfs_proto::message::{ClientResponse, StateImage, TxnOp};
 use switchfs_proto::{ChangeLogEntry, DirEntry, DirId, InodeAttrs, MetaKey, Name, OpId, ServerId};
 
@@ -192,13 +192,17 @@ impl WalOp {
     }
 }
 
-/// The state that survives a simulated server crash.
+/// The state that survives a simulated server crash: the WAL, and the
+/// last checkpoint with the LSN it covers. A new server has an empty log and
+/// no checkpoint (`Default`); [`crate::server::Server::checkpoint`] stores
+/// one and truncates the log through its LSN.
 #[derive(Debug, Clone, Default)]
 pub struct DurableState {
     /// The write-ahead log.
     pub wal: Wal<WalOp>,
-    /// Optional checkpoint bounding replay (extension discussed in §7.7).
-    pub checkpoint: Checkpoint<CheckpointData>,
+    /// The last checkpoint and its LSN: replay starts after it (the
+    /// extension §7.7 discusses).
+    pub checkpoint: Option<(u64, CheckpointData)>,
 }
 
 /// Snapshot stored by a checkpoint: the fully materialized volatile state as
@@ -217,13 +221,6 @@ pub struct CheckpointData {
     /// rebuild them: both are durable (§5.4.2), so a checkpoint must carry
     /// them across WAL truncation.
     pub txns: Vec<TxnMarker>,
-}
-
-impl DurableState {
-    /// Creates an empty durable state.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn wal_records_survive_and_mark_applied() {
-        let mut durable = DurableState::new();
+        let mut durable = DurableState::default();
         let key = MetaKey::new(DirId::ROOT, "f");
         let attrs = InodeAttrs::new_file(DirId::ROOT, 0, Permissions::default());
         let record = WalOp::Effects {
@@ -319,11 +316,11 @@ mod tests {
 
     #[test]
     fn checkpoint_stores_snapshot() {
-        let mut durable = DurableState::new();
+        let mut durable = DurableState::default();
         let record = WalOp::local(None, vec![]);
         let size = record.wire_size();
         durable.wal.append_sized(record, size);
-        durable.checkpoint.store(1, CheckpointData::default());
-        assert_eq!(durable.checkpoint.load().map(|(lsn, _)| lsn), Some(1));
+        durable.checkpoint = Some((1, CheckpointData::default()));
+        assert_eq!(durable.checkpoint.map(|(lsn, _)| lsn), Some(1));
     }
 }

@@ -265,7 +265,7 @@ fn namespace_snapshot(cluster: &Cluster, roots: &[&str]) -> Vec<String> {
 fn assert_no_open_exchanges(cluster: &Cluster, what: impl std::fmt::Debug) {
     for server in cluster.servers() {
         assert_eq!(
-            server.pending_token_count(),
+            server.tables().pending_tokens,
             0,
             "{what:?}: {} still waits on a token after quiescence",
             server.id()

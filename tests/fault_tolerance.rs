@@ -43,7 +43,7 @@ fn server_crash_recovery_restores_inodes_and_changelogs() {
             client.create(&format!("/crashdir/f{i}")).await.unwrap();
         }
     });
-    let before: usize = cluster.servers().iter().map(|s| s.inode_count()).sum();
+    let before: usize = cluster.servers().iter().map(|s| s.tables().inodes).sum();
     let durable = cluster.servers()[0].durable();
     let appended_before = durable.borrow().wal.bytes();
     assert!(durable.borrow().wal.flushed_bytes() <= appended_before);
@@ -63,7 +63,7 @@ fn server_crash_recovery_restores_inodes_and_changelogs() {
     assert!(durable.borrow().wal.flushed_bytes() >= report.wal_bytes_replayed);
     assert!(durable.borrow().wal.flushed_bytes() <= durable.borrow().wal.bytes());
 
-    let after: usize = cluster.servers().iter().map(|s| s.inode_count()).sum();
+    let after: usize = cluster.servers().iter().map(|s| s.tables().inodes).sum();
     assert_eq!(
         before, after,
         "recovery must rebuild every inode from the WAL"
@@ -102,7 +102,7 @@ fn switch_reboot_reconciles_directory_states() {
         cluster
             .servers()
             .iter()
-            .map(|s| s.pending_changelog_entries())
+            .map(|s| s.tables().pending_changelog_entries)
             .sum::<usize>(),
         0,
         "all change-log entries must have been applied"
@@ -262,7 +262,7 @@ fn participant_crash_between_prepare_and_decision_recovers_and_converges() {
             t += SimDuration::micros(5);
             cluster.run_until(t);
             if let Some(v) = (0..cluster.servers().len())
-                .find(|i| cluster.servers()[*i].prepared_txn_count() > 0)
+                .find(|i| cluster.servers()[*i].tables().prepared_txns > 0)
             {
                 cluster.crash_server(v);
                 crashed = Some(v);
@@ -516,8 +516,9 @@ fn replay_rebuilds_what_the_live_path_built() {
     });
     cluster.settle(SimDuration::millis(10));
     for server in cluster.servers() {
-        assert_eq!(server.pending_changelog_entries(), 0, "settled");
-        assert_eq!(server.prepared_txn_count(), 0, "settled");
+        let tables = server.tables();
+        assert_eq!(tables.pending_changelog_entries, 0, "settled");
+        assert_eq!(tables.prepared_txns, 0, "settled");
     }
 
     for i in 0..cluster.servers().len() {
@@ -787,7 +788,11 @@ fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_lose
         // … and reach the holders while the owner is a few microseconds
         // into the 400 µs its four cores charge for the entries.
         handle.sleep(SimDuration::micros(5)).await;
-        assert_eq!(server.fp_group_waiter_count(), 1, "the round has the lock");
+        assert_eq!(
+            server.tables().fp_group_waiters,
+            1,
+            "the round has the lock"
+        );
         let applied_at_crash = server.stats().entries_applied;
         server.crash();
         network.set_node_down(node, true);
@@ -805,7 +810,11 @@ fn an_owner_crash_between_a_rounds_acknowledgments_and_the_end_of_its_apply_lose
     assert_eq!((attrs.size as usize, listing.len()), (ENTRIES, ENTRIES));
     assert_eq!(cluster.servers()[owner].peek_entries(&hot).len(), ENTRIES);
     for (i, server) in cluster.servers().iter().enumerate() {
-        assert_eq!(server.pending_changelog_entries(), 0, "server {i}'s logs");
+        assert_eq!(
+            server.tables().pending_changelog_entries,
+            0,
+            "server {i}'s logs"
+        );
     }
     assert_eq!(
         cluster.total_server_stats().entries_applied as usize,
@@ -945,7 +954,7 @@ fn a_handler_parked_across_a_crash_does_not_answer_from_the_next_incarnation() {
     });
     cluster.settle(SimDuration::millis(5));
     for (s, server) in cluster.servers().iter().enumerate() {
-        assert_eq!(server.in_flight_op_count(), 0, "server {s}");
+        assert_eq!(server.tables().in_flight_ops, 0, "server {s}");
     }
 }
 
@@ -1192,7 +1201,7 @@ fn participant_torn_crash_after_vote_still_recovers_the_prepared_txn() {
             t += SimDuration::micros(5);
             cluster.run_until(t);
             if let Some(v) = (0..cluster.servers().len())
-                .find(|i| cluster.servers()[*i].prepared_txn_count() > 0)
+                .find(|i| cluster.servers()[*i].tables().prepared_txns > 0)
             {
                 // The worst case the device can produce: every unflushed
                 // record is torn or dropped. The Prepared marker must not be
@@ -1405,7 +1414,7 @@ fn completed_ops_stay_bounded_under_sustained_load() {
     let cached: usize = cluster
         .servers()
         .iter()
-        .map(|s| s.completed_op_count())
+        .map(|s| s.tables().completed_ops)
         .sum();
     // Every (client, server) pair retains at most about one in-flight
     // window of responses (the tail since that client's last watermark).
@@ -1453,15 +1462,12 @@ fn no_lock_is_in_use_after_a_settled_mix_and_the_lock_tables_stay_at_their_floor
     cluster.settle(SimDuration::millis(5));
 
     for (i, server) in cluster.servers().iter().enumerate() {
-        assert_eq!(
-            server.locks_in_use(),
-            0,
-            "server {i}: a lock is still in use"
-        );
+        let tables = server.tables();
+        assert_eq!(tables.locks_in_use, 0, "server {i}: a lock is still in use");
         assert!(
-            server.tabled_lock_count() <= 3 * SWEEP_FLOOR,
+            tables.tabled_locks <= 3 * SWEEP_FLOOR,
             "server {i}: {} locks tabled after {total_ops} ops",
-            server.tabled_lock_count()
+            tables.tabled_locks
         );
     }
 }
@@ -1521,7 +1527,7 @@ fn every_tracker_answers_statdir_with_every_acked_create_and_no_wait_left() {
             );
             for server in cluster.servers() {
                 assert_eq!(
-                    server.pending_token_count(),
+                    server.tables().pending_tokens,
                     0,
                     "{case}: {} still waits on a token after quiescence",
                     server.id()
@@ -1655,7 +1661,7 @@ fn applied_entry_ids_stay_bounded_under_sustained_cross_server_load() {
     let unconfirmed: usize = cluster
         .servers()
         .iter()
-        .map(|s| s.applied_entry_id_count())
+        .map(|s| s.tables().applied_entry_ids)
         .sum();
     // Residual unconfirmed ids: at most the last un-ridden batch per
     // (holder, owner) pair plus the in-flight window — far below one id
@@ -1683,7 +1689,7 @@ fn applied_entry_ids_stay_bounded_under_sustained_cross_server_load() {
     let retired: usize = cluster
         .servers()
         .iter()
-        .map(|s| s.retired_entry_id_count())
+        .map(|s| s.tables().retired_entry_ids)
         .sum();
     assert!(
         retired <= tail_ops + bound,
@@ -1749,7 +1755,7 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
         cluster
             .servers()
             .iter()
-            .map(|s| s.migrating_shard_count())
+            .map(|s| s.tables().migrating_shards)
             .sum::<usize>(),
         0,
         "no shard may stay frozen after the rebalance"
@@ -1757,7 +1763,7 @@ fn add_server_rebalances_a_fair_share_and_preserves_the_namespace() {
 
     // The new server actually took over state.
     assert!(
-        cluster.servers()[4].inode_count() > 0,
+        cluster.servers()[4].tables().inodes > 0,
         "the new server should own migrated inodes"
     );
 
@@ -1977,21 +1983,21 @@ fn remove_server_drains_every_shard_and_preserves_the_namespace() {
     // preload replica of the root (installed on both the fp- and id-hash
     // owners at setup, of which only the fp copy has a role under per-file
     // hashing) may remain.
+    let tables = cluster.servers()[victim].tables();
     assert!(
-        cluster.servers()[victim].inode_count() <= 1,
+        tables.inodes <= 1,
         "a drained victim stores nothing protocol-visible, found {}",
-        cluster.servers()[victim].inode_count()
+        tables.inodes
     );
     assert_eq!(
-        cluster.servers()[victim].pending_changelog_entries(),
-        0,
+        tables.pending_changelog_entries, 0,
         "a drained victim holds no deferred updates"
     );
     assert_eq!(
         cluster
             .servers()
             .iter()
-            .map(|s| s.migrating_shard_count())
+            .map(|s| s.tables().migrating_shards)
             .sum::<usize>(),
         0
     );
@@ -2057,7 +2063,7 @@ fn no_server_keeps_a_record_for_a_removed_directory() {
     let deadline = cluster.sim.now() + SimDuration::millis(50);
     let pending = |cluster: &Cluster| -> usize {
         let servers = cluster.servers().iter();
-        servers.map(|s| s.pending_changelog_entries()).sum()
+        servers.map(|s| s.tables().pending_changelog_entries).sum()
     };
     while pending(&cluster) > 0 && cluster.sim.now() < deadline {
         cluster.run_until(cluster.sim.now() + SimDuration::micros(100));

@@ -373,16 +373,12 @@ where
 fn assert_settled(cluster: &Cluster) {
     cluster.settle(SimDuration::millis(5));
     for (i, server) in cluster.servers().iter().enumerate() {
+        let tables = server.tables();
         assert_eq!(
-            server.fp_group_waiter_count(),
-            0,
+            tables.fp_group_waiters, 0,
             "server {i}: waiters at a group lock"
         );
-        assert_eq!(
-            server.pending_token_count(),
-            0,
-            "server {i}: open exchanges"
-        );
+        assert_eq!(tables.pending_tokens, 0, "server {i}: open exchanges");
     }
 }
 
@@ -413,10 +409,10 @@ fn reads_waiting_for_a_round_survive_a_crash_of_the_owner() {
         let (network, node) = (cluster.network(), cluster.servers()[owner].node());
         async move {
             // Crash the owner the moment reads are queued behind a round.
-            while server.fp_group_waiter_count() < 8 {
+            while server.tables().fp_group_waiters < 8 {
                 hot.handle.sleep(SimDuration::micros(5)).await;
             }
-            seen.set(server.fp_group_waiter_count());
+            seen.set(server.tables().fp_group_waiters);
             server.crash();
             network.set_node_down(node, true);
             hot.handle.sleep(SimDuration::micros(400)).await;
@@ -652,7 +648,7 @@ fn a_round_walks_the_owners_wal_no_further_back_than_its_oldest_local_entry() {
         let pending: Vec<usize> = cluster
             .servers()
             .iter()
-            .map(|s| s.pending_changelog_entries())
+            .map(|s| s.tables().pending_changelog_entries)
             .collect();
         let (client, dir) = (cluster.client(0), dir.to_string());
         let size =
@@ -744,7 +740,7 @@ fn an_unacknowledged_batch_is_resent_at_retransmission_pace_and_applied_once() {
     let stats = cluster.total_server_stats();
     assert_eq!(stats.entries_applied as usize, CREATES, "each entry once");
     for (i, server) in cluster.servers().iter().enumerate() {
-        assert_eq!(server.pending_changelog_entries(), 0, "server {i}");
+        assert_eq!(server.tables().pending_changelog_entries, 0, "server {i}");
     }
     let client = cluster.client(0);
     let (attrs, entries) =
@@ -780,7 +776,7 @@ fn a_push_whose_first_two_copies_are_lost_is_still_delivered_and_discarded() {
                 .await
                 .expect("create");
         }
-        assert_eq!(holding.pending_changelog_entries(), FILES);
+        assert_eq!(holding.tables().pending_changelog_entries, FILES);
         let appended = handle.now();
         // Nothing else is on the wire: lose everything until the batch has
         // gone out twice, then heal.
@@ -789,7 +785,7 @@ fn a_push_whose_first_two_copies_are_lost_is_still_delivered_and_discarded() {
             handle.sleep(SimDuration::micros(10)).await;
         }
         network.set_faults(NetFaults::reliable());
-        while holding.pending_changelog_entries() > 0 {
+        while holding.tables().pending_changelog_entries > 0 {
             handle.sleep(SimDuration::micros(10)).await;
             let waited = handle.now().duration_since(appended);
             assert!(waited < SimDuration::millis(5), "the push never ended");
@@ -1122,7 +1118,7 @@ fn rename_a_deferred_entry(src: (&str, &str), dst: (&str, &str)) -> (u64, Vec<Ve
     let pending: usize = cluster
         .servers()
         .iter()
-        .map(|s| s.pending_changelog_entries())
+        .map(|s| s.tables().pending_changelog_entries)
         .sum();
     assert_eq!(pending, 1, "the create's entry is deferred");
 
