@@ -310,6 +310,17 @@ impl Drop for AggCollector {
 /// are exactly the ones the client can no longer retransmit.
 pub(crate) const COMPLETED_OPS_PER_CLIENT_CAP: usize = 512;
 
+/// One client's entry in the duplicate-suppression cache.
+#[derive(Default)]
+pub(crate) struct ClientCache {
+    /// The highest `acked_below` the client has sent here: it received the
+    /// response of every operation below it and never sends one again, so
+    /// a copy still in the network is dropped.
+    pub acked_below: u64,
+    /// The responses not yet pruned, by sequence.
+    pub responses: std::collections::BTreeMap<u64, ClientResponse>,
+}
+
 /// An applied remote change-log entry's id in [`ServerInner::entry_ids`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) enum EntryState {
@@ -387,8 +398,9 @@ pub(crate) struct ServerInner {
     /// watermark can prune everything the client will never retransmit —
     /// each client's map is bounded by its in-flight window (plus the
     /// [`COMPLETED_OPS_PER_CLIENT_CAP`] fallback), not by uptime. A pruned
-    /// client's map stays, empty, for its next response.
-    pub completed_ops: FxHashMap<ClientId, std::collections::BTreeMap<u64, ClientResponse>>,
+    /// client's map stays, empty, for its next response, and keeps the
+    /// watermark that pruned it.
+    pub completed_ops: FxHashMap<ClientId, ClientCache>,
     /// Requests currently executing; retransmissions of these are dropped
     /// (the client's timer re-asks until the cached response exists). This
     /// keeps slow multi-round operations like the rename 2PC from running
@@ -550,14 +562,20 @@ impl ServerInner {
 
     /// The cached response of a completed operation, if still retained.
     pub fn cached_response(&self, op_id: &OpId) -> Option<&ClientResponse> {
-        self.completed_ops.get(&op_id.client)?.get(&op_id.seq)
+        self.completed_ops.get(&op_id.client)?.responses.get(&op_id.seq)
+    }
+
+    /// True when `op_id` lies below the highest acked watermark its client
+    /// has sent here: the client has its response and never sends it again.
+    pub fn is_acked(&self, op_id: &OpId) -> bool {
+        (self.completed_ops.get(&op_id.client)).is_some_and(|c| op_id.seq < c.acked_below)
     }
 
     /// Caches a response for duplicate suppression, evicting the oldest
     /// entries past the per-client cap (op ids are per-client sequences, so
     /// the lowest sequence is the least likely to be retransmitted).
     pub fn cache_response(&mut self, response: ClientResponse) {
-        let per = self.completed_ops.entry(response.op_id.client).or_default();
+        let per = &mut self.completed_ops.entry(response.op_id.client).or_default().responses;
         per.insert(response.op_id.seq, response);
         while per.len() > COMPLETED_OPS_PER_CLIENT_CAP {
             let oldest = *per.keys().next().expect("cap overflow implies entries");
@@ -565,9 +583,9 @@ impl ServerInner {
         }
     }
 
-    /// Prunes every cached response of `client` below its piggybacked acked
-    /// watermark: the client confirmed receipt of those responses and will
-    /// never retransmit the operations.
+    /// Raises `client`'s watermark to its piggybacked `acked_below` and
+    /// prunes every cached response below it: the client confirmed receipt
+    /// of those responses and will never retransmit the operations.
     pub fn prune_completed(&mut self, client: ClientId, acked_below: u64) {
         if acked_below == 0 {
             return;
@@ -575,13 +593,13 @@ impl ServerInner {
         // In place: this runs on every request. An emptied map stays: with
         // one operation in flight, the client's next response would
         // allocate its node again.
-        if let Some(per) = self.completed_ops.get_mut(&client) {
-            while let Some(oldest) = per.first_entry() {
-                if *oldest.key() >= acked_below {
-                    break;
-                }
-                oldest.remove();
+        let cache = self.completed_ops.entry(client).or_default();
+        cache.acked_below = cache.acked_below.max(acked_below);
+        while let Some(oldest) = cache.responses.first_entry() {
+            if *oldest.key() >= acked_below {
+                break;
             }
+            oldest.remove();
         }
     }
 
@@ -742,7 +760,7 @@ impl Server {
                     .sum::<usize>(),
             locks_in_use: self.locks.in_use(),
             tabled_locks: self.locks.tabled(),
-            completed_ops: inner.completed_ops.values().map(|m| m.len()).sum(),
+            completed_ops: inner.completed_ops.values().map(|c| c.responses.len()).sum(),
             in_flight_ops: inner.in_flight_ops.len(),
             applied_entry_ids: inner.entry_ids.len() - inner.retirement_order.len(),
             retired_entry_ids: inner.retirement_order.len(),
@@ -1112,6 +1130,13 @@ impl Server {
                 return None;
             }
         }
+        // A retransmission travels in a fresh packet, so the filter above
+        // passes a late copy of one; if the client has acknowledged the
+        // operation since, the response cache may be pruned of it, and the
+        // copy would run again. Forwarded requests are checked here too.
+        if self.inner.borrow().is_acked(&req.op_id) {
+            return None;
+        }
         if self.inner.borrow().in_flight_ops.contains(&req.op_id) {
             // Already executing (a retransmission raced a slow operation,
             // e.g. the rename 2PC): drop it; the client keeps re-asking and
@@ -1139,6 +1164,7 @@ impl Server {
         }
         // The piggybacked watermark bounds the dedup cache: everything this
         // client acknowledged receiving can never be retransmitted again.
+        // It stays, for the check above.
         self.inner
             .borrow_mut()
             .prune_completed(req.op_id.client, req.acked_below);
@@ -2433,6 +2459,13 @@ mod tests {
         server.deliver(client.node(), client_packet(9, &second));
         sim.run();
         assert_eq!(results(client), [OpResult::Done]);
+        assert_eq!(appends(), executed);
+        // A late retransmission of the first request, in a fresh packet:
+        // the client acknowledged it, so the watermark drops it, though its
+        // cached response is gone.
+        server.deliver(client.node(), client_packet(10, &first));
+        sim.run();
+        assert_eq!(results(client), []);
         assert_eq!(appends(), executed);
     }
 

@@ -192,7 +192,7 @@ impl Server {
         // order matches; both halves are bounded, so the payload is small.
         image.retired_entry_ids = inner.retirement_order.iter().map(|&(_, id)| id).collect();
         let responses = inner.completed_ops.values();
-        image.completed = responses.flat_map(|m| m.values().cloned()).collect();
+        image.completed = responses.flat_map(|c| c.responses.values().cloned()).collect();
         image.completed.sort_by_key(|r| r.op_id);
     }
 
