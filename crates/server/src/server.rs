@@ -2282,12 +2282,13 @@ mod tests {
             unindex(theirs, KEPT + i + 1);
         }
         unindex(theirs, KEPT);
-        let groups = ours.indexed_groups();
-        assert_eq!(groups, theirs.indexed_groups());
+        let groups: Vec<_> = ours.indexed_groups().into_iter().collect();
+        assert_eq!(groups, Vec::from_iter(theirs.indexed_groups()));
         let of = |i| Fingerprint::of_dir(&DirId::ROOT, &format!("d{i}"));
-        let distinct: std::collections::BTreeSet<_> = (0..KEPT).map(of).collect();
-        assert_eq!(groups.len(), distinct.len(), "each group once");
-        assert!(groups.iter().all(|fp| distinct.contains(fp)));
+        let mut ascending: Vec<_> = (0..KEPT).map(of).collect();
+        ascending.sort_unstable();
+        ascending.dedup();
+        assert_eq!(groups, ascending, "each group once, in ascending order");
     }
 
     /// A directory `server` owns, preloaded, and an insert into it.

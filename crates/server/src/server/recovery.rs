@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use switchfs_obs::EventKind;
 use switchfs_proto::message::{Body, ServerMsg};
-use switchfs_proto::{Fingerprint, MetaKey, Placement};
+use switchfs_proto::{Fingerprint, Placement};
 
 use crate::server::migrate::store_effects;
 use crate::server::rename::CoordinatorTxn;
@@ -264,21 +264,15 @@ impl Server {
     }
 
     /// The fingerprint groups of the directories this server keeps the key
-    /// of, each once, in the order [`Server::aggregate_all_owned`] visits
-    /// them. That order is part of the replayable schedule, so it depends
-    /// only on what the server stores: the set is filled in `DirId` order,
-    /// whatever order a WAL or a checkpoint indexed the directories in.
-    pub(crate) fn indexed_groups(&self) -> Vec<Fingerprint> {
+    /// of, each once, in ascending order: the order
+    /// [`Server::aggregate_all_owned`] visits them is part of the replayable
+    /// schedule, so it depends only on what the server stores.
+    pub(crate) fn indexed_groups(&self) -> BTreeSet<Fingerprint> {
         let inner = self.inner.borrow();
-        // Into a `Vec` first: its exact length sizes the set before the
-        // first insert, and the set's order depends on that size.
-        let keys: Vec<&MetaKey> = (inner.dirs.records())
+        (inner.dirs.records())
             .filter_map(|(_, r)| r.key())
-            .collect();
-        let fps: switchfs_simnet::FxHashSet<u64> = (keys.iter())
-            .map(|key| Fingerprint::of_dir(&key.pid, &key.name).raw())
-            .collect();
-        fps.into_iter().map(Fingerprint::from_raw).collect()
+            .map(|key| Fingerprint::of_dir(&key.pid, &key.name))
+            .collect()
     }
 
     /// The current volatile state, as a checkpoint keeps it.
