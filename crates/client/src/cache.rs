@@ -126,9 +126,9 @@ pub fn path_prefixes(path: &str) -> impl Iterator<Item = &str> {
 }
 
 /// The canonical spelling of a path: each component after one `/`, nothing
-/// after the last (`"/a//b/"` and `"a/b"` → `"/a/b"`). Borrowed when `path`
-/// is already canonical. A path without components (`"/"`, `""`) names the
-/// root, which no operation resolves: `NotFound`.
+/// after the last (`"/a//b/"` and `"a/b"` → `"/a/b"`), and `"/"` for a
+/// path of separators alone, the root. Borrowed when `path` is already
+/// canonical. The empty path names nothing: `NotFound`.
 pub(crate) fn canonical_path(path: &str) -> FsResult<Cow<'_, str>> {
     let canonical = path.starts_with('/') && !path.ends_with('/') && !path.contains("//");
     if canonical {
@@ -139,10 +139,11 @@ pub(crate) fn canonical_path(path: &str) -> FsResult<Cow<'_, str>> {
         out.push('/');
         out.push_str(comp);
     }
-    if out.is_empty() {
-        return Err(FsError::NotFound);
+    match out.is_empty() {
+        false => Ok(Cow::Owned(out)),
+        true if path.is_empty() => Err(FsError::NotFound),
+        true => Ok(Cow::Borrowed("/")),
     }
-    Ok(Cow::Owned(out))
 }
 
 /// Number of components of a canonical path: one per separator.
@@ -228,8 +229,8 @@ mod tests {
     fn canonical_path_collapses_separators_and_borrows_a_canonical_path() {
         assert_eq!(canonical_path("/a//b/").unwrap(), "/a/b");
         assert_eq!(canonical_path("a/b").unwrap(), "/a/b");
-        assert_eq!(canonical_path("/"), Err(FsError::NotFound));
-        assert_eq!(canonical_path("//"), Err(FsError::NotFound));
+        assert!(matches!(canonical_path("/"), Ok(Cow::Borrowed("/"))));
+        assert!(matches!(canonical_path("//"), Ok(Cow::Borrowed("/"))));
         assert_eq!(canonical_path(""), Err(FsError::NotFound));
         assert!(matches!(canonical_path("/a/b"), Ok(Cow::Borrowed("/a/b"))));
         assert!(matches!(canonical_path("/a"), Ok(Cow::Borrowed("/a"))));

@@ -68,11 +68,12 @@ switchfs_simnet::counters! {
     }
 }
 
-/// Result of path resolution.
+/// Result of path resolution: the target's key, and its parent's, which
+/// only the root lacks.
 #[derive(Debug, Clone)]
 struct Resolution {
     key: MetaKey,
-    parent: ParentRef,
+    parent: Option<ParentRef>,
 }
 
 /// The SwitchFS client library.
@@ -323,11 +324,9 @@ impl LibFs {
         let op = MetaOp::Rename {
             src: src_res.key,
             dst: dst_res.key,
-            dst_parent: Some(dst_res.parent),
+            dst_parent: dst_res.parent,
         };
-        let result = self
-            .issue(op, Some(src_res.parent), ancestors, cached)
-            .await?;
+        let result = self.issue(op, src_res.parent, ancestors, cached).await?;
         self.cache.borrow_mut().invalidate_subtree(src_path);
         self.cache.borrow_mut().invalidate_path(dst_path);
         // The destination may overwrite an existing *file* (POSIX rename
@@ -396,7 +395,7 @@ impl LibFs {
             } else {
                 None
             };
-            let out = self.issue(op, Some(parent), ancestors, target_attrs).await;
+            let out = self.issue(op, parent, ancestors, target_attrs).await;
             match out {
                 Ok(OpResult::Err(e)) if e.is_retryable() && attempt < MAX_OP_RETRIES => {
                     attempt += 1;
@@ -441,9 +440,13 @@ impl LibFs {
         ancestors: &mut Vec<DirId>,
     ) -> FsResult<Resolution> {
         let (count, name) = path_components(path).fold((0, ""), |(n, _), c| (n + 1, c));
-        debug_assert!(count > 0, "{path:?} is not canonical");
         let chain_start = ancestors.len();
         ancestors.push(DirId::ROOT);
+        if count == 0 {
+            // The root has no parent; only `statdir` and `readdir` serve it.
+            let key = MetaKey::new(DirId::ROOT, "");
+            return Ok(Resolution { key, parent: None });
+        }
         let mut parent = ParentRef {
             key: MetaKey::new(DirId::ROOT, String::new()),
             id: DirId::ROOT,
@@ -492,9 +495,8 @@ impl LibFs {
                 };
             }
         }
-        let key = MetaKey::new(parent.id, name);
-        // Operations directly under the root still carry the root as parent;
-        // only the root itself has no parent, and it is never resolved here.
+        // Operations directly under the root carry the root as parent.
+        let (key, parent) = (MetaKey::new(parent.id, name), Some(parent));
         Ok(Resolution { key, parent })
     }
 

@@ -200,8 +200,8 @@ pub struct ClientRequest {
     /// Directory ids of every path component the client resolved from its
     /// cache, checked by the server against its invalidation list (§5.2.1).
     pub ancestors: Vec<DirId>,
-    /// Parent-directory reference for double-inode operations; `None` for
-    /// operations whose target is the root directory itself.
+    /// The target's parent directory; `None` only for the root itself,
+    /// which servers serve to `statdir` and `readdir` alone.
     pub parent: Option<ParentRef>,
     /// Epoch of the shard map the client routed this request with. A server
     /// whose map is newer re-checks ownership and answers

@@ -122,23 +122,17 @@ pub struct ServerTables {
     pub prepared_txns: usize,
     /// Token-matched exchanges still waiting; zero when quiescent.
     pub pending_tokens: usize,
-    /// Tasks queued for or holding a fingerprint-group lock, or parked at an
-    /// aggregation gate as followers; zero when quiescent.
+    /// Tasks at a fingerprint-group lock or gate; zero when quiescent.
     pub fp_group_waiters: usize,
-    /// Tasks holding or queued for an inode, change-log or fingerprint-group
-    /// lock; zero when quiescent.
+    /// Tasks holding or queued for any lock; zero when quiescent.
     pub locks_in_use: usize,
-    /// Locks in the lock tables, in use or not yet swept; each table sweeps
-    /// its unused locks before it outgrows
-    /// [`SWEEP_FLOOR`](crate::locks::SWEEP_FLOOR) or twice the locks in use
-    /// at its last sweep.
+    /// Locks tabled, in use or not yet swept ([`LockManager::tabled`]).
     pub tabled_locks: usize,
     /// Cached responses across all clients (the bounded duplicate cache).
     pub completed_ops: usize,
     /// Client operations executing; zero when quiescent.
     pub in_flight_ops: usize,
-    /// Applied remote change-log entry ids awaiting their holder's
-    /// confirmation.
+    /// Applied entry ids awaiting their holder's confirmation.
     pub applied_entry_ids: usize,
     /// Confirmed entry ids held until their retention expires.
     pub retired_entry_ids: usize,
@@ -313,9 +307,8 @@ pub(crate) const COMPLETED_OPS_PER_CLIENT_CAP: usize = 512;
 /// One client's entry in the duplicate-suppression cache.
 #[derive(Default)]
 pub(crate) struct ClientCache {
-    /// The highest `acked_below` the client has sent here: it received the
-    /// response of every operation below it and never sends one again, so
-    /// a copy still in the network is dropped.
+    /// The highest `acked_below` the client sent here: it has the response
+    /// of every operation below, so a copy of one still in flight is dropped.
     pub acked_below: u64,
     /// The responses not yet pruned, by sequence.
     pub responses: std::collections::BTreeMap<u64, ClientResponse>,
@@ -562,7 +555,8 @@ impl ServerInner {
 
     /// The cached response of a completed operation, if still retained.
     pub fn cached_response(&self, op_id: &OpId) -> Option<&ClientResponse> {
-        self.completed_ops.get(&op_id.client)?.responses.get(&op_id.seq)
+        let cache = self.completed_ops.get(&op_id.client)?;
+        cache.responses.get(&op_id.seq)
     }
 
     /// True when `op_id` lies below the highest acked watermark its client
@@ -575,7 +569,8 @@ impl ServerInner {
     /// entries past the per-client cap (op ids are per-client sequences, so
     /// the lowest sequence is the least likely to be retransmitted).
     pub fn cache_response(&mut self, response: ClientResponse) {
-        let per = &mut self.completed_ops.entry(response.op_id.client).or_default().responses;
+        let cache = self.completed_ops.entry(response.op_id.client).or_default();
+        let per = &mut cache.responses;
         per.insert(response.op_id.seq, response);
         while per.len() > COMPLETED_OPS_PER_CLIENT_CAP {
             let oldest = *per.keys().next().expect("cap overflow implies entries");
@@ -747,6 +742,7 @@ impl Server {
     /// The sizes of the server's tables (test and chaos observability).
     pub fn tables(&self) -> ServerTables {
         let inner = self.inner.borrow();
+        let cached = inner.completed_ops.values().map(|c| c.responses.len());
         ServerTables {
             pending_changelog_entries: inner.changelogs.total_pending(),
             inodes: inner.dirs.len(),
@@ -760,7 +756,7 @@ impl Server {
                     .sum::<usize>(),
             locks_in_use: self.locks.in_use(),
             tabled_locks: self.locks.tabled(),
-            completed_ops: inner.completed_ops.values().map(|c| c.responses.len()).sum(),
+            completed_ops: cached.sum(),
             in_flight_ops: inner.in_flight_ops.len(),
             applied_entry_ids: inner.entry_ids.len() - inner.retirement_order.len(),
             retired_entry_ids: inner.retirement_order.len(),
@@ -1302,6 +1298,10 @@ impl Server {
     async fn handle_single_inode(&self, req: &ClientRequest) -> OpResult {
         let costs = self.cfg.costs;
         self.cpu.run(costs.request_overhead()).await;
+        if req.parent.is_none() {
+            // The root, which only `statdir` and `readdir` serve.
+            return OpResult::Err(FsError::NotFound);
+        }
         if self.is_stale(&req.ancestors) {
             return OpResult::Err(FsError::StaleCache);
         }
@@ -2070,7 +2070,8 @@ mod tests {
         (0..servers).map(server).collect()
     }
 
-    /// A request of `op` from client 1, routed with `server`'s current map.
+    /// A request of `op` on a name in the root from client 1, routed with
+    /// `server`'s current map.
     fn request(server: &Server, seq: u64, op: MetaOp, acked_below: u64) -> Rc<ClientRequest> {
         Rc::new(ClientRequest {
             op_id: OpId {
@@ -2079,7 +2080,11 @@ mod tests {
             },
             op,
             ancestors: vec![DirId::ROOT],
-            parent: None,
+            parent: Some(ParentRef {
+                key: MetaKey::new(DirId::ROOT, ""),
+                id: DirId::ROOT,
+                fp: Fingerprint::of_dir(&DirId::ROOT, ""),
+            }),
             epoch: server.cfg.placement.map().epoch(),
             acked_below,
         })

@@ -191,8 +191,8 @@ impl Server {
         // The retired ids ship in retirement order so the target's eviction
         // order matches; both halves are bounded, so the payload is small.
         image.retired_entry_ids = inner.retirement_order.iter().map(|&(_, id)| id).collect();
-        let responses = inner.completed_ops.values();
-        image.completed = responses.flat_map(|c| c.responses.values().cloned()).collect();
+        let caches = inner.completed_ops.values();
+        image.completed = caches.flat_map(|c| c.responses.values().cloned()).collect();
         image.completed.sort_by_key(|r| r.op_id);
     }
 

@@ -212,8 +212,7 @@ fn run_scenario(cluster: &Cluster, steps: &[Step]) -> (Vec<Outcome>, Vec<u64>) {
 /// Harvests the visible namespace under the given top-level directories by
 /// walking it through the client: a sorted list of canonical
 /// `path kind size mode` lines. This is the state a user of the filesystem
-/// can observe; all systems must agree on it. (The walk starts from named
-/// roots because listing `/` itself is not part of the client API surface.)
+/// can observe; all systems must agree on it.
 fn namespace_snapshot(cluster: &Cluster, roots: &[&str]) -> Vec<String> {
     let client = cluster.client(1);
     let roots: Vec<String> = roots.iter().map(|r| r.to_string()).collect();
@@ -308,6 +307,44 @@ fn all_systems_agree_on_the_reference_scenario() {
     assert!(outcomes.iter().any(|o| o.is_ok()));
     assert!(outcomes.iter().any(|o| o.is_err()));
     assert!(snapshot.len() > 5, "snapshot too small: {snapshot:?}");
+}
+
+/// The root reads like any directory on every system: `readdir("/")` lists
+/// what was made in it and `statdir("/")` counts it. Every other operation
+/// on `/` answers `NotFound`.
+#[test]
+fn the_root_lists_and_counts_its_entries_on_every_system() {
+    for system in SystemKind::all() {
+        let cluster = build_cluster(system, 7);
+        let client = cluster.client(0);
+        let (mut names, size, others) = cluster.block_on(async move {
+            client.create("/a").await.expect("create /a");
+            client.mkdir("/b").await.expect("mkdir /b");
+            let (_, entries) = client.readdir("/").await.expect("readdir /");
+            let names: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
+            let size = client.statdir("/").await.expect("statdir /").size;
+            let others = [
+                client.stat("/").await.err(),
+                client.open("/").await.err(),
+                client.chmod("/", 0o700).await.err(),
+                client.create("/").await.err(),
+                client.mkdir("/").await.err(),
+                client.delete("/").await.err(),
+                client.rmdir("/").await.err(),
+                client.rename("/", "/c").await.err(),
+                client.rename("/a", "/").await.err(),
+            ];
+            (names, size, others)
+        });
+        names.sort();
+        assert_eq!(names, ["a", "b"], "{system}");
+        assert_eq!(size, names.len() as u64, "{system}");
+        let not_found = Some(FsError::NotFound);
+        assert!(
+            others.iter().all(|e| *e == not_found),
+            "{system}: {others:?}"
+        );
+    }
 }
 
 #[test]
