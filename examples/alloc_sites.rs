@@ -1,14 +1,13 @@
 //! Where a warm simulated operation allocates: an allocation-site profiler.
 //!
-//! Builds the small deployment `tests/alloc_budget.rs` measures (4 servers,
-//! 1 client, `/d` preloaded with `2 * OPS` files `f0`, `f1`, …), runs `OPS`
-//! warm-up operations and then `OPS` counted ones. A counting global
-//! allocator takes a backtrace of every allocation the driving thread makes
-//! while the counted ones run. Each is charged to its first frame in this
-//! workspace, and every site is printed with its allocations per operation,
-//! most first. The split is exact, and its total is the budget test's count.
-//! This file mirrors that test's `empty_dir`, `cluster`, `OPS` and realloc
-//! rule; change both together.
+//! Runs `tests/alloc_budget.rs`'s deployment and driver (both in
+//! `tests/support/alloc_deployment.rs`: 4 servers, 1 client, `/d` preloaded
+//! with `2 * OPS` files `f0`, `f1`, …, `OPS` warm-up operations and then
+//! `OPS` counted ones). Its counting allocator takes a backtrace of every
+//! allocation the driving thread makes while the counted ones run. Each is
+//! charged to its first frame in this workspace, and every site is printed
+//! with its allocations per operation, most first. The split is exact, and
+//! its total is the budget test's count.
 //!
 //! ```sh
 //! CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
@@ -25,18 +24,17 @@
 //! counted: counting them would charge every backtrace's allocations to
 //! whichever site the next trace lands on.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "../tests/support/alloc_deployment.rs"]
+mod deployment;
+
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use deployment::{paths, warm_then_count, Counted, Observe, OPS};
 use switchfs::client::LibFs;
-use switchfs::core::{Cluster, ClusterConfig, SystemKind};
-
-/// Operations counted (after as many warm-up operations), as in
-/// `tests/alloc_budget.rs`.
-const OPS: usize = 64;
+use switchfs::core::SystemKind;
 
 thread_local! {
     /// True while the counted operations run.
@@ -46,12 +44,12 @@ thread_local! {
     static TRACES: RefCell<Vec<Backtrace>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Takes a backtrace of each allocation of the driving thread while the
+/// counted operations run.
 struct Tracing;
 
-impl Tracing {
-    /// Takes a backtrace of one allocation of the driving thread while the
-    /// counted operations run.
-    fn note(&self) {
+impl Observe for Tracing {
+    fn allocated(_bytes: usize) {
         // `try_with`: an allocation during thread teardown is not counted.
         if !COUNTING.try_with(Cell::get).unwrap_or(false)
             || IN_PROFILER.try_with(Cell::get).unwrap_or(true)
@@ -65,37 +63,8 @@ impl Tracing {
     }
 }
 
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the profiler never influences the returned memory.
-unsafe impl GlobalAlloc for Tracing {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: same layout the caller handed to us.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: same layout the caller handed to us.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // One allocation, like the alloc + copy + dealloc it stands for (as
-        // `tests/alloc_budget.rs` and the benchmark count it).
-        self.note();
-        // SAFETY: `ptr` came from this allocator with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Tracing = Tracing;
+static GLOBAL: Counted<Tracing> = Counted::new();
 
 /// The first frame of `trace` in this workspace, outside this file: its
 /// function, with its file and line when the build has line tables.
@@ -143,30 +112,17 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut cfg = ClusterConfig::paper_default(system);
-    cfg.servers = 4;
-    cfg.clients = 1;
-    let mut cluster = Cluster::new(cfg);
-    cluster.preload_dir("/d");
-    cluster.preload_files("/d", "f", 2 * OPS);
-    let client: Rc<LibFs> = cluster.client(0);
-
-    // The paths are built before anything is counted, as the budgets do.
     let prefix = if stat { "/d/f" } else { "/d/n" };
-    let paths: Vec<String> = (0..2 * OPS).map(|i| format!("{prefix}{i}")).collect();
-    cluster.block_on(async move {
-        for (i, path) in paths.iter().enumerate() {
-            if i == OPS {
-                COUNTING.with(|c| c.set(true));
-            }
-            if stat {
-                client.stat(path).await.expect("stat");
-            } else {
-                client.create(path).await.expect("create");
-            }
+    let start = || COUNTING.with(|c| c.set(true));
+    let stop = |()| COUNTING.with(|c| c.set(false));
+    let op = move |client: Rc<LibFs>, path: String| async move {
+        if stat {
+            client.stat(&path).await.expect("stat");
+        } else {
+            client.create(&path).await.expect("create");
         }
-        COUNTING.with(|c| c.set(false));
-    });
+    };
+    warm_then_count(system, paths(prefix), op, start, stop);
 
     let traces = TRACES.with(|t| std::mem::take(&mut *t.borrow_mut()));
     let mut sites: BTreeMap<String, usize> = BTreeMap::new();

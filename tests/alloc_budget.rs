@@ -14,19 +14,23 @@
 //!
 //! Counting is per thread (the test harness runs tests side by side, and a
 //! simulation runs entirely on the thread that drives it), by a counting
-//! global allocator local to this test binary.
+//! global allocator local to this test binary. The allocator's rule, the
+//! deployment and the warm-then-count driver are
+//! `tests/support/alloc_deployment.rs`, which `examples/alloc_sites.rs`
+//! includes too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "support/alloc_deployment.rs"]
+mod deployment;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
-use switchfs::core::{Cluster, ClusterConfig, SystemKind};
+use deployment::{empty_dir, paths, warm_then_count, Counted, Observe, OPS};
+use switchfs::core::SystemKind;
 use switchfs::proto::{DirId, Fingerprint, ServerId};
 use switchfs::simnet::net::LinkParams;
 use switchfs::simnet::{NetFaults, Network, NodeId, Sim};
 use switchfs::switch::{DirtySet, InsertOutcome, SwitchConfig, SwitchFsProgram};
-
-struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -34,17 +38,24 @@ thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation of `bytes`.
-fn count_one(bytes: usize) {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+/// This thread's allocations, the bytes they asked for and its live bytes.
+struct PerThread;
+
+impl Observe for PerThread {
+    fn allocated(bytes: usize) {
+        // `try_with`: an allocation during thread teardown is simply not
+        // counted.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    }
+
+    fn live(delta: i64) {
+        let _ = LIVE.try_with(|n| n.set(n.get() + delta));
+    }
 }
 
-/// Adds `bytes` (negative when freed) to this thread's live bytes.
-fn count_live(bytes: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
-}
+#[global_allocator]
+static GLOBAL: Counted<PerThread> = Counted::new();
 
 /// Allocations made by this thread so far.
 fn allocs() -> u64 {
@@ -62,84 +73,16 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
-        count_live(layout.size() as i64);
-        // SAFETY: same layout the caller handed to us.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one(layout.size());
-        count_live(layout.size() as i64);
-        // SAFETY: same layout the caller handed to us.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_live(-(layout.size() as i64));
-        // SAFETY: `ptr` came from this allocator with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc counts as one allocation of the new size, like the
-        // alloc + copy + dealloc it stands for.
-        count_one(new_size);
-        count_live(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from this allocator with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Operations measured per budget (after as many warm-up operations).
-const OPS: u64 = 64;
-
-/// A small deployment of `system` (4 servers, 1 client) with `/d`
-/// preloaded, and no file in it yet.
-fn empty_dir(system: SystemKind) -> Cluster {
-    let mut cfg = ClusterConfig::paper_default(system);
-    cfg.servers = 4;
-    cfg.clients = 1;
-    let mut cluster = Cluster::new(cfg);
-    cluster.preload_dir("/d");
-    cluster
-}
-
-/// An [`empty_dir`] deployment with `2 * OPS` files `f0`, `f1`, … in `/d`.
-fn cluster(system: SystemKind) -> Cluster {
-    let mut cluster = empty_dir(system);
-    cluster.preload_files("/d", "f", 2 * OPS as usize);
-    cluster
-}
-
-/// Runs `op` on every path in order on a [`cluster`] of `system`, twice as
-/// many as [`OPS`]: the first half warms caches, pools and buffers, the
-/// second half is counted. Returns the allocations of the counted half and
-/// the bytes they asked for.
+/// Runs `op` on `paths` with [`warm_then_count`] and returns the
+/// allocations of the counted half and the bytes they asked for.
 fn allocs_of<F, Fut>(system: SystemKind, paths: Vec<String>, op: F) -> (u64, u64)
 where
     F: Fn(Rc<switchfs::client::LibFs>, String) -> Fut + 'static,
     Fut: std::future::Future<Output = ()>,
 {
-    let cluster = cluster(system);
-    let client = cluster.client(0);
-    cluster.block_on(async move {
-        let mut before = (0, 0);
-        for (i, path) in paths.into_iter().enumerate() {
-            if i as u64 == OPS {
-                before = (allocs(), bytes());
-            }
-            op(client.clone(), path).await;
-        }
-        (allocs() - before.0, bytes() - before.1)
-    })
+    let start = || (allocs(), bytes());
+    let stop = |(n, b)| (allocs() - n, bytes() - b);
+    warm_then_count(system, paths, op, start, stop)
 }
 
 #[test]
@@ -157,10 +100,13 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
     // names were shared, the packet path kept its lists inline, task wakers
     // were reused and lock waiters became tickets.
     const BUDGET: u64 = 283;
-    let paths = (0..2 * OPS).map(|i| format!("/d/f{i}")).collect();
-    let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
-        client.stat(&path).await.expect("stat");
-    });
+    let (n, _) = allocs_of(
+        SystemKind::SwitchFs,
+        paths("/d/f"),
+        |client, path| async move {
+            client.stat(&path).await.expect("stat");
+        },
+    );
     assert!(
         n <= BUDGET,
         "{OPS} stats allocated {n} times (budget {BUDGET})"
@@ -182,10 +128,13 @@ fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
     // 1,921 (30.0 per create) and 3,218 (50.3 per create) before the four
     // changes named above.
     const BUDGET: u64 = 627;
-    let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
-    let (n, _) = allocs_of(SystemKind::SwitchFs, paths, |client, path| async move {
-        client.create(&path).await.expect("create");
-    });
+    let (n, _) = allocs_of(
+        SystemKind::SwitchFs,
+        paths("/d/n"),
+        |client, path| async move {
+            client.create(&path).await.expect("create");
+        },
+    );
     assert!(
         n <= BUDGET,
         "{OPS} creates allocated {n} times (budget {BUDGET})"
@@ -211,10 +160,13 @@ fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
     // shared one task, and the answered requests another, each sized for
     // its largest variant.
     const BYTES_BUDGET: u64 = 204_860;
-    let paths = (0..2 * OPS).map(|i| format!("/d/n{i}")).collect();
-    let (n, bytes) = allocs_of(SystemKind::EmulatedCfs, paths, |client, path| async move {
-        client.create(&path).await.expect("create");
-    });
+    let (n, bytes) = allocs_of(
+        SystemKind::EmulatedCfs,
+        paths("/d/n"),
+        |client, path| async move {
+            client.create(&path).await.expect("create");
+        },
+    );
     assert!(
         n <= BUDGET,
         "{OPS} creates allocated {n} times (budget {BUDGET})"
@@ -235,7 +187,7 @@ fn a_unicast_packet_through_l2_forwarding_stays_within_its_allocation_budget() {
     // copies and the switch's output list were kept inline and the delivery
     // task's waker was reused.
     let sim = Sim::new(1);
-    let net: Network<u64> = Network::new(
+    let net: Network<usize> = Network::new(
         sim.handle(),
         LinkParams::default(),
         NetFaults::reliable(),
@@ -296,7 +248,7 @@ fn a_preloaded_directory_keeps_its_inodes_and_entries_packed() {
     const BUDGET: i64 = 32_096;
     let mut cluster = empty_dir(SystemKind::SwitchFs);
     let before = live();
-    cluster.preload_files("/d", "f", 2 * OPS as usize);
+    cluster.preload_files("/d", "f", 2 * OPS);
     let kept = live() - before;
     assert!(
         kept <= BUDGET,
