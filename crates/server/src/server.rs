@@ -743,17 +743,13 @@ impl Server {
     pub fn tables(&self) -> ServerTables {
         let inner = self.inner.borrow();
         let cached = inner.completed_ops.values().map(|c| c.responses.len());
+        let followers = inner.agg_gates.values().map(AggGate::followers);
         ServerTables {
             pending_changelog_entries: inner.changelogs.total_pending(),
             inodes: inner.dirs.len(),
             prepared_txns: inner.prepared_txns.len(),
             pending_tokens: inner.pending_tokens.len(),
-            fp_group_waiters: self.locks.fp_group_waiters()
-                + inner
-                    .agg_gates
-                    .values()
-                    .map(AggGate::followers)
-                    .sum::<usize>(),
+            fp_group_waiters: self.locks.fp_group_waiters() + followers.sum::<usize>(),
             locks_in_use: self.locks.in_use(),
             tabled_locks: self.locks.tabled(),
             completed_ops: cached.sum(),
