@@ -300,7 +300,7 @@ impl LibFs {
     /// client probes NEITHER end of the rename:
     ///
     /// * the destination's owner re-checks authoritatively at prepare time
-    ///   and a conflict comes back as a typed `RenameDstExists` reject;
+    ///   and a conflict comes back as its POSIX error;
     /// * the source's type (which decides the coordinating server under
     ///   per-file hashing) is taken from the cache when present; on a cold
     ///   cache the request goes to the source's per-file-hash owner, which

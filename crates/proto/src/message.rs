@@ -232,16 +232,6 @@ pub enum OpResult {
         /// Directory entries (shared, not cloned, across response copies).
         entries: Rc<Vec<DirEntry>>,
     },
-    /// `rename` was rejected at prepare time because the destination key is
-    /// already occupied by an inode the rename may not overwrite. Carries
-    /// that inode's type so the client can derive the POSIX error
-    /// (`EISDIR` / `ENOTDIR`) without probing the destination first — the
-    /// coordinator re-checks authoritatively anyway, so the client's
-    /// advisory `stat`/`statdir` round-trips are pure overhead.
-    RenameDstExists {
-        /// Type of the inode occupying the destination key.
-        dst_type: FileType,
-    },
     /// The request was routed with a stale shard map: the target shard is no
     /// longer owned by the addressed server. Carries the server's current
     /// map so the client can refresh its cache and retry against the new
@@ -257,23 +247,15 @@ pub enum OpResult {
 impl OpResult {
     /// True unless the result is an error.
     pub fn is_ok(&self) -> bool {
-        !matches!(
-            self,
-            OpResult::Err(_) | OpResult::RenameDstExists { .. } | OpResult::WrongOwner { .. }
-        )
+        !matches!(self, OpResult::Err(_) | OpResult::WrongOwner { .. })
     }
 
-    /// The error, if any. A typed rename reject maps to the POSIX error a
-    /// destination probe would have produced; a `WrongOwner` reject maps to
-    /// the retryable `Unavailable` for callers that do not refresh the map
-    /// themselves (LibFs intercepts it before this mapping applies).
+    /// The error, if any. A `WrongOwner` reject maps to the retryable
+    /// `Unavailable` for callers that do not refresh the map themselves
+    /// (LibFs intercepts it before this mapping applies).
     pub fn err(&self) -> Option<FsError> {
         match self {
             OpResult::Err(e) => Some(*e),
-            OpResult::RenameDstExists { dst_type } => Some(match dst_type {
-                FileType::Directory => FsError::IsADirectory,
-                FileType::File => FsError::NotADirectory,
-            }),
             OpResult::WrongOwner { .. } => Some(FsError::Unavailable),
             _ => None,
         }
@@ -290,20 +272,6 @@ pub struct ClientResponse {
     pub result: OpResult,
 }
 
-/// The synchronous parent update an [`ServerMsg::AsyncCommit`] carries for
-/// the overflow path: when the dirty-set insert overflows, the switch
-/// redirects the commit to the parent directory's owner (§5.2.1, §6.2),
-/// which applies this update as it would a [`Request::RemoteDirUpdate`]
-/// and answers the origin. The origin, not the owner, replies to the client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyncFallback {
-    /// Key of the parent directory to update synchronously.
-    pub dir_key: MetaKey,
-    /// The update to apply, shared with the origin's WAL record and
-    /// change-log.
-    pub entry: Rc<ChangeLogEntry>,
-}
-
 /// Server-to-server and server-to-switch protocol messages. None names its
 /// sender: a receiver that needs to know who sent a message (to answer it,
 /// or to remember which server to confirm a discard to) reads the packet's
@@ -315,18 +283,21 @@ pub enum ServerMsg {
     /// the client (operation completion) and back to the packet's source,
     /// the origin server (lock release). On overflow the address rewriter redirects it to the
     /// parent directory's owner, which serves it as the synchronous parent
-    /// update it falls back to (§5.2.1): the owner applies `fallback` as it
-    /// applies a [`Request::RemoteDirUpdate`] and answers the origin with
-    /// [`Reply::Done`] under `op_token`; the origin then replies to the
-    /// client.
+    /// update it falls back to (§5.2.1): the owner applies `entry` to
+    /// `dir_key` as it applies a [`Request::RemoteDirUpdate`] and answers
+    /// the origin with [`Reply::Done`] under `op_token`; the origin then
+    /// replies to the client.
     AsyncCommit {
         /// Response destined for the client.
         response: ClientResponse,
         /// Token identifying the pending operation on the origin server:
         /// what the switch's mirror copy and the overflow path's reply echo.
         op_token: u64,
-        /// The parent update for the overflow path.
-        fallback: SyncFallback,
+        /// Key of the parent directory the overflow path updates.
+        dir_key: MetaKey,
+        /// The parent update, shared with the origin's WAL record and
+        /// change-log.
+        entry: Rc<ChangeLogEntry>,
     },
     /// Aggregation request from a directory owner, carrying a dirty-set
     /// `remove`: the switch removes the fingerprint and multicasts the
@@ -459,8 +430,11 @@ pub enum Request {
         discard_confirm: Vec<OpId>,
     },
     /// Two-phase-commit prepare for `rename` (and baseline transactions);
-    /// answered with [`Reply::Vote`], or not at all when the sender is not
-    /// a metadata server.
+    /// answered with [`Reply::Done`], or not at all when the sender is not
+    /// a metadata server. `Ok(())` votes yes; `IsADirectory` or
+    /// `NotADirectory` refuses an occupied destination with the error the
+    /// client gets; `Unavailable` refuses because the participant is
+    /// migrating one of the touched shards away.
     TxnPrepare {
         /// Transaction id.
         txn_id: u64,
@@ -558,18 +532,9 @@ pub enum Reply {
     /// [`Request::RemoteDirUpdate`], an overflowed [`ServerMsg::AsyncCommit`]
     /// (under its `op_token`), [`Request::DeleteAccessReplica`],
     /// [`Request::InitDirContent`], [`Request::InvalidationRevoke`],
-    /// [`Request::ShardInstall`] and [`Request::TxnDecision`].
+    /// [`Request::ShardInstall`], [`Request::TxnDecision`] and a
+    /// participant's vote on a [`Request::TxnPrepare`].
     Done(Result<(), FsError>),
-    /// A participant's vote on a [`Request::TxnPrepare`].
-    Vote {
-        /// Whether the participant can commit.
-        ok: bool,
-        /// On a negative vote caused by an illegal inode overwrite: the type
-        /// of the inode occupying the destination key, forwarded to the
-        /// client as [`OpResult::RenameDstExists`] so it never has to probe
-        /// the destination itself.
-        dst_type: Option<FileType>,
-    },
     /// The answer to a [`Request::TxnDecisionQuery`]: `Some(true)` committed,
     /// `Some(false)` aborted (or presumed aborted), `None` still in the
     /// voting phase — the participant must keep its prepared state and ask

@@ -13,7 +13,7 @@ use switchfs_proto::changelog::{ChangeLogEntry, ChangeOp};
 use switchfs_proto::ids::{ClientId, DirId, Fingerprint, OpId, TraceId};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, ParentRef, Reply,
-    Request, ServerMsg, StateImage, SyncFallback, TxnOp,
+    Request, ServerMsg, StateImage, TxnOp,
 };
 use switchfs_proto::schema::{DirEntry, FileType, InodeAttrs, MetaKey, Permissions, Timestamps};
 use switchfs_proto::wire::{
@@ -21,6 +21,19 @@ use switchfs_proto::wire::{
     NET_MSG_FIXED_LEN,
 };
 use switchfs_proto::{DirtyRet, DirtySetHeader, DirtySetOp, DirtyState, FsError};
+
+/// A generator for the enum `$ty` that picks one of the listed generators,
+/// one per variant. Beside it sits a match over `$ty` with one arm per
+/// listed variant and no wildcard, so a variant added to or removed from
+/// `$ty` without its generator here fails to build.
+macro_rules! every_variant {
+    ($ty:ident { $($variant:ident => $gen:expr),+ $(,)? }) => {{
+        let _exhaustive = |value: &$ty| match value {
+            $($ty::$variant { .. } => {})+
+        };
+        prop_oneof![$($gen),+]
+    }};
+}
 
 fn arb_op() -> impl Strategy<Value = DirtySetOp> {
     prop_oneof![
@@ -186,10 +199,10 @@ fn arb_attrs() -> impl Strategy<Value = InodeAttrs> {
 }
 
 fn arb_result() -> impl Strategy<Value = OpResult> {
-    prop_oneof![
-        Just(OpResult::Done),
-        arb_attrs().prop_map(OpResult::Attrs),
-        (
+    every_variant!(OpResult {
+        Done => Just(OpResult::Done),
+        Attrs => arb_attrs().prop_map(OpResult::Attrs),
+        Listing => (
             arb_attrs(),
             prop::collection::vec(
                 (arb_name(), any::<u16>()).prop_map(|(name, mode)| DirEntry {
@@ -204,16 +217,9 @@ fn arb_result() -> impl Strategy<Value = OpResult> {
                 attrs,
                 entries: Rc::new(entries),
             }),
-        any::<bool>().prop_map(|dir| OpResult::RenameDstExists {
-            dst_type: if dir {
-                FileType::Directory
-            } else {
-                FileType::File
-            },
-        }),
-        arb_fs_error().prop_map(OpResult::Err),
-        arb_shard_map().prop_map(|map| OpResult::WrongOwner { map }),
-    ]
+        WrongOwner => arb_shard_map().prop_map(|map| OpResult::WrongOwner { map }),
+        Err => arb_fs_error().prop_map(OpResult::Err),
+    })
 }
 
 fn arb_shard_map() -> impl Strategy<Value = switchfs_proto::ShardMap> {
@@ -269,42 +275,26 @@ fn arb_changelog_entry() -> impl Strategy<Value = Rc<ChangeLogEntry>> {
 }
 
 fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
-    prop_oneof![
-        (arb_response(), any::<u64>(), arb_fallback()).prop_map(
-            |(response, op_token, fallback)| ServerMsg::AsyncCommit {
+    every_variant!(ServerMsg {
+        AsyncCommit => (arb_response(), any::<u64>(), arb_key(), arb_changelog_entry()).prop_map(
+            |(response, op_token, dir_key, entry)| ServerMsg::AsyncCommit {
                 response,
                 op_token,
-                fallback,
+                dir_key,
+                entry,
             }
         ),
-        // Every kind of request, in the envelope that carries its token.
-        (any::<u64>(), arb_server_request())
-            .prop_map(|(req_id, req)| ServerMsg::Request { req_id, req }),
-        // The one reply message, with every kind of answer.
-        (any::<u64>(), arb_reply()).prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
-        (arb_key(), prop::collection::vec(arb_op_id(), 0..3))
-            .prop_map(|(dir_key, applied)| { ServerMsg::ChangeLogPushAck { dir_key, applied } }),
-        // Proactive push with piggybacked discard confirmations: entries
-        // and confirms generated independently so a field swap in the
-        // codec cannot round-trip by accident.
-        (
-            arb_key(),
-            prop::collection::vec(arb_changelog_entry(), 0..3),
-            prop::collection::vec(arb_op_id(), 0..3),
+        AggregationRequest => (
+            arb_fingerprint(),
+            any::<u64>(),
+            prop_oneof![Just(None), arb_dir_id().prop_map(Some)],
         )
-            .prop_map(|(dir_key, entries, discard_confirm)| {
-                ServerMsg::ChangeLogPush {
-                    dir_key,
-                    entries,
-                    discard_confirm,
-                }
+            .prop_map(|(fp, agg_id, invalidate)| ServerMsg::AggregationRequest {
+                fp,
+                agg_id,
+                invalidate,
             }),
-        (arb_fingerprint(), any::<u64>()).prop_map(|(fp, agg_id)| ServerMsg::AggregationRequest {
-            fp,
-            agg_id,
-            invalidate: None,
-        }),
-        (
+        AggregationEntries => (
             any::<u64>(),
             prop::collection::vec(arb_changelog_entry(), 0..3),
             prop::collection::vec(arb_op_id(), 0..3),
@@ -316,11 +306,47 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                     discard_confirm,
                 }
             }),
-    ]
+        AggregationAck => any::<u64>().prop_map(|agg_id| ServerMsg::AggregationAck { agg_id }),
+        // Proactive push with piggybacked discard confirmations: entries
+        // and confirms generated independently so a field swap in the
+        // codec cannot round-trip by accident.
+        ChangeLogPush => (
+            arb_key(),
+            prop::collection::vec(arb_changelog_entry(), 0..3),
+            prop::collection::vec(arb_op_id(), 0..3),
+        )
+            .prop_map(|(dir_key, entries, discard_confirm)| {
+                ServerMsg::ChangeLogPush {
+                    dir_key,
+                    entries,
+                    discard_confirm,
+                }
+            }),
+        ChangeLogPushAck => (arb_key(), prop::collection::vec(arb_op_id(), 0..3))
+            .prop_map(|(dir_key, applied)| { ServerMsg::ChangeLogPushAck { dir_key, applied } }),
+        // Every kind of request, in the envelope that carries its token.
+        Request => (any::<u64>(), arb_server_request())
+            .prop_map(|(req_id, req)| ServerMsg::Request { req_id, req }),
+        // The one reply message, with every kind of answer.
+        Reply => (any::<u64>(), arb_reply())
+            .prop_map(|(req_id, reply)| ServerMsg::Reply { req_id, reply }),
+        ForwardedRequest => (any::<u32>(), arb_request()).prop_map(|(client_node, req)| {
+            ServerMsg::ForwardedRequest {
+                client_node,
+                req: Rc::new(req),
+            }
+        }),
+        InvalidationBroadcast => arb_dir_id()
+            .prop_map(|dir_id| ServerMsg::InvalidationBroadcast { dir_id }),
+        RecoveryCloneInvalidation => Just(ServerMsg::RecoveryCloneInvalidation),
+        RecoveryInvalidationList => prop::collection::vec(arb_dir_id(), 0..3)
+            .prop_map(|list| ServerMsg::RecoveryInvalidationList { list }),
+    })
 }
 
 fn arb_server_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
+    every_variant!(Request {
+        RemoteDirUpdate =>
         (
             arb_key(),
             arb_changelog_entry(),
@@ -335,7 +361,7 @@ fn arb_server_request() -> impl Strategy<Value = Request> {
             }),
         // Live-migration stream: the messages the elastic-placement
         // protocol depends on must round-trip with full payloads.
-        (
+        ShardInstall => (
             any::<u32>(),
             prop::collection::vec((arb_key(), arb_attrs()), 0..3),
             prop::collection::vec((arb_dir_id(), arb_key()), 0..3),
@@ -373,13 +399,19 @@ fn arb_server_request() -> impl Strategy<Value = Request> {
                 },
             ),
         // The software dirty-set request (§7.3.3), every operation.
-        (arb_op(), arb_fingerprint()).prop_map(|(op, fp)| Request::DirtySet { op, fp }),
+        DirtySet => (arb_op(), arb_fingerprint()).prop_map(|(op, fp)| Request::DirtySet { op, fp }),
         // The 2PC requests.
-        (any::<u64>(), prop::collection::vec(arb_txn_op(), 0..3))
+        TxnPrepare => (any::<u64>(), prop::collection::vec(arb_txn_op(), 0..3))
             .prop_map(|(txn_id, ops)| Request::TxnPrepare { txn_id, ops }),
-        (any::<u64>(), any::<bool>())
+        TxnDecision => (any::<u64>(), any::<bool>())
             .prop_map(|(txn_id, commit)| Request::TxnDecision { txn_id, commit }),
-    ]
+        TxnDecisionQuery => any::<u64>().prop_map(|txn_id| Request::TxnDecisionQuery { txn_id }),
+        InvalidationRevoke => arb_dir_id().prop_map(|dir_id| Request::InvalidationRevoke { dir_id }),
+        InitDirContent => (arb_key(), arb_attrs())
+            .prop_map(|(key, attrs)| Request::InitDirContent { key, attrs }),
+        DeleteAccessReplica => arb_key().prop_map(|key| Request::DeleteAccessReplica { key }),
+        TypeProbe => arb_key().prop_map(|key| Request::TypeProbe { key }),
+    })
 }
 
 fn arb_file_type_opt() -> impl Strategy<Value = Option<FileType>> {
@@ -391,15 +423,12 @@ fn arb_file_type_opt() -> impl Strategy<Value = Option<FileType>> {
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
-    prop_oneof![
-        Just(Reply::Done(Ok(()))),
-        arb_fs_error().prop_map(|e| Reply::Done(Err(e))),
-        (any::<bool>(), arb_file_type_opt())
-            .prop_map(|(ok, dst_type)| Reply::Vote { ok, dst_type }),
-        prop_oneof![Just(None), any::<bool>().prop_map(Some)].prop_map(Reply::Decision),
-        arb_file_type_opt().prop_map(Reply::Type),
-        arb_ret().prop_map(Reply::Dirty),
-    ]
+    every_variant!(Reply {
+        Done => prop_oneof![Just(Ok(())), arb_fs_error().prop_map(Err)].prop_map(Reply::Done),
+        Decision => prop_oneof![Just(None), any::<bool>().prop_map(Some)].prop_map(Reply::Decision),
+        Type => arb_file_type_opt().prop_map(Reply::Type),
+        Dirty => arb_ret().prop_map(Reply::Dirty),
+    })
 }
 
 fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
@@ -409,10 +438,6 @@ fn arb_txn_op() -> impl Strategy<Value = TxnOp> {
         (arb_key(), arb_changelog_entry())
             .prop_map(|(dir_key, entry)| TxnOp::DirUpdate { dir_key, entry }),
     ]
-}
-
-fn arb_fallback() -> impl Strategy<Value = SyncFallback> {
-    (arb_key(), arb_changelog_entry()).prop_map(|(dir_key, entry)| SyncFallback { dir_key, entry })
 }
 
 fn arb_body() -> impl Strategy<Value = Body> {

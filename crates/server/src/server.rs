@@ -28,7 +28,7 @@ use switchfs_simnet::{FxHashMap, FxHashSet};
 use switchfs_obs::{EventKind, TraceEvent};
 use switchfs_proto::message::{
     Body, ClientRequest, ClientResponse, MetaOp, NetMsg, OpResult, PacketSeq, Reply, Request,
-    ServerMsg, SyncFallback,
+    ServerMsg,
 };
 use switchfs_proto::placement::key_hashes;
 use switchfs_proto::{
@@ -94,21 +94,9 @@ switchfs_simnet::counters! {
     }
 }
 
-/// What completes a token-matched wait (see [`Server::token_exchange`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TokenReply {
-    /// Another server's (or the dedicated coordinator's) answer to a
-    /// request that carried the token.
-    Server(Reply),
-    /// An asynchronous commit came back mirrored: the switch stored the
-    /// fingerprint and delivered the client's copy.
-    Mirrored,
-}
-
-impl TokenReply {
-    /// Another server carried the request out.
-    pub(crate) const ACK: TokenReply = TokenReply::Server(Reply::Done(Ok(())));
-}
+/// Another server carried the request out: the [`Reply`] that completes
+/// most token-matched waits (see [`Server::token_exchange`]).
+pub(crate) const ACK: Reply = Reply::Done(Ok(()));
 
 /// The sizes of a server's tables at one moment ([`Server::tables`]), read
 /// by tests and the chaos harness.
@@ -445,7 +433,7 @@ pub(crate) struct ServerInner {
     /// answer, or until the copy's timeout, so the table is empty whenever
     /// the server is quiescent. A crash drops the table, which wakes every
     /// exchange still waiting; each then finds its copy unanswered.
-    pub pending_tokens: Replies<TokenReply>,
+    pub pending_tokens: Replies<Reply>,
     /// Aggregations in flight, keyed by aggregation id.
     pub pending_aggs: FxHashMap<u64, AggCollector>,
     /// The aggregation gate of every fingerprint group this server ran or
@@ -983,7 +971,8 @@ impl Server {
             // back at the origin, which completes the token, or its source.
             ServerMsg::AsyncCommit {
                 op_token,
-                fallback: SyncFallback { dir_key, entry },
+                dir_key,
+                entry,
                 ..
             } => match dirty_ret {
                 Some(DirtyRet::Overflowed) => handle.spawn(server_task!(me, src, op_token, {
@@ -994,7 +983,7 @@ impl Server {
                 })),
                 _ => handle.spawn(server_task!(me, {
                     if dirty_ret == Some(DirtyRet::Inserted) && src == me.node() {
-                        me.complete_token(op_token, TokenReply::Mirrored);
+                        me.complete_token(op_token, Reply::Dirty(DirtyRet::Inserted));
                     }
                 })),
             },
@@ -1028,9 +1017,9 @@ impl Server {
             ServerMsg::ChangeLogPushAck { dir_key, applied } => {
                 handle.spawn(server_task!(me, me.handle_push_ack(src, dir_key, applied)))
             }
-            ServerMsg::Reply { req_id, reply } => handle.spawn(server_task!(me, {
-                me.complete_token(req_id, TokenReply::Server(reply))
-            })),
+            ServerMsg::Reply { req_id, reply } => {
+                handle.spawn(server_task!(me, me.complete_token(req_id, reply)))
+            }
             ServerMsg::InvalidationBroadcast { dir_id } => handle.spawn(server_task!(me, {
                 let record = WalOp::local(None, vec![KvEffect::Invalidate(dir_id)]);
                 me.log_record(record).await;
@@ -1489,7 +1478,7 @@ impl Server {
     }
 
     /// Completes a token-matched wait, if still registered.
-    pub(crate) fn complete_token(&self, token: u64, reply: TokenReply) {
+    pub(crate) fn complete_token(&self, token: u64, reply: Reply) {
         self.inner
             .borrow_mut()
             .pending_tokens
@@ -1533,7 +1522,7 @@ impl Server {
         token: u64,
         retry: Retry,
         send: impl Fn() + 'a,
-    ) -> impl Future<Output = Option<TokenReply>> + 'a {
+    ) -> impl Future<Output = Option<Reply>> + 'a {
         let table = || RefMut::map(self.inner.borrow_mut(), |i| &mut i.pending_tokens);
         self.exchange(
             retry,
@@ -1552,7 +1541,7 @@ impl Server {
         dst: NodeId,
         retry: Retry,
         req: impl Fn() -> Request,
-    ) -> Option<TokenReply> {
+    ) -> Option<Reply> {
         let req_id = self.next_token();
         self.token_exchange(req_id, retry, || {
             self.send_plain(dst, Body::Server(ServerMsg::Request { req_id, req: req() }))
@@ -1810,7 +1799,7 @@ impl Server {
             .ask(tracker, Retry::ACK, || Request::DirtySet { op, fp })
             .await
         {
-            Some(TokenReply::Server(Reply::Dirty(ret))) => Some(ret),
+            Some(Reply::Dirty(ret)) => Some(ret),
             _ => None,
         }
     }
@@ -2368,7 +2357,8 @@ mod tests {
                         result: OpResult::Done,
                     },
                     op_token: TOKEN,
-                    fallback: SyncFallback { dir_key, entry },
+                    dir_key,
+                    entry,
                 };
                 NetMsg::with_dirty(PacketSeq::default(), hdr, Body::Server(commit))
             }),

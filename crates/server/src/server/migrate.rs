@@ -41,7 +41,7 @@ use switchfs_proto::{DirId, Fingerprint, MetaKey, OpId, Placement, Retry, Server
 
 use crate::locks::AggGate;
 use crate::server::aggregate::PushTrigger;
-use crate::server::{DirContent, EntryState, Server, TokenReply};
+use crate::server::{DirContent, EntryState, Server, ACK};
 use crate::wal::{KvEffect, MigrationMarker, WalOp};
 
 /// Where a shard install, keyed by source node and token, stands on its
@@ -332,7 +332,7 @@ impl Server {
             let acked = self
                 .ask(self.cfg.node_of(*target), Retry::ACK, || install.clone())
                 .await
-                == Some(TokenReply::ACK);
+                == Some(ACK);
             if !acked {
                 self.inner.borrow_mut().migrating_shards.remove(shard);
                 continue;

@@ -17,10 +17,10 @@
 use std::rc::Rc;
 
 use switchfs_proto::message::{
-    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg, SyncFallback,
+    Body, ClientRequest, ClientResponse, MetaOp, ParentRef, Reply, Request, ServerMsg,
 };
 use switchfs_proto::{
-    ChangeLogEntry, ChangeOp, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
+    ChangeLogEntry, ChangeOp, DirtyRet, DirtySetHeader, DirtySetOp, FileType, Fingerprint, FsError,
     InodeAttrs, OpResult, Placement, Retry, ServerId,
 };
 use switchfs_simnet::{FxHashSet, NodeId};
@@ -28,7 +28,7 @@ use switchfs_simnet::{FxHashSet, NodeId};
 use crate::locks::{Access, APPENDER};
 use crate::server::aggregate::PushTrigger;
 use crate::server::migrate::Admit;
-use crate::server::{Server, TokenReply};
+use crate::server::{Server, ACK};
 use crate::wal::{KvEffect, WalOp};
 
 /// How an asynchronous commit finished.
@@ -266,7 +266,7 @@ impl Server {
         }
         let req = || Request::TypeProbe { key: key.clone() };
         match self.ask(self.cfg.node_of(owner), Retry::ACK, req).await {
-            Some(TokenReply::Server(Reply::Type(t))) => t,
+            Some(Reply::Type(t)) => t,
             _ => None,
         }
     }
@@ -340,7 +340,7 @@ impl Server {
             self.send_plain(self.cfg.node_of(to()), Body::Server(msg));
         };
         match self.token_exchange(req_id, Retry::ACK, send).await {
-            Some(TokenReply::Server(Reply::Done(result))) => result,
+            Some(Reply::Done(result)) => result,
             _ => Err(FsError::TimedOut),
         }
     }
@@ -589,17 +589,15 @@ impl Server {
                 let body = Body::Server(ServerMsg::AsyncCommit {
                     response: response.clone(),
                     op_token,
-                    fallback: SyncFallback {
-                        dir_key: parent.key.clone(),
-                        entry: entry.clone(),
-                    },
+                    dir_key: parent.key.clone(),
+                    entry: entry.clone(),
                 });
                 self.send_dirty(client_node, hdr, body)
             })
             .await;
         let applier = match answer {
-            Some(TokenReply::Mirrored) => return CommitOutcome::DeliveredBySwitch,
-            Some(TokenReply::ACK) => Some(parent_owner),
+            Some(Reply::Dirty(DirtyRet::Inserted)) => return CommitOutcome::DeliveredBySwitch,
+            Some(ACK) => Some(parent_owner),
             // Boxed: a cold path, which would otherwise set the size of
             // every double-inode handler's future. `sync_parent_update`
             // confirms the discard to the server that applied the update; an

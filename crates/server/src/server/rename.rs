@@ -20,7 +20,7 @@ use switchfs_simnet::{NodeId, SimTime};
 
 use crate::server::migrate::{txn_op_hashes, Admit};
 use crate::server::ops::DirUpdateSource;
-use crate::server::{Server, TokenReply};
+use crate::server::{Server, ACK};
 use crate::wal::{KvEffect, TxnMarker, WalOp};
 
 /// A prepared-but-undecided transaction on a participant. Mirrored by a WAL
@@ -133,16 +133,12 @@ impl Server {
                 // dir-routed transaction never consults).
                 let file_owner = self.cfg.placement.file_owner(dst);
                 if self.probe_inode_type(file_owner, dst).await == Some(FileType::File) {
-                    return Some(OpResult::RenameDstExists {
-                        dst_type: FileType::File,
-                    });
+                    return Some(OpResult::Err(FsError::NotADirectory));
                 }
             } else if self.probe_is_directory(dst).await {
                 // A file may not overwrite an existing directory (the
                 // directory inode lives with its fingerprint group).
-                return Some(OpResult::RenameDstExists {
-                    dst_type: FileType::Directory,
-                });
+                return Some(OpResult::Err(FsError::IsADirectory));
             }
         }
 
@@ -281,14 +277,13 @@ impl Server {
         }
 
         // The participants' destination check, on the coordinator's own
-        // half: the reject carries the occupying inode's type so the client
-        // can map it to the right POSIX error without having probed the
+        // half: the client gets the POSIX error without having probed the
         // destination.
-        if let Some(dst_type) = per_server
+        if let Some(e) = per_server
             .get(&self.cfg.id)
             .and_then(|ops| self.dst_conflict(ops))
         {
-            return Some(OpResult::RenameDstExists { dst_type });
+            return Some(OpResult::Err(e));
         }
 
         // Two-phase commit. The transaction id embeds the coordinating
@@ -307,16 +302,13 @@ impl Server {
             .borrow_mut()
             .coordinated_txns
             .insert(txn_id, CoordinatorTxn::Voting);
-        let mut vote_ok = true;
-        let mut typed_reject: Option<switchfs_proto::FileType> = None;
+        // The first refusal: the participant's error, or `Unavailable` for
+        // a vote that never came. The remaining prepares are skipped (the
+        // abort below covers every participant, prepared or not).
+        let mut refusal = None;
         for (server, ops) in &per_server {
             if *server == self.cfg.id {
                 continue;
-            }
-            if !vote_ok {
-                // A vote already failed; skip the remaining prepares (the
-                // abort below covers every participant, prepared or not).
-                break;
             }
             // One attempt, one token per participant: the vote echoes it, so
             // a network-duplicated vote from an earlier participant cannot
@@ -329,22 +321,16 @@ impl Server {
             let vote = self
                 .ask(self.cfg.node_of(*server), Retry::VOTE, prepare)
                 .await;
-            match vote {
-                Some(TokenReply::Server(Reply::Vote { ok: true, .. })) => {}
-                other => {
-                    // Either an explicit negative vote or a timeout.
-                    if let Some(TokenReply::Server(Reply::Vote {
-                        dst_type: Some(t), ..
-                    })) = other
-                    {
-                        typed_reject = Some(t);
-                    }
-                    vote_ok = false;
-                }
+            if vote != Some(ACK) {
+                refusal = Some(match vote {
+                    Some(Reply::Done(Err(e))) => e,
+                    _ => FsError::Unavailable,
+                });
+                break;
             }
         }
 
-        if !vote_ok {
+        if let Some(e) = refusal {
             // The abort is decided: presumed-abort needs no durable record,
             // and decision queries may now answer `Some(false)`.
             self.inner.borrow_mut().coordinated_txns.remove(&txn_id);
@@ -358,12 +344,9 @@ impl Server {
             // Abort with acknowledgment so no participant is left holding a
             // prepared transaction after a lost abort packet.
             let _ = self.broadcast_decision(txn_id, &per_server, false).await;
-            // A typed reject (destination occupied) is a definitive POSIX
-            // error; anything else (timeout, crash) stays retryable.
-            return Some(match typed_reject {
-                Some(dst_type) => OpResult::RenameDstExists { dst_type },
-                None => OpResult::Err(FsError::Unavailable),
-            });
+            // An occupied destination is a definitive POSIX error; anything
+            // else (a frozen shard, a timeout, a crash) stays retryable.
+            return Some(OpResult::Err(e));
         }
 
         // Commit point (§5.4.2): stage the local half durably, then log the
@@ -517,12 +500,11 @@ impl Server {
     ) -> Option<Reply> {
         self.cpu.run(self.cfg.costs.software_path).await;
         let coordinator = self.server_id_of(src)?;
-        let vote = |ok, dst_type| Some(Reply::Vote { ok, dst_type });
         // A network-duplicated prepare arriving after this participant
         // already committed the transaction must not re-stage it (the
         // re-staged copy would be stranded forever); just re-vote yes.
         if self.inner.borrow().committed_txns.contains(&txn_id) {
-            return vote(true, None);
+            return Some(ACK);
         }
         // Never stage mutations into a shard this server is migrating out:
         // the drain barrier only covers transactions prepared before the
@@ -531,13 +513,13 @@ impl Server {
         // old owner after the flip. Vote no — the coordinator aborts, the
         // client retries, and the retry lands after the flip.
         if self.admit(None, || ops.iter().flat_map(txn_op_hashes)) != Admit::Serve {
-            return vote(false, None);
+            return Some(Reply::Done(Err(FsError::Unavailable)));
         }
-        // The vote carries the occupying inode's type so the coordinator can
-        // reject the client with the right POSIX error and the client never
+        // A refusal carries the POSIX error of the occupied destination, so
+        // the coordinator rejects the client with it and the client never
         // needs its own destination probe.
-        let dst_type = self.dst_conflict(&ops);
-        let ok = dst_type.is_none();
+        let conflict = self.dst_conflict(&ops);
+        let ok = conflict.is_none();
         self.trace_event(
             None,
             EventKind::TxnPrepare {
@@ -559,21 +541,22 @@ impl Server {
             })
             .await;
         }
-        vote(ok, dst_type)
+        Some(Reply::Done(conflict.map_or(Ok(()), Err)))
     }
 
     /// The authoritative destination check: an inode overwrite is only legal
-    /// for file-over-file (POSIX rename). Returns the type of the inode one
-    /// of `ops` would overwrite illegally — a directory, or anything a
-    /// directory would land on.
-    fn dst_conflict(&self, ops: &[TxnOp]) -> Option<FileType> {
+    /// for file-over-file (POSIX rename). Returns the error of the first of
+    /// `ops` that would overwrite illegally: `IsADirectory` for anything
+    /// landing on a directory, `NotADirectory` for a directory landing on a
+    /// file.
+    fn dst_conflict(&self, ops: &[TxnOp]) -> Option<FsError> {
         let inner = self.inner.borrow();
         ops.iter().find_map(|op| match op {
-            TxnOp::PutInode { key, attrs } => inner
-                .dirs
-                .peek(key)
-                .filter(|existing| existing.is_dir() || attrs.is_dir())
-                .map(|existing| existing.file_type),
+            TxnOp::PutInode { key, attrs } => match inner.dirs.peek(key) {
+                Some(existing) if existing.is_dir() => Some(FsError::IsADirectory),
+                Some(_) if attrs.is_dir() => Some(FsError::NotADirectory),
+                _ => None,
+            },
             _ => None,
         })
     }
@@ -667,11 +650,11 @@ impl Server {
                     .ask(self.cfg.node_of(coordinator), Retry::ACK, query)
                     .await
                 {
-                    Some(TokenReply::Server(Reply::Decision(Some(c)))) => {
+                    Some(Reply::Decision(Some(c))) => {
                         decision = Some(c);
                         break;
                     }
-                    Some(TokenReply::Server(Reply::Decision(None))) => {
+                    Some(Reply::Decision(None)) => {
                         // Still voting: back off for one decision window.
                         self.handle.sleep(self.cfg.costs.request_timeout * 4).await;
                     }
@@ -762,7 +745,7 @@ impl Server {
             let ack = self
                 .ask(self.cfg.node_of(*server), Retry::DECISION, decision)
                 .await;
-            all_acked &= ack == Some(TokenReply::ACK);
+            all_acked &= ack == Some(ACK);
         }
         all_acked
     }
