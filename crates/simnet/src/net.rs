@@ -403,11 +403,13 @@ impl<M: Clone + 'static> Network<M> {
     }
 }
 
-/// Runs one packet copy through the rack: extra delay → link → switch →
-/// link → mailbox, one sleep per stage. A zero-length sleep completes at
-/// once, without registering a timer. The task holds its network weakly, so
-/// a packet in flight does not keep a dropped network alive; it ends at its
-/// next stage once the network is gone.
+/// Runs one packet copy through the rack: extra delay → uplink → switch →
+/// mailbox, with one sleep for the extra delay, one for the uplink and one
+/// for the switch's latency and the downlink together, since nothing happens
+/// between those two. A zero-length sleep completes at once, without
+/// registering a timer. The task holds its network weakly, so a packet in
+/// flight does not keep a dropped network alive; it ends at its next stage
+/// once the network is gone.
 async fn deliver<M>(
     net: Weak<RefCell<NetworkInner<M>>>,
     handle: SimHandle,
@@ -419,19 +421,16 @@ async fn deliver<M>(
         return;
     };
     handle.sleep(uplink).await;
-    let Some((packets, switch)) = with_net(&net, |n| {
-        (n.process_at_switch(pkt), n.params.switch_latency)
+    let Some((packets, to_mailbox)) = with_net(&net, |n| {
+        let to_mailbox = n.params.switch_latency + n.params.link_latency;
+        (n.process_at_switch(pkt), to_mailbox)
     }) else {
         return;
     };
     if packets.is_empty() {
         return;
     }
-    handle.sleep(switch).await;
-    let Some(downlink) = with_net(&net, |n| n.params.link_latency) else {
-        return;
-    };
-    handle.sleep(downlink).await;
+    handle.sleep(to_mailbox).await;
     with_net(&net, |n| n.hand_to_mailboxes(packets));
 }
 
