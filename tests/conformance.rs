@@ -30,7 +30,7 @@ use std::rc::Rc;
 
 use switchfs::core::{Cluster, ClusterConfig, SystemKind, TrackingMode};
 use switchfs::proto::message::{Body, NetMsg};
-use switchfs::proto::{DirtySetOp, FileType, Fingerprint, FsError};
+use switchfs::proto::{DirtySetOp, FileType, Fingerprint, FsError, Placement};
 use switchfs::simnet::net::L2Forward;
 use switchfs::simnet::{Fanout, NodeId, Packet, SimTime, SwitchLogic};
 use switchfs::workloads::{NamespaceSpec, OpKind, WorkloadBuilder};
@@ -134,8 +134,8 @@ fn reference_scenario() -> Vec<Step> {
         Delete("/proj/doc"), // IsADirectory, on every placement
         // Rename destination conflicts must agree across placements too:
         // the coordinator (not the client) detects them at prepare time and
-        // rejects with the destination's type, wherever the conflicting
-        // inode happens to live.
+        // rejects with the POSIX error, wherever the conflicting inode
+        // happens to live.
         Rename("/proj/src/main.rs", "/proj/doc"), // IsADirectory: file onto dir
         Rename("/proj/doc", "/proj/README.md"),   // NotADirectory: dir onto file
         // Mutations: rename within and across directories.
@@ -307,6 +307,79 @@ fn all_systems_agree_on_the_reference_scenario() {
     assert!(outcomes.iter().any(|o| o.is_ok()));
     assert!(outcomes.iter().any(|o| o.is_err()));
     assert!(snapshot.len() > 5, "snapshot too small: {snapshot:?}");
+}
+
+/// A rename onto an occupied name fails with the POSIX error of the
+/// conflict on every system: a file onto a directory with `IsADirectory`, a
+/// directory onto a file with `NotADirectory`, and both names stay as they
+/// were. Each kind is tried in both geometries of the per-directory-hash
+/// systems: the occupied name beside the source, where the coordinator's own
+/// half of the transaction refuses, and under a parent whose children live
+/// on another server, where that server's prepare refuses. SwitchFS and
+/// Emulated-CFS refuse all four with the separation pre-probe.
+#[test]
+fn a_rename_onto_an_occupied_name_fails_with_its_posix_error_on_every_system() {
+    for system in SystemKind::all() {
+        let cluster = build_cluster(system, 42);
+        let placement = cluster.placement();
+        let client = cluster.client(0);
+        let outcomes = cluster.block_on(async move {
+            // `/near` holds the sources; `/far`'s children live on another
+            // server under grouping.
+            let near = client.mkdir("/near").await.unwrap().id;
+            let mut i = 0;
+            let far = loop {
+                let path = format!("/far{i}");
+                let id = client.mkdir(&path).await.unwrap().id;
+                if placement.dir_owner_by_id(&id) != placement.dir_owner_by_id(&near) {
+                    break path;
+                }
+                i += 1;
+            };
+            for parent in ["/near", far.as_str()] {
+                client.create(&format!("{parent}/file")).await.unwrap();
+                client.mkdir(&format!("{parent}/dir")).await.unwrap();
+            }
+            client.create("/near/src-file").await.unwrap();
+            client.mkdir("/near/src-dir").await.unwrap();
+            let mut outcomes = Vec::new();
+            for (src, dst, want) in [
+                (
+                    "/near/src-file",
+                    "/near/dir".to_string(),
+                    FsError::IsADirectory,
+                ),
+                (
+                    "/near/src-file",
+                    format!("{far}/dir"),
+                    FsError::IsADirectory,
+                ),
+                (
+                    "/near/src-dir",
+                    "/near/file".to_string(),
+                    FsError::NotADirectory,
+                ),
+                (
+                    "/near/src-dir",
+                    format!("{far}/file"),
+                    FsError::NotADirectory,
+                ),
+            ] {
+                let got = client.rename(src, &dst).await;
+                let (file, dir) = match want {
+                    FsError::IsADirectory => (src, dst.as_str()),
+                    _ => (dst.as_str(), src),
+                };
+                let kept = client.stat(file).await.is_ok() && client.statdir(dir).await.is_ok();
+                outcomes.push((format!("{src} -> {dst}"), got, want, kept));
+            }
+            outcomes
+        });
+        for (rename, got, want, kept) in outcomes {
+            assert_eq!(got, Err(want), "{system}: {rename}");
+            assert!(kept, "{system}: {rename} lost a name");
+        }
+    }
 }
 
 /// The root reads like any directory on every system: `readdir("/")` lists

@@ -2372,3 +2372,65 @@ fn an_rmdir_whose_access_replica_delete_gets_no_answer_fails() {
         assert!(attrs.is_dir());
     });
 }
+
+/// The cluster's switch logic behind a tap that holds the first copy of a
+/// client's `chmod` to `mode` instead of forwarding it.
+struct HoldFirstChmod {
+    inner: Box<dyn SwitchLogic<NetMsg>>,
+    mode: u16,
+    held: Rc<RefCell<Option<Packet<NetMsg>>>>,
+    armed: bool,
+}
+
+impl SwitchLogic<NetMsg> for HoldFirstChmod {
+    fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
+        if let Body::Request(req) = &pkt.payload.body {
+            if self.armed && matches!(req.op, MetaOp::Chmod { mode, .. } if mode == self.mode) {
+                self.armed = false;
+                *self.held.borrow_mut() = Some(pkt);
+                return Fanout::default();
+            }
+        }
+        self.inner.process(now, pkt)
+    }
+}
+
+/// A copy of a request that arrives after its client acknowledged the
+/// operation is dropped on every system: the first copy of a `chmod` is held
+/// until the client's retransmission has completed it and the client's next
+/// `chmod` has been answered, then sent again. The server's packet window
+/// never saw that copy, so only the acked watermark can drop it; run again,
+/// it would undo the second `chmod`.
+#[test]
+fn a_late_copy_of_an_acknowledged_request_changes_nothing_on_every_system() {
+    use switchfs::simnet::net::L2Forward;
+    for system in SystemKind::all() {
+        let mut cfg = ClusterConfig::paper_default(system);
+        cfg.servers = 4;
+        cfg.clients = 1;
+        let cluster = Cluster::new(cfg);
+        let client = cluster.client(0);
+        cluster.block_on(async move { client.create("/f").await.unwrap() });
+        let inner: Box<dyn SwitchLogic<NetMsg>> = match cluster.switch_program() {
+            Some(program) => Box::new(program),
+            None => Box::new(L2Forward),
+        };
+        let held = Rc::new(RefCell::new(None));
+        cluster.network().install_switch(Box::new(HoldFirstChmod {
+            inner,
+            mode: 0o600,
+            held: held.clone(),
+            armed: true,
+        }));
+        let (client, network, h) = (cluster.client(0), cluster.network(), cluster.sim.handle());
+        let mode = cluster.block_on(async move {
+            client.chmod("/f", 0o600).await.unwrap();
+            client.chmod("/f", 0o644).await.unwrap();
+            let late = held.borrow_mut().take().expect("the first copy was held");
+            network.send(late);
+            h.sleep(SimDuration::millis(1)).await;
+            client.stat("/f").await.unwrap().perm.mode
+        });
+        assert_eq!(mode, 0o644, "{system}: the late chmod ran again");
+    }
+}
