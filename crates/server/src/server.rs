@@ -94,8 +94,8 @@ switchfs_simnet::counters! {
     }
 }
 
-/// Another server carried the request out: the [`Reply`] that completes
-/// most token-matched waits (see [`Server::token_exchange`]).
+/// The answer of a request another server carried out, and a prepare's yes
+/// vote.
 pub(crate) const ACK: Reply = Reply::Done(Ok(()));
 
 /// The sizes of a server's tables at one moment ([`Server::tables`]), read
@@ -968,7 +968,8 @@ impl Server {
             // overflow, the commit rewritten to the parent's owner, which
             // serves it as the synchronous parent update it falls back to
             // (§5.2.1), under the commit's token; otherwise the mirror copy
-            // back at the origin, which completes the token, or its source.
+            // back at the origin, which completes the token with the
+            // insert's own answer, or its source.
             ServerMsg::AsyncCommit {
                 op_token,
                 dir_key,
