@@ -323,7 +323,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
                 }
             }),
         ChangeLogPushAck => (arb_key(), prop::collection::vec(arb_op_id(), 0..3))
-            .prop_map(|(dir_key, applied)| { ServerMsg::ChangeLogPushAck { dir_key, applied } }),
+            .prop_map(|(dir_key, applied)| ServerMsg::ChangeLogPushAck { dir_key, applied }),
         // Every kind of request, in the envelope that carries its token.
         Request => (any::<u64>(), arb_server_request())
             .prop_map(|(req_id, req)| ServerMsg::Request { req_id, req }),
@@ -346,8 +346,7 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMsg> {
 
 fn arb_server_request() -> impl Strategy<Value = Request> {
     every_variant!(Request {
-        RemoteDirUpdate =>
-        (
+        RemoteDirUpdate => (
             arb_key(),
             arb_changelog_entry(),
             prop::collection::vec(arb_op_id(), 0..3),

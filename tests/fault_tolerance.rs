@@ -2374,10 +2374,9 @@ fn an_rmdir_whose_access_replica_delete_gets_no_answer_fails() {
 }
 
 /// The cluster's switch logic behind a tap that holds the first copy of a
-/// client's `chmod` to `mode` instead of forwarding it.
+/// client's `chmod` to `0o600` instead of forwarding it.
 struct HoldFirstChmod {
     inner: Box<dyn SwitchLogic<NetMsg>>,
-    mode: u16,
     held: Rc<RefCell<Option<Packet<NetMsg>>>>,
     armed: bool,
 }
@@ -2385,7 +2384,7 @@ struct HoldFirstChmod {
 impl SwitchLogic<NetMsg> for HoldFirstChmod {
     fn process(&mut self, now: SimTime, pkt: Packet<NetMsg>) -> Fanout<(NodeId, NetMsg)> {
         if let Body::Request(req) = &pkt.payload.body {
-            if self.armed && matches!(req.op, MetaOp::Chmod { mode, .. } if mode == self.mode) {
+            if self.armed && matches!(req.op, MetaOp::Chmod { mode: 0o600, .. }) {
                 self.armed = false;
                 *self.held.borrow_mut() = Some(pkt);
                 return Fanout::default();
@@ -2418,7 +2417,6 @@ fn a_late_copy_of_an_acknowledged_request_changes_nothing_on_every_system() {
         let held = Rc::new(RefCell::new(None));
         cluster.network().install_switch(Box::new(HoldFirstChmod {
             inner,
-            mode: 0o600,
             held: held.clone(),
             armed: true,
         }));
