@@ -101,6 +101,9 @@ pub struct LibFs {
     /// again; that bound is piggybacked on each request as the
     /// `acked_below` watermark so servers can prune their dedup caches.
     outstanding: RefCell<Outstanding>,
+    /// Requests of finished operations and ancestor chains, kept for the
+    /// next operations to reuse.
+    spares: RefCell<Spares>,
     stats: RefCell<ClientStats>,
     /// Shared observability sink; disabled handles make every recording
     /// site a single branch.
@@ -128,6 +131,7 @@ impl LibFs {
             next_seq: Cell::new(1),
             next_pkt: Cell::new(1),
             outstanding: RefCell::default(),
+            spares: RefCell::default(),
             stats: RefCell::new(ClientStats::default()),
             obs,
         })
@@ -318,7 +322,7 @@ impl LibFs {
         if src_path == dst_path && cached.is_some() {
             return Ok(());
         }
-        let mut ancestors = Vec::with_capacity(depth(src_path) + depth(dst_path));
+        let mut ancestors = self.spare_chain(depth(src_path) + depth(dst_path));
         let src_res = self.resolve(src_path, false, &mut ancestors).await?;
         let dst_res = self.resolve(dst_path, false, &mut ancestors).await?;
         let op = MetaOp::Rename {
@@ -372,7 +376,7 @@ impl LibFs {
         loop {
             let op_probe = build(MetaKey::new(DirId::ROOT, String::new()));
             let need_target = self.map.borrow().needs_target(&op_probe);
-            let mut ancestors = Vec::with_capacity(depth(&path));
+            let mut ancestors = self.spare_chain(depth(&path));
             let res = match self.resolve(&path, need_target, &mut ancestors).await {
                 Ok(r) => r,
                 Err(FsError::StaleCache) if attempt < MAX_OP_RETRIES => {
@@ -468,7 +472,8 @@ impl LibFs {
                     let op = MetaOp::Lookup { key: key.clone() };
                     // This path's chain so far, without what an earlier
                     // resolution into the same buffer appended.
-                    let chain = ancestors[chain_start..].to_vec();
+                    let mut chain = self.spare_chain(ancestors.len() - chain_start);
+                    chain.extend_from_slice(&ancestors[chain_start..]);
                     // Boxed: the lookup RPC runs only on a cache miss, but
                     // its inline state machine would otherwise dominate the
                     // size of every resolution future above it.
@@ -500,6 +505,14 @@ impl LibFs {
         Ok(Resolution { key, parent })
     }
 
+    /// An empty ancestor chain with room for `len` ids, a spare one if the
+    /// client kept any.
+    fn spare_chain(&self, len: usize) -> Vec<DirId> {
+        let mut chain = self.spares.borrow_mut().chains.pop().unwrap_or_default();
+        chain.reserve(len);
+        chain
+    }
+
     /// Sends one request (with retransmission) and returns the server's
     /// result. A `WrongOwner` rejection — the cached shard map went stale
     /// across a live migration — installs the server's current map and
@@ -513,47 +526,51 @@ impl LibFs {
     ) -> FsResult<OpResult> {
         let seq = self.next_seq.get();
         self.next_seq.set(seq + 1);
-        self.outstanding.borrow_mut().issue(seq);
-        let result = self
-            .issue_tracked(seq, op, parent, ancestors, target_attrs)
-            .await;
-        self.outstanding.borrow_mut().finish(seq);
-        result
-    }
-
-    async fn issue_tracked(
-        &self,
-        seq: u64,
-        op: MetaOp,
-        parent: Option<ParentRef>,
-        ancestors: Vec<DirId>,
-        target_attrs: Option<InodeAttrs>,
-    ) -> FsResult<OpResult> {
-        let op_id = OpId {
-            client: self.cfg.id,
-            seq,
+        let (acked_below, bound) = {
+            let mut outstanding = self.outstanding.borrow_mut();
+            outstanding.issue(seq);
+            (outstanding.acked_below(seq), outstanding.spare_bound())
         };
-        // Only directory reads carry a dirty-set query header; compute the
-        // fingerprint lazily so every other operation skips the hash.
-        let attach_query = self.cfg.dirty_query_in_packet && op.is_dir_read();
-        let fp = attach_query.then(|| {
-            let key = op.primary_key();
-            Fingerprint::of_dir(&key.pid, &key.name)
-        });
         // Everything this client issued below its oldest outstanding
         // operation has been answered and abandoned-or-consumed: the server
-        // may prune those cached responses.
-        let acked_below = self.outstanding.borrow().acked_below(seq);
-        // Built once, shared (`Rc`) across retransmission attempts and with
-        // every in-flight packet copy. Rebuilt only on a map refresh (the
-        // epoch stamp must match the routing).
-        let mut request = Rc::new(ClientRequest {
-            op_id,
+        // may prune those cached responses (`acked_below`).
+        let request = ClientRequest {
+            op_id: OpId {
+                client: self.cfg.id,
+                seq,
+            },
             op,
             ancestors,
             parent,
             epoch: self.epoch(),
             acked_below,
+        };
+        let mut request = self.spares.borrow_mut().request(request, bound);
+        let result = self.issue_tracked(&mut request, target_attrs).await;
+        let mut outstanding = self.outstanding.borrow_mut();
+        outstanding.finish(seq);
+        self.spares
+            .borrow_mut()
+            .keep(request, outstanding.spare_bound());
+        result
+    }
+
+    /// Transmits `request` until it is answered or the retries run out.
+    /// The request is shared (`Rc`) across retransmission attempts and with
+    /// every in-flight packet copy; a map refresh restamps its epoch (the
+    /// stamp must match the routing).
+    async fn issue_tracked(
+        &self,
+        request: &mut Rc<ClientRequest>,
+        target_attrs: Option<InodeAttrs>,
+    ) -> FsResult<OpResult> {
+        let op_id = request.op_id;
+        // Only directory reads carry a dirty-set query header; compute the
+        // fingerprint lazily so every other operation skips the hash.
+        let attach_query = self.cfg.dirty_query_in_packet && request.op.is_dir_read();
+        let fp = attach_query.then(|| {
+            let key = request.op.primary_key();
+            Fingerprint::of_dir(&key.pid, &key.name)
         });
         let mut dst_node = self.destination(&request.op, target_attrs.as_ref());
         // Exponential backoff between retransmissions ([`Retry::REQUEST`],
@@ -567,7 +584,7 @@ impl LibFs {
             if attempt > 0 {
                 self.stats.borrow_mut().retransmissions += 1;
             }
-            let reply = Wait::new(|| self.pending.borrow_mut(), seq);
+            let reply = Wait::new(|| self.pending.borrow_mut(), op_id.seq);
             let pkt = self.next_pkt.get();
             self.next_pkt.set(pkt + 1);
             let pkt_seq = PacketSeq {
@@ -579,9 +596,9 @@ impl LibFs {
                 Some(fp) => NetMsg::with_dirty(
                     pkt_seq,
                     DirtySetHeader::query(fp),
-                    Body::Request(request.clone()),
+                    Body::Request(Rc::clone(request)),
                 ),
-                None => NetMsg::plain(pkt_seq, Body::Request(request.clone())),
+                None => NetMsg::plain(pkt_seq, Body::Request(Rc::clone(request))),
             }
             .traced(trace);
             self.trace_event(Some(trace), EventKind::ClientIssue { op: op_id, attempt });
@@ -605,9 +622,9 @@ impl LibFs {
                                 new_epoch: self.epoch(),
                             },
                         );
-                        let mut rebuilt = (*request).clone();
-                        rebuilt.epoch = self.epoch();
-                        request = Rc::new(rebuilt);
+                        // Copies the request only while a packet copy
+                        // still holds it.
+                        Rc::make_mut(request).epoch = self.epoch();
                         dst_node = self.destination(&request.op, target_attrs.as_ref());
                     }
                     result => return Ok(result),
@@ -670,11 +687,66 @@ impl Outstanding {
         let oldest = if self.done.is_empty() { seq } else { self.base };
         oldest.min(seq)
     }
+
+    /// How many spare requests, and how many spare chains, the client keeps:
+    /// one per operation in the ring, and at least one.
+    fn spare_bound(&self) -> usize {
+        self.done.len().max(1)
+    }
+}
+
+/// Requests of finished operations and empty ancestor chains, kept so that
+/// an operation allocates neither once the client is warm.
+///
+/// A finished request is reused only once nothing else holds it: a packet
+/// copy, a server task or a forwarded request may outlive the reply, and a
+/// request anything still holds is never rewritten. The oldest is the first
+/// to become free, so it is the one tried.
+#[derive(Debug, Default)]
+struct Spares {
+    /// Finished requests, the oldest first.
+    requests: VecDeque<Rc<ClientRequest>>,
+    /// Empty chains, each with the capacity it grew to.
+    chains: Vec<Vec<DirId>>,
+}
+
+impl Spares {
+    /// `fresh` as a shared request: written over the oldest spare if nothing
+    /// else holds it, whose chain becomes a spare (up to `bound` of them),
+    /// and in a new allocation otherwise.
+    fn request(&mut self, fresh: ClientRequest, bound: usize) -> Rc<ClientRequest> {
+        let Some(mut request) = self.requests.pop_front() else {
+            return Rc::new(fresh);
+        };
+        let Some(slot) = Rc::get_mut(&mut request) else {
+            self.requests.push_front(request);
+            return Rc::new(fresh);
+        };
+        let mut chain = std::mem::replace(slot, fresh).ancestors;
+        if self.chains.len() < bound {
+            chain.clear();
+            self.chains.push(chain);
+        }
+        request
+    }
+
+    /// Keeps the request of a finished operation, dropping the newest
+    /// spares beyond `bound`: the oldest are the first to become free.
+    fn keep(&mut self, request: Rc<ClientRequest>, bound: usize) {
+        self.requests.push_back(request);
+        self.requests.truncate(bound);
+        self.chains.truncate(bound);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Outstanding;
+    use std::rc::Rc;
+
+    use switchfs_proto::message::{ClientRequest, MetaOp};
+    use switchfs_proto::{ClientId, DirId, MetaKey, OpId};
+
+    use super::{Outstanding, Spares};
 
     #[test]
     fn the_outstanding_ring_starts_at_the_oldest_operation_not_done() {
@@ -689,5 +761,92 @@ mod tests {
         ring.finish(3);
         assert!(ring.done.is_empty());
         assert_eq!(ring.acked_below(4), 4);
+    }
+
+    /// Issues a `stat` as `seq` with an ancestor chain of `depth` ids, as
+    /// [`super::LibFs::issue`] does.
+    fn issue(
+        ring: &mut Outstanding,
+        spares: &mut Spares,
+        seq: u64,
+        depth: usize,
+    ) -> Rc<ClientRequest> {
+        ring.issue(seq);
+        let mut ancestors = spares.chains.pop().unwrap_or_default();
+        ancestors.extend(std::iter::repeat_n(DirId::ROOT, depth));
+        let fresh = ClientRequest {
+            op_id: OpId {
+                client: ClientId(0),
+                seq,
+            },
+            op: MetaOp::Stat {
+                key: MetaKey::new(DirId::ROOT, "f"),
+            },
+            ancestors,
+            parent: None,
+            epoch: 0,
+            acked_below: ring.acked_below(seq),
+        };
+        spares.request(fresh, ring.spare_bound())
+    }
+
+    /// Finishes `seq`, as [`super::LibFs::issue`] does.
+    fn finish(ring: &mut Outstanding, spares: &mut Spares, seq: u64, request: Rc<ClientRequest>) {
+        ring.finish(seq);
+        spares.keep(request, ring.spare_bound());
+    }
+
+    #[test]
+    fn a_finished_request_is_reused_once_nothing_else_holds_it() {
+        let (mut ring, mut spares) = (Outstanding::default(), Spares::default());
+        let first = issue(&mut ring, &mut spares, 1, 2);
+        let packet = Rc::clone(&first);
+        finish(&mut ring, &mut spares, 1, first);
+
+        // A packet copy still holds the first request: the second is new.
+        let second = issue(&mut ring, &mut spares, 2, 2);
+        assert!(!Rc::ptr_eq(&second, &packet));
+        assert_eq!(packet.op_id.seq, 1, "a held request was rewritten");
+        finish(&mut ring, &mut spares, 2, second);
+
+        // Unshared, the first is the oldest spare and the one reused, and
+        // its chain is kept for the next operation.
+        let oldest = Rc::as_ptr(&packet);
+        drop(packet);
+        let third = issue(&mut ring, &mut spares, 3, 3);
+        assert!(std::ptr::eq(Rc::as_ptr(&third), oldest));
+        assert_eq!((third.op_id.seq, third.ancestors.len()), (3, 3));
+        assert_eq!(spares.chains.len(), 1);
+        assert!(spares.chains[0].is_empty() && spares.chains[0].capacity() >= 2);
+        finish(&mut ring, &mut spares, 3, third);
+    }
+
+    #[test]
+    fn the_spares_stay_within_the_operations_in_flight() {
+        let (mut ring, mut spares) = (Outstanding::default(), Spares::default());
+        let mut in_flight = std::collections::VecDeque::new();
+        let mut held = Vec::new();
+        for seq in 1..=64 {
+            let request = issue(&mut ring, &mut spares, seq, 3);
+            // Every third request outlives its operation in a packet copy.
+            if seq % 3 == 0 {
+                held.push(Rc::clone(&request));
+            }
+            in_flight.push_back((seq, request));
+            // Eight operations in flight, finished out of order.
+            if in_flight.len() == 8 {
+                let (seq, request) = in_flight.remove((seq % 5) as usize).unwrap();
+                finish(&mut ring, &mut spares, seq, request);
+            }
+            if seq % 16 == 0 {
+                held.clear();
+            }
+            let bound = ring.spare_bound();
+            assert!(spares.requests.len() <= bound && spares.chains.len() <= bound);
+        }
+        while let Some((seq, request)) = in_flight.pop_front() {
+            finish(&mut ring, &mut spares, seq, request);
+        }
+        assert!(spares.requests.len() <= 1 && spares.chains.len() <= 1);
     }
 }

@@ -87,7 +87,9 @@ where
 
 #[test]
 fn a_warm_stat_stays_within_its_allocation_budget() {
-    // 4.4 per stat; 347 measured (5.4 per stat) while every task's future
+    // 2.4 per stat; 283 measured (4.4 per stat) while the client allocated
+    // a new request and ancestor chain for every operation; 347 (5.4 per
+    // stat) while every task's future
     // had a box of its own, freed when the task ended; 475 (7.4 per stat)
     // before the client awaited its
     // replies in one table instead of a channel per transmission; 603 (9.4
@@ -99,7 +101,7 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
     // components and the parent's path; and 1,691 (26.4 per stat) before
     // names were shared, the packet path kept its lists inline, task wakers
     // were reused and lock waiters became tickets.
-    const BUDGET: u64 = 283;
+    const BUDGET: u64 = 155;
     let (n, _) = allocs_of(
         SystemKind::SwitchFs,
         paths("/d/f"),
@@ -115,7 +117,9 @@ fn a_warm_stat_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
-    // 9.8 per create; 762 measured (11.9 per create) while every task's
+    // 8.8 per create; 627 measured (9.8 per create) while the client
+    // allocated a new request and ancestor chain for every operation; 762
+    // (11.9 per create) while every task's
     // future had a box of its own and the scan tick listed the dirty
     // directories into a new buffer; 770 (12.0 per create) while compaction
     // collected its surviving operations into a second buffer; 1,078 (16.8
@@ -127,7 +131,7 @@ fn a_warm_create_into_one_directory_stays_within_its_allocation_budget() {
     // one table each; 1,399 (21.9 per create), 1,597 (25.0 per create),
     // 1,921 (30.0 per create) and 3,218 (50.3 per create) before the four
     // changes named above.
-    const BUDGET: u64 = 627;
+    const BUDGET: u64 = 563;
     let (n, _) = allocs_of(
         SystemKind::SwitchFs,
         paths("/d/n"),
@@ -146,20 +150,24 @@ fn a_warm_emulated_cfs_create_stays_within_its_allocation_budget() {
     // The parent update is synchronous here: the file's server asks the
     // directory's owner and waits for its answer, so this budget holds the
     // server's side of an awaited request as the two above hold the
-    // client's. 12.2 per create; 955 measured (14.9 per create) while every
+    // client's. 10.2 per create; 783 measured (12.2 per create) while the
+    // client allocated a new request and ancestor chain for every
+    // operation; 955 (14.9 per create) while every
     // task's future had a box of its own; 999 (15.6 per create) while the
     // synchronous update copied its change-log entry into each request.
-    const BUDGET: u64 = 783;
+    const BUDGET: u64 = 655;
     // Bytes: a task's future moves into the box a finished task of its type
-    // left behind, so only a type's concurrency peak allocates. 3,200.9 per
-    // create; 305,132 measured (4,767.7 per create) while each task, a
+    // left behind, so only a type's concurrency peak allocates. 2,784.9 per
+    // create; 204,860 measured (3,200.9 per create) while the client
+    // allocated a new request and ancestor chain for every operation;
+    // 305,132 (4,767.7 per create) while each task, a
     // received packet's handler among them, allocated its future's box;
     // 364,160 (5,690 per create) while an entry was copied at each hop
     // and a message carried it inline, which made every packet's body and
     // task larger; 382,896 (5,982.8 per create) while the quick messages
     // shared one task, and the answered requests another, each sized for
     // its largest variant.
-    const BYTES_BUDGET: u64 = 204_860;
+    const BYTES_BUDGET: u64 = 178_236;
     let (n, bytes) = allocs_of(
         SystemKind::EmulatedCfs,
         paths("/d/n"),

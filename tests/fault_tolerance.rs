@@ -2373,11 +2373,14 @@ fn an_rmdir_whose_access_replica_delete_gets_no_answer_fails() {
     });
 }
 
+/// A held packet, with the op id it carried when it was held.
+type Held = Rc<RefCell<Option<(OpId, Packet<NetMsg>)>>>;
+
 /// The cluster's switch logic behind a tap that holds the first copy of a
 /// client's `chmod` to `0o600` instead of forwarding it.
 struct HoldFirstChmod {
     inner: Box<dyn SwitchLogic<NetMsg>>,
-    held: Rc<RefCell<Option<Packet<NetMsg>>>>,
+    held: Held,
     armed: bool,
 }
 
@@ -2386,7 +2389,7 @@ impl SwitchLogic<NetMsg> for HoldFirstChmod {
         if let Body::Request(req) = &pkt.payload.body {
             if self.armed && matches!(req.op, MetaOp::Chmod { mode: 0o600, .. }) {
                 self.armed = false;
-                *self.held.borrow_mut() = Some(pkt);
+                *self.held.borrow_mut() = Some((req.op_id, pkt));
                 return Fanout::default();
             }
         }
@@ -2399,7 +2402,9 @@ impl SwitchLogic<NetMsg> for HoldFirstChmod {
 /// until the client's retransmission has completed it and the client's next
 /// `chmod` has been answered, then sent again. The server's packet window
 /// never saw that copy, so only the acked watermark can drop it; run again,
-/// it would undo the second `chmod`.
+/// it would undo the second `chmod`. The client reuses the requests of
+/// finished operations, so the held copy must still carry the first `chmod`
+/// when it is sent again.
 #[test]
 fn a_late_copy_of_an_acknowledged_request_changes_nothing_on_every_system() {
     use switchfs::simnet::net::L2Forward;
@@ -2424,7 +2429,12 @@ fn a_late_copy_of_an_acknowledged_request_changes_nothing_on_every_system() {
         let mode = cluster.block_on(async move {
             client.chmod("/f", 0o600).await.unwrap();
             client.chmod("/f", 0o644).await.unwrap();
-            let late = held.borrow_mut().take().expect("the first copy was held");
+            let (op_id, late) = held.borrow_mut().take().expect("the first copy was held");
+            let Body::Request(req) = &late.payload.body else {
+                panic!("the held packet is not a request");
+            };
+            assert_eq!(req.op_id, op_id, "the held request was rewritten");
+            assert!(matches!(req.op, MetaOp::Chmod { mode: 0o600, .. }));
             network.send(late);
             h.sleep(SimDuration::millis(1)).await;
             client.stat("/f").await.unwrap().perm.mode
